@@ -190,7 +190,7 @@ func TestIncidentManualCapture(t *testing.T) {
 		t.Fatalf("stats.json artifact is not JSON: %v", err)
 	}
 	if _, ok := doc["wal"]; !ok {
-		t.Fatalf("stats.json must carry the full stats document; keys: %v", sortedDocKeys(doc))
+		t.Fatalf("stats.json must carry the full stats document; keys: %v", sortedKeys(doc))
 	}
 
 	// Path traversal is rejected, unknown bundles 404.

@@ -159,14 +159,12 @@ func walkLeaves(prefix string, v any, visit func(path string)) {
 	}
 }
 
-// TestStatsMetricsConformance pins the contract between the two
-// observability surfaces: every counter and gauge /v2/stats reports —
-// including the conditional WAL, replication, drift, audit and SLO
-// blocks — must have a qoserved_* family on /metrics (or a justified
-// skip in statsMetricRules). The server is deliberately maximal: a
-// sync-WAL drift-detecting primary with rank, reward, audit and
-// checkpoint traffic, so all conditional stats blocks are present.
-func TestStatsMetricsConformance(t *testing.T) {
+// newMaximalServer builds the conformance fixture: a sync-WAL
+// drift-detecting primary with incident capture that has served rank,
+// reward, audit, checkpoint and manual-capture traffic, so every
+// conditional /v2/stats block and /metrics family is present.
+func newMaximalServer(t *testing.T) (*Server, *httptest.Server) {
+	t.Helper()
 	ctx := context.Background()
 	j, err := wal.Open(wal.Options{Dir: t.TempDir(), Mode: wal.ModeSync})
 	if err != nil {
@@ -178,7 +176,7 @@ func TestStatsMetricsConformance(t *testing.T) {
 		Incidents: &IncidentConfig{Dir: t.TempDir()},
 	})
 	ts := httptest.NewServer(srv)
-	defer func() { ts.Close(); srv.Close(); j.Close() }()
+	t.Cleanup(func() { ts.Close(); srv.Close(); j.Close() })
 
 	// Touch every conditional surface: ranks, template-attributed
 	// rewards (drift), an audit query, a checkpoint.
@@ -214,6 +212,17 @@ func TestStatsMetricsConformance(t *testing.T) {
 	if _, err := cl.TriggerIncident(ctx); err != nil {
 		t.Fatal(err)
 	}
+	return srv, ts
+}
+
+// TestStatsMetricsConformance pins the contract between the two
+// observability surfaces: every counter and gauge /v2/stats reports —
+// including the conditional WAL, replication, drift, audit and SLO
+// blocks — must have a qoserved_* family on /metrics (or a justified
+// skip in statsMetricRules). The server is deliberately maximal
+// (newMaximalServer), so all conditional stats blocks are present.
+func TestStatsMetricsConformance(t *testing.T) {
+	_, ts := newMaximalServer(t)
 
 	// Raw JSON (not the typed struct): the walk must see exactly what a
 	// wire consumer sees, including fields the struct might drop.
@@ -224,7 +233,7 @@ func TestStatsMetricsConformance(t *testing.T) {
 	}
 	for _, required := range []string{"wal", "replication", "drift", "audit", "slo", "traces", "incidents"} {
 		if _, ok := doc[required]; !ok {
-			t.Fatalf("conformance server must exercise the %q stats block; got keys %v", required, sortedDocKeys(doc))
+			t.Fatalf("conformance server must exercise the %q stats block; got keys %v", required, sortedKeys(doc))
 		}
 	}
 
@@ -290,13 +299,4 @@ func httpGet(t *testing.T, url string) []byte {
 		t.Fatalf("GET %s: %d: %s", url, resp.StatusCode, body)
 	}
 	return body
-}
-
-func sortedDocKeys(doc map[string]any) []string {
-	keys := make([]string, 0, len(doc))
-	for k := range doc {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
