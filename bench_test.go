@@ -743,73 +743,34 @@ func benchSpanFeatures() *core.JobFeatures {
 	return &f
 }
 
-// BenchmarkContextFeatures measures building the bandit context: the
-// pre-hashed integer-mixing path the pipeline uses vs the legacy
-// fmt.Sprintf string-token featurization it replaced.
+// BenchmarkContextFeatures measures building the bandit context by
+// integer mixing over span bits.
 func BenchmarkContextFeatures(b *testing.B) {
 	f := benchSpanFeatures()
-	b.Run("prehashed", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_ = core.ContextFeatures(f)
-		}
-	})
-	b.Run("legacy-strings", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_ = core.LegacyContextFeatures(f)
-		}
-	})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		_ = core.ContextFeatures(f)
+	}
 }
 
-// BenchmarkBanditRank measures one Rank decision. The prehashed arm is
-// the pipeline/serve hot path: context and actions carry pre-hashed IDs,
-// so Rank mixes integers without touching a string. The seed-strings arm
-// reproduces the seed's per-rank cost: fmt.Sprintf featurization plus
-// per-rank FNV hashing of every token inside Rank.
+// BenchmarkBanditRank measures one Rank decision on the pipeline/serve
+// hot path: context and actions carry pre-hashed IDs, so Rank mixes
+// integers without touching a string.
 func BenchmarkBanditRank(b *testing.B) {
 	cat := rules.NewCatalog()
 	f := benchSpanFeatures()
 	cfg := bandit.DefaultConfig(1)
 	cfg.MaxLogEvents = 4096
-
-	b.Run("prehashed", func(b *testing.B) {
-		svc := bandit.New(cfg)
-		ctx := core.ContextFeatures(f)
-		actions, _ := core.ActionsFor(cat, f)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := svc.Rank(ctx, actions); err != nil {
-				b.Fatal(err)
-			}
+	svc := bandit.New(cfg)
+	ctx := core.ContextFeatures(f)
+	actions, _ := core.ActionsFor(cat, f)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := svc.Rank(ctx, actions); err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("seed-strings", func(b *testing.B) {
-		svc := bandit.New(cfg)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			ctx := bandit.Context{Features: core.LegacyContextFeatures(f).Features}
-			actions := make([]bandit.Action, 0, len(f.Span.Bits())+1)
-			actions = append(actions, bandit.Action{ID: "noop", Features: []string{"act:noop"}})
-			for _, bit := range f.Span.Bits() {
-				r := cat.Rule(bit)
-				actions = append(actions, bandit.Action{
-					ID: fmt.Sprintf("flip:%d", bit),
-					Features: []string{
-						fmt.Sprintf("rule:%d", r.ID),
-						fmt.Sprintf("kind:%d", r.Kind),
-						fmt.Sprintf("cat:%d", r.Category),
-						fmt.Sprintf("kinddir:%d,%v", r.Kind, cat.FlipFor(bit).Enable),
-					},
-				})
-			}
-			if _, err := svc.Rank(ctx, actions); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
 }
 
 // BenchmarkWALAppend measures the durable reward journal's raw append
@@ -1211,17 +1172,16 @@ func BenchmarkClusterRank(b *testing.B) {
 
 // --- Incident flight recorder: tail-retention A/B + capture latency ---
 
-// benchFlightBatchRank is the shared body of the tail-retention A/B
-// pair: a mixed 16-job /v2/rank batch through the HTTP layer — the
-// instrumented path where the flight recorder begins and finishes
-// every request. All requests answer far under the rank slow
-// threshold, so nothing is retained and the On arm prices exactly the
-// unretained fast path (pooled span buffer in, spans recorded,
-// buffer back to the pool). Run with -benchmem: the retention-off and
-// retention-on allocs/op must match.
-func benchFlightBatchRank(b *testing.B, srv *serve.Server) {
-	b.Helper()
+// BenchmarkServeBatchRankFlightOn prices the flight recorder's
+// unretained fast path: a mixed 16-job /v2/rank batch through the HTTP
+// layer, where the recorder begins and finishes every request. All
+// requests answer far under the rank slow threshold, so nothing is
+// retained (pooled span buffer in, spans recorded, buffer back to the
+// pool).
+func BenchmarkServeBatchRankFlightOn(b *testing.B) {
 	const batchSize = 16
+	srv := serve.New(serve.Config{Seed: 1})
+	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	cl := client.New(ts.URL)
@@ -1246,28 +1206,9 @@ func benchFlightBatchRank(b *testing.B, srv *serve.Server) {
 		}
 	}
 	b.ReportMetric(float64(b.N*batchSize)/b.Elapsed().Seconds(), "jobs/s")
-	if fr := srv.FlightRecorder(); fr != nil {
-		if st := fr.Stats(); st.Retained != 0 {
-			b.Fatalf("benchmark retained %d traces; the A/B only prices the unretained path", st.Retained)
-		}
+	if st := srv.FlightRecorder().Stats(); st.Retained != 0 {
+		b.Fatalf("benchmark retained %d traces; it only prices the unretained path", st.Retained)
 	}
-}
-
-// BenchmarkServeBatchRankFlightOff is the baseline arm: tail retention
-// disabled (TraceRetain -1), the pre-flight-recorder serving path.
-func BenchmarkServeBatchRankFlightOff(b *testing.B) {
-	srv := serve.New(serve.Config{Seed: 1, TraceRetain: -1})
-	defer srv.Close()
-	benchFlightBatchRank(b, srv)
-}
-
-// BenchmarkServeBatchRankFlightOn is the treatment arm: the default
-// configuration, flight recorder on, every request carrying a pooled
-// span buffer that is returned unretained.
-func BenchmarkServeBatchRankFlightOn(b *testing.B) {
-	srv := serve.New(serve.Config{Seed: 1})
-	defer srv.Close()
-	benchFlightBatchRank(b, srv)
 }
 
 // BenchmarkIncidentCapture measures one diagnostic-bundle capture end

@@ -22,10 +22,9 @@
 //
 // -selfhost spins a sync-mode WAL primary plus one tailing follower on
 // loopback listeners and aims the run at that two-node cluster — the CI
-// load-smoke path, and the only mode where -stall works: it injects a
-// one-shot WAL fsync stall mid-run and appends an open-loop vs
-// closed-loop comparison arm to the report, demonstrating the
-// coordinated-omission gap on a live stall.
+// load-smoke path, and the only mode where -stall works: it appends an
+// arm to the report that injects a one-shot WAL fsync stall mid-run,
+// whose open-loop p99 must carry the stall.
 //
 // -incident-dir (selfhost only) enables the primary's incident engine,
 // so a -stall run also exercises the burn→capture path: the stalled
@@ -62,7 +61,7 @@ import (
 func main() {
 	clusterFlag := flag.String("cluster", "", "comma-separated endpoint list to load (primary first is conventional, not required)")
 	selfhost := flag.Bool("selfhost", false, "spin an in-process sync-WAL primary + follower pair on loopback and load that")
-	stall := flag.Duration("stall", 0, "with -selfhost: inject a one-shot WAL fsync stall of this length and run the open-vs-closed comparison arm")
+	stall := flag.Duration("stall", 0, "with -selfhost: run an extra open-loop arm with a one-shot WAL fsync stall of this length injected mid-run")
 	incidentDir := flag.String("incident-dir", "", "with -selfhost: enable incident capture on the primary, writing diagnostic bundles to this directory")
 	phasesFlag := flag.String("phases", "steady:10s@200,ramp:10s@50..500,crowd:10s@100!800",
 		"load plan: name:dur@rate phases; rate forms: 500 (const), 100..2000 (ramp), 200~800 (diurnal), 100!2000 (flash)")
@@ -305,36 +304,23 @@ func listenAndServe(handler http.Handler) (string, func(), error) {
 	return "http://" + ln.Addr().String(), stop, nil
 }
 
-// runStallArm runs the injected-stall comparison: the same constant
-// workload measured open-loop and then closed-loop against the
-// primary, each with an identical one-shot fsync stall armed mid-run.
-// The two p99s side by side are the coordinated-omission story.
+// runStallArm runs a constant open-loop workload against the primary
+// with a one-shot fsync stall armed mid-run: the ops scheduled during
+// the stall queue behind the frozen commit, so the stall lands in p99.
 func runStallArm(ctx context.Context, cfg load.Config, primaryURL string, j *wal.WAL, stall time.Duration) *load.StallReport {
-	fmt.Fprintf(os.Stderr, "stall arm: one-shot %v fsync stall, open-loop then closed-loop\n", stall)
-	armCfg := cfg
-	armCfg.Target = client.New(primaryURL, client.WithTimeout(cfg.Timeout))
-	armCfg.Batch = 2
+	fmt.Fprintf(os.Stderr, "stall arm: one-shot %v fsync stall, open-loop\n", stall)
+	cfg.Target = client.New(primaryURL, client.WithTimeout(cfg.Timeout))
+	cfg.Batch = 2
 
-	open := load.NewRunner(armCfg)
 	armStall(j, 300*time.Millisecond, stall)
-	openRes := open.RunPhase(ctx, load.Phase{
+	res := load.NewRunner(cfg).RunPhase(ctx, load.Phase{
 		Name: "stall-open", Shape: load.ShapeConstant, Duration: 4 * stall / 2, Low: 200,
 	})
 	j.SetFaults(nil)
 
-	closed := load.NewRunner(armCfg)
-	armStall(j, 300*time.Millisecond, stall)
-	closedRes := closed.RunClosedLoopN(ctx, 400, 1)
-	j.SetFaults(nil)
-
-	or, cr := load.Summarize(openRes), load.Summarize(closedRes)
-	fmt.Fprintf(os.Stderr, "  open-loop   p99 %8.2fms over %d ops (stall visible)\n", or.P99Ms, or.CompletedOps)
-	fmt.Fprintf(os.Stderr, "  closed-loop p99 %8.2fms over %d ops (coordinated omission hides it)\n", cr.P99Ms, cr.CompletedOps)
-	return &load.StallReport{
-		StallMs:    float64(stall) / float64(time.Millisecond),
-		OpenLoop:   or,
-		ClosedLoop: cr,
-	}
+	or := load.Summarize(res)
+	fmt.Fprintf(os.Stderr, "  open-loop p99 %8.2fms over %d ops (stall visible)\n", or.P99Ms, or.CompletedOps)
+	return &load.StallReport{StallMs: float64(stall) / float64(time.Millisecond), OpenLoop: or}
 }
 
 // armStall installs a one-shot fsync stall that fires once the arm is

@@ -6,7 +6,7 @@
 // daily pipeline for a few simulated days — producing a validated hint
 // table and a trained bandit — and then serves both: cached hints answer
 // steering queries for known templates, the bandit ranks everything else,
-// and /v1/reward telemetry trains the model continuously off the request
+// and /v2/reward telemetry trains the model continuously off the request
 // path. On SIGINT/SIGTERM the server drains the reward queue and, when
 // -model is set, persists the learner so a restart resumes from the
 // learned state.
@@ -44,11 +44,12 @@
 // Observability: every node serves Prometheus text-format metrics at
 // GET /metrics and its build identity at GET /v2/version (also:
 // qoserved -version). -pprof mounts net/http/pprof on a separate
-// listener; -trace-out samples 1 in -trace-sample requests and writes
-// their stage timelines as Chrome-trace JSON. Independently of head
-// sampling, every node tail-retains traces of slow or errored requests
-// in a bounded in-memory ring served at GET /v2/traces
-// (-trace-retain-ms tunes the threshold). With -incident-dir set, the
+// listener. Every request records its stage timeline into one flight
+// recorder, which retains the traces of slow or errored requests in a
+// bounded in-memory ring served at GET /v2/traces (-trace-retain-ms
+// tunes the slow threshold); -trace-out additionally head-samples 1 in
+// -trace-sample requests into the ring and writes them to a file as
+// Chrome-trace JSON. With -incident-dir set, the
 // incident engine watches the SLO burn rate, drift quarantines and
 // journal fail-stops, and captures a diagnostic bundle (profiles,
 // histograms, retained traces, full stats) when one fires; bundles are
@@ -117,7 +118,7 @@ func main() {
 	templates := flag.Int("templates", 24, "bootstrap workload size (recurring job templates)")
 	bootstrapDays := flag.Int("bootstrap-days", 5, "simulated pipeline days to run before serving (0 = none)")
 	hintsPath := flag.String("hints", "", "load an additional SIS hint file into the cache")
-	modelPath := flag.String("model", "", "model snapshot path: loaded at startup if present, written on shutdown and POST /v1/model/snapshot")
+	modelPath := flag.String("model", "", "model snapshot path: loaded at startup if present, written on shutdown and POST /v2/model/snapshot")
 	shards := flag.Int("shards", 0, "hint cache shard count (0 = default)")
 	queue := flag.Int("queue", 0, "reward ingestion queue size (0 = default)")
 	workers := flag.Int("workers", 0, "reward ingestion workers (0 = default 1; applies serialize on the learner)")
@@ -153,7 +154,7 @@ func main() {
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on a separate listener at this address (empty = disabled)")
 	traceOut := flag.String("trace-out", "", "write Chrome-trace JSON for sampled requests to this file (load in chrome://tracing or ui.perfetto.dev)")
 	traceSample := flag.Int("trace-sample", 100, "with -trace-out, trace 1 in N requests")
-	traceRetainMS := flag.Int("trace-retain-ms", 0, "retain traces of requests slower than this many ms in the in-memory ring served at /v2/traces (0 = default 250ms; negative disables tail retention)")
+	traceRetainMS := flag.Int("trace-retain-ms", 0, "retain traces of requests slower than this many ms in the in-memory ring served at /v2/traces (0 = default 250ms)")
 	incidentDir := flag.String("incident-dir", "", "capture diagnostic bundles (profiles, histograms, slow traces, stats) into this directory when an incident trigger fires (empty = disabled)")
 	incidentBurn := flag.Float64("incident-burn-threshold", 0, "with -incident-dir: shortest-window SLO burn rate that triggers a capture (0 = default 2.0)")
 	incidentCooldown := flag.Duration("incident-cooldown", 0, "with -incident-dir: minimum spacing between captures (0 = default 5m)")
@@ -186,14 +187,6 @@ func main() {
 		return
 	}
 	if *check != "" {
-		// A comma-separated -check target is a fleet check spelled the
-		// old way; route it to the aggregator.
-		if strings.Contains(*check, ",") {
-			if err := runClusterCheck(*check); err != nil {
-				fatal("cluster check failed", "cluster", *check, "err", err)
-			}
-			return
-		}
 		if err := runCheck(*check); err != nil {
 			fatal("check failed", "target", *check, "err", err)
 		}
@@ -251,15 +244,19 @@ func main() {
 		}()
 		logg.Info("pprof listening", "addr", *pprofAddr)
 	}
-	var tracer *obs.Tracer
+	if *traceRetainMS < 0 {
+		fatal("-trace-retain-ms must not be negative", "value", *traceRetainMS)
+	}
+	flightCfg := obs.FlightConfig{Threshold: time.Duration(*traceRetainMS) * time.Millisecond}
 	if *traceOut != "" {
 		tf, terr := os.Create(*traceOut)
 		if terr != nil {
 			fatal("creating trace output", "path", *traceOut, "err", terr)
 		}
-		tracer = obs.NewTracer(tf, *traceSample)
+		flightCfg.Export, flightCfg.SampleEvery = tf, *traceSample
 		logg.Info("request tracing enabled", "path", *traceOut, "sampleEvery", *traceSample)
 	}
+	flight := serve.NewFlightRecorder(flightCfg)
 	if *follow != "" {
 		if *walDir != "" {
 			fatal("-follow and -wal-dir are mutually exclusive (a follower's durable state IS the primary's journal)")
@@ -296,8 +293,8 @@ func main() {
 		if conflict != "" {
 			fatal(conflict)
 		}
-		ferr := runFollower(*addr, *follow, *shards, *rankWorkers, *trainEvery, *maxLog, *seed, tracer, traceRetain(*traceRetainMS))
-		closeTracer(tracer)
+		ferr := runFollower(*addr, *follow, *shards, *rankWorkers, *trainEvery, *maxLog, *seed, flight)
+		closeFlight(flight)
 		if ferr != nil {
 			fatal("follow failed", "primary", *follow, "err", ferr)
 		}
@@ -435,8 +432,7 @@ func main() {
 		MaxLogEvents: *maxLog,
 		SnapshotPath: *modelPath,
 		WAL:          journal,
-		Tracer:       tracer,
-		TraceRetain:  traceRetain(*traceRetainMS),
+		Flight:       flight,
 		Incidents:    incidentCfg,
 		Drift:        driftCfg,
 	})
@@ -544,27 +540,14 @@ func main() {
 			logg.Error("closing WAL", "err", err)
 		}
 	}
-	closeTracer(tracer)
+	closeFlight(flight)
 	logg.Info("qoserved stopped")
 }
 
-// traceRetain maps the -trace-retain-ms flag onto the serve layer's
-// threshold semantics: 0 keeps the default, negative disables tail
-// retention.
-func traceRetain(ms int) time.Duration {
-	if ms < 0 {
-		return -1
-	}
-	return time.Duration(ms) * time.Millisecond
-}
-
-// closeTracer flushes and closes the trace output (nil-safe); without
-// the close the emitted JSON array is unterminated.
-func closeTracer(t *obs.Tracer) {
-	if t == nil {
-		return
-	}
-	if err := t.Close(); err != nil {
+// closeFlight finishes and closes the -trace-out export stream;
+// without the close the emitted JSON array is unterminated.
+func closeFlight(r *obs.FlightRecorder) {
+	if err := r.Close(); err != nil {
 		logg.Warn("closing trace output", "err", err)
 	}
 }
@@ -614,7 +597,7 @@ func runReplay(outPath, walDir, snapshotPath string, trainEvery, maxLog int, see
 // primary, tail its WAL, serve reads locally until SIGINT/SIGTERM.
 // The replicate.Follower re-bootstraps itself if the primary compacts
 // past its position, so there is nothing to babysit here.
-func runFollower(addr, primary string, shards, rankWorkers, trainEvery, maxLog int, seed int64, tracer *obs.Tracer, traceRetain time.Duration) error {
+func runFollower(addr, primary string, shards, rankWorkers, trainEvery, maxLog int, seed int64, flight *obs.FlightRecorder) error {
 	f, err := replicate.Start(replicate.Config{
 		Primary:      primary,
 		Seed:         seed,
@@ -623,8 +606,7 @@ func runFollower(addr, primary string, shards, rankWorkers, trainEvery, maxLog i
 		Shards:       shards,
 		RankWorkers:  rankWorkers,
 		Logger:       logg,
-		Tracer:       tracer,
-		TraceRetain:  traceRetain,
+		Flight:       flight,
 	})
 	if err != nil {
 		return err

@@ -7,7 +7,7 @@
 // The final section closes the deployment loop over the wire: the
 // trained bandit and validated hint table are served by the online
 // steering service (internal/serve), the hint file is rolled over via
-// POST /v1/hints, and the next day's jobs are steered through the
+// POST /v2/hints, and the next day's jobs are steered through the
 // versioned batch protocol with the typed client
 // (qoadvisor/internal/api/client) — cache hits for hinted templates,
 // bandit decisions for the rest, and batched reward telemetry back.

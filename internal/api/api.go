@@ -6,16 +6,9 @@
 // (internal/api/client), the CLI, and the examples — it depends only on
 // the standard library so any binary can embed it.
 //
-// Protocol versions:
-//
-//   - v1 — the original single-job surface (/v1/rank, /v1/reward,
-//     /v1/hints, /v1/stats, /v1/model/snapshot). Stable; served as thin
-//     adapters over the v2 handlers. Success shapes are unchanged from
-//     the pre-versioned protocol; errors now use the structured
-//     envelope.
-//   - v2 — the batch-first surface (/v2/rank, /v2/reward, /v2/healthz,
-//     /v2/stats). Every v2 response carries the hint-table generation
-//     and the request ID assigned (or propagated) by the server.
+// There is one protocol version, /v2: batch-first (/v2/rank,
+// /v2/reward), with every JSON response carrying the request ID
+// assigned (or propagated) by the server.
 package api
 
 import (
@@ -25,26 +18,20 @@ import (
 	"strconv"
 )
 
-// Versions of the HTTP surface, as path prefixes.
-const (
-	V1 = "v1"
-	V2 = "v2"
-)
-
 // Route paths. Clients should use these constants rather than spelling
 // paths so protocol moves stay one-line changes.
 const (
-	RouteV1Rank     = "/v1/rank"
-	RouteV1Reward   = "/v1/reward"
-	RouteV1Hints    = "/v1/hints"
-	RouteV1Stats    = "/v1/stats"
-	RouteV1Snapshot = "/v1/model/snapshot"
-
 	RouteV2Rank    = "/v2/rank"
 	RouteV2Reward  = "/v2/reward"
 	RouteV2Healthz = "/v2/healthz"
 	RouteV2Stats   = "/v2/stats"
 	RouteV2Version = "/v2/version"
+
+	// RouteV2Hints installs a hint table from a SIS exchange-format body
+	// (POST, primary only). RouteV2Snapshot streams the model's persisted
+	// form on GET and persists it to the configured path on POST.
+	RouteV2Hints    = "/v2/hints"
+	RouteV2Snapshot = "/v2/model/snapshot"
 
 	// RouteV2Quarantine is the drift-safeguard admin surface: GET lists
 	// the durable quarantine table (any node), POST applies a manual
@@ -213,11 +200,6 @@ type RewardEvent struct {
 	TemplateHash *TemplateHash `json:"templateHash,omitempty"`
 }
 
-// RewardResponse answers /v1/reward.
-type RewardResponse struct {
-	Status string `json:"status"`
-}
-
 // BatchRewardRequest is the /v2/reward payload: a batch of telemetry
 // events fed to the ingestion queue in one call.
 type BatchRewardRequest struct {
@@ -287,14 +269,14 @@ type QuarantineListResponse struct {
 	Templates []QuarantineEntry `json:"templates"`
 }
 
-// HintsInstallResponse answers POST /v1/hints (the pipeline rollover).
+// HintsInstallResponse answers POST /v2/hints (the pipeline rollover).
 type HintsInstallResponse struct {
 	Installed  int    `json:"installed"`
 	Day        int    `json:"day"`
 	Generation uint64 `json:"generation"`
 }
 
-// SnapshotSaveResponse answers POST /v1/model/snapshot.
+// SnapshotSaveResponse answers POST /v2/model/snapshot.
 type SnapshotSaveResponse struct {
 	Path  string `json:"path"`
 	Bytes int64  `json:"bytes"`
@@ -398,8 +380,8 @@ type RouteStats struct {
 	P90Micros   int64 `json:"p90Micros"`
 	P99Micros   int64 `json:"p99Micros"`
 	P999Micros  int64 `json:"p999Micros"`
-	// Hist is the route's raw latency histogram (v2 only, additive),
-	// the mergeable source the percentiles above were estimated from.
+	// Hist is the route's raw latency histogram, the mergeable source
+	// the percentiles above were estimated from.
 	Hist *Hist `json:"hist,omitempty"`
 }
 
@@ -439,9 +421,7 @@ type VersionResponse struct {
 	RequestID string `json:"requestId,omitempty"`
 }
 
-// StatsResponse answers /v1/stats and /v2/stats. The v1 field set is
-// unchanged from the pre-versioned protocol; v2 additionally populates
-// RequestID and the per-route Routes metrics.
+// StatsResponse answers /v2/stats.
 type StatsResponse struct {
 	UptimeSec    float64     `json:"uptimeSec"`
 	RankRequests int64       `json:"rankRequests"`
@@ -462,24 +442,22 @@ type StatsResponse struct {
 	RequestID string                `json:"requestId,omitempty"`
 	Routes    map[string]RouteStats `json:"routes,omitempty"`
 	// Stages reports per-stage latency distributions from the serving
-	// path instrumentation (v2 only, additive).
+	// path instrumentation.
 	Stages map[string]LatencySummary `json:"stages,omitempty"`
-	// Version identifies the node's build (v2 only, additive).
+	// Version identifies the node's build.
 	Version *VersionInfo `json:"version,omitempty"`
-	// Drift reports the drift-safeguard state (v2 only, additive; the
-	// /v1/stats field set is unchanged).
+	// Drift reports the drift-safeguard state.
 	Drift *DriftStats `json:"drift,omitempty"`
-	// Audit reports the journal-audit engine's counters (v2 only,
-	// additive; present once an audit query has run on this node).
+	// Audit reports the journal-audit engine's counters (present once
+	// an audit query has run on this node).
 	Audit *AuditStats `json:"audit,omitempty"`
 	// SLO reports the node's service-level objectives and their rolling
-	// error-budget burn rates (v2 only, additive).
+	// error-budget burn rates.
 	SLO *SLOStats `json:"slo,omitempty"`
-	// Traces reports the flight recorder's tail-retention counters
-	// (v2 only, additive; present when retention is enabled).
+	// Traces reports the flight recorder's retention counters.
 	Traces *TraceStats `json:"traces,omitempty"`
 	// Incidents reports the incident engine's trigger and capture
-	// counters (v2 only, additive; present when -incident-dir is set).
+	// counters (present when -incident-dir is set).
 	Incidents *IncidentStats `json:"incidents,omitempty"`
 }
 
@@ -838,7 +816,7 @@ const (
 const (
 	// CodeMethodNotAllowed: the route exists but not for this verb.
 	CodeMethodNotAllowed = "method_not_allowed"
-	// CodeNotFound: no such route in either protocol version.
+	// CodeNotFound: no such route.
 	CodeNotFound = "not_found"
 	// CodeInvalidJSON: the body failed JSON decoding.
 	CodeInvalidJSON = "invalid_json"
@@ -925,7 +903,7 @@ type ErrorResponse struct {
 
 // StatusForCode maps an error code to its canonical HTTP status. The
 // server uses it when writing envelopes so code→status stays consistent
-// across routes and versions.
+// across routes.
 func StatusForCode(code string) int {
 	switch code {
 	case CodeMethodNotAllowed:

@@ -90,7 +90,6 @@ func (c *Client) do(ctx context.Context, method, path, contentType string, in, o
 	}
 	return c.doRaw(ctx, method, path, contentType, payload, func(resp *http.Response) error {
 		if out == nil {
-			io.Copy(io.Discard, resp.Body)
 			return nil
 		}
 		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
@@ -133,10 +132,14 @@ func (c *Client) doRaw(ctx context.Context, method, path, contentType string, pa
 		}
 		if resp.StatusCode < 400 {
 			err := onOK(resp)
+			// Drain before Close: json.Decoder stops at the end of the
+			// value, and a body closed with bytes unread costs the
+			// keep-alive connection.
+			io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
 			return err
 		}
-		apiErr := decodeError(resp)
+		apiErr := DecodeError(resp)
 		resp.Body.Close()
 		// Retry only backpressure: queue_full means nothing was accepted
 		// and the condition is transient. Other 503s are not — notably a
@@ -156,10 +159,7 @@ func (c *Client) doRaw(ctx context.Context, method, path, contentType string, pa
 // exported for callers that drive raw HTTP against the protocol (the
 // replication tailer reads a streaming route the typed client does not
 // wrap) so envelope decoding has exactly one implementation.
-func DecodeError(resp *http.Response) *api.Error { return decodeError(resp) }
-
-// decodeError is DecodeError's internal form.
-func decodeError(resp *http.Response) *api.Error {
+func DecodeError(resp *http.Response) *api.Error {
 	body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
 	return decodeErrorBytes(resp.StatusCode, body)
 }
@@ -180,11 +180,21 @@ func decodeErrorBytes(status int, body []byte) *api.Error {
 	return &e
 }
 
-// Rank steers one job via the stable v1 single-job endpoint.
+// Rank steers one job: a /v2/rank batch of one, with the job's per-item
+// error (if any) surfaced as the returned *api.Error.
 func (c *Client) Rank(ctx context.Context, job api.RankRequest) (api.RankResponse, error) {
-	var out api.RankResponse
-	err := c.do(ctx, http.MethodPost, api.RouteV1Rank, "", job, &out)
-	return out, err
+	resp, err := c.RankBatch(ctx, []api.RankRequest{job})
+	if err != nil {
+		return api.RankResponse{}, err
+	}
+	if len(resp.Results) != 1 {
+		return api.RankResponse{}, fmt.Errorf("client: %d results for a batch of one", len(resp.Results))
+	}
+	if e := resp.Results[0].Error; e != nil {
+		e.HTTPStatus = api.StatusForCode(e.Code)
+		return api.RankResponse{}, e
+	}
+	return resp.Results[0].RankResponse, nil
 }
 
 // RankBatch steers up to api.MaxRankBatch jobs in one /v2/rank call.
@@ -212,11 +222,20 @@ func (c *Client) RankAll(ctx context.Context, jobs []api.RankRequest) ([]api.Ran
 	return results, nil
 }
 
-// Reward reports one event's reward via v1. A saturated queue (503) is
-// retried per the client's retry policy before the error is returned.
+// Reward reports one event's reward: a /v2/reward batch of one, with a
+// rejection surfaced as the returned *api.Error. A saturated queue (503)
+// is retried per the client's retry policy before the error is returned.
 func (c *Client) Reward(ctx context.Context, eventID string, value float64) error {
-	return c.do(ctx, http.MethodPost, api.RouteV1Reward, "",
-		api.RewardEvent{EventID: eventID, Reward: &value}, nil)
+	resp, err := c.RewardBatch(ctx, []api.RewardEvent{{EventID: eventID, Reward: &value}})
+	if err != nil {
+		return err
+	}
+	if len(resp.Rejected) > 0 {
+		e := resp.Rejected[0].Error
+		e.HTTPStatus = api.StatusForCode(e.Code)
+		return &e
+	}
+	return nil
 }
 
 // RewardBatch feeds a telemetry batch to /v2/reward. The transport
@@ -237,7 +256,7 @@ func (c *Client) InstallHints(ctx context.Context, hintFile io.Reader) (api.Hint
 		return api.HintsInstallResponse{}, fmt.Errorf("client: reading hint file: %w", err)
 	}
 	var out api.HintsInstallResponse
-	err = c.doRaw(ctx, http.MethodPost, api.RouteV1Hints, "text/plain", payload, func(resp *http.Response) error {
+	err = c.doRaw(ctx, http.MethodPost, api.RouteV2Hints, "text/plain", payload, func(resp *http.Response) error {
 		return json.NewDecoder(resp.Body).Decode(&out)
 	})
 	return out, err
@@ -314,23 +333,29 @@ func (c *Client) Version(ctx context.Context) (api.VersionResponse, error) {
 	return out, err
 }
 
-// Snapshot streams the model's persisted form from the server. The
-// caller must Close the returned reader.
-func (c *Client) Snapshot(ctx context.Context) (io.ReadCloser, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+api.RouteV1Snapshot, nil)
+// getStream issues one GET and hands the 2xx body to the caller, who
+// must Close it.
+func (c *Client) getStream(ctx context.Context, path string) (io.ReadCloser, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
 	if err != nil {
-		return nil, fmt.Errorf("client: snapshot: %w", err)
+		return nil, fmt.Errorf("client: GET %s: %w", path, err)
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		return nil, fmt.Errorf("client: snapshot: %w", err)
+		return nil, fmt.Errorf("client: GET %s: %w", path, err)
 	}
 	if resp.StatusCode >= 400 {
-		apiErr := decodeError(resp)
+		apiErr := DecodeError(resp)
 		resp.Body.Close()
 		return nil, apiErr
 	}
 	return resp.Body, nil
+}
+
+// Snapshot streams the model's persisted form from the server. The
+// caller must Close the returned reader.
+func (c *Client) Snapshot(ctx context.Context) (io.ReadCloser, error) {
+	return c.getStream(ctx, api.RouteV2Snapshot)
 }
 
 // BootstrapSnapshot streams the primary's replication bootstrap
@@ -338,20 +363,7 @@ func (c *Client) Snapshot(ctx context.Context) (io.ReadCloser, error) {
 // embedded WAL watermark is where a follower starts tailing. The
 // caller must Close the returned reader.
 func (c *Client) BootstrapSnapshot(ctx context.Context) (io.ReadCloser, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+api.RouteV2WALSnapshot, nil)
-	if err != nil {
-		return nil, fmt.Errorf("client: bootstrap snapshot: %w", err)
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("client: bootstrap snapshot: %w", err)
-	}
-	if resp.StatusCode >= 400 {
-		apiErr := decodeError(resp)
-		resp.Body.Close()
-		return nil, apiErr
-	}
-	return resp.Body, nil
+	return c.getStream(ctx, api.RouteV2WALSnapshot)
 }
 
 // AuditRecordsOptions filter a GET /v2/audit/records listing. Zero
@@ -489,21 +501,7 @@ func (c *Client) Incident(ctx context.Context, id string) (api.IncidentResponse,
 // (GET /v2/incidents/{id}?file={name}). The caller must Close the
 // returned reader.
 func (c *Client) IncidentFile(ctx context.Context, id, name string) (io.ReadCloser, error) {
-	path := api.RouteV2Incidents + "/" + url.PathEscape(id) + "?file=" + url.QueryEscape(name)
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
-	if err != nil {
-		return nil, fmt.Errorf("client: incident file: %w", err)
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("client: incident file: %w", err)
-	}
-	if resp.StatusCode >= 400 {
-		apiErr := decodeError(resp)
-		resp.Body.Close()
-		return nil, apiErr
-	}
-	return resp.Body, nil
+	return c.getStream(ctx, api.RouteV2Incidents+"/"+url.PathEscape(id)+"?file="+url.QueryEscape(name))
 }
 
 // TriggerIncident captures a diagnostic bundle now (POST /v2/incidents),
@@ -519,6 +517,6 @@ func (c *Client) TriggerIncident(ctx context.Context) (api.IncidentResponse, err
 // snapshot path.
 func (c *Client) SaveSnapshot(ctx context.Context) (api.SnapshotSaveResponse, error) {
 	var out api.SnapshotSaveResponse
-	err := c.do(ctx, http.MethodPost, api.RouteV1Snapshot, "", nil, &out)
+	err := c.do(ctx, http.MethodPost, api.RouteV2Snapshot, "", nil, &out)
 	return out, err
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -21,8 +22,8 @@ import (
 )
 
 // TestAPIConformanceClientEndToEnd drives every client method against a
-// real steering server: install hints, health, batch rank, reward (v1
-// and v2 batch), stats, snapshot.
+// real steering server: install hints, health, batch rank, reward
+// (single and batch), stats, snapshot.
 func TestAPIConformanceClientEndToEnd(t *testing.T) {
 	cat := rules.NewCatalog()
 	srv := serve.New(serve.Config{Catalog: cat, Seed: 17, TrainEvery: 2})
@@ -74,7 +75,7 @@ func TestAPIConformanceClientEndToEnd(t *testing.T) {
 		t.Fatalf("result 1 = %+v, want bandit event", ev)
 	}
 
-	// v1 reward through the client, then a v2 batch with one unknown.
+	// Single reward through the client, then a batch with one unknown.
 	if err := c.Reward(ctx, ev.EventID, 1.2); err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +141,7 @@ func TestClientRetriesOn503(t *testing.T) {
 			return
 		}
 		w.WriteHeader(http.StatusAccepted)
-		json.NewEncoder(w).Encode(api.RewardResponse{Status: "queued"})
+		json.NewEncoder(w).Encode(api.BatchRewardResponse{Queued: 1})
 	})
 	ts := httptest.NewServer(h)
 	defer ts.Close()
@@ -205,6 +206,39 @@ func TestClientDoesNotRetryDegraded503(t *testing.T) {
 	}
 	if calls.Load() != 1 {
 		t.Errorf("server saw %d calls, want 1 (degraded healthz is not retryable)", calls.Load())
+	}
+}
+
+// TestClientKeepsConnectionAlive: json.Decoder stops reading at the end
+// of the response value, before EOF, and a body closed with bytes
+// unread makes the transport discard the connection — so every large
+// batch used to dial afresh. 200 sequential batch-128 calls must share
+// one TCP connection.
+func TestClientKeepsConnectionAlive(t *testing.T) {
+	srv := serve.New(serve.Config{Seed: 1})
+	defer srv.Close()
+	var dials atomic.Int64
+	ts := httptest.NewUnstartedServer(srv)
+	ts.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			dials.Add(1)
+		}
+	}
+	ts.Start()
+	defer ts.Close()
+
+	jobs := make([]api.RankRequest, 128)
+	for i := range jobs {
+		jobs[i] = api.RankRequest{TemplateHash: api.TemplateHash(i + 1), Span: []int{i % 64, 64 + i%64}}
+	}
+	c := client.New(ts.URL, client.WithHTTPClient(&http.Client{Transport: &http.Transport{}}))
+	for i := 0; i < 200; i++ {
+		if _, err := c.RankBatch(context.Background(), jobs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := dials.Load(); n != 1 {
+		t.Errorf("200 batch-128 calls opened %d connections, want 1", n)
 	}
 }
 

@@ -17,25 +17,19 @@ import (
 	"time"
 )
 
-// Action is one candidate decision. Features are described either as
-// pre-hashed 64-bit feature IDs (IDs, the allocation-free hot path the
-// offline pipeline and serve layer use) or as categorical string tokens
-// (Features, the adapter path for the HTTP API, tests, and persisted
-// telemetry). When IDs is non-nil it wins; string tokens are folded into
-// the same ID space via HashFeature, so the two representations of the
-// same feature set score identically.
+// Action is one candidate decision, described by pre-hashed 64-bit
+// feature IDs. Featurizers compute IDs directly (integer mixing over
+// span bits); callers that still speak categorical string tokens fold
+// them into the same ID space with HashFeatures.
 type Action struct {
-	ID       string
-	Features []string
-	IDs      []uint64
+	ID  string
+	IDs []uint64
 }
 
 // Context carries the decision context (e.g. job-span bit positions and
-// their co-occurrence crosses), with the same dual representation as
-// Action: pre-hashed IDs preferred, string tokens as the adapter.
+// their co-occurrence crosses) as pre-hashed feature IDs.
 type Context struct {
-	Features []string
-	IDs      []uint64
+	IDs []uint64
 }
 
 // fnv64a hashes a string with FNV-1a without the hash.Hash allocation
@@ -49,13 +43,8 @@ func fnv64a(s string) uint64 {
 	return h
 }
 
-// HashFeature maps a categorical feature token into the pre-hashed
-// feature-ID space. Featurizers that can compute IDs directly (integer
-// mixing over span bits) skip the string entirely; this adapter exists
-// for callers that still speak tokens.
-func HashFeature(token string) uint64 { return fnv64a(token) }
-
-// HashFeatures maps a token slice into feature IDs.
+// HashFeatures maps categorical feature tokens into the pre-hashed
+// feature-ID space — the one adapter for callers that speak tokens.
 func HashFeatures(tokens []string) []uint64 {
 	if len(tokens) == 0 {
 		return nil
@@ -65,23 +54,6 @@ func HashFeatures(tokens []string) []uint64 {
 		out[i] = fnv64a(tok)
 	}
 	return out
-}
-
-// featureIDs resolves the context's features to IDs (allocating only on
-// the string-adapter path).
-func (c Context) featureIDs() []uint64 {
-	if c.IDs != nil {
-		return c.IDs
-	}
-	return HashFeatures(c.Features)
-}
-
-// featureIDs resolves the action's features to IDs.
-func (a Action) featureIDs() []uint64 {
-	if a.IDs != nil {
-		return a.IDs
-	}
-	return HashFeatures(a.Features)
 }
 
 // Bias feature IDs: every (context, action) pair contributes at least the
@@ -373,10 +345,9 @@ func (s *Service) featureIndexes(ctxIDs, actIDs []uint64) []int {
 
 // Score returns the model's value estimate for an action in context.
 func (s *Service) Score(ctx Context, a Action) float64 {
-	ctxIDs, actIDs := ctx.featureIDs(), a.featureIDs()
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.scoreIDs(ctxIDs, actIDs)
+	return s.scoreIDs(ctx.IDs, a.IDs)
 }
 
 // scoreIDs sums the weights of the pair cross product without allocating;
@@ -423,12 +394,11 @@ func (s *Service) RankGreedy(ctx Context, actions []Action) (Ranked, error) {
 	if len(actions) == 0 {
 		return Ranked{}, errors.New("bandit: no actions")
 	}
-	ctxIDs := ctx.featureIDs()
 	scores := make([]float64, len(actions))
 	best := 0
 	s.mu.RLock()
 	for i, a := range actions {
-		scores[i] = s.scoreIDs(ctxIDs, a.featureIDs())
+		scores[i] = s.scoreIDs(ctx.IDs, a.IDs)
 		if scores[i] > scores[best] {
 			best = i
 		}
@@ -443,15 +413,11 @@ func (s *Service) rank(ctx Context, actions []Action, uniform bool) (Ranked, err
 		return Ranked{}, errors.New("bandit: no actions")
 	}
 	k := len(actions)
-	// Resolve features to pre-hashed IDs once per rank; the pipeline's
-	// featurizers hand IDs in directly, making this free.
-	ctxIDs := ctx.featureIDs()
-	ctx.IDs = ctxIDs // logged events carry the resolved form
 	scores := make([]float64, k)
 	best := 0
 	s.mu.RLock()
 	for i, a := range actions {
-		scores[i] = s.scoreIDs(ctxIDs, a.featureIDs())
+		scores[i] = s.scoreIDs(ctx.IDs, a.IDs)
 		if scores[i] > scores[best] {
 			best = i
 		}
@@ -500,7 +466,7 @@ func (s *Service) rank(ctx Context, actions []Action, uniform bool) (Ranked, err
 		// Journal under evMu so record order equals event-log order
 		// (replay rebuilds the log in journal order). Append only
 		// buffers — no disk wait on the rank path.
-		rec := EncodeRankRecord(ev.EventID, prob, ctxIDs, actions[chosen].featureIDs())
+		rec := EncodeRankRecord(ev.EventID, prob, ctx.IDs, actions[chosen].IDs)
 		if _, err := s.journal.Append(rec); err != nil {
 			s.journalErrs.Add(1)
 		}
@@ -528,8 +494,7 @@ func (s *Service) Reward(eventID string, reward float64) error {
 }
 
 // trainExample is an immutable snapshot of a rewarded event, taken under
-// evMu so SGD can run without holding the event-log lock. Features are
-// snapshotted in resolved ID form so the epochs never re-hash strings.
+// evMu so SGD can run without holding the event-log lock.
 type trainExample struct {
 	ctxIDs []uint64
 	actIDs []uint64
@@ -544,8 +509,8 @@ func (s *Service) Train() int {
 	fresh := make([]trainExample, 0, len(s.pending))
 	for _, ev := range s.pending {
 		fresh = append(fresh, trainExample{
-			ctxIDs: ev.Context.featureIDs(),
-			actIDs: ev.Actions[ev.Chosen].featureIDs(),
+			ctxIDs: ev.Context.IDs,
+			actIDs: ev.Actions[ev.Chosen].IDs,
 			prob:   ev.Prob,
 			reward: ev.Reward,
 		})

@@ -9,14 +9,14 @@ import (
 
 func twoActions() []Action {
 	return []Action{
-		{ID: "good", Features: []string{"rule:good"}},
-		{ID: "bad", Features: []string{"rule:bad"}},
+		{ID: "good", IDs: HashFeatures([]string{"rule:good"})},
+		{ID: "bad", IDs: HashFeatures([]string{"rule:bad"})},
 	}
 }
 
 func TestRankReturnsValidChoice(t *testing.T) {
 	s := New(DefaultConfig(1))
-	r, err := s.Rank(Context{Features: []string{"f1"}}, twoActions())
+	r, err := s.Rank(Context{IDs: HashFeatures([]string{"f1"})}, twoActions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestLearnsGoodAction(t *testing.T) {
 	// training on uniform exploration data, the greedy policy must
 	// prefer "good".
 	s := New(DefaultConfig(7))
-	ctx := Context{Features: []string{"span:1", "span:2"}}
+	ctx := Context{IDs: HashFeatures([]string{"span:1", "span:2"})}
 	actions := twoActions()
 	for i := 0; i < 300; i++ {
 		r, err := s.RankUniform(ctx, actions)
@@ -86,8 +86,8 @@ func TestContextDependentLearning(t *testing.T) {
 	// ctxB action 1 wins. A linear model over ctx×action crosses must
 	// separate them.
 	s := New(DefaultConfig(3))
-	ctxA := Context{Features: []string{"kind:A"}}
-	ctxB := Context{Features: []string{"kind:B"}}
+	ctxA := Context{IDs: HashFeatures([]string{"kind:A"})}
+	ctxB := Context{IDs: HashFeatures([]string{"kind:B"})}
 	actions := twoActions()
 	for i := 0; i < 600; i++ {
 		ctx, winner := ctxA, 0
@@ -115,7 +115,7 @@ func TestEpsilonGreedyExploresSometimes(t *testing.T) {
 	cfg := DefaultConfig(5)
 	cfg.Epsilon = 0.5
 	s := New(cfg)
-	ctx := Context{Features: []string{"x"}}
+	ctx := Context{IDs: HashFeatures([]string{"x"})}
 	actions := twoActions()
 	// Bias the model hard toward action 0.
 	for i := 0; i < 100; i++ {
@@ -144,7 +144,7 @@ func TestPropensitiesAreConsistent(t *testing.T) {
 	cfg := DefaultConfig(11)
 	cfg.Epsilon = 0.2
 	s := New(cfg)
-	ctx := Context{Features: []string{"x"}}
+	ctx := Context{IDs: HashFeatures([]string{"x"})}
 	actions := twoActions()
 	for i := 0; i < 50; i++ {
 		r, _ := s.Rank(ctx, actions)
@@ -161,7 +161,7 @@ func TestPropensitiesAreConsistent(t *testing.T) {
 
 func TestTrainSkipsUnrewardedAndRetrained(t *testing.T) {
 	s := New(DefaultConfig(1))
-	ctx := Context{Features: []string{"x"}}
+	ctx := Context{IDs: HashFeatures([]string{"x"})}
 	r1, _ := s.Rank(ctx, twoActions())
 	s.Rank(ctx, twoActions()) // never rewarded
 	s.Reward(r1.EventID, 1)
@@ -175,7 +175,7 @@ func TestTrainSkipsUnrewardedAndRetrained(t *testing.T) {
 
 func TestCounterfactualValue(t *testing.T) {
 	s := New(DefaultConfig(13))
-	ctx := Context{Features: []string{"x"}}
+	ctx := Context{IDs: HashFeatures([]string{"x"})}
 	actions := twoActions()
 	for i := 0; i < 400; i++ {
 		r, _ := s.RankUniform(ctx, actions)
@@ -211,7 +211,7 @@ func TestDeterministicWithSeed(t *testing.T) {
 		s := New(DefaultConfig(42))
 		var picks []int
 		for i := 0; i < 30; i++ {
-			ctx := Context{Features: []string{fmt.Sprintf("c%d", i%3)}}
+			ctx := Context{IDs: HashFeatures([]string{fmt.Sprintf("c%d", i%3)})}
 			r, _ := s.Rank(ctx, twoActions())
 			s.Reward(r.EventID, float64(r.Chosen))
 			if i%10 == 9 {
@@ -244,7 +244,7 @@ func TestLogGrowth(t *testing.T) {
 
 func TestTopWeights(t *testing.T) {
 	s := New(DefaultConfig(2))
-	ctx := Context{Features: []string{"x"}}
+	ctx := Context{IDs: HashFeatures([]string{"x"})}
 	actions := twoActions()
 	for i := 0; i < 50; i++ {
 		r, _ := s.RankUniform(ctx, actions)
@@ -269,7 +269,7 @@ func TestConfigDefaultsApplied(t *testing.T) {
 
 func TestSaveLoadRoundTrip(t *testing.T) {
 	s := New(DefaultConfig(3))
-	ctx := Context{Features: []string{"span:1", "span:9"}}
+	ctx := Context{IDs: HashFeatures([]string{"span:1", "span:9"})}
 	actions := twoActions()
 	for i := 0; i < 150; i++ {
 		r, _ := s.RankUniform(ctx, actions)
@@ -306,9 +306,9 @@ func TestLoadErrors(t *testing.T) {
 	cases := []string{
 		"",
 		"garbage\n",
-		"qoadvisor-bandit v1 dim=8 epsilon=0.1 lr=0.1 clip=10\nbadline\n",
-		"qoadvisor-bandit v1 dim=8 epsilon=0.1 lr=0.1 clip=10\n99 1.5\n", // index out of range
-		"qoadvisor-bandit v1 dim=8 epsilon=0.1 lr=0.1 clip=10\n1 xyz\n",
+		"qoadvisor-bandit v3 dim=8 epsilon=0.1 lr=0.1 clip=10 wal=0\nbadline\n",
+		"qoadvisor-bandit v3 dim=8 epsilon=0.1 lr=0.1 clip=10 wal=0\n99 1.5\n", // index out of range
+		"qoadvisor-bandit v3 dim=8 epsilon=0.1 lr=0.1 clip=10 wal=0\n1 xyz\n",
 	}
 	for _, src := range cases {
 		if _, err := Load(strings.NewReader(src), 1); err == nil {
@@ -326,43 +326,6 @@ func TestSaveSkipsZeroWeights(t *testing.T) {
 	lines := strings.Count(buf.String(), "\n")
 	if lines != 1 { // header only
 		t.Errorf("untrained model should save only the header, got %d lines", lines)
-	}
-}
-
-// TestPreHashedIDsMatchStringFeatures is the adapter guarantee: a context
-// or action described by string tokens scores identically to the same
-// features pre-hashed through HashFeatures — the two representations are
-// one feature space.
-func TestPreHashedIDsMatchStringFeatures(t *testing.T) {
-	s := New(Config{Dim: 1 << 12, Seed: 5})
-	ctxToks := []string{"span:3", "span:17", "rows:5"}
-	actToks := []string{"rule:10", "cat:off-by-default"}
-	ctxStr := Context{Features: ctxToks}
-	actStr := Action{ID: "+R010", Features: actToks}
-	ctxIDs := Context{IDs: HashFeatures(ctxToks)}
-	actIDs := Action{ID: "+R010", IDs: HashFeatures(actToks)}
-
-	// Train through the string path...
-	r, err := s.Rank(ctxStr, []Action{actStr})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Reward(r.EventID, 1.7); err != nil {
-		t.Fatal(err)
-	}
-	s.Train()
-
-	// ...and score through both: they must agree bit-for-bit.
-	want := s.Score(ctxStr, actStr)
-	if want == 0 {
-		t.Fatal("training left the scored pair at zero")
-	}
-	if got := s.Score(ctxIDs, actIDs); got != want {
-		t.Errorf("pre-hashed score %v != string score %v", got, want)
-	}
-	// Mixed representations agree too.
-	if got := s.Score(ctxIDs, actStr); got != want {
-		t.Errorf("mixed score %v != %v", got, want)
 	}
 }
 
@@ -410,8 +373,8 @@ func TestSuspendEvictionComposes(t *testing.T) {
 // (no event logged, no rng consumed), and is deterministic.
 func TestRankGreedyReadOnly(t *testing.T) {
 	svc := New(DefaultConfig(11))
-	ctx := Context{Features: []string{"spanbit:3", "spanbit:9"}}
-	actions := []Action{{ID: "noop"}, {ID: "flip-a", Features: []string{"rule:12"}}, {ID: "flip-b", Features: []string{"rule:40"}}}
+	ctx := Context{IDs: HashFeatures([]string{"spanbit:3", "spanbit:9"})}
+	actions := []Action{{ID: "noop"}, {ID: "flip-a", IDs: HashFeatures([]string{"rule:12"})}, {ID: "flip-b", IDs: HashFeatures([]string{"rule:40"})}}
 
 	// Train a little so the argmax is non-trivial.
 	for i := 0; i < 20; i++ {

@@ -17,10 +17,8 @@ import (
 // boundary would be lost on replay: the suffix holds the reward
 // record, the snapshot holds the event it names.
 //
-// Format history: v1 weights were indexed by the legacy string-cross
-// FNV feature hashing; v2 moved to the pre-hashed feature-ID pair
-// mixing; v3 (current) adds the wal= header field and "ev" lines for
-// open events. Weight-line semantics are unchanged since v2.
+// The format is v3: a header with the wal= field, weight lines, and
+// "ev" lines for open events. Load rejects the pre-WAL v1/v2 headers.
 func (s *Service) Save(w io.Writer) error {
 	// Serialize under the locks into a buffer, then stream lock-free:
 	// writing directly to a slow consumer (e.g. an HTTP response) under
@@ -76,7 +74,7 @@ func (s *Service) encodeLocked(buf *bytes.Buffer) {
 		}
 		fmt.Fprintf(buf, "ev %s %v %d %v %s %s\n",
 			ev.EventID, ev.Prob, rewarded, ev.Reward,
-			formatIDs(ev.Context.featureIDs()), formatIDs(ev.Actions[ev.Chosen].featureIDs()))
+			formatIDs(ev.Context.IDs), formatIDs(ev.Actions[ev.Chosen].IDs))
 	}
 }
 
@@ -115,17 +113,6 @@ func parseIDs(s string) ([]uint64, error) {
 // Load restores a service saved with Save. The seed drives the
 // restored service's exploration randomness (exploration state is not
 // part of the model).
-//
-// v1 snapshots are migrated on load: the hyperparameters carry over,
-// but the weights do not — v1 indexes were derived from the legacy
-// string-cross hashing, so under the v2+ pair mixing each would land
-// on an unrelated feature pair and the model would exploit pure noise
-// with full (1-epsilon) confidence. Dropping them restores the neutral
-// untrained policy instead, which trains back to usefulness as rewards
-// arrive; a resave writes the v3 header. The body is still fully
-// parsed so a corrupt v1 file fails loudly rather than "migrating".
-// v2 snapshots load weight-for-weight with watermark 0 and no open
-// events.
 func Load(r io.Reader, seed int64) (*Service, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<22) // event lines can be long
@@ -141,15 +128,11 @@ func Load(r io.Reader, seed int64) (*Service, error) {
 	if n < 5 {
 		return nil, fmt.Errorf("bandit: bad model header %q", header)
 	}
-	switch version {
-	case 1, 2:
-		// pre-WAL formats: no wal= field, no event lines
-	case 3:
-		if n != 6 {
-			return nil, fmt.Errorf("bandit: v3 model header missing wal field: %q", header)
-		}
-	default:
+	if version != 3 {
 		return nil, fmt.Errorf("bandit: unsupported model version v%d", version)
+	}
+	if n != 6 {
+		return nil, fmt.Errorf("bandit: v3 model header missing wal field: %q", header)
 	}
 	svc := New(Config{Dim: dim, Epsilon: eps, LearningRate: lr, MaxIPSWeight: clip, Seed: seed})
 	svc.walLSN = walLSN
@@ -162,9 +145,6 @@ func Load(r io.Reader, seed int64) (*Service, error) {
 		}
 		parts := strings.Fields(text)
 		if parts[0] == "ev" {
-			if version < 3 {
-				return nil, fmt.Errorf("bandit: line %d: event line in v%d model", line, version)
-			}
 			ev, err := parseEventLine(parts)
 			if err != nil {
 				return nil, fmt.Errorf("bandit: line %d: %w", line, err)
@@ -183,9 +163,7 @@ func Load(r io.Reader, seed int64) (*Service, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bandit: line %d: bad weight %q", line, parts[1])
 		}
-		if version >= 2 {
-			svc.w[idx] = wgt
-		}
+		svc.w[idx] = wgt
 	}
 	return svc, sc.Err()
 }

@@ -10,11 +10,11 @@ import (
 func trainedService(t *testing.T) (*Service, Context, []Action) {
 	t.Helper()
 	svc := New(Config{Dim: 1 << 12, Epsilon: 0.2, LearningRate: 0.1, MaxIPSWeight: 20, Seed: 3})
-	ctx := Context{Features: []string{"span:3", "span:17", "rows:5"}}
+	ctx := Context{IDs: HashFeatures([]string{"span:3", "span:17", "rows:5"})}
 	actions := []Action{
-		{ID: "noop", Features: []string{"act:noop"}},
-		{ID: "+R010", Features: []string{"rule:10", "cat:off-by-default"}},
-		{ID: "-R042", Features: []string{"rule:42", "cat:on-by-default"}},
+		{ID: "noop", IDs: HashFeatures([]string{"act:noop"})},
+		{ID: "+R010", IDs: HashFeatures([]string{"rule:10", "cat:off-by-default"})},
+		{ID: "-R042", IDs: HashFeatures([]string{"rule:42", "cat:on-by-default"})},
 	}
 	for i := 0; i < 40; i++ {
 		ranked, err := svc.Rank(ctx, actions)
@@ -104,10 +104,10 @@ func TestLoadMalformedEdgeCases(t *testing.T) {
 		name string
 		data string
 	}{
-		{"truncated header", "qoadvisor-bandit v1 dim=4096\n"},
-		{"wrong field count", "qoadvisor-bandit v1 dim=4096 epsilon=0.1 lr=0.05 clip=50\n12 0.5 extra\n"},
-		{"negative index", "qoadvisor-bandit v1 dim=4096 epsilon=0.1 lr=0.05 clip=50\n-3 0.5\n"},
-		{"index equals dim", "qoadvisor-bandit v1 dim=4096 epsilon=0.1 lr=0.05 clip=50\n4096 0.5\n"},
+		{"truncated header", "qoadvisor-bandit v3 dim=4096\n"},
+		{"wrong field count", "qoadvisor-bandit v3 dim=4096 epsilon=0.1 lr=0.05 clip=50 wal=0\n12 0.5 extra\n"},
+		{"negative index", "qoadvisor-bandit v3 dim=4096 epsilon=0.1 lr=0.05 clip=50 wal=0\n-3 0.5\n"},
+		{"index equals dim", "qoadvisor-bandit v3 dim=4096 epsilon=0.1 lr=0.05 clip=50 wal=0\n4096 0.5\n"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -119,7 +119,7 @@ func TestLoadMalformedEdgeCases(t *testing.T) {
 }
 
 func TestLoadSkipsBlankLinesAndRestoresConfig(t *testing.T) {
-	data := "qoadvisor-bandit v2 dim=1024 epsilon=0.25 lr=0.07 clip=30\n" +
+	data := "qoadvisor-bandit v3 dim=1024 epsilon=0.25 lr=0.07 clip=30 wal=0\n" +
 		"5 1.5\n\n   \n9 -0.25\n"
 	svc, err := Load(strings.NewReader(data), 1)
 	if err != nil {
@@ -143,49 +143,19 @@ func TestLoadSkipsBlankLinesAndRestoresConfig(t *testing.T) {
 	}
 }
 
-// TestLoadMigratesV1Snapshots covers the snapshot-format bump: v1 files
-// (legacy string-cross hashed weights) still load — hyperparameters carry
-// over, weights are dropped (under v2 pair mixing they would score
-// unrelated feature pairs), the service is immediately servable — and a
-// resave writes the v2 header.
-func TestLoadMigratesV1Snapshots(t *testing.T) {
-	data := "qoadvisor-bandit v1 dim=1024 epsilon=0.25 lr=0.07 clip=30\n5 1.5\n9 -0.25\n"
-	svc, err := Load(strings.NewReader(data), 1)
-	if err != nil {
-		t.Fatalf("Load(v1): %v", err)
-	}
-	if svc.w[5] != 0 || svc.w[9] != 0 {
-		t.Errorf("v1 weights must be dropped, not carried into the v2 index space: w[5]=%v w[9]=%v", svc.w[5], svc.w[9])
-	}
-	if svc.cfg.Dim != 1024 || svc.cfg.Epsilon != 0.25 || svc.cfg.LearningRate != 0.07 || svc.cfg.MaxIPSWeight != 30 {
-		t.Errorf("v1 hyperparameters not carried over: %+v", svc.cfg)
-	}
-	// The migrated service must rank and train normally.
-	ctx := Context{Features: []string{"span:1"}}
-	actions := []Action{{ID: "a", Features: []string{"rule:1"}}, {ID: "b", Features: []string{"rule:2"}}}
-	r, err := svc.Rank(ctx, actions)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := svc.Reward(r.EventID, 1.2); err != nil {
-		t.Fatal(err)
-	}
-	if n := svc.Train(); n != 1 {
-		t.Errorf("migrated service trained %d events, want 1", n)
-	}
-	var buf bytes.Buffer
-	if err := svc.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(buf.String(), "qoadvisor-bandit v3 ") {
-		t.Errorf("resave after migration must write v3, got %q", strings.SplitN(buf.String(), "\n", 2)[0])
-	}
-}
-
+// TestLoadRejectsUnknownVersion: only v3 loads. The pre-WAL v1/v2
+// headers are refused like any other version — v1 weights were indexed
+// by a different hashing and would score unrelated feature pairs.
 func TestLoadRejectsUnknownVersion(t *testing.T) {
-	data := "qoadvisor-bandit v4 dim=1024 epsilon=0.25 lr=0.07 clip=30 wal=0\n"
-	if _, err := Load(strings.NewReader(data), 1); err == nil {
-		t.Error("v4 snapshot should be rejected")
+	for _, header := range []string{
+		"qoadvisor-bandit v4 dim=1024 epsilon=0.25 lr=0.07 clip=30 wal=0\n",
+		"qoadvisor-bandit v2 dim=1024 epsilon=0.25 lr=0.07 clip=30\n5 1.5\n",
+		"qoadvisor-bandit v1 dim=1024 epsilon=0.25 lr=0.07 clip=30\n5 1.5\n",
+	} {
+		_, err := Load(strings.NewReader(header), 1)
+		if err == nil || !strings.Contains(err.Error(), "unsupported model version") {
+			t.Errorf("Load(%q) = %v, want an unsupported-version error", header, err)
+		}
 	}
 }
 

@@ -14,12 +14,12 @@ import (
 func TestConcurrentRankRewardTrain(t *testing.T) {
 	svc := New(DefaultConfig(7))
 	ctxFor := func(i int) Context {
-		return Context{Features: []string{fmt.Sprintf("span:%d", i%13), fmt.Sprintf("rows:%d", i%5)}}
+		return Context{IDs: HashFeatures([]string{fmt.Sprintf("span:%d", i%13), fmt.Sprintf("rows:%d", i%5)})}
 	}
 	actions := []Action{
-		{ID: "noop", Features: []string{"act:noop"}},
-		{ID: "+R010", Features: []string{"rule:10", "cat:off-by-default"}},
-		{ID: "-R042", Features: []string{"rule:42", "cat:on-by-default"}},
+		{ID: "noop", IDs: HashFeatures([]string{"act:noop"})},
+		{ID: "+R010", IDs: HashFeatures([]string{"rule:10", "cat:off-by-default"})},
+		{ID: "-R042", IDs: HashFeatures([]string{"rule:42", "cat:on-by-default"})},
 	}
 
 	const goroutines = 8
@@ -79,7 +79,7 @@ func TestConcurrentRankRewardTrain(t *testing.T) {
 // within cap plus compaction slack.
 func TestMaxLogEviction(t *testing.T) {
 	svc := New(Config{Dim: 1 << 10, Seed: 1, MaxLogEvents: 100})
-	ctx := Context{Features: []string{"span:1"}}
+	ctx := Context{IDs: HashFeatures([]string{"span:1"})}
 	actions := []Action{{ID: "a"}, {ID: "b"}}
 
 	var first string

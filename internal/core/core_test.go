@@ -144,18 +144,6 @@ func TestContextFeaturesIncludeCoOccurrence(t *testing.T) {
 			t.Errorf("missing context feature %s (ID %#x) in %v", name, id, ctx.IDs)
 		}
 	}
-	// The string adapter keeps the original token form for external
-	// clients (HTTP API, persisted snapshots).
-	legacy := LegacyContextFeatures(&f)
-	tokens := make(map[string]bool, len(legacy.Features))
-	for _, tok := range legacy.Features {
-		tokens[tok] = true
-	}
-	for _, name := range want {
-		if !tokens[name] {
-			t.Errorf("legacy adapter missing token %q in %v", name, legacy.Features)
-		}
-	}
 }
 
 func TestActionsForIncludesNoopAndAllSpanFlips(t *testing.T) {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -67,8 +66,7 @@ type BatchRecommender interface {
 // of span bits — no fmt.Sprintf, no string hashing on the Rank hot path.
 // Each feature family gets a distinct tag constant so "span bit 3" can
 // never collide with "rows bucket 3" by construction rather than by
-// string prefixing. LegacyContextFeatures keeps the original string-token
-// form as the adapter/benchmark reference.
+// string prefixing.
 
 // featureMixK aliases the bandit's mixing constant: the featurizer and
 // the learner's pair index must stay in the same hash space, so the
@@ -157,46 +155,6 @@ func BasicContextFeatures(f *JobFeatures) bandit.Context {
 		feat1(tagBytes, uint64(logBucket(f.BytesRead))),
 		feat1(tagVertices, uint64(logBucket(float64(f.Vertices)))),
 	}}
-}
-
-// LegacyContextFeatures is the original string-token featurization, kept
-// as the adapter reference (external clients may still submit tokens
-// through bandit.HashFeatures) and as the baseline the allocation
-// benchmarks compare against. It encodes the same information as
-// ContextFeatures in a different (string-hashed) ID space.
-func LegacyContextFeatures(f *JobFeatures) bandit.Context {
-	bits := f.Span.Bits()
-	feats := make([]string, 0, len(bits)*3)
-	for _, b := range bits {
-		feats = append(feats, fmt.Sprintf("span:%d", b))
-	}
-	const maxPairs, maxTriples = 60, 40
-	n := 0
-	for i := 0; i < len(bits) && n < maxPairs; i++ {
-		for j := i + 1; j < len(bits) && n < maxPairs; j++ {
-			feats = append(feats, fmt.Sprintf("span2:%d,%d", bits[i], bits[j]))
-			n++
-		}
-	}
-	n = 0
-	for i := 0; i < len(bits) && n < maxTriples; i++ {
-		for j := i + 1; j < len(bits) && n < maxTriples; j++ {
-			for k := j + 1; k < len(bits) && n < maxTriples; k++ {
-				feats = append(feats, fmt.Sprintf("span3:%d,%d,%d", bits[i], bits[j], bits[k]))
-				n++
-			}
-		}
-	}
-	all := tagSpanAll
-	for _, b := range bits {
-		all = bandit.Mix64(all*featureMixK + uint64(b) + 1)
-	}
-	feats = append(feats, fmt.Sprintf("spanall:%x", all))
-	feats = append(feats,
-		fmt.Sprintf("rows:%d", logBucket(f.RowCount)),
-		fmt.Sprintf("bytes:%d", logBucket(f.BytesRead)),
-	)
-	return bandit.Context{Features: feats}
 }
 
 func logBucket(x float64) int {

@@ -2,7 +2,9 @@ package load
 
 import (
 	"context"
+	"math/rand"
 	"net/http/httptest"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -41,6 +43,55 @@ func armStall(j *wal.WAL, after, stall time.Duration) {
 	}})
 }
 
+// runClosedLoopN drives n ops back-to-back across `workers` concurrent
+// loops, measuring each op from its *actual* send time. This is the
+// coordinated-omission reference arm: when the server stalls, a closed
+// loop simply stops sending, so the stall appears in at most one
+// sample per worker and the offered load silently drops. Its
+// percentiles therefore under-report exactly the incidents an
+// open-loop run is built to expose; TestCoordinatedOmission pins that
+// gap.
+func (r *Runner) runClosedLoopN(ctx context.Context, n, workers int) Result {
+	if workers <= 0 {
+		workers = 1
+	}
+	start := time.Now()
+	st := &opStats{errs: errTally{m: make(map[string]int64)}}
+	var remaining = make(chan struct{}, n)
+	for i := 0; i < n; i++ {
+		remaining <- struct{}{}
+	}
+	close(remaining)
+
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(r.cfg.Seed + 7919*int64(w+1)))
+			zipf := rand.NewZipf(rng, r.cfg.ZipfS, 1, uint64(len(r.templates)-1))
+			for range remaining {
+				if ctx.Err() != nil {
+					return
+				}
+				r.doOp(ctx, time.Now(), rng, zipf, st)
+			}
+		}(w)
+	}
+	wg.Wait()
+
+	return Result{
+		Phase:          Phase{Name: "closed-loop", Shape: ShapeConstant, Duration: time.Since(start)},
+		Offered:        n,
+		Completed:      int(st.completed.Load()),
+		RankedJobs:     st.ranked.Load(),
+		RewardedEvents: st.rewarded.Load(),
+		Errors:         st.errs.m,
+		Hist:           st.hist.Snapshot(),
+		Elapsed:        time.Since(start),
+	}
+}
+
 // TestCoordinatedOmission pins the reason this harness is open-loop.
 // The same workload runs twice against a sync-mode WAL server with an
 // identical injected fsync stall:
@@ -73,7 +124,7 @@ func TestCoordinatedOmission(t *testing.T) {
 	jClosed, tsClosed := startSyncServer(t)
 	closed := NewRunner(Config{Target: client.New(tsClosed.URL), Batch: 2, Workers: 1, Seed: 11})
 	armStall(jClosed, 300*time.Millisecond, stall)
-	closedRes := closed.RunClosedLoopN(ctx, 400, 1)
+	closedRes := closed.runClosedLoopN(ctx, 400, 1)
 
 	openP99 := openRes.Hist.Quantile(0.99)
 	closedP99 := closedRes.Hist.Quantile(0.99)

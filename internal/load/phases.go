@@ -6,9 +6,9 @@
 // the client got around to sending. A closed-loop driver (send, wait,
 // send again) silently slows down when the server stalls, so the stall
 // never shows up in its percentiles; that distortion is coordinated
-// omission, and this package exists to not have it. The closed-loop
-// driver in closed.go is kept only as the control arm that
-// demonstrates the gap (see co_test.go).
+// omission, and this package exists to not have it
+// (TestCoordinatedOmission measures the gap against a closed-loop
+// reference arm).
 package load
 
 import (

@@ -22,7 +22,7 @@ type PhaseReport struct {
 	// GoodputJobsPerSec is successfully ranked jobs per wall second.
 	GoodputJobsPerSec float64 `json:"goodputJobsPerSec"`
 	// Latency percentiles in milliseconds, measured open-loop (from
-	// scheduled send time) unless the phase is the closed-loop arm.
+	// scheduled send time).
 	MeanMs float64 `json:"meanMs"`
 	P50Ms  float64 `json:"p50Ms"`
 	P90Ms  float64 `json:"p90Ms"`
@@ -59,14 +59,13 @@ func Summarize(res Result) PhaseReport {
 	}
 }
 
-// StallReport is the injected-stall arm: the same workload measured
-// open-loop and closed-loop against a server whose WAL fsync was
-// stalled mid-run. The two p99s are the coordinated-omission story in
-// two numbers.
+// StallReport is the injected-stall arm: a constant workload measured
+// open-loop against a server whose WAL fsync was stalled mid-run. The
+// stall must show in the p99 — arrivals kept coming on schedule and
+// queued behind the frozen commit.
 type StallReport struct {
-	StallMs    float64     `json:"stallMs"`
-	OpenLoop   PhaseReport `json:"openLoop"`
-	ClosedLoop PhaseReport `json:"closedLoop"`
+	StallMs  float64     `json:"stallMs"`
+	OpenLoop PhaseReport `json:"openLoop"`
 }
 
 // FleetNodeReport is one node row of the end-of-run fleet scrape.

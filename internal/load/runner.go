@@ -75,7 +75,7 @@ type template struct {
 	bytes float64
 }
 
-// Result is one phase's (or closed-loop run's) measurements.
+// Result is one phase's measurements.
 type Result struct {
 	Phase Phase
 	// Offered is the number of scheduled ops; Completed is how many ran
@@ -89,8 +89,8 @@ type Result struct {
 	// Errors is the typed failure breakdown: api error codes plus
 	// "transport" for connection-level failures.
 	Errors map[string]int64
-	// Hist is the op latency distribution. Open-loop runs measure from
-	// the op's *scheduled* send time; closed-loop runs from actual send.
+	// Hist is the op latency distribution, measured from each op's
+	// *scheduled* send time.
 	Hist obs.HistSnapshot
 	// Elapsed is the wall time the run took.
 	Elapsed time.Duration

@@ -7,23 +7,23 @@ import (
 	"time"
 )
 
-func finishOne(r *FlightRecorder, t *Tracer, route string, dur time.Duration, status int) {
-	tr := r.Begin(t)
+func finishOne(r *FlightRecorder, route string, dur time.Duration, status int) {
+	tr := r.Begin()
 	start := time.Now()
 	tr.Stage(1, "stage_a", start, dur/2)
 	tr.FinishRequest(route, start, dur, status)
 }
 
 func TestFlightRetainsSlowErroredAndSampled(t *testing.T) {
-	r := NewFlightRecorder(FlightConfig{Threshold: 10 * time.Millisecond})
+	// 1-in-2 head sampling: every second request below is elected.
+	r := NewFlightRecorder(FlightConfig{Threshold: 10 * time.Millisecond, SampleEvery: 2})
 
-	finishOne(r, nil, "/fast", time.Millisecond, 200)        // unretained
-	finishOne(r, nil, "/slow", 20*time.Millisecond, 200)     // slow
-	finishOne(r, nil, "/boom", time.Millisecond, 500)        // error
-	finishOne(r, nil, "/slowboom", 20*time.Millisecond, 503) // error wins over slow
-	tracer := NewTracer(&strings.Builder{}, 1)               // head-samples every request
-	finishOne(r, tracer, "/sampled", time.Millisecond, 200)  // sampled
-	finishOne(r, tracer, "/slow2", 20*time.Millisecond, 200) // slow wins over sampled
+	finishOne(r, "/fast", time.Millisecond, 200)        // unretained
+	finishOne(r, "/sampled", time.Millisecond, 200)     // elected: sampled
+	finishOne(r, "/slow", 20*time.Millisecond, 200)     // slow
+	finishOne(r, "/slow2", 20*time.Millisecond, 200)    // elected: slow wins over sampled
+	finishOne(r, "/boom", time.Millisecond, 500)        // error
+	finishOne(r, "/slowboom", 20*time.Millisecond, 503) // elected: error wins over slow
 	got := r.Query("", 0, 0)
 	if len(got) != 5 {
 		t.Fatalf("retained %d traces, want 5", len(got))
@@ -52,9 +52,9 @@ func TestFlightRouteThresholdOverrides(t *testing.T) {
 		Threshold:       time.Hour,
 		RouteThresholds: map[string]time.Duration{"/rank": time.Millisecond, "/stream": -1},
 	})
-	finishOne(r, nil, "/rank", 5*time.Millisecond, 200)  // over the route override
-	finishOne(r, nil, "/other", 5*time.Millisecond, 200) // under the default
-	finishOne(r, nil, "/stream", 10*time.Minute, 200)    // slow retention disabled
+	finishOne(r, "/rank", 5*time.Millisecond, 200)  // over the route override
+	finishOne(r, "/other", 5*time.Millisecond, 200) // under the default
+	finishOne(r, "/stream", 10*time.Minute, 200)    // slow retention disabled
 	if got := r.Query("", 0, 0); len(got) != 1 || got[0].Route != "/rank" {
 		t.Fatalf("retained %v, want exactly /rank", got)
 	}
@@ -63,7 +63,7 @@ func TestFlightRouteThresholdOverrides(t *testing.T) {
 func TestFlightRingBoundsAndEvicts(t *testing.T) {
 	r := NewFlightRecorder(FlightConfig{Capacity: 4, Threshold: time.Millisecond})
 	for i := 0; i < 10; i++ {
-		finishOne(r, nil, "/slow", 2*time.Millisecond, 200)
+		finishOne(r, "/slow", 2*time.Millisecond, 200)
 	}
 	got := r.Query("", 0, 0)
 	if len(got) != 4 {
@@ -82,9 +82,9 @@ func TestFlightRingBoundsAndEvicts(t *testing.T) {
 
 func TestFlightQueryFilters(t *testing.T) {
 	r := NewFlightRecorder(FlightConfig{Threshold: time.Millisecond})
-	finishOne(r, nil, "/a", 5*time.Millisecond, 200)
-	finishOne(r, nil, "/b", 50*time.Millisecond, 200)
-	finishOne(r, nil, "/a", 100*time.Millisecond, 200)
+	finishOne(r, "/a", 5*time.Millisecond, 200)
+	finishOne(r, "/b", 50*time.Millisecond, 200)
+	finishOne(r, "/a", 100*time.Millisecond, 200)
 	if got := r.Query("/a", 0, 0); len(got) != 2 {
 		t.Errorf("route filter: got %d, want 2", len(got))
 	}
@@ -98,7 +98,7 @@ func TestFlightQueryFilters(t *testing.T) {
 
 func TestFlightRetainedTraceCarriesSpans(t *testing.T) {
 	r := NewFlightRecorder(FlightConfig{Threshold: time.Millisecond})
-	tr := r.Begin(nil)
+	tr := r.Begin()
 	tr.SetRequestID("req-42")
 	start := time.Now()
 	tr.Stage(1, "rank_hint_lookup", start, 10*time.Microsecond)
@@ -132,11 +132,11 @@ func TestFlightUnretainedPathAllocs(t *testing.T) {
 	r := NewFlightRecorder(FlightConfig{Threshold: time.Hour})
 	// Warm the pool and the events slice capacity.
 	for i := 0; i < 16; i++ {
-		finishOne(r, nil, "/fast", time.Microsecond, 200)
+		finishOne(r, "/fast", time.Microsecond, 200)
 	}
 	start := time.Now()
 	allocs := testing.AllocsPerRun(200, func() {
-		tr := r.Begin(nil)
+		tr := r.Begin()
 		tr.Stage(1, "stage_a", start, time.Microsecond)
 		tr.Stage(1, "stage_b", start, time.Microsecond)
 		tr.FinishRequest("/fast", start, 2*time.Microsecond, 200)
@@ -146,32 +146,30 @@ func TestFlightUnretainedPathAllocs(t *testing.T) {
 	}
 }
 
+// TestFlightNilSafety: a recorder without an export stream (the
+// default — no -trace-out) never head-samples, and its Close is a
+// no-op rather than a nil-writer dereference.
 func TestFlightNilSafety(t *testing.T) {
-	var r *FlightRecorder
-	if got := r.Query("", 0, 0); got != nil {
-		t.Errorf("nil Query = %v", got)
+	r := NewFlightRecorder(FlightConfig{Threshold: time.Hour})
+	finishOne(r, "/fast", time.Microsecond, 200)
+	if st := r.Stats(); st.RetainedSampled != 0 || st.WriteErrors != 0 {
+		t.Errorf("export-less recorder stats = %+v, want nothing sampled or failed", st)
 	}
-	if st := r.Stats(); st.Capacity != 0 {
-		t.Errorf("nil Stats = %+v", st)
+	if err := r.Close(); err != nil {
+		t.Errorf("Close without an export stream = %v", err)
 	}
-	tr := r.Begin(nil) // degrades to nil-tracer head sampling
-	if tr != nil {
-		t.Fatal("nil recorder + nil tracer must yield a nil trace")
-	}
-	tr.Finish("r", time.Now(), time.Millisecond) // nil-safe
 }
 
-// TestFlightHeadSampledExportStillWritten pins composition: with a
-// recorder attached, head-elected traces still reach the tracer's
-// Chrome-trace output (the -trace-out export arm).
+// TestFlightHeadSampledExportStillWritten pins composition:
+// head-elected traces reach the Chrome-trace export stream (the
+// -trace-out arm) AND the ring, with reason "sampled".
 func TestFlightHeadSampledExportStillWritten(t *testing.T) {
 	var b strings.Builder
-	tracer := NewTracer(&b, 2) // every 2nd request elected
-	r := NewFlightRecorder(FlightConfig{Threshold: time.Hour})
+	r := NewFlightRecorder(FlightConfig{Threshold: time.Hour, Export: &b, SampleEvery: 2}) // every 2nd request elected
 	for i := 0; i < 4; i++ {
-		finishOne(r, tracer, "/fast", time.Microsecond, 200)
+		finishOne(r, "/fast", time.Microsecond, 200)
 	}
-	if err := tracer.Close(); err != nil {
+	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -199,17 +197,16 @@ func (w *failAfterWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// TestTracerLatchesWriteError is the satellite regression test: emit
-// used to drop io.WriteString's error on the floor; now the first
-// failure is latched, counted, and surfaced from Close.
+// TestTracerLatchesWriteError: a failed export write is not dropped on
+// the floor — the first failure is latched, counted, and surfaced from
+// Close.
 func TestTracerLatchesWriteError(t *testing.T) {
 	w := &failAfterWriter{n: 64}
-	tracer := NewTracer(w, 1)
+	tracer := NewFlightRecorder(FlightConfig{Export: w})
 	for i := 0; i < 8; i++ {
-		tr := tracer.Sample()
-		tr.Finish("/v2/rank", time.Now(), time.Millisecond)
+		finishOne(tracer, "/v2/rank", time.Millisecond, 200)
 	}
-	if got := tracer.WriteErrors(); got == 0 {
+	if got := tracer.Stats().WriteErrors; got == 0 {
 		t.Fatal("WriteErrors = 0 after failing writes")
 	}
 	if err := tracer.Close(); !errors.Is(err, errWriterFull) {
@@ -223,15 +220,14 @@ func TestTracerLatchesWriteError(t *testing.T) {
 
 func TestTracerCloseErrorLatched(t *testing.T) {
 	// Writer that accepts events but fails on the closing terminator.
-	w := &failAfterWriter{n: 200}
-	tracer := NewTracer(w, 1)
-	tr := tracer.Sample()
-	tr.Finish("/v2/rank", time.Now(), time.Millisecond)
+	w := &failAfterWriter{n: 400}
+	tracer := NewFlightRecorder(FlightConfig{Export: w})
+	finishOne(tracer, "/v2/rank", time.Millisecond, 200)
 	w.n = w.written // next write (the "\n]\n" terminator) fails
 	if err := tracer.Close(); !errors.Is(err, errWriterFull) {
 		t.Fatalf("Close = %v, want terminator write error", err)
 	}
-	if got := tracer.WriteErrors(); got != 1 {
+	if got := tracer.Stats().WriteErrors; got != 1 {
 		t.Errorf("WriteErrors = %d, want 1", got)
 	}
 }

@@ -1,172 +1,30 @@
 package obs
 
 import (
-	"fmt"
-	"io"
-	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
-// Request-scoped stage tracing. A Tracer samples one request in every
-// sampleEvery and hands it a Trace: a span recorder the serving layers
-// append stage timings to (hint-cache lookup, bandit rank, WAL append,
-// commit wait, ...). Finished traces are written as Chrome-trace JSON
-// ("trace event format", ph="X" complete events), loadable in
-// chrome://tracing, Perfetto, or speedscope.
-//
-// The untraced path costs one atomic add and a nil check — nothing
-// else — so sampling can stay on in production.
-//
-// Head sampling composes with the FlightRecorder's tail retention (see
-// flight.go): when a recorder is attached every request records spans
-// into a pooled buffer, the head-sample election decides only whether
-// the finished trace is ALSO exported to the tracer's output stream.
-
-// Tracer writes sampled request traces to one output stream.
-type Tracer struct {
-	mu     sync.Mutex
-	w      io.Writer
-	c      io.Closer // nil when the writer needs no close
-	n      atomic.Uint64
-	every  uint64
-	start  time.Time // ts reference so timestamps are small and relative
-	wrote  bool
-	closed bool
-
-	// Write failures are latched, not dropped: the first error is kept
-	// (werr, under mu) and surfaced from Close, the count feeds the
-	// qoserved_trace_write_errors_total counter. A trace output on a
-	// full disk should fail the shutdown path loudly, not silently
-	// truncate the document.
-	werr  error
-	werrs atomic.Int64
-}
-
-// NewTracer builds a tracer sampling one request in every sampleEvery
-// (<=1 = every request) and writing Chrome-trace JSON to w. If w also
-// implements io.Closer, Close closes it after finishing the JSON
-// document.
-func NewTracer(w io.Writer, sampleEvery int) *Tracer {
-	if sampleEvery < 1 {
-		sampleEvery = 1
-	}
-	t := &Tracer{w: w, every: uint64(sampleEvery), start: time.Now()}
-	if c, ok := w.(io.Closer); ok {
-		t.c = c
-	}
-	return t
-}
-
-// headSample consumes one head-sampling election: true for one request
-// in every sampleEvery. Nil-safe (a nil tracer never elects).
-func (t *Tracer) headSample() bool {
-	if t == nil {
-		return false
-	}
-	return t.n.Add(1)%t.every == 0
-}
-
-// Sample returns a fresh Trace for one request in every sampleEvery,
-// nil otherwise. All Trace methods are nil-safe, so callers thread the
-// result through unconditionally.
-func (t *Tracer) Sample() *Trace {
-	if !t.headSample() {
-		return nil
-	}
-	return &Trace{tracer: t, head: true}
-}
-
-// WriteErrors reports how many event writes have failed so far
-// (nil-safe).
-func (t *Tracer) WriteErrors() int64 {
-	if t == nil {
-		return 0
-	}
-	return t.werrs.Load()
-}
-
-// Close terminates the JSON document and closes the underlying writer
-// (when it is closeable). Traces finished after Close are dropped. Any
-// write error latched during the tracer's lifetime is surfaced here:
-// the first event-write failure takes precedence over the terminator's
-// own result, so a partially written document never closes clean.
-func (t *Tracer) Close() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.closed {
-		return t.werr
-	}
-	t.closed = true
-	var err error
-	if t.wrote {
-		_, err = io.WriteString(t.w, "\n]\n")
-	} else {
-		_, err = io.WriteString(t.w, "[]\n")
-	}
-	if err != nil {
-		t.werrs.Add(1)
-		if t.werr == nil {
-			t.werr = err
-		}
-	}
-	err = t.werr
-	if t.c != nil {
-		if cerr := t.c.Close(); err == nil {
-			err = cerr
-		}
-	}
-	return err
-}
-
-// emit appends one trace's events to the output document.
-func (t *Tracer) emit(events []traceEvent) {
-	if len(events) == 0 {
-		return
-	}
-	var b strings.Builder
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.closed {
-		return
-	}
-	for _, ev := range events {
-		if t.wrote {
-			b.WriteString(",\n")
-		} else {
-			b.WriteString("[\n")
-			t.wrote = true
-		}
-		ts := float64(ev.start.Sub(t.start)) / float64(time.Microsecond)
-		dur := float64(ev.dur) / float64(time.Microsecond)
-		fmt.Fprintf(&b, `{"name":%q,"cat":%q,"ph":"X","ts":%.3f,"dur":%.3f,"pid":1,"tid":%d,"args":{"requestId":%q}}`,
-			ev.name, ev.cat, ts, dur, ev.tid, ev.requestID)
-	}
-	if _, err := io.WriteString(t.w, b.String()); err != nil {
-		t.werrs.Add(1)
-		if t.werr == nil {
-			t.werr = err
-		}
-	}
-}
+// Request-scoped stage tracing. Every served request carries a Trace: a
+// pooled span buffer the serving layers append stage timings to
+// (hint-cache lookup, bandit rank, WAL append, commit wait, ...). The
+// FlightRecorder that issued it decides at FinishRequest whether the
+// trace is kept (see flight.go); everything else returns to the pool.
 
 type traceEvent struct {
 	name, cat string
-	requestID string
 	tid       int
 	start     time.Time
 	dur       time.Duration
 }
 
-// Trace records the stage spans of one sampled request. Stage and
-// Finish are safe for concurrent use (batch handlers fan jobs out over
-// a worker pool) and nil-safe (the unsampled path threads a nil
-// *Trace).
+// Trace records the stage spans of one request. Stage and
+// FinishRequest are safe for concurrent use (batch handlers fan jobs
+// out over a worker pool) and nil-safe (embedded callers that rank
+// outside an HTTP request thread a nil *Trace).
 type Trace struct {
-	tracer *Tracer
-	rec    *FlightRecorder // non-nil: tail-retention decision at Finish
-	head   bool            // head-sample elected: export via tracer
+	rec  *FlightRecorder
+	head bool // head-sample elected: exported and retained as "sampled"
 
 	mu        sync.Mutex
 	requestID string
@@ -195,40 +53,18 @@ func (tr *Trace) Stage(tid int, name string, start time.Time, dur time.Duration)
 	tr.mu.Unlock()
 }
 
-// Finish records the request-level span and flushes the trace. It is
-// FinishRequest without an HTTP status: a plain-Finish trace can be
-// retained as slow or head-sampled but never as errored.
-func (tr *Trace) Finish(name string, start time.Time, dur time.Duration) {
-	tr.FinishRequest(name, start, dur, 0)
-}
-
-// FinishRequest records the request-level span, exports the trace to
-// the tracer's output when head-sampled, and hands it to the flight
-// recorder (when one is attached) for the tail-retention decision:
-// keep iff slow, errored (status >= 500), or head-sampled. The trace
-// must not be used afterwards — recorder-issued traces return to the
-// buffer pool.
+// FinishRequest records the request-level span and hands the trace to
+// its recorder for the retention decision: keep iff errored (status >=
+// 500), slow, or head-sampled. The trace must not be used afterwards —
+// it returns to the recorder's buffer pool.
 func (tr *Trace) FinishRequest(name string, start time.Time, dur time.Duration, status int) {
 	if tr == nil {
 		return
 	}
 	tr.mu.Lock()
 	tr.events = append(tr.events, traceEvent{name: name, cat: "request", tid: 0, start: start, dur: dur})
-	for i := range tr.events {
-		tr.events[i].requestID = tr.requestID
-	}
-	events := tr.events
-	rec := tr.rec
-	if rec == nil {
-		tr.events = nil
-	}
 	tr.mu.Unlock()
-	if tr.head && tr.tracer != nil {
-		tr.tracer.emit(events)
-	}
-	if rec != nil {
-		rec.finish(tr, name, start, dur, status)
-	}
+	tr.rec.finish(tr, name, start, dur, status)
 }
 
 // reset clears a pooled trace for reuse.
@@ -237,6 +73,5 @@ func (tr *Trace) reset() {
 	tr.events = tr.events[:0]
 	tr.requestID = ""
 	tr.head = false
-	tr.tracer = nil
 	tr.mu.Unlock()
 }

@@ -8,43 +8,33 @@ import (
 )
 
 func TestTracerSampling(t *testing.T) {
-	var b strings.Builder
-	tr := NewTracer(&b, 3)
-	sampled := 0
+	r := NewFlightRecorder(FlightConfig{Threshold: time.Hour, SampleEvery: 3})
 	for i := 0; i < 9; i++ {
-		if tr.Sample() != nil {
-			sampled++
-		}
+		finishOne(r, "/fast", time.Microsecond, 200)
 	}
-	if sampled != 3 {
+	if sampled := r.Stats().RetainedSampled; sampled != 3 {
 		t.Fatalf("sampled %d of 9 at 1-in-3", sampled)
 	}
 }
 
 func TestTracerNilSafety(t *testing.T) {
-	var tr *Tracer
-	span := tr.Sample()
-	if span != nil {
-		t.Fatal("nil tracer sampled")
-	}
-	// All methods on a nil trace are no-ops.
+	// All methods on a nil trace are no-ops (embedded callers rank
+	// outside an HTTP request and thread nil).
+	var span *Trace
 	span.SetRequestID("x")
 	span.Stage(0, "s", time.Now(), time.Millisecond)
-	span.Finish("r", time.Now(), time.Millisecond)
+	span.FinishRequest("r", time.Now(), time.Millisecond, 200)
 }
 
 func TestTraceOutputIsChromeTraceJSON(t *testing.T) {
 	var b strings.Builder
-	tracer := NewTracer(&b, 1)
-	tr := tracer.Sample()
-	if tr == nil {
-		t.Fatal("1-in-1 tracer did not sample")
-	}
+	tracer := NewFlightRecorder(FlightConfig{Export: &b})
+	tr := tracer.Begin()
 	tr.SetRequestID("req-1")
 	start := time.Now()
 	tr.Stage(1, "hint_lookup", start, 10*time.Microsecond)
 	tr.Stage(1, "bandit_rank", start.Add(10*time.Microsecond), 90*time.Microsecond)
-	tr.Finish("/v2/rank", start, 120*time.Microsecond)
+	tr.FinishRequest("/v2/rank", start, 120*time.Microsecond, 200)
 	if err := tracer.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +75,7 @@ func TestTraceOutputIsChromeTraceJSON(t *testing.T) {
 
 func TestTracerEmptyCloseIsValidJSON(t *testing.T) {
 	var b strings.Builder
-	tracer := NewTracer(&b, 1)
+	tracer := NewFlightRecorder(FlightConfig{Export: &b})
 	if err := tracer.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -100,10 +90,10 @@ func TestTracerEmptyCloseIsValidJSON(t *testing.T) {
 
 func TestTraceAfterCloseIsDropped(t *testing.T) {
 	var b strings.Builder
-	tracer := NewTracer(&b, 1)
-	tr := tracer.Sample()
+	tracer := NewFlightRecorder(FlightConfig{Export: &b})
+	tr := tracer.Begin()
 	tracer.Close()
-	tr.Finish("late", time.Now(), time.Millisecond) // must not corrupt the closed document
+	tr.FinishRequest("late", time.Now(), time.Millisecond, 200) // must not corrupt the closed document
 	var events []any
 	if err := json.Unmarshal([]byte(b.String()), &events); err != nil {
 		t.Fatalf("document corrupted by post-close finish: %v (%q)", err, b.String())

@@ -80,18 +80,11 @@ type Config struct {
 	// Logger receives replication lifecycle events (bootstraps,
 	// re-syncs, reconnect backoff). Nil is valid and silent.
 	Logger *obs.Logger
-	// Tracer samples the replica's read requests for stage tracing,
-	// threaded into each bootstrapped serving core (nil = disabled).
-	Tracer *obs.Tracer
-	// Flight is the tail-sampled trace ring. Like applyHist, the
-	// follower owns it so retained traces survive the core swaps
-	// re-syncs perform; each bootstrap threads it into the fresh core.
-	// Nil builds one from TraceRetain.
+	// Flight is the trace sink (serve.NewFlightRecorder). Like
+	// applyHist, it outlives the core swaps re-syncs perform — each
+	// bootstrap threads it into the fresh core — so retained traces
+	// survive them. Nil builds a default recorder.
 	Flight *obs.FlightRecorder
-	// TraceRetain is the slow-trace retention threshold used to build
-	// the recorder when Flight is nil (0 = default 250ms; negative
-	// disables tail retention).
-	TraceRetain time.Duration
 }
 
 // state is one bootstrap generation: the serving core built from one
@@ -123,8 +116,8 @@ type Follower struct {
 	log *obs.Logger
 	// applyHist is the replication_apply stage histogram. The follower
 	// owns it (not the serving core) so the distribution survives the
-	// core swaps re-syncs perform; each bootstrap re-registers it on
-	// the fresh core.
+	// core swaps re-syncs perform; each bootstrap hands it to the fresh
+	// core.
 	applyHist *obs.Histogram
 
 	ctx    context.Context
@@ -153,8 +146,8 @@ func Start(cfg Config) (*Follower, error) {
 		// still time out so a dead primary is noticed.
 		hc = &http.Client{Transport: &http.Transport{ResponseHeaderTimeout: 30 * time.Second}}
 	}
-	if cfg.Flight == nil && cfg.TraceRetain >= 0 {
-		cfg.Flight = serve.NewFlightRecorder(cfg.TraceRetain)
+	if cfg.Flight == nil {
+		cfg.Flight = serve.NewFlightRecorder(obs.FlightConfig{})
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	f := &Follower{
@@ -198,12 +191,9 @@ func (f *Follower) bootstrap() error {
 		MaxLogEvents: f.cfg.MaxLogEvents,
 		Follower:     true,
 		LeaderURL:    f.cfg.Primary,
-		Tracer:       f.cfg.Tracer,
+		Tail:         &serve.TailProbe{Stats: f.Stats, ApplyLatency: f.applyHist},
 		Flight:       f.cfg.Flight,
-		TraceRetain:  f.cfg.TraceRetain,
 	})
-	srv.SetReplProbe(f.Stats)
-	srv.RegisterStage("replication_apply", f.applyHist)
 	st := &state{
 		srv:     srv,
 		svc:     svc,
@@ -384,8 +374,8 @@ func (f *Follower) Lag() int64 {
 	return lag
 }
 
-// Stats reports the follower's replication view — wired into the
-// serving core's /v2/stats as its replication probe.
+// Stats reports the follower's replication view — handed to each
+// serving core as its serve.TailProbe.
 func (f *Follower) Stats() api.ReplicationStats {
 	return api.ReplicationStats{
 		Role:           api.RoleFollower,

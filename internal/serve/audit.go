@@ -41,18 +41,22 @@ func (s *Server) auditEngine() (*audit.Engine, error) {
 			return nil, err
 		}
 		s.auditEng = eng
-		s.RegisterStage("audit_query", &s.auditLat)
-		s.RegisterCollector(s.collectAuditMetrics)
 	}
 	return s.auditEng, nil
 }
 
-// auditStats snapshots the engine's counters for /v2/stats (nil until
-// the engine has been opened — the block is additive).
-func (s *Server) auditStats() *api.AuditStats {
+// openAuditEngine returns the audit engine if a query or checkpoint has
+// opened it, nil before — the audit stats block, metric families and
+// audit_query stage all appear only once it exists.
+func (s *Server) openAuditEngine() *audit.Engine {
 	s.auditMu.Lock()
-	eng := s.auditEng
-	s.auditMu.Unlock()
+	defer s.auditMu.Unlock()
+	return s.auditEng
+}
+
+// auditStats snapshots the engine's counters for /v2/stats.
+func (s *Server) auditStats() *api.AuditStats {
+	eng := s.openAuditEngine()
 	if eng == nil {
 		return nil
 	}
@@ -71,9 +75,7 @@ func (s *Server) auditStats() *api.AuditStats {
 // collectAuditMetrics contributes the qoserved_audit_* families to
 // /metrics once the engine exists.
 func (s *Server) collectAuditMetrics(e *obs.Exposition) {
-	s.auditMu.Lock()
-	eng := s.auditEng
-	s.auditMu.Unlock()
+	eng := s.openAuditEngine()
 	if eng == nil {
 		return
 	}

@@ -528,7 +528,7 @@ func TestRewardRejectsNonFinite(t *testing.T) {
 	// Over the wire a NaN cannot even be JSON — the decode guard
 	// rejects it before the reward core sees it. Send it raw to pin
 	// the status code.
-	st, body := postRaw2(t, r.ts.URL+api.RouteV1Reward, `{"eventId":"x","reward":NaN}`)
+	st, body := postRaw2(t, r.ts.URL+api.RouteV2Reward, `{"events":[{"eventId":"x","reward":NaN}]}`)
 	if st != 400 {
 		t.Fatalf("raw NaN reward status = %d body %s, want 400", st, body)
 	}

@@ -28,16 +28,10 @@ var goldenRequests = []struct {
 	// The rollover goes first so the rank probes below take the hint
 	// path: a bandit decision's optional keys (flip, chosen) would vary
 	// with exploration.
-	{http.MethodGet, api.RouteV1Hints, ""},
-	{http.MethodPost, api.RouteV1Hints, "qoadvisor-hints v1 day=7\n00000000000abc12,T1,-R040,7\n"},
-	{http.MethodGet, api.RouteV1Rank, ""},
-	{http.MethodPost, api.RouteV1Rank, `{"templateHash":"00000000000abc12","span":[1,9]}`},
-	{http.MethodGet, api.RouteV1Reward, ""},
-	{http.MethodPost, api.RouteV1Reward, `{"templateHash":"0000000000000001","reward":0.5}`},
-	{http.MethodGet, api.RouteV1Stats, ""},
-	{http.MethodPost, api.RouteV1Stats, ""},
-	{http.MethodGet, api.RouteV1Snapshot, ""},
-	{http.MethodPost, api.RouteV1Snapshot, ""},
+	{http.MethodGet, api.RouteV2Hints, ""},
+	{http.MethodPost, api.RouteV2Hints, "qoadvisor-hints v1 day=7\n00000000000abc12,T1,-R040,7\n"},
+	{http.MethodGet, api.RouteV2Snapshot, ""},
+	{http.MethodPost, api.RouteV2Snapshot, ""},
 	{http.MethodGet, api.RouteV2Rank, ""},
 	{http.MethodPost, api.RouteV2Rank, `{"jobs":[{"templateHash":"00000000000abc12","span":[1,9]}]}`},
 	{http.MethodGet, api.RouteV2Reward, ""},
@@ -69,6 +63,7 @@ var goldenRequests = []struct {
 	{http.MethodGet, api.RouteMetrics, ""},
 	{http.MethodPost, api.RouteMetrics, ""},
 	{http.MethodGet, "/v0/nope", ""},
+	{http.MethodGet, "/v1/rank", ""}, // the retired protocol version is just another unmatched path
 }
 
 // enumLabels are the label keys whose values form a closed set the

@@ -22,19 +22,15 @@ import (
 	"qoadvisor/internal/sis"
 )
 
-// Request body caps: steering queries and rewards are tiny; batches
-// scale with the job population; hint files scale with the template
-// population but stay far below their cap.
+// Request body caps: batches scale with the job population; hint files
+// scale with the template population but stay far below their cap.
 const (
-	maxJSONBody  = 1 << 20  // 1 MiB: single-job v1 bodies
-	maxBatchBody = 8 << 20  // 8 MiB: /v2 batch bodies
+	maxBatchBody = 8 << 20  // 8 MiB: JSON bodies
 	maxHintBody  = 64 << 20 // 64 MiB: hint rollover files
 )
 
-// httpLayer is the server's HTTP face: the versioned mux plus the
-// middleware state (request-ID source, per-route metrics). The /v1
-// handlers are thin single-item adapters over the same batch cores the
-// /v2 handlers fan out, so both versions make identical decisions.
+// httpLayer is the server's HTTP face: the mux plus the middleware
+// state (request-ID source, per-route metrics).
 type httpLayer struct {
 	srv *Server
 	mux *http.ServeMux
@@ -48,15 +44,14 @@ type httpLayer struct {
 }
 
 // routeStats aggregates one route's middleware counters and its
-// latency histogram (the source of the /v2/stats percentile fields and
-// the qoserved_http_request_duration_seconds series).
+// latency histogram (the source of the /v2/stats count, total and
+// percentile fields and of the qoserved_http_requests_total and
+// qoserved_http_request_duration_seconds series).
 type routeStats struct {
-	count       atomic.Int64
-	errors      atomic.Int64
-	status5xx   atomic.Int64
-	totalMicros atomic.Int64
-	maxMicros   atomic.Int64
-	lat         obs.Histogram
+	errors    atomic.Int64
+	status5xx atomic.Int64
+	maxMicros atomic.Int64
+	lat       obs.Histogram
 }
 
 func newHTTPLayer(s *Server) *httpLayer {
@@ -70,15 +65,12 @@ func newHTTPLayer(s *Server) *httpLayer {
 		path    string
 		handler http.HandlerFunc
 	}{
-		{api.RouteV1Rank, h.handleRankV1},
-		{api.RouteV1Reward, h.handleRewardV1},
-		{api.RouteV1Hints, h.handleHints},
-		{api.RouteV1Stats, h.handleStatsV1},
-		{api.RouteV1Snapshot, h.handleSnapshot},
-		{api.RouteV2Rank, h.handleRankV2},
-		{api.RouteV2Reward, h.handleRewardV2},
+		{api.RouteV2Rank, h.handleRank},
+		{api.RouteV2Reward, h.handleReward},
+		{api.RouteV2Hints, h.handleHints},
+		{api.RouteV2Snapshot, h.handleSnapshot},
 		{api.RouteV2Healthz, h.handleHealthz},
-		{api.RouteV2Stats, h.handleStatsV2},
+		{api.RouteV2Stats, h.handleStats},
 		{api.RouteV2Quarantine, h.handleQuarantine},
 		{api.RouteV2WAL, h.handleWALStream},
 		{api.RouteV2WALSnapshot, h.handleWALSnapshot},
@@ -109,7 +101,7 @@ func newHTTPLayer(s *Server) *httpLayer {
 const routeUnmatched = "(unmatched)"
 
 func (h *httpLayer) handleNotFound(w http.ResponseWriter, r *http.Request) {
-	writeError(w, requestID(r), api.Errorf(api.CodeNotFound, "no route %s in /v1 or /v2", r.URL.Path))
+	writeError(w, requestID(r), api.Errorf(api.CodeNotFound, "no route %s", r.URL.Path))
 }
 
 // ServeHTTP implements http.Handler.
@@ -121,11 +113,11 @@ type ctxKeyRequest struct{}
 
 // requestInfo is the per-request context payload: correlation ID plus
 // the request's span buffer. One struct under one key keeps the
-// middleware at a single context node whether or not the request is
-// traced — tracing must not add allocations to the fast path.
+// middleware at a single context node — tracing must not add
+// allocations to the fast path.
 type requestInfo struct {
 	id string
-	tr *obs.Trace // nil when untraced
+	tr *obs.Trace
 }
 
 // requestID returns the request's correlation ID, assigned or
@@ -180,9 +172,8 @@ func (sr *statusRecorder) ReadFrom(src io.Reader) (int64, error) {
 	return io.Copy(sr.ResponseWriter, src)
 }
 
-// traceFrom returns the request's sampled trace, or nil. All obs.Trace
-// methods are nil-safe, so callers thread the result through without
-// checking.
+// traceFrom returns the request's span buffer (nil only off the
+// instrument middleware; obs.Trace methods are nil-safe).
 func traceFrom(r *http.Request) *obs.Trace {
 	if ri, ok := r.Context().Value(ctxKeyRequest{}).(*requestInfo); ok {
 		return ri.tr
@@ -191,10 +182,9 @@ func traceFrom(r *http.Request) *obs.Trace {
 }
 
 // instrument wraps a route handler with request-ID injection (header in,
-// header out, context through), latency/count/error metrics, and trace
-// sampling: when the server's tracer elects this request, an obs.Trace
-// rides the context for handlers to record stages on, and the completed
-// event group is emitted when the handler returns.
+// header out, context through), latency/error metrics, and tracing: an
+// obs.Trace rides the context for handlers to record stages on, and the
+// flight recorder decides retention when the handler returns.
 func (h *httpLayer) instrument(route string, next http.HandlerFunc) http.HandlerFunc {
 	m := h.stats[route]
 	return func(w http.ResponseWriter, r *http.Request) {
@@ -204,16 +194,14 @@ func (h *httpLayer) instrument(route string, next http.HandlerFunc) http.Handler
 		}
 		w.Header().Set(api.RequestIDHeader, rid)
 		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
-		tr := h.srv.sampleTrace() // nil tracer+recorder or unsampled: nil
-		tr.SetRequestID(rid)      // nil-safe
+		tr := h.srv.flight.Begin()
+		tr.SetRequestID(rid)
 		ctx := context.WithValue(r.Context(), ctxKeyRequest{}, &requestInfo{id: rid, tr: tr})
 		start := time.Now()
 		next(rec, r.WithContext(ctx))
 		dur := time.Since(start)
 		el := dur.Microseconds()
 
-		m.count.Add(1)
-		m.totalMicros.Add(el)
 		m.lat.Observe(dur)
 		if rec.status >= 400 {
 			m.errors.Add(1)
@@ -239,9 +227,9 @@ func (h *httpLayer) routeMetrics() map[string]api.RouteStats {
 	for route, m := range h.stats {
 		lat := m.lat.Snapshot()
 		out[route] = api.RouteStats{
-			Count:       m.count.Load(),
+			Count:       int64(lat.Count),
 			Errors:      m.errors.Load(),
-			TotalMicros: m.totalMicros.Load(),
+			TotalMicros: int64(lat.Sum / 1000),
 			MaxMicros:   m.maxMicros.Load(),
 			P50Micros:   lat.Quantile(0.50).Microseconds(),
 			P90Micros:   lat.Quantile(0.90).Microseconds(),
@@ -311,13 +299,12 @@ func (h *httpLayer) requirePrimary(w http.ResponseWriter, r *http.Request) bool 
 	return true
 }
 
-// --- batch cores (shared by v1 adapters and v2 handlers) ---
+// --- batch cores ---
 
 // rankBatch fans a job batch out over the rank worker pool. Results
 // align index-for-index with jobs; per-job failures land in the item's
-// Error field so one malformed job cannot void its neighbors. tr, when
-// the request was sampled, records each job's stages on its own trace
-// lane (nil otherwise).
+// Error field so one malformed job cannot void its neighbors. tr records
+// each job's stages on its own trace lane.
 func (h *httpLayer) rankBatch(jobs []api.RankRequest, tr *obs.Trace) []api.RankResult {
 	results := make([]api.RankResult, len(jobs))
 	par.For(len(jobs), h.srv.rankWorkers, func(i int) {
@@ -398,9 +385,9 @@ func (h *httpLayer) rewardBatch(events []api.RewardEvent, tr *obs.Trace) (queued
 	return queued, observed, rejected
 }
 
-// --- v2 handlers ---
+// --- handlers ---
 
-func (h *httpLayer) handleRankV2(w http.ResponseWriter, r *http.Request) {
+func (h *httpLayer) handleRank(w http.ResponseWriter, r *http.Request) {
 	rid := requestID(r)
 	if !requireMethod(w, r, http.MethodPost) {
 		return
@@ -426,7 +413,7 @@ func (h *httpLayer) handleRankV2(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (h *httpLayer) handleRewardV2(w http.ResponseWriter, r *http.Request) {
+func (h *httpLayer) handleReward(w http.ResponseWriter, r *http.Request) {
 	rid := requestID(r)
 	if !requireMethod(w, r, http.MethodPost) || !h.requirePrimary(w, r) {
 		return
@@ -493,26 +480,13 @@ func (h *httpLayer) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, status, resp)
 }
 
-func (h *httpLayer) handleStatsV2(w http.ResponseWriter, r *http.Request) {
+func (h *httpLayer) handleStats(w http.ResponseWriter, r *http.Request) {
 	if !requireMethod(w, r, http.MethodGet) {
 		return
 	}
-	resp := h.fullStats()
+	resp := h.srv.Stats()
 	resp.RequestID = requestID(r)
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// fullStats assembles the complete stats document — the /v2/stats body
-// minus the request ID. Incident captures snapshot the same document
-// into the bundle's stats.json.
-func (h *httpLayer) fullStats() api.StatsResponse {
-	resp := h.srv.Stats()
-	resp.Routes = h.routeMetrics()
-	resp.Stages = h.srv.stageSummaries()
-	resp.Version = &h.srv.version
-	resp.Drift = h.srv.DriftStats(driftStatsTemplates)
-	resp.SLO = h.srv.sloStats()
-	return resp
 }
 
 // handleTraces serves the retained slow-trace ring as a Chrome-trace
@@ -637,7 +611,7 @@ func (h *httpLayer) handleQuarantine(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		var req api.QuarantineRequest
-		if e := decodeBody(w, r, maxJSONBody, &req); e != nil {
+		if e := decodeBody(w, r, maxBatchBody, &req); e != nil {
 			writeError(w, rid, e)
 			return
 		}
@@ -666,43 +640,6 @@ func (h *httpLayer) handleQuarantine(w http.ResponseWriter, r *http.Request) {
 	default:
 		writeError(w, rid, api.Errorf(api.CodeMethodNotAllowed, "GET or POST required"))
 	}
-}
-
-// --- v1 handlers (single-item adapters over the batch cores) ---
-
-func (h *httpLayer) handleRankV1(w http.ResponseWriter, r *http.Request) {
-	rid := requestID(r)
-	if !requireMethod(w, r, http.MethodPost) {
-		return
-	}
-	var job api.RankRequest
-	if e := decodeBody(w, r, maxJSONBody, &job); e != nil {
-		writeError(w, rid, e)
-		return
-	}
-	res := h.rankBatch([]api.RankRequest{job}, traceFrom(r))[0]
-	if res.Error != nil {
-		writeError(w, rid, res.Error)
-		return
-	}
-	writeJSON(w, http.StatusOK, res.RankResponse)
-}
-
-func (h *httpLayer) handleRewardV1(w http.ResponseWriter, r *http.Request) {
-	rid := requestID(r)
-	if !requireMethod(w, r, http.MethodPost) || !h.requirePrimary(w, r) {
-		return
-	}
-	var ev api.RewardEvent
-	if e := decodeBody(w, r, maxJSONBody, &ev); e != nil {
-		writeError(w, rid, e)
-		return
-	}
-	if _, _, rejected := h.rewardBatch([]api.RewardEvent{ev}, traceFrom(r)); len(rejected) > 0 {
-		writeError(w, rid, &rejected[0].Error)
-		return
-	}
-	writeJSON(w, http.StatusAccepted, api.RewardResponse{Status: "queued"})
 }
 
 // handleHints installs a hint table from a SIS exchange-format body —
@@ -750,13 +687,6 @@ func (h *httpLayer) handleHints(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (h *httpLayer) handleStatsV1(w http.ResponseWriter, r *http.Request) {
-	if !requireMethod(w, r, http.MethodGet) {
-		return
-	}
-	writeJSON(w, http.StatusOK, h.srv.Stats())
-}
-
 // handleSnapshot serves the model state: GET streams the persisted form,
 // POST writes it to the configured snapshot path for restart recovery.
 func (h *httpLayer) handleSnapshot(w http.ResponseWriter, r *http.Request) {
@@ -776,12 +706,12 @@ func (h *httpLayer) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 			writeError(w, rid, api.Errorf(api.CodeSnapshotUnconfigured, "no snapshot path configured"))
 			return
 		}
-		n, err := h.srv.SnapshotToPath(h.srv.snapshotPath)
+		info, err := h.srv.Checkpoint(h.srv.snapshotPath)
 		if err != nil {
 			writeError(w, rid, api.Errorf(api.CodeInternal, "snapshot failed: %v", err))
 			return
 		}
-		writeJSON(w, http.StatusOK, api.SnapshotSaveResponse{Path: h.srv.snapshotPath, Bytes: n})
+		writeJSON(w, http.StatusOK, api.SnapshotSaveResponse{Path: h.srv.snapshotPath, Bytes: info.Bytes})
 	default:
 		writeError(w, rid, api.Errorf(api.CodeMethodNotAllowed, "GET or POST required"))
 	}

@@ -316,7 +316,7 @@ func (e *incidentEngine) capture(now time.Time, reason, detail string, burn floa
 
 	// The full stats document carries the WAL, replication, drift, SLO,
 	// and route/stage state the responder needs first.
-	writeJSONFile("stats.json", e.srv.http.fullStats())
+	writeJSONFile("stats.json", e.srv.Stats())
 	writeJSONFile("traces.json", e.srv.tracesResponse("", 0, 0))
 	writeJSONFile("histograms.json", e.srv.histogramSnapshots())
 	writeProfile("goroutine.pprof", "goroutine")
@@ -498,19 +498,11 @@ func (s *Server) histogramSnapshots() map[string]map[string]*api.Hist {
 		"stages": make(map[string]*api.Hist),
 		"routes": make(map[string]*api.Hist),
 	}
-	s.stages.each(func(name string, h *obs.Histogram) {
-		snap := h.Snapshot()
-		out["stages"][name] = histToWire(snap)
+	s.eachStage(func(name string, h *obs.Histogram) {
+		out["stages"][name] = histToWire(h.Snapshot())
 	})
-	s.extraMu.RLock()
-	for name, h := range s.extraStages {
-		snap := h.Snapshot()
-		out["stages"][name] = histToWire(snap)
-	}
-	s.extraMu.RUnlock()
 	for route, m := range s.http.stats {
-		snap := m.lat.Snapshot()
-		out["routes"][route] = histToWire(snap)
+		out["routes"][route] = histToWire(m.lat.Snapshot())
 	}
 	return out
 }
@@ -521,9 +513,6 @@ func (s *Server) histogramSnapshots() map[string]map[string]*api.Hist {
 // plus per-trace metadata.
 func (s *Server) tracesResponse(route string, minDur time.Duration, limit int) api.TracesResponse {
 	resp := api.TracesResponse{TraceEvents: []api.TraceEvent{}, Traces: []api.TraceMeta{}}
-	if s.flight == nil {
-		return resp
-	}
 	epoch := s.flight.Epoch()
 	for _, rt := range s.flight.Query(route, minDur, limit) {
 		resp.Traces = append(resp.Traces, api.TraceMeta{

@@ -23,7 +23,7 @@ type reward struct {
 // queue drained by a worker pool that applies rewards to the bandit
 // service and triggers an IPS training pass every trainEvery applied
 // rewards. Keeping reward application and SGD off the request path is
-// what lets /v1/reward return in microseconds while the model still
+// what lets /v2/reward return in microseconds while the model still
 // learns continuously.
 //
 // When a WAL is attached, every accepted batch is journaled before the
@@ -80,7 +80,7 @@ type Ingestor struct {
 // path — and with a journal attached, a single worker is also what
 // keeps apply order equal to journal order for deterministic replay.
 func NewIngestor(svc *bandit.Service, j *wal.WAL, queueSize, workers, trainEvery int) *Ingestor {
-	return newIngestor(svc, j, queueSize, workers, trainEvery, newStageHists())
+	return newIngestor(svc, j, queueSize, workers, trainEvery, &stageHists{})
 }
 
 // newIngestor is NewIngestor with the stage-histogram sink supplied by
@@ -182,9 +182,9 @@ func (in *Ingestor) EnqueueBatch(entries []bandit.RewardEntry) (accepted int, er
 	return in.enqueueBatch(entries, nil)
 }
 
-// enqueueBatch is EnqueueBatch with an optional trace: when the
-// request carrying the batch was sampled, the journal append and the
-// commit wait are recorded as trace stages (tr nil otherwise).
+// enqueueBatch is EnqueueBatch with the carrying request's trace: the
+// journal append and the commit wait are recorded as trace stages (tr
+// nil for embedded callers).
 func (in *Ingestor) enqueueBatch(entries []bandit.RewardEntry, tr *obs.Trace) (accepted int, err error) {
 	in.closeMu.RLock()
 	defer in.closeMu.RUnlock()

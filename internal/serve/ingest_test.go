@@ -8,10 +8,10 @@ import (
 
 func rankEvents(t *testing.T, svc *bandit.Service, n int) []string {
 	t.Helper()
-	ctx := bandit.Context{Features: []string{"span:1", "span:9"}}
+	ctx := bandit.Context{IDs: bandit.HashFeatures([]string{"span:1", "span:9"})}
 	actions := []bandit.Action{
-		{ID: "noop", Features: []string{"act:noop"}},
-		{ID: "+R030", Features: []string{"rule:30"}},
+		{ID: "noop", IDs: bandit.HashFeatures([]string{"act:noop"})},
+		{ID: "+R030", IDs: bandit.HashFeatures([]string{"rule:30"})},
 	}
 	ids := make([]string, n)
 	for i := range ids {
@@ -51,8 +51,8 @@ func TestIngestorAppliesAndTrains(t *testing.T) {
 		t.Error("no training pass ran despite 64 applied rewards at batch size 16")
 	}
 	// Training must actually have moved the model.
-	ctx := bandit.Context{Features: []string{"span:1", "span:9"}}
-	a := bandit.Action{ID: "+R030", Features: []string{"rule:30"}}
+	ctx := bandit.Context{IDs: bandit.HashFeatures([]string{"span:1", "span:9"})}
+	a := bandit.Action{ID: "+R030", IDs: bandit.HashFeatures([]string{"rule:30"})}
 	if svc.Score(ctx, a) == 0 {
 		t.Error("model weights untouched after ingestion training")
 	}
@@ -73,7 +73,7 @@ func TestIngestorUnknownEvents(t *testing.T) {
 // bounded queue fills deterministically.
 func TestIngestorBackpressure(t *testing.T) {
 	svc := bandit.New(bandit.DefaultConfig(5))
-	in := &Ingestor{svc: svc, ch: make(chan reward, 2), trainEvery: 8, stages: newStageHists()}
+	in := &Ingestor{svc: svc, ch: make(chan reward, 2), trainEvery: 8, stages: &stageHists{}}
 
 	ids := rankEvents(t, svc, 3)
 	if !in.Enqueue(ids[0], 1) || !in.Enqueue(ids[1], 1) {

@@ -19,41 +19,28 @@ import (
 // stage. Recording is lock-free and allocation-free (obs.Histogram),
 // so these sit directly on the rank and reward hot paths.
 type stageHists struct {
-	rankHint     *obs.Histogram // hint-cache lookup inside Rank (hit or miss)
-	rankBandit   *obs.Histogram // bandit decision incl. rank-event journaling
-	rewardAppend *obs.Histogram // WAL append of an accepted reward batch
-	rewardCommit *obs.Histogram // group-commit durability wait after append
-	queueWait    *obs.Histogram // enqueue -> worker pickup
-	rewardApply  *obs.Histogram // worker's bandit.Reward application
-	walFsync     *obs.Histogram // journal fsync (committer / sync-mode commit)
-	checkpoint   *obs.Histogram // full checkpoint barrier duration
-}
-
-func newStageHists() *stageHists {
-	return &stageHists{
-		rankHint:     &obs.Histogram{},
-		rankBandit:   &obs.Histogram{},
-		rewardAppend: &obs.Histogram{},
-		rewardCommit: &obs.Histogram{},
-		queueWait:    &obs.Histogram{},
-		rewardApply:  &obs.Histogram{},
-		walFsync:     &obs.Histogram{},
-		checkpoint:   &obs.Histogram{},
-	}
+	rankHint     obs.Histogram // hint-cache lookup inside Rank (hit or miss)
+	rankBandit   obs.Histogram // bandit decision incl. rank-event journaling
+	rewardAppend obs.Histogram // WAL append of an accepted reward batch
+	rewardCommit obs.Histogram // group-commit durability wait after append
+	queueWait    obs.Histogram // enqueue -> worker pickup
+	rewardApply  obs.Histogram // worker's bandit.Reward application
+	walFsync     obs.Histogram // journal fsync (committer / sync-mode commit)
+	checkpoint   obs.Histogram // full checkpoint barrier duration
 }
 
 // each visits the stages in stable order under their wire names (the
 // keys of StatsResponse.Stages and the stage label of
 // qoserved_stage_duration_seconds).
 func (st *stageHists) each(fn func(name string, h *obs.Histogram)) {
-	fn("rank_hint_lookup", st.rankHint)
-	fn("rank_bandit", st.rankBandit)
-	fn("reward_wal_append", st.rewardAppend)
-	fn("reward_commit_wait", st.rewardCommit)
-	fn("reward_queue_wait", st.queueWait)
-	fn("reward_apply", st.rewardApply)
-	fn("wal_fsync", st.walFsync)
-	fn("checkpoint", st.checkpoint)
+	fn("rank_hint_lookup", &st.rankHint)
+	fn("rank_bandit", &st.rankBandit)
+	fn("reward_wal_append", &st.rewardAppend)
+	fn("reward_commit_wait", &st.rewardCommit)
+	fn("reward_queue_wait", &st.queueWait)
+	fn("reward_apply", &st.rewardApply)
+	fn("wal_fsync", &st.walFsync)
+	fn("checkpoint", &st.checkpoint)
 }
 
 // summarize renders a histogram snapshot as the JSON percentile form,
@@ -80,43 +67,26 @@ func histToWire(s obs.HistSnapshot) *api.Hist {
 	return &api.Hist{Count: s.Count, SumNanos: s.Sum, Buckets: b}
 }
 
-// stageSummaries builds StatsResponse.Stages: every built-in stage
-// plus externally registered ones (the replication tailer's apply
-// latency).
+// eachStage visits every stage this node reports: the built-in ones,
+// audit_query once the audit engine has opened, and replication_apply
+// on a follower core constructed by a tailer.
+func (s *Server) eachStage(fn func(name string, h *obs.Histogram)) {
+	s.stages.each(fn)
+	if s.openAuditEngine() != nil {
+		fn("audit_query", &s.auditLat)
+	}
+	if s.tail != nil {
+		fn("replication_apply", s.tail.ApplyLatency)
+	}
+}
+
+// stageSummaries builds StatsResponse.Stages.
 func (s *Server) stageSummaries() map[string]api.LatencySummary {
 	out := make(map[string]api.LatencySummary, 10)
-	s.stages.each(func(name string, h *obs.Histogram) {
+	s.eachStage(func(name string, h *obs.Histogram) {
 		out[name] = summarize(h.Snapshot())
 	})
-	s.extraMu.RLock()
-	for name, h := range s.extraStages {
-		out[name] = summarize(h.Snapshot())
-	}
-	s.extraMu.RUnlock()
 	return out
-}
-
-// RegisterStage attaches an externally owned stage histogram under
-// name: it appears in StatsResponse.Stages and as a
-// qoserved_stage_duration_seconds series. The replication tailer
-// registers its apply latency this way (the histogram outlives the
-// serving cores re-syncs swap in).
-func (s *Server) RegisterStage(name string, h *obs.Histogram) {
-	s.extraMu.Lock()
-	if s.extraStages == nil {
-		s.extraStages = make(map[string]*obs.Histogram)
-	}
-	s.extraStages[name] = h
-	s.extraMu.Unlock()
-}
-
-// RegisterCollector adds a callback that contributes additional
-// families to the /metrics exposition (for components the server does
-// not own). Collectors run on every scrape.
-func (s *Server) RegisterCollector(fn func(*obs.Exposition)) {
-	s.extraMu.Lock()
-	s.collectors = append(s.collectors, fn)
-	s.extraMu.Unlock()
 }
 
 // collectMetrics assembles the server-owned families of the /metrics
@@ -219,36 +189,18 @@ func (s *Server) collectMetrics(e *obs.Exposition) {
 		}
 	}
 
-	// Stage latency histograms (built-in + registered).
-	const stageHelp = "Serving-stage latency distributions."
-	s.stages.each(func(name string, h *obs.Histogram) {
-		e.Histogram("qoserved_stage_duration_seconds", stageHelp, obs.L("stage", name), h.Snapshot())
+	s.eachStage(func(name string, h *obs.Histogram) {
+		e.Histogram("qoserved_stage_duration_seconds", "Serving-stage latency distributions.", obs.L("stage", name), h.Snapshot())
 	})
-	s.extraMu.RLock()
-	for name, h := range s.extraStages {
-		e.Histogram("qoserved_stage_duration_seconds", stageHelp, obs.L("stage", name), h.Snapshot())
-	}
-	collectors := s.collectors
-	s.extraMu.RUnlock()
-	for _, fn := range collectors {
-		fn(e)
-	}
+	s.collectAuditMetrics(e)
 	s.collectSLOMetrics(e)
 	s.collectTraceMetrics(e)
 	s.incidents.collectMetrics(e)
 }
 
 // collectTraceMetrics contributes the flight recorder's
-// qoserved_trace_* families (and the export arm's write-error counter,
-// which exists whenever a tracer does, recorder or not).
+// qoserved_trace_* families.
 func (s *Server) collectTraceMetrics(e *obs.Exposition) {
-	if s.flight == nil {
-		if s.tracer != nil {
-			e.Counter("qoserved_trace_write_errors_total",
-				"Failed writes on the -trace-out export stream.", nil, float64(s.tracer.WriteErrors()))
-		}
-		return
-	}
 	fs := s.flight.Stats()
 	const retainedHelp = "Traces retained by the flight recorder, by retention reason."
 	e.Counter("qoserved_trace_retained_total", retainedHelp, obs.L("reason", obs.RetainSlow), float64(fs.RetainedSlow))
@@ -261,17 +213,18 @@ func (s *Server) collectTraceMetrics(e *obs.Exposition) {
 	e.Gauge("qoserved_trace_retain_threshold_seconds",
 		"Default slow-retention latency cutoff.", nil, fs.Threshold.Seconds())
 	e.Counter("qoserved_trace_write_errors_total",
-		"Failed writes on the -trace-out export stream.", nil, float64(s.tracer.WriteErrors()))
+		"Failed writes on the -trace-out export stream.", nil, float64(fs.WriteErrors))
 }
 
 // collectRouteMetrics adds the HTTP middleware's per-route families.
 func (h *httpLayer) collectRouteMetrics(e *obs.Exposition) {
 	for route, m := range h.stats {
 		labels := obs.L("route", route)
-		e.Counter("qoserved_http_requests_total", "HTTP requests served, by route.", labels, float64(m.count.Load()))
+		lat := m.lat.Snapshot()
+		e.Counter("qoserved_http_requests_total", "HTTP requests served, by route.", labels, float64(lat.Count))
 		e.Counter("qoserved_http_request_errors_total", "HTTP requests answered with status >= 400, by route.", labels, float64(m.errors.Load()))
 		e.Counter("qoserved_http_request_5xx_total", "HTTP requests answered with status >= 500, by route (the availability-SLO error input).", labels, float64(m.status5xx.Load()))
-		e.Histogram("qoserved_http_request_duration_seconds", "HTTP request latency, by route.", labels, m.lat.Snapshot())
+		e.Histogram("qoserved_http_request_duration_seconds", "HTTP request latency, by route.", labels, lat)
 	}
 }
 

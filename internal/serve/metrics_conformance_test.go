@@ -266,19 +266,9 @@ func TestStatsMetricsConformance(t *testing.T) {
 // metricFamilies scrapes /metrics and returns the set of family names.
 func metricFamilies(t *testing.T, base string) map[string]bool {
 	t.Helper()
-	body := httpGet(t, base+"/metrics")
 	fams := map[string]bool{}
-	for _, line := range strings.Split(string(body), "\n") {
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		name := line
-		if i := strings.IndexAny(line, "{ "); i >= 0 {
-			name = line[:i]
-		}
-		name = strings.TrimSuffix(name, "_bucket")
-		name = strings.TrimSuffix(name, "_sum")
-		name = strings.TrimSuffix(name, "_count")
+	for _, shape := range metricSeriesShapes(string(httpGet(t, base+"/metrics"))) {
+		name, _, _ := strings.Cut(shape, "{")
 		fams[name] = true
 	}
 	return fams

@@ -18,14 +18,11 @@ import (
 // family has data, then fetches and returns the /metrics body.
 func scrapeMetrics(t *testing.T, tsURL string) string {
 	t.Helper()
-	rank := postJSON(t, tsURL+api.RouteV1Rank, api.RankRequest{
+	rr := rankOne(t, tsURL, api.RankRequest{
 		TemplateHash: 0xfeed, TemplateID: "T0001", Span: []int{1, 2, 3}, RowCount: 1e5,
 	})
-	rr := decodeJSON[api.RankResponse](t, rank)
 	if rr.EventID != "" {
-		v := 1.0
-		resp := postJSON(t, tsURL+api.RouteV1Reward, api.RewardEvent{EventID: rr.EventID, Reward: &v})
-		resp.Body.Close()
+		rewardOne(t, tsURL, rr.EventID, 1.0).Body.Close()
 	}
 	resp, err := http.Get(tsURL + api.RouteMetrics)
 	if err != nil {
@@ -171,12 +168,12 @@ func TestMetricsExposition(t *testing.T) {
 	foundRank := false
 	for _, line := range samples["qoserved_http_requests_total"] {
 		_, labels, v := parseSampleLine(t, line)
-		if strings.Contains(labels, `route="/v1/rank"`) && v >= 1 {
+		if strings.Contains(labels, `route="/v2/rank"`) && v >= 1 {
 			foundRank = true
 		}
 	}
 	if !foundRank {
-		t.Error("qoserved_http_requests_total{route=\"/v1/rank\"} did not count the driven request")
+		t.Error("qoserved_http_requests_total{route=\"/v2/rank\"} did not count the driven request")
 	}
 }
 
@@ -301,14 +298,11 @@ func TestVersionEndpoint(t *testing.T) {
 func TestStatsStagesAndRoutePercentiles(t *testing.T) {
 	_, ts := newTestServer(t, Config{Seed: 3, TrainEvery: 2})
 	for i := 0; i < 8; i++ {
-		rank := postJSON(t, ts.URL+api.RouteV1Rank, api.RankRequest{
+		rr := rankOne(t, ts.URL, api.RankRequest{
 			TemplateHash: api.TemplateHash(i), TemplateID: fmt.Sprintf("T%04d", i), Span: []int{1, 5}, RowCount: 1e5,
 		})
-		rr := decodeJSON[api.RankResponse](t, rank)
 		if rr.EventID != "" {
-			v := 0.5
-			resp := postJSON(t, ts.URL+api.RouteV1Reward, api.RewardEvent{EventID: rr.EventID, Reward: &v})
-			resp.Body.Close()
+			rewardOne(t, ts.URL, rr.EventID, 0.5).Body.Close()
 		}
 	}
 	resp, err := http.Get(ts.URL + api.RouteV2Stats)
@@ -339,7 +333,7 @@ func TestStatsStagesAndRoutePercentiles(t *testing.T) {
 		t.Errorf("percentiles not monotone: %+v", bandit)
 	}
 
-	rankRoute := stats.Routes[api.RouteV1Rank]
+	rankRoute := stats.Routes[api.RouteV2Rank]
 	if rankRoute.Count < 8 || rankRoute.P50Micros <= 0 || rankRoute.P999Micros < rankRoute.P50Micros {
 		t.Errorf("route percentile fields inconsistent: %+v", rankRoute)
 	}

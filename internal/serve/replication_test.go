@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"qoadvisor/internal/api"
+	"qoadvisor/internal/obs"
 	"qoadvisor/internal/rules"
 	"qoadvisor/internal/sis"
 	"qoadvisor/internal/wal"
@@ -277,9 +278,8 @@ func TestWALStreamErrors(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		first := r.j.FirstLSN()
-		if first <= 1 {
-			t.Fatalf("no compaction; test is vacuous (first=%d)", first)
+		if r.j.Stats().TruncatedSegs == 0 {
+			t.Fatal("no compaction; test is vacuous")
 		}
 		resp, err := http.Get(r.ts.URL + api.RouteV2WAL + "?from=0")
 		if err != nil {
@@ -292,6 +292,38 @@ func TestWALStreamErrors(t *testing.T) {
 		var env api.ErrorResponse
 		if err := json.NewDecoder(resp.Body).Decode(&env); err != nil || env.Error.Code != api.CodeWALGap {
 			t.Fatalf("envelope %+v (%v)", env, err)
+		}
+	})
+
+	t.Run("gap after full compaction", func(t *testing.T) {
+		// One-byte segments seal after every record, so a checkpoint can
+		// compact the whole journal away and leave the retained window
+		// empty. A follower parked below the journal's end must still get
+		// wal_gap — not an empty stream it would re-poll forever.
+		r := newWALRig(t, 1)
+		r.rewardAll(t, r.rankSome(t, 5, 1), 0.5)
+		deadline := time.Now().Add(5 * time.Second)
+		for r.j.FirstLSN() != 0 {
+			if time.Now().After(deadline) {
+				t.Fatalf("journal never fully compacted (first=%d last=%d)", r.j.FirstLSN(), r.j.LastLSN())
+			}
+			if _, err := r.srv.Checkpoint(r.snap); err != nil {
+				t.Fatal(err)
+			}
+		}
+		resp, err := http.Get(r.ts.URL + api.RouteV2WAL + "?from=1&wait=1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		expectError(t, resp, http.StatusGone, api.CodeWALGap)
+		// Parked exactly at the journal's end there is no gap.
+		resp, err = http.Get(fmt.Sprintf("%s%s?from=%d&wait=1", r.ts.URL, api.RouteV2WAL, r.j.LastLSN()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("caught-up follower after full compaction: status %d, want 200", resp.StatusCode)
 		}
 	})
 
@@ -362,16 +394,15 @@ func TestFollowerModeContract(t *testing.T) {
 	srv.RestoreHints(testHints(cat, 3, 2), 7)
 
 	// Hint read path serves, with the restored generation.
-	hinted := decodeJSON[api.RankResponse](t, postJSON(t, ts.URL+api.RouteV1Rank,
-		api.RankRequest{TemplateHash: 0x1001, Span: []int{45}}))
+	hinted := rankOne(t, ts.URL, api.RankRequest{TemplateHash: 0x1001, Span: []int{45}})
 	if hinted.Source != api.SourceHint || hinted.Generation != 7 {
 		t.Fatalf("follower hint rank = %+v", hinted)
 	}
 	// Bandit read path is deterministic greedy: no event ID, twice the
 	// same answer.
 	job := api.RankRequest{TemplateHash: 0x9999, Span: []int{10, 30, 90}}
-	b1 := decodeJSON[api.RankResponse](t, postJSON(t, ts.URL+api.RouteV1Rank, job))
-	b2 := decodeJSON[api.RankResponse](t, postJSON(t, ts.URL+api.RouteV1Rank, job))
+	b1 := rankOne(t, ts.URL, job)
+	b2 := rankOne(t, ts.URL, job)
 	if b1.Source != api.SourceBandit || b1.EventID != "" {
 		t.Fatalf("follower bandit rank = %+v", b1)
 	}
@@ -385,21 +416,18 @@ func TestFollowerModeContract(t *testing.T) {
 	// Writes reject with the structured redirect.
 	val := 1.0
 	for name, do := range map[string]func() *http.Response{
-		"v1 reward": func() *http.Response {
-			return postJSON(t, ts.URL+api.RouteV1Reward, api.RewardEvent{EventID: "e", Reward: &val})
-		},
-		"v2 reward": func() *http.Response {
+		"reward": func() *http.Response {
 			return postJSON(t, ts.URL+api.RouteV2Reward, api.BatchRewardRequest{Events: []api.RewardEvent{{EventID: "e", Reward: &val}}})
 		},
 		"hints rollover": func() *http.Response {
-			resp, err := http.Post(ts.URL+api.RouteV1Hints, "text/plain", bytes.NewBufferString("qoadvisor-hints v1 day=1\n"))
+			resp, err := http.Post(ts.URL+api.RouteV2Hints, "text/plain", bytes.NewBufferString("qoadvisor-hints v1 day=1\n"))
 			if err != nil {
 				t.Fatal(err)
 			}
 			return resp
 		},
 		"snapshot save": func() *http.Response {
-			resp, err := http.Post(ts.URL+api.RouteV1Snapshot, "application/json", nil)
+			resp, err := http.Post(ts.URL+api.RouteV2Snapshot, "application/json", nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -475,12 +503,13 @@ func TestPrimaryReplicationStats(t *testing.T) {
 // tail has gone silent must fail LB health checks (503 degraded)
 // instead of serving arbitrarily stale hints behind a green light.
 func TestFollowerHealthzDegradesWhenStale(t *testing.T) {
-	srv, ts := newTestServer(t, Config{Seed: 4, Follower: true, LeaderURL: "http://p:1"})
-
 	tailAge := 1.0 // seconds; fresh
-	srv.SetReplProbe(func() api.ReplicationStats {
-		return api.ReplicationStats{Role: api.RoleFollower, LastTailSec: tailAge}
-	})
+	_, ts := newTestServer(t, Config{Seed: 4, Follower: true, LeaderURL: "http://p:1", Tail: &TailProbe{
+		Stats: func() api.ReplicationStats {
+			return api.ReplicationStats{Role: api.RoleFollower, LastTailSec: tailAge}
+		},
+		ApplyLatency: &obs.Histogram{},
+	}})
 	resp := getURL(t, ts.URL+api.RouteV2Healthz)
 	h := decodeJSON[api.HealthResponse](t, resp)
 	if resp.StatusCode != http.StatusOK || h.Status != api.HealthOK {

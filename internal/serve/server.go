@@ -51,7 +51,7 @@ type Config struct {
 	// default bounds event state near 100 MiB. Applies to a
 	// caller-supplied Bandit too.
 	MaxLogEvents int
-	// SnapshotPath is where POST /v1/model/snapshot persists the model.
+	// SnapshotPath is where POST /v2/model/snapshot persists the model.
 	SnapshotPath string
 	// WAL, when non-nil, is the durable reward journal: rank decisions
 	// are journaled by the learner, reward batches are journaled before
@@ -67,8 +67,8 @@ type Config struct {
 	// bandit path of Rank answers with the deterministic greedy policy
 	// (no event logged, no exploration randomness consumed — serving a
 	// read must not diverge the replica from the primary's journaled
-	// state), and every write route (/v1/reward, /v2/reward, /v1/hints,
-	// POST /v1/model/snapshot, the replication surface) rejects with a
+	// state), and every write route (/v2/reward, /v2/hints,
+	// POST /v2/model/snapshot, the replication surface) rejects with a
 	// structured not_primary error carrying LeaderURL. The replica's
 	// state advances only through applied journal records
 	// (internal/replicate tails them).
@@ -76,11 +76,12 @@ type Config struct {
 	// LeaderURL is the primary's base URL, carried by not_primary
 	// rejections and reported in stats (follower mode only).
 	LeaderURL string
-	// Tracer, when non-nil, samples requests for stage-level tracing:
-	// sampled requests carry an obs.Trace through the rank/reward path
-	// and emit a Chrome-trace event group on completion. Nil disables
-	// tracing at zero cost.
-	Tracer *obs.Tracer
+	// Tail is the replication tailer's view of this follower core: its
+	// stats feed the replication block of /v2/stats and the staleness
+	// check of /v2/healthz, its apply histogram the replication_apply
+	// stage. The tailer owns both (they outlive the cores re-syncs swap
+	// in); nil on primaries and on a follower embedded without a tailer.
+	Tail *TailProbe
 	// Drift, when non-nil, enables online drift detection: rewards
 	// attributed to a template (RewardEvent.TemplateHash) feed
 	// per-template streaming statistics, and templates whose rewards
@@ -97,20 +98,27 @@ type Config struct {
 	// enables the defaults; use &SLOConfig{Disabled: true} to turn the
 	// subsystem off.
 	SLO *SLOConfig
-	// Flight, when non-nil, is an externally owned flight recorder —
-	// the replication tailer threads one recorder through every
-	// re-bootstrapped core so retained traces survive resync swaps.
-	// When nil the server builds its own from TraceRetain.
+	// Flight is the trace sink every request records into, built with
+	// NewFlightRecorder. The caller owns it — the replication tailer
+	// threads one recorder through every re-bootstrapped core so retained
+	// traces survive resync swaps, qoserved closes its -trace-out export
+	// stream at shutdown. Nil builds a default recorder (250ms slow
+	// threshold, no export).
 	Flight *obs.FlightRecorder
-	// TraceRetain is the tail-retention slow threshold for routes
-	// without a per-route override (0 = obs.DefaultRetainThreshold;
-	// negative disables the flight recorder entirely). Ignored when
-	// Flight is set.
-	TraceRetain time.Duration
 	// Incidents, when non-nil with a Dir, enables the incident engine:
 	// SLO-burn, quarantine, and WAL-failure triggers capture diagnostic
 	// bundles into Dir.
 	Incidents *IncidentConfig
+}
+
+// TailProbe is what a replication tailer hands the follower core it
+// constructs.
+type TailProbe struct {
+	// Stats reports the tailer's replication view (applied LSN, lag,
+	// tail age).
+	Stats func() api.ReplicationStats
+	// ApplyLatency is the tailer's record-apply histogram.
+	ApplyLatency *obs.Histogram
 }
 
 // Server is the embeddable online steering service. It serves hint-cache
@@ -154,34 +162,29 @@ type Server struct {
 	rolloverMu sync.Mutex
 
 	// Primary-side replication counters (maintained by the /v2/wal
-	// stream handler) and the follower-side stats probe installed by
-	// the replication tailer.
+	// stream handler) and the follower-side view handed in by the
+	// replication tailer (nil without one).
 	walStreams      atomic.Int64
 	walStreamsTotal atomic.Int64
 	walRecsShipped  atomic.Int64
 	walBytesShipped atomic.Int64
-	replProbe       atomic.Pointer[func() api.ReplicationStats]
+	tail            *TailProbe
 
 	rankRequests atomic.Int64
 	hintHits     atomic.Int64
 	banditRanks  atomic.Int64
 	noops        atomic.Int64
 
-	// Observability: per-stage latency histograms, externally registered
-	// stages/collectors (the replication tailer), the sampling tracer,
-	// and the build identity served by /v2/version.
-	stages      *stageHists
-	tracer      *obs.Tracer
-	version     api.VersionInfo
-	extraMu     sync.RWMutex
-	extraStages map[string]*obs.Histogram
-	collectors  []func(*obs.Exposition)
+	// Observability: per-stage latency histograms and the build
+	// identity served by /v2/version.
+	stages  *stageHists
+	version api.VersionInfo
 
 	// slo tracks the node's service-level objectives (nil = disabled).
 	slo *obs.SLOTracker
 
-	// flight is the tail-retention trace ring (nil = disabled);
-	// incidents is the diagnostic-capture engine (nil = disabled).
+	// flight is the trace sink; incidents is the diagnostic-capture
+	// engine (nil = disabled).
 	flight    *obs.FlightRecorder
 	incidents *incidentEngine
 }
@@ -204,7 +207,7 @@ func New(cfg Config) *Server {
 	}
 	// Stage histograms are shared with the ingestor's workers, so they
 	// must exist before newIngestor starts the pool.
-	stages := newStageHists()
+	stages := &stageHists{}
 	// Detection runs only where writes land; enforcement (the table
 	// inside the safeguard) exists on every node.
 	var det *drift.Detector
@@ -225,8 +228,12 @@ func New(cfg Config) *Server {
 		snapshotPath: cfg.SnapshotPath,
 		start:        time.Now(),
 		stages:       stages,
-		tracer:       cfg.Tracer,
 		version:      VersionInfo(),
+		tail:         cfg.Tail,
+		flight:       cfg.Flight,
+	}
+	if s.flight == nil {
+		s.flight = NewFlightRecorder(obs.FlightConfig{})
 	}
 	// The audit engine reconstructs past states by replaying the journal
 	// with this server's own recovery parameters.
@@ -252,12 +259,6 @@ func New(cfg Config) *Server {
 		sloCfg = *cfg.SLO
 	}
 	s.initSLO(sloCfg)
-	switch {
-	case cfg.Flight != nil:
-		s.flight = cfg.Flight
-	case cfg.TraceRetain >= 0:
-		s.flight = NewFlightRecorder(cfg.TraceRetain)
-	}
 	if cfg.Incidents != nil && cfg.Incidents.Dir != "" {
 		s.incidents = newIncidentEngine(s, *cfg.Incidents)
 		s.incidents.start()
@@ -266,36 +267,20 @@ func New(cfg Config) *Server {
 }
 
 // NewFlightRecorder builds a flight recorder with the server's
-// per-route slow thresholds: rank routes retain at the SLO rank-latency
-// bound (the requests whose tail burns the budget), the WAL long-poll
-// routes never retain as slow (they are slow by design), everything
-// else at retain (0 = obs.DefaultRetainThreshold). Exported so the
-// replication tailer can own one recorder across core swaps.
-func NewFlightRecorder(retain time.Duration) *obs.FlightRecorder {
-	slo := SLOConfig{}.withDefaults()
-	return obs.NewFlightRecorder(obs.FlightConfig{
-		Threshold: retain,
-		RouteThresholds: map[string]time.Duration{
-			api.RouteV2Rank:        slo.RankThreshold,
-			api.RouteV1Rank:        slo.RankThreshold,
-			api.RouteV2WAL:         -1,
-			api.RouteV2WALSnapshot: -1,
-		},
-	})
-}
-
-// sampleTrace issues the span buffer for one request: a pooled
-// always-recording trace when the flight recorder is on (retention
-// decided at Finish), otherwise plain 1-in-N head sampling.
-func (s *Server) sampleTrace() *obs.Trace {
-	if s.flight != nil {
-		return s.flight.Begin(s.tracer)
+// per-route slow thresholds filled in: the rank route retains at the
+// SLO rank-latency bound (the requests whose tail burns the budget), the
+// WAL long-poll routes never retain as slow (they are slow by design),
+// everything else at cfg.Threshold.
+func NewFlightRecorder(cfg obs.FlightConfig) *obs.FlightRecorder {
+	cfg.RouteThresholds = map[string]time.Duration{
+		api.RouteV2Rank:        SLOConfig{}.withDefaults().RankThreshold,
+		api.RouteV2WAL:         -1,
+		api.RouteV2WALSnapshot: -1,
 	}
-	return s.tracer.Sample()
+	return obs.NewFlightRecorder(cfg)
 }
 
-// FlightRecorder exposes the retained-trace ring (nil when retention
-// is disabled).
+// FlightRecorder exposes the trace sink.
 func (s *Server) FlightRecorder() *obs.FlightRecorder { return s.flight }
 
 // journalErrors is the WAL fail-stop signal the incident engine
@@ -408,13 +393,6 @@ func (s *Server) DriftStats(templateLimit int) *api.DriftStats {
 	return s.guard.stats(templateLimit)
 }
 
-// SetReplProbe installs the follower-side replication stats source
-// (applied LSN, lag, tail age), reported under /v2/stats. The
-// replication tailer owns the numbers; the server only serves them.
-func (s *Server) SetReplProbe(fn func() api.ReplicationStats) {
-	s.replProbe.Store(&fn)
-}
-
 // Close drains and stops the reward ingestor and the incident engine.
 func (s *Server) Close() {
 	if s.incidents != nil {
@@ -425,8 +403,8 @@ func (s *Server) Close() {
 
 // Rank answers one steering query: a cached validated hint when the
 // template has one, otherwise an epsilon-greedy bandit decision over the
-// job's span actions. This is the embeddable core of POST /v1/rank and
-// the per-job unit of the /v2/rank batch fan-out. Validation failures
+// job's span actions. This is the embeddable per-job unit of the
+// /v2/rank batch fan-out. Validation failures
 // return *api.Error with api.CodeInvalidRequest.
 func (s *Server) Rank(req api.RankRequest) (api.RankResponse, error) {
 	return s.rankTraced(req, nil, 0)
@@ -435,9 +413,9 @@ func (s *Server) Rank(req api.RankRequest) (api.RankResponse, error) {
 // rankTraced is Rank with stage instrumentation threaded through: the
 // hint-cache lookup and the bandit decision are timed into the stage
 // histograms (always; one time.Now pair and one atomic add each, no
-// allocation) and recorded on tr when the request was sampled for
-// tracing (tr nil otherwise — Stage is a nil-safe no-op). tid
-// distinguishes batch lanes in the emitted trace.
+// allocation) and recorded on the request's trace (nil for embedded
+// callers — Stage is a nil-safe no-op). tid distinguishes batch lanes
+// in the trace.
 func (s *Server) rankTraced(req api.RankRequest, tr *obs.Trace, tid int) (api.RankResponse, error) {
 	s.rankRequests.Add(1)
 	// Validate before the cache lookup so a request is accepted or
@@ -534,8 +512,9 @@ func (s *Server) RewardAsync(eventID string, value float64) bool {
 	return s.ingest.Enqueue(eventID, value)
 }
 
-// Stats snapshots the serving counters (the /v1/stats field set; the
-// HTTP layer adds request ID and per-route metrics for /v2/stats).
+// Stats assembles the complete stats document — the /v2/stats body
+// minus the request ID. Incident captures snapshot the same document
+// into the bundle's stats.json.
 func (s *Server) Stats() api.StatsResponse {
 	var walStats *api.WALStats
 	if s.wal != nil {
@@ -572,15 +551,16 @@ func (s *Server) Stats() api.StatsResponse {
 		Audit:        s.auditStats(),
 		Traces:       s.traceStats(),
 		Incidents:    s.incidents.stats(),
+		Routes:       s.http.routeMetrics(),
+		Stages:       s.stageSummaries(),
+		Version:      &s.version,
+		Drift:        s.DriftStats(driftStatsTemplates),
+		SLO:          s.sloStats(),
 	}
 }
 
-// traceStats assembles the /v2/stats traces block (nil when the flight
-// recorder is disabled).
+// traceStats assembles the /v2/stats traces block.
 func (s *Server) traceStats() *api.TraceStats {
-	if s.flight == nil {
-		return nil
-	}
 	fs := s.flight.Stats()
 	return &api.TraceStats{
 		Retained:        fs.Retained,
@@ -591,20 +571,20 @@ func (s *Server) traceStats() *api.TraceStats {
 		RetainedSampled: fs.RetainedSampled,
 		Evicted:         fs.Evicted,
 		ThresholdMicros: fs.Threshold.Microseconds(),
-		WriteErrors:     s.tracer.WriteErrors(),
+		WriteErrors:     fs.WriteErrors,
 	}
 }
 
-// replicationStats reports the node's cluster role: the follower probe
-// when the tailer installed one, primary counters when a WAL makes
-// this node shippable, nothing for a standalone in-memory server.
+// replicationStats reports the node's cluster role: the tailer's view
+// on a follower it constructed, primary counters when a WAL makes this
+// node shippable, nothing for a standalone in-memory server.
 func (s *Server) replicationStats() *api.ReplicationStats {
-	if probe := s.replProbe.Load(); probe != nil {
-		r := (*probe)()
+	if s.tail != nil {
+		r := s.tail.Stats()
 		return &r
 	}
 	if s.follower {
-		// Follower before its probe is wired (or embedded without one).
+		// Follower embedded without a tailer.
 		return &api.ReplicationStats{Role: api.RoleFollower, LeaderURL: s.leaderURL}
 	}
 	if s.wal != nil {
@@ -633,12 +613,8 @@ const followerStaleAfter = time.Minute
 func (s *Server) Health() api.HealthResponse {
 	ing := s.ingest.Stats()
 	status := api.HealthOK
-	if s.follower {
-		if probe := s.replProbe.Load(); probe != nil {
-			if r := (*probe)(); r.LastTailSec > followerStaleAfter.Seconds() {
-				status = api.HealthDegraded
-			}
-		}
+	if s.follower && s.tail != nil && s.tail.Stats().LastTailSec > followerStaleAfter.Seconds() {
+		status = api.HealthDegraded
 	}
 	return api.HealthResponse{
 		Status:     status,
@@ -673,7 +649,7 @@ type CheckpointInfo struct {
 // below the watermark are then truncated (snapshot compaction).
 //
 // This is the one snapshot entry point for recovery-grade state:
-// SIGTERM, the -snapshot-every ticker, and POST /v1/model/snapshot all
+// SIGTERM, the -snapshot-every ticker, and POST /v2/model/snapshot all
 // land here.
 func (s *Server) Checkpoint(path string) (CheckpointInfo, error) {
 	start := time.Now()
@@ -683,31 +659,7 @@ func (s *Server) Checkpoint(path string) (CheckpointInfo, error) {
 	var info CheckpointInfo
 	var buf bytes.Buffer
 	if s.wal != nil {
-		release := s.ingest.Quiesce()
-		s.ingest.trainFlush()
-		err := s.bandit.CheckpointTo(&buf)
-		release()
-		if err != nil {
-			return info, err
-		}
-		// Re-journal the live hint table ABOVE the watermark the snapshot
-		// just fixed: the model snapshot carries no hints, so the journal
-		// suffix must always hold the table's latest copy — for the crash
-		// restart that replays the suffix, and for the segments the
-		// compaction below is about to delete.
-		if err := s.journalHints(); err != nil {
-			return info, err
-		}
-		// Same re-journal for the quarantine table: its only durable copy
-		// lives in the journal, and the segments about to be compacted
-		// may hold it.
-		if err := s.guard.journalState(); err != nil {
-			return info, err
-		}
-		// Make the journal durable up to the watermark (covers the train
-		// mark) before the snapshot that claims to supersede it can be
-		// promoted.
-		if err := s.wal.Sync(); err != nil {
+		if err := s.checkpointBarrier(&buf); err != nil {
 			return info, err
 		}
 	} else {
@@ -770,34 +722,43 @@ func (s *Server) bootstrapSnapshot() (*bytes.Buffer, uint64, error) {
 	var buf bytes.Buffer
 	s.snapMu.Lock()
 	defer s.snapMu.Unlock()
-	release := s.ingest.Quiesce()
-	s.ingest.trainFlush()
-	err := s.bandit.CheckpointTo(&buf)
-	release()
-	if err != nil {
-		return nil, 0, err
-	}
-	if err := s.journalHints(); err != nil {
-		return nil, 0, err
-	}
-	if err := s.guard.journalState(); err != nil {
-		return nil, 0, err
-	}
-	// The suffix the follower will tail begins at the watermark; sync
-	// so the hint record (and the train mark) is inside the durable
-	// frontier the stream ships.
-	if err := s.wal.Sync(); err != nil {
+	if err := s.checkpointBarrier(&buf); err != nil {
 		return nil, 0, err
 	}
 	return &buf, s.bandit.WALWatermark(), nil
 }
 
-// SnapshotToPath persists the model to the given path atomically and
-// returns the byte count. It is Checkpoint under the covers, so the
-// snapshot is always recovery-grade.
-func (s *Server) SnapshotToPath(path string) (int64, error) {
-	info, err := s.Checkpoint(path)
-	return info.Bytes, err
+// checkpointBarrier is the durability barrier shared by Checkpoint and
+// the follower bootstrap; callers hold snapMu. Reward intake is fenced,
+// the queue drains, a train mark flushes pending telemetry into the
+// weights, and the snapshot written to buf records the WAL watermark it
+// covers.
+func (s *Server) checkpointBarrier(buf *bytes.Buffer) error {
+	release := s.ingest.Quiesce()
+	s.ingest.trainFlush()
+	err := s.bandit.CheckpointTo(buf)
+	release()
+	if err != nil {
+		return err
+	}
+	// Re-journal the live hint table ABOVE the watermark the snapshot
+	// just fixed: the model snapshot carries no hints, so the journal
+	// suffix must always hold the table's latest copy — for the crash
+	// restart that replays the suffix, for the follower whose first tail
+	// batch delivers it, and for the segments compaction is about to
+	// delete.
+	if err := s.journalHints(); err != nil {
+		return err
+	}
+	// Same re-journal for the quarantine table: its only durable copy
+	// lives in the journal.
+	if err := s.guard.journalState(); err != nil {
+		return err
+	}
+	// Make the journal durable up to the watermark (covers the train
+	// mark) before the snapshot that claims to supersede it can be
+	// promoted or shipped.
+	return s.wal.Sync()
 }
 
 // writeFileAtomic writes data via a temp file, fsync, and rename:

@@ -39,6 +39,25 @@ func postJSON(t *testing.T, url string, body any) *http.Response {
 	return resp
 }
 
+// rankOne posts a /v2/rank batch of one and returns its decision,
+// failing the test on a per-job error.
+func rankOne(t *testing.T, base string, job api.RankRequest) api.RankResponse {
+	t.Helper()
+	batch := decodeJSON[api.BatchRankResponse](t, postJSON(t, base+api.RouteV2Rank,
+		api.BatchRankRequest{Jobs: []api.RankRequest{job}}))
+	if len(batch.Results) != 1 || batch.Results[0].Error != nil {
+		t.Fatalf("rank batch of one = %+v", batch)
+	}
+	return batch.Results[0].RankResponse
+}
+
+// rewardOne posts a /v2/reward batch of one.
+func rewardOne(t *testing.T, base, eventID string, value float64) *http.Response {
+	t.Helper()
+	return postJSON(t, base+api.RouteV2Reward,
+		api.BatchRewardRequest{Events: []api.RewardEvent{{EventID: eventID, Reward: &value}}})
+}
+
 func decodeJSON[T any](t *testing.T, resp *http.Response) T {
 	t.Helper()
 	defer resp.Body.Close()
@@ -53,17 +72,13 @@ func TestRankRewardEndToEnd(t *testing.T) {
 	srv, ts := newTestServer(t, Config{Seed: 11, TrainEvery: 4})
 
 	// No hints installed: the bandit path must answer and log an event.
-	rank := postJSON(t, ts.URL+api.RouteV1Rank, api.RankRequest{
+	rr := rankOne(t, ts.URL, api.RankRequest{
 		TemplateHash: 0xdeadbeef,
 		TemplateID:   "T0001",
 		Span:         []int{3, 17, 40},
 		RowCount:     1e6,
 		BytesRead:    1e9,
 	})
-	if rank.StatusCode != http.StatusOK {
-		t.Fatalf("rank status = %d", rank.StatusCode)
-	}
-	rr := decodeJSON[api.RankResponse](t, rank)
 	if rr.Source != api.SourceBandit || rr.EventID == "" {
 		t.Fatalf("rank response = %+v, want bandit source with event ID", rr)
 	}
@@ -77,14 +92,14 @@ func TestRankRewardEndToEnd(t *testing.T) {
 	}
 
 	// Reward the event asynchronously, then drain and check it landed.
-	reward := postJSON(t, ts.URL+api.RouteV1Reward, map[string]any{"eventId": rr.EventID, "reward": 1.7})
+	reward := rewardOne(t, ts.URL, rr.EventID, 1.7)
 	if reward.StatusCode != http.StatusAccepted {
 		t.Fatalf("reward status = %d, want 202", reward.StatusCode)
 	}
 	reward.Body.Close()
 	srv.Ingestor().Drain()
 
-	stats := decodeJSON[api.StatsResponse](t, mustGet(t, ts.URL+api.RouteV1Stats))
+	stats := decodeJSON[api.StatsResponse](t, mustGet(t, ts.URL+api.RouteV2Stats))
 	if stats.RankRequests != 1 || stats.BanditRanks != 1 || stats.HintHits != 0 {
 		t.Errorf("stats = %+v, want 1 rank, 1 bandit rank, 0 hint hits", stats)
 	}
@@ -93,9 +108,6 @@ func TestRankRewardEndToEnd(t *testing.T) {
 	}
 	if stats.BanditLog != 1 {
 		t.Errorf("bandit log = %d, want 1", stats.BanditLog)
-	}
-	if stats.Routes != nil {
-		t.Errorf("v1 stats carries route metrics %v, want none (v2-only field)", stats.Routes)
 	}
 }
 
@@ -111,7 +123,7 @@ func TestHintsInstallAndServe(t *testing.T) {
 	if err := sis.Serialize(&buf, file); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(ts.URL+api.RouteV1Hints, "text/plain", &buf)
+	resp, err := http.Post(ts.URL+api.RouteV2Hints, "text/plain", &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,8 +133,7 @@ func TestHintsInstallAndServe(t *testing.T) {
 	}
 
 	// A rank for the hinted template must hit the cache — no event logged.
-	rank := postJSON(t, ts.URL+api.RouteV1Rank, api.RankRequest{TemplateHash: 0xabc123, Span: []int{40}})
-	rr := decodeJSON[api.RankResponse](t, rank)
+	rr := rankOne(t, ts.URL, api.RankRequest{TemplateHash: 0xabc123, Span: []int{40}})
 	if rr.Source != api.SourceHint || rr.EventID != "" {
 		t.Fatalf("rank = %+v, want hint-cache hit", rr)
 	}
@@ -131,8 +142,7 @@ func TestHintsInstallAndServe(t *testing.T) {
 	}
 
 	// Unknown template still goes to the bandit.
-	rank2 := postJSON(t, ts.URL+api.RouteV1Rank, api.RankRequest{TemplateHash: 1, Span: []int{40}})
-	if rr2 := decodeJSON[api.RankResponse](t, rank2); rr2.Source != api.SourceBandit {
+	if rr2 := rankOne(t, ts.URL, api.RankRequest{TemplateHash: 1, Span: []int{40}}); rr2.Source != api.SourceBandit {
 		t.Fatalf("unhinted rank source = %q, want bandit", rr2.Source)
 	}
 }
@@ -152,10 +162,10 @@ func expectError(t *testing.T, resp *http.Response, wantStatus int, wantCode str
 	}
 }
 
-// TestAPIConformanceErrorEnvelopes covers the HTTP error paths of both
-// protocol versions: wrong method, malformed JSON, oversized bodies,
-// unknown reward events, rollover validation failures — all asserting
-// the machine-readable envelope.
+// TestAPIConformanceErrorEnvelopes covers the HTTP error paths: wrong
+// method, malformed JSON, rollover validation failures, unmatched paths
+// (including every shape of request to the retired /v1 protocol) — all
+// asserting the machine-readable envelope.
 func TestAPIConformanceErrorEnvelopes(t *testing.T) {
 	srv, ts := newTestServer(t, Config{Seed: 3})
 
@@ -177,7 +187,7 @@ func TestAPIConformanceErrorEnvelopes(t *testing.T) {
 		}
 		return resp
 	}
-	oversized := `{"templateId":"` + strings.Repeat("A", maxJSONBody) + `"}`
+	oversized := `{"templateId":"` + strings.Repeat("A", 1<<20) + `"}`
 
 	cases := []struct {
 		name         string
@@ -186,45 +196,46 @@ func TestAPIConformanceErrorEnvelopes(t *testing.T) {
 		wantStatus   int
 		wantCode     string
 	}{
-		{"GET v1 rank", http.MethodGet, api.RouteV1Rank, "", 405, api.CodeMethodNotAllowed},
 		{"GET v2 rank", http.MethodGet, api.RouteV2Rank, "", 405, api.CodeMethodNotAllowed},
-		{"GET v1 reward", http.MethodGet, api.RouteV1Reward, "", 405, api.CodeMethodNotAllowed},
 		{"DELETE v2 reward", http.MethodDelete, api.RouteV2Reward, "", 405, api.CodeMethodNotAllowed},
 		{"POST v2 healthz", http.MethodPost, api.RouteV2Healthz, "", 405, api.CodeMethodNotAllowed},
 		{"POST v2 stats", http.MethodPost, api.RouteV2Stats, "", 405, api.CodeMethodNotAllowed},
-		{"GET v1 hints", http.MethodGet, api.RouteV1Hints, "", 405, api.CodeMethodNotAllowed},
-		{"DELETE snapshot", http.MethodDelete, api.RouteV1Snapshot, "", 405, api.CodeMethodNotAllowed},
+		{"GET v2 hints", http.MethodGet, api.RouteV2Hints, "", 405, api.CodeMethodNotAllowed},
+		{"DELETE snapshot", http.MethodDelete, api.RouteV2Snapshot, "", 405, api.CodeMethodNotAllowed},
 
-		{"malformed v1 rank", http.MethodPost, api.RouteV1Rank, "{", 400, api.CodeInvalidJSON},
 		{"malformed v2 rank", http.MethodPost, api.RouteV2Rank, "{", 400, api.CodeInvalidJSON},
-		{"malformed v1 reward", http.MethodPost, api.RouteV1Reward, "{", 400, api.CodeInvalidJSON},
 		{"malformed v2 reward", http.MethodPost, api.RouteV2Reward, "{", 400, api.CodeInvalidJSON},
-		{"bad hash", http.MethodPost, api.RouteV1Rank, `{"templateHash":"zz","span":[1]}`, 400, api.CodeInvalidJSON},
-
-		{"oversized v1 rank", http.MethodPost, api.RouteV1Rank, oversized, 413, api.CodeBodyTooLarge},
-		{"oversized v1 reward", http.MethodPost, api.RouteV1Reward, oversized, 413, api.CodeBodyTooLarge},
-
-		{"span out of range v1", http.MethodPost, api.RouteV1Rank,
-			`{"templateHash":"0000000000000001","span":[999]}`, 400, api.CodeInvalidRequest},
-		{"empty span v1", http.MethodPost, api.RouteV1Rank,
-			`{"templateHash":"0000000000000001","span":[]}`, 400, api.CodeInvalidRequest},
+		{"bad hash", http.MethodPost, api.RouteV2Rank, `{"jobs":[{"templateHash":"zz","span":[1]}]}`, 400, api.CodeInvalidJSON},
 		{"empty batch v2 rank", http.MethodPost, api.RouteV2Rank, `{"jobs":[]}`, 400, api.CodeInvalidRequest},
 		{"empty batch v2 reward", http.MethodPost, api.RouteV2Reward, `{"events":[]}`, 400, api.CodeInvalidRequest},
-
-		{"missing templateHash v1", http.MethodPost, api.RouteV1Rank, `{"span":[1]}`, 400, api.CodeInvalidJSON},
 		{"missing templateHash v2", http.MethodPost, api.RouteV2Rank, `{"jobs":[{"span":[1]}]}`, 400, api.CodeInvalidJSON},
 
-		{"unknown route", http.MethodGet, "/v1/nope", "", 404, api.CodeNotFound},
+		{"unknown route", http.MethodGet, "/v2/nope", "", 404, api.CodeNotFound},
 		{"root path", http.MethodGet, "/", "", 404, api.CodeNotFound},
 		{"unversioned rank", http.MethodPost, "/rank", `{}`, 404, api.CodeNotFound},
 
-		{"missing reward fields v1", http.MethodPost, api.RouteV1Reward, `{"eventId":""}`, 400, api.CodeInvalidRequest},
-		{"unknown event v1", http.MethodPost, api.RouteV1Reward,
-			`{"eventId":"ev-never-ranked","reward":1.0}`, 404, api.CodeUnknownEvent},
+		// The retired /v1 protocol: whatever the verb or body — well
+		// formed, malformed, or past every size cap — the unmatched
+		// handler answers the 404 envelope without reading it.
+		{"GET v1 rank", http.MethodGet, "/v1/rank", "", 404, api.CodeNotFound},
+		{"GET v1 reward", http.MethodGet, "/v1/reward", "", 404, api.CodeNotFound},
+		{"GET v1 hints", http.MethodGet, "/v1/hints", "", 404, api.CodeNotFound},
+		{"malformed v1 rank", http.MethodPost, "/v1/rank", "{", 404, api.CodeNotFound},
+		{"malformed v1 reward", http.MethodPost, "/v1/reward", "{", 404, api.CodeNotFound},
+		{"oversized v1 rank", http.MethodPost, "/v1/rank", oversized, 404, api.CodeNotFound},
+		{"oversized v1 reward", http.MethodPost, "/v1/reward", oversized, 404, api.CodeNotFound},
+		{"span out of range v1", http.MethodPost, "/v1/rank",
+			`{"templateHash":"0000000000000001","span":[999]}`, 404, api.CodeNotFound},
+		{"empty span v1", http.MethodPost, "/v1/rank",
+			`{"templateHash":"0000000000000001","span":[]}`, 404, api.CodeNotFound},
+		{"missing templateHash v1", http.MethodPost, "/v1/rank", `{"span":[1]}`, 404, api.CodeNotFound},
+		{"missing reward fields v1", http.MethodPost, "/v1/reward", `{"eventId":""}`, 404, api.CodeNotFound},
+		{"unknown event v1", http.MethodPost, "/v1/reward",
+			`{"eventId":"ev-never-ranked","reward":1.0}`, 404, api.CodeNotFound},
 
-		{"rollover validation failure", http.MethodPost, api.RouteV1Hints,
+		{"rollover validation failure", http.MethodPost, api.RouteV2Hints,
 			"qoadvisor-hints v1 day=7\n00000000000abc12,T1,-R000,7\n", 400, api.CodeValidationFailed},
-		{"rollover parse failure", http.MethodPost, api.RouteV1Hints,
+		{"rollover parse failure", http.MethodPost, api.RouteV2Hints,
 			"not a hint file", 400, api.CodeInvalidRequest},
 	}
 	for _, tc := range cases {
@@ -234,14 +245,14 @@ func TestAPIConformanceErrorEnvelopes(t *testing.T) {
 	}
 
 	// The known event still rewards fine after all that.
-	resp := postJSON(t, ts.URL+api.RouteV1Reward, map[string]any{"eventId": known.EventID, "reward": 0.5})
+	resp := rewardOne(t, ts.URL, known.EventID, 0.5)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Errorf("known event reward status = %d, want 202", resp.StatusCode)
 	}
 	resp.Body.Close()
 }
 
-// TestAPIConformanceOversizedBatch checks the 8 MiB v2 cap separately
+// TestAPIConformanceOversizedBatch checks the 8 MiB JSON cap separately
 // (the body is large enough to keep out of the table above).
 func TestAPIConformanceOversizedBatch(t *testing.T) {
 	_, ts := newTestServer(t, Config{Seed: 3})
@@ -266,7 +277,7 @@ func TestAPIConformanceOversizedHintFile(t *testing.T) {
 	for body.Len() <= maxHintBody {
 		body.WriteString(line)
 	}
-	resp, err := http.Post(ts.URL+api.RouteV1Hints, "text/plain", strings.NewReader(body.String()))
+	resp, err := http.Post(ts.URL+api.RouteV2Hints, "text/plain", strings.NewReader(body.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,12 +288,12 @@ func TestAPIConformanceOversizedHintFile(t *testing.T) {
 	}
 }
 
-// TestAPIConformanceV1V2Rank proves the two protocol versions return
-// identical steering decisions for the same job: the hint path on one
-// server (deterministic), and the bandit path across two servers with
-// identical seeds (same rng sequence), ranked via /v1 on one and /v2 on
-// the other.
-func TestAPIConformanceV1V2Rank(t *testing.T) {
+// TestAPIConformanceSingleVsBatchRank proves a job gets the same
+// steering decision however it arrives: the hint path through the
+// embedded Server.Rank and through HTTP (deterministic), and the bandit
+// path as N batches of one versus one batch of N across two servers
+// with identical seeds (same rng sequence).
+func TestAPIConformanceSingleVsBatchRank(t *testing.T) {
 	cat := rules.NewCatalog()
 
 	t.Run("hint path", func(t *testing.T) {
@@ -294,24 +305,28 @@ func TestAPIConformanceV1V2Rank(t *testing.T) {
 		}
 		job := api.RankRequest{TemplateHash: 0x77, Span: []int{52}}
 
-		v1 := decodeJSON[api.RankResponse](t, postJSON(t, ts.URL+api.RouteV1Rank, job))
-		v2 := decodeJSON[api.BatchRankResponse](t, postJSON(t, ts.URL+api.RouteV2Rank,
+		embedded, err := srv.Rank(job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch := decodeJSON[api.BatchRankResponse](t, postJSON(t, ts.URL+api.RouteV2Rank,
 			api.BatchRankRequest{Jobs: []api.RankRequest{job}}))
-		if len(v2.Results) != 1 || v2.Results[0].Error != nil {
-			t.Fatalf("v2 batch = %+v", v2)
+		if len(batch.Results) != 1 || batch.Results[0].Error != nil {
+			t.Fatalf("batch = %+v", batch)
 		}
-		if v1 != v2.Results[0].RankResponse {
-			t.Errorf("v1 = %+v\nv2 = %+v, want identical hint decisions", v1, v2.Results[0].RankResponse)
+		if embedded != batch.Results[0].RankResponse {
+			t.Errorf("embedded = %+v\nhttp     = %+v, want identical hint decisions", embedded, batch.Results[0].RankResponse)
 		}
-		if v2.Generation != 1 || v2.RequestID == "" {
-			t.Errorf("v2 envelope generation=%d requestId=%q", v2.Generation, v2.RequestID)
+		if batch.Generation != 1 || batch.RequestID == "" {
+			t.Errorf("batch envelope generation=%d requestId=%q", batch.Generation, batch.RequestID)
 		}
 	})
 
 	t.Run("bandit path", func(t *testing.T) {
 		// Same seed, sequential batch fan-out: the rng sequences align,
-		// so decision i of the v1 stream must equal decision i of the v2
-		// batch (event IDs carry a per-instance nonce and are excluded).
+		// so decision i of the one-at-a-time stream must equal decision i
+		// of the batch (event IDs carry a per-instance nonce and are
+		// excluded).
 		_, ts1 := newTestServer(t, Config{Catalog: cat, Seed: 9, RankWorkers: 1})
 		_, ts2 := newTestServer(t, Config{Catalog: cat, Seed: 9, RankWorkers: 1})
 		jobs := make([]api.RankRequest, 6)
@@ -323,23 +338,23 @@ func TestAPIConformanceV1V2Rank(t *testing.T) {
 				BytesRead:    float64(int64(1) << (10 + i)),
 			}
 		}
-		var fromV1 []api.RankResponse
+		var single []api.RankResponse
 		for _, job := range jobs {
-			fromV1 = append(fromV1, decodeJSON[api.RankResponse](t, postJSON(t, ts1.URL+api.RouteV1Rank, job)))
+			single = append(single, rankOne(t, ts1.URL, job))
 		}
 		batch := decodeJSON[api.BatchRankResponse](t, postJSON(t, ts2.URL+api.RouteV2Rank,
 			api.BatchRankRequest{Jobs: jobs}))
 		if len(batch.Results) != len(jobs) {
-			t.Fatalf("v2 returned %d results for %d jobs", len(batch.Results), len(jobs))
+			t.Fatalf("batch returned %d results for %d jobs", len(batch.Results), len(jobs))
 		}
 		for i, res := range batch.Results {
 			if res.Error != nil {
-				t.Fatalf("job %d: v2 error %v", i, res.Error)
+				t.Fatalf("job %d: batch error %v", i, res.Error)
 			}
-			got, want := res.RankResponse, fromV1[i]
+			got, want := res.RankResponse, single[i]
 			got.EventID, want.EventID = "", ""
 			if got != want {
-				t.Errorf("job %d: v1 = %+v\n          v2 = %+v, want identical decisions", i, want, got)
+				t.Errorf("job %d: single = %+v\n          batch  = %+v, want identical decisions", i, want, got)
 			}
 		}
 	})
@@ -436,9 +451,6 @@ func TestV2RewardQueueFull(t *testing.T) {
 		api.BatchRewardRequest{Events: []api.RewardEvent{{EventID: rr.EventID, Reward: &val}}})
 	expectError(t, resp, http.StatusServiceUnavailable, api.CodeQueueFull)
 
-	v1 := postJSON(t, ts.URL+api.RouteV1Reward, map[string]any{"eventId": rr.EventID, "reward": 1.0})
-	expectError(t, v1, http.StatusServiceUnavailable, api.CodeQueueFull)
-
 	// A malformed straggler must not mask the backpressure: nothing was
 	// queued and queue_full is among the rejections, so the batch still
 	// 503s (a 202 here would defeat the client's retry and silently
@@ -476,16 +488,16 @@ func TestV2HealthzAndStats(t *testing.T) {
 	}
 
 	// Drive one rank and one 405 so the route metrics have content.
-	postJSON(t, ts.URL+api.RouteV1Rank, api.RankRequest{TemplateHash: 0x42, Span: []int{41}}).Body.Close()
-	mustGet(t, ts.URL+api.RouteV1Rank).Body.Close()
+	rankOne(t, ts.URL, api.RankRequest{TemplateHash: 0x42, Span: []int{41}})
+	mustGet(t, ts.URL+api.RouteV2Rank).Body.Close()
 
 	stats := decodeJSON[api.StatsResponse](t, mustGet(t, ts.URL+api.RouteV2Stats))
 	if stats.RequestID == "" {
 		t.Error("v2 stats missing requestId")
 	}
-	rank := stats.Routes[api.RouteV1Rank]
+	rank := stats.Routes[api.RouteV2Rank]
 	if rank.Count != 2 || rank.Errors != 1 {
-		t.Errorf("route metrics for v1 rank = %+v, want count 2 errors 1", rank)
+		t.Errorf("route metrics for rank = %+v, want count 2 errors 1", rank)
 	}
 	if hz := stats.Routes[api.RouteV2Healthz]; hz.Count != 1 || hz.Errors != 0 {
 		t.Errorf("route metrics for healthz = %+v, want count 1", hz)
@@ -509,7 +521,7 @@ func TestModelSnapshotOverHTTP(t *testing.T) {
 	srv.Ingestor().Drain()
 
 	// GET streams a loadable model.
-	get := mustGet(t, ts.URL+api.RouteV1Snapshot)
+	get := mustGet(t, ts.URL+api.RouteV2Snapshot)
 	defer get.Body.Close()
 	loaded, err := bandit.Load(get.Body, 1)
 	if err != nil {
@@ -518,7 +530,7 @@ func TestModelSnapshotOverHTTP(t *testing.T) {
 
 	// POST persists to the configured path; the file round-trips to the
 	// same scores as the in-memory learner.
-	post := postJSON(t, ts.URL+api.RouteV1Snapshot, nil)
+	post := postJSON(t, ts.URL+api.RouteV2Snapshot, nil)
 	body := decodeJSON[api.SnapshotSaveResponse](t, post)
 	if post.StatusCode != http.StatusOK || body.Path != path || body.Bytes <= 0 {
 		t.Fatalf("POST snapshot: status %d body %+v", post.StatusCode, body)
@@ -537,7 +549,7 @@ func TestModelSnapshotOverHTTP(t *testing.T) {
 
 func TestSnapshotPostWithoutPath(t *testing.T) {
 	_, ts := newTestServer(t, Config{Seed: 1})
-	resp := postJSON(t, ts.URL+api.RouteV1Snapshot, nil)
+	resp := postJSON(t, ts.URL+api.RouteV2Snapshot, nil)
 	expectError(t, resp, http.StatusConflict, api.CodeSnapshotUnconfigured)
 }
 

@@ -84,22 +84,17 @@ func (s *Server) initSLO(cfg SLOConfig) {
 	cfg = cfg.withDefaults()
 	t := obs.NewSLOTracker(cfg.Windows...)
 
-	// Rank latency: good = rank requests (both protocol versions)
-	// answered at or under the threshold.
-	rankRoutes := []*routeStats{s.http.stats[api.RouteV2Rank], s.http.stats[api.RouteV1Rank]}
+	// Rank latency: good = rank requests answered at or under the
+	// threshold.
+	rank := s.http.stats[api.RouteV2Rank]
 	t.Add(obs.Objective{
 		Name:      sloRankLatency,
 		Kind:      obs.SLOLatency,
 		Target:    cfg.RankTarget,
 		Threshold: cfg.RankThreshold,
 		Source: func() (float64, float64) {
-			good, total := 0.0, 0.0
-			for _, m := range rankRoutes {
-				snap := m.lat.Snapshot()
-				good += snap.CountBelow(cfg.RankThreshold)
-				total += float64(snap.Count)
-			}
-			return good, total
+			snap := rank.lat.Snapshot()
+			return snap.CountBelow(cfg.RankThreshold), float64(snap.Count)
 		},
 	})
 
@@ -108,20 +103,15 @@ func (s *Server) initSLO(cfg SLOConfig) {
 	// append and (in sync mode) the commit fsync, so this objective is
 	// the one a sick disk burns — the incident engine's burn trigger
 	// fires on it when fsyncs stall.
-	rewardRoutes := []*routeStats{s.http.stats[api.RouteV2Reward], s.http.stats[api.RouteV1Reward]}
+	reward := s.http.stats[api.RouteV2Reward]
 	t.Add(obs.Objective{
 		Name:      sloRewardLatency,
 		Kind:      obs.SLOLatency,
 		Target:    cfg.RewardTarget,
 		Threshold: cfg.RewardThreshold,
 		Source: func() (float64, float64) {
-			good, total := 0.0, 0.0
-			for _, m := range rewardRoutes {
-				snap := m.lat.Snapshot()
-				good += snap.CountBelow(cfg.RewardThreshold)
-				total += float64(snap.Count)
-			}
-			return good, total
+			snap := reward.lat.Snapshot()
+			return snap.CountBelow(cfg.RewardThreshold), float64(snap.Count)
 		},
 	})
 
@@ -136,12 +126,12 @@ func (s *Server) initSLO(cfg SLOConfig) {
 		Kind:   obs.SLOAvailability,
 		Target: cfg.AvailabilityTarget,
 		Source: func() (float64, float64) {
-			var total, bad int64
+			var total, bad float64
 			for _, m := range routes {
-				total += m.count.Load()
-				bad += m.status5xx.Load()
+				total += float64(m.lat.Snapshot().Count)
+				bad += float64(m.status5xx.Load())
 			}
-			return float64(total - bad), float64(total)
+			return total - bad, total
 		},
 	})
 	s.slo = t

@@ -182,7 +182,7 @@ func takeIDs(b []byte) ([]uint64, []byte, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	if uint64(len(b)) < n*8 {
+	if n > uint64(len(b))/8 { // not n*8 > len: a corrupt count must not overflow past the check
 		return nil, nil, fmt.Errorf("walrec: record truncated at ID list")
 	}
 	if n == 0 {
@@ -513,7 +513,7 @@ func AppendKeys(dst []uint64, p []byte) ([]uint64, error) {
 			if l, b, err = takeUvarint(b); err != nil {
 				return dst, err
 			}
-			if uint64(len(b)) < l+8 {
+			if l > uint64(len(b)) || uint64(len(b))-l < 8 { // l+8 could overflow
 				return dst, fmt.Errorf("walrec: reward batch truncated")
 			}
 			dst = append(dst, hashBytes(b[:l]))
