@@ -1,7 +1,7 @@
 // Command experiments regenerates every table and figure of the paper's
 // evaluation section (§5) on the simulated SCOPE substrate and prints the
-// same rows and series the paper reports. See EXPERIMENTS.md for the
-// paper-versus-measured record.
+// same rows and series the paper reports; `go run ./cmd/experiments
+// -scale quick` is the measured record.
 //
 // Usage:
 //

@@ -3,6 +3,8 @@ package main
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
+	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -16,90 +18,86 @@ import (
 	"qoadvisor/internal/walrec"
 )
 
-// auditArgs carries the -audit mode's flag values into runAudit.
-type auditArgs struct {
-	mode     string // records | decision | template | asof
-	walDir   string
-	event    string // decision, or a records filter
-	template string // template (hex), or a records filter
-	lsn      uint64 // asof target (0 = journal end)
-	from, to uint64 // records LSN window
-	types    string // records type filter (comma-separated names)
-	limit    int    // records row cap (0 = unlimited)
-	out      string // asof: write the reconstructed snapshot here
-
-	// Replay parameters for asof — must match the journaled run's
-	// serving configuration.
-	snapshotPath string
-	trainEvery   int
-	maxLog       int
-	seed         int64
-}
-
-// runAudit is the offline audit tool: read-only queries over a journal
+// auditMode is the offline audit tool: read-only queries over a journal
 // directory (live or copied — the engine never writes segments, and
 // its index sidecars are derived data, safe to delete). Output is
-// deterministic for a given journal, so runs can be diffed.
-func runAudit(a auditArgs) error {
-	if a.walDir == "" {
-		return fmt.Errorf("-audit needs -wal-dir <journal directory>")
-	}
-	eng, err := audit.Open(a.walDir)
-	if err != nil {
-		return err
-	}
-	switch a.mode {
-	case "records":
-		return auditRecords(eng, a)
-	case "decision":
-		if a.event == "" {
-			return fmt.Errorf("-audit decision needs -event <event ID>")
-		}
-		return auditDecision(eng, a.event)
-	case "template":
-		if a.template == "" {
-			return fmt.Errorf("-audit template needs -template-hash <64-bit hex>")
-		}
-		hash, err := strconv.ParseUint(a.template, 16, 64)
-		if err != nil {
-			return fmt.Errorf("bad -template-hash %q: want 64-bit hex", a.template)
-		}
-		return auditTemplate(eng, hash)
-	case "asof":
-		return auditAsOf(eng, a)
-	default:
-		return fmt.Errorf("unknown -audit mode %q (want records, decision, template, or asof)", a.mode)
-	}
+// deterministic for a given journal, so runs can be diffed. The replay
+// flags it embeds are asof's, and must match the journaled run's
+// serving configuration.
+type auditMode struct {
+	journalFlags
+	query       string // records | decision | template | asof
+	event       string // decision, or a records filter
+	hash        uint64 // template (64-bit hex), or a records filter
+	hasTemplate bool
+	lsn         uint64 // asof target (0 = journal end)
+	from, to    uint64 // records LSN window
+	tags        []byte // records type filter
+	limit       int    // records row cap (0 = unlimited)
+	out         string // asof: write the reconstructed snapshot here
 }
 
-// auditQuery assembles the records-listing filter from the CLI flags.
-func auditQuery(a auditArgs) (audit.Query, error) {
-	q := audit.Query{EventID: a.event, FromLSN: a.from, ToLSN: a.to, Limit: a.limit}
-	if a.types != "" {
-		for _, name := range strings.Split(a.types, ",") {
+func (m *auditMode) register(fs *flag.FlagSet) {
+	m.journalFlags.register(fs)
+	fs.StringVar(&m.event, "event", "", "event ID to trace (decision) or filter on (records)")
+	fs.Func("template-hash", "64-bit hex template hash to query (template) or filter on (records)", func(v string) (err error) {
+		m.hash, err = strconv.ParseUint(v, 16, 64)
+		m.hasTemplate = true
+		return err
+	})
+	fs.Uint64Var(&m.lsn, "lsn", 0, "asof: reconstruction LSN (0 = journal end)")
+	fs.Uint64Var(&m.from, "audit-from", 0, "records: lowest LSN to return (0 = journal start)")
+	fs.Uint64Var(&m.to, "audit-to", 0, "records: highest LSN to return (0 = journal end)")
+	fs.Func("audit-type", "records: comma-separated record types (rank, reward_batch, train_mark, hint_rollover, quarantine)", func(v string) error {
+		for _, name := range strings.Split(v, ",") {
 			tag, err := walrec.ParseTag(strings.TrimSpace(name))
 			if err != nil {
-				return q, err
+				return err
 			}
-			q.Tags = append(q.Tags, tag)
+			m.tags = append(m.tags, tag)
 		}
-	}
-	if a.template != "" {
-		hash, err := strconv.ParseUint(a.template, 16, 64)
-		if err != nil {
-			return q, fmt.Errorf("bad -template-hash %q: want 64-bit hex", a.template)
-		}
-		q.Template, q.HasTemplate = hash, true
-	}
-	return q, nil
+		return nil
+	})
+	fs.IntVar(&m.limit, "audit-limit", 0, "records: stop after this many rows (0 = unlimited)")
+	fs.StringVar(&m.out, "audit-out", "", "asof: write the reconstructed snapshot to this path")
 }
 
-func auditRecords(eng *audit.Engine, a auditArgs) error {
-	q, err := auditQuery(a)
+func (m *auditMode) validate(query string) error {
+	m.query = query
+	switch {
+	case auditQueries[query] == nil:
+		return fmt.Errorf("unknown query %q (want records, decision, template, or asof)", query)
+	case query == "decision" && m.event == "":
+		return errors.New("decision needs -event <event ID>")
+	case query == "template" && !m.hasTemplate:
+		return errors.New("template needs -template-hash <64-bit hex>")
+	}
+	// Mirror the serving default: a WAL-backed server snapshots next to
+	// the journal unless told otherwise.
+	if m.model == "" {
+		m.model = filepath.Join(m.walDir, "model.snap")
+	}
+	return m.journalFlags.validate()
+}
+
+var auditQueries = map[string]func(*auditMode, *audit.Engine) error{
+	"records": (*auditMode).records, "decision": (*auditMode).decision,
+	"template": (*auditMode).template, "asof": (*auditMode).asOf,
+}
+
+func (m *auditMode) run() error {
+	eng, err := audit.Open(m.walDir)
 	if err != nil {
 		return err
 	}
-	it, err := eng.Run(q)
+	return auditQueries[m.query](m, eng)
+}
+
+func (m *auditMode) records(eng *audit.Engine) error {
+	it, err := eng.Run(audit.Query{
+		EventID: m.event, FromLSN: m.from, ToLSN: m.to, Limit: m.limit,
+		Tags: m.tags, Template: m.hash, HasTemplate: m.hasTemplate,
+	})
 	if err != nil {
 		return err
 	}
@@ -120,16 +118,16 @@ func auditRecords(eng *audit.Engine, a auditArgs) error {
 	return nil
 }
 
-func auditDecision(eng *audit.Engine, eventID string) error {
-	tr, err := eng.Trace(eventID)
+func (m *auditMode) decision(eng *audit.Engine) error {
+	tr, err := eng.Trace(m.event)
 	if err != nil {
 		return err
 	}
 	if tr.Rank == nil {
-		fmt.Printf("event %s: no rank record in the journal (never ranked, or compacted away)\n", eventID)
+		fmt.Printf("event %s: no rank record in the journal (never ranked, or compacted away)\n", m.event)
 		return nil
 	}
-	fmt.Printf("event:    %s\n", eventID)
+	fmt.Printf("event:    %s\n", m.event)
 	fmt.Printf("decision: lsn=%d prob=%.4f ctxFeatures=%d actFeatures=%d\n",
 		tr.RankLSN, tr.Rank.Prob, len(tr.Rank.CtxIDs), len(tr.Rank.ActIDs))
 	for _, rw := range tr.Rewards {
@@ -151,12 +149,12 @@ func auditDecision(eng *audit.Engine, eventID string) error {
 	return nil
 }
 
-func auditTemplate(eng *audit.Engine, hash uint64) error {
-	th, err := eng.Template(hash)
+func (m *auditMode) template(eng *audit.Engine) error {
+	th, err := eng.Template(m.hash)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("template: %016x\n", hash)
+	fmt.Printf("template: %016x\n", m.hash)
 	for _, ev := range th.Events {
 		switch ev.Kind {
 		case "hint":
@@ -179,28 +177,23 @@ func auditTemplate(eng *audit.Engine, hash uint64) error {
 	return nil
 }
 
-func auditAsOf(eng *audit.Engine, a auditArgs) error {
-	// Mirror the serving default: a WAL-backed server snapshots next to
-	// the journal unless told otherwise.
-	if a.snapshotPath == "" {
-		a.snapshotPath = filepath.Join(a.walDir, "model.snap")
-	}
-	lsn := a.lsn
+func (m *auditMode) asOf(eng *audit.Engine) error {
+	lsn := m.lsn
 	if lsn == 0 {
-		end, err := journalEnd(a.walDir)
+		end, err := journalEnd(m.walDir)
 		if err != nil {
 			return err
 		}
 		if end == 0 {
-			return fmt.Errorf("journal %s is empty; nothing to reconstruct", a.walDir)
+			return fmt.Errorf("journal %s is empty; nothing to reconstruct", m.walDir)
 		}
 		lsn = end
 	}
 	res, err := eng.AsOf(lsn, audit.AsOfOptions{
-		SnapshotPath: a.snapshotPath,
-		TrainEvery:   a.trainEvery,
-		MaxLogEvents: a.maxLog,
-		Seed:         a.seed,
+		SnapshotPath: m.model,
+		TrainEvery:   m.trainEvery,
+		MaxLogEvents: m.maxLog,
+		Seed:         m.seed,
 	})
 	if err != nil {
 		return err
@@ -208,14 +201,14 @@ func auditAsOf(eng *audit.Engine, a auditArgs) error {
 	// Reconstruction needs the records in (FromLSN, lsn] to still exist;
 	// compaction may have eaten them (the offline remedy: run against a
 	// journal copy taken before the checkpoint).
-	if segs, err := wal.Segments(a.walDir); err == nil && len(segs) > 0 &&
+	if segs, err := wal.Segments(m.walDir); err == nil && len(segs) > 0 &&
 		lsn > res.FromLSN && segs[0].FirstLSN > res.FromLSN+1 {
 		return fmt.Errorf("journal history before LSN %d is compacted; reconstruction at %d needs records from %d",
 			segs[0].FirstLSN, lsn, res.FromLSN+1)
 	}
 	sum := sha256.Sum256(res.Snapshot)
 	fmt.Printf("asof:     lsn=%d\n", res.LSN)
-	fmt.Printf("seed:     snapshot=%v watermark=%d (%s)\n", res.SnapshotSeeded, res.FromLSN, a.snapshotPath)
+	fmt.Printf("seed:     snapshot=%v watermark=%d (%s)\n", res.SnapshotSeeded, res.FromLSN, m.model)
 	fmt.Printf("replayed: %d records (%d ranks, %d rewards, %d train marks -> %d training runs over %d events)\n",
 		res.Replay.Records, res.Replay.Ranks, res.Replay.Rewards,
 		res.Replay.TrainMarks, res.Replay.TrainRuns, res.Replay.TrainedEvents)
@@ -226,11 +219,11 @@ func auditAsOf(eng *audit.Engine, a auditArgs) error {
 		fmt.Printf("held:     %d templates in a durable safeguard state\n", len(res.Quarantine))
 	}
 	fmt.Printf("model:    %d bytes, sha256=%s\n", len(res.Snapshot), hex.EncodeToString(sum[:]))
-	if a.out != "" {
-		if err := os.WriteFile(a.out, res.Snapshot, 0o644); err != nil {
+	if m.out != "" {
+		if err := os.WriteFile(m.out, res.Snapshot, 0o644); err != nil {
 			return err
 		}
-		fmt.Printf("written:  %s\n", a.out)
+		fmt.Printf("written:  %s\n", m.out)
 	}
 	printScan("asof", int(res.Replay.Records), res.Scan)
 	return nil

@@ -6,48 +6,56 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
+
+	"qoadvisor/internal/drift"
+	"qoadvisor/internal/obs"
+	"qoadvisor/internal/wal"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/flags.golden from the current flag set")
+var update = flag.Bool("update", false, "rewrite testdata/flags.golden from the current flag sets")
 
-// childEnv marks a re-executed test binary that should run main() with
-// -h instead of the tests: main registers its flags on the process-wide
-// flag set, so the only way to enumerate them without moving code is to
-// let main get as far as flag.Parse in a child process.
-const childEnv = "QOSERVED_FLAGS_CHILD"
+// childEnv marks a re-executed test binary that should run main() on
+// the space-separated arguments it carries instead of the tests — the
+// only way to observe main's exit code.
+const childEnv = "QOSERVED_TEST_ARGV"
 
 func TestMain(m *testing.M) {
-	if os.Getenv(childEnv) == "" {
-		os.Exit(m.Run())
+	if argv, ok := os.LookupEnv(childEnv); ok {
+		os.Args = append([]string{"qoserved"}, strings.Fields(argv)...)
+		main()
+		os.Exit(0)
 	}
-	flag.Usage = func() {
-		fmt.Println("qoserved")
-		flag.VisitAll(func(f *flag.Flag) {
-			if strings.HasPrefix(f.Name, "test.") || f.Name == "update" {
-				return
-			}
-			fmt.Printf("  -%s\t%q\t%s\n", f.Name, f.DefValue, f.Usage)
-		})
-	}
-	os.Args = []string{"qoserved", "-h"}
-	main()
+	os.Exit(m.Run())
 }
 
-// TestFlagsGolden pins the operator surface: every flag's name, default
-// and usage string, sorted. Regenerate with
+// TestFlagsGolden pins the operator surface: per subcommand, every
+// flag's name, default and usage string, sorted. Regenerate with
 // `go test ./cmd/qoserved -run TestFlagsGolden -update`.
 func TestFlagsGolden(t *testing.T) {
-	cmd := exec.Command(os.Args[0])
-	cmd.Env = append(os.Environ(), childEnv+"=1")
-	got, err := cmd.Output()
-	if err != nil {
-		t.Fatalf("enumerating flags: %v", err)
+	var got bytes.Buffer
+	defaults := map[string]string{}
+	for _, c := range commands {
+		fmt.Fprintf(&got, "qoserved %s\n", strings.TrimSpace(c.name+" "+c.operand))
+		fs := flag.NewFlagSet(c.name, flag.ContinueOnError)
+		c.new().register(fs)
+		fs.VisitAll(func(f *flag.Flag) {
+			fmt.Fprintf(&got, "  -%s\t%q\t%s\n", f.Name, f.DefValue, f.Usage)
+			if d, seen := defaults[f.Name]; seen && d != f.DefValue {
+				t.Errorf("-%s defaults to %q in %s and %q elsewhere", f.Name, f.DefValue, c.name, d)
+			}
+			defaults[f.Name] = f.DefValue
+		})
+	}
+	if len(defaults) != 34 {
+		t.Errorf("%d distinct flag names across all subcommands, want 34", len(defaults))
 	}
 	const path = "testdata/flags.golden"
 	if *update {
-		if err := os.WriteFile(path, got, 0o644); err != nil {
+		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
@@ -56,7 +64,141 @@ func TestFlagsGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("flag surface moved; rerun with -update if intended\n--- got\n%s--- want\n%s", got, want)
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("flag surface moved; rerun with -update if intended\n--- got\n%s--- want\n%s", got.Bytes(), want)
+	}
+}
+
+// TestParseBuildsEachMode builds every mode's configuration from argv;
+// parse opens no socket and no journal.
+func TestParseBuildsEachMode(t *testing.T) {
+	node := nodeFlags{addr: ":1", logLevel: "info", level: obs.LevelInfo, traceSample: 100}
+	for _, tc := range []struct {
+		argv string
+		want mode
+	}{
+		{"serve -addr :1 -wal-dir d -wal-sync sync -drift -drift-threshold 6 -seed 7", &serveMode{
+			nodeFlags: node, replayFlags: replayFlags{seed: 7},
+			templates: 24, bootstrapDays: 5, drift: true, driftCfg: drift.Config{Threshold: 6},
+			walDir: "d", walSync: "sync", walMode: wal.ModeSync, walSegMB: 64,
+			model: "d/model.snap", snapshotEvery: 5 * time.Minute,
+		}},
+		{"follow http://p:1 -addr :1 -train-every 16", &followMode{
+			nodeFlags: node, replayFlags: replayFlags{seed: 42, trainEvery: 16}, primary: "http://p:1",
+		}},
+		{"check http://h:1", &checkMode{url: "http://h:1"}},
+		{"cluster http://a:1,,http://b:1", &clusterMode{endpoints: []string{"http://a:1", "http://b:1"}}},
+		{"push-hints http://h:1 -hints f.hints", &pushHintsMode{url: "http://h:1", hints: "f.hints"}},
+		{"replay out.model -wal-dir d -max-log -1", &replayMode{
+			journalFlags: journalFlags{replayFlags: replayFlags{seed: 42, maxLog: -1}, walDir: "d"}, out: "out.model",
+		}},
+		{"audit template -wal-dir d -template-hash a11ce", &auditMode{
+			journalFlags: journalFlags{replayFlags: replayFlags{seed: 42}, walDir: "d", model: "d/model.snap"},
+			query:        "template", hash: 0xa11ce, hasTemplate: true,
+		}},
+		{"audit records -wal-dir d -audit-type rank,reward_batch -audit-limit 3", &auditMode{
+			journalFlags: journalFlags{replayFlags: replayFlags{seed: 42}, walDir: "d", model: "d/model.snap"},
+			query:        "records", tags: []byte{1, 2}, limit: 3,
+		}},
+		{"version", versionMode{}},
+	} {
+		var stderr bytes.Buffer
+		got, err := parse(strings.Fields(tc.argv), &stderr)
+		if err != nil {
+			t.Errorf("qoserved %s: %v\n%s", tc.argv, err, stderr.Bytes())
+		} else if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("qoserved %s:\n got %+v\nwant %+v", tc.argv, got, tc.want)
+		}
+	}
+}
+
+// TestParseRejects: a flag another mode owns, a missing required input,
+// an old mode-flag spelling and an unknown subcommand all fail at parse
+// time, with the reason and a usage text on stderr.
+func TestParseRejects(t *testing.T) {
+	const undefined = "flag provided but not defined"
+	cases := [][2]string{
+		{"follow http://p:1 -wal-dir d", undefined},
+		{"follow http://p:1 -hints f", undefined},
+		{"follow", "missing <primary>"},
+		{"follow -addr :1 http://p:1", "missing <primary>"},
+		{"replay out.model", "needs -wal-dir"},
+		{"push-hints http://h:1", "needs -hints"},
+		{"audit asof", "needs -wal-dir"},
+		{"audit decision -wal-dir d", "needs -event"},
+		{"audit template -wal-dir d", "needs -template-hash"},
+		{"audit template -wal-dir d -template-hash xyz", "invalid value"},
+		{"audit records -wal-dir d -audit-type bogus", "bogus"},
+		{"audit bogus -wal-dir d", "unknown query"},
+		{"serve -wal-sync bogus", "bad -wal-sync"},
+		{"serve -log-level loud", "unknown log level"},
+		{"serve -trace-retain-ms -1", "must not be negative"},
+		{"serve http://h:1", "unexpected argument"},
+		{"check http://h:1 -log-level debug", undefined},
+		{"cluster ,", "no endpoints"},
+		{"version -v", undefined},
+		{"-check http://h:1", "unknown subcommand"},
+		{"bogus", "unknown subcommand"},
+		{"", "unknown subcommand"},
+	}
+	// A follower's state is the primary's: every flag the old conflict
+	// table policed is simply not in follow's set.
+	for _, name := range []string{
+		"hints", "model", "bootstrap-days", "templates", "uniform", "queue", "workers",
+		"wal-sync", "wal-segment-mb", "snapshot-every", "drift", "drift-threshold",
+		"drift-quarantine-after", "drift-restore-after", "drift-max-templates",
+		"incident-dir", "incident-burn-threshold", "incident-cooldown",
+	} {
+		cases = append(cases, [2]string{"follow http://p:1 -" + name + "=1", undefined})
+	}
+	// The old mode flags and the four deleted knobs exist nowhere.
+	for _, c := range commands {
+		operand := ""
+		if c.operand != "" {
+			operand = " x"
+		}
+		for _, old := range []string{"follow", "check", "cluster", "push-hints", "replay", "audit", "version", "workers", "shards", "rank-workers", "queue"} {
+			cases = append(cases, [2]string{c.name + operand + " -" + old + "=1", undefined})
+		}
+	}
+	for _, tc := range cases {
+		var stderr bytes.Buffer
+		m, err := parse(strings.Fields(tc[0]), &stderr)
+		if err == nil {
+			t.Errorf("qoserved %s: parsed as %+v, want a usage error", tc[0], m)
+			continue
+		}
+		if out := stderr.String(); !strings.Contains(out, tc[1]) || !strings.Contains(out, "usage: qoserved") {
+			t.Errorf("qoserved %s: stderr lacks %q or the usage text:\n%s", tc[0], tc[1], out)
+		}
+	}
+}
+
+// TestExitCodes runs main itself: usage errors exit 2 before anything
+// starts, help and version exit 0.
+func TestExitCodes(t *testing.T) {
+	for argv, want := range map[string]int{
+		"-check http://127.0.0.1:1":           2,
+		"follow http://127.0.0.1:1 -hints f":  2,
+		"replay out.model":                    2,
+		"check http://127.0.0.1:1 extra":      2,
+		"serve -h":                            0,
+		"-h":                                  0,
+		"version":                             0,
+		"check http://127.0.0.1:1":            1, // parsed, ran, nothing listening
+		"audit asof -wal-dir /nonexistent/qo": 1,
+	} {
+		cmd := exec.Command(os.Args[0])
+		cmd.Env = append(os.Environ(), childEnv+"="+argv)
+		out, err := cmd.CombinedOutput()
+		got := 0
+		if ee, ok := err.(*exec.ExitError); ok {
+			got = ee.ExitCode()
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("qoserved %s: exit %d, want %d\n%s", argv, got, want, out)
+		}
 	}
 }

@@ -47,7 +47,7 @@ const (
 func main() {
 	ctx := context.Background()
 	// STEERING_AUDIT_DIR keeps the journal around after the run so the
-	// offline CLI (qoserved -audit) can be pointed at it — CI uses this
+	// offline CLI (qoserved audit) can be pointed at it — CI uses this
 	// to smoke the canned queries against a known journal.
 	dir := os.Getenv("STEERING_AUDIT_DIR")
 	if dir == "" {

@@ -255,7 +255,7 @@ func main() {
 	fmt.Printf("scaling:  %d-job batches x%d — 1 node: %.0f ranks/s, 3-node rotation: %.0f ranks/s (%.2fx aggregate)\n",
 		len(loadJobs), rounds, t1, t3, t3/t1)
 	fmt.Println("          (all nodes share this process; on one CPU the rotation measures distribution overhead —")
-	fmt.Println("           real read scaling comes from followers on their own machines, which is what -follow deploys)")
+	fmt.Println("           real read scaling comes from followers on their own machines, which is what `qoserved follow` deploys)")
 	fmt.Println("\nWAL-shipped replication: bootstrap + tail + redirect + convergence all proven over the wire.")
 }
 

@@ -116,7 +116,7 @@ func main() {
 	ctx := context.Background()
 
 	// Pipeline rollover over HTTP: serialize the SIS file and push it
-	// through the typed client, exactly as qoserved -push-hints would.
+	// through the typed client, exactly as `qoserved push-hints` would.
 	var hintFile bytes.Buffer
 	if err := sis.Serialize(&hintFile, final); err != nil {
 		log.Fatal(err)

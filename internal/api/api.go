@@ -735,7 +735,7 @@ type AuditReplayStats struct {
 // AuditAsOfResponse answers GET /v2/audit/asof: a summary of the model
 // state reconstructed as of an LSN. The snapshot itself is identified
 // by size and digest (byte-identical to a live checkpoint taken at the
-// same LSN); the full bytes are an offline `qoserved -audit asof`
+// same LSN); the full bytes are an offline `qoserved audit asof`
 // operation, not an HTTP payload.
 type AuditAsOfResponse struct {
 	LSN            uint64 `json:"lsn"`

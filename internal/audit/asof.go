@@ -95,14 +95,7 @@ func (e *Engine) AsOf(lsn uint64, opts AsOfOptions) (*AsOfResult, error) {
 	if svc == nil {
 		svc = bandit.New(bandit.DefaultConfig(opts.Seed))
 	}
-	switch {
-	case opts.MaxLogEvents == 0:
-		svc.SetMaxLog(1 << 14)
-	case opts.MaxLogEvents > 0:
-		svc.SetMaxLog(opts.MaxLogEvents)
-	default:
-		svc.SetMaxLog(0)
-	}
+	svc.SetMaxLog(bandit.ServingMaxLog(opts.MaxLogEvents))
 
 	rp := bandit.NewReplayer(svc, opts.TrainEvery)
 	it, err := e.Run(Query{FromLSN: res.FromLSN + 1, ToLSN: lsn})

@@ -15,6 +15,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"qoadvisor/internal/walrec"
 )
 
 // Action is one candidate decision, described by pre-hashed 64-bit
@@ -248,7 +250,20 @@ func (s *Service) restoreEvent(ev *Event) {
 	s.evMu.Unlock()
 }
 
-// SetMaxLog adjusts the event-log cap at runtime (0 = unbounded) — the
+// ServingMaxLog resolves a serving configuration's event-log cap
+// (serve.Config.MaxLogEvents, qoserved's -max-log) into SetMaxLog's
+// terms: 0 selects the serving default of 16384 events, a positive
+// value is the cap, a negative one lifts it. The live server, journal
+// recovery and audit as-of all resolve the operator's value here, so
+// replay evicts on the boundaries the live run did.
+func ServingMaxLog(configured int) int {
+	if configured == 0 {
+		return 1 << 14
+	}
+	return configured
+}
+
+// SetMaxLog adjusts the event-log cap at runtime (<= 0 = unbounded) — the
 // serve layer applies its bound to a learner trained by the offline
 // pipeline. The cap takes effect on the next Rank.
 func (s *Service) SetMaxLog(n int) {
@@ -466,7 +481,7 @@ func (s *Service) rank(ctx Context, actions []Action, uniform bool) (Ranked, err
 		// Journal under evMu so record order equals event-log order
 		// (replay rebuilds the log in journal order). Append only
 		// buffers — no disk wait on the rank path.
-		rec := EncodeRankRecord(ev.EventID, prob, ctx.IDs, actions[chosen].IDs)
+		rec := walrec.EncodeRank(ev.EventID, prob, ctx.IDs, actions[chosen].IDs)
 		if _, err := s.journal.Append(rec); err != nil {
 			s.journalErrs.Add(1)
 		}

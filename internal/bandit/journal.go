@@ -31,7 +31,7 @@ type Journal interface {
 //   - RecTrainMark: an out-of-band training flush (drain, shutdown,
 //     checkpoint barrier). Periodic threshold training is NOT marked —
 //     replay reproduces it by counting applied rewards exactly as the
-//     single-worker ingestor does.
+//     ingestor's one drain goroutine does.
 //
 // Tags 4 (hint-table rollover) and 5 (quarantine) are owned by
 // qoadvisor/internal/serve, which holds the hint and drift types;
@@ -50,29 +50,6 @@ type RewardEntry = walrec.RewardEntry
 // RankRecord is the decoded form of a RecRank payload.
 type RankRecord = walrec.Rank
 
-// EncodeRankRecord frames one rank decision for the journal.
-func EncodeRankRecord(eventID string, prob float64, ctxIDs, actIDs []uint64) []byte {
-	return walrec.EncodeRank(eventID, prob, ctxIDs, actIDs)
-}
-
-// DecodeRankRecord parses a RecRank payload (including the type tag).
-func DecodeRankRecord(p []byte) (RankRecord, error) {
-	return walrec.DecodeRank(p)
-}
-
-// EncodeRewardBatch frames the accepted slice of one reward batch.
-func EncodeRewardBatch(entries []RewardEntry) []byte {
-	return walrec.EncodeRewardBatch(entries)
-}
-
-// DecodeRewardBatch parses a RecRewardBatch payload.
-func DecodeRewardBatch(p []byte) ([]RewardEntry, error) {
-	return walrec.DecodeRewardBatch(p)
-}
-
-// EncodeTrainMark frames an out-of-band training flush.
-func EncodeTrainMark() []byte { return walrec.EncodeTrainMark() }
-
 // ReplayStats counts what a replay pass consumed and rebuilt.
 type ReplayStats struct {
 	Records        int64
@@ -90,8 +67,8 @@ type ReplayStats struct {
 // call Finish for the drain-equivalent tail flush.
 //
 // Replay is deterministic — the rebuilt model is bit-identical to the
-// live one — under the serving defaults: a single ingestion worker
-// (apply order equals journal order) and the same trainEvery used
+// live one — because the serve layer's one drain goroutine makes apply
+// order equal journal order, provided trainEvery is the value used
 // when the records were written. The replayer must be the only user
 // of the service while it runs, and the service must not have a
 // journal attached (attach it after, or replay would re-journal).
@@ -125,7 +102,7 @@ func (r *Replayer) Apply(lsn uint64, payload []byte) error {
 	r.Stats.Records++
 	switch payload[0] {
 	case RecRank:
-		rec, err := DecodeRankRecord(payload)
+		rec, err := walrec.DecodeRank(payload)
 		if err != nil {
 			return fmt.Errorf("bandit: lsn %d: %w", lsn, err)
 		}
@@ -138,7 +115,7 @@ func (r *Replayer) Apply(lsn uint64, payload []byte) error {
 		})
 		r.Stats.Ranks++
 	case RecRewardBatch:
-		entries, err := DecodeRewardBatch(payload)
+		entries, err := walrec.DecodeRewardBatch(payload)
 		if err != nil {
 			return fmt.Errorf("bandit: lsn %d: %w", lsn, err)
 		}

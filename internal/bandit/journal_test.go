@@ -5,6 +5,8 @@ import (
 	"math"
 	"reflect"
 	"testing"
+
+	"qoadvisor/internal/walrec"
 )
 
 func TestRankRecordRoundTrip(t *testing.T) {
@@ -13,10 +15,10 @@ func TestRankRecordRoundTrip(t *testing.T) {
 		{EventID: "e", Prob: 1.0 / 3.0, CtxIDs: nil, ActIDs: nil},
 	}
 	for _, want := range cases {
-		p := EncodeRankRecord(want.EventID, want.Prob, want.CtxIDs, want.ActIDs)
-		got, err := DecodeRankRecord(p)
+		p := walrec.EncodeRank(want.EventID, want.Prob, want.CtxIDs, want.ActIDs)
+		got, err := walrec.DecodeRank(p)
 		if err != nil {
-			t.Fatalf("DecodeRankRecord: %v", err)
+			t.Fatalf("DecodeRank: %v", err)
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("round trip = %+v, want %+v", got, want)
@@ -24,9 +26,9 @@ func TestRankRecordRoundTrip(t *testing.T) {
 	}
 	// Truncation fails loudly at every cut point (the CRC layer should
 	// catch this first, but the codec must not panic or misread).
-	full := EncodeRankRecord("evx-1", 0.5, []uint64{7, 8}, []uint64{9})
+	full := walrec.EncodeRank("evx-1", 0.5, []uint64{7, 8}, []uint64{9})
 	for cut := 1; cut < len(full); cut++ {
-		if _, err := DecodeRankRecord(full[:cut]); err == nil && cut < len(full) {
+		if _, err := walrec.DecodeRank(full[:cut]); err == nil && cut < len(full) {
 			t.Fatalf("truncated rank record at %d decoded without error", cut)
 		}
 	}
@@ -38,14 +40,14 @@ func TestRewardBatchRoundTrip(t *testing.T) {
 		{EventID: "ev2", Value: -0.25},
 		{EventID: "ev3", Value: math.Inf(1)},
 	}
-	got, err := DecodeRewardBatch(EncodeRewardBatch(want))
+	got, err := walrec.DecodeRewardBatch(walrec.EncodeRewardBatch(want))
 	if err != nil {
 		t.Fatalf("DecodeRewardBatch: %v", err)
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("round trip = %+v, want %+v", got, want)
 	}
-	if _, err := DecodeRewardBatch(EncodeRankRecord("x", 1, nil, nil)); err == nil {
+	if _, err := walrec.DecodeRewardBatch(walrec.EncodeRank("x", 1, nil, nil)); err == nil {
 		t.Error("reward decoder accepted a rank record")
 	}
 }
@@ -88,7 +90,7 @@ func TestReplayRebuildsBitIdenticalModel(t *testing.T) {
 		if len(batch) == 0 {
 			return
 		}
-		j.Append(EncodeRewardBatch(batch))
+		j.Append(walrec.EncodeRewardBatch(batch))
 		for _, e := range batch {
 			if err := live.Reward(e.EventID, e.Value); err != nil {
 				t.Fatal(err)
@@ -115,7 +117,7 @@ func TestReplayRebuildsBitIdenticalModel(t *testing.T) {
 	}
 	flushBatch()
 	// Drain-equivalent shutdown flush, journaled as a train mark.
-	j.Append(EncodeTrainMark())
+	j.Append(walrec.EncodeTrainMark())
 	live.Train()
 	live.SetWALWatermark(j.LastLSN())
 
@@ -191,7 +193,7 @@ func TestSnapshotPlusSuffixEquivalence(t *testing.T) {
 		for _, id := range ids {
 			batch = append(batch, RewardEntry{EventID: id, Value: v})
 		}
-		j.Append(EncodeRewardBatch(batch))
+		j.Append(walrec.EncodeRewardBatch(batch))
 		for _, e := range batch {
 			if err := live.Reward(e.EventID, e.Value); err != nil {
 				t.Fatal(err)
@@ -213,7 +215,7 @@ func TestSnapshotPlusSuffixEquivalence(t *testing.T) {
 	// snapshot with the covering watermark. pre[6:] are still open and
 	// must travel inside the snapshot. The flush resets the training
 	// counter, exactly as the ingestor's trainFlush stores pending=0.
-	j.Append(EncodeTrainMark())
+	j.Append(walrec.EncodeTrainMark())
 	live.Train()
 	applied = 0
 	var snap bytes.Buffer
@@ -232,7 +234,7 @@ func TestSnapshotPlusSuffixEquivalence(t *testing.T) {
 		post = append(post, rank())
 	}
 	rewardNow(append([]string{pre[7], pre[9]}, post[:3]...), 0.75)
-	j.Append(EncodeTrainMark())
+	j.Append(walrec.EncodeTrainMark())
 	live.Train()
 	live.SetWALWatermark(j.LastLSN())
 

@@ -1,10 +1,11 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§5) on the simulated SCOPE substrate. Each experiment is a
 // function returning a structured result that the cmd/experiments binary
-// and the root benchmark suite print in the same form the paper reports:
+// and this package's benchmarks print in the same form the paper reports:
 // the absolute numbers come from the simulator, but the shapes — which
 // metric is stable, who wins, by roughly what factor — are the
-// reproduction targets (see EXPERIMENTS.md).
+// reproduction targets (`go run ./cmd/experiments -scale quick` prints
+// them).
 package experiments
 
 import (

@@ -10,7 +10,7 @@
 // single node's. PR 6 made obs.HistSnapshot mergeable for precisely
 // this use; this package is the first cross-node consumer.
 //
-// Consumers: `qoserved -check -cluster host1,host2,...` renders the
+// Consumers: `qoserved cluster host1,host2,...` renders the
 // table form, and cmd/qoload embeds a fleet snapshot in its end-of-run
 // BENCH_load.json report.
 package fleet

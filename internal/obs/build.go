@@ -10,7 +10,7 @@ import (
 // toolchain, and — when the binary was built inside a git checkout —
 // the VCS revision, commit time, and dirty flag. A running node with
 // no version surface cannot be told apart from the one beside it; this
-// is what /v2/version, qoserved -version, and the build_info metric
+// is what /v2/version, `qoserved version`, and the build_info metric
 // report.
 type BuildInfo struct {
 	Module    string

@@ -64,9 +64,6 @@ type Config struct {
 	// MaxLogEvents must match the primary's event-log cap (0 = default,
 	// negative = unbounded), or eviction would diverge.
 	MaxLogEvents int
-	// Shards / RankWorkers size the local serving layer (0 = defaults).
-	Shards      int
-	RankWorkers int
 	// PollWait is the tail long-poll window asked of the primary
 	// (0 = 10s). Shorter values tighten reconnect cadence in tests.
 	PollWait time.Duration
@@ -185,9 +182,7 @@ func (f *Follower) bootstrap() error {
 		Catalog:      f.cfg.Catalog,
 		Bandit:       svc,
 		Seed:         f.cfg.Seed,
-		Shards:       f.cfg.Shards,
 		TrainEvery:   f.cfg.TrainEvery,
-		RankWorkers:  f.cfg.RankWorkers,
 		MaxLogEvents: f.cfg.MaxLogEvents,
 		Follower:     true,
 		LeaderURL:    f.cfg.Primary,

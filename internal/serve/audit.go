@@ -357,7 +357,7 @@ func (h *httpLayer) handleAuditAsOf(w http.ResponseWriter, r *http.Request) {
 	// Time travel only works over retained history: if compaction
 	// removed records inside the replay window, the reconstruction
 	// would silently miss them — reject instead.
-	if first := h.srv.wal.FirstLSN(); lsn > res.FromLSN && first > res.FromLSN+1 {
+	if first, _ := h.srv.wal.Window(); lsn > res.FromLSN && first > res.FromLSN+1 {
 		writeError(w, rid, api.Errorf(api.CodeInvalidRequest,
 			"journal history before LSN %d is compacted; reconstruction at %d needs records from %d",
 			first, lsn, res.FromLSN+1))

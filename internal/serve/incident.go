@@ -347,7 +347,7 @@ func (e *incidentEngine) capture(now time.Time, reason, detail string, burn floa
 	return meta, nil
 }
 
-// loadExisting indexes bundles left by earlier runs so -check and
+// loadExisting indexes bundles left by earlier runs so `qoserved check` and
 // GET /v2/incidents see them after a restart.
 func (e *incidentEngine) loadExisting() {
 	entries, err := os.ReadDir(e.cfg.Dir)

@@ -9,10 +9,11 @@ import (
 	"qoadvisor/internal/bandit"
 	"qoadvisor/internal/obs"
 	"qoadvisor/internal/wal"
+	"qoadvisor/internal/walrec"
 )
 
 // reward is one queued reward observation. enq stamps the queue
-// hand-off so the worker can report queue-wait latency.
+// hand-off so the drain goroutine can report queue-wait latency.
 type reward struct {
 	eventID string
 	value   float64
@@ -20,7 +21,7 @@ type reward struct {
 }
 
 // Ingestor is the asynchronous reward-ingestion pipeline: a bounded
-// queue drained by a worker pool that applies rewards to the bandit
+// queue drained by one goroutine that applies rewards to the bandit
 // service and triggers an IPS training pass every trainEvery applied
 // rewards. Keeping reward application and SGD off the request path is
 // what lets /v2/reward return in microseconds while the model still
@@ -30,8 +31,8 @@ type reward struct {
 // caller is acknowledged (the durability barrier the journal's Commit
 // mode defines), and journal order equals apply order — the invariant
 // deterministic crash replay rests on — because the journal append and
-// the queue hand-off happen atomically under seqMu and the default
-// single worker drains the queue in FIFO order.
+// the queue hand-off happen atomically under seqMu and the single drain
+// goroutine applies the queue in FIFO order.
 type Ingestor struct {
 	svc        *bandit.Service
 	wal        *wal.WAL // nil = in-memory only
@@ -65,35 +66,30 @@ type Ingestor struct {
 	journalErrs   atomic.Int64
 
 	// stages receives the pipeline's latency observations (queue wait,
-	// reward apply, WAL append, commit wait). Set before the workers
-	// start and never nil.
+	// reward apply, WAL append, commit wait). Set before the drain
+	// goroutine starts and never nil.
 	stages *stageHists
 }
 
 // NewIngestor starts an ingestion pipeline over the given bandit
 // service. j, when non-nil, is the durable reward journal. queueSize
-// bounds the reward backlog (default 4096); workers is the drain pool
-// size; trainEvery is the training batch size in applied rewards
-// (default bandit.DefaultTrainEvery). The default pool size is 1:
-// reward application serializes on the bandit's event-log mutex
-// anyway, so extra workers only add contention against the Rank hot
-// path — and with a journal attached, a single worker is also what
-// keeps apply order equal to journal order for deterministic replay.
-func NewIngestor(svc *bandit.Service, j *wal.WAL, queueSize, workers, trainEvery int) *Ingestor {
-	return newIngestor(svc, j, queueSize, workers, trainEvery, &stageHists{})
+// bounds the reward backlog (default 4096); trainEvery is the training
+// batch size in applied rewards (default bandit.DefaultTrainEvery).
+// There is exactly one drain goroutine: reward application serializes
+// on the bandit's event-log mutex anyway, and one FIFO consumer is what
+// makes apply order equal journal order for deterministic replay.
+func NewIngestor(svc *bandit.Service, j *wal.WAL, queueSize, trainEvery int) *Ingestor {
+	return newIngestor(svc, j, queueSize, trainEvery, &stageHists{})
 }
 
 // newIngestor is NewIngestor with the stage-histogram sink supplied by
 // the owning server. Standalone ingestors get private histograms from
-// the exported constructor; the distinction matters because workers
-// read stages from their first iteration, so it cannot be assigned
-// after construction.
-func newIngestor(svc *bandit.Service, j *wal.WAL, queueSize, workers, trainEvery int, stages *stageHists) *Ingestor {
+// the exported constructor; the distinction matters because the drain
+// goroutine reads stages from its first iteration, so it cannot be
+// assigned after construction.
+func newIngestor(svc *bandit.Service, j *wal.WAL, queueSize, trainEvery int, stages *stageHists) *Ingestor {
 	if queueSize <= 0 {
 		queueSize = 4096
-	}
-	if workers <= 0 {
-		workers = 1
 	}
 	if trainEvery <= 0 {
 		trainEvery = bandit.DefaultTrainEvery
@@ -105,26 +101,20 @@ func newIngestor(svc *bandit.Service, j *wal.WAL, queueSize, workers, trainEvery
 		trainEvery: int64(trainEvery),
 		stages:     stages,
 	}
-	in.drainCond = sync.NewCond(&in.drainMu)
-	in.start(workers)
+	in.start()
 	return in
 }
 
-func (in *Ingestor) start(workers int) {
-	if in.drainCond == nil {
-		in.drainCond = sync.NewCond(&in.drainMu)
-	}
-	for i := 0; i < workers; i++ {
-		in.wg.Add(1)
-		go in.worker()
-	}
-}
-
-func (in *Ingestor) worker() {
-	defer in.wg.Done()
-	for r := range in.ch {
-		in.apply(r)
-	}
+// start launches the one drain goroutine.
+func (in *Ingestor) start() {
+	in.drainCond = sync.NewCond(&in.drainMu)
+	in.wg.Add(1)
+	go func() {
+		defer in.wg.Done()
+		for r := range in.ch {
+			in.apply(r)
+		}
+	}()
 }
 
 func (in *Ingestor) apply(r reward) {
@@ -138,12 +128,9 @@ func (in *Ingestor) apply(r reward) {
 		in.unknown.Add(1)
 	} else {
 		in.applied.Add(1)
-		if p := in.pending.Add(1); p >= in.trainEvery {
-			// One worker claims the batch; a failed CAS means a peer is
-			// racing on a fresher count and will claim it instead.
-			if in.pending.CompareAndSwap(p, 0) {
-				in.train()
-			}
+		if in.pending.Add(1) >= in.trainEvery {
+			in.pending.Store(0)
+			in.train()
 		}
 	}
 	if in.queued.Add(-1) == 0 {
@@ -194,7 +181,7 @@ func (in *Ingestor) enqueueBatch(entries []bandit.RewardEntry, tr *obs.Trace) (a
 	}
 
 	in.seqMu.Lock()
-	// Workers only drain the channel, and seqMu serializes senders, so
+	// The drain goroutine only receives, and seqMu serializes senders, so
 	// this free-capacity read is a safe lower bound: the sends below
 	// cannot block.
 	free := cap(in.ch) - len(in.ch)
@@ -205,7 +192,7 @@ func (in *Ingestor) enqueueBatch(entries []bandit.RewardEntry, tr *obs.Trace) (a
 	var lsn uint64
 	if n > 0 && in.wal != nil {
 		appendStart := time.Now()
-		lsn, err = in.wal.Append(bandit.EncodeRewardBatch(entries[:n]))
+		lsn, err = in.wal.Append(walrec.EncodeRewardBatch(entries[:n]))
 		appendDur := time.Since(appendStart)
 		in.stages.rewardAppend.Observe(appendDur)
 		tr.Stage(0, "reward_wal_append", appendStart, appendDur)
@@ -216,8 +203,8 @@ func (in *Ingestor) enqueueBatch(entries []bandit.RewardEntry, tr *obs.Trace) (a
 			return 0, err
 		}
 	}
-	// Count before handing off: a worker can pick an item up and apply
-	// it before this goroutine resumes, and Drain must never observe
+	// Count before handing off: the drain goroutine can pick an item up
+	// and apply it before this goroutine resumes, and Drain must never observe
 	// queued==0 while an accepted reward is still in flight.
 	in.queued.Add(int64(n))
 	enq := time.Now()
@@ -259,7 +246,7 @@ func (in *Ingestor) waitDrained() {
 // the batch threshold.
 func (in *Ingestor) trainFlush() {
 	if in.wal != nil {
-		if _, err := in.wal.Append(bandit.EncodeTrainMark()); err != nil {
+		if _, err := in.wal.Append(walrec.EncodeTrainMark()); err != nil {
 			in.journalErrs.Add(1)
 		}
 	}
@@ -291,7 +278,7 @@ func (in *Ingestor) Quiesce() (release func()) {
 }
 
 // Close stops accepting rewards, drains the queue, applies a final
-// training pass, and waits for the workers to exit.
+// training pass, and waits for the drain goroutine to exit.
 func (in *Ingestor) Close() {
 	in.closeMu.Lock()
 	if in.closed {

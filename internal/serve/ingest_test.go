@@ -26,7 +26,7 @@ func rankEvents(t *testing.T, svc *bandit.Service, n int) []string {
 
 func TestIngestorAppliesAndTrains(t *testing.T) {
 	svc := bandit.New(bandit.DefaultConfig(5))
-	in := NewIngestor(svc, nil, 128, 2, 16)
+	in := NewIngestor(svc, nil, 128, 16)
 	defer in.Close()
 
 	ids := rankEvents(t, svc, 64)
@@ -60,7 +60,7 @@ func TestIngestorAppliesAndTrains(t *testing.T) {
 
 func TestIngestorUnknownEvents(t *testing.T) {
 	svc := bandit.New(bandit.DefaultConfig(5))
-	in := NewIngestor(svc, nil, 16, 1, 4)
+	in := NewIngestor(svc, nil, 16, 4)
 	defer in.Close()
 	in.Enqueue("ev-no-such", 1.0)
 	in.Drain()
@@ -86,8 +86,8 @@ func TestIngestorBackpressure(t *testing.T) {
 		t.Errorf("stats = %+v, want dropped=1 depth=2 cap=2", st)
 	}
 
-	// Starting the drain pool empties the backlog.
-	in.start(1)
+	// Starting the drain goroutine empties the backlog.
+	in.start()
 	in.Drain()
 	if st := in.Stats(); st.Applied != 2 {
 		t.Errorf("Applied = %d, want 2", st.Applied)
@@ -97,7 +97,7 @@ func TestIngestorBackpressure(t *testing.T) {
 
 func TestIngestorCloseRejectsAndDrains(t *testing.T) {
 	svc := bandit.New(bandit.DefaultConfig(5))
-	in := NewIngestor(svc, nil, 64, 2, 1000) // batch too large to trigger mid-run
+	in := NewIngestor(svc, nil, 64, 1000) // batch too large to trigger mid-run
 	ids := rankEvents(t, svc, 32)
 	for _, id := range ids {
 		in.Enqueue(id, 2.0)

@@ -120,7 +120,7 @@ func (r RecoverResult) Recovered() bool {
 
 // Recover rebuilds a bandit model plus the active hint table from a
 // snapshot and the journal suffix above its watermark: the startup
-// path of a WAL-backed server and the offline "-replay" ops mode.
+// path of a WAL-backed server and the offline `qoserved replay` mode.
 // snapshotPath may be empty or name a file that does not exist yet
 // (first boot) — the journal is then replayed from the beginning into
 // a fresh learner built with DefaultConfig(seed). trainEvery and
@@ -130,9 +130,9 @@ func (r RecoverResult) Recovered() bool {
 // the live run did.
 //
 // Recovery is deterministic: replaying the same snapshot and journal
-// yields a bit-identical model, and under the single-worker ingestion
-// default it is also bit-identical to the model the crashed process
-// had built (modulo rewards that were never journaled durably, and
+// yields a bit-identical model, and because one goroutine drains the
+// ingestion queue it is also bit-identical to the model the crashed
+// process had built (modulo rewards that were never journaled durably, and
 // modulo event-log eviction: under cap pressure the live interleaving
 // of ranks and reward applies is not recorded, so replay may evict on
 // slightly different boundaries). A torn or corrupt journal tail —
@@ -163,14 +163,7 @@ func Recover(src wal.Source, snapshotPath string, trainEvery, maxLogEvents int, 
 	}
 	// Apply the serving event-log cap before replay so eviction behaves
 	// as it did live (serve.New applies the same rule to the learner).
-	switch {
-	case maxLogEvents == 0:
-		res.Service.SetMaxLog(1 << 14)
-	case maxLogEvents > 0:
-		res.Service.SetMaxLog(maxLogEvents)
-	default:
-		res.Service.SetMaxLog(0)
-	}
+	res.Service.SetMaxLog(bandit.ServingMaxLog(maxLogEvents))
 
 	ap := NewApplier(res.Service, nil, nil, trainEvery)
 	info, err := src.Replay(res.FromLSN, ap.Apply)

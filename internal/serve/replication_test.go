@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"path/filepath"
 	"strconv"
 	"testing"
 	"time"
@@ -381,6 +382,54 @@ func TestWALStreamErrors(t *testing.T) {
 			t.Fatalf("envelope %+v (%v)", env, err)
 		}
 	})
+}
+
+// TestAuditAsOfRejectsFullyCompactedHistory: once checkpoints have
+// compacted the whole journal away, an as-of below the checkpoint
+// watermark cannot use the snapshot and would have to replay from LSN 1
+// — records that no longer exist. The empty retained window must read
+// as "everything through LastLSN is gone", not as "nothing was ever
+// removed", or the server answers 200 with a model rebuilt from nothing.
+func TestAuditAsOfRejectsFullyCompactedHistory(t *testing.T) {
+	dir := t.TempDir()
+	snap := filepath.Join(dir, "model.snap")
+	// One-byte segments seal after every record, so a checkpoint can
+	// compact the whole journal.
+	j, err := wal.Open(wal.Options{Dir: dir, Mode: wal.ModeSync, SegmentBytes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	srv, ts := newTestServer(t, Config{Seed: 42, WAL: j, SnapshotPath: snap})
+	for i := 0; i < 5; i++ {
+		if _, err := srv.Rank(api.RankRequest{TemplateHash: api.TemplateHash(i + 1), Span: []int{5, 21}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var watermark uint64
+	for first, next := j.Window(); first < next; first, next = j.Window() {
+		info, err := srv.Checkpoint(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if watermark = info.LSN; watermark > 100 {
+			t.Fatalf("journal never fully compacted (window %d..%d)", first, next)
+		}
+	}
+	resp, err := http.Get(fmt.Sprintf("%s%s?lsn=2", ts.URL, api.RouteV2AuditAsOf))
+	if err != nil {
+		t.Fatal(err)
+	}
+	expectError(t, resp, http.StatusBadRequest, api.CodeInvalidRequest)
+	// At the watermark the snapshot alone is the answer: nothing to replay,
+	// nothing missing.
+	resp, err = http.Get(fmt.Sprintf("%s%s?lsn=%d", ts.URL, api.RouteV2AuditAsOf, watermark))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := decodeJSON[api.AuditAsOfResponse](t, resp); resp.StatusCode != http.StatusOK || !got.SnapshotSeeded || got.FromLSN != watermark {
+		t.Fatalf("as-of at the checkpoint watermark %d: status %d, %+v", watermark, resp.StatusCode, got)
+	}
 }
 
 // TestFollowerModeContract pins the read-only replica semantics: reads

@@ -33,12 +33,8 @@ type Config struct {
 	// Uniform switches ranking to the uniform-at-random logging policy
 	// (the paper's off-policy data-collection mode).
 	Uniform bool
-	// Shards is the hint-cache shard count (0 = default).
-	Shards int
 	// QueueSize bounds the reward-ingestion backlog (0 = default).
 	QueueSize int
-	// Workers sizes the reward-ingestion worker pool (0 = default).
-	Workers int
 	// TrainEvery is the ingestion training batch size (0 = default).
 	TrainEvery int
 	// RankWorkers bounds the /v2/rank batch fan-out pool (0 = GOMAXPROCS,
@@ -197,16 +193,9 @@ func New(cfg Config) *Server {
 	if cfg.Bandit == nil {
 		cfg.Bandit = bandit.New(bandit.DefaultConfig(cfg.Seed))
 	}
-	switch {
-	case cfg.MaxLogEvents == 0:
-		cfg.Bandit.SetMaxLog(1 << 14)
-	case cfg.MaxLogEvents > 0:
-		cfg.Bandit.SetMaxLog(cfg.MaxLogEvents)
-	default:
-		cfg.Bandit.SetMaxLog(0) // negative: lift any existing cap
-	}
-	// Stage histograms are shared with the ingestor's workers, so they
-	// must exist before newIngestor starts the pool.
+	cfg.Bandit.SetMaxLog(bandit.ServingMaxLog(cfg.MaxLogEvents))
+	// Stage histograms are shared with the ingestor's drain goroutine, so
+	// they must exist before newIngestor starts it.
 	stages := &stageHists{}
 	// Detection runs only where writes land; enforcement (the table
 	// inside the safeguard) exists on every node.
@@ -216,11 +205,11 @@ func New(cfg Config) *Server {
 	}
 	s := &Server{
 		cat:          cfg.Catalog,
-		cache:        NewHintCache(cfg.Shards),
+		cache:        NewHintCache(0),
 		bandit:       cfg.Bandit,
 		wal:          cfg.WAL,
 		guard:        newSafeguard(det, cfg.WAL),
-		ingest:       newIngestor(cfg.Bandit, cfg.WAL, cfg.QueueSize, cfg.Workers, cfg.TrainEvery, stages),
+		ingest:       newIngestor(cfg.Bandit, cfg.WAL, cfg.QueueSize, cfg.TrainEvery, stages),
 		uniform:      cfg.Uniform,
 		follower:     cfg.Follower,
 		leaderURL:    cfg.LeaderURL,

@@ -64,15 +64,7 @@ func (h *httpLayer) handleWALStream(w http.ResponseWriter, r *http.Request) {
 		}
 		pollWait = min(time.Duration(ms)*time.Millisecond, walStreamPollMax)
 	}
-	// An empty retained window (FirstLSN 0) on a journal that has
-	// appended means compaction removed everything through LastLSN: the
-	// next record is then the oldest one this node can ship. LastLSN is
-	// read first so a racing append can only make first non-zero.
-	last := s.wal.LastLSN()
-	first := s.wal.FirstLSN()
-	if first == 0 {
-		first = last + 1
-	}
+	first, _ := s.wal.Window()
 	if from+1 < first {
 		// Compaction removed the records the follower needs; tailing
 		// cannot catch it up. The follower must take a fresh bootstrap

@@ -35,6 +35,10 @@ func newWALRig(t *testing.T, segBytes int64) *walTestRig {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Close before TempDir's removal: the committer rolls a full segment
+	// on every tick, and with one-byte segments that creates files in dir
+	// for as long as the journal is open.
+	t.Cleanup(func() { j.Close() })
 	srv := New(Config{Seed: 42, TrainEvery: walTestTrainEvery, QueueSize: 1024, WAL: j})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
@@ -301,7 +305,7 @@ func TestCheckpointCompactsAndRestartsFromSuffix(t *testing.T) {
 // snapshot's watermark) and resume after release.
 func TestQuiesceFencesIntake(t *testing.T) {
 	svc := bandit.New(bandit.DefaultConfig(3))
-	in := NewIngestor(svc, nil, 16, 1, 4)
+	in := NewIngestor(svc, nil, 16, 4)
 	defer in.Close()
 	ids := rankEvents(t, svc, 2)
 

@@ -32,7 +32,7 @@ type Source interface {
 }
 
 // DirSource replays a journal directory read-only, without opening it
-// for appends — the offline "-replay" ops path.
+// for appends — the offline `qoserved replay` path.
 type DirSource struct {
 	Dir string
 }

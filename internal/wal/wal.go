@@ -656,14 +656,34 @@ func (w *WAL) TailDamage() (bytes int64, reason error) {
 	return w.tornBytes, w.tornErr
 }
 
-// FirstLSN returns the oldest retained LSN (0 when the log is empty).
-func (w *WAL) FirstLSN() uint64 {
+// Window returns the retained LSN range [first, next): first is the
+// oldest record still on disk, next the LSN the next append will take.
+// first == next means nothing is retained — a fresh journal, or one
+// whose every record compaction has removed, in which case both are
+// LastLSN+1. "Are the records from x on still here?" is therefore
+// first <= x on every journal, with no empty-window special case; this
+// is what a gap check must use (FirstLSN reports 0 for empty, which
+// reads as "nothing was ever removed").
+func (w *WAL) Window() (first, next uint64) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if len(w.segs) == 0 || w.nextLSN == w.segs[0].firstLSN {
+	return w.windowLocked()
+}
+
+func (w *WAL) windowLocked() (first, next uint64) {
+	if len(w.segs) == 0 {
+		return w.nextLSN, w.nextLSN
+	}
+	return w.segs[0].firstLSN, w.nextLSN
+}
+
+// FirstLSN returns the oldest retained LSN (0 when the log is empty).
+func (w *WAL) FirstLSN() uint64 {
+	first, next := w.Window()
+	if first == next {
 		return 0
 	}
-	return w.segs[0].firstLSN
+	return first
 }
 
 // LastLSN returns the newest appended LSN (0 when the log is empty).
@@ -716,8 +736,8 @@ func (w *WAL) Stats() Stats {
 		Segments:      len(w.segs),
 		TruncatedSegs: w.truncatedSegs,
 	}
-	if len(w.segs) > 0 && w.nextLSN > w.segs[0].firstLSN {
-		st.FirstLSN = w.segs[0].firstLSN
+	if first, next := w.windowLocked(); first < next {
+		st.FirstLSN = first
 	}
 	return st
 }
