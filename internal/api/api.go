@@ -9,13 +9,32 @@
 // There is one protocol version, /v2: batch-first (/v2/rank,
 // /v2/reward), with every JSON response carrying the request ID
 // assigned (or propagated) by the server.
+//
+// The wire format is JSON throughout, exactly as encoding/json writes
+// and reads it. Most types go through encoding/json's reflection. The
+// four bodies of the two hot routes — BatchRankRequest,
+// BatchRankResponse, BatchRewardRequest, BatchRewardResponse — and
+// their elements (RankRequest, RankResult, RewardEvent, RewardRejection,
+// Error, TemplateHash) have a hand-written codec in codec.go instead:
+// AppendJSON appends a body to a caller-owned buffer, a Decoder decodes
+// one from a byte slice, and both are what the server's handlers and the
+// client's RankBatch/RewardBatch call. The same types' MarshalJSON and
+// UnmarshalJSON delegate to that codec, so json.Marshal and
+// json.Unmarshal of them run the same code; there is no second
+// implementation to drift. The bytes are unchanged: field order,
+// omitempty, float form and string escaping out, unknown keys,
+// case-folded names, null and repeated keys in.
+//
+// Adding a field to one of those types is one change in three places:
+// the codec (its append function, its name table and its decode
+// switch), the reflection mirror struct in codec_test.go that the
+// differential tests decode and encode beside it, and a seed under
+// testdata/fuzz/ that carries the field.
 package api
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
-	"strconv"
 )
 
 // Route paths. Clients should use these constants rather than spelling
@@ -88,27 +107,11 @@ const MaxRewardBatch = 8192
 // decoding in every client — matching the SIS exchange format.
 type TemplateHash uint64
 
-// MarshalJSON renders the hash as a zero-padded hex string.
-func (h TemplateHash) MarshalJSON() ([]byte, error) {
-	return []byte(`"` + h.String() + `"`), nil
-}
-
-// UnmarshalJSON accepts a hex string of up to 16 digits.
-func (h *TemplateHash) UnmarshalJSON(b []byte) error {
-	s, err := strconv.Unquote(string(b))
-	if err != nil {
-		return fmt.Errorf("api: templateHash must be a hex string, got %s", b)
-	}
-	v, err := strconv.ParseUint(s, 16, 64)
-	if err != nil {
-		return fmt.Errorf("api: bad templateHash %q: want 64-bit hex", s)
-	}
-	*h = TemplateHash(v)
-	return nil
-}
-
 // String renders the canonical wire form.
-func (h TemplateHash) String() string { return fmt.Sprintf("%016x", uint64(h)) }
+func (h TemplateHash) String() string {
+	var b [16]byte
+	return string(AppendHex(b[:0], uint64(h), 16))
+}
 
 // RankRequest is one steering query: "which rule flip for this job?".
 // Span carries the job span's bit positions; RowCount and BytesRead are
@@ -119,26 +122,6 @@ type RankRequest struct {
 	Span         []int        `json:"span"`
 	RowCount     float64      `json:"rowCount,omitempty"`
 	BytesRead    float64      `json:"bytesRead,omitempty"`
-}
-
-// UnmarshalJSON rejects a request whose templateHash field is absent: a
-// client that silently drops it would otherwise collapse all its
-// traffic onto template 0 and still receive plausible decisions. An
-// explicit "0000000000000000" remains valid.
-func (r *RankRequest) UnmarshalJSON(b []byte) error {
-	type plain RankRequest
-	aux := struct {
-		*plain
-		TemplateHash *TemplateHash `json:"templateHash"`
-	}{plain: (*plain)(r)}
-	if err := json.Unmarshal(b, &aux); err != nil {
-		return err
-	}
-	if aux.TemplateHash == nil {
-		return fmt.Errorf("api: templateHash is required")
-	}
-	r.TemplateHash = *aux.TemplateHash
-	return nil
 }
 
 // RankResponse is the steering decision. Source "hint" means the sharded

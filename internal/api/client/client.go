@@ -15,6 +15,7 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"qoadvisor/internal/api"
@@ -201,8 +202,18 @@ func (c *Client) Rank(ctx context.Context, job api.RankRequest) (api.RankRespons
 // Per-job failures ride inside Results; only transport- or batch-level
 // problems surface as the returned error.
 func (c *Client) RankBatch(ctx context.Context, jobs []api.RankRequest) (api.BatchRankResponse, error) {
-	var out api.BatchRankResponse
-	err := c.do(ctx, http.MethodPost, api.RouteV2Rank, "", api.BatchRankRequest{Jobs: jobs}, &out)
+	// A fresh buffer per call, never a pooled one: http.Transport may
+	// still be reading a request body after Do returns.
+	payload, err := api.BatchRankRequest{Jobs: jobs}.MarshalJSON()
+	if err != nil {
+		return api.BatchRankResponse{}, fmt.Errorf("client: encoding %s %s: %w", http.MethodPost, api.RouteV2Rank, err)
+	}
+	out := api.BatchRankResponse{Results: make([]api.RankResult, 0, len(jobs))}
+	err = c.doRaw(ctx, http.MethodPost, api.RouteV2Rank, "application/json", payload, func(resp *http.Response) error {
+		return decodeBatch(resp, api.RouteV2Rank, func(d *api.Decoder, body []byte) error {
+			return d.DecodeBatchRankResponse(body, &out)
+		})
+	})
 	return out, err
 }
 
@@ -242,9 +253,50 @@ func (c *Client) Reward(ctx context.Context, eventID string, value float64) erro
 // retries whole-batch 503s (nothing was queued in that case); per-event
 // rejections are returned in the response for the caller to inspect.
 func (c *Client) RewardBatch(ctx context.Context, events []api.RewardEvent) (api.BatchRewardResponse, error) {
+	payload, err := api.BatchRewardRequest{Events: events}.MarshalJSON()
+	if err != nil {
+		return api.BatchRewardResponse{}, fmt.Errorf("client: encoding %s %s: %w", http.MethodPost, api.RouteV2Reward, err)
+	}
 	var out api.BatchRewardResponse
-	err := c.do(ctx, http.MethodPost, api.RouteV2Reward, "", api.BatchRewardRequest{Events: events}, &out)
+	err = c.doRaw(ctx, http.MethodPost, api.RouteV2Reward, "application/json", payload, func(resp *http.Response) error {
+		return decodeBatch(resp, api.RouteV2Reward, func(d *api.Decoder, body []byte) error {
+			return d.DecodeBatchRewardResponse(body, &out)
+		})
+	})
 	return out, err
+}
+
+// batchBody is a response buffer with the decoder that walks it. Unlike
+// a request body, a response the client has itself read to EOF has no
+// other reader, and the decoder copies every string out of it, so the
+// buffer can go back to a pool.
+type batchBody struct {
+	buf bytes.Buffer
+	dec api.Decoder
+}
+
+var batchBodies = sync.Pool{New: func() any { return new(batchBody) }}
+
+// decodeBatch reads a 2xx batch response to EOF into a pooled buffer and
+// hands it to decode.
+func decodeBatch(resp *http.Response, path string, decode func(*api.Decoder, []byte) error) error {
+	bb := batchBodies.Get().(*batchBody)
+	defer func() {
+		// Nothing over 1 MiB goes back: one 4,096-job response must not
+		// stay pinned behind a stream of 16-job ones.
+		if bb.buf.Cap() <= 1<<20 {
+			bb.dec.Release()
+			batchBodies.Put(bb)
+		}
+	}()
+	bb.buf.Reset()
+	if _, err := bb.buf.ReadFrom(resp.Body); err != nil {
+		return fmt.Errorf("client: reading %s %s response: %w", http.MethodPost, path, err)
+	}
+	if err := decode(&bb.dec, bb.buf.Bytes()); err != nil {
+		return fmt.Errorf("client: decoding %s %s response: %w", http.MethodPost, path, err)
+	}
+	return nil
 }
 
 // InstallHints uploads a SIS exchange-format hint file (the pipeline

@@ -336,3 +336,68 @@ func TestClientWALStatsPassthrough(t *testing.T) {
 		t.Errorf("WAL stats present on an in-memory server: %+v", stats2.WAL)
 	}
 }
+
+// The committed allocation ceilings of the two batch calls, per call,
+// everything in the process counted: the client's own share (encode into
+// one fresh buffer, decode out of a pooled one, one Flip string per
+// result) plus net/http's client and server for one keep-alive loopback
+// round trip against a canned handler. Measured on this tree plus two.
+const (
+	rankBatchAllocCeiling   = 111
+	rewardBatchAllocCeiling = 94
+)
+
+// TestBatchCallAllocBudget is the client-side sibling of serve's
+// TestRankPathAllocBudget: a 16-job RankBatch and its 16-event
+// RewardBatch against an httptest.Server that answers canned bytes.
+func TestBatchCallAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	jobs := make([]api.RankRequest, 16)
+	events := make([]api.RewardEvent, 16)
+	results := make([]api.RankResult, 16)
+	reward := 0.75
+	for i := range jobs {
+		th := api.TemplateHash(0x1000 + i)
+		jobs[i] = api.RankRequest{TemplateHash: th, Span: []int{40, 41 + i, 90}, RowCount: 1e6, BytesRead: 2.5e9}
+		events[i] = api.RewardEvent{Reward: &reward, TemplateHash: &th}
+		results[i] = api.RankResult{RankResponse: api.RankResponse{Source: api.SourceHint, Flip: "-R040", HintDay: 3, Generation: 1}}
+	}
+	ranked, _ := api.BatchRankResponse{RequestID: "r", Generation: 1, Results: results}.AppendJSON(nil)
+	acked, _ := api.BatchRewardResponse{RequestID: "r", Generation: 1, Observed: 16}.AppendJSON(nil)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == api.RouteV2Rank {
+			w.Write(ranked)
+		} else {
+			w.WriteHeader(http.StatusAccepted)
+			w.Write(acked)
+		}
+	}))
+	defer ts.Close()
+	c := client.New(ts.URL)
+	ctx := context.Background()
+
+	rank := func() {
+		if resp, err := c.RankBatch(ctx, jobs); err != nil || len(resp.Results) != 16 || resp.Results[15].Flip != "-R040" {
+			t.Fatalf("RankBatch = %+v, %v", resp, err)
+		}
+	}
+	rewardAll := func() {
+		if resp, err := c.RewardBatch(ctx, events); err != nil || resp.Observed != 16 {
+			t.Fatalf("RewardBatch = %+v, %v", resp, err)
+		}
+	}
+	rank() // open the connection, warm the pools
+	rewardAll()
+	if n := testing.AllocsPerRun(200, rank); n > rankBatchAllocCeiling {
+		t.Errorf("a 16-job RankBatch round trip allocates %v times, ceiling %d", n, rankBatchAllocCeiling)
+	} else {
+		t.Logf("RankBatch: %v allocations per round trip (ceiling %d)", n, rankBatchAllocCeiling)
+	}
+	if n := testing.AllocsPerRun(200, rewardAll); n > rewardBatchAllocCeiling {
+		t.Errorf("a 16-event RewardBatch round trip allocates %v times, ceiling %d", n, rewardBatchAllocCeiling)
+	} else {
+		t.Logf("RewardBatch: %v allocations per round trip (ceiling %d)", n, rewardBatchAllocCeiling)
+	}
+}

@@ -178,7 +178,11 @@ type entry struct {
 	slow     float64 // slow EWMA of reward (baseline)
 	variance float64 // exponentially-weighted variance around slow
 	count    uint64  // observations since tracking began
-	lastTick uint64  // detector tick of the last observation (eviction order)
+
+	// The entry's place in the detector's recency list (eviction order),
+	// and the key to delete it from the map by.
+	hash       uint64
+	prev, next *entry
 
 	// Hysteresis run counters. degraded counts consecutive degraded
 	// observations; recovered counts consecutive recovered ones. A
@@ -198,7 +202,10 @@ type Detector struct {
 	mu      sync.Mutex
 	sketch  []uint32 // depth rows of width counters, row-major
 	entries map[uint64]*entry
-	tick    uint64
+	// recency is the sentinel of a circular list of every entry, least
+	// recently observed first: an observation moves its entry to the
+	// back, a new entry joins at the back.
+	recency entry
 
 	observations int64
 	gated        int64 // observations absorbed by the sketch alone
@@ -208,11 +215,30 @@ type Detector struct {
 // NewDetector builds a detector (zero Config = defaults).
 func NewDetector(cfg Config) *Detector {
 	cfg = cfg.withDefaults()
-	return &Detector{
+	d := &Detector{
 		cfg:     cfg,
 		sketch:  make([]uint32, cfg.SketchWidth*cfg.SketchDepth),
 		entries: make(map[uint64]*entry),
 	}
+	d.recency.prev, d.recency.next = &d.recency, &d.recency
+	return d
+}
+
+// track files e under hash as the most recently seen entry.
+func (d *Detector) track(hash uint64, e *entry) {
+	e.hash = hash
+	d.entries[hash] = e
+	d.moveToBack(e)
+}
+
+// moveToBack makes e the most recently seen entry; e may be unlinked.
+func (d *Detector) moveToBack(e *entry) {
+	if e.prev != nil {
+		e.prev.next, e.next.prev = e.next, e.prev
+	}
+	back := d.recency.prev
+	e.prev, e.next = back, &d.recency
+	back.next, d.recency.prev = e, e
 }
 
 // Config returns the (defaulted) parameters the detector runs with.
@@ -280,25 +306,27 @@ func (d *Detector) Observe(hash uint64, reward float64) (Transition, bool) {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.tick++
 	d.observations++
 
 	e, ok := d.entries[hash]
-	if !ok {
+	if ok {
+		d.moveToBack(e)
+	} else {
 		if est := d.sketchAdd(hash); est < d.cfg.GateCount {
 			// Below the graduation gate: the sketch absorbed it, no
 			// per-template state exists yet.
 			d.gated++
 			return Transition{}, false
 		}
-		if len(d.entries) >= d.cfg.MaxTemplates && !d.evictLocked() {
+		if len(d.entries) < d.cfg.MaxTemplates {
+			e = new(entry)
+		} else if e = d.evictLocked(); e == nil {
 			d.gated++
 			return Transition{}, false
 		}
-		e = &entry{fast: reward, slow: reward}
-		d.entries[hash] = e
+		*e = entry{fast: reward, slow: reward}
+		d.track(hash, e)
 	}
-	e.lastTick = d.tick
 	e.count++
 
 	// Decayed statistics: slow baseline with exponentially-weighted
@@ -379,8 +407,8 @@ func (d *Detector) Commit(t Transition) {
 	defer d.mu.Unlock()
 	e, ok := d.entries[t.TemplateHash]
 	if !ok {
-		e = &entry{lastTick: d.tick}
-		d.entries[t.TemplateHash] = e
+		e = new(entry)
+		d.track(t.TemplateHash, e)
 	}
 	e.state = t.To
 	e.degraded = 0
@@ -400,8 +428,8 @@ func (d *Detector) Restore(states map[uint64]State) {
 		}
 		e, ok := d.entries[hash]
 		if !ok {
-			e = &entry{lastTick: d.tick}
-			d.entries[hash] = e
+			e = new(entry)
+			d.track(hash, e)
 		}
 		e.state = st
 		e.degraded = 0
@@ -410,26 +438,24 @@ func (d *Detector) Restore(states map[uint64]State) {
 }
 
 // evictLocked removes the least-recently-seen healthy entry to make
-// room, returning false when every entry is non-healthy (those pin
+// room and returns it, unlinked, for the admission that needed the room
+// to reuse. It returns nil when every entry is non-healthy (those pin
 // their slots: evicting a quarantined template would silently lift its
-// safeguard on the detector side).
-func (d *Detector) evictLocked() bool {
-	var victim uint64
-	var victimTick uint64 = math.MaxUint64
-	found := false
-	for hash, e := range d.entries {
+// safeguard on the detector side). Pinned entries at the front of the
+// list are walked past, not moved: they are a handful, and they keep
+// their place for when they are healthy again.
+func (d *Detector) evictLocked() *entry {
+	for e := d.recency.next; e != &d.recency; e = e.next {
 		if e.state != StateHealthy || e.degraded > 0 {
 			continue
 		}
-		if e.lastTick < victimTick {
-			victim, victimTick, found = hash, e.lastTick, true
-		}
-	}
-	if found {
-		delete(d.entries, victim)
+		e.prev.next, e.next.prev = e.next, e.prev
+		e.prev, e.next = nil, nil
+		delete(d.entries, e.hash)
 		d.evictions++
+		return e
 	}
-	return found
+	return nil
 }
 
 // TemplateStats is one tracked template's public view.

@@ -2,6 +2,7 @@ package drift
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -256,5 +257,107 @@ func BenchmarkDetectorObserve(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		d.Observe(uint64(i%64), 1.0)
+	}
+}
+
+// scanVictim is the eviction rule as it stood before the recency list: a
+// walk of every entry for the smallest last-observed tick among the
+// healthy, non-degrading ones. lastTick is the bookkeeping the entries
+// used to carry. It is kept as the reference the list must agree with.
+func scanVictim(d *Detector, lastTick map[uint64]uint64) (victim uint64, found bool) {
+	victimTick := uint64(math.MaxUint64)
+	for hash, e := range d.entries {
+		if e.state != StateHealthy || e.degraded > 0 {
+			continue
+		}
+		if lastTick[hash] < victimTick {
+			victim, victimTick, found = hash, lastTick[hash], true
+		}
+	}
+	return victim, found
+}
+
+// TestEvictionMatchesMapScan replays a seeded churn trace — more live
+// templates than slots, some entries pinned by a quarantine or a running
+// degraded count, some of those released again — and requires every
+// eviction to pick the victim the old full scan would have.
+func TestEvictionMatchesMapScan(t *testing.T) {
+	cfg := testConfig()
+	cfg.MaxTemplates = 64
+	d := NewDetector(cfg)
+	rng := rand.New(rand.NewSource(17))
+	lastTick := make(map[uint64]uint64)
+	var tick uint64
+	var victims, skippedPinned int
+
+	for step := 0; step < 20000; step++ {
+		if step%7 == 0 {
+			// Pin or release an entry, the way a committed transition or a
+			// run of degraded observations would.
+			hash := uint64(1 + rng.Intn(cfg.MaxTemplates))
+			if e, ok := d.entries[hash]; ok {
+				switch rng.Intn(3) {
+				case 0:
+					d.Commit(Transition{TemplateHash: hash, From: e.state, To: StateQuarantined, Manual: true})
+				case 1:
+					e.degraded = 1 + rng.Intn(3)
+				default:
+					d.Commit(Transition{TemplateHash: hash, From: e.state, To: StateHealthy, Manual: true})
+				}
+			}
+			continue
+		}
+		// Skewed churn over up to ten times as many templates as slots.
+		hash := uint64(1 + rng.Intn(cfg.MaxTemplates*(1+rng.Intn(10))))
+		_, tracked := d.entries[hash]
+		want, wantFound := uint64(0), false
+		if !tracked && len(d.entries) >= cfg.MaxTemplates {
+			want, wantFound = scanVictim(d, lastTick)
+			if front := d.recency.next; wantFound && front.hash != want {
+				skippedPinned++
+			}
+		}
+		before := len(d.entries)
+		d.Observe(hash, 1.0)
+		tick++
+		switch {
+		case tracked || before < cfg.MaxTemplates:
+			if len(d.entries) != before && tracked {
+				t.Fatalf("step %d: observing a tracked template changed the entry count", step)
+			}
+		case wantFound:
+			if _, still := d.entries[want]; still {
+				t.Fatalf("step %d: the scan evicts %x, the list kept it", step, want)
+			}
+			if len(d.entries) != before {
+				t.Fatalf("step %d: eviction left %d entries, want %d", step, len(d.entries), before)
+			}
+			delete(lastTick, want)
+			victims++
+		default:
+			if _, admitted := d.entries[hash]; admitted {
+				t.Fatalf("step %d: admitted %x with every slot pinned", step, hash)
+			}
+		}
+		if _, ok := d.entries[hash]; ok {
+			lastTick[hash] = tick
+		}
+	}
+	if victims < 1000 || skippedPinned == 0 {
+		t.Fatalf("trace too tame: %d evictions, %d past a pinned front entry", victims, skippedPinned)
+	}
+	if got := d.Stats().Evictions; got != int64(victims) {
+		t.Fatalf("detector counted %d evictions, the trace saw %d", got, victims)
+	}
+	// The list and the map hold the same entries, each once.
+	n := 0
+	for e := d.recency.next; e != &d.recency; e = e.next {
+		if d.entries[e.hash] != e || e.next.prev != e {
+			t.Fatalf("list entry %x is not the map's or is mislinked", e.hash)
+		}
+		n++
+	}
+	if n != len(d.entries) {
+		t.Fatalf("list holds %d entries, map %d", n, len(d.entries))
 	}
 }

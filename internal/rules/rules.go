@@ -205,7 +205,18 @@ type Flip struct {
 }
 
 // String renders the flip the way hint files do, e.g. "+R123" or "-R007".
+// Every decision served carries one, so catalog flips read a table.
 func (f Flip) String() string {
+	if f.RuleID >= 0 && f.RuleID < NumRules {
+		if f.Enable {
+			return flipNames[2*f.RuleID+1]
+		}
+		return flipNames[2*f.RuleID]
+	}
+	return f.format()
+}
+
+func (f Flip) format() string {
 	sign := "-"
 	if f.Enable {
 		sign = "+"
@@ -213,16 +224,32 @@ func (f Flip) String() string {
 	return fmt.Sprintf("%sR%03d", sign, f.RuleID)
 }
 
-// ParseFlip parses the textual form produced by Flip.String.
+// flipNames holds the text of rule i's off flip at 2i and of its on flip
+// at 2i+1.
+var flipNames = func() (names [2 * NumRules]string) {
+	for id := 0; id < NumRules; id++ {
+		names[2*id] = Flip{RuleID: id}.format()
+		names[2*id+1] = Flip{RuleID: id, Enable: true}.format()
+	}
+	return names
+}()
+
+// ParseFlip parses the textual form produced by Flip.String: a sign, 'R'
+// and one to three ASCII digits, nothing else. Hint files and journaled
+// hint records are validated by it, so it must not read "+R12abc" as
+// rule 12.
 func ParseFlip(s string) (Flip, error) {
-	if len(s) < 3 || (s[0] != '+' && s[0] != '-') || s[1] != 'R' {
+	if len(s) < 3 || len(s) > 5 || (s[0] != '+' && s[0] != '-') || s[1] != 'R' {
 		return Flip{}, fmt.Errorf("rules: malformed flip %q", s)
 	}
-	var id int
-	if _, err := fmt.Sscanf(s[2:], "%d", &id); err != nil {
-		return Flip{}, fmt.Errorf("rules: malformed flip %q: %v", s, err)
+	id := 0
+	for _, c := range []byte(s[2:]) {
+		if c < '0' || c > '9' {
+			return Flip{}, fmt.Errorf("rules: malformed flip %q", s)
+		}
+		id = id*10 + int(c-'0')
 	}
-	if id < 0 || id >= NumRules {
+	if id >= NumRules {
 		return Flip{}, fmt.Errorf("rules: flip rule id %d out of range", id)
 	}
 	return Flip{RuleID: id, Enable: s[0] == '+'}, nil

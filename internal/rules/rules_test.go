@@ -97,21 +97,43 @@ func TestFlipFor(t *testing.T) {
 }
 
 func TestFlipStringRoundTrip(t *testing.T) {
-	for _, f := range []Flip{{RuleID: 0, Enable: true}, {RuleID: 255, Enable: false}, {RuleID: 42, Enable: true}} {
-		got, err := ParseFlip(f.String())
-		if err != nil {
-			t.Fatalf("ParseFlip(%q): %v", f.String(), err)
+	for id := 0; id < NumRules; id++ {
+		for _, f := range []Flip{{RuleID: id}, {RuleID: id, Enable: true}} {
+			if f.String() != f.format() {
+				t.Fatalf("%+v: table says %q, formatter %q", f, f.String(), f.format())
+			}
+			got, err := ParseFlip(f.String())
+			if err != nil {
+				t.Fatalf("ParseFlip(%q): %v", f.String(), err)
+			}
+			if got != f {
+				t.Fatalf("round trip %v -> %q -> %v", f, f.String(), got)
+			}
 		}
-		if got != f {
-			t.Fatalf("round trip %v -> %q -> %v", f, f.String(), got)
+	}
+	// Outside the catalog there is no table entry, only the format.
+	if s := (Flip{RuleID: 1000, Enable: true}).String(); s != "+R1000" {
+		t.Errorf("out-of-catalog flip renders %q", s)
+	}
+}
+
+func TestParseFlipShortForms(t *testing.T) {
+	for s, want := range map[string]Flip{"+R7": {7, true}, "-R07": {7, false}, "+R0": {0, true}, "-R000": {0, false}} {
+		if got, err := ParseFlip(s); err != nil || got != want {
+			t.Errorf("ParseFlip(%q) = %+v, %v, want %+v", s, got, err, want)
 		}
 	}
 }
 
 func TestParseFlipErrors(t *testing.T) {
-	for _, s := range []string{"", "R1", "+X001", "+R999", "*R001", "+R"} {
-		if _, err := ParseFlip(s); err == nil {
-			t.Errorf("ParseFlip(%q) should fail", s)
+	for _, s := range []string{
+		"", "R1", "+X001", "+R999", "*R001", "+R", "+R256",
+		// What Sscanf("%d") used to let through with a nil error.
+		"+R12abc", "-R12abc", "+R0x10", "-R0x10", "+R-0", "-R-0", "+R 7", "-R 7",
+		"+R+7", "+R7 ", "+R0007", "+R1_0", "+R\u0667", "+R7\n",
+	} {
+		if f, err := ParseFlip(s); err == nil {
+			t.Errorf("ParseFlip(%q) = %+v, want an error", s, f)
 		}
 	}
 }

@@ -151,7 +151,7 @@ func parseLSNParam(r *http.Request, name string) (uint64, *api.Error) {
 // (64-bit hex), fromLsn/toLsn, limit.
 func (h *httpLayer) handleAuditRecords(w http.ResponseWriter, r *http.Request) {
 	defer func(start time.Time) { h.srv.auditLat.Observe(time.Since(start)) }(time.Now())
-	rid := requestID(r)
+	rid := requestID(w)
 	if !requireMethod(w, r, http.MethodGet) {
 		return
 	}
@@ -233,7 +233,7 @@ func (h *httpLayer) handleAuditRecords(w http.ResponseWriter, r *http.Request) {
 // (GET /v2/audit/decision?event=...).
 func (h *httpLayer) handleAuditDecision(w http.ResponseWriter, r *http.Request) {
 	defer func(start time.Time) { h.srv.auditLat.Observe(time.Since(start)) }(time.Now())
-	rid := requestID(r)
+	rid := requestID(w)
 	if !requireMethod(w, r, http.MethodGet) {
 		return
 	}
@@ -278,7 +278,7 @@ func (h *httpLayer) handleAuditDecision(w http.ResponseWriter, r *http.Request) 
 // (GET /v2/audit/template?template=<hex>).
 func (h *httpLayer) handleAuditTemplate(w http.ResponseWriter, r *http.Request) {
 	defer func(start time.Time) { h.srv.auditLat.Observe(time.Since(start)) }(time.Now())
-	rid := requestID(r)
+	rid := requestID(w)
 	if !requireMethod(w, r, http.MethodGet) {
 		return
 	}
@@ -333,7 +333,7 @@ func (h *httpLayer) handleAuditTemplate(w http.ResponseWriter, r *http.Request) 
 // taken at, the digest matches that checkpoint file's.
 func (h *httpLayer) handleAuditAsOf(w http.ResponseWriter, r *http.Request) {
 	defer func(start time.Time) { h.srv.auditLat.Observe(time.Since(start)) }(time.Now())
-	rid := requestID(r)
+	rid := requestID(w)
 	if !requireMethod(w, r, http.MethodGet) {
 		return
 	}

@@ -1,0 +1,255 @@
+package serve
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"sync"
+	"testing"
+
+	"qoadvisor/internal/api"
+	"qoadvisor/internal/drift"
+	"qoadvisor/internal/rules"
+)
+
+// The committed allocation ceilings of the two hot routes, per request,
+// for a 16-job all-hinted batch and its 16-event template-only reward
+// batch: what TestRankPathAllocBudget measures on this tree plus two. A
+// change that needs more has to raise them on purpose.
+const (
+	rankRequestAllocCeiling   = 8
+	rewardRequestAllocCeiling = 6
+)
+
+// reusedBody is a request body that can be rewound, so that the budget
+// counts the server's allocations and not the harness's.
+type reusedBody struct{ bytes.Reader }
+
+func (*reusedBody) Close() error { return nil }
+
+// reusedWriter is a ResponseWriter that keeps its header map.
+type reusedWriter struct {
+	header http.Header
+	status int
+	body   []byte
+}
+
+func (w *reusedWriter) Header() http.Header  { return w.header }
+func (w *reusedWriter) WriteHeader(code int) { w.status = code }
+func (w *reusedWriter) Write(p []byte) (int, error) {
+	w.body = append(w.body[:0], p...)
+	return len(p), nil
+}
+
+// TestRankPathAllocBudget is the tier-1 gate on what a steering decision
+// costs the server besides net/http: Server.ServeHTTP on in-memory
+// requests, drift detection on, every template hinted.
+func TestRankPathAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	cat := rules.NewCatalog()
+	dc := drift.DefaultConfig()
+	srv := New(Config{Catalog: cat, Seed: 1, Drift: &dc})
+	defer srv.Close()
+	hints := testHints(cat, 16, 1)
+	if _, err := srv.InstallHints(hints); err != nil {
+		t.Fatal(err)
+	}
+	jobs := make([]api.RankRequest, len(hints))
+	events := make([]api.RewardEvent, len(hints))
+	reward := 0.75
+	for i, h := range hints {
+		th := api.TemplateHash(h.TemplateHash)
+		jobs[i] = api.RankRequest{TemplateHash: th, Span: []int{40, 41 + i, 90}, RowCount: 1e6, BytesRead: 2.5e9}
+		events[i] = api.RewardEvent{Reward: &reward, TemplateHash: &th}
+	}
+
+	measure := func(route string, payload any, wantStatus int) float64 {
+		raw, err := json.Marshal(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := new(reusedBody)
+		req := httptest.NewRequest(http.MethodPost, route, nil)
+		req.Body, req.ContentLength = body, int64(len(raw))
+		w := &reusedWriter{header: make(http.Header)}
+		serve := func() {
+			body.Reset(raw)
+			clear(w.header)
+			srv.ServeHTTP(w, req)
+			if w.status != wantStatus {
+				t.Fatalf("%s answered %d: %s", route, w.status, w.body)
+			}
+		}
+		serve() // warm the pools
+		return testing.AllocsPerRun(200, serve)
+	}
+	if n := measure(api.RouteV2Rank, api.BatchRankRequest{Jobs: jobs}, http.StatusOK); n > rankRequestAllocCeiling {
+		t.Errorf("a 16-job hinted /v2/rank request allocates %v times, ceiling %d", n, rankRequestAllocCeiling)
+	} else {
+		t.Logf("/v2/rank: %v allocations per 16-job request (ceiling %d)", n, rankRequestAllocCeiling)
+	}
+	if n := measure(api.RouteV2Reward, api.BatchRewardRequest{Events: events}, http.StatusAccepted); n > rewardRequestAllocCeiling {
+		t.Errorf("a 16-event template-only /v2/reward request allocates %v times, ceiling %d", n, rewardRequestAllocCeiling)
+	} else {
+		t.Logf("/v2/reward: %v allocations per 16-event request (ceiling %d)", n, rewardRequestAllocCeiling)
+	}
+}
+
+// TestBatchPoolsDoNotAlias drives one server from eight goroutines with
+// batches that differ in every way the pooled state could leak — size,
+// a body over the 1 MiB pool cap, a malformed body, templates with
+// different hints — and checks each response against its own request.
+func TestBatchPoolsDoNotAlias(t *testing.T) {
+	cat := rules.NewCatalog()
+	dc := drift.DefaultConfig()
+	srv, ts := newTestServer(t, Config{Catalog: cat, Seed: 1, Drift: &dc})
+	hints := testHints(cat, 4096, 1)
+	if _, err := srv.InstallHints(hints); err != nil {
+		t.Fatal(err)
+	}
+
+	post := func(route, rid string, body []byte) (int, []byte, error) {
+		req, err := http.NewRequest(http.MethodPost, ts.URL+route, bytes.NewReader(body))
+		if err != nil {
+			return 0, nil, err
+		}
+		req.Header.Set(api.RequestIDHeader, rid)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			return 0, nil, err
+		}
+		defer resp.Body.Close()
+		got, err := io.ReadAll(resp.Body)
+		return resp.StatusCode, got, err
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			// Goroutine g owns hints [g*512, (g+1)*512) and a batch size of
+			// its own; g == 6 pads its jobs past the pool cap, g == 7 sends
+			// garbage every other round.
+			size := []int{1, 3, 16, 33, 100, 300, 24, 7}[g]
+			pad := ""
+			if g == 6 {
+				pad = strings.Repeat("p", (1<<20)/size+1)
+			}
+			for round := 0; round < 12; round++ {
+				mine := hints[g*512+(round*size)%(512-size):][:size]
+				jobs := make([]api.RankRequest, size)
+				events := make([]api.RewardEvent, size)
+				reward := float64(g)
+				for i, h := range mine {
+					th := api.TemplateHash(h.TemplateHash)
+					jobs[i] = api.RankRequest{TemplateHash: th, TemplateID: pad, Span: []int{40 + g, 41 + i%100}}
+					events[i] = api.RewardEvent{Reward: &reward, TemplateHash: &th}
+				}
+				rid := fmt.Sprintf("g%d-r%d", g, round)
+				body, _ := json.Marshal(api.BatchRankRequest{Jobs: jobs})
+				if g == 7 && round%2 == 1 {
+					status, got, err := post(api.RouteV2Rank, rid, body[:len(body)/2])
+					var env api.ErrorResponse
+					if err != nil || status != 400 || json.Unmarshal(got, &env) != nil ||
+						env.Error.Code != api.CodeInvalidJSON || env.RequestID != rid {
+						t.Errorf("%s: half a body answered %d %s (%v)", rid, status, got, err)
+					}
+					continue
+				}
+				status, got, err := post(api.RouteV2Rank, rid, body)
+				var ranked api.BatchRankResponse
+				if err != nil || status != 200 || json.Unmarshal(got, &ranked) != nil {
+					t.Errorf("%s: rank answered %d %.200s (%v)", rid, status, got, err)
+					return
+				}
+				if ranked.RequestID != rid || len(ranked.Results) != size {
+					t.Errorf("%s: got requestId %q with %d results for %d jobs", rid, ranked.RequestID, len(ranked.Results), size)
+					return
+				}
+				for i, res := range ranked.Results {
+					if res.Error != nil || res.Source != api.SourceHint || res.Flip != mine[i].Flip.String() {
+						t.Errorf("%s job %d (template %x): got %+v, want hint %s", rid, i, mine[i].TemplateHash, res, mine[i].Flip)
+						return
+					}
+				}
+				body, _ = json.Marshal(api.BatchRewardRequest{Events: events})
+				status, got, err = post(api.RouteV2Reward, rid, body)
+				var acked api.BatchRewardResponse
+				if err != nil || status != 202 || json.Unmarshal(got, &acked) != nil ||
+					acked.RequestID != rid || acked.Observed != size || acked.Queued != 0 || len(acked.Rejected) != 0 {
+					t.Errorf("%s: reward of %d events answered %d %.200s (%v)", rid, size, status, got, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// TestAPIConformanceHostileRequestID sends correlation IDs no HTTP
+// client would let through — the handler is called directly — and
+// requires the hand-encoded bodies to stay valid JSON that says what
+// encoding/json would have said.
+func TestAPIConformanceHostileRequestID(t *testing.T) {
+	srv, _ := newTestServer(t, Config{Seed: 3})
+	for _, rid := range []string{
+		`"quoted" \back\`, "line\nbreak\r\n\x00\x1f", "<script>alert(1)</script>&amp;", "\xff\xfe invalid \xc3\x28 utf-8",
+		"\u2028 and \u2029", strings.Repeat("long\"<\n\xff", 4096/8),
+	} {
+		// What encoding/json makes of the ID, there and back.
+		quoted, _ := json.Marshal(rid)
+		var roundTrip string
+		if err := json.Unmarshal(quoted, &roundTrip); err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct{ route, body string }{
+			{api.RouteV2Rank, `{"jobs":[{"templateHash":"1","span":[5]},{"templateHash":"2","span":[]}]}`},
+			{api.RouteV2Reward, `{"events":[{"eventId":"<never ranked>","reward":1}]}`},
+		} {
+			req := httptest.NewRequest(http.MethodPost, c.route, strings.NewReader(c.body))
+			req.Header[api.RequestIDHeader] = []string{rid}
+			rec := httptest.NewRecorder()
+			srv.ServeHTTP(rec, req)
+			got := rec.Body.Bytes()
+			if rec.Code >= 300 || rec.Header().Get(api.RequestIDHeader) != rid {
+				t.Fatalf("%s with request id %q: status %d, echoed %q", c.route, rid, rec.Code, rec.Header().Get(api.RequestIDHeader))
+			}
+			if cl := rec.Header().Get("Content-Length"); cl != fmt.Sprint(len(got)) {
+				t.Errorf("%s: Content-Length %q for a %d-byte body", c.route, cl, len(got))
+			}
+			// The reference: the same document through reflection, its
+			// nested values as the raw bytes that arrived (json.Marshal
+			// re-escapes and compacts those, so they too must be canonical).
+			var doc struct {
+				RequestID  string            `json:"requestId"`
+				Generation uint64            `json:"generation"`
+				Queued     *int              `json:"queued,omitempty"`
+				Results    []json.RawMessage `json:"results,omitempty"`
+				Rejected   []json.RawMessage `json:"rejected,omitempty"`
+			}
+			if err := json.Unmarshal(got, &doc); err != nil {
+				t.Fatalf("%s with request id %q: body is not JSON: %v\n%s", c.route, rid, err, got)
+			}
+			if doc.RequestID != roundTrip {
+				t.Errorf("%s: requestId %q came back %q, want %q", c.route, rid, doc.RequestID, roundTrip)
+			}
+			// Re-encode with the ID as it was sent: invalid bytes are
+			// escaped on the way out, not carried as U+FFFD.
+			doc.RequestID = rid
+			var want bytes.Buffer
+			if err := json.NewEncoder(&want).Encode(doc); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want.Bytes()) {
+				t.Errorf("%s with request id %q:\nbody      %s\nreference %s", c.route, rid, got, want.Bytes())
+			}
+		}
+	}
+}

@@ -2,15 +2,15 @@ package serve
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"math"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -101,7 +101,7 @@ func newHTTPLayer(s *Server) *httpLayer {
 const routeUnmatched = "(unmatched)"
 
 func (h *httpLayer) handleNotFound(w http.ResponseWriter, r *http.Request) {
-	writeError(w, requestID(r), api.Errorf(api.CodeNotFound, "no route %s", r.URL.Path))
+	writeError(w, requestID(w), api.Errorf(api.CodeNotFound, "no route %s", r.URL.Path))
 }
 
 // ServeHTTP implements http.Handler.
@@ -109,35 +109,16 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.http.mux.
 
 // --- middleware: request IDs + per-route metrics ---
 
-type ctxKeyRequest struct{}
-
-// requestInfo is the per-request context payload: correlation ID plus
-// the request's span buffer. One struct under one key keeps the
-// middleware at a single context node — tracing must not add
-// allocations to the fast path.
-type requestInfo struct {
-	id string
-	tr *obs.Trace
-}
-
-// requestID returns the request's correlation ID, assigned or
-// propagated by the instrument middleware.
-func requestID(r *http.Request) string {
-	if ri, ok := r.Context().Value(ctxKeyRequest{}).(*requestInfo); ok {
-		return ri.id
-	}
-	return ""
-}
-
-func (h *httpLayer) newRequestID() string {
-	return fmt.Sprintf("%08x-%08x", uint32(h.reqNonce), h.reqSeq.Add(1))
-}
-
-// statusRecorder captures the response status for the error counter.
+// requestState is everything the middleware keeps per request, in one
+// allocation: it is the status-recording ResponseWriter the handler
+// writes through, and it carries the correlation ID and the span buffer,
+// which handlers read back off the writer they were handed — tracing
+// and request IDs add no context node and no request copy to the fast
+// path.
 //
 // The forwarding contract: wrapping an http.ResponseWriter hides every
 // optional interface the underlying writer implements, because type
-// assertions see only statusRecorder's method set. Each optional
+// assertions see only requestState's method set. Each optional
 // interface a handler or the net/http internals probe for must be
 // re-implemented here as a forwarding method — currently http.Flusher
 // (the WAL replication stream flushes frames through the middleware)
@@ -145,68 +126,88 @@ func (h *httpLayer) newRequestID() string {
 // body copies; without the forward, wrapping silently degrades them to
 // buffered copies). Add a forward here when a handler starts relying
 // on another one (http.Hijacker, http.Pusher, ...).
-type statusRecorder struct {
+type requestState struct {
 	http.ResponseWriter
 	status int
+	// id is the correlation ID; the one-element array is the response
+	// header's value slice, so echoing the ID costs no allocation.
+	id [1]string
+	tr *obs.Trace
 }
 
-func (sr *statusRecorder) WriteHeader(code int) {
-	sr.status = code
-	sr.ResponseWriter.WriteHeader(code)
+// requestID returns the request's correlation ID, assigned or
+// propagated by the instrument middleware, given the writer the
+// middleware handed the handler.
+func requestID(w http.ResponseWriter) string {
+	if rs, ok := w.(*requestState); ok {
+		return rs.id[0]
+	}
+	return ""
+}
+
+// traceFrom returns the request's span buffer (nil only off the
+// instrument middleware; obs.Trace methods are nil-safe).
+func traceFrom(w http.ResponseWriter) *obs.Trace {
+	if rs, ok := w.(*requestState); ok {
+		return rs.tr
+	}
+	return nil
+}
+
+// newRequestID is "%08x-%08x" of the instance nonce and the sequence.
+func (h *httpLayer) newRequestID() string {
+	var b [8 + 1 + 16]byte
+	id := api.AppendHex(b[:0], uint64(uint32(h.reqNonce)), 8)
+	id = append(id, '-')
+	return string(api.AppendHex(id, h.reqSeq.Add(1), 8))
+}
+
+func (rs *requestState) WriteHeader(code int) {
+	rs.status = code
+	rs.ResponseWriter.WriteHeader(code)
 }
 
 // Flush forwards to the underlying writer so streaming handlers (the
 // WAL replication stream) can push frames through the middleware.
-func (sr *statusRecorder) Flush() {
-	if f, ok := sr.ResponseWriter.(http.Flusher); ok {
+func (rs *requestState) Flush() {
+	if f, ok := rs.ResponseWriter.(http.Flusher); ok {
 		f.Flush()
 	}
 }
 
 // ReadFrom forwards to the underlying writer's io.ReaderFrom (the
 // sendfile path) when it has one, falling back to a plain copy.
-func (sr *statusRecorder) ReadFrom(src io.Reader) (int64, error) {
-	if rf, ok := sr.ResponseWriter.(io.ReaderFrom); ok {
+func (rs *requestState) ReadFrom(src io.Reader) (int64, error) {
+	if rf, ok := rs.ResponseWriter.(io.ReaderFrom); ok {
 		return rf.ReadFrom(src)
 	}
-	return io.Copy(sr.ResponseWriter, src)
-}
-
-// traceFrom returns the request's span buffer (nil only off the
-// instrument middleware; obs.Trace methods are nil-safe).
-func traceFrom(r *http.Request) *obs.Trace {
-	if ri, ok := r.Context().Value(ctxKeyRequest{}).(*requestInfo); ok {
-		return ri.tr
-	}
-	return nil
+	return io.Copy(rs.ResponseWriter, src)
 }
 
 // instrument wraps a route handler with request-ID injection (header in,
-// header out, context through), latency/error metrics, and tracing: an
-// obs.Trace rides the context for handlers to record stages on, and the
-// flight recorder decides retention when the handler returns.
+// header out, on the writer through), latency/error metrics, and
+// tracing: an obs.Trace rides the writer for handlers to record stages
+// on, and the flight recorder decides retention when the handler
+// returns.
 func (h *httpLayer) instrument(route string, next http.HandlerFunc) http.HandlerFunc {
 	m := h.stats[route]
 	return func(w http.ResponseWriter, r *http.Request) {
-		rid := r.Header.Get(api.RequestIDHeader)
-		if rid == "" {
-			rid = h.newRequestID()
+		rs := &requestState{ResponseWriter: w, status: http.StatusOK, tr: h.srv.flight.Begin()}
+		if rs.id[0] = r.Header.Get(api.RequestIDHeader); rs.id[0] == "" {
+			rs.id[0] = h.newRequestID()
 		}
-		w.Header().Set(api.RequestIDHeader, rid)
-		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
-		tr := h.srv.flight.Begin()
-		tr.SetRequestID(rid)
-		ctx := context.WithValue(r.Context(), ctxKeyRequest{}, &requestInfo{id: rid, tr: tr})
+		w.Header()[api.RequestIDHeader] = rs.id[:]
+		rs.tr.SetRequestID(rs.id[0])
 		start := time.Now()
-		next(rec, r.WithContext(ctx))
+		next(rs, r)
 		dur := time.Since(start)
 		el := dur.Microseconds()
 
 		m.lat.Observe(dur)
-		if rec.status >= 400 {
+		if rs.status >= 400 {
 			m.errors.Add(1)
 		}
-		if rec.status >= 500 {
+		if rs.status >= 500 {
 			// Availability SLO input: 5xx is the server failing, 4xx is
 			// the client's problem.
 			m.status5xx.Add(1)
@@ -217,7 +218,7 @@ func (h *httpLayer) instrument(route string, next http.HandlerFunc) http.Handler
 				break
 			}
 		}
-		tr.FinishRequest(route, start, dur, rec.status)
+		rs.tr.FinishRequest(route, start, dur, rs.status)
 	}
 }
 
@@ -282,7 +283,7 @@ func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) *api
 // does not match.
 func requireMethod(w http.ResponseWriter, r *http.Request, method string) bool {
 	if r.Method != method {
-		writeError(w, requestID(r), api.Errorf(api.CodeMethodNotAllowed, "%s required", method))
+		writeError(w, requestID(w), api.Errorf(api.CodeMethodNotAllowed, "%s required", method))
 		return false
 	}
 	return true
@@ -293,7 +294,7 @@ func requireMethod(w http.ResponseWriter, r *http.Request, method string) bool {
 // chase the redirect instead of guessing. Returns false when rejected.
 func (h *httpLayer) requirePrimary(w http.ResponseWriter, r *http.Request) bool {
 	if h.srv.follower {
-		writeError(w, requestID(r), api.NotPrimary(h.srv.leaderURL))
+		writeError(w, requestID(w), api.NotPrimary(h.srv.leaderURL))
 		return false
 	}
 	return true
@@ -301,19 +302,27 @@ func (h *httpLayer) requirePrimary(w http.ResponseWriter, r *http.Request) bool 
 
 // --- batch cores ---
 
-// rankBatch fans a job batch out over the rank worker pool. Results
-// align index-for-index with jobs; per-job failures land in the item's
-// Error field so one malformed job cannot void its neighbors. tr records
-// each job's stages on its own trace lane.
-func (h *httpLayer) rankBatch(jobs []api.RankRequest, tr *obs.Trace) []api.RankResult {
-	results := make([]api.RankResult, len(jobs))
-	par.For(len(jobs), h.srv.rankWorkers, func(i int) {
-		resp, err := h.srv.rankTraced(jobs[i], tr, i)
-		if err != nil {
-			results[i].Error = toAPIError(err)
-			return
+// rankChunk is how many jobs of a batch one rank worker takes at a time.
+// A hint lookup is a fraction of a microsecond, far less than starting a
+// goroutine, so only a batch longer than one chunk is worth fanning out.
+const rankChunk = 32
+
+// rankBatch ranks a job batch into results[:len(jobs)], fanning chunks
+// of it out over the rank worker pool (par.For runs a single chunk on
+// the caller's goroutine). Results align index-for-index with jobs;
+// per-job failures land in the item's Error field so one malformed job
+// cannot void its neighbors. tr records each job's stages on its own
+// trace lane.
+func (h *httpLayer) rankBatch(jobs []api.RankRequest, results []api.RankResult, tr *obs.Trace) []api.RankResult {
+	results = slices.Grow(results[:0], len(jobs))[:len(jobs)]
+	par.For((len(jobs)+rankChunk-1)/rankChunk, h.srv.rankWorkers, func(c int) {
+		for i := c * rankChunk; i < min((c+1)*rankChunk, len(jobs)); i++ {
+			resp, err := h.srv.rankTraced(jobs[i], tr, i)
+			results[i] = api.RankResult{RankResponse: resp}
+			if err != nil {
+				results[i].Error = toAPIError(err)
+			}
 		}
-		results[i].RankResponse = resp
 	})
 	return results
 }
@@ -338,8 +347,11 @@ func (h *httpLayer) rewardBatch(events []api.RewardEvent, tr *obs.Trace) (queued
 	reject := func(i int, e *api.Error) {
 		rejected = append(rejected, api.RewardRejection{Index: i, EventID: events[i].EventID, Error: *e})
 	}
-	entries := make([]bandit.RewardEntry, 0, len(events))
-	idxs := make([]int, 0, len(events))
+	// entries are the events bound for the learner's queue and idxs their
+	// positions in the batch; a template-only batch (every hint-served
+	// decision's reward) needs neither.
+	var entries []bandit.RewardEntry
+	var idxs []int
 	for i, ev := range events {
 		switch {
 		case ev.Reward == nil || (ev.EventID == "" && ev.TemplateHash == nil):
@@ -360,6 +372,10 @@ func (h *httpLayer) rewardBatch(events []api.RewardEvent, tr *obs.Trace) (queued
 			observed++
 		}
 		if ev.EventID != "" {
+			if entries == nil {
+				entries = make([]bandit.RewardEntry, 0, len(events)-i)
+				idxs = make([]int, 0, len(events)-i)
+			}
 			entries = append(entries, bandit.RewardEntry{EventID: ev.EventID, Value: *ev.Reward})
 			idxs = append(idxs, i)
 		}
@@ -385,16 +401,103 @@ func (h *httpLayer) rewardBatch(events []api.RewardEvent, tr *obs.Trace) (queued
 	return queued, observed, rejected
 }
 
-// --- handlers ---
+// --- the two hot routes ---
+
+// maxPooledBuf caps what goes back into the batch pool: a buffer that one
+// oversized request grew past it is left to the collector instead of
+// being pinned by every small request that follows.
+const maxPooledBuf = 1 << 20
+
+// batchState is what one /v2/rank or /v2/reward request works in: the
+// body as read, the decoder with the slices it fills, the rank results,
+// the encoded response. The handler owns all of it until it returns —
+// ResponseWriter.Write copies what it is given — so a state goes back to
+// the pool whole; the one thing that outlives the request, an event ID
+// handed to the ingest queue, is a string the decoder copied out.
+type batchState struct {
+	body    bytes.Buffer
+	out     []byte
+	dec     api.Decoder
+	jobs    []api.RankRequest
+	events  []api.RewardEvent
+	results []api.RankResult
+}
+
+// jsonContentType is shared by every hot response: header value slices
+// are read and cloned by net/http, never written.
+var jsonContentType = []string{"application/json"}
+
+var batchStates = sync.Pool{New: func() any { return new(batchState) }}
+
+// release drops what the request's values reference, and any buffer over
+// the cap, before the state goes back to the pool.
+func (st *batchState) release() {
+	clear(st.jobs)
+	clear(st.events)
+	clear(st.results)
+	if st.body.Cap() > maxPooledBuf {
+		st.body = bytes.Buffer{}
+	}
+	if cap(st.out) > maxPooledBuf {
+		st.out = nil
+	}
+	if cap(st.jobs) > api.MaxRankBatch {
+		st.jobs = nil
+	}
+	if cap(st.events) > api.MaxRewardBatch {
+		st.events = nil
+	}
+	st.dec.Release()
+	batchStates.Put(st)
+}
+
+// readBody reads the request body into st.body under the batch cap.
+// capped reports that the cap cut it short, with the bytes under the cap
+// kept: like the json.Decoder this replaces, the handler still accepts
+// such a body when its first value ends before the cut.
+func (st *batchState) readBody(w http.ResponseWriter, r *http.Request) (capped bool, err error) {
+	st.body.Reset()
+	if _, err := st.body.ReadFrom(http.MaxBytesReader(w, r.Body, maxBatchBody)); err != nil {
+		var mbe *http.MaxBytesError
+		return errors.As(err, &mbe), err
+	}
+	return false, nil
+}
+
+// bodyError classifies a failed read or decode as body_too_large vs
+// invalid_json: the cap is to blame only when the decoder ran out of
+// input at the cut.
+func bodyError(err error, capped bool) *api.Error {
+	if capped && errors.Is(err, io.ErrUnexpectedEOF) {
+		return api.Errorf(api.CodeBodyTooLarge, "request body exceeds %d bytes", maxBatchBody)
+	}
+	return api.Errorf(api.CodeInvalidJSON, "decoding request: %v", err)
+}
+
+// respond writes the response encoded in st.out, ending it with the
+// newline json.Encoder would.
+func (st *batchState) respond(w http.ResponseWriter, status int) {
+	st.out = append(st.out, '\n')
+	w.Header()["Content-Type"] = jsonContentType
+	w.Header().Set("Content-Length", strconv.Itoa(len(st.out)))
+	w.WriteHeader(status)
+	w.Write(st.out)
+}
 
 func (h *httpLayer) handleRank(w http.ResponseWriter, r *http.Request) {
-	rid := requestID(r)
+	rid := requestID(w)
 	if !requireMethod(w, r, http.MethodPost) {
 		return
 	}
-	var req api.BatchRankRequest
-	if e := decodeBody(w, r, maxBatchBody, &req); e != nil {
-		writeError(w, rid, e)
+	st := batchStates.Get().(*batchState)
+	defer st.release()
+	capped, err := st.readBody(w, r)
+	req := api.BatchRankRequest{Jobs: st.jobs[:0]}
+	if err == nil || capped {
+		err = st.dec.DecodeBatchRankRequest(st.body.Bytes(), &req)
+	}
+	if err != nil {
+		writeError(w, rid, bodyError(err, capped))
 		return
 	}
 	switch n := len(req.Jobs); {
@@ -406,21 +509,34 @@ func (h *httpLayer) handleRank(w http.ResponseWriter, r *http.Request) {
 			"batch of %d jobs exceeds limit %d", n, api.MaxRankBatch))
 		return
 	}
-	writeJSON(w, http.StatusOK, api.BatchRankResponse{
+	st.jobs = req.Jobs
+	st.results = h.rankBatch(req.Jobs, st.results, traceFrom(w))
+	st.out, err = api.BatchRankResponse{
 		RequestID:  rid,
 		Generation: h.srv.cache.Generation(),
-		Results:    h.rankBatch(req.Jobs, traceFrom(r)),
-	})
+		Results:    st.results,
+	}.AppendJSON(st.out[:0])
+	if err != nil {
+		writeError(w, rid, api.Errorf(api.CodeInternal, "encoding response: %v", err))
+		return
+	}
+	st.respond(w, http.StatusOK)
 }
 
 func (h *httpLayer) handleReward(w http.ResponseWriter, r *http.Request) {
-	rid := requestID(r)
+	rid := requestID(w)
 	if !requireMethod(w, r, http.MethodPost) || !h.requirePrimary(w, r) {
 		return
 	}
-	var req api.BatchRewardRequest
-	if e := decodeBody(w, r, maxBatchBody, &req); e != nil {
-		writeError(w, rid, e)
+	st := batchStates.Get().(*batchState)
+	defer st.release()
+	capped, err := st.readBody(w, r)
+	req := api.BatchRewardRequest{Events: st.events[:0]}
+	if err == nil || capped {
+		err = st.dec.DecodeBatchRewardRequest(st.body.Bytes(), &req)
+	}
+	if err != nil {
+		writeError(w, rid, bodyError(err, capped))
 		return
 	}
 	switch n := len(req.Events); {
@@ -432,7 +548,8 @@ func (h *httpLayer) handleReward(w http.ResponseWriter, r *http.Request) {
 			"batch of %d events exceeds limit %d", n, api.MaxRewardBatch))
 		return
 	}
-	queued, observed, rejected := h.rewardBatch(req.Events, traceFrom(r))
+	st.events = req.Events
+	queued, observed, rejected := h.rewardBatch(req.Events, traceFrom(w))
 	// Nothing accepted at all and a systemic failure was among the
 	// reasons: surface it as the whole-batch status so clients react to
 	// the condition instead of parsing rejections. queue_full → 503
@@ -456,21 +573,24 @@ func (h *httpLayer) handleReward(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	writeJSON(w, http.StatusAccepted, api.BatchRewardResponse{
+	st.out, _ = api.BatchRewardResponse{
 		RequestID:  rid,
 		Generation: h.srv.cache.Generation(),
 		Queued:     queued,
 		Observed:   observed,
 		Rejected:   rejected,
-	})
+	}.AppendJSON(st.out[:0])
+	st.respond(w, http.StatusAccepted)
 }
+
+// --- the cold routes ---
 
 func (h *httpLayer) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if !requireMethod(w, r, http.MethodGet) {
 		return
 	}
 	resp := h.srv.Health()
-	resp.RequestID = requestID(r)
+	resp.RequestID = requestID(w)
 	status := http.StatusOK
 	if resp.Status != api.HealthOK {
 		// Degraded (stale follower): the body still describes the node,
@@ -485,7 +605,7 @@ func (h *httpLayer) handleStats(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := h.srv.Stats()
-	resp.RequestID = requestID(r)
+	resp.RequestID = requestID(w)
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -493,7 +613,7 @@ func (h *httpLayer) handleStats(w http.ResponseWriter, r *http.Request) {
 // document: GET /v2/traces?route=&min_ms=&limit=. The body's
 // traceEvents key loads directly in chrome://tracing / Perfetto.
 func (h *httpLayer) handleTraces(w http.ResponseWriter, r *http.Request) {
-	rid := requestID(r)
+	rid := requestID(w)
 	if !requireMethod(w, r, http.MethodGet) {
 		return
 	}
@@ -527,7 +647,7 @@ func (h *httpLayer) handleTraces(w http.ResponseWriter, r *http.Request) {
 // artifact, and POST /v2/incidents captures a manual bundle (bypassing
 // the cooldown — the operator is asking for evidence now).
 func (h *httpLayer) handleIncidents(w http.ResponseWriter, r *http.Request) {
-	rid := requestID(r)
+	rid := requestID(w)
 	eng := h.srv.incidents
 	id := strings.Trim(strings.TrimPrefix(r.URL.Path, api.RouteV2Incidents), "/")
 	switch r.Method {
@@ -594,7 +714,7 @@ const driftStatsTemplates = 32
 // restore on the primary, journaled exactly like a detector
 // transition.
 func (h *httpLayer) handleQuarantine(w http.ResponseWriter, r *http.Request) {
-	rid := requestID(r)
+	rid := requestID(w)
 	switch r.Method {
 	case http.MethodGet:
 		resp := api.QuarantineListResponse{RequestID: rid, Templates: []api.QuarantineEntry{}}
@@ -645,7 +765,7 @@ func (h *httpLayer) handleQuarantine(w http.ResponseWriter, r *http.Request) {
 // handleHints installs a hint table from a SIS exchange-format body —
 // the HTTP face of the pipeline rollover.
 func (h *httpLayer) handleHints(w http.ResponseWriter, r *http.Request) {
-	rid := requestID(r)
+	rid := requestID(w)
 	if !requireMethod(w, r, http.MethodPost) || !h.requirePrimary(w, r) {
 		return
 	}
@@ -690,7 +810,7 @@ func (h *httpLayer) handleHints(w http.ResponseWriter, r *http.Request) {
 // handleSnapshot serves the model state: GET streams the persisted form,
 // POST writes it to the configured snapshot path for restart recovery.
 func (h *httpLayer) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	rid := requestID(r)
+	rid := requestID(w)
 	switch r.Method {
 	case http.MethodGet:
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")

@@ -250,7 +250,7 @@ func (h *httpLayer) handleVersion(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, http.StatusOK, api.VersionResponse{
 		VersionInfo: h.srv.version,
-		RequestID:   requestID(r),
+		RequestID:   requestID(w),
 	})
 }
 

@@ -37,7 +37,7 @@ const (
 var _ = [1]struct{}{}[api.MaxWALFramePayload-wal.MaxRecordSize]
 
 func (h *httpLayer) handleWALStream(w http.ResponseWriter, r *http.Request) {
-	rid := requestID(r)
+	rid := requestID(w)
 	if !requireMethod(w, r, http.MethodGet) || !h.requirePrimary(w, r) {
 		return
 	}
@@ -141,7 +141,7 @@ func (h *httpLayer) handleWALStream(w http.ResponseWriter, r *http.Request) {
 // starts tailing, and the hint table is re-journaled above that
 // watermark so the first tail batch delivers it.
 func (h *httpLayer) handleWALSnapshot(w http.ResponseWriter, r *http.Request) {
-	rid := requestID(r)
+	rid := requestID(w)
 	if !requireMethod(w, r, http.MethodGet) || !h.requirePrimary(w, r) {
 		return
 	}

@@ -57,6 +57,16 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// A flip with bytes after its rule id used to parse as the id alone, so
+// a corrupted upload installed a hint for the wrong rule.
+func TestParseRejectsTrailingBytesInFlip(t *testing.T) {
+	src := "qoadvisor-hints v1 day=1\n00ab,T001,+R001,1\n\n00ac,T002,+R12abc,1\n"
+	_, err := Parse(strings.NewReader(src))
+	if err == nil || !strings.Contains(err.Error(), "line 4") {
+		t.Errorf("Parse = %v, want an error naming line 4", err)
+	}
+}
+
 func TestParseSkipsBlankLines(t *testing.T) {
 	src := "qoadvisor-hints v1 day=2\n\n00000000000000ab,T001,+R050,2\n\n"
 	f, err := Parse(strings.NewReader(src))
