@@ -5,7 +5,7 @@
 // the absolute numbers come from the simulator, but the shapes — which
 // metric is stable, who wins, by roughly what factor — are the
 // reproduction targets (`go run ./cmd/experiments -scale quick` prints
-// them).
+// them; EXPERIMENTS.md sets them beside the paper's numbers).
 package experiments
 
 import (
