@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"qoadvisor/internal/bandit"
@@ -424,6 +426,80 @@ func TestProductionAppliesHints(t *testing.T) {
 	}
 	if hinted == 0 {
 		t.Error("hint was not applied to the target template")
+	}
+}
+
+// TestProductionRunDayMatchesSequential holds the fanned-out RunDay to the
+// job-by-job loop it replaced: same runs, same view, in job order, at any
+// GOMAXPROCS, with a hint steering some of the day's compilations.
+func TestProductionRunDayMatchesSequential(t *testing.T) {
+	cat := rules.NewCatalog()
+	gen := testWorkload(t, 12)
+	store := sis.NewStore(cat)
+	jobs, err := gen.JobsForDay(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Hint every other template with its first flip that compiles, so
+	// hinted and unhinted compilations both occur.
+	var hints []sis.Hint
+	for i, tpl := range gen.Templates() {
+		if i%2 == 1 {
+			continue
+		}
+		j, err := tpl.Instantiate(2, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cand := range cat.Rules(rules.OnByDefault)[:6] {
+			flip := rules.Flip{RuleID: cand.ID, Enable: false}
+			if _, err := optimizer.Optimize(j.Graph, cat.DefaultConfig().WithFlip(flip), optimizer.Options{Catalog: cat, Stats: j.Stats}); err == nil {
+				hints = append(hints, sis.Hint{TemplateHash: tpl.Hash, TemplateID: tpl.ID, Flip: flip, Day: 1})
+				break
+			}
+		}
+	}
+	if len(hints) == 0 {
+		t.Fatal("no compilable hint for any template")
+	}
+	if err := store.Upload(sis.File{Day: 1, Hints: hints}); err != nil {
+		t.Fatal(err)
+	}
+	prod := NewProduction(cat, store, exec.DefaultCluster(1), 9)
+
+	var wantRuns []JobRun
+	var wantView []workload.ViewRow
+	for i, job := range jobs {
+		run, err := prod.RunJob(job, prod.Seed+2*100003+int64(i)*7)
+		if err != nil {
+			continue
+		}
+		wantRuns = append(wantRuns, run)
+		wantView = append(wantView, workload.BuildViewRows(job, run.Result, run.Metrics)...)
+	}
+	hinted := 0
+	for _, r := range wantRuns {
+		if r.Hinted {
+			hinted++
+		}
+	}
+	if hinted == 0 || hinted == len(wantRuns) {
+		t.Fatalf("%d of %d runs hinted; want a mix", hinted, len(wantRuns))
+	}
+
+	for _, procs := range []int{1, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		runs, view, err := prod.RunDay(2, jobs)
+		runtime.GOMAXPROCS(prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(runs, wantRuns) {
+			t.Errorf("GOMAXPROCS=%d: runs differ from the sequential order", procs)
+		}
+		if !reflect.DeepEqual(view, wantView) {
+			t.Errorf("GOMAXPROCS=%d: view differs from the sequential order", procs)
+		}
 	}
 }
 

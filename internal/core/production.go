@@ -3,6 +3,7 @@ package core
 import (
 	"qoadvisor/internal/exec"
 	"qoadvisor/internal/optimizer"
+	"qoadvisor/internal/par"
 	"qoadvisor/internal/rules"
 	"qoadvisor/internal/sis"
 	"qoadvisor/internal/workload"
@@ -71,19 +72,25 @@ func (p *Production) RunJob(job *workload.Job, runSeed int64) (JobRun, error) {
 }
 
 // RunDay executes all of a day's jobs and assembles the denormalized
-// workload view from their telemetry.
+// workload view from their telemetry. Jobs run on a GOMAXPROCS-bounded
+// pool — RunJob is a pure function of (job, run seed) and the hint store
+// is read-only during a day — and runs and view are assembled in job
+// order, so the result does not depend on the parallelism.
 func (p *Production) RunDay(date int, jobs []*workload.Job) ([]JobRun, []workload.ViewRow, error) {
+	slots := make([]JobRun, len(jobs))
+	par.For(len(jobs), 0, func(i int) {
+		// A job that cannot compile even under the default config leaves
+		// its slot zero and is dropped from the day's view.
+		slots[i], _ = p.RunJob(jobs[i], p.Seed+int64(date)*100003+int64(i)*7)
+	})
 	var runs []JobRun
 	var view []workload.ViewRow
-	for i, job := range jobs {
-		run, err := p.RunJob(job, p.Seed+int64(date)*100003+int64(i)*7)
-		if err != nil {
-			// A job that cannot compile even under the default config is
-			// dropped from the day's view.
+	for _, run := range slots {
+		if run.Result == nil {
 			continue
 		}
 		runs = append(runs, run)
-		view = append(view, workload.BuildViewRows(job, run.Result, run.Metrics)...)
+		view = append(view, workload.BuildViewRows(run.Job, run.Result, run.Metrics)...)
 	}
 	return runs, view, nil
 }

@@ -53,10 +53,12 @@ type EstimationEnv struct {
 	DefaultRows float64
 }
 
-// BaseRows implements Environment.
+// BaseRows implements Environment. A nil Stats knows no table.
 func (e *EstimationEnv) BaseRows(path string) float64 {
-	if ts, ok := e.Stats.TableStats(path); ok && ts.Rows > 0 {
-		return ts.Rows
+	if e.Stats != nil {
+		if ts, ok := e.Stats.TableStats(path); ok && ts.Rows > 0 {
+			return ts.Rows
+		}
 	}
 	if e.DefaultRows > 0 {
 		return e.DefaultRows

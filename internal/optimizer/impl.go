@@ -17,8 +17,7 @@ const rowsPerPartition = 200_000
 // choosing among enabled implementation rules per operator site, inserting
 // exchanges, applying tuning rules, assigning stages and costing the plan.
 type implBuilder struct {
-	table  *ruleTable
-	cat    *rules.Catalog
+	table  ruleTable
 	stats  StatsProvider
 	est    *cardEngine
 	tokens int
@@ -29,8 +28,7 @@ type implBuilder struct {
 
 func newImplBuilder(cfg rules.Config, cat *rules.Catalog, sig *rules.Signature, stats StatsProvider, env Environment, tokens int) *implBuilder {
 	return &implBuilder{
-		table:  newRuleTable(cat, cfg, sig),
-		cat:    cat,
+		table:  ruleTable{cat: cat, cfg: cfg, sig: sig},
 		stats:  stats,
 		est:    newCardEngine(env, stats),
 		tokens: tokens,
@@ -331,7 +329,7 @@ func (b *implBuilder) lowerJoin(n *scope.Node) (*PhysNode, error) {
 		}
 		if rule, ok := b.table.pick(rules.KindImplBroadcastJoin, g); ok {
 			cost := buildRows*bw*costBroadcastPerB*float64(probeParts) + buildRows*costHashBuildRow + (l + r)
-			if tr, ok := b.table.pick(rules.KindTuneBroadcastThreshold, g); ok && tuneMatches(b.table, rules.KindTuneBroadcastThreshold, tr, g) {
+			if _, on := b.table.pick(rules.KindTuneBroadcastThreshold, g); on {
 				cost *= 0.5 // tuning rule biases toward broadcasting
 			}
 			cands = append(cands, joinImpl{PhysBroadcastJoin, rule, cost})
@@ -674,24 +672,6 @@ func (b *implBuilder) lowerReduce(n *scope.Node) (*PhysNode, error) {
 
 // --- Tuning, staging, costing ---
 
-// tuneMatches reports whether a tuning rule's fingerprint gate matches the
-// site. Each tuning kind has many sibling rules; rule i of a kind governs
-// the sites whose gate hash lands on residue i.
-func tuneMatches(t *ruleTable, kind rules.Kind, r rules.Rule, g uint64) bool {
-	rs := t.byKind[kind]
-	if len(rs) == 0 {
-		return false
-	}
-	idx := -1
-	for i, rr := range rs {
-		if rr.ID == r.ID {
-			idx = i
-			break
-		}
-	}
-	return idx >= 0 && int(g%uint64(len(rs))) == idx
-}
-
 // gateOf returns the gating hash of a physical node: the logical site's
 // gate where available, otherwise derived from the exchange's input.
 func gateOf(n *PhysNode) uint64 {
@@ -707,93 +687,113 @@ func gateOf(n *PhysNode) uint64 {
 	return uint64(n.ID) * 2654435761
 }
 
+// tunings lists the tuning kinds in application order, each with its
+// effect on one node its rule r governs: apply reports whether it changed
+// the node (false when the node is not the kind's shape or already at the
+// bound). An apply reads and writes only its own node. The order matters:
+// StageFusion sets Fused, which ExchangeCompression reads.
+var tunings = [...]struct {
+	kind  rules.Kind
+	apply func(n *PhysNode, r rules.Rule, tokens int) bool
+}{
+	{rules.KindTunePartitionCount, tunePartitionCount},
+	{rules.KindTuneStageFusion, tuneStageFusion},
+	{rules.KindTuneVertexPacking, tuneVertexPacking},
+	{rules.KindTuneExchangeCompression, tuneExchangeCompression},
+	{rules.KindTuneSortBuffer, tuneSortBuffer},
+}
+
+func tunePartitionCount(n *PhysNode, r rules.Rule, tokens int) bool {
+	if !n.IsExchange() || n.Exchange == ExchangeGather || n.Exchange == ExchangeBroadcast {
+		return false
+	}
+	if r.Variant%2 == 0 {
+		if n.Partitions <= 1 {
+			return false
+		}
+		n.Partitions = (n.Partitions + 1) / 2
+	} else {
+		if n.Partitions >= tokens {
+			return false
+		}
+		n.Partitions = minInt(n.Partitions*2, tokens)
+	}
+	return true
+}
+
+func tuneStageFusion(n *PhysNode, _ rules.Rule, _ int) bool {
+	if !n.IsExchange() || n.Exchange != ExchangeRoundRobin || n.Fused {
+		return false
+	}
+	n.Fused = true
+	return true
+}
+
+func tuneVertexPacking(n *PhysNode, r rules.Rule, tokens int) bool {
+	switch n.Op {
+	case PhysRowScan, PhysColumnScan, PhysIndexSeek:
+	default:
+		return false
+	}
+	if r.Variant%2 == 0 {
+		if n.Partitions <= 1 {
+			return false
+		}
+		n.PackFactor = 2
+		n.Partitions = (n.Partitions + 1) / 2
+	} else {
+		if n.Partitions >= tokens {
+			return false
+		}
+		n.PackFactor = 0.5
+		n.Partitions = minInt(n.Partitions*2, tokens)
+	}
+	return true
+}
+
+func tuneExchangeCompression(n *PhysNode, _ rules.Rule, _ int) bool {
+	if !n.IsExchange() || n.Compress || n.Fused {
+		return false
+	}
+	n.Compress = true
+	return true
+}
+
+func tuneSortBuffer(n *PhysNode, _ rules.Rule, _ int) bool {
+	if n.Op != PhysSort && n.Op != PhysTopNSort {
+		return false
+	}
+	if n.PackFactor == 0.8 {
+		return false
+	}
+	n.PackFactor = 0.8
+	return true
+}
+
 // applyTuning applies the enabled tuning rules to matching plan fragments.
+// Each tuning kind has many sibling rules and a node's gate selects exactly
+// one of them per kind, so a node's gate is computed once and each kind is
+// one pass over the nodes, firing the governing rule where it is enabled
+// and changes the node.
 func (b *implBuilder) applyTuning() {
 	nodes := b.plan.Nodes()
-	apply := func(kind rules.Kind, f func(n *PhysNode, r rules.Rule) bool) {
-		for _, r := range b.table.byKind[kind] {
-			if !b.table.cfg.Enabled(r.ID) {
-				continue
-			}
-			fired := false
-			for _, n := range nodes {
-				if tuneMatches(b.table, kind, r, gateOf(n)) && f(n, r) {
-					fired = true
-				}
-			}
-			if fired {
+	gates := make([]uint64, len(nodes))
+	for i, n := range nodes {
+		gates[i] = gateOf(n)
+	}
+	for _, t := range tunings {
+		for i, n := range nodes {
+			if r, on := b.table.pick(t.kind, gates[i]); on && t.apply(n, r, b.tokens) {
 				b.table.fire(r)
 			}
 		}
 	}
+	b.settlePartitions(nodes)
+}
 
-	apply(rules.KindTunePartitionCount, func(n *PhysNode, r rules.Rule) bool {
-		if !n.IsExchange() || n.Exchange == ExchangeGather || n.Exchange == ExchangeBroadcast {
-			return false
-		}
-		if r.Variant%2 == 0 {
-			if n.Partitions <= 1 {
-				return false
-			}
-			n.Partitions = (n.Partitions + 1) / 2
-		} else {
-			if n.Partitions >= b.tokens {
-				return false
-			}
-			n.Partitions = minInt(n.Partitions*2, b.tokens)
-		}
-		return true
-	})
-
-	apply(rules.KindTuneStageFusion, func(n *PhysNode, r rules.Rule) bool {
-		if !n.IsExchange() || n.Exchange != ExchangeRoundRobin || n.Fused {
-			return false
-		}
-		n.Fused = true
-		return true
-	})
-
-	apply(rules.KindTuneVertexPacking, func(n *PhysNode, r rules.Rule) bool {
-		switch n.Op {
-		case PhysRowScan, PhysColumnScan, PhysIndexSeek:
-		default:
-			return false
-		}
-		if r.Variant%2 == 0 {
-			if n.Partitions <= 1 {
-				return false
-			}
-			n.PackFactor = 2
-			n.Partitions = (n.Partitions + 1) / 2
-		} else {
-			if n.Partitions >= b.tokens {
-				return false
-			}
-			n.PackFactor = 0.5
-			n.Partitions = minInt(n.Partitions*2, b.tokens)
-		}
-		return true
-	})
-
-	apply(rules.KindTuneExchangeCompression, func(n *PhysNode, r rules.Rule) bool {
-		if !n.IsExchange() || n.Compress || n.Fused {
-			return false
-		}
-		n.Compress = true
-		return true
-	})
-
-	apply(rules.KindTuneSortBuffer, func(n *PhysNode, r rules.Rule) bool {
-		if n.Op != PhysSort && n.Op != PhysTopNSort {
-			return false
-		}
-		if n.PackFactor == 0.8 {
-			return false
-		}
-		n.PackFactor = 0.8
-		return true
-	})
-
+// settlePartitions makes the tuned partition counts consistent along
+// pipelines; nodes must be in topological order, inputs first.
+func (b *implBuilder) settlePartitions(nodes []*PhysNode) {
 	// Fused exchanges become transparent: downstream inherits upstream
 	// partitioning.
 	for _, n := range nodes {
@@ -805,7 +805,7 @@ func (b *implBuilder) applyTuning() {
 	// Propagate adjusted partition counts through pipelines so stage
 	// parallelism (and hence vertices and startup cost) reflects the
 	// tuning: pipelined operators run at their input's parallelism.
-	for _, n := range nodes { // topological order: inputs first
+	for _, n := range nodes {
 		if n.IsExchange() || len(n.Inputs) == 0 {
 			continue
 		}

@@ -2,6 +2,7 @@ package optimizer
 
 import (
 	"fmt"
+	"sync"
 
 	"qoadvisor/internal/rules"
 	"qoadvisor/internal/scope"
@@ -11,7 +12,8 @@ import (
 type Options struct {
 	// Catalog is the rule catalog; nil uses the canonical 256-rule catalog.
 	Catalog *rules.Catalog
-	// Stats provides estimated base-table statistics.
+	// Stats provides estimated base-table statistics; nil knows no table
+	// (every scan estimates EstimationEnv's default row count).
 	Stats StatsProvider
 	// Tokens is the maximum degree of parallelism available to the job
 	// (the SCOPE "token" allocation). Zero means DefaultTokens.
@@ -54,6 +56,10 @@ type Result struct {
 	EstCost   float64
 }
 
+// canonicalCatalog is the catalog a nil Options.Catalog stands for, built
+// on first use: catalogs are immutable, so every such call shares it.
+var canonicalCatalog = sync.OnceValue(rules.NewCatalog)
+
 // Optimize compiles the logical DAG under the given rule configuration.
 // The input graph is never mutated: all rewrites run on a clone. When
 // opts.Cache is set, the rewritten logical DAG is reused across calls
@@ -64,7 +70,7 @@ type Result struct {
 func Optimize(g *scope.Graph, cfg rules.Config, opts Options) (*Result, error) {
 	cat := opts.Catalog
 	if cat == nil {
-		cat = rules.NewCatalog()
+		cat = canonicalCatalog()
 	}
 	// Required rules must be enabled to obtain valid plans.
 	for _, r := range cat.Rules(rules.Required) {
@@ -148,27 +154,19 @@ func checkExperimentalValidity(g *scope.Graph, cfg rules.Config, cat *rules.Cata
 	return nil
 }
 
-// ruleTable is the shared rule-selection helper: sibling variants of a
-// kind partition operator sites by gate hash, so exactly one catalog rule
-// is responsible for a given (kind, site) pair.
+// ruleTable is the rule-selection helper the rewriter and the implBuilder
+// share: sibling variants of a kind partition operator sites by gate hash,
+// so exactly one catalog rule is responsible for a given (kind, site) pair.
 type ruleTable struct {
-	byKind map[rules.Kind][]rules.Rule
-	cfg    rules.Config
-	sig    *rules.Signature
-}
-
-func newRuleTable(cat *rules.Catalog, cfg rules.Config, sig *rules.Signature) *ruleTable {
-	byKind := make(map[rules.Kind][]rules.Rule)
-	for _, r := range cat.All() {
-		byKind[r.Kind] = append(byKind[r.Kind], r)
-	}
-	return &ruleTable{byKind: byKind, cfg: cfg, sig: sig}
+	cat *rules.Catalog
+	cfg rules.Config
+	sig *rules.Signature
 }
 
 // pick returns the rule responsible for (kind, gate) and whether it is
 // enabled.
 func (t *ruleTable) pick(kind rules.Kind, gate uint64) (rules.Rule, bool) {
-	rs := t.byKind[kind]
+	rs := t.cat.OfKind(kind)
 	if len(rs) == 0 {
 		return rules.Rule{}, false
 	}

@@ -1,7 +1,6 @@
 package optimizer
 
 import (
-	"hash/fnv"
 	"math"
 
 	"qoadvisor/internal/rules"
@@ -15,16 +14,18 @@ const maxRewriteFires = 400
 // rewriter applies the enabled logical transformation rules to a plan DAG
 // until fixpoint, recording every fired rule in the signature.
 type rewriter struct {
+	ruleTable
 	g     *scope.Graph
-	cfg   rules.Config
-	cat   *rules.Catalog
-	sig   *rules.Signature
 	stats StatsProvider
 	env   Environment
 
-	kindRules map[rules.Kind][]rules.Rule
-	parents   map[*scope.Node][]*scope.Node
-	est       *cardEngine
+	// nodes is the DAG in topological order (inputs before consumers) and
+	// parents its reverse edges, both as of the last refresh; seen is the
+	// walk's scratch. All three are reused across refreshes.
+	nodes   []*scope.Node
+	parents map[*scope.Node][]*scope.Node
+	seen    map[*scope.Node]struct{}
+	est     *cardEngine
 
 	// noMerge marks filters produced by SplitComplexFilter so that
 	// MergeFilters does not undo the split in the same compilation.
@@ -32,52 +33,68 @@ type rewriter struct {
 }
 
 func newRewriter(g *scope.Graph, cfg rules.Config, cat *rules.Catalog, sig *rules.Signature, stats StatsProvider, env Environment) *rewriter {
-	kr := make(map[rules.Kind][]rules.Rule)
-	for _, r := range cat.All() {
-		kr[r.Kind] = append(kr[r.Kind], r)
-	}
 	return &rewriter{
-		g: g, cfg: cfg, cat: cat, sig: sig, stats: stats, env: env,
-		kindRules: kr,
-		noMerge:   make(map[*scope.Node]bool),
+		ruleTable: ruleTable{cat: cat, cfg: cfg, sig: sig},
+		g:         g, stats: stats, env: env,
+		parents: make(map[*scope.Node][]*scope.Node),
+		seen:    make(map[*scope.Node]struct{}),
+		noMerge: make(map[*scope.Node]bool),
 	}
 }
 
-// gate returns the stable gating hash of a node: its site key when it has
-// one (stable across rewrites), else its structural fingerprint.
+// gate returns the stable gating hash of a node: FNV-1a of its site key
+// when it has one (stable across rewrites), else its structural
+// fingerprint.
 func gate(n *scope.Node) uint64 {
-	if k := n.SiteKey(); k != "" {
-		h := fnv.New64a()
-		h.Write([]byte(k))
-		return h.Sum64()
+	k := n.SiteKey()
+	if k == "" {
+		return n.Fingerprint()
 	}
-	return n.Fingerprint()
+	h := uint64(fnvOffset64)
+	for i := 0; i < len(k); i++ {
+		h = (h ^ uint64(k[i])) * fnvPrime64
+	}
+	return h
 }
 
-// ruleFor selects the catalog rule responsible for applying the given
-// kind at the given site: sibling variants partition sites by gate hash.
-// It returns the rule and whether it is enabled in the configuration.
-func (rw *rewriter) ruleFor(kind rules.Kind, g uint64) (rules.Rule, bool) {
-	rs := rw.kindRules[kind]
-	if len(rs) == 0 {
-		return rules.Rule{}, false
-	}
-	r := rs[g%uint64(len(rs))]
-	return r, rw.cfg.Enabled(r.ID)
-}
+// FNV-1a, 64-bit (hash/fnv's New64a, inlined so a gate costs no hasher).
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
 
-// fire records a rule firing in the signature.
-func (rw *rewriter) fire(r rules.Rule) { rw.sig.Record(r.ID) }
-
-// refresh rebuilds the parent map and cardinality memo after a mutation.
+// refresh rebuilds the node order, the parent map and the cardinality
+// memo after a mutation.
 func (rw *rewriter) refresh() {
-	rw.parents = make(map[*scope.Node][]*scope.Node)
-	for _, n := range rw.g.Nodes() {
+	// Truncate rather than delete: a node rewritten out of the DAG keeps an
+	// empty entry, which reads the same as none, and the live ones keep
+	// their backing arrays.
+	for n, ps := range rw.parents {
+		rw.parents[n] = ps[:0]
+	}
+	clear(rw.seen)
+	rw.nodes = rw.nodes[:0]
+	for _, r := range rw.g.Roots {
+		rw.visit(r)
+	}
+	for _, n := range rw.nodes {
 		for _, in := range n.Inputs {
 			rw.parents[in] = append(rw.parents[in], n)
 		}
 	}
 	rw.est = newCardEngine(rw.env, rw.stats)
+}
+
+// visit appends n's subtree to rw.nodes in scope.Graph.Nodes order.
+func (rw *rewriter) visit(n *scope.Node) {
+	if _, ok := rw.seen[n]; ok {
+		return
+	}
+	rw.seen[n] = struct{}{}
+	for _, in := range n.Inputs {
+		rw.visit(in)
+	}
+	rw.nodes = append(rw.nodes, n)
 }
 
 // singleParent reports whether n has exactly one consumer and is not a root.
@@ -126,7 +143,7 @@ func (rw *rewriter) run() {
 // tryAll attempts one rewrite anywhere in the DAG and reports whether one
 // fired. Nodes are visited in topological order for determinism.
 func (rw *rewriter) tryAll() bool {
-	for _, n := range rw.g.Nodes() {
+	for _, n := range rw.nodes {
 		switch n.Kind {
 		case scope.OpFilter:
 			if rw.tryPushFilterIntoScan(n) ||
@@ -197,7 +214,7 @@ func (rw *rewriter) tryPushFilterIntoScan(f *scope.Node) bool {
 	if in.Kind != scope.OpScan || !rw.singleParent(in) {
 		return false
 	}
-	r, ok := rw.ruleFor(rules.KindPushFilterIntoScan, gate(f))
+	r, ok := rw.pick(rules.KindPushFilterIntoScan, gate(f))
 	if !ok {
 		return false
 	}
@@ -233,7 +250,7 @@ func (rw *rewriter) tryPushFilterBelowProject(f *scope.Node) bool {
 		}
 		mapping[name] = mapped.Name
 	}
-	r, ok := rw.ruleFor(rules.KindPushFilterBelowProject, gate(f))
+	r, ok := rw.pick(rules.KindPushFilterBelowProject, gate(f))
 	if !ok {
 		return false
 	}
@@ -286,7 +303,7 @@ func (rw *rewriter) tryPushFilterBelowJoin(f *scope.Node) bool {
 	if j.Kind != scope.OpJoin || j.JoinType != scope.JoinInner || !rw.singleParent(j) {
 		return false
 	}
-	r, ok := rw.ruleFor(rules.KindPushFilterBelowJoin, gate(f))
+	r, ok := rw.pick(rules.KindPushFilterBelowJoin, gate(f))
 	if !ok {
 		return false
 	}
@@ -330,7 +347,7 @@ func (rw *rewriter) tryPushFilterBelowUnion(f *scope.Node) bool {
 	if u.Kind != scope.OpUnion || !rw.singleParent(u) {
 		return false
 	}
-	r, ok := rw.ruleFor(rules.KindPushFilterBelowUnion, gate(f))
+	r, ok := rw.pick(rules.KindPushFilterBelowUnion, gate(f))
 	if !ok {
 		return false
 	}
@@ -360,7 +377,7 @@ func (rw *rewriter) tryPushFilterBelowAgg(f *scope.Node) bool {
 	if !subsetOf(scope.RefNames(f.Pred), gb) {
 		return false
 	}
-	r, ok := rw.ruleFor(rules.KindPushFilterBelowAgg, gate(f))
+	r, ok := rw.pick(rules.KindPushFilterBelowAgg, gate(f))
 	if !ok {
 		return false
 	}
@@ -384,7 +401,7 @@ func (rw *rewriter) trySplitComplexFilter(f *scope.Node) bool {
 	if below != scope.OpJoin && below != scope.OpUnion {
 		return false
 	}
-	r, ok := rw.ruleFor(rules.KindSplitComplexFilter, gate(f))
+	r, ok := rw.pick(rules.KindSplitComplexFilter, gate(f))
 	if !ok {
 		return false
 	}
@@ -402,7 +419,7 @@ func (rw *rewriter) tryMergeFilters(f *scope.Node) bool {
 	if in.Kind != scope.OpFilter || !rw.singleParent(in) || rw.noMerge[f] || rw.noMerge[in] {
 		return false
 	}
-	r, ok := rw.ruleFor(rules.KindMergeFilters, gate(f))
+	r, ok := rw.pick(rules.KindMergeFilters, gate(f))
 	if !ok {
 		return false
 	}
@@ -436,7 +453,7 @@ func (rw *rewriter) tryProjectPullUp(f *scope.Node) bool {
 	if !computed {
 		return false
 	}
-	r, ok := rw.ruleFor(rules.KindProjectPullUp, gate(f))
+	r, ok := rw.pick(rules.KindProjectPullUp, gate(f))
 	if !ok {
 		return false
 	}
@@ -454,7 +471,7 @@ func (rw *rewriter) tryMergeProjects(p *scope.Node) bool {
 	if in.Kind != scope.OpProject || !rw.singleParent(in) {
 		return false
 	}
-	r, ok := rw.ruleFor(rules.KindMergeProjects, gate(p))
+	r, ok := rw.pick(rules.KindMergeProjects, gate(p))
 	if !ok {
 		return false
 	}
@@ -479,7 +496,7 @@ func (rw *rewriter) tryEliminateDistinct(d *scope.Node) bool {
 	if outRows < inRows*0.95 {
 		return false
 	}
-	r, ok := rw.ruleFor(rules.KindEliminateDistinctOnKey, gate(d))
+	r, ok := rw.pick(rules.KindEliminateDistinctOnKey, gate(d))
 	if !ok {
 		return false
 	}
@@ -493,7 +510,7 @@ func (rw *rewriter) tryUnionDedupPushdown(d *scope.Node) bool {
 	if u.Kind != scope.OpUnion || !rw.singleParent(u) {
 		return false
 	}
-	r, ok := rw.ruleFor(rules.KindUnionDedupPushdown, gate(d))
+	r, ok := rw.pick(rules.KindUnionDedupPushdown, gate(d))
 	if !ok {
 		return false
 	}
@@ -515,7 +532,7 @@ func (rw *rewriter) tryUnionDedupPushdown(d *scope.Node) bool {
 }
 
 func (rw *rewriter) tryDistinctToAgg(d *scope.Node) bool {
-	r, ok := rw.ruleFor(rules.KindDistinctToAgg, gate(d))
+	r, ok := rw.pick(rules.KindDistinctToAgg, gate(d))
 	if !ok {
 		return false
 	}
@@ -552,7 +569,7 @@ func (rw *rewriter) tryLocalGlobalAgg(a *scope.Node) bool {
 	if in.Kind == scope.OpAgg && in.Partial {
 		return false // already split
 	}
-	r, ok := rw.ruleFor(rules.KindLocalGlobalAgg, gate(a))
+	r, ok := rw.pick(rules.KindLocalGlobalAgg, gate(a))
 	if !ok {
 		return false
 	}
@@ -591,7 +608,7 @@ func (rw *rewriter) tryPartialAggBelowJoin(a *scope.Node) bool {
 	if !subsetOf(needed, left) {
 		return false
 	}
-	r, ok := rw.ruleFor(rules.KindPartialAggBelowJoin, gate(a))
+	r, ok := rw.pick(rules.KindPartialAggBelowJoin, gate(a))
 	if !ok {
 		return false
 	}
@@ -630,7 +647,7 @@ func (rw *rewriter) tryJoinCommute(j *scope.Node) bool {
 	if l >= rr {
 		return false // right is already the smaller (build) side
 	}
-	r, ok := rw.ruleFor(rules.KindJoinCommute, gate(j))
+	r, ok := rw.pick(rules.KindJoinCommute, gate(j))
 	if !ok {
 		return false
 	}
@@ -668,7 +685,7 @@ func (rw *rewriter) tryJoinAssociate(j *scope.Node) bool {
 			return false
 		}
 	}
-	r, ok := rw.ruleFor(rules.KindJoinAssociate, gate(j))
+	r, ok := rw.pick(rules.KindJoinAssociate, gate(j))
 	if !ok {
 		return false
 	}
@@ -709,7 +726,7 @@ func (rw *rewriter) tryBroadcastAnnotation(j *scope.Node) bool {
 	if j.BroadcastRight || j.JoinType == scope.JoinFull {
 		return false
 	}
-	r, ok := rw.ruleFor(rules.KindBroadcastAnnotation, gate(j))
+	r, ok := rw.pick(rules.KindBroadcastAnnotation, gate(j))
 	if !ok {
 		return false
 	}
@@ -763,7 +780,7 @@ func (rw *rewriter) tryJoinPredicateInference(j *scope.Node) bool {
 			}
 		}
 	}
-	r, ok := rw.ruleFor(rules.KindJoinPredicateInference, gate(j))
+	r, ok := rw.pick(rules.KindJoinPredicateInference, gate(j))
 	if !ok {
 		return false
 	}
@@ -842,7 +859,7 @@ func (rw *rewriter) tryRemoveRedundantSort(s *scope.Node) bool {
 			return false
 		}
 	}
-	r, ok := rw.ruleFor(rules.KindRemoveRedundantSort, gate(s))
+	r, ok := rw.pick(rules.KindRemoveRedundantSort, gate(s))
 	if !ok {
 		return false
 	}
@@ -862,7 +879,7 @@ func (rw *rewriter) tryTopNPushdown(t *scope.Node) bool {
 			return false
 		}
 	}
-	r, ok := rw.ruleFor(rules.KindTopNPushdown, gate(t))
+	r, ok := rw.pick(rules.KindTopNPushdown, gate(t))
 	if !ok {
 		return false
 	}
@@ -907,7 +924,7 @@ func (rw *rewriter) tryFlattenUnion(u *scope.Node) bool {
 	if idx < 0 {
 		return false
 	}
-	r, ok := rw.ruleFor(rules.KindFlattenUnion, gate(u))
+	r, ok := rw.pick(rules.KindFlattenUnion, gate(u))
 	if !ok {
 		return false
 	}
@@ -926,7 +943,7 @@ func (rw *rewriter) tryFlattenUnion(u *scope.Node) bool {
 // neededColumns computes, for every node, the set of its output columns
 // required by its consumers (all columns for roots).
 func (rw *rewriter) neededColumns() map[*scope.Node]map[string]bool {
-	nodes := rw.g.Nodes()
+	nodes := rw.nodes
 	needed := make(map[*scope.Node]map[string]bool, len(nodes))
 	addAll := func(n *scope.Node) {
 		m := needed[n]
@@ -1043,7 +1060,7 @@ func (rw *rewriter) neededColumns() map[*scope.Node]map[string]bool {
 // its own PruneColumns sibling rule.
 func (rw *rewriter) tryPruneColumns() {
 	needed := rw.neededColumns()
-	for _, n := range rw.g.Nodes() {
+	for _, n := range rw.nodes {
 		if n.Kind != scope.OpScan {
 			continue
 		}
@@ -1065,7 +1082,7 @@ func (rw *rewriter) tryPruneColumns() {
 		if len(kept) == len(n.Cols) {
 			continue
 		}
-		r, ok := rw.ruleFor(rules.KindPruneColumns, gate(n))
+		r, ok := rw.pick(rules.KindPruneColumns, gate(n))
 		if !ok {
 			continue
 		}
@@ -1078,7 +1095,7 @@ func (rw *rewriter) tryPruneColumns() {
 // no output columns into semi joins.
 func (rw *rewriter) trySemiJoinReduction() {
 	needed := rw.neededColumns()
-	for _, n := range rw.g.Nodes() {
+	for _, n := range rw.nodes {
 		if n.Kind != scope.OpJoin || n.JoinType != scope.JoinInner {
 			continue
 		}
@@ -1096,7 +1113,7 @@ func (rw *rewriter) trySemiJoinReduction() {
 		if usesRight {
 			continue
 		}
-		r, ok := rw.ruleFor(rules.KindSemiJoinReduction, gate(n))
+		r, ok := rw.pick(rules.KindSemiJoinReduction, gate(n))
 		if !ok {
 			continue
 		}
@@ -1110,7 +1127,7 @@ func (rw *rewriter) trySemiJoinReduction() {
 // recomputeSchemas refreshes the Cols of every node after pruning and
 // structural rewrites so that row widths reflect the final plan.
 func (rw *rewriter) recomputeSchemas() {
-	for _, n := range rw.g.Nodes() { // topological: inputs first
+	for _, n := range rw.nodes { // topological: inputs first
 		switch n.Kind {
 		case scope.OpScan, scope.OpReduce, scope.OpProcess:
 			// Own schema: unchanged.

@@ -255,10 +255,14 @@ func ParseFlip(s string) (Flip, error) {
 	return Flip{RuleID: id, Enable: s[0] == '+'}, nil
 }
 
-// Catalog is an immutable collection of rules indexed by ID and name.
+// Catalog is an immutable collection of rules indexed by ID, name, kind
+// and category. Every slice it hands out (All, OfKind, Rules) is built once
+// in NewCatalog and shared by all callers, on every goroutine: read-only.
 type Catalog struct {
 	rules  []Rule
 	byName map[string]int
+	byKind [numKinds][]Rule
+	byCat  [Implementation + 1][]Rule
 }
 
 // NewCatalog builds the canonical 256-rule catalog. The layout is
@@ -352,6 +356,10 @@ func NewCatalog() *Catalog {
 	if len(c.rules) != NumRules {
 		panic("rules: catalog must contain exactly 256 rules")
 	}
+	for _, r := range c.rules {
+		c.byKind[r.Kind] = append(c.byKind[r.Kind], r)
+		c.byCat[r.Category] = append(c.byCat[r.Category], r)
+	}
 	return c
 }
 
@@ -373,15 +381,23 @@ func (c *Catalog) ByName(name string) (Rule, bool) {
 	return c.rules[id], true
 }
 
-// Rules returns all rules in the given category, in ID order.
+// Rules returns all rules in the given category, in ID order. The returned
+// slice is shared; callers must not modify it.
 func (c *Catalog) Rules(cat Category) []Rule {
-	var out []Rule
-	for _, r := range c.rules {
-		if r.Category == cat {
-			out = append(out, r)
-		}
+	if cat < 0 || int(cat) >= len(c.byCat) {
+		return nil
 	}
-	return out
+	return c.byCat[cat]
+}
+
+// OfKind returns the sibling rules of the given kind, in ID order: the
+// optimizer assigns a site with gate hash g to OfKind(k)[g % len]. The
+// returned slice is shared; callers must not modify it.
+func (c *Catalog) OfKind(k Kind) []Rule {
+	if k < 0 || k >= numKinds {
+		return nil
+	}
+	return c.byKind[k]
 }
 
 // All returns every rule in ID order. The returned slice is shared; callers

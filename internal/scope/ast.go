@@ -2,6 +2,7 @@ package scope
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -69,6 +70,80 @@ type Expr interface {
 	Normalized() string
 }
 
+// appendExpr appends e's canonical (or, with normalized, template) form to
+// dst. It is the one renderer behind String, Normalized and every plan
+// hash. It is a single self-recursive function on purpose: escape analysis
+// proves dst stays with the caller only for direct self-recursion, and
+// that is what lets the hashing paths render into a stack buffer.
+func appendExpr(dst []byte, e Expr, normalized bool) []byte {
+	switch x := e.(type) {
+	case *ColRef:
+		// Column identity is part of the template: never wildcarded.
+		if x.Qualifier != "" {
+			dst = append(dst, x.Qualifier...)
+			dst = append(dst, '.')
+		}
+		return append(dst, x.Name...)
+	case *IntLit:
+		if normalized {
+			return append(dst, '?')
+		}
+		return strconv.AppendInt(dst, x.Value, 10)
+	case *FloatLit:
+		if normalized {
+			return append(dst, '?')
+		}
+		return strconv.AppendFloat(dst, x.Value, 'g', -1, 64)
+	case *StringLit:
+		if normalized {
+			return append(dst, '?')
+		}
+		return strconv.AppendQuote(dst, x.Value)
+	case *BoolLit:
+		if normalized {
+			return append(dst, '?')
+		}
+		return strconv.AppendBool(dst, x.Value)
+	case *BinaryExpr:
+		dst = append(dst, '(')
+		dst = appendExpr(dst, x.Left, normalized)
+		dst = append(dst, ' ')
+		dst = append(dst, x.Op...)
+		dst = append(dst, ' ')
+		dst = appendExpr(dst, x.Right, normalized)
+		return append(dst, ')')
+	case *UnaryExpr:
+		dst = append(dst, x.Op...)
+		dst = append(dst, ' ')
+		return appendExpr(dst, x.Expr, normalized)
+	case *FuncExpr:
+		dst = append(dst, x.Name...)
+		if x.Star {
+			return append(dst, "(*)"...)
+		}
+		dst = append(dst, '(')
+		for i, a := range x.Args {
+			if i > 0 {
+				dst = append(dst, ", "...)
+			}
+			dst = appendExpr(dst, a, normalized)
+		}
+		return append(dst, ')')
+	}
+	// An Expr implemented outside this package renders itself.
+	if normalized {
+		return append(dst, e.Normalized()...)
+	}
+	return append(dst, e.String()...)
+}
+
+// render is String and Normalized for every Expr: one allocation, the
+// returned string, unless the form outgrows the stack buffer.
+func render(e Expr, normalized bool) string {
+	var buf [128]byte
+	return string(appendExpr(buf[:0], e, normalized))
+}
+
 // ColRef references a column, optionally qualified by a rowset alias.
 type ColRef struct {
 	Qualifier string // may be empty
@@ -76,39 +151,37 @@ type ColRef struct {
 }
 
 func (c *ColRef) String() string {
-	if c.Qualifier != "" {
-		return c.Qualifier + "." + c.Name
+	if c.Qualifier == "" {
+		return c.Name // the common case, and no allocation
 	}
-	return c.Name
+	return render(c, false)
 }
 
-// Normalized of a column reference is itself: column identity is part of
-// the template.
 func (c *ColRef) Normalized() string { return c.String() }
 
 // IntLit is an integer literal.
 type IntLit struct{ Value int64 }
 
-func (l *IntLit) String() string     { return fmt.Sprintf("%d", l.Value) }
-func (l *IntLit) Normalized() string { return "?" }
+func (l *IntLit) String() string     { return render(l, false) }
+func (l *IntLit) Normalized() string { return render(l, true) }
 
 // FloatLit is a floating-point literal.
 type FloatLit struct{ Value float64 }
 
-func (l *FloatLit) String() string     { return fmt.Sprintf("%g", l.Value) }
-func (l *FloatLit) Normalized() string { return "?" }
+func (l *FloatLit) String() string     { return render(l, false) }
+func (l *FloatLit) Normalized() string { return render(l, true) }
 
 // StringLit is a string literal.
 type StringLit struct{ Value string }
 
-func (l *StringLit) String() string     { return fmt.Sprintf("%q", l.Value) }
-func (l *StringLit) Normalized() string { return "?" }
+func (l *StringLit) String() string     { return render(l, false) }
+func (l *StringLit) Normalized() string { return render(l, true) }
 
 // BoolLit is a boolean literal.
 type BoolLit struct{ Value bool }
 
-func (l *BoolLit) String() string     { return fmt.Sprintf("%t", l.Value) }
-func (l *BoolLit) Normalized() string { return "?" }
+func (l *BoolLit) String() string     { return render(l, false) }
+func (l *BoolLit) Normalized() string { return render(l, true) }
 
 // BinaryExpr applies an infix operator: comparison, arithmetic, AND, OR.
 type BinaryExpr struct {
@@ -116,13 +189,8 @@ type BinaryExpr struct {
 	Left, Right Expr
 }
 
-func (b *BinaryExpr) String() string {
-	return "(" + b.Left.String() + " " + b.Op + " " + b.Right.String() + ")"
-}
-
-func (b *BinaryExpr) Normalized() string {
-	return "(" + b.Left.Normalized() + " " + b.Op + " " + b.Right.Normalized() + ")"
-}
+func (b *BinaryExpr) String() string     { return render(b, false) }
+func (b *BinaryExpr) Normalized() string { return render(b, true) }
 
 // UnaryExpr applies a prefix operator: NOT or unary minus.
 type UnaryExpr struct {
@@ -130,8 +198,8 @@ type UnaryExpr struct {
 	Expr Expr
 }
 
-func (u *UnaryExpr) String() string     { return u.Op + " " + u.Expr.String() }
-func (u *UnaryExpr) Normalized() string { return u.Op + " " + u.Expr.Normalized() }
+func (u *UnaryExpr) String() string     { return render(u, false) }
+func (u *UnaryExpr) Normalized() string { return render(u, true) }
 
 // FuncExpr is a function call. Aggregate functions (SUM, COUNT, AVG, MIN,
 // MAX) are distinguished during semantic analysis.
@@ -141,27 +209,8 @@ type FuncExpr struct {
 	Star bool // COUNT(*)
 }
 
-func (f *FuncExpr) String() string {
-	if f.Star {
-		return f.Name + "(*)"
-	}
-	args := make([]string, len(f.Args))
-	for i, a := range f.Args {
-		args[i] = a.String()
-	}
-	return f.Name + "(" + strings.Join(args, ", ") + ")"
-}
-
-func (f *FuncExpr) Normalized() string {
-	if f.Star {
-		return f.Name + "(*)"
-	}
-	args := make([]string, len(f.Args))
-	for i, a := range f.Args {
-		args[i] = a.Normalized()
-	}
-	return f.Name + "(" + strings.Join(args, ", ") + ")"
-}
+func (f *FuncExpr) String() string     { return render(f, false) }
+func (f *FuncExpr) Normalized() string { return render(f, true) }
 
 // aggregateFuncs is the set of supported aggregate function names.
 var aggregateFuncs = map[string]bool{

@@ -2,8 +2,8 @@ package scope
 
 import (
 	"fmt"
-	"hash/fnv"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 )
@@ -64,10 +64,18 @@ type AggSpec struct {
 
 // String renders the aggregate in canonical form.
 func (a AggSpec) String() string {
+	var buf [64]byte
+	return string(a.appendTo(buf[:0]))
+}
+
+func (a AggSpec) appendTo(dst []byte) []byte {
+	dst = append(dst, a.Func...)
 	if a.Star {
-		return a.Func + "(*)"
+		return append(dst, "(*)"...)
 	}
-	return a.Func + "(" + a.Arg.String() + ")"
+	dst = append(dst, '(')
+	dst = appendExpr(dst, a.Arg, false)
+	return append(dst, ')')
 }
 
 // Node is a logical plan operator. Nodes form a DAG: a node may be an
@@ -179,15 +187,23 @@ func (n *Node) Label() string {
 }
 
 func sortKeysString(keys []SortKey) string {
-	parts := make([]string, len(keys))
+	var buf [64]byte
+	return string(appendSortKeys(buf[:0], keys))
+}
+
+func appendSortKeys(dst []byte, keys []SortKey) []byte {
 	for i, k := range keys {
-		dir := "asc"
-		if k.Desc {
-			dir = "desc"
+		if i > 0 {
+			dst = append(dst, ',')
 		}
-		parts[i] = k.Col.String() + " " + dir
+		dst = appendExpr(dst, k.Col, false)
+		if k.Desc {
+			dst = append(dst, " desc"...)
+		} else {
+			dst = append(dst, " asc"...)
+		}
 	}
-	return strings.Join(parts, ",")
+	return dst
 }
 
 // Graph is a logical plan DAG with one root per OUTPUT statement.
@@ -201,8 +217,8 @@ type Graph struct {
 	nextID int
 
 	// tmplOnce/tmplHash memoize TemplateHash: the hash walks the whole
-	// DAG through fmt, which is far too expensive to redo on every
-	// compilation of a shared graph. Callers must not invoke TemplateHash
+	// DAG, which is too expensive to redo on every compilation of a
+	// shared graph. Callers must not invoke TemplateHash
 	// until the graph has reached its final shape (the optimizer only
 	// hashes input graphs and fully rewritten clones).
 	tmplOnce sync.Once
@@ -303,53 +319,125 @@ func (g *Graph) String() string {
 	return sb.String()
 }
 
+// fnv64a is an FNV-1a 64-bit hash state: hash/fnv's New64a without the
+// hash.Hash interface, so a state lives in a register, not on the heap.
+type fnv64a uint64
+
+const (
+	fnvOffset64 fnv64a = 14695981039346656037
+	fnvPrime64  fnv64a = 1099511628211
+)
+
+func (h fnv64a) byte(c byte) fnv64a { return (h ^ fnv64a(c)) * fnvPrime64 }
+
+func (h fnv64a) str(s string) fnv64a {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ fnv64a(s[i])) * fnvPrime64
+	}
+	return h
+}
+
+func (h fnv64a) bytes(b []byte) fnv64a {
+	for _, c := range b {
+		h = (h ^ fnv64a(c)) * fnvPrime64
+	}
+	return h
+}
+
 // Fingerprint returns a stable hash of the node's operator identity
 // (kind, payload, input fingerprints). Tuning rules use fingerprints to
 // decide which plan fragments they apply to.
+//
+// The value is a compatibility surface: fingerprint % len(siblings)
+// decides which catalog rule governs a site, and so which flips a job's
+// span, the bandit and the SIS hint file see. It is FNV-1a (64-bit) over
+// this byte stream, written depth-first from n:
+//
+//	node   = "^"                              a node already written in this walk
+//	       | Kind "|" payload "(" node* ")"   Kind by name; inputs in order
+//	payload, by Kind:
+//	  Scan             TablePath
+//	  Filter           Pred, normalized
+//	  Join             JoinType ":" JoinCond, normalized
+//	  Agg              (GroupBy name ",")* (aggregate ",")*   aggregates as AggSpec.String
+//	  Project          (projection name ",")*
+//	  Sort, Top        (key " asc"|" desc"), comma-separated, then ":" TopN in decimal
+//	  Output           OutPath
+//	  Reduce, Process  UserOp
+//	  Distinct, Union  empty
+//
+// It allocates nothing for subtrees of up to 32 nodes whose rendered
+// expressions fit 256 bytes.
 func (n *Node) Fingerprint() uint64 {
-	h := fnv.New64a()
-	var write func(x *Node)
-	seen := make(map[*Node]bool)
-	write = func(x *Node) {
-		if seen[x] {
-			fmt.Fprintf(h, "^")
-			return
+	var seen [32]*Node
+	var buf [256]byte
+	f := fingerprinter{h: fnvOffset64, seen: seen[:0], buf: buf[:0]}
+	return uint64(f.node(n).h)
+}
+
+// fingerprinter is the state of one hash walk. It is passed and returned
+// by value — never through a pointer — so that escape analysis can keep
+// the caller's seen and buf arrays on the stack. seen is a list, not a
+// set: the subtrees the optimizer fingerprints are a dozen nodes, where a
+// scan beats a map and, unlike one, costs no allocation.
+type fingerprinter struct {
+	h    fnv64a
+	seen []*Node
+	buf  []byte // scratch for rendered expressions
+}
+
+func (f fingerprinter) node(x *Node) fingerprinter {
+	for _, s := range f.seen {
+		if s == x {
+			f.h = f.h.byte('^')
+			return f
 		}
-		seen[x] = true
-		fmt.Fprintf(h, "%s|", x.Kind)
-		switch x.Kind {
-		case OpScan:
-			fmt.Fprintf(h, "%s", x.TablePath)
-		case OpFilter:
-			fmt.Fprintf(h, "%s", x.Pred.Normalized())
-		case OpJoin:
-			fmt.Fprintf(h, "%s:%s", x.JoinType, x.JoinCond.Normalized())
-		case OpAgg:
-			for _, c := range x.GroupBy {
-				fmt.Fprintf(h, "%s,", c.Name)
-			}
-			for _, a := range x.Aggs {
-				fmt.Fprintf(h, "%s,", a.String())
-			}
-		case OpProject:
-			for _, p := range x.Projs {
-				fmt.Fprintf(h, "%s,", p.Name)
-			}
-		case OpSort, OpTop:
-			fmt.Fprintf(h, "%s:%d", sortKeysString(x.SortKeys), x.TopN)
-		case OpOutput:
-			fmt.Fprintf(h, "%s", x.OutPath)
-		case OpReduce, OpProcess:
-			fmt.Fprintf(h, "%s", x.UserOp)
-		}
-		fmt.Fprintf(h, "(")
-		for _, in := range x.Inputs {
-			write(in)
-		}
-		fmt.Fprintf(h, ")")
 	}
-	write(n)
-	return h.Sum64()
+	f.seen = append(f.seen, x)
+	f.h = f.h.str(x.Kind.String()).byte('|')
+	switch x.Kind {
+	case OpScan:
+		f.h = f.h.str(x.TablePath)
+	case OpFilter:
+		f = f.expr(x.Pred)
+	case OpJoin:
+		f.h = f.h.str(x.JoinType.String()).byte(':')
+		f = f.expr(x.JoinCond)
+	case OpAgg:
+		for _, c := range x.GroupBy {
+			f.h = f.h.str(c.Name).byte(',')
+		}
+		for _, a := range x.Aggs {
+			f.buf = a.appendTo(f.buf[:0])
+			f.h = f.h.bytes(f.buf).byte(',')
+		}
+	case OpProject:
+		for _, p := range x.Projs {
+			f.h = f.h.str(p.Name).byte(',')
+		}
+	case OpSort, OpTop:
+		f.buf = appendSortKeys(f.buf[:0], x.SortKeys)
+		f.buf = append(f.buf, ':')
+		f.buf = strconv.AppendInt(f.buf, x.TopN, 10)
+		f.h = f.h.bytes(f.buf)
+	case OpOutput:
+		f.h = f.h.str(x.OutPath)
+	case OpReduce, OpProcess:
+		f.h = f.h.str(x.UserOp)
+	}
+	f.h = f.h.byte('(')
+	for _, in := range x.Inputs {
+		f = f.node(in)
+	}
+	f.h = f.h.byte(')')
+	return f
+}
+
+// expr hashes e's normalized form.
+func (f fingerprinter) expr(e Expr) fingerprinter {
+	f.buf = appendExpr(f.buf[:0], e, true)
+	f.h = f.h.bytes(f.buf)
+	return f
 }
 
 // RowWidth returns the synthetic row width in bytes of the node's schema.
@@ -376,47 +464,49 @@ func (g *Graph) TemplateHash() uint64 {
 }
 
 func (g *Graph) computeTemplateHash() uint64 {
-	h := fnv.New64a()
+	var buf [256]byte
+	f := fingerprinter{h: fnvOffset64, buf: buf[:0]}
 	for _, n := range g.Nodes() {
-		fmt.Fprintf(h, "%s|", n.Kind)
+		f.h = f.h.str(n.Kind.String()).byte('|')
 		switch n.Kind {
 		case OpScan:
-			fmt.Fprintf(h, "%s", normalizePath(n.TablePath))
+			f.h = f.h.normalizedPath(n.TablePath)
 		case OpFilter:
-			fmt.Fprintf(h, "%s", n.Pred.Normalized())
+			f = f.expr(n.Pred)
 		case OpJoin:
-			fmt.Fprintf(h, "%s:%s", n.JoinType, n.JoinCond.Normalized())
+			f.h = f.h.str(n.JoinType.String()).byte(':')
+			f = f.expr(n.JoinCond)
 		case OpAgg:
 			for _, c := range n.GroupBy {
-				fmt.Fprintf(h, "%s,", c.Name)
+				f.h = f.h.str(c.Name).byte(',')
 			}
 		case OpOutput:
-			fmt.Fprintf(h, "%s", normalizePath(n.OutPath))
+			f.h = f.h.normalizedPath(n.OutPath)
 		case OpReduce, OpProcess:
-			fmt.Fprintf(h, "%s", n.UserOp)
+			f.h = f.h.str(n.UserOp)
 		}
-		fmt.Fprintf(h, ";")
+		f.h = f.h.byte(';')
 	}
-	return h.Sum64()
+	return uint64(f.h)
 }
 
-// normalizePath strips digit runs from a path so that date-partitioned
-// inputs ("clicks/2021/11/03.tsv") normalize to the same template.
-func normalizePath(p string) string {
-	var sb strings.Builder
+// normalizedPath hashes p with every digit run replaced by one '#', so
+// that date-partitioned inputs ("clicks/2021/11/03.tsv") normalize to the
+// same template.
+func (h fnv64a) normalizedPath(p string) fnv64a {
 	inDigits := false
 	for i := 0; i < len(p); i++ {
 		if p[i] >= '0' && p[i] <= '9' {
 			if !inDigits {
-				sb.WriteByte('#')
+				h = h.byte('#')
 				inDigits = true
 			}
 			continue
 		}
 		inDigits = false
-		sb.WriteByte(p[i])
+		h = h.byte(p[i])
 	}
-	return sb.String()
+	return h
 }
 
 // SiteKey returns the stable identity of an operator "site" used to carry
@@ -424,20 +514,29 @@ func normalizePath(p string) string {
 // simulator. Sites are keyed by the operator's semantic payload, which
 // survives plan rewrites (a pushed-down filter keeps its predicate).
 func (n *Node) SiteKey() string {
+	var buf [128]byte
+	dst := buf[:0]
 	switch n.Kind {
 	case OpFilter:
-		return "filter:" + n.Pred.String()
+		dst = appendExpr(append(dst, "filter:"...), n.Pred, false)
 	case OpJoin:
-		return "join:" + n.JoinCond.String()
+		dst = appendExpr(append(dst, "join:"...), n.JoinCond, false)
 	case OpAgg:
-		keys := make([]string, len(n.GroupBy))
-		for i, c := range n.GroupBy {
-			keys[i] = c.Name
+		var arr [8]string
+		keys := arr[:0]
+		for _, c := range n.GroupBy {
+			keys = append(keys, c.Name)
 		}
-		sort.Strings(keys)
-		return "agg:" + strings.Join(keys, ",")
+		slices.Sort(keys)
+		dst = appendJoined(append(dst, "agg:"...), keys)
 	case OpDistinct:
-		return "distinct:" + strings.Join(n.ColNames(), ",")
+		dst = append(dst, "distinct:"...)
+		for i, c := range n.Cols {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = append(dst, c.Name...)
+		}
 	case OpReduce:
 		return "reduce:" + n.UserOp
 	case OpProcess:
@@ -447,4 +546,15 @@ func (n *Node) SiteKey() string {
 	default:
 		return ""
 	}
+	return string(dst)
+}
+
+func appendJoined(dst []byte, parts []string) []byte {
+	for i, p := range parts {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, p...)
+	}
+	return dst
 }
