@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -24,7 +25,10 @@ import (
 // span bits); callers that still speak categorical string tokens fold
 // them into the same ID space with HashFeatures.
 type Action struct {
-	ID  string
+	ID string
+	// IDs is read-only once the action is submitted: the event log, Events
+	// and the journal share it, and featurizers may alias one immutable
+	// table from every action they build (internal/core does, per catalog).
 	IDs []uint64
 }
 
@@ -73,8 +77,6 @@ type Ranked struct {
 	// Prob is the propensity with which the chosen action was selected,
 	// logged for counterfactual evaluation and IPS training.
 	Prob float64
-	// Scores are the model scores of all actions (diagnostic).
-	Scores []float64
 }
 
 // Event is one logged rank decision with its eventual reward.
@@ -136,6 +138,13 @@ type Service struct {
 	// for SGD updates and deserialization.
 	mu sync.RWMutex
 	w  []float64
+	// pairs maps (context ID, action ID) pairs onto w: by mask when Dim is
+	// a power of two, by modulo — to the same index — for any other Dim.
+	pairs pairSpace
+	// trainIdx is Train's reusable slab of pair indexes (guarded by mu's
+	// write lock): each fresh example's index list, computed once per
+	// call and walked on every epoch.
+	trainIdx []int
 
 	// rngMu guards the exploration rng (lock ordering: never held together
 	// with mu or evMu).
@@ -172,6 +181,9 @@ type Service struct {
 	// recovery replays only the suffix). Both guarded by evMu.
 	journal Journal
 	walLSN  uint64
+	// recBuf is the RecRank record under construction, reused across
+	// ranks (guarded by evMu; the journal does not retain it).
+	recBuf []byte
 
 	// journalErrs counts failed journal appends (fail-stop disk); the
 	// serve layer surfaces it through stats.
@@ -201,6 +213,7 @@ func New(cfg Config) *Service {
 	return &Service{
 		cfg:    cfg,
 		w:      make([]float64, cfg.Dim),
+		pairs:  newPairSpace(cfg.Dim),
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
 		events: make(map[string]*Event),
 		maxLog: cfg.MaxLogEvents,
@@ -331,31 +344,63 @@ func Mix64(x uint64) uint64 {
 	return x
 }
 
-// pairIndex mixes one context feature ID with one action feature ID into
-// a weight index. The combine is asymmetric (the action side is
-// pre-multiplied by the golden-ratio constant) so (c, a) and (a, c) land
-// on different weights, and the splitmix64 finalizer spreads the product
-// over the table.
-func (s *Service) pairIndex(c, a uint64) int {
-	return int(Mix64(c^(a*MixGamma)) % uint64(s.cfg.Dim))
+// pairSpace is the weight table's index space, copied into the pair loops'
+// registers: dim is the table size and mask is dim-1 when dim is a power
+// of two, 0 for any other dim.
+type pairSpace struct{ dim, mask uint64 }
+
+func newPairSpace(dim int) pairSpace {
+	p := pairSpace{dim: uint64(dim)}
+	if dim&(dim-1) == 0 {
+		p.mask = p.dim - 1
+	}
+	return p
 }
 
-// featureIndexes enumerates the weight indexes of the full cross product
-// (bias ∪ ctxIDs) × (bias ∪ actIDs); scoreIDs walks the same pairs
-// without materializing the slice.
-func (s *Service) featureIndexes(ctxIDs, actIDs []uint64) []int {
-	idx := make([]int, 0, (len(ctxIDs)+1)*(len(actIDs)+1))
-	idx = append(idx, s.pairIndex(ctxBiasID, actBiasID))
+// index mixes one context feature ID with one action feature ID into a
+// weight index. The combine is asymmetric (the action side arrives
+// pre-multiplied by the golden-ratio constant: am = a*MixGamma, hoisted
+// out of the pair loops by the callers) so (c, a) and (a, c) land on
+// different weights, and the splitmix64 finalizer spreads the product
+// over the table. x % 2^k == x & (2^k-1), so the masked index of a
+// power-of-two Dim is the index the modulo gives.
+func (p pairSpace) index(c, am uint64) uint64 {
+	h := Mix64(c ^ am)
+	if p.mask != 0 {
+		return h & p.mask
+	}
+	return h % p.dim
+}
+
+// actBiasMul is the pre-multiplied action-side bias ID.
+var actBiasMul = actBiasID * MixGamma
+
+// premultiply returns a*MixGamma for each action ID, in buf when it fits.
+func premultiply(buf []uint64, actIDs []uint64) []uint64 {
 	for _, a := range actIDs {
-		idx = append(idx, s.pairIndex(ctxBiasID, a))
+		buf = append(buf, a*MixGamma)
+	}
+	return buf
+}
+
+// appendFeatureIndexes appends the weight indexes of the full cross
+// product (bias ∪ ctxIDs) × (bias ∪ actIDs) to dst; scoreIDs walks the
+// same pairs in the same order without materializing them.
+func (s *Service) appendFeatureIndexes(dst []int, ctxIDs, actIDs []uint64) []int {
+	var buf [8]uint64
+	ams := premultiply(buf[:0], actIDs)
+	p := s.pairs
+	dst = append(dst, int(p.index(ctxBiasID, actBiasMul)))
+	for _, am := range ams {
+		dst = append(dst, int(p.index(ctxBiasID, am)))
 	}
 	for _, c := range ctxIDs {
-		idx = append(idx, s.pairIndex(c, actBiasID))
-		for _, a := range actIDs {
-			idx = append(idx, s.pairIndex(c, a))
+		dst = append(dst, int(p.index(c, actBiasMul)))
+		for _, am := range ams {
+			dst = append(dst, int(p.index(c, am)))
 		}
 	}
-	return idx
+	return dst
 }
 
 // Score returns the model's value estimate for an action in context.
@@ -368,17 +413,33 @@ func (s *Service) Score(ctx Context, a Action) float64 {
 // scoreIDs sums the weights of the pair cross product without allocating;
 // callers hold mu (read or write).
 func (s *Service) scoreIDs(ctxIDs, actIDs []uint64) float64 {
-	sum := s.w[s.pairIndex(ctxBiasID, actBiasID)]
-	for _, a := range actIDs {
-		sum += s.w[s.pairIndex(ctxBiasID, a)]
+	var buf [8]uint64
+	ams := premultiply(buf[:0], actIDs)
+	p, w := s.pairs, s.w
+	sum := w[p.index(ctxBiasID, actBiasMul)]
+	for _, am := range ams {
+		sum += w[p.index(ctxBiasID, am)]
 	}
 	for _, c := range ctxIDs {
-		sum += s.w[s.pairIndex(c, actBiasID)]
-		for _, a := range actIDs {
-			sum += s.w[s.pairIndex(c, a)]
+		sum += w[p.index(c, actBiasMul)]
+		for _, am := range ams {
+			sum += w[p.index(c, am)]
 		}
 	}
 	return sum
+}
+
+// argmax scores every action and returns the index of the first best one.
+func (s *Service) argmax(ctx Context, actions []Action) int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	best, bestScore := 0, s.scoreIDs(ctx.IDs, actions[0].IDs)
+	for i := 1; i < len(actions); i++ {
+		if sc := s.scoreIDs(ctx.IDs, actions[i].IDs); sc > bestScore {
+			best, bestScore = i, sc
+		}
+	}
+	return best
 }
 
 // Rank selects an action with the learned epsilon-greedy policy and logs
@@ -409,18 +470,9 @@ func (s *Service) RankGreedy(ctx Context, actions []Action) (Ranked, error) {
 	if len(actions) == 0 {
 		return Ranked{}, errors.New("bandit: no actions")
 	}
-	scores := make([]float64, len(actions))
-	best := 0
-	s.mu.RLock()
-	for i, a := range actions {
-		scores[i] = s.scoreIDs(ctx.IDs, a.IDs)
-		if scores[i] > scores[best] {
-			best = i
-		}
-	}
-	s.mu.RUnlock()
+	best := s.argmax(ctx, actions)
 	k := float64(len(actions))
-	return Ranked{Chosen: best, Prob: (1 - s.cfg.Epsilon) + s.cfg.Epsilon/k, Scores: scores}, nil
+	return Ranked{Chosen: best, Prob: (1 - s.cfg.Epsilon) + s.cfg.Epsilon/k}, nil
 }
 
 func (s *Service) rank(ctx Context, actions []Action, uniform bool) (Ranked, error) {
@@ -428,16 +480,7 @@ func (s *Service) rank(ctx Context, actions []Action, uniform bool) (Ranked, err
 		return Ranked{}, errors.New("bandit: no actions")
 	}
 	k := len(actions)
-	scores := make([]float64, k)
-	best := 0
-	s.mu.RLock()
-	for i, a := range actions {
-		scores[i] = s.scoreIDs(ctx.IDs, a.IDs)
-		if scores[i] > scores[best] {
-			best = i
-		}
-	}
-	s.mu.RUnlock()
+	best := s.argmax(ctx, actions)
 
 	s.rngMu.Lock()
 	explore := !uniform && s.rng.Float64() < s.cfg.Epsilon
@@ -471,9 +514,10 @@ func (s *Service) rank(ctx Context, actions []Action, uniform bool) (Ranked, err
 		Chosen:  chosen,
 		Prob:    prob,
 	}
+	var idBuf [48]byte
 	s.evMu.Lock()
 	s.seq++
-	ev.EventID = fmt.Sprintf("ev%s-%08d", s.nonce, s.seq)
+	ev.EventID = string(appendEventID(idBuf[:0], s.nonce, s.seq))
 	s.events[ev.EventID] = ev
 	s.log = append(s.log, ev)
 	s.evictLocked()
@@ -481,13 +525,25 @@ func (s *Service) rank(ctx Context, actions []Action, uniform bool) (Ranked, err
 		// Journal under evMu so record order equals event-log order
 		// (replay rebuilds the log in journal order). Append only
 		// buffers — no disk wait on the rank path.
-		rec := walrec.EncodeRank(ev.EventID, prob, ctx.IDs, actions[chosen].IDs)
-		if _, err := s.journal.Append(rec); err != nil {
+		s.recBuf = walrec.AppendRank(s.recBuf[:0], ev.EventID, prob, ctx.IDs, actions[chosen].IDs)
+		if _, err := s.journal.Append(s.recBuf); err != nil {
 			s.journalErrs.Add(1)
 		}
 	}
 	s.evMu.Unlock()
-	return Ranked{EventID: ev.EventID, Chosen: chosen, Prob: prob, Scores: scores}, nil
+	return Ranked{EventID: ev.EventID, Chosen: chosen, Prob: prob}, nil
+}
+
+// appendEventID renders "ev<nonce>-<seq>" with seq zero-padded to eight
+// digits (and wider past them) — the bytes of Sprintf("ev%s-%08d").
+func appendEventID(dst []byte, nonce string, seq int) []byte {
+	dst = append(dst, "ev"...)
+	dst = append(dst, nonce...)
+	dst = append(dst, '-')
+	for w := 10_000_000; w > 1 && seq < w; w /= 10 {
+		dst = append(dst, '0')
+	}
+	return strconv.AppendInt(dst, int64(seq), 10)
 }
 
 // Reward attaches the observed reward to a rank event.
@@ -515,7 +571,15 @@ type trainExample struct {
 	actIDs []uint64
 	prob   float64
 	reward float64
+	// idxEnd closes the example's pair-index list in Train's slab (it
+	// opens where the previous example's ends).
+	idxEnd int
 }
+
+// maxKeptTrainIdx bounds the index slab Train keeps between calls: the
+// serve layer's 256-event batches of short spans fit, a whole offline
+// day's batch is released when its Train returns.
+const maxKeptTrainIdx = 1 << 18
 
 // Train performs TrainEpochs IPS-weighted SGD passes over all rewarded,
 // untrained events and returns how many events were consumed.
@@ -534,26 +598,40 @@ func (s *Service) Train() int {
 		// lookup index so the index only holds pending events.
 		delete(s.events, ev.EventID)
 	}
-	s.pending = nil
+	clear(s.pending)
+	s.pending = s.pending[:0]
 	s.evMu.Unlock()
 	if len(fresh) == 0 {
 		return 0
 	}
 
 	s.mu.Lock()
+	// Hash every example's pair cross product once, back to back in idx;
+	// the epochs below walk the lists.
+	idx := s.trainIdx[:0]
+	for i := range fresh {
+		idx = s.appendFeatureIndexes(idx, fresh[i].ctxIDs, fresh[i].actIDs)
+		fresh[i].idxEnd = len(idx)
+	}
 	for epoch := 0; epoch < s.cfg.TrainEpochs; epoch++ {
+		lo := 0
 		for _, ex := range fresh {
-			s.update(ex)
+			s.update(ex, idx[lo:ex.idxEnd])
+			lo = ex.idxEnd
 		}
 	}
+	if cap(idx) > maxKeptTrainIdx {
+		idx = nil
+	}
+	s.trainIdx = idx[:0]
 	s.mu.Unlock()
 	return len(fresh)
 }
 
 // update applies an importance-weighted regression step toward the
-// observed reward for the chosen action. Callers hold mu.
-func (s *Service) update(ex trainExample) {
-	idx := s.featureIndexes(ex.ctxIDs, ex.actIDs)
+// observed reward for the chosen action, over the example's pair indexes.
+// Callers hold mu.
+func (s *Service) update(ex trainExample, idx []int) {
 	pred := 0.0
 	for _, i := range idx {
 		pred += s.w[i]

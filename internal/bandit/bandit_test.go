@@ -26,9 +26,6 @@ func TestRankReturnsValidChoice(t *testing.T) {
 	if r.Prob <= 0 || r.Prob > 1 {
 		t.Errorf("prob = %v", r.Prob)
 	}
-	if len(r.Scores) != 2 {
-		t.Errorf("scores = %v", r.Scores)
-	}
 	if r.EventID == "" {
 		t.Error("missing event ID")
 	}

@@ -1,0 +1,247 @@
+package bandit
+
+import (
+	"bytes"
+	"fmt"
+	"io"
+	"math"
+	"math/rand"
+	"runtime"
+	"testing"
+)
+
+// span8Decision builds decision i of an 8-bit span, the benchmark's
+// widest: 79 context IDs, a no-op and eight four-ID flips.
+func span8Decision(i int) (Context, []Action) {
+	return spanDecision(Mix64(uint64(i)+0x5ba8), 8)
+}
+
+// nullJournal honours the Journal contract at no cost: it reads nothing
+// and retains nothing.
+type nullJournal struct{ n uint64 }
+
+func (j *nullJournal) Append([]byte) (uint64, error) { j.n++; return j.n, nil }
+func (j *nullJournal) LastLSN() uint64               { return j.n }
+
+// rewardedBatch ranks and rewards n span-8 decisions, leaving them pending.
+func rewardedBatch(tb testing.TB, s *Service, n int) {
+	tb.Helper()
+	for i := 0; i < n; i++ {
+		ctx, actions := span8Decision(i)
+		r, err := s.Rank(ctx, actions)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if err := s.Reward(r.EventID, float64(i%7)/3); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// mallocsOf counts the heap allocations of one call of f.
+func mallocsOf(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// TestDecisionAllocBudget is the tier-1 gate on what the learner itself
+// allocates per decision, with a journal attached and the benchmark's
+// widest span: Rank keeps an Event and its ID (the third allocation is
+// the event index and log growing), RankGreedy keeps nothing, Train
+// allocates its example list, a checkpoint only its growing buffer.
+func TestDecisionAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	s := New(DefaultConfig(1))
+	s.AttachJournal(&nullJournal{})
+	ctx, actions := span8Decision(0)
+
+	if n := testing.AllocsPerRun(2000, func() {
+		if _, err := s.Rank(ctx, actions); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 3 {
+		t.Errorf("Rank allocates %v times per decision, budget 3", n)
+	}
+	if n := testing.AllocsPerRun(2000, func() {
+		if _, err := s.RankGreedy(ctx, actions); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("RankGreedy allocates %v times per decision, budget 0", n)
+	}
+
+	rewardedBatch(t, s, 256)
+	s.Train() // warm the index slab
+	best := uint64(math.MaxUint64)
+	for round := 0; round < 3; round++ {
+		rewardedBatch(t, s, 256)
+		if n := mallocsOf(func() { s.Train() }); n < best {
+			best = n
+		}
+	}
+	if best > 2 {
+		t.Errorf("Train over 256 rewarded events allocates %d times with a warm slab, budget 2", best)
+	}
+
+	big := New(DefaultConfig(1))
+	for i := 0; i < 100_000; i++ {
+		big.w[2*i+1] = float64(i+1) / 7
+	}
+	if n := testing.AllocsPerRun(3, func() {
+		if err := big.CheckpointTo(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 40 {
+		t.Errorf("CheckpointTo of 100,000 non-zero weights allocates %v times, budget 40 (buffer growth only)", n)
+	}
+}
+
+// referenceEncode is the snapshot encoder as it was written through fmt;
+// TestSnapshotEncodingMatchesFmt holds the strconv encoder to it.
+func referenceEncode(s *Service, buf *bytes.Buffer) {
+	fmt.Fprintf(buf, "qoadvisor-bandit v3 dim=%d epsilon=%g lr=%g clip=%g wal=%d\n",
+		s.cfg.Dim, s.cfg.Epsilon, s.cfg.LearningRate, s.cfg.MaxIPSWeight, s.walLSN)
+	for i, wgt := range s.w {
+		if wgt == 0 {
+			continue
+		}
+		fmt.Fprintf(buf, "%d %v\n", i, wgt)
+	}
+	ids := func(ids []uint64) string {
+		if len(ids) == 0 {
+			return "-"
+		}
+		var b bytes.Buffer
+		for i, id := range ids {
+			if i > 0 {
+				b.WriteByte(',')
+			}
+			fmt.Fprintf(&b, "%x", id)
+		}
+		return b.String()
+	}
+	for _, ev := range s.log {
+		if _, open := s.events[ev.EventID]; !open || ev.Trained {
+			continue
+		}
+		rewarded := 0
+		if ev.Rewarded {
+			rewarded = 1
+		}
+		fmt.Fprintf(buf, "ev %s %v %d %v %s %s\n",
+			ev.EventID, ev.Prob, rewarded, ev.Reward, ids(ev.Context.IDs), ids(ev.Actions[ev.Chosen].IDs))
+	}
+}
+
+// TestSnapshotEncodingMatchesFmt is the differential behind "snapshot v3
+// did not move": weights, propensities and rewards drawn from raw bit
+// patterns (subnormals, huge and tiny exponents, infinities, NaN) and
+// feature IDs of every width encode to the bytes fmt printed.
+func TestSnapshotEncodingMatchesFmt(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	float := func() float64 {
+		switch rng.Intn(4) {
+		case 0:
+			return math.Float64frombits(rng.Uint64())
+		case 1:
+			return (rng.Float64() - 0.5) * math.Pow(10, float64(rng.Intn(60)-30))
+		case 2:
+			return float64(rng.Int63n(1<<53)) / float64(int64(1)<<uint(rng.Intn(40)))
+		default:
+			return float64(rng.Intn(2000)-1000) / 8
+		}
+	}
+	s := New(Config{Dim: 1 << 17, Epsilon: 0.1 / 3, LearningRate: 1e-7, MaxIPSWeight: 1e21, Seed: 1})
+	s.walLSN = math.MaxUint64
+	for i := range s.w {
+		s.w[i] = float()
+	}
+	for i := 0; i < 500; i++ {
+		ev := &Event{
+			EventID:  string(appendEventID(nil, "d1ff", i)),
+			Context:  Context{IDs: make([]uint64, rng.Intn(5))},
+			Actions:  []Action{{}, {IDs: make([]uint64, rng.Intn(3))}},
+			Chosen:   1,
+			Prob:     float(),
+			Reward:   float(),
+			Rewarded: i%3 == 0,
+		}
+		for k := range ev.Context.IDs {
+			ev.Context.IDs[k] = rng.Uint64() >> uint(rng.Intn(64))
+		}
+		for k := range ev.Actions[1].IDs {
+			ev.Actions[1].IDs[k] = rng.Uint64() >> uint(rng.Intn(64))
+		}
+		s.restoreEvent(ev)
+	}
+	var got, want bytes.Buffer
+	if err := s.Save(&got); err != nil {
+		t.Fatal(err)
+	}
+	referenceEncode(s, &want)
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		g, w := bytes.Split(got.Bytes(), []byte("\n")), bytes.Split(want.Bytes(), []byte("\n"))
+		for i := range g {
+			if i >= len(w) || !bytes.Equal(g[i], w[i]) {
+				t.Fatalf("snapshot line %d differs from the fmt encoding:\n got %s\nwant %s", i+1, g[i], w[i])
+			}
+		}
+		t.Fatalf("snapshot has %d lines, the fmt encoding %d", len(g), len(w))
+	}
+}
+
+// TestEventIDMatchesSprintf holds the append-rendered event ID to the
+// format it replaced, across the eight-digit padding boundary.
+func TestEventIDMatchesSprintf(t *testing.T) {
+	seqs := []int{0, 1, 9, 10, 99, 12345, 9_999_999, 10_000_000, 99_999_999, 100_000_000, 123_456_789_012, math.MaxInt64}
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 1000; i++ {
+		seqs = append(seqs, int(rng.Int63()>>uint(rng.Intn(63))))
+	}
+	for _, nonce := range []string{"", "7e57", "18f3a9c2d4e5b6a7"} {
+		for _, seq := range seqs {
+			if got, want := string(appendEventID(nil, nonce, seq)), fmt.Sprintf("ev%s-%08d", nonce, seq); got != want {
+				t.Fatalf("event ID %q, want %q", got, want)
+			}
+		}
+	}
+}
+
+var sinkScore float64
+
+// BenchmarkScoreSpan8 times scoring one 8-bit-span decision: nine actions
+// against 79 context IDs, 3,600 hashed pairs.
+func BenchmarkScoreSpan8(b *testing.B) {
+	s := New(DefaultConfig(1))
+	rewardedBatch(b, s, 256)
+	s.Train()
+	ctx, actions := span8Decision(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, a := range actions {
+			sinkScore += s.Score(ctx, a)
+		}
+	}
+}
+
+// BenchmarkTrain256 times the serve layer's training batch: 256 rewarded
+// 8-bit-span events, TrainEpochs passes.
+func BenchmarkTrain256(b *testing.B) {
+	s := New(DefaultConfig(1))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		rewardedBatch(b, s, 256)
+		b.StartTimer()
+		if n := s.Train(); n != 256 {
+			b.Fatalf("trained %d events, want 256", n)
+		}
+	}
+}

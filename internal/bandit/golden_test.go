@@ -20,14 +20,19 @@ var update = flag.Bool("update", false, "rewrite testdata/decisions.golden and t
 // the featurizer's 60-pair / 40-triple caps.
 var goldenSpanBits = []int{1, 2, 3, 4, 5, 6, 7, 8, 12, 40}
 
-// goldenDecision builds decision i's context and actions in the shapes
-// internal/core produces for an n-bit span — n + min(C(n,2),60) +
-// min(C(n,3),40) + 3 context IDs; a one-ID no-op plus four IDs per span
-// rule — from Mix64 of seeded integers. IDs are drawn from small pools so
-// weights are shared across decisions and training has something to learn.
+// goldenDecision builds decision i's context and actions for a span size
+// drawn from goldenSpanBits.
 func goldenDecision(seed uint64, i int) (Context, []Action) {
 	r := Mix64(seed*MixGamma + uint64(i))
-	n := goldenSpanBits[r%uint64(len(goldenSpanBits))]
+	return spanDecision(r, goldenSpanBits[r%uint64(len(goldenSpanBits))])
+}
+
+// spanDecision builds a context and actions in the shapes internal/core
+// produces for an n-bit span — n + min(C(n,2),60) + min(C(n,3),40) + 3
+// context IDs; a one-ID no-op plus four IDs per span rule — from Mix64 of
+// the seeded integer r. IDs are drawn from small pools so weights are
+// shared across decisions and training has something to learn.
+func spanDecision(r uint64, n int) (Context, []Action) {
 	nctx := n + min(n*(n-1)/2, 60) + min(n*(n-1)*(n-2)/6, 40) + 3
 	ctx := Context{IDs: make([]uint64, nctx)}
 	for k := range ctx.IDs {

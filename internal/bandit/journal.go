@@ -8,9 +8,12 @@ import (
 
 // Journal is the durable log the service writes its replayable state
 // transitions to (qoadvisor/internal/wal satisfies it). Append buffers
-// one record and returns its log sequence number; LastLSN reports the
-// newest appended position. Durability (group-commit fsync) is the
-// journal's concern — the service never waits on the disk.
+// one record and returns its log sequence number; it must not retain
+// payload — the service builds every rank record in one buffer it
+// overwrites on the next rank, so an implementation that keeps records
+// copies them. LastLSN reports the newest appended position. Durability
+// (group-commit fsync) is the journal's concern — the service never
+// waits on the disk.
 type Journal interface {
 	Append(payload []byte) (uint64, error)
 	LastLSN() uint64

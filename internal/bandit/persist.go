@@ -52,46 +52,78 @@ func (s *Service) CheckpointTo(w io.Writer) error {
 }
 
 // encodeLocked writes the v3 snapshot form; callers hold evMu (mu is
-// read-locked inside — evMu→mu nests in that order everywhere).
+// read-locked inside — evMu→mu nests in that order everywhere). Lines
+// are appended with strconv into the buffer's own spare capacity — the
+// bytes %d, %g, %v and %x would print, without boxing an operand per
+// weight.
 func (s *Service) encodeLocked(buf *bytes.Buffer) {
+	const maxNum = 24 // longest rendering of an int64, uint64 or float64
+	buf.Grow(64 + 5*maxNum)
+	b := append(buf.AvailableBuffer(), "qoadvisor-bandit v3 dim="...)
+	b = strconv.AppendInt(b, int64(s.cfg.Dim), 10)
+	b = append(b, " epsilon="...)
+	b = strconv.AppendFloat(b, s.cfg.Epsilon, 'g', -1, 64)
+	b = append(b, " lr="...)
+	b = strconv.AppendFloat(b, s.cfg.LearningRate, 'g', -1, 64)
+	b = append(b, " clip="...)
+	b = strconv.AppendFloat(b, s.cfg.MaxIPSWeight, 'g', -1, 64)
+	b = append(b, " wal="...)
+	b = strconv.AppendUint(b, s.walLSN, 10)
+	b = append(b, '\n')
+	buf.Write(b)
+
 	s.mu.RLock()
-	fmt.Fprintf(buf, "qoadvisor-bandit v3 dim=%d epsilon=%g lr=%g clip=%g wal=%d\n",
-		s.cfg.Dim, s.cfg.Epsilon, s.cfg.LearningRate, s.cfg.MaxIPSWeight, s.walLSN)
 	for i, wgt := range s.w {
 		if wgt == 0 {
 			continue
 		}
-		fmt.Fprintf(buf, "%d %v\n", i, wgt)
+		buf.Grow(2*maxNum + 2)
+		b = strconv.AppendInt(buf.AvailableBuffer(), int64(i), 10)
+		b = append(b, ' ')
+		b = strconv.AppendFloat(b, wgt, 'g', -1, 64)
+		b = append(b, '\n')
+		buf.Write(b)
 	}
 	s.mu.RUnlock()
+
 	for _, ev := range s.log {
 		if _, open := s.events[ev.EventID]; !open || ev.Trained {
 			continue
 		}
-		rewarded := 0
+		ctxIDs, actIDs := ev.Context.IDs, ev.Actions[ev.Chosen].IDs
+		buf.Grow(len("ev ") + len(ev.EventID) + 2*maxNum + (len(ctxIDs)+len(actIDs))*17 + 10)
+		b = append(buf.AvailableBuffer(), "ev "...)
+		b = append(b, ev.EventID...)
+		b = append(b, ' ')
+		b = strconv.AppendFloat(b, ev.Prob, 'g', -1, 64)
 		if ev.Rewarded {
-			rewarded = 1
+			b = append(b, " 1 "...)
+		} else {
+			b = append(b, " 0 "...)
 		}
-		fmt.Fprintf(buf, "ev %s %v %d %v %s %s\n",
-			ev.EventID, ev.Prob, rewarded, ev.Reward,
-			formatIDs(ev.Context.IDs), formatIDs(ev.Actions[ev.Chosen].IDs))
+		b = strconv.AppendFloat(b, ev.Reward, 'g', -1, 64)
+		b = append(b, ' ')
+		b = appendIDs(b, ctxIDs)
+		b = append(b, ' ')
+		b = appendIDs(b, actIDs)
+		b = append(b, '\n')
+		buf.Write(b)
 	}
 }
 
-// formatIDs renders a feature-ID list as comma-joined hex ("-" when
+// appendIDs renders a feature-ID list as comma-joined hex ("-" when
 // empty, so the line always has a fixed field count).
-func formatIDs(ids []uint64) string {
+func appendIDs(dst []byte, ids []uint64) []byte {
 	if len(ids) == 0 {
-		return "-"
+		return append(dst, '-')
 	}
-	var b strings.Builder
 	for i, id := range ids {
 		if i > 0 {
-			b.WriteByte(',')
+			dst = append(dst, ',')
 		}
-		b.WriteString(strconv.FormatUint(id, 16))
+		dst = strconv.AppendUint(dst, id, 16)
 	}
-	return b.String()
+	return dst
 }
 
 func parseIDs(s string) ([]uint64, error) {

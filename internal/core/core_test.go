@@ -148,6 +148,45 @@ func TestContextFeaturesIncludeCoOccurrence(t *testing.T) {
 	}
 }
 
+// TestContextFeaturesSizedToSpan: the event log keeps a context for the
+// life of its event, so the slice carries no spare capacity — from one
+// bit, through the pair and triple caps, to the full catalog.
+func TestContextFeaturesSizedToSpan(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 8, 12, 40, rules.NumRules} {
+		var f JobFeatures
+		for b := 0; b < n; b++ {
+			f.Span.Set((b * 37) % rules.NumRules) // 37 is coprime to 256: n distinct bits
+		}
+		ids := ContextFeatures(&f).IDs
+		want := n + min(n*(n-1)/2, 60) + min(n*(n-1)*(n-2)/6, 40) + 3
+		if len(ids) != want || cap(ids) != want {
+			t.Errorf("%d-bit span: %d context IDs in a slice of %d, want exactly %d", n, len(ids), cap(ids), want)
+		}
+	}
+}
+
+// TestSpanActionsShareTheCatalogTable: two action sets of one catalog
+// alias the same feature IDs, and ActionsFor is SpanActions plus flips.
+func TestSpanActionsShareTheCatalogTable(t *testing.T) {
+	cat := rules.NewCatalog()
+	var f JobFeatures
+	f.Span.Set(20)
+	f.Span.Set(100)
+	a, b := SpanActions(cat, f.Span), SpanActions(cat, f.Span)
+	withFlips, flips := ActionsFor(cat, &f)
+	if len(a) != 3 || !reflect.DeepEqual(a, withFlips) {
+		t.Fatalf("SpanActions = %+v, ActionsFor = %+v", a, withFlips)
+	}
+	for i := range a {
+		if &a[i].IDs[0] != &b[i].IDs[0] {
+			t.Errorf("action %d: feature IDs are copied per call, want one shared table", i)
+		}
+		if i > 0 && a[i].ID != flips[i].String() {
+			t.Errorf("action %d is named %q, its flip is %s", i, a[i].ID, flips[i])
+		}
+	}
+}
+
 func TestActionsForIncludesNoopAndAllSpanFlips(t *testing.T) {
 	cat := rules.NewCatalog()
 	var f JobFeatures

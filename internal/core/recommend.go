@@ -101,11 +101,14 @@ func feat3(tag, a, b, c uint64) uint64 {
 // span as bit-position indicators with second and third order
 // co-occurrence crosses ("the surprising effectiveness of span features"),
 // plus coarse input-size information. All features are pre-hashed IDs
-// computed once at featurization; Rank never hashes strings.
+// computed once at featurization; Rank never hashes strings. The slice is
+// sized to the span — the event log keeps it for the life of the event.
 func ContextFeatures(f *JobFeatures) bandit.Context {
-	bits := f.Span.Bits()
+	var buf [rules.NumRules]int
+	bits := f.Span.AppendBits(buf[:0])
 	const maxPairs, maxTriples = 60, 40
-	ids := make([]uint64, 0, len(bits)+maxPairs+maxTriples+3)
+	nb := len(bits)
+	ids := make([]uint64, 0, nb+min(nb*(nb-1)/2, maxPairs)+min(nb*(nb-1)*(nb-2)/6, maxTriples)+3)
 	for _, b := range bits {
 		ids = append(ids, feat1(tagSpan, uint64(b)))
 	}
@@ -164,64 +167,71 @@ func logBucket(x float64) int {
 	return int(math.Log10(x))
 }
 
-// flipNames caches the rendered form of every possible single-rule flip
-// so ActionsFor does not re-run fmt for each job × span bit.
-var (
-	flipNamesOnce sync.Once
-	flipNames     [rules.NumRules][2]string
-)
-
-func flipName(f rules.Flip) string {
-	flipNamesOnce.Do(func() {
-		for id := 0; id < rules.NumRules; id++ {
-			flipNames[id][0] = rules.Flip{RuleID: id, Enable: false}.String()
-			flipNames[id][1] = rules.Flip{RuleID: id, Enable: true}.String()
-		}
-	})
-	dir := 0
-	if f.Enable {
-		dir = 1
-	}
-	return flipNames[f.RuleID][dir]
+// actionTable is the featurization of every single-rule flip of one
+// catalog — a pure function of it, built once. Every action SpanActions
+// hands out aliases these arrays: they are immutable after construction.
+type actionTable struct {
+	noop    bandit.Action
+	actions [rules.NumRules]bandit.Action
+	ids     [rules.NumRules][4]uint64
 }
 
-// noopActionIDs is the shared featurization of the "change nothing"
-// action (immutable).
-var noopActionIDs = []uint64{feat1(tagActNoop, 0)}
+// actionTables memoizes actionTable per *rules.Catalog: one entry per
+// catalog the process builds (one, outside tests).
+var actionTables sync.Map
 
-// ActionsFor builds the bandit action set for a job: no-op plus one flip
-// per span rule, "corresponding to either changing nothing (1) or
-// flipping a single bit in the span (S)". Actions are featurized by rule
-// ID, rule kind and rule category as pre-hashed feature IDs.
-func ActionsFor(cat *rules.Catalog, f *JobFeatures) ([]bandit.Action, []rules.Flip) {
-	bits := f.Span.Bits()
-	actions := make([]bandit.Action, 0, len(bits)+1)
-	flips := make([]rules.Flip, 0, len(bits)+1)
-	actions = append(actions, bandit.Action{ID: "noop", IDs: noopActionIDs})
-	flips = append(flips, rules.Flip{})
-	// One backing array for all per-rule feature IDs of this job.
-	backing := make([]uint64, 0, len(bits)*4)
-	for _, b := range bits {
-		r := cat.Rule(b)
-		flip := cat.FlipFor(b)
+func actionTableFor(cat *rules.Catalog) *actionTable {
+	if t, ok := actionTables.Load(cat); ok {
+		return t.(*actionTable)
+	}
+	t := &actionTable{noop: bandit.Action{ID: "noop", IDs: []uint64{feat1(tagActNoop, 0)}}}
+	for _, r := range cat.All() {
+		flip := cat.FlipFor(r.ID)
 		enable := uint64(0)
 		if flip.Enable {
 			enable = 1
 		}
-		start := len(backing)
-		backing = append(backing,
+		t.ids[r.ID] = [4]uint64{
 			feat1(tagActRule, uint64(r.ID)),
 			feat1(tagActKind, uint64(r.Kind)),
 			feat1(tagActCat, uint64(r.Category)),
 			// Kind crossed with flip direction: the decisive signal
 			// ("disabling compression helps", "enabling it hurts").
 			feat2(tagActKindDir, uint64(r.Kind), enable),
-		)
-		actions = append(actions, bandit.Action{
-			ID:  flipName(flip),
-			IDs: backing[start : start+4 : start+4],
-		})
-		flips = append(flips, flip)
+		}
+		t.actions[r.ID] = bandit.Action{ID: flip.String(), IDs: t.ids[r.ID][:]}
+	}
+	actual, _ := actionTables.LoadOrStore(cat, t)
+	return actual.(*actionTable)
+}
+
+// SpanActions builds the bandit action set for a span: no-op plus one
+// flip per span rule, "corresponding to either changing nothing (1) or
+// flipping a single bit in the span (S)". Actions are featurized by rule
+// ID, rule kind and rule category as pre-hashed feature IDs, and named by
+// their flip's hint-file form (rules.Flip.String; "noop" for action 0).
+// The feature IDs are shared with every other action set of the catalog:
+// read-only.
+func SpanActions(cat *rules.Catalog, span rules.Bitset) []bandit.Action {
+	t := actionTableFor(cat)
+	var buf [rules.NumRules]int
+	bits := span.AppendBits(buf[:0])
+	actions := make([]bandit.Action, 1, len(bits)+1)
+	actions[0] = t.noop
+	for _, b := range bits {
+		actions = append(actions, t.actions[b])
+	}
+	return actions
+}
+
+// ActionsFor is SpanActions for a featurized job, with the flip each
+// action stands for (the zero Flip beside the no-op).
+func ActionsFor(cat *rules.Catalog, f *JobFeatures) ([]bandit.Action, []rules.Flip) {
+	actions := SpanActions(cat, f.Span)
+	flips := make([]rules.Flip, 1, len(actions))
+	var buf [rules.NumRules]int
+	for _, b := range f.Span.AppendBits(buf[:0]) {
+		flips = append(flips, cat.FlipFor(b))
 	}
 	return actions, flips
 }
@@ -256,7 +266,7 @@ func (c *CBRecommender) Recommend(f *JobFeatures) (rules.Flip, bool, string) {
 	if c.BasicContext {
 		ctx = BasicContextFeatures(f)
 	}
-	actions, flips := ActionsFor(c.Catalog, f)
+	actions := SpanActions(c.Catalog, f.Span)
 	var ranked bandit.Ranked
 	var err error
 	if c.Uniform {
@@ -267,8 +277,12 @@ func (c *CBRecommender) Recommend(f *JobFeatures) (rules.Flip, bool, string) {
 	if err != nil {
 		return rules.Flip{}, true, ""
 	}
-	flip := flips[ranked.Chosen]
-	return flip, ranked.Chosen == 0, ranked.EventID
+	if ranked.Chosen == 0 {
+		return rules.Flip{}, true, ranked.EventID
+	}
+	var buf [rules.NumRules]int
+	rule := f.Span.AppendBits(buf[:0])[ranked.Chosen-1]
+	return c.Catalog.FlipFor(rule), false, ranked.EventID
 }
 
 // Learn implements Recommender.

@@ -45,6 +45,8 @@ func (b *implBuilder) build(g *scope.Graph) (*Plan, error) {
 		}
 		b.plan.Roots = append(b.plan.Roots, pn)
 	}
+	// Tuning and stage assignment set fields; they add no node.
+	b.plan.order = b.plan.walk()
 	b.applyTuning()
 	b.assignStages()
 	b.computeCost()

@@ -157,6 +157,9 @@ type Plan struct {
 	EstVertices int
 
 	nextID int
+	// order is the topological order, recorded once the builder has
+	// lowered every root (nil for a hand-built plan).
+	order []*PhysNode
 }
 
 // NewNode allocates a physical node attached to this plan.
@@ -166,8 +169,18 @@ func (p *Plan) NewNode(op PhysOp, logical *scope.Node, inputs ...*PhysNode) *Phy
 	return n
 }
 
-// Nodes returns all physical nodes in deterministic topological order.
+// Nodes returns all physical nodes in deterministic topological order
+// (inputs first). The slice of an optimized plan is computed once and
+// shared by every caller: read-only.
 func (p *Plan) Nodes() []*PhysNode {
+	if p.order != nil {
+		return p.order
+	}
+	return p.walk()
+}
+
+// walk computes the topological order from the roots.
+func (p *Plan) walk() []*PhysNode {
 	var order []*PhysNode
 	seen := make(map[*PhysNode]bool)
 	var visit func(n *PhysNode)

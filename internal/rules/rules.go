@@ -12,6 +12,7 @@ package rules
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 )
 
@@ -447,16 +448,7 @@ func (b *Bitset) Flip(id int) { b.w[id>>6] ^= 1 << (uint(id) & 63) }
 func (b Bitset) Count() int {
 	n := 0
 	for _, w := range b.w {
-		n += popcount(w)
-	}
-	return n
-}
-
-func popcount(x uint64) int {
-	n := 0
-	for x != 0 {
-		x &= x - 1
-		n++
+		n += bits.OnesCount64(w)
 	}
 	return n
 }
@@ -503,13 +495,19 @@ func (b Bitset) Minus(o Bitset) Bitset {
 
 // Bits returns the IDs of all set bits in ascending order.
 func (b Bitset) Bits() []int {
-	out := make([]int, 0, b.Count())
-	for i := 0; i < NumRules; i++ {
-		if b.Get(i) {
-			out = append(out, i)
+	return b.AppendBits(make([]int, 0, b.Count()))
+}
+
+// AppendBits appends the IDs of all set bits to dst in ascending order
+// and returns the extended slice. It allocates only if dst must grow, so
+// a caller with a stack buffer of NumRules ints walks a span for free.
+func (b Bitset) AppendBits(dst []int) []int {
+	for i, w := range b.w {
+		for ; w != 0; w &= w - 1 {
+			dst = append(dst, i<<6|bits.TrailingZeros64(w))
 		}
 	}
-	return out
+	return dst
 }
 
 // String renders the bitset as a 64-hex-digit string, most significant

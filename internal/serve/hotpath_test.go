@@ -14,15 +14,18 @@ import (
 	"qoadvisor/internal/api"
 	"qoadvisor/internal/drift"
 	"qoadvisor/internal/rules"
+	"qoadvisor/internal/wal"
 )
 
 // The committed allocation ceilings of the two hot routes, per request,
-// for a 16-job all-hinted batch and its 16-event template-only reward
-// batch: what TestRankPathAllocBudget measures on this tree plus two. A
-// change that needs more has to raise them on purpose.
+// for a 16-job all-hinted batch, its 16-event template-only reward batch
+// and a 16-job batch that misses every hint: what TestRankPathAllocBudget
+// and TestBanditPathAllocBudget measure on this tree plus two. A change
+// that needs more has to raise them on purpose.
 const (
 	rankRequestAllocCeiling   = 8
 	rewardRequestAllocCeiling = 6
+	banditRequestAllocCeiling = 72
 )
 
 // reusedBody is a request body that can be rewound, so that the budget
@@ -43,6 +46,30 @@ func (w *reusedWriter) WriteHeader(code int) { w.status = code }
 func (w *reusedWriter) Write(p []byte) (int, error) {
 	w.body = append(w.body[:0], p...)
 	return len(p), nil
+}
+
+// requestAllocs reports what one in-memory request costs srv.ServeHTTP,
+// body and response writer reused so the harness adds nothing.
+func requestAllocs(t *testing.T, srv *Server, route string, payload any, wantStatus int) float64 {
+	t.Helper()
+	raw, err := json.Marshal(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := new(reusedBody)
+	req := httptest.NewRequest(http.MethodPost, route, nil)
+	req.Body, req.ContentLength = body, int64(len(raw))
+	w := &reusedWriter{header: make(http.Header)}
+	serve := func() {
+		body.Reset(raw)
+		clear(w.header)
+		srv.ServeHTTP(w, req)
+		if w.status != wantStatus {
+			t.Fatalf("%s answered %d: %s", route, w.status, w.body)
+		}
+	}
+	serve() // warm the pools
+	return testing.AllocsPerRun(200, serve)
 }
 
 // TestRankPathAllocBudget is the tier-1 gate on what a steering decision
@@ -69,35 +96,50 @@ func TestRankPathAllocBudget(t *testing.T) {
 		events[i] = api.RewardEvent{Reward: &reward, TemplateHash: &th}
 	}
 
-	measure := func(route string, payload any, wantStatus int) float64 {
-		raw, err := json.Marshal(payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		body := new(reusedBody)
-		req := httptest.NewRequest(http.MethodPost, route, nil)
-		req.Body, req.ContentLength = body, int64(len(raw))
-		w := &reusedWriter{header: make(http.Header)}
-		serve := func() {
-			body.Reset(raw)
-			clear(w.header)
-			srv.ServeHTTP(w, req)
-			if w.status != wantStatus {
-				t.Fatalf("%s answered %d: %s", route, w.status, w.body)
-			}
-		}
-		serve() // warm the pools
-		return testing.AllocsPerRun(200, serve)
-	}
-	if n := measure(api.RouteV2Rank, api.BatchRankRequest{Jobs: jobs}, http.StatusOK); n > rankRequestAllocCeiling {
+	if n := requestAllocs(t, srv, api.RouteV2Rank, api.BatchRankRequest{Jobs: jobs}, http.StatusOK); n > rankRequestAllocCeiling {
 		t.Errorf("a 16-job hinted /v2/rank request allocates %v times, ceiling %d", n, rankRequestAllocCeiling)
 	} else {
 		t.Logf("/v2/rank: %v allocations per 16-job request (ceiling %d)", n, rankRequestAllocCeiling)
 	}
-	if n := measure(api.RouteV2Reward, api.BatchRewardRequest{Events: events}, http.StatusAccepted); n > rewardRequestAllocCeiling {
+	if n := requestAllocs(t, srv, api.RouteV2Reward, api.BatchRewardRequest{Events: events}, http.StatusAccepted); n > rewardRequestAllocCeiling {
 		t.Errorf("a 16-event template-only /v2/reward request allocates %v times, ceiling %d", n, rewardRequestAllocCeiling)
 	} else {
 		t.Logf("/v2/reward: %v allocations per 16-event request (ceiling %d)", n, rewardRequestAllocCeiling)
+	}
+}
+
+// TestBanditPathAllocBudget gates the other side of the hint cache: 16
+// unhinted 8-bit-span jobs, each featurized, ranked by the bandit, logged
+// and journaled to an async WAL. What a decision keeps — its context IDs,
+// its action slice, the Event and its ID — is four allocations; the rest
+// of the ceiling is the request's own eight and the event index growing.
+func TestBanditPathAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	j, err := wal.Open(wal.Options{Dir: t.TempDir(), Mode: wal.ModeAsync})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	srv := New(Config{Catalog: rules.NewCatalog(), Seed: 1, WAL: j})
+	defer srv.Close()
+	jobs := make([]api.RankRequest, 16)
+	for i := range jobs {
+		jobs[i] = api.RankRequest{
+			TemplateHash: api.TemplateHash(0xb000 + i),
+			Span:         []int{3, 17 + i, 40, 64, 99, 128 + i, 200, 255},
+			RowCount:     1e6, BytesRead: 2.5e9,
+		}
+	}
+	n := requestAllocs(t, srv, api.RouteV2Rank, api.BatchRankRequest{Jobs: jobs}, http.StatusOK)
+	if n > banditRequestAllocCeiling {
+		t.Errorf("a 16-job unhinted /v2/rank request allocates %v times, ceiling %d", n, banditRequestAllocCeiling)
+	} else {
+		t.Logf("/v2/rank, bandit path: %v allocations per 16-job request (ceiling %d)", n, banditRequestAllocCeiling)
+	}
+	if errs := srv.Bandit().JournalErrors(); errs != 0 {
+		t.Errorf("%d journal appends failed", errs)
 	}
 }
 

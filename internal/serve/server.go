@@ -455,9 +455,9 @@ func (s *Server) rankTraced(req api.RankRequest, tr *obs.Trace, tid int) (api.Ra
 	}
 	gen := s.cache.Generation()
 
-	f := &core.JobFeatures{Span: span, RowCount: req.RowCount, BytesRead: req.BytesRead}
-	ctx := core.ContextFeatures(f)
-	actions, flips := core.ActionsFor(s.cat, f)
+	f := core.JobFeatures{Span: span, RowCount: req.RowCount, BytesRead: req.BytesRead}
+	ctx := core.ContextFeatures(&f)
+	actions := core.SpanActions(s.cat, span)
 	var ranked bandit.Ranked
 	var err error
 	switch {
@@ -490,7 +490,8 @@ func (s *Server) rankTraced(req api.RankRequest, tr *obs.Trace, tid int) (api.Ra
 	if resp.NoOp {
 		s.noops.Add(1)
 	} else {
-		resp.Flip = flips[ranked.Chosen].String()
+		// A flip action is named by its flip's hint-file form.
+		resp.Flip = actions[ranked.Chosen].ID
 	}
 	return resp, nil
 }

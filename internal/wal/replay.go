@@ -122,6 +122,10 @@ type Cursor struct {
 	scratch []byte
 }
 
+// maxCursorScratch is the largest read buffer a Cursor keeps between
+// Next calls; rank and reward records are a few hundred bytes.
+const maxCursorScratch = 64 << 10
+
 // NewCursor positions a tail cursor just after afterLSN. Locating the
 // byte offset scans at most one segment once; every subsequent Next is
 // proportional to the records it delivers.
@@ -252,7 +256,14 @@ func (c *Cursor) readSegment(upTo uint64, fn func(lsn uint64, payload []byte) er
 	}
 	defer sr.Close()
 	sr.attachScratch(c.scratch)
-	defer func() { c.scratch = sr.detachScratch() }()
+	defer func() {
+		// Take the reader's scratch back for the next call, unless one
+		// large record (a hint rollover) grew it: a tail cursor lives as
+		// long as its long-poll, and would pin that megabyte while idle.
+		if c.scratch = sr.detachScratch(); cap(c.scratch) > maxCursorScratch {
+			c.scratch = nil
+		}
+	}()
 	delivered := 0
 	for c.nextLSN <= upTo {
 		lsn, payload, rerr := sr.Next()

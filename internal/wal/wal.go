@@ -156,7 +156,8 @@ type WAL struct {
 	cond *sync.Cond // broadcast when syncedLSN advances or the WAL closes
 	f    *os.File   // active segment
 	bw   *bufio.Writer
-	segs []segment // ascending; last is active
+	hdr  [recHeaderSize]byte // Append's record header: a local would escape through bw.Write
+	segs []segment           // ascending; last is active
 
 	nextLSN   uint64
 	syncedLSN uint64
@@ -455,10 +456,9 @@ func (w *WAL) Append(payload []byte) (uint64, error) {
 		w.mu.Unlock()
 		return 0, err
 	}
-	var hdr [recHeaderSize]byte
-	binary.LittleEndian.PutUint32(hdr[:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.Checksum(payload, crcTable))
-	if _, err := w.bw.Write(hdr[:]); err == nil {
+	binary.LittleEndian.PutUint32(w.hdr[:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(w.hdr[4:], crc32.Checksum(payload, crcTable))
+	if _, err := w.bw.Write(w.hdr[:]); err == nil {
 		_, err = w.bw.Write(payload)
 		if err != nil {
 			w.err = err

@@ -504,3 +504,59 @@ func TestCursorTailsAcrossRolls(t *testing.T) {
 		t.Fatal("cursor did not report the gap after compaction")
 	}
 }
+
+// TestAppendDoesNotAllocate pins the append path at zero allocations:
+// the record header lives in the WAL, not in a local that escapes
+// through the buffered writer.
+func TestAppendDoesNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	w := openTest(t, t.TempDir(), ModeOff, 64<<20)
+	defer w.Close()
+	payload := bytes.Repeat([]byte{0xa5}, 200)
+	allocs := testing.AllocsPerRun(2000, func() {
+		if _, err := w.Append(payload); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Append allocates %v times per 200-byte record, want 0", allocs)
+	}
+}
+
+// TestCursorDropsLargeScratch ships a 1 MiB record (a hint rollover)
+// and then a small one through a tail cursor: both arrive intact, and
+// the cursor does not keep the megabyte it read the first one into.
+func TestCursorDropsLargeScratch(t *testing.T) {
+	w := openTest(t, t.TempDir(), ModeOff, 64<<20)
+	defer w.Close()
+	big := make([]byte, 1<<20)
+	for i := range big {
+		big[i] = byte(i * 7)
+	}
+	small := bytes.Repeat([]byte("reward"), 34)[:200]
+	for _, p := range [][]byte{big, small} {
+		if _, err := w.Append(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	cur := w.NewCursor(0)
+	var got [][]byte
+	n, err := cur.Next(w.SyncedLSN(), func(_ uint64, p []byte) error {
+		got = append(got, append([]byte(nil), p...))
+		return nil
+	})
+	if err != nil || n != 2 {
+		t.Fatalf("Next = %d, %v (want 2 records)", n, err)
+	}
+	if !bytes.Equal(got[0], big) || !bytes.Equal(got[1], small) {
+		t.Error("payloads damaged in transit")
+	}
+	if cap(cur.scratch) > maxCursorScratch {
+		t.Errorf("cursor keeps a %d-byte scratch after the large record, want <= %d", cap(cur.scratch), maxCursorScratch)
+	}
+}

@@ -200,18 +200,24 @@ func takeIDs(b []byte) ([]uint64, []byte, error) {
 // EncodeRank frames one rank decision.
 func EncodeRank(eventID string, prob float64, ctxIDs, actIDs []uint64) []byte {
 	b := make([]byte, 0, 1+len(eventID)+4+8+(len(ctxIDs)+len(actIDs))*8+8)
-	b = append(b, TagRank)
-	b = appendString(b, eventID)
-	b = appendUint64(b, math.Float64bits(prob))
-	b = binary.AppendUvarint(b, uint64(len(ctxIDs)))
+	return AppendRank(b, eventID, prob, ctxIDs, actIDs)
+}
+
+// AppendRank appends the frame of one rank decision to dst — EncodeRank
+// for a caller that owns and reuses its record buffer.
+func AppendRank(dst []byte, eventID string, prob float64, ctxIDs, actIDs []uint64) []byte {
+	dst = append(dst, TagRank)
+	dst = appendString(dst, eventID)
+	dst = appendUint64(dst, math.Float64bits(prob))
+	dst = binary.AppendUvarint(dst, uint64(len(ctxIDs)))
 	for _, id := range ctxIDs {
-		b = appendUint64(b, id)
+		dst = appendUint64(dst, id)
 	}
-	b = binary.AppendUvarint(b, uint64(len(actIDs)))
+	dst = binary.AppendUvarint(dst, uint64(len(actIDs)))
 	for _, id := range actIDs {
-		b = appendUint64(b, id)
+		dst = appendUint64(dst, id)
 	}
-	return b
+	return dst
 }
 
 // DecodeRank parses a TagRank payload (including the type tag).
