@@ -193,7 +193,6 @@ func (m *auditMode) asOf(eng *audit.Engine) error {
 		SnapshotPath: m.model,
 		TrainEvery:   m.trainEvery,
 		MaxLogEvents: m.maxLog,
-		Seed:         m.seed,
 	})
 	if err != nil {
 		return err

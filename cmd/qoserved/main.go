@@ -18,7 +18,7 @@
 // `qoserved <subcommand> -h` lists that mode's flags with defaults;
 // testdata/flags.golden pins all of them.
 //
-// serve is an HTTP Rank/Reward server backed by a sharded hint cache
+// serve is an HTTP Rank/Reward server backed by a published hint table
 // and an asynchronous reward-ingestion pipeline. On startup it can
 // bootstrap itself end-to-end by running the offline daily pipeline for
 // a few simulated days — producing a validated hint table and a trained
@@ -44,8 +44,8 @@
 // and /v2/stats locally, and rejects writes with a structured
 // not_primary error carrying the primary's URL. If the primary compacts
 // past the follower's position, the follower re-bootstraps on its own.
-// -seed, -train-every and -max-log are replay values, not tuning: a
-// follower, replay and audit asof must be given the primary's.
+// -train-every and -max-log are replay values, not tuning: a follower,
+// replay and audit asof must be given the primary's.
 //
 // Observability: every node serves Prometheus text-format metrics at
 // GET /metrics and its build identity at GET /v2/version (offline:
@@ -198,15 +198,16 @@ func parse(argv []string, stderr io.Writer) (mode, error) {
 }
 
 // replayFlags are the values a journal replay must share with the run
-// that wrote the journal: a follower, replay or audit asof given other
-// values rebuilds a different model. They are not tuning.
+// that wrote the journal: they place the training and eviction
+// boundaries, so a follower, replay or audit asof given other values
+// rebuilds a different model. They are not tuning. The primary's -seed
+// is not among them: replay applies journaled decisions and never draws
+// from the exploration rng, and a snapshot's bytes do not contain it.
 type replayFlags struct {
-	seed               int64
 	trainEvery, maxLog int
 }
 
 func (r *replayFlags) register(fs *flag.FlagSet) {
-	fs.Int64Var(&r.seed, "seed", 42, "workload, pipeline and exploration seed")
 	fs.IntVar(&r.trainEvery, "train-every", 0, "train after this many applied rewards (0 = default)")
 	fs.IntVar(&r.maxLog, "max-log", 0, "cap on retained rank events (0 = default, negative = unbounded)")
 }
@@ -275,6 +276,7 @@ func closeFlight(r *obs.FlightRecorder) {
 type serveMode struct {
 	nodeFlags
 	replayFlags
+	seed                          int64
 	templates, bootstrapDays      int
 	hints, model, walDir, walSync string
 	walMode                       wal.Mode // -wal-sync, parsed by validate
@@ -290,6 +292,7 @@ type serveMode struct {
 func (m *serveMode) register(fs *flag.FlagSet) {
 	m.nodeFlags.register(fs)
 	m.replayFlags.register(fs)
+	fs.Int64Var(&m.seed, "seed", 42, "workload, pipeline and exploration seed")
 	fs.IntVar(&m.templates, "templates", 24, "bootstrap workload size (recurring job templates)")
 	fs.IntVar(&m.bootstrapDays, "bootstrap-days", 5, "simulated pipeline days to run before serving (0 = none)")
 	fs.StringVar(&m.hints, "hints", "", "load an additional SIS hint file into the cache")
@@ -556,7 +559,6 @@ func (m *followMode) run() error {
 	defer closeFlight(flight)
 	f, err := replicate.Start(replicate.Config{
 		Primary:      m.primary,
-		Seed:         m.seed,
 		TrainEvery:   m.trainEvery,
 		MaxLogEvents: m.maxLog,
 		Logger:       logg,
@@ -830,7 +832,7 @@ func (m *replayMode) validate(out string) error {
 }
 
 func (m *replayMode) run() error {
-	rec, err := serve.Recover(wal.DirSource{Dir: m.walDir}, m.model, m.trainEvery, m.maxLog, m.seed)
+	rec, err := serve.Recover(wal.DirSource{Dir: m.walDir}, m.model, m.trainEvery, m.maxLog, 0)
 	if err != nil {
 		return err
 	}

@@ -78,26 +78,26 @@ func TestParseBuildsEachMode(t *testing.T) {
 		want mode
 	}{
 		{"serve -addr :1 -wal-dir d -wal-sync sync -drift -drift-threshold 6 -seed 7", &serveMode{
-			nodeFlags: node, replayFlags: replayFlags{seed: 7},
+			nodeFlags: node, seed: 7,
 			templates: 24, bootstrapDays: 5, drift: true, driftCfg: drift.Config{Threshold: 6},
 			walDir: "d", walSync: "sync", walMode: wal.ModeSync, walSegMB: 64,
 			model: "d/model.snap", snapshotEvery: 5 * time.Minute,
 		}},
 		{"follow http://p:1 -addr :1 -train-every 16", &followMode{
-			nodeFlags: node, replayFlags: replayFlags{seed: 42, trainEvery: 16}, primary: "http://p:1",
+			nodeFlags: node, replayFlags: replayFlags{trainEvery: 16}, primary: "http://p:1",
 		}},
 		{"check http://h:1", &checkMode{url: "http://h:1"}},
 		{"cluster http://a:1,,http://b:1", &clusterMode{endpoints: []string{"http://a:1", "http://b:1"}}},
 		{"push-hints http://h:1 -hints f.hints", &pushHintsMode{url: "http://h:1", hints: "f.hints"}},
 		{"replay out.model -wal-dir d -max-log -1", &replayMode{
-			journalFlags: journalFlags{replayFlags: replayFlags{seed: 42, maxLog: -1}, walDir: "d"}, out: "out.model",
+			journalFlags: journalFlags{replayFlags: replayFlags{maxLog: -1}, walDir: "d"}, out: "out.model",
 		}},
 		{"audit template -wal-dir d -template-hash a11ce", &auditMode{
-			journalFlags: journalFlags{replayFlags: replayFlags{seed: 42}, walDir: "d", model: "d/model.snap"},
+			journalFlags: journalFlags{walDir: "d", model: "d/model.snap"},
 			query:        "template", hash: 0xa11ce, hasTemplate: true,
 		}},
 		{"audit records -wal-dir d -audit-type rank,reward_batch -audit-limit 3", &auditMode{
-			journalFlags: journalFlags{replayFlags: replayFlags{seed: 42}, walDir: "d", model: "d/model.snap"},
+			journalFlags: journalFlags{walDir: "d", model: "d/model.snap"},
 			query:        "records", tags: []byte{1, 2}, limit: 3,
 		}},
 		{"version", versionMode{}},
@@ -120,6 +120,9 @@ func TestParseRejects(t *testing.T) {
 	cases := [][2]string{
 		{"follow http://p:1 -wal-dir d", undefined},
 		{"follow http://p:1 -hints f", undefined},
+		{"follow http://p:1 -seed 7", undefined},
+		{"replay out.model -wal-dir d -seed 7", undefined},
+		{"audit asof -wal-dir d -seed 7", undefined},
 		{"follow", "missing <primary>"},
 		{"follow -addr :1 http://p:1", "missing <primary>"},
 		{"replay out.model", "needs -wal-dir"},

@@ -68,7 +68,7 @@ func main() {
 	}
 	cat := rules.NewCatalog()
 	srv := serve.New(serve.Config{
-		Catalog: cat, Seed: 42, QueueSize: 1024, TrainEvery: 16,
+		Catalog: cat, Seed: 42, TrainEvery: 16,
 		SnapshotPath: snap, WAL: j,
 	})
 	ts := httptest.NewServer(srv)

@@ -124,10 +124,12 @@ type RankRequest struct {
 	BytesRead    float64      `json:"bytesRead,omitempty"`
 }
 
-// RankResponse is the steering decision. Source "hint" means the sharded
-// cache had a validated hint for the template (the production fast path:
+// RankResponse is the steering decision. Source "hint" means the hint
+// table had a validated hint for the template (the production fast path:
 // no bandit call, no event logged). Source "bandit" means the learner
-// picked an action and logged a rank event awaiting a reward.
+// picked an action and logged a rank event awaiting a reward. Generation
+// is the generation of the table that answered — the one the hint came
+// from, or the one that missed.
 type RankResponse struct {
 	Source     string  `json:"source"`
 	Flip       string  `json:"flip,omitempty"`
@@ -413,7 +415,6 @@ type StatsResponse struct {
 	NoOps        int64       `json:"noops"`
 	CacheSize    int         `json:"cacheSize"`
 	CacheGen     uint64      `json:"cacheGeneration"`
-	CacheShards  int         `json:"cacheShards"`
 	BanditLog    int64       `json:"banditLogSize"`
 	Ingest       IngestStats `json:"ingest"`
 	// WAL is present when the server journals rewards durably.

@@ -24,7 +24,8 @@ type AsOfOptions struct {
 	// MaxLogEvents caps the open-event log (0 = serving default 16384,
 	// negative = unbounded).
 	MaxLogEvents int
-	// Seed is the learner's RNG seed (must match the serving seed).
+	// Seed seeds the reconstructed learner's exploration rng. Replay never
+	// draws from it, so the reconstruction's bytes do not depend on it.
 	Seed int64
 }
 

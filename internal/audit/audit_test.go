@@ -41,7 +41,7 @@ func newAsOfRig(t *testing.T, segBytes int64) *asOfRig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := serve.New(serve.Config{Seed: asOfSeed, TrainEvery: asOfTrainEvery, QueueSize: 1024, WAL: j})
+	srv := serve.New(serve.Config{Seed: asOfSeed, TrainEvery: asOfTrainEvery, WAL: j})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	return &asOfRig{srv: srv, cl: client.New(ts.URL), j: j, dir: dir}

@@ -129,8 +129,9 @@ func DefaultConfig(seed int64) Config {
 // concurrent use: the serve layer issues Rank and Reward calls from many
 // request goroutines while the reward ingestor trains in the background.
 // Scoring takes a shared read lock on the weight vector so concurrent
-// Rank calls scale across cores; the event log and the exploration rng
-// are guarded by their own short-critical-section mutexes.
+// Rank calls scale across cores; the decision log (exploration rng, event
+// log, journal append) is one short critical section under evMu. The lock
+// order is in internal/serve's lock-hierarchy comment.
 type Service struct {
 	cfg Config
 
@@ -146,14 +147,11 @@ type Service struct {
 	// call and walked on every epoch.
 	trainIdx []int
 
-	// rngMu guards the exploration rng (lock ordering: never held together
-	// with mu or evMu).
-	rngMu sync.Mutex
-	rng   *rand.Rand
-
-	// evMu guards the event log, the event index, the pending-reward
-	// list, the ID sequence, the log cap, and the suspension count.
+	// evMu guards the decision log: the exploration rng, the event log,
+	// the event index, the pending-reward list, the ID sequence, the log
+	// cap, and the suspension count.
 	evMu   sync.Mutex
+	rng    *rand.Rand
 	events map[string]*Event
 	log    []*Event
 	// pending holds rewarded-but-untrained events so Train is O(batch)
@@ -482,40 +480,26 @@ func (s *Service) rank(ctx Context, actions []Action, uniform bool) (Ranked, err
 	k := len(actions)
 	best := s.argmax(ctx, actions)
 
-	s.rngMu.Lock()
+	ev := &Event{Context: ctx, Actions: actions}
+	var idBuf [48]byte
+	s.evMu.Lock()
+	// The draw shares the event log's critical section: the rng is
+	// consumed in event-sequence order.
 	explore := !uniform && s.rng.Float64() < s.cfg.Epsilon
-	pick := 0
+	chosen := best
 	if uniform || explore {
-		pick = s.rng.Intn(k)
+		chosen = s.rng.Intn(k)
 	}
-	s.rngMu.Unlock()
-
-	var chosen int
 	var prob float64
 	switch {
 	case uniform:
-		chosen = pick
 		prob = 1 / float64(k)
-	case explore:
-		chosen = pick
-		if chosen == best {
-			prob = (1 - s.cfg.Epsilon) + s.cfg.Epsilon/float64(k)
-		} else {
-			prob = s.cfg.Epsilon / float64(k)
-		}
-	default:
-		chosen = best
+	case chosen == best:
 		prob = (1 - s.cfg.Epsilon) + s.cfg.Epsilon/float64(k)
+	default:
+		prob = s.cfg.Epsilon / float64(k)
 	}
-
-	ev := &Event{
-		Context: ctx,
-		Actions: actions,
-		Chosen:  chosen,
-		Prob:    prob,
-	}
-	var idBuf [48]byte
-	s.evMu.Lock()
+	ev.Chosen, ev.Prob = chosen, prob
 	s.seq++
 	ev.EventID = string(appendEventID(idBuf[:0], s.nonce, s.seq))
 	s.events[ev.EventID] = ev

@@ -42,7 +42,7 @@ func newPrimary(t *testing.T, segBytes int64) *primaryRig {
 		t.Fatal(err)
 	}
 	cat := rules.NewCatalog()
-	srv := serve.New(serve.Config{Catalog: cat, Seed: 42, TrainEvery: testTrainEvery, QueueSize: 4096, WAL: j})
+	srv := serve.New(serve.Config{Catalog: cat, Seed: 42, TrainEvery: testTrainEvery, WAL: j})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(func() {
 		ts.Close()

@@ -1,111 +1,72 @@
-// Package serve is QO-Advisor's online steering layer: an embeddable,
-// concurrency-safe service that answers per-job steering requests at
-// compile time and feeds run telemetry back into the contextual bandit.
-// It mirrors the deployment architecture of the paper (§4): the daily
-// offline pipeline produces rule-flip hints, a production-facing serving
-// layer answers "what flip for this job template?" on the hot path from
-// a sharded hint cache, and reward telemetry flows asynchronously into
-// the Personalizer-style rank/reward learner.
 package serve
 
 import (
 	"sort"
-	"sync"
 	"sync/atomic"
 
-	"qoadvisor/internal/bandit"
 	"qoadvisor/internal/sis"
 )
 
-// defaultShards is the hint-cache shard count when the caller does not
-// choose one. 32 shards keep lock contention negligible at request
-// concurrencies well beyond typical GOMAXPROCS values.
-const defaultShards = 32
+// hintTable is one installed hint file: immutable once published, so a
+// reader holding the pointer sees a hint and the generation it was
+// installed as from the same table.
+type hintTable struct {
+	hints map[uint64]sis.Hint
+	gen   uint64
+}
 
-// HintCache is a sharded, read-mostly map from job-template hash to the
-// template's active hint. Lookups take a per-shard read lock; Replace
-// hot-swaps the whole table shard by shard on pipeline rollover, so
-// readers never block behind a full rebuild and never observe a torn
-// table beyond a momentary mix of two adjacent generations.
+// HintCache maps a job-template hash to the template's active hint. The
+// table is only ever replaced whole (the daily rollover), so it is
+// published through one atomic pointer: readers load it and never block,
+// writers build the next table aside and swap it in.
 type HintCache struct {
-	shards []hintShard
-	mask   uint64
-	gen    atomic.Uint64
-	size   atomic.Int64
-	// replaceMu serializes writers: two concurrent Replace calls must not
-	// interleave their per-shard swaps, or the table would permanently mix
-	// two generations.
-	replaceMu sync.Mutex
+	cur atomic.Pointer[hintTable]
 }
 
-type hintShard struct {
-	mu sync.RWMutex
-	m  map[uint64]sis.Hint
-}
-
-// NewHintCache creates a cache with at least n shards (rounded up to a
-// power of two; n <= 0 selects the default).
-func NewHintCache(n int) *HintCache {
-	if n <= 0 {
-		n = defaultShards
-	}
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	c := &HintCache{shards: make([]hintShard, p), mask: uint64(p - 1)}
-	for i := range c.shards {
-		c.shards[i].m = make(map[uint64]sis.Hint)
-	}
+// NewHintCache creates an empty cache at generation 0.
+func NewHintCache() *HintCache {
+	c := &HintCache{}
+	c.cur.Store(&hintTable{})
 	return c
 }
 
-// Shard selection finalizes the template hash with bandit.Mix64 —
-// template hashes are already well-distributed FNV values, but
-// finalizing makes shard selection robust to any clustering in the low
-// bits.
-func (c *HintCache) shard(templateHash uint64) *hintShard {
-	return &c.shards[bandit.Mix64(templateHash)&c.mask]
+// lookup returns the active hint for a job template, if any, and the
+// generation of the table that answered — hit or miss — from one load.
+func (c *HintCache) lookup(templateHash uint64) (h sis.Hint, gen uint64, ok bool) {
+	t := c.cur.Load()
+	h, ok = t.hints[templateHash]
+	return h, t.gen, ok
 }
 
 // Lookup returns the active hint for a job template, if any. This is the
-// serving hot path: one hash finalization, one shard RLock, one map read.
+// serving hot path: one pointer load, one map read.
 func (c *HintCache) Lookup(templateHash uint64) (sis.Hint, bool) {
-	sh := c.shard(templateHash)
-	sh.mu.RLock()
-	h, ok := sh.m[templateHash]
-	sh.mu.RUnlock()
+	h, _, ok := c.lookup(templateHash)
 	return h, ok
 }
 
-// Replace installs a fresh hint table, replacing the previous one — the
-// pipeline-rollover hot swap. The new shard maps are built entirely
-// outside the locks; each shard then swaps its map pointer under a brief
-// write lock. Duplicate template hashes keep the last occurrence,
-// matching sis.Store upload semantics. Returns the new generation.
-func (c *HintCache) Replace(hints []sis.Hint) uint64 {
-	c.replaceMu.Lock()
-	defer c.replaceMu.Unlock()
-	fresh := make([]map[uint64]sis.Hint, len(c.shards))
-	// Pre-size each shard near its expected share of the table: Mix64
-	// spreads templates evenly, so len/shards is the right hint and the
-	// rollover build stops paying for incremental map growth.
-	per := len(hints)/len(c.shards) + 1
-	for i := range fresh {
-		fresh[i] = make(map[uint64]sis.Hint, per)
-	}
+// newHintTable indexes hints by template hash. Duplicate hashes keep the
+// last occurrence, matching sis.Store upload semantics.
+func newHintTable(hints []sis.Hint, gen uint64) *hintTable {
+	m := make(map[uint64]sis.Hint, len(hints))
 	for _, h := range hints {
-		fresh[bandit.Mix64(h.TemplateHash)&c.mask][h.TemplateHash] = h
+		m[h.TemplateHash] = h
 	}
-	total := 0
-	for i := range c.shards {
-		total += len(fresh[i])
-		c.shards[i].mu.Lock()
-		c.shards[i].m = fresh[i]
-		c.shards[i].mu.Unlock()
+	return &hintTable{hints: m, gen: gen}
+}
+
+// Replace installs a fresh hint table as the next generation — the
+// pipeline-rollover hot swap — and returns that generation. The
+// compare-and-swap makes racing Replace calls each mint their own.
+func (c *HintCache) Replace(hints []sis.Hint) uint64 {
+	next := newHintTable(hints, 0)
+	for {
+		old := c.cur.Load()
+		next.gen = old.gen + 1 // next is unpublished until the swap succeeds
+		if c.cur.CompareAndSwap(old, next) {
+			return next.gen
+		}
 	}
-	c.size.Store(int64(total))
-	return c.gen.Add(1)
 }
 
 // Restore installs a hint table at an explicit generation — the
@@ -115,51 +76,25 @@ func (c *HintCache) Replace(hints []sis.Hint) uint64 {
 // what keeps the generation clients observe identical across a crash
 // restart or between a primary and its followers.
 func (c *HintCache) Restore(hints []sis.Hint, gen uint64) {
-	c.replaceMu.Lock()
-	defer c.replaceMu.Unlock()
-	fresh := make([]map[uint64]sis.Hint, len(c.shards))
-	per := len(hints)/len(c.shards) + 1
-	for i := range fresh {
-		fresh[i] = make(map[uint64]sis.Hint, per)
-	}
-	for _, h := range hints {
-		fresh[bandit.Mix64(h.TemplateHash)&c.mask][h.TemplateHash] = h
-	}
-	total := 0
-	for i := range c.shards {
-		total += len(fresh[i])
-		c.shards[i].mu.Lock()
-		c.shards[i].m = fresh[i]
-		c.shards[i].mu.Unlock()
-	}
-	c.size.Store(int64(total))
-	c.gen.Store(gen)
+	c.cur.Store(newHintTable(hints, gen))
 }
 
 // Export snapshots the active table and its generation in ascending
 // template-hash order — the stable form checkpoints re-journal and
-// tests compare. It takes the writer lock so the hints and generation
-// are a consistent pair even against a concurrent Replace.
+// tests compare.
 func (c *HintCache) Export() ([]sis.Hint, uint64) {
-	c.replaceMu.Lock()
-	defer c.replaceMu.Unlock()
-	out := make([]sis.Hint, 0, c.size.Load())
-	for i := range c.shards {
-		c.shards[i].mu.RLock()
-		for _, h := range c.shards[i].m {
-			out = append(out, h)
-		}
-		c.shards[i].mu.RUnlock()
+	t := c.cur.Load()
+	out := make([]sis.Hint, 0, len(t.hints))
+	for _, h := range t.hints {
+		out = append(out, h)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].TemplateHash < out[j].TemplateHash })
-	return out, c.gen.Load()
+	return out, t.gen
 }
 
-// Size returns the number of active hints as of the last Replace.
-func (c *HintCache) Size() int { return int(c.size.Load()) }
+// Size returns the number of active hints.
+func (c *HintCache) Size() int { return len(c.cur.Load().hints) }
 
-// Generation returns how many tables have been installed.
-func (c *HintCache) Generation() uint64 { return c.gen.Load() }
-
-// Shards returns the shard count (diagnostic).
-func (c *HintCache) Shards() int { return len(c.shards) }
+// Generation returns the generation of the active table: how many have
+// been installed.
+func (c *HintCache) Generation() uint64 { return c.cur.Load().gen }

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"qoadvisor/internal/api"
 	"qoadvisor/internal/rules"
 	"qoadvisor/internal/sis"
 )
@@ -22,7 +23,7 @@ func mkHints(n, day int) []sis.Hint {
 }
 
 func TestHintCacheReplaceAndLookup(t *testing.T) {
-	c := NewHintCache(8)
+	c := NewHintCache()
 	if c.Size() != 0 || c.Generation() != 0 {
 		t.Fatalf("fresh cache: size=%d gen=%d", c.Size(), c.Generation())
 	}
@@ -63,7 +64,7 @@ func TestHintCacheReplaceAndLookup(t *testing.T) {
 }
 
 func TestHintCacheDuplicateKeepsLast(t *testing.T) {
-	c := NewHintCache(4)
+	c := NewHintCache()
 	c.Replace([]sis.Hint{
 		{TemplateHash: 7, Day: 1, Flip: rules.Flip{RuleID: 1}},
 		{TemplateHash: 7, Day: 2, Flip: rules.Flip{RuleID: 2}},
@@ -77,20 +78,11 @@ func TestHintCacheDuplicateKeepsLast(t *testing.T) {
 	}
 }
 
-func TestHintCacheShardRounding(t *testing.T) {
-	for _, tc := range []struct{ in, want int }{
-		{0, defaultShards}, {-5, defaultShards}, {1, 1}, {2, 2}, {3, 4}, {17, 32},
-	} {
-		if got := NewHintCache(tc.in).Shards(); got != tc.want {
-			t.Errorf("NewHintCache(%d).Shards() = %d, want %d", tc.in, got, tc.want)
-		}
-	}
-}
-
 // TestHintCacheConcurrentSwap hammers lookups while tables hot-swap; the
-// -race detector verifies the locking discipline.
+// -race detector verifies the publication, and the final generation that
+// no swap was lost.
 func TestHintCacheConcurrentSwap(t *testing.T) {
-	c := NewHintCache(8)
+	c := NewHintCache()
 	day1, day2 := mkHints(64, 1), mkHints(64, 2)
 	c.Replace(day1)
 
@@ -130,4 +122,53 @@ func TestHintCacheConcurrentSwap(t *testing.T) {
 	if c.Generation() != 51 {
 		t.Errorf("Generation = %d, want 51", c.Generation())
 	}
+}
+
+// TestRankHintAndGenerationAgree holds a rank response to one table: each
+// installed table stamps every hint's Day with the generation the install
+// mints, so a response whose HintDay differs from its Generation paired a
+// hint from one table with the generation of another.
+func TestRankHintAndGenerationAgree(t *testing.T) {
+	const tableSize, rollovers = 4096, 200
+	cat := rules.NewCatalog()
+	srv := New(Config{Catalog: cat, Seed: 1})
+	defer srv.Close()
+	install := func(gen int) {
+		got, err := srv.InstallHints(testHints(cat, tableSize, gen))
+		if err != nil || got != uint64(gen) {
+			t.Fatalf("install %d: generation %d, err %v", gen, got, err)
+		}
+	}
+	install(1)
+
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := g; ; i += 2 {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				hash := api.TemplateHash(0x1000 + i%tableSize)
+				resp, err := srv.Rank(api.RankRequest{TemplateHash: hash, Span: []int{41}})
+				if err != nil || resp.Source != api.SourceHint {
+					t.Errorf("rank %v: %+v, %v", hash, resp, err)
+					return
+				}
+				if uint64(resp.HintDay) != resp.Generation {
+					t.Errorf("rank %v: hint of table %d answered with generation %d", hash, resp.HintDay, resp.Generation)
+					return
+				}
+			}
+		}(g)
+	}
+	for gen := 2; gen <= rollovers+1; gen++ {
+		install(gen)
+	}
+	close(stop)
+	wg.Wait()
 }

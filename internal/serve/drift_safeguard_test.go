@@ -53,7 +53,7 @@ func newDriftRig(t *testing.T, mode wal.Mode) *driftRig {
 	cat := rules.NewCatalog()
 	srv := New(Config{
 		Catalog: cat, Seed: 42, TrainEvery: walTestTrainEvery,
-		QueueSize: 4096, WAL: j, Drift: driftTestConfig(),
+		WAL: j, Drift: driftTestConfig(),
 	})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(func() {

@@ -315,7 +315,7 @@ const rankChunk = 32
 // trace lane.
 func (h *httpLayer) rankBatch(jobs []api.RankRequest, results []api.RankResult, tr *obs.Trace) []api.RankResult {
 	results = slices.Grow(results[:0], len(jobs))[:len(jobs)]
-	par.For((len(jobs)+rankChunk-1)/rankChunk, h.srv.rankWorkers, func(c int) {
+	par.For((len(jobs)+rankChunk-1)/rankChunk, 0, func(c int) {
 		for i := c * rankChunk; i < min((c+1)*rankChunk, len(jobs)); i++ {
 			resp, err := h.srv.rankTraced(jobs[i], tr, i)
 			results[i] = api.RankResult{RankResponse: resp}

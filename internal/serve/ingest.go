@@ -13,7 +13,9 @@ import (
 )
 
 // reward is one queued reward observation. enq stamps the queue
-// hand-off so the drain goroutine can report queue-wait latency.
+// hand-off so the drain goroutine can report queue-wait latency; the
+// zero enq marks a fence (see waitDrained) without widening the queue's
+// 4,096 slots by a field.
 type reward struct {
 	eventID string
 	value   float64
@@ -39,23 +41,19 @@ type Ingestor struct {
 	ch         chan reward
 	trainEvery int64
 
-	// closeMu serializes Enqueue sends against Close closing the channel.
-	closeMu sync.RWMutex
-	closed  bool
-	wg      sync.WaitGroup
+	// seqMu serializes every sender on ch: it makes journal-append +
+	// channel-send atomic so WAL record order equals queue (and hence
+	// apply) order, orders sends against Close closing the channel
+	// (closed is guarded by it), and is held by the checkpoint barrier
+	// to fence new intake.
+	seqMu  sync.Mutex
+	closed bool
+	wg     sync.WaitGroup
+	// fenced is where the drain goroutine answers a fence item; only a
+	// seqMu holder waits on it, so there is at most one fence in flight.
+	fenced chan struct{}
 
-	// seqMu makes journal-append + channel-send atomic so WAL record
-	// order equals queue (and hence apply) order. The checkpoint
-	// barrier holds it to fence new intake.
-	seqMu sync.Mutex
-
-	// queued counts accepted-but-not-yet-applied rewards; drainMu/
-	// drainCond let Drain sleep until it reaches zero instead of
-	// busy-polling.
-	queued    atomic.Int64
-	drainMu   sync.Mutex
-	drainCond *sync.Cond
-	pending   atomic.Int64 // applied since the last training pass
+	pending atomic.Int64 // applied since the last training pass
 
 	enqueued      atomic.Int64
 	dropped       atomic.Int64
@@ -71,33 +69,27 @@ type Ingestor struct {
 	stages *stageHists
 }
 
-// NewIngestor starts an ingestion pipeline over the given bandit
-// service. j, when non-nil, is the durable reward journal. queueSize
-// bounds the reward backlog (default 4096); trainEvery is the training
-// batch size in applied rewards (default bandit.DefaultTrainEvery).
-// There is exactly one drain goroutine: reward application serializes
-// on the bandit's event-log mutex anyway, and one FIFO consumer is what
-// makes apply order equal journal order for deterministic replay.
-func NewIngestor(svc *bandit.Service, j *wal.WAL, queueSize, trainEvery int) *Ingestor {
-	return newIngestor(svc, j, queueSize, trainEvery, &stageHists{})
-}
+// ingestQueueSize bounds the reward backlog; a full queue is the
+// backpressure /v2/reward surfaces as rejected events.
+const ingestQueueSize = 4096
 
-// newIngestor is NewIngestor with the stage-histogram sink supplied by
-// the owning server. Standalone ingestors get private histograms from
-// the exported constructor; the distinction matters because the drain
-// goroutine reads stages from its first iteration, so it cannot be
-// assigned after construction.
-func newIngestor(svc *bandit.Service, j *wal.WAL, queueSize, trainEvery int, stages *stageHists) *Ingestor {
-	if queueSize <= 0 {
-		queueSize = 4096
-	}
+// newIngestor starts an ingestion pipeline over the given bandit
+// service. j, when non-nil, is the durable reward journal; trainEvery is
+// the training batch size in applied rewards (default
+// bandit.DefaultTrainEvery); stages is the owning server's
+// stage-histogram sink, which the drain goroutine reads from its first
+// iteration. There is exactly one drain goroutine: reward application
+// serializes on the bandit's event-log mutex anyway, and one FIFO
+// consumer is what makes apply order equal journal order for
+// deterministic replay.
+func newIngestor(svc *bandit.Service, j *wal.WAL, trainEvery int, stages *stageHists) *Ingestor {
 	if trainEvery <= 0 {
 		trainEvery = bandit.DefaultTrainEvery
 	}
 	in := &Ingestor{
 		svc:        svc,
 		wal:        j,
-		ch:         make(chan reward, queueSize),
+		ch:         make(chan reward, ingestQueueSize),
 		trainEvery: int64(trainEvery),
 		stages:     stages,
 	}
@@ -107,11 +99,15 @@ func newIngestor(svc *bandit.Service, j *wal.WAL, queueSize, trainEvery int, sta
 
 // start launches the one drain goroutine.
 func (in *Ingestor) start() {
-	in.drainCond = sync.NewCond(&in.drainMu)
+	in.fenced = make(chan struct{})
 	in.wg.Add(1)
 	go func() {
 		defer in.wg.Done()
 		for r := range in.ch {
+			if r.enq.IsZero() {
+				in.fenced <- struct{}{}
+				continue
+			}
 			in.apply(r)
 		}
 	}()
@@ -132,13 +128,6 @@ func (in *Ingestor) apply(r reward) {
 			in.pending.Store(0)
 			in.train()
 		}
-	}
-	if in.queued.Add(-1) == 0 {
-		// Pair the broadcast with the drain lock so a Drain caller
-		// between its counter check and cond.Wait cannot miss the wake.
-		in.drainMu.Lock()
-		in.drainMu.Unlock()
-		in.drainCond.Broadcast()
 	}
 }
 
@@ -173,14 +162,12 @@ func (in *Ingestor) EnqueueBatch(entries []bandit.RewardEntry) (accepted int, er
 // journal append and the commit wait are recorded as trace stages (tr
 // nil for embedded callers).
 func (in *Ingestor) enqueueBatch(entries []bandit.RewardEntry, tr *obs.Trace) (accepted int, err error) {
-	in.closeMu.RLock()
-	defer in.closeMu.RUnlock()
+	in.seqMu.Lock()
 	if in.closed {
+		in.seqMu.Unlock()
 		in.dropped.Add(int64(len(entries)))
 		return 0, nil
 	}
-
-	in.seqMu.Lock()
 	// The drain goroutine only receives, and seqMu serializes senders, so
 	// this free-capacity read is a safe lower bound: the sends below
 	// cannot block.
@@ -203,10 +190,6 @@ func (in *Ingestor) enqueueBatch(entries []bandit.RewardEntry, tr *obs.Trace) (a
 			return 0, err
 		}
 	}
-	// Count before handing off: the drain goroutine can pick an item up
-	// and apply it before this goroutine resumes, and Drain must never observe
-	// queued==0 while an accepted reward is still in flight.
-	in.queued.Add(int64(n))
 	enq := time.Now()
 	for i := 0; i < n; i++ {
 		in.ch <- reward{eventID: entries[i].EventID, value: entries[i].Value, enq: enq}
@@ -232,13 +215,19 @@ func (in *Ingestor) enqueueBatch(entries []bandit.RewardEntry, tr *obs.Trace) (a
 	return n, nil
 }
 
-// waitDrained blocks until every accepted reward has been applied.
+// waitDrained blocks until every accepted reward has been applied;
+// callers hold seqMu, so nothing can enqueue behind it. It pushes one
+// fence item through the queue and waits for the drain goroutine to
+// answer it: FIFO order is the proof that everything sent before the
+// fence was applied. After Close the channel is closed and the drain
+// goroutine's exit is that proof instead.
 func (in *Ingestor) waitDrained() {
-	in.drainMu.Lock()
-	for in.queued.Load() > 0 {
-		in.drainCond.Wait()
+	if in.closed {
+		in.wg.Wait()
+		return
 	}
-	in.drainMu.Unlock()
+	in.ch <- reward{}
+	<-in.fenced
 }
 
 // trainFlush journals a train mark (so replay reproduces this
@@ -280,17 +269,15 @@ func (in *Ingestor) Quiesce() (release func()) {
 // Close stops accepting rewards, drains the queue, applies a final
 // training pass, and waits for the drain goroutine to exit.
 func (in *Ingestor) Close() {
-	in.closeMu.Lock()
+	in.seqMu.Lock()
 	if in.closed {
-		in.closeMu.Unlock()
+		in.seqMu.Unlock()
 		return
 	}
 	in.closed = true
 	close(in.ch)
-	in.closeMu.Unlock()
+	in.seqMu.Unlock()
 	in.wg.Wait()
-	in.queued.Store(0)
-	in.drainCond.Broadcast()
 	in.trainFlush()
 }
 

@@ -26,7 +26,7 @@ func rankEvents(t *testing.T, svc *bandit.Service, n int) []string {
 
 func TestIngestorAppliesAndTrains(t *testing.T) {
 	svc := bandit.New(bandit.DefaultConfig(5))
-	in := NewIngestor(svc, nil, 128, 16)
+	in := newIngestor(svc, nil, 16, &stageHists{})
 	defer in.Close()
 
 	ids := rankEvents(t, svc, 64)
@@ -60,7 +60,7 @@ func TestIngestorAppliesAndTrains(t *testing.T) {
 
 func TestIngestorUnknownEvents(t *testing.T) {
 	svc := bandit.New(bandit.DefaultConfig(5))
-	in := NewIngestor(svc, nil, 16, 4)
+	in := newIngestor(svc, nil, 4, &stageHists{})
 	defer in.Close()
 	in.Enqueue("ev-no-such", 1.0)
 	in.Drain()
@@ -97,7 +97,7 @@ func TestIngestorBackpressure(t *testing.T) {
 
 func TestIngestorCloseRejectsAndDrains(t *testing.T) {
 	svc := bandit.New(bandit.DefaultConfig(5))
-	in := NewIngestor(svc, nil, 64, 1000) // batch too large to trigger mid-run
+	in := newIngestor(svc, nil, 1000, &stageHists{}) // batch too large to trigger mid-run
 	ids := rankEvents(t, svc, 32)
 	for _, id := range ids {
 		in.Enqueue(id, 2.0)

@@ -108,7 +108,6 @@ func (s *Server) collectMetrics(e *obs.Exposition) {
 	e.Counter("qoserved_rank_noops_total", "Bandit ranks that chose the no-op action.", nil, float64(s.noops.Load()))
 	e.Gauge("qoserved_hint_cache_entries", "Hints in the serving cache.", nil, float64(s.cache.Size()))
 	e.Gauge("qoserved_hint_cache_generation", "Hint-table generation.", nil, float64(s.cache.Generation()))
-	e.Gauge("qoserved_hint_cache_shards", "Hint-cache shard count.", nil, float64(s.cache.Shards()))
 	e.Gauge("qoserved_bandit_log_events", "Rank events retained awaiting rewards.", nil, float64(s.bandit.LogSize()))
 
 	// Ingestion counters.

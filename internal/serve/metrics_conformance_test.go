@@ -37,7 +37,6 @@ var statsMetricRules = []struct {
 	{path: re(`^noops$`), family: "qoserved_rank_noops_total"},
 	{path: re(`^cacheSize$`), family: "qoserved_hint_cache_entries"},
 	{path: re(`^cacheGeneration$`), family: "qoserved_hint_cache_generation"},
-	{path: re(`^cacheShards$`), family: "qoserved_hint_cache_shards"},
 	{path: re(`^banditLogSize$`), family: "qoserved_bandit_log_events"},
 
 	{path: re(`^ingest\.enqueued$`), family: "qoserved_ingest_enqueued_total"},

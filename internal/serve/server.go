@@ -33,13 +33,8 @@ type Config struct {
 	// Uniform switches ranking to the uniform-at-random logging policy
 	// (the paper's off-policy data-collection mode).
 	Uniform bool
-	// QueueSize bounds the reward-ingestion backlog (0 = default).
-	QueueSize int
 	// TrainEvery is the ingestion training batch size (0 = default).
 	TrainEvery int
-	// RankWorkers bounds the /v2/rank batch fan-out pool (0 = GOMAXPROCS,
-	// 1 = rank batch jobs sequentially).
-	RankWorkers int
 	// MaxLogEvents caps the learner's in-memory event log so an
 	// indefinitely running server does not leak rank events (0 = default
 	// 16384, negative = unbounded). Each logged event retains its full
@@ -138,7 +133,6 @@ type Server struct {
 	uniform      bool
 	follower     bool
 	leaderURL    string
-	rankWorkers  int
 	snapshotPath string
 	snapMu       sync.Mutex
 	start        time.Time
@@ -205,15 +199,14 @@ func New(cfg Config) *Server {
 	}
 	s := &Server{
 		cat:          cfg.Catalog,
-		cache:        NewHintCache(0),
+		cache:        NewHintCache(),
 		bandit:       cfg.Bandit,
 		wal:          cfg.WAL,
 		guard:        newSafeguard(det, cfg.WAL),
-		ingest:       newIngestor(cfg.Bandit, cfg.WAL, cfg.QueueSize, cfg.TrainEvery, stages),
+		ingest:       newIngestor(cfg.Bandit, cfg.WAL, cfg.TrainEvery, stages),
 		uniform:      cfg.Uniform,
 		follower:     cfg.Follower,
 		leaderURL:    cfg.LeaderURL,
-		rankWorkers:  cfg.RankWorkers,
 		snapshotPath: cfg.SnapshotPath,
 		start:        time.Now(),
 		stages:       stages,
@@ -432,7 +425,10 @@ func (s *Server) rankTraced(req api.RankRequest, tr *obs.Trace, tid int) (api.Ra
 	// bandit decision — which is the latency a caller actually pays for
 	// taking the model path.
 	lookupStart := time.Now()
-	h, ok := s.cache.Lookup(uint64(req.TemplateHash))
+	// The hint and the generation reported with it come from one table
+	// read, so a response never pairs a hint with another table's
+	// generation across a rollover.
+	h, gen, ok := s.cache.lookup(uint64(req.TemplateHash))
 	if ok && s.guard.blocked(uint64(req.TemplateHash)) {
 		// Drift safeguard: the template is quarantined, so its installed
 		// hint is refused and the request takes the bandit/exploration
@@ -450,10 +446,9 @@ func (s *Server) rankTraced(req api.RankRequest, tr *obs.Trace, tid int) (api.Ra
 			Source:     api.SourceHint,
 			Flip:       h.Flip.String(),
 			HintDay:    h.Day,
-			Generation: s.cache.Generation(),
+			Generation: gen,
 		}, nil
 	}
-	gen := s.cache.Generation()
 
 	f := core.JobFeatures{Span: span, RowCount: req.RowCount, BytesRead: req.BytesRead}
 	ctx := core.ContextFeatures(&f)
@@ -533,7 +528,6 @@ func (s *Server) Stats() api.StatsResponse {
 		NoOps:        s.noops.Load(),
 		CacheSize:    s.cache.Size(),
 		CacheGen:     s.cache.Generation(),
-		CacheShards:  s.cache.Shards(),
 		BanditLog:    int64(s.bandit.LogSize()),
 		Ingest:       s.ingest.Stats(),
 		WAL:          walStats,

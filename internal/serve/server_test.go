@@ -323,12 +323,12 @@ func TestAPIConformanceSingleVsBatchRank(t *testing.T) {
 	})
 
 	t.Run("bandit path", func(t *testing.T) {
-		// Same seed, sequential batch fan-out: the rng sequences align,
-		// so decision i of the one-at-a-time stream must equal decision i
-		// of the batch (event IDs carry a per-instance nonce and are
-		// excluded).
-		_, ts1 := newTestServer(t, Config{Catalog: cat, Seed: 9, RankWorkers: 1})
-		_, ts2 := newTestServer(t, Config{Catalog: cat, Seed: 9, RankWorkers: 1})
+		// Same seed, and a 6-job batch is one inline chunk (rankChunk):
+		// the rng sequences align, so decision i of the one-at-a-time
+		// stream must equal decision i of the batch (event IDs carry a
+		// per-instance nonce and are excluded).
+		_, ts1 := newTestServer(t, Config{Catalog: cat, Seed: 9})
+		_, ts2 := newTestServer(t, Config{Catalog: cat, Seed: 9})
 		jobs := make([]api.RankRequest, 6)
 		for i := range jobs {
 			jobs[i] = api.RankRequest{

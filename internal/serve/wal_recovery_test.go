@@ -39,7 +39,7 @@ func newWALRig(t *testing.T, segBytes int64) *walTestRig {
 	// on every tick, and with one-byte segments that creates files in dir
 	// for as long as the journal is open.
 	t.Cleanup(func() { j.Close() })
-	srv := New(Config{Seed: 42, TrainEvery: walTestTrainEvery, QueueSize: 1024, WAL: j})
+	srv := New(Config{Seed: 42, TrainEvery: walTestTrainEvery, WAL: j})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	return &walTestRig{
@@ -195,6 +195,25 @@ func TestCrashRecoveryEquivalence(t *testing.T) {
 	}
 }
 
+// TestReplayIgnoresSeed is why follow, replay and audit take no -seed:
+// a from-scratch journal replay never draws from the rng the seed feeds,
+// so two seeds rebuild the live model's bytes.
+func TestReplayIgnoresSeed(t *testing.T) {
+	r := newWALRig(t, 1<<20)
+	ids := r.rankSome(t, 40, 3)
+	r.rewardAll(t, ids[:30], 0.8)
+	want := r.captureLive(t)
+	for _, seed := range []int64{1, 2} {
+		got, rec := r.recoverBytes(t, seed) // no checkpoint was taken: a fresh learner from this seed
+		if rec.SnapshotLoaded {
+			t.Fatal("replay started from a snapshot, not from the seed")
+		}
+		if !bytes.Equal(want, got) {
+			t.Fatalf("replay under seed %d differs from the live model (seed 42)", seed)
+		}
+	}
+}
+
 // TestCrashRecoveryTornTail kills the journal mid-record — the
 // signature of a crash during an append — and requires recovery to
 // skip the torn tail cleanly, reproducing the pre-tail state exactly.
@@ -284,8 +303,12 @@ func TestCheckpointCompactsAndRestartsFromSuffix(t *testing.T) {
 	if st.TruncatedSegs == 0 {
 		t.Fatalf("no compaction after 3 checkpoints at 1 KiB segments: %+v", st)
 	}
-	if st.FirstLSN <= 1 {
-		t.Fatalf("journal still starts at LSN %d after compaction", st.FirstLSN)
+	// Window, not Stats.FirstLSN: that reads 0 whenever compaction emptied
+	// the retained window (the active segment rolled on the record before
+	// the checkpoint), which is compaction at its most thorough.
+	first, _ := r.j.Window()
+	if first <= 1 {
+		t.Fatalf("journal still starts at LSN %d after compaction", first)
 	}
 
 	ids := r.rankSome(t, 10, 99)
@@ -295,8 +318,8 @@ func TestCheckpointCompactsAndRestartsFromSuffix(t *testing.T) {
 	if !bytes.Equal(want, got) {
 		t.Fatal("recovery after compaction differs from live model")
 	}
-	if rec.Journal.Skipped != 0 && rec.FromLSN < st.FirstLSN-1 {
-		t.Fatalf("replay started below the retained window: from %d, first retained %d", rec.FromLSN, st.FirstLSN)
+	if rec.Journal.Skipped != 0 && rec.FromLSN < first-1 {
+		t.Fatalf("replay started below the retained window: from %d, first retained %d", rec.FromLSN, first)
 	}
 }
 
@@ -305,7 +328,7 @@ func TestCheckpointCompactsAndRestartsFromSuffix(t *testing.T) {
 // snapshot's watermark) and resume after release.
 func TestQuiesceFencesIntake(t *testing.T) {
 	svc := bandit.New(bandit.DefaultConfig(3))
-	in := NewIngestor(svc, nil, 16, 4)
+	in := newIngestor(svc, nil, 4, &stageHists{})
 	defer in.Close()
 	ids := rankEvents(t, svc, 2)
 
