@@ -470,7 +470,10 @@ func TestProductionAppliesHints(t *testing.T) {
 
 // TestProductionRunDayMatchesSequential holds the fanned-out RunDay to the
 // job-by-job loop it replaced: same runs, same view, in job order, at any
-// GOMAXPROCS, with a hint steering some of the day's compilations.
+// GOMAXPROCS, with a hint steering some of the day's compilations. RunDay
+// compiles a template's recurrences from one shared rewrite (its day-scoped
+// CompileCache) where RunJob rewrites per job, so this is also what holds
+// the shared rewrite to the uncached one.
 func TestProductionRunDayMatchesSequential(t *testing.T) {
 	cat := rules.NewCatalog()
 	gen := testWorkload(t, 12)
@@ -538,6 +541,15 @@ func TestProductionRunDayMatchesSequential(t *testing.T) {
 		}
 		if !reflect.DeepEqual(view, wantView) {
 			t.Errorf("GOMAXPROCS=%d: view differs from the sequential order", procs)
+		}
+		shared := 0
+		for i := 1; i < len(runs); i++ {
+			if runs[i].Job.Graph == runs[i-1].Job.Graph && runs[i].Result.Logical == runs[i-1].Result.Logical {
+				shared++
+			}
+		}
+		if shared == 0 {
+			t.Errorf("GOMAXPROCS=%d: no two recurrences share a rewritten graph; RunDay's cache is not in use", procs)
 		}
 	}
 }

@@ -48,11 +48,17 @@ func NewProduction(cat *rules.Catalog, store *sis.Store, cluster *exec.Cluster, 
 // hinted compilation fails, production falls back to the default
 // configuration (hints must never break jobs).
 func (p *Production) RunJob(job *workload.Job, runSeed int64) (JobRun, error) {
+	return p.runJob(job, runSeed, nil)
+}
+
+// runJob is RunJob with the logical phase of its compilations served from
+// cache when that is non-nil.
+func (p *Production) runJob(job *workload.Job, runSeed int64, cache *optimizer.CompileCache) (JobRun, error) {
 	def := p.Catalog.DefaultConfig()
 	cfg := p.Store.ConfigFor(job.Template.Hash, def)
 	hinted := !cfg.Equal(def.Bitset)
 
-	opts := optimizer.Options{Catalog: p.Catalog, Stats: job.Stats, Tokens: job.Tokens}
+	opts := optimizer.Options{Catalog: p.Catalog, Stats: job.Stats, Tokens: job.Tokens, Cache: cache}
 	res, err := optimizer.Optimize(job.Graph, cfg, opts)
 	if err != nil && hinted {
 		res, err = optimizer.Optimize(job.Graph, def, opts)
@@ -76,12 +82,17 @@ func (p *Production) RunJob(job *workload.Job, runSeed int64) (JobRun, error) {
 // pool — RunJob is a pure function of (job, run seed) and the hint store
 // is read-only during a day — and runs and view are assembled in job
 // order, so the result does not depend on the parallelism.
+//
+// A day's recurrences of one template share a graph and its statistics
+// and are steered by the same hint, so they share one rewritten DAG: the
+// cache that says so lives for the day and is dropped with it.
 func (p *Production) RunDay(date int, jobs []*workload.Job) ([]JobRun, []workload.ViewRow, error) {
 	slots := make([]JobRun, len(jobs))
+	cache := optimizer.NewCompileCache(2 * len(jobs)) // a hinted job may compile twice
 	par.For(len(jobs), 0, func(i int) {
 		// A job that cannot compile even under the default config leaves
 		// its slot zero and is dropped from the day's view.
-		slots[i], _ = p.RunJob(jobs[i], p.Seed+int64(date)*100003+int64(i)*7)
+		slots[i], _ = p.runJob(jobs[i], p.Seed+int64(date)*100003+int64(i)*7, cache)
 	})
 	var runs []JobRun
 	var view []workload.ViewRow

@@ -9,11 +9,12 @@
 package exec
 
 import (
-	"hash/fnv"
 	"math"
 	"math/rand"
+	"sync"
 
 	"qoadvisor/internal/optimizer"
+	"qoadvisor/internal/scope"
 )
 
 // Metrics are the runtime statistics logged for one job execution.
@@ -55,17 +56,16 @@ func (t *Truth) BaseRows(path string) float64 {
 // true value; unknown sites get the heuristic distorted by a deterministic
 // per-site jitter, so even synthesized predicates behave consistently
 // across recompilations.
-func (t *Truth) Selectivity(site string, heuristic float64) float64 {
-	if s, ok := t.Sel[site]; ok {
+func (t *Truth) Selectivity(site []byte, heuristic float64) float64 {
+	if s, ok := t.Sel[string(site)]; ok {
 		return s
 	}
-	h := fnv.New64a()
-	h.Write([]byte(site))
-	seed := int64(h.Sum64()) ^ t.JitterSeed
-	rng := rand.New(rand.NewSource(seed))
+	rng := SeededRand(int64(scope.FNV1a(scope.FNVOffset64, site)) ^ t.JitterSeed)
+	u := rng.Float64()
+	ReleaseRand(rng)
 	// Log-uniform distortion in [1/4, 4): true selectivities routinely
 	// differ from estimates by multiples.
-	factor := math.Exp((rng.Float64()*2 - 1) * math.Ln2 * 2)
+	factor := math.Exp((u*2 - 1) * math.Ln2 * 2)
 	s := heuristic * factor
 	if s > 1 {
 		s = 1
@@ -75,6 +75,23 @@ func (t *Truth) Selectivity(site string, heuristic float64) float64 {
 	}
 	return s
 }
+
+// rngPool recycles generators: a rand.Source is 4.9 KB of state, and the
+// simulator and the workload generator each want one per derived seed,
+// often to draw a single number.
+var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+
+// SeededRand returns a generator in the state rand.New(rand.NewSource(seed))
+// starts in — the same stream — for the calling goroutine alone; hand it
+// back with ReleaseRand when done.
+func SeededRand(seed int64) *rand.Rand {
+	rng := rngPool.Get().(*rand.Rand)
+	rng.Seed(seed)
+	return rng
+}
+
+// ReleaseRand returns a SeededRand generator to the pool.
+func ReleaseRand(rng *rand.Rand) { rngPool.Put(rng) }
 
 // Cluster models the execution environment and its variability.
 type Cluster struct {
@@ -154,7 +171,7 @@ func cpuMicros(n *optimizer.PhysNode, inRows []float64, outRows float64) float64
 		build := 0.0
 		if len(inRows) == 2 {
 			// The build side is replicated into every partition.
-			build = inRows[1] * 0.5 * float64(maxInt(n.Partitions, 1))
+			build = inRows[1] * 0.5 * float64(max(n.Partitions, 1))
 		}
 		return inRows[0]*0.3 + build + outRows*0.2
 	case optimizer.PhysNestedLoopJoin:
@@ -195,17 +212,10 @@ func cpuMicros(n *optimizer.PhysNode, inRows []float64, outRows float64) float64
 	}
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // ioBytes returns (read, written) bytes for a physical node given true
 // cardinalities.
-func ioBytes(n *optimizer.PhysNode, rows map[*optimizer.PhysNode]float64, truth *Truth) (read, written float64) {
-	out := rows[n]
+func ioBytes(n *optimizer.PhysNode, rows []float64, truth *Truth) (read, written float64) {
+	out := rows[n.ID]
 	width := float64(n.RowWidth)
 	switch n.Op {
 	case optimizer.PhysRowScan:
@@ -219,18 +229,18 @@ func ioBytes(n *optimizer.PhysNode, rows map[*optimizer.PhysNode]float64, truth 
 		base := truth.BaseRows(scanPath(n))
 		return base * width * 1.05, 0
 	case optimizer.PhysIndexSeek:
-		return out*width + 4096*float64(maxInt(n.Partitions, 1)), 0
+		return out*width + 4096*float64(max(n.Partitions, 1)), 0
 	case optimizer.PhysExchange:
 		if n.Fused {
 			return 0, 0
 		}
 		in := 0.0
 		for _, i := range n.Inputs {
-			in += rows[i]
+			in += rows[i.ID]
 		}
 		bytes := in * width
 		if n.Exchange == optimizer.ExchangeBroadcast {
-			bytes *= float64(maxInt(n.Partitions, 1))
+			bytes *= float64(max(n.Partitions, 1))
 		}
 		if n.Compress {
 			bytes *= 0.55
@@ -244,7 +254,7 @@ func ioBytes(n *optimizer.PhysNode, rows map[*optimizer.PhysNode]float64, truth 
 		// External sorts spill a pass to disk.
 		in := 0.0
 		for _, i := range n.Inputs {
-			in += rows[i]
+			in += rows[i.ID]
 		}
 		spill := in * width * 0.5
 		return spill, spill
@@ -261,24 +271,24 @@ func scanPath(n *optimizer.PhysNode) string {
 }
 
 // memoryBytes returns the per-vertex working set of an operator.
-func memoryBytes(n *optimizer.PhysNode, rows map[*optimizer.PhysNode]float64) float64 {
-	parts := float64(maxInt(n.Partitions, 1))
+func memoryBytes(n *optimizer.PhysNode, rows []float64) float64 {
+	parts := float64(max(n.Partitions, 1))
 	width := float64(n.RowWidth)
 	switch n.Op {
 	case optimizer.PhysHashJoin:
 		if len(n.Inputs) == 2 {
-			return rows[n.Inputs[1]] * width / parts
+			return rows[n.Inputs[1].ID] * width / parts
 		}
 	case optimizer.PhysBroadcastJoin, optimizer.PhysNestedLoopJoin:
 		if len(n.Inputs) == 2 {
-			return rows[n.Inputs[1]] * width // full build copy per vertex
+			return rows[n.Inputs[1].ID] * width // full build copy per vertex
 		}
 	case optimizer.PhysHashAgg:
-		return rows[n] * width / parts
+		return rows[n.ID] * width / parts
 	case optimizer.PhysSort, optimizer.PhysTopNSort:
 		in := 0.0
 		for _, i := range n.Inputs {
-			in += rows[i]
+			in += rows[i.ID]
 		}
 		return in * width / parts * 0.25
 	}
@@ -289,25 +299,34 @@ func memoryBytes(n *optimizer.PhysNode, rows map[*optimizer.PhysNode]float64) fl
 // its metrics. runSeed distinguishes repeated executions: two runs with
 // different seeds model an A/A pair.
 func Run(plan *optimizer.Plan, truth *Truth, stats optimizer.StatsProvider, cluster *Cluster, runSeed int64) Metrics {
-	rows := plan.Recardinalize(truth, stats)
-	rng := rand.New(rand.NewSource(cluster.Seed*1e9 + runSeed))
+	rows := plan.Recardinalize(truth, stats) // by PhysNode.ID
+	rng := SeededRand(cluster.Seed*1e9 + runSeed)
+	defer ReleaseRand(rng)
+
+	// Per-stage accumulators, indexed by stage ID: CPU and I/O seconds,
+	// the stage's latency, and the critical path ending at it.
+	ids := 1
+	for _, s := range plan.Stages {
+		ids = max(ids, s.ID+1)
+	}
+	acc := make([]float64, 4*ids)
+	stageCPU, stageIO, stageLatency, depth := acc[:ids], acc[ids:2*ids], acc[2*ids:3*ids], acc[3*ids:]
 
 	var m Metrics
-	stageCPU := make(map[int]float64) // seconds
-	stageIO := make(map[int]float64)  // seconds
 	maxMem := 0.0
 	sumMem := 0.0
 	memCount := 0
 
+	var inBuf [4]float64
 	for _, n := range plan.Nodes() {
 		if n.Fused {
 			continue
 		}
-		var inRows []float64
+		inRows := inBuf[:0]
 		for _, in := range n.Inputs {
-			inRows = append(inRows, rows[in])
+			inRows = append(inRows, rows[in.ID])
 		}
-		out := rows[n]
+		out := rows[n.ID]
 		cpuSec := cpuMicros(n, inRows, out) / 1e6
 		read, written := ioBytes(n, rows, truth)
 		ioSec := read/diskBytesPerSec + written/netBytesPerSec
@@ -342,9 +361,8 @@ func Run(plan *optimizer.Plan, truth *Truth, stats optimizer.StatsProvider, clus
 
 	// Latency: critical path over the stage DAG, with per-stage
 	// straggler noise and global queueing noise.
-	stageLatency := make(map[int]float64)
 	for _, s := range plan.Stages {
-		parts := float64(maxInt(s.Partitions, 1))
+		parts := float64(max(s.Partitions, 1))
 		work := (stageCPU[s.ID] + stageIO[s.ID]) / parts
 		// The slowest of P vertices: lognormal straggler whose tail
 		// grows with the fan-out.
@@ -352,35 +370,12 @@ func Run(plan *optimizer.Plan, truth *Truth, stats optimizer.StatsProvider, clus
 		stageLatency[s.ID] = work*straggler + vertexStartupMs/1000
 	}
 	// Longest path: stages' InputIDs point upstream.
-	depth := make(map[int]float64)
-	var critical func(id int) float64
-	critical = func(id int) float64 {
-		if d, ok := depth[id]; ok {
-			return d
-		}
-		depth[id] = 0 // guard cycles (none expected)
-		best := 0.0
-		var st *optimizer.Stage
-		for _, s := range plan.Stages {
-			if s.ID == id {
-				st = s
-				break
-			}
-		}
-		if st != nil {
-			for _, in := range st.InputIDs {
-				if d := critical(in); d > best {
-					best = d
-				}
-			}
-			best += stageLatency[id]
-		}
-		depth[id] = best
-		return best
+	for i := range depth {
+		depth[i] = -1 // not visited
 	}
 	longest := 0.0
 	for _, s := range plan.Stages {
-		if d := critical(s.ID); d > longest {
+		if d := criticalPath(plan.Stages, s.ID, stageLatency, depth); d > longest {
 			longest = d
 		}
 	}
@@ -395,6 +390,30 @@ func Run(plan *optimizer.Plan, truth *Truth, stats optimizer.StatsProvider, clus
 		m.AvgMemory = sumMem / float64(memCount)
 	}
 	return m
+}
+
+// criticalPath returns the latency of the longest chain of stages ending
+// at stage id, memoized in depth (by stage ID; negative = not visited).
+func criticalPath(stages []*optimizer.Stage, id int, latency, depth []float64) float64 {
+	if depth[id] >= 0 {
+		return depth[id]
+	}
+	depth[id] = 0 // guard cycles (none expected)
+	best := 0.0
+	for _, st := range stages {
+		if st.ID != id {
+			continue
+		}
+		for _, in := range st.InputIDs {
+			if d := criticalPath(stages, in, latency, depth); d > best {
+				best = d
+			}
+		}
+		best += latency[id]
+		break
+	}
+	depth[id] = best
+	return best
 }
 
 // RunN performs n A/A executions with distinct run seeds.

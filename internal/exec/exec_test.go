@@ -2,6 +2,7 @@ package exec
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"qoadvisor/internal/optimizer"
@@ -121,19 +122,19 @@ func TestLatencyVarianceExceedsPNHoursVariance(t *testing.T) {
 
 func TestTruthSelectivityLookup(t *testing.T) {
 	tr := testTruth()
-	if got := tr.Selectivity("filter:(dur > 100)", 0.3); got != 0.4 {
+	if got := tr.Selectivity([]byte("filter:(dur > 100)"), 0.3); got != 0.4 {
 		t.Errorf("known site = %v, want 0.4", got)
 	}
 	// Unknown sites: deterministic jitter of the heuristic.
-	a := tr.Selectivity("filter:(x == 1)", 0.1)
-	b := tr.Selectivity("filter:(x == 1)", 0.1)
+	a := tr.Selectivity([]byte("filter:(x == 1)"), 0.1)
+	b := tr.Selectivity([]byte("filter:(x == 1)"), 0.1)
 	if a != b {
 		t.Error("unknown-site jitter must be deterministic")
 	}
 	if a <= 0 || a > 1 {
 		t.Errorf("selectivity out of range: %v", a)
 	}
-	c := tr.Selectivity("filter:(y == 2)", 0.1)
+	c := tr.Selectivity([]byte("filter:(y == 2)"), 0.1)
 	if a == c {
 		t.Error("different sites should jitter differently")
 	}
@@ -201,5 +202,29 @@ func TestRunNSeedsDiffer(t *testing.T) {
 	}
 	if len(distinct) < 2 {
 		t.Error("A/A runs should produce varying latencies")
+	}
+}
+
+// TestSeededRandMatchesNewSource: a pooled generator, whatever it drew
+// before, re-seeds into exactly the stream a fresh
+// rand.New(rand.NewSource(seed)) produces — what every derived seed of the
+// workload and the simulator relied on when each built its own.
+func TestSeededRandMatchesNewSource(t *testing.T) {
+	for i := uint64(0); i < 1000; i++ {
+		seed := int64(i * 0x9e3779b97f4a7c15) // spread over the int64 range, both signs
+		got := SeededRand(seed)
+		want := rand.New(rand.NewSource(seed))
+		for k := 0; k < 4; k++ {
+			if g, w := got.Float64(), want.Float64(); g != w {
+				t.Fatalf("seed %d draw %d: Float64 %v, want %v", seed, k, g, w)
+			}
+			if g, w := got.NormFloat64(), want.NormFloat64(); g != w {
+				t.Fatalf("seed %d draw %d: NormFloat64 %v, want %v", seed, k, g, w)
+			}
+			if g, w := got.Intn(9000), want.Intn(9000); g != w {
+				t.Fatalf("seed %d draw %d: Intn %v, want %v", seed, k, g, w)
+			}
+		}
+		ReleaseRand(got)
 	}
 }

@@ -41,8 +41,9 @@ type Environment interface {
 	// Selectivity returns the effective selectivity (or fraction) for the
 	// operator site identified by siteKey. heuristic is the optimizer's
 	// estimate; a ground-truth environment replaces it with the true value
-	// when the site is known.
-	Selectivity(siteKey string, heuristic float64) float64
+	// when the site is known. siteKey is the caller's scratch: valid for
+	// the call only, so an implementation that keeps it copies it.
+	Selectivity(siteKey []byte, heuristic float64) float64
 }
 
 // EstimationEnv is the optimizer's own environment: base rows from the
@@ -67,7 +68,7 @@ func (e *EstimationEnv) BaseRows(path string) float64 {
 }
 
 // Selectivity implements Environment: the heuristic is the estimate.
-func (e *EstimationEnv) Selectivity(_ string, heuristic float64) float64 {
+func (e *EstimationEnv) Selectivity(_ []byte, heuristic float64) float64 {
 	return heuristic
 }
 
@@ -95,12 +96,7 @@ func splitSource(source string) (path, col string) {
 	return source, ""
 }
 
-func clampCard(rows float64) float64 {
-	if rows < 1 {
-		return 1
-	}
-	return rows
-}
+func clampCard(rows float64) float64 { return max(rows, 1) }
 
 // Selectivity heuristics, in the spirit of System R defaults.
 const (
@@ -155,15 +151,7 @@ func predSelectivity(pred scope.Expr, cols []scope.Column, rows float64, stats S
 	}
 }
 
-func clampSel(s float64) float64 {
-	if s < 0.0001 {
-		return 0.0001
-	}
-	if s > 1 {
-		return 1
-	}
-	return s
-}
+func clampSel(s float64) float64 { return min(max(s, 0.0001), 1) }
 
 // asColRef returns the column reference when exactly one side of a
 // comparison is a column and the other a literal.
@@ -193,27 +181,7 @@ func findCol(cols []scope.Column, name string) (scope.Column, bool) {
 // returns the larger of the two key NDVs, the denominator of the classic
 // join-size estimate |L||R|/max(ndv).
 func joinKeyNDV(cond scope.Expr, leftCols, rightCols []scope.Column, leftRows, rightRows float64, stats StatsProvider) float64 {
-	// Find the first equality between two columns.
-	var eq *scope.BinaryExpr
-	var scan func(e scope.Expr)
-	scan = func(e scope.Expr) {
-		if eq != nil {
-			return
-		}
-		if be, ok := e.(*scope.BinaryExpr); ok {
-			if be.Op == "==" {
-				if _, lok := be.Left.(*scope.ColRef); lok {
-					if _, rok := be.Right.(*scope.ColRef); rok {
-						eq = be
-						return
-					}
-				}
-			}
-			scan(be.Left)
-			scan(be.Right)
-		}
-	}
-	scan(cond)
+	eq := firstColEquality(cond)
 	if eq == nil {
 		return 1 // cross-join-like: no reduction
 	}
@@ -230,6 +198,26 @@ func joinKeyNDV(cond scope.Expr, leftCols, rightCols []scope.Column, leftRows, r
 		}
 	}
 	return ndv
+}
+
+// firstColEquality returns the first column-to-column equality in e,
+// depth-first, or nil.
+func firstColEquality(e scope.Expr) *scope.BinaryExpr {
+	be, ok := e.(*scope.BinaryExpr)
+	if !ok {
+		return nil
+	}
+	if be.Op == "==" {
+		if _, lok := be.Left.(*scope.ColRef); lok {
+			if _, rok := be.Right.(*scope.ColRef); rok {
+				return be
+			}
+		}
+	}
+	if eq := firstColEquality(be.Left); eq != nil {
+		return eq
+	}
+	return firstColEquality(be.Right)
 }
 
 // HasEquiCond reports whether a join condition contains a column-to-column
@@ -255,15 +243,40 @@ func HasEquiCond(cond scope.Expr) bool {
 // cardEngine computes output cardinalities for logical nodes against an
 // Environment. The same engine serves the optimizer (estimation
 // environment) and the execution simulator (ground-truth environment), so
-// the two disagree exactly where their environments disagree.
+// the two disagree exactly where their environments disagree. An engine
+// serves the nodes of one graph (its memo is indexed by scope.Node.ID)
+// from one goroutine; reset re-points it and clears the memo in place.
 type cardEngine struct {
 	env   Environment
 	stats StatsProvider
-	memo  map[*scope.Node]float64
+	memo  []float64    // by node ID; 0 = not computed (a cardinality is >= 1)
+	conj  []scope.Expr // scratch: conjuncts of the predicate being estimated
+	key   []byte       // scratch: the site key being looked up
 }
 
-func newCardEngine(env Environment, stats StatsProvider) *cardEngine {
-	return &cardEngine{env: env, stats: stats, memo: make(map[*scope.Node]float64)}
+// reset points the engine at env and stats and forgets every cardinality;
+// bound is the graph's IDBound (later IDs grow the memo).
+func (ce *cardEngine) reset(env Environment, stats StatsProvider, bound int) {
+	ce.env, ce.stats = env, stats
+	ce.memo = zeroed(ce.memo, bound)
+}
+
+// zeroed returns s resized to n zero elements, in place when it fits.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// grown returns s extended with zero elements to at least n.
+func grown[T any](s []T, n int) []T {
+	if n > len(s) {
+		s = append(s, make([]T, n-len(s))...)
+	}
+	return s
 }
 
 // filterSel computes the selectivity of a predicate conjunct-by-conjunct,
@@ -271,20 +284,29 @@ func newCardEngine(env Environment, stats StatsProvider) *cardEngine {
 // conjunct keeps its own stable site key.
 func (ce *cardEngine) filterSel(pred scope.Expr, cols []scope.Column, rows float64) float64 {
 	sel := 1.0
-	for _, c := range scope.Conjuncts(pred) {
+	ce.conj = scope.AppendConjuncts(ce.conj[:0], pred)
+	for _, c := range ce.conj {
 		heur := predSelectivity(c, cols, rows, ce.stats)
-		sel *= clampSel(ce.env.Selectivity("filter:"+c.String(), heur))
+		ce.key = scope.AppendExpr(append(ce.key[:0], "filter:"...), c)
+		sel *= clampSel(ce.env.Selectivity(ce.key, heur))
 	}
 	return clampSel(sel)
 }
 
+// siteSel is the environment's selectivity for n's own site.
+func (ce *cardEngine) siteSel(n *scope.Node, heuristic float64) float64 {
+	ce.key = n.AppendSiteKey(ce.key[:0])
+	return ce.env.Selectivity(ce.key, heuristic)
+}
+
 // rows returns the output cardinality of a logical node.
 func (ce *cardEngine) rows(n *scope.Node) float64 {
-	if r, ok := ce.memo[n]; ok {
-		return r
+	if n.ID < len(ce.memo) && ce.memo[n.ID] != 0 {
+		return ce.memo[n.ID]
 	}
 	r := ce.compute(n)
-	ce.memo[n] = r
+	ce.memo = grown(ce.memo, n.ID+1)
+	ce.memo[n.ID] = r
 	return r
 }
 
@@ -307,12 +329,12 @@ func (ce *cardEngine) compute(n *scope.Node) float64 {
 		r := ce.rows(n.Inputs[1])
 		switch n.JoinType {
 		case scope.JoinSemi:
-			sel := ce.env.Selectivity(n.SiteKey(), semiJoinSel)
+			sel := ce.siteSel(n, semiJoinSel)
 			return clampCard(l * clampSel(sel))
 		default:
 			ndv := joinKeyNDV(n.JoinCond, n.Inputs[0].Cols, n.Inputs[1].Cols, l, r, ce.stats)
 			heur := 1 / ndv
-			sel := ce.env.Selectivity(n.SiteKey(), heur)
+			sel := ce.siteSel(n, heur)
 			out := l * r * sel
 			switch n.JoinType {
 			case scope.JoinLeft:
@@ -335,7 +357,7 @@ func (ce *cardEngine) compute(n *scope.Node) float64 {
 			groups *= ndvOf(ce.stats, g, in)
 		}
 		heur := clampSel(math.Min(groups, in/2) / math.Max(in, 1))
-		frac := ce.env.Selectivity(n.SiteKey(), heur)
+		frac := ce.siteSel(n, heur)
 		out := clampCard(in * clampSel(frac))
 		if n.Partial {
 			// A partial agg reduces within each partition only; model the
@@ -351,7 +373,7 @@ func (ce *cardEngine) compute(n *scope.Node) float64 {
 			groups *= ndvOf(ce.stats, c, in)
 		}
 		heur := clampSel(math.Min(groups, in*0.9) / math.Max(in, 1))
-		frac := ce.env.Selectivity(n.SiteKey(), heur)
+		frac := ce.siteSel(n, heur)
 		return clampCard(in * clampSel(frac))
 
 	case scope.OpUnion:
@@ -370,12 +392,12 @@ func (ce *cardEngine) compute(n *scope.Node) float64 {
 
 	case scope.OpReduce:
 		in := ce.rows(n.Inputs[0])
-		frac := ce.env.Selectivity(n.SiteKey(), reduceFrac)
+		frac := ce.siteSel(n, reduceFrac)
 		return clampCard(in * clampSel(frac))
 
 	case scope.OpProcess:
 		in := ce.rows(n.Inputs[0])
-		frac := ce.env.Selectivity(n.SiteKey(), processFrac)
+		frac := ce.siteSel(n, processFrac)
 		return clampCard(in * clampSel(frac))
 
 	default:
@@ -402,6 +424,23 @@ const (
 	costStartupPerPart = 1500.0
 )
 
+// scanCost is the estimated cost of scan operator op producing outRows
+// rows width bytes wide from a table baseWidth bytes wide (0: unknown).
+func scanCost(op PhysOp, outRows, width, baseWidth float64) float64 {
+	switch op {
+	case PhysRowScan:
+		// Row stores read the full base row width but stitch no columns.
+		if baseWidth == 0 {
+			baseWidth = width
+		}
+		return outRows*costCPUPerRow*0.6 + outRows*baseWidth*costIOPerByte
+	case PhysColumnScan:
+		return outRows*costCPUPerRow + outRows*width*costIOPerByte*0.7
+	default: // PhysIndexSeek
+		return outRows*costCPUPerRow + outRows*width*costIOPerByte*costSeekReduction
+	}
+}
+
 // nodeCost returns the estimated cost of one physical operator given its
 // (estimated) input and output cardinalities.
 func nodeCost(n *PhysNode, inRows []float64, outRows float64) float64 {
@@ -411,28 +450,13 @@ func nodeCost(n *PhysNode, inRows []float64, outRows float64) float64 {
 		totalIn += r
 	}
 	switch n.Op {
-	case PhysRowScan:
-		// Row stores read the full base row width but stitch no columns.
-		baseW := float64(n.BaseWidth)
-		if baseW == 0 {
-			baseW = width
-		}
-		return outRows*costCPUPerRow*0.6 + outRows*baseW*costIOPerByte
-	case PhysColumnScan:
-		return outRows*costCPUPerRow + outRows*width*costIOPerByte*0.7
-	case PhysIndexSeek:
-		return outRows*costCPUPerRow + outRows*width*costIOPerByte*costSeekReduction
+	case PhysRowScan, PhysColumnScan, PhysIndexSeek:
+		return scanCost(n.Op, outRows, width, float64(n.BaseWidth))
 	case PhysFilter, PhysProject, PhysProcess:
 		return totalIn * costCPUPerRow
-	case PhysHashJoin:
-		build := 0.0
-		if len(inRows) == 2 {
-			build = inRows[1] * costHashBuildRow
-		}
-		return totalIn*costCPUPerRow + build + outRows*costCPUPerRow*0.5
 	case PhysMergeJoin:
 		return totalIn*costCPUPerRow*1.2 + outRows*costCPUPerRow*0.5
-	case PhysBroadcastJoin:
+	case PhysHashJoin, PhysBroadcastJoin:
 		build := 0.0
 		if len(inRows) == 2 {
 			build = inRows[1] * costHashBuildRow
@@ -462,7 +486,7 @@ func nodeCost(n *PhysNode, inRows []float64, outRows float64) float64 {
 		per := costExchangePerB
 		cpu := totalIn * costCPUPerRow * 0.3
 		if n.Exchange == ExchangeBroadcast {
-			per = costBroadcastPerB * float64(maxInt(n.Partitions, 1))
+			per = costBroadcastPerB * float64(max(n.Partitions, 1))
 		}
 		if n.Compress {
 			// Compression trades bytes moved for CPU: worthwhile for wide
@@ -478,11 +502,4 @@ func nodeCost(n *PhysNode, inRows []float64, outRows float64) float64 {
 	default:
 		return totalIn * costCPUPerRow
 	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -92,7 +92,8 @@ OUTPUT x TO "o";`)
 		t.Fatal(err)
 	}
 	env := &EstimationEnv{Stats: costStats}
-	ce := newCardEngine(env, costStats)
+	ce := new(cardEngine)
+	ce.reset(env, costStats, 0)
 	var filterRows float64
 	for _, n := range g1.Nodes() {
 		if n.Kind == scope.OpFilter {
@@ -120,7 +121,8 @@ OUTPUT j TO "o";`)
 		"l": {Rows: 1e6, NDV: map[string]float64{"k": 1e5}},
 		"r": {Rows: 1e4, NDV: map[string]float64{"k": 1e4}},
 	}
-	ce := newCardEngine(&EstimationEnv{Stats: st}, st)
+	ce := new(cardEngine)
+	ce.reset(&EstimationEnv{Stats: st}, st, 0)
 	for _, n := range g.Nodes() {
 		if n.Kind == scope.OpJoin {
 			got := ce.rows(n)
@@ -146,7 +148,8 @@ OUTPUT t5 TO "o";`)
 		"a": {Rows: 1000, NDV: map[string]float64{"x": 100}},
 		"b": {Rows: 2000, NDV: map[string]float64{"x": 100}},
 	}
-	ce := newCardEngine(&EstimationEnv{Stats: st}, st)
+	ce := new(cardEngine)
+	ce.reset(&EstimationEnv{Stats: st}, st, 0)
 	for _, n := range g.Nodes() {
 		switch n.Kind {
 		case scope.OpUnion:
@@ -182,7 +185,8 @@ OUTPUT x TO "o";`)
 		rows: map[string]float64{"t": 1e6},
 		sels: map[string]float64{"filter:(a > 5)": 0.9},
 	}
-	ce := newCardEngine(truth, costStats)
+	ce := new(cardEngine)
+	ce.reset(truth, costStats, 0)
 	for _, n := range g.Nodes() {
 		if n.Kind == scope.OpFilter || (n.Kind == scope.OpScan && n.Pred != nil) {
 			got := ce.rows(n)

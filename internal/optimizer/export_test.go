@@ -20,8 +20,8 @@ func OptimizeTuningByRule(g *scope.Graph, cfg rules.Config, opts Options) (*Resu
 	if err != nil {
 		return nil, err
 	}
-	b := newImplBuilder(cfg, opts.Catalog, &sig, opts.Stats, &EstimationEnv{Stats: opts.Stats}, opts.Tokens)
-	b.plan = &Plan{}
+	b := new(implBuilder)
+	b.init(work, cfg, opts.Catalog, &sig, opts.Stats, &EstimationEnv{Stats: opts.Stats}, opts.Tokens)
 	for _, root := range work.Roots {
 		pn, err := b.buildNode(root)
 		if err != nil {
@@ -30,6 +30,7 @@ func OptimizeTuningByRule(g *scope.Graph, cfg rules.Config, opts Options) (*Resu
 		b.plan.Roots = append(b.plan.Roots, pn)
 	}
 
+	b.plan.order = b.plan.walk()
 	nodes := b.plan.Nodes()
 	for _, t := range tunings {
 		siblings := opts.Catalog.OfKind(t.kind)

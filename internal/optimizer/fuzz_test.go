@@ -2,6 +2,7 @@ package optimizer_test
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"qoadvisor/internal/optimizer"
@@ -82,7 +83,8 @@ OUTPUT ro TO "out/ro.tsv";`,
 // when it compiles, through the optimizer with zero Options under the
 // default configuration and under every off-by-default rule as well.
 // Nothing may panic; every identity of the compiled and of the rewritten
-// graphs equals the fmt-based reference; Optimize returns a plan or a
+// graphs equals the fmt-based reference; the needed-columns analysis
+// equals the map-based reference; Optimize returns a plan or a
 // *CompileFailure.
 func FuzzCompileOptimize(f *testing.F) {
 	for _, s := range seedScripts {
@@ -97,6 +99,9 @@ func FuzzCompileOptimize(f *testing.F) {
 		}
 		checkIdentity(t, "compiled", g)
 		for _, cfg := range configs {
+			if _, diffs := optimizer.CheckNeededColumns(g, cfg, cat, nil); len(diffs) > 0 {
+				t.Fatalf("needed columns differ from the map-based reference:\n%s", strings.Join(diffs, "\n"))
+			}
 			res, err := optimizer.Optimize(g, cfg, optimizer.Options{})
 			if err != nil {
 				if !optimizer.IsCompileFailure(err) {

@@ -1,6 +1,8 @@
 package optimizer_test
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"qoadvisor/internal/optimizer"
@@ -210,14 +212,88 @@ func TestApplyTuningEquivalence(t *testing.T) {
 	}
 }
 
-// Ceilings for TestOptimizeAllocBudget: measured (791 uncached, 230 with a
+// TestNeededColumnsMatchReference: the bit-row needed-columns analysis
+// equals the map-based one it replaced, at both points a compilation runs
+// it, on every ledger template under the default configuration, under
+// every off-by-default rule at once, and under every single flip of the
+// template's span (a flip outside the span compiles as the default does).
+func TestNeededColumnsMatchReference(t *testing.T) {
+	cat := rules.NewCatalog()
+	def := cat.DefaultConfig()
+	rewrites, sets := 0, 0
+	for _, tpl := range ledgerTemplates(t) {
+		job, err := tpl.Instantiate(1, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sp, err := span.Compute(job.Graph, cat, span.Options{Optimizer: optimizer.Options{Catalog: cat, Stats: job.Stats, Tokens: job.Tokens}})
+		if err != nil {
+			t.Fatalf("%s: span: %v", tpl.ID, err)
+		}
+		configs := []rules.Config{def, withEveryOffRule(cat)}
+		for _, id := range sp.Span.Bits() {
+			configs = append(configs, def.WithFlip(cat.FlipFor(id)))
+		}
+		for _, cfg := range configs {
+			n, diffs := optimizer.CheckNeededColumns(job.Graph, cfg, cat, job.Stats)
+			rewrites++
+			sets += n
+			for _, d := range diffs {
+				t.Errorf("%s %v: %s", tpl.ID, cfg.DiffFrom(def), d)
+			}
+		}
+		if t.Failed() {
+			return // one template's worth of mismatches is enough to read
+		}
+	}
+	t.Logf("%d rewrites, %d column sets compared", rewrites, sets)
+	if rewrites < 2*222 || sets < 20*rewrites {
+		t.Errorf("compared %d sets over %d rewrites; the test lost its coverage", sets, rewrites)
+	}
+}
+
+// TestNeededColumnsWideSchema drives the analysis past 64 distinct column
+// names, where a column set outgrows one machine word and every row of
+// the bit matrix is widened in place.
+func TestNeededColumnsWideSchema(t *testing.T) {
+	var cols [2][]string
+	for side, prefix := range []string{"a", "b"} {
+		for i := 0; i < 70; i++ {
+			cols[side] = append(cols[side], fmt.Sprintf("%s%d", prefix, i))
+		}
+	}
+	src := "l = EXTRACT " + strings.Join(cols[0], ":int, ") + ":int FROM \"in/l.tsv\";\n" +
+		"r = EXTRACT " + strings.Join(cols[1], ":int, ") + ":int FROM \"in/r.tsv\";\n" +
+		"j = SELECT " + strings.Join(cols[0][:40], ", ") + ", " + strings.Join(cols[1][30:], ", ") +
+		" FROM l JOIN r ON a0 == b0 WHERE a69 > 1 AND b1 < 2;\n" +
+		"g = SELECT a1, SUM(b69) AS s FROM j GROUP BY a1;\n" +
+		"OUTPUT j TO \"out/j.tsv\";\nOUTPUT g TO \"out/g.tsv\";\n"
+	g, err := scope.CompileScript(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat := rules.NewCatalog()
+	for _, cfg := range []rules.Config{cat.DefaultConfig(), withEveryOffRule(cat)} {
+		n, diffs := optimizer.CheckNeededColumns(g, cfg, cat, nil)
+		if n == 0 {
+			t.Error("no column set compared")
+		}
+		for _, d := range diffs {
+			t.Error(d)
+		}
+	}
+}
+
+// Ceilings for TestOptimizeAllocBudget: measured (125 uncached, 19 with a
 // warm cache, go1.24) + 5 %. The same compilations cost 23,772 and 22,581
 // before plan-site identity stopped going through fmt, 824 and 263 while
-// every pass re-walked the plan for Plan.Nodes. A change that needs more
-// raises the constant on purpose.
+// every pass re-walked the plan for Plan.Nodes, 791 and 230 while what a
+// compilation keeps per node lived in maps keyed by node pointer, built
+// and dropped per call. A change that needs more raises the constant on
+// purpose.
 const (
-	optimizeAllocCeiling       = 830
-	optimizeCachedAllocCeiling = 241
+	optimizeAllocCeiling       = 131
+	optimizeCachedAllocCeiling = 20
 )
 
 // TestOptimizeAllocBudget gates what one compilation allocates — the

@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 	"strings"
+	"sync"
 
 	"qoadvisor/internal/rules"
 	"qoadvisor/internal/scope"
@@ -16,28 +17,47 @@ const rowsPerPartition = 200_000
 // implBuilder lowers the rewritten logical DAG into a physical plan,
 // choosing among enabled implementation rules per operator site, inserting
 // exchanges, applying tuning rules, assigning stages and costing the plan.
+// What it keeps per node is indexed by node ID and is scratch that outlives
+// the build in implPool; the Plan it returns owns none of it.
 type implBuilder struct {
 	table  ruleTable
-	stats  StatsProvider
-	est    *cardEngine
+	est    cardEngine
 	tokens int
 
 	plan *Plan
-	memo map[*scope.Node]*PhysNode
+	memo []*PhysNode // by logical node ID: the node's lowering
+
+	gates  []uint64  // scratch: tuning gates, by position in plan order
+	marked []bool    // scratch: stage assignment's visited marks, by physical ID
+	counts []int     // scratch: per stage, nodes then upstream stage IDs
+	inRows []float64 // scratch: one node's input cardinalities
 }
 
-func newImplBuilder(cfg rules.Config, cat *rules.Catalog, sig *rules.Signature, stats StatsProvider, env Environment, tokens int) *implBuilder {
-	return &implBuilder{
-		table:  ruleTable{cat: cat, cfg: cfg, sig: sig},
-		stats:  stats,
-		est:    newCardEngine(env, stats),
-		tokens: tokens,
-		memo:   make(map[*scope.Node]*PhysNode),
-	}
+var implPool = sync.Pool{New: func() any { return new(implBuilder) }}
+
+// lowerPlan lowers g, which it only reads, on a pooled builder.
+func lowerPlan(g *scope.Graph, cfg rules.Config, cat *rules.Catalog, sig *rules.Signature, stats StatsProvider, env Environment, tokens int) (*Plan, error) {
+	b := implPool.Get().(*implBuilder)
+	b.init(g, cfg, cat, sig, stats, env, tokens)
+	plan, err := b.build(g)
+	// Drop what points into the caller's world before pooling.
+	b.table, b.plan = ruleTable{}, nil
+	b.est.reset(nil, nil, 0)
+	clear(b.memo)
+	implPool.Put(b)
+	return plan, err
+}
+
+// init readies b, new or pooled, to lower g.
+func (b *implBuilder) init(g *scope.Graph, cfg rules.Config, cat *rules.Catalog, sig *rules.Signature, stats StatsProvider, env Environment, tokens int) {
+	b.table = ruleTable{cat: cat, cfg: cfg, sig: sig}
+	b.est.reset(env, stats, g.IDBound())
+	b.tokens = tokens
+	b.plan = &Plan{}
+	b.memo = zeroed(b.memo, g.IDBound())
 }
 
 func (b *implBuilder) build(g *scope.Graph) (*Plan, error) {
-	b.plan = &Plan{}
 	for _, root := range g.Roots {
 		pn, err := b.buildNode(root)
 		if err != nil {
@@ -54,14 +74,7 @@ func (b *implBuilder) build(g *scope.Graph) (*Plan, error) {
 }
 
 func (b *implBuilder) partitionsFor(rows float64) int {
-	p := int(math.Ceil(rows / rowsPerPartition))
-	if p < 1 {
-		p = 1
-	}
-	if p > b.tokens {
-		p = b.tokens
-	}
-	return p
+	return min(max(int(math.Ceil(rows/rowsPerPartition)), 1), b.tokens)
 }
 
 func fail(format string, args ...interface{}) error {
@@ -86,35 +99,43 @@ func (b *implBuilder) newPhys(op PhysOp, ln *scope.Node, inputs ...*PhysNode) *P
 	return n
 }
 
-// exchange inserts an exchange of the given kind above in, unless in
-// already carries the required partitioning scheme. Hash exchanges fall
-// back to range partitioning when the hash partitioner is disabled for
-// the site.
-func (b *implBuilder) exchange(in *PhysNode, kind ExchangeKind, key string, parts int, siteGate uint64) (*PhysNode, error) {
-	scheme := ""
+// partScheme names the output partitioning of an exchange.
+func partScheme(kind ExchangeKind, key string) string {
 	switch kind {
 	case ExchangeHash:
-		scheme = "hash:" + key
+		return "hash:" + key
 	case ExchangeRange:
-		scheme = "range:" + key
+		return "range:" + key
 	case ExchangeBroadcast:
-		scheme = "bcast"
+		return "bcast"
 	case ExchangeGather:
-		scheme = "single"
-		parts = 1
+		return "single"
 	case ExchangeRoundRobin:
-		scheme = "rr"
+		return "rr"
 	}
+	return ""
+}
+
+// exchange inserts an exchange of the given kind above in, unless in
+// already carries the required partitioning scheme.
+func (b *implBuilder) exchange(in *PhysNode, kind ExchangeKind, key string, parts int, siteGate uint64) (*PhysNode, error) {
 	if kind == ExchangeHash || kind == ExchangeRange {
 		// Reuse existing co-location: hash or range partitioning on the
 		// same key both co-locate equal keys.
 		if in.PartScheme == "hash:"+key || in.PartScheme == "range:"+key {
 			return in, nil
 		}
-	} else if in.PartScheme == scheme && kind != ExchangeBroadcast {
+	} else if kind != ExchangeBroadcast && in.PartScheme == partScheme(kind, key) {
 		return in, nil
 	}
+	return b.forceExchange(in, kind, key, parts, siteGate)
+}
 
+// forceExchange inserts an exchange even when the scheme already matches
+// (used for broadcast and partition-count alignment). Hash exchanges fall
+// back to range partitioning when the hash partitioner is disabled for
+// the site; a disabled round-robin rebalance yields no node and no error.
+func (b *implBuilder) forceExchange(in *PhysNode, kind ExchangeKind, key string, parts int, siteGate uint64) (*PhysNode, error) {
 	switch kind {
 	case ExchangeHash:
 		if r, ok := b.table.pick(rules.KindImplHashPartition, siteGate); ok {
@@ -123,7 +144,6 @@ func (b *implBuilder) exchange(in *PhysNode, kind ExchangeKind, key string, part
 			// Range partitioning also co-locates equal keys.
 			b.table.fire(r)
 			kind = ExchangeRange
-			scheme = "range:" + key
 		} else {
 			return nil, fail("no partitioning implementation enabled for key %q", key)
 		}
@@ -139,28 +159,33 @@ func (b *implBuilder) exchange(in *PhysNode, kind ExchangeKind, key string, part
 			return nil, nil // optional rebalance: silently skipped
 		}
 		b.table.fire(r)
+	case ExchangeGather:
+		parts = 1
 	}
-
-	ex := b.plan.NewNode(PhysExchange, nil, in)
+	ex := b.newPhys(PhysExchange, nil, in) // sized as its input
 	ex.Exchange = kind
-	ex.EstRows = in.EstRows
-	ex.RowWidth = in.RowWidth
 	ex.Partitions = parts
-	ex.PartScheme = scheme
+	ex.PartScheme = partScheme(kind, key)
 	ex.GateHint = siteGate
 	return ex, nil
 }
 
 func (b *implBuilder) buildNode(n *scope.Node) (*PhysNode, error) {
-	if pn, ok := b.memo[n]; ok {
+	if pn := b.memo[n.ID]; pn != nil {
 		return pn, nil
 	}
 	pn, err := b.lower(n)
 	if err != nil {
 		return nil, err
 	}
-	b.memo[n] = pn
+	b.memo[n.ID] = pn
 	return pn, nil
+}
+
+// pipelinedOp maps the logical operators that lower to one physical
+// operator over their input, whatever the rule configuration.
+var pipelinedOp = [scope.OpOutput + 1]PhysOp{
+	scope.OpProject: PhysProject, scope.OpProcess: PhysProcess, scope.OpOutput: PhysOutput,
 }
 
 func (b *implBuilder) lower(n *scope.Node) (*PhysNode, error) {
@@ -169,18 +194,12 @@ func (b *implBuilder) lower(n *scope.Node) (*PhysNode, error) {
 		return b.lowerScan(n)
 	case scope.OpFilter:
 		return b.lowerFilter(n)
-	case scope.OpProject:
+	case scope.OpProject, scope.OpProcess, scope.OpOutput:
 		in, err := b.buildNode(n.Inputs[0])
 		if err != nil {
 			return nil, err
 		}
-		return b.newPhys(PhysProject, n, in), nil
-	case scope.OpProcess:
-		in, err := b.buildNode(n.Inputs[0])
-		if err != nil {
-			return nil, err
-		}
-		return b.newPhys(PhysProcess, n, in), nil
+		return b.newPhys(pipelinedOp[n.Kind], n, in), nil
 	case scope.OpJoin:
 		return b.lowerJoin(n)
 	case scope.OpAgg:
@@ -195,12 +214,6 @@ func (b *implBuilder) lower(n *scope.Node) (*PhysNode, error) {
 		return b.lowerTop(n)
 	case scope.OpReduce:
 		return b.lowerReduce(n)
-	case scope.OpOutput:
-		in, err := b.buildNode(n.Inputs[0])
-		if err != nil {
-			return nil, err
-		}
-		return b.newPhys(PhysOutput, n, in), nil
 	default:
 		return nil, fail("no lowering for operator %s", n.Kind)
 	}
@@ -210,43 +223,20 @@ func (b *implBuilder) lowerScan(n *scope.Node) (*PhysNode, error) {
 	g := gate(n)
 	baseRows := b.est.env.BaseRows(n.TablePath)
 
-	type cand struct {
-		op   PhysOp
-		rule rules.Rule
-		cost float64
-	}
-	var cands []cand
+	cands := make([]implChoice, 0, 3) // on the stack
 	outRows := b.est.rows(n)
-	width := float64(n.RowWidth())
-	baseWidth := float64(n.BaseWidth)
-	if baseWidth == 0 {
-		baseWidth = width
-	}
-	// Candidate costs use the same formulas as the plan cost model, so
-	// implementation choice is greedy with respect to the reported
-	// estimated cost.
-	if r, ok := b.table.pick(rules.KindImplRowScan, g); ok {
-		cands = append(cands, cand{PhysRowScan, r, outRows*costCPUPerRow*0.6 + outRows*baseWidth*costIOPerByte})
-	}
-	if r, ok := b.table.pick(rules.KindImplColumnScan, g); ok {
-		cands = append(cands, cand{PhysColumnScan, r, outRows*costCPUPerRow + outRows*width*costIOPerByte*0.7})
-	}
+	width, baseWidth := float64(n.RowWidth()), float64(n.BaseWidth)
+	cands = b.offer(cands, rules.KindImplRowScan, g, PhysRowScan, scanCost(PhysRowScan, outRows, width, baseWidth))
+	cands = b.offer(cands, rules.KindImplColumnScan, g, PhysColumnScan, scanCost(PhysColumnScan, outRows, width, baseWidth))
 	// An index seek is only feasible for selective pushed-down equality
 	// predicates (simulating SCOPE structured streams).
 	if n.Pred != nil && hasEqualityConjunct(n.Pred) && outRows < baseRows*0.05 {
-		if r, ok := b.table.pick(rules.KindImplIndexSeek, g); ok {
-			cands = append(cands, cand{PhysIndexSeek, r, outRows*costCPUPerRow + outRows*width*costIOPerByte*costSeekReduction})
-		}
+		cands = b.offer(cands, rules.KindImplIndexSeek, g, PhysIndexSeek, scanCost(PhysIndexSeek, outRows, width, baseWidth))
 	}
 	if len(cands) == 0 {
 		return nil, fail("no scan implementation enabled for %s", n.TablePath)
 	}
-	best := cands[0]
-	for _, c := range cands[1:] {
-		if c.cost < best.cost {
-			best = c
-		}
-	}
+	best := cheapest(cands)
 	b.table.fire(best.rule)
 
 	pn := b.newPhys(best.op, n)
@@ -261,12 +251,11 @@ func (b *implBuilder) lowerScan(n *scope.Node) (*PhysNode, error) {
 }
 
 func hasEqualityConjunct(pred scope.Expr) bool {
-	for _, c := range scope.Conjuncts(pred) {
-		if be, ok := c.(*scope.BinaryExpr); ok && be.Op == "==" {
-			return true
-		}
+	be, ok := pred.(*scope.BinaryExpr)
+	if ok && be.Op == "AND" {
+		return hasEqualityConjunct(be.Left) || hasEqualityConjunct(be.Right)
 	}
-	return false
+	return ok && be.Op == "=="
 }
 
 func (b *implBuilder) lowerFilter(n *scope.Node) (*PhysNode, error) {
@@ -288,11 +277,33 @@ func (b *implBuilder) lowerFilter(n *scope.Node) (*PhysNode, error) {
 	return pn, nil
 }
 
-// joinImpl describes one physical join alternative under consideration.
-type joinImpl struct {
+// implChoice is one physical alternative for an operator site. Its cost
+// uses the plan cost model's formulas, so that implementation choice is
+// greedy with respect to the reported estimated cost.
+type implChoice struct {
 	op   PhysOp
 	rule rules.Rule
 	cost float64
+}
+
+// offer appends op at cost to cands when the rule of kind that governs
+// site g is enabled.
+func (b *implBuilder) offer(cands []implChoice, kind rules.Kind, g uint64, op PhysOp, cost float64) []implChoice {
+	if r, ok := b.table.pick(kind, g); ok {
+		cands = append(cands, implChoice{op, r, cost})
+	}
+	return cands
+}
+
+// cheapest returns the first alternative of least cost; cands is not empty.
+func cheapest(cands []implChoice) implChoice {
+	best := cands[0]
+	for _, c := range cands[1:] {
+		if c.cost < best.cost {
+			best = c
+		}
+	}
+	return best
 }
 
 func (b *implBuilder) lowerJoin(n *scope.Node) (*PhysNode, error) {
@@ -318,39 +329,25 @@ func (b *implBuilder) lowerJoin(n *scope.Node) (*PhysNode, error) {
 	bw := float64(build.RowWidth)
 	probeParts := probe.Partitions
 
-	var cands []joinImpl
+	cands := make([]implChoice, 0, 4) // on the stack
 	if equi {
-		if rule, ok := b.table.pick(rules.KindImplHashJoin, g); ok {
-			cost := (l*lw+r*rw)*costExchangePerB + buildRows*costHashBuildRow + (l + r)
-			cands = append(cands, joinImpl{PhysHashJoin, rule, cost})
+		shuffle := (l*lw + r*rw) * costExchangePerB
+		cands = b.offer(cands, rules.KindImplHashJoin, g, PhysHashJoin, shuffle+buildRows*costHashBuildRow+(l+r))
+		sortCost := l*costSortRowLog*math.Log2(math.Max(l, 2)) + r*costSortRowLog*math.Log2(math.Max(r, 2))
+		cands = b.offer(cands, rules.KindImplMergeJoin, g, PhysMergeJoin, shuffle+sortCost+1.2*(l+r))
+		bcast := buildRows*bw*costBroadcastPerB*float64(probeParts) + buildRows*costHashBuildRow + (l + r)
+		if _, on := b.table.pick(rules.KindTuneBroadcastThreshold, g); on {
+			bcast *= 0.5 // tuning rule biases toward broadcasting
 		}
-		if rule, ok := b.table.pick(rules.KindImplMergeJoin, g); ok {
-			sortCost := l*costSortRowLog*math.Log2(math.Max(l, 2)) + r*costSortRowLog*math.Log2(math.Max(r, 2))
-			cost := (l*lw+r*rw)*costExchangePerB + sortCost + 1.2*(l+r)
-			cands = append(cands, joinImpl{PhysMergeJoin, rule, cost})
-		}
-		if rule, ok := b.table.pick(rules.KindImplBroadcastJoin, g); ok {
-			cost := buildRows*bw*costBroadcastPerB*float64(probeParts) + buildRows*costHashBuildRow + (l + r)
-			if _, on := b.table.pick(rules.KindTuneBroadcastThreshold, g); on {
-				cost *= 0.5 // tuning rule biases toward broadcasting
-			}
-			cands = append(cands, joinImpl{PhysBroadcastJoin, rule, cost})
-		}
+		cands = b.offer(cands, rules.KindImplBroadcastJoin, g, PhysBroadcastJoin, bcast)
 	}
-	if rule, ok := b.table.pick(rules.KindImplNestedLoopJoin, g); ok {
-		cost := l*r*costNLJPerRowPair + buildRows*bw*costBroadcastPerB*float64(probeParts)
-		cands = append(cands, joinImpl{PhysNestedLoopJoin, rule, cost})
-	}
+	cands = b.offer(cands, rules.KindImplNestedLoopJoin, g, PhysNestedLoopJoin,
+		l*r*costNLJPerRowPair+buildRows*bw*costBroadcastPerB*float64(probeParts))
 	if len(cands) == 0 {
 		return nil, fail("no join implementation enabled for %s", n.JoinCond)
 	}
 
-	best := cands[0]
-	for _, c := range cands[1:] {
-		if c.cost < best.cost {
-			best = c
-		}
-	}
+	best := cheapest(cands)
 	// The broadcast annotation overrides cost-based choice when feasible.
 	if n.BroadcastRight {
 		for _, c := range cands {
@@ -411,32 +408,6 @@ func (b *implBuilder) lowerJoin(n *scope.Node) (*PhysNode, error) {
 	}
 }
 
-// forceExchange inserts an exchange even when the scheme already matches
-// (used for broadcast and partition-count alignment).
-func (b *implBuilder) forceExchange(in *PhysNode, kind ExchangeKind, key string, parts int, siteGate uint64) (*PhysNode, error) {
-	scheme := "bcast"
-	if kind == ExchangeHash {
-		scheme = "hash:" + key
-		if r, ok := b.table.pick(rules.KindImplHashPartition, siteGate); ok {
-			b.table.fire(r)
-		} else if r, ok := b.table.pick(rules.KindImplRangePartition, siteGate); ok {
-			b.table.fire(r)
-			kind = ExchangeRange
-			scheme = "range:" + key
-		} else {
-			return nil, fail("no partitioning implementation enabled for key %q", key)
-		}
-	}
-	ex := b.plan.NewNode(PhysExchange, nil, in)
-	ex.Exchange = kind
-	ex.EstRows = in.EstRows
-	ex.RowWidth = in.RowWidth
-	ex.Partitions = parts
-	ex.PartScheme = scheme
-	ex.GateHint = siteGate
-	return ex, nil
-}
-
 func (b *implBuilder) lowerAgg(n *scope.Node) (*PhysNode, error) {
 	in, err := b.buildNode(n.Inputs[0])
 	if err != nil {
@@ -456,49 +427,36 @@ func (b *implBuilder) lowerAgg(n *scope.Node) (*PhysNode, error) {
 		return pn, nil
 	}
 
-	var ex *PhysNode
-	if len(n.GroupBy) == 0 {
-		ex, err = b.exchange(in, ExchangeGather, "", 1, g)
-	} else {
-		names := make([]string, len(n.GroupBy))
-		for i, c := range n.GroupBy {
-			names[i] = c.Name
-		}
-		key := strings.Join(names, ",")
-		ex, err = b.exchange(in, ExchangeHash, key, b.partitionsFor(in.EstRows), g)
-	}
+	ex, err := b.groupExchange(in, n, g)
 	if err != nil {
 		return nil, err
 	}
 	b.table.fire(rule)
 	pn := b.newPhys(op, n, ex)
-	pn.Partitions = ex.Partitions
-	pn.PartScheme = ex.PartScheme
 	return pn, nil
 }
 
+// groupExchange co-locates in's rows by n's GroupBy columns, or gathers
+// them when there are none.
+func (b *implBuilder) groupExchange(in *PhysNode, n *scope.Node, g uint64) (*PhysNode, error) {
+	if len(n.GroupBy) == 0 {
+		return b.exchange(in, ExchangeGather, "", 1, g)
+	}
+	names := make([]string, len(n.GroupBy))
+	for i, c := range n.GroupBy {
+		names[i] = c.Name
+	}
+	return b.exchange(in, ExchangeHash, strings.Join(names, ","), b.partitionsFor(in.EstRows), g)
+}
+
 func (b *implBuilder) pickAggImpl(g uint64, inRows, outRows float64) (PhysOp, rules.Rule, error) {
-	type cand struct {
-		op   PhysOp
-		rule rules.Rule
-		cost float64
-	}
-	var cands []cand
-	if r, ok := b.table.pick(rules.KindImplHashAgg, g); ok {
-		cands = append(cands, cand{PhysHashAgg, r, inRows*1.5 + outRows})
-	}
-	if r, ok := b.table.pick(rules.KindImplStreamAgg, g); ok {
-		cands = append(cands, cand{PhysStreamAgg, r, inRows*(0.6+0.055*math.Log2(math.Max(inRows, 2))) + outRows*0.5})
-	}
+	cands := make([]implChoice, 0, 2) // on the stack
+	cands = b.offer(cands, rules.KindImplHashAgg, g, PhysHashAgg, inRows*1.5+outRows)
+	cands = b.offer(cands, rules.KindImplStreamAgg, g, PhysStreamAgg, inRows*(0.6+0.055*math.Log2(math.Max(inRows, 2)))+outRows*0.5)
 	if len(cands) == 0 {
 		return 0, rules.Rule{}, fail("no aggregation implementation enabled")
 	}
-	best := cands[0]
-	for _, c := range cands[1:] {
-		if c.cost < best.cost {
-			best = c
-		}
-	}
+	best := cheapest(cands)
 	return best.op, best.rule, nil
 }
 
@@ -521,8 +479,6 @@ func (b *implBuilder) lowerDistinct(n *scope.Node) (*PhysNode, error) {
 	}
 	b.table.fire(rule)
 	pn := b.newPhys(op, n, ex)
-	pn.Partitions = ex.Partitions
-	pn.PartScheme = ex.PartScheme
 	return pn, nil
 }
 
@@ -540,34 +496,17 @@ func (b *implBuilder) lowerUnion(n *scope.Node) (*PhysNode, error) {
 		sumRows += pin.EstRows
 	}
 	g := gate(n)
-	type cand struct {
-		op   PhysOp
-		rule rules.Rule
-		cost float64
-	}
-	var cands []cand
-	if r, ok := b.table.pick(rules.KindImplConcatUnion, g); ok {
-		cands = append(cands, cand{PhysConcatUnion, r, sumRows * 0.2})
-	}
-	if r, ok := b.table.pick(rules.KindImplSortedUnion, g); ok {
-		cands = append(cands, cand{PhysSortedUnion, r, sumRows * 0.6})
-	}
+	cands := make([]implChoice, 0, 2) // on the stack
+	cands = b.offer(cands, rules.KindImplConcatUnion, g, PhysConcatUnion, sumRows*0.2)
+	cands = b.offer(cands, rules.KindImplSortedUnion, g, PhysSortedUnion, sumRows*0.6)
 	if len(cands) == 0 {
 		return nil, fail("no union implementation enabled")
 	}
-	best := cands[0]
-	for _, c := range cands[1:] {
-		if c.cost < best.cost {
-			best = c
-		}
-	}
+	best := cheapest(cands)
 	b.table.fire(best.rule)
 	pn := b.newPhys(best.op, n, ins...)
 	if best.op == PhysConcatUnion {
-		if sumParts > b.tokens {
-			sumParts = b.tokens
-		}
-		pn.Partitions = sumParts
+		pn.Partitions = min(sumParts, b.tokens)
 		pn.PartScheme = "rr"
 	} else {
 		pn.Partitions = 1
@@ -600,8 +539,6 @@ func (b *implBuilder) lowerSort(n *scope.Node) (*PhysNode, error) {
 	}
 	b.table.fire(rule)
 	pn := b.newPhys(PhysSort, n, ex)
-	pn.Partitions = ex.Partitions
-	pn.PartScheme = ex.PartScheme
 	return pn, nil
 }
 
@@ -611,28 +548,14 @@ func (b *implBuilder) lowerTop(n *scope.Node) (*PhysNode, error) {
 		return nil, err
 	}
 	g := gate(n)
-	type cand struct {
-		op   PhysOp
-		rule rules.Rule
-		cost float64
-	}
-	var cands []cand
+	cands := make([]implChoice, 0, 2) // on the stack
 	inRows := in.EstRows
-	if r, ok := b.table.pick(rules.KindImplTopNHeap, g); ok {
-		cands = append(cands, cand{PhysTopNHeap, r, inRows * 1.2})
-	}
-	if r, ok := b.table.pick(rules.KindImplExternalSort, g); ok {
-		cands = append(cands, cand{PhysTopNSort, r, inRows * costSortRowLog * math.Log2(math.Max(inRows, 2))})
-	}
+	cands = b.offer(cands, rules.KindImplTopNHeap, g, PhysTopNHeap, inRows*1.2)
+	cands = b.offer(cands, rules.KindImplExternalSort, g, PhysTopNSort, inRows*costSortRowLog*math.Log2(math.Max(inRows, 2)))
 	if len(cands) == 0 {
 		return nil, fail("no top-n implementation enabled")
 	}
-	best := cands[0]
-	for _, c := range cands[1:] {
-		if c.cost < best.cost {
-			best = c
-		}
-	}
+	best := cheapest(cands)
 	b.table.fire(best.rule)
 
 	// Local top per partition, then gather and finalize.
@@ -652,24 +575,11 @@ func (b *implBuilder) lowerReduce(n *scope.Node) (*PhysNode, error) {
 	if err != nil {
 		return nil, err
 	}
-	g := gate(n)
-	var ex *PhysNode
-	if len(n.GroupBy) == 0 {
-		ex, err = b.exchange(in, ExchangeGather, "", 1, g)
-	} else {
-		names := make([]string, len(n.GroupBy))
-		for i, c := range n.GroupBy {
-			names[i] = c.Name
-		}
-		ex, err = b.exchange(in, ExchangeHash, strings.Join(names, ","), b.partitionsFor(in.EstRows), g)
-	}
+	ex, err := b.groupExchange(in, n, gate(n))
 	if err != nil {
 		return nil, err
 	}
-	pn := b.newPhys(PhysReduce, n, ex)
-	pn.Partitions = ex.Partitions
-	pn.PartScheme = ex.PartScheme
-	return pn, nil
+	return b.newPhys(PhysReduce, n, ex), nil
 }
 
 // --- Tuning, staging, costing ---
@@ -705,22 +615,25 @@ var tunings = [...]struct {
 	{rules.KindTuneSortBuffer, tuneSortBuffer},
 }
 
-func tunePartitionCount(n *PhysNode, r rules.Rule, tokens int) bool {
-	if !n.IsExchange() || n.Exchange == ExchangeGather || n.Exchange == ExchangeBroadcast {
-		return false
-	}
+// rescale halves (even variants) or doubles (odd ones) n's partition count
+// within [1, tokens], and reports whether there was room to.
+func rescale(n *PhysNode, r rules.Rule, tokens int) bool {
 	if r.Variant%2 == 0 {
 		if n.Partitions <= 1 {
 			return false
 		}
 		n.Partitions = (n.Partitions + 1) / 2
-	} else {
-		if n.Partitions >= tokens {
-			return false
-		}
-		n.Partitions = minInt(n.Partitions*2, tokens)
+		return true
 	}
+	if n.Partitions >= tokens {
+		return false
+	}
+	n.Partitions = min(n.Partitions*2, tokens)
 	return true
+}
+
+func tunePartitionCount(n *PhysNode, r rules.Rule, tokens int) bool {
+	return n.IsExchange() && n.Exchange != ExchangeGather && n.Exchange != ExchangeBroadcast && rescale(n, r, tokens)
 }
 
 func tuneStageFusion(n *PhysNode, _ rules.Rule, _ int) bool {
@@ -732,23 +645,13 @@ func tuneStageFusion(n *PhysNode, _ rules.Rule, _ int) bool {
 }
 
 func tuneVertexPacking(n *PhysNode, r rules.Rule, tokens int) bool {
-	switch n.Op {
-	case PhysRowScan, PhysColumnScan, PhysIndexSeek:
-	default:
+	isScan := n.Op == PhysRowScan || n.Op == PhysColumnScan || n.Op == PhysIndexSeek
+	if !isScan || !rescale(n, r, tokens) {
 		return false
 	}
-	if r.Variant%2 == 0 {
-		if n.Partitions <= 1 {
-			return false
-		}
-		n.PackFactor = 2
-		n.Partitions = (n.Partitions + 1) / 2
-	} else {
-		if n.Partitions >= tokens {
-			return false
-		}
+	n.PackFactor = 2 // half the vertices, twice the rows each
+	if r.Variant%2 != 0 {
 		n.PackFactor = 0.5
-		n.Partitions = minInt(n.Partitions*2, tokens)
 	}
 	return true
 }
@@ -779,13 +682,13 @@ func tuneSortBuffer(n *PhysNode, _ rules.Rule, _ int) bool {
 // and changes the node.
 func (b *implBuilder) applyTuning() {
 	nodes := b.plan.Nodes()
-	gates := make([]uint64, len(nodes))
-	for i, n := range nodes {
-		gates[i] = gateOf(n)
+	b.gates = b.gates[:0]
+	for _, n := range nodes {
+		b.gates = append(b.gates, gateOf(n))
 	}
 	for _, t := range tunings {
 		for i, n := range nodes {
-			if r, on := b.table.pick(t.kind, gates[i]); on && t.apply(n, r, b.tokens) {
+			if r, on := b.table.pick(t.kind, b.gates[i]); on && t.apply(n, r, b.tokens) {
 				b.table.fire(r)
 			}
 		}
@@ -816,78 +719,92 @@ func (b *implBuilder) settlePartitions(nodes []*PhysNode) {
 			for _, in := range n.Inputs {
 				sum += in.Partitions
 			}
-			n.Partitions = minInt(sum, b.tokens)
+			n.Partitions = min(sum, b.tokens)
 			continue
 		}
 		n.Partitions = n.Inputs[0].Partitions
 	}
 }
 
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // assignStages groups pipelined operators into stages. Non-fused exchanges
 // are stage boundaries: the exchange belongs to the downstream stage and
 // its input starts a new upstream stage.
 func (b *implBuilder) assignStages() {
+	nodes := b.plan.Nodes()
+	b.marked = zeroed(b.marked, b.plan.nextID)
 	nextStage := 0
-	assigned := make(map[*PhysNode]bool)
-	var visit func(n *PhysNode, stage int)
-	visit = func(n *PhysNode, stage int) {
-		if assigned[n] {
-			return
-		}
-		assigned[n] = true
-		n.StageID = stage
-		boundary := n.IsExchange() && !n.Fused
-		for _, in := range n.Inputs {
-			if boundary {
-				nextStage++
-				visit(in, nextStage)
-			} else {
-				visit(in, stage)
-			}
-		}
-	}
 	for _, r := range b.plan.Roots {
 		nextStage++
-		visit(r, nextStage)
+		nextStage = b.stageSubtree(r, nextStage, nextStage)
 	}
 
-	// Collect stages.
-	byID := make(map[int]*Stage)
-	for _, n := range b.plan.Nodes() {
-		s := byID[n.StageID]
-		if s == nil {
-			s = &Stage{ID: n.StageID, Partitions: 1}
-			byID[n.StageID] = s
+	// Collect stages: IDs run 1..nextStage; one whose first node another
+	// stage had taken stays empty and is left out. Sizes are counted first,
+	// so stages, node lists and upstream lists are one allocation each.
+	b.counts = zeroed(b.counts, 2*(nextStage+1))
+	nNodes, nInputs := b.counts[:nextStage+1], b.counts[nextStage+1:]
+	used, edges := 0, 0
+	for _, n := range nodes {
+		if nNodes[n.StageID] == 0 {
+			used++
 		}
+		nNodes[n.StageID]++
+		if n.IsExchange() && !n.Fused {
+			nInputs[n.StageID] += len(n.Inputs)
+			edges += len(n.Inputs)
+		}
+	}
+	stages := make([]Stage, nextStage+1)
+	members := make([]*PhysNode, len(nodes))
+	upstream := make([]int, edges)
+	b.plan.Stages = make([]*Stage, 0, used)
+	for id := range stages {
+		if nNodes[id] == 0 {
+			continue
+		}
+		s := &stages[id]
+		s.ID, s.Partitions = id, 1
+		s.Nodes, members = members[:0:nNodes[id]], members[nNodes[id]:]
+		if nInputs[id] > 0 {
+			s.InputIDs, upstream = upstream[:0:nInputs[id]], upstream[nInputs[id]:]
+		}
+		b.plan.Stages = append(b.plan.Stages, s)
+	}
+	for _, n := range nodes {
+		s := &stages[n.StageID]
 		s.Nodes = append(s.Nodes, n)
 		if n.Partitions > s.Partitions {
 			s.Partitions = n.Partitions
 		}
 	}
-	for _, n := range b.plan.Nodes() {
+	for _, n := range nodes {
 		if n.IsExchange() && !n.Fused {
-			down := byID[n.StageID]
+			down := &stages[n.StageID]
 			for _, in := range n.Inputs {
 				down.InputIDs = append(down.InputIDs, in.StageID)
 			}
 		}
 	}
-	ids := make([]int, 0, len(byID))
-	for id := range byID {
-		ids = append(ids, id)
+}
+
+// stageSubtree assigns stage to n and its pipelined inputs, a fresh stage
+// to each input across a boundary, and returns the last stage ID used.
+func (b *implBuilder) stageSubtree(n *PhysNode, stage, nextStage int) int {
+	if b.marked[n.ID] {
+		return nextStage
 	}
-	sort.Ints(ids)
-	b.plan.Stages = b.plan.Stages[:0]
-	for _, id := range ids {
-		b.plan.Stages = append(b.plan.Stages, byID[id])
+	b.marked[n.ID] = true
+	n.StageID = stage
+	boundary := n.IsExchange() && !n.Fused
+	for _, in := range n.Inputs {
+		if boundary {
+			nextStage++
+			nextStage = b.stageSubtree(in, nextStage, nextStage)
+		} else {
+			nextStage = b.stageSubtree(in, stage, nextStage)
+		}
 	}
+	return nextStage
 }
 
 // computeCost sums per-operator estimated costs plus per-vertex startup.
@@ -897,11 +814,11 @@ func (b *implBuilder) computeCost() {
 		if n.Fused {
 			continue
 		}
-		var inRows []float64
+		b.inRows = b.inRows[:0]
 		for _, in := range n.Inputs {
-			inRows = append(inRows, in.EstRows)
+			b.inRows = append(b.inRows, in.EstRows)
 		}
-		c := nodeCost(n, inRows, n.EstRows)
+		c := nodeCost(n, b.inRows, n.EstRows)
 		if (n.Op == PhysSort || n.Op == PhysTopNSort) && n.PackFactor > 0 && n.PackFactor != 1 {
 			c *= n.PackFactor
 		}

@@ -300,11 +300,11 @@ func TestRecardinalizeCoversAllNodes(t *testing.T) {
 	env := &EstimationEnv{Stats: joinFilterStats}
 	rows := res.Plan.Recardinalize(env, joinFilterStats)
 	for _, n := range res.Plan.Nodes() {
-		if _, ok := rows[n]; !ok {
-			t.Errorf("node #%d missing from recardinalization", n.ID)
+		if n.ID >= len(rows) {
+			t.Fatalf("node #%d missing from recardinalization", n.ID)
 		}
-		if rows[n] < 0 {
-			t.Errorf("negative rows for node #%d", n.ID)
+		if rows[n.ID] < 1 {
+			t.Errorf("rows for node #%d = %v, want a cardinality (>= 1)", n.ID, rows[n.ID])
 		}
 	}
 }
@@ -318,6 +318,50 @@ func TestNodeCostNonNegative(t *testing.T) {
 		}
 		if c := nodeCost(n, inRows, n.EstRows); c < 0 {
 			t.Errorf("negative cost for %v: %v", n.Op, c)
+		}
+	}
+}
+
+// TestPlanSlabsDoNotAlias: a plan's nodes and their Inputs are carved from
+// slabs; each Inputs is capped at its own length, so appending to one
+// node's reallocates it and writes into no sibling's, and NewNode copies
+// the inputs it is handed rather than keeping the caller's slice.
+func TestPlanSlabsDoNotAlias(t *testing.T) {
+	res, _ := optimizeSrc(t, joinFilterScript, joinFilterStats, nil)
+	p := res.Plan
+	nodes := p.Nodes()
+	want := make([][]*PhysNode, len(nodes))
+	for i, n := range nodes {
+		want[i] = append([]*PhysNode(nil), n.Inputs...)
+		if len(n.Inputs) != cap(n.Inputs) {
+			t.Errorf("node #%d: Inputs has %d spare slots of the slab", n.ID, cap(n.Inputs)-len(n.Inputs))
+		}
+	}
+	extra := p.NewNode(PhysFilter, nil)
+	for _, n := range nodes {
+		n.Inputs = append(n.Inputs, extra)
+	}
+	for i, n := range nodes {
+		got := n.Inputs[:len(n.Inputs)-1]
+		if len(got) != len(want[i]) {
+			t.Fatalf("node #%d: %d inputs, want %d", n.ID, len(got), len(want[i]))
+		}
+		for j := range got {
+			if got[j] != want[i][j] {
+				t.Errorf("node #%d input %d changed when a sibling's Inputs grew", n.ID, j)
+			}
+		}
+	}
+	// More nodes than a chunk holds, built from one caller-owned slice.
+	ins := []*PhysNode{nodes[0]}
+	var made []*PhysNode
+	for i := 0; i < 3*physChunk; i++ {
+		made = append(made, p.NewNode(PhysProject, nil, ins...))
+	}
+	ins[0] = nil
+	for i, n := range made {
+		if n.ID != extra.ID+1+i || len(n.Inputs) != 1 || n.Inputs[0] != nodes[0] || n.PackFactor != 1 {
+			t.Fatalf("node %d off the slab: %+v", i, *n)
 		}
 	}
 }

@@ -106,9 +106,7 @@ func Optimize(g *scope.Graph, cfg rules.Config, opts Options) (*Result, error) {
 	if tokens <= 0 {
 		tokens = DefaultTokens
 	}
-	env := &EstimationEnv{Stats: opts.Stats}
-	ib := newImplBuilder(cfg, cat, &sig, opts.Stats, env, tokens)
-	plan, err := ib.build(work)
+	plan, err := lowerPlan(work, cfg, cat, &sig, opts.Stats, &EstimationEnv{Stats: opts.Stats}, tokens)
 	if err != nil {
 		return nil, err
 	}
@@ -127,8 +125,7 @@ func rewriteLogical(g *scope.Graph, cfg rules.Config, cat *rules.Catalog, stats 
 	}
 	env := &EstimationEnv{Stats: stats}
 	work := g.Clone()
-	rw := newRewriter(work, cfg, cat, &sig, stats, env)
-	rw.run()
+	rewrite(work, cfg, cat, &sig, stats, env)
 	if err := checkExperimentalValidity(work, cfg, cat, &sig); err != nil {
 		return nil, sig, err
 	}
@@ -179,18 +176,27 @@ func (t *ruleTable) fire(r rules.Rule) { t.sig.Record(r.ID) }
 
 // Recardinalize recomputes per-node row counts of a physical plan under a
 // different cardinality environment (typically the execution simulator's
-// ground truth). Exchanges inherit their input's row count.
-func (p *Plan) Recardinalize(env Environment, stats StatsProvider) map[*PhysNode]float64 {
-	engine := newCardEngine(env, stats)
-	out := make(map[*PhysNode]float64)
-	for _, n := range p.Nodes() { // topological order: inputs first
+// ground truth), indexed by PhysNode.ID. Exchanges inherit their input's
+// row count.
+func (p *Plan) Recardinalize(env Environment, stats StatsProvider) []float64 {
+	nodes := p.Nodes() // topological order: inputs first
+	bound := 0
+	for _, n := range nodes {
+		if n.Logical != nil && n.Logical.ID >= bound {
+			bound = n.Logical.ID + 1
+		}
+	}
+	var engine cardEngine
+	engine.reset(env, stats, bound)
+	out := make([]float64, p.nextID)
+	for _, n := range nodes {
 		switch {
 		case n.Logical != nil:
-			out[n] = engine.rows(n.Logical)
+			out[n.ID] = engine.rows(n.Logical)
 		case len(n.Inputs) > 0:
-			out[n] = out[n.Inputs[0]]
+			out[n.ID] = out[n.Inputs[0].ID]
 		default:
-			out[n] = 1
+			out[n.ID] = 1
 		}
 	}
 	return out

@@ -232,8 +232,8 @@ func (e *trueEnv) BaseRows(path string) float64 {
 	return 1e6
 }
 
-func (e *trueEnv) Selectivity(site string, heuristic float64) float64 {
-	if s, ok := e.sels[site]; ok {
+func (e *trueEnv) Selectivity(site []byte, heuristic float64) float64 {
+	if s, ok := e.sels[string(site)]; ok {
 		return s
 	}
 	return heuristic
@@ -249,7 +249,7 @@ func TestRecardinalizeUsesTrueEnvironment(t *testing.T) {
 	estTotal, trueTotal := 0.0, 0.0
 	for _, n := range res.Plan.Nodes() {
 		estTotal += n.EstRows
-		trueTotal += trueRows[n]
+		trueTotal += trueRows[n.ID]
 	}
 	if trueTotal <= estTotal {
 		t.Errorf("true rows (%.3g) should exceed estimates (%.3g) with 4x base rows", trueTotal, estTotal)
@@ -378,7 +378,7 @@ func TestEstimationEnvDefaults(t *testing.T) {
 	if got := env2.BaseRows("missing"); got != 42 {
 		t.Errorf("default rows = %v", got)
 	}
-	if got := env.Selectivity("any", 0.25); got != 0.25 {
+	if got := env.Selectivity([]byte("any"), 0.25); got != 0.25 {
 		t.Errorf("estimation env must return the heuristic, got %v", got)
 	}
 }

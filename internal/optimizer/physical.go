@@ -160,12 +160,34 @@ type Plan struct {
 	// order is the topological order, recorded once the builder has
 	// lowered every root (nil for a hand-built plan).
 	order []*PhysNode
+	// NewNode carves nodes and their Inputs from these, a chunk at a time.
+	nodeSlab  []PhysNode
+	inputSlab []*PhysNode
 }
 
-// NewNode allocates a physical node attached to this plan.
+// physChunk is how many nodes (and how many input slots) NewNode
+// allocates at once: 16 PhysNodes fill a 2,304-byte size class exactly.
+const physChunk = 16
+
+// NewNode allocates a physical node attached to this plan. It copies
+// inputs into the plan's own memory, capped at their length, so appending
+// to a node's Inputs never writes into a sibling's.
 func (p *Plan) NewNode(op PhysOp, logical *scope.Node, inputs ...*PhysNode) *PhysNode {
-	n := &PhysNode{ID: p.nextID, Op: op, Logical: logical, Inputs: inputs, PackFactor: 1}
+	if len(p.nodeSlab) == 0 {
+		p.nodeSlab = make([]PhysNode, physChunk)
+	}
+	n := &p.nodeSlab[0]
+	p.nodeSlab = p.nodeSlab[1:]
+	*n = PhysNode{ID: p.nextID, Op: op, Logical: logical, PackFactor: 1}
 	p.nextID++
+	if k := len(inputs); k > 0 {
+		if len(p.inputSlab) < k {
+			p.inputSlab = make([]*PhysNode, max(k, physChunk))
+		}
+		n.Inputs = p.inputSlab[:k:k]
+		p.inputSlab = p.inputSlab[k:]
+		copy(n.Inputs, inputs)
+	}
 	return n
 }
 
@@ -181,23 +203,23 @@ func (p *Plan) Nodes() []*PhysNode {
 
 // walk computes the topological order from the roots.
 func (p *Plan) walk() []*PhysNode {
-	var order []*PhysNode
-	seen := make(map[*PhysNode]bool)
-	var visit func(n *PhysNode)
-	visit = func(n *PhysNode) {
-		if seen[n] {
-			return
-		}
-		seen[n] = true
-		for _, in := range n.Inputs {
-			visit(in)
-		}
-		order = append(order, n)
-	}
+	order := make([]*PhysNode, 0, p.nextID)
+	seen := make([]bool, p.nextID)
 	for _, r := range p.Roots {
-		visit(r)
+		order = appendPhysSubtree(order, seen, r)
 	}
 	return order
+}
+
+func appendPhysSubtree(dst []*PhysNode, seen []bool, n *PhysNode) []*PhysNode {
+	if seen[n.ID] {
+		return dst
+	}
+	seen[n.ID] = true
+	for _, in := range n.Inputs {
+		dst = appendPhysSubtree(dst, seen, in)
+	}
+	return append(dst, n)
 }
 
 // String renders the plan as indented trees, one per root.

@@ -1,7 +1,7 @@
 package optimizer
 
 import (
-	"math"
+	"sync"
 
 	"qoadvisor/internal/rules"
 	"qoadvisor/internal/scope"
@@ -12,89 +12,77 @@ import (
 const maxRewriteFires = 400
 
 // rewriter applies the enabled logical transformation rules to a plan DAG
-// until fixpoint, recording every fired rule in the signature.
+// until fixpoint, recording every fired rule in the signature. What it
+// keeps per node is a slice indexed by scope.Node.ID (dense below
+// g.IDBound(); rewrites only add nodes), and every slice is scratch that
+// outlives the rewrite in rewriterPool, unreachable from the graph.
 type rewriter struct {
 	ruleTable
 	g     *scope.Graph
 	stats StatsProvider
 	env   Environment
+	est   cardEngine
 
 	// nodes is the DAG in topological order (inputs before consumers) and
-	// parents its reverse edges, both as of the last refresh; seen is the
-	// walk's scratch. All three are reused across refreshes.
+	// parents[id] the consumers of node id, both as of the last refresh;
+	// seen is the walk's marks.
 	nodes   []*scope.Node
-	parents map[*scope.Node][]*scope.Node
-	seen    map[*scope.Node]struct{}
-	est     *cardEngine
+	parents [][]*scope.Node
+	seen    []bool
 
-	// noMerge marks filters produced by SplitComplexFilter so that
+	// noMerge marks, by ID, filters produced by SplitComplexFilter so that
 	// MergeFilters does not undo the split in the same compilation.
-	noMerge map[*scope.Node]bool
+	noMerge []bool
+
+	needed colSets         // neededColumns' result
+	refs   []*scope.ColRef // scratch: column references of one expression
+	conj   []scope.Expr    // scratch: conjuncts of one predicate
 }
 
-func newRewriter(g *scope.Graph, cfg rules.Config, cat *rules.Catalog, sig *rules.Signature, stats StatsProvider, env Environment) *rewriter {
-	return &rewriter{
-		ruleTable: ruleTable{cat: cat, cfg: cfg, sig: sig},
-		g:         g, stats: stats, env: env,
-		parents: make(map[*scope.Node][]*scope.Node),
-		seen:    make(map[*scope.Node]struct{}),
-		noMerge: make(map[*scope.Node]bool),
-	}
+var rewriterPool = sync.Pool{New: func() any { return new(rewriter) }}
+
+// rewrite runs a pooled rewriter over g, a graph the caller owns.
+func rewrite(g *scope.Graph, cfg rules.Config, cat *rules.Catalog, sig *rules.Signature, stats StatsProvider, env Environment) {
+	rw := rewriterPool.Get().(*rewriter)
+	rw.ruleTable = ruleTable{cat: cat, cfg: cfg, sig: sig}
+	rw.g, rw.stats, rw.env = g, stats, env
+	rw.noMerge = rw.noMerge[:0]
+	rw.run()
+	// Drop what points into the caller's world before pooling.
+	rw.ruleTable, rw.g, rw.stats, rw.env = ruleTable{}, nil, nil, nil
+	rw.est.reset(nil, nil, 0)
+	rewriterPool.Put(rw)
 }
 
 // gate returns the stable gating hash of a node: FNV-1a of its site key
 // when it has one (stable across rewrites), else its structural
 // fingerprint.
 func gate(n *scope.Node) uint64 {
-	k := n.SiteKey()
-	if k == "" {
+	var buf [128]byte
+	k := n.AppendSiteKey(buf[:0])
+	if len(k) == 0 {
 		return n.Fingerprint()
 	}
-	h := uint64(fnvOffset64)
-	for i := 0; i < len(k); i++ {
-		h = (h ^ uint64(k[i])) * fnvPrime64
-	}
-	return h
+	return scope.FNV1a(scope.FNVOffset64, k)
 }
 
-// FNV-1a, 64-bit (hash/fnv's New64a, inlined so a gate costs no hasher).
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
-
-// refresh rebuilds the node order, the parent map and the cardinality
+// refresh rebuilds the node order, the parent lists and the cardinality
 // memo after a mutation.
 func (rw *rewriter) refresh() {
-	// Truncate rather than delete: a node rewritten out of the DAG keeps an
-	// empty entry, which reads the same as none, and the live ones keep
-	// their backing arrays.
-	for n, ps := range rw.parents {
-		rw.parents[n] = ps[:0]
-	}
-	clear(rw.seen)
-	rw.nodes = rw.nodes[:0]
-	for _, r := range rw.g.Roots {
-		rw.visit(r)
+	bound := rw.g.IDBound()
+	rw.seen = zeroed(rw.seen, bound)
+	rw.nodes = rw.g.AppendNodes(rw.nodes[:0], rw.seen)
+	// Truncate rather than drop: each list keeps its backing array.
+	rw.parents = grown(rw.parents, bound)
+	for i := range rw.parents {
+		rw.parents[i] = rw.parents[i][:0]
 	}
 	for _, n := range rw.nodes {
 		for _, in := range n.Inputs {
-			rw.parents[in] = append(rw.parents[in], n)
+			rw.parents[in.ID] = append(rw.parents[in.ID], n)
 		}
 	}
-	rw.est = newCardEngine(rw.env, rw.stats)
-}
-
-// visit appends n's subtree to rw.nodes in scope.Graph.Nodes order.
-func (rw *rewriter) visit(n *scope.Node) {
-	if _, ok := rw.seen[n]; ok {
-		return
-	}
-	rw.seen[n] = struct{}{}
-	for _, in := range n.Inputs {
-		rw.visit(in)
-	}
-	rw.nodes = append(rw.nodes, n)
+	rw.est.reset(rw.env, rw.stats, bound)
 }
 
 // singleParent reports whether n has exactly one consumer and is not a root.
@@ -104,12 +92,12 @@ func (rw *rewriter) singleParent(n *scope.Node) bool {
 			return false
 		}
 	}
-	return len(rw.parents[n]) == 1
+	return len(rw.parents[n.ID]) == 1
 }
 
 // replaceEverywhere rewires every consumer (and root slot) of old to new.
 func (rw *rewriter) replaceEverywhere(old, new *scope.Node) {
-	for _, p := range rw.parents[old] {
+	for _, p := range rw.parents[old.ID] {
 		for i, in := range p.Inputs {
 			if in == old {
 				p.Inputs[i] = new
@@ -125,14 +113,7 @@ func (rw *rewriter) replaceEverywhere(old, new *scope.Node) {
 
 // run applies rewrites to fixpoint, then the global one-shot analyses.
 func (rw *rewriter) run() {
-	fires := 0
-	for fires < maxRewriteFires {
-		rw.refresh()
-		if !rw.tryAll() {
-			break
-		}
-		fires++
-	}
+	rw.fixpoint()
 	rw.refresh()
 	rw.trySemiJoinReduction()
 	rw.refresh()
@@ -140,54 +121,43 @@ func (rw *rewriter) run() {
 	rw.recomputeSchemas()
 }
 
+// fixpoint fires one rewrite at a time until none applies.
+func (rw *rewriter) fixpoint() {
+	for fires := 0; fires < maxRewriteFires; fires++ {
+		rw.refresh()
+		if !rw.tryAll() {
+			break
+		}
+	}
+}
+
+// rewrites lists, per operator kind, the rewrites tried on a node of that
+// kind, in order.
+var rewrites = [scope.OpOutput + 1][]func(*rewriter, *scope.Node) bool{
+	scope.OpFilter: {
+		(*rewriter).tryPushFilterIntoScan, (*rewriter).tryPushFilterBelowProject,
+		(*rewriter).tryPushFilterBelowJoin, (*rewriter).tryPushFilterBelowUnion,
+		(*rewriter).tryPushFilterBelowAgg, (*rewriter).trySplitComplexFilter,
+		(*rewriter).tryMergeFilters, (*rewriter).tryProjectPullUp,
+	},
+	scope.OpProject:  {(*rewriter).tryMergeProjects},
+	scope.OpDistinct: {(*rewriter).tryEliminateDistinct, (*rewriter).tryUnionDedupPushdown, (*rewriter).tryDistinctToAgg},
+	scope.OpAgg:      {(*rewriter).tryPartialAggBelowJoin, (*rewriter).tryLocalGlobalAgg},
+	scope.OpJoin: {
+		(*rewriter).tryJoinCommute, (*rewriter).tryJoinAssociate,
+		(*rewriter).tryBroadcastAnnotation, (*rewriter).tryJoinPredicateInference,
+	},
+	scope.OpSort:  {(*rewriter).tryRemoveRedundantSort},
+	scope.OpTop:   {(*rewriter).tryTopNPushdown},
+	scope.OpUnion: {(*rewriter).tryFlattenUnion},
+}
+
 // tryAll attempts one rewrite anywhere in the DAG and reports whether one
 // fired. Nodes are visited in topological order for determinism.
 func (rw *rewriter) tryAll() bool {
 	for _, n := range rw.nodes {
-		switch n.Kind {
-		case scope.OpFilter:
-			if rw.tryPushFilterIntoScan(n) ||
-				rw.tryPushFilterBelowProject(n) ||
-				rw.tryPushFilterBelowJoin(n) ||
-				rw.tryPushFilterBelowUnion(n) ||
-				rw.tryPushFilterBelowAgg(n) ||
-				rw.trySplitComplexFilter(n) ||
-				rw.tryMergeFilters(n) ||
-				rw.tryProjectPullUp(n) {
-				return true
-			}
-		case scope.OpProject:
-			if rw.tryMergeProjects(n) {
-				return true
-			}
-		case scope.OpDistinct:
-			if rw.tryEliminateDistinct(n) ||
-				rw.tryUnionDedupPushdown(n) ||
-				rw.tryDistinctToAgg(n) {
-				return true
-			}
-		case scope.OpAgg:
-			if rw.tryPartialAggBelowJoin(n) ||
-				rw.tryLocalGlobalAgg(n) {
-				return true
-			}
-		case scope.OpJoin:
-			if rw.tryJoinCommute(n) ||
-				rw.tryJoinAssociate(n) ||
-				rw.tryBroadcastAnnotation(n) ||
-				rw.tryJoinPredicateInference(n) {
-				return true
-			}
-		case scope.OpSort:
-			if rw.tryRemoveRedundantSort(n) {
-				return true
-			}
-		case scope.OpTop:
-			if rw.tryTopNPushdown(n) {
-				return true
-			}
-		case scope.OpUnion:
-			if rw.tryFlattenUnion(n) {
+		for _, try := range rewrites[n.Kind] {
+			if try(rw, n) {
 				return true
 			}
 		}
@@ -197,6 +167,30 @@ func (rw *rewriter) tryAll() bool {
 
 func copyCols(n *scope.Node) []scope.Column {
 	return append([]scope.Column(nil), n.Cols...)
+}
+
+// setCols makes n's schema a copy of cols: in n's own backing array — a
+// cloned node owns its Cols — when the width is unchanged, else in a new
+// one of exactly the new width, so that a rewritten graph kept in a cache
+// holds no schema wider than its final one.
+func setCols(n *scope.Node, cols []scope.Column) {
+	if len(cols) == len(n.Cols) {
+		copy(n.Cols, cols)
+		return
+	}
+	n.Cols = append([]scope.Column(nil), cols...)
+}
+
+func hasCol(cols []scope.Column, name string) bool {
+	_, ok := findCol(cols, name)
+	return ok
+}
+
+// colRefs returns the column references of e in rw's scratch: valid until
+// the next call.
+func (rw *rewriter) colRefs(e scope.Expr) []*scope.ColRef {
+	rw.refs = scope.CollectColRefs(e, rw.refs[:0])
+	return rw.refs
 }
 
 // newFilter creates a filter node over input with the given predicate.
@@ -234,25 +228,19 @@ func (rw *rewriter) tryPushFilterBelowProject(f *scope.Node) bool {
 		return false
 	}
 	// Every reference must map to a pure column reference in the project.
-	mapping := make(map[string]string)
-	for name := range scope.RefNames(f.Pred) {
-		var mapped *scope.ColRef
-		for _, p := range in.Projs {
-			if p.Name == name {
-				if cr, ok := p.E.(*scope.ColRef); ok {
-					mapped = cr
-				}
-				break
-			}
-		}
-		if mapped == nil {
+	refs := rw.colRefs(f.Pred)
+	for _, ref := range refs {
+		if projectedRef(in, ref.Name) == nil {
 			return false
 		}
-		mapping[name] = mapped.Name
 	}
 	r, ok := rw.pick(rules.KindPushFilterBelowProject, gate(f))
 	if !ok {
 		return false
+	}
+	mapping := make(map[string]string, len(refs))
+	for _, ref := range refs {
+		mapping[ref.Name] = projectedRef(in, ref.Name).Name
 	}
 	nf := rw.newFilter(scope.RenameRefs(f.Pred, mapping), in.Inputs[0])
 	in.Inputs[0] = nf
@@ -261,41 +249,38 @@ func (rw *rewriter) tryPushFilterBelowProject(f *scope.Node) bool {
 	return true
 }
 
-// joinSides classifies the merged output columns of a join node.
-func joinSides(j *scope.Node) (left map[string]bool, rightMergedToOrig map[string]string) {
-	left = make(map[string]bool)
-	for _, c := range j.Inputs[0].Cols {
-		left[c.Name] = true
-	}
-	rightMergedToOrig = make(map[string]string)
-	rightOrig := make(map[string]bool)
-	for _, c := range j.Inputs[1].Cols {
-		rightOrig[c.Name] = true
-	}
-	for _, c := range j.Cols {
-		if left[c.Name] {
-			continue
-		}
-		orig := c.Name
-		if j.RightRenames != nil {
-			if o, ok := j.RightRenames[c.Name]; ok {
-				orig = o
-			}
-		}
-		if rightOrig[orig] {
-			rightMergedToOrig[c.Name] = orig
+// projectedRef returns the column reference that project p's first output
+// named name is, or nil when there is none or it is computed.
+func projectedRef(p *scope.Node, name string) *scope.ColRef {
+	for _, pe := range p.Projs {
+		if pe.Name == name {
+			cr, _ := pe.E.(*scope.ColRef)
+			return cr
 		}
 	}
-	return left, rightMergedToOrig
+	return nil
 }
 
-func subsetOf(refs map[string]bool, set map[string]bool) bool {
-	for r := range refs {
-		if !set[r] {
-			return false
-		}
+// A join's merged output columns fall on two sides. The left side is the
+// left input's columns, by name. A merged column is on the right side when
+// it is not on the left and the name it had before the merge renamed it —
+// RightRenames maps merged to original; absent means unrenamed — is a
+// column of the right input.
+
+// onLeft reports whether name is one of join j's left-side columns.
+func onLeft(j *scope.Node, name string) bool { return hasCol(j.Inputs[0].Cols, name) }
+
+// rightOrig returns the right input's name for j's merged output column
+// name, and whether name is a right-side column at all.
+func rightOrig(j *scope.Node, name string) (string, bool) {
+	if onLeft(j, name) || !hasCol(j.Cols, name) {
+		return "", false
 	}
-	return true
+	orig := name
+	if o, ok := j.RightRenames[name]; ok {
+		orig = o
+	}
+	return orig, hasCol(j.Inputs[1].Cols, orig)
 }
 
 func (rw *rewriter) tryPushFilterBelowJoin(f *scope.Node) bool {
@@ -307,19 +292,26 @@ func (rw *rewriter) tryPushFilterBelowJoin(f *scope.Node) bool {
 	if !ok {
 		return false
 	}
-	left, rightMap := joinSides(j)
-	rightSet := make(map[string]bool, len(rightMap))
-	for m := range rightMap {
-		rightSet[m] = true
-	}
 	var pushLeft, pushRight, remain []scope.Expr
-	for _, c := range scope.Conjuncts(f.Pred) {
-		refs := scope.RefNames(c)
+	rw.conj = scope.AppendConjuncts(rw.conj[:0], f.Pred)
+	for _, c := range rw.conj {
+		refs := rw.colRefs(c)
+		allLeft, allRight := len(refs) > 0, len(refs) > 0
+		for _, ref := range refs {
+			allLeft = allLeft && onLeft(j, ref.Name)
+			if _, ok := rightOrig(j, ref.Name); !ok {
+				allRight = false
+			}
+		}
 		switch {
-		case len(refs) > 0 && subsetOf(refs, left):
+		case allLeft:
 			pushLeft = append(pushLeft, c)
-		case len(refs) > 0 && subsetOf(refs, rightSet):
-			pushRight = append(pushRight, scope.RenameRefs(c, rightMap))
+		case allRight:
+			toOrig := make(map[string]string, len(refs))
+			for _, ref := range refs {
+				toOrig[ref.Name], _ = rightOrig(j, ref.Name)
+			}
+			pushRight = append(pushRight, scope.RenameRefs(c, toOrig))
 		default:
 			remain = append(remain, c)
 		}
@@ -352,13 +344,7 @@ func (rw *rewriter) tryPushFilterBelowUnion(f *scope.Node) bool {
 		return false
 	}
 	for i, in := range u.Inputs {
-		mapping := make(map[string]string)
-		for pos, c := range u.Cols {
-			if pos < len(in.Cols) {
-				mapping[c.Name] = in.Cols[pos].Name
-			}
-		}
-		u.Inputs[i] = rw.newFilter(scope.RenameRefs(f.Pred, mapping), in)
+		u.Inputs[i] = rw.newFilter(scope.RenameRefs(f.Pred, unionRenames(u, in)), in)
 	}
 	rw.replaceEverywhere(f, u)
 	rw.fire(r)
@@ -370,12 +356,10 @@ func (rw *rewriter) tryPushFilterBelowAgg(f *scope.Node) bool {
 	if a.Kind != scope.OpAgg || a.Partial || !rw.singleParent(a) {
 		return false
 	}
-	gb := make(map[string]bool)
-	for _, c := range a.GroupBy {
-		gb[c.Name] = true
-	}
-	if !subsetOf(scope.RefNames(f.Pred), gb) {
-		return false
+	for _, ref := range rw.colRefs(f.Pred) {
+		if !hasCol(a.GroupBy, ref.Name) {
+			return false
+		}
 	}
 	r, ok := rw.pick(rules.KindPushFilterBelowAgg, gate(f))
 	if !ok {
@@ -388,10 +372,11 @@ func (rw *rewriter) tryPushFilterBelowAgg(f *scope.Node) bool {
 }
 
 func (rw *rewriter) trySplitComplexFilter(f *scope.Node) bool {
-	if rw.noMerge[f] {
+	if rw.unmergeable(f) {
 		return false
 	}
-	conjs := scope.Conjuncts(f.Pred)
+	rw.conj = scope.AppendConjuncts(rw.conj[:0], f.Pred)
+	conjs := rw.conj
 	if len(conjs) < 2 {
 		return false
 	}
@@ -407,16 +392,20 @@ func (rw *rewriter) trySplitComplexFilter(f *scope.Node) bool {
 	}
 	bottom := rw.newFilter(conjs[len(conjs)-1], f.Inputs[0])
 	top := rw.newFilter(scope.AndAll(conjs[:len(conjs)-1]), bottom)
-	rw.noMerge[bottom] = true
-	rw.noMerge[top] = true
+	rw.noMerge = grown(rw.noMerge, top.ID+1) // top is the newest node
+	rw.noMerge[bottom.ID], rw.noMerge[top.ID] = true, true
 	rw.replaceEverywhere(f, top)
 	rw.fire(r)
 	return true
 }
 
+func (rw *rewriter) unmergeable(f *scope.Node) bool {
+	return f.ID < len(rw.noMerge) && rw.noMerge[f.ID]
+}
+
 func (rw *rewriter) tryMergeFilters(f *scope.Node) bool {
 	in := f.Inputs[0]
-	if in.Kind != scope.OpFilter || !rw.singleParent(in) || rw.noMerge[f] || rw.noMerge[in] {
+	if in.Kind != scope.OpFilter || !rw.singleParent(in) || rw.unmergeable(f) || rw.unmergeable(in) {
 		return false
 	}
 	r, ok := rw.pick(rules.KindMergeFilters, gate(f))
@@ -437,13 +426,16 @@ func (rw *rewriter) tryProjectPullUp(f *scope.Node) bool {
 	// Only fire when filter pushdown below the project is impossible:
 	// at least one referenced projection is a computed expression.
 	computed := false
-	projMap := make(map[string]scope.Expr)
-	for _, pe := range p.Projs {
-		projMap[pe.Name] = pe.E
-	}
-	for name := range scope.RefNames(f.Pred) {
-		e, ok := projMap[name]
-		if !ok {
+	for _, ref := range rw.colRefs(f.Pred) {
+		// The last projection of a name is the one the substitution below
+		// sees.
+		var e scope.Expr
+		for i := len(p.Projs) - 1; i >= 0 && e == nil; i-- {
+			if p.Projs[i].Name == ref.Name {
+				e = p.Projs[i].E
+			}
+		}
+		if e == nil {
 			return false
 		}
 		if _, isRef := e.(*scope.ColRef); !isRef {
@@ -456,6 +448,10 @@ func (rw *rewriter) tryProjectPullUp(f *scope.Node) bool {
 	r, ok := rw.pick(rules.KindProjectPullUp, gate(f))
 	if !ok {
 		return false
+	}
+	projMap := make(map[string]scope.Expr, len(p.Projs))
+	for _, pe := range p.Projs {
+		projMap[pe.Name] = pe.E
 	}
 	nf := rw.newFilter(scope.SubstituteRefs(f.Pred, projMap), p.Inputs[0])
 	p.Inputs[0] = nf
@@ -573,13 +569,18 @@ func (rw *rewriter) tryLocalGlobalAgg(a *scope.Node) bool {
 	if !ok {
 		return false
 	}
-	partial := rw.g.NewNode(scope.OpAgg, in)
-	partial.Partial = true
-	partial.GroupBy = append([]scope.Column(nil), a.GroupBy...)
-	partial.Cols = copyCols(in)
-	a.Inputs[0] = partial
+	a.Inputs[0] = rw.newPartialAgg(in, append([]scope.Column(nil), a.GroupBy...))
 	rw.fire(r)
 	return true
+}
+
+// newPartialAgg creates a partial aggregation of in by the given keys.
+func (rw *rewriter) newPartialAgg(in *scope.Node, groupBy []scope.Column) *scope.Node {
+	partial := rw.g.NewNode(scope.OpAgg, in)
+	partial.Partial = true
+	partial.GroupBy = groupBy
+	partial.Cols = copyCols(in)
+	return partial
 }
 
 func (rw *rewriter) tryPartialAggBelowJoin(a *scope.Node) bool {
@@ -593,20 +594,20 @@ func (rw *rewriter) tryPartialAggBelowJoin(a *scope.Node) bool {
 	if j.Inputs[0].Kind == scope.OpAgg && j.Inputs[0].Partial {
 		return false
 	}
-	left, _ := joinSides(j)
-	needed := make(map[string]bool)
-	for _, g := range a.GroupBy {
-		needed[g.Name] = true
-	}
+	// Everything the aggregation reads must come from the left side.
+	rw.refs = rw.refs[:0]
 	for _, spec := range a.Aggs {
-		if spec.Arg != nil {
-			for n := range scope.RefNames(spec.Arg) {
-				needed[n] = true
-			}
+		rw.refs = scope.CollectColRefs(spec.Arg, rw.refs) // a nil Arg (COUNT(*)) has none
+	}
+	for _, ref := range rw.refs {
+		if !onLeft(j, ref.Name) {
+			return false
 		}
 	}
-	if !subsetOf(needed, left) {
-		return false
+	for _, g := range a.GroupBy {
+		if !onLeft(j, g.Name) {
+			return false
+		}
 	}
 	r, ok := rw.pick(rules.KindPartialAggBelowJoin, gate(a))
 	if !ok {
@@ -614,24 +615,18 @@ func (rw *rewriter) tryPartialAggBelowJoin(a *scope.Node) bool {
 	}
 	// Key the partial agg by the aggregation keys plus the left-side join
 	// keys so the join result is preserved.
-	keys := make(map[string]bool)
-	for n := range needed {
-		keys[n] = true
-	}
-	for n := range scope.RefNames(j.JoinCond) {
-		if left[n] {
-			keys[n] = true
-		}
-	}
-	partial := rw.g.NewNode(scope.OpAgg, j.Inputs[0])
-	partial.Partial = true
+	rw.refs = scope.CollectColRefs(j.JoinCond, rw.refs)
+	var keys []scope.Column
 	for _, c := range j.Inputs[0].Cols {
-		if keys[c.Name] {
-			partial.GroupBy = append(partial.GroupBy, c)
+		key := hasCol(a.GroupBy, c.Name)
+		for _, ref := range rw.refs {
+			key = key || ref.Name == c.Name
+		}
+		if key {
+			keys = append(keys, c)
 		}
 	}
-	partial.Cols = copyCols(j.Inputs[0])
-	j.Inputs[0] = partial
+	j.Inputs[0] = rw.newPartialAgg(j.Inputs[0], keys)
 	rw.fire(r)
 	return true
 }
@@ -675,13 +670,9 @@ func (rw *rewriter) tryJoinAssociate(j *scope.Node) bool {
 		return false
 	}
 	a, bNode, c := inner.Inputs[0], inner.Inputs[1], j.Inputs[1]
-	aNames := make(map[string]bool, len(a.Cols))
-	for _, col := range a.Cols {
-		aNames[col.Name] = true
-	}
 	// The outer condition must be evaluable on B ⋈ C alone.
-	for name := range scope.RefNames(j.JoinCond) {
-		if aNames[name] {
+	for _, ref := range rw.colRefs(j.JoinCond) {
+		if hasCol(a.Cols, ref.Name) {
 			return false
 		}
 	}
@@ -757,7 +748,8 @@ func (rw *rewriter) tryJoinPredicateInference(j *scope.Node) bool {
 		return false
 	}
 	var lit scope.Expr
-	for _, c := range scope.Conjuncts(lf.Pred) {
+	rw.conj = scope.AppendConjuncts(rw.conj[:0], lf.Pred)
+	for _, c := range rw.conj {
 		be, ok := c.(*scope.BinaryExpr)
 		if !ok || be.Op != "==" {
 			continue
@@ -774,7 +766,8 @@ func (rw *rewriter) tryJoinPredicateInference(j *scope.Node) bool {
 	inferred := &scope.BinaryExpr{Op: "==", Left: &scope.ColRef{Name: rightKey}, Right: lit}
 	// Don't re-infer a filter that is already there.
 	if rf := j.Inputs[1]; rf.Kind == scope.OpFilter {
-		for _, c := range scope.Conjuncts(rf.Pred) {
+		rw.conj = scope.AppendConjuncts(rw.conj[:0], rf.Pred)
+		for _, c := range rw.conj {
 			if c.String() == inferred.String() {
 				return false
 			}
@@ -800,38 +793,35 @@ func isLiteral(e scope.Expr) bool {
 
 // equiKeys returns the first equi-join key pair (left column, right
 // column in the right input's original naming) of a join, or empty strings.
-func equiKeys(j *scope.Node) (leftKey, rightKey string) {
-	left, rightMap := joinSides(j)
-	for _, c := range scope.Conjuncts(j.JoinCond) {
-		be, ok := c.(*scope.BinaryExpr)
-		if !ok || be.Op != "==" {
+func equiKeys(j *scope.Node) (leftKey, rightKey string) { return equiKeysIn(j, j.JoinCond) }
+
+// equiKeysIn is equiKeys over the conjuncts of e, in order.
+func equiKeysIn(j *scope.Node, e scope.Expr) (leftKey, rightKey string) {
+	be, ok := e.(*scope.BinaryExpr)
+	if !ok {
+		return "", ""
+	}
+	if be.Op == "AND" {
+		if l, r := equiKeysIn(j, be.Left); l != "" {
+			return l, r
+		}
+		return equiKeysIn(j, be.Right)
+	}
+	a, aok := be.Left.(*scope.ColRef)
+	b, bok := be.Right.(*scope.ColRef)
+	if be.Op != "==" || !aok || !bok {
+		return "", ""
+	}
+	// Either order; a right column may be unrenamed.
+	for _, p := range [2][2]string{{a.Name, b.Name}, {b.Name, a.Name}} {
+		if !onLeft(j, p[0]) {
 			continue
 		}
-		a, aok := be.Left.(*scope.ColRef)
-		b, bok := be.Right.(*scope.ColRef)
-		if !aok || !bok {
-			continue
+		if orig, ok := rightOrig(j, p[1]); ok {
+			return p[0], orig
 		}
-		if left[a.Name] {
-			if orig, ok := rightMap[b.Name]; ok {
-				return a.Name, orig
-			}
-			// Unrenamed right column.
-			for _, rc := range j.Inputs[1].Cols {
-				if rc.Name == b.Name {
-					return a.Name, b.Name
-				}
-			}
-		}
-		if left[b.Name] {
-			if orig, ok := rightMap[a.Name]; ok {
-				return b.Name, orig
-			}
-			for _, rc := range j.Inputs[1].Cols {
-				if rc.Name == a.Name {
-					return b.Name, a.Name
-				}
-			}
+		if hasCol(j.Inputs[1].Cols, p[1]) {
+			return p[0], p[1]
 		}
 	}
 	return "", ""
@@ -850,7 +840,7 @@ func orderDestroying(k scope.OpKind) bool {
 }
 
 func (rw *rewriter) tryRemoveRedundantSort(s *scope.Node) bool {
-	ps := rw.parents[s]
+	ps := rw.parents[s.ID]
 	if len(ps) == 0 {
 		return false // root-adjacent sorts handled below via Output parents
 	}
@@ -886,18 +876,13 @@ func (rw *rewriter) tryTopNPushdown(t *scope.Node) bool {
 	for i, in := range u.Inputs {
 		nt := rw.g.NewNode(scope.OpTop, in)
 		nt.TopN = t.TopN
-		// Map sort keys by position into the input's naming.
-		mapping := make(map[string]string)
-		for pos, c := range u.Cols {
-			if pos < len(in.Cols) {
-				mapping[c.Name] = in.Cols[pos].Name
-			}
-		}
+		mapping := unionRenames(u, in)
 		for _, k := range t.SortKeys {
-			nt.SortKeys = append(nt.SortKeys, scope.SortKey{
-				Col:  &scope.ColRef{Name: mappedName(mapping, k.Col.Name)},
-				Desc: k.Desc,
-			})
+			name := k.Col.Name
+			if to, ok := mapping[name]; ok {
+				name = to
+			}
+			nt.SortKeys = append(nt.SortKeys, scope.SortKey{Col: &scope.ColRef{Name: name}, Desc: k.Desc})
 		}
 		nt.Cols = copyCols(in)
 		u.Inputs[i] = nt
@@ -906,11 +891,15 @@ func (rw *rewriter) tryTopNPushdown(t *scope.Node) bool {
 	return true
 }
 
-func mappedName(mapping map[string]string, name string) string {
-	if to, ok := mapping[name]; ok {
-		return to
+// unionRenames maps union u's column names, by position, to input in's.
+func unionRenames(u, in *scope.Node) map[string]string {
+	mapping := make(map[string]string, len(u.Cols))
+	for pos, c := range u.Cols {
+		if pos < len(in.Cols) {
+			mapping[c.Name] = in.Cols[pos].Name
+		}
 	}
-	return name
+	return mapping
 }
 
 func (rw *rewriter) tryFlattenUnion(u *scope.Node) bool {
@@ -940,153 +929,120 @@ func (rw *rewriter) tryFlattenUnion(u *scope.Node) bool {
 
 // --- Global analyses ---
 
-// neededColumns computes, for every node, the set of its output columns
-// required by its consumers (all columns for roots).
-func (rw *rewriter) neededColumns() map[*scope.Node]map[string]bool {
-	nodes := rw.nodes
-	needed := make(map[*scope.Node]map[string]bool, len(nodes))
-	addAll := func(n *scope.Node) {
-		m := needed[n]
-		if m == nil {
-			m = make(map[string]bool)
-			needed[n] = m
-		}
-		for _, c := range n.Cols {
-			m[c.Name] = true
-		}
-	}
-	add := func(n *scope.Node, name string) {
-		m := needed[n]
-		if m == nil {
-			m = make(map[string]bool)
-			needed[n] = m
-		}
-		m[name] = true
-	}
+// neededColumns computes into rw.needed, for every node, the set of its
+// output columns required by its consumers (all columns for roots).
+func (rw *rewriter) neededColumns() {
+	nodes, needed := rw.nodes, &rw.needed
+	needed.reset(rw.g.IDBound())
 	for _, r := range rw.g.Roots {
-		addAll(r)
+		needed.addAll(r.ID, r.Cols)
 	}
 	// Reverse topological order: consumers before producers.
 	for i := len(nodes) - 1; i >= 0; i-- {
 		n := nodes[i]
-		out := needed[n]
-		if out == nil {
-			out = make(map[string]bool)
-			needed[n] = out
-		}
 		switch n.Kind {
 		case scope.OpFilter:
 			in := n.Inputs[0]
-			for name := range out {
-				add(in, name)
-			}
-			for name := range scope.RefNames(n.Pred) {
-				add(in, name)
-			}
+			needed.union(in.ID, n.ID)
+			needed.addRefs(in.ID, rw.colRefs(n.Pred))
 		case scope.OpProject:
 			in := n.Inputs[0]
 			for _, p := range n.Projs {
-				if out[p.Name] {
-					for name := range scope.RefNames(p.E) {
-						add(in, name)
-					}
+				if needed.has(n.ID, p.Name) {
+					needed.addRefs(in.ID, rw.colRefs(p.E))
 				}
 			}
 		case scope.OpJoin:
-			left, rightMap := joinSides(n)
 			l, rr := n.Inputs[0], n.Inputs[1]
 			propagate := func(name string) {
-				if left[name] {
-					add(l, name)
-				} else if orig, ok := rightMap[name]; ok {
-					add(rr, orig)
+				if onLeft(n, name) {
+					needed.add(l.ID, name)
+				} else if orig, ok := rightOrig(n, name); ok {
+					needed.add(rr.ID, orig)
 				} else {
 					// Unrenamed right column.
-					add(rr, name)
+					needed.add(rr.ID, name)
 				}
 			}
-			for name := range out {
-				propagate(name)
+			for b, name := range needed.names { // names added below are not in n's set
+				if needed.holds(n.ID, b) {
+					propagate(name)
+				}
 			}
-			for name := range scope.RefNames(n.JoinCond) {
-				propagate(name)
+			for _, ref := range rw.colRefs(n.JoinCond) {
+				propagate(ref.Name)
 			}
 		case scope.OpAgg:
 			in := n.Inputs[0]
 			if n.Partial {
-				for name := range out {
-					add(in, name)
-				}
+				needed.union(in.ID, n.ID)
 			}
-			for _, g := range n.GroupBy {
-				add(in, g.Name)
-			}
+			needed.addAll(in.ID, n.GroupBy)
 			for _, a := range n.Aggs {
 				if a.Arg != nil {
-					for name := range scope.RefNames(a.Arg) {
-						add(in, name)
-					}
+					needed.addRefs(in.ID, rw.colRefs(a.Arg))
 				}
 			}
 		case scope.OpDistinct:
-			addAll(n.Inputs[0])
+			needed.addAll(n.Inputs[0].ID, n.Inputs[0].Cols)
 		case scope.OpUnion:
 			for _, in := range n.Inputs {
 				for pos, c := range n.Cols {
-					if out[c.Name] && pos < len(in.Cols) {
-						add(in, in.Cols[pos].Name)
+					if needed.has(n.ID, c.Name) && pos < len(in.Cols) {
+						needed.add(in.ID, in.Cols[pos].Name)
 					}
 				}
 			}
 		case scope.OpSort, scope.OpTop:
 			in := n.Inputs[0]
-			for name := range out {
-				add(in, name)
-			}
+			needed.union(in.ID, n.ID)
 			for _, k := range n.SortKeys {
-				add(in, k.Col.Name)
+				needed.add(in.ID, k.Col.Name)
 			}
 		case scope.OpReduce, scope.OpProcess, scope.OpOutput:
 			if len(n.Inputs) > 0 {
-				addAll(n.Inputs[0])
+				needed.addAll(n.Inputs[0].ID, n.Inputs[0].Cols)
 			}
 		}
 	}
-	return needed
 }
 
 // tryPruneColumns narrows scan schemas to the columns actually required
 // upstream, the classic column-pruning optimization. Each scan is gated by
 // its own PruneColumns sibling rule.
 func (rw *rewriter) tryPruneColumns() {
-	needed := rw.neededColumns()
+	rw.neededColumns()
 	for _, n := range rw.nodes {
 		if n.Kind != scope.OpScan {
 			continue
 		}
-		req := needed[n]
 		if n.Pred != nil {
-			for name := range scope.RefNames(n.Pred) {
-				req[name] = true
-			}
+			rw.needed.addRefs(n.ID, rw.colRefs(n.Pred))
 		}
-		var kept []scope.Column
+		keep := 0
 		for _, c := range n.Cols {
-			if req[c.Name] {
-				kept = append(kept, c)
+			if rw.needed.has(n.ID, c.Name) {
+				keep++
 			}
 		}
-		if len(kept) == 0 {
-			kept = n.Cols[:1]
-		}
-		if len(kept) == len(n.Cols) {
+		if keep == len(n.Cols) || (keep == 0 && len(n.Cols) == 1) {
 			continue
 		}
 		r, ok := rw.pick(rules.KindPruneColumns, gate(n))
 		if !ok {
 			continue
 		}
-		n.Cols = kept
+		if keep == 0 {
+			n.Cols = n.Cols[:1]
+		} else {
+			kept := make([]scope.Column, 0, keep)
+			for _, c := range n.Cols {
+				if rw.needed.has(n.ID, c.Name) {
+					kept = append(kept, c)
+				}
+			}
+			n.Cols = kept
+		}
 		rw.fire(r)
 	}
 }
@@ -1094,7 +1050,7 @@ func (rw *rewriter) tryPruneColumns() {
 // trySemiJoinReduction converts inner joins whose right side contributes
 // no output columns into semi joins.
 func (rw *rewriter) trySemiJoinReduction() {
-	needed := rw.neededColumns()
+	rw.neededColumns()
 	for _, n := range rw.nodes {
 		if n.Kind != scope.OpJoin || n.JoinType != scope.JoinInner {
 			continue
@@ -1102,13 +1058,10 @@ func (rw *rewriter) trySemiJoinReduction() {
 		if !HasEquiCond(n.JoinCond) {
 			continue
 		}
-		left, _ := joinSides(n)
+		// Any needed column not from the left comes from the right.
 		usesRight := false
-		for name := range needed[n] {
-			if !left[name] { // any needed column not from the left comes from the right
-				usesRight = true
-				break
-			}
+		for b, name := range rw.needed.names {
+			usesRight = usesRight || (rw.needed.holds(n.ID, b) && !onLeft(n, name))
 		}
 		if usesRight {
 			continue
@@ -1118,7 +1071,7 @@ func (rw *rewriter) trySemiJoinReduction() {
 			continue
 		}
 		n.JoinType = scope.JoinSemi
-		n.Cols = copyCols(n.Inputs[0])
+		setCols(n, n.Inputs[0].Cols)
 		n.RightRenames = nil
 		rw.fire(r)
 	}
@@ -1132,33 +1085,38 @@ func (rw *rewriter) recomputeSchemas() {
 		case scope.OpScan, scope.OpReduce, scope.OpProcess:
 			// Own schema: unchanged.
 		case scope.OpFilter, scope.OpSort, scope.OpTop, scope.OpDistinct, scope.OpOutput:
-			n.Cols = copyCols(n.Inputs[0])
+			setCols(n, n.Inputs[0].Cols)
 		case scope.OpProject:
 			// Keep projection outputs; they are independent of input width.
 		case scope.OpJoin:
+			left, right := n.Inputs[0].Cols, n.Inputs[1].Cols
 			if n.JoinType == scope.JoinSemi {
-				n.Cols = copyCols(n.Inputs[0])
+				setCols(n, left)
 				continue
 			}
-			inverse := make(map[string]string) // orig -> merged
-			for m, o := range n.RightRenames {
-				inverse[o] = m
+			if len(n.Cols) != len(left)+len(right) {
+				n.Cols = make([]scope.Column, len(left)+len(right))
 			}
-			cols := copyCols(n.Inputs[0])
-			for _, c := range n.Inputs[1].Cols {
-				mc := c
-				if m, ok := inverse[c.Name]; ok {
-					mc.Name = m
+			copy(n.Cols, left)
+			for i, c := range right {
+				// A renamed right column appears under its merged name.
+				for merged, orig := range n.RightRenames {
+					if orig == c.Name {
+						c.Name = merged
+					}
 				}
-				cols = append(cols, mc)
+				n.Cols[len(left)+i] = c
 			}
-			n.Cols = cols
 		case scope.OpAgg:
 			if n.Partial {
-				n.Cols = copyCols(n.Inputs[0])
+				setCols(n, n.Inputs[0].Cols)
 				continue
 			}
-			cols := append([]scope.Column(nil), n.GroupBy...)
+			var cols []scope.Column
+			if k := len(n.GroupBy) + len(n.Aggs); k > 0 {
+				cols = make([]scope.Column, 0, k)
+			}
+			cols = append(cols, n.GroupBy...)
 			for _, a := range n.Aggs {
 				// Preserve the previously computed agg output types.
 				if c, ok := n.FindCol(a.Name); ok {
@@ -1180,6 +1138,4 @@ func (rw *rewriter) recomputeSchemas() {
 			}
 		}
 	}
-	// The row-count heuristics depend on NDVs of sources, untouched here.
-	_ = math.Abs
 }

@@ -137,6 +137,9 @@ func appendExpr(dst []byte, e Expr, normalized bool) []byte {
 	return append(dst, e.String()...)
 }
 
+// AppendExpr appends e's canonical form, the bytes of e.String(), to dst.
+func AppendExpr(dst []byte, e Expr) []byte { return appendExpr(dst, e, false) }
+
 // render is String and Normalized for every Expr: one allocation, the
 // returned string, unless the form outgrows the stack buffer.
 func render(e Expr, normalized bool) string {

@@ -358,6 +358,49 @@ func TestGraphCloneIndependence(t *testing.T) {
 	}
 }
 
+// TestCloneDoesNotAlias: growing or rewriting one clone node's Inputs or
+// Cols — what the optimizer's rewrites do to a clone — reaches neither a
+// sibling in the clone nor the source graph.
+func TestCloneDoesNotAlias(t *testing.T) {
+	g := mustCompile(t, sampleScript)
+	before := g.String()
+	clone := g.Clone()
+	nodes := clone.Nodes()
+	extra := clone.NewNode(OpScan)
+	for _, n := range nodes {
+		n.Inputs = append(n.Inputs, extra)
+		n.Cols = append(n.Cols, Column{Name: "appended"})
+		if len(n.Cols) > 1 {
+			n.Cols[0].Name = "rewritten"
+		}
+	}
+	for _, n := range nodes {
+		if n.Inputs[len(n.Inputs)-1] != extra || n.Cols[len(n.Cols)-1].Name != "appended" {
+			t.Fatalf("node #%d lost its own append", n.ID)
+		}
+		for _, in := range n.Inputs[:len(n.Inputs)-1] {
+			if in == extra {
+				t.Errorf("node #%d: a sibling's append landed in its Inputs", n.ID)
+			}
+		}
+		for _, c := range n.Cols[:len(n.Cols)-1] {
+			if c.Name == "appended" {
+				t.Errorf("node #%d: a sibling's append landed in its Cols", n.ID)
+			}
+		}
+	}
+	if after := g.String(); after != before {
+		t.Errorf("mutating the clone changed the source:\n%s\nwas\n%s", after, before)
+	}
+	for _, n := range g.Nodes() {
+		for _, c := range n.Cols {
+			if c.Name == "appended" || c.Name == "rewritten" {
+				t.Errorf("source node #%d sees the clone's column %q", n.ID, c.Name)
+			}
+		}
+	}
+}
+
 func TestGraphClonePreservesSharing(t *testing.T) {
 	g := mustCompile(t, `
 t = EXTRACT a:int FROM "t.tsv";

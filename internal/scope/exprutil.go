@@ -4,11 +4,14 @@ package scope
 // conjuncts. A non-AND expression is its own single conjunct. Conjunct
 // identity is what keeps filter-merge and filter-split rewrites
 // cardinality-neutral: the engine estimates each conjunct independently.
-func Conjuncts(e Expr) []Expr {
+func Conjuncts(e Expr) []Expr { return AppendConjuncts(nil, e) }
+
+// AppendConjuncts appends e's conjuncts to dst, in Conjuncts order.
+func AppendConjuncts(dst []Expr, e Expr) []Expr {
 	if be, ok := e.(*BinaryExpr); ok && be.Op == "AND" {
-		return append(Conjuncts(be.Left), Conjuncts(be.Right)...)
+		return AppendConjuncts(AppendConjuncts(dst, be.Left), be.Right)
 	}
-	return []Expr{e}
+	return append(dst, e)
 }
 
 // AndAll combines expressions with AND. It returns nil for an empty list

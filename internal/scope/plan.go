@@ -232,26 +232,37 @@ func (g *Graph) NewNode(kind OpKind, inputs ...*Node) *Node {
 	return n
 }
 
+// IDBound returns an exclusive upper bound on the IDs of the graph's
+// nodes: every node of g, reachable or not, has 0 <= ID < IDBound(). IDs
+// are dense, so state that lives for one pass over the graph can sit in a
+// slice indexed by Node.ID instead of a map keyed by node pointer.
+func (g *Graph) IDBound() int { return g.nextID }
+
 // Nodes returns all nodes reachable from the roots in a deterministic
 // topological order (inputs before consumers).
 func (g *Graph) Nodes() []*Node {
-	var order []*Node
-	seen := make(map[*Node]bool)
-	var visit func(n *Node)
-	visit = func(n *Node) {
-		if seen[n] {
-			return
-		}
-		seen[n] = true
-		for _, in := range n.Inputs {
-			visit(in)
-		}
-		order = append(order, n)
-	}
+	return g.AppendNodes(make([]*Node, 0, g.nextID), make([]bool, g.nextID))
+}
+
+// AppendNodes appends to dst, in Nodes order, the reachable nodes whose
+// seen entry (indexed by ID, at least IDBound() long) is false, marking
+// them. It is Nodes for a caller that brings its own scratch.
+func (g *Graph) AppendNodes(dst []*Node, seen []bool) []*Node {
 	for _, r := range g.Roots {
-		visit(r)
+		dst = appendSubtree(dst, seen, r)
 	}
-	return order
+	return dst
+}
+
+func appendSubtree(dst []*Node, seen []bool, n *Node) []*Node {
+	if seen[n.ID] {
+		return dst
+	}
+	seen[n.ID] = true
+	for _, in := range n.Inputs {
+		dst = appendSubtree(dst, seen, in)
+	}
+	return append(dst, n)
 }
 
 // NodeCount returns the number of reachable nodes.
@@ -259,17 +270,21 @@ func (g *Graph) NodeCount() int { return len(g.Nodes()) }
 
 // Clone deep-copies the DAG, preserving node sharing. The clone's node IDs
 // match the originals so that site keys remain comparable.
+//
+// Every node, and every slice a node holds, is its own allocation — not a
+// slice of a slab shared by the clone. The optimizer caches rewritten
+// clones, and a rewrite disconnects nodes: a slab would keep every one of
+// them, and whatever their Inputs slots still point at, alive for as long
+// as the cache holds the graph.
 func (g *Graph) Clone() *Graph {
-	clone := &Graph{nextID: g.nextID}
-	mapping := make(map[*Node]*Node)
-	var cp func(n *Node) *Node
-	cp = func(n *Node) *Node {
-		if c, ok := mapping[n]; ok {
-			return c
-		}
-		c := &Node{}
+	mapping := make([]*Node, g.nextID) // by ID: original -> copy
+	for _, n := range g.Nodes() {      // inputs first, so they are mapped
+		c := new(Node)
 		*c = *n // shallow copy of scalar fields and expression pointers
 		c.Inputs = make([]*Node, len(n.Inputs))
+		for i, in := range n.Inputs {
+			c.Inputs[i] = mapping[in.ID]
+		}
 		c.Cols = append([]Column(nil), n.Cols...)
 		c.Projs = append([]NamedExpr(nil), n.Projs...)
 		c.GroupBy = append([]Column(nil), n.GroupBy...)
@@ -281,15 +296,11 @@ func (g *Graph) Clone() *Graph {
 				c.RightRenames[k] = v
 			}
 		}
-		mapping[n] = c
-		for i, in := range n.Inputs {
-			c.Inputs[i] = cp(in)
-		}
-		return c
+		mapping[n.ID] = c
 	}
-	clone.Roots = make([]*Node, len(g.Roots))
+	clone := &Graph{nextID: g.nextID, Roots: make([]*Node, len(g.Roots))}
 	for i, r := range g.Roots {
-		clone.Roots[i] = cp(r)
+		clone.Roots[i] = mapping[r.ID]
 	}
 	return clone
 }
@@ -319,30 +330,32 @@ func (g *Graph) String() string {
 	return sb.String()
 }
 
-// fnv64a is an FNV-1a 64-bit hash state: hash/fnv's New64a without the
-// hash.Hash interface, so a state lives in a register, not on the heap.
-type fnv64a uint64
+// FNVOffset64 is the initial state of FNV-1a, 64-bit.
+const FNVOffset64 uint64 = 14695981039346656037
 
-const (
-	fnvOffset64 fnv64a = 14695981039346656037
-	fnvPrime64  fnv64a = 1099511628211
-)
+const fnvPrime64 = 1099511628211
+
+// FNV1a folds s into the FNV-1a (64-bit) state h and returns the new
+// state: FNV1a(FNVOffset64, s) is hash/fnv's New64a over s, without the
+// hasher on the heap, and hashing a concatenation is chaining the calls.
+// It is the one copy of the hash behind plan-site identity, rule gating,
+// and the workload's and the simulator's derived seeds.
+func FNV1a[T ~string | ~[]byte](h uint64, s T) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * fnvPrime64
+	}
+	return h
+}
+
+// fnv64a is an FNV-1a state with chaining methods, so that a fingerprint
+// walk reads as the byte stream it hashes.
+type fnv64a uint64
 
 func (h fnv64a) byte(c byte) fnv64a { return (h ^ fnv64a(c)) * fnvPrime64 }
 
-func (h fnv64a) str(s string) fnv64a {
-	for i := 0; i < len(s); i++ {
-		h = (h ^ fnv64a(s[i])) * fnvPrime64
-	}
-	return h
-}
+func (h fnv64a) str(s string) fnv64a { return fnv64a(FNV1a(uint64(h), s)) }
 
-func (h fnv64a) bytes(b []byte) fnv64a {
-	for _, c := range b {
-		h = (h ^ fnv64a(c)) * fnvPrime64
-	}
-	return h
-}
+func (h fnv64a) bytes(b []byte) fnv64a { return fnv64a(FNV1a(uint64(h), b)) }
 
 // Fingerprint returns a stable hash of the node's operator identity
 // (kind, payload, input fingerprints). Tuning rules use fingerprints to
@@ -371,7 +384,7 @@ func (h fnv64a) bytes(b []byte) fnv64a {
 func (n *Node) Fingerprint() uint64 {
 	var seen [32]*Node
 	var buf [256]byte
-	f := fingerprinter{h: fnvOffset64, seen: seen[:0], buf: buf[:0]}
+	f := fingerprinter{h: fnv64a(FNVOffset64), seen: seen[:0], buf: buf[:0]}
 	return uint64(f.node(n).h)
 }
 
@@ -465,7 +478,7 @@ func (g *Graph) TemplateHash() uint64 {
 
 func (g *Graph) computeTemplateHash() uint64 {
 	var buf [256]byte
-	f := fingerprinter{h: fnvOffset64, buf: buf[:0]}
+	f := fingerprinter{h: fnv64a(FNVOffset64), buf: buf[:0]}
 	for _, n := range g.Nodes() {
 		f.h = f.h.str(n.Kind.String()).byte('|')
 		switch n.Kind {
@@ -515,12 +528,17 @@ func (h fnv64a) normalizedPath(p string) fnv64a {
 // survives plan rewrites (a pushed-down filter keeps its predicate).
 func (n *Node) SiteKey() string {
 	var buf [128]byte
-	dst := buf[:0]
+	return string(n.AppendSiteKey(buf[:0]))
+}
+
+// AppendSiteKey appends SiteKey's bytes to dst — nothing for a kind
+// without a site — for callers that only hash the key or look it up.
+func (n *Node) AppendSiteKey(dst []byte) []byte {
 	switch n.Kind {
 	case OpFilter:
-		dst = appendExpr(append(dst, "filter:"...), n.Pred, false)
+		return appendExpr(append(dst, "filter:"...), n.Pred, false)
 	case OpJoin:
-		dst = appendExpr(append(dst, "join:"...), n.JoinCond, false)
+		return appendExpr(append(dst, "join:"...), n.JoinCond, false)
 	case OpAgg:
 		var arr [8]string
 		keys := arr[:0]
@@ -528,7 +546,7 @@ func (n *Node) SiteKey() string {
 			keys = append(keys, c.Name)
 		}
 		slices.Sort(keys)
-		dst = appendJoined(append(dst, "agg:"...), keys)
+		return appendJoined(append(dst, "agg:"...), keys)
 	case OpDistinct:
 		dst = append(dst, "distinct:"...)
 		for i, c := range n.Cols {
@@ -537,16 +555,16 @@ func (n *Node) SiteKey() string {
 			}
 			dst = append(dst, c.Name...)
 		}
+		return dst
 	case OpReduce:
-		return "reduce:" + n.UserOp
+		return append(append(dst, "reduce:"...), n.UserOp...)
 	case OpProcess:
-		return "process:" + n.UserOp
+		return append(append(dst, "process:"...), n.UserOp...)
 	case OpScan:
-		return "scan:" + n.TablePath
+		return append(append(dst, "scan:"...), n.TablePath...)
 	default:
-		return ""
+		return dst
 	}
-	return string(dst)
 }
 
 func appendJoined(dst []byte, parts []string) []byte {

@@ -76,9 +76,25 @@ var keywords = map[string]bool{
 	"TRUE": true, "FALSE": true, "NULL": true,
 }
 
-// IsKeyword reports whether s (any case) is a reserved word.
+// maxKeywordLen is the length of the longest reserved word (DISTINCT).
+const maxKeywordLen = 8
+
+// IsKeyword reports whether s (any case) is a reserved word. Keywords are
+// ASCII, so it folds case bytewise into a stack buffer rather than
+// allocating an upper-cased copy of every identifier it is asked about.
 func IsKeyword(s string) bool {
-	return keywords[strings.ToUpper(s)]
+	if len(s) > maxKeywordLen {
+		return false
+	}
+	var buf [maxKeywordLen]byte
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if 'a' <= c && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		buf[i] = c
+	}
+	return keywords[string(buf[:len(s)])]
 }
 
 // LexError describes a lexical error with position information.
@@ -290,18 +306,20 @@ var twoCharOps = map[string]bool{
 
 func (l *Lexer) lexOperator(line, col int) (Token, error) {
 	ch := l.advance()
+	// Operator text is a slice of the source, like identifier text.
 	if l.pos < len(l.src) {
-		two := string(ch) + string(l.peek())
+		two := l.src[l.pos-1 : l.pos+1]
 		if twoCharOps[two] {
 			l.advance()
 			return Token{Kind: TokenOperator, Text: two, Line: line, Col: col}, nil
 		}
 	}
+	one := l.src[l.pos-1 : l.pos]
 	switch ch {
 	case '<', '>', '+', '-', '*', '/', '%', '!':
-		return Token{Kind: TokenOperator, Text: string(ch), Line: line, Col: col}, nil
+		return Token{Kind: TokenOperator, Text: one, Line: line, Col: col}, nil
 	case '(', ')', ',', ';', '=', '.', ':':
-		return Token{Kind: TokenPunct, Text: string(ch), Line: line, Col: col}, nil
+		return Token{Kind: TokenPunct, Text: one, Line: line, Col: col}, nil
 	default:
 		return Token{}, &LexError{line, col, fmt.Sprintf("unexpected character %q", ch)}
 	}

@@ -141,6 +141,20 @@ func TestIsKeyword(t *testing.T) {
 	if IsKeyword("myident") {
 		t.Error("myident is not a keyword")
 	}
+	// IsKeyword folds case into a buffer sized to the longest keyword.
+	for k := range keywords {
+		if len(k) > maxKeywordLen {
+			t.Errorf("keyword %s is longer than maxKeywordLen = %d", k, maxKeywordLen)
+		}
+		if !IsKeyword(strings.ToLower(k)) {
+			t.Errorf("IsKeyword(%q) = false", strings.ToLower(k))
+		}
+	}
+	for _, s := range []string{"", "distincts", "selec\xd4", "or1"} {
+		if IsKeyword(s) != keywords[strings.ToUpper(s)] {
+			t.Errorf("IsKeyword(%q) = %v, the upper-cased lookup says %v", s, IsKeyword(s), keywords[strings.ToUpper(s)])
+		}
+	}
 }
 
 func TestTokenString(t *testing.T) {

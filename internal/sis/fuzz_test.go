@@ -1,0 +1,48 @@
+package sis
+
+import (
+	"bytes"
+	"reflect"
+	"testing"
+
+	"qoadvisor/internal/rules"
+)
+
+// FuzzParse feeds arbitrary bytes to the hint-file parser — the served leg
+// loads exactly this format over HTTP. Parse never panics; a file it
+// accepts and Validate passes survives Serialize and Parse unchanged; and
+// what Serialize writes for it is a fixed point of parse-then-serialize.
+// The committed corpus (testdata/fuzz/FuzzParse) holds the benchmark's
+// day-10 file, the same with CRLF line ends, "+R12abc" (which once parsed
+// as rule 12), the empty file, a bare header, blank and space-padded
+// lines, a duplicate template and a short line.
+func FuzzParse(f *testing.F) {
+	cat := rules.NewCatalog()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		file, err := Parse(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if Validate(file, cat) != nil {
+			return
+		}
+		var first bytes.Buffer
+		if err := Serialize(&first, file); err != nil {
+			t.Fatalf("Serialize: %v", err)
+		}
+		again, err := Parse(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("Parse rejects what Serialize wrote for an accepted file: %v\n%s", err, first.Bytes())
+		}
+		if !reflect.DeepEqual(again, file) {
+			t.Fatalf("round trip changed the file:\n%+v\nwas\n%+v", again, file)
+		}
+		var second bytes.Buffer
+		if err := Serialize(&second, again); err != nil {
+			t.Fatalf("Serialize: %v", err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("Serialize is not a fixed point:\n%s\nthen\n%s", first.Bytes(), second.Bytes())
+		}
+	})
+}

@@ -1,0 +1,226 @@
+package workload
+
+import (
+	"fmt"
+	"hash/fnv"
+	"math"
+	"math/rand"
+	"reflect"
+	"strings"
+	"testing"
+
+	"qoadvisor/internal/exec"
+	"qoadvisor/internal/optimizer"
+	"qoadvisor/internal/scope"
+)
+
+// This file keeps Template.Instantiate as it was when every instance was
+// built from scratch — sub-seeds through fmt.Fprint into a hash/fnv
+// hasher, a new rand.Source per draw, placeholders replaced one
+// strings.ReplaceAll at a time, fmt for every number — as the reference
+// the shared, pooled, single-pass version is held to.
+
+func hashedRef(parts ...interface{}) int64 {
+	h := fnv.New64a()
+	fmt.Fprint(h, parts...)
+	return int64(h.Sum64())
+}
+
+func rngForRef(parts ...interface{}) *rand.Rand {
+	return rand.New(rand.NewSource(hashedRef(parts...)))
+}
+
+func instantiateRef(t *Template, date, seq int) (*Job, error) {
+	src := strings.ReplaceAll(t.ScriptPattern, "@DATE@", fmt.Sprintf("%08d", 20211100+date))
+	litVals := make(map[string]string, len(t.Literals))
+	for _, lit := range t.Literals {
+		rng := rngForRef("lit", t.ID, lit, date)
+		litVals[lit] = fmt.Sprintf("%d", 10+rng.Intn(9000))
+	}
+	for lit, v := range litVals {
+		src = strings.ReplaceAll(src, lit, v)
+	}
+	graph, err := scope.CompileScript(src)
+	if err != nil {
+		return nil, err
+	}
+	truth := &exec.Truth{
+		Rows:       make(map[string]float64, len(t.Tables)),
+		Sel:        make(map[string]float64, len(t.TrueSel)),
+		JitterSeed: hashedRef("jitter", t.ID),
+	}
+	statsMap := make(optimizer.MapStats, len(t.Tables))
+	for _, tab := range t.Tables {
+		path := strings.ReplaceAll(tab.PathPattern, "@DATE@", fmt.Sprintf("%08d", 20211100+date))
+		dayFactor := lognormal(rngForRef("rows", t.ID, tab.PathPattern, date), 0.35)
+		trueRows := tab.TrueRows * dayFactor
+		truth.Rows[path] = trueRows
+		ndv := make(map[string]float64, len(tab.TrueNDV))
+		for col, v := range tab.TrueNDV {
+			f := tab.StatsNDVFactor[col]
+			if f == 0 {
+				f = 1
+			}
+			ndv[col] = math.Max(1, v*f)
+		}
+		statsMap[path] = optimizer.TableStats{
+			Rows: math.Max(1, trueRows*tab.StatsRowFactor*lognormal(rngForRef("statdrift", t.ID, tab.PathPattern, date), 0.30)),
+			NDV:  ndv,
+		}
+	}
+	for sitePattern, sel := range t.TrueSel {
+		site := sitePattern
+		for lit, v := range litVals {
+			site = strings.ReplaceAll(site, lit, v)
+		}
+		jitter := lognormal(rngForRef("sel", t.ID, sitePattern, date), 0.25)
+		s := sel * jitter
+		if s > 1 {
+			s = 1
+		}
+		truth.Sel[site] = s
+	}
+	return &Job{
+		ID:       fmt.Sprintf("J%08d_%s_%d", 20211100+date, t.ID, seq),
+		Template: t,
+		Date:     date,
+		Seq:      seq,
+		Graph:    graph,
+		Truth:    truth,
+		Stats:    statsMap,
+		Tokens:   t.Tokens,
+	}, nil
+}
+
+// TestInstantiateSharedParts: every instance JobsForDay hands out — the
+// first of a (template, date), built by Instantiate, and the recurrences
+// stamped from it — equals the from-scratch reference field by field, on
+// dates whose decimal form has one, two and three digits; and recurrences
+// share the first instance's graph, truth and statistics.
+func TestInstantiateSharedParts(t *testing.T) {
+	gen, err := New(Config{Seed: 20211101, NumTemplates: 24})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recurrences := 0
+	for _, date := range []int{0, 1, 9, 10, 99, 100, 365} {
+		jobs, err := gen.JobsForDay(date)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var first *Job
+		for _, got := range jobs {
+			want, err := instantiateRef(got.Template, date, got.Seq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.ID != want.ID || got.Date != want.Date || got.Seq != want.Seq || got.Tokens != want.Tokens {
+				t.Errorf("%s: ID/Date/Seq/Tokens %s %d %d %d, reference %s %d %d %d",
+					got.ID, got.ID, got.Date, got.Seq, got.Tokens, want.ID, want.Date, want.Seq, want.Tokens)
+			}
+			if !reflect.DeepEqual(got.Truth, want.Truth) {
+				t.Errorf("%s: truth %+v, reference %+v", got.ID, got.Truth, want.Truth)
+			}
+			if !reflect.DeepEqual(got.Stats, want.Stats) {
+				t.Errorf("%s: stats %+v, reference %+v", got.ID, got.Stats, want.Stats)
+			}
+			if g, w := got.Graph.String(), want.Graph.String(); g != w {
+				t.Errorf("%s: graph\n%s\nreference\n%s", got.ID, g, w)
+			}
+			if got.Seq == 0 {
+				first = got
+				continue
+			}
+			recurrences++
+			if got.Template != first.Template || got.Graph != first.Graph || got.Truth != first.Truth ||
+				reflect.ValueOf(got.Stats).Pointer() != reflect.ValueOf(first.Stats).Pointer() {
+				t.Errorf("%s does not share instance 0's graph, truth and statistics", got.ID)
+			}
+		}
+	}
+	if recurrences == 0 {
+		t.Error("no template recurs within a day; the test lost its coverage")
+	}
+	// The template sub-seed is the one form with two adjacent numbers.
+	if got, want := hashed("template", "-7", " ", "12"), hashedRef("template", int64(-7), 12); got != want {
+		t.Errorf("template seed %d, reference %d", got, want)
+	}
+}
+
+// TestSubstituteMatchesSequentialReplace: one pass over a pattern gives
+// what replacing each placeholder in turn gives, in either order, with
+// placeholders adjacent, repeated, absent and sharing a prefix, and a
+// stray '@' kept.
+func TestSubstituteMatchesSequentialReplace(t *testing.T) {
+	olds := []string{"@DATE@", "@LIT1@", "@LIT10@", "@LIT2@"}
+	news := []string{"20211103", "17", "9001", "230"}
+	for _, pattern := range []string{
+		"",
+		"no placeholders, one stray @ sign",
+		"@LIT1@@LIT10@@DATE@",
+		"x > @LIT1@ AND y < @LIT10@ AND z == @LIT1@ FROM \"in/@DATE@/t_@DATE@.tsv\"",
+		"@LIT3@ is not ours; @LIT is cut short; @@LIT2@@",
+		"filter:(c > @LIT2@)",
+	} {
+		fwd, rev := pattern, pattern
+		for i := range olds {
+			fwd = strings.ReplaceAll(fwd, olds[i], news[i])
+			rev = strings.ReplaceAll(rev, olds[len(olds)-1-i], news[len(olds)-1-i])
+		}
+		if got := substitute(pattern, olds, news); got != fwd || got != rev {
+			t.Errorf("substitute(%q) = %q, sequential replacement gives %q / %q", pattern, got, fwd, rev)
+		}
+	}
+	for _, date := range []int{-20211101, -20211100, -3, 0, 1, 30, 99, 100, 1 << 40} {
+		if got, want := dateStamp(date), fmt.Sprintf("%08d", 20211100+date); got != want {
+			t.Errorf("dateStamp(%d) = %q, want %q", date, got, want)
+		}
+		if got, want := jobID("T007", date, 2), fmt.Sprintf("J%08d_%s_%d", 20211100+date, "T007", 2); got != want {
+			t.Errorf("jobID(%d) = %q, want %q", date, got, want)
+		}
+	}
+}
+
+// Ceilings for TestInstantiateAllocBudget. A recurrence costs its Job and
+// its ID. Re-instantiating a (template, date) whose script is in the
+// compile cache costs everything Instantiate does but compile — the
+// substituted source, the literals, truth and statistics — measured on the
+// ledger's T000 (go1.24: 27; 106 while each draw built its own rand.Source
+// and hasher) + 5 %.
+const (
+	recurrenceAllocCeiling  = 2
+	instantiateAllocCeiling = 28
+)
+
+// TestInstantiateAllocBudget gates what a day's job instances allocate
+// beyond compiling their scripts.
+func TestInstantiateAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	gen, err := New(Config{Seed: 20211101, NumTemplates: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tpl := gen.Templates()[0]
+	first, err := tpl.Instantiate(3, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sink *Job
+	got := testing.AllocsPerRun(100, func() { sink = first.recurrence(1) })
+	t.Logf("%s: %.0f allocs per recurrence", sink.ID, got)
+	if got > recurrenceAllocCeiling {
+		t.Errorf("%.0f allocs per recurrence, ceiling %d", got, recurrenceAllocCeiling)
+	}
+	got = testing.AllocsPerRun(100, func() {
+		if sink, err = tpl.Instantiate(3, 0); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%s (%d literals, %d tables, %d sites): %.0f allocs per Instantiate with its script cached",
+		tpl.ID, len(tpl.Literals), len(tpl.Tables), len(tpl.TrueSel), got)
+	if got > instantiateAllocCeiling {
+		t.Errorf("%.0f allocs per cached-script Instantiate, ceiling %d", got, instantiateAllocCeiling)
+	}
+}

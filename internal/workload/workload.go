@@ -12,9 +12,9 @@ package workload
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 	"math/rand"
+	"strconv"
 	"strings"
 
 	"qoadvisor/internal/exec"
@@ -39,7 +39,51 @@ type TableDef struct {
 
 // Path returns the concrete path for a date.
 func (t *TableDef) Path(date int) string {
-	return strings.ReplaceAll(t.PathPattern, "@DATE@", fmt.Sprintf("%08d", 20211100+date))
+	return strings.ReplaceAll(t.PathPattern, "@DATE@", dateStamp(date))
+}
+
+// dateStamp is what "@DATE@" stands for on a date: 20211100+date, zero-
+// padded to eight digits.
+func dateStamp(date int) string {
+	var buf [24]byte
+	return string(appendDateStamp(buf[:0], date))
+}
+
+func appendDateStamp(dst []byte, date int) []byte {
+	if v := 20211100 + date; v >= 1e7 {
+		return strconv.AppendInt(dst, int64(v), 10) // eight digits or more: nothing to pad
+	}
+	return fmt.Appendf(dst, "%08d", 20211100+date)
+}
+
+// substitute returns pattern with every occurrence of olds[i] replaced by
+// news[i], in one pass. Placeholders are "@...@" tokens, none a prefix of
+// another, and no replacement contains '@', so this is what replacing them
+// one after another in any order produces.
+func substitute(pattern string, olds, news []string) string {
+	var sb strings.Builder
+	sb.Grow(len(pattern))
+	for {
+		i := strings.IndexByte(pattern, '@')
+		if i < 0 {
+			break
+		}
+		sb.WriteString(pattern[:i])
+		pattern = pattern[i:]
+		k := 0
+		for k < len(olds) && (olds[k] == "" || !strings.HasPrefix(pattern, olds[k])) {
+			k++
+		}
+		if k == len(olds) {
+			sb.WriteByte('@')
+			pattern = pattern[1:]
+			continue
+		}
+		sb.WriteString(news[k])
+		pattern = pattern[len(olds[k]):]
+	}
+	sb.WriteString(pattern)
+	return sb.String()
 }
 
 // Template is a recurring job template.
@@ -103,16 +147,14 @@ type Config struct {
 	CompileCacheSize int
 }
 
-// hashed returns a deterministic sub-seed from parts.
-func hashed(parts ...interface{}) int64 {
-	h := fnv.New64a()
-	fmt.Fprint(h, parts...)
-	return int64(h.Sum64())
-}
-
-// rngFor returns a deterministic RNG keyed by parts.
-func rngFor(parts ...interface{}) *rand.Rand {
-	return rand.New(rand.NewSource(hashed(parts...)))
+// hashed returns a deterministic sub-seed from parts: FNV-1a of their
+// concatenation.
+func hashed(parts ...string) int64 {
+	h := scope.FNVOffset64
+	for _, p := range parts {
+		h = scope.FNV1a(h, p)
+	}
+	return int64(h)
 }
 
 func logUniform(rng *rand.Rand, lo, hi float64) float64 {
@@ -162,31 +204,61 @@ func (g *Generator) CompileCacheStats() scope.CompileCacheStats {
 func (g *Generator) JobsForDay(date int) ([]*Job, error) {
 	var jobs []*Job
 	for _, t := range g.templates {
-		for s := 0; s < t.DailyInstances; s++ {
-			j, err := t.Instantiate(date, s)
-			if err != nil {
-				return nil, err
-			}
-			jobs = append(jobs, j)
+		// A day's recurrences differ in ID and Seq alone.
+		first, err := t.Instantiate(date, 0)
+		if err != nil {
+			return nil, err
+		}
+		jobs = append(jobs, first)
+		for s := 1; s < t.DailyInstances; s++ {
+			jobs = append(jobs, first.recurrence(s))
 		}
 	}
 	return jobs, nil
+}
+
+// recurrence returns the job's (template, date) instance number seq. It
+// shares j's Graph, Truth and Stats, which nothing writes once a job is
+// built: they are functions of (template, date).
+func (j *Job) recurrence(seq int) *Job {
+	r := *j
+	r.Seq = seq
+	r.ID = jobID(j.Template.ID, j.Date, seq)
+	return &r
+}
+
+func jobID(template string, date, seq int) string {
+	var buf [48]byte
+	b := appendDateStamp(append(buf[:0], 'J'), date)
+	b = append(b, '_')
+	b = append(b, template...)
+	b = append(b, '_')
+	return string(strconv.AppendInt(b, int64(seq), 10))
 }
 
 // Instantiate produces the job instance of a template for (date, seq):
 // concrete literals, per-day true row counts, jittered selectivities and
 // the optimizer-visible statistics.
 func (t *Template) Instantiate(date, seq int) (*Job, error) {
-	// Substitute literals: deterministic per (template, literal, date).
-	src := strings.ReplaceAll(t.ScriptPattern, "@DATE@", fmt.Sprintf("%08d", 20211100+date))
-	litVals := make(map[string]string, len(t.Literals))
-	for _, lit := range t.Literals {
-		rng := rngFor("lit", t.ID, lit, date)
-		litVals[lit] = fmt.Sprintf("%d", 10+rng.Intn(9000))
+	// Every draw below is the first values of its own stream, seeded by
+	// what it is for: one pooled generator, re-seeded per draw.
+	rng := exec.SeededRand(0)
+	defer exec.ReleaseRand(rng)
+	day := strconv.Itoa(date)
+	draw := func(kind, what string) *rand.Rand {
+		rng.Seed(hashed(kind, t.ID, what, day))
+		return rng
 	}
-	for lit, v := range litVals {
-		src = strings.ReplaceAll(src, lit, v)
+
+	// Substitute the date and the literals: deterministic per (template,
+	// literal, date).
+	olds := make([]string, 1+len(t.Literals))
+	news := make([]string, 1+len(t.Literals))
+	olds[0], news[0] = "@DATE@", dateStamp(date)
+	for i, lit := range t.Literals {
+		olds[1+i], news[1+i] = lit, strconv.Itoa(10+draw("lit", lit).Intn(9000))
 	}
+	src := substitute(t.ScriptPattern, olds, news)
 	var graph *scope.Graph
 	var err error
 	if t.cache != nil {
@@ -206,7 +278,7 @@ func (t *Template) Instantiate(date, seq int) (*Job, error) {
 	statsMap := make(optimizer.MapStats, len(t.Tables))
 	for _, tab := range t.Tables {
 		path := tab.Path(date)
-		dayFactor := lognormal(rngFor("rows", t.ID, tab.PathPattern, date), 0.35)
+		dayFactor := lognormal(draw("rows", tab.PathPattern), 0.35)
 		trueRows := tab.TrueRows * dayFactor
 		truth.Rows[path] = trueRows
 
@@ -219,16 +291,13 @@ func (t *Template) Instantiate(date, seq int) (*Job, error) {
 			ndv[col] = math.Max(1, v*f)
 		}
 		statsMap[path] = optimizer.TableStats{
-			Rows: math.Max(1, trueRows*tab.StatsRowFactor*lognormal(rngFor("statdrift", t.ID, tab.PathPattern, date), 0.30)),
+			Rows: math.Max(1, trueRows*tab.StatsRowFactor*lognormal(draw("statdrift", tab.PathPattern), 0.30)),
 			NDV:  ndv,
 		}
 	}
 	for sitePattern, sel := range t.TrueSel {
-		site := sitePattern
-		for lit, v := range litVals {
-			site = strings.ReplaceAll(site, lit, v)
-		}
-		jitter := lognormal(rngFor("sel", t.ID, sitePattern, date), 0.25)
+		site := substitute(sitePattern, olds[1:], news[1:])
+		jitter := lognormal(draw("sel", sitePattern), 0.25)
 		s := sel * jitter
 		if s > 1 {
 			s = 1
@@ -237,7 +306,7 @@ func (t *Template) Instantiate(date, seq int) (*Job, error) {
 	}
 
 	return &Job{
-		ID:       fmt.Sprintf("J%08d_%s_%d", 20211100+date, t.ID, seq),
+		ID:       jobID(t.ID, date, seq),
 		Template: t,
 		Date:     date,
 		Seq:      seq,
@@ -254,7 +323,7 @@ func (t *Template) Instantiate(date, seq int) (*Job, error) {
 // programmatically (schema-tracked), so generated scripts always compile;
 // construction is verified anyway.
 func buildTemplate(seed int64, idx, maxDaily int, cache *scope.CompileCache) (*Template, error) {
-	rng := rngFor("template", seed, idx)
+	rng := rand.New(rand.NewSource(hashed("template", strconv.FormatInt(seed, 10), " ", strconv.Itoa(idx))))
 	b := &scriptBuilder{
 		rng:      rng,
 		tID:      fmt.Sprintf("T%03d", idx),
