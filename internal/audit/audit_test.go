@@ -274,12 +274,12 @@ func buildBigJournal(tb testing.TB, dir string, nRanks int, segBytes int64) (wan
 		// just the tag filter) has segments to prune.
 		switch {
 		case i == nRanks/4 || i == 3*nRanks/4:
-			hints := []walrec.Hint{{TemplateHash: wantTemplate, TemplateID: "Twant", Flip: "F40", Day: i / 1000}}
+			hints := []walrec.Hint{{TemplateHash: wantTemplate, TemplateID: "Twant", Flip: "-R040", Day: i / 1000}}
 			if _, err := j.Append(walrec.EncodeHintRollover(uint64(i), hints)); err != nil {
 				tb.Fatal(err)
 			}
 		case i%(nRanks/8) == nRanks/16:
-			hints := []walrec.Hint{{TemplateHash: decoy, TemplateID: "Tdecoy", Flip: "F41", Day: i / 1000}}
+			hints := []walrec.Hint{{TemplateHash: decoy, TemplateID: "Tdecoy", Flip: "-R041", Day: i / 1000}}
 			if _, err := j.Append(walrec.EncodeHintRollover(uint64(i), hints)); err != nil {
 				tb.Fatal(err)
 			}
@@ -518,7 +518,7 @@ func TestSidecarNeverTrusted(t *testing.T) {
 			t.Fatal(err)
 		}
 		lsn, err := j.Append(walrec.EncodeHintRollover(999, []walrec.Hint{
-			{TemplateHash: tmpl, TemplateID: "Twant", Flip: "F42", Day: 9},
+			{TemplateHash: tmpl, TemplateID: "Twant", Flip: "-R042", Day: 9},
 		}))
 		if err != nil {
 			t.Fatal(err)

@@ -167,3 +167,24 @@ func BenchmarkAuditAsOf(b *testing.B) {
 	}
 	b.ReportMetric(float64(target), "records_replayed")
 }
+
+// BenchmarkAuditTrace measures the decision trace of an event three
+// quarters into the journal: the keyed pass, the train-mark probe, and
+// the two lineage passes over the prefix below the decision.
+func BenchmarkAuditTrace(b *testing.B) {
+	dir, _ := benchJournal(b)
+	eng, err := audit.Open(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr, err := eng.Trace("ev00075000")
+		if err != nil {
+			b.Fatal(err)
+		}
+		if tr.Rank == nil || len(tr.Lineage) == 0 {
+			b.Fatal("empty trace")
+		}
+	}
+}

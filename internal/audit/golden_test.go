@@ -1,0 +1,323 @@
+package audit_test
+
+import (
+	"bytes"
+	"context"
+	"crypto/sha256"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"testing"
+
+	"qoadvisor/internal/api"
+	"qoadvisor/internal/audit"
+	"qoadvisor/internal/drift"
+	"qoadvisor/internal/rules"
+	"qoadvisor/internal/sis"
+	"qoadvisor/internal/walrec"
+)
+
+var update = flag.Bool("update", false, "rewrite testdata/queries.golden from the running code")
+
+// eventNonce matches the per-process part of a live event ID
+// ("ev<nonce>-<seq>": the nonce is clock-derived). The golden replaces
+// it so two runs of the scripted rig render the same rows and hash the
+// same snapshot bytes.
+var eventNonce = regexp.MustCompile(`ev[0-9a-f]+-`)
+
+func scrub(b []byte) []byte { return eventNonce.ReplaceAll(b, []byte("evN-")) }
+
+// goldenOut collects the golden's lines. A listing longer than
+// maxGoldenRows is pinned by its row count and the sha256 of its rows,
+// so a 100k-row answer costs one line.
+type goldenOut struct{ buf bytes.Buffer }
+
+const maxGoldenRows = 40
+
+func (g *goldenOut) section(name string, rows []string) {
+	fmt.Fprintf(&g.buf, "== %s\n", name)
+	if len(rows) > maxGoldenRows {
+		sum := sha256.Sum256([]byte(strings.Join(rows, "\n")))
+		fmt.Fprintf(&g.buf, "%d rows sha256=%x\n", len(rows), sum)
+		return
+	}
+	for _, r := range rows {
+		fmt.Fprintln(&g.buf, r)
+	}
+}
+
+// recordRows, decisionRows and templateRows render what `qoserved audit
+// records|decision|template` print on stdout, line for line (scan
+// counters go to stderr there and are left out here).
+func recordRows(t *testing.T, eng *audit.Engine, q audit.Query) []string {
+	t.Helper()
+	it, err := eng.Run(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer it.Close()
+	var rows []string
+	for {
+		res, ok, err := it.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			return rows
+		}
+		rows = append(rows, fmt.Sprintf("%10d  %-13s %s", res.LSN, walrec.Name(res.Rec.Tag), audit.Summary(res)))
+	}
+}
+
+func decisionRows(t *testing.T, eng *audit.Engine, event string) []string {
+	t.Helper()
+	tr, err := eng.Trace(event)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.Rank == nil {
+		return []string{fmt.Sprintf("event %s: no rank record in the journal (never ranked, or compacted away)", event)}
+	}
+	rows := []string{
+		fmt.Sprintf("event:    %s", event),
+		fmt.Sprintf("decision: lsn=%d prob=%.4f ctxFeatures=%d actFeatures=%d",
+			tr.RankLSN, tr.Rank.Prob, len(tr.Rank.CtxIDs), len(tr.Rank.ActIDs)),
+	}
+	for _, rw := range tr.Rewards {
+		rows = append(rows, fmt.Sprintf("reward:   lsn=%d value=%.4f", rw.LSN, rw.Value))
+	}
+	if len(tr.Rewards) == 0 {
+		rows = append(rows, "reward:   none journaled")
+	}
+	if tr.TrainedAtLSN > 0 {
+		rows = append(rows, fmt.Sprintf("trained:  lsn=%d (first training boundary after the last reward)", tr.TrainedAtLSN))
+	}
+	for _, lr := range tr.Lineage {
+		rows = append(rows, fmt.Sprintf("lineage:  lsn=%d event=%s value=%.4f", lr.LSN, lr.EventID, lr.Value))
+	}
+	if tr.LineageTruncated {
+		rows = append(rows, "lineage:  (truncated at cap)")
+	}
+	return rows
+}
+
+func templateRows(t *testing.T, eng *audit.Engine, hash uint64) []string {
+	t.Helper()
+	th, err := eng.Template(hash)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := []string{fmt.Sprintf("template: %016x", hash)}
+	for _, ev := range th.Events {
+		switch ev.Kind {
+		case "hint":
+			rows = append(rows, fmt.Sprintf("%10d  hint flip=%s day=%d generation=%d", ev.LSN, ev.Flip, ev.Day, ev.Gen))
+		case "hint_removed":
+			rows = append(rows, fmt.Sprintf("%10d  hint removed (generation %d)", ev.LSN, ev.Gen))
+		case "quarantine":
+			kind := "transition"
+			if ev.Snapshot {
+				kind = "checkpoint re-journal"
+			}
+			rows = append(rows, fmt.Sprintf("%10d  quarantine state=%s (%s)", ev.LSN, drift.State(ev.State).String(), kind))
+		case "quarantine_cleared":
+			rows = append(rows, fmt.Sprintf("%10d  quarantine cleared", ev.LSN))
+		}
+	}
+	return append(rows, fmt.Sprintf("history:  %d events from %d rollovers, %d quarantine records",
+		len(th.Events), th.Rollovers, th.QuarantineRecords))
+}
+
+// asOfSnapshot reconstructs the model as of lsn, seeded from snapshot
+// (empty: from the journal's first record), in the snapshot file format.
+func asOfSnapshot(t *testing.T, dir, snapshot string, lsn uint64) []byte {
+	t.Helper()
+	eng, err := audit.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := eng.AsOf(lsn, audit.AsOfOptions{SnapshotPath: snapshot, TrainEvery: asOfTrainEvery, Seed: asOfSeed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if (snapshot != "") != res.SnapshotSeeded {
+		t.Fatalf("as-of(%d) with snapshot %q: seeded=%v", lsn, snapshot, res.SnapshotSeeded)
+	}
+	return res.Snapshot
+}
+
+// scrubbed renders rows with the event-ID nonce replaced.
+func scrubbed(rows []string) []string {
+	out := make([]string, len(rows))
+	for i, r := range rows {
+		out[i] = string(scrub([]byte(r)))
+	}
+	return out
+}
+
+// TestQueriesGolden pins every audit answer — each `records` filter,
+// `decision`, `template`, and the as-of model digest at every
+// checkpointed LSN — over two journals: the scripted live rig (real
+// HTTP traffic, hint rollovers, three checkpoint barriers) and the
+// 100k-record multi-segment fixture. The file was generated before the
+// index sidecars and the second reconstruction were deleted; that
+// change, and any later one to the read path, must leave it byte for
+// byte. Regenerate with `go test -run TestQueriesGolden ./internal/audit
+// -update` only when an answer is meant to move.
+func TestQueriesGolden(t *testing.T) {
+	var g goldenOut
+
+	// The scripted rig. Every reward batch is applied before the next
+	// request (Quiesce), so each rank sees the same weights on every run;
+	// checkpoints are bootstrap snapshots — the same barrier as
+	// Checkpoint, no compaction — so the whole history stays queryable.
+	r := newAsOfRig(t, 1024)
+	cat := rules.NewCatalog()
+	settle := func() { r.srv.Ingestor().Quiesce()() }
+	hints := func(hs ...sis.Hint) {
+		t.Helper()
+		if _, err := r.srv.InstallHints(hs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	type checkpoint struct {
+		lsn  uint64
+		path string
+		data []byte
+	}
+	var ckpts []checkpoint
+	barrier := func() {
+		t.Helper()
+		var buf bytes.Buffer
+		lsn, err := r.srv.BootstrapSnapshot(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), fmt.Sprintf("ckpt%d.snap", len(ckpts)+1))
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		ckpts = append(ckpts, checkpoint{lsn, path, buf.Bytes()})
+	}
+
+	idsA := r.rank(t, 20, 1)
+	r.reward(t, idsA[:10], 0.5)
+	settle()
+	hints(sis.Hint{TemplateHash: 0xabc123, TemplateID: "T0042", Flip: cat.FlipFor(40), Day: 3})
+	quarantine := func(hash uint64, action string) {
+		t.Helper()
+		if _, err := r.cl.Quarantine(context.Background(), api.TemplateHash(hash), action); err != nil {
+			t.Fatal(err)
+		}
+	}
+	quarantine(0xabc123, api.QuarantineActionQuarantine)
+	barrier()
+	r.reward(t, idsA[10:], 0.9) // straddles checkpoint 1: ranked before, rewarded after
+	settle()
+	idsB := r.rank(t, 17, 2)
+	r.reward(t, idsB[:13], 0.25)
+	settle()
+	hints(
+		sis.Hint{TemplateHash: 0xabc123, TemplateID: "T0042", Flip: cat.FlipFor(41), Day: 4},
+		sis.Hint{TemplateHash: 0xdef456, TemplateID: "T0099", Flip: cat.FlipFor(42), Day: 4},
+	)
+	barrier()
+	quarantine(0xabc123, api.QuarantineActionRestore)
+	idsC := r.rank(t, 9, 3)
+	r.reward(t, idsC, 0.7)
+	settle()
+	hints(sis.Hint{TemplateHash: 0xdef456, TemplateID: "T0099", Flip: cat.FlipFor(42), Day: 5})
+	barrier()
+	r.reward(t, idsB[13:], 0.1)
+	r.srv.Ingestor().Drain()
+	if err := r.j.Sync(); err != nil {
+		t.Fatal(err)
+	}
+
+	eng, err := audit.Open(r.dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rig := func(name string, rows []string) { g.section("rig "+name, scrubbed(rows)) }
+	rig("records", recordRows(t, eng, audit.Query{}))
+	rig("records type=reward_batch,train_mark", recordRows(t, eng, audit.Query{Tags: []byte{walrec.TagRewardBatch, walrec.TagTrainMark}}))
+	rig("records type=hint_rollover template=abc123", recordRows(t, eng, audit.Query{Tags: []byte{walrec.TagHintRollover}, Template: 0xabc123, HasTemplate: true}))
+	rig("records template=abc123", recordRows(t, eng, audit.Query{Template: 0xabc123, HasTemplate: true}))
+	rig("records event=idsA[12]", recordRows(t, eng, audit.Query{EventID: idsA[12]}))
+	rig("records from=ckpt1+1 to=ckpt2", recordRows(t, eng, audit.Query{FromLSN: ckpts[0].lsn + 1, ToLSN: ckpts[1].lsn}))
+	rig("records type=rank limit=5", recordRows(t, eng, audit.Query{Tags: []byte{walrec.TagRank}, Limit: 5}))
+	rig("decision idsA[12]", decisionRows(t, eng, idsA[12]))
+	rig("decision idsB[15]", decisionRows(t, eng, idsB[15]))
+	rig("decision idsC[8]", decisionRows(t, eng, idsC[8]))
+	rig("decision unknown", decisionRows(t, eng, "ev-no-such-event"))
+	rig("template abc123", templateRows(t, eng, 0xabc123))
+	rig("template def456", templateRows(t, eng, 0xdef456))
+	rig("template never-hinted", templateRows(t, eng, 0x5eed))
+
+	// As-of at every checkpointed LSN: from the journal's first record
+	// and seeded from the previous checkpoint, the reconstruction is the
+	// checkpoint's own bytes.
+	var asof []string
+	for i, ck := range ckpts {
+		if got := asOfSnapshot(t, r.dir, "", ck.lsn); !bytes.Equal(got, ck.data) {
+			t.Errorf("as-of(%d) from scratch differs from checkpoint %d: %s", ck.lsn, i+1, firstDiff(got, ck.data))
+		}
+		if i > 0 {
+			if got := asOfSnapshot(t, r.dir, ckpts[i-1].path, ck.lsn); !bytes.Equal(got, ck.data) {
+				t.Errorf("as-of(%d) seeded from checkpoint %d differs from checkpoint %d: %s", ck.lsn, i, i+1, firstDiff(got, ck.data))
+			}
+		}
+		model := scrub(ck.data)
+		asof = append(asof, fmt.Sprintf("asof:     lsn=%d model: %d bytes, sha256=%x", ck.lsn, len(model), sha256.Sum256(model)))
+	}
+	rig("asof at each checkpoint", asof)
+
+	// The 100k-record fixture (synthetic event IDs: nothing to scrub).
+	bigDir := t.TempDir()
+	tmpl := buildBigJournal(t, bigDir, 100_000, 512<<10)
+	big, err := audit.Open(bigDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.section("big records", recordRows(t, big, audit.Query{}))
+	g.section("big records limit=12", recordRows(t, big, audit.Query{Limit: 12}))
+	g.section("big records type=rank", recordRows(t, big, audit.Query{Tags: []byte{walrec.TagRank}}))
+	g.section("big records type=train_mark", recordRows(t, big, audit.Query{Tags: []byte{walrec.TagTrainMark}}))
+	g.section("big records type=hint_rollover", recordRows(t, big, audit.Query{Tags: []byte{walrec.TagHintRollover}}))
+	g.section("big records type=hint_rollover template=feedface", recordRows(t, big, audit.Query{Tags: []byte{walrec.TagHintRollover}, Template: tmpl, HasTemplate: true}))
+	g.section("big records template=0ddba11", recordRows(t, big, audit.Query{Template: 0x0ddba11, HasTemplate: true}))
+	g.section("big records event=ev00031337", recordRows(t, big, audit.Query{EventID: "ev00031337"}))
+	g.section("big records event=ev00099999 type=reward_batch", recordRows(t, big, audit.Query{EventID: "ev00099999", Tags: []byte{walrec.TagRewardBatch}}))
+	g.section("big records from=50000 to=50030", recordRows(t, big, audit.Query{FromLSN: 50_000, ToLSN: 50_030}))
+	g.section("big records from=101000", recordRows(t, big, audit.Query{FromLSN: 101_000}))
+	g.section("big records to=7", recordRows(t, big, audit.Query{ToLSN: 7}))
+	g.section("big records type=reward_batch from=20000 limit=3", recordRows(t, big, audit.Query{Tags: []byte{walrec.TagRewardBatch}, FromLSN: 20_000, Limit: 3}))
+	g.section("big decision ev00000000", decisionRows(t, big, "ev00000000"))
+	g.section("big decision ev00000500", decisionRows(t, big, "ev00000500"))
+	g.section("big decision ev00075000", decisionRows(t, big, "ev00075000"))
+	g.section("big template feedface", templateRows(t, big, tmpl))
+	g.section("big template 0ddba11", templateRows(t, big, 0x0ddba11))
+	model := asOfSnapshot(t, bigDir, "", 60_000)
+	g.section("big asof from scratch", []string{fmt.Sprintf("asof:     lsn=60000 model: %d bytes, sha256=%x", len(model), sha256.Sum256(model))})
+
+	path := filepath.Join("testdata", "queries.golden")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, g.buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(g.buf.Bytes(), want) {
+		t.Errorf("audit answers moved from %s: %s\n(-update after the package path only if an answer is meant to move)", path, firstDiff(g.buf.Bytes(), want))
+	}
+}
