@@ -1,12 +1,12 @@
 package main
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -14,13 +14,13 @@ import (
 
 	"qoadvisor/internal/audit"
 	"qoadvisor/internal/drift"
+	"qoadvisor/internal/serve"
 	"qoadvisor/internal/wal"
 	"qoadvisor/internal/walrec"
 )
 
 // auditMode is the offline audit tool: read-only queries over a journal
-// directory (live or copied — the engine never writes segments, and
-// its index sidecars are derived data, safe to delete). Output is
+// directory (live or copied — nothing is ever written there). Output is
 // deterministic for a given journal, so runs can be diffed. The replay
 // flags it embeds are asof's, and must match the journaled run's
 // serving configuration.
@@ -94,27 +94,17 @@ func (m *auditMode) run() error {
 }
 
 func (m *auditMode) records(eng *audit.Engine) error {
-	it, err := eng.Run(audit.Query{
+	st, err := eng.Run(audit.Query{
 		EventID: m.event, FromLSN: m.from, ToLSN: m.to, Limit: m.limit,
 		Tags: m.tags, Template: m.hash, HasTemplate: m.hasTemplate,
+	}, func(res audit.Result) error {
+		fmt.Printf("%10d  %-13s %s\n", res.LSN, walrec.Name(res.Rec.Tag), audit.Summary(res))
+		return nil
 	})
 	if err != nil {
 		return err
 	}
-	defer it.Close()
-	n := 0
-	for {
-		res, ok, err := it.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		fmt.Printf("%10d  %-13s %s\n", res.LSN, walrec.Name(res.Rec.Tag), audit.Summary(res))
-		n++
-	}
-	printScan("records", n, it.Stats())
+	printScan("records", int(st.RecordsMatched), st)
 	return nil
 }
 
@@ -177,7 +167,7 @@ func (m *auditMode) template(eng *audit.Engine) error {
 	return nil
 }
 
-func (m *auditMode) asOf(eng *audit.Engine) error {
+func (m *auditMode) asOf(*audit.Engine) error {
 	lsn := m.lsn
 	if lsn == 0 {
 		end, err := journalEnd(m.walDir)
@@ -189,25 +179,17 @@ func (m *auditMode) asOf(eng *audit.Engine) error {
 		}
 		lsn = end
 	}
-	res, err := eng.AsOf(lsn, audit.AsOfOptions{
-		SnapshotPath: m.model,
-		TrainEvery:   m.trainEvery,
-		MaxLogEvents: m.maxLog,
-	})
+	res, err := serve.RecoverAsOf(wal.DirSource{Dir: m.walDir}, m.model, lsn, m.trainEvery, m.maxLog)
 	if err != nil {
 		return err
 	}
-	// Reconstruction needs the records in (FromLSN, lsn] to still exist;
-	// compaction may have eaten them (the offline remedy: run against a
-	// journal copy taken before the checkpoint).
-	if segs, err := wal.Segments(m.walDir); err == nil && len(segs) > 0 &&
-		lsn > res.FromLSN && segs[0].FirstLSN > res.FromLSN+1 {
-		return fmt.Errorf("journal history before LSN %d is compacted; reconstruction at %d needs records from %d",
-			segs[0].FirstLSN, lsn, res.FromLSN+1)
+	var snap bytes.Buffer
+	if err := res.Service.Save(&snap); err != nil {
+		return err
 	}
-	sum := sha256.Sum256(res.Snapshot)
-	fmt.Printf("asof:     lsn=%d\n", res.LSN)
-	fmt.Printf("seed:     snapshot=%v watermark=%d (%s)\n", res.SnapshotSeeded, res.FromLSN, m.model)
+	sum := sha256.Sum256(snap.Bytes())
+	fmt.Printf("asof:     lsn=%d\n", lsn)
+	fmt.Printf("seed:     snapshot=%v watermark=%d (%s)\n", res.SnapshotLoaded, res.FromLSN, m.model)
 	fmt.Printf("replayed: %d records (%d ranks, %d rewards, %d train marks -> %d training runs over %d events)\n",
 		res.Replay.Records, res.Replay.Ranks, res.Replay.Rewards,
 		res.Replay.TrainMarks, res.Replay.TrainRuns, res.Replay.TrainedEvents)
@@ -217,49 +199,36 @@ func (m *auditMode) asOf(eng *audit.Engine) error {
 	if len(res.Quarantine) > 0 {
 		fmt.Printf("held:     %d templates in a durable safeguard state\n", len(res.Quarantine))
 	}
-	fmt.Printf("model:    %d bytes, sha256=%s\n", len(res.Snapshot), hex.EncodeToString(sum[:]))
+	fmt.Printf("model:    %d bytes, sha256=%s\n", snap.Len(), hex.EncodeToString(sum[:]))
 	if m.out != "" {
-		if err := os.WriteFile(m.out, res.Snapshot, 0o644); err != nil {
+		if err := os.WriteFile(m.out, snap.Bytes(), 0o644); err != nil {
 			return err
 		}
 		fmt.Printf("written:  %s\n", m.out)
 	}
-	printScan("asof", int(res.Replay.Records), res.Scan)
+	printScan("asof", int(res.Replay.Records), audit.ScanOf(res.Journal, res.Replay.Records))
 	return nil
 }
 
-// journalEnd finds the journal's last LSN by scanning only the final
+// journalEnd finds the journal's last LSN by replaying only the final
 // segment (earlier segments contribute their record counts implicitly
-// through the next segment's header).
+// through the next segment's header). A torn tail is the crash
+// artifact; the end is the last intact record.
 func journalEnd(dir string) (uint64, error) {
 	segs, err := wal.Segments(dir)
 	if err != nil || len(segs) == 0 {
 		return 0, err
 	}
-	sr, err := wal.OpenSegment(segs[len(segs)-1])
-	if err != nil {
-		return 0, err
-	}
-	defer sr.Close()
-	for {
-		if _, _, err := sr.Next(); err != nil {
-			if err == io.EOF || wal.IsCorruptRecord(err) {
-				// A torn tail is the crash artifact; the end is the last
-				// intact record.
-				return sr.NextLSN() - 1, nil
-			}
-			return 0, err
-		}
-	}
+	before := segs[len(segs)-1].FirstLSN - 1
+	info, err := wal.DirSource{Dir: dir}.Replay(before, func(uint64, []byte) error { return nil })
+	return before + uint64(info.Records), err
 }
 
-// printScan reports what the query read versus pruned — the audit
+// printScan reports what the query read versus skipped — the audit
 // tool's own observability, on stderr so stdout stays diffable.
 func printScan(mode string, rows int, st audit.ScanStats) {
 	fmt.Fprintf(os.Stderr,
-		"audit %s: %d rows; segments %d scanned / %d skipped of %d (lsn=%d time=%d tag=%d key=%d); %d records scanned, %d matched; sidecars %d built, %d loaded, %d rebuilt\n",
+		"audit %s: %d rows; segments %d scanned / %d skipped of %d; %d records scanned, %d matched\n",
 		mode, rows, st.SegmentsScanned, st.SegmentsSkipped, st.SegmentsTotal,
-		st.SkippedByLSN, st.SkippedByTime, st.SkippedByTag, st.SkippedByKey,
-		st.RecordsScanned, st.RecordsMatched,
-		st.SidecarsBuilt, st.SidecarsLoaded, st.SidecarsRebuilt)
+		st.RecordsScanned, st.RecordsMatched)
 }

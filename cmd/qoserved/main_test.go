@@ -2,17 +2,24 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"flag"
 	"fmt"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
 
+	"qoadvisor/internal/api"
 	"qoadvisor/internal/drift"
 	"qoadvisor/internal/obs"
+	"qoadvisor/internal/rules"
+	"qoadvisor/internal/serve"
+	"qoadvisor/internal/sis"
 	"qoadvisor/internal/wal"
 )
 
@@ -203,5 +210,140 @@ func TestExitCodes(t *testing.T) {
 		if got != want {
 			t.Errorf("qoserved %s: exit %d, want %d\n%s", argv, got, want, out)
 		}
+	}
+}
+
+// auditJournal journals a short steering session — ranks, rewards, a
+// hint rollover, checkpoints to <dir>/model.snap — and returns the
+// directory, one journaled event ID and the last checkpoint's
+// watermark. segBytes 1 seals a segment per record, so checkpoints can
+// compact the whole history away; that variant installs no hints, since
+// a checkpoint re-journals a live hint table above its watermark.
+func auditJournal(t *testing.T, segBytes int64) (dir, event string, watermark uint64) {
+	t.Helper()
+	dir = t.TempDir()
+	snap := filepath.Join(dir, "model.snap")
+	j, err := wal.Open(wal.Options{Dir: dir, Mode: wal.ModeSync, SegmentBytes: segBytes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := serve.New(serve.Config{Seed: 42, TrainEvery: 4, WAL: j, SnapshotPath: snap})
+	session := func(salt int) {
+		for i := 0; i < 6; i++ {
+			resp, err := srv.Rank(api.RankRequest{TemplateHash: api.TemplateHash(salt*100 + i), Span: []int{5, 21 + i}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if event = resp.EventID; !srv.RewardAsync(event, 0.5) {
+				t.Fatal("reward rejected")
+			}
+		}
+	}
+	session(1)
+	if segBytes > 1 {
+		if _, err := srv.InstallHints([]sis.Hint{{TemplateHash: 0xa11ce, TemplateID: "T1", Flip: rules.NewCatalog().FlipFor(40), Day: 3}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for first, next := j.Window(); watermark == 0 || (segBytes == 1 && first < next); first, next = j.Window() {
+		info, err := srv.Checkpoint(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if watermark = info.LSN; watermark > 100 {
+			t.Fatalf("journal never fully compacted (window %d..%d)", first, next)
+		}
+	}
+	if segBytes > 1 {
+		session(2) // a suffix above the checkpoint for as-of to replay
+	}
+	srv.Close()
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return dir, event, watermark
+}
+
+// runQuiet parses and runs one invocation in-process with stdout
+// discarded (the audit queries print their rows there).
+func runQuiet(t *testing.T, argv ...string) error {
+	t.Helper()
+	m, err := parse(argv, new(bytes.Buffer))
+	if err != nil {
+		t.Fatalf("qoserved %v: %v", argv, err)
+	}
+	null, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer null.Close()
+	defer func(stdout, stderr *os.File) { os.Stdout, os.Stderr = stdout, stderr }(os.Stdout, os.Stderr)
+	os.Stdout, os.Stderr = null, null
+	return m.run()
+}
+
+// TestAuditWritesNothing holds `qoserved audit -h`'s promise that the
+// journal directory is "never written": the four offline queries leave
+// its file list and every byte in it as they found them.
+func TestAuditWritesNothing(t *testing.T) {
+	dir, event, _ := auditJournal(t, 512)
+	listing := func() map[string][sha256.Size]byte {
+		t.Helper()
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files := map[string][sha256.Size]byte{}
+		for _, e := range entries {
+			data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			files[e.Name()] = sha256.Sum256(data)
+		}
+		return files
+	}
+	before := listing()
+	if len(before) < 3 {
+		t.Fatalf("journal directory holds %d files; want several segments and a snapshot", len(before))
+	}
+	for _, argv := range [][]string{
+		{"audit", "records", "-wal-dir", dir, "-audit-type", "rank,hint_rollover", "-audit-from", "3"},
+		{"audit", "decision", "-wal-dir", dir, "-event", event},
+		{"audit", "template", "-wal-dir", dir, "-template-hash", "a11ce"},
+		{"audit", "asof", "-wal-dir", dir, "-train-every", "4"},
+	} {
+		if err := runQuiet(t, argv...); err != nil {
+			t.Fatalf("qoserved %v: %v", argv, err)
+		}
+		if after := listing(); !reflect.DeepEqual(after, before) {
+			t.Fatalf("qoserved %v changed the journal directory:\nbefore %v\nafter  %v", argv[:2], names(before), names(after))
+		}
+	}
+}
+
+func names(files map[string][sha256.Size]byte) []string {
+	out := make([]string, 0, len(files))
+	for name := range files {
+		out = append(out, name)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// TestAuditAsOfRejectsCompactedHistory is the offline twin of serve's
+// TestAuditAsOfRejectsFullyCompactedHistory — both reach the one rule
+// in serve.RecoverAsOf: below the checkpoint the snapshot is from the
+// future and the records are gone, so the answer is an error, not a
+// model rebuilt from nothing; at the watermark the snapshot alone is
+// the answer.
+func TestAuditAsOfRejectsCompactedHistory(t *testing.T) {
+	dir, _, watermark := auditJournal(t, 1)
+	err := runQuiet(t, "audit", "asof", "-wal-dir", dir, "-train-every", "4", "-lsn", "2")
+	if err == nil || !strings.Contains(err.Error(), "compacted") {
+		t.Fatalf("as-of below a fully compacted journal's checkpoint: err = %v, want the compacted-history error", err)
+	}
+	if err := runQuiet(t, "audit", "asof", "-wal-dir", dir, "-train-every", "4", "-lsn", fmt.Sprint(watermark)); err != nil {
+		t.Fatalf("as-of at the checkpoint watermark %d: %v", watermark, err)
 	}
 }

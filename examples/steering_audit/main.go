@@ -14,10 +14,11 @@
 //	phase 4  time travel            /v2/audit/asof — reconstructed model
 //	                                byte-identical to a live checkpoint
 //
-// Phase 4 is the determinism contract in action: the as-of engine
-// seeds from the nearest snapshot, replays the journal suffix through
-// the same dispatch crash recovery uses, and must reproduce the live
-// checkpoint's bytes exactly — sha256 compared below.
+// Phase 4 is the determinism contract in action: as-of is crash
+// recovery with an upper bound (serve.RecoverAsOf) — it seeds from the
+// snapshot when that is not from the target's future, replays the
+// journal up to the LSN, and must reproduce the live checkpoint's bytes
+// exactly — sha256 compared below.
 package main
 
 import (
@@ -162,14 +163,14 @@ func main() {
 	}
 	fmt.Println("byte-identical: the journal fully determines the model")
 
-	// The server's audit counters confirm the queries above really ran
-	// through the index-backed engine.
+	// The server's audit counters account for the queries above: each one
+	// is a filtered pass over the journal's own reader.
 	st, err := cl.Stats(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}
 	if a := st.Audit; a != nil {
-		fmt.Printf("\naudit totals: %d queries, %d/%d segments scanned/skipped, %d records scanned, %d sidecars built\n",
-			a.Queries, a.SegmentsScanned, a.SegmentsSkipped, a.RecordsScanned, a.SidecarsBuilt)
+		fmt.Printf("\naudit totals: %d queries, %d/%d segments scanned/skipped, %d records scanned\n",
+			a.Queries, a.SegmentsScanned, a.SegmentsSkipped, a.RecordsScanned)
 	}
 }

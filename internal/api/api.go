@@ -287,7 +287,8 @@ type IngestStats struct {
 // embedded in StatsResponse when the server runs with a WAL. Mode is
 // the group-commit durability discipline ("sync", "async", or "off");
 // LSNs are journal positions (FirstLSN..LastLSN is the retained
-// window, SyncedLSN the durable frontier).
+// window — FirstLSN is LastLSN+1 when compaction has left nothing, or
+// nothing was ever written — and SyncedLSN the durable frontier).
 type WALStats struct {
 	Mode              string `json:"mode"`
 	FirstLSN          uint64 `json:"firstLsn"`
@@ -603,24 +604,18 @@ type AuditStats struct {
 	SegmentsScanned int64 `json:"segmentsScanned"`
 	SegmentsSkipped int64 `json:"segmentsSkipped"`
 	RecordsScanned  int64 `json:"recordsScanned"`
-	SidecarsBuilt   int64 `json:"sidecarsBuilt"`
-	SidecarsLoaded  int64 `json:"sidecarsLoaded"`
-	SidecarsRebuilt int64 `json:"sidecarsRebuilt"`
 }
 
-// AuditScanStats reports one audit query's iterator counters: how much
-// of the journal was actually read versus pruned, and which filter
-// clause did the pruning. Clients use it to verify index effectiveness
-// (skips are attributed, so a misbehaving sidecar shows up as a
-// scanned-not-skipped segment, never as a wrong answer).
+// AuditScanStats reports one audit query's scan counters: how many of
+// the journal's segments and records it read. Segments are skipped on
+// their headers alone, by the LSN window and nothing else (those wholly
+// below it, and those past the record the query stopped at), so
+// SkippedByLSN equals SegmentsSkipped.
 type AuditScanStats struct {
 	SegmentsTotal   int64 `json:"segmentsTotal"`
 	SegmentsScanned int64 `json:"segmentsScanned"`
 	SegmentsSkipped int64 `json:"segmentsSkipped"`
 	SkippedByLSN    int64 `json:"skippedByLsn,omitempty"`
-	SkippedByTime   int64 `json:"skippedByTime,omitempty"`
-	SkippedByTag    int64 `json:"skippedByTag,omitempty"`
-	SkippedByKey    int64 `json:"skippedByKey,omitempty"`
 	RecordsScanned  int64 `json:"recordsScanned"`
 	RecordsMatched  int64 `json:"recordsMatched"`
 	// Truncated reports that the scan stopped at a torn tail (the

@@ -255,8 +255,8 @@ func (c *Cluster) Health(ctx context.Context) (api.HealthResponse, error) {
 	return out, err
 }
 
-// Stats fetches one node's stats (role-dependent; use StatsAll for the
-// whole fleet).
+// Stats fetches one node's stats (role-dependent; internal/fleet merges
+// the whole fleet's).
 func (c *Cluster) Stats(ctx context.Context) (api.StatsResponse, error) {
 	var out api.StatsResponse
 	err := c.read(func(cl *Client) error {
@@ -265,21 +265,6 @@ func (c *Cluster) Stats(ctx context.Context) (api.StatsResponse, error) {
 		return rerr
 	})
 	return out, err
-}
-
-// StatsAll fetches every node's stats keyed by endpoint (nodes that
-// fail are omitted; an empty map means nobody answered).
-func (c *Cluster) StatsAll(ctx context.Context) map[string]api.StatsResponse {
-	c.mu.RLock()
-	order := append([]string(nil), c.order...)
-	c.mu.RUnlock()
-	out := make(map[string]api.StatsResponse, len(order))
-	for _, ep := range order {
-		if st, err := c.client(ep).Stats(ctx); err == nil {
-			out[ep] = st
-		}
-	}
-	return out
 }
 
 // --- writes (chase the leader) ---

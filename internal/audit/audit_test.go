@@ -3,6 +3,7 @@ package audit_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"net/http/httptest"
 	"os"
@@ -12,6 +13,8 @@ import (
 	"qoadvisor/internal/api"
 	"qoadvisor/internal/api/client"
 	"qoadvisor/internal/audit"
+	"qoadvisor/internal/bandit"
+	"qoadvisor/internal/drift"
 	"qoadvisor/internal/rules"
 	"qoadvisor/internal/serve"
 	"qoadvisor/internal/sis"
@@ -165,40 +168,86 @@ func TestAsOfByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	eng, err := audit.Open(r.dir)
+	res, err := serve.RecoverAsOf(wal.DirSource{Dir: r.dir}, snap1, l, asOfTrainEvery, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := eng.AsOf(l, audit.AsOfOptions{
-		SnapshotPath: snap1,
-		TrainEvery:   asOfTrainEvery,
-		Seed:         asOfSeed,
-	})
-	if err != nil {
-		t.Fatal(err)
+	if !res.SnapshotLoaded || res.FromLSN != w1 {
+		t.Fatalf("reconstruction did not seed from snapshot 1: seeded=%v from=%d want=%d", res.SnapshotLoaded, res.FromLSN, w1)
 	}
-	if !res.SnapshotSeeded || res.FromLSN != w1 {
-		t.Fatalf("reconstruction did not seed from snapshot 1: seeded=%v from=%d want=%d", res.SnapshotSeeded, res.FromLSN, w1)
-	}
-	if !bytes.Equal(res.Snapshot, want) {
+	if got := saved(t, res.Service); !bytes.Equal(got, want) {
 		t.Fatalf("as-of(%d) reconstruction differs from the live checkpoint at %d:\n--- as-of (%d bytes)\n%s\n--- checkpoint (%d bytes)\n%s",
-			l, l, len(res.Snapshot), firstDiff(res.Snapshot, want), len(want), firstDiff(want, res.Snapshot))
+			l, l, len(got), firstDiff(got, want), len(want), firstDiff(want, got))
 	}
 	if res.Hints == nil || res.HintGen == 0 {
 		t.Errorf("as-of window lost the hint rollover: gen=%d hints=%d", res.HintGen, len(res.Hints))
 	}
 
-	// A later snapshot must never seed an earlier reconstruction.
-	res2, err := eng.AsOf(w1, audit.AsOfOptions{
-		SnapshotPath: snap2,
-		TrainEvery:   asOfTrainEvery,
-		Seed:         asOfSeed,
-	})
-	if err != nil {
+	// A later snapshot must never seed an earlier reconstruction. (The
+	// first checkpoint compacted the start of the journal away, so this
+	// one cannot complete either — but it must fail for that reason,
+	// not succeed from the wrong seed.)
+	res2, err := serve.RecoverAsOf(wal.DirSource{Dir: r.dir}, snap2, w1, asOfTrainEvery, 0)
+	if res2.SnapshotLoaded {
+		t.Error("reconstruction at an LSN below the snapshot's watermark must not seed from it")
+	}
+	var ae *api.Error
+	if first, _ := r.j.Window(); first > 1 && (!errors.As(err, &ae) || ae.Code != api.CodeInvalidRequest) {
+		t.Errorf("as-of(%d) over a journal compacted to start at %d: err = %v, want invalid_request", w1, first, err)
+	}
+}
+
+// saved renders a model in the snapshot file format.
+func saved(t testing.TB, svc *bandit.Service) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := svc.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if res2.SnapshotSeeded {
-		t.Error("reconstruction at an LSN below the snapshot's watermark must not seed from it")
+	return buf.Bytes()
+}
+
+// TestAsOfAtJournalEndThenFlushIsRecover: the two entry points share
+// one fold, so they can differ only in what Recover adds — the
+// drain-equivalent tail flush. As-of at the journal's last record plus
+// that flush is Recover's model, byte for byte.
+func TestAsOfAtJournalEndThenFlushIsRecover(t *testing.T) {
+	r := newAsOfRig(t, 1024)
+	ids := r.rank(t, 30, 5)
+	r.reward(t, ids[:21], 0.4) // 21 rewards at train-every 8: 5 pending at the end
+	// A bootstrap snapshot is the checkpoint barrier without compaction,
+	// so the from-scratch arm below still has the whole history.
+	var ckpt bytes.Buffer
+	if _, err := r.srv.BootstrapSnapshot(&ckpt); err != nil {
+		t.Fatal(err)
+	}
+	snap := filepath.Join(t.TempDir(), "ckpt.snap")
+	if err := os.WriteFile(snap, ckpt.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	more := r.rank(t, 12, 6)
+	r.reward(t, append(ids[21:], more[:6]...), 0.8)
+	r.srv.Ingestor().Quiesce()()
+	if err := r.j.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	src := wal.DirSource{Dir: r.dir}
+	for _, seed := range []string{"", snap} {
+		rec, err := serve.Recover(src, seed, asOfTrainEvery, 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		asof, err := serve.RecoverAsOf(src, seed, r.j.LastLSN(), asOfTrainEvery, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bytes.Equal(saved(t, asof.Service), saved(t, rec.Service)) {
+			t.Errorf("seed %q: as-of at the journal end already equals Recover; the rig left nothing for the tail flush", seed)
+		}
+		asof.Service.Train()
+		if got, want := saved(t, asof.Service), saved(t, rec.Service); !bytes.Equal(got, want) {
+			t.Errorf("seed %q: as-of(end) + tail flush differs from Recover: %s", seed, firstDiff(got, want))
+		}
 	}
 }
 
@@ -227,8 +276,7 @@ func firstDiff(a, b []byte) string {
 // buildBigJournal writes a synthetic multi-segment journal: nRanks
 // rank records with periodic reward batches and train marks, plus
 // hint-rollover records mentioning wantTemplate only inside a couple
-// of segments (and a decoy template elsewhere). Returns the hash the
-// skip test queries for.
+// of segments (and a decoy template elsewhere). Returns that hash.
 func buildBigJournal(tb testing.TB, dir string, nRanks int, segBytes int64) (wantTemplate uint64) {
 	tb.Helper()
 	// ModeSync with a periodic Commit: segment rolls happen on the
@@ -270,8 +318,8 @@ func buildBigJournal(tb testing.TB, dir string, nRanks int, segBytes int64) (wan
 			}
 		}
 		// The wanted template's rollovers cluster at ~1/4 and ~3/4 of
-		// the journal; decoys appear elsewhere so the key filter (not
-		// just the tag filter) has segments to prune.
+		// the journal; decoys appear elsewhere so a key filter has
+		// something a tag filter alone would let through.
 		switch {
 		case i == nRanks/4 || i == 3*nRanks/4:
 			hints := []walrec.Hint{{TemplateHash: wantTemplate, TemplateID: "Twant", Flip: "-R040", Day: i / 1000}}
@@ -296,244 +344,6 @@ func buildBigJournal(tb testing.TB, dir string, nRanks int, segBytes int64) (wan
 		tb.Fatal(err)
 	}
 	return wantTemplate
-}
-
-// TestIndexedTemplateQuerySkipsSegments is the acceptance pin for the
-// planner: over a ≥100k-record multi-segment journal, a
-// template-filtered query must skip the non-matching segments — proved
-// by the iterator's own scan counters, not timing — while still
-// finding every matching record, streaming.
-func TestIndexedTemplateQuerySkipsSegments(t *testing.T) {
-	dir := t.TempDir()
-	const nRanks = 100_000
-	tmpl := buildBigJournal(t, dir, nRanks, 512<<10)
-
-	segs, err := wal.Segments(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(segs) < 8 {
-		t.Fatalf("fixture built only %d segments; need a multi-segment journal", len(segs))
-	}
-
-	eng, err := audit.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Key-filtered listing: "rollover records that reference this
-	// template". The two matches live in (at most) two segments; the
-	// bloom key filter must prune the decoy-rollover segments that the
-	// tag filter alone would have to scan.
-	it, err := eng.Run(audit.Query{
-		Tags:     []byte{walrec.TagHintRollover},
-		Template: tmpl, HasTemplate: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	matches := 0
-	for {
-		_, ok, err := it.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		matches++
-	}
-	it.Close()
-	if matches != 2 {
-		t.Fatalf("key-filtered query found %d rollovers, want 2", matches)
-	}
-	st := it.Stats()
-	if st.SegmentsTotal != int64(len(segs)) {
-		t.Fatalf("stats saw %d segments, dir has %d", st.SegmentsTotal, len(segs))
-	}
-	// The two matching rollovers live in (at most) two segments; allow
-	// the active tail segment too. Everything else must be pruned.
-	if st.SegmentsScanned > 3 {
-		t.Errorf("scanned %d segments for a 2-segment answer (skipped %d of %d)",
-			st.SegmentsScanned, st.SegmentsSkipped, st.SegmentsTotal)
-	}
-	if st.SegmentsSkipped < int64(len(segs))-3 {
-		t.Errorf("skipped only %d of %d segments", st.SegmentsSkipped, st.SegmentsTotal)
-	}
-	if st.SkippedByKey == 0 {
-		t.Error("decoy-rollover segments must be pruned by the key filter, not scanned")
-	}
-	// Streaming proof: the records read from disk are bounded by the
-	// scanned segments, nowhere near the journal's total.
-	total := int64(nRanks) + int64(nRanks)/64 + int64(nRanks)/4096 + 16
-	if st.RecordsScanned >= total/2 {
-		t.Errorf("read %d of ~%d records — the scan did not stay local to matching segments", st.RecordsScanned, total)
-	}
-
-	// The canned lineage query deliberately drops the key filter —
-	// a rollover WITHOUT the hash is what proves removal, and the bloom
-	// would prune exactly those records — so it sees all 10 rollovers
-	// and extracts the full flap history: two add/remove cycles.
-	th, err := eng.Template(tmpl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if th.Rollovers != 10 || len(th.Events) != 4 {
-		t.Fatalf("template history saw %d rollovers, %d events; want 10 and 4", th.Rollovers, len(th.Events))
-	}
-	for i, want := range []string{"hint", "hint_removed", "hint", "hint_removed"} {
-		if th.Events[i].Kind != want {
-			t.Errorf("event %d kind = %q, want %q", i, th.Events[i].Kind, want)
-		}
-	}
-	if th.Scan.SkippedByTag == 0 {
-		t.Error("rank-only segments must still be pruned by the tag filter")
-	}
-
-	// Second engine over the same dir: sidecars now load from disk
-	// (not rebuilt), and the answer is identical.
-	eng2, err := audit.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	th2, err := eng2.Template(tmpl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Sealed segments load from disk; only the active tail segment's
-	// sidecar is built in memory (it is never persisted).
-	if th2.Scan.SidecarsLoaded == 0 || th2.Scan.SidecarsBuilt > 1 || th2.Scan.SidecarsRebuilt > 0 {
-		t.Errorf("second engine rebuilt instead of loading sidecars: loaded=%d built=%d rebuilt=%d",
-			th2.Scan.SidecarsLoaded, th2.Scan.SidecarsBuilt, th2.Scan.SidecarsRebuilt)
-	}
-	if len(th2.Events) != len(th.Events) {
-		t.Errorf("answers diverge across sidecar load: %d vs %d events", len(th2.Events), len(th.Events))
-	}
-}
-
-// TestSidecarNeverTrusted pins the sidecar validation satellite:
-// corrupt, stale, and deleted .idx files are all detected and rebuilt;
-// answers never change.
-func TestSidecarNeverTrusted(t *testing.T) {
-	dir := t.TempDir()
-	tmpl := buildBigJournal(t, dir, 4_000, 32<<10)
-	segs, err := wal.Segments(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(segs) < 4 {
-		t.Fatalf("want >=4 segments, got %d", len(segs))
-	}
-
-	reference := func(e *audit.Engine) *audit.TemplateHistory {
-		th, err := e.Template(tmpl)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return th
-	}
-	eng, err := audit.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := reference(eng) // builds sidecars on disk
-	if want.Rollovers != 10 {
-		t.Fatalf("fixture rollovers = %d, want 10", want.Rollovers)
-	}
-	idxCount := 0
-	for _, s := range segs[:len(segs)-1] {
-		if _, err := os.Stat(wal.SidecarPath(s.Path)); err == nil {
-			idxCount++
-		}
-	}
-	if idxCount == 0 {
-		t.Fatal("first query left no sidecar files on disk")
-	}
-
-	t.Run("corrupt idx rebuilt", func(t *testing.T) {
-		path := wal.SidecarPath(segs[0].Path)
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		raw[len(raw)/2] ^= 0xff
-		if err := os.WriteFile(path, raw, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		e, _ := audit.Open(dir)
-		got := reference(e)
-		if got.Scan.SidecarsRebuilt == 0 {
-			t.Error("corrupt sidecar was not detected and rebuilt")
-		}
-		if len(got.Events) != len(want.Events) {
-			t.Errorf("corrupt sidecar changed the answer: %d vs %d events", len(got.Events), len(want.Events))
-		}
-	})
-
-	t.Run("stale idx (wrong segment identity) rebuilt", func(t *testing.T) {
-		// A sidecar copied from another segment is internally valid but
-		// identifies the wrong source: must be rejected by identity, or
-		// by source length when identities collide.
-		src, err := os.ReadFile(wal.SidecarPath(segs[1].Path))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(wal.SidecarPath(segs[2].Path), src, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		e, _ := audit.Open(dir)
-		got := reference(e)
-		if got.Scan.SidecarsRebuilt == 0 {
-			t.Error("mis-identified sidecar was not rebuilt")
-		}
-		if len(got.Events) != len(want.Events) {
-			t.Errorf("stale sidecar changed the answer: %d vs %d events", len(got.Events), len(want.Events))
-		}
-	})
-
-	t.Run("deleted idx rebuilt", func(t *testing.T) {
-		for _, s := range segs {
-			os.Remove(wal.SidecarPath(s.Path))
-		}
-		e, _ := audit.Open(dir)
-		got := reference(e)
-		if got.Scan.SidecarsBuilt == 0 {
-			t.Error("deleted sidecars were not rebuilt")
-		}
-		if got.Scan.SidecarsLoaded != 0 {
-			t.Error("loaded a sidecar that does not exist")
-		}
-		if len(got.Events) != len(want.Events) {
-			t.Errorf("rebuild changed the answer: %d vs %d events", len(got.Events), len(want.Events))
-		}
-	})
-
-	t.Run("grown segment re-indexed in memory", func(t *testing.T) {
-		e, _ := audit.Open(dir)
-		before := reference(e)
-		// The journal grows: reopen and append another matching rollover
-		// into the active segment.
-		j, err := wal.Open(wal.Options{Dir: dir, Mode: wal.ModeSync, SegmentBytes: 32 << 10})
-		if err != nil {
-			t.Fatal(err)
-		}
-		lsn, err := j.Append(walrec.EncodeHintRollover(999, []walrec.Hint{
-			{TemplateHash: tmpl, TemplateID: "Twant", Flip: "-R042", Day: 9},
-		}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := j.Commit(lsn); err != nil {
-			t.Fatal(err)
-		}
-		if err := j.Close(); err != nil {
-			t.Fatal(err)
-		}
-		after := reference(e) // same engine: cached sidecars must invalidate
-		if after.Rollovers != before.Rollovers+1 {
-			t.Errorf("grown segment not re-read: %d rollovers before, %d after", before.Rollovers, after.Rollovers)
-		}
-	})
 }
 
 // TestTraceAnswersWhy pins the decision-trace canned query on a live
@@ -578,5 +388,387 @@ func TestTraceAnswersWhy(t *testing.T) {
 	}
 	if missing.Rank != nil || len(missing.Rewards) != 0 {
 		t.Error("unknown event produced a non-empty trace")
+	}
+}
+
+// journalRecord is one decoded record of a brute-force reference scan.
+type journalRecord struct {
+	lsn uint64
+	rec walrec.Record
+	raw []byte
+}
+
+// readAll is the reference reader: every record of the journal through
+// the plain replay, decoded, in memory.
+func readAll(t *testing.T, dir string) []journalRecord {
+	t.Helper()
+	var all []journalRecord
+	if _, err := (wal.DirSource{Dir: dir}).Replay(0, func(lsn uint64, payload []byte) error {
+		rec, err := walrec.Decode(payload)
+		if err != nil {
+			return err
+		}
+		all = append(all, journalRecord{lsn, rec, bytes.Clone(payload)})
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return all
+}
+
+// bruteRecords answers a records query the slow, obvious way: decode
+// everything, test each clause on the decoded record.
+func bruteRecords(all []journalRecord, q audit.Query) []string {
+	var rows []string
+	for _, r := range all {
+		if r.lsn < q.FromLSN || (q.ToLSN != 0 && r.lsn > q.ToLSN) {
+			continue
+		}
+		if len(q.Tags) > 0 && !bytes.Contains(q.Tags, []byte{r.rec.Tag}) {
+			continue
+		}
+		if q.HasTemplate {
+			hit := false
+			if r.rec.HintRollover != nil {
+				for _, h := range r.rec.HintRollover.Hints {
+					hit = hit || h.TemplateHash == q.Template
+				}
+			}
+			if r.rec.Quarantine != nil {
+				_, in := r.rec.Quarantine.States[q.Template]
+				hit = hit || in
+			}
+			if !hit {
+				continue
+			}
+		}
+		if q.EventID != "" {
+			hit := r.rec.Rank != nil && r.rec.Rank.EventID == q.EventID
+			for _, e := range r.rec.RewardBatch {
+				hit = hit || e.EventID == q.EventID
+			}
+			if !hit {
+				continue
+			}
+		}
+		rows = append(rows, recordRow(r.lsn, r.rec, r.raw))
+		if len(rows) == q.Limit {
+			break
+		}
+	}
+	return rows
+}
+
+// bruteDecision is decisionRows' reference, over the in-memory journal.
+func bruteDecision(all []journalRecord, event string) []string {
+	var rank *journalRecord
+	for i := range all {
+		if r := &all[i]; rank == nil && r.rec.Rank != nil && r.rec.Rank.EventID == event {
+			rank = r
+		}
+	}
+	if rank == nil {
+		return []string{fmt.Sprintf("event %s: no rank record in the journal (never ranked, or compacted away)", event)}
+	}
+	rows := []string{
+		fmt.Sprintf("event:    %s", event),
+		fmt.Sprintf("decision: lsn=%d prob=%.4f ctxFeatures=%d actFeatures=%d",
+			rank.lsn, rank.rec.Rank.Prob, len(rank.rec.Rank.CtxIDs), len(rank.rec.Rank.ActIDs)),
+	}
+	lastReward := uint64(0)
+	for _, r := range all {
+		for _, e := range r.rec.RewardBatch {
+			if e.EventID == event {
+				rows = append(rows, fmt.Sprintf("reward:   lsn=%d value=%.4f", r.lsn, e.Value))
+				lastReward = r.lsn
+			}
+		}
+	}
+	if lastReward == 0 {
+		rows = append(rows, "reward:   none journaled")
+	} else {
+		for _, r := range all {
+			if r.lsn > lastReward && r.rec.Tag == walrec.TagTrainMark {
+				rows = append(rows, fmt.Sprintf("trained:  lsn=%d (first training boundary after the last reward)", r.lsn))
+				break
+			}
+		}
+	}
+	shares := func(other *walrec.Rank) bool {
+		for _, a := range other.ActIDs {
+			for _, b := range rank.rec.Rank.ActIDs {
+				if a == b {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	related := map[string]bool{}
+	var lineage []string
+	for _, r := range all {
+		if r.lsn >= rank.lsn {
+			break
+		}
+		if r.rec.Rank != nil && shares(r.rec.Rank) {
+			related[r.rec.Rank.EventID] = true
+		}
+	}
+	for _, r := range all {
+		if r.lsn >= rank.lsn {
+			break
+		}
+		for _, e := range r.rec.RewardBatch {
+			if related[e.EventID] {
+				lineage = append(lineage, fmt.Sprintf("lineage:  lsn=%d event=%s value=%.4f", r.lsn, e.EventID, e.Value))
+			}
+		}
+	}
+	for i := len(lineage) - 1; i >= 0 && len(lineage)-i <= 64; i-- {
+		rows = append(rows, lineage[i])
+	}
+	if len(lineage) > 64 {
+		rows = append(rows, "lineage:  (truncated at cap)")
+	}
+	return rows
+}
+
+// bruteTemplate is templateRows' reference: the table each wholesale
+// record holds for the template, with repeats collapsed.
+func bruteTemplate(all []journalRecord, hash uint64) []string {
+	rows := []string{fmt.Sprintf("template: %016x", hash)}
+	events, rollovers, quarantines := 0, 0, 0
+	hint, quar := "", ""
+	for _, r := range all {
+		switch {
+		case r.rec.HintRollover != nil:
+			rollovers++
+			now := ""
+			for _, h := range r.rec.HintRollover.Hints {
+				if h.TemplateHash == hash && now == "" {
+					now = fmt.Sprintf("flip=%s day=%d", h.Flip, h.Day)
+				}
+			}
+			switch {
+			case now != "" && now != hint:
+				rows = append(rows, fmt.Sprintf("%10d  hint %s generation=%d", r.lsn, now, r.rec.HintRollover.Gen))
+				events++
+			case now == "" && hint != "":
+				rows = append(rows, fmt.Sprintf("%10d  hint removed (generation %d)", r.lsn, r.rec.HintRollover.Gen))
+				events++
+			}
+			hint = now
+		case r.rec.Quarantine != nil:
+			quarantines++
+			now := ""
+			if st, in := r.rec.Quarantine.States[hash]; in {
+				now = drift.State(st).String()
+			}
+			kind := "transition"
+			if r.rec.Quarantine.Snapshot {
+				kind = "checkpoint re-journal"
+			}
+			switch {
+			case now != "" && now != quar:
+				rows = append(rows, fmt.Sprintf("%10d  quarantine state=%s (%s)", r.lsn, now, kind))
+				events++
+			case now == "" && quar != "":
+				rows = append(rows, fmt.Sprintf("%10d  quarantine cleared", r.lsn))
+				events++
+			}
+			quar = now
+		}
+	}
+	return append(rows, fmt.Sprintf("history:  %d events from %d rollovers, %d quarantine records", events, rollovers, quarantines))
+}
+
+// TestQueriesMatchBruteForce holds every query kind to an equivalent
+// execution: the engine's filtered, window-pruned, early-stopping pass
+// must answer exactly what decoding the whole journal and testing each
+// clause on the decoded records answers — on the 100k-record fixture
+// and on the scripted live journal (which has quarantine records).
+func TestQueriesMatchBruteForce(t *testing.T) {
+	check := func(t *testing.T, what string, got, want []string) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Errorf("%s: %d rows, brute force has %d", what, len(got), len(want))
+			return
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Errorf("%s row %d:\n  engine      %s\n  brute force %s", what, i, got[i], want[i])
+				return
+			}
+		}
+	}
+	run := func(t *testing.T, dir string, queries []audit.Query, events []string, templates []uint64) {
+		eng, err := audit.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		all := readAll(t, dir)
+		for _, q := range queries {
+			check(t, fmt.Sprintf("records %+v", q), recordRows(t, eng, q), bruteRecords(all, q))
+		}
+		for _, ev := range events {
+			check(t, "decision "+ev, decisionRows(t, eng, ev), bruteDecision(all, ev))
+		}
+		for _, h := range templates {
+			check(t, fmt.Sprintf("template %x", h), templateRows(t, eng, h), bruteTemplate(all, h))
+		}
+	}
+
+	t.Run("big", func(t *testing.T) {
+		dir := t.TempDir()
+		tmpl := buildBigJournal(t, dir, 100_000, 512<<10)
+		segs, err := wal.Segments(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(segs) < 8 {
+			t.Fatalf("fixture built only %d segments; need a multi-segment journal", len(segs))
+		}
+		edge := segs[3].FirstLSN // a segment's first record: both window edges land on it below
+		run(t, dir, []audit.Query{
+			{},
+			{Limit: 7},
+			{Tags: []byte{walrec.TagRank}},
+			{Tags: []byte{walrec.TagTrainMark, walrec.TagHintRollover}},
+			{Tags: []byte{walrec.TagHintRollover}, Template: tmpl, HasTemplate: true},
+			{Template: 0x0ddba11, HasTemplate: true},
+			{Template: 0x5eed, HasTemplate: true},
+			{EventID: "ev00031337"},
+			{EventID: "ev00099999", Tags: []byte{walrec.TagRewardBatch}},
+			{EventID: "ev-no-such-event"},
+			{FromLSN: 50_000, ToLSN: 50_030},
+			{FromLSN: edge, ToLSN: edge},
+			{FromLSN: edge - 1, ToLSN: edge - 1},
+			{ToLSN: edge - 1, Tags: []byte{walrec.TagTrainMark}},
+			{FromLSN: edge, Tags: []byte{walrec.TagRewardBatch}, Limit: 3},
+			{FromLSN: 9, ToLSN: 3},
+			{FromLSN: 1 << 40},
+		}, []string{"ev00000000", "ev00000500", "ev00075000", "ev-no-such-event"}, []uint64{tmpl, 0x0ddba11, 0x5eed})
+	})
+
+	t.Run("rig", func(t *testing.T) {
+		r := newAsOfRig(t, 1024)
+		ids := r.rank(t, 20, 1)
+		r.reward(t, ids[:15], 0.5)
+		for _, action := range []string{api.QuarantineActionQuarantine, api.QuarantineActionRestore} {
+			if _, err := r.srv.InstallHints([]sis.Hint{{TemplateHash: 0xabc123, TemplateID: "T0042", Flip: rules.NewCatalog().FlipFor(40), Day: len(action)}}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := r.cl.Quarantine(context.Background(), 0xabc123, action); err != nil {
+				t.Fatal(err)
+			}
+			var sink bytes.Buffer
+			if _, err := r.srv.BootstrapSnapshot(&sink); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := r.srv.InstallHints(nil); err != nil {
+			t.Fatal(err)
+		}
+		r.reward(t, ids[15:], 0.9)
+		r.srv.Ingestor().Drain()
+		if err := r.j.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		run(t, r.dir, []audit.Query{
+			{},
+			{Tags: []byte{walrec.TagQuarantine}},
+			{Template: 0xabc123, HasTemplate: true},
+			{EventID: ids[17]},
+			{FromLSN: 21, ToLSN: 30, Limit: 4},
+		}, []string{ids[0], ids[17]}, []uint64{0xabc123, 0x5eed})
+	})
+}
+
+// TestScanCountersAndDamageRule: an LSN window is pruned on segment
+// headers (segments before it are not opened, the pass stops at its
+// last record), and the journal's one damage rule reaches audit
+// unchanged — a torn tail on the final segment ends a query cleanly
+// with Truncated set, the same damage mid-log is an error.
+func TestScanCountersAndDamageRule(t *testing.T) {
+	dir := t.TempDir()
+	buildBigJournal(t, dir, 4_000, 32<<10)
+	segs, err := wal.Segments(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(segs) < 4 {
+		t.Fatalf("want >=4 segments, got %d", len(segs))
+	}
+	eng, err := audit.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	count := func(q audit.Query) (audit.ScanStats, error) {
+		return eng.Run(q, func(audit.Result) error { return nil })
+	}
+
+	full, err := count(audit.Query{})
+	if err != nil || full.SegmentsScanned != int64(len(segs)) || full.SegmentsSkipped != 0 || full.Truncated {
+		t.Fatalf("full scan: %+v, %v", full, err)
+	}
+	from, to := segs[2].FirstLSN, segs[3].FirstLSN-1 // exactly the third segment
+	st, err := count(audit.Query{FromLSN: from, ToLSN: to})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.SegmentsTotal != int64(len(segs)) || st.SegmentsScanned != 1 || st.SegmentsSkipped != int64(len(segs))-1 {
+		t.Errorf("one-segment window scanned %d and skipped %d of %d segments", st.SegmentsScanned, st.SegmentsSkipped, st.SegmentsTotal)
+	}
+	if n := int64(to - from + 1); st.RecordsScanned != n || st.RecordsMatched != n {
+		t.Errorf("one-segment window read %d and matched %d records, want %d", st.RecordsScanned, st.RecordsMatched, n)
+	}
+	if tot := eng.Totals(); tot.Queries != 2 || tot.SegmentsSkipped != st.SegmentsSkipped || tot.RecordsMatched != full.RecordsMatched+st.RecordsMatched {
+		t.Errorf("totals after two queries: %+v", tot)
+	}
+
+	// The journal grows under the same engine: nothing is cached.
+	j, err := wal.Open(wal.Options{Dir: dir, Mode: wal.ModeSync, SegmentBytes: 32 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lsn, err := j.Append(walrec.EncodeTrainMark())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Commit(lsn); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if grown, err := count(audit.Query{}); err != nil || grown.RecordsMatched != full.RecordsMatched+1 {
+		t.Fatalf("after one append: %+v, %v; want %d records", grown, err, full.RecordsMatched+1)
+	}
+
+	chop := func(path string) {
+		t.Helper()
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Truncate(path, fi.Size()-3); err != nil {
+			t.Fatal(err)
+		}
+	}
+	segs, _ = wal.Segments(dir)
+	chop(segs[len(segs)-1].Path)
+	torn, err := count(audit.Query{})
+	if err != nil || !torn.Truncated || torn.RecordsMatched != full.RecordsMatched {
+		t.Errorf("torn tail: %+v, %v; want a clean end after %d records with Truncated set", torn, err, full.RecordsMatched)
+	}
+	chop(segs[1].Path)
+	if _, err := count(audit.Query{}); err == nil {
+		t.Error("mid-log damage must fail the query, not shorten the answer")
+	}
+	if _, err := eng.Trace("ev00003000"); err == nil {
+		t.Error("mid-log damage must fail a trace")
+	}
+	if st, err := count(audit.Query{FromLSN: segs[2].FirstLSN, ToLSN: segs[3].FirstLSN - 1}); err != nil || st.SegmentsScanned != 1 {
+		t.Errorf("a window that never opens the damaged segment: %+v, %v", st, err)
 	}
 }

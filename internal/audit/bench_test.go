@@ -6,19 +6,17 @@ import (
 	"testing"
 
 	"qoadvisor/internal/audit"
+	"qoadvisor/internal/serve"
 	"qoadvisor/internal/wal"
 	"qoadvisor/internal/walrec"
 )
 
 // The benchmarks share one ≥100k-record multi-segment journal — the
-// same fixture the skip test pins — so the cold/indexed comparison and
-// the index build rate are measured against a realistic shape. It is
-// built once per `go test` process.
+// fixture queries.golden pins — built once per `go test` process.
 var (
 	benchOnce sync.Once
 	benchDir  string
 	benchTmpl uint64
-	benchN    int
 )
 
 func benchJournal(b *testing.B) (string, uint64) {
@@ -28,8 +26,7 @@ func benchJournal(b *testing.B) (string, uint64) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		benchN = 100_000
-		benchTmpl = buildBigJournal(b, dir, benchN, 512<<10)
+		benchTmpl = buildBigJournal(b, dir, 100_000, 512<<10)
 		benchDir = dir
 	})
 	if benchDir == "" {
@@ -38,130 +35,47 @@ func benchJournal(b *testing.B) (string, uint64) {
 	return benchDir, benchTmpl
 }
 
-func dropSidecars(b *testing.B, dir string) {
-	b.Helper()
-	segs, err := wal.Segments(dir)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, s := range segs {
-		if err := os.Remove(wal.SidecarPath(s.Path)); err != nil && !os.IsNotExist(err) {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAuditIndexBuild measures the sidecar build rate: a full
-// scan-and-index of every sealed segment, reported in records/sec.
-func BenchmarkAuditIndexBuild(b *testing.B) {
-	dir, _ := benchJournal(b)
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		dropSidecars(b, dir)
-		eng, err := audit.Open(dir)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		if _, err := eng.BuildSidecars(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(benchN)*float64(b.N)/b.Elapsed().Seconds(), "records/s")
-}
-
-// templateQuery runs the key-filtered rollover listing both query
-// benchmarks time — the index's showcase query: two matching records
-// buried in a 100k-record journal.
-func templateQuery(b *testing.B, eng *audit.Engine, tmpl uint64) {
-	b.Helper()
-	it, err := eng.Run(audit.Query{
-		Tags:     []byte{walrec.TagHintRollover},
-		Template: tmpl, HasTemplate: true,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer it.Close()
-	matches := 0
-	for {
-		_, ok, err := it.Next()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		matches++
-	}
-	if matches != 2 {
-		b.Fatalf("query found %d rollovers, want 2", matches)
-	}
-}
-
-// BenchmarkAuditColdQuery measures the template-filtered query with no
-// sidecars on disk: every segment is scanned and indexed inline.
-func BenchmarkAuditColdQuery(b *testing.B) {
+// BenchmarkAuditKeyedQuery measures the key-filtered rollover listing:
+// two matching records buried in a 100k-record journal, found by the
+// per-record tag and key filters over a full scan.
+func BenchmarkAuditKeyedQuery(b *testing.B) {
 	dir, tmpl := benchJournal(b)
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		dropSidecars(b, dir)
-		eng, err := audit.Open(dir)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		templateQuery(b, eng, tmpl)
-	}
-}
-
-// BenchmarkAuditIndexedQuery measures the same query against prebuilt
-// sidecars loaded from disk by a fresh engine — the planner prunes the
-// non-matching segments instead of scanning them.
-func BenchmarkAuditIndexedQuery(b *testing.B) {
-	dir, tmpl := benchJournal(b)
-	warm, err := audit.Open(dir)
+	eng, err := audit.Open(dir)
 	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := warm.BuildSidecars(); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		eng, err := audit.Open(dir) // fresh engine: sidecars come from disk
+		st, err := eng.Run(audit.Query{
+			Tags:     []byte{walrec.TagHintRollover},
+			Template: tmpl, HasTemplate: true,
+		}, func(audit.Result) error { return nil })
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.StartTimer()
-		templateQuery(b, eng, tmpl)
+		if st.RecordsMatched != 2 {
+			b.Fatalf("query found %d rollovers, want 2", st.RecordsMatched)
+		}
 	}
 }
 
 // BenchmarkAuditAsOf measures a from-scratch point-in-time model
-// reconstruction over the full journal (no snapshot seed — the
-// worst case).
+// reconstruction (no snapshot seed — the worst case) as of the middle
+// of the journal, so the LSN bound is doing real work too.
 func BenchmarkAuditAsOf(b *testing.B) {
 	dir, _ := benchJournal(b)
 	segs, err := wal.Segments(dir)
 	if err != nil || len(segs) == 0 {
 		b.Fatalf("segments: %v", err)
 	}
-	eng, err := audit.Open(dir)
-	if err != nil {
-		b.Fatal(err)
-	}
-	// Reconstruct as of the middle of the journal so the LSN bound is
-	// doing real work too.
 	target := segs[len(segs)/2].FirstLSN
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := eng.AsOf(target, audit.AsOfOptions{TrainEvery: 256, Seed: 1})
+		res, err := serve.RecoverAsOf(wal.DirSource{Dir: dir}, "", target, 256, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(res.Snapshot) == 0 {
+		if len(saved(b, res.Service)) == 0 {
 			b.Fatal("empty reconstruction")
 		}
 	}

@@ -1,41 +1,27 @@
 package audit
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"os"
-	"sort"
-	"sync"
+	"slices"
 	"sync/atomic"
-	"time"
 
 	"qoadvisor/internal/wal"
 	"qoadvisor/internal/walrec"
 )
 
-// Engine is an embedded, read-only query engine over one journal
-// directory. It owns an in-memory sidecar cache (backed by the .idx
-// files beside the segments) and hands out streaming iterators; it
-// never opens the journal for writing, so it can run beside a live
-// WAL or over a copied directory. Safe for concurrent use.
+// Engine answers read-only queries over one journal directory. A query
+// is a filter over wal.DirSource's replay — the reader crash recovery
+// uses, with its one rule for a torn tail versus mid-log damage — so
+// the engine keeps nothing beside the journal and writes nothing: it
+// runs beside a live WAL or over a copied directory. Safe for
+// concurrent use; its only state is the cumulative counters.
 type Engine struct {
-	dir         string
-	sparseEvery int
+	dir string
 
-	mu       sync.Mutex
-	sidecars map[uint64]*sidecar // by segment index
-
-	// Cumulative counters across all queries (atomics; exported via
-	// Totals for the metrics surface).
-	totSegScanned   atomic.Int64
-	totSegSkipped   atomic.Int64
-	totRecScanned   atomic.Int64
-	totRecMatched   atomic.Int64
-	totSidecarBuilt atomic.Int64
-	totSidecarLoad  atomic.Int64
-	totSidecarRebu  atomic.Int64
-	totQueries      atomic.Int64
+	queries, segScanned, segSkipped, recScanned, recMatched atomic.Int64
 }
 
 // Open builds an engine over a journal directory. The directory must
@@ -48,44 +34,42 @@ func Open(dir string) (*Engine, error) {
 	if !st.IsDir() {
 		return nil, fmt.Errorf("audit: %s is not a directory", dir)
 	}
-	return &Engine{dir: dir, sparseEvery: DefaultSparseEvery, sidecars: make(map[uint64]*sidecar)}, nil
+	return &Engine{dir: dir}, nil
 }
 
-// Dir returns the journal directory the engine reads.
-func (e *Engine) Dir() string { return e.dir }
-
-// Totals snapshots the engine's cumulative counters.
+// Totals are the engine's cumulative counters across all queries.
 type Totals struct {
 	Queries         int64
 	SegmentsScanned int64
 	SegmentsSkipped int64
 	RecordsScanned  int64
 	RecordsMatched  int64
-	SidecarsBuilt   int64
-	SidecarsLoaded  int64
-	SidecarsRebuilt int64
 }
 
 // Totals reports the engine's lifetime counters.
 func (e *Engine) Totals() Totals {
 	return Totals{
-		Queries:         e.totQueries.Load(),
-		SegmentsScanned: e.totSegScanned.Load(),
-		SegmentsSkipped: e.totSegSkipped.Load(),
-		RecordsScanned:  e.totRecScanned.Load(),
-		RecordsMatched:  e.totRecMatched.Load(),
-		SidecarsBuilt:   e.totSidecarBuilt.Load(),
-		SidecarsLoaded:  e.totSidecarLoad.Load(),
-		SidecarsRebuilt: e.totSidecarRebu.Load(),
+		Queries:         e.queries.Load(),
+		SegmentsScanned: e.segScanned.Load(),
+		SegmentsSkipped: e.segSkipped.Load(),
+		RecordsScanned:  e.recScanned.Load(),
+		RecordsMatched:  e.recMatched.Load(),
 	}
 }
 
+// Count adds one journal pass to the totals. Run counts its own; the
+// as-of reconstruction, which replays through serve.RecoverAsOf rather
+// than Run, is counted by its caller.
+func (e *Engine) Count(st ScanStats) {
+	e.queries.Add(1)
+	e.segScanned.Add(st.SegmentsScanned)
+	e.segSkipped.Add(st.SegmentsSkipped)
+	e.recScanned.Add(st.RecordsScanned)
+	e.recMatched.Add(st.RecordsMatched)
+}
+
 // Query selects journal records. All clauses are conjunctive; zero
-// values mean "unbounded". Time bounds are segment-granular: the
-// journal stores no per-record timestamps, so a segment's modification
-// time bounds every record in it (records in segment i were written no
-// later than mtime(i) and no earlier than mtime(i-1)) — conservative,
-// never lossy.
+// values mean "unbounded".
 type Query struct {
 	// Tags restricts to these record types (empty = all).
 	Tags []byte
@@ -98,9 +82,7 @@ type Query struct {
 	EventID string
 	// FromLSN/ToLSN bound the LSN window inclusively (0 = unbounded).
 	FromLSN, ToLSN uint64
-	// Since/Until bound wall-clock time (zero = unbounded).
-	Since, Until time.Time
-	// Limit stops the iterator after this many matches (0 = unlimited).
+	// Limit stops the scan after this many matches (0 = unlimited).
 	Limit int
 }
 
@@ -115,408 +97,122 @@ func (q Query) key() (uint64, bool) {
 	return 0, false
 }
 
-// ScanStats counts what one query's iterator actually touched — the
-// observable proof that planning skipped work (segment skips are
-// attributed to the clause that pruned them).
+// ScanStats counts what one pass over the journal touched. Segments are
+// skipped on their headers alone: those wholly below the LSN window are
+// never opened, and the pass stops at the window's last record or the
+// row limit without opening the ones after it.
 type ScanStats struct {
 	SegmentsTotal   int64
 	SegmentsScanned int64
 	SegmentsSkipped int64
-	SkippedByLSN    int64
-	SkippedByTime   int64
-	SkippedByTag    int64
-	SkippedByKey    int64
-	RecordsScanned  int64 // frames read from disk
-	RecordsDecoded  int64 // payloads fully decoded
+	RecordsScanned  int64 // records read inside the LSN window
 	RecordsMatched  int64 // results delivered
-	SidecarsBuilt   int64
-	SidecarsLoaded  int64
-	SidecarsRebuilt int64
 	// Truncated reports a torn tail on the final segment (crash
 	// artifact): the scan ended cleanly just before it.
 	Truncated bool
 }
 
+// ScanOf renders a replay pass as scan counters.
+func ScanOf(info wal.ReplayInfo, matched int64) ScanStats {
+	return ScanStats{
+		SegmentsTotal:   int64(info.Segments),
+		SegmentsScanned: int64(info.SegmentsRead),
+		SegmentsSkipped: int64(info.Segments - info.SegmentsRead),
+		RecordsScanned:  info.Records,
+		RecordsMatched:  matched,
+		Truncated:       info.Truncated,
+	}
+}
+
+// add accumulates one pass's counters into a multi-pass total.
+func (s *ScanStats) add(o ScanStats) {
+	s.SegmentsTotal += o.SegmentsTotal
+	s.SegmentsScanned += o.SegmentsScanned
+	s.SegmentsSkipped += o.SegmentsSkipped
+	s.RecordsScanned += o.RecordsScanned
+	s.RecordsMatched += o.RecordsMatched
+	s.Truncated = s.Truncated || o.Truncated
+}
+
 // Result is one matching record. Raw is the record's wire payload,
-// valid only until the next call to Next — copy it to keep it.
+// valid only for the duration of the callback — copy it to keep it.
 type Result struct {
 	LSN uint64
 	Rec walrec.Record
 	Raw []byte
 }
 
-// Iter streams query results in LSN order. Not safe for concurrent
-// use. Close releases the open segment, if any.
-type Iter struct {
-	e     *Engine
-	q     Query
-	key   uint64
-	hasK  bool
-	segs  []wal.SegmentInfo
-	cur   int // next segment to open
-	sr    *wal.SegmentReader
-	last  bool // sr is the final segment
-	stats ScanStats
-	done  bool
-	nkeys []uint64 // scratch for AppendKeys
+// filter is one query's per-record clauses with the membership key
+// hashed once and the AppendKeys scratch kept across records.
+type filter struct {
+	Query
+	key    uint64
+	hasKey bool
+	keys   []uint64
 }
 
-// Run opens a streaming iterator for q. The segment list is fixed at
-// call time; records appended afterwards are not observed.
-func (e *Engine) Run(q Query) (*Iter, error) {
-	segs, err := wal.Segments(e.dir)
-	if err != nil {
-		return nil, err
+// match applies the clauses cheapest first: the tag byte, the membership
+// keys read off the payload, then a full decode.
+func (f *filter) match(lsn uint64, payload []byte) (Result, bool) {
+	if len(f.Tags) > 0 && bytes.IndexByte(f.Tags, payload[0]) < 0 {
+		return Result{}, false
 	}
-	e.totQueries.Add(1)
-	it := &Iter{e: e, q: q, segs: segs}
-	it.key, it.hasK = q.key()
-	it.stats.SegmentsTotal = int64(len(segs))
-	return it, nil
-}
-
-// Next returns the next match. ok=false means the stream is exhausted
-// (check err: nil for a clean end — including a skipped torn tail on
-// the final segment, reported in Stats().Truncated — non-nil for
-// mid-log damage or I/O failure).
-func (it *Iter) Next() (Result, bool, error) {
-	if it.done {
-		return Result{}, false, nil
-	}
-	for {
-		if it.q.Limit > 0 && it.stats.RecordsMatched >= int64(it.q.Limit) {
-			it.finish()
-			return Result{}, false, nil
-		}
-		if it.sr == nil {
-			if !it.advance() {
-				it.finish()
-				return Result{}, false, nil
-			}
-		}
-		lsn, payload, err := it.sr.Next()
-		if err != nil {
-			it.sr.Close()
-			it.sr = nil
-			if errors.Is(err, io.EOF) {
-				continue // next segment
-			}
-			if wal.IsCorruptRecord(err) && it.last {
-				// Torn tail on the final segment: the crash artifact the
-				// journal's own recovery also skips.
-				it.stats.Truncated = true
-				it.finish()
-				return Result{}, false, nil
-			}
-			it.finish()
-			return Result{}, false, fmt.Errorf("audit: segment damaged mid-log: %w", err)
-		}
-		it.stats.RecordsScanned++
-		if it.q.ToLSN != 0 && lsn > it.q.ToLSN {
-			// Records are LSN-dense and ascending: nothing later matches.
-			it.sr.Close()
-			it.sr = nil
-			it.finish()
-			return Result{}, false, nil
-		}
-		if lsn < it.q.FromLSN {
-			continue
-		}
-		if len(it.q.Tags) > 0 && len(payload) > 0 && !tagIn(it.q.Tags, payload[0]) {
-			continue
-		}
-		if it.hasK {
-			it.nkeys = it.nkeys[:0]
-			keys, err := walrec.AppendKeys(it.nkeys, payload)
-			if err != nil {
-				continue // unknown/malformed records carry no keys
-			}
-			it.nkeys = keys
-			if !containsKey(keys, it.key) {
-				continue
-			}
-		}
-		rec, err := walrec.Decode(payload)
-		if err != nil {
-			if len(it.q.Tags) == 0 && !it.hasK {
-				// Unfiltered listing: surface unknown tags as opaque rows
-				// rather than hiding them.
-				it.stats.RecordsDecoded++
-				it.stats.RecordsMatched++
-				it.e.totRecMatched.Add(1)
-				return Result{LSN: lsn, Rec: walrec.Record{Tag: payload[0]}, Raw: payload}, true, nil
-			}
-			continue
-		}
-		it.stats.RecordsDecoded++
-		// Hashed event-ID keys can collide: verify exactly on the
-		// decoded record.
-		if it.q.EventID != "" && !recordMentionsEvent(rec, it.q.EventID) {
-			continue
-		}
-		it.stats.RecordsMatched++
-		it.e.totRecMatched.Add(1)
-		return Result{LSN: lsn, Rec: rec, Raw: payload}, true, nil
-	}
-}
-
-// Stats reports what the iterator touched so far (final after Next
-// returns ok=false).
-func (it *Iter) Stats() ScanStats { return it.stats }
-
-// Close releases the iterator's open segment.
-func (it *Iter) Close() {
-	if it.sr != nil {
-		it.sr.Close()
-		it.sr = nil
-	}
-	it.done = true
-}
-
-func (it *Iter) finish() {
-	it.done = true
-	it.e.totRecScanned.Add(it.stats.RecordsScanned)
-	it.e.totSegScanned.Add(it.stats.SegmentsScanned)
-	it.e.totSegSkipped.Add(it.stats.SegmentsSkipped)
-}
-
-// advance plans and opens the next segment worth scanning; false means
-// no segments remain. This is the greedy clause-at-a-time step: for
-// each candidate segment the prune predicates run cheapest-first (LSN
-// bounds from the directory scan alone, then wall-clock bounds, then
-// the sidecar's tag counts and key membership ordered by their
-// estimated selectivity), and the first predicate that proves the
-// segment empty skips it without touching its bytes.
-func (it *Iter) advance() bool {
-	for it.cur < len(it.segs) {
-		i := it.cur
-		it.cur++
-		seg := it.segs[i]
-		last := i == len(it.segs)-1
-
-		// Upper LSN bound for the segment: the next segment's first LSN
-		// pins it exactly and for free; otherwise the sidecar's record
-		// count does (when one is consulted).
-		var segLast uint64 // 0 = unknown
-		if !last {
-			if next := it.segs[i+1].FirstLSN; next > seg.FirstLSN {
-				segLast = next - 1
-			}
-		}
-
-		// Clause 1 — LSN window (no I/O at all).
-		if it.q.ToLSN != 0 && seg.FirstLSN > it.q.ToLSN {
-			// Everything from here on starts above the window.
-			n := int64(len(it.segs) - i)
-			it.stats.SegmentsSkipped += n
-			it.stats.SkippedByLSN += n
-			it.cur = len(it.segs)
-			return false
-		}
-		if it.q.FromLSN != 0 && segLast != 0 && segLast < it.q.FromLSN {
-			it.stats.SegmentsSkipped++
-			it.stats.SkippedByLSN++
-			continue
-		}
-
-		// Clause 2 — wall-clock window (one stat; segment-granular).
-		if !it.q.Since.IsZero() || !it.q.Until.IsZero() {
-			st, err := os.Stat(seg.Path)
-			if err == nil {
-				// All records in the segment were written by mtime; records
-				// after the previous segment's mtime.
-				if !it.q.Since.IsZero() && st.ModTime().Before(it.q.Since) {
-					it.stats.SegmentsSkipped++
-					it.stats.SkippedByTime++
-					continue
-				}
-				if !it.q.Until.IsZero() && i > 0 {
-					if pst, perr := os.Stat(it.segs[i-1].Path); perr == nil && pst.ModTime().After(it.q.Until) {
-						it.stats.SegmentsSkipped++
-						it.stats.SkippedByTime++
-						continue
-					}
-				}
-			}
-		}
-
-		// Clauses 3/4 — sidecar-backed membership, ordered greedily by
-		// estimated selectivity (fewest estimated matches first, so the
-		// likeliest pruner runs first).
-		needTag := len(it.q.Tags) > 0
-		needKey := it.hasK
-		var sc *sidecar
-		if needTag || needKey || (it.q.FromLSN > seg.FirstLSN) {
-			sc = it.e.sidecarFor(seg, last, &it.stats)
-		}
-		if sc != nil && (needTag || needKey) {
-			type clause struct {
-				est   uint64
-				prune func() bool // true = segment provably empty
-				blame *int64
-			}
-			var clauses []clause
-			if needTag {
-				var est uint64
-				for _, t := range it.q.Tags {
-					est += sc.tagCounts[t]
-				}
-				clauses = append(clauses, clause{est: est, blame: &it.stats.SkippedByTag, prune: func() bool {
-					return est == 0
-				}})
-			}
-			if needKey {
-				est := sc.sketch.estimate(it.key)
-				key := it.key
-				clauses = append(clauses, clause{est: est, blame: &it.stats.SkippedByKey, prune: func() bool {
-					return !sc.filter.mayContain(key)
-				}})
-			}
-			sort.SliceStable(clauses, func(a, b int) bool { return clauses[a].est < clauses[b].est })
-			pruned := false
-			for _, c := range clauses {
-				if c.prune() {
-					it.stats.SegmentsSkipped++
-					*c.blame++
-					pruned = true
-					break
-				}
-			}
-			if pruned {
-				continue
-			}
-		}
-		if sc != nil && it.q.FromLSN != 0 && segLast == 0 && sc.records > 0 && sc.lastLSN() < it.q.FromLSN && sc.segBytes == segSize(seg.Path) {
-			// Final segment, sidecar fresh: its record count bounds the LSNs.
-			it.stats.SegmentsSkipped++
-			it.stats.SkippedByLSN++
-			continue
-		}
-
-		// Scan it — seeking through the sparse index when the window
-		// starts past the segment's first record.
-		var sr *wal.SegmentReader
+	if f.hasKey {
 		var err error
-		if sc != nil && it.q.FromLSN > seg.FirstLSN {
-			off, lsn := sc.seek(it.q.FromLSN)
-			if off > 0 {
-				sr, err = wal.OpenSegmentAt(seg, off, lsn)
+		if f.keys, err = walrec.AppendKeys(f.keys[:0], payload); err != nil || !slices.Contains(f.keys, f.key) {
+			return Result{}, false // unknown/malformed records carry no keys
+		}
+	}
+	rec, err := walrec.Decode(payload)
+	if err != nil {
+		// Unfiltered listing: surface unknown tags as opaque rows rather
+		// than hiding them.
+		return Result{LSN: lsn, Rec: walrec.Record{Tag: payload[0]}, Raw: payload}, len(f.Tags) == 0 && !f.hasKey
+	}
+	// Hashed event-ID keys can collide: verify exactly on the decoded
+	// record.
+	if f.EventID != "" && !recordMentionsEvent(rec, f.EventID) {
+		return Result{}, false
+	}
+	return Result{LSN: lsn, Rec: rec, Raw: payload}, true
+}
+
+// errStop ends a replay pass at the LSN window's end or the row limit.
+var errStop = errors.New("audit: scan complete")
+
+// Run streams the records matching q to fn in LSN order. The segment
+// list is read at call time; records appended afterwards may or may not
+// be observed. A torn tail on the final segment ends the scan cleanly
+// (ScanStats.Truncated); damage before it, an unreadable segment, or an
+// error from fn ends it with that error.
+func (e *Engine) Run(q Query, fn func(Result) error) (ScanStats, error) {
+	var matched int64
+	f := filter{Query: q}
+	f.key, f.hasKey = q.key()
+	info, err := wal.DirSource{Dir: e.dir}.Replay(max(q.FromLSN, 1)-1, func(lsn uint64, payload []byte) error {
+		// Records are LSN-dense and ascending: nothing past ToLSN matches.
+		if q.ToLSN != 0 && lsn > q.ToLSN {
+			return errStop
+		}
+		if res, ok := f.match(lsn, payload); ok {
+			if err := fn(res); err != nil {
+				return err
+			}
+			if matched++; matched == int64(q.Limit) {
+				return errStop
 			}
 		}
-		if sr == nil && err == nil {
-			sr, err = wal.OpenSegment(seg)
+		if lsn == q.ToLSN {
+			return errStop
 		}
-		if err != nil {
-			// The segment vanished (compacted mid-query) or is unreadable:
-			// surface it — silently skipping would fake a complete answer.
-			it.stats.SegmentsSkipped++
-			continue
-		}
-		it.stats.SegmentsScanned++
-		it.sr = sr
-		it.last = last
-		return true
-	}
-	return false
-}
-
-// sidecarFor returns the segment's sidecar, from cache, disk, or a
-// fresh build — or nil when the segment cannot be indexed right now
-// (scans proceed unindexed). Freshness is re-checked against the file
-// on every cache hit, so an active segment that grew is re-indexed
-// rather than trusted.
-func (e *Engine) sidecarFor(seg wal.SegmentInfo, active bool, stats *ScanStats) *sidecar {
-	size := segSize(seg.Path)
-	if size < 0 {
 		return nil
+	})
+	if errors.Is(err, errStop) {
+		err = nil
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if sc, ok := e.sidecars[seg.Index]; ok {
-		if sc.segBytes == size && sc.firstLSN == seg.FirstLSN {
-			return sc
-		}
-		delete(e.sidecars, seg.Index) // stale (segment grew or was replaced)
-	}
-	hadFile := false
-	if sc, err := loadSidecar(seg); err == nil {
-		e.sidecars[seg.Index] = sc
-		stats.SidecarsLoaded++
-		e.totSidecarLoad.Add(1)
-		return sc
-	} else if !errors.Is(err, os.ErrNotExist) {
-		hadFile = true // present but stale/corrupt: rebuild, never trust
-	}
-	sc, _, err := buildSidecar(seg, e.sparseEvery)
-	if err != nil {
-		return nil
-	}
-	e.sidecars[seg.Index] = sc
-	stats.SidecarsBuilt++
-	e.totSidecarBuilt.Add(1)
-	if hadFile {
-		stats.SidecarsRebuilt++
-		e.totSidecarRebu.Add(1)
-	}
-	// Persist for the next process; failure (read-only dir) is fine —
-	// the in-memory copy serves this one.
-	if !active {
-		writeSidecar(seg, sc)
-	}
-	return sc
-}
-
-// BuildSidecars eagerly indexes every sealed segment (all but the
-// last) — the checkpoint-time hook, so steady-state queries never pay
-// the lazy first-scan build. Returns how many sidecars were built.
-func (e *Engine) BuildSidecars() (int, error) {
-	segs, err := wal.Segments(e.dir)
-	if err != nil {
-		return 0, err
-	}
-	var stats ScanStats
-	built := 0
-	for i, seg := range segs {
-		if i == len(segs)-1 {
-			break // active segment: still growing, index would go stale
-		}
-		before := stats.SidecarsBuilt
-		if e.sidecarFor(seg, false, &stats) == nil {
-			continue
-		}
-		if stats.SidecarsBuilt > before {
-			built++
-		}
-	}
-	return built, nil
-}
-
-func segSize(path string) int64 {
-	st, err := os.Stat(path)
-	if err != nil {
-		return -1
-	}
-	return st.Size()
-}
-
-func isEOF(err error) bool { return errors.Is(err, io.EOF) }
-
-func tagIn(tags []byte, t byte) bool {
-	for _, x := range tags {
-		if x == t {
-			return true
-		}
-	}
-	return false
-}
-
-func containsKey(keys []uint64, k uint64) bool {
-	for _, x := range keys {
-		if x == k {
-			return true
-		}
-	}
-	return false
+	st := ScanOf(info, matched)
+	e.Count(st)
+	return st, err
 }
 
 // recordMentionsEvent verifies an event-ID match exactly on the

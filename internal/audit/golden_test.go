@@ -16,7 +16,9 @@ import (
 	"qoadvisor/internal/audit"
 	"qoadvisor/internal/drift"
 	"qoadvisor/internal/rules"
+	"qoadvisor/internal/serve"
 	"qoadvisor/internal/sis"
+	"qoadvisor/internal/wal"
 	"qoadvisor/internal/walrec"
 )
 
@@ -54,22 +56,18 @@ func (g *goldenOut) section(name string, rows []string) {
 // counters go to stderr there and are left out here).
 func recordRows(t *testing.T, eng *audit.Engine, q audit.Query) []string {
 	t.Helper()
-	it, err := eng.Run(q)
-	if err != nil {
+	var rows []string
+	if _, err := eng.Run(q, func(res audit.Result) error {
+		rows = append(rows, recordRow(res.LSN, res.Rec, res.Raw))
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
-	defer it.Close()
-	var rows []string
-	for {
-		res, ok, err := it.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			return rows
-		}
-		rows = append(rows, fmt.Sprintf("%10d  %-13s %s", res.LSN, walrec.Name(res.Rec.Tag), audit.Summary(res)))
-	}
+	return rows
+}
+
+func recordRow(lsn uint64, rec walrec.Record, raw []byte) string {
+	return fmt.Sprintf("%10d  %-13s %s", lsn, walrec.Name(rec.Tag), audit.Summary(audit.Result{LSN: lsn, Rec: rec, Raw: raw}))
 }
 
 func decisionRows(t *testing.T, eng *audit.Engine, event string) []string {
@@ -135,18 +133,14 @@ func templateRows(t *testing.T, eng *audit.Engine, hash uint64) []string {
 // (empty: from the journal's first record), in the snapshot file format.
 func asOfSnapshot(t *testing.T, dir, snapshot string, lsn uint64) []byte {
 	t.Helper()
-	eng, err := audit.Open(dir)
+	res, err := serve.RecoverAsOf(wal.DirSource{Dir: dir}, snapshot, lsn, asOfTrainEvery, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := eng.AsOf(lsn, audit.AsOfOptions{SnapshotPath: snapshot, TrainEvery: asOfTrainEvery, Seed: asOfSeed})
-	if err != nil {
-		t.Fatal(err)
+	if (snapshot != "") != res.SnapshotLoaded {
+		t.Fatalf("as-of(%d) with snapshot %q: seeded=%v", lsn, snapshot, res.SnapshotLoaded)
 	}
-	if (snapshot != "") != res.SnapshotSeeded {
-		t.Fatalf("as-of(%d) with snapshot %q: seeded=%v", lsn, snapshot, res.SnapshotSeeded)
-	}
-	return res.Snapshot
+	return saved(t, res.Service)
 }
 
 // scrubbed renders rows with the event-ID nonce replaced.
@@ -162,10 +156,10 @@ func scrubbed(rows []string) []string {
 // `decision`, `template`, and the as-of model digest at every
 // checkpointed LSN — over two journals: the scripted live rig (real
 // HTTP traffic, hint rollovers, three checkpoint barriers) and the
-// 100k-record multi-segment fixture. The file was generated before the
-// index sidecars and the second reconstruction were deleted; that
-// change, and any later one to the read path, must leave it byte for
-// byte. Regenerate with `go test -run TestQueriesGolden ./internal/audit
+// 100k-record multi-segment fixture. The file was generated while the
+// engine still kept a derived index beside the journal and its own copy
+// of the recovery fold; deleting both, and any later change to the read
+// path, must leave it byte for byte. Regenerate with `go test -run TestQueriesGolden ./internal/audit
 // -update` only when an answer is meant to move.
 func TestQueriesGolden(t *testing.T) {
 	var g goldenOut

@@ -2,15 +2,17 @@ package audit
 
 import (
 	"fmt"
+	"slices"
 
 	"qoadvisor/internal/walrec"
 )
 
-// The canned queries answer the three explainability questions the
-// roadmap names: the decision trace for an event ("why did job X get
-// flip Y" — what was ranked, what rewards came back, when it
-// trained), the as-of belief at an LSN (AsOf, in asof.go), and the
-// flip/quarantine lineage of a template's steering history.
+// The canned queries answer two of the three explainability questions
+// the roadmap names: the decision trace for an event ("why did job X
+// get flip Y" — what was ranked, what rewards came back, when it
+// trained) and the flip/quarantine lineage of a template's steering
+// history. The third, the as-of belief at an LSN, is recovery with an
+// upper bound: serve.RecoverAsOf.
 
 // TraceReward is one reward observed for the traced event.
 type TraceReward struct {
@@ -47,7 +49,7 @@ type DecisionTrace struct {
 	Lineage []LineageReward
 	// LineageTruncated reports that the cap cut the lineage short.
 	LineageTruncated bool
-	// Scan aggregates the iterator counters across the trace's passes.
+	// Scan aggregates the scan counters across the trace's passes.
 	Scan ScanStats
 }
 
@@ -59,24 +61,18 @@ const maxLineage = 64
 // the reward lineage of the weights it was scored with.
 func (e *Engine) Trace(eventID string) (*DecisionTrace, error) {
 	tr := &DecisionTrace{EventID: eventID}
+	// pass runs one query and folds its counters into the trace's.
+	pass := func(q Query, fn func(Result) error) error {
+		st, err := e.Run(q, fn)
+		tr.Scan.add(st)
+		return err
+	}
 
-	// Pass 1 — the event's own records (bloom-pruned by event key).
-	it, err := e.Run(Query{
+	// Pass 1 — the event's own records.
+	err := pass(Query{
 		Tags:    []byte{walrec.TagRank, walrec.TagRewardBatch},
 		EventID: eventID,
-	})
-	if err != nil {
-		return nil, err
-	}
-	for {
-		r, ok, err := it.Next()
-		if err != nil {
-			it.Close()
-			return nil, err
-		}
-		if !ok {
-			break
-		}
+	}, func(r Result) error {
 		switch r.Rec.Tag {
 		case walrec.TagRank:
 			if tr.Rank == nil { // event IDs are unique; keep the first
@@ -91,9 +87,11 @@ func (e *Engine) Trace(eventID string) (*DecisionTrace, error) {
 				}
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	addStats(&tr.Scan, it.Stats())
-	it.Close()
 	if tr.Rank == nil {
 		return tr, nil // unknown event: empty trace, not an error
 	}
@@ -101,87 +99,54 @@ func (e *Engine) Trace(eventID string) (*DecisionTrace, error) {
 	// Pass 2 — the training boundary that absorbed the last reward.
 	if len(tr.Rewards) > 0 {
 		last := tr.Rewards[len(tr.Rewards)-1].LSN
-		it, err = e.Run(Query{Tags: []byte{walrec.TagTrainMark}, FromLSN: last + 1, Limit: 1})
-		if err != nil {
-			return nil, err
-		}
-		r, ok, err := it.Next()
-		if err != nil {
-			it.Close()
-			return nil, err
-		}
-		if ok {
+		err := pass(Query{Tags: []byte{walrec.TagTrainMark}, FromLSN: last + 1, Limit: 1}, func(r Result) error {
 			tr.TrainedAtLSN = r.LSN
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
-		addStats(&tr.Scan, it.Stats())
-		it.Close()
 	}
 
 	// Pass 3 — reward lineage: rank records BEFORE this decision that
-	// share an action feature, then those events' rewards (still before
+	// share an action feature, and those events' rewards (still before
 	// this decision — later ones trained weights this decision never
-	// saw). Memory stays bounded by keeping only the newest candidates.
-	if tr.RankLSN > 1 {
-		actSet := make(map[uint64]struct{}, len(tr.Rank.ActIDs))
-		for _, id := range tr.Rank.ActIDs {
-			actSet[id] = struct{}{}
-		}
-		related := make(map[string]struct{})
-		it, err = e.Run(Query{Tags: []byte{walrec.TagRank}, ToLSN: tr.RankLSN - 1})
-		if err != nil {
-			return nil, err
-		}
-		for {
-			r, ok, err := it.Next()
-			if err != nil {
-				it.Close()
-				return nil, err
-			}
-			if !ok {
-				break
-			}
+	// saw). One pass does both: a reward follows its rank in the journal.
+	if tr.RankLSN <= 1 {
+		return tr, nil
+	}
+	actSet := make(map[uint64]struct{}, len(tr.Rank.ActIDs))
+	for _, id := range tr.Rank.ActIDs {
+		actSet[id] = struct{}{}
+	}
+	related := make(map[string]struct{})
+	err = pass(Query{Tags: []byte{walrec.TagRank, walrec.TagRewardBatch}, ToLSN: tr.RankLSN - 1}, func(r Result) error {
+		switch r.Rec.Tag {
+		case walrec.TagRank:
 			for _, id := range r.Rec.Rank.ActIDs {
 				if _, hit := actSet[id]; hit {
 					related[r.Rec.Rank.EventID] = struct{}{}
 					break
 				}
 			}
-		}
-		addStats(&tr.Scan, it.Stats())
-		it.Close()
-
-		if len(related) > 0 {
-			it, err = e.Run(Query{Tags: []byte{walrec.TagRewardBatch}, ToLSN: tr.RankLSN - 1})
-			if err != nil {
-				return nil, err
-			}
-			for {
-				r, ok, err := it.Next()
-				if err != nil {
-					it.Close()
-					return nil, err
+		case walrec.TagRewardBatch:
+			for _, entry := range r.Rec.RewardBatch {
+				if _, hit := related[entry.EventID]; hit {
+					tr.Lineage = append(tr.Lineage, LineageReward{LSN: r.LSN, EventID: entry.EventID, Value: entry.Value})
 				}
-				if !ok {
-					break
-				}
-				for _, entry := range r.Rec.RewardBatch {
-					if _, hit := related[entry.EventID]; hit {
-						tr.Lineage = append(tr.Lineage, LineageReward{LSN: r.LSN, EventID: entry.EventID, Value: entry.Value})
-					}
-				}
-			}
-			addStats(&tr.Scan, it.Stats())
-			it.Close()
-			// Newest first, capped: the most recent observations dominate
-			// the weights anyway.
-			for i, j := 0, len(tr.Lineage)-1; i < j; i, j = i+1, j-1 {
-				tr.Lineage[i], tr.Lineage[j] = tr.Lineage[j], tr.Lineage[i]
-			}
-			if len(tr.Lineage) > maxLineage {
-				tr.Lineage = tr.Lineage[:maxLineage]
-				tr.LineageTruncated = true
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	// Newest first, capped: the most recent observations dominate the
+	// weights anyway.
+	slices.Reverse(tr.Lineage)
+	if len(tr.Lineage) > maxLineage {
+		tr.Lineage = tr.Lineage[:maxLineage]
+		tr.LineageTruncated = true
 	}
 	return tr, nil
 }
@@ -220,31 +185,18 @@ type TemplateHistory struct {
 // (checkpoint re-journals) are collapsed to the first occurrence.
 func (e *Engine) Template(hash uint64) (*TemplateHistory, error) {
 	th := &TemplateHistory{TemplateHash: hash}
-	// Tag filter only — no template key. A removal is proven by a
-	// rollover that does NOT carry the hash, and the key filter (bloom
-	// included) would prune exactly those records. Tag-based segment
-	// skipping still prunes segments with no table records at all.
-	it, err := e.Run(Query{
-		Tags: []byte{walrec.TagHintRollover, walrec.TagQuarantine},
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer it.Close()
-
 	var lastFlip string
 	var lastDay int
 	haveHint := false
 	var lastState byte
 	haveQuar := false
-	for {
-		r, ok, err := it.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			break
-		}
+	// Tag filter only — no template key: a removal is proven by a
+	// rollover that does NOT carry the hash, which a key filter would
+	// drop.
+	var err error
+	th.Scan, err = e.Run(Query{
+		Tags: []byte{walrec.TagHintRollover, walrec.TagQuarantine},
+	}, func(r Result) error {
 		switch r.Rec.Tag {
 		case walrec.TagHintRollover:
 			th.Rollovers++
@@ -280,27 +232,12 @@ func (e *Engine) Template(hash uint64) (*TemplateHistory, error) {
 				haveQuar = false
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	th.Scan = it.Stats()
 	return th, nil
-}
-
-// addStats accumulates one pass's counters into a multi-pass total.
-func addStats(dst *ScanStats, s ScanStats) {
-	dst.SegmentsTotal += s.SegmentsTotal
-	dst.SegmentsScanned += s.SegmentsScanned
-	dst.SegmentsSkipped += s.SegmentsSkipped
-	dst.SkippedByLSN += s.SkippedByLSN
-	dst.SkippedByTime += s.SkippedByTime
-	dst.SkippedByTag += s.SkippedByTag
-	dst.SkippedByKey += s.SkippedByKey
-	dst.RecordsScanned += s.RecordsScanned
-	dst.RecordsDecoded += s.RecordsDecoded
-	dst.RecordsMatched += s.RecordsMatched
-	dst.SidecarsBuilt += s.SidecarsBuilt
-	dst.SidecarsLoaded += s.SidecarsLoaded
-	dst.SidecarsRebuilt += s.SidecarsRebuilt
-	dst.Truncated = dst.Truncated || s.Truncated
 }
 
 // Summary renders a one-line human description of a decoded record —

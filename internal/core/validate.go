@@ -115,6 +115,3 @@ func (v *Validator) Accept(pnObserved, readDelta, writtenDelta float64) bool {
 
 // Model exposes the fitted model for reporting (nil if untrained).
 func (v *Validator) Model() *regression.Linear { return v.model }
-
-// Samples exposes the gathered dataset (shared slice; do not modify).
-func (v *Validator) Samples() []regression.Sample { return v.samples }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"math/rand"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -265,14 +264,4 @@ func errCode(err error) string {
 		return apiErr.Code
 	}
 	return "transport"
-}
-
-// ErrorCodes returns the tally's keys sorted, for stable reports.
-func (r Result) ErrorCodes() []string {
-	codes := make([]string, 0, len(r.Errors))
-	for c := range r.Errors {
-		codes = append(codes, c)
-	}
-	sort.Strings(codes)
-	return codes
 }

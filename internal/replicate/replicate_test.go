@@ -354,9 +354,9 @@ func TestFollowerResyncAfterGap(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// first == 0 is an empty retained window: everything was compacted,
-	// which is past the parked position too.
-	if first := p.j.FirstLSN(); first != 0 && first <= 2 {
+	// (An empty retained window — everything compacted — starts past the
+	// parked position too: Window reports it as LastLSN+1.)
+	if first, _ := p.j.Window(); first <= 2 {
 		t.Fatalf("compaction did not advance the retained window (first=%d); test is vacuous", first)
 	}
 	_ = rewound

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"net/http"
@@ -12,14 +13,15 @@ import (
 	"qoadvisor/internal/audit"
 	"qoadvisor/internal/drift"
 	"qoadvisor/internal/obs"
+	"qoadvisor/internal/wal"
 	"qoadvisor/internal/walrec"
 )
 
 // The /v2/audit surface is the online face of the journal-audit
 // engine: read-only queries over the server's own WAL directory. The
-// engine opens lazily on the first audit request (or at the first
-// checkpoint, which prebuilds index sidecars for sealed segments) and
-// shares its sidecar cache across requests.
+// engine holds nothing but its counters; it opens on the first audit
+// request, and the audit stats block, metric families and audit_query
+// stage appear with it.
 
 // auditLimitDefault/auditLimitMax bound the /v2/audit/records listing.
 const (
@@ -33,30 +35,20 @@ func (s *Server) auditEngine() (*audit.Engine, error) {
 	if s.wal == nil {
 		return nil, api.Errorf(api.CodeWALDisabled, "this server runs without a WAL; nothing to audit")
 	}
-	s.auditMu.Lock()
-	defer s.auditMu.Unlock()
-	if s.auditEng == nil {
+	if s.auditEng.Load() == nil {
 		eng, err := audit.Open(s.wal.Dir())
 		if err != nil {
 			return nil, err
 		}
-		s.auditEng = eng
+		// Two first requests may race here; either's engine will do.
+		s.auditEng.CompareAndSwap(nil, eng)
 	}
-	return s.auditEng, nil
-}
-
-// openAuditEngine returns the audit engine if a query or checkpoint has
-// opened it, nil before — the audit stats block, metric families and
-// audit_query stage all appear only once it exists.
-func (s *Server) openAuditEngine() *audit.Engine {
-	s.auditMu.Lock()
-	defer s.auditMu.Unlock()
-	return s.auditEng
+	return s.auditEng.Load(), nil
 }
 
 // auditStats snapshots the engine's counters for /v2/stats.
 func (s *Server) auditStats() *api.AuditStats {
-	eng := s.openAuditEngine()
+	eng := s.auditEng.Load()
 	if eng == nil {
 		return nil
 	}
@@ -66,51 +58,32 @@ func (s *Server) auditStats() *api.AuditStats {
 		SegmentsScanned: t.SegmentsScanned,
 		SegmentsSkipped: t.SegmentsSkipped,
 		RecordsScanned:  t.RecordsScanned,
-		SidecarsBuilt:   t.SidecarsBuilt,
-		SidecarsLoaded:  t.SidecarsLoaded,
-		SidecarsRebuilt: t.SidecarsRebuilt,
 	}
 }
 
 // collectAuditMetrics contributes the qoserved_audit_* families to
 // /metrics once the engine exists.
 func (s *Server) collectAuditMetrics(e *obs.Exposition) {
-	eng := s.openAuditEngine()
+	eng := s.auditEng.Load()
 	if eng == nil {
 		return
 	}
 	t := eng.Totals()
 	e.Counter("qoserved_audit_queries_total", "Audit queries served.", nil, float64(t.Queries))
 	e.Counter("qoserved_audit_segments_scanned_total", "Journal segments scanned by audit queries.", nil, float64(t.SegmentsScanned))
-	e.Counter("qoserved_audit_segments_skipped_total", "Journal segments pruned by audit query planning.", nil, float64(t.SegmentsSkipped))
+	e.Counter("qoserved_audit_segments_skipped_total", "Journal segments outside an audit query's LSN window, never opened.", nil, float64(t.SegmentsSkipped))
 	e.Counter("qoserved_audit_records_scanned_total", "Journal records scanned by audit queries.", nil, float64(t.RecordsScanned))
 	e.Counter("qoserved_audit_records_matched_total", "Journal records matched by audit queries.", nil, float64(t.RecordsMatched))
-	e.Counter("qoserved_audit_sidecars_built_total", "Index sidecars built from segment scans.", nil, float64(t.SidecarsBuilt))
-	e.Counter("qoserved_audit_sidecars_loaded_total", "Index sidecars loaded from disk.", nil, float64(t.SidecarsLoaded))
-	e.Counter("qoserved_audit_sidecars_rebuilt_total", "Index sidecars rejected by validation and rebuilt.", nil, float64(t.SidecarsRebuilt))
 }
 
-// buildAuditSidecars is the checkpoint hook: prebuild index sidecars
-// for sealed segments so the first audit query after a checkpoint does
-// not pay the indexing scan. Best-effort — sidecars are derived data.
-func (s *Server) buildAuditSidecars() {
-	eng, err := s.auditEngine()
-	if err != nil {
-		return
-	}
-	eng.BuildSidecars()
-}
-
-// auditScanStats converts engine counters to the wire form.
+// auditScanStats converts engine counters to the wire form. Segments
+// are only ever skipped by the LSN window.
 func auditScanStats(st audit.ScanStats) api.AuditScanStats {
 	return api.AuditScanStats{
 		SegmentsTotal:   st.SegmentsTotal,
 		SegmentsScanned: st.SegmentsScanned,
 		SegmentsSkipped: st.SegmentsSkipped,
-		SkippedByLSN:    st.SkippedByLSN,
-		SkippedByTime:   st.SkippedByTime,
-		SkippedByTag:    st.SkippedByTag,
-		SkippedByKey:    st.SkippedByKey,
+		SkippedByLSN:    st.SegmentsSkipped,
 		RecordsScanned:  st.RecordsScanned,
 		RecordsMatched:  st.RecordsMatched,
 		Truncated:       st.Truncated,
@@ -198,22 +171,8 @@ func (h *httpLayer) handleAuditRecords(w http.ResponseWriter, r *http.Request) {
 		q.Limit = min(n, auditLimitMax)
 	}
 
-	it, err := eng.Run(q)
-	if err != nil {
-		writeError(w, rid, toAPIError(err))
-		return
-	}
-	defer it.Close()
 	resp := api.AuditRecordsResponse{RequestID: rid, Records: []api.AuditRecord{}}
-	for {
-		res, ok, err := it.Next()
-		if err != nil {
-			writeError(w, rid, toAPIError(err))
-			return
-		}
-		if !ok {
-			break
-		}
+	scan, err := eng.Run(q, func(res audit.Result) error {
 		rec := api.AuditRecord{
 			LSN:     res.LSN,
 			Type:    walrec.Name(res.Rec.Tag),
@@ -223,9 +182,14 @@ func (h *httpLayer) handleAuditRecords(w http.ResponseWriter, r *http.Request) {
 			rec.EventID = res.Rec.Rank.EventID
 		}
 		resp.Records = append(resp.Records, rec)
+		return nil
+	})
+	if err != nil {
+		writeError(w, rid, toAPIError(err))
+		return
 	}
 	resp.Limited = len(resp.Records) == q.Limit
-	resp.Scan = auditScanStats(it.Stats())
+	resp.Scan = auditScanStats(scan)
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -349,26 +313,24 @@ func (h *httpLayer) handleAuditAsOf(w http.ResponseWriter, r *http.Request) {
 	if lsn == 0 {
 		lsn = h.srv.wal.SyncedLSN()
 	}
-	res, err := eng.AsOf(lsn, h.srv.auditOpts)
+	res, err := RecoverAsOf(wal.DirSource{Dir: h.srv.wal.Dir()}, h.srv.snapshotPath, lsn, h.srv.trainEvery, h.srv.maxLogEvents)
 	if err != nil {
 		writeError(w, rid, toAPIError(err))
 		return
 	}
-	// Time travel only works over retained history: if compaction
-	// removed records inside the replay window, the reconstruction
-	// would silently miss them — reject instead.
-	if first, _ := h.srv.wal.Window(); lsn > res.FromLSN && first > res.FromLSN+1 {
-		writeError(w, rid, api.Errorf(api.CodeInvalidRequest,
-			"journal history before LSN %d is compacted; reconstruction at %d needs records from %d",
-			first, lsn, res.FromLSN+1))
+	var snap bytes.Buffer
+	if err := res.Service.Save(&snap); err != nil {
+		writeError(w, rid, toAPIError(err))
 		return
 	}
-	sum := sha256.Sum256(res.Snapshot)
+	scan := audit.ScanOf(res.Journal, res.Replay.Records)
+	eng.Count(scan)
+	sum := sha256.Sum256(snap.Bytes())
 	writeJSON(w, http.StatusOK, api.AuditAsOfResponse{
-		LSN:            res.LSN,
-		SnapshotBytes:  len(res.Snapshot),
+		LSN:            lsn,
+		SnapshotBytes:  snap.Len(),
 		SnapshotSHA256: hex.EncodeToString(sum[:]),
-		SnapshotSeeded: res.SnapshotSeeded,
+		SnapshotSeeded: res.SnapshotLoaded,
 		FromLSN:        res.FromLSN,
 		Replay: api.AuditReplayStats{
 			Records:       res.Replay.Records,
@@ -381,7 +343,7 @@ func (h *httpLayer) handleAuditAsOf(w http.ResponseWriter, r *http.Request) {
 		HintGen:     res.HintGen,
 		Hints:       len(res.Hints),
 		Quarantined: len(res.Quarantine),
-		Scan:        auditScanStats(res.Scan),
+		Scan:        auditScanStats(scan),
 		RequestID:   rid,
 	})
 }

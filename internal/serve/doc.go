@@ -10,9 +10,10 @@
 // # Lock hierarchy
 //
 // State that is only ever replaced whole is published through an atomic
-// pointer and takes no lock on the read path: the hint table (HintCache)
-// and the quarantine enforcement table (drift.Table). Every other piece
-// of shared serving state has one owner and one mutex — eight fields
+// pointer and takes no lock on the read path: the hint table (HintCache),
+// the quarantine enforcement table (drift.Table) and the lazily opened
+// audit engine (which holds counters, nothing else). Every other piece
+// of shared serving state has one owner and one mutex — seven fields
 // across this package and internal/bandit, listed outermost first. A
 // goroutine holding one may take only locks listed below it, and of
 // those only the ones its "then" names; locks with no such path between
@@ -21,9 +22,9 @@
 //
 //	Server.snapMu        One checkpoint barrier (Checkpoint, follower
 //	                     bootstrap) at a time. Then: Ingestor.seqMu and,
-//	                     once that is released, Server.rolloverMu,
-//	                     safeguard.mu and Server.auditMu one at a time.
-//	                     Released before a bootstrap's network write.
+//	                     once that is released, Server.rolloverMu and
+//	                     safeguard.mu one at a time. Released before a
+//	                     bootstrap's network write.
 //	Ingestor.seqMu       Intake order: a batch's journal append and queue
 //	                     sends are one step, so journal order = apply
 //	                     order. Guards closed. Drain and Quiesce hold it
@@ -41,8 +42,6 @@
 //	                     notify hook runs under it, so it must not block
 //	                     or take a lock listed here (the incident
 //	                     engine's is a non-blocking channel send).
-//	Server.auditMu       The lazily opened audit engine. Held across
-//	                     audit.Open, never across a query.
 //	incidentEngine.mu    Trigger state and the bundle index. Reads atomic
 //	                     counters only. Never held while a bundle is
 //	                     captured: stats.json embeds the incidents block,

@@ -72,7 +72,7 @@ func histToWire(s obs.HistSnapshot) *api.Hist {
 // on a follower core constructed by a tailer.
 func (s *Server) eachStage(fn func(name string, h *obs.Histogram)) {
 	s.stages.each(fn)
-	if s.openAuditEngine() != nil {
+	if s.auditEng.Load() != nil {
 		fn("audit_query", &s.auditLat)
 	}
 	if s.tail != nil {
@@ -130,7 +130,7 @@ func (s *Server) collectMetrics(e *obs.Exposition) {
 		e.Counter("qoserved_wal_syncs_total", "Journal fsync batches.", nil, float64(ws.Syncs))
 		e.Gauge("qoserved_wal_segments", "Journal segment files on disk.", nil, float64(ws.Segments))
 		e.Counter("qoserved_wal_truncated_segments_total", "Segments removed by snapshot compaction.", nil, float64(ws.TruncatedSegs))
-		e.Gauge("qoserved_wal_first_lsn", "Oldest retained journal position.", nil, float64(ws.FirstLSN))
+		e.Gauge("qoserved_wal_first_lsn", "Oldest retained journal position (last LSN + 1 when nothing is retained).", nil, float64(ws.FirstLSN))
 		e.Gauge("qoserved_wal_last_lsn", "Newest appended journal position.", nil, float64(ws.LastLSN))
 		e.Gauge("qoserved_wal_synced_lsn", "Durable journal frontier.", nil, float64(ws.SyncedLSN))
 		e.Counter("qoserved_checkpoints_total", "Checkpoints taken.", nil, float64(s.checkpoints.Load()))

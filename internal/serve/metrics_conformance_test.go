@@ -94,9 +94,6 @@ var statsMetricRules = []struct {
 	{path: re(`^audit\.segmentsScanned$`), family: "qoserved_audit_segments_scanned_total"},
 	{path: re(`^audit\.segmentsSkipped$`), family: "qoserved_audit_segments_skipped_total"},
 	{path: re(`^audit\.recordsScanned$`), family: "qoserved_audit_records_scanned_total"},
-	{path: re(`^audit\.sidecarsBuilt$`), family: "qoserved_audit_sidecars_built_total"},
-	{path: re(`^audit\.sidecarsLoaded$`), family: "qoserved_audit_sidecars_loaded_total"},
-	{path: re(`^audit\.sidecarsRebuilt$`), family: "qoserved_audit_sidecars_rebuilt_total"},
 
 	{path: re(`^routes\.[^.]+\.count$`), family: "qoserved_http_requests_total"},
 	{path: re(`^routes\.[^.]+\.errors$`), family: "qoserved_http_request_errors_total"},

@@ -3,8 +3,10 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"math"
 	"os"
 
+	"qoadvisor/internal/api"
 	"qoadvisor/internal/bandit"
 	"qoadvisor/internal/drift"
 	"qoadvisor/internal/sis"
@@ -140,22 +142,81 @@ func (r RecoverResult) Recovered() bool {
 // reported in the result; damage before the tail fails loudly instead,
 // because that is data loss, not a crash artifact.
 func Recover(src wal.Source, snapshotPath string, trainEvery, maxLogEvents int, seed int64) (RecoverResult, error) {
+	res, ap, err := recoverTo(src, snapshotPath, math.MaxUint64, trainEvery, maxLogEvents, seed)
+	if err == nil && res.Journal.Records > 0 {
+		// Drain-equivalent tail flush: rewards past the last training
+		// boundary train now, exactly as a graceful shutdown would have
+		// trained them.
+		ap.Finish()
+		res.Replay = ap.ReplayStats()
+	}
+	return res, err
+}
+
+// RecoverAsOf rebuilds what the model believed as of journal position
+// lsn: Recover with an upper bound. A snapshot whose watermark is above
+// lsn is from the target's future and is not loaded; replay stops after
+// record lsn; and no tail flush runs — stopping exactly at lsn IS the
+// reconstruction, a drain-style extra train would reproduce a shutdown,
+// not the asked-for instant. For an lsn a live checkpoint was taken at,
+// Service.Save writes that checkpoint's file byte for byte: the
+// checkpoint barrier journals its train mark before capturing the
+// model, so the mark, and any reward batch straddling the boundary, is
+// replayed in-log. The parameters are Recover's; the seed is not among
+// them because replay never draws from the exploration rng.
+//
+// Reconstruction needs the records in (FromLSN, lsn] to still exist: if
+// compaction removed the start of that window the result would silently
+// miss them, so it is an invalid_request error instead (offline remedy:
+// a journal copy taken before the checkpoint).
+func RecoverAsOf(src wal.Source, snapshotPath string, lsn uint64, trainEvery, maxLogEvents int) (RecoverResult, error) {
+	res, _, err := recoverTo(src, snapshotPath, lsn, trainEvery, maxLogEvents, 0)
+	if err != nil {
+		return res, err
+	}
+	if first := res.Journal.First; lsn > res.FromLSN && first != res.FromLSN+1 {
+		if first == 0 {
+			return res, api.Errorf(api.CodeInvalidRequest,
+				"journal holds no record above LSN %d (compacted, or %d is past its end); reconstruction at %d needs records from %d",
+				res.FromLSN, lsn, lsn, res.FromLSN+1)
+		}
+		return res, api.Errorf(api.CodeInvalidRequest,
+			"journal history before LSN %d is compacted; reconstruction at %d needs records from %d",
+			first, lsn, res.FromLSN+1)
+	}
+	// A checkpoint records LastLSN at capture time even when the newest
+	// records are serve-owned; mirror that so the rendered header's wal=
+	// field says lsn.
+	res.Service.SetWALWatermark(lsn)
+	return res, nil
+}
+
+// errAsOf ends a bounded replay at its last record.
+var errAsOf = errors.New("serve: replay bound reached")
+
+// recoverTo is the one reconstruction behind Recover, RecoverAsOf and
+// through them every restart, offline replay and audit as-of: load the
+// snapshot unless its watermark is above upTo, then dispatch the
+// journal records in (watermark, upTo] into the learner. It hands back
+// the applier so Recover can run the tail flush.
+func recoverTo(src wal.Source, snapshotPath string, upTo uint64, trainEvery, maxLogEvents int, seed int64) (RecoverResult, *Applier, error) {
 	var res RecoverResult
 	if snapshotPath != "" {
 		f, err := os.Open(snapshotPath)
 		switch {
 		case err == nil:
-			res.Service, err = bandit.Load(f, seed)
+			svc, err := bandit.Load(f, seed)
 			f.Close()
 			if err != nil {
-				return res, fmt.Errorf("loading snapshot %s: %w", snapshotPath, err)
+				return res, nil, fmt.Errorf("loading snapshot %s: %w", snapshotPath, err)
 			}
-			res.SnapshotLoaded = true
-			res.FromLSN = res.Service.WALWatermark()
+			if svc.WALWatermark() <= upTo {
+				res.Service, res.SnapshotLoaded, res.FromLSN = svc, true, svc.WALWatermark()
+			}
 		case errors.Is(err, os.ErrNotExist):
 			// first boot: no snapshot yet
 		default:
-			return res, err
+			return res, nil, err
 		}
 	}
 	if res.Service == nil {
@@ -166,20 +227,25 @@ func Recover(src wal.Source, snapshotPath string, trainEvery, maxLogEvents int, 
 	res.Service.SetMaxLog(bandit.ServingMaxLog(maxLogEvents))
 
 	ap := NewApplier(res.Service, nil, nil, trainEvery)
-	info, err := src.Replay(res.FromLSN, ap.Apply)
+	info, err := src.Replay(res.FromLSN, func(lsn uint64, payload []byte) error {
+		if lsn > upTo {
+			return errAsOf
+		}
+		err := ap.Apply(lsn, payload)
+		if err == nil && lsn == upTo {
+			err = errAsOf
+		}
+		return err
+	})
+	if errors.Is(err, errAsOf) {
+		err = nil
+	}
 	res.Journal = info
 	res.Replay = ap.ReplayStats()
 	res.Hints, res.HintGen, res.HintRollovers = ap.Hints, ap.HintGen, ap.Rollovers
 	res.Quarantine, res.QuarantineRecords = ap.Quarantine, ap.QuarantineRecords
 	if err != nil {
-		return res, fmt.Errorf("replaying journal: %w", err)
+		return res, ap, fmt.Errorf("replaying journal: %w", err)
 	}
-	if info.Records > 0 {
-		// Drain-equivalent tail flush: rewards past the last training
-		// boundary train now, exactly as a graceful shutdown would have
-		// trained them.
-		ap.Finish()
-		res.Replay = ap.ReplayStats()
-	}
-	return res, nil
+	return res, ap, nil
 }

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -304,9 +305,9 @@ func TestWALStreamErrors(t *testing.T) {
 		r := newWALRig(t, 1)
 		r.rewardAll(t, r.rankSome(t, 5, 1), 0.5)
 		deadline := time.Now().Add(5 * time.Second)
-		for r.j.FirstLSN() != 0 {
+		for first, next := r.j.Window(); first < next; first, next = r.j.Window() {
 			if time.Now().After(deadline) {
-				t.Fatalf("journal never fully compacted (first=%d last=%d)", r.j.FirstLSN(), r.j.LastLSN())
+				t.Fatalf("journal never fully compacted (window %d..%d)", first, next)
 			}
 			if _, err := r.srv.Checkpoint(r.snap); err != nil {
 				t.Fatal(err)
@@ -429,6 +430,63 @@ func TestAuditAsOfRejectsFullyCompactedHistory(t *testing.T) {
 	}
 	if got := decodeJSON[api.AuditAsOfResponse](t, resp); resp.StatusCode != http.StatusOK || !got.SnapshotSeeded || got.FromLSN != watermark {
 		t.Fatalf("as-of at the checkpoint watermark %d: status %d, %+v", watermark, resp.StatusCode, got)
+	}
+}
+
+// TestWALFirstLSNAfterFullCompaction: the exported "oldest retained
+// record" is wal.Window's first on every surface — /v2/stats
+// wal.firstLsn (the `qoserved check` wal: line prints that field) and
+// qoserved_wal_first_lsn. Once compaction has emptied the retained
+// window it reads lastLsn+1, "everything through lastLsn is gone", where
+// it used to read 0, "nothing was ever removed".
+func TestWALFirstLSNAfterFullCompaction(t *testing.T) {
+	dir := t.TempDir()
+	snap := filepath.Join(dir, "model.snap")
+	j, err := wal.Open(wal.Options{Dir: dir, Mode: wal.ModeSync, SegmentBytes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	srv, ts := newTestServer(t, Config{Seed: 42, WAL: j, SnapshotPath: snap})
+	surfaces := func() (stats *api.WALStats, metric float64) {
+		t.Helper()
+		resp, err := http.Get(ts.URL + api.RouteV2Stats)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stats = decodeJSON[api.StatsResponse](t, resp).WAL
+		resp, err = http.Get(ts.URL + api.RouteMetrics)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		for _, line := range strings.Split(string(body), "\n") {
+			if strings.HasPrefix(line, "qoserved_wal_first_lsn ") {
+				_, _, metric = parseSampleLine(t, line)
+			}
+		}
+		return stats, metric
+	}
+	if st, m := surfaces(); st.FirstLSN != 1 || st.LastLSN != 0 || m != 1 {
+		t.Fatalf("fresh journal: firstLsn=%d lastLsn=%d metric=%v, want the empty window 1..0", st.FirstLSN, st.LastLSN, m)
+	}
+	for i := 0; i < 5; i++ {
+		if _, err := srv.Rank(api.RankRequest{TemplateHash: api.TemplateHash(i + 1), Span: []int{5, 21}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st, m := surfaces(); st.FirstLSN != 1 || st.LastLSN != 5 || m != 1 {
+		t.Fatalf("five records: firstLsn=%d lastLsn=%d metric=%v, want 1..5", st.FirstLSN, st.LastLSN, m)
+	}
+	for first, next := j.Window(); first < next; first, next = j.Window() {
+		if info, err := srv.Checkpoint(snap); err != nil || info.LSN > 100 {
+			t.Fatalf("journal never fully compacted (window %d..%d): %v", first, next, err)
+		}
+	}
+	st, m := surfaces()
+	if first, _ := j.Window(); st.FirstLSN != first || st.FirstLSN != st.LastLSN+1 || m != float64(first) {
+		t.Fatalf("fully compacted: firstLsn=%d lastLsn=%d metric=%v, want Window's first %d = lastLsn+1 on both", st.FirstLSN, st.LastLSN, m, first)
 	}
 }
 

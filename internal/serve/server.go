@@ -139,12 +139,12 @@ type Server struct {
 	http         *httpLayer
 
 	// Journal audit: the lazily opened engine behind /v2/audit, its
-	// query-latency histogram, and the replay parameters AsOf needs to
-	// mirror this server's own recovery.
-	auditMu   sync.Mutex
-	auditEng  *audit.Engine
-	auditLat  obs.Histogram
-	auditOpts audit.AsOfOptions
+	// query-latency histogram, and the replay parameters as-of hands
+	// RecoverAsOf to mirror this server's own recovery (snapshotPath is
+	// the third).
+	auditEng                 atomic.Pointer[audit.Engine]
+	auditLat                 obs.Histogram
+	trainEvery, maxLogEvents int
 
 	// rolloverMu orders hint-table swaps against their journal records:
 	// two racing rollovers must append in generation order or replay
@@ -208,6 +208,8 @@ func New(cfg Config) *Server {
 		follower:     cfg.Follower,
 		leaderURL:    cfg.LeaderURL,
 		snapshotPath: cfg.SnapshotPath,
+		trainEvery:   cfg.TrainEvery,
+		maxLogEvents: cfg.MaxLogEvents,
 		start:        time.Now(),
 		stages:       stages,
 		version:      VersionInfo(),
@@ -216,14 +218,6 @@ func New(cfg Config) *Server {
 	}
 	if s.flight == nil {
 		s.flight = NewFlightRecorder(obs.FlightConfig{})
-	}
-	// The audit engine reconstructs past states by replaying the journal
-	// with this server's own recovery parameters.
-	s.auditOpts = audit.AsOfOptions{
-		SnapshotPath: cfg.SnapshotPath,
-		TrainEvery:   cfg.TrainEvery,
-		MaxLogEvents: cfg.MaxLogEvents,
-		Seed:         cfg.Seed,
 	}
 	if cfg.WAL != nil {
 		// Attach after any snapshot load / journal replay the caller did:
@@ -658,10 +652,6 @@ func (s *Server) Checkpoint(path string) (CheckpointInfo, error) {
 	if s.wal != nil {
 		info.LSN = s.bandit.WALWatermark()
 		info.SegmentsRemoved = s.wal.TruncateBefore(info.LSN)
-		// Prebuild audit index sidecars for the surviving sealed
-		// segments while they are cold — the first audit query after a
-		// checkpoint then plans against ready indexes.
-		s.buildAuditSidecars()
 	}
 	info.Duration = time.Since(start)
 	s.stages.checkpoint.Observe(info.Duration)

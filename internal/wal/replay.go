@@ -8,8 +8,15 @@ import (
 
 // ReplayInfo summarizes one replay pass.
 type ReplayInfo struct {
-	// Records is how many records were delivered to the callback.
+	// Segments is how many segment files the journal held; SegmentsRead
+	// how many of them the pass opened. The rest were skipped on their
+	// headers alone — wholly at or below the start point — or lay past
+	// the record at which the callback stopped the pass.
+	Segments, SegmentsRead int
+	// Records is how many records were delivered to the callback; First
+	// is the LSN of the first of them (0 when none was).
 	Records int64
+	First   uint64
 	// Skipped is how many records were below or at the requested start
 	// LSN and not delivered.
 	Skipped int64
@@ -27,12 +34,15 @@ type Source interface {
 	// Replay calls fn for every record with LSN > afterLSN, in order. A
 	// torn or corrupt tail on the final segment ends the replay cleanly
 	// (reported in ReplayInfo); the same damage mid-log is an error —
-	// that is real data loss, not a crash artifact.
+	// that is real data loss, not a crash artifact. An error from fn
+	// ends the pass and is returned as is, beside the counts so far: a
+	// reader that wants a prefix returns a sentinel at its last record.
 	Replay(afterLSN uint64, fn func(lsn uint64, payload []byte) error) (ReplayInfo, error)
 }
 
 // DirSource replays a journal directory read-only, without opening it
-// for appends — the offline `qoserved replay` path.
+// for appends — the offline `qoserved replay` path and the one reader
+// under every audit query, live or offline.
 type DirSource struct {
 	Dir string
 }
@@ -69,11 +79,14 @@ func (w *WAL) Replay(afterLSN uint64, fn func(lsn uint64, payload []byte) error)
 }
 
 func replaySegments(segs []segment, afterLSN uint64, fn func(lsn uint64, payload []byte) error) (ReplayInfo, error) {
-	var info ReplayInfo
+	info := ReplayInfo{Segments: len(segs)}
 	cb := func(lsn uint64, payload []byte) error {
 		if lsn <= afterLSN {
 			info.Skipped++
 			return nil
+		}
+		if info.Records == 0 {
+			info.First = lsn
 		}
 		info.Records++
 		return fn(lsn, payload)
@@ -86,6 +99,7 @@ func replaySegments(segs []segment, afterLSN uint64, fn func(lsn uint64, payload
 			info.Skipped += int64(segs[i+1].firstLSN - seg.firstLSN)
 			continue
 		}
+		info.SegmentsRead++
 		_, _, tailErr, err := scanSegment(seg.path, seg.firstLSN, cb)
 		if err != nil {
 			return info, err

@@ -8,7 +8,6 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"strings"
 )
 
 // SegmentInfo describes one journal segment file on disk — the
@@ -26,7 +25,8 @@ type SegmentInfo struct {
 
 // Segments lists the journal segments in dir in LSN order, read-only —
 // the offline entry point for DirSource replay and audit queries.
-// Non-segment files (snapshots, index sidecars) are ignored.
+// Non-segment files (snapshots, whatever else shares the directory) are
+// ignored.
 func Segments(dir string) ([]SegmentInfo, error) {
 	segs, err := scanDir(dir)
 	if err != nil {
@@ -37,14 +37,6 @@ func Segments(dir string) ([]SegmentInfo, error) {
 		infos[i] = SegmentInfo{Path: s.path, Index: s.index, FirstLSN: s.firstLSN}
 	}
 	return infos, nil
-}
-
-// SidecarPath returns the index-sidecar path paired with a segment
-// file: wal-NNN.seg → wal-NNN.idx. Sidecars are derived data — always
-// safe to delete, rebuilt on demand — and the journal's own directory
-// scan ignores them.
-func SidecarPath(segPath string) string {
-	return strings.TrimSuffix(segPath, segSuffix) + ".idx"
 }
 
 // CorruptRecordError reports a torn or corrupt record frame inside a
@@ -76,17 +68,10 @@ func (e *CorruptRecordError) Error() string {
 // Unwrap exposes the underlying I/O error to errors.Is.
 func (e *CorruptRecordError) Unwrap() error { return e.Err }
 
-// IsCorruptRecord reports whether err is (or wraps) a
-// *CorruptRecordError.
-func IsCorruptRecord(err error) bool {
-	var cre *CorruptRecordError
-	return errors.As(err, &cre)
-}
-
 // SegmentReader iterates one segment's records in LSN order. It is the
 // single framing decoder all journal consumers share: Replay and
-// DirSource wrap it per segment, the tail Cursor resumes it at a saved
-// offset, and the audit engine seeks it through sparse indexes.
+// DirSource wrap it per segment (recovery and every audit query go
+// through those), and the tail Cursor resumes it at a saved offset.
 //
 // Next returns io.EOF at a clean frame boundary (the segment's current
 // end — an active segment may grow past it later) and a
@@ -127,8 +112,8 @@ func OpenSegment(info SegmentInfo) (*SegmentReader, error) {
 }
 
 // OpenSegmentAt opens a segment positioned at a known frame boundary:
-// offset must be a value previously returned by Offset (or recorded in
-// an index sidecar) and nextLSN the LSN of the record starting there.
+// offset must be a value previously returned by Offset and nextLSN the
+// LSN of the record starting there.
 // The header is not re-validated — the caller already did when the
 // offset was learned.
 func OpenSegmentAt(info SegmentInfo, offset int64, nextLSN uint64) (*SegmentReader, error) {
@@ -171,6 +156,11 @@ func (r *SegmentReader) Next() (lsn uint64, payload []byte, err error) {
 	}
 	payload = r.scratch[:length]
 	if _, err := io.ReadFull(r.br, payload); err != nil {
+		if err == io.EOF {
+			// A whole header with no payload byte behind it is a torn
+			// frame too; left as io.EOF it would unwrap to a clean end.
+			err = io.ErrUnexpectedEOF
+		}
 		return 0, nil, &CorruptRecordError{Path: r.path, Offset: r.off, Reason: "torn record payload", Err: err}
 	}
 	if got := crc32.Checksum(payload, crcTable); got != crc {

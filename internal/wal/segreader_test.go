@@ -157,45 +157,67 @@ func TestSegmentDamagePlacement(t *testing.T) {
 	})
 }
 
-// TestSidecarLifecycleOnCompaction checks SidecarPath's mapping and
-// that TruncateBefore removes a segment's sidecar with the segment.
-func TestSidecarLifecycleOnCompaction(t *testing.T) {
-	if got := SidecarPath("/j/wal-0000000000000003.seg"); got != "/j/wal-0000000000000003.idx" {
-		t.Fatalf("SidecarPath = %q", got)
-	}
-
+// TestLeftoverIndexFilesIgnored: older binaries left wal-NNN.idx files
+// (a derived audit index, since deleted) beside the segments. The
+// journal neither reads nor owns them: the directory scan, reopening,
+// replay and compaction all behave as if they were not there, and
+// compaction does not touch them.
+func TestLeftoverIndexFilesIgnored(t *testing.T) {
 	dir := t.TempDir()
-	w := openTest(t, dir, ModeSync, 256)
-	appendN(t, w, 40, "seg")
-	defer w.Close()
-
-	segs, err := Segments(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(segs) < 3 {
-		t.Fatalf("want >=3 segments, got %d", len(segs))
-	}
-	// Fake sidecars beside every segment, as an audit pass would leave.
+	segs := buildMultiSegment(t, dir, 40)
+	leftover := func(s SegmentInfo) string { return s.Path[:len(s.Path)-len(segSuffix)] + ".idx" }
 	for _, s := range segs {
-		if err := os.WriteFile(SidecarPath(s.Path), []byte("idx"), 0o644); err != nil {
+		if err := os.WriteFile(leftover(s), []byte("stale derived index"), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-
-	last := segs[len(segs)-1]
-	if removed := w.TruncateBefore(last.FirstLSN - 1); removed == 0 {
+	if got, err := Segments(dir); err != nil || len(got) != len(segs) {
+		t.Fatalf("Segments with leftovers = %d segments, %v; want %d", len(got), err, len(segs))
+	}
+	info, err := DirSource{Dir: dir}.Replay(0, func(uint64, []byte) error { return nil })
+	if err != nil || info.Records != 40 || info.Segments != len(segs) || info.SegmentsRead != len(segs) || info.First != 1 {
+		t.Fatalf("replay with leftovers: %+v, %v", info, err)
+	}
+	w := openTest(t, dir, ModeSync, 256)
+	defer w.Close()
+	if w.LastLSN() != 40 {
+		t.Fatalf("reopened journal ends at %d, want 40", w.LastLSN())
+	}
+	if removed := w.TruncateBefore(segs[len(segs)-1].FirstLSN - 1); removed == 0 {
 		t.Fatal("TruncateBefore removed nothing")
 	}
-	for _, s := range segs[:len(segs)-1] {
-		if _, err := os.Stat(s.Path); !errors.Is(err, os.ErrNotExist) {
-			continue // segment survived (active or still needed); sidecar may stay
-		}
-		if _, err := os.Stat(SidecarPath(s.Path)); !errors.Is(err, os.ErrNotExist) {
-			t.Errorf("orphaned sidecar left behind for %s", s.Path)
+	for _, s := range segs {
+		if _, err := os.Stat(leftover(s)); err != nil {
+			t.Errorf("compaction touched a file the journal does not own: %v", err)
 		}
 	}
-	if _, err := os.Stat(SidecarPath(last.Path)); err != nil {
-		t.Errorf("live segment's sidecar must survive compaction: %v", err)
+}
+
+// TestReplayStopsAtSentinel pins what a bounded reader (an audit query,
+// an as-of reconstruction) relies on: an error from the callback ends
+// the pass, comes back as is, and the counts say how far the pass got —
+// segments wholly below the start point and segments past the stop are
+// never opened.
+func TestReplayStopsAtSentinel(t *testing.T) {
+	dir := t.TempDir()
+	segs := buildMultiSegment(t, dir, 40)
+	stop := errors.New("stop")
+	from, to := segs[1].FirstLSN+1, segs[2].FirstLSN-1 // inside the second segment
+	var got []uint64
+	info, err := DirSource{Dir: dir}.Replay(from-1, func(lsn uint64, _ []byte) error {
+		got = append(got, lsn)
+		if lsn == to {
+			return stop
+		}
+		return nil
+	})
+	if err != stop {
+		t.Fatalf("Replay error = %v, want the callback's sentinel itself", err)
+	}
+	if len(got) != int(to-from+1) || got[0] != from || got[len(got)-1] != to {
+		t.Fatalf("delivered %v, want %d..%d", got, from, to)
+	}
+	if info.Segments != len(segs) || info.SegmentsRead != 1 || info.First != from || info.Records != int64(len(got)) {
+		t.Fatalf("info = %+v, want 1 of %d segments read, first %d, %d records", info, len(segs), from, len(got))
 	}
 }

@@ -131,7 +131,7 @@ type Options struct {
 // Stats is a point-in-time snapshot of the journal counters.
 type Stats struct {
 	Mode          string
-	FirstLSN      uint64 // oldest retained record (0 when empty)
+	FirstLSN      uint64 // Window's first: oldest retained record, LastLSN+1 when none is
 	LastLSN       uint64 // newest appended record (0 when empty)
 	SyncedLSN     uint64 // newest record covered by a flush (+fsync outside ModeOff)
 	Appends       int64
@@ -661,9 +661,9 @@ func (w *WAL) TailDamage() (bytes int64, reason error) {
 // first == next means nothing is retained — a fresh journal, or one
 // whose every record compaction has removed, in which case both are
 // LastLSN+1. "Are the records from x on still here?" is therefore
-// first <= x on every journal, with no empty-window special case; this
-// is what a gap check must use (FirstLSN reports 0 for empty, which
-// reads as "nothing was ever removed").
+// first <= x on every journal, with no empty-window special case.
+// Stats.FirstLSN, and through it the stats and metrics surfaces, report
+// the same first.
 func (w *WAL) Window() (first, next uint64) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -675,15 +675,6 @@ func (w *WAL) windowLocked() (first, next uint64) {
 		return w.nextLSN, w.nextLSN
 	}
 	return w.segs[0].firstLSN, w.nextLSN
-}
-
-// FirstLSN returns the oldest retained LSN (0 when the log is empty).
-func (w *WAL) FirstLSN() uint64 {
-	first, next := w.Window()
-	if first == next {
-		return 0
-	}
-	return first
 }
 
 // LastLSN returns the newest appended LSN (0 when the log is empty).
@@ -709,9 +700,6 @@ func (w *WAL) TruncateBefore(lsn uint64) int {
 		if err := os.Remove(w.segs[0].path); err != nil && !errors.Is(err, os.ErrNotExist) {
 			break
 		}
-		// The audit index sidecar is derived from the segment; remove it
-		// alongside so compaction never leaves orphans.
-		os.Remove(SidecarPath(w.segs[0].path))
 		w.segs = w.segs[1:]
 		removed++
 	}
@@ -736,9 +724,7 @@ func (w *WAL) Stats() Stats {
 		Segments:      len(w.segs),
 		TruncatedSegs: w.truncatedSegs,
 	}
-	if first, next := w.windowLocked(); first < next {
-		st.FirstLSN = first
-	}
+	st.FirstLSN, _ = w.windowLocked()
 	return st
 }
 

@@ -130,7 +130,7 @@ func TestSegmentRollAndTruncate(t *testing.T) {
 			break
 		}
 	}
-	if first := w.FirstLSN(); first == 0 || first > 11 {
+	if first := w.Stats().FirstLSN; first == 0 || first > 11 {
 		t.Errorf("FirstLSN after truncate = %d, want in (0,11]", first)
 	}
 	// The active segment never goes away even if fully covered.

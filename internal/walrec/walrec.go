@@ -1,12 +1,12 @@
 // Package walrec is the registry of journal record types: every tag
 // the write-ahead log carries, its registered name, and the wire codec
 // for its payload. It is the single decoder layer shared by journal
-// replay (qoadvisor/internal/bandit.Replayer), crash recovery and
-// follower tailing (qoadvisor/internal/serve.Applier via
-// internal/replicate), and the audit query engine
-// (qoadvisor/internal/audit) — one place where a tag byte becomes a
-// typed struct, so the three consumers can never drift apart on the
-// format.
+// replay (qoadvisor/internal/bandit.Replayer), crash recovery, audit
+// as-of and follower tailing (qoadvisor/internal/serve.Applier, the
+// last via internal/replicate), and the audit queries
+// (qoadvisor/internal/audit, a per-record filter over the journal's
+// replay) — one place where a tag byte becomes a typed struct, so the
+// three consumers can never drift apart on the format.
 //
 // The package is deliberately wire-level: it depends only on the
 // standard library and decodes into raw forms (flips as strings,
@@ -478,9 +478,10 @@ func Decode(p []byte) (Record, error) {
 	return rec, nil
 }
 
-// HashEventID maps an event ID into the same 64-bit key space the
-// audit sidecars index template hashes in (FNV-1a; collisions are
-// harmless — membership filters are probabilistic anyway).
+// HashEventID maps an event ID into the 64-bit key space template
+// hashes live in, so one AppendKeys walk serves both audit filters
+// (FNV-1a; a collision costs one decode — the query verifies the event
+// ID on the decoded record).
 func HashEventID(id string) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(id))
@@ -489,9 +490,9 @@ func HashEventID(id string) uint64 {
 
 // AppendKeys appends the record's 64-bit membership keys to dst and
 // returns it: template hashes as-is (hint rollovers, quarantines) and
-// hashed event IDs (ranks, reward batches). This is the sidecar
-// builder's and the query filter's fast path — it walks the payload
-// without materializing strings or structs.
+// hashed event IDs (ranks, reward batches). This is the audit query
+// filter's fast path — it walks the payload without materializing
+// strings or structs, so only matching records are decoded.
 func AppendKeys(dst []uint64, p []byte) ([]uint64, error) {
 	if len(p) == 0 {
 		return dst, fmt.Errorf("walrec: empty record")

@@ -90,8 +90,8 @@ func TestDecodeRejectsEveryStrictPrefix(t *testing.T) {
 }
 
 // FuzzDecode: no input makes Decode or AppendKeys panic or allocate
-// from an unchecked count, and whatever Decode accepts the sidecar key
-// walk accepts too.
+// from an unchecked count, and whatever Decode accepts the audit
+// filter's key walk accepts too.
 func FuzzDecode(f *testing.F) {
 	for _, rec := range sampleRecords() {
 		f.Add(rec)
