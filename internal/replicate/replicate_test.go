@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -327,6 +328,42 @@ func TestFollowerLiveTailAndReconnects(t *testing.T) {
 	}
 	if _, gen := f.Server().Cache().Export(); gen != 1 {
 		t.Fatalf("hint rollover not applied through live tail (gen %d)", gen)
+	}
+}
+
+// TestFollowerHoldsOneHintTable: a replicated rollover lands in the
+// follower's cache and nowhere else — the applier that restored the table
+// keeps no decoded copy beside it — while an offline Recover of the same
+// journal, which has no cache to restore into, still hands the table back.
+func TestFollowerHoldsOneHintTable(t *testing.T) {
+	p := newPrimary(t, 1<<20)
+	p.traffic(t, 10, 1, 0.5)
+	p.settle(t)
+	f := startFollower(t, p)
+
+	hints := p.hints(14, 4) // ascending hash: install order is export order
+	if _, err := p.srv.InstallHints(hints); err != nil {
+		t.Fatal(err)
+	}
+	p.settle(t)
+	caughtUp(t, f)
+
+	ap := f.cur.Load().applier
+	if ap.Rollovers != 1 || ap.HintGen != 1 {
+		t.Fatalf("applier saw %d rollovers, generation %d; want the one replicated rollover", ap.Rollovers, ap.HintGen)
+	}
+	if ap.Hints != nil {
+		t.Errorf("follower's applier retains %d decoded hints beside the cache it restored", len(ap.Hints))
+	}
+	if got, gen := f.Server().Cache().Export(); gen != 1 || !slices.Equal(got, hints) {
+		t.Errorf("follower cache: generation %d, %d hints; want generation 1 and the installed table", gen, len(got))
+	}
+	rec, err := serve.Recover(wal.DirSource{Dir: p.dir}, "", testTrainEvery, 0, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.HintGen != 1 || !slices.Equal(rec.Hints, hints) {
+		t.Errorf("offline Recover: generation %d, %d hints; want generation 1 and the installed table", rec.HintGen, len(rec.Hints))
 	}
 }
 

@@ -238,15 +238,16 @@ var flipNames = func() (names [2 * NumRules]string) {
 // ParseFlip parses the textual form produced by Flip.String: a sign, 'R'
 // and one to three ASCII digits, nothing else. Hint files and journaled
 // hint records are validated by it, so it must not read "+R12abc" as
-// rule 12.
+// rule 12. An error quotes a copy of s, so s does not escape and a
+// caller parsing out of a byte buffer converts without allocating.
 func ParseFlip(s string) (Flip, error) {
 	if len(s) < 3 || len(s) > 5 || (s[0] != '+' && s[0] != '-') || s[1] != 'R' {
-		return Flip{}, fmt.Errorf("rules: malformed flip %q", s)
+		return Flip{}, fmt.Errorf("rules: malformed flip %q", strings.Clone(s))
 	}
 	id := 0
 	for _, c := range []byte(s[2:]) {
 		if c < '0' || c > '9' {
-			return Flip{}, fmt.Errorf("rules: malformed flip %q", s)
+			return Flip{}, fmt.Errorf("rules: malformed flip %q", strings.Clone(s))
 		}
 		id = id*10 + int(c-'0')
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -168,6 +169,94 @@ func BenchmarkIncidentCapture(b *testing.B) {
 	for n := 0; n < b.N; n++ {
 		if _, err := cl.TriggerIncident(ctx); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// benchTableHints is the shape qobench's hint_hit installs: n distinct
+// spread hashes, seven-byte IDs, catalog flips.
+func benchTableHints(n int) []sis.Hint {
+	hints := make([]sis.Hint, n)
+	for i := range hints {
+		hints[i] = sis.Hint{
+			TemplateHash: uint64(i)*0x9e3779b97f4a7c15 + 1,
+			TemplateID:   fmt.Sprintf("T%06d", i),
+			Flip:         rules.Flip{RuleID: 40 + i%100, Enable: i%2 == 0},
+			Day:          1,
+		}
+	}
+	return hints
+}
+
+// BenchmarkHintInstall is one rollover's table build: HintCache.Replace
+// of a validated table at a quarter of, and at, qobench hint_hit's size.
+func BenchmarkHintInstall(b *testing.B) {
+	for _, n := range []int{65536, 262144} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			hints := benchTableHints(n)
+			c := NewHintCache()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.Replace(hints)
+			}
+			if c.Size() != n {
+				b.Fatalf("Size = %d, want %d", c.Size(), n)
+			}
+		})
+	}
+}
+
+// BenchmarkHintLookup is HintCache.Lookup over 262,144 hints: keys drawn
+// uniformly (every lookup cold — the table is several times the cache)
+// and Zipf(1.1) as qobench draws templates (hot entries stay cached),
+// present and absent. A miss key is a hit key plus one.
+func BenchmarkHintLookup(b *testing.B) {
+	const n, nKeys = 262144, 1 << 18
+	hints := benchTableHints(n)
+	c := NewHintCache()
+	c.Replace(hints)
+	rng := rand.New(rand.NewSource(1))
+	zipf := rand.NewZipf(rng, 1.1, 1, n-1)
+	for _, dist := range []struct {
+		name string
+		draw func() int
+	}{
+		{"uniform", func() int { return rng.Intn(n) }},
+		{"zipf", func() int { return int(zipf.Uint64()) }},
+	} {
+		for _, miss := range []uint64{0, 1} {
+			keys := make([]uint64, nKeys)
+			for i := range keys {
+				keys[i] = hints[dist.draw()].TemplateHash + miss
+			}
+			b.Run(dist.name+[]string{"/hit", "/miss"}[miss], func(b *testing.B) {
+				b.ReportAllocs()
+				misses := 0
+				for i := 0; i < b.N; i++ {
+					if _, ok := c.Lookup(keys[i%nKeys]); !ok {
+						misses++
+					}
+				}
+				if misses != int(miss)*b.N {
+					b.Fatalf("%d of %d lookups missed, want %d", misses, b.N, int(miss)*b.N)
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkHintExport is the checkpoint's read-back of a 262,144-hint
+// table: materialise every hint, sort by hash.
+func BenchmarkHintExport(b *testing.B) {
+	const n = 262144
+	c := NewHintCache()
+	c.Replace(benchTableHints(n))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if hints, _ := c.Export(); len(hints) != n {
+			b.Fatalf("Export returned %d hints, want %d", len(hints), n)
 		}
 	}
 }

@@ -23,11 +23,15 @@ import (
 type Applier struct {
 	svc   *bandit.Service
 	rp    *bandit.Replayer
-	cache *HintCache   // nil: hints only accumulate in Hints/HintGen
+	cache *HintCache   // nil: hints only accumulate in Hints
 	quar  *drift.Table // nil: quarantines only accumulate in Quarantine
 
 	// Hints / HintGen track the newest rollover applied (replay keeps
 	// the last one: rollovers are wholesale). Rollovers counts them.
+	// Hints is populated only without a live cache (offline recovery,
+	// whose caller installs it afterwards); with one attached the cache's
+	// table is the node's one copy and Hints stays nil — Cache().Export()
+	// reads the table back.
 	Hints     []sis.Hint
 	HintGen   uint64
 	Rollovers int64
@@ -55,10 +59,12 @@ func (a *Applier) Apply(lsn uint64, payload []byte) error {
 		if err != nil {
 			return fmt.Errorf("serve: lsn %d: %w", lsn, err)
 		}
-		a.Hints, a.HintGen = hints, gen
+		a.HintGen = gen
 		a.Rollovers++
 		if a.cache != nil {
 			a.cache.Restore(hints, gen)
+		} else {
+			a.Hints = hints
 		}
 		// Hint records advance the covered-state watermark like any other
 		// applied record, so a later snapshot supersedes them.

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"os"
 	"sync"
@@ -279,15 +280,20 @@ func (s *Server) Ingestor() *Ingestor { return s.ingest }
 // pipeline-rollover entry point, fed from core.Advisor.ActiveHints() or
 // a parsed SIS file. Validation is the same gate the HTTP rollover
 // applies: rule IDs in range, no duplicate templates, no Required-rule
-// flips. On a WAL-backed server the rollover is journaled (table +
-// generation) before this returns, under the same fence as the swap so
-// racing rollovers journal in generation order: a restart recovers the
-// installed hints, and followers replicate them in decision order. A
-// journal failure is fail-stop — the rollover is rejected rather than
-// installed un-replayably — and surfaces as *api.Error(CodeInternal).
+// flips — plus the table's own addressing limit (see hintTable), which
+// only an in-process caller can reach. On a WAL-backed server the
+// rollover is journaled (table + generation) before this returns, under
+// the same fence as the swap so racing rollovers journal in generation
+// order: a restart recovers the installed hints, and followers replicate
+// them in decision order. A journal failure is fail-stop — the rollover
+// is rejected rather than installed un-replayably — and surfaces as
+// *api.Error(CodeInternal).
 func (s *Server) InstallHints(hints []sis.Hint) (uint64, error) {
 	if err := sis.Validate(sis.File{Hints: hints}, s.cat); err != nil {
 		return s.cache.Generation(), err
+	}
+	if _, ok := hintArena(hints); !ok {
+		return s.cache.Generation(), fmt.Errorf("serve: %d hints are past what one table addresses (2 GiB an ID, 4 GiB of IDs)", len(hints))
 	}
 	s.rolloverMu.Lock()
 	if s.wal != nil {

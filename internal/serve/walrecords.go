@@ -27,7 +27,9 @@ import (
 //
 // The wire codec lives in qoadvisor/internal/walrec (shared with the
 // audit engine); this wrapper converts between the wire-level string
-// flip and the typed sis.Hint the serve layer uses.
+// flip and the typed sis.Hint the serve layer uses — on the way out one
+// hint at a time (walrec.AppendHint), so journaling a table does not
+// first build a second, wire-typed copy of it.
 const RecHintRollover = walrec.TagHintRollover
 
 // EncodeHintRollover frames one hint-table rollover:
@@ -35,16 +37,17 @@ const RecHintRollover = walrec.TagHintRollover
 //	[tag][uvarint generation][uvarint count]
 //	per hint: [8-byte hash][string templateID][string flip][uvarint day]
 func EncodeHintRollover(gen uint64, hints []sis.Hint) []byte {
-	raw := make([]walrec.Hint, len(hints))
-	for i, h := range hints {
-		raw[i] = walrec.Hint{
-			TemplateHash: h.TemplateHash,
-			TemplateID:   h.TemplateID,
-			Flip:         h.Flip.String(),
-			Day:          h.Day,
-		}
+	// Capacity, not a limit: a catalog flip renders in five bytes
+	// ("+R255"), and a table with a rule outside the catalog grows the
+	// buffer instead.
+	idBytes, _ := hintArena(hints)
+	b := make([]byte, 0, walrec.HintRolloverSizeMax(len(hints), int(idBytes), 5*len(hints)))
+	b = walrec.AppendHintRolloverHeader(b, gen, len(hints))
+	for i := range hints {
+		h := &hints[i]
+		b = walrec.AppendHint(b, h.TemplateHash, h.TemplateID, h.Flip.String(), h.Day)
 	}
-	return walrec.EncodeHintRollover(gen, raw)
+	return b
 }
 
 // DecodeHintRollover parses a RecHintRollover payload.

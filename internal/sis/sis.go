@@ -8,11 +8,11 @@ package sis
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"sort"
 	"strconv"
-	"strings"
 
 	"qoadvisor/internal/rules"
 )
@@ -48,7 +48,9 @@ func Serialize(w io.Writer, f File) error {
 	return nil
 }
 
-// Parse reads and validates the SIS exchange format.
+// Parse reads and validates the SIS exchange format. Fields are parsed
+// from the scanner's buffer and only the template ID is copied out, so a
+// parsed hint pins its ID, not its line.
 func Parse(r io.Reader) (File, error) {
 	sc := bufio.NewScanner(r)
 	if !sc.Scan() {
@@ -63,35 +65,42 @@ func Parse(r io.Reader) (File, error) {
 	line := 1
 	for sc.Scan() {
 		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
+		text := bytes.TrimSpace(sc.Bytes())
+		if len(text) == 0 {
 			continue
 		}
-		parts := strings.Split(text, ",")
-		if len(parts) != 4 {
-			return File{}, fmt.Errorf("sis: line %d: want 4 fields, got %d", line, len(parts))
+		if n := bytes.Count(text, comma) + 1; n != 4 {
+			return File{}, fmt.Errorf("sis: line %d: want 4 fields, got %d", line, n)
 		}
-		hash, err := strconv.ParseUint(parts[0], 16, 64)
+		hashField, text, _ := bytes.Cut(text, comma)
+		id, text, _ := bytes.Cut(text, comma)
+		flipField, dayField, _ := bytes.Cut(text, comma)
+		// The conversions below do not outlive their call (strconv and
+		// rules.ParseFlip copy what an error quotes), so none allocates
+		// for a field of ordinary length.
+		hash, err := strconv.ParseUint(string(hashField), 16, 64)
 		if err != nil {
 			return File{}, fmt.Errorf("sis: line %d: bad template hash: %v", line, err)
 		}
-		flip, err := rules.ParseFlip(parts[2])
+		flip, err := rules.ParseFlip(string(flipField))
 		if err != nil {
 			return File{}, fmt.Errorf("sis: line %d: %v", line, err)
 		}
-		hintDay, err := strconv.Atoi(parts[3])
+		hintDay, err := strconv.Atoi(string(dayField))
 		if err != nil {
 			return File{}, fmt.Errorf("sis: line %d: bad day: %v", line, err)
 		}
 		f.Hints = append(f.Hints, Hint{
 			TemplateHash: hash,
-			TemplateID:   parts[1],
+			TemplateID:   string(id),
 			Flip:         flip,
 			Day:          hintDay,
 		})
 	}
 	return f, sc.Err()
 }
+
+var comma = []byte{','}
 
 // Validate checks a file's internal consistency: rule IDs in range, no
 // duplicate templates, no hints flipping required rules.

@@ -1,6 +1,7 @@
 package sis
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
@@ -190,5 +191,73 @@ func TestNewStoreNilCatalog(t *testing.T) {
 	}
 	if err := s.Upload(File{Day: 1}); err != nil {
 		t.Fatalf("empty upload should be fine: %v", err)
+	}
+}
+
+// TestParseMatchesReference holds Parse to parseRef — result and error
+// text, line numbers included — on the inputs where reading fields out of
+// the scanner's buffer could differ from splitting a string: padding that
+// is not ASCII, empty fields, fields too long for a stack buffer, the
+// wrong number of fields.
+func TestParseMatchesReference(t *testing.T) {
+	const head = "qoadvisor-hints v1 day=3\n"
+	long := strings.Repeat("0", 40)
+	for _, src := range []string{
+		"", "garbage header\n", head, head + "\n\n",
+		head + "00ab,T001,+R001,3\n",
+		head + "  00ab,T001,+R001,3 \t\r\n   00ac,T002,-R002,3\n",
+		head + " 00ab,T001,+R001,3\n",
+		head + "00ab, T001 ,+R001,3\n",
+		head + "00ab,,+R001,3\n",
+		head + ",,,\n",
+		head + ",\n",
+		head + "00ab,T001,+R001,3,\n",
+		head + "00ab,T001,+R001\n",
+		head + "\n\n00ab,T001,+R001,3\n\nzz,T002,+R001,3\n",
+		head + long + "ab,T001,+R001,3\n",
+		head + long + "ab" + long + ",T001,+R001,3\n",
+		head + "00ab,T001,+R001" + long + ",3\n",
+		head + "00ab,T001,+R001," + long + "7\n",
+		head + "00ab,T001,+R001,9" + long + long + "\n",
+		head + "00ab,T001,+R12abc,3\n",
+		head + "00ab,T001,+R256,3\n",
+		head + "00ab,T001,+R001,-4\n",
+		head + "00ab,\xff\xfe,+R001,3\n",
+		head + "00ab,T001,+R001,3", // no final newline
+	} {
+		got, err := Parse(strings.NewReader(src))
+		if msg := sameAsReference([]byte(src), got, err); msg != "" {
+			t.Error(msg)
+		}
+	}
+}
+
+// BenchmarkParse parses a file the size of qobench cluster_mixed's
+// mid-body rollover (45,875 hints); allocs/op over that count is the
+// parser's allocations per line.
+func BenchmarkParse(b *testing.B) {
+	const n = 45875
+	f := File{Day: 2, Hints: make([]Hint, n)}
+	for i := range f.Hints {
+		f.Hints[i] = Hint{
+			TemplateHash: uint64(i)*0x9e3779b97f4a7c15 + 1,
+			TemplateID:   "T" + strconv.Itoa(100000+i),
+			Flip:         rules.Flip{RuleID: 40 + i%100, Enable: i%2 == 0},
+			Day:          2,
+		}
+	}
+	var sb strings.Builder
+	if err := Serialize(&sb, f); err != nil {
+		b.Fatal(err)
+	}
+	src := sb.String()
+	b.ReportAllocs()
+	b.SetBytes(int64(len(src)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		got, err := Parse(strings.NewReader(src))
+		if err != nil || len(got.Hints) != n {
+			b.Fatalf("Parse: %d hints, %v", len(got.Hints), err)
+		}
 	}
 }

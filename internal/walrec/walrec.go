@@ -307,21 +307,41 @@ func EncodeTrainMark() []byte { return []byte{TagTrainMark} }
 //	[tag][uvarint generation][uvarint count]
 //	per hint: [8-byte hash][string templateID][string flip][uvarint day]
 func EncodeHintRollover(gen uint64, hints []Hint) []byte {
-	size := 1 + 2*binary.MaxVarintLen64
+	var idBytes, flipBytes int
 	for _, h := range hints {
-		size += 8 + len(h.TemplateID) + len(h.Flip) + 16
+		idBytes += len(h.TemplateID)
+		flipBytes += len(h.Flip)
 	}
-	b := make([]byte, 0, size)
-	b = append(b, TagHintRollover)
-	b = binary.AppendUvarint(b, gen)
-	b = binary.AppendUvarint(b, uint64(len(hints)))
+	b := make([]byte, 0, HintRolloverSizeMax(len(hints), idBytes, flipBytes))
+	b = AppendHintRolloverHeader(b, gen, len(hints))
 	for _, h := range hints {
-		b = appendUint64(b, h.TemplateHash)
-		b = appendString(b, h.TemplateID)
-		b = appendString(b, h.Flip)
-		b = binary.AppendUvarint(b, uint64(h.Day))
+		b = AppendHint(b, h.TemplateHash, h.TemplateID, h.Flip, h.Day)
 	}
 	return b
+}
+
+// HintRolloverSizeMax bounds the encoding of a rollover record of count
+// hints whose template IDs and flip renderings total these many bytes.
+func HintRolloverSizeMax(count, idBytes, flipBytes int) int {
+	return 1 + 2*binary.MaxVarintLen64 + count*(8+16) + idBytes + flipBytes
+}
+
+// AppendHintRolloverHeader starts a rollover record of count hints;
+// exactly count AppendHint calls complete it. The two let a caller that
+// holds the hints in another form (serve's typed sis.Hint) frame the
+// record without first converting the table to []Hint.
+func AppendHintRolloverHeader(b []byte, gen uint64, count int) []byte {
+	b = append(b, TagHintRollover)
+	b = binary.AppendUvarint(b, gen)
+	return binary.AppendUvarint(b, uint64(count))
+}
+
+// AppendHint appends one hint of a rollover record.
+func AppendHint(b []byte, templateHash uint64, templateID, flip string, day int) []byte {
+	b = appendUint64(b, templateHash)
+	b = appendString(b, templateID)
+	b = appendString(b, flip)
+	return binary.AppendUvarint(b, uint64(day))
 }
 
 // DecodeHintRollover parses a TagHintRollover payload.
