@@ -13,58 +13,37 @@ package main
 import (
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
 
 	"qoadvisor/internal/core"
-	"qoadvisor/internal/exec"
-	"qoadvisor/internal/flighting"
 	"qoadvisor/internal/rules"
 	"qoadvisor/internal/sis"
 	"qoadvisor/internal/stats"
-	"qoadvisor/internal/workload"
 )
 
 func main() {
-	days := flag.Int("days", 10, "number of simulated days")
-	templates := flag.Int("templates", 60, "number of recurring job templates")
-	seed := flag.Int64("seed", 42, "workload and pipeline seed")
-	hintsOut := flag.String("hints", "", "write the final SIS hint file to this path")
-	parallelism := flag.Int("parallelism", 0, "pipeline worker-pool size (0 = GOMAXPROCS, 1 = sequential; output is identical at any setting)")
-	flag.Parse()
-
-	gen, err := workload.New(workload.Config{Seed: *seed, NumTemplates: *templates, MaxDailyInstances: 2})
-	if err != nil {
-		log.Fatalf("qoadvisor: %v", err)
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintf(os.Stderr, "qoadvisor: %v\n", err)
+		os.Exit(1)
 	}
-	cat := rules.NewCatalog()
-	cluster := exec.DefaultCluster(*seed)
-	store := sis.NewStore(cat)
-	adv := core.NewAdvisor(cat, store, core.Config{
-		Seed:        *seed,
-		Parallelism: *parallelism,
-		Flighting:   flighting.Config{Catalog: cat, Cluster: cluster, Seed: *seed + 5},
-	})
-	prod := core.NewProduction(cat, store, cluster, *seed+9)
+}
 
-	fmt.Printf("QO-Advisor daily loop: %d templates, %d days, seed %d\n\n", *templates, *days, *seed)
-	fmt.Printf("%4s %6s %6s %7s %7s %7s %6s %8s %7s %6s\n",
+func run(argv []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("qoadvisor", flag.ExitOnError)
+	days := fs.Int("days", 10, "number of simulated days")
+	templates := fs.Int("templates", 60, "number of recurring job templates")
+	seed := fs.Int64("seed", 42, "workload and pipeline seed")
+	hintsOut := fs.String("hints", "", "write the final SIS hint file to this path")
+	parallelism := fs.Int("parallelism", 0, "pipeline worker-pool size (0 = GOMAXPROCS, 1 = sequential; output is identical at any setting)")
+	fs.Parse(argv) // exits on a bad flag
+
+	fmt.Fprintf(stdout, "QO-Advisor daily loop: %d templates, %d days, seed %d\n\n", *templates, *days, *seed)
+	fmt.Fprintf(stdout, "%4s %6s %6s %7s %7s %7s %6s %8s %7s %6s\n",
 		"day", "jobs", "span", "lower", "higher", "fails", "flts", "samples", "valid", "hints")
 
 	var hintedPN, defaultPN []float64
-	for day := 1; day <= *days; day++ {
-		// Off-policy schedule: uniform logging for the first third, the
-		// learned policy afterwards.
-		adv.CB.Uniform = day <= *days/3
-
-		jobs, err := gen.JobsForDay(day)
-		if err != nil {
-			log.Fatalf("qoadvisor: %v", err)
-		}
-		runs, view, err := prod.RunDay(day, jobs)
-		if err != nil {
-			log.Fatalf("qoadvisor: %v", err)
-		}
+	adv, err := core.RunLoop(rules.NewCatalog(), *seed, *templates, *days, *parallelism, func(day int, runs []core.JobRun, rep *core.DayReport) {
 		for _, r := range runs {
 			if r.Hinted {
 				hintedPN = append(hintedPN, r.Metrics.PNHours)
@@ -72,32 +51,35 @@ func main() {
 				defaultPN = append(defaultPN, r.Metrics.PNHours)
 			}
 		}
-		rep, err := adv.RunDay(day, jobs, view)
-		if err != nil {
-			log.Fatalf("qoadvisor: %v", err)
-		}
-		fmt.Printf("%4d %6d %6d %7d %7d %7d %6d %8d %7d %6d\n",
+		fmt.Fprintf(stdout, "%4d %6d %6d %7d %7d %7d %6d %8d %7d %6d\n",
 			day, rep.JobsInView, rep.JobsWithSpan, rep.LowerCost, rep.HigherCost,
 			rep.CompileFails, rep.FlightsRequested, rep.ValidationSamples,
 			rep.Validated, rep.HintsUploaded)
+	})
+	if err != nil {
+		return err
 	}
+	store := adv.Store
 
-	fmt.Printf("\nfinal state: %d active hints, SIS version %d\n", store.Size(), store.Version())
-	fmt.Printf("hinted executions: %d (total PNhours %.2f), default executions: %d (total PNhours %.2f)\n",
+	fmt.Fprintf(stdout, "\nfinal state: %d active hints, SIS version %d\n", store.Size(), store.Version())
+	fmt.Fprintf(stdout, "hinted executions: %d (total PNhours %.2f), default executions: %d (total PNhours %.2f)\n",
 		len(hintedPN), stats.Sum(hintedPN), len(defaultPN), stats.Sum(defaultPN))
 
 	if *hintsOut != "" {
 		f, err := os.Create(*hintsOut)
 		if err != nil {
-			log.Fatalf("qoadvisor: %v", err)
+			return err
 		}
-		defer f.Close()
-		hist := store.History()
-		if len(hist) > 0 {
-			if err := sis.Serialize(f, hist[len(hist)-1]); err != nil {
-				log.Fatalf("qoadvisor: %v", err)
-			}
+		if hist := store.History(); len(hist) > 0 {
+			err = sis.Serialize(f, hist[len(hist)-1])
 		}
-		fmt.Printf("hint file written to %s\n", *hintsOut)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "hint file written to %s\n", *hintsOut)
 	}
+	return nil
 }

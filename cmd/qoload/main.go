@@ -239,11 +239,7 @@ func startSelfhost(seed int64, incidentDir string) (endpoints []string, j *wal.W
 		os.RemoveAll(dir)
 		return nil, nil, nil, err
 	}
-	pCfg := serve.Config{Seed: seed, WAL: j}
-	if incidentDir != "" {
-		pCfg.Incidents = &serve.IncidentConfig{Dir: incidentDir}
-	}
-	primary := serve.New(pCfg)
+	primary := serve.New(serve.Config{Seed: seed, WAL: j, Incidents: serve.IncidentConfig{Dir: incidentDir}})
 	pURL, pStop, err := listenAndServe(primary)
 	if err != nil {
 		primary.Close()

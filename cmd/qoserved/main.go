@@ -69,6 +69,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"log/slog"
 	"maps"
 	"net/http"
 	_ "net/http/pprof"
@@ -84,22 +85,37 @@ import (
 	"qoadvisor/internal/bandit"
 	"qoadvisor/internal/core"
 	"qoadvisor/internal/drift"
-	"qoadvisor/internal/exec"
 	"qoadvisor/internal/fleet"
-	"qoadvisor/internal/flighting"
 	"qoadvisor/internal/obs"
 	"qoadvisor/internal/replicate"
 	"qoadvisor/internal/rules"
 	"qoadvisor/internal/serve"
 	"qoadvisor/internal/sis"
 	"qoadvisor/internal/wal"
-	"qoadvisor/internal/workload"
 )
 
 // logg is the process-wide leveled logger, writing key=value lines to
-// stderr. The serving modes set its level from -log-level; the one-shot
+// stderr. The serving modes set minLevel from -log-level; the one-shot
 // modes log only their failure, which every level prints.
-var logg = obs.NewLogger(os.Stderr, obs.LevelInfo)
+var (
+	minLevel slog.LevelVar // zero = info
+	logg     = slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: &minLevel}))
+)
+
+// parseLevel parses the -log-level form ("debug", "info", "warn", "error").
+func parseLevel(s string) (slog.Level, error) {
+	switch strings.ToLower(s) {
+	case "debug":
+		return slog.LevelDebug, nil
+	case "info", "":
+		return slog.LevelInfo, nil
+	case "warn", "warning":
+		return slog.LevelWarn, nil
+	case "error":
+		return slog.LevelError, nil
+	}
+	return slog.LevelInfo, fmt.Errorf("unknown log level %q (want debug, info, warn, or error)", s)
+}
 
 // mode is one subcommand: its own flags, its own required inputs, its
 // own run loop.
@@ -216,7 +232,7 @@ func (r *replayFlags) register(fs *flag.FlagSet) {
 // where to listen and how to be observed.
 type nodeFlags struct {
 	addr, logLevel, pprofAddr, traceOut string
-	level                               obs.Level // -log-level, parsed by validate
+	level                               slog.Level // -log-level, parsed by validate
 	traceSample, traceRetainMS          int
 }
 
@@ -233,7 +249,7 @@ func (n *nodeFlags) validate() (err error) {
 	if n.traceRetainMS < 0 {
 		return fmt.Errorf("-trace-retain-ms must not be negative (got %d)", n.traceRetainMS)
 	}
-	n.level, err = obs.ParseLevel(n.logLevel)
+	n.level, err = parseLevel(n.logLevel)
 	return err
 }
 
@@ -241,7 +257,7 @@ func (n *nodeFlags) validate() (err error) {
 // own, so profile endpoints are never exposed on the serving address)
 // and the flight recorder with its optional -trace-out export.
 func (n *nodeFlags) observe() (*obs.FlightRecorder, error) {
-	logg.SetLevel(n.level)
+	minLevel.Set(n.level)
 	if n.pprofAddr != "" {
 		// net/http/pprof registers on http.DefaultServeMux, which only
 		// this listener serves: the steering handlers have their own.
@@ -374,11 +390,15 @@ func (m *serveMode) run() error {
 
 	var hints, fileHints []sis.Hint
 	if m.bootstrapDays > 0 {
-		adv, bootHints, err := bootstrap(cat, m.seed, m.templates, m.bootstrapDays)
+		// The offline daily pipeline, for that many simulated days: its
+		// advisor's bandit is now trained and its SIS store holds the
+		// active hint table.
+		adv, err := core.RunLoop(cat, m.seed, m.templates, m.bootstrapDays, 0, nil)
 		if err != nil {
 			return fmt.Errorf("bootstrap: %w", err)
 		}
-		hints = bootHints
+		hints = adv.ActiveHints()
+		logg.Info("bootstrap complete", "days", m.bootstrapDays, "templates", m.templates, "activeHints", len(hints))
 		if svc == nil {
 			svc = adv.CB.Service
 			logg.Info("serving the bootstrap pipeline's trained bandit")
@@ -407,7 +427,7 @@ func (m *serveMode) run() error {
 		SnapshotPath: m.model,
 		WAL:          journal,
 		Flight:       flight,
-		Incidents:    &m.incidents, // disabled while its Dir is empty
+		Incidents:    m.incidents, // disabled while its Dir is empty
 		Drift:        driftCfg,
 	})
 	if m.incidents.Dir != "" {
@@ -883,40 +903,4 @@ func mergeHints(base, additions []sis.Hint) []sis.Hint {
 		out = append(out, h)
 	}
 	return out
-}
-
-// bootstrap runs the offline daily pipeline for the requested number of
-// simulated days and returns the advisor (whose bandit is now trained)
-// plus the active hint table in servable form.
-func bootstrap(cat *rules.Catalog, seed int64, templates, days int) (*core.Advisor, []sis.Hint, error) {
-	gen, err := workload.New(workload.Config{Seed: seed, NumTemplates: templates, MaxDailyInstances: 2})
-	if err != nil {
-		return nil, nil, err
-	}
-	cluster := exec.DefaultCluster(seed)
-	store := sis.NewStore(cat)
-	adv := core.NewAdvisor(cat, store, core.Config{
-		Seed:      seed,
-		Flighting: flighting.Config{Catalog: cat, Cluster: cluster, Seed: seed + 5},
-	})
-	prod := core.NewProduction(cat, store, cluster, seed+9)
-
-	for day := 1; day <= days; day++ {
-		// Off-policy schedule: uniform logging for the first third, the
-		// learned policy afterwards (as in cmd/qoadvisor).
-		adv.CB.Uniform = day <= days/3
-		jobs, err := gen.JobsForDay(day)
-		if err != nil {
-			return nil, nil, err
-		}
-		_, view, err := prod.RunDay(day, jobs)
-		if err != nil {
-			return nil, nil, err
-		}
-		if _, err := adv.RunDay(day, jobs, view); err != nil {
-			return nil, nil, err
-		}
-	}
-	logg.Info("bootstrap complete", "days", days, "templates", templates, "activeHints", store.Size())
-	return adv, adv.ActiveHints(), nil
 }

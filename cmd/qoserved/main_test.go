@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"flag"
 	"fmt"
+	"log/slog"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -16,7 +17,6 @@ import (
 
 	"qoadvisor/internal/api"
 	"qoadvisor/internal/drift"
-	"qoadvisor/internal/obs"
 	"qoadvisor/internal/rules"
 	"qoadvisor/internal/serve"
 	"qoadvisor/internal/sis"
@@ -79,7 +79,7 @@ func TestFlagsGolden(t *testing.T) {
 // TestParseBuildsEachMode builds every mode's configuration from argv;
 // parse opens no socket and no journal.
 func TestParseBuildsEachMode(t *testing.T) {
-	node := nodeFlags{addr: ":1", logLevel: "info", level: obs.LevelInfo, traceSample: 100}
+	node := nodeFlags{addr: ":1", logLevel: "info", level: slog.LevelInfo, traceSample: 100}
 	for _, tc := range []struct {
 		argv string
 		want mode
@@ -116,6 +116,21 @@ func TestParseBuildsEachMode(t *testing.T) {
 		} else if !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("qoserved %s:\n got %+v\nwant %+v", tc.argv, got, tc.want)
 		}
+	}
+}
+
+// TestParseLevel holds -log-level to the values it has always accepted.
+func TestParseLevel(t *testing.T) {
+	for s, want := range map[string]slog.Level{
+		"debug": slog.LevelDebug, "info": slog.LevelInfo, "": slog.LevelInfo,
+		"warn": slog.LevelWarn, "warning": slog.LevelWarn, "error": slog.LevelError, "ERROR": slog.LevelError,
+	} {
+		if got, err := parseLevel(s); err != nil || got != want {
+			t.Errorf("parseLevel(%q) = %v, %v; want %v", s, got, err, want)
+		}
+	}
+	if _, err := parseLevel("loud"); err == nil {
+		t.Error("parseLevel accepted garbage")
 	}
 }
 
@@ -234,7 +249,7 @@ func auditJournal(t *testing.T, segBytes int64) (dir, event string, watermark ui
 			if err != nil {
 				t.Fatal(err)
 			}
-			if event = resp.EventID; !srv.RewardAsync(event, 0.5) {
+			if event = resp.EventID; !srv.Ingestor().Enqueue(event, 0.5) {
 				t.Fatal("reward rejected")
 			}
 		}

@@ -217,22 +217,6 @@ func (c *Client) RankBatch(ctx context.Context, jobs []api.RankRequest) (api.Bat
 	return out, err
 }
 
-// RankAll steers a job list of any size, splitting it into
-// api.MaxRankBatch-sized /v2/rank calls and concatenating the results
-// (index-aligned with jobs).
-func (c *Client) RankAll(ctx context.Context, jobs []api.RankRequest) ([]api.RankResult, error) {
-	results := make([]api.RankResult, 0, len(jobs))
-	for start := 0; start < len(jobs); start += api.MaxRankBatch {
-		end := min(start+api.MaxRankBatch, len(jobs))
-		resp, err := c.RankBatch(ctx, jobs[start:end])
-		if err != nil {
-			return nil, fmt.Errorf("client: batch at offset %d: %w", start, err)
-		}
-		results = append(results, resp.Results...)
-	}
-	return results, nil
-}
-
 // Reward reports one event's reward: a /v2/reward batch of one, with a
 // rejection surfaced as the returned *api.Error. A saturated queue (503)
 // is retried per the client's retry policy before the error is returned.

@@ -242,33 +242,6 @@ func TestClientKeepsConnectionAlive(t *testing.T) {
 	}
 }
 
-func TestRankAllChunksBatches(t *testing.T) {
-	var batchSizes []int
-	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		var req api.BatchRankRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			t.Error(err)
-		}
-		batchSizes = append(batchSizes, len(req.Jobs))
-		resp := api.BatchRankResponse{Results: make([]api.RankResult, len(req.Jobs))}
-		json.NewEncoder(w).Encode(resp)
-	})
-	ts := httptest.NewServer(h)
-	defer ts.Close()
-
-	jobs := make([]api.RankRequest, api.MaxRankBatch+5)
-	results, err := client.New(ts.URL).RankAll(context.Background(), jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != len(jobs) {
-		t.Errorf("results = %d, want %d", len(results), len(jobs))
-	}
-	if len(batchSizes) != 2 || batchSizes[0] != api.MaxRankBatch || batchSizes[1] != 5 {
-		t.Errorf("batch sizes = %v, want [%d 5]", batchSizes, api.MaxRankBatch)
-	}
-}
-
 // TestClientWALStatsPassthrough pins the durable-journal fields of the
 // stats payload through the typed client: a WAL-backed server reports
 // its sync mode, journal positions, and checkpoint counters in

@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 
 	"qoadvisor/internal/api"
-	"qoadvisor/internal/par"
 )
 
 // Cluster is the multi-endpoint client for a replicated steering
@@ -211,37 +210,6 @@ func (c *Cluster) RankBatch(ctx context.Context, jobs []api.RankRequest) (api.Ba
 		return rerr
 	})
 	return out, err
-}
-
-// RankAll steers a job list of any size, fanning its MaxRankBatch
-// chunks out concurrently across the read rotation — keeping one
-// request in flight per rotation slot is what turns a second serving
-// node into aggregate rank throughput (a sequential chunk loop never
-// has more than one node working). Results stay index-aligned with
-// jobs; the first failing chunk's error is returned.
-func (c *Cluster) RankAll(ctx context.Context, jobs []api.RankRequest) ([]api.RankResult, error) {
-	if len(jobs) == 0 {
-		return nil, nil
-	}
-	chunks := (len(jobs) + api.MaxRankBatch - 1) / api.MaxRankBatch
-	results := make([]api.RankResult, len(jobs))
-	errs := make([]error, chunks)
-	par.For(chunks, 2*len(c.Endpoints()), func(i int) {
-		start := i * api.MaxRankBatch
-		end := min(start+api.MaxRankBatch, len(jobs))
-		resp, err := c.RankBatch(ctx, jobs[start:end])
-		if err != nil {
-			errs[i] = fmt.Errorf("client: batch at offset %d: %w", start, err)
-			return
-		}
-		copy(results[start:end], resp.Results)
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return results, nil
 }
 
 // Health probes one node of the rotation.

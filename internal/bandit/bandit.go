@@ -11,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -101,9 +100,6 @@ type Config struct {
 	LearningRate float64
 	// MaxIPSWeight clips importance weights.
 	MaxIPSWeight float64
-	// TrainEpochs is the number of SGD passes over new events per Train
-	// call.
-	TrainEpochs int
 	// MaxLogEvents caps the in-memory event log (0 = unbounded, the
 	// offline-pipeline mode). When the cap is exceeded the oldest events
 	// are evicted — trained ones silently, pending ones forfeiting any
@@ -204,9 +200,6 @@ func New(cfg Config) *Service {
 	}
 	if cfg.MaxIPSWeight <= 0 {
 		cfg.MaxIPSWeight = 50
-	}
-	if cfg.TrainEpochs <= 0 {
-		cfg.TrainEpochs = 4
 	}
 	return &Service{
 		cfg:    cfg,
@@ -565,7 +558,12 @@ type trainExample struct {
 // day's batch is released when its Train returns.
 const maxKeptTrainIdx = 1 << 18
 
-// Train performs TrainEpochs IPS-weighted SGD passes over all rewarded,
+// trainEpochs is the number of SGD passes one Train call makes over its
+// new events. Replay retrains from the journal, so every node and every
+// offline rebuild must make the same number.
+const trainEpochs = 4
+
+// Train performs trainEpochs IPS-weighted SGD passes over all rewarded,
 // untrained events and returns how many events were consumed.
 func (s *Service) Train() int {
 	s.evMu.Lock()
@@ -597,7 +595,7 @@ func (s *Service) Train() int {
 		idx = s.appendFeatureIndexes(idx, fresh[i].ctxIDs, fresh[i].actIDs)
 		fresh[i].idxEnd = len(idx)
 	}
-	for epoch := 0; epoch < s.cfg.TrainEpochs; epoch++ {
+	for epoch := 0; epoch < trainEpochs; epoch++ {
 		lo := 0
 		for _, ex := range fresh {
 			s.update(ex, idx[lo:ex.idxEnd])
@@ -717,31 +715,4 @@ func (s *Service) GreedyPolicy() func(ctx Context, actions []Action) int {
 		}
 		return best
 	}
-}
-
-// TopWeights returns the n largest-magnitude weight indexes, a debugging
-// aid for explainability ("which rules are really moving the needle").
-func (s *Service) TopWeights(n int) []int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	idx := make([]int, 0)
-	for i, w := range s.w {
-		if w != 0 {
-			idx = append(idx, i)
-		}
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		wa, wb := s.w[idx[a]], s.w[idx[b]]
-		if wa < 0 {
-			wa = -wa
-		}
-		if wb < 0 {
-			wb = -wb
-		}
-		return wa > wb
-	})
-	if len(idx) > n {
-		idx = idx[:n]
-	}
-	return idx
 }

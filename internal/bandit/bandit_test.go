@@ -239,24 +239,6 @@ func TestLogGrowth(t *testing.T) {
 	}
 }
 
-func TestTopWeights(t *testing.T) {
-	s := New(DefaultConfig(2))
-	ctx := Context{IDs: HashFeatures([]string{"x"})}
-	actions := twoActions()
-	for i := 0; i < 50; i++ {
-		r, _ := s.RankUniform(ctx, actions)
-		s.Reward(r.EventID, float64(1-r.Chosen))
-	}
-	s.Train()
-	top := s.TopWeights(5)
-	if len(top) == 0 {
-		t.Error("expected nonzero weights after training")
-	}
-	if len(top) > 5 {
-		t.Errorf("top weights = %d, want <= 5", len(top))
-	}
-}
-
 func TestConfigDefaultsApplied(t *testing.T) {
 	s := New(Config{})
 	if s.cfg.Dim <= 0 || s.cfg.Epsilon <= 0 || s.cfg.LearningRate <= 0 || s.cfg.MaxIPSWeight <= 0 {

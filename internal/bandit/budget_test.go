@@ -232,7 +232,7 @@ func BenchmarkScoreSpan8(b *testing.B) {
 }
 
 // BenchmarkTrain256 times the serve layer's training batch: 256 rewarded
-// 8-bit-span events, TrainEpochs passes.
+// 8-bit-span events, trainEpochs passes.
 func BenchmarkTrain256(b *testing.B) {
 	s := New(DefaultConfig(1))
 	b.ReportAllocs()

@@ -142,6 +142,11 @@ func parseIDs(s string) ([]uint64, error) {
 	return ids, nil
 }
 
+// maxLoadDim bounds the weight dimension Load allocates on a header's
+// say-so (a snapshot arrives over the network on a follower): 64 times
+// the default, 128 MiB of weights.
+const maxLoadDim = 1 << 24
+
 // Load restores a service saved with Save. The seed drives the
 // restored service's exploration randomness (exploration state is not
 // part of the model).
@@ -165,6 +170,9 @@ func Load(r io.Reader, seed int64) (*Service, error) {
 	}
 	if n != 6 {
 		return nil, fmt.Errorf("bandit: v3 model header missing wal field: %q", header)
+	}
+	if dim < 1 || dim > maxLoadDim {
+		return nil, fmt.Errorf("bandit: model header dim %d out of range [1, %d]", dim, maxLoadDim)
 	}
 	svc := New(Config{Dim: dim, Epsilon: eps, LearningRate: lr, MaxIPSWeight: clip, Seed: seed})
 	svc.walLSN = walLSN

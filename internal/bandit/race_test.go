@@ -54,7 +54,6 @@ func TestConcurrentRankRewardTrain(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 100; i++ {
 			svc.Score(ctxFor(i), actions[1])
-			svc.TopWeights(4)
 			svc.LogSize()
 			var buf bytes.Buffer
 			if err := svc.Save(&buf); err != nil {

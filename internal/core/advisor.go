@@ -13,22 +13,11 @@ import (
 // Config parameterizes the Advisor pipeline.
 type Config struct {
 	Seed int64
-	// ValidationThreshold is the acceptance cutoff on predicted PNhours
-	// delta (default -0.1).
-	ValidationThreshold float64
 	// MinValidationSamples gates hint generation until the validation
 	// model has gathered enough flighting observations (the paper
-	// gathers 14 days of data before trusting the model).
+	// gathers 14 days of flighting results before trusting the model,
+	// §4.3; default 20).
 	MinValidationSamples int
-	// MaxFlightCostDelta prunes flights whose estimated-cost improvement
-	// is too small to bother (delta > this value is skipped). Zero means
-	// "any improvement".
-	MaxFlightCostDelta float64
-	// ExplorationFlightsPerDay is the number of random (job, span-flip)
-	// pairs flighted purely to grow the validation model's training set
-	// ("we flight a random subset of the jobs over a period of 14 days to
-	// gather a data set of flighting results", §4.3).
-	ExplorationFlightsPerDay int
 	// Flighting configures the pre-production A/B service.
 	Flighting flighting.Config
 	// UniformLogging switches the CB recommender to uniform-at-random
@@ -43,11 +32,13 @@ type Config struct {
 	// reduces deterministically, so DayReports and SIS uploads are
 	// bit-identical at any setting.
 	Parallelism int
-	// CompileCacheSize bounds the shared logical-compilation cache
-	// (0 = the optimizer default, negative = disable). The cache only
-	// affects speed, never results.
-	CompileCacheSize int
 }
+
+// explorationFlightsPerDay is the number of random (job, span-flip)
+// pairs flighted each day purely to grow the validation model's training
+// set ("we flight a random subset of the jobs over a period of 14 days to
+// gather a data set of flighting results", §4.3).
+const explorationFlightsPerDay = 8
 
 // DayReport summarizes one daily pipeline run.
 type DayReport struct {
@@ -102,22 +93,15 @@ func NewAdvisor(cat *rules.Catalog, store *sis.Store, cfg Config) *Advisor {
 	if store == nil {
 		store = sis.NewStore(cat)
 	}
-	if cfg.ValidationThreshold == 0 {
-		cfg.ValidationThreshold = DefaultValidationThreshold
-	}
 	if cfg.MinValidationSamples == 0 {
 		cfg.MinValidationSamples = 20
-	}
-	if cfg.ExplorationFlightsPerDay == 0 {
-		cfg.ExplorationFlightsPerDay = 8
 	}
 	if cfg.Flighting.Catalog == nil {
 		cfg.Flighting.Catalog = cat
 	}
-	var cache *optimizer.CompileCache
-	if cfg.CompileCacheSize >= 0 {
-		cache = optimizer.NewCompileCache(cfg.CompileCacheSize)
-	}
+	// One logical-compilation cache for the whole pipeline; it affects
+	// speed, never results.
+	cache := optimizer.NewCompileCache(optimizer.DefaultCompileCacheSize)
 	if cfg.Flighting.Parallelism == 0 {
 		cfg.Flighting.Parallelism = cfg.Parallelism
 	}
@@ -126,8 +110,6 @@ func NewAdvisor(cat *rules.Catalog, store *sis.Store, cfg Config) *Advisor {
 	}
 	cb := NewCBRecommender(cat, cfg.Seed)
 	cb.Uniform = cfg.UniformLogging
-	v := NewValidator()
-	v.Threshold = cfg.ValidationThreshold
 	fg := NewFeatureGen(cat)
 	fg.Parallelism = cfg.Parallelism
 	fg.Cache = cache
@@ -136,7 +118,7 @@ func NewAdvisor(cat *rules.Catalog, store *sis.Store, cfg Config) *Advisor {
 		FeatureGen: fg,
 		CB:         cb,
 		Flight:     flighting.New(cfg.Flighting),
-		Validator:  v,
+		Validator:  NewValidator(),
 		Store:      store,
 		cfg:        cfg,
 		cache:      cache,
@@ -144,13 +126,8 @@ func NewAdvisor(cat *rules.Catalog, store *sis.Store, cfg Config) *Advisor {
 }
 
 // CompileCacheStats reports the shared logical-compilation cache's
-// effectiveness (zero value when disabled).
-func (a *Advisor) CompileCacheStats() optimizer.CompileCacheStats {
-	if a.cache == nil {
-		return optimizer.CompileCacheStats{}
-	}
-	return a.cache.Stats()
-}
+// effectiveness.
+func (a *Advisor) CompileCacheStats() optimizer.CompileCacheStats { return a.cache.Stats() }
 
 // RunDay executes the full pipeline over one day's workload view and
 // uploads the validated hints to SIS.
@@ -202,15 +179,12 @@ func (a *Advisor) RunDay(date int, jobs []*workload.Job, view []workload.ViewRow
 		}
 	}
 
-	// 4. Flighting: improved flips only, one representative per
-	// template, within cost-delta threshold.
+	// 4. Flighting: improved flips only (any estimated-cost improvement
+	// earns a flight), one representative per template.
 	improved := Improved(recs)
 	reps := RepresentativePerTemplate(improved, a.cfg.Seed+int64(date))
 	var reqs []flighting.Request
 	for _, r := range reps {
-		if a.cfg.MaxFlightCostDelta != 0 && r.CostDelta > a.cfg.MaxFlightCostDelta {
-			continue
-		}
 		reqs = append(reqs, flighting.Request{
 			Job:       r.Features.Job,
 			Treatment: a.Catalog.DefaultConfig().WithFlip(r.Flip),
@@ -289,12 +263,12 @@ func (a *Advisor) ActiveHints() []sis.Hint {
 // explorationFlights flights random (job, span-flip) pairs to feed the
 // validation model's training set.
 func (a *Advisor) explorationFlights(date int, feats []*JobFeatures) []flighting.Result {
-	if a.cfg.ExplorationFlightsPerDay <= 0 || len(feats) == 0 {
+	if len(feats) == 0 {
 		return nil
 	}
 	rng := rand.New(rand.NewSource(a.cfg.Seed + int64(date)*31))
 	var reqs []flighting.Request
-	for i := 0; i < a.cfg.ExplorationFlightsPerDay; i++ {
+	for i := 0; i < explorationFlightsPerDay; i++ {
 		f := feats[rng.Intn(len(feats))]
 		bits := f.Span.Bits()
 		if len(bits) == 0 {

@@ -472,7 +472,7 @@ func TestProductionAppliesHints(t *testing.T) {
 // job-by-job loop it replaced: same runs, same view, in job order, at any
 // GOMAXPROCS, with a hint steering some of the day's compilations. RunDay
 // compiles a template's recurrences from one shared rewrite (its day-scoped
-// CompileCache) where RunJob rewrites per job, so this is also what holds
+// CompileCache) where an uncached runJob rewrites per job, so this is also what holds
 // the shared rewrite to the uncached one.
 func TestProductionRunDayMatchesSequential(t *testing.T) {
 	cat := rules.NewCatalog()
@@ -512,7 +512,7 @@ func TestProductionRunDayMatchesSequential(t *testing.T) {
 	var wantRuns []JobRun
 	var wantView []workload.ViewRow
 	for i, job := range jobs {
-		run, err := prod.RunJob(job, prod.Seed+2*100003+int64(i)*7)
+		run, err := prod.runJob(job, prod.Seed+2*100003+int64(i)*7, nil)
 		if err != nil {
 			continue
 		}

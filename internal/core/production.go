@@ -44,15 +44,10 @@ func NewProduction(cat *rules.Catalog, store *sis.Store, cluster *exec.Cluster, 
 	return &Production{Catalog: cat, Store: store, Cluster: cluster, Seed: seed}
 }
 
-// RunJob compiles and executes a single job under the current hints. If a
+// runJob compiles and executes a single job under the current hints. If a
 // hinted compilation fails, production falls back to the default
-// configuration (hints must never break jobs).
-func (p *Production) RunJob(job *workload.Job, runSeed int64) (JobRun, error) {
-	return p.runJob(job, runSeed, nil)
-}
-
-// runJob is RunJob with the logical phase of its compilations served from
-// cache when that is non-nil.
+// configuration (hints must never break jobs). The logical phase of its
+// compilations is served from cache when that is non-nil.
 func (p *Production) runJob(job *workload.Job, runSeed int64, cache *optimizer.CompileCache) (JobRun, error) {
 	def := p.Catalog.DefaultConfig()
 	cfg := p.Store.ConfigFor(job.Template.Hash, def)
@@ -79,7 +74,7 @@ func (p *Production) runJob(job *workload.Job, runSeed int64, cache *optimizer.C
 
 // RunDay executes all of a day's jobs and assembles the denormalized
 // workload view from their telemetry. Jobs run on a GOMAXPROCS-bounded
-// pool — RunJob is a pure function of (job, run seed) and the hint store
+// pool — runJob is a pure function of (job, run seed) and the hint store
 // is read-only during a day — and runs and view are assembled in job
 // order, so the result does not depend on the parallelism.
 //

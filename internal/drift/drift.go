@@ -86,24 +86,31 @@ type Transition struct {
 	Manual       bool
 }
 
-// Config parameterizes the detector. The zero value selects the
-// defaults below via withDefaults; Disabled is only meaningful to
-// embedders that thread a Config through without constructing a
-// detector.
-type Config struct {
-	// FastAlpha is the decay of the fast (recent-level) EWMA.
-	FastAlpha float64 // default 0.08
-	// SlowAlpha is the decay of the slow (baseline) EWMA and its
+// The detector's fixed parameters. None has ever been run at another
+// value: the decays set what "baseline" and "recent" mean for every
+// threshold below, and the sketch is sized for the templates one node
+// sees (4 rows of 1024 counters, 16 KiB).
+const (
+	// fastAlpha is the decay of the fast (recent-level) EWMA.
+	fastAlpha float64 = 0.08
+	// slowAlpha is the decay of the slow (baseline) EWMA and its
 	// exponentially-weighted variance.
-	SlowAlpha float64 // default 0.005
+	slowAlpha float64 = 0.005
+	// sketchWidth and sketchDepth size the count-min sketch (width
+	// counters per row, depth rows).
+	sketchWidth = 1024
+	sketchDepth = 4
+)
+
+// Config parameterizes the detector. The zero value of every field
+// selects its default; a quarantined or probation template's
+// observation counts as recovered at or below half of Threshold (the
+// gap is the score hysteresis band).
+type Config struct {
 	// Threshold is the drift score (baseline standard deviations below
 	// baseline mean) at or above which an observation counts as
 	// degraded.
 	Threshold float64 // default 4
-	// RecoverThreshold is the score at or below which a quarantined or
-	// probation template's observation counts as recovered (0 defaults
-	// to Threshold/2 — the gap is the score hysteresis band).
-	RecoverThreshold float64
 	// MinSamples is how many observations a template needs before its
 	// score is trusted at all.
 	MinSamples int // default 32
@@ -116,10 +123,6 @@ type Config struct {
 	// RestoreAfter is how many consecutive recovered observations a
 	// probation template needs to be restored to healthy.
 	RestoreAfter int // default 32
-	// SketchWidth and SketchDepth size the count-min sketch
-	// (width counters per row, depth rows).
-	SketchWidth int // default 1024
-	SketchDepth int // default 4
 	// GateCount is the sketch estimate a template needs before the
 	// detector allocates an exact entry for it.
 	GateCount uint32 // default 4
@@ -132,17 +135,8 @@ type Config struct {
 func DefaultConfig() Config { return Config{}.withDefaults() }
 
 func (c Config) withDefaults() Config {
-	if c.FastAlpha <= 0 {
-		c.FastAlpha = 0.08
-	}
-	if c.SlowAlpha <= 0 {
-		c.SlowAlpha = 0.005
-	}
 	if c.Threshold <= 0 {
 		c.Threshold = 4
-	}
-	if c.RecoverThreshold <= 0 {
-		c.RecoverThreshold = c.Threshold / 2
 	}
 	if c.MinSamples <= 0 {
 		c.MinSamples = 32
@@ -155,12 +149,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RestoreAfter <= 0 {
 		c.RestoreAfter = 32
-	}
-	if c.SketchWidth <= 0 {
-		c.SketchWidth = 1024
-	}
-	if c.SketchDepth <= 0 {
-		c.SketchDepth = 4
 	}
 	if c.GateCount == 0 {
 		c.GateCount = 4
@@ -217,7 +205,7 @@ func NewDetector(cfg Config) *Detector {
 	cfg = cfg.withDefaults()
 	d := &Detector{
 		cfg:     cfg,
-		sketch:  make([]uint32, cfg.SketchWidth*cfg.SketchDepth),
+		sketch:  make([]uint32, sketchWidth*sketchDepth),
 		entries: make(map[uint64]*entry),
 	}
 	d.recency.prev, d.recency.next = &d.recency, &d.recency
@@ -260,10 +248,9 @@ func mix64(x uint64) uint64 {
 // count-min estimate.
 func (d *Detector) sketchAdd(hash uint64) uint32 {
 	est := uint32(math.MaxUint32)
-	w := uint64(d.cfg.SketchWidth)
-	for row := 0; row < d.cfg.SketchDepth; row++ {
-		h := mix64(hash + uint64(row)*0x9e3779b97f4a7c15)
-		c := &d.sketch[uint64(row)*w+h%w]
+	for row := uint64(0); row < sketchDepth; row++ {
+		h := mix64(hash + row*0x9e3779b97f4a7c15)
+		c := &d.sketch[row*sketchWidth+h%sketchWidth]
 		if *c != math.MaxUint32 {
 			*c++
 		}
@@ -345,19 +332,19 @@ func (d *Detector) Observe(hash uint64, reward float64) (Transition, bool) {
 		std = floor
 	}
 	if e.count >= uint64(d.cfg.MinSamples) && -delta >= d.cfg.Threshold*std {
-		e.slow += d.cfg.SlowAlpha / 8 * delta
+		e.slow += slowAlpha / 8 * delta
 	} else {
-		e.slow += d.cfg.SlowAlpha * delta
-		e.variance = (1 - d.cfg.SlowAlpha) * (e.variance + d.cfg.SlowAlpha*delta*delta)
+		e.slow += slowAlpha * delta
+		e.variance = (1 - slowAlpha) * (e.variance + slowAlpha*delta*delta)
 	}
-	e.fast += d.cfg.FastAlpha * (reward - e.fast)
+	e.fast += fastAlpha * (reward - e.fast)
 
 	if e.count < uint64(d.cfg.MinSamples) {
 		return Transition{}, false
 	}
 	s := e.score()
 	degraded := s >= d.cfg.Threshold
-	recovered := s <= d.cfg.RecoverThreshold
+	recovered := s <= d.cfg.Threshold/2
 	if degraded {
 		e.degraded++
 	} else {

@@ -78,14 +78,16 @@ type Result struct {
 	Err error
 }
 
+// perJobTimeoutHours is the per-flight wall-clock cap: "a flight is
+// timed out after 24 hours" (paper §4.3).
+const perJobTimeoutHours = 24
+
 // Config parameterizes the service.
 type Config struct {
 	Catalog *rules.Catalog
 	Cluster *exec.Cluster
 	// QueueSize is the number of concurrent flighting slots.
 	QueueSize int
-	// PerJobTimeoutHours is the per-flight wall-clock cap (paper: 24h).
-	PerJobTimeoutHours float64
 	// TotalBudgetHours is the total flighting budget per pipeline run.
 	TotalBudgetHours float64
 	// Seed drives the A/B run seeds.
@@ -117,9 +119,6 @@ func New(cfg Config) *Service {
 	}
 	if cfg.QueueSize <= 0 {
 		cfg.QueueSize = 8
-	}
-	if cfg.PerJobTimeoutHours <= 0 {
-		cfg.PerJobTimeoutHours = 24
 	}
 	if cfg.TotalBudgetHours <= 0 {
 		cfg.TotalBudgetHours = 200
@@ -238,10 +237,10 @@ func (s *Service) flightOne(req Request) Result {
 	out.Treat = exec.Run(treatRes.Plan, job.Truth, job.Stats, s.cfg.Cluster, seed+1)
 
 	hours := (out.Baseline.LatencySec + out.Treat.LatencySec) / 3600
-	if out.Baseline.LatencySec/3600 > s.cfg.PerJobTimeoutHours ||
-		out.Treat.LatencySec/3600 > s.cfg.PerJobTimeoutHours {
+	if out.Baseline.LatencySec/3600 > perJobTimeoutHours ||
+		out.Treat.LatencySec/3600 > perJobTimeoutHours {
 		out.Outcome = Timeout
-		out.HoursUsed = s.cfg.PerJobTimeoutHours
+		out.HoursUsed = perJobTimeoutHours
 		return out
 	}
 	out.Outcome = Success
@@ -270,13 +269,4 @@ func Successes(results []Result) []Result {
 		}
 	}
 	return ok
-}
-
-// CountByOutcome tallies results per outcome.
-func CountByOutcome(results []Result) map[Outcome]int {
-	m := make(map[Outcome]int)
-	for _, r := range results {
-		m[r.Outcome]++
-	}
-	return m
 }

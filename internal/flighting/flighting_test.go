@@ -48,12 +48,20 @@ func TestRunReturnsResultPerRequest(t *testing.T) {
 	}
 }
 
+func countByOutcome(results []Result) map[Outcome]int {
+	m := make(map[Outcome]int)
+	for _, r := range results {
+		m[r.Outcome]++
+	}
+	return m
+}
+
 func TestOutcomeTaxonomy(t *testing.T) {
 	cat := rules.NewCatalog()
 	jobs := testJobs(t, 40)
 	svc := New(Config{Catalog: cat, Seed: 1})
 	results := svc.Run(requestsFor(jobs, cat))
-	counts := CountByOutcome(results)
+	counts := countByOutcome(results)
 	if counts[Success] == 0 {
 		t.Error("expected some successes")
 	}
@@ -79,7 +87,7 @@ func TestBudgetExhaustionSkips(t *testing.T) {
 	jobs := testJobs(t, 30)
 	svc := New(Config{Catalog: cat, Seed: 1, TotalBudgetHours: 1e-9, QueueSize: 1})
 	results := svc.Run(requestsFor(jobs, cat))
-	counts := CountByOutcome(results)
+	counts := countByOutcome(results)
 	if counts[Skipped] == 0 {
 		t.Error("tiny budget should skip most requests")
 	}

@@ -2,7 +2,7 @@
 // lock-free log₂-bucketed latency histograms with percentile
 // estimation, a hand-rolled Prometheus text-format exposition builder,
 // a request-scoped stage tracer emitting Chrome-trace/perfetto JSON,
-// a leveled key=value logger, and build-info introspection. Every
+// and build-info introspection (logging is log/slog). Every
 // serving layer (HTTP middleware, WAL group commit, reward ingestion,
 // checkpointing, replication tailing) records into these primitives;
 // internal/serve assembles them into GET /metrics and /v2/stats.

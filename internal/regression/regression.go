@@ -189,18 +189,6 @@ func RSquared(yTrue, yPred []float64) float64 {
 	return 1 - ssRes/ssTot
 }
 
-// MAE computes the mean absolute error of predictions.
-func MAE(yTrue, yPred []float64) float64 {
-	if len(yTrue) != len(yPred) || len(yTrue) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for i := range yTrue {
-		sum += math.Abs(yTrue[i] - yPred[i])
-	}
-	return sum / float64(len(yTrue))
-}
-
 // Sample is one timestamped observation for temporal splitting.
 type Sample struct {
 	Date int

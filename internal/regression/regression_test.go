@@ -133,15 +133,6 @@ func TestRSquared(t *testing.T) {
 	}
 }
 
-func TestMAE(t *testing.T) {
-	if got := MAE([]float64{1, 2}, []float64{2, 4}); got != 1.5 {
-		t.Errorf("MAE = %v", got)
-	}
-	if MAE(nil, nil) != 0 {
-		t.Error("empty MAE should be 0")
-	}
-}
-
 func TestTemporalSplit(t *testing.T) {
 	samples := []Sample{
 		{Date: 1, Y: 1}, {Date: 5, Y: 2}, {Date: 8, Y: 3}, {Date: 10, Y: 4},

@@ -36,6 +36,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"strconv"
 	"sync/atomic"
@@ -70,13 +71,9 @@ type Config struct {
 	// ReconnectBackoff is the wait after a failed connect (0 = 500ms);
 	// it doubles per consecutive failure up to 16x.
 	ReconnectBackoff time.Duration
-	// HTTPClient overrides the tailing transport (nil = a streaming
-	// client with no overall timeout; per-state timeouts come from the
-	// primary's bounded stream duration).
-	HTTPClient *http.Client
 	// Logger receives replication lifecycle events (bootstraps,
 	// re-syncs, reconnect backoff). Nil is valid and silent.
-	Logger *obs.Logger
+	Logger *slog.Logger
 	// Flight is the trace sink (serve.NewFlightRecorder). Like
 	// applyHist, it outlives the core swaps re-syncs perform — each
 	// bootstrap threads it into the fresh core — so retained traces
@@ -110,7 +107,7 @@ type Follower struct {
 	reconnects     atomic.Int64
 	resyncs        atomic.Int64
 
-	log *obs.Logger
+	log *slog.Logger
 	// applyHist is the replication_apply stage histogram. The follower
 	// owns it (not the serving core) so the distribution survives the
 	// core swaps re-syncs perform; each bootstrap hands it to the fresh
@@ -137,20 +134,20 @@ func Start(cfg Config) (*Follower, error) {
 	if cfg.ReconnectBackoff <= 0 {
 		cfg.ReconnectBackoff = 500 * time.Millisecond
 	}
-	hc := cfg.HTTPClient
-	if hc == nil {
-		// No overall timeout: the body is a long-poll stream. Connects
-		// still time out so a dead primary is noticed.
-		hc = &http.Client{Transport: &http.Transport{ResponseHeaderTimeout: 30 * time.Second}}
+	if cfg.Logger == nil {
+		cfg.Logger = slog.New(slog.DiscardHandler)
 	}
 	if cfg.Flight == nil {
 		cfg.Flight = serve.NewFlightRecorder(obs.FlightConfig{})
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	f := &Follower{
-		cfg:       cfg,
-		cl:        client.New(cfg.Primary, client.WithTimeout(60*time.Second)),
-		hc:        hc,
+		cfg: cfg,
+		cl:  client.New(cfg.Primary, client.WithTimeout(60*time.Second)),
+		// No overall timeout: the body is a long-poll stream, bounded by
+		// the primary's stream duration. Connects still time out so a
+		// dead primary is noticed.
+		hc:        &http.Client{Transport: &http.Transport{ResponseHeaderTimeout: 30 * time.Second}},
 		ctx:       ctx,
 		cancel:    cancel,
 		done:      make(chan struct{}),

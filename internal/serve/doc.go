@@ -70,5 +70,5 @@
 //
 // Leaf locks those call into, which call back into nothing above:
 // wal.WAL.mu (Append, Commit, Sync), drift.Detector.mu, drift.Table's
-// writer lock, and the obs package's recorder, tracker and logger locks.
+// writer lock, and the obs package's recorder and tracker locks.
 package serve

@@ -48,10 +48,11 @@ type IncidentConfig struct {
 	Cooldown time.Duration
 	// Tick is the trigger-evaluation period (0 = 1s).
 	Tick time.Duration
-	// MaxBundles bounds the bundles kept on disk; the oldest is removed
-	// when a capture exceeds it (0 = 32).
-	MaxBundles int
 }
+
+// maxBundles bounds the bundles kept on disk; the oldest is removed
+// when a capture exceeds it.
+const maxBundles = 32
 
 func (c IncidentConfig) withDefaults() IncidentConfig {
 	if c.BurnThreshold <= 0 {
@@ -62,9 +63,6 @@ func (c IncidentConfig) withDefaults() IncidentConfig {
 	}
 	if c.Tick <= 0 {
 		c.Tick = time.Second
-	}
-	if c.MaxBundles <= 0 {
-		c.MaxBundles = 32
 	}
 	return c
 }
@@ -205,12 +203,9 @@ func (e *incidentEngine) evaluate(now time.Time) {
 }
 
 // maxBurn reads the worst shortest-window burn rate across the node's
-// objectives (0 when SLO tracking is off).
+// objectives.
 func (e *incidentEngine) maxBurn(now time.Time) (float64, string) {
 	t := e.srv.slo
-	if t == nil {
-		return 0, ""
-	}
 	t.Tick(now)
 	worst, name := 0.0, ""
 	for _, st := range t.Report(now) {
@@ -336,7 +331,7 @@ func (e *incidentEngine) capture(now time.Time, reason, detail string, burn floa
 	e.lastCaptureMicros = meta.CaptureMicros
 	e.bundles = append(e.bundles, meta)
 	var evict []string
-	for len(e.bundles) > e.cfg.MaxBundles {
+	for len(e.bundles) > maxBundles {
 		evict = append(evict, e.bundles[0].ID)
 		e.bundles = e.bundles[1:]
 	}

@@ -93,7 +93,7 @@ func incidentTestServer(t *testing.T, cfg IncidentConfig) (*Server, *wal.WAL, *h
 	srv := New(Config{
 		Catalog: rules.NewCatalog(), Seed: 7, TrainEvery: 64,
 		WAL: j, Drift: driftTestConfig(),
-		Incidents: &cfg,
+		Incidents: cfg,
 	})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(func() { ts.Close(); srv.Close(); j.Close() })

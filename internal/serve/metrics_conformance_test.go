@@ -169,7 +169,7 @@ func newMaximalServer(t *testing.T) (*Server, *httptest.Server) {
 	srv := New(Config{
 		Catalog: rules.NewCatalog(), Seed: 42, TrainEvery: 8,
 		WAL: j, Drift: driftTestConfig(),
-		Incidents: &IncidentConfig{Dir: t.TempDir()},
+		Incidents: IncidentConfig{Dir: t.TempDir()},
 	})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(func() { ts.Close(); srv.Close(); j.Close() })

@@ -85,11 +85,6 @@ type Config struct {
 	// only controls the detector. Ignored on followers: detection runs
 	// where writes land, replicas enforce the replicated table.
 	Drift *drift.Config
-	// SLO parameterizes service-level-objective tracking (rank-latency
-	// and availability burn rates on /metrics and /v2/stats). Nil
-	// enables the defaults; use &SLOConfig{Disabled: true} to turn the
-	// subsystem off.
-	SLO *SLOConfig
 	// Flight is the trace sink every request records into, built with
 	// NewFlightRecorder. The caller owns it — the replication tailer
 	// threads one recorder through every re-bootstrapped core so retained
@@ -97,10 +92,10 @@ type Config struct {
 	// stream at shutdown. Nil builds a default recorder (250ms slow
 	// threshold, no export).
 	Flight *obs.FlightRecorder
-	// Incidents, when non-nil with a Dir, enables the incident engine:
-	// SLO-burn, quarantine, and WAL-failure triggers capture diagnostic
-	// bundles into Dir.
-	Incidents *IncidentConfig
+	// Incidents, given a Dir, enables the incident engine: SLO-burn,
+	// quarantine, and WAL-failure triggers capture diagnostic bundles
+	// into Dir.
+	Incidents IncidentConfig
 }
 
 // TailProbe is what a replication tailer hands the follower core it
@@ -171,7 +166,7 @@ type Server struct {
 	stages  *stageHists
 	version api.VersionInfo
 
-	// slo tracks the node's service-level objectives (nil = disabled).
+	// slo tracks the node's service-level objectives.
 	slo *obs.SLOTracker
 
 	// flight is the trace sink; incidents is the diagnostic-capture
@@ -231,13 +226,9 @@ func New(cfg Config) *Server {
 	s.http = newHTTPLayer(s)
 	// Objectives read the HTTP layer's route counters, so they declare
 	// after the routes exist.
-	var sloCfg SLOConfig
-	if cfg.SLO != nil {
-		sloCfg = *cfg.SLO
-	}
-	s.initSLO(sloCfg)
-	if cfg.Incidents != nil && cfg.Incidents.Dir != "" {
-		s.incidents = newIncidentEngine(s, *cfg.Incidents)
+	s.initSLO()
+	if cfg.Incidents.Dir != "" {
+		s.incidents = newIncidentEngine(s, cfg.Incidents)
 		s.incidents.start()
 	}
 	return s
@@ -250,7 +241,7 @@ func New(cfg Config) *Server {
 // everything else at cfg.Threshold.
 func NewFlightRecorder(cfg obs.FlightConfig) *obs.FlightRecorder {
 	cfg.RouteThresholds = map[string]time.Duration{
-		api.RouteV2Rank:        SLOConfig{}.withDefaults().RankThreshold,
+		api.RouteV2Rank:        rankLatencyBound,
 		api.RouteV2WAL:         -1,
 		api.RouteV2WALSnapshot: -1,
 	}
@@ -489,12 +480,6 @@ func (s *Server) rankTraced(req api.RankRequest, tr *obs.Trace, tid int) (api.Ra
 		resp.Flip = actions[ranked.Chosen].ID
 	}
 	return resp, nil
-}
-
-// RewardAsync submits a reward observation to the ingestion pipeline.
-// It returns false on backpressure (queue full or ingestor closed).
-func (s *Server) RewardAsync(eventID string, value float64) bool {
-	return s.ingest.Enqueue(eventID, value)
 }
 
 // Stats assembles the complete stats document — the /v2/stats body

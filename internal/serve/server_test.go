@@ -517,7 +517,7 @@ func TestModelSnapshotOverHTTP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.RewardAsync(rr.EventID, 1.9)
+	srv.Ingestor().Enqueue(rr.EventID, 1.9)
 	srv.Ingestor().Drain()
 
 	// GET streams a loadable model.

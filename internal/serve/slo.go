@@ -18,54 +18,25 @@ import (
 // the windows), which means burn rates are exactly as fresh as the
 // monitoring that reads them and no background goroutine is needed.
 
-// SLOConfig parameterizes the server's objectives. The zero value
-// selects the defaults below; Disabled switches the subsystem off.
-type SLOConfig struct {
-	// Disabled turns SLO tracking off entirely (no slo block, no
-	// qoserved_slo_* families).
-	Disabled bool
-	// RankThreshold is the latency bound of the rank-latency objective:
-	// a rank request answered within it is "good" (0 = 25ms).
-	RankThreshold time.Duration
-	// RankTarget is the required good fraction of rank requests
-	// (0 = 0.99).
-	RankTarget float64
-	// RewardThreshold is the latency bound of the reward-latency
-	// objective. Reward acknowledgment includes the journal fsync in
-	// sync mode, so the bound is wider than the rank one and a sick
-	// disk (fsync stalls) burns this objective first (0 = 100ms).
-	RewardThreshold time.Duration
-	// RewardTarget is the required good fraction of reward requests
-	// (0 = 0.99).
-	RewardTarget float64
-	// AvailabilityTarget is the required non-5xx fraction across every
-	// route (0 = 0.999).
-	AvailabilityTarget float64
-	// Windows are the rolling burn-rate windows (nil = 1m, 5m, 30m).
-	Windows []time.Duration
-}
-
-func (c SLOConfig) withDefaults() SLOConfig {
-	if c.RankThreshold <= 0 {
-		c.RankThreshold = 25 * time.Millisecond
-	}
-	if c.RankTarget <= 0 || c.RankTarget >= 1 {
-		c.RankTarget = 0.99
-	}
-	if c.RewardThreshold <= 0 {
-		c.RewardThreshold = 100 * time.Millisecond
-	}
-	if c.RewardTarget <= 0 || c.RewardTarget >= 1 {
-		c.RewardTarget = 0.99
-	}
-	if c.AvailabilityTarget <= 0 || c.AvailabilityTarget >= 1 {
-		c.AvailabilityTarget = 0.999
-	}
-	if len(c.Windows) == 0 {
-		c.Windows = []time.Duration{time.Minute, 5 * time.Minute, 30 * time.Minute}
-	}
-	return c
-}
+// The node's objectives are fixed. An operator alerts on the burn rate;
+// nobody has run a node with other targets.
+const (
+	// rankLatencyBound is the latency under which a rank request counts
+	// as good, and the cutoff at which the flight recorder retains a
+	// /v2/rank trace as slow: the requests that burn the budget are the
+	// ones kept.
+	rankLatencyBound = 25 * time.Millisecond
+	// rewardLatencyBound is wider than the rank one: a reward
+	// acknowledgment includes the journal fsync in sync mode, so a sick
+	// disk (fsync stalls) burns this objective first.
+	rewardLatencyBound = 100 * time.Millisecond
+	// latencyTarget is the required good fraction of rank and of reward
+	// requests.
+	latencyTarget = 0.99
+	// availabilityTarget is the required non-5xx fraction across every
+	// route.
+	availabilityTarget = 0.999
+)
 
 // Objective names of the built-in SLOs.
 const (
@@ -75,14 +46,9 @@ const (
 )
 
 // initSLO declares the built-in objectives over the HTTP layer's
-// counters. Called by New after the routes exist; a nil tracker (the
-// Disabled case) disables every SLO surface.
-func (s *Server) initSLO(cfg SLOConfig) {
-	if cfg.Disabled {
-		return
-	}
-	cfg = cfg.withDefaults()
-	t := obs.NewSLOTracker(cfg.Windows...)
+// counters. Called by New after the routes exist.
+func (s *Server) initSLO() {
+	t := obs.NewSLOTracker(time.Minute, 5*time.Minute, 30*time.Minute) // the rolling burn-rate windows
 
 	// Rank latency: good = rank requests answered at or under the
 	// threshold.
@@ -90,11 +56,11 @@ func (s *Server) initSLO(cfg SLOConfig) {
 	t.Add(obs.Objective{
 		Name:      sloRankLatency,
 		Kind:      obs.SLOLatency,
-		Target:    cfg.RankTarget,
-		Threshold: cfg.RankThreshold,
+		Target:    latencyTarget,
+		Threshold: rankLatencyBound,
 		Source: func() (float64, float64) {
 			snap := rank.lat.Snapshot()
-			return snap.CountBelow(cfg.RankThreshold), float64(snap.Count)
+			return snap.CountBelow(rankLatencyBound), float64(snap.Count)
 		},
 	})
 
@@ -107,11 +73,11 @@ func (s *Server) initSLO(cfg SLOConfig) {
 	t.Add(obs.Objective{
 		Name:      sloRewardLatency,
 		Kind:      obs.SLOLatency,
-		Target:    cfg.RewardTarget,
-		Threshold: cfg.RewardThreshold,
+		Target:    latencyTarget,
+		Threshold: rewardLatencyBound,
 		Source: func() (float64, float64) {
 			snap := reward.lat.Snapshot()
-			return snap.CountBelow(cfg.RewardThreshold), float64(snap.Count)
+			return snap.CountBelow(rewardLatencyBound), float64(snap.Count)
 		},
 	})
 
@@ -124,7 +90,7 @@ func (s *Server) initSLO(cfg SLOConfig) {
 	t.Add(obs.Objective{
 		Name:   sloAvailability,
 		Kind:   obs.SLOAvailability,
-		Target: cfg.AvailabilityTarget,
+		Target: availabilityTarget,
 		Source: func() (float64, float64) {
 			var total, bad float64
 			for _, m := range routes {
@@ -137,16 +103,9 @@ func (s *Server) initSLO(cfg SLOConfig) {
 	s.slo = t
 }
 
-// SLOTracker exposes the tracker (nil when disabled) for embedding
-// callers and tests.
-func (s *Server) SLOTracker() *obs.SLOTracker { return s.slo }
-
 // sloStats builds the /v2/stats slo block, advancing the sample ring
 // first so every read also feeds the windows.
 func (s *Server) sloStats() *api.SLOStats {
-	if s.slo == nil {
-		return nil
-	}
 	now := time.Now()
 	s.slo.Tick(now)
 	rep := s.slo.Report(now)
@@ -174,9 +133,6 @@ func (s *Server) sloStats() *api.SLOStats {
 
 // collectSLOMetrics contributes the qoserved_slo_* families.
 func (s *Server) collectSLOMetrics(e *obs.Exposition) {
-	if s.slo == nil {
-		return
-	}
 	now := time.Now()
 	s.slo.Tick(now)
 	for _, st := range s.slo.Report(now) {

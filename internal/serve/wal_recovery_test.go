@@ -278,7 +278,7 @@ func TestCrashRecoveryTornTail(t *testing.T) {
 	if err != nil || resp.EventID == "" {
 		t.Fatalf("recovered server cannot rank: %+v %v", resp, err)
 	}
-	if !srv2.RewardAsync(resp.EventID, 1.0) {
+	if !srv2.Ingestor().Enqueue(resp.EventID, 1.0) {
 		t.Fatal("recovered server cannot ingest rewards")
 	}
 	srv2.Ingestor().Drain()

@@ -203,56 +203,6 @@ func FractionAbove(xs []float64, threshold float64) float64 {
 	return float64(n) / float64(len(xs))
 }
 
-// Histogram is a fixed-width binned summary of a sample.
-type Histogram struct {
-	Lo, Hi float64 // inclusive range covered by the bins
-	Counts []int   // per-bin counts
-	Under  int     // values below Lo
-	Over   int     // values above Hi
-}
-
-// NewHistogram bins xs into nbins equal-width bins over [lo, hi].
-func NewHistogram(xs []float64, lo, hi float64, nbins int) *Histogram {
-	if nbins <= 0 {
-		nbins = 1
-	}
-	if hi <= lo {
-		hi = lo + 1
-	}
-	h := &Histogram{Lo: lo, Hi: hi, Counts: make([]int, nbins)}
-	width := (hi - lo) / float64(nbins)
-	for _, x := range xs {
-		switch {
-		case x < lo:
-			h.Under++
-		case x > hi:
-			h.Over++
-		default:
-			bin := int((x - lo) / width)
-			if bin == nbins { // x == hi lands in the last bin
-				bin = nbins - 1
-			}
-			h.Counts[bin]++
-		}
-	}
-	return h
-}
-
-// Total returns the total number of observations, including out-of-range.
-func (h *Histogram) Total() int {
-	n := h.Under + h.Over
-	for _, c := range h.Counts {
-		n += c
-	}
-	return n
-}
-
-// BinCenter returns the midpoint value of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	width := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + width*(float64(i)+0.5)
-}
-
 // Summary bundles the descriptive statistics printed by the experiment
 // harness for a metric sample.
 type Summary struct {

@@ -174,37 +174,6 @@ func TestFractions(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	xs := []float64{-1, 0, 0.1, 0.5, 0.99, 1.0, 2.0}
-	h := NewHistogram(xs, 0, 1, 4)
-	if h.Under != 1 {
-		t.Errorf("Under = %d, want 1", h.Under)
-	}
-	if h.Over != 1 {
-		t.Errorf("Over = %d, want 1", h.Over)
-	}
-	if h.Total() != len(xs) {
-		t.Errorf("Total = %d, want %d", h.Total(), len(xs))
-	}
-	// 1.0 must land in the last bin, not overflow.
-	if h.Counts[3] != 2 { // 0.99 and 1.0
-		t.Errorf("last bin = %d, want 2 (got %v)", h.Counts[3], h.Counts)
-	}
-	if c := h.BinCenter(0); !almostEqual(c, 0.125, 1e-12) {
-		t.Errorf("BinCenter(0) = %v, want 0.125", c)
-	}
-}
-
-func TestHistogramDegenerateArgs(t *testing.T) {
-	h := NewHistogram([]float64{1, 2}, 5, 5, 0)
-	if len(h.Counts) != 1 {
-		t.Errorf("expected 1 bin, got %d", len(h.Counts))
-	}
-	if h.Total() != 2 {
-		t.Errorf("Total = %d, want 2", h.Total())
-	}
-}
-
 func TestSummarize(t *testing.T) {
 	s := Summarize([]float64{-1, 0, 1, 2})
 	if s.N != 4 {
@@ -334,22 +303,6 @@ func TestVarianceScalingProperty(t *testing.T) {
 		}
 		return almostEqual(Variance(shifted), v, 1e-6*(1+v)) &&
 			almostEqual(Variance(scaled), 9*v, 1e-6*(1+9*v))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestHistogramCountsProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := r.Intn(200)
-		xs := make([]float64, n)
-		for i := range xs {
-			xs[i] = r.Float64()*4 - 2
-		}
-		h := NewHistogram(xs, -1, 1, 8)
-		return h.Total() == n
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)

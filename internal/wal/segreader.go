@@ -176,9 +176,6 @@ func (r *SegmentReader) Next() (lsn uint64, payload []byte, err error) {
 // resume point for OpenSegmentAt.
 func (r *SegmentReader) Offset() int64 { return r.off }
 
-// NextLSN returns the LSN the next Next call would deliver.
-func (r *SegmentReader) NextLSN() uint64 { return r.nextLSN }
-
 // Close releases the underlying file.
 func (r *SegmentReader) Close() error { return r.f.Close() }
 

@@ -105,9 +105,9 @@ const (
 	// (each in-window fsync steals ~0.2-0.4ms from the serving path on
 	// a small host).
 	DefaultFlushEvery = 5 * time.Millisecond
-	// DefaultFlushBatch forces a flush after this many buffered records
-	// even inside the window, bounding buffered bytes under burst load.
-	DefaultFlushBatch = 1024
+	// flushBatch forces a flush after this many buffered records even
+	// inside the window, bounding buffered bytes under burst load.
+	flushBatch = 1024
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -123,9 +123,6 @@ type Options struct {
 	SegmentBytes int64
 	// FlushEvery is the group-commit window (0 = DefaultFlushEvery).
 	FlushEvery time.Duration
-	// FlushBatch forces a flush after this many buffered records
-	// (0 = DefaultFlushBatch).
-	FlushBatch int
 }
 
 // Stats is a point-in-time snapshot of the journal counters.
@@ -230,9 +227,6 @@ func Open(opts Options) (*WAL, error) {
 	}
 	if opts.FlushEvery <= 0 {
 		opts.FlushEvery = DefaultFlushEvery
-	}
-	if opts.FlushBatch <= 0 {
-		opts.FlushBatch = DefaultFlushBatch
 	}
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
@@ -480,8 +474,8 @@ func (w *WAL) Append(payload []byte) (uint64, error) {
 	w.unflushed++
 	// Kick the committer on a full flush batch or a segment crossing
 	// the roll threshold; both are handled off the append path.
-	kick := w.unflushed >= w.opts.FlushBatch || w.segBytes >= w.opts.SegmentBytes
-	if w.unflushed >= w.opts.FlushBatch {
+	kick := w.unflushed >= flushBatch || w.segBytes >= w.opts.SegmentBytes
+	if w.unflushed >= flushBatch {
 		w.unflushed = 0
 	}
 	w.mu.Unlock()

@@ -110,7 +110,6 @@ type Template struct {
 	// cache memoizes compiled scripts. All daily instances of a template
 	// on one date share a script source and hence one compiled (immutable)
 	// graph; flighting's next-day re-instantiations hit the same entries.
-	// Nil compiles uncached.
 	cache *scope.CompileCache
 }
 
@@ -140,11 +139,6 @@ type Config struct {
 	NumTemplates int
 	// MaxDailyInstances caps per-template daily recurrences (>=1).
 	MaxDailyInstances int
-	// CompileCacheSize bounds the shared script compile cache (0 = the
-	// scope package default, negative = disable caching entirely). The
-	// cache only affects speed: cached and uncached instantiation produce
-	// structurally identical graphs.
-	CompileCacheSize int
 }
 
 // hashed returns a deterministic sub-seed from parts: FNV-1a of their
@@ -174,10 +168,8 @@ func New(cfg Config) (*Generator, error) {
 	if cfg.MaxDailyInstances <= 0 {
 		cfg.MaxDailyInstances = 3
 	}
-	g := &Generator{seed: cfg.Seed}
-	if cfg.CompileCacheSize >= 0 {
-		g.cache = scope.NewCompileCache(cfg.CompileCacheSize)
-	}
+	// One script compile cache for every template; it affects speed only.
+	g := &Generator{seed: cfg.Seed, cache: scope.NewCompileCache(scope.DefaultCompileCacheSize)}
 	for i := 0; i < cfg.NumTemplates; i++ {
 		t, err := buildTemplate(cfg.Seed, i, cfg.MaxDailyInstances, g.cache)
 		if err != nil {
@@ -192,13 +184,8 @@ func New(cfg Config) (*Generator, error) {
 func (g *Generator) Templates() []*Template { return g.templates }
 
 // CompileCacheStats reports the shared script compile cache's
-// effectiveness (zero value when caching is disabled).
-func (g *Generator) CompileCacheStats() scope.CompileCacheStats {
-	if g.cache == nil {
-		return scope.CompileCacheStats{}
-	}
-	return g.cache.Stats()
-}
+// effectiveness.
+func (g *Generator) CompileCacheStats() scope.CompileCacheStats { return g.cache.Stats() }
 
 // JobsForDay instantiates every template's recurrences for the given date.
 func (g *Generator) JobsForDay(date int) ([]*Job, error) {
@@ -259,13 +246,7 @@ func (t *Template) Instantiate(date, seq int) (*Job, error) {
 		olds[1+i], news[1+i] = lit, strconv.Itoa(10+draw("lit", lit).Intn(9000))
 	}
 	src := substitute(t.ScriptPattern, olds, news)
-	var graph *scope.Graph
-	var err error
-	if t.cache != nil {
-		graph, err = t.cache.Compile(src)
-	} else {
-		graph, err = scope.CompileScript(src)
-	}
+	graph, err := t.cache.Compile(src)
 	if err != nil {
 		return nil, fmt.Errorf("workload: instance of %s does not compile: %w", t.ID, err)
 	}

@@ -320,28 +320,3 @@ func TestInstancesShareCompiledGraphs(t *testing.T) {
 		t.Error("compile cache saw no hits across repeated instantiation")
 	}
 }
-
-func TestDisabledCompileCacheStillCompiles(t *testing.T) {
-	g, err := New(Config{Seed: 3, NumTemplates: 2, CompileCacheSize: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tpl := g.Templates()[0]
-	a, err := tpl.Instantiate(1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := tpl.Instantiate(1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Graph == b.Graph {
-		t.Error("uncached instantiation must compile fresh graphs")
-	}
-	if a.Graph.TemplateHash() != b.Graph.TemplateHash() {
-		t.Error("cached/uncached graphs must agree on template hash")
-	}
-	if st := g.CompileCacheStats(); st.Hits != 0 || st.Misses != 0 {
-		t.Errorf("disabled cache must report zero stats, got %+v", st)
-	}
-}
