@@ -85,7 +85,7 @@ OUTPUT ro TO "out/ro.tsv";`,
 // Nothing may panic; every identity of the compiled and of the rewritten
 // graphs equals the fmt-based reference; the needed-columns analysis
 // equals the map-based reference; Optimize returns a plan or a
-// *CompileFailure.
+// *CompileFailure and leaves the compiled graph as it found it.
 func FuzzCompileOptimize(f *testing.F) {
 	for _, s := range seedScripts {
 		f.Add(s)
@@ -98,11 +98,15 @@ func FuzzCompileOptimize(f *testing.F) {
 			return
 		}
 		checkIdentity(t, "compiled", g)
+		before := renderGraph(g)
 		for _, cfg := range configs {
 			if _, diffs := optimizer.CheckNeededColumns(g, cfg, cat, nil); len(diffs) > 0 {
 				t.Fatalf("needed columns differ from the map-based reference:\n%s", strings.Join(diffs, "\n"))
 			}
 			res, err := optimizer.Optimize(g, cfg, optimizer.Options{})
+			if after := renderGraph(g); after != before {
+				t.Fatalf("Optimize changed its input graph:\n%s\nwas\n%s", after, before)
+			}
 			if err != nil {
 				if !optimizer.IsCompileFailure(err) {
 					t.Fatalf("Optimize: %v (%T), want a plan or a *CompileFailure", err, err)

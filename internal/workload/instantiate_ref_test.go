@@ -92,6 +92,50 @@ func instantiateRef(t *Template, date, seq int) (*Job, error) {
 	}, nil
 }
 
+// graphDiff compares two DAGs field by field — every field of every
+// reachable node, in Nodes order, with Inputs compared by ID and the rest
+// (schemas with their types and sources, expressions with their node
+// types, payloads) by reflect.DeepEqual — and describes the first
+// difference, or returns "" when there is none.
+func graphDiff(got, want *scope.Graph) string {
+	if got.IDBound() != want.IDBound() || len(got.Roots) != len(want.Roots) {
+		return fmt.Sprintf("ID bound %d, %d roots; want %d, %d", got.IDBound(), len(got.Roots), want.IDBound(), len(want.Roots))
+	}
+	for i := range got.Roots {
+		if got.Roots[i].ID != want.Roots[i].ID {
+			return fmt.Sprintf("root %d is #%d, want #%d", i, got.Roots[i].ID, want.Roots[i].ID)
+		}
+	}
+	gn, wn := got.Nodes(), want.Nodes()
+	if len(gn) != len(wn) {
+		return fmt.Sprintf("%d nodes, want %d", len(gn), len(wn))
+	}
+	for i := range gn {
+		g, w := reflect.ValueOf(gn[i]).Elem(), reflect.ValueOf(wn[i]).Elem()
+		for f := 0; f < g.NumField(); f++ {
+			name := g.Type().Field(f).Name
+			if name == "Inputs" {
+				if ids(gn[i].Inputs) != ids(wn[i].Inputs) {
+					return fmt.Sprintf("node #%d: inputs %s, want %s", gn[i].ID, ids(gn[i].Inputs), ids(wn[i].Inputs))
+				}
+				continue
+			}
+			if !reflect.DeepEqual(g.Field(f).Interface(), w.Field(f).Interface()) {
+				return fmt.Sprintf("node #%d %s: %s %+v, want %+v", gn[i].ID, gn[i].Kind, name, g.Field(f).Interface(), w.Field(f).Interface())
+			}
+		}
+	}
+	return ""
+}
+
+func ids(nodes []*scope.Node) string {
+	s := make([]string, len(nodes))
+	for i, n := range nodes {
+		s[i] = fmt.Sprint(n.ID)
+	}
+	return strings.Join(s, ",")
+}
+
 // TestInstantiateSharedParts: every instance JobsForDay hands out — the
 // first of a (template, date), built by Instantiate, and the recurrences
 // stamped from it — equals the from-scratch reference field by field, on
@@ -124,8 +168,8 @@ func TestInstantiateSharedParts(t *testing.T) {
 			if !reflect.DeepEqual(got.Stats, want.Stats) {
 				t.Errorf("%s: stats %+v, reference %+v", got.ID, got.Stats, want.Stats)
 			}
-			if g, w := got.Graph.String(), want.Graph.String(); g != w {
-				t.Errorf("%s: graph\n%s\nreference\n%s", got.ID, g, w)
+			if d := graphDiff(got.Graph, want.Graph); d != "" {
+				t.Errorf("%s: graph differs from the reference: %s", got.ID, d)
 			}
 			if got.Seq == 0 {
 				first = got
