@@ -35,9 +35,8 @@ func newWALRig(t *testing.T, segBytes int64) *walTestRig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Close before TempDir's removal: the committer rolls a full segment
-	// on every tick, and with one-byte segments that creates files in dir
-	// for as long as the journal is open.
+	// Close before TempDir's removal: the committer may still be rolling
+	// the last record's segment into a new file.
 	t.Cleanup(func() { j.Close() })
 	srv := New(Config{Seed: 42, TrainEvery: walTestTrainEvery, WAL: j})
 	ts := httptest.NewServer(srv)

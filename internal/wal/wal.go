@@ -370,13 +370,16 @@ func (w *WAL) openSegmentLocked(index, firstLSN uint64) error {
 // while the old one is made durable, so a segment roll never stalls
 // the rank path. Overshoot past SegmentBytes is bounded by one
 // group-commit window of appends (Append kicks the committer as soon
-// as the threshold is crossed).
+// as the threshold is crossed). A segment no record has landed in yet is
+// never sealed, however small SegmentBytes is: every sealed segment
+// covers at least one LSN.
 func (w *WAL) maybeRoll() error {
 	w.mu.Lock()
 	for w.syncing && w.err == nil && !w.closed {
 		w.cond.Wait()
 	}
-	if w.err != nil || w.closed || w.f == nil || w.segBytes < w.opts.SegmentBytes {
+	if w.err != nil || w.closed || w.f == nil || w.segBytes < w.opts.SegmentBytes ||
+		w.nextLSN == w.segs[len(w.segs)-1].firstLSN {
 		err := w.err
 		w.mu.Unlock()
 		return err

@@ -560,3 +560,34 @@ func TestCursorDropsLargeScratch(t *testing.T) {
 		t.Errorf("cursor keeps a %d-byte scratch after the large record, want <= %d", cap(cur.scratch), maxCursorScratch)
 	}
 }
+
+// TestSealedSegmentsHoldRecords: with segments at or below the header's
+// size every record crosses the roll threshold, and the committer's ticks
+// in between must not seal the empty segment each roll opens: every sealed
+// segment's LSN window [firstLSN, next segment's firstLSN) is non-empty.
+func TestSealedSegmentsHoldRecords(t *testing.T) {
+	for _, segBytes := range []int64{1, segHeaderSize} {
+		dir := t.TempDir()
+		w := openTest(t, dir, ModeSync, segBytes)
+		for burst := 0; burst < 3; burst++ {
+			appendN(t, w, 2, fmt.Sprint("burst", burst))
+			time.Sleep(20 * time.Millisecond) // twenty committer ticks with nothing to roll
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		segs, err := scanDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 1; i < len(segs); i++ {
+			if segs[i].firstLSN <= segs[i-1].firstLSN {
+				t.Errorf("segBytes %d: sealed segment %s holds no record (first LSN %d, next segment's %d)",
+					segBytes, filepath.Base(segs[i-1].path), segs[i-1].firstLSN, segs[i].firstLSN)
+			}
+		}
+		if len(segs) > 7 {
+			t.Errorf("segBytes %d: %d segments for 6 records", segBytes, len(segs))
+		}
+	}
+}
