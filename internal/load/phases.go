@@ -66,20 +66,28 @@ func (p Phase) RateAt(t time.Duration) float64 {
 // Schedule precomputes every op's send offset for the phase by
 // integrating the rate curve: after an op at offset t, the next comes
 // 1/RateAt(t) later. Scheduling ahead of time is what makes the
-// harness open-loop — the plan never flexes to match the server.
+// harness open-loop — the plan never flexes to match the server. The
+// offsets increase strictly: a gap that would not end inside the phase
+// ends the schedule rather than overflowing a Duration.
 func (p Phase) Schedule() []time.Duration {
 	var out []time.Duration
 	for t := time.Duration(0); t < p.Duration; {
-		r := p.RateAt(t)
-		if r <= 0 {
-			t += 10 * time.Millisecond
-			continue
+		gap := float64(10 * time.Millisecond)
+		if r := p.RateAt(t); r > 0 {
+			out = append(out, t)
+			gap = float64(time.Second) / r
 		}
-		out = append(out, t)
-		t += time.Duration(float64(time.Second) / r)
+		if gap >= float64(p.Duration-t) {
+			break
+		}
+		t += max(time.Duration(gap), 1) // a rate a rounding error above MaxRate
 	}
 	return out
 }
+
+// MaxRate is the highest rate a phase may ask for: one op per
+// nanosecond, the resolution of a schedule.
+const MaxRate = 1e9
 
 // ParsePhases parses a load plan spec: comma-separated phases of the
 // form name:duration@rate, where rate is
@@ -127,8 +135,8 @@ func ParsePhases(spec string) ([]Phase, error) {
 		if err != nil {
 			return nil, fmt.Errorf("load: phase %q: bad rate %q: %v", part, rateStr, err)
 		}
-		if p.Low < 0 || p.High < 0 {
-			return nil, fmt.Errorf("load: phase %q: negative rate", part)
+		if !(p.Low >= 0 && p.Low <= MaxRate && p.High >= 0 && p.High <= MaxRate) {
+			return nil, fmt.Errorf("load: phase %q: rate outside [0, %g] ops/s", part, MaxRate)
 		}
 		phases = append(phases, p)
 	}

@@ -89,3 +89,45 @@ func TestDiurnalShape(t *testing.T) {
 		t.Fatalf("peak rate %v, want ~800", r)
 	}
 }
+
+// FuzzParsePhases: ParsePhases never panics, and a plan it accepts has
+// positive durations and finite rates in [0, MaxRate] over which Schedule
+// is strictly increasing and inside the phase. Schedule runs only on
+// phases small enough to enumerate; the seeds under testdata/fuzz hold
+// the specs that once reached a NaN rate, a rate whose gap rounded to no
+// time at all, and a gap that overflowed a Duration.
+func FuzzParsePhases(f *testing.F) {
+	for _, s := range []string{
+		"steady:30s@400, ramp:1m@100..2000,day:45s@200~800,crowd:30s@100!1500",
+		"a:1s@0", "a:1ms@1e9", "x:5s@10..-3", ",,b:2s@3~4,", "c:1h@1!0",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		phases, err := ParsePhases(spec)
+		if err != nil {
+			return
+		}
+		for _, p := range phases {
+			if p.Duration <= 0 {
+				t.Fatalf("%q: phase %q accepted with duration %v", spec, p.Name, p.Duration)
+			}
+			for _, r := range []float64{p.Low, p.High} {
+				if !(r >= 0 && r <= MaxRate) {
+					t.Fatalf("%q: phase %q accepted with rate %v", spec, p.Name, r)
+				}
+			}
+			// Enumerate only what is cheap: at most ~1e5 ops and 1e5
+			// zero-rate steps.
+			if p.Duration > 10*time.Minute || max(p.Low, p.High)*p.Duration.Seconds() > 1e5 {
+				continue
+			}
+			sched := p.Schedule()
+			for i, off := range sched {
+				if off < 0 || off >= p.Duration || i > 0 && off <= sched[i-1] {
+					t.Fatalf("%q: phase %q: offset %d is %v after %v (duration %v)", spec, p.Name, i, off, sched[max(i-1, 0)], p.Duration)
+				}
+			}
+		}
+	})
+}
