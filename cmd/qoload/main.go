@@ -41,8 +41,10 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -59,56 +61,74 @@ import (
 )
 
 func main() {
-	clusterFlag := flag.String("cluster", "", "comma-separated endpoint list to load (primary first is conventional, not required)")
-	selfhost := flag.Bool("selfhost", false, "spin an in-process sync-WAL primary + follower pair on loopback and load that")
-	stall := flag.Duration("stall", 0, "with -selfhost: run an extra open-loop arm with a one-shot WAL fsync stall of this length injected mid-run")
-	incidentDir := flag.String("incident-dir", "", "with -selfhost: enable incident capture on the primary, writing diagnostic bundles to this directory")
-	phasesFlag := flag.String("phases", "steady:10s@200,ramp:10s@50..500,crowd:10s@100!800",
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		fmt.Fprintln(os.Stderr, "qoload:", err)
+		if errors.Is(err, errUsage) {
+			os.Exit(2)
+		}
+		os.Exit(1)
+	}
+}
+
+// errUsage is a command line whose flags do not parse.
+var errUsage = errors.New("usage")
+
+func run(argv []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("qoload", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	clusterFlag := fs.String("cluster", "", "comma-separated endpoint list to load (primary first is conventional, not required)")
+	selfhost := fs.Bool("selfhost", false, "spin an in-process sync-WAL primary + follower pair on loopback and load that")
+	stall := fs.Duration("stall", 0, "with -selfhost: run an extra open-loop arm with a one-shot WAL fsync stall of this length injected mid-run")
+	incidentDir := fs.String("incident-dir", "", "with -selfhost: enable incident capture on the primary, writing diagnostic bundles to this directory")
+	phasesFlag := fs.String("phases", "steady:10s@200,ramp:10s@50..500,crowd:10s@100!800",
 		"load plan: name:dur@rate phases; rate forms: 500 (const), 100..2000 (ramp), 200~800 (diurnal), 100!2000 (flash)")
-	batch := flag.Int("batch", 16, "jobs per scheduled op")
-	workers := flag.Int("workers", 64, "max concurrent in-flight ops")
-	templates := flag.Int("templates", 64, "synthetic template population size")
-	zipfS := flag.Float64("zipf", 1.3, "Zipf skew over the template population (> 1)")
-	seed := flag.Int64("seed", 1, "workload seed (template population + mix)")
-	timeout := flag.Duration("timeout", 30*time.Second, "per-op timeout")
-	noRewards := flag.Bool("no-rewards", false, "skip reward follow-ups (rank-only ops)")
-	out := flag.String("out", "BENCH_load.json", "report output path (empty = stdout only)")
-	fleetCheck := flag.Bool("fleet-check", false, "exit nonzero unless goodput > 0 and fleet count == Σ node counts")
-	flag.Parse()
+	batch := fs.Int("batch", 16, "jobs per scheduled op")
+	workers := fs.Int("workers", 64, "max concurrent in-flight ops")
+	templates := fs.Int("templates", 64, "synthetic template population size")
+	zipfS := fs.Float64("zipf", 1.3, "Zipf skew over the template population (> 1)")
+	seed := fs.Int64("seed", 1, "workload seed (template population + mix)")
+	timeout := fs.Duration("timeout", 30*time.Second, "per-op timeout")
+	noRewards := fs.Bool("no-rewards", false, "skip reward follow-ups (rank-only ops)")
+	out := fs.String("out", "BENCH_load.json", "report output path (empty = stdout only)")
+	fleetCheck := fs.Bool("fleet-check", false, "exit nonzero unless goodput > 0 and fleet count == Σ node counts")
+	if err := fs.Parse(argv); err == flag.ErrHelp {
+		return nil
+	} else if err != nil {
+		return errUsage
+	}
 
 	phases, err := load.ParsePhases(*phasesFlag)
 	if err != nil {
-		fatal(err)
+		return err
+	}
+	switch {
+	case !*selfhost && *clusterFlag == "":
+		return fmt.Errorf("one of -cluster or -selfhost is required")
+	case *stall > 0 && !*selfhost:
+		return fmt.Errorf("-stall requires -selfhost (it injects faults into the in-process primary's WAL)")
+	case *incidentDir != "" && !*selfhost:
+		return fmt.Errorf("-incident-dir requires -selfhost (it configures the in-process primary)")
 	}
 
 	var endpoints []string
 	var primaryWAL *wal.WAL
-	switch {
-	case *selfhost:
+	if *selfhost {
 		var cleanup func()
-		endpoints, primaryWAL, cleanup, err = startSelfhost(*seed, *incidentDir)
+		endpoints, primaryWAL, cleanup, err = startSelfhost(stderr, *seed, *incidentDir)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		defer cleanup()
-	case *clusterFlag != "":
+	} else {
 		endpoints = strings.Split(*clusterFlag, ",")
 		for i := range endpoints {
 			endpoints[i] = strings.TrimSpace(endpoints[i])
 		}
-	default:
-		fatal(fmt.Errorf("one of -cluster or -selfhost is required"))
-	}
-	if *stall > 0 && primaryWAL == nil {
-		fatal(fmt.Errorf("-stall requires -selfhost (it injects faults into the in-process primary's WAL)"))
-	}
-	if *incidentDir != "" && !*selfhost {
-		fatal(fmt.Errorf("-incident-dir requires -selfhost (it configures the in-process primary)"))
 	}
 
 	target, err := client.NewCluster(endpoints, client.WithTimeout(*timeout))
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	cfg := load.Config{
 		Target:    target,
@@ -133,30 +153,30 @@ func main() {
 	ctx := context.Background()
 	var totalRanked int64
 	for _, p := range phases {
-		fmt.Fprintf(os.Stderr, "phase %-10s %-8s %v @ %.0f", p.Name, p.Shape, p.Duration, p.Low)
+		fmt.Fprintf(stderr, "phase %-10s %-8s %v @ %.0f", p.Name, p.Shape, p.Duration, p.Low)
 		if p.Shape != load.ShapeConstant {
-			fmt.Fprintf(os.Stderr, "→%.0f", p.High)
+			fmt.Fprintf(stderr, "→%.0f", p.High)
 		}
-		fmt.Fprintln(os.Stderr, " ops/s")
+		fmt.Fprintln(stderr, " ops/s")
 		res := runner.RunPhase(ctx, p)
 		pr := load.Summarize(res)
 		report.Phases = append(report.Phases, pr)
 		totalRanked += res.RankedJobs
-		fmt.Fprintf(os.Stderr, "  %d/%d ops, %d jobs ranked, goodput %.0f jobs/s, p50 %.2fms p99 %.2fms p999 %.2fms, errors %v\n",
+		fmt.Fprintf(stderr, "  %d/%d ops, %d jobs ranked, goodput %.0f jobs/s, p50 %.2fms p99 %.2fms p999 %.2fms, errors %v\n",
 			pr.CompletedOps, pr.OfferedOps, pr.RankedJobs, pr.GoodputJobsPerSec, pr.P50Ms, pr.P99Ms, pr.P999Ms, pr.Errors)
 	}
 
 	if *stall > 0 {
-		report.Stall = runStallArm(ctx, cfg, endpoints[0], primaryWAL, *stall)
+		report.Stall = runStallArm(ctx, stderr, cfg, endpoints[0], primaryWAL, *stall)
 	}
 
 	snap := fleet.Scrape(ctx, endpoints, client.WithTimeout(*timeout))
-	snap.Render(os.Stderr)
+	snap.Render(stderr)
 	report.Fleet = load.FleetReportFrom(snap)
 
 	if *incidentDir != "" {
-		report.Incidents = scrapeIncidents(ctx, endpoints[0], *timeout)
-		fmt.Fprintf(os.Stderr, "incidents: %d bundles (last %s %s), %d retained traces, max %.1fms\n",
+		report.Incidents = scrapeIncidents(ctx, stderr, endpoints[0], *timeout)
+		fmt.Fprintf(stderr, "incidents: %d bundles (last %s %s), %d retained traces, max %.1fms\n",
 			report.Incidents.Bundles, report.Incidents.LastReason, report.Incidents.LastID,
 			report.Incidents.RetainedTraces, report.Incidents.MaxTraceMs)
 	}
@@ -164,44 +184,42 @@ func main() {
 	if *out != "" {
 		buf, _ := json.MarshalIndent(report, "", "  ")
 		if err := os.WriteFile(*out, append(buf, '\n'), 0o644); err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Fprintf(os.Stderr, "\nreport: %s\n", *out)
+		fmt.Fprintf(stderr, "\nreport: %s\n", *out)
 	} else {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
-		enc.Encode(report)
+		if err := enc.Encode(report); err != nil {
+			return err
+		}
 	}
 
 	if *fleetCheck {
 		switch {
 		case totalRanked == 0:
-			fatal(fmt.Errorf("fleet-check: zero jobs ranked"))
+			return fmt.Errorf("fleet-check: zero jobs ranked")
 		case report.Fleet.RankFleetCount == 0:
-			fatal(fmt.Errorf("fleet-check: fleet-merged rank histogram is empty"))
+			return fmt.Errorf("fleet-check: fleet-merged rank histogram is empty")
 		case report.Fleet.RankFleetCount != report.Fleet.RankNodeSum:
-			fatal(fmt.Errorf("fleet-check: fleet count %d != Σ node counts %d",
-				report.Fleet.RankFleetCount, report.Fleet.RankNodeSum))
+			return fmt.Errorf("fleet-check: fleet count %d != Σ node counts %d",
+				report.Fleet.RankFleetCount, report.Fleet.RankNodeSum)
 		}
-		fmt.Fprintf(os.Stderr, "fleet-check: ok (%d ranks merged across %d nodes)\n",
+		fmt.Fprintf(stderr, "fleet-check: ok (%d ranks merged across %d nodes)\n",
 			report.Fleet.RankFleetCount, snap.Reachable())
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "qoload:", err)
-	os.Exit(1)
+	return nil
 }
 
 // scrapeIncidents condenses the primary's /v2/incidents and /v2/traces
 // answers into the report's incidents block. Best-effort: a failed
 // scrape leaves the corresponding fields zero instead of failing the
 // run — the CI smoke's assertions then fail with the report in hand.
-func scrapeIncidents(ctx context.Context, primaryURL string, timeout time.Duration) *load.IncidentReport {
+func scrapeIncidents(ctx context.Context, stderr io.Writer, primaryURL string, timeout time.Duration) *load.IncidentReport {
 	cl := client.New(primaryURL, client.WithTimeout(timeout))
 	ir := &load.IncidentReport{}
 	if inc, err := cl.Incidents(ctx); err != nil {
-		fmt.Fprintf(os.Stderr, "qoload: incidents scrape failed: %v\n", err)
+		fmt.Fprintf(stderr, "qoload: incidents scrape failed: %v\n", err)
 	} else {
 		ir.Bundles = len(inc.Incidents)
 		if len(inc.Incidents) > 0 {
@@ -210,7 +228,7 @@ func scrapeIncidents(ctx context.Context, primaryURL string, timeout time.Durati
 		}
 	}
 	if tr, err := cl.Traces(ctx, client.TracesOptions{}); err != nil {
-		fmt.Fprintf(os.Stderr, "qoload: traces scrape failed: %v\n", err)
+		fmt.Fprintf(stderr, "qoload: traces scrape failed: %v\n", err)
 	} else {
 		ir.RetainedTraces = len(tr.Traces)
 		for _, t := range tr.Traces {
@@ -229,7 +247,7 @@ func scrapeIncidents(ctx context.Context, primaryURL string, timeout time.Durati
 // A non-empty incidentDir enables incident capture on the primary
 // with stock thresholds, so an injected stall exercises the real
 // burn→capture path end to end.
-func startSelfhost(seed int64, incidentDir string) (endpoints []string, j *wal.WAL, cleanup func(), err error) {
+func startSelfhost(stderr io.Writer, seed int64, incidentDir string) (endpoints []string, j *wal.WAL, cleanup func(), err error) {
 	dir, err := os.MkdirTemp("", "qoload-wal-*")
 	if err != nil {
 		return nil, nil, nil, err
@@ -268,10 +286,10 @@ func startSelfhost(seed int64, incidentDir string) (endpoints []string, j *wal.W
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := follower.WaitCaughtUp(ctx, 10*time.Second); err != nil {
-		fmt.Fprintf(os.Stderr, "qoload: follower slow to catch up: %v (continuing)\n", err)
+		fmt.Fprintf(stderr, "qoload: follower slow to catch up: %v (continuing)\n", err)
 	}
 
-	fmt.Fprintf(os.Stderr, "selfhost: primary %s (sync WAL %s), follower %s\n", pURL, dir, fURL)
+	fmt.Fprintf(stderr, "selfhost: primary %s (sync WAL %s), follower %s\n", pURL, dir, fURL)
 	cleanup = func() {
 		fStop()
 		follower.Close()
@@ -303,8 +321,8 @@ func listenAndServe(handler http.Handler) (string, func(), error) {
 // runStallArm runs a constant open-loop workload against the primary
 // with a one-shot fsync stall armed mid-run: the ops scheduled during
 // the stall queue behind the frozen commit, so the stall lands in p99.
-func runStallArm(ctx context.Context, cfg load.Config, primaryURL string, j *wal.WAL, stall time.Duration) *load.StallReport {
-	fmt.Fprintf(os.Stderr, "stall arm: one-shot %v fsync stall, open-loop\n", stall)
+func runStallArm(ctx context.Context, stderr io.Writer, cfg load.Config, primaryURL string, j *wal.WAL, stall time.Duration) *load.StallReport {
+	fmt.Fprintf(stderr, "stall arm: one-shot %v fsync stall, open-loop\n", stall)
 	cfg.Target = client.New(primaryURL, client.WithTimeout(cfg.Timeout))
 	cfg.Batch = 2
 
@@ -315,7 +333,7 @@ func runStallArm(ctx context.Context, cfg load.Config, primaryURL string, j *wal
 	j.SetFaults(nil)
 
 	or := load.Summarize(res)
-	fmt.Fprintf(os.Stderr, "  open-loop p99 %8.2fms over %d ops (stall visible)\n", or.P99Ms, or.CompletedOps)
+	fmt.Fprintf(stderr, "  open-loop p99 %8.2fms over %d ops (stall visible)\n", or.P99Ms, or.CompletedOps)
 	return &load.StallReport{StallMs: float64(stall) / float64(time.Millisecond), OpenLoop: or}
 }
 

@@ -10,9 +10,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
 
 	"qoadvisor/internal/exec"
@@ -35,45 +36,68 @@ OUTPUT agg TO "out/agg.tsv";
 `
 
 func main() {
-	runIt := flag.Bool("run", false, "execute the plan on the cluster simulator")
-	showSpan := flag.Bool("span", false, "compute and print the job span")
-	flipStr := flag.String("flip", "", "apply a single rule flip, e.g. +R123 or -R045")
-	tokens := flag.Int("tokens", 0, "parallelism budget (0 = default)")
-	demo := flag.Bool("demo", false, "use the built-in demo script")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		fmt.Fprintf(os.Stderr, "scopesim: %v\n", err)
+		if errors.Is(err, errUsage) {
+			os.Exit(2)
+		}
+		os.Exit(1)
+	}
+}
+
+// errUsage is a command line scopesim cannot run: a bad flag, or neither
+// -demo nor exactly one script.
+var errUsage = errors.New("usage: scopesim [-run] [-span] [-flip +R123] [-tokens N] <script.scope> | -demo")
+
+func run(argv []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("scopesim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	runIt := fs.Bool("run", false, "execute the plan on the cluster simulator")
+	showSpan := fs.Bool("span", false, "compute and print the job span")
+	flipStr := fs.String("flip", "", "apply a single rule flip, e.g. +R123 or -R045")
+	tokens := fs.Int("tokens", 0, "parallelism budget (0 = default)")
+	demo := fs.Bool("demo", false, "use the built-in demo script")
+	if err := fs.Parse(argv); err == flag.ErrHelp {
+		return nil
+	} else if err != nil {
+		return errUsage
+	}
+
+	var flip rules.Flip
+	if *flipStr != "" {
+		var err error
+		if flip, err = rules.ParseFlip(*flipStr); err != nil {
+			return err
+		}
+	}
 
 	var src string
 	switch {
 	case *demo:
 		src = demoScript
-	case flag.NArg() == 1:
-		data, err := os.ReadFile(flag.Arg(0))
+	case fs.NArg() == 1:
+		data, err := os.ReadFile(fs.Arg(0))
 		if err != nil {
-			log.Fatalf("scopesim: %v", err)
+			return err
 		}
 		src = string(data)
 	default:
-		fmt.Fprintln(os.Stderr, "usage: scopesim [-run] [-span] [-flip +R123] <script.scope> | -demo")
-		os.Exit(2)
+		return errUsage
 	}
 
 	graph, err := scope.CompileScript(src)
 	if err != nil {
-		log.Fatalf("scopesim: %v", err)
+		return err
 	}
-	fmt.Println("=== logical DAG ===")
-	fmt.Print(graph)
-	fmt.Printf("template hash: %016x\n\n", graph.TemplateHash())
+	fmt.Fprintln(stdout, "=== logical DAG ===")
+	fmt.Fprint(stdout, graph)
+	fmt.Fprintf(stdout, "template hash: %016x\n\n", graph.TemplateHash())
 
 	cat := rules.NewCatalog()
 	cfg := cat.DefaultConfig()
 	if *flipStr != "" {
-		flip, err := rules.ParseFlip(*flipStr)
-		if err != nil {
-			log.Fatalf("scopesim: %v", err)
-		}
 		r := cat.Rule(flip.RuleID)
-		fmt.Printf("applying flip %s (%s, %s)\n\n", flip, r.Name, r.Category)
+		fmt.Fprintf(stdout, "applying flip %s (%s, %s)\n\n", flip, r.Name, r.Category)
 		cfg = cfg.WithFlip(flip)
 	}
 
@@ -86,41 +110,42 @@ func main() {
 
 	res, err := optimizer.Optimize(graph, cfg, opts)
 	if err != nil {
-		log.Fatalf("scopesim: %v", err)
+		return err
 	}
-	fmt.Println("=== physical plan ===")
-	fmt.Print(res.Plan)
-	fmt.Printf("estimated cost: %.4g, estimated vertices: %d\n", res.EstCost, res.Plan.EstVertices)
+	fmt.Fprintln(stdout, "=== physical plan ===")
+	fmt.Fprint(stdout, res.Plan)
+	fmt.Fprintf(stdout, "estimated cost: %.4g, estimated vertices: %d\n", res.EstCost, res.Plan.EstVertices)
 
 	fired := res.Signature.Bits()
-	fmt.Printf("\n=== rule signature (%d rules fired) ===\n", len(fired))
+	fmt.Fprintf(stdout, "\n=== rule signature (%d rules fired) ===\n", len(fired))
 	for _, id := range fired {
 		r := cat.Rule(id)
-		fmt.Printf("  R%03d %-32s %s\n", r.ID, r.Name, r.Category)
+		fmt.Fprintf(stdout, "  R%03d %-32s %s\n", r.ID, r.Name, r.Category)
 	}
 
 	if *showSpan {
 		sp, err := spanpkg.Compute(graph, cat, spanpkg.Options{Optimizer: opts})
 		if err != nil {
-			log.Fatalf("scopesim: span: %v", err)
+			return fmt.Errorf("span: %w", err)
 		}
 		bits := sp.Span.Bits()
-		fmt.Printf("\n=== job span (%d plan-affecting rules, %d iterations) ===\n", len(bits), sp.Iterations)
+		fmt.Fprintf(stdout, "\n=== job span (%d plan-affecting rules, %d iterations) ===\n", len(bits), sp.Iterations)
 		for _, id := range bits {
 			r := cat.Rule(id)
-			fmt.Printf("  R%03d %-32s %s\n", r.ID, r.Name, r.Category)
+			fmt.Fprintf(stdout, "  R%03d %-32s %s\n", r.ID, r.Name, r.Category)
 		}
 	}
 
 	if *runIt {
 		truth := &exec.Truth{JitterSeed: 7}
 		m := exec.Run(res.Plan, truth, stats, exec.DefaultCluster(1), 1)
-		fmt.Println("\n=== simulated execution ===")
-		fmt.Printf("latency:      %.1f s\n", m.LatencySec)
-		fmt.Printf("PNhours:      %.4f\n", m.PNHours)
-		fmt.Printf("vertices:     %d\n", m.Vertices)
-		fmt.Printf("data read:    %.1f MB\n", m.DataRead/1e6)
-		fmt.Printf("data written: %.1f MB\n", m.DataWritten/1e6)
-		fmt.Printf("max memory:   %.1f MB\n", m.MaxMemory/1e6)
+		fmt.Fprintln(stdout, "\n=== simulated execution ===")
+		fmt.Fprintf(stdout, "latency:      %.1f s\n", m.LatencySec)
+		fmt.Fprintf(stdout, "PNhours:      %.4f\n", m.PNHours)
+		fmt.Fprintf(stdout, "vertices:     %d\n", m.Vertices)
+		fmt.Fprintf(stdout, "data read:    %.1f MB\n", m.DataRead/1e6)
+		fmt.Fprintf(stdout, "data written: %.1f MB\n", m.DataWritten/1e6)
+		fmt.Fprintf(stdout, "max memory:   %.1f MB\n", m.MaxMemory/1e6)
 	}
+	return nil
 }
