@@ -1,5 +1,6 @@
 // Package cache provides the singleflight FIFO memo behind the compile
-// caches (scope script→DAG, optimizer logical phase).
+// caches (workload's bound graph per template and date, optimizer's
+// logical phase).
 package cache
 
 import (

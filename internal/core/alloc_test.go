@@ -9,10 +9,12 @@ import (
 	"qoadvisor/internal/workload"
 )
 
-// runDayAllocCeiling is TestRunDayAllocBudget's: measured (256.4, go1.24)
+// runDayAllocCeiling is TestRunDayAllocBudget's: measured (86.3, go1.24)
 // + 5 %. The same days cost 954.6 per job while every recurrence was
-// instantiated, rewritten and lowered from scratch through per-call maps.
-const runDayAllocCeiling = 269
+// instantiated, rewritten and lowered from scratch through per-call maps,
+// and 256.4 while every (template, date) was parsed and compiled from its
+// substituted source and every rewrite deep-copied its input's payloads.
+const runDayAllocCeiling = 91
 
 // TestRunDayAllocBudget gates what one production job allocates end to
 // end — instantiated, compiled under the store's hints, executed, turned
@@ -31,8 +33,8 @@ func TestRunDayAllocBudget(t *testing.T) {
 	prod := NewProduction(cat, sis.NewStore(cat), exec.DefaultCluster(1), 5)
 	day := 1
 	jobs := 0
-	// A new date per run: every script is new to the compile cache, as on
-	// a pipeline day.
+	// A new date per run: every (template, date) is bound for the first
+	// time, as on a pipeline day.
 	got := testing.AllocsPerRun(5, func() {
 		day++
 		js, err := gen.JobsForDay(day)

@@ -1,6 +1,7 @@
 package optimizer
 
 import (
+	"slices"
 	"sync"
 
 	"qoadvisor/internal/rules"
@@ -165,21 +166,10 @@ func (rw *rewriter) tryAll() bool {
 	return false
 }
 
-func copyCols(n *scope.Node) []scope.Column {
-	return append([]scope.Column(nil), n.Cols...)
-}
-
-// setCols makes n's schema a copy of cols: in n's own backing array — a
-// cloned node owns its Cols — when the width is unchanged, else in a new
-// one of exactly the new width, so that a rewritten graph kept in a cache
-// holds no schema wider than its final one.
-func setCols(n *scope.Node, cols []scope.Column) {
-	if len(cols) == len(n.Cols) {
-		copy(n.Cols, cols)
-		return
-	}
-	n.Cols = append([]scope.Column(nil), cols...)
-}
+// Schemas are copy-on-write. A cloned node shares its Cols and GroupBy
+// with the graph it was cloned from (see scope.Graph.Clone), so a schema
+// is never written in place: a node that takes its input's schema shares
+// that slice, and one whose schema changes gets a new slice.
 
 func hasCol(cols []scope.Column, name string) bool {
 	_, ok := findCol(cols, name)
@@ -197,7 +187,7 @@ func (rw *rewriter) colRefs(e scope.Expr) []*scope.ColRef {
 func (rw *rewriter) newFilter(pred scope.Expr, input *scope.Node) *scope.Node {
 	f := rw.g.NewNode(scope.OpFilter, input)
 	f.Pred = pred
-	f.Cols = copyCols(input)
+	f.Cols = input.Cols
 	return f
 }
 
@@ -516,7 +506,7 @@ func (rw *rewriter) tryUnionDedupPushdown(d *scope.Node) bool {
 			continue
 		}
 		nd := rw.g.NewNode(scope.OpDistinct, in)
-		nd.Cols = copyCols(in)
+		nd.Cols = in.Cols
 		u.Inputs[i] = nd
 		fired = true
 	}
@@ -533,8 +523,8 @@ func (rw *rewriter) tryDistinctToAgg(d *scope.Node) bool {
 		return false
 	}
 	a := rw.g.NewNode(scope.OpAgg, d.Inputs[0])
-	a.GroupBy = copyCols(d)
-	a.Cols = copyCols(d)
+	a.GroupBy = d.Cols
+	a.Cols = d.Cols
 	rw.replaceEverywhere(d, a)
 	rw.fire(r)
 	return true
@@ -569,7 +559,7 @@ func (rw *rewriter) tryLocalGlobalAgg(a *scope.Node) bool {
 	if !ok {
 		return false
 	}
-	a.Inputs[0] = rw.newPartialAgg(in, append([]scope.Column(nil), a.GroupBy...))
+	a.Inputs[0] = rw.newPartialAgg(in, a.GroupBy)
 	rw.fire(r)
 	return true
 }
@@ -579,7 +569,7 @@ func (rw *rewriter) newPartialAgg(in *scope.Node, groupBy []scope.Column) *scope
 	partial := rw.g.NewNode(scope.OpAgg, in)
 	partial.Partial = true
 	partial.GroupBy = groupBy
-	partial.Cols = copyCols(in)
+	partial.Cols = in.Cols
 	return partial
 }
 
@@ -685,14 +675,14 @@ func (rw *rewriter) tryJoinAssociate(j *scope.Node) bool {
 	inner2 := rw.g.NewNode(scope.OpJoin, bNode, c)
 	inner2.JoinType = scope.JoinInner
 	inner2.JoinCond = j.JoinCond
-	inner2.Cols = append(copyCols(bNode), c.Cols...)
+	inner2.Cols = slices.Concat(bNode.Cols, c.Cols)
 	if rw.est.rows(inner2) >= rw.est.rows(inner) {
 		return false // abandoned candidate node is unreachable garbage
 	}
 	j.Inputs[0] = a
 	j.Inputs[1] = inner2
 	j.JoinCond = inner.JoinCond
-	j.Cols = append(copyCols(a), inner2.Cols...)
+	j.Cols = slices.Concat(a.Cols, inner2.Cols)
 	j.BuildLeft = false
 	rw.fire(r)
 	return true
@@ -884,7 +874,7 @@ func (rw *rewriter) tryTopNPushdown(t *scope.Node) bool {
 			}
 			nt.SortKeys = append(nt.SortKeys, scope.SortKey{Col: &scope.ColRef{Name: name}, Desc: k.Desc})
 		}
-		nt.Cols = copyCols(in)
+		nt.Cols = in.Cols
 		u.Inputs[i] = nt
 	}
 	rw.fire(r)
@@ -1071,7 +1061,7 @@ func (rw *rewriter) trySemiJoinReduction() {
 			continue
 		}
 		n.JoinType = scope.JoinSemi
-		setCols(n, n.Inputs[0].Cols)
+		n.Cols = n.Inputs[0].Cols
 		n.RightRenames = nil
 		rw.fire(r)
 	}
@@ -1085,57 +1075,96 @@ func (rw *rewriter) recomputeSchemas() {
 		case scope.OpScan, scope.OpReduce, scope.OpProcess:
 			// Own schema: unchanged.
 		case scope.OpFilter, scope.OpSort, scope.OpTop, scope.OpDistinct, scope.OpOutput:
-			setCols(n, n.Inputs[0].Cols)
+			n.Cols = n.Inputs[0].Cols
 		case scope.OpProject:
 			// Keep projection outputs; they are independent of input width.
 		case scope.OpJoin:
-			left, right := n.Inputs[0].Cols, n.Inputs[1].Cols
 			if n.JoinType == scope.JoinSemi {
-				setCols(n, left)
-				continue
-			}
-			if len(n.Cols) != len(left)+len(right) {
-				n.Cols = make([]scope.Column, len(left)+len(right))
-			}
-			copy(n.Cols, left)
-			for i, c := range right {
-				// A renamed right column appears under its merged name.
-				for merged, orig := range n.RightRenames {
-					if orig == c.Name {
-						c.Name = merged
-					}
-				}
-				n.Cols[len(left)+i] = c
+				n.Cols = n.Inputs[0].Cols
+			} else if cols := joinCols(n); cols != nil {
+				n.Cols = cols
 			}
 		case scope.OpAgg:
 			if n.Partial {
-				setCols(n, n.Inputs[0].Cols)
-				continue
+				n.Cols = n.Inputs[0].Cols
+			} else if cols := aggCols(n); cols != nil {
+				n.Cols = cols
 			}
-			var cols []scope.Column
-			if k := len(n.GroupBy) + len(n.Aggs); k > 0 {
-				cols = make([]scope.Column, 0, k)
-			}
-			cols = append(cols, n.GroupBy...)
-			for _, a := range n.Aggs {
-				// Preserve the previously computed agg output types.
-				if c, ok := n.FindCol(a.Name); ok {
-					cols = append(cols, c)
-				} else {
-					cols = append(cols, scope.Column{Name: a.Name, Type: scope.TypeDouble})
-				}
-			}
-			n.Cols = cols
 		case scope.OpUnion:
-			if len(n.Inputs) > 0 {
-				// Keep names, bound widths by the first input.
-				first := n.Inputs[0]
-				if len(first.Cols) == len(n.Cols) {
-					for i := range n.Cols {
-						n.Cols[i].Type = first.Cols[i].Type
+			// Keep names, bound widths by the first input.
+			if first := n.Inputs[0]; len(first.Cols) == len(n.Cols) {
+				for i, c := range first.Cols {
+					if c.Type != n.Cols[i].Type {
+						n.Cols = slices.Clone(n.Cols)
+						for j := i; j < len(n.Cols); j++ {
+							n.Cols[j].Type = first.Cols[j].Type
+						}
+						break
 					}
 				}
 			}
 		}
 	}
+}
+
+// mergedName is the name join j gives right input column name: its
+// merged name when the join renamed it.
+func mergedName(j *scope.Node, name string) string {
+	for merged, orig := range j.RightRenames {
+		if orig == name {
+			name = merged
+		}
+	}
+	return name
+}
+
+// joinCols returns inner join j's schema refreshed from its inputs — the
+// left input's columns, then the right's under their merged names — or nil
+// when j.Cols already is it.
+func joinCols(j *scope.Node) []scope.Column {
+	left, right := j.Inputs[0].Cols, j.Inputs[1].Cols
+	same := len(j.Cols) == len(left)+len(right) && slices.Equal(j.Cols[:len(left)], left)
+	for i := 0; same && i < len(right); i++ {
+		c := right[i]
+		c.Name = mergedName(j, c.Name)
+		same = j.Cols[len(left)+i] == c
+	}
+	if same {
+		return nil
+	}
+	cols := make([]scope.Column, len(left)+len(right))
+	copy(cols, left)
+	for i, c := range right {
+		c.Name = mergedName(j, c.Name)
+		cols[len(left)+i] = c
+	}
+	return cols
+}
+
+// aggCols returns final aggregation a's schema refreshed — its group-by
+// columns, then one per aggregate, keeping the type a.Cols gave it (double
+// when it has none) — or nil when a.Cols already is it.
+func aggCols(a *scope.Node) []scope.Column {
+	aggCol := func(spec scope.AggSpec) scope.Column {
+		if c, ok := a.FindCol(spec.Name); ok {
+			return c
+		}
+		return scope.Column{Name: spec.Name, Type: scope.TypeDouble}
+	}
+	same := len(a.Cols) == len(a.GroupBy)+len(a.Aggs) && slices.Equal(a.Cols[:len(a.GroupBy)], a.GroupBy)
+	for i := 0; same && i < len(a.Aggs); i++ {
+		same = a.Cols[len(a.GroupBy)+i] == aggCol(a.Aggs[i])
+	}
+	if same {
+		return nil
+	}
+	var cols []scope.Column
+	if k := len(a.GroupBy) + len(a.Aggs); k > 0 {
+		cols = make([]scope.Column, 0, k)
+	}
+	cols = append(cols, a.GroupBy...)
+	for _, spec := range a.Aggs {
+		cols = append(cols, aggCol(spec))
+	}
+	return cols
 }

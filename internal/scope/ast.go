@@ -104,6 +104,13 @@ func appendExpr(dst []byte, e Expr, normalized bool) []byte {
 			return append(dst, '?')
 		}
 		return strconv.AppendBool(dst, x.Value)
+	case *Param:
+		if normalized {
+			return append(dst, '?')
+		}
+		dst = append(dst, '@')
+		dst = append(dst, x.Name...)
+		return append(dst, '@')
 	case *BinaryExpr:
 		dst = append(dst, '(')
 		dst = appendExpr(dst, x.Left, normalized)
@@ -185,6 +192,15 @@ type BoolLit struct{ Value bool }
 
 func (l *BoolLit) String() string     { return render(l, false) }
 func (l *BoolLit) Normalized() string { return render(l, true) }
+
+// Param is a placeholder, "@NAME@", standing where a literal will be once
+// a prepared script is bound (see Prepare). Name excludes the '@'s. It
+// renders as itself and normalizes like the literal it stands for; no
+// Graph the package hands out holds one.
+type Param struct{ Name string }
+
+func (p *Param) String() string     { return render(p, false) }
+func (p *Param) Normalized() string { return render(p, true) }
 
 // BinaryExpr applies an infix operator: comparison, arithmetic, AND, OR.
 type BinaryExpr struct {

@@ -14,19 +14,21 @@ func (e *CompileError) Error() string {
 	return fmt.Sprintf("scope: compile error at line %d: %s", e.Line, e.Msg)
 }
 
-// CompileScript parses and compiles a script source into a logical DAG.
+// CompileScript parses and compiles a script source into a logical DAG: it
+// is Prepare and a Bind of no placeholder, so a placeholder in an
+// expression is an error and one inside a string stays as written.
 func CompileScript(src string) (*Graph, error) {
-	script, err := Parse(src)
+	p, err := Prepare(src)
 	if err != nil {
 		return nil, err
 	}
-	return Compile(script)
+	return p.Bind(nil, nil)
 }
 
-// Compile lowers a parsed script into a logical operator DAG. Rowsets
+// compile lowers a parsed script into a logical operator DAG. Rowsets
 // consumed by multiple statements become shared nodes, so the result is a
 // true DAG with one root per OUTPUT statement.
-func Compile(script *Script) (*Graph, error) {
+func compile(script *Script) (*Graph, error) {
 	c := &compiler{
 		graph: &Graph{},
 		env:   make(map[string]*Node),
@@ -266,6 +268,13 @@ func sourceOf(e Expr, cols []Column) string {
 }
 
 func (c *compiler) compileSelect(s *SelectStmt) error {
+	// A SELECT item's literal sets its column's type.
+	for _, it := range s.Items {
+		if p := findParam(it.Expr); p != nil {
+			return &CompileError{s.Line, fmt.Sprintf("placeholder %s in a SELECT item: its value would set the column's type", p)}
+		}
+	}
+
 	// 1. Assemble the FROM/JOIN scope, building the join tree left-deep.
 	from, err := c.lookup(s.From.Name, s.Line)
 	if err != nil {
@@ -607,6 +616,11 @@ func (ax *aggExtractor) extract(fe *FuncExpr, preferred string) (Expr, error) {
 		}
 		if ContainsAggregate(fe.Args[0]) {
 			return nil, &CompileError{ax.line, "nested aggregates are not allowed"}
+		}
+		// Identical aggregates share one output column, so a literal in
+		// an argument decides how many there are.
+		if p := findParam(fe.Args[0]); p != nil {
+			return nil, &CompileError{ax.line, fmt.Sprintf("placeholder %s in an aggregate's argument: its value would decide which aggregates are one", p)}
 		}
 		arg, err := ax.sc.resolveExpr(fe.Args[0])
 		if err != nil {

@@ -1,6 +1,8 @@
 package scope
 
 import (
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -358,24 +360,48 @@ func TestGraphCloneIndependence(t *testing.T) {
 	}
 }
 
-// TestCloneDoesNotAlias: growing or rewriting one clone node's Inputs or
-// Cols — what the optimizer's rewrites do to a clone — reaches neither a
-// sibling in the clone nor the source graph.
+// TestCloneDoesNotAlias holds Clone to its copy-on-write contract. What a
+// rewrite writes in place — a node's fields, its Inputs (grown or
+// rewired), its Projs' expressions — reaches neither a sibling in the
+// clone nor the source graph; and what it may only replace — Cols,
+// GroupBy, Aggs, SortKeys, RightRenames — the clone shares with the source
+// rather than copies.
 func TestCloneDoesNotAlias(t *testing.T) {
 	g := mustCompile(t, sampleScript)
 	before := g.String()
-	clone := g.Clone()
-	nodes := clone.Nodes()
-	extra := clone.NewNode(OpScan)
-	for _, n := range nodes {
-		n.Inputs = append(n.Inputs, extra)
-		n.Cols = append(n.Cols, Column{Name: "appended"})
-		if len(n.Cols) > 1 {
-			n.Cols[0].Name = "rewritten"
+	var projs []string
+	for _, n := range g.Nodes() {
+		for _, p := range n.Projs {
+			projs = append(projs, p.E.String())
 		}
 	}
+	clone := g.Clone()
+	nodes := clone.Nodes()
+	orig := g.Nodes()
+	extra := clone.NewNode(OpScan)
+	for i, n := range nodes {
+		for _, s := range []struct {
+			what         string
+			clone, input any
+		}{
+			{"Cols", n.Cols, orig[i].Cols}, {"GroupBy", n.GroupBy, orig[i].GroupBy},
+			{"Aggs", n.Aggs, orig[i].Aggs}, {"SortKeys", n.SortKeys, orig[i].SortKeys},
+			{"RightRenames", n.RightRenames, orig[i].RightRenames},
+		} {
+			if reflect.ValueOf(s.clone).Pointer() != reflect.ValueOf(s.input).Pointer() {
+				t.Errorf("node #%d: the clone copied %s instead of sharing it", n.ID, s.what)
+			}
+		}
+		n.Inputs = append(n.Inputs, extra)
+		for j := range n.Projs {
+			n.Projs[j].E = &ColRef{Name: "rewritten"}
+		}
+		n.Projs = append(n.Projs, NamedExpr{Name: "appended", E: &ColRef{Name: "appended"}})
+		n.Cols = append(n.Cols[:len(n.Cols):len(n.Cols)], Column{Name: "appended"})
+		n.Pred, n.TablePath = &BoolLit{Value: true}, "rewritten"
+	}
 	for _, n := range nodes {
-		if n.Inputs[len(n.Inputs)-1] != extra || n.Cols[len(n.Cols)-1].Name != "appended" {
+		if n.Inputs[len(n.Inputs)-1] != extra || n.Projs[len(n.Projs)-1].Name != "appended" {
 			t.Fatalf("node #%d lost its own append", n.ID)
 		}
 		for _, in := range n.Inputs[:len(n.Inputs)-1] {
@@ -383,21 +409,28 @@ func TestCloneDoesNotAlias(t *testing.T) {
 				t.Errorf("node #%d: a sibling's append landed in its Inputs", n.ID)
 			}
 		}
-		for _, c := range n.Cols[:len(n.Cols)-1] {
-			if c.Name == "appended" {
-				t.Errorf("node #%d: a sibling's append landed in its Cols", n.ID)
+		for _, p := range n.Projs[:len(n.Projs)-1] {
+			if p.Name == "appended" {
+				t.Errorf("node #%d: a sibling's append landed in its Projs", n.ID)
 			}
 		}
 	}
 	if after := g.String(); after != before {
 		t.Errorf("mutating the clone changed the source:\n%s\nwas\n%s", after, before)
 	}
+	var after []string
 	for _, n := range g.Nodes() {
+		for _, p := range n.Projs {
+			after = append(after, p.E.String())
+		}
 		for _, c := range n.Cols {
-			if c.Name == "appended" || c.Name == "rewritten" {
+			if c.Name == "appended" {
 				t.Errorf("source node #%d sees the clone's column %q", n.ID, c.Name)
 			}
 		}
+	}
+	if !slices.Equal(after, projs) {
+		t.Errorf("rewriting the clone's projections changed the source's: %v, was %v", after, projs)
 	}
 }
 
@@ -495,5 +528,29 @@ func TestRowWidth(t *testing.T) {
 	// int(4) + string(24) + long(8) = 36
 	if w := g.Roots[0].RowWidth(); w != 36 {
 		t.Errorf("row width = %d, want 36", w)
+	}
+}
+
+func TestTemplateHashMemoStable(t *testing.T) {
+	src := `raw0 = EXTRACT a:long, b:int FROM "store/t/x.tsv";
+rs1 = SELECT a, b FROM raw0 WHERE b > 7;
+OUTPUT rs1 TO "out/t/r.tsv";
+`
+	g1, err := CompileScript(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g2, err := CompileScript(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g1.TemplateHash() != g1.TemplateHash() {
+		t.Error("memoized hash changed between calls")
+	}
+	if g1.TemplateHash() != g2.TemplateHash() {
+		t.Error("identical sources must share a template hash")
+	}
+	if g1.Clone().TemplateHash() != g1.TemplateHash() {
+		t.Error("clone must hash identically to its original")
 	}
 }

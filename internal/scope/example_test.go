@@ -2,6 +2,7 @@ package scope_test
 
 import (
 	"fmt"
+	"strings"
 
 	"qoadvisor/internal/scope"
 )
@@ -45,6 +46,34 @@ x = SELECT v FROM t WHERE v > 250;
 OUTPUT x TO "out/20211104.tsv";`)
 	fmt.Println(day1.TemplateHash() == day2.TemplateHash())
 	// Output: true
+}
+
+// ExamplePrepared_Bind compiles a recurring script once and binds each
+// day's date stamp and constant to it.
+func ExamplePrepared_Bind() {
+	p, err := scope.Prepare(`
+t = EXTRACT v:int FROM "data/@DATE@.tsv";
+x = SELECT v FROM t WHERE v > @MIN@;
+OUTPUT x TO "out/@DATE@.tsv";`)
+	if err != nil {
+		fmt.Println("prepare failed:", err)
+		return
+	}
+	for _, day := range [][]string{{"20211103", "100"}, {"20211104", "250"}} {
+		g, err := p.Bind([]string{"DATE", "MIN"}, day)
+		if err != nil {
+			fmt.Println("bind failed:", err)
+			return
+		}
+		var labels []string
+		for _, n := range g.Nodes() {
+			labels = append(labels, n.Label())
+		}
+		fmt.Println(strings.Join(labels, " "))
+	}
+	// Output:
+	// Scan(data/20211103.tsv) Filter((v > 100)) Project(v) Output(out/20211103.tsv)
+	// Scan(data/20211104.tsv) Filter((v > 250)) Project(v) Output(out/20211104.tsv)
 }
 
 // ExampleConjuncts shows predicate decomposition, the unit of selectivity

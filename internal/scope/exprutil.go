@@ -27,6 +27,28 @@ func AndAll(es []Expr) Expr {
 	return out
 }
 
+// findParam returns the first placeholder in e, or nil.
+func findParam(e Expr) *Param {
+	switch x := e.(type) {
+	case *Param:
+		return x
+	case *BinaryExpr:
+		if p := findParam(x.Left); p != nil {
+			return p
+		}
+		return findParam(x.Right)
+	case *UnaryExpr:
+		return findParam(x.Expr)
+	case *FuncExpr:
+		for _, a := range x.Args {
+			if p := findParam(a); p != nil {
+				return p
+			}
+		}
+	}
+	return nil
+}
+
 // RefNames returns the set of column names referenced by e.
 func RefNames(e Expr) map[string]bool {
 	out := make(map[string]bool)

@@ -630,35 +630,50 @@ func (p *Parser) parseUnary() (Expr, error) {
 	return p.parsePrimary()
 }
 
-func (p *Parser) parsePrimary() (Expr, error) {
-	t := p.cur()
+// literal returns the literal t spells — an integer, float, string, TRUE
+// or FALSE — and true, or false when t is no literal. A number that does
+// not parse is a literal with an error.
+func literal(t Token) (Expr, bool, string) {
 	switch t.Kind {
 	case TokenInt:
-		p.advance()
 		v, err := strconv.ParseInt(t.Text, 10, 64)
 		if err != nil {
-			return nil, p.errorf("bad integer %q", t.Text)
+			return nil, true, fmt.Sprintf("bad integer %q", t.Text)
 		}
-		return &IntLit{Value: v}, nil
+		return &IntLit{Value: v}, true, ""
 	case TokenFloat:
-		p.advance()
 		v, err := strconv.ParseFloat(t.Text, 64)
 		if err != nil {
-			return nil, p.errorf("bad float %q", t.Text)
+			return nil, true, fmt.Sprintf("bad float %q", t.Text)
 		}
-		return &FloatLit{Value: v}, nil
+		return &FloatLit{Value: v}, true, ""
 	case TokenString:
-		p.advance()
-		return &StringLit{Value: t.Text}, nil
+		return &StringLit{Value: t.Text}, true, ""
 	case TokenKeyword:
 		switch t.Text {
 		case "TRUE":
-			p.advance()
-			return &BoolLit{Value: true}, nil
+			return &BoolLit{Value: true}, true, ""
 		case "FALSE":
-			p.advance()
-			return &BoolLit{Value: false}, nil
+			return &BoolLit{Value: false}, true, ""
 		}
+	}
+	return nil, false, ""
+}
+
+func (p *Parser) parsePrimary() (Expr, error) {
+	t := p.cur()
+	if e, ok, msg := literal(t); ok {
+		p.advance()
+		if msg != "" {
+			return nil, p.errorf("%s", msg)
+		}
+		return e, nil
+	}
+	switch t.Kind {
+	case TokenParam:
+		p.advance()
+		return &Param{Name: t.Text[1 : len(t.Text)-1]}, nil
+	case TokenKeyword:
 		return nil, p.errorf("unexpected keyword %q in expression", t.Text)
 	case TokenIdent:
 		// Function call or column reference.

@@ -208,10 +208,12 @@ func appendSortKeys(dst []byte, keys []SortKey) []byte {
 
 // Graph is a logical plan DAG with one root per OUTPUT statement.
 //
-// Once a Graph has been handed to the optimizer or published through a
-// CompileCache it must be treated as immutable: compiled graphs are
-// shared across job instances and across goroutines, and the optimizer
-// always rewrites a Clone, never the input.
+// A Graph handed out by CompileScript or Bind is immutable, and so is
+// everything it reaches: it shares slices and expressions with the
+// Prepared it was bound from, with the other bindings of it, and with
+// every Clone taken of it, across job instances and goroutines. The
+// optimizer rewrites a Clone, which owns only its nodes, their Inputs and
+// their Projs (see Clone); whatever else a rewrite changes it replaces.
 type Graph struct {
 	Roots  []*Node
 	nextID int
@@ -268,33 +270,31 @@ func appendSubtree(dst []*Node, seen []bool, n *Node) []*Node {
 // NodeCount returns the number of reachable nodes.
 func (g *Graph) NodeCount() int { return len(g.Nodes()) }
 
-// Clone deep-copies the DAG, preserving node sharing. The clone's node IDs
-// match the originals so that site keys remain comparable.
+// Clone copies the DAG for a rewrite, preserving node sharing. The clone's
+// node IDs match the originals so that site keys remain comparable.
 //
-// Every node, and every slice a node holds, is its own allocation — not a
-// slice of a slab shared by the clone. The optimizer caches rewritten
-// clones, and a rewrite disconnects nodes: a slab would keep every one of
-// them, and whatever their Inputs slots still point at, alive for as long
-// as the cache holds the graph.
+// The copy is copy-on-write below the node: each node, its Inputs and its
+// Projs — the one payload a rewrite writes in place — are the clone's own;
+// Cols, GroupBy, Aggs, SortKeys, RightRenames and every expression are
+// shared with g and read-only. A rewrite replaces such a slice, never
+// writes through it.
+//
+// Each node and each Inputs is its own allocation — not a slice of a slab
+// shared by the clone. The optimizer caches rewritten clones, and a
+// rewrite disconnects nodes: a slab would keep every one of them, and
+// whatever their Inputs slots still point at, alive for as long as the
+// cache holds the graph.
 func (g *Graph) Clone() *Graph {
 	mapping := make([]*Node, g.nextID) // by ID: original -> copy
 	for _, n := range g.Nodes() {      // inputs first, so they are mapped
 		c := new(Node)
-		*c = *n // shallow copy of scalar fields and expression pointers
+		*c = *n
 		c.Inputs = make([]*Node, len(n.Inputs))
 		for i, in := range n.Inputs {
 			c.Inputs[i] = mapping[in.ID]
 		}
-		c.Cols = append([]Column(nil), n.Cols...)
-		c.Projs = append([]NamedExpr(nil), n.Projs...)
-		c.GroupBy = append([]Column(nil), n.GroupBy...)
-		c.Aggs = append([]AggSpec(nil), n.Aggs...)
-		c.SortKeys = append([]SortKey(nil), n.SortKeys...)
-		if n.RightRenames != nil {
-			c.RightRenames = make(map[string]string, len(n.RightRenames))
-			for k, v := range n.RightRenames {
-				c.RightRenames[k] = v
-			}
+		if n.Projs != nil {
+			c.Projs = slices.Clone(n.Projs)
 		}
 		mapping[n.ID] = c
 	}

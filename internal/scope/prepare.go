@@ -1,0 +1,377 @@
+package scope
+
+import (
+	"fmt"
+	"slices"
+	"strings"
+	"sync"
+)
+
+// Prepared is a script compiled once with its placeholders open: the
+// logical DAG every binding of it starts from. It is immutable, and Bind is
+// safe for concurrent use.
+type Prepared struct {
+	g      *Graph
+	nodes  []*Node // g.Nodes(): inputs before consumers
+	inputs int     // len(Inputs) summed over nodes
+
+	// open are the distinct strings of g holding an '@', which a binding
+	// may rewrite: scan and output paths, column sources, and the string
+	// literals of predicates and join conditions. fixed are the string
+	// literals holding an '@' in projections and aggregate arguments, which
+	// a binding may not touch.
+	open, fixed []string
+
+	// openCols counts the columns, Cols and GroupBy alike, that sit in a
+	// slice holding an open source: the most a binding re-dates.
+	openCols int
+}
+
+// Prepare parses and compiles a script whose literals are placeholders.
+// It is the one compiler: CompileScript is Prepare and a Bind of nothing.
+// A placeholder where its value could change the DAG's shape or types — in
+// a SELECT item or an aggregate's argument — is a compile error.
+func Prepare(src string) (*Prepared, error) {
+	script, err := Parse(src)
+	if err != nil {
+		return nil, err
+	}
+	g, err := compile(script)
+	if err != nil {
+		return nil, err
+	}
+	p := &Prepared{g: g, nodes: g.Nodes()}
+	for _, n := range p.nodes {
+		p.inputs += len(n.Inputs)
+		p.open = addMarked(p.open, n.TablePath)
+		p.open = addMarked(p.open, n.OutPath)
+		for _, cols := range [2][]Column{n.Cols, n.GroupBy} {
+			dated := false
+			for _, c := range cols {
+				if strings.IndexByte(c.Source, '@') >= 0 {
+					p.open = addMarked(p.open, c.Source)
+					dated = true
+				}
+			}
+			if dated {
+				p.openCols += len(cols)
+			}
+		}
+		p.open = appendMarkedLits(p.open, n.Pred)
+		p.open = appendMarkedLits(p.open, n.JoinCond)
+		for _, pe := range n.Projs {
+			p.fixed = appendMarkedLits(p.fixed, pe.E)
+		}
+		for _, a := range n.Aggs {
+			p.fixed = appendMarkedLits(p.fixed, a.Arg)
+		}
+	}
+	return p, nil
+}
+
+// addMarked adds s to the set list when it holds an '@'.
+func addMarked(list []string, s string) []string {
+	if strings.IndexByte(s, '@') < 0 || slices.Contains(list, s) {
+		return list
+	}
+	return append(list, s)
+}
+
+// appendMarkedLits adds to list the string literals of e that hold an '@'.
+func appendMarkedLits(list []string, e Expr) []string {
+	switch x := e.(type) {
+	case *StringLit:
+		return addMarked(list, x.Value)
+	case *BinaryExpr:
+		return appendMarkedLits(appendMarkedLits(list, x.Left), x.Right)
+	case *UnaryExpr:
+		return appendMarkedLits(list, x.Expr)
+	case *FuncExpr:
+		for _, a := range x.Args {
+			list = appendMarkedLits(list, a)
+		}
+	}
+	return list
+}
+
+// BindError is a binding Bind refuses.
+type BindError struct {
+	Name string // the placeholder, without its '@'s
+	Msg  string
+}
+
+func (e *BindError) Error() string {
+	return fmt.Sprintf("scope: cannot bind @%s@: %s", e.Name, e.Msg)
+}
+
+// Bind returns a new Graph: the prepared DAG with each placeholder named in
+// names (without its '@'s) replaced by the value at the same index — in an
+// expression by the literal the value spells, inside a string by the
+// value's text. It is the graph CompileScript returns for the source with
+// those replacements made in one pass, first name first, and it shares
+// with the prepared DAG everything a replacement does not reach:
+// projections, aggregates, sort keys, renames, undated schemas and
+// literal-free expressions. Its nodes, their Inputs, re-dated schemas and
+// rebuilt expression spines are its own.
+//
+// Bind refuses, with a *BindError, a name that is not letters, digits and
+// underscores; a value that is not exactly one literal token — an
+// integer, float, string, TRUE or FALSE, with nothing around it — or that
+// holds "*/", which could end a comment; a value holding '"' or '\' that
+// would land inside a string; a placeholder bound inside a string literal
+// of a SELECT item or an aggregate's argument; and a placeholder in an
+// expression that names bind no value to.
+func (p *Prepared) Bind(names, values []string) (*Graph, error) {
+	if len(names) != len(values) {
+		return nil, fmt.Errorf("scope: %d placeholder names for %d values", len(names), len(values))
+	}
+	b := binderPool.Get().(*binder)
+	defer b.release()
+	b.p, b.names, b.values = p, names, values
+	if err := b.checkValues(); err != nil {
+		return nil, err
+	}
+	if err := b.bindStrings(); err != nil {
+		return nil, err
+	}
+	for _, s := range p.fixed {
+		if _, k := b.match(s, 0); k >= 0 {
+			return nil, &BindError{names[k], "inside a string literal of a SELECT item or an aggregate's argument, where its value could merge or split aggregates"}
+		}
+	}
+
+	// The bound graph is immutable and every node of it reachable, so its
+	// nodes and its Inputs and Roots slices can each be one allocation: no
+	// rewrite disconnects a node of it and leaves the rest pinned.
+	slab := make([]Node, len(p.nodes))
+	ptrs := make([]*Node, p.inputs+len(p.g.Roots))
+	if cap(b.byID) < p.g.nextID {
+		b.byID = make([]*Node, p.g.nextID)
+	}
+	b.byID = b.byID[:p.g.nextID]
+	for i, n := range p.nodes {
+		c := &slab[i]
+		*c = *n
+		if n.Inputs != nil {
+			k := len(n.Inputs)
+			c.Inputs, ptrs = ptrs[:k:k], ptrs[k:]
+			for j, in := range n.Inputs {
+				c.Inputs[j] = b.byID[in.ID]
+			}
+		}
+		c.TablePath, c.OutPath = b.str(n.TablePath), b.str(n.OutPath)
+		c.Cols, c.GroupBy = b.columns(n.Cols), b.columns(n.GroupBy)
+		c.Pred, c.JoinCond = b.expr(n.Pred), b.expr(n.JoinCond)
+		b.byID[n.ID] = c
+	}
+	if b.err != nil {
+		return nil, b.err
+	}
+	g := &Graph{nextID: p.g.nextID, Roots: ptrs}
+	for i, r := range p.g.Roots {
+		g.Roots[i] = b.byID[r.ID]
+	}
+	return g, nil
+}
+
+// binder is the state of one Bind. All but cols is scratch kept in
+// binderPool; cols is the bound graph's slab of re-dated columns.
+type binder struct {
+	p             *Prepared
+	names, values []string
+	toks          []Token  // per name: the literal token its value is
+	lits          []Expr   // per name: that literal, built on first use
+	bound         []string // per p.open: the string bound
+	spans         []int    // per p.open: its bytes in buf, or -1, -1
+	buf           []byte
+	byID          []*Node // prepared node ID -> bound node
+	cols          []Column
+	err           error
+}
+
+var binderPool = sync.Pool{New: func() any { return new(binder) }}
+
+func (b *binder) release() {
+	clear(b.toks)
+	clear(b.lits)
+	clear(b.bound)
+	clear(b.byID)
+	b.toks, b.lits, b.bound, b.spans, b.buf = b.toks[:0], b.lits[:0], b.bound[:0], b.spans[:0], b.buf[:0]
+	b.p, b.names, b.values, b.cols, b.err = nil, nil, nil, nil, nil
+	binderPool.Put(b)
+}
+
+// checkValues lexes every value and keeps its token.
+func (b *binder) checkValues() error {
+	for k, v := range b.values {
+		name := b.names[k]
+		if name == "" || strings.IndexFunc(name, func(r rune) bool { return r >= 0x80 || !isPlaceholderPart(byte(r)) }) >= 0 {
+			return &BindError{name, "not a placeholder name"}
+		}
+		lx := Lexer{src: v, line: 1, col: 1}
+		t, err := lx.Next()
+		if err != nil || t.Line != 1 || t.Col != 1 || lx.pos != len(v) {
+			return &BindError{name, fmt.Sprintf("value %q is not exactly one token", v)}
+		}
+		switch {
+		case t.Kind == TokenInt, t.Kind == TokenFloat, t.Kind == TokenString:
+		case t.Kind == TokenKeyword && (t.Text == "TRUE" || t.Text == "FALSE"):
+		default:
+			return &BindError{name, fmt.Sprintf("value %q is not a literal", v)}
+		}
+		if strings.Contains(v, "*/") {
+			return &BindError{name, fmt.Sprintf("value %q holds \"*/\", which could end a comment", v)}
+		}
+		b.toks = append(b.toks, t)
+		b.lits = append(b.lits, nil)
+	}
+	return nil
+}
+
+// match returns where in s, at or after from, the first placeholder that
+// names binds starts, and the index of its name; -1, -1 when there is none.
+func (b *binder) match(s string, from int) (int, int) {
+	for i := from; i < len(s); i++ {
+		j := strings.IndexByte(s[i:], '@')
+		if j < 0 {
+			break
+		}
+		i += j
+		for k, name := range b.names {
+			if end := i + 1 + len(name); end < len(s) && s[end] == '@' && s[i+1:end] == name {
+				return i, k
+			}
+		}
+	}
+	return -1, -1
+}
+
+// bindStrings binds every open string, the changed ones into one arena.
+func (b *binder) bindStrings() error {
+	for _, s := range b.p.open {
+		start := len(b.buf)
+		from := 0
+		for {
+			i, k := b.match(s, from)
+			if i < 0 {
+				break
+			}
+			if v := b.values[k]; strings.ContainsAny(v, "\"\\") {
+				return &BindError{b.names[k], fmt.Sprintf("value %q cannot be written inside a string", v)}
+			}
+			b.buf = append(append(b.buf, s[from:i]...), b.values[k]...)
+			from = i + len(b.names[k]) + 2
+		}
+		if from == 0 {
+			b.spans = append(b.spans, -1, -1)
+			continue
+		}
+		b.buf = append(b.buf, s[from:]...)
+		b.spans = append(b.spans, start, len(b.buf))
+	}
+	var arena string
+	if len(b.buf) > 0 {
+		arena = string(b.buf)
+	}
+	for i, s := range b.p.open {
+		if start := b.spans[2*i]; start >= 0 {
+			s = arena[start:b.spans[2*i+1]]
+		}
+		b.bound = append(b.bound, s)
+	}
+	return nil
+}
+
+// str returns s bound.
+func (b *binder) str(s string) string {
+	if strings.IndexByte(s, '@') >= 0 {
+		for i, o := range b.p.open {
+			if o == s {
+				return b.bound[i]
+			}
+		}
+	}
+	return s
+}
+
+// columns returns cols with their sources bound: cols itself when no
+// source changes, else a re-dated copy cut from the graph's column slab.
+func (b *binder) columns(cols []Column) []Column {
+	for i, c := range cols {
+		if s := b.str(c.Source); s != c.Source {
+			if b.cols == nil {
+				b.cols = make([]Column, 0, b.p.openCols)
+			}
+			n, k := len(b.cols), len(cols)
+			out := b.cols[n : n+k : n+k]
+			b.cols = b.cols[:n+k]
+			copy(out, cols)
+			out[i].Source = s
+			for j := i + 1; j < k; j++ {
+				out[j].Source = b.str(cols[j].Source)
+			}
+			return out
+		}
+	}
+	return cols
+}
+
+// expr returns e bound: e itself when no placeholder or bound string is in
+// it, else a copy of the spine down to each one.
+func (b *binder) expr(e Expr) Expr {
+	switch x := e.(type) {
+	case *Param:
+		return b.literal(x.Name)
+	case *StringLit:
+		if s := b.str(x.Value); s != x.Value {
+			return &StringLit{Value: s}
+		}
+	case *BinaryExpr:
+		l, r := b.expr(x.Left), b.expr(x.Right)
+		if l != x.Left || r != x.Right {
+			return &BinaryExpr{Op: x.Op, Left: l, Right: r}
+		}
+	case *UnaryExpr:
+		if in := b.expr(x.Expr); in != x.Expr {
+			return &UnaryExpr{Op: x.Op, Expr: in}
+		}
+	case *FuncExpr:
+		for i, a := range x.Args {
+			if ba := b.expr(a); ba != a {
+				args := slices.Clone(x.Args)
+				args[i] = ba
+				for j := i + 1; j < len(args); j++ {
+					args[j] = b.expr(args[j])
+				}
+				return &FuncExpr{Name: x.Name, Args: args, Star: x.Star}
+			}
+		}
+	}
+	return e
+}
+
+// literal returns the literal bound to the placeholder name, one per name
+// and Bind, or records why there is none.
+func (b *binder) literal(name string) Expr {
+	for k, n := range b.names {
+		if n != name {
+			continue
+		}
+		if b.lits[k] == nil {
+			e, _, msg := literal(b.toks[k])
+			if msg != "" {
+				b.fail(&BindError{name, msg})
+			}
+			b.lits[k] = e
+		}
+		return b.lits[k]
+	}
+	b.fail(&BindError{name, "no value is bound to it"})
+	return nil
+}
+
+func (b *binder) fail(err error) {
+	if b.err == nil {
+		b.err = err
+	}
+}

@@ -5,6 +5,22 @@
 // DAG's roots. The package provides the lexer, parser, semantic analysis
 // and compilation to the logical operator DAG that the optimizer package
 // transforms.
+//
+// # Placeholders
+//
+// A recurring job is one script re-run with new constants, so a script may
+// leave its literals open as placeholders, "@NAME@" (NAME letters, digits
+// and underscores). In expression position a placeholder is a token of its
+// own and parses to a *Param; inside a string literal — an EXTRACT or
+// OUTPUT path, and so every column source derived from it — it is text,
+// kept as written. Prepare compiles such a script once; Bind makes each
+// instance by substitution, sharing with the prepared DAG everything the
+// values do not reach, and returns exactly what CompileScript returns for
+// the source with the values written in. To keep that exact, Prepare
+// refuses a placeholder whose value could change the DAG's shape or types
+// (in a SELECT item, an aggregate's argument, or glued to a neighbouring
+// token), and Bind refuses a value that is not exactly one literal token.
+// CompileScript is Prepare and a Bind of nothing: there is one compiler.
 package scope
 
 import (
@@ -25,6 +41,7 @@ const (
 	TokenString
 	TokenOperator // == != <= >= < > + - * / % && || !
 	TokenPunct    // ( ) , ; = . :
+	TokenParam    // @NAME@, a placeholder for a literal (see Prepare)
 )
 
 func (k TokenKind) String() string {
@@ -45,6 +62,8 @@ func (k TokenKind) String() string {
 		return "operator"
 	case TokenPunct:
 		return "punctuation"
+	case TokenParam:
+		return "placeholder"
 	default:
 		return fmt.Sprintf("token(%d)", int(k))
 	}
@@ -226,6 +245,9 @@ func (l *Lexer) Next() (Token, error) {
 	case ch == '"':
 		return l.lexString(line, col)
 
+	case ch == '@':
+		return l.lexParam(line, col)
+
 	default:
 		return l.lexOperator(line, col)
 	}
@@ -266,6 +288,48 @@ func (l *Lexer) lexNumber(line, col int) (Token, error) {
 		return Token{}, &LexError{line, col, fmt.Sprintf("malformed number %q", text+string(l.peek()))}
 	}
 	return Token{Kind: kind, Text: text, Line: line, Col: col}, nil
+}
+
+// placeholderLen returns the length of the placeholder "@NAME@" — NAME one
+// or more letters, digits and underscores — that s starts with, or 0.
+func placeholderLen(s string) int {
+	if len(s) < 3 || s[0] != '@' {
+		return 0
+	}
+	i := 1
+	for i < len(s) && isPlaceholderPart(s[i]) {
+		i++
+	}
+	if i == 1 || i == len(s) || s[i] != '@' {
+		return 0
+	}
+	return i + 1
+}
+
+func isPlaceholderPart(ch byte) bool {
+	return ch == '_' || 'a' <= ch && ch <= 'z' || 'A' <= ch && ch <= 'Z' || '0' <= ch && ch <= '9'
+}
+
+// glues reports whether a literal written next to ch would lex as part of
+// one token with it: "x5", "5x", "1.5", "TRUEx".
+func glues(ch byte) bool { return isIdentPart(ch) || ch == '.' || ch == '@' }
+
+// lexParam lexes a placeholder. One glued to its neighbours is refused:
+// the literal it stands for would lex as part of another token.
+func (l *Lexer) lexParam(line, col int) (Token, error) {
+	n := placeholderLen(l.src[l.pos:])
+	if n == 0 {
+		l.advance()
+		return Token{}, &LexError{line, col, "unexpected character '@'"}
+	}
+	start := l.pos
+	if start > 0 && glues(l.src[start-1]) || start+n < len(l.src) && glues(l.src[start+n]) {
+		return Token{}, &LexError{line, col, fmt.Sprintf("placeholder %s touches the token beside it", l.src[start:start+n])}
+	}
+	for l.pos < start+n {
+		l.advance()
+	}
+	return Token{Kind: TokenParam, Text: l.src[start:l.pos], Line: line, Col: col}, nil
 }
 
 func (l *Lexer) lexString(line, col int) (Token, error) {

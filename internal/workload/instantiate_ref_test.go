@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -30,12 +31,16 @@ func rngForRef(parts ...interface{}) *rand.Rand {
 	return rand.New(rand.NewSource(hashedRef(parts...)))
 }
 
+// litValueRef is the value literal lit of t takes on date.
+func litValueRef(t *Template, lit string, date int) string {
+	return fmt.Sprintf("%d", 10+rngForRef("lit", t.ID, lit, date).Intn(9000))
+}
+
 func instantiateRef(t *Template, date, seq int) (*Job, error) {
 	src := strings.ReplaceAll(t.ScriptPattern, "@DATE@", fmt.Sprintf("%08d", 20211100+date))
 	litVals := make(map[string]string, len(t.Literals))
 	for _, lit := range t.Literals {
-		rng := rngForRef("lit", t.ID, lit, date)
-		litVals[lit] = fmt.Sprintf("%d", 10+rng.Intn(9000))
+		litVals[lit] = litValueRef(t, lit, date)
 	}
 	for lit, v := range litVals {
 		src = strings.ReplaceAll(src, lit, v)
@@ -225,19 +230,25 @@ func TestSubstituteMatchesSequentialReplace(t *testing.T) {
 	}
 }
 
-// Ceilings for TestInstantiateAllocBudget. A recurrence costs its Job and
-// its ID. Re-instantiating a (template, date) whose script is in the
-// compile cache costs everything Instantiate does but compile — the
-// substituted source, the literals, truth and statistics — measured on the
-// ledger's T000 (go1.24: 27; 106 while each draw built its own rand.Source
-// and hasher) + 5 %.
+// Ceilings for TestInstantiateAllocBudget, measured on the ledger's T000
+// (go1.24) + 5 %. A recurrence costs its Job and its ID. Re-instantiating
+// a (template, date) whose graph is memoized costs everything Instantiate
+// does but bind — the literals, truth and statistics (25; 27 while it also
+// built the substituted source the script cache was keyed by, 106 while
+// each draw built its own rand.Source and hasher). Binding the prepared
+// script cold costs the graph alone: nodes, Inputs and Roots in one slab
+// each, the re-dated schemas in one, the dated strings in one arena, a
+// literal per placeholder and the expression spines above them (17;
+// compiling the substituted source costs 249).
 const (
 	recurrenceAllocCeiling  = 2
-	instantiateAllocCeiling = 28
+	instantiateAllocCeiling = 26
+	bindAllocCeiling        = 18
 )
 
-// TestInstantiateAllocBudget gates what a day's job instances allocate
-// beyond compiling their scripts.
+// TestInstantiateAllocBudget gates what a day's job instances allocate:
+// a recurrence, an instance whose graph is memoized, and the cold Bind of
+// a (template, date) seen for the first time.
 func TestInstantiateAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -262,9 +273,22 @@ func TestInstantiateAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	t.Logf("%s (%d literals, %d tables, %d sites): %.0f allocs per Instantiate with its script cached",
+	t.Logf("%s (%d literals, %d tables, %d sites): %.0f allocs per Instantiate with its graph memoized",
 		tpl.ID, len(tpl.Literals), len(tpl.Tables), len(tpl.TrueSel), got)
 	if got > instantiateAllocCeiling {
-		t.Errorf("%.0f allocs per cached-script Instantiate, ceiling %d", got, instantiateAllocCeiling)
+		t.Errorf("%.0f allocs per memoized Instantiate, ceiling %d", got, instantiateAllocCeiling)
+	}
+	values := []string{dateStamp(3)}
+	for i := range tpl.Literals {
+		values = append(values, strconv.Itoa(100+i))
+	}
+	got = testing.AllocsPerRun(100, func() {
+		if _, err := tpl.prepared.Bind(tpl.names, values); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%s (%d logical nodes): %.0f allocs per cold Bind", tpl.ID, first.Graph.NodeCount(), got)
+	if got > bindAllocCeiling {
+		t.Errorf("%.0f allocs per Bind, ceiling %d", got, bindAllocCeiling)
 	}
 }

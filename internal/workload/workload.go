@@ -17,6 +17,7 @@ import (
 	"strconv"
 	"strings"
 
+	"qoadvisor/internal/cache"
 	"qoadvisor/internal/exec"
 	"qoadvisor/internal/optimizer"
 	"qoadvisor/internal/scope"
@@ -107,11 +108,26 @@ type Template struct {
 	// normalized), QO-Advisor's hint key.
 	Hash uint64
 
-	// cache memoizes compiled scripts. All daily instances of a template
-	// on one date share a script source and hence one compiled (immutable)
-	// graph; flighting's next-day re-instantiations hit the same entries.
-	cache *scope.CompileCache
+	// prepared is ScriptPattern compiled once; an instance binds the
+	// date stamp and its literals to it. names are the placeholders it
+	// binds, "DATE" and then Literals, without their '@'s.
+	prepared *scope.Prepared
+	names    []string
+	// graphs memoizes the bound graph per (template, date): every
+	// instance of a template on one date shares one immutable graph, and
+	// flighting's next-day re-instantiations hit the same entries.
+	graphs *cache.FIFO[graphKey, *scope.Graph]
 }
+
+// graphKey names the graph of a template's instances on one date.
+type graphKey struct {
+	t    *Template
+	date int
+}
+
+// graphCacheSize bounds a generator's (template, date) graph memo: a few
+// thousand entries covers weeks of a large template population.
+const graphCacheSize = 4096
 
 // Job is one instance of a template on a given date.
 type Job struct {
@@ -130,7 +146,7 @@ type Job struct {
 type Generator struct {
 	seed      int64
 	templates []*Template
-	cache     *scope.CompileCache
+	graphs    *cache.FIFO[graphKey, *scope.Graph]
 }
 
 // Config controls workload generation.
@@ -168,10 +184,10 @@ func New(cfg Config) (*Generator, error) {
 	if cfg.MaxDailyInstances <= 0 {
 		cfg.MaxDailyInstances = 3
 	}
-	// One script compile cache for every template; it affects speed only.
-	g := &Generator{seed: cfg.Seed, cache: scope.NewCompileCache(scope.DefaultCompileCacheSize)}
+	// One graph memo for every template; it affects speed only.
+	g := &Generator{seed: cfg.Seed, graphs: cache.NewFIFO[graphKey, *scope.Graph](graphCacheSize)}
 	for i := 0; i < cfg.NumTemplates; i++ {
-		t, err := buildTemplate(cfg.Seed, i, cfg.MaxDailyInstances, g.cache)
+		t, err := buildTemplate(cfg.Seed, i, cfg.MaxDailyInstances, g.graphs)
 		if err != nil {
 			return nil, fmt.Errorf("workload: template %d: %w", i, err)
 		}
@@ -183,9 +199,9 @@ func New(cfg Config) (*Generator, error) {
 // Templates returns the generated templates.
 func (g *Generator) Templates() []*Template { return g.templates }
 
-// CompileCacheStats reports the shared script compile cache's
-// effectiveness.
-func (g *Generator) CompileCacheStats() scope.CompileCacheStats { return g.cache.Stats() }
+// CompileCacheStats reports the (template, date) graph memo's
+// effectiveness: a miss is a Bind.
+func (g *Generator) CompileCacheStats() cache.Stats { return g.graphs.Stats() }
 
 // JobsForDay instantiates every template's recurrences for the given date.
 func (g *Generator) JobsForDay(date int) ([]*Job, error) {
@@ -237,16 +253,15 @@ func (t *Template) Instantiate(date, seq int) (*Job, error) {
 		return rng
 	}
 
-	// Substitute the date and the literals: deterministic per (template,
-	// literal, date).
-	olds := make([]string, 1+len(t.Literals))
-	news := make([]string, 1+len(t.Literals))
-	olds[0], news[0] = "@DATE@", dateStamp(date)
+	// The literals: deterministic per (template, literal, date).
+	values := make([]string, len(t.names))
+	values[0] = dateStamp(date)
 	for i, lit := range t.Literals {
-		olds[1+i], news[1+i] = lit, strconv.Itoa(10+draw("lit", lit).Intn(9000))
+		values[1+i] = strconv.Itoa(10 + draw("lit", lit).Intn(9000))
 	}
-	src := substitute(t.ScriptPattern, olds, news)
-	graph, err := t.cache.Compile(src)
+	graph, err := t.graphs.Do(graphKey{t, date}, func() (*scope.Graph, error) {
+		return t.prepared.Bind(t.names, values)
+	})
 	if err != nil {
 		return nil, fmt.Errorf("workload: instance of %s does not compile: %w", t.ID, err)
 	}
@@ -277,7 +292,7 @@ func (t *Template) Instantiate(date, seq int) (*Job, error) {
 		}
 	}
 	for sitePattern, sel := range t.TrueSel {
-		site := substitute(sitePattern, olds[1:], news[1:])
+		site := substitute(sitePattern, t.Literals, values[1:])
 		jitter := lognormal(draw("sel", sitePattern), 0.25)
 		s := sel * jitter
 		if s > 1 {
@@ -303,7 +318,7 @@ func (t *Template) Instantiate(date, seq int) (*Job, error) {
 // buildTemplate synthesizes one template. The script is built
 // programmatically (schema-tracked), so generated scripts always compile;
 // construction is verified anyway.
-func buildTemplate(seed int64, idx, maxDaily int, cache *scope.CompileCache) (*Template, error) {
+func buildTemplate(seed int64, idx, maxDaily int, graphs *cache.FIFO[graphKey, *scope.Graph]) (*Template, error) {
 	rng := rand.New(rand.NewSource(hashed("template", strconv.FormatInt(seed, 10), " ", strconv.Itoa(idx))))
 	b := &scriptBuilder{
 		rng:      rng,
@@ -323,10 +338,18 @@ func buildTemplate(seed int64, idx, maxDaily int, cache *scope.CompileCache) (*T
 		Literals:       b.literals,
 		DailyInstances: 1 + rng.Intn(maxDaily),
 		Tokens:         50 + rng.Intn(4)*50,
-		cache:          cache,
+		names:          []string{"DATE"},
+		graphs:         graphs,
+	}
+	for _, lit := range t.Literals {
+		t.names = append(t.names, strings.Trim(lit, "@"))
+	}
+	var err error
+	if t.prepared, err = scope.Prepare(t.ScriptPattern); err != nil {
+		return nil, fmt.Errorf("workload: template %s does not compile: %w", t.ID, err)
 	}
 
-	// Validate by instantiating day 1 and record the template hash.
+	// Record the template hash, from day 1's instance.
 	j, err := t.Instantiate(1, 0)
 	if err != nil {
 		return nil, err

@@ -306,17 +306,17 @@ func TestInstancesShareCompiledGraphs(t *testing.T) {
 			t.Fatal(err)
 		}
 		if a.Graph != b.Graph {
-			t.Errorf("template %s: same-day instances should share one compiled graph", tpl.ID)
+			t.Errorf("template %s: same-day instances should share one bound graph", tpl.ID)
 		}
 		c, err := tpl.Instantiate(3, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if c.Graph == a.Graph {
-			t.Errorf("template %s: different dates have different literals and scripts", tpl.ID)
+			t.Errorf("template %s: different dates have different literals and graphs", tpl.ID)
 		}
 	}
 	if st := g.CompileCacheStats(); st.Hits == 0 {
-		t.Error("compile cache saw no hits across repeated instantiation")
+		t.Error("the graph memo saw no hits across repeated instantiation")
 	}
 }
