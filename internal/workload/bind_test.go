@@ -42,6 +42,46 @@ func TestBindMatchesCompile(t *testing.T) {
 	}
 }
 
+// TestGraphMemoHitsShareGraphs: a second instantiation of one (template,
+// date) is a memo hit returning the identical graph, and another date is
+// another key, bound afresh.
+func TestGraphMemoHitsShareGraphs(t *testing.T) {
+	gen, err := New(Config{Seed: 3, NumTemplates: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tpl := gen.Templates()[0]
+	base := gen.CompileCacheStats() // New binds a day of each template to check it
+	delta := func() (hits, misses uint64, size int) {
+		st := gen.CompileCacheStats()
+		return st.Hits - base.Hits, st.Misses - base.Misses, st.Size - base.Size
+	}
+	j1, err := tpl.Instantiate(10, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j2, err := tpl.Instantiate(10, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j1.Graph != j2.Graph {
+		t.Error("same (template, date) must return the identical memoized graph")
+	}
+	if h, m, s := delta(); h != 1 || m != 1 || s != 1 {
+		t.Errorf("%d hits / %d misses / size +%d, want 1 hit / 1 miss / size +1", h, m, s)
+	}
+	j3, err := tpl.Instantiate(11, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j3.Graph == j1.Graph {
+		t.Error("a different date must bind a different graph")
+	}
+	if _, m, s := delta(); m != 2 || s != 2 {
+		t.Errorf("%d misses / size +%d, want 2 misses / size +2", m, s)
+	}
+}
+
 // TestInstantiateConcurrentSharesGraph: concurrent instantiations of one
 // (template, date) bind it once and share the graph.
 func TestInstantiateConcurrentSharesGraph(t *testing.T) {
