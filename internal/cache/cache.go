@@ -1,6 +1,7 @@
-// Package cache provides the singleflight FIFO memo behind the compile
-// caches (workload's bound graph per template and date, optimizer's
-// logical phase).
+// Package cache provides the singleflight FIFO memo behind the offline
+// pipeline's job-instance memo: workload's instance per template and
+// date, and, inside each instance, optimizer's rewrites per rule
+// configuration.
 package cache
 
 import (

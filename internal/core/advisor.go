@@ -75,8 +75,7 @@ type Advisor struct {
 	Validator  *Validator
 	Store      *sis.Store
 
-	cfg   Config
-	cache *optimizer.CompileCache
+	cfg Config
 
 	// lastHints caches the most recent uploaded hint set (in upload
 	// order) so the daily merge does not rebuild it from the store's
@@ -99,20 +98,13 @@ func NewAdvisor(cat *rules.Catalog, store *sis.Store, cfg Config) *Advisor {
 	if cfg.Flighting.Catalog == nil {
 		cfg.Flighting.Catalog = cat
 	}
-	// One logical-compilation cache for the whole pipeline; it affects
-	// speed, never results.
-	cache := optimizer.NewCompileCache(optimizer.DefaultCompileCacheSize)
 	if cfg.Flighting.Parallelism == 0 {
 		cfg.Flighting.Parallelism = cfg.Parallelism
-	}
-	if cfg.Flighting.Cache == nil {
-		cfg.Flighting.Cache = cache
 	}
 	cb := NewCBRecommender(cat, cfg.Seed)
 	cb.Uniform = cfg.UniformLogging
 	fg := NewFeatureGen(cat)
 	fg.Parallelism = cfg.Parallelism
-	fg.Cache = cache
 	return &Advisor{
 		Catalog:    cat,
 		FeatureGen: fg,
@@ -121,13 +113,15 @@ func NewAdvisor(cat *rules.Catalog, store *sis.Store, cfg Config) *Advisor {
 		Validator:  NewValidator(),
 		Store:      store,
 		cfg:        cfg,
-		cache:      cache,
 	}
 }
 
-// CompileCacheStats reports the shared logical-compilation cache's
-// effectiveness.
-func (a *Advisor) CompileCacheStats() optimizer.CompileCacheStats { return a.cache.Stats() }
+// CompileCacheStats reports how often the process's compilations found
+// their job instance's rewrite already memoized — production's and every
+// pipeline's alike, since an instance's memo serves them all.
+func (a *Advisor) CompileCacheStats() optimizer.CompileCacheStats {
+	return optimizer.CompileCacheTotals()
+}
 
 // RunDay executes the full pipeline over one day's workload view and
 // uploads the validated hints to SIS.
@@ -158,10 +152,7 @@ func (a *Advisor) RunDay(date int, jobs []*workload.Job, view []workload.ViewRow
 	rep.JobsWithSpan = len(feats)
 
 	// 2-3. Recommendation + Recompilation.
-	recs := RecommendWith(a.CB, a.Catalog, feats, RecommendOptions{
-		Parallelism: a.cfg.Parallelism,
-		Cache:       a.cache,
-	})
+	recs := RecommendWith(a.CB, a.Catalog, feats, RecommendOptions{Parallelism: a.cfg.Parallelism})
 	a.CB.Train()
 	rep.Recommendations = len(recs)
 	for _, r := range recs {

@@ -1,20 +1,30 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"qoadvisor/internal/exec"
+	"qoadvisor/internal/flighting"
 	"qoadvisor/internal/rules"
 	"qoadvisor/internal/sis"
 	"qoadvisor/internal/workload"
 )
 
-// runDayAllocCeiling is TestRunDayAllocBudget's: measured (86.3, go1.24)
+// runDayAllocCeiling is TestRunDayAllocBudget's: measured (89.1, go1.24)
 // + 5 %. The same days cost 954.6 per job while every recurrence was
 // instantiated, rewritten and lowered from scratch through per-call maps,
-// and 256.4 while every (template, date) was parsed and compiled from its
-// substituted source and every rewrite deep-copied its input's payloads.
-const runDayAllocCeiling = 91
+// 256.4 while every (template, date) was parsed and compiled from its
+// substituted source and every rewrite deep-copied its input's payloads,
+// and 86.3 while production's rewrites went into one memo per day rather
+// than one per instance, which the pipeline then reuses.
+const runDayAllocCeiling = 94
+
+// retainedHeapCeilingMB is TestOfflineLegRetainedHeap's: measured (6.49
+// MB, go1.24, 6.48–6.52 at GOMAXPROCS 1–4) + 10 %. The same days retained
+// 14.28 MB while the advisor kept every rewrite for the life of the process
+// and the generator every (template, date) graph up to 4,096 of them.
+const retainedHeapCeilingMB = 7.1
 
 // TestRunDayAllocBudget gates what one production job allocates end to
 // end — instantiated, compiled under the store's hints, executed, turned
@@ -50,5 +60,65 @@ func TestRunDayAllocBudget(t *testing.T) {
 	t.Logf("%d jobs: %.1f allocs per job (JobsForDay + RunDay)", jobs, perJob)
 	if perJob > runDayAllocCeiling {
 		t.Errorf("%.1f allocs per production job, ceiling %d", perJob, runDayAllocCeiling)
+	}
+}
+
+// TestOfflineLegRetainedHeap gates what the offline leg keeps alive once a
+// run of days is over: the instance memo holds at most two dates of each
+// template, and the heap that the generator, production and the advisor
+// retain stays under retainedHeapCeilingMB.
+func TestOfflineLegRetainedHeap(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	const seed, templates, days = 20211101, 40, 10
+	live := func() int64 {
+		// Twice: the first cycle moves sync.Pool contents to the victim
+		// cache, the second frees them.
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	before := live()
+	gen, err := workload.New(workload.Config{Seed: seed, NumTemplates: templates})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat := rules.NewCatalog()
+	store := sis.NewStore(cat)
+	prod := NewProduction(cat, store, exec.DefaultCluster(seed), seed+12)
+	adv := NewAdvisor(cat, store, Config{
+		Seed:      seed,
+		Flighting: flighting.Config{Catalog: cat, Cluster: exec.DefaultCluster(seed), Seed: seed + 5},
+	})
+	for day := 0; day <= days; day++ {
+		jobs, err := gen.JobsForDay(day)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, view, err := prod.RunDay(day, jobs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if day == 0 {
+			continue // day 0's view is day 1's input
+		}
+		adv.CB.Uniform = day <= 2
+		if _, err := adv.RunDay(day, jobs, view); err != nil {
+			t.Fatal(err)
+		}
+	}
+	retained := float64(live()-before) / (1 << 20)
+	st := gen.CompileCacheStats()
+	runtime.KeepAlive(prod)
+	runtime.KeepAlive(adv)
+	t.Logf("%d templates, %d days: %d instances memoized, %.2f MB retained", templates, days, st.Size, retained)
+	if st.Size > 2*templates {
+		t.Errorf("%d instances memoized for %d templates, want at most %d", st.Size, templates, 2*templates)
+	}
+	if retained > retainedHeapCeilingMB {
+		t.Errorf("%.2f MB retained, ceiling %.1f", retained, retainedHeapCeilingMB)
 	}
 }

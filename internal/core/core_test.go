@@ -468,12 +468,36 @@ func TestProductionAppliesHints(t *testing.T) {
 	}
 }
 
+// runJobRef is runJob as a job-by-job loop without the instance's rewrite
+// memo runs it: every compilation rewrites the job's graph afresh.
+func runJobRef(p *Production, job *workload.Job, runSeed int64) (JobRun, error) {
+	def := p.Catalog.DefaultConfig()
+	cfg := p.Store.ConfigFor(job.Template.Hash, def)
+	hinted := !cfg.Equal(def.Bitset)
+	opts := optimizer.Options{Catalog: p.Catalog, Stats: job.Stats, Tokens: job.Tokens}
+	res, err := optimizer.Optimize(job.Graph, cfg, opts)
+	if err != nil && hinted {
+		res, err = optimizer.Optimize(job.Graph, def, opts)
+		hinted = false
+	}
+	if err != nil {
+		return JobRun{}, err
+	}
+	run := JobRun{Job: job, Result: res, Hinted: hinted}
+	if hinted {
+		h, _ := p.Store.Lookup(job.Template.Hash)
+		run.Flip = h.Flip
+	}
+	run.Metrics = exec.Run(res.Plan, job.Truth, job.Stats, p.Cluster, runSeed)
+	return run, nil
+}
+
 // TestProductionRunDayMatchesSequential holds the fanned-out RunDay to the
 // job-by-job loop it replaced: same runs, same view, in job order, at any
 // GOMAXPROCS, with a hint steering some of the day's compilations. RunDay
-// compiles a template's recurrences from one shared rewrite (its day-scoped
-// CompileCache) where an uncached runJob rewrites per job, so this is also what holds
-// the shared rewrite to the uncached one.
+// compiles a template's recurrences from their instance's one memoized
+// rewrite where the reference rewrites per job, so this is also what holds
+// the shared rewrite to a fresh one.
 func TestProductionRunDayMatchesSequential(t *testing.T) {
 	cat := rules.NewCatalog()
 	gen := testWorkload(t, 12)
@@ -512,7 +536,7 @@ func TestProductionRunDayMatchesSequential(t *testing.T) {
 	var wantRuns []JobRun
 	var wantView []workload.ViewRow
 	for i, job := range jobs {
-		run, err := prod.runJob(job, prod.Seed+2*100003+int64(i)*7, nil)
+		run, err := runJobRef(prod, job, prod.Seed+2*100003+int64(i)*7)
 		if err != nil {
 			continue
 		}
@@ -549,7 +573,7 @@ func TestProductionRunDayMatchesSequential(t *testing.T) {
 			}
 		}
 		if shared == 0 {
-			t.Errorf("GOMAXPROCS=%d: no two recurrences share a rewritten graph; RunDay's cache is not in use", procs)
+			t.Errorf("GOMAXPROCS=%d: no two recurrences share a rewritten graph; the instance's rewrite memo is not in use", procs)
 		}
 	}
 }
@@ -604,8 +628,8 @@ func TestAdvisorEndToEnd(t *testing.T) {
 // TestParallelRunDayDeterministic is the parallelism contract: running
 // the full pipeline with a worker pool must produce byte-identical
 // DayReports and SIS uploads to the strictly sequential run, for every
-// simulated day. Run under -race this also exercises the shared
-// compile-cache and bandit locking.
+// simulated day. Run under -race this also exercises the instance memo,
+// the rewrite memos and bandit locking.
 func TestParallelRunDayDeterministic(t *testing.T) {
 	type dayOut struct {
 		Report *DayReport
@@ -696,54 +720,57 @@ func TestAdvisorHintsSurviveAcrossDays(t *testing.T) {
 	}
 }
 
-func TestGreedyMultiFlip(t *testing.T) {
+// TestRunDaysRewriteEachInstanceConfigOnce: production and the pipeline
+// compile a day's jobs through their instance's one rewrite memo, so over
+// Production.RunDay then Advisor.RunDay each (instance, configuration) is
+// rewritten once, and the pipeline reuses the rewrites production made.
+func TestRunDaysRewriteEachInstanceConfigOnce(t *testing.T) {
 	cat := rules.NewCatalog()
-	gen := testWorkload(t, 8)
-	jobs, err := gen.JobsForDay(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fg := NewFeatureGen(cat)
-	improvedAny := false
-	for _, job := range jobs[:minInt(len(jobs), 6)] {
-		sp, err := fg.spanFor(job)
-		if err != nil || sp.Span.IsEmpty() {
-			continue
-		}
-		one, err := GreedyMultiFlip(cat, job, sp.Span, 1)
+	gen := testWorkload(t, 12)
+	store := sis.NewStore(cat)
+	adv := NewAdvisor(cat, store, Config{
+		Seed:                 1,
+		MinValidationSamples: 5,
+		Flighting:            flighting.Config{Catalog: cat, Seed: 2},
+	})
+	prod := NewProduction(cat, store, exec.DefaultCluster(1), 3)
+	for day := 1; day <= 3; day++ {
+		jobs, err := gen.JobsForDay(day)
 		if err != nil {
 			t.Fatal(err)
 		}
-		two, err := GreedyMultiFlip(cat, job, sp.Span, 2)
+		memos := make(map[*optimizer.CompileCache]bool)
+		for _, j := range jobs {
+			memos[j.CompileOptions(cat).Cache] = true
+		}
+		hits := func() (n uint64) {
+			for m := range memos {
+				n += m.Stats().Hits
+			}
+			return n
+		}
+		_, view, err := prod.RunDay(day, jobs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(one.Flips) > 1 {
-			t.Errorf("maxFlips=1 returned %d flips", len(one.Flips))
+		for m := range memos {
+			if m.Stats().Size == 0 {
+				t.Fatalf("day %d: production compiled an instance without its memo", day)
+			}
 		}
-		if two.Result.EstCost > one.Result.EstCost {
-			t.Error("two greedy flips can never cost more than one")
+		prodHits := hits()
+		if _, err := adv.RunDay(day, jobs, view); err != nil {
+			t.Fatal(err)
 		}
-		if two.CostDelta() > 0 {
-			t.Error("greedy search must never regress the estimated cost")
+		if hits() == prodHits {
+			t.Errorf("day %d: the pipeline reused none of production's rewrites", day)
 		}
-		if len(two.Flips) > 0 {
-			improvedAny = true
-		}
-		if two.Recompilations <= len(sp.Span.Bits()) && len(two.Flips) > 1 {
-			t.Error("recompilation count should reflect the extra rounds")
+		for m := range memos {
+			if st := m.Stats(); st.Misses != uint64(st.Size) {
+				t.Errorf("day %d: an instance rewrote %d times for %d configurations", day, st.Misses, st.Size)
+			}
 		}
 	}
-	if !improvedAny {
-		t.Skip("no improving flips among sampled jobs (seed-dependent)")
-	}
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 func TestAdvisorSkipHinted(t *testing.T) {

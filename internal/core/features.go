@@ -13,7 +13,6 @@ import (
 	"sort"
 	"sync"
 
-	"qoadvisor/internal/optimizer"
 	"qoadvisor/internal/par"
 	"qoadvisor/internal/rules"
 	"qoadvisor/internal/span"
@@ -63,9 +62,6 @@ type FeatureGen struct {
 	// setting: span computation is a pure per-template function and the
 	// result set is sorted by job ID.
 	Parallelism int
-	// Cache memoizes the optimizer's logical phase across the many
-	// recompilations span computation performs.
-	Cache *optimizer.CompileCache
 
 	// spanCache memoizes span computation per template hash: instances
 	// of a template share plan shape and hence span. Entries singleflight
@@ -194,7 +190,7 @@ func (fg *FeatureGen) spanFor(job *workload.Job) (*span.Result, error) {
 	fg.mu.Unlock()
 	e.once.Do(func() {
 		e.sp, e.err = span.Compute(job.Graph, fg.Catalog, span.Options{
-			Optimizer:     optimizerOptions(fg.Catalog, job, fg.Cache),
+			Optimizer:     job.CompileOptions(fg.Catalog),
 			MaxIterations: fg.SpanIterations,
 		})
 	})

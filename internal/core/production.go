@@ -46,14 +46,13 @@ func NewProduction(cat *rules.Catalog, store *sis.Store, cluster *exec.Cluster, 
 
 // runJob compiles and executes a single job under the current hints. If a
 // hinted compilation fails, production falls back to the default
-// configuration (hints must never break jobs). The logical phase of its
-// compilations is served from cache when that is non-nil.
-func (p *Production) runJob(job *workload.Job, runSeed int64, cache *optimizer.CompileCache) (JobRun, error) {
+// configuration (hints must never break jobs).
+func (p *Production) runJob(job *workload.Job, runSeed int64) (JobRun, error) {
 	def := p.Catalog.DefaultConfig()
 	cfg := p.Store.ConfigFor(job.Template.Hash, def)
 	hinted := !cfg.Equal(def.Bitset)
 
-	opts := optimizer.Options{Catalog: p.Catalog, Stats: job.Stats, Tokens: job.Tokens, Cache: cache}
+	opts := job.CompileOptions(p.Catalog)
 	res, err := optimizer.Optimize(job.Graph, cfg, opts)
 	if err != nil && hinted {
 		res, err = optimizer.Optimize(job.Graph, def, opts)
@@ -76,18 +75,16 @@ func (p *Production) runJob(job *workload.Job, runSeed int64, cache *optimizer.C
 // workload view from their telemetry. Jobs run on a GOMAXPROCS-bounded
 // pool — runJob is a pure function of (job, run seed) and the hint store
 // is read-only during a day — and runs and view are assembled in job
-// order, so the result does not depend on the parallelism.
-//
-// A day's recurrences of one template share a graph and its statistics
-// and are steered by the same hint, so they share one rewritten DAG: the
-// cache that says so lives for the day and is dropped with it.
+// order, so the result does not depend on the parallelism. A day's
+// recurrences of one template are one instance steered by one hint, so
+// they share its memoized rewrite, and so does the pipeline that
+// recompiles them.
 func (p *Production) RunDay(date int, jobs []*workload.Job) ([]JobRun, []workload.ViewRow, error) {
 	slots := make([]JobRun, len(jobs))
-	cache := optimizer.NewCompileCache(2 * len(jobs)) // a hinted job may compile twice
 	par.For(len(jobs), 0, func(i int) {
 		// A job that cannot compile even under the default config leaves
 		// its slot zero and is dropped from the day's view.
-		slots[i], _ = p.runJob(jobs[i], p.Seed+int64(date)*100003+int64(i)*7, cache)
+		slots[i], _ = p.runJob(jobs[i], p.Seed+int64(date)*100003+int64(i)*7)
 	})
 	var runs []JobRun
 	var view []workload.ViewRow

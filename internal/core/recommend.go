@@ -10,7 +10,6 @@ import (
 	"qoadvisor/internal/optimizer"
 	"qoadvisor/internal/par"
 	"qoadvisor/internal/rules"
-	"qoadvisor/internal/workload"
 )
 
 // RewardClip caps the estimated-cost-ratio reward: "we clip any plan that
@@ -338,14 +337,11 @@ func (r *RandomRecommender) Learn(string, float64) {}
 // --- Recommendation + Recompilation tasks ---
 
 // RecommendOptions tunes how the Recommendation + Recompilation tasks
-// execute; the zero value reproduces defaults (GOMAXPROCS workers, no
-// compile cache).
+// execute; the zero value reproduces defaults (GOMAXPROCS workers).
 type RecommendOptions struct {
 	// Parallelism bounds the recompilation worker pool (0 = GOMAXPROCS,
 	// 1 = sequential). Results are bit-identical at any setting.
 	Parallelism int
-	// Cache memoizes the logical compilation phase across recompilations.
-	Cache *optimizer.CompileCache
 }
 
 // Recommend runs the Recommendation and Recompilation tasks for a set of
@@ -391,7 +387,7 @@ func RecommendWith(rec Recommender, cat *rules.Catalog, feats []*JobFeatures, o 
 		r := out[i]
 		f := r.Features
 		cfg := cat.DefaultConfig().WithFlip(r.Flip)
-		res, err := optimizer.Optimize(f.Job.Graph, cfg, optimizerOptions(cat, f.Job, o.Cache))
+		res, err := optimizer.Optimize(f.Job.Graph, cfg, f.Job.CompileOptions(cat))
 		if err != nil {
 			// A failed recompilation produces no cost estimate and hence
 			// no reward; the rank event stays unrewarded and is skipped
@@ -432,11 +428,6 @@ func RecommendWith(rec Recommender, cat *rules.Catalog, feats []*JobFeatures, o 
 		rec.Learn(eventIDs[i], r.Reward)
 	}
 	return out
-}
-
-// optimizerOptions bundles per-job compilation options.
-func optimizerOptions(cat *rules.Catalog, job *workload.Job, cache *optimizer.CompileCache) optimizer.Options {
-	return optimizer.Options{Catalog: cat, Stats: job.Stats, Tokens: job.Tokens, Cache: cache}
 }
 
 // Improved filters recommendations down to real flips with an estimated

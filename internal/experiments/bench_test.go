@@ -222,55 +222,6 @@ func BenchmarkTable3RandomVsCB(b *testing.B) {
 
 // --- Ablations ---
 
-// BenchmarkAblationMultiFlip compares the single-flip action space against
-// greedily stacked two-flip configurations — the paper's §8 future-work
-// direction ("in future work we will propose multiple rule flips").
-func BenchmarkAblationMultiFlip(b *testing.B) {
-	gen, err := workload.New(workload.Config{Seed: 17, NumTemplates: 16})
-	if err != nil {
-		b.Fatal(err)
-	}
-	cat := rules.NewCatalog()
-	for i := 0; i < b.N; i++ {
-		singleWins, doubleWins := 0, 0
-		var singleGain, doubleGain float64
-		var recompiles int
-		for _, tpl := range gen.Templates() {
-			job, err := tpl.Instantiate(1, 0)
-			if err != nil {
-				continue
-			}
-			opts := optimizer.Options{Catalog: cat, Stats: job.Stats, Tokens: job.Tokens}
-			sp, err := span.Compute(job.Graph, cat, span.Options{Optimizer: opts})
-			if err != nil || sp.Span.IsEmpty() {
-				continue
-			}
-			one, err := core.GreedyMultiFlip(cat, job, sp.Span, 1)
-			if err != nil {
-				continue
-			}
-			two, err := core.GreedyMultiFlip(cat, job, sp.Span, 2)
-			if err != nil {
-				continue
-			}
-			recompiles += two.Recompilations
-			if len(one.Flips) > 0 {
-				singleWins++
-				singleGain += -one.CostDelta()
-			}
-			if len(two.Flips) > 0 {
-				doubleWins++
-				doubleGain += -two.CostDelta()
-			}
-		}
-		b.ReportMetric(float64(singleWins), "singleFlipWins")
-		b.ReportMetric(float64(doubleWins), "twoFlipWins")
-		b.ReportMetric(singleGain, "singleGainSum")
-		b.ReportMetric(doubleGain, "twoFlipGainSum")
-		b.ReportMetric(float64(recompiles), "recompilations")
-	}
-}
-
 // BenchmarkAblationFeaturization compares span co-occurrence context
 // features against a plan-level-only context (§6: span features were
 // critical; plan featurizations were "mostly ineffective").

@@ -71,17 +71,12 @@ func NewLab(cfg Config) (*Lab, error) {
 	}, nil
 }
 
-// opts returns per-job compile options.
-func (l *Lab) opts(job *workload.Job) optimizer.Options {
-	return optimizer.Options{Catalog: l.Catalog, Stats: job.Stats, Tokens: job.Tokens}
-}
-
 // compileDefault compiles a job under the default configuration, cached.
 func (l *Lab) compileDefault(job *workload.Job) (*optimizer.Result, error) {
 	if res, ok := l.compiled[job.ID]; ok {
 		return res, nil
 	}
-	res, err := optimizer.Optimize(job.Graph, l.Catalog.DefaultConfig(), l.opts(job))
+	res, err := optimizer.Optimize(job.Graph, l.Catalog.DefaultConfig(), job.CompileOptions(l.Catalog))
 	if err != nil {
 		return nil, err
 	}
@@ -121,7 +116,7 @@ func (l *Lab) costImprovingFlip(job *workload.Job, spanBits []int, rng *rand.Ran
 	for _, i := range order {
 		flip := l.Catalog.FlipFor(spanBits[i])
 		cfg := l.Catalog.DefaultConfig().WithFlip(flip)
-		res, err := optimizer.Optimize(job.Graph, cfg, l.opts(job))
+		res, err := optimizer.Optimize(job.Graph, cfg, job.CompileOptions(l.Catalog))
 		if err != nil {
 			continue
 		}
@@ -144,7 +139,7 @@ func (l *Lab) bestCostFlip(job *workload.Job, spanBits []int) (rules.Flip, *opti
 	var bestRes *optimizer.Result
 	for _, id := range spanBits {
 		flip := l.Catalog.FlipFor(id)
-		res, err := optimizer.Optimize(job.Graph, l.Catalog.DefaultConfig().WithFlip(flip), l.opts(job))
+		res, err := optimizer.Optimize(job.Graph, l.Catalog.DefaultConfig().WithFlip(flip), job.CompileOptions(l.Catalog))
 		if err != nil {
 			continue
 		}
@@ -157,7 +152,7 @@ func (l *Lab) bestCostFlip(job *workload.Job, spanBits []int) (rules.Flip, *opti
 
 // compileWith compiles a job under an arbitrary configuration.
 func (l *Lab) compileWith(job *workload.Job, cfg rules.Config) (*optimizer.Result, error) {
-	return optimizer.Optimize(job.Graph, cfg, l.opts(job))
+	return optimizer.Optimize(job.Graph, cfg, job.CompileOptions(l.Catalog))
 }
 
 // freshStore returns an empty SIS store for pipeline experiments.

@@ -98,9 +98,6 @@ type Config struct {
 	// cheapest-first order after execution, so results are bit-identical
 	// at any parallelism.
 	Parallelism int
-	// Cache, when set, memoizes the logical compilation phase across the
-	// baseline/treatment/future arms (shared with the offline pipeline).
-	Cache *optimizer.CompileCache
 }
 
 // Service runs flights.
@@ -216,7 +213,7 @@ func (s *Service) flightOne(req Request) Result {
 		return out
 	}
 	job := req.Job
-	opts := optimizer.Options{Catalog: s.cfg.Catalog, Stats: job.Stats, Tokens: job.Tokens, Cache: s.cfg.Cache}
+	opts := job.CompileOptions(s.cfg.Catalog)
 
 	baseRes, err := optimizer.Optimize(job.Graph, s.cfg.Catalog.DefaultConfig(), opts)
 	if err != nil {
@@ -247,8 +244,10 @@ func (s *Service) flightOne(req Request) Result {
 	out.HoursUsed = hours
 
 	// Next occurrence of the recurring template, for validation labels.
+	// Its instance is the one tomorrow's JobsForDay hands out, rewrites
+	// and all.
 	if future, err := job.Template.Instantiate(job.Date+1, job.Seq); err == nil {
-		fOpts := optimizer.Options{Catalog: s.cfg.Catalog, Stats: future.Stats, Tokens: future.Tokens, Cache: s.cfg.Cache}
+		fOpts := future.CompileOptions(s.cfg.Catalog)
 		fBase, err1 := optimizer.Optimize(future.Graph, s.cfg.Catalog.DefaultConfig(), fOpts)
 		fTreat, err2 := optimizer.Optimize(future.Graph, req.Treatment, fOpts)
 		if err1 == nil && err2 == nil {

@@ -202,3 +202,53 @@ func TestParallelRunMatchesSequential(t *testing.T) {
 		resultsEqual(t, seq.Run(reqs), par.Run(reqs))
 	}
 }
+
+// TestFutureArmsShareTomorrowsInstance: a flight's validation arms compile
+// the recurring job's next-day instance, and that instance — rewrites and
+// all — is the one the next day's JobsForDay hands out.
+func TestFutureArmsShareTomorrowsInstance(t *testing.T) {
+	cat := rules.NewCatalog()
+	gen, err := workload.New(workload.Config{Seed: 21, NumTemplates: 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs, err := gen.JobsForDay(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results := New(Config{Catalog: cat, Seed: 1}).Run(requestsFor(jobs, cat))
+	misses := gen.CompileCacheStats().Misses
+	next, err := gen.JobsForDay(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type key struct {
+		t   *workload.Template
+		seq int
+	}
+	tomorrow := make(map[key]*workload.Job, len(next))
+	for _, j := range next {
+		tomorrow[key{j.Template, j.Seq}] = j
+	}
+	flown := make(map[*workload.Template]bool) // templates whose next instance a flight built
+	futures := 0
+	for _, r := range Successes(results) {
+		flown[r.Request.Job.Template] = true
+		if !r.HasFuture {
+			continue
+		}
+		futures++
+		j := tomorrow[key{r.Request.Job.Template, r.Request.Job.Seq}]
+		// Nothing has compiled tomorrow's job yet, so what its memo holds
+		// is the flights': the default arm and at least this treatment.
+		if st := j.CompileOptions(cat).Cache.Stats(); st.Size < 2 {
+			t.Errorf("%s: tomorrow's instance holds %d rewrites, want at least the flight's 2", j.ID, st.Size)
+		}
+	}
+	if futures == 0 {
+		t.Fatal("no flight ran its validation arms; the test lost its coverage")
+	}
+	if got, want := gen.CompileCacheStats().Misses-misses, uint64(len(gen.Templates())-len(flown)); got != want {
+		t.Errorf("JobsForDay(4) built %d instances; want %d, one per template no flight instantiated", got, want)
+	}
+}

@@ -1,31 +1,33 @@
 package optimizer
 
 import (
+	"sync/atomic"
+
 	"qoadvisor/internal/cache"
 	"qoadvisor/internal/rules"
 	"qoadvisor/internal/scope"
 )
 
-// DefaultCompileCacheSize bounds a CompileCache built with size 0. One
-// entry exists per (job graph, rule configuration); span computation and
-// single-flip recompilation visit tens of configurations per template, so
-// this covers thousands of templates in flight.
-const DefaultCompileCacheSize = 16384
+// compileCacheSize bounds one CompileCache. A job instance's cache holds
+// the configurations its days compile it under — production's, the span
+// fix point's, the recommended flip's and the flighting arms' — which is
+// at most nine on the ledger's population.
+const compileCacheSize = 16
 
 // CompileCache memoizes the logical phase of Optimize — the rewrite
 // fixpoint plus the experimental-validity check — keyed by the identity
 // of the input graph and the exact rule configuration. The daily pipeline
-// recompiles the same job graph under many configurations (span fix
-// point, per-flip recompilation, flighting's baseline arm, the next-day
-// validation instance), and each of those repeats the identical rewrite
-// work; the cache makes every repeat reuse one immutable rewritten DAG
-// and re-run only physical lowering, which is the part that can differ
-// per call (tokens) and produces the per-call mutable Plan.
+// compiles one job instance under several configurations (production, the
+// span fix point, the recommended flip, flighting's arms, the previous
+// day's validation run), and each of those repeats the identical rewrite
+// work; the cache makes every repeat reuse one immutable rewritten DAG and
+// re-run only physical lowering, which is the part that can differ per
+// call (tokens) and produces the per-call mutable Plan.
 //
-// Safety contract: the cache key does not include statistics, so callers
-// must pass the same StatsProvider contents for the same graph pointer.
-// Job instances satisfy this by construction — a shared graph implies a
-// shared (template, date) and hence identical generated stats. Cached
+// A cache belongs to one job instance: workload builds it beside the
+// instance's graph and statistics, and (*workload.Job).CompileOptions
+// hands the three out together, so every compilation through a cache
+// sees the same statistics and the key need not hold them. Cached
 // rewritten graphs are shared across goroutines; nothing downstream of
 // the rewrite mutates logical nodes (verified under -race). Concurrent
 // callers for the same key share one rewrite; eviction is FIFO past the
@@ -47,23 +49,37 @@ type logicalResult struct {
 // CompileCacheStats is a point-in-time snapshot of cache effectiveness.
 type CompileCacheStats = cache.Stats
 
-// NewCompileCache builds a cache holding at most max logical-phase
-// results (0 = DefaultCompileCacheSize).
-func NewCompileCache(max int) *CompileCache {
-	if max <= 0 {
-		max = DefaultCompileCacheSize
-	}
-	return &CompileCache{f: cache.NewFIFO[logicalKey, logicalResult](max)}
+// rewriteHits and rewriteMisses count the lookups of every CompileCache
+// in the process, for CompileCacheTotals.
+var rewriteHits, rewriteMisses atomic.Uint64
+
+// NewCompileCache builds an empty cache.
+func NewCompileCache() *CompileCache {
+	return &CompileCache{f: cache.NewFIFO[logicalKey, logicalResult](compileCacheSize)}
 }
 
 // logical returns the (possibly cached) logical phase result for (g, cfg).
 func (c *CompileCache) logical(g *scope.Graph, cfg rules.Config, cat *rules.Catalog, stats StatsProvider) (*scope.Graph, rules.Signature, error) {
+	rewrote := false
 	res, err := c.f.Do(logicalKey{graph: g, cfg: cfg}, func() (logicalResult, error) {
+		rewrote = true
 		work, sig, err := rewriteLogical(g, cfg, cat, stats)
 		return logicalResult{work: work, sig: sig}, err
 	})
+	if rewrote {
+		rewriteMisses.Add(1)
+	} else {
+		rewriteHits.Add(1)
+	}
 	return res.work, res.sig, err
 }
 
 // Stats snapshots the hit/miss counters and current occupancy.
 func (c *CompileCache) Stats() CompileCacheStats { return c.f.Stats() }
+
+// CompileCacheTotals reports the lookups of every CompileCache in the
+// process so far: a miss is a rewrite, a hit a rewrite reused. Size and
+// Max are zero.
+func CompileCacheTotals() CompileCacheStats {
+	return CompileCacheStats{Hits: rewriteHits.Load(), Misses: rewriteMisses.Load()}
+}

@@ -31,7 +31,7 @@ func flipConfigs(cat *rules.Catalog, limit int) []rules.Config {
 func TestCachedOptimizeMatchesUncached(t *testing.T) {
 	g := compileTestGraph(t, testScript)
 	cat := rules.NewCatalog()
-	cache := NewCompileCache(0)
+	cache := NewCompileCache()
 	stats := testStats()
 
 	for _, cfg := range flipConfigs(cat, 60) {
@@ -68,7 +68,7 @@ func TestCachedOptimizeMatchesUncached(t *testing.T) {
 func TestCompileCacheHitCounts(t *testing.T) {
 	g := compileTestGraph(t, testScript)
 	cat := rules.NewCatalog()
-	cache := NewCompileCache(0)
+	cache := NewCompileCache()
 	opts := Options{Catalog: cat, Stats: testStats(), Cache: cache}
 	def := cat.DefaultConfig()
 
@@ -95,15 +95,15 @@ func TestCompileCacheHitCounts(t *testing.T) {
 func TestCompileCacheEviction(t *testing.T) {
 	g := compileTestGraph(t, testScript)
 	cat := rules.NewCatalog()
-	cache := NewCompileCache(4)
+	cache := NewCompileCache()
 	opts := Options{Catalog: cat, Stats: testStats(), Cache: cache}
 
-	cfgs := flipConfigs(cat, 8)
+	cfgs := flipConfigs(cat, 3*compileCacheSize)
 	for _, cfg := range cfgs {
 		Optimize(g, cfg, opts) // some flips legitimately fail to compile
 	}
-	if st := cache.Stats(); st.Size > 4 {
-		t.Errorf("size %d exceeds cap 4", st.Size)
+	if st := cache.Stats(); st.Misses <= compileCacheSize || st.Size > compileCacheSize {
+		t.Errorf("%d misses left %d entries; want more than %d misses and at most that many entries", st.Misses, st.Size, compileCacheSize)
 	}
 	// The oldest config was evicted; compiling it again is a miss.
 	before := cache.Stats().Misses
@@ -120,7 +120,7 @@ func TestCompileCacheEviction(t *testing.T) {
 func TestCachedLogicalGraphSharedLoweringRace(t *testing.T) {
 	g := compileTestGraph(t, testScript)
 	cat := rules.NewCatalog()
-	cache := NewCompileCache(0)
+	cache := NewCompileCache()
 	stats := testStats()
 	def := cat.DefaultConfig()
 	opts := Options{Catalog: cat, Stats: stats, Cache: cache}

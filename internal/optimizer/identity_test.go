@@ -300,8 +300,8 @@ const (
 // TestOptimizeAllocBudget gates what one compilation allocates — the
 // offline pipeline's budget is this number times its recompilations — on
 // the first ledger template with three outputs, under the default
-// configuration: uncached (rewrite + lowering) and with a warm
-// CompileCache (lowering only).
+// configuration: uncached (rewrite + lowering) and through the job's
+// warm rewrite memo (lowering only).
 func TestOptimizeAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -323,8 +323,7 @@ func TestOptimizeAllocBudget(t *testing.T) {
 		t.Fatal("no three-output template in the ledger population")
 	}
 	opts := optimizer.Options{Catalog: cat, Stats: job.Stats, Tokens: job.Tokens}
-	cached := opts
-	cached.Cache = optimizer.NewCompileCache(0)
+	cached := job.CompileOptions(cat)
 	for _, c := range []struct {
 		name    string
 		opts    optimizer.Options

@@ -21,10 +21,8 @@ type Options struct {
 	// Cache, when non-nil, memoizes the logical phase (rewrite fixpoint +
 	// experimental-validity check) per (input graph, rule configuration).
 	// Physical lowering always re-runs, so cached and uncached compilation
-	// produce identical Results. Callers reusing a Cache across Optimize
-	// calls must pass the same Stats for the same graph pointer (true for
-	// job instances, whose stats are a function of their template and
-	// date).
+	// produce identical Results. A cache belongs to one job instance and
+	// comes with its Stats from (*workload.Job).CompileOptions.
 	Cache *CompileCache
 }
 

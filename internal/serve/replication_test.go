@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -265,6 +266,39 @@ func TestWALStreamCatchUpAndResume(t *testing.T) {
 			t.Fatalf("long-poll tail delivered %d of 3 new records", got)
 		}
 	}
+}
+
+// TestWALStreamIdleTailEndsWithItsClient: a tail request parked on an
+// idle journal returns as soon as its client goes away, not at the end of
+// its long-poll window — which a primary's http.Server.Shutdown would
+// otherwise wait out whenever a follower was attached.
+func TestWALStreamIdleTailEndsWithItsClient(t *testing.T) {
+	r := newWALRig(t, 1<<20)
+	streams := func(want int64, within time.Duration) time.Duration {
+		t.Helper()
+		start := time.Now()
+		for r.srv.walStreams.Load() != want {
+			if time.Since(start) > within {
+				t.Fatalf("%d tail streams open after %v, want %d", r.srv.walStreams.Load(), within, want)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		return time.Since(start)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, r.ts.URL+api.RouteV2WAL+"?from=0&wait=10000", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	streams(1, 5*time.Second)
+	cancel()
+	t.Logf("the tail handler returned %v after its client left", streams(0, 100*time.Millisecond))
 }
 
 // TestWALStreamErrors covers the replication surface's failure modes:

@@ -104,10 +104,11 @@ func (h *httpLayer) handleWALStream(w http.ResponseWriter, r *http.Request) {
 		if wait > pollWait {
 			wait = pollWait
 		}
-		synced := s.wal.WaitLSN(from+1, wait)
+		synced := s.wal.WaitLSN(r.Context(), from+1, wait)
 		if synced <= from {
-			// Idle long-poll window expired (or the WAL closed) with
-			// nothing new; end the response so the client reconnects.
+			// Idle long-poll window expired, the client went away or the
+			// WAL closed, with nothing new; end the response (a live
+			// client reconnects).
 			return
 		}
 		_, err := cur.Next(synced, func(lsn uint64, payload []byte) error {

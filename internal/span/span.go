@@ -36,10 +36,6 @@ type Options struct {
 	// MaxIterations bounds the fix-point loop; 0 means
 	// DefaultMaxIterations.
 	MaxIterations int
-	// Refine performs one extra single-flip recompilation per candidate
-	// rule and drops candidates whose flip leaves both the estimated
-	// cost and the signature unchanged ("skipping the unworthy ones").
-	Refine bool
 }
 
 // Compute runs the span fix-point algorithm for one job.
@@ -135,27 +131,5 @@ func Compute(g *scope.Graph, cat *rules.Catalog, opts Options) (*Result, error) 
 		}
 	}
 	res.Span = seen
-
-	if opts.Refine {
-		res.Span = refine(g, cat, opts.Optimizer, def, base, seen)
-	}
 	return res, nil
-}
-
-// refine drops span candidates whose single flip does not change the
-// estimated cost or the signature — flips that provably cannot steer.
-func refine(g *scope.Graph, cat *rules.Catalog, oopts optimizer.Options, def rules.Config, base *optimizer.Result, candidates rules.Bitset) rules.Bitset {
-	var kept rules.Bitset
-	for _, id := range candidates.Bits() {
-		flip := cat.FlipFor(id)
-		r, err := optimizer.Optimize(g, def.WithFlip(flip), oopts)
-		if err != nil {
-			kept.Set(id) // a failing flip definitely affects the plan
-			continue
-		}
-		if r.EstCost != base.EstCost || !r.Signature.Equal(base.Signature.Bitset) {
-			kept.Set(id)
-		}
-	}
-	return kept
 }

@@ -25,7 +25,7 @@ func spanStats() optimizer.MapStats {
 	}
 }
 
-func computeSpan(t *testing.T, refine bool) *Result {
+func computeSpan(t *testing.T) *Result {
 	t.Helper()
 	g, err := scope.CompileScript(spanScript)
 	if err != nil {
@@ -34,7 +34,6 @@ func computeSpan(t *testing.T, refine bool) *Result {
 	cat := rules.NewCatalog()
 	res, err := Compute(g, cat, Options{
 		Optimizer: optimizer.Options{Catalog: cat, Stats: spanStats()},
-		Refine:    refine,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -43,7 +42,7 @@ func computeSpan(t *testing.T, refine bool) *Result {
 }
 
 func TestSpanIsNonEmpty(t *testing.T) {
-	res := computeSpan(t, false)
+	res := computeSpan(t)
 	if res.Span.IsEmpty() {
 		t.Fatal("span should not be empty for a join+agg job")
 	}
@@ -56,7 +55,7 @@ func TestSpanIsNonEmpty(t *testing.T) {
 }
 
 func TestSpanExcludesRequiredRules(t *testing.T) {
-	res := computeSpan(t, false)
+	res := computeSpan(t)
 	cat := rules.NewCatalog()
 	for _, id := range res.Span.Bits() {
 		if cat.Rule(id).Category == rules.Required {
@@ -66,7 +65,7 @@ func TestSpanExcludesRequiredRules(t *testing.T) {
 }
 
 func TestSpanContainsDefaultSignatureRules(t *testing.T) {
-	res := computeSpan(t, false)
+	res := computeSpan(t)
 	cat := rules.NewCatalog()
 	for _, id := range res.DefaultSignature.Bits() {
 		if cat.Rule(id).Category == rules.Required {
@@ -81,7 +80,7 @@ func TestSpanContainsDefaultSignatureRules(t *testing.T) {
 func TestSpanDiscoversAlternatives(t *testing.T) {
 	// The fix point must discover rules beyond the default signature:
 	// disabling the chosen implementations forces alternatives to fire.
-	res := computeSpan(t, false)
+	res := computeSpan(t)
 	var def rules.Bitset
 	for _, id := range res.DefaultSignature.Bits() {
 		def.Set(id)
@@ -93,22 +92,10 @@ func TestSpanDiscoversAlternatives(t *testing.T) {
 }
 
 func TestSpanIsDeterministic(t *testing.T) {
-	a := computeSpan(t, false)
-	b := computeSpan(t, false)
+	a := computeSpan(t)
+	b := computeSpan(t)
 	if !a.Span.Equal(b.Span) {
 		t.Error("span not deterministic")
-	}
-}
-
-func TestRefineShrinksOrKeepsSpan(t *testing.T) {
-	full := computeSpan(t, false)
-	refined := computeSpan(t, true)
-	if refined.Span.Count() > full.Span.Count() {
-		t.Errorf("refined span (%d) larger than full (%d)", refined.Span.Count(), full.Span.Count())
-	}
-	// Refined span must be a subset.
-	if !refined.Span.Minus(full.Span).IsEmpty() {
-		t.Error("refined span is not a subset of the full span")
 	}
 }
 

@@ -29,6 +29,7 @@ package wal
 
 import (
 	"bufio"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -151,7 +152,10 @@ type WAL struct {
 
 	mu   sync.Mutex
 	cond *sync.Cond // broadcast when syncedLSN advances or the WAL closes
-	f    *os.File   // active segment
+	// wake broadcasts cond under mu: what a WaitLSN deadline or a done
+	// context calls. Built once, so a wait allocates no closure for it.
+	wake func()
+	f    *os.File // active segment
 	bw   *bufio.Writer
 	hdr  [recHeaderSize]byte // Append's record header: a local would escape through bw.Write
 	segs []segment           // ascending; last is active
@@ -242,6 +246,11 @@ func Open(opts Options) (*WAL, error) {
 		done:    make(chan struct{}),
 	}
 	w.cond = sync.NewCond(&w.mu)
+	w.wake = func() {
+		w.mu.Lock()
+		w.cond.Broadcast()
+		w.mu.Unlock()
+	}
 
 	if len(segs) == 0 {
 		w.nextLSN = 1
@@ -611,34 +620,29 @@ func (w *WAL) SyncedLSN() uint64 {
 }
 
 // WaitLSN blocks until the durable frontier reaches lsn, the timeout
-// elapses, the journal closes, or an I/O error latches — whichever
-// comes first — and returns the frontier it observed. It kicks the
-// committer so a quiet journal does not sit out a full group-commit
-// window before the waiter sees fresh records; this is the long-poll
-// primitive under the replication stream's tail.
-func (w *WAL) WaitLSN(lsn uint64, timeout time.Duration) uint64 {
+// elapses, ctx is done (its caller went away), the journal closes, or
+// an I/O error latches — whichever comes first — and returns the
+// frontier it observed. It kicks the committer so a quiet journal does
+// not sit out a full group-commit window before the waiter sees fresh
+// records; this is the long-poll primitive under the replication
+// stream's tail.
+func (w *WAL) WaitLSN(ctx context.Context, lsn uint64, timeout time.Duration) uint64 {
 	deadline := time.Now().Add(timeout)
 	w.kick()
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	var timerArmed bool
-	var timer *time.Timer
-	for w.syncedLSN < lsn && w.err == nil && !w.closed {
-		if time.Now().After(deadline) {
-			break
-		}
-		if !timerArmed {
-			// cond.Wait has no deadline; a one-shot timer broadcast wakes
-			// every waiter at this waiter's deadline (spurious wakes for
-			// others are re-checked and slept through).
-			timerArmed = true
-			timer = time.AfterFunc(time.Until(deadline), func() {
-				w.mu.Lock()
-				w.cond.Broadcast()
-				w.mu.Unlock()
-			})
-			defer timer.Stop()
-		}
+	waiting := func() bool {
+		return w.syncedLSN < lsn && w.err == nil && !w.closed && ctx.Err() == nil && time.Now().Before(deadline)
+	}
+	if !waiting() {
+		return w.syncedLSN
+	}
+	// cond.Wait watches neither the deadline nor ctx; a broadcast at
+	// either wakes every waiter (the others re-check and sleep on). It
+	// takes mu, so it cannot fall between a check and the Wait after it.
+	defer time.AfterFunc(time.Until(deadline), w.wake).Stop()
+	defer context.AfterFunc(ctx, w.wake)()
+	for waiting() {
 		w.cond.Wait()
 	}
 	return w.syncedLSN

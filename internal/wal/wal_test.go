@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -330,8 +331,9 @@ func TestAppendValidation(t *testing.T) {
 
 // TestWaitLSN covers the replication long-poll primitive: a waiter
 // parked below the durable frontier wakes when a commit covers its
-// LSN, and a waiter asking for a future LSN returns at its deadline
-// with the frontier unchanged.
+// LSN, a waiter asking for a future LSN returns at its deadline with
+// the frontier unchanged, and one whose context is cancelled — its
+// client went away — returns at once.
 func TestWaitLSN(t *testing.T) {
 	dir := t.TempDir()
 	w := openTest(t, dir, ModeAsync, 0)
@@ -339,12 +341,12 @@ func TestWaitLSN(t *testing.T) {
 	appendN(t, w, 3, "seed")
 
 	// Already-covered LSN returns immediately.
-	if got := w.WaitLSN(3, 5*time.Second); got < 3 {
+	if got := w.WaitLSN(context.Background(), 3, 5*time.Second); got < 3 {
 		t.Fatalf("WaitLSN(3) = %d, want >= 3", got)
 	}
 	// Future LSN times out without advancing.
 	start := time.Now()
-	if got := w.WaitLSN(100, 30*time.Millisecond); got >= 100 {
+	if got := w.WaitLSN(context.Background(), 100, 30*time.Millisecond); got >= 100 {
 		t.Fatalf("WaitLSN(100) = %d with nothing appended", got)
 	}
 	if time.Since(start) < 20*time.Millisecond {
@@ -353,7 +355,7 @@ func TestWaitLSN(t *testing.T) {
 
 	// A concurrent append wakes the waiter well before a long deadline.
 	done := make(chan uint64, 1)
-	go func() { done <- w.WaitLSN(4, 10*time.Second) }()
+	go func() { done <- w.WaitLSN(context.Background(), 4, 10*time.Second) }()
 	time.Sleep(10 * time.Millisecond)
 	lsn, err := w.Append([]byte("wake"))
 	if err != nil {
@@ -371,8 +373,19 @@ func TestWaitLSN(t *testing.T) {
 		t.Fatalf("SyncedLSN = %d after wake, want >= %d", w.SyncedLSN(), lsn)
 	}
 
+	// Cancelling the context wakes a parked waiter long before its deadline.
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() { done <- w.WaitLSN(ctx, 1000, 10*time.Second) }()
+	time.Sleep(10 * time.Millisecond)
+	cancel()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("WaitLSN not woken by its context's cancellation")
+	}
+
 	// Close wakes any parked waiter.
-	go func() { done <- w.WaitLSN(1000, 10*time.Second) }()
+	go func() { done <- w.WaitLSN(context.Background(), 1000, 10*time.Second) }()
 	time.Sleep(10 * time.Millisecond)
 	if err := w.Close(); err != nil {
 		t.Fatal(err)

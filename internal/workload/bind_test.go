@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
@@ -42,43 +43,55 @@ func TestBindMatchesCompile(t *testing.T) {
 	}
 }
 
-// TestGraphMemoHitsShareGraphs: a second instantiation of one (template,
-// date) is a memo hit returning the identical graph, and another date is
-// another key, bound afresh.
+// TestGraphMemoHitsShareGraphs: the (template, date) memo holds two dates
+// of each template, so today's and tomorrow's instances both stay memoized
+// — a repeat of either is a hit returning the identical graph, statistics
+// and rewrite memo — and a third date evicts the oldest.
 func TestGraphMemoHitsShareGraphs(t *testing.T) {
 	gen, err := New(Config{Seed: 3, NumTemplates: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	tpl := gen.Templates()[0]
-	base := gen.CompileCacheStats() // New binds a day of each template to check it
-	delta := func() (hits, misses uint64, size int) {
+	base := gen.CompileCacheStats() // New binds day 1 of each template to check it
+	delta := func() (hits, misses uint64) {
 		st := gen.CompileCacheStats()
-		return st.Hits - base.Hits, st.Misses - base.Misses, st.Size - base.Size
+		return st.Hits - base.Hits, st.Misses - base.Misses
 	}
-	j1, err := tpl.Instantiate(10, 0)
-	if err != nil {
-		t.Fatal(err)
+	inst := func(date, seq int) *Job {
+		t.Helper()
+		j, err := tpl.Instantiate(date, seq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return j
 	}
-	j2, err := tpl.Instantiate(10, 1)
-	if err != nil {
-		t.Fatal(err)
+	same := func(a, b *Job) bool {
+		return a.Graph == b.Graph && a.Truth == b.Truth && a.rewrites == b.rewrites &&
+			reflect.ValueOf(a.Stats).Pointer() == reflect.ValueOf(b.Stats).Pointer()
 	}
-	if j1.Graph != j2.Graph {
-		t.Error("same (template, date) must return the identical memoized graph")
+	today, tomorrow := inst(10, 0), inst(11, 0)
+	if !same(inst(10, 1), today) || !same(inst(11, 0), tomorrow) {
+		t.Error("a repeat of today or tomorrow must return the memoized instance")
 	}
-	if h, m, s := delta(); h != 1 || m != 1 || s != 1 {
-		t.Errorf("%d hits / %d misses / size +%d, want 1 hit / 1 miss / size +1", h, m, s)
+	if same(today, tomorrow) {
+		t.Error("two dates must be two instances")
 	}
-	j3, err := tpl.Instantiate(11, 0)
-	if err != nil {
-		t.Fatal(err)
+	if h, m := delta(); h != 2 || m != 2 {
+		t.Errorf("%d hits / %d misses, want 2 / 2", h, m)
 	}
-	if j3.Graph == j1.Graph {
-		t.Error("a different date must bind a different graph")
+	if st := gen.CompileCacheStats(); st.Max != 2 || st.Size != 2 {
+		t.Errorf("memo holds %d of at most %d instances, want 2 of 2 for one template", st.Size, st.Max)
 	}
-	if _, m, s := delta(); m != 2 || s != 2 {
-		t.Errorf("%d misses / size +%d, want 2 misses / size +2", m, s)
+	inst(12, 0) // a third date evicts today
+	if !same(inst(11, 1), tomorrow) {
+		t.Error("the third date evicted tomorrow, not the oldest")
+	}
+	if again := inst(10, 0); same(again, today) || again.Graph.TemplateHash() != today.Graph.TemplateHash() {
+		t.Error("an evicted date must be rebuilt as a new instance of the same template")
+	}
+	if h, m := delta(); h != 3 || m != 4 {
+		t.Errorf("%d hits / %d misses, want 3 / 4", h, m)
 	}
 }
 

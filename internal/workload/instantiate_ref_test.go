@@ -231,24 +231,26 @@ func TestSubstituteMatchesSequentialReplace(t *testing.T) {
 }
 
 // Ceilings for TestInstantiateAllocBudget, measured on the ledger's T000
-// (go1.24) + 5 %. A recurrence costs its Job and its ID. Re-instantiating
-// a (template, date) whose graph is memoized costs everything Instantiate
-// does but bind — the literals, truth and statistics (25; 27 while it also
-// built the substituted source the script cache was keyed by, 106 while
-// each draw built its own rand.Source and hasher). Binding the prepared
+// (go1.24) + 5 %. A recurrence costs its Job and its ID, and so does
+// Instantiate of a memoized (template, date) (25 while only its graph was
+// memoized, 106 while each draw built its own rand.Source and hasher).
+// Building an instance costs the literals, the bound graph, truth,
+// statistics and an empty rewrite memo (44). Binding the prepared
 // script cold costs the graph alone: nodes, Inputs and Roots in one slab
 // each, the re-dated schemas in one, the dated strings in one arena, a
 // literal per placeholder and the expression spines above them (17;
 // compiling the substituted source costs 249).
 const (
 	recurrenceAllocCeiling  = 2
-	instantiateAllocCeiling = 26
+	instantiateAllocCeiling = 2
+	instanceAllocCeiling    = 46
 	bindAllocCeiling        = 18
 )
 
 // TestInstantiateAllocBudget gates what a day's job instances allocate:
-// a recurrence, an instance whose graph is memoized, and the cold Bind of
-// a (template, date) seen for the first time.
+// a recurrence, Instantiate of a memoized instance, and building the
+// instance of a (template, date) seen for the first time, with and
+// without the rest of the instance around its Bind.
 func TestInstantiateAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -273,10 +275,19 @@ func TestInstantiateAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	t.Logf("%s (%d literals, %d tables, %d sites): %.0f allocs per Instantiate with its graph memoized",
-		tpl.ID, len(tpl.Literals), len(tpl.Tables), len(tpl.TrueSel), got)
+	t.Logf("%s: %.0f allocs per Instantiate of a memoized instance", tpl.ID, got)
 	if got > instantiateAllocCeiling {
 		t.Errorf("%.0f allocs per memoized Instantiate, ceiling %d", got, instantiateAllocCeiling)
+	}
+	got = testing.AllocsPerRun(100, func() {
+		if sink, err = tpl.instantiate(3); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%s (%d literals, %d tables, %d sites): %.0f allocs per instance built",
+		tpl.ID, len(tpl.Literals), len(tpl.Tables), len(tpl.TrueSel), got)
+	if got > instanceAllocCeiling {
+		t.Errorf("%.0f allocs per instance built, ceiling %d", got, instanceAllocCeiling)
 	}
 	values := []string{dateStamp(3)}
 	for i := range tpl.Literals {

@@ -20,6 +20,7 @@ import (
 	"qoadvisor/internal/cache"
 	"qoadvisor/internal/exec"
 	"qoadvisor/internal/optimizer"
+	"qoadvisor/internal/rules"
 	"qoadvisor/internal/scope"
 )
 
@@ -113,23 +114,20 @@ type Template struct {
 	// binds, "DATE" and then Literals, without their '@'s.
 	prepared *scope.Prepared
 	names    []string
-	// graphs memoizes the bound graph per (template, date): every
-	// instance of a template on one date shares one immutable graph, and
-	// flighting's next-day re-instantiations hit the same entries.
-	graphs *cache.FIFO[graphKey, *scope.Graph]
+	// instances is the generator's (template, date) memo, shared by its
+	// templates: every job of an instance is a copy of its entry.
+	instances *cache.FIFO[instanceKey, *Job]
 }
 
-// graphKey names the graph of a template's instances on one date.
-type graphKey struct {
+// instanceKey names a template's instance on one date.
+type instanceKey struct {
 	t    *Template
 	date int
 }
 
-// graphCacheSize bounds a generator's (template, date) graph memo: a few
-// thousand entries covers weeks of a large template population.
-const graphCacheSize = 4096
-
-// Job is one instance of a template on a given date.
+// Job is one instance of a template on a given date. Graph, Truth, Stats
+// and the rewrite memo are the (template, date) instance's, shared by all
+// its jobs; nothing writes them once built.
 type Job struct {
 	ID       string
 	Template *Template
@@ -139,6 +137,16 @@ type Job struct {
 	Truth    *exec.Truth
 	Stats    optimizer.MapStats
 	Tokens   int
+	// rewrites memoizes Graph's rewrites under Stats per rule
+	// configuration, for every compilation of the instance.
+	rewrites *optimizer.CompileCache
+}
+
+// CompileOptions returns the options the job compiles under with catalog
+// cat: its statistics, its token allocation, and its instance's rewrite
+// memo, which only ever sees those statistics.
+func (j *Job) CompileOptions(cat *rules.Catalog) optimizer.Options {
+	return optimizer.Options{Catalog: cat, Stats: j.Stats, Tokens: j.Tokens, Cache: j.rewrites}
 }
 
 // Generator produces templates and daily job instances deterministically
@@ -146,7 +154,7 @@ type Job struct {
 type Generator struct {
 	seed      int64
 	templates []*Template
-	graphs    *cache.FIFO[graphKey, *scope.Graph]
+	instances *cache.FIFO[instanceKey, *Job]
 }
 
 // Config controls workload generation.
@@ -184,10 +192,12 @@ func New(cfg Config) (*Generator, error) {
 	if cfg.MaxDailyInstances <= 0 {
 		cfg.MaxDailyInstances = 3
 	}
-	// One graph memo for every template; it affects speed only.
-	g := &Generator{seed: cfg.Seed, graphs: cache.NewFIFO[graphKey, *scope.Graph](graphCacheSize)}
+	// One instance memo for every template, holding two dates of each: a
+	// day's instances and the next day's, which flighting instantiates
+	// for its validation runs before that day's JobsForDay.
+	g := &Generator{seed: cfg.Seed, instances: cache.NewFIFO[instanceKey, *Job](2 * cfg.NumTemplates)}
 	for i := 0; i < cfg.NumTemplates; i++ {
-		t, err := buildTemplate(cfg.Seed, i, cfg.MaxDailyInstances, g.graphs)
+		t, err := buildTemplate(cfg.Seed, i, cfg.MaxDailyInstances, g.instances)
 		if err != nil {
 			return nil, fmt.Errorf("workload: template %d: %w", i, err)
 		}
@@ -199,9 +209,9 @@ func New(cfg Config) (*Generator, error) {
 // Templates returns the generated templates.
 func (g *Generator) Templates() []*Template { return g.templates }
 
-// CompileCacheStats reports the (template, date) graph memo's
-// effectiveness: a miss is a Bind.
-func (g *Generator) CompileCacheStats() cache.Stats { return g.graphs.Stats() }
+// CompileCacheStats reports the (template, date) instance memo's
+// effectiveness: a miss builds an instance, binding its graph.
+func (g *Generator) CompileCacheStats() cache.Stats { return g.instances.Stats() }
 
 // JobsForDay instantiates every template's recurrences for the given date.
 func (g *Generator) JobsForDay(date int) ([]*Job, error) {
@@ -220,9 +230,8 @@ func (g *Generator) JobsForDay(date int) ([]*Job, error) {
 	return jobs, nil
 }
 
-// recurrence returns the job's (template, date) instance number seq. It
-// shares j's Graph, Truth and Stats, which nothing writes once a job is
-// built: they are functions of (template, date).
+// recurrence returns the job's (template, date) instance number seq,
+// sharing everything but its ID and Seq with j.
 func (j *Job) recurrence(seq int) *Job {
 	r := *j
 	r.Seq = seq
@@ -239,10 +248,22 @@ func jobID(template string, date, seq int) string {
 	return string(strconv.AppendInt(b, int64(seq), 10))
 }
 
-// Instantiate produces the job instance of a template for (date, seq):
-// concrete literals, per-day true row counts, jittered selectivities and
-// the optimizer-visible statistics.
+// Instantiate returns job seq of the template's instance on date. The
+// instance is built once per (template, date) and shared by its jobs.
 func (t *Template) Instantiate(date, seq int) (*Job, error) {
+	first, err := t.instances.Do(instanceKey{t, date}, func() (*Job, error) { return t.instantiate(date) })
+	if err != nil {
+		return nil, err
+	}
+	return first.recurrence(seq), nil
+}
+
+// instantiate builds the template's instance on date — concrete
+// literals, the bound graph, per-day true row counts, jittered
+// selectivities, the optimizer-visible statistics and an empty rewrite
+// memo — as a job with neither ID nor Seq: Instantiate stamps those on
+// the copies it hands out.
+func (t *Template) instantiate(date int) (*Job, error) {
 	// Every draw below is the first values of its own stream, seeded by
 	// what it is for: one pooled generator, re-seeded per draw.
 	rng := exec.SeededRand(0)
@@ -259,9 +280,7 @@ func (t *Template) Instantiate(date, seq int) (*Job, error) {
 	for i, lit := range t.Literals {
 		values[1+i] = strconv.Itoa(10 + draw("lit", lit).Intn(9000))
 	}
-	graph, err := t.graphs.Do(graphKey{t, date}, func() (*scope.Graph, error) {
-		return t.prepared.Bind(t.names, values)
-	})
+	graph, err := t.prepared.Bind(t.names, values)
 	if err != nil {
 		return nil, fmt.Errorf("workload: instance of %s does not compile: %w", t.ID, err)
 	}
@@ -302,14 +321,13 @@ func (t *Template) Instantiate(date, seq int) (*Job, error) {
 	}
 
 	return &Job{
-		ID:       jobID(t.ID, date, seq),
 		Template: t,
 		Date:     date,
-		Seq:      seq,
 		Graph:    graph,
 		Truth:    truth,
 		Stats:    statsMap,
 		Tokens:   t.Tokens,
+		rewrites: optimizer.NewCompileCache(),
 	}, nil
 }
 
@@ -318,7 +336,7 @@ func (t *Template) Instantiate(date, seq int) (*Job, error) {
 // buildTemplate synthesizes one template. The script is built
 // programmatically (schema-tracked), so generated scripts always compile;
 // construction is verified anyway.
-func buildTemplate(seed int64, idx, maxDaily int, graphs *cache.FIFO[graphKey, *scope.Graph]) (*Template, error) {
+func buildTemplate(seed int64, idx, maxDaily int, instances *cache.FIFO[instanceKey, *Job]) (*Template, error) {
 	rng := rand.New(rand.NewSource(hashed("template", strconv.FormatInt(seed, 10), " ", strconv.Itoa(idx))))
 	b := &scriptBuilder{
 		rng:      rng,
@@ -339,7 +357,7 @@ func buildTemplate(seed int64, idx, maxDaily int, graphs *cache.FIFO[graphKey, *
 		DailyInstances: 1 + rng.Intn(maxDaily),
 		Tokens:         50 + rng.Intn(4)*50,
 		names:          []string{"DATE"},
-		graphs:         graphs,
+		instances:      instances,
 	}
 	for _, lit := range t.Literals {
 		t.names = append(t.names, strings.Trim(lit, "@"))

@@ -317,6 +317,6 @@ func TestInstancesShareCompiledGraphs(t *testing.T) {
 		}
 	}
 	if st := g.CompileCacheStats(); st.Hits == 0 {
-		t.Error("the graph memo saw no hits across repeated instantiation")
+		t.Error("the instance memo saw no hits across repeated instantiation")
 	}
 }
