@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"qoadvisor/internal/api"
+	"qoadvisor/internal/bandit"
 	"qoadvisor/internal/drift"
 	"qoadvisor/internal/rules"
 	"qoadvisor/internal/serve"
@@ -249,8 +250,9 @@ func auditJournal(t *testing.T, segBytes int64) (dir, event string, watermark ui
 			if err != nil {
 				t.Fatal(err)
 			}
-			if event = resp.EventID; !srv.Ingestor().Enqueue(event, 0.5) {
-				t.Fatal("reward rejected")
+			event = resp.EventID
+			if n, err := srv.Ingestor().EnqueueBatch([]bandit.RewardEntry{{EventID: event, Value: 0.5}}); n != 1 || err != nil {
+				t.Fatalf("reward rejected: %d accepted, %v", n, err)
 			}
 		}
 	}

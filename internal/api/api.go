@@ -323,7 +323,9 @@ type ReplicationStats struct {
 	// same URL carried by not_primary error envelopes).
 	LeaderURL string `json:"leaderUrl,omitempty"`
 
-	// Primary-side counters.
+	// Primary-side counters. BytesShipped counts journal bytes as
+	// stored: 8 + payload per record, plus a 16-byte segment header per
+	// stream.
 	Followers      int   `json:"followers"`
 	StreamsServed  int64 `json:"streamsServed,omitempty"`
 	RecordsShipped int64 `json:"recordsShipped,omitempty"`

@@ -1,9 +1,7 @@
 package api
 
 import (
-	"bytes"
 	"encoding/json"
-	"io"
 	"net/http"
 	"strings"
 	"testing"
@@ -101,48 +99,6 @@ func TestStatusForCode(t *testing.T) {
 		if got := StatusForCode(code); got != want {
 			t.Errorf("StatusForCode(%s) = %d, want %d", code, got, want)
 		}
-	}
-}
-
-func TestWALFrameRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	payloads := [][]byte{[]byte("a"), bytes.Repeat([]byte{0xAB}, 300), []byte("final")}
-	for i, p := range payloads {
-		if err := WriteWALFrame(&buf, uint64(i+1), p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	r := bytes.NewReader(buf.Bytes())
-	for i, p := range payloads {
-		lsn, got, err := ReadWALFrame(r)
-		if err != nil {
-			t.Fatalf("frame %d: %v", i, err)
-		}
-		if lsn != uint64(i+1) || !bytes.Equal(got, p) {
-			t.Fatalf("frame %d: lsn %d payload %d bytes", i, lsn, len(got))
-		}
-	}
-	if _, _, err := ReadWALFrame(r); err != io.EOF {
-		t.Fatalf("clean end = %v, want io.EOF", err)
-	}
-
-	// Torn mid-frame: cut inside the last payload.
-	torn := bytes.NewReader(buf.Bytes()[:buf.Len()-3])
-	var err error
-	for {
-		if _, _, err = ReadWALFrame(torn); err != nil {
-			break
-		}
-	}
-	if err != io.ErrUnexpectedEOF {
-		t.Fatalf("torn frame = %v, want io.ErrUnexpectedEOF", err)
-	}
-
-	// Flipped payload bit: CRC must catch it.
-	flipped := append([]byte(nil), buf.Bytes()...)
-	flipped[WALFrameHeaderSize] ^= 0x01
-	if _, _, err := ReadWALFrame(bytes.NewReader(flipped)); err == nil || err == io.EOF || err == io.ErrUnexpectedEOF {
-		t.Fatalf("corrupt payload = %v, want CRC error", err)
 	}
 }
 

@@ -1,24 +1,20 @@
 package api
 
-import (
-	"encoding/binary"
-	"fmt"
-	"hash/crc32"
-	"io"
-)
-
 // WAL replication stream wire format (GET /v2/wal?from=<lsn>).
 //
-// The response body is a sequence of self-delimiting frames, one per
-// journal record, in LSN order:
+// The response body is a journal segment, byte for byte the format of
+// the primary's wal-*.seg files: one 16-byte segment header (magic
+// "QOWAL001", little-endian uint64 first LSN = from+1), then one frame
+// per journal record in LSN order,
 //
-//	[uint64 LSN][uint32 payload length][uint32 CRC32-Castagnoli][payload]
+//	[uint32 payload length][uint32 CRC32-Castagnoli of payload][payload]
 //
-// all little-endian. Every frame carries its own LSN and checksum so a
-// torn connection is detectable mid-frame (short read) and a corrupted
-// one mid-payload (CRC mismatch); in both cases the follower drops the
-// connection and reconnects with from=<last applied LSN> — frames are
-// idempotent to re-receive because LSNs are dense and monotonic.
+// all little-endian, copied from the journal as stored. LSNs are dense,
+// so record i carries first LSN + i. A torn connection shows as a short
+// frame and a corrupted one as a CRC mismatch; either way the follower
+// drops the connection and reconnects with from=<last applied LSN>.
+// The follower decodes the body with the journal's own reader
+// (wal.NewSegmentReader).
 //
 // The stream is chunked and long-polls at the tail: the primary holds
 // the response open while new records arrive, then closes it after an
@@ -28,65 +24,11 @@ import (
 //	X-Qoadvisor-Wal-Frontier  the primary's durable frontier at stream
 //	                          start (records beyond it are never shipped)
 //	X-Qoadvisor-Wal-First     the oldest retained LSN (0 = empty log)
+//
+// The content type names the format; a follower refuses a body of any
+// other type and applies nothing from it.
 const (
 	WALFrontierHeader    = "X-Qoadvisor-Wal-Frontier"
 	WALFirstHeader       = "X-Qoadvisor-Wal-First"
-	WALStreamContentType = "application/x-qoadvisor-wal"
-
-	// WALFrameHeaderSize is the fixed frame prefix: LSN + length + CRC.
-	WALFrameHeaderSize = 16
-
-	// MaxWALFramePayload bounds one frame's payload. It mirrors the
-	// journal's own record limit (wal.MaxRecordSize; this package is
-	// stdlib-only so the value is restated, and a serve-side test pins
-	// the two together): a larger length prefix is treated as stream
-	// corruption, not an allocation request.
-	MaxWALFramePayload = 16 << 20
+	WALStreamContentType = "application/x-qoadvisor-wal-segment"
 )
-
-var walCRCTable = crc32.MakeTable(crc32.Castagnoli)
-
-// WriteWALFrame frames one journal record onto a replication stream.
-func WriteWALFrame(w io.Writer, lsn uint64, payload []byte) error {
-	if len(payload) == 0 || len(payload) > MaxWALFramePayload {
-		return fmt.Errorf("api: wal frame payload of %d bytes (want 1..%d)", len(payload), MaxWALFramePayload)
-	}
-	var hdr [WALFrameHeaderSize]byte
-	binary.LittleEndian.PutUint64(hdr[:8], lsn)
-	binary.LittleEndian.PutUint32(hdr[8:12], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[12:], crc32.Checksum(payload, walCRCTable))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
-}
-
-// ReadWALFrame reads and verifies one frame. A clean end of stream
-// (the primary closed between frames) returns io.EOF; a connection
-// torn mid-frame returns io.ErrUnexpectedEOF; a CRC or length
-// violation returns a descriptive error. The returned payload is
-// freshly allocated and owned by the caller.
-func ReadWALFrame(r io.Reader) (lsn uint64, payload []byte, err error) {
-	var hdr [WALFrameHeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if err == io.EOF {
-			return 0, nil, io.EOF // clean frame boundary
-		}
-		return 0, nil, io.ErrUnexpectedEOF
-	}
-	lsn = binary.LittleEndian.Uint64(hdr[:8])
-	length := binary.LittleEndian.Uint32(hdr[8:12])
-	crc := binary.LittleEndian.Uint32(hdr[12:])
-	if length == 0 || length > MaxWALFramePayload {
-		return lsn, nil, fmt.Errorf("api: wal frame at lsn %d has corrupt length %d", lsn, length)
-	}
-	payload = make([]byte, length)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return lsn, nil, io.ErrUnexpectedEOF
-	}
-	if got := crc32.Checksum(payload, walCRCTable); got != crc {
-		return lsn, nil, fmt.Errorf("api: wal frame at lsn %d CRC mismatch: stored %08x, computed %08x", lsn, crc, got)
-	}
-	return lsn, payload, nil
-}

@@ -158,7 +158,10 @@ func TestFollowerReplicatesQuarantine(t *testing.T) {
 		t.Fatalf("compaction did not advance the retained window (first=%d); test is vacuous", first)
 	}
 	p.settle(t)
-	f.applied.Store(1) // park the follower below the retained window
+	// Park the follower below the retained window once its open stream
+	// has nothing left to deliver: its next tail asks from LSN 1.
+	caughtUp(t, f)
+	f.applied.Store(1)
 	deadline = time.Now().Add(15 * time.Second)
 	for f.resyncs.Load() == 0 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)

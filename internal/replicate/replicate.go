@@ -9,21 +9,26 @@
 //  1. Bootstrap — GET /v2/wal/snapshot returns the model at an exact
 //     WAL watermark; the primary re-journals its hint table just above
 //     that watermark, so the first tail batch delivers the hints.
-//  2. Tail — GET /v2/wal?from=<applied> streams framed journal
-//     records (rank decisions, reward batches, train marks, hint
-//     rollovers) which the follower applies in journal order through
-//     the same serve.Applier crash recovery uses. Apply order equals
-//     the primary's single-worker ingestion order, so the replica's
-//     model converges to byte-identical weights and event log.
+//  2. Tail — GET /v2/wal?from=<applied> answers with a journal
+//     segment: a header naming LSN applied+1, then the journal's own
+//     frames of the records (rank decisions, reward batches, train
+//     marks, hint rollovers). The follower reads it with
+//     wal.NewSegmentReader and applies the records in journal order
+//     through the same serve.Applier crash recovery uses. Apply order
+//     equals the primary's single-worker ingestion order, so the
+//     replica's model converges to byte-identical weights and event log.
 //  3. Resume — a torn connection (or an idle long-poll expiry) is
-//     just a reconnect with from=<last applied LSN>: frames carry
-//     dense LSNs and a CRC each, so nothing is lost or applied twice.
+//     just a reconnect with from=<last applied LSN>: the header fixes
+//     the first record's LSN, LSNs are dense and every frame carries a
+//     CRC, so nothing is lost or applied twice. A body of another
+//     content type is refused before anything is applied.
 //  4. Re-sync — if the primary compacted past the follower's position
-//     (wal_gap), the stream is inconsistent, or the primary's durable
-//     frontier regressed below the follower's applied LSN (a journal
-//     reset — the advertised history is no longer ours), the follower
-//     takes a fresh bootstrap snapshot and swaps in a new serving core
-//     atomically; readers never see a half-applied table.
+//     (wal_gap), the stream's header names an LSN other than applied+1,
+//     or the primary's durable frontier regressed below the follower's
+//     applied LSN (a journal reset — the advertised history is no
+//     longer ours), the follower takes a fresh bootstrap snapshot and
+//     swaps in a new serving core atomically; readers never see a
+//     half-applied table.
 //
 // The follower serves the full read surface (/v2/rank, /v2/hints
 // lookups via rank, /v2/healthz, /v2/stats) from its local replica;
@@ -48,6 +53,7 @@ import (
 	"qoadvisor/internal/obs"
 	"qoadvisor/internal/rules"
 	"qoadvisor/internal/serve"
+	"qoadvisor/internal/wal"
 )
 
 // Config parameterizes a follower.
@@ -298,25 +304,31 @@ func (f *Follower) tailOnce() error {
 		}
 		f.observeFrontier(v)
 	}
+	if ct := resp.Header.Get("Content-Type"); ct != api.WALStreamContentType {
+		// A peer speaking another stream format: apply nothing.
+		return fmt.Errorf("replicate: %s answered content type %q, want %q", url, ct, api.WALStreamContentType)
+	}
+	body, err := wal.NewSegmentReader(resp.Body, url)
+	if err != nil {
+		return err
+	}
+	if first := body.NextLSN(); first != from+1 {
+		// The body does not continue our history where we asked.
+		return fmt.Errorf("%w: stream starts at LSN %d, asked for %d", errNeedsResync, first, from+1)
+	}
 	f.lastTail.Store(time.Now().UnixNano())
 
 	for {
-		lsn, payload, rerr := api.ReadWALFrame(resp.Body)
+		// Records are dense from the header's LSN on, and each arrives
+		// whole and CRC-checked or not at all.
+		lsn, payload, rerr := body.Next()
 		if rerr == io.EOF {
 			return nil // primary closed between frames: clean end
 		}
 		if rerr != nil {
 			// Torn mid-frame or corrupt: drop the connection and resume
-			// from the last applied LSN. Nothing partial was applied —
-			// ReadWALFrame verifies the CRC before returning a payload.
+			// from the last applied LSN. Nothing partial was applied.
 			return rerr
-		}
-		if lsn <= f.applied.Load() {
-			continue // duplicate after a race-y reconnect: already applied
-		}
-		if lsn != f.applied.Load()+1 {
-			// LSNs are dense; a hole means this stream cannot be trusted.
-			return errNeedsResync
 		}
 		applyStart := time.Now()
 		aerr := st.applier.Apply(lsn, payload)

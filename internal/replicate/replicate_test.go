@@ -115,8 +115,14 @@ func (p *primaryRig) settle(t *testing.T) {
 
 func startFollower(t *testing.T, p *primaryRig) *Follower {
 	t.Helper()
+	return startFollowerVia(t, p, p.ts.URL)
+}
+
+// startFollowerVia starts a follower of p that reaches it through url.
+func startFollowerVia(t *testing.T, p *primaryRig, url string) *Follower {
+	t.Helper()
 	f, err := Start(Config{
-		Primary:    p.ts.URL,
+		Primary:    url,
 		Catalog:    p.cat,
 		Seed:       777, // deliberately different: must not affect convergence
 		TrainEvery: testTrainEvery,
@@ -376,15 +382,13 @@ func TestFollowerResyncAfterGap(t *testing.T) {
 	p.traffic(t, 30, 1, 0.7)
 	p.settle(t)
 
-	f := startFollower(t, p)
-	caughtUp(t, f)
-
-	// Age the primary past the follower's position: traffic +
-	// checkpoints until the retained window starts above `applied`.
-	rewound := f.Applied()
-	// Simulate a follower that was parked at an ancient LSN (e.g. it
-	// was offline while the primary compacted).
-	f.applied.Store(1)
+	// The follower bootstraps, then is cut off — its tails wait at the
+	// proxy — while traffic and checkpoints age the primary past it.
+	px := newStreamProxy(t, p, func(_ int, _ uint64, body []byte) (string, []byte) {
+		return api.WALStreamContentType, body
+	})
+	f := startFollowerVia(t, p, px.ts.URL)
+	parked := f.Applied()
 	for round := 0; round < 4; round++ {
 		p.traffic(t, 25, 40+round, 0.8)
 		if _, err := p.srv.Checkpoint(p.snap); err != nil {
@@ -393,19 +397,13 @@ func TestFollowerResyncAfterGap(t *testing.T) {
 	}
 	// (An empty retained window — everything compacted — starts past the
 	// parked position too: Window reports it as LastLSN+1.)
-	if first, _ := p.j.Window(); first <= 2 {
-		t.Fatalf("compaction did not advance the retained window (first=%d); test is vacuous", first)
+	if first, _ := p.j.Window(); first <= parked+1 {
+		t.Fatalf("compaction did not pass the parked follower at %d (first=%d); test is vacuous", parked, first)
 	}
-	_ = rewound
 	p.settle(t)
+	px.release()
 
-	deadline := time.Now().Add(15 * time.Second)
-	for f.resyncs.Load() == 0 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if f.resyncs.Load() == 0 {
-		t.Fatal("follower never re-bootstrapped after wal_gap")
-	}
+	waitFor(t, "a re-bootstrap after wal_gap", func() bool { return f.resyncs.Load() > 0 })
 	caughtUp(t, f)
 	want := modelBytes(t, p.srv.Bandit().Save)
 	got := modelBytes(t, f.Server().Bandit().Save)

@@ -80,7 +80,8 @@ func BenchmarkServeCachedHintDriftOn(b *testing.B) {
 }
 
 // BenchmarkWALStream measures the replication ship path: a follower
-// catching up over HTTP from a journal of framed rank/reward records.
+// catching up over HTTP from a journal of rank/reward records, read
+// with the journal's segment reader.
 // One op = one full catch-up of the journal (reconnect + stream +
 // CRC-verify every frame); records/s is the shipping rate a follower
 // can ingest from a primary on this host.
@@ -129,9 +130,10 @@ func BenchmarkWALStream(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		sr := openStream(b, resp.Body, 0)
 		var got uint64
 		for {
-			lsn, payload, err := api.ReadWALFrame(resp.Body)
+			lsn, _, err := sr.Next()
 			if err == io.EOF {
 				break
 			}
@@ -139,8 +141,8 @@ func BenchmarkWALStream(b *testing.B) {
 				b.Fatal(err)
 			}
 			got = lsn
-			bytesShipped += int64(len(payload) + api.WALFrameHeaderSize)
 		}
+		bytesShipped += sr.Offset()
 		resp.Body.Close()
 		if got != records {
 			b.Fatalf("stream ended at LSN %d, journal has %d", got, records)

@@ -137,15 +137,6 @@ func (in *Ingestor) train() {
 	in.trainedEvents.Add(int64(n))
 }
 
-// Enqueue submits one reward without blocking — the single-event
-// adapter over EnqueueBatch. It returns false when the queue is full
-// or the ingestor is closed (backpressure the HTTP layer surfaces as
-// 503 so callers can retry), or when the journal rejected the write.
-func (in *Ingestor) Enqueue(eventID string, value float64) bool {
-	n, err := in.EnqueueBatch([]bandit.RewardEntry{{EventID: eventID, Value: value}})
-	return n == 1 && err == nil
-}
-
 // EnqueueBatch submits a reward batch without blocking. A prefix of
 // the batch sized to the queue's free capacity is accepted — journaled
 // (when a WAL is attached) and queued, in that order, atomically with

@@ -31,8 +31,8 @@ func TestIngestorAppliesAndTrains(t *testing.T) {
 
 	ids := rankEvents(t, svc, 64)
 	for _, id := range ids {
-		if !in.Enqueue(id, 1.5) {
-			t.Fatalf("Enqueue(%s) rejected with capacity to spare", id)
+		if n, err := in.EnqueueBatch([]bandit.RewardEntry{{EventID: id, Value: 1.5}}); n != 1 || err != nil {
+			t.Fatalf("EnqueueBatch(%s) rejected with capacity to spare: %v", id, err)
 		}
 	}
 	in.Drain()
@@ -62,7 +62,7 @@ func TestIngestorUnknownEvents(t *testing.T) {
 	svc := bandit.New(bandit.DefaultConfig(5))
 	in := newIngestor(svc, nil, 4, &stageHists{})
 	defer in.Close()
-	in.Enqueue("ev-no-such", 1.0)
+	in.EnqueueBatch([]bandit.RewardEntry{{EventID: "ev-no-such", Value: 1.0}})
 	in.Drain()
 	if st := in.Stats(); st.UnknownEvents != 1 || st.Applied != 0 {
 		t.Errorf("Unknown=%d Applied=%d, want 1/0", st.UnknownEvents, st.Applied)
@@ -76,10 +76,12 @@ func TestIngestorBackpressure(t *testing.T) {
 	in := &Ingestor{svc: svc, ch: make(chan reward, 2), trainEvery: 8, stages: &stageHists{}}
 
 	ids := rankEvents(t, svc, 3)
-	if !in.Enqueue(ids[0], 1) || !in.Enqueue(ids[1], 1) {
-		t.Fatal("enqueue into empty queue rejected")
+	for _, id := range ids[:2] {
+		if n, err := in.EnqueueBatch([]bandit.RewardEntry{{EventID: id, Value: 1}}); n != 1 || err != nil {
+			t.Fatalf("enqueue into empty queue rejected: %v", err)
+		}
 	}
-	if in.Enqueue(ids[2], 1) {
+	if n, _ := in.EnqueueBatch([]bandit.RewardEntry{{EventID: ids[2], Value: 1}}); n != 0 {
 		t.Fatal("enqueue into full queue accepted")
 	}
 	if st := in.Stats(); st.Dropped != 1 || st.QueueDepth != 2 || st.QueueCap != 2 {
@@ -100,7 +102,7 @@ func TestIngestorCloseRejectsAndDrains(t *testing.T) {
 	in := newIngestor(svc, nil, 1000, &stageHists{}) // batch too large to trigger mid-run
 	ids := rankEvents(t, svc, 32)
 	for _, id := range ids {
-		in.Enqueue(id, 2.0)
+		in.EnqueueBatch([]bandit.RewardEntry{{EventID: id, Value: 2.0}})
 	}
 	in.Close()
 	st := in.Stats()
@@ -110,8 +112,8 @@ func TestIngestorCloseRejectsAndDrains(t *testing.T) {
 	if st.TrainedEvents != 32 {
 		t.Errorf("TrainedEvents after Close = %d, want 32 (final training pass)", st.TrainedEvents)
 	}
-	if in.Enqueue("ev-after-close", 1.0) {
-		t.Error("Enqueue accepted after Close")
+	if n, _ := in.EnqueueBatch([]bandit.RewardEntry{{EventID: "ev-after-close", Value: 1.0}}); n != 0 {
+		t.Error("EnqueueBatch accepted after Close")
 	}
 	in.Close() // second Close is a no-op
 }

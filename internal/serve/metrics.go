@@ -176,7 +176,7 @@ func (s *Server) collectMetrics(e *obs.Exposition) {
 			e.Gauge("qoserved_replication_followers", "Follower streams currently attached.", nil, float64(r.Followers))
 			e.Counter("qoserved_replication_streams_served_total", "WAL streams served.", nil, float64(r.StreamsServed))
 			e.Counter("qoserved_replication_records_shipped_total", "Journal records shipped to followers.", nil, float64(r.RecordsShipped))
-			e.Counter("qoserved_replication_bytes_shipped_total", "Journal bytes shipped to followers.", nil, float64(r.BytesShipped))
+			e.Counter("qoserved_replication_bytes_shipped_total", "Journal bytes shipped to followers: 8 + payload per record, plus a 16-byte segment header per stream.", nil, float64(r.BytesShipped))
 		} else {
 			e.Gauge("qoserved_replication_applied_lsn", "Newest journal record applied locally.", nil, float64(r.AppliedLSN))
 			e.Gauge("qoserved_replication_frontier_lsn", "Newest durable primary position observed.", nil, float64(r.FrontierLSN))

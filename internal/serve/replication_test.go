@@ -156,19 +156,33 @@ func getURL(t *testing.T, url string) *http.Response {
 	return resp
 }
 
-// readFrames drains one /v2/wal response into (lsn, payload) pairs.
-func readFrames(t *testing.T, body io.Reader) (lsns []uint64, payloads [][]byte) {
+// openStream reads a /v2/wal response body with the journal's segment
+// reader, the one a follower uses, and checks its header names from+1.
+func openStream(tb testing.TB, body io.Reader, from uint64) *wal.SegmentReader {
+	tb.Helper()
+	sr, err := wal.NewSegmentReader(body, "stream")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if sr.NextLSN() != from+1 {
+		tb.Fatalf("stream from %d starts at LSN %d", from, sr.NextLSN())
+	}
+	return sr
+}
+
+// readRecords drains one /v2/wal response into its records' LSNs.
+func readRecords(t *testing.T, body io.Reader, from uint64) (lsns []uint64) {
 	t.Helper()
+	sr := openStream(t, body, from)
 	for {
-		lsn, p, err := api.ReadWALFrame(body)
+		lsn, _, err := sr.Next()
 		if err == io.EOF {
-			return lsns, payloads
+			return lsns
 		}
 		if err != nil {
-			t.Fatalf("reading frame: %v", err)
+			t.Fatalf("reading record: %v", err)
 		}
 		lsns = append(lsns, lsn)
-		payloads = append(payloads, p)
 	}
 }
 
@@ -203,9 +217,10 @@ func TestWALStreamCatchUpAndResume(t *testing.T) {
 	}
 
 	// Read a prefix, then tear the connection mid-stream.
+	sr := openStream(t, resp.Body, 0)
 	var applied uint64
 	for applied < last/2 {
-		lsn, _, err := api.ReadWALFrame(resp.Body)
+		lsn, _, err := sr.Next()
 		if err != nil {
 			t.Fatalf("frame after %d: %v", applied, err)
 		}
@@ -223,7 +238,7 @@ func TestWALStreamCatchUpAndResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp2.Body.Close()
-	lsns, _ := readFrames(t, resp2.Body)
+	lsns := readRecords(t, resp2.Body, applied)
 	if uint64(len(lsns)) != last-applied {
 		t.Fatalf("resume delivered %d frames, want %d", len(lsns), last-applied)
 	}
@@ -240,10 +255,11 @@ func TestWALStreamCatchUpAndResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tail.Body.Close()
+	tailStream := openStream(t, tail.Body, last)
 	frameCh := make(chan uint64, 16)
 	go func() {
 		for {
-			lsn, _, err := api.ReadWALFrame(tail.Body)
+			lsn, _, err := tailStream.Next()
 			if err != nil {
 				close(frameCh)
 				return
@@ -624,7 +640,7 @@ func TestPrimaryReplicationStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tail.Body.Close()
-	if _, _, err := api.ReadWALFrame(tail.Body); err != nil { // consume one frame; keep open
+	if _, _, err := openStream(t, tail.Body, 0).Next(); err != nil { // consume one record; keep open
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(2 * time.Second)
@@ -637,6 +653,11 @@ func TestPrimaryReplicationStats(t *testing.T) {
 	}
 	if st.Replication.Followers != 1 || st.Replication.StreamsServed < 1 || st.Replication.RecordsShipped == 0 {
 		t.Fatalf("primary stats with open stream = %+v", st.Replication)
+	}
+	// The stream shipped the whole journal as stored, behind one segment
+	// header: bytesShipped counts exactly those bytes.
+	if want := 16 + r.j.Stats().AppendedBytes; st.Replication.BytesShipped != want {
+		t.Fatalf("bytesShipped = %d, want the 16-byte header + %d journal bytes", st.Replication.BytesShipped, want-16)
 	}
 }
 

@@ -517,7 +517,7 @@ func TestModelSnapshotOverHTTP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.Ingestor().Enqueue(rr.EventID, 1.9)
+	srv.Ingestor().EnqueueBatch([]bandit.RewardEntry{{EventID: rr.EventID, Value: 1.9}})
 	srv.Ingestor().Drain()
 
 	// GET streams a loadable model.

@@ -10,13 +10,15 @@ import (
 	"qoadvisor/internal/wal"
 )
 
-// WAL replication stream: GET /v2/wal?from=<lsn> ships every journal
-// record with LSN > from as api.WALFrame frames, then long-polls the
-// tail — the primary half of log-shipping replication. The stream only
-// ever ships records at or below the durable frontier (wal.SyncedLSN),
-// so a follower can never apply state the primary would lose in a
-// crash; in async mode the group-commit window bounds shipping latency
-// at a few milliseconds.
+// WAL replication stream: GET /v2/wal?from=<lsn> answers with a journal
+// segment — a segment header naming LSN from+1, then every journal
+// record with LSN > from as the frame the journal stored, copied
+// without checksumming again — and long-polls the tail: the primary
+// half of log-shipping replication. The stream only ever ships records
+// at or below the durable frontier (wal.SyncedLSN), so a follower can
+// never apply state the primary would lose in a crash; in async mode
+// the group-commit window bounds shipping latency at a few
+// milliseconds.
 const (
 	// walStreamMaxDuration bounds one response so it finishes inside
 	// common proxy/server write timeouts (qoserved serves with a 30s
@@ -29,12 +31,6 @@ const (
 	walStreamPollWait = 10 * time.Second
 	walStreamPollMax  = 30 * time.Second
 )
-
-// assertFrameLimitMatches pins the api-side frame payload bound to the
-// journal's record bound at compile time: a journal record must always
-// fit one frame. (api is stdlib-only and cannot import wal, so the
-// constant is restated there.)
-var _ = [1]struct{}{}[api.MaxWALFramePayload-wal.MaxRecordSize]
 
 func (h *httpLayer) handleWALStream(w http.ResponseWriter, r *http.Request) {
 	rid := requestID(w)
@@ -79,6 +75,11 @@ func (h *httpLayer) handleWALStream(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set(api.WALFrontierHeader, strconv.FormatUint(s.wal.SyncedLSN(), 10))
 	w.Header().Set(api.WALFirstHeader, strconv.FormatUint(first, 10))
 	w.WriteHeader(http.StatusOK)
+	hdr := wal.SegmentHeader(from + 1)
+	if _, err := w.Write(hdr[:]); err != nil {
+		return
+	}
+	s.walBytesShipped.Add(int64(len(hdr)))
 	flusher, _ := w.(http.Flusher)
 	if flusher != nil {
 		// Push the headers out now: the first batch may be a long-poll
@@ -111,13 +112,13 @@ func (h *httpLayer) handleWALStream(w http.ResponseWriter, r *http.Request) {
 			// client reconnects).
 			return
 		}
-		_, err := cur.Next(synced, func(lsn uint64, payload []byte) error {
-			if werr := api.WriteWALFrame(w, lsn, payload); werr != nil {
+		_, err := cur.Next(synced, func(lsn uint64, frame []byte) error {
+			if _, werr := w.Write(frame); werr != nil {
 				return werr
 			}
 			from = lsn
 			s.walRecsShipped.Add(1)
-			s.walBytesShipped.Add(int64(api.WALFrameHeaderSize + len(payload)))
+			s.walBytesShipped.Add(int64(len(frame)))
 			return nil
 		})
 		if err != nil {

@@ -13,18 +13,22 @@ import (
 // FuzzSegmentReader fuzzes the one decoder under crash recovery,
 // follower tailing, offline replay and every audit query: arbitrary
 // bytes as a segment file, read through OpenSegment/Next and through
-// DirSource.Replay. Neither may panic. A record the reader yields is a
-// record the writer wrote: appending the yielded payloads to a fresh
-// journal reproduces the input's frames byte for byte, Next stops at
-// the first byte that is not such a frame (io.EOF exactly at the end of
-// the file, a *CorruptRecordError at that offset otherwise), and the
-// replay delivers the same records and calls the same tail torn.
+// DirSource.Replay, and as a replication stream body, read through
+// NewSegmentReader over a bytes.Reader. None may panic. A record the
+// reader yields is a record the writer wrote: appending the yielded
+// payloads to a fresh journal reproduces the input's frames byte for
+// byte, Next stops at the first byte that is not such a frame (io.EOF
+// exactly at the end of the file, a *CorruptRecordError at that offset
+// otherwise), the stream reader yields the same records, frames and
+// offsets and ends the same way, and the replay delivers the same
+// records and calls the same tail torn.
 //
 // The committed corpus (testdata/fuzz/FuzzSegmentReader) holds a valid
 // three-record segment, the same cut inside a frame header and inside a
 // payload, with a flipped payload bit, a zero and an oversized length
 // prefix, trailing garbage, a bare header, a short header, a bad magic
-// and the empty file.
+// and the empty file; and stream-shaped bodies starting at LSN 1000,
+// whole and cut inside the segment header, a frame header and a payload.
 func FuzzSegmentReader(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
@@ -41,21 +45,36 @@ func FuzzSegmentReader(f *testing.F) {
 		if (err == nil) != headerOK {
 			t.Fatalf("OpenSegment error = %v on a header that is valid=%v", err, headerOK)
 		}
+		stream, serr := NewSegmentReader(bytes.NewReader(data), "stream")
+		if (serr == nil) != headerOK {
+			t.Fatalf("NewSegmentReader error = %v on a header that is valid=%v", serr, headerOK)
+		}
 		if err != nil {
 			return
 		}
 		defer sr.Close()
+		if stream.NextLSN() != first {
+			t.Fatalf("stream header first LSN %d, file header %d", stream.NextLSN(), first)
+		}
 
 		var payloads [][]byte
-		var tail error
+		var tail, streamTail error
 		for {
 			lsn, payload, err := sr.Next()
+			slsn, spayload, serr := stream.Next()
+			if (err == nil) != (serr == nil) || errors.Is(err, io.EOF) != errors.Is(serr, io.EOF) || sr.Offset() != stream.Offset() {
+				t.Fatalf("record %d: file reader (%v) at %d, stream reader (%v) at %d", len(payloads), err, sr.Offset(), serr, stream.Offset())
+			}
 			if err != nil {
-				tail = err
+				tail, streamTail = err, serr
 				break
 			}
-			if want := first + uint64(len(payloads)); lsn != want {
-				t.Fatalf("record %d has LSN %d, want %d", len(payloads), lsn, want)
+			if want := first + uint64(len(payloads)); lsn != want || slsn != want {
+				t.Fatalf("record %d has LSN %d (stream %d), want %d", len(payloads), lsn, slsn, want)
+			}
+			start := sr.Offset() - int64(len(sr.Frame()))
+			if !bytes.Equal(spayload, payload) || !bytes.Equal(stream.Frame(), data[start:sr.Offset()]) {
+				t.Fatalf("record %d: the stream reader's frame is not the bytes at %d..%d", len(payloads), start, sr.Offset())
 			}
 			payloads = append(payloads, bytes.Clone(payload))
 		}
@@ -67,6 +86,10 @@ func FuzzSegmentReader(f *testing.F) {
 				t.Fatalf("clean end at offset %d of a %d-byte segment", end, len(data))
 			}
 		case errors.As(tail, &cre):
+			var scre *CorruptRecordError
+			if !errors.As(streamTail, &scre) || scre.Offset != cre.Offset || scre.Reason != cre.Reason {
+				t.Fatalf("file reader reports %v, stream reader %v", tail, streamTail)
+			}
 			if cre.Offset != end || end > int64(len(data)) {
 				t.Fatalf("damage reported at %d, reader stopped at %d, file has %d bytes", cre.Offset, end, len(data))
 			}

@@ -136,10 +136,6 @@ type Cursor struct {
 	scratch []byte
 }
 
-// maxCursorScratch is the largest read buffer a Cursor keeps between
-// Next calls; rank and reward records are a few hundred bytes.
-const maxCursorScratch = 64 << 10
-
 // NewCursor positions a tail cursor just after afterLSN. Locating the
 // byte offset scans at most one segment once; every subsequent Next is
 // proportional to the records it delivers.
@@ -149,12 +145,13 @@ func (w *WAL) NewCursor(afterLSN uint64) *Cursor {
 
 // Next delivers records with LSN in [cursor position, upTo] to fn, in
 // order, and advances the cursor past them. It returns the number
-// delivered. The payload slice is reused between records — fn must
-// consume or copy it before returning. A removed segment at the
-// cursor's position (compaction passed the consumer — the wal_gap
-// condition) or damage below upTo returns an error; the consumer must
-// restart from a fresh position.
-func (c *Cursor) Next(upTo uint64, fn func(lsn uint64, payload []byte) error) (int, error) {
+// delivered. Each record arrives as its stored frame
+// ([len][CRC32-C][payload], CRC already verified), in a slice reused
+// between records — fn must consume or copy it before returning. A
+// removed segment at the cursor's position (compaction passed the
+// consumer — the wal_gap condition) or damage below upTo returns an
+// error; the consumer must restart from a fresh position.
+func (c *Cursor) Next(upTo uint64, fn func(lsn uint64, frame []byte) error) (int, error) {
 	if c.nextLSN > upTo {
 		return 0, nil
 	}
@@ -179,35 +176,31 @@ func (c *Cursor) Next(upTo uint64, fn func(lsn uint64, payload []byte) error) (i
 		}
 		// Current segment exhausted below upTo: advance to the segment
 		// that starts at the cursor's LSN.
-		advanced := false
-		for _, s := range segs {
-			if s.firstLSN == c.nextLSN && s.index > c.seg.index {
-				c.seg, c.pos = s, segHeaderSize
-				advanced = true
-				break
-			}
-		}
-		if !advanced {
+		if !c.advance(segs) {
 			// The records exist (<= upTo <= SyncedLSN) but no segment
 			// starts where we need one — the snapshot predates a roll;
 			// refresh and retry once, else report the gap.
 			if segs, err = c.w.flushedSegments(); err != nil {
 				return delivered, err
 			}
-			refreshed := false
-			for _, s := range segs {
-				if s.firstLSN == c.nextLSN && s.index > c.seg.index {
-					c.seg, c.pos = s, segHeaderSize
-					refreshed = true
-					break
-				}
-			}
-			if !refreshed {
+			if !c.advance(segs) {
 				return delivered, fmt.Errorf("wal: no segment holds LSN %d (compacted past the cursor)", c.nextLSN)
 			}
 		}
 	}
 	return delivered, nil
+}
+
+// advance moves the cursor to the start of the later segment in segs
+// that begins at its next LSN, and reports whether there was one.
+func (c *Cursor) advance(segs []segment) bool {
+	for _, s := range segs {
+		if s.firstLSN == c.nextLSN && s.index > c.seg.index {
+			c.seg, c.pos = s, segHeaderSize
+			return true
+		}
+	}
+	return false
 }
 
 // flushedSegments snapshots the segment list with buffered appends
@@ -262,25 +255,25 @@ func (c *Cursor) locate(segs []segment) error {
 // offset, delivering LSNs up to upTo. It stops cleanly at the
 // segment's current end (more may be appended later) and returns how
 // many records it delivered to fn.
-func (c *Cursor) readSegment(upTo uint64, fn func(lsn uint64, payload []byte) error) (int, error) {
+func (c *Cursor) readSegment(upTo uint64, fn func(lsn uint64, frame []byte) error) (int, error) {
 	info := SegmentInfo{Path: c.seg.path, Index: c.seg.index, FirstLSN: c.seg.firstLSN}
 	sr, err := OpenSegmentAt(info, c.pos, c.nextLSN)
 	if err != nil {
 		return 0, err
 	}
 	defer sr.Close()
-	sr.attachScratch(c.scratch)
+	sr.frame = c.scratch
 	defer func() {
-		// Take the reader's scratch back for the next call, unless one
+		// Take the reader's buffer back for the next call, unless one
 		// large record (a hint rollover) grew it: a tail cursor lives as
 		// long as its long-poll, and would pin that megabyte while idle.
-		if c.scratch = sr.detachScratch(); cap(c.scratch) > maxCursorScratch {
+		if c.scratch = sr.frame; cap(c.scratch) > maxKeptFrame {
 			c.scratch = nil
 		}
 	}()
 	delivered := 0
 	for c.nextLSN <= upTo {
-		lsn, payload, rerr := sr.Next()
+		lsn, _, rerr := sr.Next()
 		if rerr != nil {
 			if errors.Is(rerr, io.EOF) {
 				return delivered, nil // segment end (so far); caller advances or waits
@@ -296,7 +289,7 @@ func (c *Cursor) readSegment(upTo uint64, fn func(lsn uint64, payload []byte) er
 		c.nextLSN = lsn + 1
 		c.pos = sr.Offset()
 		delivered++
-		if err := fn(lsn, payload); err != nil {
+		if err := fn(lsn, sr.Frame()); err != nil {
 			return delivered, err
 		}
 	}

@@ -46,7 +46,8 @@ func Segments(dir string) ([]SegmentInfo, error) {
 // (truncate and move on); anywhere else it is real data loss. Callers
 // detect it with errors.As and decide.
 type CorruptRecordError struct {
-	// Path is the damaged segment file.
+	// Path names the damaged segment: its file, or the name a stream
+	// reader was given.
 	Path string
 	// Offset is the byte offset of the damaged frame.
 	Offset int64
@@ -71,7 +72,8 @@ func (e *CorruptRecordError) Unwrap() error { return e.Err }
 // SegmentReader iterates one segment's records in LSN order. It is the
 // single framing decoder all journal consumers share: Replay and
 // DirSource wrap it per segment (recovery and every audit query go
-// through those), and the tail Cursor resumes it at a saved offset.
+// through those), the tail Cursor resumes it at a saved offset, and a
+// follower reads the replication stream — which is a segment — with it.
 //
 // Next returns io.EOF at a clean frame boundary (the segment's current
 // end — an active segment may grow past it later) and a
@@ -79,11 +81,54 @@ func (e *CorruptRecordError) Unwrap() error { return e.Err }
 // a torn tail to truncate or mid-log loss to fail on.
 type SegmentReader struct {
 	path    string
-	f       *os.File
+	f       *os.File // nil over a stream the caller owns
 	br      *bufio.Reader
 	nextLSN uint64
 	off     int64
-	scratch []byte
+	// frame holds the last record read as stored: its 8-byte header,
+	// then its payload. Its backing array is reused between calls.
+	frame []byte
+}
+
+// maxKeptFrame is the largest read buffer a SegmentReader or Cursor
+// keeps between records; rank and reward records are a few hundred
+// bytes.
+const maxKeptFrame = 64 << 10
+
+// SegmentHeader encodes a segment's 16-byte header: the magic, then the
+// LSN of its first record. The journal writes it at the head of every
+// segment file, and the replication stream at the head of every body.
+func SegmentHeader(firstLSN uint64) [segHeaderSize]byte {
+	var hdr [segHeaderSize]byte
+	copy(hdr[:8], segMagic)
+	binary.LittleEndian.PutUint64(hdr[8:], firstLSN)
+	return hdr
+}
+
+// readSegmentHeader decodes the header SegmentHeader wrote and returns
+// the first LSN; name labels errors.
+func readSegmentHeader(r io.Reader, name string) (firstLSN uint64, err error) {
+	var hdr [segHeaderSize]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return 0, fmt.Errorf("wal: %s: short segment header: %w", name, err)
+	}
+	if string(hdr[:8]) != segMagic {
+		return 0, fmt.Errorf("wal: %s: bad segment magic %q", name, hdr[:8])
+	}
+	return binary.LittleEndian.Uint64(hdr[8:]), nil
+}
+
+// NewSegmentReader reads a segment from r — a replication stream body,
+// or any other reader positioned at a segment header — labelling
+// errors with name. The header's first LSN numbers the records
+// (NextLSN reports it before the first Next). Close does not close r.
+func NewSegmentReader(r io.Reader, name string) (*SegmentReader, error) {
+	br := bufio.NewReaderSize(r, 1<<16)
+	first, err := readSegmentHeader(br, name)
+	if err != nil {
+		return nil, err
+	}
+	return &SegmentReader{path: name, br: br, nextLSN: first, off: segHeaderSize}, nil
 }
 
 // OpenSegment opens a segment at its first record, validating the
@@ -94,21 +139,16 @@ func OpenSegment(info SegmentInfo) (*SegmentReader, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
-	br := bufio.NewReaderSize(f, 1<<16)
-	var hdr [segHeaderSize]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("wal: %s: short segment header: %w", info.Path, err)
+	r, err := NewSegmentReader(f, info.Path)
+	if err == nil && r.nextLSN != info.FirstLSN {
+		err = fmt.Errorf("wal: %s: header first LSN %d, directory scan said %d", info.Path, r.nextLSN, info.FirstLSN)
 	}
-	if string(hdr[:8]) != segMagic {
+	if err != nil {
 		f.Close()
-		return nil, fmt.Errorf("wal: %s: bad segment magic %q", info.Path, hdr[:8])
+		return nil, err
 	}
-	if got := binary.LittleEndian.Uint64(hdr[8:]); got != info.FirstLSN {
-		f.Close()
-		return nil, fmt.Errorf("wal: %s: header first LSN %d, directory scan said %d", info.Path, got, info.FirstLSN)
-	}
-	return &SegmentReader{path: info.Path, f: f, br: br, nextLSN: info.FirstLSN, off: segHeaderSize}, nil
+	r.f = f
+	return r, nil
 }
 
 // OpenSegmentAt opens a segment positioned at a known frame boundary:
@@ -139,8 +179,13 @@ func OpenSegmentAt(info SegmentInfo, offset int64, nextLSN uint64) (*SegmentRead
 // a frame boundary returns io.EOF; damage returns a
 // *CorruptRecordError positioned at the bad frame.
 func (r *SegmentReader) Next() (lsn uint64, payload []byte, err error) {
-	var hdr [recHeaderSize]byte
-	if _, err := io.ReadFull(r.br, hdr[:]); err != nil {
+	if cap(r.frame) < recHeaderSize || cap(r.frame) > maxKeptFrame {
+		// A long-lived reader (a follower's stream) does not pin the
+		// buffer one large record (a hint rollover) grew.
+		r.frame = make([]byte, 0, 512)
+	}
+	hdr := r.frame[:recHeaderSize]
+	if _, err := io.ReadFull(r.br, hdr); err != nil {
 		if errors.Is(err, io.EOF) {
 			return 0, nil, io.EOF
 		}
@@ -151,10 +196,14 @@ func (r *SegmentReader) Next() (lsn uint64, payload []byte, err error) {
 	if length == 0 || length > MaxRecordSize {
 		return 0, nil, &CorruptRecordError{Path: r.path, Offset: r.off, Reason: fmt.Sprintf("corrupt record length %d", length)}
 	}
-	if cap(r.scratch) < int(length) {
-		r.scratch = make([]byte, length)
+	n := recHeaderSize + int(length)
+	if cap(r.frame) < n {
+		grown := make([]byte, n)
+		copy(grown, hdr)
+		r.frame = grown
 	}
-	payload = r.scratch[:length]
+	r.frame = r.frame[:n]
+	payload = r.frame[recHeaderSize:]
 	if _, err := io.ReadFull(r.br, payload); err != nil {
 		if err == io.EOF {
 			// A whole header with no payload byte behind it is a torn
@@ -168,20 +217,26 @@ func (r *SegmentReader) Next() (lsn uint64, payload []byte, err error) {
 	}
 	lsn = r.nextLSN
 	r.nextLSN++
-	r.off += int64(recHeaderSize) + int64(length)
+	r.off += int64(n)
 	return lsn, payload, nil
 }
+
+// Frame returns the record Next last returned as stored — its length
+// and CRC header, then its payload — sharing Next's reused buffer.
+// Shipping it copies the journal's bytes without checksumming again.
+func (r *SegmentReader) Frame() []byte { return r.frame }
 
 // Offset returns the byte offset of the next unread frame — a valid
 // resume point for OpenSegmentAt.
 func (r *SegmentReader) Offset() int64 { return r.off }
 
-// Close releases the underlying file.
-func (r *SegmentReader) Close() error { return r.f.Close() }
+// NextLSN returns the LSN the next record will carry.
+func (r *SegmentReader) NextLSN() uint64 { return r.nextLSN }
 
-// detachScratch hands the reader's payload buffer back to a pooling
-// caller (the tail Cursor keeps one across readSegment calls).
-func (r *SegmentReader) detachScratch() []byte { return r.scratch }
-
-// attachScratch seeds the payload buffer from a pooling caller.
-func (r *SegmentReader) attachScratch(b []byte) { r.scratch = b }
+// Close releases the underlying file; over a stream it does nothing.
+func (r *SegmentReader) Close() error {
+	if r.f == nil {
+		return nil
+	}
+	return r.f.Close()
+}

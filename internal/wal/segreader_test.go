@@ -1,10 +1,12 @@
 package wal
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"os"
+	"strings"
 	"testing"
 )
 
@@ -220,4 +222,72 @@ func TestReplayStopsAtSentinel(t *testing.T) {
 	if info.Segments != len(segs) || info.SegmentsRead != 1 || info.First != from || info.Records != int64(len(got)) {
 		t.Fatalf("info = %+v, want 1 of %d segments read, first %d, %d records", info, len(segs), from, len(got))
 	}
+}
+
+// TestSegmentReaderStream reads a segment the way a follower reads the
+// replication stream, from an io.Reader: every record comes back with
+// its LSN and stored frame, a clean end is io.EOF, a body cut inside a
+// payload and a flipped payload bit are *CorruptRecordErrors.
+func TestSegmentReaderStream(t *testing.T) {
+	w := openTest(t, t.TempDir(), ModeOff, 1<<20)
+	payloads := [][]byte{[]byte("a"), bytes.Repeat([]byte{0xAB}, 300), []byte("final")}
+	for _, p := range payloads {
+		if _, err := w.Append(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := Segments(w.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg, err := os.ReadFile(segs[0].Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A stream from LSN 41 is the same frames behind a different header.
+	hdr := SegmentHeader(41)
+	body := append(hdr[:], seg[segHeaderSize:]...)
+
+	r, err := NewSegmentReader(bytes.NewReader(body), "stream")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.NextLSN() != 41 {
+		t.Fatalf("stream numbers records from %d, want the header's 41", r.NextLSN())
+	}
+	for i, p := range payloads {
+		start := r.Offset()
+		lsn, got, err := r.Next()
+		if err != nil || lsn != uint64(41+i) || !bytes.Equal(got, p) {
+			t.Fatalf("record %d: lsn %d, %d bytes, %v", i, lsn, len(got), err)
+		}
+		if !bytes.Equal(r.Frame(), body[start:r.Offset()]) {
+			t.Fatalf("record %d: Frame is not the stored bytes", i)
+		}
+	}
+	if _, _, err := r.Next(); err != io.EOF {
+		t.Fatalf("clean end = %v, want io.EOF", err)
+	}
+
+	damaged := func(name string, b []byte, reason string) {
+		t.Helper()
+		r, err := NewSegmentReader(bytes.NewReader(b), "stream")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for err == nil {
+			_, _, err = r.Next()
+		}
+		var cre *CorruptRecordError
+		if !errors.As(err, &cre) || !strings.HasPrefix(cre.Reason, reason) {
+			t.Fatalf("%s: %v, want a *CorruptRecordError (%s)", name, err, reason)
+		}
+	}
+	damaged("cut inside the last payload", body[:len(body)-3], "torn record payload")
+	flipped := bytes.Clone(body)
+	flipped[segHeaderSize+recHeaderSize] ^= 0x01
+	damaged("flipped payload bit", flipped, "CRC mismatch")
 }

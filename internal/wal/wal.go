@@ -315,7 +315,12 @@ func scanDir(dir string) ([]segment, error) {
 			continue // not ours
 		}
 		path := filepath.Join(dir, name)
-		first, err := readSegmentHeader(path)
+		f, err := os.Open(path)
+		if err != nil {
+			return nil, fmt.Errorf("wal: %w", err)
+		}
+		first, err := readSegmentHeader(f, path)
+		f.Close()
 		if err != nil {
 			return nil, err
 		}
@@ -331,22 +336,6 @@ func scanDir(dir string) ([]segment, error) {
 	return segs, nil
 }
 
-func readSegmentHeader(path string) (firstLSN uint64, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, fmt.Errorf("wal: %w", err)
-	}
-	defer f.Close()
-	var hdr [segHeaderSize]byte
-	if _, err := io.ReadFull(f, hdr[:]); err != nil {
-		return 0, fmt.Errorf("wal: %s: short segment header: %w", path, err)
-	}
-	if string(hdr[:8]) != segMagic {
-		return 0, fmt.Errorf("wal: %s: bad segment magic %q", path, hdr[:8])
-	}
-	return binary.LittleEndian.Uint64(hdr[8:]), nil
-}
-
 // openSegmentLocked creates and switches to a fresh segment; callers
 // hold mu (or are inside Open before the WAL is shared).
 func (w *WAL) openSegmentLocked(index, firstLSN uint64) error {
@@ -355,9 +344,7 @@ func (w *WAL) openSegmentLocked(index, firstLSN uint64) error {
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
-	var hdr [segHeaderSize]byte
-	copy(hdr[:8], segMagic)
-	binary.LittleEndian.PutUint64(hdr[8:], firstLSN)
+	hdr := SegmentHeader(firstLSN)
 	if _, err := f.Write(hdr[:]); err != nil {
 		f.Close()
 		return fmt.Errorf("wal: %w", err)

@@ -3,7 +3,9 @@ package wal
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sync"
@@ -460,9 +462,13 @@ func TestCursorTailsAcrossRolls(t *testing.T) {
 	defer w.Close()
 
 	var got []uint64
-	collectFn := func(lsn uint64, p []byte) error {
+	collectFn := func(lsn uint64, frame []byte) error {
+		p := frame[recHeaderSize:]
 		if want := fmt.Sprintf("rec-%04d", lsn-1); string(p) != want {
 			t.Fatalf("lsn %d payload %q, want %q", lsn, p, want)
+		}
+		if binary.LittleEndian.Uint32(frame) != uint32(len(p)) || binary.LittleEndian.Uint32(frame[4:]) != crc32.Checksum(p, crcTable) {
+			t.Fatalf("lsn %d frame header %x does not frame its payload", lsn, frame[:recHeaderSize])
 		}
 		got = append(got, lsn)
 		return nil
@@ -559,8 +565,8 @@ func TestCursorDropsLargeScratch(t *testing.T) {
 	}
 	cur := w.NewCursor(0)
 	var got [][]byte
-	n, err := cur.Next(w.SyncedLSN(), func(_ uint64, p []byte) error {
-		got = append(got, append([]byte(nil), p...))
+	n, err := cur.Next(w.SyncedLSN(), func(_ uint64, frame []byte) error {
+		got = append(got, append([]byte(nil), frame[recHeaderSize:]...))
 		return nil
 	})
 	if err != nil || n != 2 {
@@ -569,8 +575,8 @@ func TestCursorDropsLargeScratch(t *testing.T) {
 	if !bytes.Equal(got[0], big) || !bytes.Equal(got[1], small) {
 		t.Error("payloads damaged in transit")
 	}
-	if cap(cur.scratch) > maxCursorScratch {
-		t.Errorf("cursor keeps a %d-byte scratch after the large record, want <= %d", cap(cur.scratch), maxCursorScratch)
+	if cap(cur.scratch) > maxKeptFrame {
+		t.Errorf("cursor keeps a %d-byte scratch after the large record, want <= %d", cap(cur.scratch), maxKeptFrame)
 	}
 }
 
