@@ -75,7 +75,7 @@ func (m *auditMode) validate(query string) error {
 	// Mirror the serving default: a WAL-backed server snapshots next to
 	// the journal unless told otherwise.
 	if m.model == "" {
-		m.model = filepath.Join(m.walDir, "model.snap")
+		m.model = filepath.Join(m.walDir, serve.SnapshotFile)
 	}
 	return m.journalFlags.validate()
 }

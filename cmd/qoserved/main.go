@@ -75,12 +75,12 @@ import (
 	_ "net/http/pprof"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"slices"
 	"strings"
 	"syscall"
 	"time"
 
+	"qoadvisor/internal/api"
 	"qoadvisor/internal/api/client"
 	"qoadvisor/internal/bandit"
 	"qoadvisor/internal/core"
@@ -332,11 +332,6 @@ func (m *serveMode) validate(string) (err error) {
 	if m.walMode, err = wal.ParseMode(m.walSync); err != nil {
 		return fmt.Errorf("bad -wal-sync: %w", err)
 	}
-	// A WAL without a snapshot path would replay the whole journal on
-	// every boot and never compact; default the snapshot next to it.
-	if m.walDir != "" && m.model == "" {
-		m.model = filepath.Join(m.walDir, "model.snap")
-	}
 	return m.nodeFlags.validate()
 }
 
@@ -347,12 +342,7 @@ func (m *serveMode) run() error {
 	}
 	cat := rules.NewCatalog()
 
-	// Model precedence: recovered durable state wins (snapshot + WAL
-	// suffix, or snapshot alone); otherwise the bootstrap pipeline's
-	// trained bandit; otherwise fresh.
-	var svc *bandit.Service
 	var journal *wal.WAL
-	var rec serve.RecoverResult // zero when nothing was recovered
 	if m.walDir != "" {
 		journal, err = wal.Open(wal.Options{Dir: m.walDir, Mode: m.walMode, SegmentBytes: m.walSegMB << 20})
 		if err != nil {
@@ -363,32 +353,10 @@ func (m *serveMode) run() error {
 			// crash discarded records past the last durable group commit.
 			logg.Warn("journal tail damaged (crash artifact)", "truncatedBytes", torn, "reason", reason)
 		}
-		rec, err = serve.Recover(journal, m.model, m.trainEvery, m.maxLog, m.seed)
-		if err != nil {
-			return fmt.Errorf("recovering journal %s: %w", m.walDir, err)
-		}
-		if rec.Recovered() {
-			svc = rec.Service
-			logg.Info("recovered model",
-				"snapshot", rec.SnapshotLoaded, "watermarkLsn", rec.FromLSN,
-				"records", rec.Journal.Records, "ranks", rec.Replay.Ranks,
-				"rewards", rec.Replay.Rewards, "trained", rec.Replay.TrainedEvents,
-				"hintRollovers", rec.HintRollovers)
-		}
-	} else if m.model != "" {
-		if f, err := os.Open(m.model); err == nil {
-			svc, err = bandit.Load(f, m.seed)
-			f.Close()
-			if err != nil {
-				return fmt.Errorf("loading model %s: %w", m.model, err)
-			}
-			logg.Info("model restored", "path", m.model)
-		} else if !errors.Is(err, os.ErrNotExist) {
-			return fmt.Errorf("opening model: %w", err)
-		}
 	}
 
 	var hints, fileHints []sis.Hint
+	var trained *bandit.Service // served only when nothing is recovered
 	if m.bootstrapDays > 0 {
 		// The offline daily pipeline, for that many simulated days: its
 		// advisor's bandit is now trained and its SIS store holds the
@@ -397,12 +365,8 @@ func (m *serveMode) run() error {
 		if err != nil {
 			return fmt.Errorf("bootstrap: %w", err)
 		}
-		hints = adv.ActiveHints()
+		hints, trained = adv.ActiveHints(), adv.CB.Service
 		logg.Info("bootstrap complete", "days", m.bootstrapDays, "templates", m.templates, "activeHints", len(hints))
-		if svc == nil {
-			svc = adv.CB.Service
-			logg.Info("serving the bootstrap pipeline's trained bandit")
-		}
 	}
 	if m.hints != "" {
 		if fileHints, err = loadHints(m.hints, cat); err != nil {
@@ -417,9 +381,13 @@ func (m *serveMode) run() error {
 	if m.drift {
 		driftCfg = &m.driftCfg
 	}
-	srv := serve.New(serve.Config{
+	// Model precedence (serve.Open): recovered durable state wins, then
+	// the bootstrap pipeline's trained bandit, then a fresh one. Open also
+	// restores the journaled quarantine and hint tables and, with a WAL,
+	// takes the initial checkpoint.
+	srv, rec, err := serve.Open(serve.Config{
 		Catalog:      cat,
-		Bandit:       svc,
+		Bandit:       trained,
 		Seed:         m.seed,
 		Uniform:      m.uniform,
 		TrainEvery:   m.trainEvery,
@@ -430,51 +398,34 @@ func (m *serveMode) run() error {
 		Incidents:    m.incidents, // disabled while its Dir is empty
 		Drift:        driftCfg,
 	})
+	if err != nil {
+		return fmt.Errorf("opening primary: %w", err)
+	}
+	model := srv.SnapshotPath()
+	switch {
+	case rec.Recovered():
+		logg.Info("recovered model", "path", model,
+			"snapshot", rec.SnapshotLoaded, "watermarkLsn", rec.FromLSN,
+			"records", rec.Journal.Records, "ranks", rec.Replay.Ranks,
+			"rewards", rec.Replay.Rewards, "trained", rec.Replay.TrainedEvents,
+			"hintRollovers", rec.HintRollovers, "hints", len(rec.Hints), "hintGeneration", rec.HintGen,
+			"quarantineRecords", rec.QuarantineRecords, "quarantined", len(rec.Quarantine))
+	case trained != nil:
+		logg.Info("serving the bootstrap pipeline's trained bandit")
+	}
 	if m.incidents.Dir != "" {
 		logg.Info("incident capture enabled", "dir", m.incidents.Dir)
 	}
-	// Re-arm the safeguard from the journal BEFORE the initial
-	// checkpoint: like the hint table, the quarantine table must be
-	// restored without re-journaling, and the checkpoint's snapshot
-	// re-journal then carries it above the new watermark. Restoring is
-	// unconditional on -drift — enforcement is cheaper than a regressed
-	// plan, and an operator who disabled detection still should not
-	// serve a hint the journal says was quarantined.
-	if rec.QuarantineRecords > 0 {
-		srv.RestoreQuarantines(rec.Quarantine)
-		logg.Info("quarantine table recovered from journal",
-			"templates", len(rec.Quarantine), "records", rec.QuarantineRecords)
-	}
 	// Gate on rollovers seen, not table size: a journaled rollover to an
-	// EMPTY table is a legitimate retirement and must win over the
-	// bootstrap pipeline's regenerated hints, at its journaled generation.
+	// EMPTY table is a legitimate retirement. The recovered table is
+	// authoritative over the bootstrap pipeline's regenerated one; an
+	// explicit -hints file still overlays it (as a fresh journaled
+	// rollover).
 	if rec.HintRollovers > 0 {
-		// Restore the journaled hint table — at its journaled generation,
-		// without re-journaling — BEFORE the initial checkpoint, whose
-		// hint re-journal would otherwise persist an empty table over it.
-		srv.RestoreHints(rec.Hints, rec.HintGen)
-		logg.Info("hint cache recovered from journal", "hints", len(rec.Hints), "generation", rec.HintGen)
-		// The recovered table is authoritative over the bootstrap
-		// pipeline's regenerated one; an explicit -hints file still
-		// overlays below (as a fresh journaled rollover).
 		hints = nil
 		if m.hints != "" {
 			hints = mergeHints(rec.Hints, fileHints)
 		}
-	}
-	logCheckpoint := func(info serve.CheckpointInfo) {
-		logg.Info("checkpoint", "bytes", info.Bytes, "walOffset", info.LSN,
-			"segmentsCompacted", info.SegmentsRemoved, "took", info.Duration.Round(time.Microsecond))
-	}
-	if journal != nil {
-		// Checkpoint immediately so pre-journal state (bootstrap training,
-		// replayed suffix) is covered by a snapshot: a crash before the
-		// first ticker fire must not lose it.
-		info, err := srv.Checkpoint(m.model)
-		if err != nil {
-			return fmt.Errorf("initial checkpoint: %w", err)
-		}
-		logCheckpoint(info)
 	}
 	if len(hints) > 0 {
 		gen, err := srv.InstallHints(hints)
@@ -490,7 +441,7 @@ func (m *serveMode) run() error {
 	// segments. The ticker stops with the serve context.
 	err = serveUntilSignal(m.addr, srv, func(ctx context.Context) {
 		logg.Info("qoserved listening", "addr", m.addr)
-		if m.snapshotEvery <= 0 || m.model == "" {
+		if m.snapshotEvery <= 0 || model == "" {
 			return
 		}
 		t := time.NewTicker(m.snapshotEvery)
@@ -500,10 +451,11 @@ func (m *serveMode) run() error {
 			case <-ctx.Done():
 				return
 			case <-t.C:
-				if info, err := srv.Checkpoint(m.model); err != nil {
+				if info, err := srv.Checkpoint(model); err != nil {
 					logg.Error("checkpoint failed", "err", err)
 				} else {
-					logCheckpoint(info)
+					logg.Info("checkpoint", "bytes", info.Bytes, "walOffset", info.LSN,
+						"segmentsCompacted", info.SegmentsRemoved, "took", info.Duration.Round(time.Microsecond))
 				}
 			}
 		}
@@ -515,12 +467,12 @@ func (m *serveMode) run() error {
 	// Graceful teardown: drain pending rewards into the model, then
 	// persist it for the next start.
 	srv.Close()
-	if m.model != "" {
-		info, err := srv.Checkpoint(m.model)
+	if model != "" {
+		info, err := srv.Checkpoint(model)
 		if err != nil {
 			return fmt.Errorf("final snapshot: %w", err)
 		}
-		logg.Info("model persisted", "path", m.model, "bytes", info.Bytes, "walOffset", info.LSN)
+		logg.Info("model persisted", "path", model, "bytes", info.Bytes, "walOffset", info.LSN)
 	}
 	if journal != nil {
 		if err := journal.Close(); err != nil {
@@ -853,6 +805,11 @@ func (m *replayMode) validate(out string) error {
 
 func (m *replayMode) run() error {
 	rec, err := serve.Recover(wal.DirSource{Dir: m.walDir}, m.model, m.trainEvery, m.maxLog, 0)
+	if apiErr := (*api.Error)(nil); m.model == "" && errors.As(err, &apiErr) {
+		// Recover's one invalid_request: a journal compacted behind a
+		// checkpoint, whose snapshot alone covers the missing records.
+		return fmt.Errorf("%w; pass -model with the snapshot of the checkpoint that compacted it", err)
+	}
 	if err != nil {
 		return err
 	}

@@ -89,7 +89,7 @@ func TestParseBuildsEachMode(t *testing.T) {
 			nodeFlags: node, seed: 7,
 			templates: 24, bootstrapDays: 5, drift: true, driftCfg: drift.Config{Threshold: 6},
 			walDir: "d", walSync: "sync", walMode: wal.ModeSync, walSegMB: 64,
-			model: "d/model.snap", snapshotEvery: 5 * time.Minute,
+			snapshotEvery: 5 * time.Minute,
 		}},
 		{"follow http://p:1 -addr :1 -train-every 16", &followMode{
 			nodeFlags: node, replayFlags: replayFlags{trainEvery: 16}, primary: "http://p:1",
@@ -238,12 +238,15 @@ func TestExitCodes(t *testing.T) {
 func auditJournal(t *testing.T, segBytes int64) (dir, event string, watermark uint64) {
 	t.Helper()
 	dir = t.TempDir()
-	snap := filepath.Join(dir, "model.snap")
+	snap := filepath.Join(dir, serve.SnapshotFile)
 	j, err := wal.Open(wal.Options{Dir: dir, Mode: wal.ModeSync, SegmentBytes: segBytes})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := serve.New(serve.Config{Seed: 42, TrainEvery: 4, WAL: j, SnapshotPath: snap})
+	srv, _, err := serve.Open(serve.Config{Seed: 42, TrainEvery: 4, WAL: j})
+	if err != nil {
+		t.Fatal(err)
+	}
 	session := func(salt int) {
 		for i := 0; i < 6; i++ {
 			resp, err := srv.Rank(api.RankRequest{TemplateHash: api.TemplateHash(salt*100 + i), Span: []int{5, 21 + i}})
@@ -362,5 +365,24 @@ func TestAuditAsOfRejectsCompactedHistory(t *testing.T) {
 	}
 	if err := runQuiet(t, "audit", "asof", "-wal-dir", dir, "-train-every", "4", "-lsn", fmt.Sprint(watermark)); err != nil {
 		t.Fatalf("as-of at the checkpoint watermark %d: %v", watermark, err)
+	}
+}
+
+// TestReplayRefusesCompactedJournal: checkpoints compacted the start of
+// the journal, so a replay without the checkpoint's snapshot would
+// rebuild a model missing those records. It is refused with the remedy;
+// with -model the replay succeeds.
+func TestReplayRefusesCompactedJournal(t *testing.T) {
+	dir, _, _ := auditJournal(t, 512)
+	out := filepath.Join(t.TempDir(), "out.model")
+	err := runQuiet(t, "replay", out, "-wal-dir", dir, "-train-every", "4")
+	if err == nil || !strings.Contains(err.Error(), "compacted") || !strings.Contains(err.Error(), "-model") {
+		t.Fatalf("replay of a compacted journal without -model: err = %v, want the compacted-history error naming -model", err)
+	}
+	if _, statErr := os.Stat(out); !os.IsNotExist(statErr) {
+		t.Fatalf("refused replay wrote %s (stat: %v)", out, statErr)
+	}
+	if err := runQuiet(t, "replay", out, "-wal-dir", dir, "-train-every", "4", "-model", filepath.Join(dir, serve.SnapshotFile)); err != nil {
+		t.Fatalf("replay with the checkpoint snapshot: %v", err)
 	}
 }

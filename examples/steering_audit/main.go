@@ -61,7 +61,7 @@ func main() {
 	} else if err := os.MkdirAll(dir, 0o755); err != nil {
 		log.Fatal(err)
 	}
-	snap := filepath.Join(dir, "model.snap")
+	snap := filepath.Join(dir, serve.SnapshotFile)
 
 	j, err := wal.Open(wal.Options{Dir: dir, Mode: wal.ModeSync})
 	if err != nil {

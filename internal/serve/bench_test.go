@@ -75,7 +75,7 @@ func BenchmarkServeCachedHintDriftOn(b *testing.B) {
 	for i := 0; i < 64; i++ {
 		quarantined[uint64(i)+1] = drift.StateQuarantined // below 0x1000: disjoint from the hint hashes
 	}
-	srv.RestoreQuarantines(quarantined)
+	srv.guard.restore(quarantined)
 	benchCachedHintRank(b, srv, hints)
 }
 

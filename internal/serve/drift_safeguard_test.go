@@ -436,10 +436,10 @@ func TestCrashRecoveryQuarantineState(t *testing.T) {
 		}
 	}
 
-	// A restarted server (same hint table, restored quarantines)
+	// A restarted server (restored quarantines, then a hint table
+	// installed over the recovered one, as qoserved's -hints does)
 	// refuses the quarantined hints and serves the rest.
-	srv2 := New(Config{Catalog: r.cat, Seed: 42, TrainEvery: walTestTrainEvery, Bandit: rec.Service})
-	defer srv2.Close()
+	srv2, _ := r.restart(t, Config{Catalog: r.cat, Seed: 42, TrainEvery: walTestTrainEvery})
 	if _, err := srv2.InstallHints([]sis.Hint{
 		{TemplateHash: r.hintHash, TemplateID: "T0042", Flip: r.cat.FlipFor(40), Day: 7},
 		{TemplateHash: r.altHash, TemplateID: "T0043", Flip: r.cat.FlipFor(55), Day: 7},
@@ -447,7 +447,6 @@ func TestCrashRecoveryQuarantineState(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	srv2.RestoreQuarantines(rec.Quarantine)
 	for _, tc := range []struct {
 		hash uint64
 		want string

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"path/filepath"
 
 	"qoadvisor/internal/api"
 	"qoadvisor/internal/bandit"
@@ -131,7 +132,8 @@ func (r RecoverResult) Recovered() bool {
 // path of a WAL-backed server and the offline `qoserved replay` mode.
 // snapshotPath may be empty or name a file that does not exist yet
 // (first boot) — the journal is then replayed from the beginning into
-// a fresh learner built with DefaultConfig(seed). trainEvery and
+// a fresh learner built with DefaultConfig(seed). A nil src loads the
+// snapshot alone (an in-memory server's restart). trainEvery and
 // maxLogEvents must match the serving configuration (both with
 // Config's 0-default / negative-unbounded semantics) or replay would
 // train on different boundaries — or evict different events — than
@@ -146,7 +148,8 @@ func (r RecoverResult) Recovered() bool {
 // slightly different boundaries). A torn or corrupt journal tail —
 // the signature of a crash mid-append — is skipped cleanly and
 // reported in the result; damage before the tail fails loudly instead,
-// because that is data loss, not a crash artifact.
+// because that is data loss, not a crash artifact, and so does a
+// journal compacted past the snapshot's watermark (a missing snapshot).
 func Recover(src wal.Source, snapshotPath string, trainEvery, maxLogEvents int, seed int64) (RecoverResult, error) {
 	res, ap, err := recoverTo(src, snapshotPath, math.MaxUint64, trainEvery, maxLogEvents, seed)
 	if err == nil && res.Journal.Records > 0 {
@@ -157,6 +160,54 @@ func Recover(src wal.Source, snapshotPath string, trainEvery, maxLogEvents int, 
 		res.Replay = ap.ReplayStats()
 	}
 	return res, err
+}
+
+// SnapshotFile is the model snapshot's name beside the journal: where a
+// WAL-backed primary checkpoints when Config.SnapshotPath is empty.
+const SnapshotFile = "model.snap"
+
+// Open is the one way a primary starts from durable state. It rebuilds
+// the model from cfg.SnapshotPath plus the cfg.WAL suffix (Recover; the
+// snapshot path defaults to SnapshotFile in the journal's directory, and
+// without a WAL only the snapshot is loaded) and serves it when anything
+// was recovered — otherwise cfg.Bandit, or a fresh learner. The journaled
+// quarantine table (enforced whether or not cfg.Drift detects) and then
+// the hint table, at its journaled generation, are restored without
+// re-journaling, and with a WAL an initial checkpoint covers the served
+// state before the first request: a crash before the first periodic
+// checkpoint must not lose replayed or cfg.Bandit's pre-journal
+// training, and the checkpoint's re-journal carries both tables above
+// the new watermark.
+// The caller owns the WAL, as with New, and decides what to install over
+// the recovered hint table.
+func Open(cfg Config) (*Server, RecoverResult, error) {
+	var src wal.Source
+	if cfg.WAL != nil {
+		src = cfg.WAL
+		if cfg.SnapshotPath == "" {
+			cfg.SnapshotPath = filepath.Join(cfg.WAL.Dir(), SnapshotFile)
+		}
+	}
+	rec, err := Recover(src, cfg.SnapshotPath, cfg.TrainEvery, cfg.MaxLogEvents, cfg.Seed)
+	if err != nil {
+		return nil, rec, err
+	}
+	if rec.Recovered() {
+		cfg.Bandit = rec.Service
+	}
+	s := New(cfg)
+	// Unconditional: with no record journaled these install the empty
+	// tables a fresh server has, and a rollover to an EMPTY table comes
+	// back empty at its journaled generation.
+	s.guard.restore(rec.Quarantine)
+	s.restoreHints(rec.Hints, rec.HintGen)
+	if cfg.WAL != nil {
+		if _, err := s.Checkpoint(cfg.SnapshotPath); err != nil {
+			s.Close()
+			return nil, rec, fmt.Errorf("initial checkpoint: %w", err)
+		}
+	}
+	return s, rec, nil
 }
 
 // RecoverAsOf rebuilds what the model believed as of journal position
@@ -171,24 +222,19 @@ func Recover(src wal.Source, snapshotPath string, trainEvery, maxLogEvents int, 
 // replayed in-log. The parameters are Recover's; the seed is not among
 // them because replay never draws from the exploration rng.
 //
-// Reconstruction needs the records in (FromLSN, lsn] to still exist: if
-// compaction removed the start of that window the result would silently
-// miss them, so it is an invalid_request error instead (offline remedy:
-// a journal copy taken before the checkpoint).
+// Reconstruction needs the records in (FromLSN, lsn] to still exist;
+// recoverTo refuses a window whose start was compacted, and a bound past
+// FromLSN with nothing retained above it is the same error here
+// (offline remedy: a journal copy taken before the checkpoint).
 func RecoverAsOf(src wal.Source, snapshotPath string, lsn uint64, trainEvery, maxLogEvents int) (RecoverResult, error) {
 	res, _, err := recoverTo(src, snapshotPath, lsn, trainEvery, maxLogEvents, 0)
 	if err != nil {
 		return res, err
 	}
-	if first := res.Journal.First; lsn > res.FromLSN && first != res.FromLSN+1 {
-		if first == 0 {
-			return res, api.Errorf(api.CodeInvalidRequest,
-				"journal holds no record above LSN %d (compacted, or %d is past its end); reconstruction at %d needs records from %d",
-				res.FromLSN, lsn, lsn, res.FromLSN+1)
-		}
+	if lsn > res.FromLSN && res.Journal.Records == 0 {
 		return res, api.Errorf(api.CodeInvalidRequest,
-			"journal history before LSN %d is compacted; reconstruction at %d needs records from %d",
-			first, lsn, res.FromLSN+1)
+			"journal holds no record above LSN %d (compacted, or %d is past its end); reconstruction at %d needs records from %d",
+			res.FromLSN, lsn, lsn, res.FromLSN+1)
 	}
 	// A checkpoint records LastLSN at capture time even when the newest
 	// records are serve-owned; mirror that so the rendered header's wal=
@@ -203,8 +249,11 @@ var errAsOf = errors.New("serve: replay bound reached")
 // recoverTo is the one reconstruction behind Recover, RecoverAsOf and
 // through them every restart, offline replay and audit as-of: load the
 // snapshot unless its watermark is above upTo, then dispatch the
-// journal records in (watermark, upTo] into the learner. It hands back
-// the applier so Recover can run the tail flush.
+// journal records in (watermark, upTo] into the learner. A nil src
+// loads the snapshot alone. A journal whose retained records start
+// above watermark+1 is refused: compaction removed records the snapshot
+// does not cover, and rebuilding from what is left would silently lose
+// them. It hands back the applier so Recover can run the tail flush.
 func recoverTo(src wal.Source, snapshotPath string, upTo uint64, trainEvery, maxLogEvents int, seed int64) (RecoverResult, *Applier, error) {
 	var res RecoverResult
 	if snapshotPath != "" {
@@ -233,6 +282,9 @@ func recoverTo(src wal.Source, snapshotPath string, upTo uint64, trainEvery, max
 	res.Service.SetMaxLog(bandit.ServingMaxLog(maxLogEvents))
 
 	ap := NewApplier(res.Service, nil, nil, trainEvery)
+	if src == nil {
+		return res, ap, nil
+	}
 	info, err := src.Replay(res.FromLSN, func(lsn uint64, payload []byte) error {
 		if lsn > upTo {
 			return errAsOf
@@ -252,6 +304,11 @@ func recoverTo(src wal.Source, snapshotPath string, upTo uint64, trainEvery, max
 	res.Quarantine, res.QuarantineRecords = ap.Quarantine, ap.QuarantineRecords
 	if err != nil {
 		return res, ap, fmt.Errorf("replaying journal: %w", err)
+	}
+	if info.Records > 0 && info.First != res.FromLSN+1 {
+		return res, ap, api.Errorf(api.CodeInvalidRequest,
+			"journal history before LSN %d is compacted; reconstruction needs records from %d",
+			info.First, res.FromLSN+1)
 	}
 	return res, ap, nil
 }

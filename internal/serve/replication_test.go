@@ -96,9 +96,7 @@ func TestHintTableCrashRecovery(t *testing.T) {
 	}
 
 	// A restarted server restores the table and serves it.
-	srv2 := New(Config{Seed: 42, TrainEvery: walTestTrainEvery, Bandit: rec.Service})
-	defer srv2.Close()
-	srv2.RestoreHints(rec.Hints, rec.HintGen)
+	srv2, _ := r.restart(t, Config{Seed: 42, TrainEvery: walTestTrainEvery})
 	resp, err := srv2.Rank(api.RankRequest{TemplateHash: api.TemplateHash(hints2[3].TemplateHash), Span: []int{50}})
 	if err != nil {
 		t.Fatal(err)
@@ -548,7 +546,7 @@ func TestFollowerModeContract(t *testing.T) {
 	cat := rules.NewCatalog()
 	const leader = "http://primary.example:8080"
 	srv, ts := newTestServer(t, Config{Catalog: cat, Seed: 9, Follower: true, LeaderURL: leader})
-	srv.RestoreHints(testHints(cat, 3, 2), 7)
+	srv.restoreHints(testHints(cat, 3, 2), 7)
 
 	// Hint read path serves, with the restored generation.
 	hinted := rankOne(t, ts.URL, api.RankRequest{TemplateHash: 0x1001, Span: []int{45}})

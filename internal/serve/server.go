@@ -261,6 +261,10 @@ func (s *Server) journalErrors() int64 {
 // Cache returns the hint cache (for embedding and diagnostics).
 func (s *Server) Cache() *HintCache { return s.cache }
 
+// SnapshotPath is where the model checkpoints: Config.SnapshotPath, or
+// Open's default beside the journal.
+func (s *Server) SnapshotPath() string { return s.snapshotPath }
+
 // Bandit returns the served learner.
 func (s *Server) Bandit() *bandit.Service { return s.bandit }
 
@@ -301,10 +305,10 @@ func (s *Server) InstallHints(hints []sis.Hint) (uint64, error) {
 	return gen, nil
 }
 
-// RestoreHints installs a recovered hint table at its journaled
-// generation without re-journaling — the crash-recovery path (the
+// restoreHints installs a recovered hint table at its journaled
+// generation without re-journaling — Open's crash-recovery path (the
 // record that produced it is already in the log).
-func (s *Server) RestoreHints(hints []sis.Hint, gen uint64) {
+func (s *Server) restoreHints(hints []sis.Hint, gen uint64) {
 	s.rolloverMu.Lock()
 	s.cache.Restore(hints, gen)
 	s.rolloverMu.Unlock()
@@ -333,14 +337,6 @@ func (s *Server) journalHints() error {
 // replication tailer passes it to its Applier so replicated
 // RecQuarantine records take effect on the serving path.
 func (s *Server) QuarantineTable() *drift.Table { return s.guard.table }
-
-// RestoreQuarantines seeds the safeguard from recovered journal state
-// without re-journaling — the crash-recovery path, symmetric with
-// RestoreHints. On a detecting primary the detector's state machine is
-// seeded too (statistics start fresh; only state is durable).
-func (s *Server) RestoreQuarantines(states map[uint64]drift.State) {
-	s.guard.restore(states)
-}
 
 // ObserveReward feeds one template-attributed reward to the drift
 // detector and commits (journal-first) any transition it triggers. A

@@ -130,6 +130,42 @@ func (r *walTestRig) recoverBytes(t *testing.T, seed int64) ([]byte, RecoverResu
 	return buf.Bytes(), rec
 }
 
+// restart is a crashed primary's reboot: it syncs the rig's journal,
+// copies its directory as it stands and starts a primary on the copy
+// through Open, leaving the live rig untouched.
+func (r *walTestRig) restart(t *testing.T, cfg Config) (*Server, RecoverResult) {
+	t.Helper()
+	if err := r.j.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	entries, err := os.ReadDir(r.dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(r.dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, e.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	j, err := wal.Open(wal.Options{Dir: dir, Mode: wal.ModeSync})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { j.Close() })
+	cfg.WAL = j
+	srv, rec, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	return srv, rec
+}
+
 // TestCrashRecoveryEquivalence is the acceptance core: a model rebuilt
 // from snapshot + WAL suffix must be byte-identical to the live
 // model's Save output, through the real HTTP serving path — including
@@ -274,8 +310,14 @@ func TestCrashRecoveryTornTail(t *testing.T) {
 	if j2.LastLSN() != lastGood {
 		t.Fatalf("reopened journal at LSN %d, recovery ended at %d", j2.LastLSN(), lastGood)
 	}
-	srv2 := New(Config{Seed: 7, TrainEvery: walTestTrainEvery, WAL: j2, Bandit: rec.Service})
+	srv2, rec2, err := Open(Config{Seed: 7, TrainEvery: walTestTrainEvery, WAL: j2})
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer srv2.Close()
+	if !rec2.SnapshotLoaded || rec2.Journal.Truncated {
+		t.Fatalf("restart did not resume from the snapshot over the cut journal: %+v", rec2)
+	}
 	resp, err := srv2.Rank(api.RankRequest{TemplateHash: 99, Span: []int{5, 80}})
 	if err != nil || resp.EventID == "" {
 		t.Fatalf("recovered server cannot rank: %+v %v", resp, err)
