@@ -11,20 +11,24 @@ import (
 	"qoadvisor/internal/workload"
 )
 
-// runDayAllocCeiling is TestRunDayAllocBudget's: measured (89.1, go1.24)
+// runDayAllocCeiling is TestRunDayAllocBudget's: measured (69.6, go1.24)
 // + 5 %. The same days cost 954.6 per job while every recurrence was
 // instantiated, rewritten and lowered from scratch through per-call maps,
 // 256.4 while every (template, date) was parsed and compiled from its
 // substituted source and every rewrite deep-copied its input's payloads,
-// and 86.3 while production's rewrites went into one memo per day rather
-// than one per instance, which the pipeline then reuses.
-const runDayAllocCeiling = 94
+// 86.3 while production's rewrites went into one memo per day rather
+// than one per instance, which the pipeline then reuses, and 89.1 while
+// Graph.Clone allocated each node and each Inputs on its own and a
+// compilation's signature and estimation environment escaped to the heap.
+const runDayAllocCeiling = 74
 
-// retainedHeapCeilingMB is TestOfflineLegRetainedHeap's: measured (6.49
-// MB, go1.24, 6.48–6.52 at GOMAXPROCS 1–4) + 10 %. The same days retained
+// retainedHeapCeilingMB is TestOfflineLegRetainedHeap's: measured (6.07
+// MB, go1.24, 6.06–6.09 at GOMAXPROCS 1–4) + 10 %. The same days retained
 // 14.28 MB while the advisor kept every rewrite for the life of the process
-// and the generator every (template, date) graph up to 4,096 of them.
-const retainedHeapCeilingMB = 7.1
+// and the generator every (template, date) graph up to 4,096 of them, and
+// 6.49 MB while every configuration of an instance kept a rewrite of its
+// own.
+const retainedHeapCeilingMB = 6.7
 
 // TestRunDayAllocBudget gates what one production job allocates end to
 // end — instantiated, compiled under the store's hints, executed, turned

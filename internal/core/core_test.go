@@ -723,7 +723,9 @@ func TestAdvisorHintsSurviveAcrossDays(t *testing.T) {
 // TestRunDaysRewriteEachInstanceConfigOnce: production and the pipeline
 // compile a day's jobs through their instance's one rewrite memo, so over
 // Production.RunDay then Advisor.RunDay each (instance, configuration) is
-// rewritten once, and the pipeline reuses the rewrites production made.
+// rewritten at most once — less when a rewrite under another
+// configuration certifies it — and the pipeline reuses the rewrites
+// production made.
 func TestRunDaysRewriteEachInstanceConfigOnce(t *testing.T) {
 	cat := rules.NewCatalog()
 	gen := testWorkload(t, 12)
@@ -734,6 +736,7 @@ func TestRunDaysRewriteEachInstanceConfigOnce(t *testing.T) {
 		Flighting:            flighting.Config{Catalog: cat, Seed: 2},
 	})
 	prod := NewProduction(cat, store, exec.DefaultCluster(1), 3)
+	certified := false
 	for day := 1; day <= 3; day++ {
 		jobs, err := gen.JobsForDay(day)
 		if err != nil {
@@ -766,10 +769,15 @@ func TestRunDaysRewriteEachInstanceConfigOnce(t *testing.T) {
 			t.Errorf("day %d: the pipeline reused none of production's rewrites", day)
 		}
 		for m := range memos {
-			if st := m.Stats(); st.Misses != uint64(st.Size) {
+			st := m.Stats()
+			if st.Misses > uint64(st.Size) {
 				t.Errorf("day %d: an instance rewrote %d times for %d configurations", day, st.Misses, st.Size)
 			}
+			certified = certified || st.Misses < uint64(st.Size)
 		}
+	}
+	if !certified {
+		t.Error("no instance reused a rewrite under another configuration")
 	}
 }
 

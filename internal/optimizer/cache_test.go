@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"qoadvisor/internal/rules"
+	"qoadvisor/internal/scope"
 )
 
 // flipConfigs returns the default config plus every single-rule flip over
@@ -63,8 +64,29 @@ func TestCachedOptimizeMatchesUncached(t *testing.T) {
 	}
 }
 
-// TestCompileCacheHitCounts checks the lookup accounting: one miss per
-// distinct (graph, config), hits afterwards.
+// tuningConfigs returns n configurations that differ from the default in
+// two tuning rules each. Only lowering asks about tuning rules, so every
+// one of them certifies the default's rewrite; two flips rather than one
+// keep Optimize's single-flip rejection from answering before the cache.
+func tuningConfigs(cat *rules.Catalog, n int) []rules.Config {
+	def := cat.DefaultConfig()
+	var tuning []rules.Rule
+	for _, r := range cat.All() {
+		if r.Kind >= rules.KindTunePartitionCount {
+			tuning = append(tuning, r)
+		}
+	}
+	var out []rules.Config
+	for i := 0; len(out) < n; i++ {
+		a, b := tuning[i%len(tuning)], tuning[(i+1)%len(tuning)]
+		out = append(out, def.WithFlip(cat.FlipFor(a.ID)).WithFlip(cat.FlipFor(b.ID)))
+	}
+	return out
+}
+
+// TestCompileCacheHitCounts checks the lookup accounting: a miss is a
+// rewrite run, one per (graph, certificate); a hit is any lookup that
+// reuses one, by exact key or by certificate.
 func TestCompileCacheHitCounts(t *testing.T) {
 	g := compileTestGraph(t, testScript)
 	cat := rules.NewCatalog()
@@ -80,8 +102,14 @@ func TestCompileCacheHitCounts(t *testing.T) {
 	if st := cache.Stats(); st.Misses != 1 || st.Hits != 2 {
 		t.Errorf("stats = %+v, want 1 miss / 2 hits", st)
 	}
+	// A configuration the rewrite never asked about is a new key but no
+	// new rewrite.
+	Optimize(g, tuningConfigs(cat, 1)[0], opts) // lowering may fail; the lookup counts
+	if st := cache.Stats(); st.Misses != 1 || st.Hits != 3 || st.Size != 2 {
+		t.Errorf("stats = %+v, want 1 miss / 3 hits over 2 keys", st)
+	}
 	// A second graph of the same script is a distinct key: the cache is
-	// identity-keyed, not content-keyed.
+	// identity-keyed, not content-keyed, and so are its certificates.
 	g2 := compileTestGraph(t, testScript)
 	if _, err := Optimize(g2, def, opts); err != nil {
 		t.Fatal(err)
@@ -91,25 +119,46 @@ func TestCompileCacheHitCounts(t *testing.T) {
 	}
 }
 
-// TestCompileCacheEviction checks capacity-driven invalidation.
+// TestCompileCacheEviction checks capacity-driven invalidation at both
+// levels.
 func TestCompileCacheEviction(t *testing.T) {
-	g := compileTestGraph(t, testScript)
 	cat := rules.NewCatalog()
-	cache := NewCompileCache()
-	opts := Options{Catalog: cat, Stats: testStats(), Cache: cache}
+	stats := testStats()
+	def := cat.DefaultConfig()
 
-	cfgs := flipConfigs(cat, 3*compileCacheSize)
-	for _, cfg := range cfgs {
-		Optimize(g, cfg, opts) // some flips legitimately fail to compile
+	// Exact keys: compileCacheSize certified configurations push the
+	// default's key out, and the default is then served by its
+	// certificate, not rewritten.
+	g := compileTestGraph(t, testScript)
+	cache := NewCompileCache()
+	opts := Options{Catalog: cat, Stats: stats, Cache: cache}
+	Optimize(g, def, opts)
+	for _, cfg := range tuningConfigs(cat, compileCacheSize) {
+		Optimize(g, cfg, opts)
 	}
-	if st := cache.Stats(); st.Misses <= compileCacheSize || st.Size > compileCacheSize {
-		t.Errorf("%d misses left %d entries; want more than %d misses and at most that many entries", st.Misses, st.Size, compileCacheSize)
+	if st := cache.Stats(); st.Misses != 1 || st.Size != compileCacheSize {
+		t.Errorf("stats = %+v, want 1 miss and %d entries", st, compileCacheSize)
 	}
-	// The oldest config was evicted; compiling it again is a miss.
-	before := cache.Stats().Misses
-	Optimize(g, cfgs[0], opts)
-	if got := cache.Stats().Misses; got != before+1 {
-		t.Errorf("evicted config should recompile as a miss: %d -> %d", before, got)
+	Optimize(g, def, opts)
+	if st := cache.Stats(); st.Misses != 1 {
+		t.Errorf("an evicted key with a live certificate rewrote: %+v", st)
+	}
+
+	// Certificates: one graph more than the cap, each rewritten once,
+	// evicts the first graph's key and certificate, so it rewrites again.
+	cache = NewCompileCache()
+	opts.Cache = cache
+	graphs := make([]*scope.Graph, compileCacheSize+1)
+	for i := range graphs {
+		graphs[i] = compileTestGraph(t, testScript)
+		Optimize(graphs[i], def, opts)
+	}
+	if st := cache.Stats(); st.Misses != uint64(len(graphs)) || st.Size > compileCacheSize || len(cache.certs) != compileCacheSize {
+		t.Errorf("stats = %+v with %d certificates, want %d misses and at most %d of each", st, len(cache.certs), len(graphs), compileCacheSize)
+	}
+	Optimize(graphs[0], def, opts)
+	if got := cache.Stats().Misses; got != uint64(len(graphs))+1 {
+		t.Errorf("an evicted graph should rewrite again: %d misses", got)
 	}
 }
 

@@ -1,6 +1,9 @@
 package optimizer
 
 import (
+	"slices"
+	"testing"
+
 	"qoadvisor/internal/rules"
 	"qoadvisor/internal/scope"
 )
@@ -16,7 +19,7 @@ var Gate = gate
 // It skips Optimize's up-front rejections, so compare only configurations
 // Optimize accepts.
 func OptimizeTuningByRule(g *scope.Graph, cfg rules.Config, opts Options) (*Result, error) {
-	work, sig, err := rewriteLogical(g, cfg, opts.Catalog, opts.Stats)
+	work, sig, _, err := rewriteLogical(g, cfg, opts.Catalog, opts.Stats)
 	if err != nil {
 		return nil, err
 	}
@@ -54,4 +57,61 @@ func OptimizeTuningByRule(g *scope.Graph, cfg rules.Config, opts Options) (*Resu
 	b.assignStages()
 	b.computeCost()
 	return &Result{Plan: b.plan, Logical: work, Signature: sig, EstCost: b.plan.EstCost}, nil
+}
+
+// TestPooledRewriterPinsNothing: a rewriter goes back to rewriterPool
+// holding no pointer into the compilation it served — no graph, no
+// *scope.Node or expression in any scratch slot up to its capacity, no
+// statistics — so a pooled rewriter never keeps a rewrite's working slab
+// alive. The pool may hand out a fresh rewriter instead (the race detector
+// drops pooled items at random), so the check repeats until it has seen a
+// used one.
+func TestPooledRewriterPinsNothing(t *testing.T) {
+	g := compileTestGraph(t, testScript)
+	opts := Options{Stats: testStats()}
+	def := canonicalCatalog().DefaultConfig()
+	for try := 0; try < 50; try++ {
+		if _, err := Optimize(g, def, opts); err != nil {
+			t.Fatal(err)
+		}
+		rw := rewriterPool.Get().(*rewriter)
+		used := cap(rw.nodes) > 0
+		if used {
+			for _, pin := range rewriterPins(rw) {
+				t.Errorf("pooled rewriter holds %s", pin)
+			}
+		}
+		rewriterPool.Put(rw)
+		if used {
+			return
+		}
+	}
+	t.Skip("the pool never returned a used rewriter")
+}
+
+// rewriterPins lists what rw points at of a compilation.
+func rewriterPins(rw *rewriter) []string {
+	var pins []string
+	pin := func(held bool, what string) {
+		if held {
+			pins = append(pins, what)
+		}
+	}
+	pin(rw.g != nil, "its graph")
+	pin(rw.cat != nil || rw.ruleTable.sig != nil, "its rule table")
+	pin(rw.stats != nil || rw.env != nil || rw.estimation.Stats != nil, "its statistics")
+	pin(rw.est.env != nil || rw.est.stats != nil, "its cardinality environment")
+	pin(slices.ContainsFunc(rw.nodes[:cap(rw.nodes)], notNil), "a node in nodes")
+	for _, ps := range rw.parents[:cap(rw.parents)] {
+		pin(slices.ContainsFunc(ps[:cap(ps)], notNil), "a node in parents")
+	}
+	pin(slices.ContainsFunc(rw.refs[:cap(rw.refs)], notNil), "a column reference in refs")
+	pin(slices.ContainsFunc(rw.conj[:cap(rw.conj)], notNil), "an expression in conj")
+	pin(slices.ContainsFunc(rw.est.conj[:cap(rw.est.conj)], notNil), "an expression in est.conj")
+	return pins
+}
+
+func notNil[T comparable](x T) bool {
+	var zero T
+	return x != zero
 }

@@ -85,7 +85,9 @@ OUTPUT ro TO "out/ro.tsv";`,
 // Nothing may panic; every identity of the compiled and of the rewritten
 // graphs equals the fmt-based reference; the needed-columns analysis
 // equals the map-based reference; Optimize returns a plan or a
-// *CompileFailure and leaves the compiled graph as it found it.
+// *CompileFailure and leaves the compiled graph as it found it; and both
+// configurations compiled through one cache, the second possibly by the
+// first's reuse certificate, equal their uncached compilations.
 func FuzzCompileOptimize(f *testing.F) {
 	for _, s := range seedScripts {
 		f.Add(s)
@@ -118,6 +120,7 @@ func FuzzCompileOptimize(f *testing.F) {
 			}
 			checkIdentity(t, "rewritten", res.Logical)
 		}
+		checkCertifiedCompile(t, g, configs)
 	})
 }
 

@@ -24,6 +24,12 @@ type implBuilder struct {
 	est    cardEngine
 	tokens int
 
+	// sig and estimation back table.sig and est's environment in
+	// lowerPlan, so that a compilation's signature and environment live in
+	// the pool rather than on the heap.
+	sig        rules.Signature
+	estimation EstimationEnv
+
 	plan *Plan
 	memo []*PhysNode // by logical node ID: the node's lowering
 
@@ -35,17 +41,21 @@ type implBuilder struct {
 
 var implPool = sync.Pool{New: func() any { return new(implBuilder) }}
 
-// lowerPlan lowers g, which it only reads, on a pooled builder.
-func lowerPlan(g *scope.Graph, cfg rules.Config, cat *rules.Catalog, sig *rules.Signature, stats StatsProvider, env Environment, tokens int) (*Plan, error) {
+// lowerPlan lowers g, which it only reads, on a pooled builder under the
+// optimizer's estimation environment. It returns sig with the rules the
+// lowering fired added.
+func lowerPlan(g *scope.Graph, cfg rules.Config, cat *rules.Catalog, sig rules.Signature, stats StatsProvider, tokens int) (*Plan, rules.Signature, error) {
 	b := implPool.Get().(*implBuilder)
-	b.init(g, cfg, cat, sig, stats, env, tokens)
+	b.sig, b.estimation = sig, EstimationEnv{Stats: stats}
+	b.init(g, cfg, cat, &b.sig, stats, &b.estimation, tokens)
 	plan, err := b.build(g)
+	sig = b.sig
 	// Drop what points into the caller's world before pooling.
-	b.table, b.plan = ruleTable{}, nil
+	b.table, b.plan, b.estimation = ruleTable{}, nil, EstimationEnv{}
 	b.est.reset(nil, nil, 0)
 	clear(b.memo)
 	implPool.Put(b)
-	return plan, err
+	return plan, sig, err
 }
 
 // init readies b, new or pooled, to lower g.

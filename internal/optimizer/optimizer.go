@@ -19,10 +19,12 @@ type Options struct {
 	// (the SCOPE "token" allocation). Zero means DefaultTokens.
 	Tokens int
 	// Cache, when non-nil, memoizes the logical phase (rewrite fixpoint +
-	// experimental-validity check) per (input graph, rule configuration).
-	// Physical lowering always re-runs, so cached and uncached compilation
-	// produce identical Results. A cache belongs to one job instance and
-	// comes with its Stats from (*workload.Job).CompileOptions.
+	// experimental-validity check) of the input graph, reusing a rewrite
+	// under every configuration that provably rewrites the same way (see
+	// CompileCache). Physical lowering always re-runs, so cached and
+	// uncached compilation produce identical Results. A cache belongs to
+	// one job instance and comes with its Stats from
+	// (*workload.Job).CompileOptions.
 	Cache *CompileCache
 }
 
@@ -60,11 +62,12 @@ var canonicalCatalog = sync.OnceValue(rules.NewCatalog)
 
 // Optimize compiles the logical DAG under the given rule configuration.
 // The input graph is never mutated: all rewrites run on a clone. When
-// opts.Cache is set, the rewritten logical DAG is reused across calls
-// with the same (graph, configuration); the physical lowering phase
-// (implBuilder) treats logical nodes as strictly read-only — a guarantee
-// exercised under -race by TestCachedLogicalGraphSharedLoweringRace —
-// so a cached clone can be lowered concurrently by many goroutines.
+// opts.Cache is set, the rewritten logical DAG is reused across calls on
+// the same graph under every configuration it certifies; the physical
+// lowering phase (implBuilder) treats logical nodes as strictly
+// read-only — a guarantee exercised under -race by
+// TestCachedLogicalGraphSharedLoweringRace — so a cached clone can be
+// lowered concurrently by many goroutines.
 func Optimize(g *scope.Graph, cfg rules.Config, opts Options) (*Result, error) {
 	cat := opts.Catalog
 	if cat == nil {
@@ -80,10 +83,13 @@ func Optimize(g *scope.Graph, cfg rules.Config, opts Options) (*Result, error) {
 	// deterministic "unsupported rule combination" rejections on a slice
 	// of plan shapes, modelling the recompilation failures the paper
 	// counts in Table 3 (13.9%-18% of flips).
-	if flips := cfg.DiffFrom(cat.DefaultConfig()); len(flips) == 1 {
-		h := g.TemplateHash() ^ (uint64(flips[0].RuleID+1) * 0x9e3779b97f4a7c15)
+	def := cat.DefaultConfig()
+	if on, off := cfg.Minus(def.Bitset), def.Minus(cfg.Bitset); on.Count()+off.Count() == 1 {
+		var buf [1]int
+		id := on.Union(off).AppendBits(buf[:0])[0]
+		h := g.TemplateHash() ^ (uint64(id+1) * 0x9e3779b97f4a7c15)
 		if h%6 == 3 {
-			r := cat.Rule(flips[0].RuleID)
+			r := cat.Rule(id)
 			return nil, &CompileFailure{Reason: fmt.Sprintf("unsupported rule combination: flipping %s (R%03d) on this plan shape", r.Name, r.ID)}
 		}
 	}
@@ -94,7 +100,7 @@ func Optimize(g *scope.Graph, cfg rules.Config, opts Options) (*Result, error) {
 	if opts.Cache != nil {
 		work, sig, err = opts.Cache.logical(g, cfg, cat, opts.Stats)
 	} else {
-		work, sig, err = rewriteLogical(g, cfg, cat, opts.Stats)
+		work, sig, _, err = rewriteLogical(g, cfg, cat, opts.Stats)
 	}
 	if err != nil {
 		return nil, err
@@ -104,39 +110,53 @@ func Optimize(g *scope.Graph, cfg rules.Config, opts Options) (*Result, error) {
 	if tokens <= 0 {
 		tokens = DefaultTokens
 	}
-	plan, err := lowerPlan(work, cfg, cat, &sig, opts.Stats, &EstimationEnv{Stats: opts.Stats}, tokens)
+	plan, sig, err := lowerPlan(work, cfg, cat, sig, opts.Stats, tokens)
 	if err != nil {
 		return nil, err
 	}
 	return &Result{Plan: plan, Logical: work, Signature: sig, EstCost: plan.EstCost}, nil
 }
 
-// rewriteLogical runs the logical phase of a compilation: clone the input
-// DAG, apply the enabled rewrites to fixpoint, and run the experimental
-// validity check. The returned graph is final — nothing downstream (the
-// implBuilder, the execution simulator, view building) mutates logical
-// nodes, which is what makes the result cacheable and shareable.
-func rewriteLogical(g *scope.Graph, cfg rules.Config, cat *rules.Catalog, stats StatsProvider) (*scope.Graph, rules.Signature, error) {
-	var sig rules.Signature
+// rewriteLogical runs the logical phase of a compilation on a pooled
+// rewriter: clone the input DAG, apply the enabled rewrites to fixpoint,
+// compact the result and run the experimental validity check. The
+// returned graph is final — nothing downstream (the implBuilder, the
+// execution simulator, view building) mutates logical nodes, which is
+// what makes the result cacheable and shareable.
+//
+// asked is the set of rules whose setting the phase read: every rule
+// ruleTable.pick answered for, the fired ones among them. The rewrite
+// reads cfg nowhere else, so its graph, signature and error are a function
+// of g, stats and cfg ∩ asked — the certificate CompileCache reuses it by.
+func rewriteLogical(g *scope.Graph, cfg rules.Config, cat *rules.Catalog, stats StatsProvider) (work *scope.Graph, sig rules.Signature, asked rules.Bitset, err error) {
+	rw := rewriterPool.Get().(*rewriter)
+	rw.sig = rules.Signature{}
 	for _, r := range cat.Rules(rules.Required) {
-		sig.Record(r.ID) // normalization always runs
+		rw.sig.Record(r.ID) // normalization always runs
 	}
-	env := &EstimationEnv{Stats: stats}
-	work := g.Clone()
-	rewrite(work, cfg, cat, &sig, stats, env)
-	if err := checkExperimentalValidity(work, cfg, cat, &sig); err != nil {
-		return nil, sig, err
+	rw.estimation = EstimationEnv{Stats: stats}
+	rw.ruleTable = ruleTable{cat: cat, cfg: cfg, sig: &rw.sig}
+	rw.g, rw.stats, rw.env = g.Clone(), stats, &rw.estimation
+	rw.noMerge = rw.noMerge[:0]
+	rw.run()
+	// The working clone's slab still holds every node the rewrite
+	// disconnected; what the caller keeps is a copy of the reachable DAG.
+	work, sig, asked = rw.g.Clone(), rw.sig, rw.asked
+	rw.release()
+	if err := checkExperimentalValidity(work, cfg, cat, sig); err != nil {
+		return nil, sig, asked, err
 	}
-	return work, sig, nil
+	return work, sig, asked, nil
 }
 
 // checkExperimentalValidity models the riskiness of off-by-default rules:
 // experimental rewrites occasionally produce plans the engine rejects.
 // The failure is deterministic per (rule, site) so that recompilation of
-// the same job under the same configuration is reproducible.
-func checkExperimentalValidity(g *scope.Graph, cfg rules.Config, cat *rules.Catalog, sig *rules.Signature) error {
+// the same job under the same configuration is reproducible. It reads cfg
+// only for rules that fired, which the rewrite asked about.
+func checkExperimentalValidity(g *scope.Graph, cfg rules.Config, cat *rules.Catalog, sig rules.Signature) error {
 	for _, r := range cat.Rules(rules.OffByDefault) {
-		if !cfg.Enabled(r.ID) || !sig.Fired(r.ID) {
+		if !sig.Fired(r.ID) || !cfg.Enabled(r.ID) {
 			continue
 		}
 		// A fired experimental rule fails validation on a deterministic
@@ -152,10 +172,12 @@ func checkExperimentalValidity(g *scope.Graph, cfg rules.Config, cat *rules.Cata
 // ruleTable is the rule-selection helper the rewriter and the implBuilder
 // share: sibling variants of a kind partition operator sites by gate hash,
 // so exactly one catalog rule is responsible for a given (kind, site) pair.
+// It is the only reader of cfg, and asked records what it read.
 type ruleTable struct {
-	cat *rules.Catalog
-	cfg rules.Config
-	sig *rules.Signature
+	cat   *rules.Catalog
+	cfg   rules.Config
+	sig   *rules.Signature
+	asked rules.Bitset // the rules pick answered for
 }
 
 // pick returns the rule responsible for (kind, gate) and whether it is
@@ -166,11 +188,15 @@ func (t *ruleTable) pick(kind rules.Kind, gate uint64) (rules.Rule, bool) {
 		return rules.Rule{}, false
 	}
 	r := rs[gate%uint64(len(rs))]
+	t.asked.Set(r.ID)
 	return r, t.cfg.Enabled(r.ID)
 }
 
-// fire records a firing.
-func (t *ruleTable) fire(r rules.Rule) { t.sig.Record(r.ID) }
+// fire records a firing; a fired rule counts as asked.
+func (t *ruleTable) fire(r rules.Rule) {
+	t.sig.Record(r.ID)
+	t.asked.Set(r.ID)
+}
 
 // Recardinalize recomputes per-node row counts of a physical plan under a
 // different cardinality environment (typically the execution simulator's

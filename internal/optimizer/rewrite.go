@@ -24,6 +24,12 @@ type rewriter struct {
 	env   Environment
 	est   cardEngine
 
+	// sig and estimation back ruleTable.sig and env in rewriteLogical, so
+	// that a compilation's signature and environment live in the pool
+	// rather than on the heap.
+	sig        rules.Signature
+	estimation EstimationEnv
+
 	// nodes is the DAG in topological order (inputs before consumers) and
 	// parents[id] the consumers of node id, both as of the last refresh;
 	// seen is the walk's marks.
@@ -42,18 +48,25 @@ type rewriter struct {
 
 var rewriterPool = sync.Pool{New: func() any { return new(rewriter) }}
 
-// rewrite runs a pooled rewriter over g, a graph the caller owns.
-func rewrite(g *scope.Graph, cfg rules.Config, cat *rules.Catalog, sig *rules.Signature, stats StatsProvider, env Environment) {
-	rw := rewriterPool.Get().(*rewriter)
-	rw.ruleTable = ruleTable{cat: cat, cfg: cfg, sig: sig}
-	rw.g, rw.stats, rw.env = g, stats, env
-	rw.noMerge = rw.noMerge[:0]
-	rw.run()
-	// Drop what points into the caller's world before pooling.
+// release drops everything that points into the caller's world — the
+// graph, and every pointer slot of the scratch, up to its capacity — and
+// pools rw. The scratch keeps its capacity.
+func (rw *rewriter) release() {
 	rw.ruleTable, rw.g, rw.stats, rw.env = ruleTable{}, nil, nil, nil
+	rw.estimation = EstimationEnv{}
 	rw.est.reset(nil, nil, 0)
+	clearCap(rw.est.conj)
+	clearCap(rw.nodes)
+	for _, ps := range rw.parents[:cap(rw.parents)] {
+		clearCap(ps)
+	}
+	clearCap(rw.refs)
+	clearCap(rw.conj)
 	rewriterPool.Put(rw)
 }
+
+// clearCap zeroes s up to its capacity.
+func clearCap[T any](s []T) { clear(s[:cap(s)]) }
 
 // gate returns the stable gating hash of a node: FNV-1a of its site key
 // when it has one (stable across rewrites), else its structural

@@ -1,6 +1,7 @@
 package scope
 
 import (
+	"fmt"
 	"reflect"
 	"slices"
 	"strings"
@@ -431,6 +432,66 @@ func TestCloneDoesNotAlias(t *testing.T) {
 	}
 	if !slices.Equal(after, projs) {
 		t.Errorf("rewriting the clone's projections changed the source's: %v, was %v", after, projs)
+	}
+}
+
+// TestCloneSlabAppendsStayOwn: a clone's nodes, their Inputs, its Roots
+// and their Projs are subslices of shared slabs, so appending to one node's
+// Inputs or Projs must reallocate it rather than write into the slot of
+// the node beside it. Each append is checked against a rendering of every
+// other node and of the roots taken just before it.
+func TestCloneSlabAppendsStayOwn(t *testing.T) {
+	g := mustCompile(t, `
+a = EXTRACT k:int, v:int FROM "a.tsv";
+b = EXTRACT k:int, w:int FROM "b.tsv";
+p = SELECT k, v + 1 AS v1, v * 2 AS v2 FROM a;
+q = SELECT k, w - 1 AS w1 FROM b;
+j = SELECT p.k, v1, w1 FROM p JOIN q ON p.k == q.k;
+u = p UNION ALL p;
+OUTPUT j TO "j.tsv";
+OUTPUT u TO "u.tsv";`)
+	clone := g.Clone()
+	nodes := clone.Nodes()
+	render := func(skip *Node) string {
+		var sb strings.Builder
+		for _, r := range clone.Roots {
+			fmt.Fprintf(&sb, "root #%d\n", r.ID)
+		}
+		for _, n := range nodes {
+			if n == skip {
+				continue
+			}
+			fmt.Fprintf(&sb, "#%d in[", n.ID)
+			for _, in := range n.Inputs {
+				fmt.Fprintf(&sb, "%p ", in)
+			}
+			sb.WriteString("] projs[")
+			for _, p := range n.Projs {
+				fmt.Fprintf(&sb, "%s=%p ", p.Name, p.E)
+			}
+			sb.WriteString("]\n")
+		}
+		return sb.String()
+	}
+	extra := clone.NewNode(OpScan)
+	for _, n := range nodes {
+		if cap(n.Inputs) != len(n.Inputs) || cap(n.Projs) != len(n.Projs) {
+			t.Fatalf("node #%d: Inputs or Projs not capped at its length", n.ID)
+		}
+		others := render(n)
+		n.Inputs = append(n.Inputs, extra)
+		n.Projs = append(n.Projs, NamedExpr{Name: "appended", E: &ColRef{Name: "appended"}})
+		if after := render(n); after != others {
+			t.Fatalf("appending to node #%d changed another node or a root:\n%s\nwas\n%s", n.ID, after, others)
+		}
+	}
+	if cap(clone.Roots) != len(clone.Roots) {
+		t.Error("Roots not capped at its length")
+	}
+	for _, n := range nodes {
+		if n.Inputs[len(n.Inputs)-1] != extra || n.Projs[len(n.Projs)-1].Name != "appended" {
+			t.Errorf("node #%d lost its own append", n.ID)
+		}
 	}
 }
 

@@ -279,26 +279,46 @@ func (g *Graph) NodeCount() int { return len(g.Nodes()) }
 // shared with g and read-only. A rewrite replaces such a slice, never
 // writes through it.
 //
-// Each node and each Inputs is its own allocation — not a slice of a slab
-// shared by the clone. The optimizer caches rewritten clones, and a
-// rewrite disconnects nodes: a slab would keep every one of them, and
-// whatever their Inputs slots still point at, alive for as long as the
-// cache holds the graph.
+// The copy lives in three slabs: the reachable nodes in one []Node, every
+// Inputs and the Roots in one []*Node, every Projs in one []NamedExpr. Each
+// node's slices are capped subslices of those, so appending to one
+// reallocates it rather than writing over a neighbour's. A slab lives as
+// long as any node in it: the nodes a rewrite disconnects stay allocated
+// until the whole clone is dropped, so a graph that outlives its rewrite
+// should be cloned again, which copies only what is still reachable.
 func (g *Graph) Clone() *Graph {
-	mapping := make([]*Node, g.nextID) // by ID: original -> copy
-	for _, n := range g.Nodes() {      // inputs first, so they are mapped
-		c := new(Node)
+	// Graphs of up to cloneStack IDs walk and map on the stack.
+	const cloneStack = 128
+	var seenBuf [cloneStack]bool
+	var orderBuf, mappingBuf [cloneStack]*Node
+	seen, mapping := seenBuf[:], mappingBuf[:] // mapping: by ID, original -> copy
+	if g.nextID > cloneStack {
+		seen, mapping = make([]bool, g.nextID), make([]*Node, g.nextID)
+	}
+	order := g.AppendNodes(orderBuf[:0], seen) // inputs first, so they are mapped
+
+	nptrs, nprojs := len(g.Roots), 0
+	for _, n := range order {
+		nptrs += len(n.Inputs)
+		nprojs += len(n.Projs)
+	}
+	nodes := make([]Node, len(order))
+	ptrs := make([]*Node, nptrs)
+	projs := make([]NamedExpr, nprojs)
+	for i, n := range order {
+		c := &nodes[i]
 		*c = *n
-		c.Inputs = make([]*Node, len(n.Inputs))
-		for i, in := range n.Inputs {
-			c.Inputs[i] = mapping[in.ID]
+		c.Inputs, ptrs = ptrs[:len(n.Inputs):len(n.Inputs)], ptrs[len(n.Inputs):]
+		for j, in := range n.Inputs {
+			c.Inputs[j] = mapping[in.ID]
 		}
 		if n.Projs != nil {
-			c.Projs = slices.Clone(n.Projs)
+			c.Projs, projs = projs[:len(n.Projs):len(n.Projs)], projs[len(n.Projs):]
+			copy(c.Projs, n.Projs)
 		}
 		mapping[n.ID] = c
 	}
-	clone := &Graph{nextID: g.nextID, Roots: make([]*Node, len(g.Roots))}
+	clone := &Graph{nextID: g.nextID, Roots: ptrs}
 	for i, r := range g.Roots {
 		clone.Roots[i] = mapping[r.ID]
 	}
