@@ -16,12 +16,12 @@ import (
 	"time"
 
 	"qoadvisor/internal/api"
-	"qoadvisor/internal/bandit"
 	"qoadvisor/internal/drift"
 	"qoadvisor/internal/rules"
 	"qoadvisor/internal/serve"
 	"qoadvisor/internal/sis"
 	"qoadvisor/internal/wal"
+	"qoadvisor/internal/walrec"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/flags.golden from the current flag sets")
@@ -254,7 +254,7 @@ func auditJournal(t *testing.T, segBytes int64) (dir, event string, watermark ui
 				t.Fatal(err)
 			}
 			event = resp.EventID
-			if n, err := srv.Ingestor().EnqueueBatch([]bandit.RewardEntry{{EventID: event, Value: 0.5}}); n != 1 || err != nil {
+			if n, err := srv.Ingestor().EnqueueBatch([]walrec.RewardEntry{{EventID: event, Value: 0.5}}); n != 1 || err != nil {
 				t.Fatalf("reward rejected: %d accepted, %v", n, err)
 			}
 		}

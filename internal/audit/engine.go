@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"slices"
 	"sync/atomic"
 
 	"qoadvisor/internal/wal"
@@ -86,17 +85,6 @@ type Query struct {
 	Limit int
 }
 
-// key returns the membership key the query filters on, if any.
-func (q Query) key() (uint64, bool) {
-	if q.HasTemplate {
-		return q.Template, true
-	}
-	if q.EventID != "" {
-		return walrec.HashEventID(q.EventID), true
-	}
-	return 0, false
-}
-
 // ScanStats counts what one pass over the journal touched. Segments are
 // skipped on their headers alone: those wholly below the LSN window are
 // never opened, and the pass stops at the window's last record or the
@@ -142,36 +130,22 @@ type Result struct {
 	Raw []byte
 }
 
-// filter is one query's per-record clauses with the membership key
-// hashed once and the AppendKeys scratch kept across records.
-type filter struct {
-	Query
-	key    uint64
-	hasKey bool
-	keys   []uint64
-}
-
-// match applies the clauses cheapest first: the tag byte, the membership
-// keys read off the payload, then a full decode.
-func (f *filter) match(lsn uint64, payload []byte) (Result, bool) {
-	if len(f.Tags) > 0 && bytes.IndexByte(f.Tags, payload[0]) < 0 {
+// match applies the clauses cheapest first: the tag byte, then one
+// decode, with the event and template clauses checked on the decoded
+// record.
+func (q *Query) match(lsn uint64, payload []byte) (Result, bool) {
+	if len(q.Tags) > 0 && bytes.IndexByte(q.Tags, payload[0]) < 0 {
 		return Result{}, false
-	}
-	if f.hasKey {
-		var err error
-		if f.keys, err = walrec.AppendKeys(f.keys[:0], payload); err != nil || !slices.Contains(f.keys, f.key) {
-			return Result{}, false // unknown/malformed records carry no keys
-		}
 	}
 	rec, err := walrec.Decode(payload)
 	if err != nil {
 		// Unfiltered listing: surface unknown tags as opaque rows rather
-		// than hiding them.
-		return Result{LSN: lsn, Rec: walrec.Record{Tag: payload[0]}, Raw: payload}, len(f.Tags) == 0 && !f.hasKey
+		// than hiding them. They mention no event or template.
+		unfiltered := len(q.Tags) == 0 && !q.HasTemplate && q.EventID == ""
+		return Result{LSN: lsn, Rec: walrec.Record{Tag: payload[0]}, Raw: payload}, unfiltered
 	}
-	// Hashed event-ID keys can collide: verify exactly on the decoded
-	// record.
-	if f.EventID != "" && !recordMentionsEvent(rec, f.EventID) {
+	if q.HasTemplate && !recordMentionsTemplate(rec, q.Template) ||
+		q.EventID != "" && !recordMentionsEvent(rec, q.EventID) {
 		return Result{}, false
 	}
 	return Result{LSN: lsn, Rec: rec, Raw: payload}, true
@@ -187,14 +161,12 @@ var errStop = errors.New("audit: scan complete")
 // error from fn ends it with that error.
 func (e *Engine) Run(q Query, fn func(Result) error) (ScanStats, error) {
 	var matched int64
-	f := filter{Query: q}
-	f.key, f.hasKey = q.key()
 	info, err := wal.DirSource{Dir: e.dir}.Replay(max(q.FromLSN, 1)-1, func(lsn uint64, payload []byte) error {
 		// Records are LSN-dense and ascending: nothing past ToLSN matches.
 		if q.ToLSN != 0 && lsn > q.ToLSN {
 			return errStop
 		}
-		if res, ok := f.match(lsn, payload); ok {
+		if res, ok := q.match(lsn, payload); ok {
 			if err := fn(res); err != nil {
 				return err
 			}
@@ -215,8 +187,8 @@ func (e *Engine) Run(q Query, fn func(Result) error) (ScanStats, error) {
 	return st, err
 }
 
-// recordMentionsEvent verifies an event-ID match exactly on the
-// decoded record (hashed membership keys can collide).
+// recordMentionsEvent reports whether a rank record or reward batch
+// carries the event.
 func recordMentionsEvent(rec walrec.Record, eventID string) bool {
 	switch rec.Tag {
 	case walrec.TagRank:
@@ -227,6 +199,23 @@ func recordMentionsEvent(rec walrec.Record, eventID string) bool {
 				return true
 			}
 		}
+	}
+	return false
+}
+
+// recordMentionsTemplate reports whether a hint rollover or quarantine
+// table carries the template.
+func recordMentionsTemplate(rec walrec.Record, hash uint64) bool {
+	switch rec.Tag {
+	case walrec.TagHintRollover:
+		for _, h := range rec.HintRollover.Hints {
+			if h.TemplateHash == hash {
+				return true
+			}
+		}
+	case walrec.TagQuarantine:
+		_, ok := rec.Quarantine.States[hash]
+		return ok
 	}
 	return false
 }

@@ -144,8 +144,8 @@ type Service struct {
 	trainIdx []int
 
 	// evMu guards the decision log: the exploration rng, the event log,
-	// the event index, the pending-reward list, the ID sequence, the log
-	// cap, and the suspension count.
+	// the event index, the pending-reward list, the ID sequence, and the
+	// log cap.
 	evMu   sync.Mutex
 	rng    *rand.Rand
 	events map[string]*Event
@@ -156,11 +156,6 @@ type Service struct {
 	pending []*Event
 	seq     int
 	maxLog  int
-	// evSuspend counts active SuspendEviction holds; eviction is off
-	// while it is positive. A counter (rather than saving and restoring
-	// maxLog) keeps overlapping suspensions and concurrent SetMaxLog
-	// calls composable.
-	evSuspend int
 	// nonce makes event IDs unique across Service instances (and hence
 	// process restarts), so a reward held across a model-restore restart
 	// fails loudly as unknown instead of silently training the wrong
@@ -168,14 +163,14 @@ type Service struct {
 	// their original IDs, so rewards for them do survive restarts.)
 	nonce string
 
-	// journal, when attached, receives a RecRank record for every logged
-	// rank decision, appended under evMu so journal order equals
+	// journal, when attached, receives a walrec.TagRank record for every
+	// logged rank decision, appended under evMu so journal order equals
 	// event-log order. walLSN is the journal position the current model
 	// state covers (set by checkpoints and replay; persisted by Save so
 	// recovery replays only the suffix). Both guarded by evMu.
 	journal Journal
 	walLSN  uint64
-	// recBuf is the RecRank record under construction, reused across
+	// recBuf is the rank record under construction, reused across
 	// ranks (guarded by evMu; the journal does not retain it).
 	recBuf []byte
 
@@ -213,7 +208,7 @@ func New(cfg Config) *Service {
 }
 
 // AttachJournal wires a durable journal into the service: every
-// subsequent rank decision is appended as a RecRank record. Attach
+// subsequent rank decision is appended as a walrec.TagRank record. Attach
 // after any snapshot load and journal replay — an attached journal
 // during replay would re-journal the replayed state.
 func (s *Service) AttachJournal(j Journal) {
@@ -276,28 +271,6 @@ func (s *Service) SetMaxLog(n int) {
 	s.evMu.Unlock()
 }
 
-// SuspendEviction disables event-log eviction until the returned release
-// function is called (idempotent). Batch trainers that rank every job
-// before feeding any reward back (the offline pipeline's rank-all /
-// recompile / learn-all phases) wrap the batch in it so a serve-layer cap
-// on a shared learner cannot evict the batch's earliest still-unrewarded
-// events mid-run. Suspensions nest: eviction resumes — at whatever cap
-// SetMaxLog currently prescribes — once every hold is released, on the
-// next Rank.
-func (s *Service) SuspendEviction() (release func()) {
-	s.evMu.Lock()
-	s.evSuspend++
-	s.evMu.Unlock()
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			s.evMu.Lock()
-			s.evSuspend--
-			s.evMu.Unlock()
-		})
-	}
-}
-
 // evictLocked enforces maxLog by dropping the oldest events; callers
 // hold evMu. Trained events are simply forgotten; unrewarded ones lose
 // their slot in the index, so a late reward reports as unknown. An
@@ -305,7 +278,7 @@ func (s *Service) SuspendEviction() (release func()) {
 // the event for the next Train even after it leaves the log. The 25%
 // slack before compaction amortizes the copy cost across ranks.
 func (s *Service) evictLocked() {
-	if s.maxLog <= 0 || s.evSuspend > 0 || len(s.log) <= s.maxLog+s.maxLog/4 {
+	if s.maxLog <= 0 || len(s.log) <= s.maxLog+s.maxLog/4 {
 		return
 	}
 	drop := len(s.log) - s.maxLog

@@ -308,45 +308,6 @@ func TestSaveSkipsZeroWeights(t *testing.T) {
 	}
 }
 
-// TestSuspendEvictionComposes covers the suspension counter: holds nest,
-// release is idempotent, and a SetMaxLog issued mid-suspension takes
-// effect — rather than being clobbered by a stale restore — once the last
-// hold is released.
-func TestSuspendEvictionComposes(t *testing.T) {
-	cfg := DefaultConfig(1)
-	cfg.MaxLogEvents = 4
-	s := New(cfg)
-	rank := func(n int) {
-		for i := 0; i < n; i++ {
-			if _, err := s.Rank(Context{IDs: []uint64{1}}, []Action{{ID: "a", IDs: []uint64{2}}}); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-
-	r1 := s.SuspendEviction()
-	r2 := s.SuspendEviction()
-	rank(20)
-	if n := s.LogSize(); n != 20 {
-		t.Fatalf("log size %d during suspension, want 20 (no eviction)", n)
-	}
-	r1()
-	r1() // idempotent: must not release r2's hold
-	rank(1)
-	if n := s.LogSize(); n != 21 {
-		t.Fatalf("log size %d with one hold left, want 21 (still suspended)", n)
-	}
-	s.SetMaxLog(8) // issued mid-suspension; must win after release
-	r2()
-	rank(1)
-	if n := s.LogSize(); n > 8+8/4 {
-		t.Fatalf("log size %d after release, want <= %d (cap 8 + slack)", n, 8+8/4)
-	}
-	if n := s.LogSize(); n <= 4+4/4 {
-		t.Fatalf("log size %d after release: the mid-suspension SetMaxLog(8) was clobbered by a stale cap", n)
-	}
-}
-
 // TestRankGreedyReadOnly pins the follower serving contract: RankGreedy
 // returns the same argmax as the exploit arm of Rank, mutates nothing
 // (no event logged, no rng consumed), and is deterministic.

@@ -95,30 +95,22 @@ func runGoldenDecisions(t *testing.T, dim int) []string {
 	emit := func(what, sum string) { lines = append(lines, fmt.Sprintf("dim=%d %s %s", dim, what, sum)) }
 
 	stream := sha256.New()
-	applied := 0
-	var batch []RewardEntry
+	lr := NewReplayer(live, trainEvery)
+	var batch []walrec.RewardEntry
 	flush := func() {
 		if len(batch) == 0 {
 			return
 		}
 		j.Append(walrec.EncodeRewardBatch(batch))
 		for _, e := range batch {
-			if err := live.Reward(e.EventID, e.Value); err != nil {
-				continue // evicted: the Replayer skips it the same way
-			}
-			applied++
-			if applied >= trainEvery {
-				applied = 0
-				live.Train()
-			}
+			lr.Reward(e.EventID, e.Value)
 		}
 		batch = batch[:0]
 	}
 	checkpoint := func(name string) []byte {
 		flush()
 		j.Append(walrec.EncodeTrainMark())
-		live.Train()
-		applied = 0
+		lr.Mark()
 		var snap bytes.Buffer
 		if err := live.CheckpointTo(&snap); err != nil {
 			t.Fatal(err)
@@ -151,7 +143,7 @@ func runGoldenDecisions(t *testing.T, dim int) []string {
 		}
 		if i%10 != 9 { // 90 % of decisions are rewarded
 			v := float64(Mix64(uint64(i)*31+uint64(r.Chosen))%100000) / 49999
-			batch = append(batch, RewardEntry{EventID: r.EventID, Value: v})
+			batch = append(batch, walrec.RewardEntry{EventID: r.EventID, Value: v})
 		}
 		if len(batch) >= rewardLag {
 			flush()

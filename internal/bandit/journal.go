@@ -2,6 +2,7 @@ package bandit
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"qoadvisor/internal/walrec"
 )
@@ -19,39 +20,25 @@ type Journal interface {
 	LastLSN() uint64
 }
 
-// Journal record types, aliased from the shared registry
-// (qoadvisor/internal/walrec — the one authoritative tag assignment).
-// The journal carries exactly the transitions replay needs to rebuild
-// the model bit-identically:
+// The journal carries, under qoadvisor/internal/walrec's tags, exactly
+// the transitions replay needs to rebuild the model bit-identically:
 //
-//   - RecRank: one logged rank decision in resolved form (event ID,
-//     propensity, context feature IDs, chosen action's feature IDs) —
+//   - walrec.TagRank: one logged rank decision in resolved form (event
+//     ID, propensity, context feature IDs, chosen action's feature IDs) —
 //     everything a later reward needs to become a training example.
 //     Written by Service.Rank under the event-log mutex, so journal
 //     order equals event-log order.
-//   - RecRewardBatch: the accepted slice of one reward batch, written
-//     by the serve layer's ingestor before acknowledging the client.
-//   - RecTrainMark: an out-of-band training flush (drain, shutdown,
-//     checkpoint barrier). Periodic threshold training is NOT marked —
-//     replay reproduces it by counting applied rewards exactly as the
-//     ingestor's one drain goroutine does.
+//   - walrec.TagRewardBatch: the accepted slice of one reward batch,
+//     written by the serve layer's ingestor before acknowledging the
+//     client.
+//   - walrec.TagTrainMark: an out-of-band training flush (drain,
+//     shutdown, checkpoint barrier). Periodic threshold training is NOT
+//     marked: the live run applies its rewards through a Replayer too,
+//     so replay crosses the same boundaries by running the same code.
 //
-// Tags 4 (hint-table rollover) and 5 (quarantine) are owned by
-// qoadvisor/internal/serve, which holds the hint and drift types;
-// their records are dispatched by the serve layer's applier before the
-// Replayer sees them.
-const (
-	RecRank        = walrec.TagRank
-	RecRewardBatch = walrec.TagRewardBatch
-	RecTrainMark   = walrec.TagTrainMark
-)
-
-// RewardEntry is one (event, reward) observation inside a journaled
-// reward batch.
-type RewardEntry = walrec.RewardEntry
-
-// RankRecord is the decoded form of a RecRank payload.
-type RankRecord = walrec.Rank
+// Tags 4 (hint-table rollover) and 5 (quarantine) carry
+// qoadvisor/internal/serve's hint and drift state; the serve layer's
+// applier consumes them before the Replayer sees them.
 
 // ReplayStats counts what a replay pass consumed and rebuilt.
 type ReplayStats struct {
@@ -65,21 +52,28 @@ type ReplayStats struct {
 	TrainedEvents  int64
 }
 
-// Replayer rebuilds a Service's state from journal records. Feed it
-// every record after the snapshot watermark via Apply, in order, then
-// call Finish for the drain-equivalent tail flush.
+// Replayer is where rewards cross training boundaries, live or
+// replayed. Journal replay feeds it every record after the snapshot
+// watermark via Apply, in order, then calls Finish for the
+// drain-equivalent tail flush. A live run (the serve layer's ingestor)
+// calls Reward for each reward it applies and Mark for each train mark
+// it journals — the steps Apply runs for those records — so the live
+// model and its replay train at the same points by construction.
 //
 // Replay is deterministic — the rebuilt model is bit-identical to the
 // live one — because the serve layer's one drain goroutine makes apply
 // order equal journal order, provided trainEvery is the value used
-// when the records were written. The replayer must be the only user
-// of the service while it runs, and the service must not have a
+// when the records were written. One goroutine at a time steps a
+// Replayer; Stats may be read from any. During Apply the replayer must
+// be the only user of the service, and the service must not have a
 // journal attached (attach it after, or replay would re-journal).
 type Replayer struct {
 	svc        *Service
 	trainEvery int
-	applied    int
-	Stats      ReplayStats
+	applied    int // rewards applied since the last training pass
+
+	records, ranks, rewardBatches, rewards, unknownRewards atomic.Int64
+	trainMarks, trainRuns, trainedEvents                   atomic.Int64
 }
 
 // NewReplayer wraps svc for replay. trainEvery must match the
@@ -92,19 +86,32 @@ func NewReplayer(svc *Service, trainEvery int) *Replayer {
 	return &Replayer{svc: svc, trainEvery: trainEvery}
 }
 
-// DefaultTrainEvery is the ingestion training batch size both the
-// serve layer and journal replay default to — they must agree or
-// replay would train on different boundaries than the live run.
+// DefaultTrainEvery is the training batch size in applied rewards when
+// none is configured.
 const DefaultTrainEvery = 256
+
+// Stats reports the counters so far.
+func (r *Replayer) Stats() ReplayStats {
+	return ReplayStats{
+		Records:        r.records.Load(),
+		Ranks:          r.ranks.Load(),
+		RewardBatches:  r.rewardBatches.Load(),
+		Rewards:        r.rewards.Load(),
+		UnknownRewards: r.unknownRewards.Load(),
+		TrainMarks:     r.trainMarks.Load(),
+		TrainRuns:      r.trainRuns.Load(),
+		TrainedEvents:  r.trainedEvents.Load(),
+	}
+}
 
 // Apply consumes one journal record.
 func (r *Replayer) Apply(lsn uint64, payload []byte) error {
 	if len(payload) == 0 {
 		return fmt.Errorf("bandit: empty journal record at lsn %d", lsn)
 	}
-	r.Stats.Records++
+	r.records.Add(1)
 	switch payload[0] {
-	case RecRank:
+	case walrec.TagRank:
 		rec, err := walrec.DecodeRank(payload)
 		if err != nil {
 			return fmt.Errorf("bandit: lsn %d: %w", lsn, err)
@@ -116,34 +123,45 @@ func (r *Replayer) Apply(lsn uint64, payload []byte) error {
 			Chosen:  0,
 			Prob:    rec.Prob,
 		})
-		r.Stats.Ranks++
-	case RecRewardBatch:
+		r.ranks.Add(1)
+	case walrec.TagRewardBatch:
 		entries, err := walrec.DecodeRewardBatch(payload)
 		if err != nil {
 			return fmt.Errorf("bandit: lsn %d: %w", lsn, err)
 		}
-		r.Stats.RewardBatches++
+		r.rewardBatches.Add(1)
 		for _, e := range entries {
-			if err := r.svc.Reward(e.EventID, e.Value); err != nil {
-				r.Stats.UnknownRewards++
-				continue
-			}
-			r.Stats.Rewards++
-			r.applied++
-			if r.applied >= r.trainEvery {
-				r.applied = 0
-				r.train()
-			}
+			r.Reward(e.EventID, e.Value)
 		}
-	case RecTrainMark:
-		r.Stats.TrainMarks++
-		r.applied = 0
-		r.train()
+	case walrec.TagTrainMark:
+		r.Mark()
 	default:
 		return &UnknownRecordError{LSN: lsn, Tag: payload[0]}
 	}
 	r.svc.SetWALWatermark(lsn)
 	return nil
+}
+
+// Reward applies one reward and, when it completes a batch of
+// trainEvery applied rewards, runs a training pass. A reward for an
+// event the service does not know (never ranked, or evicted) is counted
+// and moves no boundary.
+func (r *Replayer) Reward(eventID string, value float64) {
+	if r.svc.Reward(eventID, value) != nil {
+		r.unknownRewards.Add(1)
+		return
+	}
+	r.rewards.Add(1)
+	if r.applied++; r.applied >= r.trainEvery {
+		r.Finish()
+	}
+}
+
+// Mark is a train mark: it trains whatever was applied since the last
+// boundary and starts a new batch.
+func (r *Replayer) Mark() {
+	r.trainMarks.Add(1)
+	r.Finish()
 }
 
 // UnknownRecordError reports a journal record whose tag this
@@ -172,16 +190,12 @@ func (e *UnknownRecordError) Error() string {
 	return fmt.Sprintf("bandit: unknown journal record type %d at lsn %d (journal written by a newer binary?)", e.Tag, e.LSN)
 }
 
-// Finish runs the drain-equivalent tail flush: rewards journaled after
+// Finish runs the drain-equivalent tail flush: rewards applied after
 // the last training boundary train now, exactly as a graceful shutdown
 // would have trained them.
 func (r *Replayer) Finish() {
 	r.applied = 0
-	r.train()
-}
-
-func (r *Replayer) train() {
 	n := r.svc.Train()
-	r.Stats.TrainRuns++
-	r.Stats.TrainedEvents += int64(n)
+	r.trainRuns.Add(1)
+	r.trainedEvents.Add(int64(n))
 }

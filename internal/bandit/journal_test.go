@@ -10,7 +10,7 @@ import (
 )
 
 func TestRankRecordRoundTrip(t *testing.T) {
-	cases := []RankRecord{
+	cases := []walrec.Rank{
 		{EventID: "evabc-00000001", Prob: 0.925, CtxIDs: []uint64{1, math.MaxUint64, 0xdeadbeef}, ActIDs: []uint64{42}},
 		{EventID: "e", Prob: 1.0 / 3.0, CtxIDs: nil, ActIDs: nil},
 	}
@@ -35,7 +35,7 @@ func TestRankRecordRoundTrip(t *testing.T) {
 }
 
 func TestRewardBatchRoundTrip(t *testing.T) {
-	want := []RewardEntry{
+	want := []walrec.RewardEntry{
 		{EventID: "ev1", Value: 1.5},
 		{EventID: "ev2", Value: -0.25},
 		{EventID: "ev3", Value: math.Inf(1)},
@@ -81,24 +81,18 @@ func TestReplayRebuildsBitIdenticalModel(t *testing.T) {
 	}
 
 	// Live run: rank, reward in batches (journaled like the ingestor
-	// journals them), train every trainEvery applied rewards — the same
-	// discipline the serve layer's single worker follows. Every 7th
+	// journals them), each reward applied through a live Replayer's
+	// Reward — what the serve layer's single worker does. Every 7th
 	// event is left unrewarded so open events survive into Save.
-	applied := 0
-	var batch []RewardEntry
+	lr := NewReplayer(live, trainEvery)
+	var batch []walrec.RewardEntry
 	flushBatch := func() {
 		if len(batch) == 0 {
 			return
 		}
 		j.Append(walrec.EncodeRewardBatch(batch))
 		for _, e := range batch {
-			if err := live.Reward(e.EventID, e.Value); err != nil {
-				t.Fatal(err)
-			}
-			applied++
-			if applied%trainEvery == 0 {
-				live.Train()
-			}
+			lr.Reward(e.EventID, e.Value)
 		}
 		batch = nil
 	}
@@ -110,7 +104,7 @@ func TestReplayRebuildsBitIdenticalModel(t *testing.T) {
 		if i%7 == 6 {
 			continue // never rewarded: stays open
 		}
-		batch = append(batch, RewardEntry{EventID: r.EventID, Value: 0.5 + 0.25*float64(r.Chosen)})
+		batch = append(batch, walrec.RewardEntry{EventID: r.EventID, Value: 0.5 + 0.25*float64(r.Chosen)})
 		if len(batch) == 5 {
 			flushBatch()
 		}
@@ -118,7 +112,10 @@ func TestReplayRebuildsBitIdenticalModel(t *testing.T) {
 	flushBatch()
 	// Drain-equivalent shutdown flush, journaled as a train mark.
 	j.Append(walrec.EncodeTrainMark())
-	live.Train()
+	lr.Mark()
+	if st := lr.Stats(); st.Rewards != 52 || st.UnknownRewards != 0 {
+		t.Fatalf("live stats = %+v, want 52 rewards applied", st)
+	}
 	live.SetWALWatermark(j.LastLSN())
 
 	var want bytes.Buffer
@@ -144,8 +141,8 @@ func TestReplayRebuildsBitIdenticalModel(t *testing.T) {
 		t.Fatalf("replayed model differs from live model\nlive:\n%s\nreplayed:\n%s",
 			firstLines(want.String(), 6), firstLines(got.String(), 6))
 	}
-	if rp.Stats.Ranks != 60 || rp.Stats.UnknownRewards != 0 {
-		t.Errorf("replay stats = %+v", rp.Stats)
+	if st := rp.Stats(); st.Ranks != 60 || st.UnknownRewards != 0 || st.TrainedEvents != lr.Stats().TrainedEvents {
+		t.Errorf("replay stats = %+v, live %+v", st, lr.Stats())
 	}
 
 	// And the rebuilt service keeps serving: rewards for open events
@@ -187,21 +184,15 @@ func TestSnapshotPlusSuffixEquivalence(t *testing.T) {
 		}
 		return r.EventID
 	}
-	applied := 0
+	lr := NewReplayer(live, trainEvery)
 	rewardNow := func(ids []string, v float64) {
-		var batch []RewardEntry
+		var batch []walrec.RewardEntry
 		for _, id := range ids {
-			batch = append(batch, RewardEntry{EventID: id, Value: v})
+			batch = append(batch, walrec.RewardEntry{EventID: id, Value: v})
 		}
 		j.Append(walrec.EncodeRewardBatch(batch))
 		for _, e := range batch {
-			if err := live.Reward(e.EventID, e.Value); err != nil {
-				t.Fatal(err)
-			}
-			applied++
-			if applied%trainEvery == 0 {
-				live.Train()
-			}
+			lr.Reward(e.EventID, e.Value)
 		}
 	}
 
@@ -213,11 +204,10 @@ func TestSnapshotPlusSuffixEquivalence(t *testing.T) {
 
 	// Checkpoint barrier: flush training (journaled as a mark), then
 	// snapshot with the covering watermark. pre[6:] are still open and
-	// must travel inside the snapshot. The flush resets the training
-	// counter, exactly as the ingestor's trainFlush stores pending=0.
+	// must travel inside the snapshot. The mark starts a new batch, as
+	// it does in replay.
 	j.Append(walrec.EncodeTrainMark())
-	live.Train()
-	applied = 0
+	lr.Mark()
 	var snap bytes.Buffer
 	if err := live.CheckpointTo(&snap); err != nil {
 		t.Fatal(err)
@@ -235,7 +225,7 @@ func TestSnapshotPlusSuffixEquivalence(t *testing.T) {
 	}
 	rewardNow(append([]string{pre[7], pre[9]}, post[:3]...), 0.75)
 	j.Append(walrec.EncodeTrainMark())
-	live.Train()
+	lr.Mark()
 	live.SetWALWatermark(j.LastLSN())
 
 	var want bytes.Buffer

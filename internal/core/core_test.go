@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"testing"
 
-	"qoadvisor/internal/bandit"
 	"qoadvisor/internal/exec"
 	"qoadvisor/internal/flighting"
 	"qoadvisor/internal/optimizer"
@@ -243,46 +242,6 @@ func TestRecommendAndLearn(t *testing.T) {
 	}
 	if n := cb.Train(); n == 0 {
 		t.Error("training should consume rewarded events")
-	}
-}
-
-// TestRecommendWithCappedLearnerLosesNoEvents guards the rank-all /
-// recompile / learn-all phase split against a serve-layer event-log cap
-// on a shared learner: without eviction suspension, a day larger than the
-// cap would evict the earliest ranks before phase 3 rewards them, and
-// those jobs would silently never train.
-func TestRecommendWithCappedLearnerLosesNoEvents(t *testing.T) {
-	cat := rules.NewCatalog()
-	gen := testWorkload(t, 12)
-	store := sis.NewStore(cat)
-	jobs, view := runProductionDay(t, gen, store, cat, 1)
-	fg := NewFeatureGen(cat)
-	feats, err := fg.Run(jobs, view)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := bandit.DefaultConfig(3)
-	cfg.MaxLogEvents = 4 // far below the day's job count
-	cb := &CBRecommender{Catalog: cat, Service: bandit.New(cfg)}
-	recs := RecommendWith(cb, cat, feats, RecommendOptions{Parallelism: 1})
-	want := 0
-	for _, r := range recs {
-		if !r.CompileFailed {
-			want++ // noops and successful recompiles are both rewarded
-		}
-	}
-	if want <= cfg.MaxLogEvents {
-		t.Fatalf("test needs more jobs (%d) than the cap (%d) to exercise eviction", want, cfg.MaxLogEvents)
-	}
-	if got := cb.Train(); got != want {
-		t.Errorf("trained %d events, want %d: capped log evicted batch events before their reward", got, want)
-	}
-	// The cap is restored after the batch: the next ranks re-bound the log.
-	for i := 0; i < cfg.MaxLogEvents*2; i++ {
-		cb.Recommend(feats[0])
-	}
-	if n := cb.Service.LogSize(); n > cfg.MaxLogEvents+cfg.MaxLogEvents/4 {
-		t.Errorf("log size %d after batch: SuspendEviction did not restore the cap", n)
 	}
 }
 

@@ -46,19 +46,6 @@ type Recommender interface {
 	Name() string
 }
 
-// BatchRecommender is optionally implemented by recommenders whose
-// learner must be told that a rank-all-then-learn-all batch is in flight
-// (RecommendWith ranks every job before feeding back any reward, so a
-// bounded learner could otherwise evict the earliest events before their
-// Learn call arrives). Wrappers around a BatchRecommender must forward
-// BeginBatch.
-type BatchRecommender interface {
-	Recommender
-	// BeginBatch marks the start of a rank/learn batch; the returned
-	// function (idempotent) ends it.
-	BeginBatch() (end func())
-}
-
 // --- Featurization (§4.2 and §6: span co-occurrence features) ---
 //
 // Features are emitted as pre-hashed 64-bit IDs built by integer mixing
@@ -295,15 +282,6 @@ func (c *CBRecommender) Learn(eventID string, reward float64) {
 // Train triggers an off-policy training pass over rewarded events.
 func (c *CBRecommender) Train() int { return c.Service.Train() }
 
-// BeginBatch implements BatchRecommender by suspending event-log eviction
-// on the bandit service for the duration of the batch.
-func (c *CBRecommender) BeginBatch() (end func()) {
-	if c.Service == nil {
-		return func() {}
-	}
-	return c.Service.SuspendEviction()
-}
-
 // --- Uniform-random baseline (Table 3's comparator) ---
 
 // RandomRecommender flips one rule chosen uniformly at random from the
@@ -364,14 +342,13 @@ func Recommend(rec Recommender, cat *rules.Catalog, feats []*JobFeatures) []*Rec
 //  3. feed rewards back sequentially in job order (training order — and
 //     hence the learned weights — match the sequential pipeline bit for
 //     bit).
+//
+// Phase 1 ranks the whole day before phase 3 rewards any of it, so the
+// learner's event log must hold a day: a capped log would evict the
+// earliest ranks before their rewards arrive. NewCBRecommender's learner
+// is uncapped, and the serve layer caps a trained learner only after the
+// pipeline has returned.
 func RecommendWith(rec Recommender, cat *rules.Catalog, feats []*JobFeatures, o RecommendOptions) []*Recommendation {
-	// The rank-all-then-learn-all split below must not lose events: on a
-	// shared learner the serve layer may have capped the event log, and a
-	// day larger than the cap would evict the earliest ranks before their
-	// reward arrives in phase 3. Tell batch-aware recommenders.
-	if br, ok := rec.(BatchRecommender); ok {
-		defer br.BeginBatch()()
-	}
 	out := make([]*Recommendation, len(feats))
 	eventIDs := make([]string, len(feats))
 

@@ -116,11 +116,6 @@ func (t *SLOTracker) Add(o Objective) {
 	t.mu.Unlock()
 }
 
-// Windows returns the tracker's window set (ascending).
-func (t *SLOTracker) Windows() []time.Duration {
-	return append([]time.Duration(nil), t.windows...)
-}
-
 // Tick records a cumulative sample of every objective's counters if at
 // least the sampling period has elapsed since the last one. Callers
 // hook it into any periodic path (metric scrapes, stats requests);

@@ -257,12 +257,11 @@ func ParseFlip(s string) (Flip, error) {
 	return Flip{RuleID: id, Enable: s[0] == '+'}, nil
 }
 
-// Catalog is an immutable collection of rules indexed by ID, name, kind
-// and category. Every slice it hands out (All, OfKind, Rules) is built once
+// Catalog is an immutable collection of rules indexed by ID, kind and
+// category. Every slice it hands out (All, OfKind, Rules) is built once
 // in NewCatalog and shared by all callers, on every goroutine: read-only.
 type Catalog struct {
 	rules  []Rule
-	byName map[string]int
 	byKind [numKinds][]Rule
 	byCat  [Implementation + 1][]Rule
 }
@@ -272,7 +271,7 @@ type Catalog struct {
 // (on-by-default), then experimental variants (off-by-default), then
 // implementation rules, then tuning variants filling the remaining IDs.
 func NewCatalog() *Catalog {
-	c := &Catalog{byName: make(map[string]int, NumRules)}
+	c := &Catalog{}
 
 	add := func(name string, cat Category, kind Kind, variant int) {
 		id := len(c.rules)
@@ -280,7 +279,6 @@ func NewCatalog() *Catalog {
 			panic("rules: catalog overflow")
 		}
 		c.rules = append(c.rules, Rule{ID: id, Name: name, Category: cat, Kind: kind, Variant: variant})
-		c.byName[name] = id
 	}
 
 	// --- Required normalization rules (IDs 0-11). ---
@@ -372,15 +370,6 @@ func (c *Catalog) Size() int { return len(c.rules) }
 // which always indicate a programming error.
 func (c *Catalog) Rule(id int) Rule {
 	return c.rules[id]
-}
-
-// ByName looks a rule up by its unique name.
-func (c *Catalog) ByName(name string) (Rule, bool) {
-	id, ok := c.byName[name]
-	if !ok {
-		return Rule{}, false
-	}
-	return c.rules[id], true
 }
 
 // Rules returns all rules in the given category, in ID order. The returned
@@ -519,21 +508,6 @@ func (b Bitset) String() string {
 		fmt.Fprintf(&sb, "%016x", b.w[i])
 	}
 	return sb.String()
-}
-
-// ParseBitset parses the hex form produced by Bitset.String.
-func ParseBitset(s string) (Bitset, error) {
-	var b Bitset
-	if len(s) != NumRules/4 {
-		return b, fmt.Errorf("rules: bitset hex must be %d chars, got %d", NumRules/4, len(s))
-	}
-	for i := range b.w {
-		chunk := s[(len(b.w)-1-i)*16 : (len(b.w)-i)*16]
-		if _, err := fmt.Sscanf(chunk, "%016x", &b.w[i]); err != nil {
-			return Bitset{}, fmt.Errorf("rules: bad bitset hex %q: %v", s, err)
-		}
-	}
-	return b, nil
 }
 
 // Config is a rule configuration: the set of enabled rules handed to the

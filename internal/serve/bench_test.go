@@ -100,14 +100,14 @@ func BenchmarkWALStream(b *testing.B) {
 	svc := srv.Bandit()
 	ctx := bandit.Context{IDs: []uint64{0x11, 0x22, 0x33, 0x44}}
 	actions := []bandit.Action{{IDs: []uint64{1}}, {IDs: []uint64{2}}, {IDs: []uint64{3}}}
-	var entries []bandit.RewardEntry
+	var entries []walrec.RewardEntry
 	const ranks = 20000
 	for i := 0; i < ranks; i++ {
 		r, err := svc.Rank(ctx, actions)
 		if err != nil {
 			b.Fatal(err)
 		}
-		entries = append(entries, bandit.RewardEntry{EventID: r.EventID, Value: 1.0})
+		entries = append(entries, walrec.RewardEntry{EventID: r.EventID, Value: 1.0})
 		if len(entries) == 64 {
 			if _, err := j.Append(walrec.EncodeRewardBatch(entries)); err != nil {
 				b.Fatal(err)

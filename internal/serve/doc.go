@@ -42,7 +42,9 @@
 //	Ingestor.seqMu       Intake order: a batch's journal append and queue
 //	                     sends are one step, so journal order = apply
 //	                     order. Guards closed. Drain and Quiesce hold it
-//	                     across the fence wait and the train flush. Then:
+//	                     across the fence wait and the train flush, Close
+//	                     across the drain goroutine's exit and the flush,
+//	                     so the Replayer's steps never overlap. Then:
 //	                     bandit.Service.evMu, bandit.Service.mu, wal.
 //	                     Nothing under it may enqueue a reward (it would
 //	                     wait on itself); the commit (fsync) wait happens

@@ -20,6 +20,7 @@ import (
 	"qoadvisor/internal/rules"
 	"qoadvisor/internal/sis"
 	"qoadvisor/internal/wal"
+	"qoadvisor/internal/walrec"
 )
 
 // driftTestConfig shrinks the hysteresis windows so transitions fire
@@ -272,7 +273,7 @@ func TestQuarantineJournalFailureFailStop(t *testing.T) {
 	// exactly the transition moment would be.
 	injected := errors.New("injected append fault")
 	r.j.SetFaults(&wal.Faults{AppendErr: func(p []byte) error {
-		if len(p) > 0 && p[0] == RecQuarantine {
+		if len(p) > 0 && p[0] == walrec.TagQuarantine {
 			return injected
 		}
 		return nil

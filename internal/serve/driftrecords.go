@@ -7,24 +7,22 @@ import (
 	"qoadvisor/internal/walrec"
 )
 
-// RecQuarantine is the journal record type for drift-safeguard state,
-// aliased from the shared registry (tag 5; tags 1-3 belong to
-// qoadvisor/internal/bandit, tag 4 is the hint rollover). Like hint
-// rollovers, each record carries the COMPLETE durable quarantine
-// table — every template currently quarantined or on probation — so
-// replay is last-record-wins: a transition record and the
-// checkpoint-time re-journal use the same encoding, and a follower
-// applying any one record holds the full safeguard state as of that
-// LSN. Healthy and suspect templates are absent by construction
-// (healthy is the implicit default; suspicion is noisy and
-// deliberately never durable).
+// Drift-safeguard state is journaled as walrec.TagQuarantine records
+// (tag 5; tags 1-3 belong to qoadvisor/internal/bandit, tag 4 is the
+// hint rollover). Like hint rollovers, each record carries the
+// COMPLETE durable quarantine table — every template currently
+// quarantined or on probation — so replay is last-record-wins: a
+// transition record and the checkpoint-time re-journal use the same
+// encoding, and a follower applying any one record holds the full
+// safeguard state as of that LSN. Healthy and suspect templates are
+// absent by construction (healthy is the implicit default; suspicion
+// is noisy and deliberately never durable).
 //
 // The wire codec lives in qoadvisor/internal/walrec (shared with the
-// audit engine); this wrapper enforces the drift-state durability
+// audit engine); these wrappers enforce the drift-state durability
 // invariant the wire layer cannot know about.
-const RecQuarantine = walrec.TagQuarantine
 
-// EncodeQuarantine frames the durable quarantine table:
+// encodeQuarantine frames the durable quarantine table:
 //
 //	[tag][flags][uvarint count] per template: [8-byte hash][state byte]
 //
@@ -32,7 +30,7 @@ const RecQuarantine = walrec.TagQuarantine
 // the same content replay identically regardless of encoding order.
 // Only durable states belong in the journal — anything else is
 // dropped defensively before encoding.
-func EncodeQuarantine(states map[uint64]drift.State, snapshot, manual bool) []byte {
+func encodeQuarantine(states map[uint64]drift.State, snapshot, manual bool) []byte {
 	raw := make(map[uint64]byte, len(states))
 	for hash, st := range states {
 		if !st.Durable() {
@@ -43,8 +41,8 @@ func EncodeQuarantine(states map[uint64]drift.State, snapshot, manual bool) []by
 	return walrec.EncodeQuarantine(raw, snapshot, manual)
 }
 
-// DecodeQuarantine parses a RecQuarantine payload.
-func DecodeQuarantine(p []byte) (states map[uint64]drift.State, snapshot, manual bool, err error) {
+// decodeQuarantine parses a walrec.TagQuarantine payload.
+func decodeQuarantine(p []byte) (states map[uint64]drift.State, snapshot, manual bool, err error) {
 	rec, err := walrec.DecodeQuarantine(p)
 	if err != nil {
 		return nil, false, false, err

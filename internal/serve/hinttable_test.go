@@ -337,7 +337,7 @@ func TestRolloverRecordBytesUnchanged(t *testing.T) {
 	}
 	var got [][]byte
 	if _, err := (wal.DirSource{Dir: r.dir}).Replay(0, func(_ uint64, p []byte) error {
-		if len(p) > 0 && p[0] == RecHintRollover {
+		if len(p) > 0 && p[0] == walrec.TagHintRollover {
 			got = append(got, slices.Clone(p))
 		}
 		return nil

@@ -20,6 +20,7 @@ import (
 	"qoadvisor/internal/obs"
 	"qoadvisor/internal/par"
 	"qoadvisor/internal/sis"
+	"qoadvisor/internal/walrec"
 )
 
 // Request body caps: batches scale with the job population; hint files
@@ -350,7 +351,7 @@ func (h *httpLayer) rewardBatch(events []api.RewardEvent, tr *obs.Trace) (queued
 	// entries are the events bound for the learner's queue and idxs their
 	// positions in the batch; a template-only batch (every hint-served
 	// decision's reward) needs neither.
-	var entries []bandit.RewardEntry
+	var entries []walrec.RewardEntry
 	var idxs []int
 	for i, ev := range events {
 		switch {
@@ -373,10 +374,10 @@ func (h *httpLayer) rewardBatch(events []api.RewardEvent, tr *obs.Trace) (queued
 		}
 		if ev.EventID != "" {
 			if entries == nil {
-				entries = make([]bandit.RewardEntry, 0, len(events)-i)
+				entries = make([]walrec.RewardEntry, 0, len(events)-i)
 				idxs = make([]int, 0, len(events)-i)
 			}
-			entries = append(entries, bandit.RewardEntry{EventID: ev.EventID, Value: *ev.Reward})
+			entries = append(entries, walrec.RewardEntry{EventID: ev.EventID, Value: *ev.Reward})
 			idxs = append(idxs, i)
 		}
 	}

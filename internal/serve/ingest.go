@@ -24,10 +24,11 @@ type reward struct {
 
 // Ingestor is the asynchronous reward-ingestion pipeline: a bounded
 // queue drained by one goroutine that applies rewards to the bandit
-// service and triggers an IPS training pass every trainEvery applied
-// rewards. Keeping reward application and SGD off the request path is
-// what lets /v2/reward return in microseconds while the model still
-// learns continuously.
+// service through a bandit.Replayer, which runs an IPS training pass
+// every trainEvery applied rewards — the same code that crosses those
+// boundaries when the journal is replayed. Keeping reward application
+// and SGD off the request path is what lets /v2/reward return in
+// microseconds while the model still learns continuously.
 //
 // When a WAL is attached, every accepted batch is journaled before the
 // caller is acknowledged (the durability barrier the journal's Commit
@@ -36,10 +37,13 @@ type reward struct {
 // the queue hand-off happen atomically under seqMu and the single drain
 // goroutine applies the queue in FIFO order.
 type Ingestor struct {
-	svc        *bandit.Service
-	wal        *wal.WAL // nil = in-memory only
-	ch         chan reward
-	trainEvery int64
+	svc *bandit.Service
+	// rp applies rewards and train marks and keeps the applied, unknown
+	// and training counters. The drain goroutine steps it, and so does
+	// trainFlush, whose callers hold seqMu with the queue drained.
+	rp  *bandit.Replayer
+	wal *wal.WAL // nil = in-memory only
+	ch  chan reward
 
 	// seqMu serializes every sender on ch: it makes journal-append +
 	// channel-send atomic so WAL record order equals queue (and hence
@@ -53,15 +57,9 @@ type Ingestor struct {
 	// seqMu holder waits on it, so there is at most one fence in flight.
 	fenced chan struct{}
 
-	pending atomic.Int64 // applied since the last training pass
-
-	enqueued      atomic.Int64
-	dropped       atomic.Int64
-	applied       atomic.Int64
-	unknown       atomic.Int64
-	trainRuns     atomic.Int64
-	trainedEvents atomic.Int64
-	journalErrs   atomic.Int64
+	enqueued    atomic.Int64
+	dropped     atomic.Int64
+	journalErrs atomic.Int64
 
 	// stages receives the pipeline's latency observations (queue wait,
 	// reward apply, WAL append, commit wait). Set before the drain
@@ -75,7 +73,7 @@ const ingestQueueSize = 4096
 
 // newIngestor starts an ingestion pipeline over the given bandit
 // service. j, when non-nil, is the durable reward journal; trainEvery is
-// the training batch size in applied rewards (default
+// the training batch size in applied rewards (0 selects
 // bandit.DefaultTrainEvery); stages is the owning server's
 // stage-histogram sink, which the drain goroutine reads from its first
 // iteration. There is exactly one drain goroutine: reward application
@@ -83,15 +81,12 @@ const ingestQueueSize = 4096
 // consumer is what makes apply order equal journal order for
 // deterministic replay.
 func newIngestor(svc *bandit.Service, j *wal.WAL, trainEvery int, stages *stageHists) *Ingestor {
-	if trainEvery <= 0 {
-		trainEvery = bandit.DefaultTrainEvery
-	}
 	in := &Ingestor{
-		svc:        svc,
-		wal:        j,
-		ch:         make(chan reward, ingestQueueSize),
-		trainEvery: int64(trainEvery),
-		stages:     stages,
+		svc:    svc,
+		rp:     bandit.NewReplayer(svc, trainEvery),
+		wal:    j,
+		ch:     make(chan reward, ingestQueueSize),
+		stages: stages,
 	}
 	in.start()
 	return in
@@ -118,23 +113,8 @@ func (in *Ingestor) apply(r reward) {
 	// starts the apply measurement.
 	applyStart := time.Now()
 	in.stages.queueWait.Observe(applyStart.Sub(r.enq))
-	err := in.svc.Reward(r.eventID, r.value)
+	in.rp.Reward(r.eventID, r.value)
 	in.stages.rewardApply.ObserveSince(applyStart)
-	if err != nil {
-		in.unknown.Add(1)
-	} else {
-		in.applied.Add(1)
-		if in.pending.Add(1) >= in.trainEvery {
-			in.pending.Store(0)
-			in.train()
-		}
-	}
-}
-
-func (in *Ingestor) train() {
-	n := in.svc.Train()
-	in.trainRuns.Add(1)
-	in.trainedEvents.Add(int64(n))
 }
 
 // EnqueueBatch submits a reward batch without blocking. A prefix of
@@ -145,14 +125,14 @@ func (in *Ingestor) train() {
 // journal failure: when it is non-nil and accepted is 0 nothing was
 // queued; a non-nil error with accepted > 0 means the rewards were
 // queued but their durability could not be confirmed (fail-stop disk).
-func (in *Ingestor) EnqueueBatch(entries []bandit.RewardEntry) (accepted int, err error) {
+func (in *Ingestor) EnqueueBatch(entries []walrec.RewardEntry) (accepted int, err error) {
 	return in.enqueueBatch(entries, nil)
 }
 
 // enqueueBatch is EnqueueBatch with the carrying request's trace: the
 // journal append and the commit wait are recorded as trace stages (tr
 // nil for embedded callers).
-func (in *Ingestor) enqueueBatch(entries []bandit.RewardEntry, tr *obs.Trace) (accepted int, err error) {
+func (in *Ingestor) enqueueBatch(entries []walrec.RewardEntry, tr *obs.Trace) (accepted int, err error) {
 	in.seqMu.Lock()
 	if in.closed {
 		in.seqMu.Unlock()
@@ -221,17 +201,16 @@ func (in *Ingestor) waitDrained() {
 	<-in.fenced
 }
 
-// trainFlush journals a train mark (so replay reproduces this
-// boundary) and runs a training pass over whatever is pending below
-// the batch threshold.
+// trainFlush journals a train mark and applies it, training whatever
+// is pending below the batch threshold; replay applies the journaled
+// mark the same way. Callers hold seqMu with the queue drained.
 func (in *Ingestor) trainFlush() {
 	if in.wal != nil {
 		if _, err := in.wal.Append(walrec.EncodeTrainMark()); err != nil {
 			in.journalErrs.Add(1)
 		}
 	}
-	in.pending.Store(0)
-	in.train()
+	in.rp.Mark()
 }
 
 // Drain blocks until every accepted reward has been applied, then runs
@@ -257,17 +236,17 @@ func (in *Ingestor) Quiesce() (release func()) {
 	return in.seqMu.Unlock
 }
 
-// Close stops accepting rewards, drains the queue, applies a final
-// training pass, and waits for the drain goroutine to exit.
+// Close stops accepting rewards, waits for the drain goroutine to
+// apply the queue and exit, and applies a final training pass. It holds
+// seqMu throughout, so the flush cannot overlap a checkpoint's.
 func (in *Ingestor) Close() {
 	in.seqMu.Lock()
+	defer in.seqMu.Unlock()
 	if in.closed {
-		in.seqMu.Unlock()
 		return
 	}
 	in.closed = true
 	close(in.ch)
-	in.seqMu.Unlock()
 	in.wg.Wait()
 	in.trainFlush()
 }
@@ -275,13 +254,14 @@ func (in *Ingestor) Close() {
 // Stats returns a snapshot of the ingestion counters in wire form
 // (api.IngestStats is the protocol type embedded in the stats payload).
 func (in *Ingestor) Stats() api.IngestStats {
+	rs := in.rp.Stats()
 	return api.IngestStats{
 		Enqueued:      in.enqueued.Load(),
 		Dropped:       in.dropped.Load(),
-		Applied:       in.applied.Load(),
-		UnknownEvents: in.unknown.Load(),
-		TrainRuns:     in.trainRuns.Load(),
-		TrainedEvents: in.trainedEvents.Load(),
+		Applied:       rs.Rewards,
+		UnknownEvents: rs.UnknownRewards,
+		TrainRuns:     rs.TrainRuns,
+		TrainedEvents: rs.TrainedEvents,
 		QueueDepth:    len(in.ch),
 		QueueCap:      cap(in.ch),
 		JournalErrors: in.journalErrs.Load() + in.svc.JournalErrors(),

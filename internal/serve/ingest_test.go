@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"qoadvisor/internal/bandit"
+	"qoadvisor/internal/walrec"
 )
 
 func rankEvents(t *testing.T, svc *bandit.Service, n int) []string {
@@ -31,7 +32,7 @@ func TestIngestorAppliesAndTrains(t *testing.T) {
 
 	ids := rankEvents(t, svc, 64)
 	for _, id := range ids {
-		if n, err := in.EnqueueBatch([]bandit.RewardEntry{{EventID: id, Value: 1.5}}); n != 1 || err != nil {
+		if n, err := in.EnqueueBatch([]walrec.RewardEntry{{EventID: id, Value: 1.5}}); n != 1 || err != nil {
 			t.Fatalf("EnqueueBatch(%s) rejected with capacity to spare: %v", id, err)
 		}
 	}
@@ -62,7 +63,7 @@ func TestIngestorUnknownEvents(t *testing.T) {
 	svc := bandit.New(bandit.DefaultConfig(5))
 	in := newIngestor(svc, nil, 4, &stageHists{})
 	defer in.Close()
-	in.EnqueueBatch([]bandit.RewardEntry{{EventID: "ev-no-such", Value: 1.0}})
+	in.EnqueueBatch([]walrec.RewardEntry{{EventID: "ev-no-such", Value: 1.0}})
 	in.Drain()
 	if st := in.Stats(); st.UnknownEvents != 1 || st.Applied != 0 {
 		t.Errorf("Unknown=%d Applied=%d, want 1/0", st.UnknownEvents, st.Applied)
@@ -73,15 +74,15 @@ func TestIngestorUnknownEvents(t *testing.T) {
 // bounded queue fills deterministically.
 func TestIngestorBackpressure(t *testing.T) {
 	svc := bandit.New(bandit.DefaultConfig(5))
-	in := &Ingestor{svc: svc, ch: make(chan reward, 2), trainEvery: 8, stages: &stageHists{}}
+	in := &Ingestor{svc: svc, rp: bandit.NewReplayer(svc, 8), ch: make(chan reward, 2), stages: &stageHists{}}
 
 	ids := rankEvents(t, svc, 3)
 	for _, id := range ids[:2] {
-		if n, err := in.EnqueueBatch([]bandit.RewardEntry{{EventID: id, Value: 1}}); n != 1 || err != nil {
+		if n, err := in.EnqueueBatch([]walrec.RewardEntry{{EventID: id, Value: 1}}); n != 1 || err != nil {
 			t.Fatalf("enqueue into empty queue rejected: %v", err)
 		}
 	}
-	if n, _ := in.EnqueueBatch([]bandit.RewardEntry{{EventID: ids[2], Value: 1}}); n != 0 {
+	if n, _ := in.EnqueueBatch([]walrec.RewardEntry{{EventID: ids[2], Value: 1}}); n != 0 {
 		t.Fatal("enqueue into full queue accepted")
 	}
 	if st := in.Stats(); st.Dropped != 1 || st.QueueDepth != 2 || st.QueueCap != 2 {
@@ -102,7 +103,7 @@ func TestIngestorCloseRejectsAndDrains(t *testing.T) {
 	in := newIngestor(svc, nil, 1000, &stageHists{}) // batch too large to trigger mid-run
 	ids := rankEvents(t, svc, 32)
 	for _, id := range ids {
-		in.EnqueueBatch([]bandit.RewardEntry{{EventID: id, Value: 2.0}})
+		in.EnqueueBatch([]walrec.RewardEntry{{EventID: id, Value: 2.0}})
 	}
 	in.Close()
 	st := in.Stats()
@@ -112,7 +113,7 @@ func TestIngestorCloseRejectsAndDrains(t *testing.T) {
 	if st.TrainedEvents != 32 {
 		t.Errorf("TrainedEvents after Close = %d, want 32 (final training pass)", st.TrainedEvents)
 	}
-	if n, _ := in.EnqueueBatch([]bandit.RewardEntry{{EventID: "ev-after-close", Value: 1.0}}); n != 0 {
+	if n, _ := in.EnqueueBatch([]walrec.RewardEntry{{EventID: "ev-after-close", Value: 1.0}}); n != 0 {
 		t.Error("EnqueueBatch accepted after Close")
 	}
 	in.Close() // second Close is a no-op

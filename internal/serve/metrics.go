@@ -24,7 +24,7 @@ type stageHists struct {
 	rewardAppend obs.Histogram // WAL append of an accepted reward batch
 	rewardCommit obs.Histogram // group-commit durability wait after append
 	queueWait    obs.Histogram // enqueue -> worker pickup
-	rewardApply  obs.Histogram // worker's bandit.Reward application
+	rewardApply  obs.Histogram // worker's apply of one reward, incl. the training pass it completes
 	walFsync     obs.Histogram // journal fsync (committer / sync-mode commit)
 	checkpoint   obs.Histogram // full checkpoint barrier duration
 }

@@ -84,7 +84,7 @@ func TestOpenRestoresEmptyRollover(t *testing.T) {
 }
 
 // TestOpenQuarantineSurvivesCompaction: the first restart's initial
-// checkpoint compacts the segment holding the original RecQuarantine
+// checkpoint compacts the segment holding the original quarantine
 // record, so a second restart finds the table only in the copy that
 // checkpoint re-journaled above its watermark.
 func TestOpenQuarantineSurvivesCompaction(t *testing.T) {

@@ -12,6 +12,7 @@ import (
 	"qoadvisor/internal/drift"
 	"qoadvisor/internal/sis"
 	"qoadvisor/internal/wal"
+	"qoadvisor/internal/walrec"
 )
 
 // Applier applies journal records to a learner and, when one is
@@ -38,7 +39,7 @@ type Applier struct {
 	Rollovers int64
 
 	// Quarantine is the durable drift-safeguard table as of the newest
-	// RecQuarantine record applied (wholesale, like rollovers: the last
+	// quarantine record applied (wholesale, like rollovers: the last
 	// record wins). Nil until one is seen — distinguishable from an
 	// explicit empty table, which means every template was restored.
 	Quarantine        map[uint64]drift.State
@@ -55,8 +56,8 @@ func NewApplier(svc *bandit.Service, cache *HintCache, quar *drift.Table, trainE
 
 // Apply consumes one journal record.
 func (a *Applier) Apply(lsn uint64, payload []byte) error {
-	if len(payload) > 0 && payload[0] == RecHintRollover {
-		gen, hints, err := DecodeHintRollover(payload)
+	if len(payload) > 0 && payload[0] == walrec.TagHintRollover {
+		gen, hints, err := decodeHintRollover(payload)
 		if err != nil {
 			return fmt.Errorf("serve: lsn %d: %w", lsn, err)
 		}
@@ -72,8 +73,8 @@ func (a *Applier) Apply(lsn uint64, payload []byte) error {
 		a.svc.SetWALWatermark(lsn)
 		return nil
 	}
-	if len(payload) > 0 && payload[0] == RecQuarantine {
-		states, _, _, err := DecodeQuarantine(payload)
+	if len(payload) > 0 && payload[0] == walrec.TagQuarantine {
+		states, _, _, err := decodeQuarantine(payload)
 		if err != nil {
 			return fmt.Errorf("serve: lsn %d: %w", lsn, err)
 		}
@@ -92,7 +93,7 @@ func (a *Applier) Apply(lsn uint64, payload []byte) error {
 func (a *Applier) Finish() { a.rp.Finish() }
 
 // ReplayStats reports the bandit-side replay counters.
-func (a *Applier) ReplayStats() bandit.ReplayStats { return a.rp.Stats }
+func (a *Applier) ReplayStats() bandit.ReplayStats { return a.rp.Stats() }
 
 // RecoverResult reports what Recover rebuilt.
 type RecoverResult struct {
@@ -114,7 +115,7 @@ type RecoverResult struct {
 	HintGen       uint64
 	HintRollovers int64
 	// Quarantine is the drift-safeguard table as of the newest
-	// RecQuarantine record (nil when the journal holds none);
+	// quarantine record (nil when the journal holds none);
 	// QuarantineRecords counts them.
 	Quarantine        map[uint64]drift.State
 	QuarantineRecords int64

@@ -37,8 +37,8 @@ func testHints(cat *rules.Catalog, n, day int) []sis.Hint {
 func TestHintRolloverRecordRoundTrip(t *testing.T) {
 	cat := rules.NewCatalog()
 	hints := testHints(cat, 17, 5)
-	rec := EncodeHintRollover(3, hints)
-	gen, got, err := DecodeHintRollover(rec)
+	rec := encodeHintRollover(3, hints)
+	gen, got, err := decodeHintRollover(rec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestHintRolloverRecordRoundTrip(t *testing.T) {
 	}
 	// Truncated payloads fail loudly rather than installing a partial table.
 	for cut := 1; cut < len(rec); cut += 7 {
-		if _, _, err := DecodeHintRollover(rec[:cut]); err == nil {
+		if _, _, err := decodeHintRollover(rec[:cut]); err == nil {
 			t.Fatalf("truncation at %d bytes decoded cleanly", cut)
 		}
 	}

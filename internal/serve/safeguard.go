@@ -14,7 +14,7 @@ import (
 // primary with -drift enabled), journaled state-machine commits, and
 // the enforcement table every rank request consults. The split
 // mirrors the cluster: every node enforces (the table replicates via
-// RecQuarantine records), only the primary detects (the sketches are
+// walrec.TagQuarantine records), only the primary detects (the sketches are
 // in-memory statistics; replaying rewards would not reproduce them
 // bit-identically anyway, so only transitions are durable).
 //
@@ -115,7 +115,7 @@ func (g *safeguard) commitLocked(tr drift.Transition) error {
 		delete(next, tr.TemplateHash)
 	}
 	if g.wal != nil {
-		lsn, err := g.wal.Append(EncodeQuarantine(next, false, tr.Manual))
+		lsn, err := g.wal.Append(encodeQuarantine(next, false, tr.Manual))
 		if err == nil {
 			// Same durability barrier as an accepted reward batch: in sync
 			// mode the transition is on disk before it takes effect.
@@ -166,7 +166,7 @@ func (g *safeguard) journalState() error {
 	if len(snap) == 0 {
 		return nil
 	}
-	_, err := g.wal.Append(EncodeQuarantine(snap, true, false))
+	_, err := g.wal.Append(encodeQuarantine(snap, true, false))
 	return err
 }
 

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -47,7 +46,7 @@ type Config struct {
 	SnapshotPath string
 	// WAL, when non-nil, is the durable reward journal: rank decisions
 	// are journaled by the learner, reward batches are journaled before
-	// acknowledgment, hint rollovers are journaled as RecHintRollover
+	// acknowledgment, hint rollovers are journaled as walrec.TagHintRollover
 	// records, and Checkpoint snapshots the model with a WAL watermark
 	// and truncates covered segments. The server takes ownership of
 	// journaling but not of the WAL's lifecycle — the caller still
@@ -79,7 +78,7 @@ type Config struct {
 	// per-template streaming statistics, and templates whose rewards
 	// collapse are auto-quarantined — their installed hint refused,
 	// rank requests routed to the bandit path — with every transition
-	// journaled as a RecQuarantine record. Enforcement (refusing
+	// journaled as a walrec.TagQuarantine record. Enforcement (refusing
 	// quarantined hints, the manual admin endpoint, replication of the
 	// quarantine table) is always on regardless of this field; Drift
 	// only controls the detector. Ignored on followers: detection runs
@@ -248,9 +247,6 @@ func NewFlightRecorder(cfg obs.FlightConfig) *obs.FlightRecorder {
 	return obs.NewFlightRecorder(cfg)
 }
 
-// FlightRecorder exposes the trace sink.
-func (s *Server) FlightRecorder() *obs.FlightRecorder { return s.flight }
-
 // journalErrors is the WAL fail-stop signal the incident engine
 // watches: reward/rank journal failures (ingest) plus quarantine
 // transition journal failures (safeguard).
@@ -295,7 +291,7 @@ func (s *Server) InstallHints(hints []sis.Hint) (uint64, error) {
 		// Append before the swap: if the disk is sick the table must not
 		// be serving while absent from the journal. The generation the
 		// swap WILL mint is current+1 (rolloverMu excludes other writers).
-		if _, err := s.wal.Append(EncodeHintRollover(s.cache.Generation()+1, hints)); err != nil {
+		if _, err := s.wal.Append(encodeHintRollover(s.cache.Generation()+1, hints)); err != nil {
 			s.rolloverMu.Unlock()
 			return s.cache.Generation(), api.Errorf(api.CodeInternal, "journaling hint rollover: %v", err)
 		}
@@ -329,13 +325,13 @@ func (s *Server) journalHints() error {
 	if gen == 0 && len(hints) == 0 {
 		return nil // nothing ever installed; don't journal an empty wipe
 	}
-	_, err := s.wal.Append(EncodeHintRollover(gen, hints))
+	_, err := s.wal.Append(encodeHintRollover(gen, hints))
 	return err
 }
 
 // QuarantineTable exposes the drift-safeguard enforcement table. The
 // replication tailer passes it to its Applier so replicated
-// RecQuarantine records take effect on the serving path.
+// quarantine records take effect on the serving path.
 func (s *Server) QuarantineTable() *drift.Table { return s.guard.table }
 
 // ObserveReward feeds one template-attributed reward to the drift
@@ -632,7 +628,7 @@ func (s *Server) Checkpoint(path string) (CheckpointInfo, error) {
 			return info, err
 		}
 	}
-	if err := writeFileAtomic(path, buf.Bytes()); err != nil {
+	if err := wal.WriteFileAtomic(path, buf.Bytes()); err != nil {
 		return info, err
 	}
 	info.Bytes = int64(buf.Len())
@@ -720,33 +716,4 @@ func (s *Server) checkpointBarrier(buf *bytes.Buffer) error {
 	// mark) before the snapshot that claims to supersede it can be
 	// promoted or shipped.
 	return s.wal.Sync()
-}
-
-// writeFileAtomic writes data via a temp file, fsync, and rename:
-// a crash mid-write can never promote an empty or truncated snapshot.
-func writeFileAtomic(path string, data []byte) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
 }

@@ -13,6 +13,7 @@ import (
 	"qoadvisor/internal/bandit"
 	"qoadvisor/internal/rules"
 	"qoadvisor/internal/sis"
+	"qoadvisor/internal/walrec"
 )
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -517,7 +518,7 @@ func TestModelSnapshotOverHTTP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.Ingestor().EnqueueBatch([]bandit.RewardEntry{{EventID: rr.EventID, Value: 1.9}})
+	srv.Ingestor().EnqueueBatch([]walrec.RewardEntry{{EventID: rr.EventID, Value: 1.9}})
 	srv.Ingestor().Drain()
 
 	// GET streams a loadable model.

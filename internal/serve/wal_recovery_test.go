@@ -13,6 +13,7 @@ import (
 	"qoadvisor/internal/api/client"
 	"qoadvisor/internal/bandit"
 	"qoadvisor/internal/wal"
+	"qoadvisor/internal/walrec"
 )
 
 // walTestRig is a WAL-backed server driven over real HTTP, plus the
@@ -322,7 +323,7 @@ func TestCrashRecoveryTornTail(t *testing.T) {
 	if err != nil || resp.EventID == "" {
 		t.Fatalf("recovered server cannot rank: %+v %v", resp, err)
 	}
-	if n, err := srv2.Ingestor().EnqueueBatch([]bandit.RewardEntry{{EventID: resp.EventID, Value: 1.0}}); n != 1 || err != nil {
+	if n, err := srv2.Ingestor().EnqueueBatch([]walrec.RewardEntry{{EventID: resp.EventID, Value: 1.0}}); n != 1 || err != nil {
 		t.Fatalf("recovered server cannot ingest rewards: %d accepted, %v", n, err)
 	}
 	srv2.Ingestor().Drain()
@@ -379,7 +380,7 @@ func TestQuiesceFencesIntake(t *testing.T) {
 	release := in.Quiesce()
 	done := make(chan bool, 1)
 	go func() {
-		n, err := in.EnqueueBatch([]bandit.RewardEntry{{EventID: ids[0], Value: 1.0}})
+		n, err := in.EnqueueBatch([]walrec.RewardEntry{{EventID: ids[0], Value: 1.0}})
 		done <- n == 1 && err == nil
 	}()
 	select {

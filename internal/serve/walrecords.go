@@ -8,13 +8,13 @@ import (
 	"qoadvisor/internal/walrec"
 )
 
-// RecHintRollover is the journal record type for hint-table rollovers,
-// aliased from the shared registry (tag 4; tags 1-3 belong to
-// qoadvisor/internal/bandit). Journaling rollovers closes the
-// durability gap the model-only snapshot left — a restart used to come
-// back with a trained bandit and an EMPTY hint cache — and is what
-// lets followers replicate the hint table in decision order,
-// interleaved with the rank and reward records it steers.
+// A hint-table rollover is journaled as a walrec.TagHintRollover
+// record (tag 4; tags 1-3 belong to qoadvisor/internal/bandit).
+// Journaling rollovers closes the durability gap the model-only
+// snapshot left — a restart used to come back with a trained bandit
+// and an EMPTY hint cache — and is what lets followers replicate the
+// hint table in decision order, interleaved with the rank and reward
+// records it steers.
 //
 // Each record carries the COMPLETE table (Replace semantics are
 // wholesale, matching the daily pipeline's output) plus the cache
@@ -26,17 +26,16 @@ import (
 // so compaction can never truncate the only copy.
 //
 // The wire codec lives in qoadvisor/internal/walrec (shared with the
-// audit engine); this wrapper converts between the wire-level string
+// audit engine); these wrappers convert between the wire-level string
 // flip and the typed sis.Hint the serve layer uses — on the way out one
 // hint at a time (walrec.AppendHint), so journaling a table does not
 // first build a second, wire-typed copy of it.
-const RecHintRollover = walrec.TagHintRollover
 
-// EncodeHintRollover frames one hint-table rollover:
+// encodeHintRollover frames one hint-table rollover:
 //
 //	[tag][uvarint generation][uvarint count]
 //	per hint: [8-byte hash][string templateID][string flip][uvarint day]
-func EncodeHintRollover(gen uint64, hints []sis.Hint) []byte {
+func encodeHintRollover(gen uint64, hints []sis.Hint) []byte {
 	// Capacity, not a limit: a catalog flip renders in five bytes
 	// ("+R255"), and a table with a rule outside the catalog grows the
 	// buffer instead.
@@ -50,8 +49,8 @@ func EncodeHintRollover(gen uint64, hints []sis.Hint) []byte {
 	return b
 }
 
-// DecodeHintRollover parses a RecHintRollover payload.
-func DecodeHintRollover(p []byte) (gen uint64, hints []sis.Hint, err error) {
+// decodeHintRollover parses a walrec.TagHintRollover payload.
+func decodeHintRollover(p []byte) (gen uint64, hints []sis.Hint, err error) {
 	rec, err := walrec.DecodeHintRollover(p)
 	if err != nil {
 		return 0, nil, err

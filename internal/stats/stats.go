@@ -203,44 +203,6 @@ func FractionAbove(xs []float64, threshold float64) float64 {
 	return float64(n) / float64(len(xs))
 }
 
-// Summary bundles the descriptive statistics printed by the experiment
-// harness for a metric sample.
-type Summary struct {
-	N              int
-	Mean, Std      float64
-	Min, P25       float64
-	Median, P75    float64
-	P90, P95, Max  float64
-	CoefVariation  float64
-	FracAboveZero  float64 // fraction of strictly positive values (regressions for deltas)
-	FracBelowZero  float64 // fraction of strictly negative values (improvements for deltas)
-	SumOfValues    float64
-	AbsoluteSpread float64 // Max - Min
-}
-
-// Summarize computes a Summary of xs. Quantiles of an empty sample are 0.
-func Summarize(xs []float64) Summary {
-	s := Summary{N: len(xs)}
-	if len(xs) == 0 {
-		return s
-	}
-	s.Mean = Mean(xs)
-	s.Std = StdDev(xs)
-	s.Min = Min(xs)
-	s.Max = Max(xs)
-	s.P25, _ = Quantile(xs, 0.25)
-	s.Median, _ = Quantile(xs, 0.5)
-	s.P75, _ = Quantile(xs, 0.75)
-	s.P90, _ = Quantile(xs, 0.90)
-	s.P95, _ = Quantile(xs, 0.95)
-	s.CoefVariation = CoefficientOfVariation(xs)
-	s.FracAboveZero = FractionAbove(xs, 0)
-	s.FracBelowZero = FractionBelow(xs, 0)
-	s.SumOfValues = Sum(xs)
-	s.AbsoluteSpread = s.Max - s.Min
-	return s
-}
-
 // RelativeDelta returns new/old - 1, the "delta" convention used by every
 // figure in the paper (a value > 0 is a regression). It returns 0 when old
 // is 0 to keep aggregate statistics finite.
@@ -249,15 +211,4 @@ func RelativeDelta(oldVal, newVal float64) float64 {
 		return 0
 	}
 	return newVal/oldVal - 1
-}
-
-// Clip bounds x to [lo, hi].
-func Clip(x, lo, hi float64) float64 {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
 }

@@ -174,26 +174,6 @@ func TestFractions(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{-1, 0, 1, 2})
-	if s.N != 4 {
-		t.Errorf("N = %d", s.N)
-	}
-	if s.Min != -1 || s.Max != 2 {
-		t.Errorf("Min/Max = %v/%v", s.Min, s.Max)
-	}
-	if s.FracAboveZero != 0.5 || s.FracBelowZero != 0.25 {
-		t.Errorf("fractions = %v / %v", s.FracAboveZero, s.FracBelowZero)
-	}
-	if s.AbsoluteSpread != 3 {
-		t.Errorf("spread = %v", s.AbsoluteSpread)
-	}
-	empty := Summarize(nil)
-	if empty.N != 0 || empty.Mean != 0 {
-		t.Errorf("empty summary = %+v", empty)
-	}
-}
-
 func TestRelativeDelta(t *testing.T) {
 	if got := RelativeDelta(100, 90); !almostEqual(got, -0.1, 1e-12) {
 		t.Errorf("delta = %v, want -0.1", got)
@@ -203,12 +183,6 @@ func TestRelativeDelta(t *testing.T) {
 	}
 	if got := RelativeDelta(0, 10); got != 0 {
 		t.Errorf("delta with old=0 should be 0, got %v", got)
-	}
-}
-
-func TestClip(t *testing.T) {
-	if Clip(5, 0, 2) != 2 || Clip(-5, 0, 2) != 0 || Clip(1, 0, 2) != 1 {
-		t.Error("Clip misbehaves")
 	}
 }
 

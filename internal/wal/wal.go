@@ -759,6 +759,38 @@ func (w *WAL) Close() error {
 	return err
 }
 
+// WriteFileAtomic replaces path with data durably: the bytes go to
+// path+".tmp", are fsynced and renamed over path, and then path's
+// directory is fsynced, because a rename survives a crash only once its
+// directory does. A crash leaves the old file or the new one, never a
+// truncated mix, and an error leaves the old file in place. Checkpoints
+// publish the model snapshot through it before compacting the journal
+// segments the snapshot covers, so the compaction cannot outlive the
+// snapshot's rename.
+func WriteFileAtomic(path string, data []byte) error {
+	tmp := path + ".tmp"
+	f, err := os.Create(tmp)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	syncDir(filepath.Dir(path))
+	return nil
+}
+
 // syncDir fsyncs a directory so segment create/remove survives a
 // crash; best-effort (not every filesystem supports it).
 func syncDir(dir string) {

@@ -610,3 +610,30 @@ func TestSealedSegmentsHoldRecords(t *testing.T) {
 		}
 	}
 }
+
+// TestWriteFileAtomic: a replace leaves the new bytes and no temp file,
+// and a write that fails leaves the old file as it was.
+func TestWriteFileAtomic(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "model.snap")
+	for _, data := range []string{"first", "second, longer"} {
+		if err := WriteFileAtomic(path, []byte(data)); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := os.ReadFile(path); err != nil || string(got) != data {
+			t.Fatalf("after replace: %q, %v; want %q", got, err, data)
+		}
+		if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+			t.Fatalf("temp file left behind: %v", err)
+		}
+	}
+	// A directory where the temp file goes makes the write fail.
+	if err := os.Mkdir(path+".tmp", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFileAtomic(path, []byte("third")); err == nil {
+		t.Fatal("write over an uncreatable temp file succeeded")
+	}
+	if got, err := os.ReadFile(path); err != nil || string(got) != "second, longer" {
+		t.Fatalf("after a failed write: %q, %v; want the old bytes", got, err)
+	}
+}

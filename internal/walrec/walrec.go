@@ -1,12 +1,13 @@
 // Package walrec is the registry of journal record types: every tag
 // the write-ahead log carries, its registered name, and the wire codec
-// for its payload. It is the single decoder layer shared by journal
-// replay (qoadvisor/internal/bandit.Replayer), crash recovery, audit
-// as-of and follower tailing (qoadvisor/internal/serve.Applier, the
-// last via internal/replicate), and the audit queries
-// (qoadvisor/internal/audit, a per-record filter over the journal's
-// replay) — one place where a tag byte becomes a typed struct, so the
-// three consumers can never drift apart on the format.
+// for its payload. It is the one decoder of journal records, shared by
+// journal replay (qoadvisor/internal/bandit.Replayer), crash recovery,
+// audit as-of and follower tailing (qoadvisor/internal/serve.Applier,
+// the last via internal/replicate), and the audit queries
+// (qoadvisor/internal/audit, which filter on the records Decode
+// returns) — one place where a tag byte becomes a typed struct, so the
+// consumers can never drift apart on the format. The tags and record
+// types are used under their names here; no package re-exports them.
 //
 // The package is deliberately wire-level: it depends only on the
 // standard library and decodes into raw forms (flips as strings,
@@ -23,13 +24,13 @@ package walrec
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"math"
 )
 
 // Journal record tags. LSN-ordered replay dispatches on the payload's
-// first byte; these constants are the one authoritative assignment
-// (the bandit and serve packages alias them for compatibility).
+// first byte; these constants are the one assignment. Tags 1-3 are
+// bandit state (qoadvisor/internal/bandit.Replayer applies them), 4 and
+// 5 serve state (qoadvisor/internal/serve.Applier applies them).
 const (
 	// TagRank is one logged rank decision in resolved form: event ID,
 	// propensity, context feature IDs, chosen action's feature IDs.
@@ -155,19 +156,6 @@ func takeString(b []byte) (string, []byte, error) {
 		return "", nil, fmt.Errorf("walrec: record truncated at string")
 	}
 	return string(b[:n]), b[n:], nil
-}
-
-// skipString advances past a length-prefixed string without
-// materializing it — the key-extraction fast path.
-func skipString(b []byte) ([]byte, error) {
-	n, b, err := takeUvarint(b)
-	if err != nil {
-		return nil, err
-	}
-	if uint64(len(b)) < n {
-		return nil, fmt.Errorf("walrec: record truncated at string")
-	}
-	return b[n:], nil
 }
 
 func takeUint64(b []byte) (uint64, []byte, error) {
@@ -496,115 +484,4 @@ func Decode(p []byte) (Record, error) {
 		return rec, fmt.Errorf("walrec: unknown record tag %d", p[0])
 	}
 	return rec, nil
-}
-
-// HashEventID maps an event ID into the 64-bit key space template
-// hashes live in, so one AppendKeys walk serves both audit filters
-// (FNV-1a; a collision costs one decode — the query verifies the event
-// ID on the decoded record).
-func HashEventID(id string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(id))
-	return h.Sum64()
-}
-
-// AppendKeys appends the record's 64-bit membership keys to dst and
-// returns it: template hashes as-is (hint rollovers, quarantines) and
-// hashed event IDs (ranks, reward batches). This is the audit query
-// filter's fast path — it walks the payload without materializing
-// strings or structs, so only matching records are decoded.
-func AppendKeys(dst []uint64, p []byte) ([]uint64, error) {
-	if len(p) == 0 {
-		return dst, fmt.Errorf("walrec: empty record")
-	}
-	var err error
-	switch p[0] {
-	case TagRank:
-		b := p[1:]
-		var n uint64
-		if n, b, err = takeUvarint(b); err != nil {
-			return dst, err
-		}
-		if uint64(len(b)) < n {
-			return dst, fmt.Errorf("walrec: record truncated at string")
-		}
-		dst = append(dst, hashBytes(b[:n]))
-	case TagRewardBatch:
-		b := p[1:]
-		var n uint64
-		if n, b, err = takeUvarint(b); err != nil {
-			return dst, err
-		}
-		for i := uint64(0); i < n; i++ {
-			var l uint64
-			if l, b, err = takeUvarint(b); err != nil {
-				return dst, err
-			}
-			if l > uint64(len(b)) || uint64(len(b))-l < 8 { // l+8 could overflow
-				return dst, fmt.Errorf("walrec: reward batch truncated")
-			}
-			dst = append(dst, hashBytes(b[:l]))
-			b = b[l+8:]
-		}
-	case TagTrainMark:
-		// no keys
-	case TagHintRollover:
-		b := p[1:]
-		if _, b, err = takeUvarint(b); err != nil { // gen
-			return dst, err
-		}
-		var n uint64
-		if n, b, err = takeUvarint(b); err != nil {
-			return dst, err
-		}
-		for i := uint64(0); i < n; i++ {
-			if len(b) < 8 {
-				return dst, fmt.Errorf("walrec: hint record truncated at hash")
-			}
-			dst = append(dst, binary.LittleEndian.Uint64(b))
-			b = b[8:]
-			if b, err = skipString(b); err != nil { // templateID
-				return dst, err
-			}
-			if b, err = skipString(b); err != nil { // flip
-				return dst, err
-			}
-			if _, b, err = takeUvarint(b); err != nil { // day
-				return dst, err
-			}
-		}
-	case TagQuarantine:
-		if len(p) < 2 {
-			return dst, fmt.Errorf("walrec: quarantine record truncated")
-		}
-		b := p[2:]
-		var n uint64
-		if n, b, err = takeUvarint(b); err != nil {
-			return dst, err
-		}
-		for i := uint64(0); i < n; i++ {
-			if len(b) < 9 {
-				return dst, fmt.Errorf("walrec: quarantine record truncated")
-			}
-			dst = append(dst, binary.LittleEndian.Uint64(b))
-			b = b[9:]
-		}
-	default:
-		return dst, fmt.Errorf("walrec: unknown record tag %d", p[0])
-	}
-	return dst, nil
-}
-
-// hashBytes is HashEventID without the string conversion.
-func hashBytes(b []byte) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= prime64
-	}
-	return h
 }

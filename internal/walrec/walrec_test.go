@@ -3,7 +3,10 @@ package walrec
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
+	"math"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -49,24 +52,14 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		// Re-encoding the decoded form must reproduce the record
 		// (quarantine maps encode in unspecified order, so that tag
 		// compares decoded forms instead).
-		var again []byte
-		switch tag {
-		case TagRank:
-			again = EncodeRank(rec.Rank.EventID, rec.Rank.Prob, rec.Rank.CtxIDs, rec.Rank.ActIDs)
-		case TagRewardBatch:
-			again = EncodeRewardBatch(rec.RewardBatch)
-		case TagTrainMark:
-			again = EncodeTrainMark()
-		case TagHintRollover:
-			again = EncodeHintRollover(rec.HintRollover.Gen, rec.HintRollover.Hints)
-		case TagQuarantine:
-			q := rec.Quarantine
+		if tag == TagQuarantine {
 			want := Quarantine{States: map[uint64]byte{0x1001: 2, 0x1002: 3, 0: 1}, Snapshot: true, Manual: true}
-			if !reflect.DeepEqual(*q, want) {
-				t.Errorf("quarantine decoded as %+v, want %+v", *q, want)
+			if !reflect.DeepEqual(*rec.Quarantine, want) {
+				t.Errorf("quarantine decoded as %+v, want %+v", *rec.Quarantine, want)
 			}
 			continue
 		}
+		again := encode(rec)
 		if !bytes.Equal(again, recs[tag]) {
 			t.Errorf("tag %d: encode(decode(x)) != x", tag)
 		}
@@ -89,9 +82,11 @@ func TestDecodeRejectsEveryStrictPrefix(t *testing.T) {
 	}
 }
 
-// FuzzDecode: no input makes Decode or AppendKeys panic or allocate
-// from an unchecked count, and whatever Decode accepts the audit
-// filter's key walk accepts too.
+// FuzzDecode: no input makes Decode panic or allocate from an
+// unchecked count, and whatever Decode accepts is a fixed point of its
+// tag's encoder: re-encoded and decoded again, it is the same record.
+// Decoded forms are compared, not bytes: Decode accepts trailing bytes
+// and non-minimal varints, which no encoder writes.
 func FuzzDecode(f *testing.F) {
 	for _, rec := range sampleRecords() {
 		f.Add(rec)
@@ -100,10 +95,53 @@ func FuzzDecode(f *testing.F) {
 	f.Add(append(append([]byte{TagRank, 0}, make([]byte, 8)...), binary.AppendUvarint(nil, 1<<61)...))
 	f.Add(append([]byte{TagRewardBatch, 1}, binary.AppendUvarint(nil, ^uint64(0)-7)...))
 	f.Fuzz(func(t *testing.T, p []byte) {
-		_, derr := Decode(p)
-		_, kerr := AppendKeys(nil, p)
-		if derr == nil && kerr != nil {
-			t.Errorf("Decode accepted a record AppendKeys rejects: %v", kerr)
+		rec, err := Decode(p)
+		if err != nil {
+			return
+		}
+		again, err := Decode(encode(rec))
+		if err != nil {
+			t.Fatalf("re-encoded %s record does not decode: %v", Name(rec.Tag), err)
+		}
+		if !sameRecord(again, rec) {
+			t.Errorf("%s record changed across re-encoding:\n%+v\n%+v", Name(rec.Tag), rec, again)
 		}
 	})
+}
+
+// encode frames a decoded record with its tag's encoder.
+func encode(rec Record) []byte {
+	switch rec.Tag {
+	case TagRank:
+		return EncodeRank(rec.Rank.EventID, rec.Rank.Prob, rec.Rank.CtxIDs, rec.Rank.ActIDs)
+	case TagRewardBatch:
+		return EncodeRewardBatch(rec.RewardBatch)
+	case TagTrainMark:
+		return EncodeTrainMark()
+	case TagHintRollover:
+		return EncodeHintRollover(rec.HintRollover.Gen, rec.HintRollover.Hints)
+	case TagQuarantine:
+		return EncodeQuarantine(rec.Quarantine.States, rec.Quarantine.Snapshot, rec.Quarantine.Manual)
+	}
+	panic(fmt.Sprintf("walrec: no encoder for tag %d", rec.Tag))
+}
+
+// sameRecord is reflect.DeepEqual with floats compared by their bits: a
+// NaN reward or propensity is a payload like any other, and NaN != NaN.
+func sameRecord(a, b Record) bool {
+	if a.Tag != b.Tag {
+		return false
+	}
+	sameFloat := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+	switch a.Tag {
+	case TagRank:
+		x, y := a.Rank, b.Rank
+		return x.EventID == y.EventID && sameFloat(x.Prob, y.Prob) &&
+			reflect.DeepEqual(x.CtxIDs, y.CtxIDs) && reflect.DeepEqual(x.ActIDs, y.ActIDs)
+	case TagRewardBatch:
+		return slices.EqualFunc(a.RewardBatch, b.RewardBatch, func(x, y RewardEntry) bool {
+			return x.EventID == y.EventID && sameFloat(x.Value, y.Value)
+		})
+	}
+	return reflect.DeepEqual(a, b)
 }

@@ -1,8 +1,6 @@
 package workload
 
 import (
-	"fmt"
-
 	"qoadvisor/internal/exec"
 	"qoadvisor/internal/optimizer"
 	"qoadvisor/internal/rules"
@@ -108,9 +106,4 @@ func BuildViewRows(job *Job, res *optimizer.Result, m exec.Metrics) []ViewRow {
 		})
 	}
 	return rows
-}
-
-// ViewKey identifies a job's rows in the view.
-func (r ViewRow) ViewKey() string {
-	return fmt.Sprintf("%s#%d", r.JobID, r.QueryIndex)
 }

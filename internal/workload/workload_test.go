@@ -228,9 +228,6 @@ func TestBuildViewRows(t *testing.T) {
 			if r.EstimatedCost <= 0 || r.PNHours <= 0 {
 				t.Errorf("bad view row: %+v", r)
 			}
-			if r.ViewKey() == "" {
-				t.Error("empty view key")
-			}
 		}
 	}
 }
