@@ -84,6 +84,9 @@ func TestReplayRebuildsBitIdenticalModel(t *testing.T) {
 	// journals them), each reward applied through a live Replayer's
 	// Reward — what the serve layer's single worker does. Every 7th
 	// event is left unrewarded so open events survive into Save.
+	// Live and replay both train through the Replayer, so this test
+	// cannot see where its trainEvery boundaries fall;
+	// decisions.golden (TestDecisionGolden) pins them.
 	lr := NewReplayer(live, trainEvery)
 	var batch []walrec.RewardEntry
 	flushBatch := func() {
@@ -167,7 +170,9 @@ func TestReplayRebuildsBitIdenticalModel(t *testing.T) {
 // snapshot taken mid-run (with its WAL watermark) plus replay of only
 // the journal suffix must reproduce the full-run model — including
 // rewards that arrive after the checkpoint for events ranked before it
-// (they travel in the snapshot's open-event section).
+// (they travel in the snapshot's open-event section). As in
+// TestReplayRebuildsBitIdenticalModel, the live side trains through a
+// Replayer too; decisions.golden pins the trainEvery boundaries.
 func TestSnapshotPlusSuffixEquivalence(t *testing.T) {
 	const trainEvery = 4
 	live := New(Config{Dim: 1 << 12, Epsilon: 0.2, LearningRate: 0.1, MaxIPSWeight: 20, Seed: 5})
@@ -226,6 +231,9 @@ func TestSnapshotPlusSuffixEquivalence(t *testing.T) {
 	rewardNow(append([]string{pre[7], pre[9]}, post[:3]...), 0.75)
 	j.Append(walrec.EncodeTrainMark())
 	lr.Mark()
+	if st := lr.Stats(); st.Rewards != 11 || st.UnknownRewards != 0 {
+		t.Fatalf("live stats = %+v, want 11 rewards applied", st)
+	}
 	live.SetWALWatermark(j.LastLSN())
 
 	var want bytes.Buffer
@@ -251,6 +259,9 @@ func TestSnapshotPlusSuffixEquivalence(t *testing.T) {
 		}
 	}
 	rp.Finish()
+	if st := rp.Stats(); st.Rewards != 5 || st.UnknownRewards != 0 {
+		t.Fatalf("suffix replay stats = %+v, want the 5 post-checkpoint rewards applied", st)
+	}
 
 	var got bytes.Buffer
 	if err := restored.Save(&got); err != nil {

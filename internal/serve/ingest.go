@@ -110,7 +110,8 @@ func (in *Ingestor) start() {
 
 func (in *Ingestor) apply(r reward) {
 	// One clock read serves both stages: it ends the queue wait and
-	// starts the apply measurement.
+	// starts the apply measurement, which includes the training pass
+	// the reward completes.
 	applyStart := time.Now()
 	in.stages.queueWait.Observe(applyStart.Sub(r.enq))
 	in.rp.Reward(r.eventID, r.value)

@@ -42,6 +42,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 )
 
@@ -763,10 +764,13 @@ func (w *WAL) Close() error {
 // path+".tmp", are fsynced and renamed over path, and then path's
 // directory is fsynced, because a rename survives a crash only once its
 // directory does. A crash leaves the old file or the new one, never a
-// truncated mix, and an error leaves the old file in place. Checkpoints
-// publish the model snapshot through it before compacting the journal
-// segments the snapshot covers, so the compaction cannot outlive the
-// snapshot's rename.
+// truncated mix. An error before the rename leaves the old file in
+// place; an error from the directory fsync leaves the new bytes at path
+// without a promise that the rename survives a crash. Only a filesystem
+// that cannot fsync directories (EINVAL, ENOTSUP) is let through.
+// Checkpoints publish the model snapshot through it before compacting
+// the journal segments the snapshot covers, and stop on its error, so
+// the compaction cannot outlive the snapshot's rename.
 func WriteFileAtomic(path string, data []byte) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
@@ -787,15 +791,28 @@ func WriteFileAtomic(path string, data []byte) error {
 		os.Remove(tmp)
 		return err
 	}
-	syncDir(filepath.Dir(path))
-	return nil
+	return syncDir(filepath.Dir(path))
 }
 
-// syncDir fsyncs a directory so segment create/remove survives a
-// crash; best-effort (not every filesystem supports it).
-func syncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
+// fsyncDir is syncDir's fsync; a test swaps it to inject a failure.
+var fsyncDir = (*os.File).Sync
+
+// syncDir fsyncs a directory so a create, rename or remove in it
+// survives a crash. A filesystem that cannot fsync directories answers
+// EINVAL or ENOTSUP; that is not an error. The journal's segment
+// create/remove calls treat it as best effort; WriteFileAtomic returns
+// its error.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
 	}
+	err = fsyncDir(d)
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	if errors.Is(err, syscall.EINVAL) || errors.Is(err, syscall.ENOTSUP) {
+		return nil
+	}
+	return err
 }

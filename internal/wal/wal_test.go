@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -635,5 +636,27 @@ func TestWriteFileAtomic(t *testing.T) {
 	}
 	if got, err := os.ReadFile(path); err != nil || string(got) != "second, longer" {
 		t.Fatalf("after a failed write: %q, %v; want the old bytes", got, err)
+	}
+}
+
+// TestWriteFileAtomicDirSyncError: a failed directory fsync is the
+// caller's error (a checkpoint must not compact behind a rename that
+// may not survive a crash), except the EINVAL a filesystem that cannot
+// fsync directories answers.
+func TestWriteFileAtomicDirSyncError(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "model.snap")
+	defer func(orig func(*os.File) error) { fsyncDir = orig }(fsyncDir)
+	for _, tc := range []struct {
+		err  error
+		fail bool
+	}{
+		{&os.PathError{Op: "sync", Err: syscall.EIO}, true},
+		{&os.PathError{Op: "sync", Err: syscall.EINVAL}, false},
+	} {
+		fsyncDir = func(*os.File) error { return tc.err }
+		err := WriteFileAtomic(path, []byte("data"))
+		if (err != nil) != tc.fail {
+			t.Errorf("directory fsync fails with %v: WriteFileAtomic = %v, want failure %v", tc.err, err, tc.fail)
+		}
 	}
 }
