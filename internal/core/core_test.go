@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"qoadvisor/internal/exec"
+	"qoadvisor/internal/featurize"
 	"qoadvisor/internal/flighting"
 	"qoadvisor/internal/optimizer"
 	"qoadvisor/internal/rules"
@@ -116,76 +117,8 @@ func TestSpanCacheSharedAcrossInstances(t *testing.T) {
 	}
 }
 
-func TestContextFeaturesIncludeCoOccurrence(t *testing.T) {
-	var f JobFeatures
-	f.Span.Set(3)
-	f.Span.Set(7)
-	f.Span.Set(9)
-	f.RowCount = 1e6
-	ctx := ContextFeatures(&f)
-	want := map[uint64]string{
-		feat1(tagSpan, 3):                      "span:3",
-		feat1(tagSpan, 7):                      "span:7",
-		feat1(tagSpan, 9):                      "span:9",
-		feat2(tagSpan2, 3, 7):                  "span2:3,7",
-		feat2(tagSpan2, 3, 9):                  "span2:3,9",
-		feat2(tagSpan2, 7, 9):                  "span2:7,9",
-		feat3(tagSpan3, 3, 7, 9):               "span3:3,7,9",
-		feat1(tagRows, uint64(logBucket(1e6))): "rows:6",
-	}
-	have := make(map[uint64]bool, len(ctx.IDs))
-	for _, id := range ctx.IDs {
-		if have[id] {
-			t.Errorf("duplicate feature ID %#x", id)
-		}
-		have[id] = true
-	}
-	for id, name := range want {
-		if !have[id] {
-			t.Errorf("missing context feature %s (ID %#x) in %v", name, id, ctx.IDs)
-		}
-	}
-}
-
-// TestContextFeaturesSizedToSpan: the event log keeps a context for the
-// life of its event, so the slice carries no spare capacity — from one
-// bit, through the pair and triple caps, to the full catalog.
-func TestContextFeaturesSizedToSpan(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 8, 12, 40, rules.NumRules} {
-		var f JobFeatures
-		for b := 0; b < n; b++ {
-			f.Span.Set((b * 37) % rules.NumRules) // 37 is coprime to 256: n distinct bits
-		}
-		ids := ContextFeatures(&f).IDs
-		want := n + min(n*(n-1)/2, 60) + min(n*(n-1)*(n-2)/6, 40) + 3
-		if len(ids) != want || cap(ids) != want {
-			t.Errorf("%d-bit span: %d context IDs in a slice of %d, want exactly %d", n, len(ids), cap(ids), want)
-		}
-	}
-}
-
-// TestSpanActionsShareTheCatalogTable: two action sets of one catalog
-// alias the same feature IDs, and ActionsFor is SpanActions plus flips.
-func TestSpanActionsShareTheCatalogTable(t *testing.T) {
-	cat := rules.NewCatalog()
-	var f JobFeatures
-	f.Span.Set(20)
-	f.Span.Set(100)
-	a, b := SpanActions(cat, f.Span), SpanActions(cat, f.Span)
-	withFlips, flips := ActionsFor(cat, &f)
-	if len(a) != 3 || !reflect.DeepEqual(a, withFlips) {
-		t.Fatalf("SpanActions = %+v, ActionsFor = %+v", a, withFlips)
-	}
-	for i := range a {
-		if &a[i].IDs[0] != &b[i].IDs[0] {
-			t.Errorf("action %d: feature IDs are copied per call, want one shared table", i)
-		}
-		if i > 0 && a[i].ID != flips[i].String() {
-			t.Errorf("action %d is named %q, its flip is %s", i, a[i].ID, flips[i])
-		}
-	}
-}
-
+// TestActionsForIncludesNoopAndAllSpanFlips: ActionsFor is the leaf's
+// action set plus the flip each action stands for.
 func TestActionsForIncludesNoopAndAllSpanFlips(t *testing.T) {
 	cat := rules.NewCatalog()
 	var f JobFeatures
@@ -195,11 +128,17 @@ func TestActionsForIncludesNoopAndAllSpanFlips(t *testing.T) {
 	if len(actions) != 3 || len(flips) != 3 {
 		t.Fatalf("actions = %d, want 3 (noop + 2 flips)", len(actions))
 	}
+	if !reflect.DeepEqual(actions, featurize.Actions(cat, f.Span)) {
+		t.Errorf("ActionsFor = %+v, featurize.Actions = %+v", actions, featurize.Actions(cat, f.Span))
+	}
 	if actions[0].ID != "noop" {
 		t.Error("first action must be noop")
 	}
 	// Flip direction: off-by-default rules turn on, others turn off.
 	for i, flip := range flips[1:] {
+		if actions[i+1].ID != flip.String() {
+			t.Errorf("action %d is named %q, its flip is %s", i+1, actions[i+1].ID, flip)
+		}
 		r := cat.Rule(flip.RuleID)
 		wantEnable := r.Category == rules.OffByDefault
 		if flip.Enable != wantEnable {
@@ -622,7 +561,7 @@ func TestParallelRunDayDeterministic(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			out = append(out, dayOut{Report: rep, Hints: adv.ActiveHints()})
+			out = append(out, dayOut{Report: rep, Hints: adv.Store.Current()})
 		}
 		return out
 	}

@@ -11,8 +11,8 @@ import (
 	"qoadvisor/internal/api"
 	"qoadvisor/internal/audit"
 	"qoadvisor/internal/bandit"
-	"qoadvisor/internal/core"
 	"qoadvisor/internal/drift"
+	"qoadvisor/internal/featurize"
 	"qoadvisor/internal/obs"
 	"qoadvisor/internal/rules"
 	"qoadvisor/internal/sis"
@@ -268,8 +268,8 @@ func (s *Server) Bandit() *bandit.Service { return s.bandit }
 func (s *Server) Ingestor() *Ingestor { return s.ingest }
 
 // InstallHints validates and hot-swaps the hint table — the
-// pipeline-rollover entry point, fed from core.Advisor.ActiveHints() or
-// a parsed SIS file. Validation is the same gate the HTTP rollover
+// pipeline-rollover entry point, fed from a parsed SIS file (qoserved
+// serve -hints, push-hints, POST /v2/hints). Validation is the same gate the HTTP rollover
 // applies: rule IDs in range, no duplicate templates, no Required-rule
 // flips — plus the table's own addressing limit (see hintTable), which
 // only an in-process caller can reach. On a WAL-backed server the
@@ -433,9 +433,8 @@ func (s *Server) rankTraced(req api.RankRequest, tr *obs.Trace, tid int) (api.Ra
 		}, nil
 	}
 
-	f := core.JobFeatures{Span: span, RowCount: req.RowCount, BytesRead: req.BytesRead}
-	ctx := core.ContextFeatures(&f)
-	actions := core.SpanActions(s.cat, span)
+	ctx := featurize.Context(span, req.RowCount, req.BytesRead)
+	actions := featurize.Actions(s.cat, span)
 	var ranked bandit.Ranked
 	var err error
 	switch {
