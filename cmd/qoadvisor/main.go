@@ -7,10 +7,14 @@
 //
 // Usage:
 //
-//	qoadvisor [-days 10] [-templates 60] [-seed 42] [-hints out.hints]
+//	qoadvisor [-days 10] [-templates 60] [-seed 42] [-hints out.hints] [-model out.snap]
+//
+// -hints and -model are what qoserved serve reads (its -hints and -model):
+// the validated hint table and the trained bandit.
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"io"
@@ -20,6 +24,7 @@ import (
 	"qoadvisor/internal/rules"
 	"qoadvisor/internal/sis"
 	"qoadvisor/internal/stats"
+	"qoadvisor/internal/wal"
 )
 
 func main() {
@@ -35,6 +40,7 @@ func run(argv []string, stdout io.Writer) error {
 	templates := fs.Int("templates", 60, "number of recurring job templates")
 	seed := fs.Int64("seed", 42, "workload and pipeline seed")
 	hintsOut := fs.String("hints", "", "write the final SIS hint file to this path")
+	modelOut := fs.String("model", "", "write the trained bandit's snapshot to this path")
 	parallelism := fs.Int("parallelism", 0, "pipeline worker-pool size (0 = GOMAXPROCS, 1 = sequential; output is identical at any setting)")
 	fs.Parse(argv) // exits on a bad flag
 
@@ -65,21 +71,38 @@ func run(argv []string, stdout io.Writer) error {
 	fmt.Fprintf(stdout, "hinted executions: %d (total PNhours %.2f), default executions: %d (total PNhours %.2f)\n",
 		len(hintedPN), stats.Sum(hintedPN), len(defaultPN), stats.Sum(defaultPN))
 
+	// These files are the only handoff to qoserved serve (-hints, -model),
+	// so each is replaced whole: a crash leaves the old file or the new one.
 	if *hintsOut != "" {
-		f, err := os.Create(*hintsOut)
-		if err != nil {
-			return err
-		}
+		// Without a SIS version (-days 0) the table is empty: a header-only
+		// file, which sis.Parse accepts.
+		var final sis.File
 		if hist := store.History(); len(hist) > 0 {
-			err = sis.Serialize(f, hist[len(hist)-1])
+			final = hist[len(hist)-1]
 		}
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
+		var buf bytes.Buffer
+		sis.Serialize(&buf, final) // a bytes.Buffer write cannot fail
+		if err := wal.WriteFileAtomic(*hintsOut, buf.Bytes()); err != nil {
 			return err
 		}
 		fmt.Fprintf(stdout, "hint file written to %s\n", *hintsOut)
+	}
+	if *modelOut != "" {
+		var snap, model bytes.Buffer
+		adv.CB.Service.Save(&snap) // a bytes.Buffer write cannot fail
+		// The trained weights without the open rank events ("ev" lines):
+		// those are decisions whose recompilation failed, which no reward
+		// will ever close, and their IDs carry a per-process nonce — left
+		// in, they would make the file differ from run to run.
+		for _, line := range bytes.SplitAfter(snap.Bytes(), []byte("\n")) {
+			if !bytes.HasPrefix(line, []byte("ev ")) {
+				model.Write(line)
+			}
+		}
+		if err := wal.WriteFileAtomic(*modelOut, model.Bytes()); err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "model written to %s\n", *modelOut)
 	}
 	return nil
 }

@@ -19,14 +19,23 @@
 // testdata/flags.golden pins all of them.
 //
 // serve is an HTTP Rank/Reward server backed by a published hint table
-// and an asynchronous reward-ingestion pipeline. On startup it can
-// bootstrap itself end-to-end by running the offline daily pipeline for
-// a few simulated days — producing a validated hint table and a trained
-// bandit — and then serves both: cached hints answer steering queries
-// for known templates, the bandit ranks everything else, and /v2/reward
-// telemetry trains the model continuously off the request path. On
-// SIGINT/SIGTERM the server drains the reward queue and, when -model is
-// set, persists the learner so a restart resumes from the learned state.
+// and an asynchronous reward-ingestion pipeline. It does not run the
+// offline pipeline: qoadvisor does, and hands over two files — a SIS
+// hint table (qoadvisor -hints) and the trained bandit (qoadvisor
+// -model). Bootstrapping is therefore two commands:
+//
+//	qoadvisor -days 5 -templates 24 -hints h -model m
+//	qoserved serve -hints h -model m
+//
+// serve loads -model at startup as recovered state (a missing file is a
+// fresh learner) and installs -hints as one journaled rollover that
+// replaces the recovered table; without -hints the recovered table
+// stands. Cached hints answer steering queries for known templates, the
+// bandit ranks everything else, and /v2/reward telemetry trains the
+// model continuously off the request path. Exploration draws from -seed.
+// On SIGINT/SIGTERM the server drains the reward queue and, when -model
+// is set, persists the learner so a restart resumes from the learned
+// state.
 //
 // With -wal-dir set serve runs durably: every rank decision, accepted
 // reward batch, and hint-table rollover is journaled to a segmented
@@ -82,8 +91,6 @@ import (
 
 	"qoadvisor/internal/api"
 	"qoadvisor/internal/api/client"
-	"qoadvisor/internal/bandit"
-	"qoadvisor/internal/core"
 	"qoadvisor/internal/drift"
 	"qoadvisor/internal/fleet"
 	"qoadvisor/internal/obs"
@@ -293,7 +300,6 @@ type serveMode struct {
 	nodeFlags
 	replayFlags
 	seed                          int64
-	templates, bootstrapDays      int
 	hints, model, walDir, walSync string
 	walMode                       wal.Mode // -wal-sync, parsed by validate
 	walSegMB                      int64
@@ -308,10 +314,8 @@ type serveMode struct {
 func (m *serveMode) register(fs *flag.FlagSet) {
 	m.nodeFlags.register(fs)
 	m.replayFlags.register(fs)
-	fs.Int64Var(&m.seed, "seed", 42, "workload, pipeline and exploration seed")
-	fs.IntVar(&m.templates, "templates", 24, "bootstrap workload size (recurring job templates)")
-	fs.IntVar(&m.bootstrapDays, "bootstrap-days", 5, "simulated pipeline days to run before serving (0 = none)")
-	fs.StringVar(&m.hints, "hints", "", "load an additional SIS hint file into the cache")
+	fs.Int64Var(&m.seed, "seed", 42, "exploration seed")
+	fs.StringVar(&m.hints, "hints", "", "SIS hint file (qoadvisor -hints) to install at startup, replacing the recovered hint table")
 	fs.StringVar(&m.model, "model", "", "model snapshot path: loaded at startup if present, written on shutdown and POST /v2/model/snapshot")
 	fs.BoolVar(&m.uniform, "uniform", false, "rank with the uniform-at-random logging policy")
 	fs.StringVar(&m.walDir, "wal-dir", "", "durable reward journal directory (empty = in-memory only)")
@@ -355,39 +359,15 @@ func (m *serveMode) run() error {
 		}
 	}
 
-	var hints, fileHints []sis.Hint
-	var trained *bandit.Service // served only when nothing is recovered
-	if m.bootstrapDays > 0 {
-		// The offline daily pipeline, for that many simulated days: its
-		// advisor's bandit is now trained and its SIS store holds the
-		// active hint table.
-		adv, err := core.RunLoop(cat, m.seed, m.templates, m.bootstrapDays, 0, nil)
-		if err != nil {
-			return fmt.Errorf("bootstrap: %w", err)
-		}
-		hints, trained = adv.ActiveHints(), adv.CB.Service
-		logg.Info("bootstrap complete", "days", m.bootstrapDays, "templates", m.templates, "activeHints", len(hints))
-	}
-	if m.hints != "" {
-		if fileHints, err = loadHints(m.hints, cat); err != nil {
-			return err
-		}
-		// Merge with the bootstrap table, file hints winning on conflict:
-		// both describe the same workload, so template overlap is normal.
-		hints = mergeHints(hints, fileHints)
-	}
-
 	var driftCfg *drift.Config // nil = detection off; enforcement is always on
 	if m.drift {
 		driftCfg = &m.driftCfg
 	}
-	// Model precedence (serve.Open): recovered durable state wins, then
-	// the bootstrap pipeline's trained bandit, then a fresh one. Open also
-	// restores the journaled quarantine and hint tables and, with a WAL,
-	// takes the initial checkpoint.
+	// serve.Open recovers the model from -model plus the journal suffix
+	// (or starts a fresh learner), restores the journaled quarantine and
+	// hint tables and, with a WAL, takes the initial checkpoint.
 	srv, rec, err := serve.Open(serve.Config{
 		Catalog:      cat,
-		Bandit:       trained,
 		Seed:         m.seed,
 		Uniform:      m.uniform,
 		TrainEvery:   m.trainEvery,
@@ -402,32 +382,25 @@ func (m *serveMode) run() error {
 		return fmt.Errorf("opening primary: %w", err)
 	}
 	model := srv.SnapshotPath()
-	switch {
-	case rec.Recovered():
+	if rec.Recovered() {
 		logg.Info("recovered model", "path", model,
 			"snapshot", rec.SnapshotLoaded, "watermarkLsn", rec.FromLSN,
 			"records", rec.Journal.Records, "ranks", rec.Replay.Ranks,
 			"rewards", rec.Replay.Rewards, "trained", rec.Replay.TrainedEvents,
 			"hintRollovers", rec.HintRollovers, "hints", len(rec.Hints), "hintGeneration", rec.HintGen,
 			"quarantineRecords", rec.QuarantineRecords, "quarantined", len(rec.Quarantine))
-	case trained != nil:
-		logg.Info("serving the bootstrap pipeline's trained bandit")
 	}
 	if m.incidents.Dir != "" {
 		logg.Info("incident capture enabled", "dir", m.incidents.Dir)
 	}
-	// Gate on rollovers seen, not table size: a journaled rollover to an
-	// EMPTY table is a legitimate retirement. The recovered table is
-	// authoritative over the bootstrap pipeline's regenerated one; an
-	// explicit -hints file still overlays it (as a fresh journaled
-	// rollover).
-	if rec.HintRollovers > 0 {
-		hints = nil
-		if m.hints != "" {
-			hints = mergeHints(rec.Hints, fileHints)
+	// A -hints file is a whole SIS table (the pipeline merges before each
+	// upload), so it replaces the recovered one as one journaled rollover,
+	// exactly as push-hints would. Without it the recovered table stands.
+	if m.hints != "" {
+		hints, err := loadHints(m.hints, cat)
+		if err != nil {
+			return err
 		}
-	}
-	if len(hints) > 0 {
 		gen, err := srv.InstallHints(hints)
 		if err != nil {
 			return fmt.Errorf("installing hints: %w", err)
@@ -817,7 +790,7 @@ func (m *replayMode) run() error {
 	if err := rec.Service.Save(&buf); err != nil {
 		return err
 	}
-	if err := os.WriteFile(m.out, buf.Bytes(), 0o644); err != nil {
+	if err := wal.WriteFileAtomic(m.out, buf.Bytes()); err != nil {
 		return err
 	}
 	fmt.Printf("snapshot:  loaded=%v watermark=%d\n", rec.SnapshotLoaded, rec.FromLSN)
@@ -839,25 +812,4 @@ func (m *replayMode) run() error {
 	}
 	fmt.Printf("model:     %d bytes -> %s (WAL watermark %d)\n", buf.Len(), m.out, rec.Service.WALWatermark())
 	return nil
-}
-
-// mergeHints overlays additions onto base, additions winning on
-// template conflicts; order is preserved (base first, new additions
-// appended).
-func mergeHints(base, additions []sis.Hint) []sis.Hint {
-	index := make(map[uint64]int, len(base))
-	out := make([]sis.Hint, len(base))
-	copy(out, base)
-	for i, h := range out {
-		index[h.TemplateHash] = i
-	}
-	for _, h := range additions {
-		if i, ok := index[h.TemplateHash]; ok {
-			out[i] = h
-			continue
-		}
-		index[h.TemplateHash] = len(out)
-		out = append(out, h)
-	}
-	return out
 }

@@ -58,8 +58,8 @@ func TestFlagsGolden(t *testing.T) {
 			defaults[f.Name] = f.DefValue
 		})
 	}
-	if len(defaults) != 34 {
-		t.Errorf("%d distinct flag names across all subcommands, want 34", len(defaults))
+	if len(defaults) != 32 {
+		t.Errorf("%d distinct flag names across all subcommands, want 32", len(defaults))
 	}
 	const path = "testdata/flags.golden"
 	if *update {
@@ -86,8 +86,7 @@ func TestParseBuildsEachMode(t *testing.T) {
 		want mode
 	}{
 		{"serve -addr :1 -wal-dir d -wal-sync sync -drift -drift-threshold 6 -seed 7", &serveMode{
-			nodeFlags: node, seed: 7,
-			templates: 24, bootstrapDays: 5, drift: true, driftCfg: drift.Config{Threshold: 6},
+			nodeFlags: node, seed: 7, drift: true, driftCfg: drift.Config{Threshold: 6},
 			walDir: "d", walSync: "sync", walMode: wal.ModeSync, walSegMB: 64,
 			snapshotEvery: 5 * time.Minute,
 		}},
@@ -170,20 +169,21 @@ func TestParseRejects(t *testing.T) {
 	// A follower's state is the primary's: every flag the old conflict
 	// table policed is simply not in follow's set.
 	for _, name := range []string{
-		"hints", "model", "bootstrap-days", "templates", "uniform", "queue", "workers",
+		"hints", "model", "uniform", "queue", "workers",
 		"wal-sync", "wal-segment-mb", "snapshot-every", "drift", "drift-threshold",
 		"drift-quarantine-after", "drift-restore-after", "drift-max-templates",
 		"incident-dir", "incident-burn-threshold", "incident-cooldown",
 	} {
 		cases = append(cases, [2]string{"follow http://p:1 -" + name + "=1", undefined})
 	}
-	// The old mode flags and the four deleted knobs exist nowhere.
+	// The old mode flags, the four deleted knobs and the serve-time
+	// bootstrap (now qoadvisor -hints/-model) exist nowhere.
 	for _, c := range commands {
 		operand := ""
 		if c.operand != "" {
 			operand = " x"
 		}
-		for _, old := range []string{"follow", "check", "cluster", "push-hints", "replay", "audit", "version", "workers", "shards", "rank-workers", "queue"} {
+		for _, old := range []string{"follow", "check", "cluster", "push-hints", "replay", "audit", "version", "workers", "shards", "rank-workers", "queue", "bootstrap-days", "templates"} {
 			cases = append(cases, [2]string{c.name + operand + " -" + old + "=1", undefined})
 		}
 	}
@@ -384,5 +384,34 @@ func TestReplayRefusesCompactedJournal(t *testing.T) {
 	}
 	if err := runQuiet(t, "replay", out, "-wal-dir", dir, "-train-every", "4", "-model", filepath.Join(dir, serve.SnapshotFile)); err != nil {
 		t.Fatalf("replay with the checkpoint snapshot: %v", err)
+	}
+}
+
+// TestServingBinariesDoNotLinkSimulator holds the line between the two
+// programs of the deployment: the steering service reads the offline
+// pipeline's hint and model files and links none of the simulator that
+// produces them. cmd/qobench is exempt: its pipeline_day workload runs
+// the pipeline in-process.
+func TestServingBinariesDoNotLinkSimulator(t *testing.T) {
+	goTool, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("no go command on PATH")
+	}
+	simulator := map[string]bool{}
+	for _, name := range []string{"scope", "optimizer", "exec", "workload", "flighting", "regression", "span", "core"} {
+		simulator["qoadvisor/internal/"+name] = true
+	}
+	for _, pkg := range []string{"./cmd/qoserved", "./cmd/qoload", "./internal/serve", "./internal/replicate"} {
+		cmd := exec.Command(goTool, "list", "-deps", pkg)
+		cmd.Dir = "../.."
+		out, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("go list -deps %s: %v", pkg, err)
+		}
+		for _, dep := range strings.Fields(string(out)) {
+			if simulator[dep] {
+				t.Errorf("%s links simulator package %s", pkg, dep)
+			}
+		}
 	}
 }

@@ -243,14 +243,6 @@ func (a *Advisor) RunDay(date int, jobs []*workload.Job, view []workload.ViewRow
 	return rep, nil
 }
 
-// ActiveHints exports the pipeline's current hint table in servable
-// form: a caller-owned snapshot of the latest SIS version, sorted by
-// template hash. The online steering layer installs this into its hint
-// cache on pipeline rollover.
-func (a *Advisor) ActiveHints() []sis.Hint {
-	return a.Store.Current()
-}
-
 // explorationFlights flights random (job, span-flip) pairs to feed the
 // validation model's training set.
 func (a *Advisor) explorationFlights(date int, feats []*JobFeatures) []flighting.Result {

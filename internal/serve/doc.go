@@ -5,7 +5,10 @@
 // offline pipeline produces rule-flip hints, a production-facing serving
 // layer answers "what flip for this job template?" on the hot path from
 // a published hint table, and reward telemetry flows asynchronously into
-// the Personalizer-style rank/reward learner.
+// the Personalizer-style rank/reward learner. The pipeline is another
+// program: what reaches serve from it is a SIS hint file and a model
+// snapshot, and serve featurizes through internal/featurize, so it links
+// none of the simulator.
 //
 // # Hint table
 //

@@ -15,7 +15,7 @@ import (
 )
 
 // TestOpenServesRecoveredModel: recovered durable state wins over the
-// caller's model (qoserved's bootstrap bandit); with nothing recovered
+// caller's model (Config.Bandit); with nothing recovered
 // the caller's model is the one served.
 func TestOpenServesRecoveredModel(t *testing.T) {
 	r := newWALRig(t, 1<<20)

@@ -122,8 +122,8 @@ type RecoverResult struct {
 }
 
 // Recovered reports whether any persisted state was found — when
-// false the caller should fall back to its bootstrap path (the model
-// is a fresh, untrained learner).
+// false the model is a fresh, untrained learner, and Open serves
+// Config.Bandit instead when one is given.
 func (r RecoverResult) Recovered() bool {
 	return r.SnapshotLoaded || r.Journal.Records > 0
 }
