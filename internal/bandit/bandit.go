@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -25,14 +26,18 @@ import (
 // them into the same ID space with HashFeatures.
 type Action struct {
 	ID string
-	// IDs is read-only once the action is submitted: the event log, Events
-	// and the journal share it, and featurizers may alias one immutable
-	// table from every action they build (internal/core does, per catalog).
+	// IDs is read-only: Rank copies the action set but not the IDs, so
+	// the event log, Events and the journal share them, and featurizers
+	// alias one immutable table from every action they build
+	// (internal/featurize does, per catalog).
 	IDs []uint64
 }
 
 // Context carries the decision context (e.g. job-span bit positions and
-// their co-occurrence crosses) as pre-hashed feature IDs.
+// their co-occurrence crosses) as pre-hashed feature IDs. Rank,
+// RankUniform and RankGreedy read IDs only until they return — the event
+// log keeps a copy — so a caller may featurize every decision into the
+// same scratch.
 type Context struct {
 	IDs []uint64
 }
@@ -78,7 +83,9 @@ type Ranked struct {
 	Prob float64
 }
 
-// Event is one logged rank decision with its eventual reward.
+// Event is one logged rank decision with its eventual reward. A ranked
+// event's Context.IDs and Actions are the log's own copies, carved from
+// blocks it shares with neighbouring events: read-only.
 type Event struct {
 	EventID  string
 	Context  Context
@@ -144,8 +151,8 @@ type Service struct {
 	trainIdx []int
 
 	// evMu guards the decision log: the exploration rng, the event log,
-	// the event index, the pending-reward list, the ID sequence, and the
-	// log cap.
+	// the event index, the pending-reward list, the ID sequence, the log
+	// cap, and the blocks ranked decisions are stored in.
 	evMu   sync.Mutex
 	rng    *rand.Rand
 	events map[string]*Event
@@ -156,6 +163,15 @@ type Service struct {
 	pending []*Event
 	seq     int
 	maxLog  int
+	// ctxBlock, actBlock and evBlock are the unused tails of the blocks
+	// ranked decisions are stored in: rank copies a decision's context
+	// IDs and action set into the first two and takes its Event, ID
+	// already rendered, from the third. A block is allocated when the
+	// last one runs out and never reused; the collector frees it once no
+	// event in it is logged, pending or being trained.
+	ctxBlock []uint64
+	actBlock []Action
+	evBlock  []Event
 	// nonce makes event IDs unique across Service instances (and hence
 	// process restarts), so a reward held across a model-restore restart
 	// fails loudly as unknown instead of silently training the wrong
@@ -408,7 +424,9 @@ func (s *Service) argmax(ctx Context, actions []Action) int {
 
 // Rank selects an action with the learned epsilon-greedy policy and logs
 // the decision. The returned event ID must later receive a Reward call
-// (or the event is treated as unrewarded and skipped by Train).
+// (or the event is treated as unrewarded and skipped by Train). The log
+// keeps its own copy of ctx.IDs and of the actions slice, so the caller
+// may reuse both once Rank returns; each action's IDs it shares.
 func (s *Service) Rank(ctx Context, actions []Action) (Ranked, error) {
 	return s.rank(ctx, actions, false)
 }
@@ -446,8 +464,6 @@ func (s *Service) rank(ctx Context, actions []Action, uniform bool) (Ranked, err
 	k := len(actions)
 	best := s.argmax(ctx, actions)
 
-	ev := &Event{Context: ctx, Actions: actions}
-	var idBuf [48]byte
 	s.evMu.Lock()
 	// The draw shares the event log's critical section: the rng is
 	// consumed in event-sequence order.
@@ -465,9 +481,10 @@ func (s *Service) rank(ctx Context, actions []Action, uniform bool) (Ranked, err
 	default:
 		prob = s.cfg.Epsilon / float64(k)
 	}
+	ev := s.nextEventLocked()
+	ev.Context = Context{IDs: carve(&s.ctxBlock, ctx.IDs, ctxBlockLen)}
+	ev.Actions = carve(&s.actBlock, actions, actBlockLen)
 	ev.Chosen, ev.Prob = chosen, prob
-	s.seq++
-	ev.EventID = string(appendEventID(idBuf[:0], s.nonce, s.seq))
 	s.events[ev.EventID] = ev
 	s.log = append(s.log, ev)
 	s.evictLocked()
@@ -482,6 +499,56 @@ func (s *Service) rank(ctx Context, actions []Action, uniform bool) (Ranked, err
 	}
 	s.evMu.Unlock()
 	return Ranked{EventID: ev.EventID, Chosen: chosen, Prob: prob}, nil
+}
+
+// Block lengths of the decision log's storage, each about 32 KB: a
+// block's unused tail is wasted when the next decision does not fit, so
+// a smaller block raises the bytes resident per decision
+// (TestEventLogBytesPerDecision).
+const (
+	ctxBlockLen = 4096
+	actBlockLen = 1024
+	evBlockLen  = 64
+)
+
+// carve copies src into the front of *block, capped at its length, and
+// advances *block past it. A src that does not fit in what is left
+// starts a new block of blockLen; one longer than a block gets storage
+// of its own.
+func carve[T any](block *[]T, src []T, blockLen int) []T {
+	n := len(src)
+	if n > len(*block) {
+		if n > blockLen {
+			return append([]T(nil), src...)
+		}
+		*block = make([]T, blockLen)
+	}
+	dst := (*block)[:n:n]
+	copy(dst, src)
+	*block = (*block)[n:]
+	return dst
+}
+
+// nextEventLocked advances the ID sequence and returns the event that
+// takes it, from the current event block. A new block's IDs are
+// rendered into one string, back to back, each a substring of it:
+// caller holds evMu.
+func (s *Service) nextEventLocked() *Event {
+	if len(s.evBlock) == 0 {
+		s.evBlock = make([]Event, evBlockLen)
+		var idBuf [48]byte
+		var ids strings.Builder
+		ids.Grow(evBlockLen * len(appendEventID(idBuf[:0], s.nonce, s.seq+1)))
+		for i := range s.evBlock {
+			start := ids.Len()
+			ids.Write(appendEventID(idBuf[:0], s.nonce, s.seq+1+i))
+			s.evBlock[i].EventID = ids.String()[start:]
+		}
+	}
+	s.seq++
+	ev := &s.evBlock[0]
+	s.evBlock = s.evBlock[1:]
+	return ev
 }
 
 // appendEventID renders "ev<nonce>-<seq>" with seq zero-padded to eight
@@ -624,9 +691,9 @@ func (s *Service) HasEvent(eventID string) bool {
 
 // Events returns a snapshot of the event log. Each Event is copied
 // under the lock so the caller can read Reward/Rewarded/Trained without
-// racing concurrent Reward and Train calls (Context and Actions are
-// shared but immutable after Rank). The high-fidelity log is what
-// enables counterfactual policy evaluation.
+// racing concurrent Reward and Train calls. Context and Actions are the
+// log's own copies, shared with it: read-only. The high-fidelity log is
+// what enables counterfactual policy evaluation.
 func (s *Service) Events() []*Event {
 	s.evMu.Lock()
 	defer s.evMu.Unlock()

@@ -3,6 +3,8 @@ package bandit
 import (
 	"fmt"
 	"math"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -359,5 +361,99 @@ func TestRankGreedyReadOnly(t *testing.T) {
 	}
 	if g1.Chosen != best {
 		t.Fatalf("RankGreedy chose %d, argmax is %d", g1.Chosen, best)
+	}
+}
+
+// TestRankKeepsItsOwnCopy ranks every decision from one context buffer
+// and one action buffer, scribbling over both after each call, beside a
+// reference service fed fresh slices: the logged contexts and actions,
+// the choices and the weights Train learns from them must all agree.
+// Two decisions are longer than a storage block.
+func TestRankKeepsItsOwnCopy(t *testing.T) {
+	cfg := Config{Dim: 1 << 12, Seed: 7}
+	ref, got := New(cfg), New(cfg)
+	ctxBuf := make([]uint64, 0, 128)
+	actBuf := make([]Action, 0, 16)
+	junk := Action{ID: "scribbled", IDs: []uint64{0xdead, 0xbeef}}
+	for i := 0; i < 600; i++ {
+		ctx, actions := spanDecision(Mix64(uint64(i)+0x0c09), 1+i%8)
+		switch i {
+		case 300:
+			for len(ctx.IDs) <= ctxBlockLen {
+				ctx.IDs = append(ctx.IDs, Mix64(uint64(len(ctx.IDs))))
+			}
+		case 301:
+			for base := actions; len(actions) <= actBlockLen; {
+				actions = append(actions, base[len(actions)%len(base)])
+			}
+		}
+		rank := (*Service).Rank
+		if i%3 == 2 {
+			rank = (*Service).RankUniform
+		}
+		want, err := rank(ref, ctx, actions)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctxBuf = append(ctxBuf[:0], ctx.IDs...)
+		actBuf = append(actBuf[:0], actions...)
+		r, err := rank(got, Context{IDs: ctxBuf}, actBuf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, full := 0, ctxBuf[:cap(ctxBuf)]; k < len(full); k++ {
+			full[k] = ^uint64(k)
+		}
+		for k, full := 0, actBuf[:cap(actBuf)]; k < len(full); k++ {
+			full[k] = junk
+		}
+		if r.Chosen != want.Chosen || r.Prob != want.Prob {
+			t.Fatalf("decision %d: chose %d with p=%v, reference %d with p=%v", i, r.Chosen, r.Prob, want.Chosen, want.Prob)
+		}
+		reward := float64(i%7) / 6
+		if err := ref.Reward(want.EventID, reward); err != nil {
+			t.Fatal(err)
+		}
+		if err := got.Reward(r.EventID, reward); err != nil {
+			t.Fatal(err)
+		}
+		if i%50 == 49 {
+			ref.Train()
+			got.Train()
+		}
+	}
+	ref.Train()
+	got.Train()
+	refEvents, gotEvents := ref.Events(), got.Events()
+	if len(gotEvents) != len(refEvents) {
+		t.Fatalf("logged %d events, reference %d", len(gotEvents), len(refEvents))
+	}
+	for i, ev := range gotEvents {
+		want := refEvents[i]
+		if !reflect.DeepEqual(ev.Context, want.Context) || !reflect.DeepEqual(ev.Actions, want.Actions) {
+			t.Fatalf("event %d: logged context %x and %d actions %+v, reference %x and %+v",
+				i, ev.Context.IDs, len(ev.Actions), ev.Actions, want.Context.IDs, want.Actions)
+		}
+	}
+	if !slices.Equal(got.w, ref.w) {
+		t.Error("weights trained from the scribbled buffers differ from the reference's")
+	}
+}
+
+// TestBlockEventIDsMatchAppendEventID holds the IDs rendered a block at
+// a time to appendEventID's, sequence number by sequence number, across
+// the eight-digit padding boundary.
+func TestBlockEventIDsMatchAppendEventID(t *testing.T) {
+	s := New(Config{Dim: 1 << 10, Seed: 1, MaxLogEvents: 64})
+	s.seq = 99_999_900
+	ctx, actions := spanDecision(1, 3)
+	for i := 0; i < 300; i++ {
+		r, err := s.Rank(ctx, actions)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := fmt.Sprintf("ev%s-%08d", s.nonce, 99_999_901+i); r.EventID != want {
+			t.Fatalf("decision %d: event ID %q, want %q", i, r.EventID, want)
+		}
 	}
 }

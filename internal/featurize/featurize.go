@@ -49,28 +49,39 @@ func feat3(tag, a, b, c uint64) uint64 {
 	return bandit.Mix64(bandit.Mix64(bandit.Mix64(tag*featureMixK+a+1)*featureMixK+b+1)*featureMixK + c + 1)
 }
 
-// Context builds the bandit context for a job: the complete job span as
-// bit-position indicators with second and third order co-occurrence
-// crosses ("the surprising effectiveness of span features"), plus coarse
-// input-size information (the job's row count and bytes read). All
-// features are pre-hashed IDs computed once at featurization; Rank never
-// hashes strings. The slice is sized to the span — the event log keeps
-// it for the life of the event.
+// Context builds the bandit context for a job, its IDs sized to the span:
+// AppendContext into a new slice.
 func Context(span rules.Bitset, rows, bytes float64) bandit.Context {
+	return bandit.Context{IDs: AppendContext(make([]uint64, 0, contextLen(span.Count())), span, rows, bytes)}
+}
+
+// Caps on the co-occurrence crosses, so long-tail spans do not dilute
+// per-feature credit.
+const maxPairs, maxTriples = 60, 40
+
+// contextLen is how many IDs AppendContext appends for a span of nb bits.
+func contextLen(nb int) int {
+	return nb + min(nb*(nb-1)/2, maxPairs) + min(nb*(nb-1)*(nb-2)/6, maxTriples) + 3
+}
+
+// AppendContext appends a job's bandit context IDs to dst: the complete
+// job span as bit-position indicators with second and third order
+// co-occurrence crosses ("the surprising effectiveness of span
+// features"), plus coarse input-size information (the job's row count
+// and bytes read). All features are pre-hashed IDs computed once at
+// featurization; Rank never hashes strings. The bandit copies what it
+// logs, so dst may be scratch reused for every job.
+func AppendContext(dst []uint64, span rules.Bitset, rows, bytes float64) []uint64 {
 	var buf [rules.NumRules]int
 	bits := span.AppendBits(buf[:0])
-	const maxPairs, maxTriples = 60, 40
-	nb := len(bits)
-	ids := make([]uint64, 0, nb+min(nb*(nb-1)/2, maxPairs)+min(nb*(nb-1)*(nb-2)/6, maxTriples)+3)
 	for _, b := range bits {
-		ids = append(ids, feat1(tagSpan, uint64(b)))
+		dst = append(dst, feat1(tagSpan, uint64(b)))
 	}
-	// Second and third order co-occurrence indicators, capped so long-tail
-	// spans do not dilute per-feature credit.
+	// Second and third order co-occurrence indicators, capped.
 	n := 0
 	for i := 0; i < len(bits) && n < maxPairs; i++ {
 		for j := i + 1; j < len(bits) && n < maxPairs; j++ {
-			ids = append(ids, feat2(tagSpan2, uint64(bits[i]), uint64(bits[j])))
+			dst = append(dst, feat2(tagSpan2, uint64(bits[i]), uint64(bits[j])))
 			n++
 		}
 	}
@@ -78,7 +89,7 @@ func Context(span rules.Bitset, rows, bytes float64) bandit.Context {
 	for i := 0; i < len(bits) && n < maxTriples; i++ {
 		for j := i + 1; j < len(bits) && n < maxTriples; j++ {
 			for k := j + 1; k < len(bits) && n < maxTriples; k++ {
-				ids = append(ids, feat3(tagSpan3, uint64(bits[i]), uint64(bits[j]), uint64(bits[k])))
+				dst = append(dst, feat3(tagSpan3, uint64(bits[i]), uint64(bits[j]), uint64(bits[k])))
 				n++
 			}
 		}
@@ -90,15 +101,14 @@ func Context(span rules.Bitset, rows, bytes float64) bandit.Context {
 	for _, b := range bits {
 		all = bandit.Mix64(all*featureMixK + uint64(b) + 1)
 	}
-	ids = append(ids, all)
+	dst = append(dst, all)
 	// Input stream properties: log-bucketed row count and bytes read
 	// ("representing some properties of the input data streams provided
 	// marginal improvement").
-	ids = append(ids,
+	return append(dst,
 		feat1(tagRows, uint64(logBucket(rows))),
 		feat1(tagBytes, uint64(logBucket(bytes))),
 	)
-	return bandit.Context{IDs: ids}
 }
 
 // Basic builds a context without any span information: only the coarse
@@ -158,21 +168,26 @@ func actionTableFor(cat *rules.Catalog) *actionTable {
 	return actual.(*actionTable)
 }
 
-// Actions builds the bandit action set for a span: no-op plus one flip
-// per span rule, "corresponding to either changing nothing (1) or
-// flipping a single bit in the span (S)". Actions are featurized by rule
-// ID, rule kind and rule category as pre-hashed feature IDs, and named by
-// their flip's hint-file form (rules.Flip.String; "noop" for action 0).
-// The feature IDs are shared with every other action set of the catalog:
-// read-only.
+// Actions builds the bandit action set for a span, sized to it:
+// AppendActions into a new slice.
 func Actions(cat *rules.Catalog, span rules.Bitset) []bandit.Action {
+	return AppendActions(make([]bandit.Action, 0, span.Count()+1), cat, span)
+}
+
+// AppendActions appends the bandit action set for a span to dst: no-op
+// plus one flip per span rule, "corresponding to either changing nothing
+// (1) or flipping a single bit in the span (S)". Actions are featurized
+// by rule ID, rule kind and rule category as pre-hashed feature IDs, and
+// named by their flip's hint-file form (rules.Flip.String; "noop" for
+// action 0). The feature IDs are shared with every other action set of
+// the catalog: read-only. The bandit copies the actions it logs, so dst
+// may be scratch reused for every job.
+func AppendActions(dst []bandit.Action, cat *rules.Catalog, span rules.Bitset) []bandit.Action {
 	t := actionTableFor(cat)
 	var buf [rules.NumRules]int
-	bits := span.AppendBits(buf[:0])
-	actions := make([]bandit.Action, 1, len(bits)+1)
-	actions[0] = t.noop
-	for _, b := range bits {
-		actions = append(actions, t.actions[b])
+	dst = append(dst, t.noop)
+	for _, b := range span.AppendBits(buf[:0]) {
+		dst = append(dst, t.actions[b])
 	}
-	return actions
+	return dst
 }

@@ -1,6 +1,8 @@
 package featurize
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 
 	"qoadvisor/internal/rules"
@@ -41,19 +43,33 @@ func TestContextFeaturesIncludeCoOccurrence(t *testing.T) {
 	}
 }
 
-// TestContextFeaturesSizedToSpan: the event log keeps a context for the
-// life of its event, so the slice carries no spare capacity — from one
-// bit, through the pair and triple caps, to the full catalog.
+// TestContextFeaturesSizedToSpan: Context and Actions are the append
+// forms into a slice of exactly the span's size — from one bit, through
+// the pair and triple caps, to the full catalog — and an append form
+// leaves what dst already held in place.
 func TestContextFeaturesSizedToSpan(t *testing.T) {
+	cat := rules.NewCatalog()
+	prefix := []uint64{7, 8, 9}
 	for _, n := range []int{1, 2, 3, 8, 12, 40, rules.NumRules} {
 		var span rules.Bitset
 		for b := 0; b < n; b++ {
 			span.Set((b * 37) % rules.NumRules) // 37 is coprime to 256: n distinct bits
 		}
-		ids := Context(span, 0, 0).IDs
+		ids := Context(span, 1e6, 3e9).IDs
 		want := n + min(n*(n-1)/2, 60) + min(n*(n-1)*(n-2)/6, 40) + 3
 		if len(ids) != want || cap(ids) != want {
 			t.Errorf("%d-bit span: %d context IDs in a slice of %d, want exactly %d", n, len(ids), cap(ids), want)
+		}
+		if got := AppendContext(slices.Clone(prefix), span, 1e6, 3e9); !slices.Equal(got, append(slices.Clone(prefix), ids...)) {
+			t.Errorf("%d-bit span: AppendContext after %v = %v, want the prefix then Context's %v", n, prefix, got, ids)
+		}
+		actions := Actions(cat, span)
+		if len(actions) != n+1 || cap(actions) != n+1 {
+			t.Errorf("%d-bit span: %d actions in a slice of %d, want exactly %d", n, len(actions), cap(actions), n+1)
+		}
+		noop := Actions(cat, rules.Bitset{})
+		if got := AppendActions(slices.Clone(noop), cat, span); !reflect.DeepEqual(got, append(slices.Clone(noop), actions...)) {
+			t.Errorf("%d-bit span: AppendActions after a no-op = %v, want it then Actions' %v", n, got, actions)
 		}
 	}
 }

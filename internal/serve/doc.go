@@ -66,7 +66,8 @@
 //	                     captured: stats.json embeds the incidents block,
 //	                     whose assembly takes it.
 //	bandit.Service.evMu  The decision log: exploration rng, event log and
-//	                     index, pending rewards, ID sequence, and the
+//	                     index, pending rewards, ID sequence, the blocks
+//	                     a ranked decision is copied into, and the
 //	                     rank-record append (journal order = event
 //	                     order). Then: bandit.Service.mu (read side, for
 //	                     a snapshot encode), wal.

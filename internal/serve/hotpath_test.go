@@ -7,12 +7,16 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
 	"qoadvisor/internal/api"
+	"qoadvisor/internal/bandit"
 	"qoadvisor/internal/drift"
+	"qoadvisor/internal/featurize"
 	"qoadvisor/internal/rules"
 	"qoadvisor/internal/wal"
 )
@@ -25,7 +29,7 @@ import (
 const (
 	rankRequestAllocCeiling   = 8
 	rewardRequestAllocCeiling = 6
-	banditRequestAllocCeiling = 72
+	banditRequestAllocCeiling = 9
 )
 
 // reusedBody is a request body that can be rewound, so that the budget
@@ -109,10 +113,12 @@ func TestRankPathAllocBudget(t *testing.T) {
 }
 
 // TestBanditPathAllocBudget gates the other side of the hint cache: 16
-// unhinted 8-bit-span jobs, each featurized, ranked by the bandit, logged
-// and journaled to an async WAL. What a decision keeps — its context IDs,
-// its action slice, the Event and its ID — is four allocations; the rest
-// of the ceiling is the request's own eight and the event index growing.
+// unhinted 8-bit-span jobs, each featurized into pooled scratch, ranked
+// by the bandit, logged and journaled to an async WAL. The log copies
+// what a decision keeps — its context IDs, its action slice, the Event
+// and its ID — into blocks it owns, so a decision allocates nothing of
+// its own but a share of a block now and then; the ceiling is the
+// request's own allocations, that share and the event index growing.
 func TestBanditPathAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -143,10 +149,14 @@ func TestBanditPathAllocBudget(t *testing.T) {
 	}
 }
 
-// TestBatchPoolsDoNotAlias drives one server from eight goroutines with
+// TestBatchPoolsDoNotAlias drives one server from twelve goroutines with
 // batches that differ in every way the pooled state could leak — size,
 // a body over the 1 MiB pool cap, a malformed body, templates with
-// different hints — and checks each response against its own request.
+// different hints, unhinted templates whose spans differ in length — and
+// checks each response against its own request. Every bandit decision's
+// logged context must be the featurization of the job that got its event
+// ID: the rank path featurizes into pooled scratch, which the log must
+// not keep.
 func TestBatchPoolsDoNotAlias(t *testing.T) {
 	cat := rules.NewCatalog()
 	dc := drift.DefaultConfig()
@@ -171,7 +181,64 @@ func TestBatchPoolsDoNotAlias(t *testing.T) {
 		return resp.StatusCode, got, err
 	}
 
-	var wg sync.WaitGroup
+	var (
+		wg sync.WaitGroup
+		// ranked maps each event ID a response returned to its job.
+		rankedMu sync.Mutex
+		ranked   = map[string]api.RankRequest{}
+	)
+	for g := 8; g < 12; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			// Goroutine g ranks unhinted templates 0xb000_0000+g<<16+… in
+			// batches of its own size, spans of 1 to 12 bits, and rewards
+			// every decision by event ID.
+			size := []int{2, 9, 40, 64}[g-8]
+			for round := 0; round < 12; round++ {
+				jobs := make([]api.RankRequest, size)
+				for i := range jobs {
+					span := make([]int, 1+(round+i+g)%12)
+					for k := range span {
+						span[k] = (g*31 + i*7 + k*19 + round) % rules.NumRules
+					}
+					jobs[i] = api.RankRequest{
+						TemplateHash: api.TemplateHash(0xb000_0000 + g<<16 + round<<8 + i),
+						Span:         span,
+						RowCount:     float64(int(1) << (i % 40)),
+						BytesRead:    float64(round+1) * 1e6,
+					}
+				}
+				rid := fmt.Sprintf("g%d-r%d", g, round)
+				body, _ := json.Marshal(api.BatchRankRequest{Jobs: jobs})
+				status, got, err := post(api.RouteV2Rank, rid, body)
+				var resp api.BatchRankResponse
+				if err != nil || status != 200 || json.Unmarshal(got, &resp) != nil || len(resp.Results) != size {
+					t.Errorf("%s: rank answered %d %.200s (%v)", rid, status, got, err)
+					return
+				}
+				reward := float64(g) / 16
+				events := make([]api.RewardEvent, size)
+				rankedMu.Lock()
+				for i, res := range resp.Results {
+					if res.Error != nil || res.Source != api.SourceBandit || res.EventID == "" {
+						t.Errorf("%s job %d: got %+v, want a bandit decision", rid, i, res)
+					}
+					ranked[res.EventID] = jobs[i]
+					events[i] = api.RewardEvent{EventID: res.EventID, Reward: &reward}
+				}
+				rankedMu.Unlock()
+				body, _ = json.Marshal(api.BatchRewardRequest{Events: events})
+				status, got, err = post(api.RouteV2Reward, rid, body)
+				var acked api.BatchRewardResponse
+				if err != nil || status != 202 || json.Unmarshal(got, &acked) != nil ||
+					acked.RequestID != rid || acked.Queued != size || len(acked.Rejected) != 0 {
+					t.Errorf("%s: reward of %d events answered %d %.200s (%v)", rid, size, status, got, err)
+					return
+				}
+			}
+		}(g)
+	}
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
@@ -233,6 +300,31 @@ func TestBatchPoolsDoNotAlias(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+
+	if len(ranked) != 12*(2+9+40+64) {
+		t.Fatalf("%d bandit decisions returned distinct event IDs, want %d", len(ranked), 12*(2+9+40+64))
+	}
+	logged := map[string]*bandit.Event{}
+	for _, ev := range srv.Bandit().Events() {
+		logged[ev.EventID] = ev
+	}
+	for id, job := range ranked {
+		ev, ok := logged[id]
+		if !ok {
+			t.Errorf("event %s (template %v) is not in the log", id, job.TemplateHash)
+			continue
+		}
+		var span rules.Bitset
+		for _, b := range job.Span {
+			span.Set(b)
+		}
+		if want := featurize.Context(span, job.RowCount, job.BytesRead); !slices.Equal(ev.Context.IDs, want.IDs) {
+			t.Errorf("event %s (template %v): logged context %x, want the job's %x", id, job.TemplateHash, ev.Context.IDs, want.IDs)
+		}
+		if want := featurize.Actions(cat, span); !reflect.DeepEqual(ev.Actions, want) {
+			t.Errorf("event %s (template %v): logged actions %v, want the job's %v", id, job.TemplateHash, ev.Actions, want)
+		}
+	}
 }
 
 // TestAPIConformanceHostileRequestID sends correlation IDs no HTTP

@@ -433,8 +433,11 @@ func (s *Server) rankTraced(req api.RankRequest, tr *obs.Trace, tid int) (api.Ra
 		}, nil
 	}
 
-	ctx := featurize.Context(span, req.RowCount, req.BytesRead)
-	actions := featurize.Actions(s.cat, span)
+	sc := rankScratches.Get().(*rankScratch)
+	defer rankScratches.Put(sc)
+	sc.ids = featurize.AppendContext(sc.ids[:0], span, req.RowCount, req.BytesRead)
+	sc.actions = featurize.AppendActions(sc.actions[:0], s.cat, span)
+	ctx, actions := bandit.Context{IDs: sc.ids}, sc.actions
 	var ranked bandit.Ranked
 	var err error
 	switch {
@@ -472,6 +475,18 @@ func (s *Server) rankTraced(req api.RankRequest, tr *obs.Trace, tid int) (api.Ra
 	}
 	return resp, nil
 }
+
+// rankScratch is what one bandit decision featurizes into. The bandit
+// copies what it logs before Rank returns, and the flip name read from
+// the actions is a string of the catalog's action table, so nothing of
+// the scratch outlives rankTraced. A span has at most rules.NumRules
+// bits, which bounds both slices.
+type rankScratch struct {
+	ids     []uint64
+	actions []bandit.Action
+}
+
+var rankScratches = sync.Pool{New: func() any { return new(rankScratch) }}
 
 // Stats assembles the complete stats document — the /v2/stats body
 // minus the request ID. Incident captures snapshot the same document
