@@ -12,6 +12,7 @@ import (
 	"strconv"
 	"strings"
 
+	"qoadvisor/internal/api"
 	"qoadvisor/internal/audit"
 	"qoadvisor/internal/drift"
 	"qoadvisor/internal/serve"
@@ -22,10 +23,13 @@ import (
 // auditMode is the offline audit tool: read-only queries over a journal
 // directory (live or copied — nothing is ever written there). Output is
 // deterministic for a given journal, so runs can be diffed. The replay
-// flags it embeds are asof's, and must match the journaled run's
-// serving configuration.
+// flags it embeds and -model are asof's: it rebuilds the model from the
+// snapshot plus the journal, with the journaled run's serving
+// configuration, and -audit-out writes what it rebuilt.
 type auditMode struct {
-	journalFlags
+	replayFlags
+	walDir      string
+	model       string // asof: the snapshot the replay starts from
 	query       string // records | decision | template | asof
 	event       string // decision, or a records filter
 	hash        uint64 // template (64-bit hex), or a records filter
@@ -38,7 +42,9 @@ type auditMode struct {
 }
 
 func (m *auditMode) register(fs *flag.FlagSet) {
-	m.journalFlags.register(fs)
+	m.replayFlags.register(fs)
+	fs.StringVar(&m.walDir, "wal-dir", "", "journal directory to read (required; never written)")
+	fs.StringVar(&m.model, "model", "", "asof: model snapshot to start the replay from (empty = <wal-dir>/model.snap)")
 	fs.StringVar(&m.event, "event", "", "event ID to trace (decision) or filter on (records)")
 	fs.Func("template-hash", "64-bit hex template hash to query (template) or filter on (records)", func(v string) (err error) {
 		m.hash, err = strconv.ParseUint(v, 16, 64)
@@ -71,13 +77,15 @@ func (m *auditMode) validate(query string) error {
 		return errors.New("decision needs -event <event ID>")
 	case query == "template" && !m.hasTemplate:
 		return errors.New("template needs -template-hash <64-bit hex>")
+	case m.walDir == "":
+		return errors.New("needs -wal-dir <journal directory>")
 	}
 	// Mirror the serving default: a WAL-backed server snapshots next to
 	// the journal unless told otherwise.
 	if m.model == "" {
 		m.model = filepath.Join(m.walDir, serve.SnapshotFile)
 	}
-	return m.journalFlags.validate()
+	return nil
 }
 
 var auditQueries = map[string]func(*auditMode, *audit.Engine) error{
@@ -180,6 +188,12 @@ func (m *auditMode) asOf(*audit.Engine) error {
 		lsn = end
 	}
 	res, err := serve.RecoverAsOf(wal.DirSource{Dir: m.walDir}, m.model, lsn, m.trainEvery, m.maxLog)
+	if apiErr := (*api.Error)(nil); errors.As(err, &apiErr) {
+		// RecoverAsOf's invalid_request: the records the reconstruction
+		// needs were compacted behind a checkpoint, whose snapshot alone
+		// covers them.
+		return fmt.Errorf("%w; pass -model with the snapshot of the checkpoint that compacted it", err)
+	}
 	if err != nil {
 		return err
 	}
@@ -201,7 +215,7 @@ func (m *auditMode) asOf(*audit.Engine) error {
 	}
 	fmt.Printf("model:    %d bytes, sha256=%s\n", snap.Len(), hex.EncodeToString(sum[:]))
 	if m.out != "" {
-		if err := os.WriteFile(m.out, snap.Bytes(), 0o644); err != nil {
+		if err := wal.WriteFileAtomic(m.out, snap.Bytes()); err != nil {
 			return err
 		}
 		fmt.Printf("written:  %s\n", m.out)

@@ -5,14 +5,12 @@
 //
 //	qoserved serve [flags]                          # primary: rank, reward, journal
 //	qoserved follow <primary> [flags]               # read replica tailing a primary
-//	qoserved check <url>                            # /v2/healthz + /v2/stats of one node
-//	qoserved cluster <url,url,...>                  # fleet view, merged percentiles
+//	qoserved cluster <url,url,...>                  # node health + stats, merged percentiles
 //	qoserved push-hints <url> -hints f.hints        # rollover upload
-//	qoserved replay <out> -wal-dir dir [-model snap]    # offline model rebuild
 //	qoserved audit records  -wal-dir dir [-event e] [-template-hash h]
 //	qoserved audit decision -wal-dir dir -event e        # decision trace
 //	qoserved audit template -wal-dir dir -template-hash h  # steering lineage
-//	qoserved audit asof     -wal-dir dir [-lsn n] [-audit-out m.snap]
+//	qoserved audit asof     -wal-dir dir [-lsn n] [-audit-out m.snap]  # offline model rebuild
 //	qoserved version
 //
 // `qoserved <subcommand> -h` lists that mode's flags with defaults;
@@ -53,43 +51,37 @@
 // and /v2/stats locally, and rejects writes with a structured
 // not_primary error carrying the primary's URL. If the primary compacts
 // past the follower's position, the follower re-bootstraps on its own.
-// -train-every and -max-log are replay values, not tuning: a follower,
-// replay and audit asof must be given the primary's.
+// -train-every and -max-log are replay values, not tuning: a follower
+// and audit asof must be given the primary's.
 //
 // Observability: every node serves Prometheus text-format metrics at
 // GET /metrics and its build identity at GET /v2/version (offline:
 // qoserved version). -pprof mounts net/http/pprof on a separate
 // listener. Every request records its stage timeline into one flight
 // recorder, which retains the traces of slow or errored requests in a
-// bounded in-memory ring served at GET /v2/traces (-trace-retain-ms
-// tunes the slow threshold); -trace-out additionally head-samples 1 in
-// -trace-sample requests into the ring and writes them to a file as
-// Chrome-trace JSON. With -incident-dir set, the incident engine
-// watches the SLO burn rate, drift quarantines and journal fail-stops,
-// and captures a diagnostic bundle (profiles, histograms, retained
-// traces, full stats) when one fires; bundles are listed at
-// GET /v2/incidents.
+// bounded in-memory ring served as Chrome-trace JSON at GET /v2/traces
+// (-trace-retain-ms tunes the slow threshold). With -incident-dir set,
+// the incident engine watches the SLO burn rate, drift quarantines and
+// journal fail-stops, and captures a diagnostic bundle (profiles,
+// histograms, retained traces, full stats) when one fires; bundles are
+// listed at GET /v2/incidents.
 package main
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"log/slog"
-	"maps"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
 	"os/signal"
-	"slices"
 	"strings"
 	"syscall"
 	"time"
 
-	"qoadvisor/internal/api"
 	"qoadvisor/internal/api/client"
 	"qoadvisor/internal/drift"
 	"qoadvisor/internal/fleet"
@@ -143,10 +135,8 @@ var commands = []struct {
 }{
 	{"serve", "", "run the steering service: rank, reward, journal, replication primary", func() mode { return new(serveMode) }},
 	{"follow", "<primary>", "run a read replica that bootstraps from and tails the primary at this base URL", func() mode { return new(followMode) }},
-	{"check", "<url>", "probe one running node's /v2/healthz and /v2/stats, print, exit", func() mode { return new(checkMode) }},
-	{"cluster", "<url,url,...>", "scrape /v2/stats from every node, print per-node rows and fleet-merged percentiles", func() mode { return new(clusterMode) }},
+	{"cluster", "<url,url,...>", "scrape /v2/healthz and /v2/stats from every node, print per-node health and detail and fleet-merged percentiles", func() mode { return new(clusterMode) }},
 	{"push-hints", "<url>", "upload the -hints file to a running primary as a rollover", func() mode { return new(pushHintsMode) }},
-	{"replay", "<out>", "rebuild a model offline from -wal-dir (and an optional -model snapshot), write it to this path", func() mode { return new(replayMode) }},
 	{"audit", "<records|decision|template|asof>", "query the journal in -wal-dir offline, print", func() mode { return new(auditMode) }},
 	{"version", "", "print build information", func() mode { return versionMode{} }},
 }
@@ -222,8 +212,8 @@ func parse(argv []string, stderr io.Writer) (mode, error) {
 
 // replayFlags are the values a journal replay must share with the run
 // that wrote the journal: they place the training and eviction
-// boundaries, so a follower, replay or audit asof given other values
-// rebuilds a different model. They are not tuning. The primary's -seed
+// boundaries, so a follower or audit asof given other values rebuilds
+// a different model. They are not tuning. The primary's -seed
 // is not among them: replay applies journaled decisions and never draws
 // from the exploration rng, and a snapshot's bytes do not contain it.
 type replayFlags struct {
@@ -238,17 +228,15 @@ func (r *replayFlags) register(fs *flag.FlagSet) {
 // nodeFlags are what every serving node reads, primary or follower:
 // where to listen and how to be observed.
 type nodeFlags struct {
-	addr, logLevel, pprofAddr, traceOut string
-	level                               slog.Level // -log-level, parsed by validate
-	traceSample, traceRetainMS          int
+	addr, logLevel, pprofAddr string
+	level                     slog.Level // -log-level, parsed by validate
+	traceRetainMS             int
 }
 
 func (n *nodeFlags) register(fs *flag.FlagSet) {
 	fs.StringVar(&n.addr, "addr", ":8080", "HTTP listen address")
 	fs.StringVar(&n.logLevel, "log-level", "info", "minimum log level: debug, info, warn, error")
 	fs.StringVar(&n.pprofAddr, "pprof", "", "serve net/http/pprof on a separate listener at this address (empty = disabled)")
-	fs.StringVar(&n.traceOut, "trace-out", "", "write Chrome-trace JSON for sampled requests to this file (load in chrome://tracing or ui.perfetto.dev)")
-	fs.IntVar(&n.traceSample, "trace-sample", 100, "with -trace-out, trace 1 in N requests")
 	fs.IntVar(&n.traceRetainMS, "trace-retain-ms", 0, "retain traces of requests slower than this many ms in the in-memory ring served at /v2/traces (0 = default 250ms)")
 }
 
@@ -262,8 +250,8 @@ func (n *nodeFlags) validate() (err error) {
 
 // observe applies the node flags: the log level, the pprof listener (its
 // own, so profile endpoints are never exposed on the serving address)
-// and the flight recorder with its optional -trace-out export.
-func (n *nodeFlags) observe() (*obs.FlightRecorder, error) {
+// and the flight recorder.
+func (n *nodeFlags) observe() *obs.FlightRecorder {
 	minLevel.Set(n.level)
 	if n.pprofAddr != "" {
 		// net/http/pprof registers on http.DefaultServeMux, which only
@@ -275,24 +263,7 @@ func (n *nodeFlags) observe() (*obs.FlightRecorder, error) {
 		}()
 		logg.Info("pprof listening", "addr", n.pprofAddr)
 	}
-	cfg := obs.FlightConfig{Threshold: time.Duration(n.traceRetainMS) * time.Millisecond}
-	if n.traceOut != "" {
-		tf, err := os.Create(n.traceOut)
-		if err != nil {
-			return nil, fmt.Errorf("creating trace output: %w", err)
-		}
-		cfg.Export, cfg.SampleEvery = tf, n.traceSample
-		logg.Info("request tracing enabled", "path", n.traceOut, "sampleEvery", n.traceSample)
-	}
-	return serve.NewFlightRecorder(cfg), nil
-}
-
-// closeFlight finishes and closes the -trace-out export stream;
-// without the close the emitted JSON array is unterminated.
-func closeFlight(r *obs.FlightRecorder) {
-	if err := r.Close(); err != nil {
-		logg.Warn("closing trace output", "err", err)
-	}
+	return serve.NewFlightRecorder(obs.FlightConfig{Threshold: time.Duration(n.traceRetainMS) * time.Millisecond})
 }
 
 // serveMode is the primary.
@@ -340,14 +311,12 @@ func (m *serveMode) validate(string) (err error) {
 }
 
 func (m *serveMode) run() error {
-	flight, err := m.observe()
-	if err != nil {
-		return err
-	}
+	flight := m.observe()
 	cat := rules.NewCatalog()
 
 	var journal *wal.WAL
 	if m.walDir != "" {
+		var err error
 		journal, err = wal.Open(wal.Options{Dir: m.walDir, Mode: m.walMode, SegmentBytes: m.walSegMB << 20})
 		if err != nil {
 			return fmt.Errorf("opening WAL %s: %w", m.walDir, err)
@@ -452,7 +421,6 @@ func (m *serveMode) run() error {
 			logg.Error("closing WAL", "err", err)
 		}
 	}
-	closeFlight(flight)
 	logg.Info("qoserved stopped")
 	return nil
 }
@@ -497,17 +465,12 @@ func (m *followMode) validate(primary string) error {
 // run needs no babysitting loop: the replicate.Follower re-bootstraps
 // itself if the primary compacts past its position.
 func (m *followMode) run() error {
-	flight, err := m.observe()
-	if err != nil {
-		return err
-	}
-	defer closeFlight(flight)
 	f, err := replicate.Start(replicate.Config{
 		Primary:      m.primary,
 		TrainEvery:   m.trainEvery,
 		MaxLogEvents: m.maxLog,
 		Logger:       logg,
-		Flight:       flight,
+		Flight:       m.observe(),
 	})
 	if err != nil {
 		return err
@@ -574,28 +537,19 @@ func (versionMode) validate(string) error { return nil }
 
 func (versionMode) run() error {
 	b := obs.Build()
-	fmt.Printf("qoserved %s (%s, revision %s, %s)\n", b.Version, b.Module, revision(b.Revision, b.Modified), b.GoVersion)
+	fmt.Printf("qoserved %s (%s, revision %s, %s)\n", b.Version, b.Module, obs.Revision(b.Revision, b.Modified), b.GoVersion)
 	return nil
 }
 
-// revision renders a VCS revision the way every version line does.
-func revision(rev string, modified bool) string {
-	if rev == "" {
-		rev = "unknown"
-	}
-	if modified {
-		rev += "-dirty"
-	}
-	return rev
-}
-
-// clusterMode scrapes /v2/stats from every listed endpoint and
-// renders the fleet view: per-node rows (role, lag, quarantine state)
-// plus the fleet-merged per-route and per-stage percentiles, computed
-// by merging the raw histogram buckets each node ships — not by
-// averaging per-node percentiles, which would be wrong. Like check it
-// is a gate: any unreachable node fails the exit code (its row still
-// prints with the scrape error).
+// clusterMode scrapes /v2/healthz and /v2/stats from every listed
+// endpoint — one or many — and renders the fleet view: per-node rows
+// (role, health, lag, quarantine state) and detail (build, serving,
+// ingest, journal, safeguard, incidents, flight recorder), plus the
+// fleet-merged per-route and per-stage percentiles, computed by merging
+// the raw histogram buckets each node ships — not by averaging per-node
+// percentiles, which would be wrong. It is a gate: an unreachable node
+// (its row still prints with the scrape error) or a degraded one, such
+// as a stale follower, fails the exit code.
 type clusterMode struct {
 	noFlags
 	endpoints []string
@@ -614,97 +568,10 @@ func (m *clusterMode) run() error {
 	defer cancel()
 	snap := fleet.Scrape(ctx, m.endpoints, client.WithTimeout(5*time.Second))
 	snap.Render(os.Stdout)
-	if n := snap.Reachable(); n < len(m.endpoints) {
-		return fmt.Errorf("%d of %d nodes unreachable", len(m.endpoints)-n, len(m.endpoints))
+	if n := snap.Healthy(); n < len(m.endpoints) {
+		return fmt.Errorf("%d of %d nodes unreachable or degraded", len(m.endpoints)-n, len(m.endpoints))
 	}
 	return nil
-}
-
-// checkMode probes a running server through the typed client: healthz
-// first (cheap, gateable), then the full stats payload with per-route
-// latency metrics.
-type checkMode struct {
-	noFlags
-	url string
-}
-
-func (m *checkMode) validate(url string) error {
-	m.url = url
-	return nil
-}
-
-func (m *checkMode) run() error {
-	cl := client.New(m.url, client.WithTimeout(5*time.Second))
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-
-	// A degraded node still decodes its health body — print the
-	// diagnosis, but keep the error for the exit code: check is a
-	// gate, and a stale follower must fail it.
-	health, healthErr := cl.Health(ctx)
-	if healthErr != nil && health.Status == "" {
-		return healthErr
-	}
-	fmt.Printf("health:     %s (generation %d, %d hints, queue %d/%d, up %.1fs)\n",
-		health.Status, health.Generation, health.Hints,
-		health.QueueDepth, health.QueueCap, health.UptimeSec)
-
-	stats, err := cl.Stats(ctx)
-	if err != nil {
-		return err
-	}
-	if v := stats.Version; v != nil {
-		fmt.Printf("version:    %s (revision %s, %s)\n", v.Version, revision(v.Revision, v.Modified), v.GoVersion)
-	}
-	fmt.Printf("serving:    %d ranks (%d hint hits, %d bandit, %d noops), event log %d\n",
-		stats.RankRequests, stats.HintHits, stats.BanditRanks, stats.NoOps, stats.BanditLog)
-	fmt.Printf("ingest:     %d enqueued, %d applied, %d dropped, %d unknown, %d train runs\n",
-		stats.Ingest.Enqueued, stats.Ingest.Applied, stats.Ingest.Dropped,
-		stats.Ingest.UnknownEvents, stats.Ingest.TrainRuns)
-	if stats.WAL != nil {
-		w := stats.WAL
-		fmt.Printf("wal:        mode=%s lsn %d..%d (synced %d), %d appends / %d syncs, %d segments (%d compacted)\n",
-			w.Mode, w.FirstLSN, w.LastLSN, w.SyncedLSN, w.Appends, w.Syncs, w.Segments, w.TruncatedSegments)
-		fmt.Printf("checkpoint: %d taken, last at offset %d (%d bytes, %dus)\n",
-			w.Checkpoints, w.LastCheckpointLSN, w.LastCheckpointB, w.LastCheckpointUs)
-	}
-	if d := stats.Drift; d != nil && (d.Enabled || d.QuarantinedNow > 0 || d.ProbationNow > 0) {
-		fmt.Printf("safeguard:  detection=%v, %d quarantined, %d probation, %d blocked ranks, %d transitions (%d manual)\n",
-			d.Enabled, d.QuarantinedNow, d.ProbationNow, d.BlockedRanks, d.Transitions, d.Manual)
-	}
-	if in := stats.Incidents; in != nil {
-		line := fmt.Sprintf("incidents:  %d bundles, %d triggered (%d suppressed, %d capture errors)",
-			in.Count, in.Triggered, in.Suppressed, in.CaptureErrors)
-		if in.LastID != "" {
-			line += fmt.Sprintf(", last %s (%s) %.0fs ago", in.LastID, in.LastReason, in.LastAgeSec)
-		}
-		fmt.Println(line)
-	}
-	if tr := stats.Traces; tr != nil {
-		fmt.Printf("flightrec:  %d/%d traces retained (%d slow, %d error, %d sampled), %d evicted, threshold %dms\n",
-			tr.Retained, tr.Capacity, tr.RetainedSlow, tr.RetainedError, tr.RetainedSampled,
-			tr.Evicted, tr.ThresholdMicros/1000)
-	}
-
-	for _, r := range slices.Sorted(maps.Keys(stats.Routes)) {
-		m := stats.Routes[r]
-		if m.Count == 0 {
-			continue
-		}
-		fmt.Printf("route %-20s %6d calls, %d errors, avg %.0fus, p50 %dus, p99 %dus, p999 %dus, max %dus\n",
-			r, m.Count, m.Errors, float64(m.TotalMicros)/float64(m.Count),
-			m.P50Micros, m.P99Micros, m.P999Micros, m.MaxMicros)
-	}
-
-	for _, s := range slices.Sorted(maps.Keys(stats.Stages)) {
-		m := stats.Stages[s]
-		if m.Count == 0 {
-			continue
-		}
-		fmt.Printf("stage %-20s %6d obs,             mean %dus, p50 %dus, p99 %dus, p999 %dus\n",
-			s, m.Count, m.MeanMicros, m.P50Micros, m.P99Micros, m.P999Micros)
-	}
-	return healthErr
 }
 
 // pushHintsMode uploads a SIS hint file to a running server — the
@@ -738,78 +605,5 @@ func (m *pushHintsMode) run() error {
 	}
 	fmt.Printf("installed %d hints (day %d) as generation %d\n",
 		resp.Installed, resp.Day, resp.Generation)
-	return nil
-}
-
-// journalFlags name the journal the offline modes read: the directory
-// (required) and the snapshot a replay starts from.
-type journalFlags struct {
-	replayFlags
-	walDir, model string
-}
-
-func (j *journalFlags) register(fs *flag.FlagSet) {
-	j.replayFlags.register(fs)
-	fs.StringVar(&j.walDir, "wal-dir", "", "journal directory to read (required; never written)")
-	fs.StringVar(&j.model, "model", "", "model snapshot to start the replay from (empty = none for replay, <wal-dir>/model.snap for audit asof)")
-}
-
-func (j *journalFlags) validate() error {
-	if j.walDir == "" {
-		return errors.New("needs -wal-dir <journal directory>")
-	}
-	return nil
-}
-
-// replayMode is the offline recovery tool: rebuild a model from a
-// journal directory (plus an optional snapshot to start from), write
-// it to out, and report what the journal contributed. The rebuild
-// is deterministic — running it twice produces byte-identical output —
-// and read-only with respect to the journal.
-type replayMode struct {
-	journalFlags
-	out string
-}
-
-func (m *replayMode) validate(out string) error {
-	m.out = out
-	return m.journalFlags.validate()
-}
-
-func (m *replayMode) run() error {
-	rec, err := serve.Recover(wal.DirSource{Dir: m.walDir}, m.model, m.trainEvery, m.maxLog, 0)
-	if apiErr := (*api.Error)(nil); m.model == "" && errors.As(err, &apiErr) {
-		// Recover's one invalid_request: a journal compacted behind a
-		// checkpoint, whose snapshot alone covers the missing records.
-		return fmt.Errorf("%w; pass -model with the snapshot of the checkpoint that compacted it", err)
-	}
-	if err != nil {
-		return err
-	}
-	var buf bytes.Buffer
-	if err := rec.Service.Save(&buf); err != nil {
-		return err
-	}
-	if err := wal.WriteFileAtomic(m.out, buf.Bytes()); err != nil {
-		return err
-	}
-	fmt.Printf("snapshot:  loaded=%v watermark=%d\n", rec.SnapshotLoaded, rec.FromLSN)
-	fmt.Printf("journal:   %d records replayed, %d skipped (covered by snapshot)\n",
-		rec.Journal.Records, rec.Journal.Skipped)
-	if rec.Journal.Truncated {
-		fmt.Printf("tail:      damaged record skipped cleanly (%v)\n", rec.Journal.TailError)
-	}
-	fmt.Printf("rebuilt:   %d ranks, %d rewards (%d unknown), %d training runs over %d events\n",
-		rec.Replay.Ranks, rec.Replay.Rewards, rec.Replay.UnknownRewards,
-		rec.Replay.TrainRuns, rec.Replay.TrainedEvents)
-	if rec.HintRollovers > 0 {
-		fmt.Printf("hints:     %d rollovers replayed; active table has %d hints (generation %d)\n",
-			rec.HintRollovers, len(rec.Hints), rec.HintGen)
-	}
-	if rec.QuarantineRecords > 0 {
-		fmt.Printf("safeguard: %d quarantine records replayed; %d templates held (quarantined or probation)\n",
-			rec.QuarantineRecords, len(rec.Quarantine))
-	}
-	fmt.Printf("model:     %d bytes -> %s (WAL watermark %d)\n", buf.Len(), m.out, rec.Service.WALWatermark())
 	return nil
 }

@@ -6,6 +6,8 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -16,6 +18,7 @@ import (
 	"time"
 
 	"qoadvisor/internal/api"
+	"qoadvisor/internal/bandit"
 	"qoadvisor/internal/drift"
 	"qoadvisor/internal/rules"
 	"qoadvisor/internal/serve"
@@ -58,8 +61,8 @@ func TestFlagsGolden(t *testing.T) {
 			defaults[f.Name] = f.DefValue
 		})
 	}
-	if len(defaults) != 32 {
-		t.Errorf("%d distinct flag names across all subcommands, want 32", len(defaults))
+	if len(defaults) != 30 {
+		t.Errorf("%d distinct flag names across all subcommands, want 30", len(defaults))
 	}
 	const path = "testdata/flags.golden"
 	if *update {
@@ -80,7 +83,7 @@ func TestFlagsGolden(t *testing.T) {
 // TestParseBuildsEachMode builds every mode's configuration from argv;
 // parse opens no socket and no journal.
 func TestParseBuildsEachMode(t *testing.T) {
-	node := nodeFlags{addr: ":1", logLevel: "info", level: slog.LevelInfo, traceSample: 100}
+	node := nodeFlags{addr: ":1", logLevel: "info", level: slog.LevelInfo}
 	for _, tc := range []struct {
 		argv string
 		want mode
@@ -93,19 +96,18 @@ func TestParseBuildsEachMode(t *testing.T) {
 		{"follow http://p:1 -addr :1 -train-every 16", &followMode{
 			nodeFlags: node, replayFlags: replayFlags{trainEvery: 16}, primary: "http://p:1",
 		}},
-		{"check http://h:1", &checkMode{url: "http://h:1"}},
 		{"cluster http://a:1,,http://b:1", &clusterMode{endpoints: []string{"http://a:1", "http://b:1"}}},
+		{"cluster http://h:1", &clusterMode{endpoints: []string{"http://h:1"}}},
 		{"push-hints http://h:1 -hints f.hints", &pushHintsMode{url: "http://h:1", hints: "f.hints"}},
-		{"replay out.model -wal-dir d -max-log -1", &replayMode{
-			journalFlags: journalFlags{replayFlags: replayFlags{maxLog: -1}, walDir: "d"}, out: "out.model",
+		{"audit asof -wal-dir d -max-log -1 -audit-out out.model", &auditMode{
+			replayFlags: replayFlags{maxLog: -1}, walDir: "d", model: "d/model.snap",
+			query: "asof", out: "out.model",
 		}},
 		{"audit template -wal-dir d -template-hash a11ce", &auditMode{
-			journalFlags: journalFlags{walDir: "d", model: "d/model.snap"},
-			query:        "template", hash: 0xa11ce, hasTemplate: true,
+			walDir: "d", model: "d/model.snap", query: "template", hash: 0xa11ce, hasTemplate: true,
 		}},
 		{"audit records -wal-dir d -audit-type rank,reward_batch -audit-limit 3", &auditMode{
-			journalFlags: journalFlags{walDir: "d", model: "d/model.snap"},
-			query:        "records", tags: []byte{1, 2}, limit: 3,
+			walDir: "d", model: "d/model.snap", query: "records", tags: []byte{1, 2}, limit: 3,
 		}},
 		{"version", versionMode{}},
 	} {
@@ -143,11 +145,13 @@ func TestParseRejects(t *testing.T) {
 		{"follow http://p:1 -wal-dir d", undefined},
 		{"follow http://p:1 -hints f", undefined},
 		{"follow http://p:1 -seed 7", undefined},
-		{"replay out.model -wal-dir d -seed 7", undefined},
 		{"audit asof -wal-dir d -seed 7", undefined},
+		{"serve -trace-out t.json", undefined},
+		{"follow http://p:1 -trace-sample 1", undefined},
 		{"follow", "missing <primary>"},
 		{"follow -addr :1 http://p:1", "missing <primary>"},
-		{"replay out.model", "needs -wal-dir"},
+		{"replay out.model -wal-dir d", "unknown subcommand"},
+		{"check http://h:1", "unknown subcommand"},
 		{"push-hints http://h:1", "needs -hints"},
 		{"audit asof", "needs -wal-dir"},
 		{"audit decision -wal-dir d", "needs -event"},
@@ -159,7 +163,7 @@ func TestParseRejects(t *testing.T) {
 		{"serve -log-level loud", "unknown log level"},
 		{"serve -trace-retain-ms -1", "must not be negative"},
 		{"serve http://h:1", "unexpected argument"},
-		{"check http://h:1 -log-level debug", undefined},
+		{"cluster http://h:1 -log-level debug", undefined},
 		{"cluster ,", "no endpoints"},
 		{"version -v", undefined},
 		{"-check http://h:1", "unknown subcommand"},
@@ -176,14 +180,15 @@ func TestParseRejects(t *testing.T) {
 	} {
 		cases = append(cases, [2]string{"follow http://p:1 -" + name + "=1", undefined})
 	}
-	// The old mode flags, the four deleted knobs and the serve-time
-	// bootstrap (now qoadvisor -hints/-model) exist nowhere.
+	// The old mode flags, the four deleted knobs, the serve-time bootstrap
+	// (now qoadvisor -hints/-model) and the trace file (now /v2/traces)
+	// exist nowhere.
 	for _, c := range commands {
 		operand := ""
 		if c.operand != "" {
 			operand = " x"
 		}
-		for _, old := range []string{"follow", "check", "cluster", "push-hints", "replay", "audit", "version", "workers", "shards", "rank-workers", "queue", "bootstrap-days", "templates"} {
+		for _, old := range []string{"follow", "check", "cluster", "push-hints", "replay", "audit", "version", "workers", "shards", "rank-workers", "queue", "bootstrap-days", "templates", "trace-out", "trace-sample"} {
 			cases = append(cases, [2]string{c.name + operand + " -" + old + "=1", undefined})
 		}
 	}
@@ -201,17 +206,20 @@ func TestParseRejects(t *testing.T) {
 }
 
 // TestExitCodes runs main itself: usage errors exit 2 before anything
-// starts, help and version exit 0.
+// starts — the deleted replay and check modes and -trace-out among them
+// — help and version exit 0.
 func TestExitCodes(t *testing.T) {
 	for argv, want := range map[string]int{
 		"-check http://127.0.0.1:1":           2,
 		"follow http://127.0.0.1:1 -hints f":  2,
 		"replay out.model":                    2,
-		"check http://127.0.0.1:1 extra":      2,
+		"check http://127.0.0.1:1":            2,
+		"serve -trace-out f":                  2,
+		"cluster http://127.0.0.1:1 extra":    2,
 		"serve -h":                            0,
 		"-h":                                  0,
 		"version":                             0,
-		"check http://127.0.0.1:1":            1, // parsed, ran, nothing listening
+		"cluster http://127.0.0.1:1":          1, // parsed, ran, nothing listening
 		"audit asof -wal-dir /nonexistent/qo": 1,
 	} {
 		cmd := exec.Command(os.Args[0])
@@ -284,9 +292,10 @@ func auditJournal(t *testing.T, segBytes int64) (dir, event string, watermark ui
 	return dir, event, watermark
 }
 
-// runQuiet parses and runs one invocation in-process with stdout
-// discarded (the audit queries print their rows there).
-func runQuiet(t *testing.T, argv ...string) error {
+// runQuiet parses and runs one invocation in-process with stderr
+// discarded, and returns what it printed on stdout (the audit queries
+// print their rows there).
+func runQuiet(t *testing.T, argv ...string) (string, error) {
 	t.Helper()
 	m, err := parse(argv, new(bytes.Buffer))
 	if err != nil {
@@ -297,9 +306,19 @@ func runQuiet(t *testing.T, argv ...string) error {
 		t.Fatal(err)
 	}
 	defer null.Close()
+	out, err := os.CreateTemp(t.TempDir(), "stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer out.Close()
 	defer func(stdout, stderr *os.File) { os.Stdout, os.Stderr = stdout, stderr }(os.Stdout, os.Stderr)
-	os.Stdout, os.Stderr = null, null
-	return m.run()
+	os.Stdout, os.Stderr = out, null
+	runErr := m.run()
+	printed, err := os.ReadFile(out.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(printed), runErr
 }
 
 // TestAuditWritesNothing holds `qoserved audit -h`'s promise that the
@@ -333,7 +352,7 @@ func TestAuditWritesNothing(t *testing.T) {
 		{"audit", "template", "-wal-dir", dir, "-template-hash", "a11ce"},
 		{"audit", "asof", "-wal-dir", dir, "-train-every", "4"},
 	} {
-		if err := runQuiet(t, argv...); err != nil {
+		if _, err := runQuiet(t, argv...); err != nil {
 			t.Fatalf("qoserved %v: %v", argv, err)
 		}
 		if after := listing(); !reflect.DeepEqual(after, before) {
@@ -359,31 +378,157 @@ func names(files map[string][sha256.Size]byte) []string {
 // the answer.
 func TestAuditAsOfRejectsCompactedHistory(t *testing.T) {
 	dir, _, watermark := auditJournal(t, 1)
-	err := runQuiet(t, "audit", "asof", "-wal-dir", dir, "-train-every", "4", "-lsn", "2")
+	_, err := runQuiet(t, "audit", "asof", "-wal-dir", dir, "-train-every", "4", "-lsn", "2")
 	if err == nil || !strings.Contains(err.Error(), "compacted") {
 		t.Fatalf("as-of below a fully compacted journal's checkpoint: err = %v, want the compacted-history error", err)
 	}
-	if err := runQuiet(t, "audit", "asof", "-wal-dir", dir, "-train-every", "4", "-lsn", fmt.Sprint(watermark)); err != nil {
+	if _, err := runQuiet(t, "audit", "asof", "-wal-dir", dir, "-train-every", "4", "-lsn", fmt.Sprint(watermark)); err != nil {
 		t.Fatalf("as-of at the checkpoint watermark %d: %v", watermark, err)
 	}
 }
 
-// TestReplayRefusesCompactedJournal: checkpoints compacted the start of
-// the journal, so a replay without the checkpoint's snapshot would
-// rebuild a model missing those records. It is refused with the remedy;
-// with -model the replay succeeds.
-func TestReplayRefusesCompactedJournal(t *testing.T) {
+// TestAsOfRefusesCompactedJournal: checkpoints compacted the start of
+// the journal, so an as-of without the checkpoint's snapshot would
+// rebuild a model missing those records. It is refused with the remedy
+// and writes no -audit-out file; with -model the rebuild succeeds.
+func TestAsOfRefusesCompactedJournal(t *testing.T) {
 	dir, _, _ := auditJournal(t, 512)
+	snap := filepath.Join(t.TempDir(), serve.SnapshotFile)
+	if err := os.Rename(filepath.Join(dir, serve.SnapshotFile), snap); err != nil {
+		t.Fatal(err)
+	}
 	out := filepath.Join(t.TempDir(), "out.model")
-	err := runQuiet(t, "replay", out, "-wal-dir", dir, "-train-every", "4")
+	_, err := runQuiet(t, "audit", "asof", "-wal-dir", dir, "-train-every", "4", "-audit-out", out)
 	if err == nil || !strings.Contains(err.Error(), "compacted") || !strings.Contains(err.Error(), "-model") {
-		t.Fatalf("replay of a compacted journal without -model: err = %v, want the compacted-history error naming -model", err)
+		t.Fatalf("as-of of a compacted journal without its snapshot: err = %v, want the compacted-history error naming -model", err)
 	}
 	if _, statErr := os.Stat(out); !os.IsNotExist(statErr) {
-		t.Fatalf("refused replay wrote %s (stat: %v)", out, statErr)
+		t.Fatalf("refused as-of wrote %s (stat: %v)", out, statErr)
 	}
-	if err := runQuiet(t, "replay", out, "-wal-dir", dir, "-train-every", "4", "-model", filepath.Join(dir, serve.SnapshotFile)); err != nil {
-		t.Fatalf("replay with the checkpoint snapshot: %v", err)
+	if _, err := runQuiet(t, "audit", "asof", "-wal-dir", dir, "-train-every", "4", "-model", snap, "-audit-out", out); err != nil {
+		t.Fatalf("as-of with the checkpoint snapshot: %v", err)
+	}
+}
+
+// TestAsOfAuditOutIsTheDigestedModel: -audit-out writes, through the
+// journal's atomic file write, exactly the bytes whose sha256 asof
+// prints, and leaves nothing else behind; a refused run writes nothing.
+func TestAsOfAuditOutIsTheDigestedModel(t *testing.T) {
+	dir, _, watermark := auditJournal(t, 1)
+	outDir := t.TempDir()
+	out := filepath.Join(outDir, "asof.model")
+	if _, err := runQuiet(t, "audit", "asof", "-wal-dir", dir, "-train-every", "4", "-lsn", "2", "-audit-out", out); err == nil {
+		t.Fatal("as-of below a compacted checkpoint succeeded")
+	}
+	if entries, _ := os.ReadDir(outDir); len(entries) != 0 {
+		t.Fatalf("refused as-of left %d files in the output directory", len(entries))
+	}
+	printed, err := runQuiet(t, "audit", "asof", "-wal-dir", dir, "-train-every", "4", "-lsn", fmt.Sprint(watermark), "-audit-out", out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum := fmt.Sprintf("sha256=%x", sha256.Sum256(data)); !strings.Contains(printed, sum) {
+		t.Fatalf("written model's %s is not the printed digest:\n%s", sum, printed)
+	}
+	if entries, _ := os.ReadDir(outDir); len(entries) != 1 {
+		t.Fatalf("as-of left %d files in the output directory, want the model alone", len(entries))
+	}
+	// At a checkpoint LSN the rebuild is that checkpoint's file.
+	if want, err := os.ReadFile(filepath.Join(dir, serve.SnapshotFile)); err != nil || !bytes.Equal(data, want) {
+		t.Fatalf("as-of at checkpoint LSN %d differs from the checkpoint's snapshot (read err %v)", watermark, err)
+	}
+}
+
+// TestAsOfAtJournalEndLeavesRewardsPending pins what folding the old
+// offline replay into audit asof dropped: replay was as-of at the
+// journal end plus one training pass over the pending rewards. The
+// as-of file keeps those rewards pending — a server started from it
+// trains them at its next boundary — and that one pass is all that
+// separates it from Recover's model.
+func TestAsOfAtJournalEndLeavesRewardsPending(t *testing.T) {
+	dir := t.TempDir()
+	j, err := wal.Open(wal.Options{Dir: dir, Mode: wal.ModeSync})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, _, err := serve.Open(serve.Config{Seed: 42, TrainEvery: 4, WAL: j})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close(); j.Close() })
+	for i := 0; i < 6; i++ { // 6 rewards at train-every 4: 2 pending at the journal end
+		resp, err := srv.Rank(api.RankRequest{TemplateHash: api.TemplateHash(i + 1), Span: []int{5, 21 + i}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n, err := srv.Ingestor().EnqueueBatch([]walrec.RewardEntry{{EventID: resp.EventID, Value: 0.5}}); n != 1 || err != nil {
+			t.Fatalf("reward rejected: %d accepted, %v", n, err)
+		}
+	}
+	srv.Ingestor().Quiesce()()
+
+	out := filepath.Join(t.TempDir(), "asof.model")
+	if _, err := runQuiet(t, "audit", "asof", "-wal-dir", dir, "-train-every", "4", "-audit-out", out); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := bandit.Load(f, 42)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := svc.Train(); n == 0 {
+		t.Fatal("as-of at the journal end left no reward pending; the journal tests nothing")
+	}
+	rec, err := serve.Recover(wal.DirSource{Dir: dir}, filepath.Join(dir, serve.SnapshotFile), 4, 0, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got, want bytes.Buffer
+	if err := svc.Save(&got); err != nil {
+		t.Fatal(err)
+	}
+	if err := rec.Service.Save(&want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatal("as-of file plus one Train differs from Recover's model")
+	}
+}
+
+// TestClusterFailsOnDegradedNode: cluster is the node gate. A node
+// whose /v2/healthz answers 503 "degraded" — a stale follower — is
+// reachable, prints its detail, and fails the run; a healthy one passes.
+func TestClusterFailsOnDegradedNode(t *testing.T) {
+	srv := serve.New(serve.Config{Seed: 1})
+	t.Cleanup(srv.Close)
+	healthy := httptest.NewServer(srv)
+	t.Cleanup(healthy.Close)
+	mux := http.NewServeMux()
+	mux.Handle("/", srv)
+	mux.HandleFunc(api.RouteV2Healthz, func(w http.ResponseWriter, _ *http.Request) {
+		w.WriteHeader(http.StatusServiceUnavailable)
+		fmt.Fprintf(w, `{"status":%q}`, api.HealthDegraded)
+	})
+	degraded := httptest.NewServer(mux)
+	t.Cleanup(degraded.Close)
+
+	if printed, err := runQuiet(t, "cluster", healthy.URL); err != nil || !strings.Contains(printed, "health:     ok") {
+		t.Fatalf("cluster over one healthy node: err = %v\n%s", err, printed)
+	}
+	printed, err := runQuiet(t, "cluster", healthy.URL+","+degraded.URL)
+	if err == nil || !strings.Contains(err.Error(), "1 of 2 nodes unreachable or degraded") {
+		t.Fatalf("cluster with a degraded node: err = %v, want the gate to fail", err)
+	}
+	if !strings.Contains(printed, "health:     degraded") {
+		t.Fatalf("cluster did not print the degraded node's health:\n%s", printed)
 	}
 }
 

@@ -449,24 +449,21 @@ type StatsResponse struct {
 }
 
 // TraceStats is the traces block of /v2/stats: the flight recorder's
-// retention ring and the trace export arm's write-error count.
+// retention ring.
 type TraceStats struct {
 	// Retained / Capacity describe the ring's current occupancy.
 	Retained int `json:"retained"`
 	Capacity int `json:"capacity"`
 	// RetainedTotal is the lifetime retention count; the per-reason
 	// counters below sum to it.
-	RetainedTotal   int64 `json:"retainedTotal"`
-	RetainedSlow    int64 `json:"retainedSlow"`
-	RetainedError   int64 `json:"retainedError"`
-	RetainedSampled int64 `json:"retainedSampled"`
+	RetainedTotal int64 `json:"retainedTotal"`
+	RetainedSlow  int64 `json:"retainedSlow"`
+	RetainedError int64 `json:"retainedError"`
 	// Evicted counts retained traces pushed out of the ring by newer
 	// ones.
 	Evicted int64 `json:"evicted"`
 	// ThresholdMicros is the default slow-retention cutoff.
 	ThresholdMicros int64 `json:"thresholdMicros"`
-	// WriteErrors counts failed writes on the -trace-out export stream.
-	WriteErrors int64 `json:"writeErrors"`
 }
 
 // TraceEvent is one span in Chrome trace-event format ("X" complete

@@ -1,18 +1,18 @@
 // Package fleet aggregates a serving cluster's observability into one
-// view: it scrapes /v2/stats from every node, rebuilds the raw latency
-// histograms each node ships (api.Hist → obs.HistSnapshot), and merges
-// them into fleet-wide per-route and per-stage distributions beside
-// per-node rows (role, replication lag, quarantine state).
+// view: it scrapes /v2/healthz and /v2/stats from every node, rebuilds
+// the raw latency histograms each node ships (api.Hist →
+// obs.HistSnapshot), and merges them into fleet-wide per-route and
+// per-stage distributions beside per-node rows (role, health,
+// replication lag, quarantine state) and per-node detail.
 //
 // Merging the raw buckets is the whole point — a p99 of per-node p99s
 // is not the fleet p99, but log₂ histograms merge exactly (bucket-wise
 // addition), so the fleet percentiles here are as accurate as any
-// single node's. PR 6 made obs.HistSnapshot mergeable for precisely
-// this use; this package is the first cross-node consumer.
+// single node's, and for a one-node fleet they are that node's own.
 //
-// Consumers: `qoserved cluster host1,host2,...` renders the
-// table form, and cmd/qoload embeds a fleet snapshot in its end-of-run
-// BENCH_load.json report.
+// Consumers: `qoserved cluster host1,host2,...` (one node or many)
+// renders the table form, and cmd/qoload embeds a fleet snapshot in
+// its end-of-run BENCH_load.json report.
 package fleet
 
 import (
@@ -32,9 +32,13 @@ import (
 // Node is one scraped cluster member.
 type Node struct {
 	Endpoint string
-	// Err is the scrape failure, if any; Stats is valid only when nil.
-	Err   error
-	Stats api.StatsResponse
+	// Err is the scrape failure, if any; Health and Stats are valid only
+	// when nil. A degraded node — a follower whose replication tail has
+	// gone stale answers /v2/healthz with 503 "degraded" — is reachable:
+	// its Err stays nil.
+	Err    error
+	Health api.HealthResponse
+	Stats  api.StatsResponse
 }
 
 // Role reports the node's cluster role ("primary", "follower",
@@ -80,10 +84,10 @@ func FromWire(h *api.Hist) obs.HistSnapshot {
 	return obs.SnapshotFromParts(h.SumNanos, h.Buckets)
 }
 
-// Scrape fetches /v2/stats from every endpoint concurrently and
-// aggregates the answers. Unreachable nodes appear in Nodes with Err
-// set and contribute nothing to the merged series; the context bounds
-// the whole pass.
+// Scrape fetches /v2/healthz, then /v2/stats, from every endpoint
+// concurrently and aggregates the answers. Unreachable nodes appear in
+// Nodes with Err set and contribute nothing to the merged series; the
+// context bounds the whole pass.
 func Scrape(ctx context.Context, endpoints []string, opts ...client.Option) *Snapshot {
 	nodes := make([]Node, len(endpoints))
 	var wg sync.WaitGroup
@@ -91,8 +95,16 @@ func Scrape(ctx context.Context, endpoints []string, opts ...client.Option) *Sna
 		wg.Add(1)
 		go func(i int, ep string) {
 			defer wg.Done()
-			st, err := client.New(ep, opts...).Stats(ctx)
-			nodes[i] = Node{Endpoint: ep, Stats: st, Err: err}
+			cl, n := client.New(ep, opts...), Node{Endpoint: ep}
+			// A degraded node answers 503 with its health body: the node
+			// is up and its stats still merge.
+			if n.Health, n.Err = cl.Health(ctx); n.Health.Status != "" {
+				n.Err = nil
+			}
+			if n.Err == nil {
+				n.Stats, n.Err = cl.Stats(ctx)
+			}
+			nodes[i] = n
 		}(i, ep)
 	}
 	wg.Wait()
@@ -140,17 +152,30 @@ func (s *Snapshot) Reachable() int {
 	return n
 }
 
+// Healthy counts nodes that are reachable and report ok health: the
+// gate `qoserved cluster` exits on.
+func (s *Snapshot) Healthy() int {
+	n := 0
+	for _, node := range s.Nodes {
+		if node.Err == nil && node.Health.Status == api.HealthOK {
+			n++
+		}
+	}
+	return n
+}
+
 // micros renders a duration as integer microseconds for the tables.
 func micros(d time.Duration) string { return fmt.Sprintf("%d", d.Microseconds()) }
 
-// Render writes the human-readable fleet report: per-node rows, then
-// the fleet-merged route and stage percentile tables (microseconds).
+// Render writes the human-readable fleet report: per-node rows, each
+// reachable node's detail, then the fleet-merged route and stage
+// percentile tables (microseconds).
 func (s *Snapshot) Render(w io.Writer) {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "ENDPOINT\tROLE\tUPTIME\tRANKS\tLAG\tQUARANTINED\tINCIDENTS\tERROR")
+	fmt.Fprintln(tw, "ENDPOINT\tROLE\tHEALTH\tUPTIME\tRANKS\tLAG\tQUARANTINED\tINCIDENTS\tERROR")
 	for _, n := range s.Nodes {
 		if n.Err != nil {
-			fmt.Fprintf(tw, "%s\t?\t-\t-\t-\t-\t-\t%v\n", n.Endpoint, n.Err)
+			fmt.Fprintf(tw, "%s\t?\t-\t-\t-\t-\t-\t-\t%v\n", n.Endpoint, n.Err)
 			continue
 		}
 		lag := "-"
@@ -170,11 +195,17 @@ func (s *Snapshot) Render(w io.Writer) {
 				inc += fmt.Sprintf(" (%s ago)", (time.Duration(in.LastAgeSec) * time.Second).String())
 			}
 		}
-		fmt.Fprintf(tw, "%s\t%s\t%s\t%d\t%s\t%s\t%s\t\n",
-			n.Endpoint, n.Role(), (time.Duration(n.Stats.UptimeSec) * time.Second).String(),
+		fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%d\t%s\t%s\t%s\t\n",
+			n.Endpoint, n.Role(), n.Health.Status, (time.Duration(n.Stats.UptimeSec) * time.Second).String(),
 			n.Stats.RankRequests, lag, quar, inc)
 	}
 	tw.Flush()
+	for _, n := range s.Nodes {
+		if n.Err == nil {
+			fmt.Fprintf(w, "\nnode %s:\n", n.Endpoint)
+			n.render(w)
+		}
+	}
 
 	fmt.Fprintf(w, "\nfleet routes (%d/%d nodes, latency µs):\n", s.Reachable(), len(s.Nodes))
 	tw = tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
@@ -203,6 +234,44 @@ func (s *Snapshot) Render(w io.Writer) {
 			micros(m.Hist.Quantile(0.99)), micros(m.Hist.Quantile(0.999)))
 	}
 	tw.Flush()
+}
+
+// render writes one reachable node's detail: health, build, serving,
+// ingest, journal and checkpoint, safeguard, incidents and flight
+// recorder, one line each; a block the node does not report is left out.
+func (n Node) render(w io.Writer) {
+	h, st := n.Health, n.Stats
+	fmt.Fprintf(w, "  health:     %s (generation %d, %d hints, queue %d/%d, up %.1fs)\n",
+		h.Status, h.Generation, h.Hints, h.QueueDepth, h.QueueCap, h.UptimeSec)
+	if v := st.Version; v != nil {
+		fmt.Fprintf(w, "  version:    %s (revision %s, %s)\n", v.Version, obs.Revision(v.Revision, v.Modified), v.GoVersion)
+	}
+	fmt.Fprintf(w, "  serving:    %d ranks (%d hint hits, %d bandit, %d noops), event log %d\n",
+		st.RankRequests, st.HintHits, st.BanditRanks, st.NoOps, st.BanditLog)
+	fmt.Fprintf(w, "  ingest:     %d enqueued, %d applied, %d dropped, %d unknown, %d train runs\n",
+		st.Ingest.Enqueued, st.Ingest.Applied, st.Ingest.Dropped, st.Ingest.UnknownEvents, st.Ingest.TrainRuns)
+	if wl := st.WAL; wl != nil {
+		fmt.Fprintf(w, "  wal:        mode=%s lsn %d..%d (synced %d), %d appends / %d syncs, %d segments (%d compacted)\n",
+			wl.Mode, wl.FirstLSN, wl.LastLSN, wl.SyncedLSN, wl.Appends, wl.Syncs, wl.Segments, wl.TruncatedSegments)
+		fmt.Fprintf(w, "  checkpoint: %d taken, last at offset %d (%d bytes, %dus)\n",
+			wl.Checkpoints, wl.LastCheckpointLSN, wl.LastCheckpointB, wl.LastCheckpointUs)
+	}
+	if d := st.Drift; d != nil && (d.Enabled || d.QuarantinedNow > 0 || d.ProbationNow > 0) {
+		fmt.Fprintf(w, "  safeguard:  detection=%v, %d quarantined, %d probation, %d blocked ranks, %d transitions (%d manual)\n",
+			d.Enabled, d.QuarantinedNow, d.ProbationNow, d.BlockedRanks, d.Transitions, d.Manual)
+	}
+	if in := st.Incidents; in != nil {
+		fmt.Fprintf(w, "  incidents:  %d bundles, %d triggered (%d suppressed, %d capture errors)",
+			in.Count, in.Triggered, in.Suppressed, in.CaptureErrors)
+		if in.LastID != "" {
+			fmt.Fprintf(w, ", last %s (%s) %.0fs ago", in.LastID, in.LastReason, in.LastAgeSec)
+		}
+		fmt.Fprintln(w)
+	}
+	if tr := st.Traces; tr != nil {
+		fmt.Fprintf(w, "  flightrec:  %d/%d traces retained (%d slow, %d error), %d evicted, threshold %dms\n",
+			tr.Retained, tr.Capacity, tr.RetainedSlow, tr.RetainedError, tr.Evicted, tr.ThresholdMicros/1000)
+	}
 }
 
 func sortedKeys(m map[string]Merged) []string {

@@ -3,7 +3,9 @@ package fleet
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -11,8 +13,11 @@ import (
 
 	"qoadvisor/internal/api"
 	"qoadvisor/internal/api/client"
+	"qoadvisor/internal/drift"
 	"qoadvisor/internal/obs"
 	"qoadvisor/internal/serve"
+	"qoadvisor/internal/wal"
+	"qoadvisor/internal/walrec"
 )
 
 // startNodes spins n standalone serving nodes and drives jobsPer rank
@@ -157,6 +162,116 @@ func TestScrapeUnreachableNode(t *testing.T) {
 	for _, want := range []string{endpoints[0], endpoints[1], "ROLE", "standalone", api.RouteV2Rank, "rank_bandit"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("rendered report missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// degradedNode serves a standalone node whose /v2/healthz answers 503
+// "degraded", the way a follower with a stale replication tail does.
+func degradedNode(t *testing.T) string {
+	t.Helper()
+	srv := serve.New(serve.Config{Seed: 1})
+	t.Cleanup(srv.Close)
+	mux := http.NewServeMux()
+	mux.Handle("/", srv)
+	mux.HandleFunc(api.RouteV2Healthz, func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusServiceUnavailable)
+		json.NewEncoder(w).Encode(api.HealthResponse{Status: api.HealthDegraded, Generation: 3})
+	})
+	ts := httptest.NewServer(mux)
+	t.Cleanup(ts.Close)
+	return ts.URL
+}
+
+// TestScrapeDegradedNode: a node that answers its health check with a
+// 503 "degraded" body is reachable — its stats still merge — but it is
+// not healthy, which is what `qoserved cluster` exits on.
+func TestScrapeDegradedNode(t *testing.T) {
+	_, endpoints := startNodes(t, 1, 3)
+	endpoints = append(endpoints, degradedNode(t))
+	snap := Scrape(context.Background(), endpoints, client.WithTimeout(5*time.Second))
+	if snap.Reachable() != 2 || snap.Healthy() != 1 {
+		t.Fatalf("reachable %d, healthy %d; want 2 and 1", snap.Reachable(), snap.Healthy())
+	}
+	if got := snap.Nodes[0].Health.Status; got != api.HealthOK {
+		t.Fatalf("healthy node's status = %q", got)
+	}
+	if got := snap.Nodes[1].Health; got.Status != api.HealthDegraded || got.Generation != 3 {
+		t.Fatalf("degraded node's health = %+v, want its 503 body", got)
+	}
+	if _, ok := snap.Nodes[1].Stats.Routes[api.RouteV2Healthz]; !ok {
+		t.Fatal("degraded node's stats were not scraped")
+	}
+	var buf bytes.Buffer
+	snap.Render(&buf)
+	if !strings.Contains(buf.String(), "health:     degraded (generation 3") {
+		t.Fatalf("rendered report does not show the degraded node's health:\n%s", buf.String())
+	}
+}
+
+// TestOneNodeFleetIsTheNode: a fleet of one merges one node's buckets,
+// so every fleet percentile is the one the node itself reports in
+// /v2/stats — Quantile runs over the same buckets on both sides.
+func TestOneNodeFleetIsTheNode(t *testing.T) {
+	_, endpoints := startNodes(t, 1, 9)
+	snap := Scrape(context.Background(), endpoints, client.WithTimeout(5*time.Second))
+	st := snap.Nodes[0].Stats
+	if len(st.Routes) == 0 || len(st.Stages) == 0 {
+		t.Fatalf("node reports %d routes and %d stages; want both", len(st.Routes), len(st.Stages))
+	}
+	check := func(kind, name string, h obs.HistSnapshot, p50, p90, p99, p999 int64) {
+		t.Helper()
+		got := [4]int64{h.Quantile(0.50).Microseconds(), h.Quantile(0.90).Microseconds(),
+			h.Quantile(0.99).Microseconds(), h.Quantile(0.999).Microseconds()}
+		if want := [4]int64{p50, p90, p99, p999}; got != want {
+			t.Errorf("%s %s: fleet p50/p90/p99/p999 %v, node reports %v", kind, name, got, want)
+		}
+	}
+	for route, rs := range st.Routes {
+		check("route", route, snap.Routes[route].Hist, rs.P50Micros, rs.P90Micros, rs.P99Micros, rs.P999Micros)
+	}
+	for stage, ls := range st.Stages {
+		check("stage", stage, snap.Stages[stage].Hist, ls.P50Micros, ls.P90Micros, ls.P99Micros, ls.P999Micros)
+	}
+}
+
+// TestRenderShowsNodeDetail: a WAL-backed primary with drift detection
+// and incident capture on reports every block, and the fleet view
+// prints a line for each of them.
+func TestRenderShowsNodeDetail(t *testing.T) {
+	dir := t.TempDir()
+	j, err := wal.Open(wal.Options{Dir: dir, Mode: wal.ModeSync})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, _, err := serve.Open(serve.Config{
+		Seed: 1, WAL: j, Drift: &drift.Config{},
+		Incidents: serve.IncidentConfig{Dir: t.TempDir()},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close(); j.Close() })
+	resp, err := srv.Rank(api.RankRequest{TemplateHash: 7, Span: []int{5, 21}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.Ingestor().EnqueueBatch([]walrec.RewardEntry{{EventID: resp.EventID, Value: 0.5}}); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
+
+	snap := Scrape(context.Background(), []string{ts.URL}, client.WithTimeout(5*time.Second))
+	if snap.Healthy() != 1 {
+		t.Fatalf("primary not healthy: %+v", snap.Nodes[0])
+	}
+	var buf bytes.Buffer
+	snap.Render(&buf)
+	for _, label := range []string{"health:", "version:", "serving:", "ingest:", "wal:", "checkpoint:", "safeguard:", "incidents:", "flightrec:"} {
+		if !strings.Contains(buf.String(), "  "+label+" ") {
+			t.Errorf("rendered node detail lacks the %q line:\n%s", label, buf.String())
 		}
 	}
 }

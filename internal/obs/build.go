@@ -51,3 +51,16 @@ func readBuild() BuildInfo {
 	}
 	return b
 }
+
+// Revision renders a VCS revision the way every version line does:
+// "unknown" when the build carries none, "-dirty" when the checkout
+// had local changes.
+func Revision(rev string, modified bool) string {
+	if rev == "" {
+		rev = "unknown"
+	}
+	if modified {
+		rev += "-dirty"
+	}
+	return rev
+}

@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"errors"
-	"strings"
 	"testing"
 	"time"
 )
@@ -14,36 +12,30 @@ func finishOne(r *FlightRecorder, route string, dur time.Duration, status int) {
 	tr.FinishRequest(route, start, dur, status)
 }
 
-func TestFlightRetainsSlowErroredAndSampled(t *testing.T) {
-	// 1-in-2 head sampling: every second request below is elected.
-	r := NewFlightRecorder(FlightConfig{Threshold: 10 * time.Millisecond, SampleEvery: 2})
+func TestFlightRetainsSlowAndErrored(t *testing.T) {
+	r := NewFlightRecorder(FlightConfig{Threshold: 10 * time.Millisecond})
 
 	finishOne(r, "/fast", time.Millisecond, 200)        // unretained
-	finishOne(r, "/sampled", time.Millisecond, 200)     // elected: sampled
 	finishOne(r, "/slow", 20*time.Millisecond, 200)     // slow
-	finishOne(r, "/slow2", 20*time.Millisecond, 200)    // elected: slow wins over sampled
 	finishOne(r, "/boom", time.Millisecond, 500)        // error
-	finishOne(r, "/slowboom", 20*time.Millisecond, 503) // elected: error wins over slow
+	finishOne(r, "/slowboom", 20*time.Millisecond, 503) // error wins over slow
 	got := r.Query("", 0, 0)
-	if len(got) != 5 {
-		t.Fatalf("retained %d traces, want 5", len(got))
+	if len(got) != 3 {
+		t.Fatalf("retained %d traces, want 3", len(got))
 	}
 	reasons := map[string]string{}
 	for _, rt := range got {
 		reasons[rt.Route] = rt.Reason
 	}
-	want := map[string]string{
-		"/slow": RetainSlow, "/boom": RetainError, "/slowboom": RetainError,
-		"/sampled": RetainSampled, "/slow2": RetainSlow,
-	}
+	want := map[string]string{"/slow": RetainSlow, "/boom": RetainError, "/slowboom": RetainError}
 	for route, reason := range want {
 		if reasons[route] != reason {
 			t.Errorf("route %s retained as %q, want %q", route, reasons[route], reason)
 		}
 	}
 	st := r.Stats()
-	if st.RetainedSlow != 2 || st.RetainedError != 2 || st.RetainedSampled != 1 {
-		t.Errorf("stats = %+v, want 2 slow / 2 error / 1 sampled", st)
+	if st.RetainedSlow != 1 || st.RetainedError != 2 {
+		t.Errorf("stats = %+v, want 1 slow / 2 error", st)
 	}
 }
 
@@ -146,88 +138,19 @@ func TestFlightUnretainedPathAllocs(t *testing.T) {
 	}
 }
 
-// TestFlightNilSafety: a recorder without an export stream (the
-// default — no -trace-out) never head-samples, and its Close is a
-// no-op rather than a nil-writer dereference.
+// TestFlightNilSafety: a zero FlightConfig takes the package defaults,
+// and a fast, successful request under it is retained nowhere — there
+// is no sampled arm to keep it.
 func TestFlightNilSafety(t *testing.T) {
-	r := NewFlightRecorder(FlightConfig{Threshold: time.Hour})
-	finishOne(r, "/fast", time.Microsecond, 200)
-	if st := r.Stats(); st.RetainedSampled != 0 || st.WriteErrors != 0 {
-		t.Errorf("export-less recorder stats = %+v, want nothing sampled or failed", st)
-	}
-	if err := r.Close(); err != nil {
-		t.Errorf("Close without an export stream = %v", err)
-	}
-}
-
-// TestFlightHeadSampledExportStillWritten pins composition:
-// head-elected traces reach the Chrome-trace export stream (the
-// -trace-out arm) AND the ring, with reason "sampled".
-func TestFlightHeadSampledExportStillWritten(t *testing.T) {
-	var b strings.Builder
-	r := NewFlightRecorder(FlightConfig{Threshold: time.Hour, Export: &b, SampleEvery: 2}) // every 2nd request elected
-	for i := 0; i < 4; i++ {
+	r := NewFlightRecorder(FlightConfig{})
+	for i := 0; i < 200; i++ {
 		finishOne(r, "/fast", time.Microsecond, 200)
 	}
-	if err := r.Close(); err != nil {
-		t.Fatal(err)
+	want := FlightStats{Capacity: DefaultFlightCapacity, Threshold: DefaultRetainThreshold}
+	if st := r.Stats(); st != want {
+		t.Errorf("zero-config recorder stats = %+v, want %+v", st, want)
 	}
-	out := b.String()
-	if got := strings.Count(out, `"cat":"request"`); got != 2 {
-		t.Errorf("exported %d request events, want 2 (1-in-2 head sampling): %s", got, out)
-	}
-	if st := r.Stats(); st.RetainedSampled != 2 {
-		t.Errorf("RetainedSampled = %d, want 2", st.RetainedSampled)
-	}
-}
-
-// failAfterWriter fails every write after the first n bytes.
-type failAfterWriter struct {
-	n       int
-	written int
-}
-
-var errWriterFull = errors.New("disk full")
-
-func (w *failAfterWriter) Write(p []byte) (int, error) {
-	if w.written+len(p) > w.n {
-		return 0, errWriterFull
-	}
-	w.written += len(p)
-	return len(p), nil
-}
-
-// TestTracerLatchesWriteError: a failed export write is not dropped on
-// the floor — the first failure is latched, counted, and surfaced from
-// Close.
-func TestTracerLatchesWriteError(t *testing.T) {
-	w := &failAfterWriter{n: 64}
-	tracer := NewFlightRecorder(FlightConfig{Export: w})
-	for i := 0; i < 8; i++ {
-		finishOne(tracer, "/v2/rank", time.Millisecond, 200)
-	}
-	if got := tracer.Stats().WriteErrors; got == 0 {
-		t.Fatal("WriteErrors = 0 after failing writes")
-	}
-	if err := tracer.Close(); !errors.Is(err, errWriterFull) {
-		t.Fatalf("Close = %v, want the latched write error", err)
-	}
-	// Close is idempotent and keeps surfacing the latched error.
-	if err := tracer.Close(); !errors.Is(err, errWriterFull) {
-		t.Fatalf("second Close = %v, want the latched write error", err)
-	}
-}
-
-func TestTracerCloseErrorLatched(t *testing.T) {
-	// Writer that accepts events but fails on the closing terminator.
-	w := &failAfterWriter{n: 400}
-	tracer := NewFlightRecorder(FlightConfig{Export: w})
-	finishOne(tracer, "/v2/rank", time.Millisecond, 200)
-	w.n = w.written // next write (the "\n]\n" terminator) fails
-	if err := tracer.Close(); !errors.Is(err, errWriterFull) {
-		t.Fatalf("Close = %v, want terminator write error", err)
-	}
-	if got := tracer.Stats().WriteErrors; got != 1 {
-		t.Errorf("WriteErrors = %d, want 1", got)
+	if got := r.Query("", 0, 0); len(got) != 0 {
+		t.Errorf("retained %d fast traces, want none", len(got))
 	}
 }

@@ -23,8 +23,7 @@ type traceEvent struct {
 // out over a worker pool) and nil-safe (embedded callers that rank
 // outside an HTTP request thread a nil *Trace).
 type Trace struct {
-	rec  *FlightRecorder
-	head bool // head-sample elected: exported and retained as "sampled"
+	rec *FlightRecorder
 
 	mu        sync.Mutex
 	requestID string
@@ -55,7 +54,7 @@ func (tr *Trace) Stage(tid int, name string, start time.Time, dur time.Duration)
 
 // FinishRequest records the request-level span and hands the trace to
 // its recorder for the retention decision: keep iff errored (status >=
-// 500), slow, or head-sampled. The trace must not be used afterwards —
+// 500) or slow. The trace must not be used afterwards —
 // it returns to the recorder's buffer pool.
 func (tr *Trace) FinishRequest(name string, start time.Time, dur time.Duration, status int) {
 	if tr == nil {
@@ -72,6 +71,5 @@ func (tr *Trace) reset() {
 	tr.mu.Lock()
 	tr.events = tr.events[:0]
 	tr.requestID = ""
-	tr.head = false
 	tr.mu.Unlock()
 }

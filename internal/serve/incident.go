@@ -342,8 +342,8 @@ func (e *incidentEngine) capture(now time.Time, reason, detail string, burn floa
 	return meta, nil
 }
 
-// loadExisting indexes bundles left by earlier runs so `qoserved check` and
-// GET /v2/incidents see them after a restart.
+// loadExisting indexes bundles left by earlier runs so `qoserved cluster`
+// and GET /v2/incidents see them after a restart.
 func (e *incidentEngine) loadExisting() {
 	entries, err := os.ReadDir(e.cfg.Dir)
 	if err != nil {

@@ -5,15 +5,18 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"qoadvisor/internal/api"
 	"qoadvisor/internal/api/client"
+	"qoadvisor/internal/obs"
 	"qoadvisor/internal/rules"
 	"qoadvisor/internal/wal"
 )
@@ -396,5 +399,60 @@ func TestIncidentWALFailureTrigger(t *testing.T) {
 	bundles := srv.incidents.list()
 	if len(bundles) != 1 || bundles[0].Reason != incidentWAL {
 		t.Fatalf("want 1 wal bundle, got %+v", bundles)
+	}
+}
+
+// TestTraceOutputIsChromeTraceJSON holds tracesResponse, the one
+// Chrome-trace renderer (/v2/traces and an incident bundle's
+// traces.json), to the trace event format chrome://tracing and Perfetto
+// load: a traceEvents array of "X" complete events, the request span
+// after its stages, every event tagged with the request's X-Request-Id.
+func TestTraceOutputIsChromeTraceJSON(t *testing.T) {
+	// No route overrides: every request is "slow" at 1ns, /v2/rank too.
+	s := New(Config{Seed: 1, Flight: obs.NewFlightRecorder(obs.FlightConfig{Threshold: time.Nanosecond})})
+	t.Cleanup(s.Close)
+	ts := httptest.NewServer(s)
+	t.Cleanup(ts.Close)
+	resp, err := http.Post(ts.URL+api.RouteV2Rank, "application/json",
+		strings.NewReader(`{"jobs":[{"templateHash":"feedface","span":[5,21]}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	rid := resp.Header.Get(api.RequestIDHeader)
+
+	resp, err = http.Get(ts.URL + api.RouteV2Traces + "?route=" + api.RouteV2Rank)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var doc struct {
+		TraceEvents []struct {
+			Name string            `json:"name"`
+			Cat  string            `json:"cat"`
+			Ph   string            `json:"ph"`
+			Ts   float64           `json:"ts"`
+			Dur  float64           `json:"dur"`
+			Pid  int               `json:"pid"`
+			Args map[string]string `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+		t.Fatalf("/v2/traces is not a JSON trace document: %v", err)
+	}
+	evs := doc.TraceEvents
+	if len(evs) < 2 {
+		t.Fatalf("got %d trace events, want the rank's stages and its request span", len(evs))
+	}
+	for _, ev := range evs {
+		if ev.Ph != "X" || ev.Pid != evs[0].Pid || ev.Dur < 0 {
+			t.Errorf("event %+v: want a complete event of one retained trace", ev)
+		}
+		if ev.Args["requestId"] != rid || ev.Args["reason"] != obs.RetainSlow {
+			t.Errorf("event %q: args %v, want requestId %q and reason slow", ev.Name, ev.Args, rid)
+		}
+	}
+	if last := evs[len(evs)-1]; last.Name != api.RouteV2Rank || last.Cat != "request" {
+		t.Errorf("last event should be the request span, got %+v", last)
 	}
 }

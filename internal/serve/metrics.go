@@ -204,15 +204,12 @@ func (s *Server) collectTraceMetrics(e *obs.Exposition) {
 	const retainedHelp = "Traces retained by the flight recorder, by retention reason."
 	e.Counter("qoserved_trace_retained_total", retainedHelp, obs.L("reason", obs.RetainSlow), float64(fs.RetainedSlow))
 	e.Counter("qoserved_trace_retained_total", retainedHelp, obs.L("reason", obs.RetainError), float64(fs.RetainedError))
-	e.Counter("qoserved_trace_retained_total", retainedHelp, obs.L("reason", obs.RetainSampled), float64(fs.RetainedSampled))
 	e.Counter("qoserved_trace_evicted_total",
 		"Retained traces pushed out of the ring by newer ones.", nil, float64(fs.Evicted))
 	e.Gauge("qoserved_trace_ring_size", "Traces currently retained.", nil, float64(fs.Retained))
 	e.Gauge("qoserved_trace_ring_capacity", "Retained-ring capacity.", nil, float64(fs.Capacity))
 	e.Gauge("qoserved_trace_retain_threshold_seconds",
 		"Default slow-retention latency cutoff.", nil, fs.Threshold.Seconds())
-	e.Counter("qoserved_trace_write_errors_total",
-		"Failed writes on the -trace-out export stream.", nil, float64(fs.WriteErrors))
 }
 
 // collectRouteMetrics adds the HTTP middleware's per-route families.

@@ -110,11 +110,10 @@ var statsMetricRules = []struct {
 
 	{path: re(`^traces\.retained$`), family: "qoserved_trace_ring_size"},
 	{path: re(`^traces\.capacity$`), family: "qoserved_trace_ring_capacity"},
-	{path: re(`^traces\.(retainedTotal|retainedSlow|retainedError|retainedSampled)$`),
+	{path: re(`^traces\.(retainedTotal|retainedSlow|retainedError)$`),
 		family: "qoserved_trace_retained_total"},
 	{path: re(`^traces\.evicted$`), family: "qoserved_trace_evicted_total"},
 	{path: re(`^traces\.thresholdMicros$`), family: "qoserved_trace_retain_threshold_seconds"},
-	{path: re(`^traces\.writeErrors$`), family: "qoserved_trace_write_errors_total"},
 
 	{path: re(`^incidents\.enabled$`), family: "qoserved_incident_enabled"},
 	{path: re(`^incidents\.count$`), family: "qoserved_incident_bundles"},

@@ -130,7 +130,8 @@ func (r RecoverResult) Recovered() bool {
 
 // Recover rebuilds a bandit model plus the active hint table from a
 // snapshot and the journal suffix above its watermark: the startup
-// path of a WAL-backed server and the offline `qoserved replay` mode.
+// path of a WAL-backed server. The offline rebuild, `qoserved audit
+// asof`, is RecoverAsOf, which stops short of the tail flush.
 // snapshotPath may be empty or name a file that does not exist yet
 // (first boot) — the journal is then replayed from the beginning into
 // a fresh learner built with DefaultConfig(seed). A nil src loads the
@@ -248,7 +249,7 @@ func RecoverAsOf(src wal.Source, snapshotPath string, lsn uint64, trainEvery, ma
 var errAsOf = errors.New("serve: replay bound reached")
 
 // recoverTo is the one reconstruction behind Recover, RecoverAsOf and
-// through them every restart, offline replay and audit as-of: load the
+// through them every restart and audit as-of, live or offline: load the
 // snapshot unless its watermark is above upTo, then dispatch the
 // journal records in (watermark, upTo] into the learner. A nil src
 // loads the snapshot alone. A journal whose retained records start

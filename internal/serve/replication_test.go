@@ -483,7 +483,7 @@ func TestAuditAsOfRejectsFullyCompactedHistory(t *testing.T) {
 
 // TestWALFirstLSNAfterFullCompaction: the exported "oldest retained
 // record" is wal.Window's first on every surface — /v2/stats
-// wal.firstLsn (the `qoserved check` wal: line prints that field) and
+// wal.firstLsn (the `qoserved cluster` wal: line prints that field) and
 // qoserved_wal_first_lsn. Once compaction has emptied the retained
 // window it reads lastLsn+1, "everything through lastLsn is gone", where
 // it used to read 0, "nothing was ever removed".

@@ -87,9 +87,8 @@ type Config struct {
 	// Flight is the trace sink every request records into, built with
 	// NewFlightRecorder. The caller owns it — the replication tailer
 	// threads one recorder through every re-bootstrapped core so retained
-	// traces survive resync swaps, qoserved closes its -trace-out export
-	// stream at shutdown. Nil builds a default recorder (250ms slow
-	// threshold, no export).
+	// traces survive resync swaps. Nil builds a default recorder (250ms
+	// slow threshold).
 	Flight *obs.FlightRecorder
 	// Incidents, given a Dir, enables the incident engine: SLO-burn,
 	// quarantine, and WAL-failure triggers capture diagnostic bundles
@@ -540,13 +539,11 @@ func (s *Server) traceStats() *api.TraceStats {
 	return &api.TraceStats{
 		Retained:        fs.Retained,
 		Capacity:        fs.Capacity,
-		RetainedTotal:   fs.RetainedSlow + fs.RetainedError + fs.RetainedSampled,
+		RetainedTotal:   fs.RetainedSlow + fs.RetainedError,
 		RetainedSlow:    fs.RetainedSlow,
 		RetainedError:   fs.RetainedError,
-		RetainedSampled: fs.RetainedSampled,
 		Evicted:         fs.Evicted,
 		ThresholdMicros: fs.Threshold.Microseconds(),
-		WriteErrors:     fs.WriteErrors,
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 )
 
 // FuzzSegmentReader fuzzes the one decoder under crash recovery,
-// follower tailing, offline replay and every audit query: arbitrary
+// follower tailing and every audit query, offline rebuild included: arbitrary
 // bytes as a segment file, read through OpenSegment/Next and through
 // DirSource.Replay, and as a replication stream body, read through
 // NewSegmentReader over a bytes.Reader. None may panic. A record the

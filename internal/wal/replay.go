@@ -41,8 +41,8 @@ type Source interface {
 }
 
 // DirSource replays a journal directory read-only, without opening it
-// for appends — the offline `qoserved replay` path and the one reader
-// under every audit query, live or offline.
+// for appends — the one reader under every audit query, live or
+// offline, the offline `qoserved audit asof` rebuild among them.
 type DirSource struct {
 	Dir string
 }
