@@ -10,11 +10,14 @@
 //	qoadvisor [-days 10] [-templates 60] [-seed 42] [-hints out.hints] [-model out.snap]
 //
 // -hints and -model are what qoserved serve reads (its -hints and -model):
-// the validated hint table and the trained bandit.
+// the validated hint table and the trained bandit. The pipeline's worker
+// pools are sized by GOMAXPROCS, and both files are byte-identical at any
+// setting of it.
 package main
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -28,28 +31,33 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
+	err := run(os.Args[1:], os.Stdout)
+	if errors.Is(err, flag.ErrHelp) {
+		return
+	}
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "qoadvisor: %v\n", err)
 		os.Exit(1)
 	}
 }
 
 func run(argv []string, stdout io.Writer) error {
-	fs := flag.NewFlagSet("qoadvisor", flag.ExitOnError)
+	fs := flag.NewFlagSet("qoadvisor", flag.ContinueOnError)
 	days := fs.Int("days", 10, "number of simulated days")
 	templates := fs.Int("templates", 60, "number of recurring job templates")
 	seed := fs.Int64("seed", 42, "workload and pipeline seed")
 	hintsOut := fs.String("hints", "", "write the final SIS hint file to this path")
 	modelOut := fs.String("model", "", "write the trained bandit's snapshot to this path")
-	parallelism := fs.Int("parallelism", 0, "pipeline worker-pool size (0 = GOMAXPROCS, 1 = sequential; output is identical at any setting)")
-	fs.Parse(argv) // exits on a bad flag
+	if err := fs.Parse(argv); err != nil {
+		return err // the flag package has printed it, with the usage
+	}
 
 	fmt.Fprintf(stdout, "QO-Advisor daily loop: %d templates, %d days, seed %d\n\n", *templates, *days, *seed)
 	fmt.Fprintf(stdout, "%4s %6s %6s %7s %7s %7s %6s %8s %7s %6s\n",
 		"day", "jobs", "span", "lower", "higher", "fails", "flts", "samples", "valid", "hints")
 
 	var hintedPN, defaultPN []float64
-	adv, err := core.RunLoop(rules.NewCatalog(), *seed, *templates, *days, *parallelism, func(day int, runs []core.JobRun, rep *core.DayReport) {
+	adv, err := core.RunLoop(rules.NewCatalog(), *seed, *templates, *days, func(day int, runs []core.JobRun, rep *core.DayReport) {
 		for _, r := range runs {
 			if r.Hinted {
 				hintedPN = append(hintedPN, r.Metrics.PNHours)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -18,28 +19,33 @@ import (
 // integer columns per simulated day between its header and its two
 // summary lines. -hints and -model leave the two files qoserved serve
 // reads: a table sis.Parse accepts (header-only after -days 0) and a
-// snapshot bandit.Load round-trips byte for byte, both identical at any
-// -parallelism, which a primary opened on them serves.
+// snapshot bandit.Load round-trips byte for byte, both identical at
+// GOMAXPROCS 1 and 4, which a primary opened on them serves. A removed
+// or unknown flag is returned as an error.
 func TestRun(t *testing.T) {
 	dir := t.TempDir()
 	file := func(name string) string { return filepath.Join(dir, name) }
 	hinted := map[string]int{}
 	for _, tc := range []struct {
-		argv []string
-		days int
-		out  string // when set: -hints <out>.hints -model <out>.snap
+		argv  []string
+		procs int // when set: GOMAXPROCS for the run
+		days  int
+		out   string // when set: -hints <out>.hints -model <out>.snap
 	}{
-		{[]string{"-days", "2", "-templates", "6"}, 2, ""},
-		{[]string{"-days", "5", "-templates", "24"}, 5, "par"},
-		{[]string{"-days", "5", "-templates", "24", "-parallelism", "1"}, 5, "seq"},
-		{[]string{"-days", "0"}, 0, "none"},
+		{[]string{"-days", "2", "-templates", "6"}, 0, 2, ""},
+		{[]string{"-days", "5", "-templates", "24"}, 4, 5, "par"},
+		{[]string{"-days", "5", "-templates", "24"}, 1, 5, "seq"},
+		{[]string{"-days", "0"}, 0, 0, "none"},
 	} {
 		argv := tc.argv
 		if tc.out != "" {
 			argv = append(argv, "-hints", file(tc.out+".hints"), "-model", file(tc.out+".snap"))
 		}
 		var out bytes.Buffer
-		if err := run(argv, &out); err != nil {
+		prev := runtime.GOMAXPROCS(tc.procs) // 0 only reads it
+		err := run(argv, &out)
+		runtime.GOMAXPROCS(prev)
+		if err != nil {
 			t.Fatalf("qoadvisor %v: %v", argv, err)
 		}
 		lines := strings.Split(strings.TrimRight(out.String(), "\n"), "\n")
@@ -95,8 +101,12 @@ func TestRun(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(par, seq) {
-			t.Errorf("-parallelism 1 and the default wrote different %s files", name)
+			t.Errorf("GOMAXPROCS 1 and 4 wrote different %s files", name)
 		}
+	}
+	var out bytes.Buffer
+	if err := run([]string{"-parallelism", "1"}, &out); err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+		t.Errorf("qoadvisor -parallelism 1: err %v, want an undefined-flag error", err)
 	}
 }
 

@@ -124,7 +124,7 @@ func run(argv []string, stdout, stderr io.Writer) error {
 	}
 
 	if *showSpan {
-		sp, err := spanpkg.Compute(graph, cat, spanpkg.Options{Optimizer: opts})
+		sp, err := spanpkg.Compute(graph, cat, opts)
 		if err != nil {
 			return fmt.Errorf("span: %w", err)
 		}

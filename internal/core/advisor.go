@@ -26,12 +26,6 @@ type Config struct {
 	// SkipHinted makes the pipeline stateful (§8): templates that already
 	// carry an active hint are not re-explored on later dates.
 	SkipHinted bool
-	// Parallelism bounds the worker pools the pipeline tasks (feature
-	// generation, recompilation, flighting) fan out across
-	// (0 = GOMAXPROCS, 1 = strictly sequential). Every parallel stage
-	// reduces deterministically, so DayReports and SIS uploads are
-	// bit-identical at any setting.
-	Parallelism int
 }
 
 // explorationFlightsPerDay is the number of random (job, span-flip)
@@ -98,16 +92,11 @@ func NewAdvisor(cat *rules.Catalog, store *sis.Store, cfg Config) *Advisor {
 	if cfg.Flighting.Catalog == nil {
 		cfg.Flighting.Catalog = cat
 	}
-	if cfg.Flighting.Parallelism == 0 {
-		cfg.Flighting.Parallelism = cfg.Parallelism
-	}
 	cb := NewCBRecommender(cat, cfg.Seed)
 	cb.Uniform = cfg.UniformLogging
-	fg := NewFeatureGen(cat)
-	fg.Parallelism = cfg.Parallelism
 	return &Advisor{
 		Catalog:    cat,
-		FeatureGen: fg,
+		FeatureGen: NewFeatureGen(cat),
 		CB:         cb,
 		Flight:     flighting.New(cfg.Flighting),
 		Validator:  NewValidator(),
@@ -152,7 +141,7 @@ func (a *Advisor) RunDay(date int, jobs []*workload.Job, view []workload.ViewRow
 	rep.JobsWithSpan = len(feats)
 
 	// 2-3. Recommendation + Recompilation.
-	recs := RecommendWith(a.CB, a.Catalog, feats, RecommendOptions{Parallelism: a.cfg.Parallelism})
+	recs := Recommend(a.CB, a.Catalog, feats)
 	a.CB.Train()
 	rep.Recommendations = len(recs)
 	for _, r := range recs {

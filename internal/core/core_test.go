@@ -524,8 +524,9 @@ func TestAdvisorEndToEnd(t *testing.T) {
 }
 
 // TestParallelRunDayDeterministic is the parallelism contract: running
-// the full pipeline with a worker pool must produce byte-identical
-// DayReports and SIS uploads to the strictly sequential run, for every
+// the full pipeline at GOMAXPROCS 4 must produce byte-identical
+// DayReports and SIS uploads to the run at GOMAXPROCS 1, where every
+// worker pool runs strictly sequentially in index order, for every
 // simulated day. Run under -race this also exercises the instance memo,
 // the rewrite memos and bandit locking.
 func TestParallelRunDayDeterministic(t *testing.T) {
@@ -533,7 +534,8 @@ func TestParallelRunDayDeterministic(t *testing.T) {
 		Report *DayReport
 		Hints  []sis.Hint
 	}
-	run := func(parallelism int) []dayOut {
+	run := func(procs int) []dayOut {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		cat := rules.NewCatalog()
 		gen, err := workload.New(workload.Config{Seed: 11, NumTemplates: 15, MaxDailyInstances: 2})
 		if err != nil {
@@ -543,7 +545,6 @@ func TestParallelRunDayDeterministic(t *testing.T) {
 		adv := NewAdvisor(cat, store, Config{
 			Seed:                 1,
 			MinValidationSamples: 5,
-			Parallelism:          parallelism,
 			Flighting:            flighting.Config{Catalog: cat, Seed: 2},
 		})
 		prod := NewProduction(cat, store, exec.DefaultCluster(1), 3)
@@ -567,7 +568,7 @@ func TestParallelRunDayDeterministic(t *testing.T) {
 	}
 
 	seq := run(1)
-	par := run(8)
+	par := run(4)
 	for i := range seq {
 		sj, err := json.Marshal(seq[i])
 		if err != nil {

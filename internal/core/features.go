@@ -55,13 +55,6 @@ type JobFeatures struct {
 // FeatureGen is the Feature Generation task.
 type FeatureGen struct {
 	Catalog *rules.Catalog
-	// SpanIterations bounds the span fix point (0 = default).
-	SpanIterations int
-	// Parallelism bounds the span-computation worker pool
-	// (0 = GOMAXPROCS, 1 = sequential). Output is bit-identical at any
-	// setting: span computation is a pure per-template function and the
-	// result set is sorted by job ID.
-	Parallelism int
 
 	// spanCache memoizes span computation per template hash: instances
 	// of a template share plan shape and hence span. Entries singleflight
@@ -124,9 +117,9 @@ func Aggregate(rows []workload.ViewRow) (JobFeatures, error) {
 // Run executes Feature Generation for one day: it aggregates each job's
 // view rows and computes job spans, dropping jobs with empty spans.
 // Span computation — the expensive part, a fix point of recompilations —
-// fans out across a bounded worker pool, deduplicated per template. The
-// returned slice is sorted by job ID, so output is identical at any
-// parallelism.
+// fans out across a GOMAXPROCS-bounded worker pool, deduplicated per
+// template. It is a pure per-template function and the returned slice
+// is sorted by job ID, so output is identical at any GOMAXPROCS.
 func (fg *FeatureGen) Run(jobs []*workload.Job, view []workload.ViewRow) ([]*JobFeatures, error) {
 	byJob := make(map[string][]workload.ViewRow)
 	for _, r := range view {
@@ -162,7 +155,7 @@ func (fg *FeatureGen) Run(jobs []*workload.Job, view []workload.ViewRow) ([]*Job
 		results[i] = &f
 	}
 
-	par.For(len(jobs), fg.Parallelism, work)
+	par.For(len(jobs), work)
 
 	var out []*JobFeatures
 	for i := range jobs {
@@ -189,10 +182,7 @@ func (fg *FeatureGen) spanFor(job *workload.Job) (*span.Result, error) {
 	}
 	fg.mu.Unlock()
 	e.once.Do(func() {
-		e.sp, e.err = span.Compute(job.Graph, fg.Catalog, span.Options{
-			Optimizer:     job.CompileOptions(fg.Catalog),
-			MaxIterations: fg.SpanIterations,
-		})
+		e.sp, e.err = span.Compute(job.Graph, fg.Catalog, job.CompileOptions(fg.Catalog))
 	})
 	if e.err != nil {
 		// Failures are not memoized across days: a later instance (new

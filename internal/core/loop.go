@@ -15,8 +15,8 @@ import (
 // hint file to the advisor's SIS store. Logging is off-policy: uniform at
 // random for the first third of the days, the learned policy afterwards.
 // eachDay, when non-nil, sees every day's production runs and pipeline
-// report. parallelism is Config.Parallelism.
-func RunLoop(cat *rules.Catalog, seed int64, templates, days, parallelism int, eachDay func(day int, runs []JobRun, rep *DayReport)) (*Advisor, error) {
+// report.
+func RunLoop(cat *rules.Catalog, seed int64, templates, days int, eachDay func(day int, runs []JobRun, rep *DayReport)) (*Advisor, error) {
 	gen, err := workload.New(workload.Config{Seed: seed, NumTemplates: templates, MaxDailyInstances: 2})
 	if err != nil {
 		return nil, err
@@ -24,9 +24,8 @@ func RunLoop(cat *rules.Catalog, seed int64, templates, days, parallelism int, e
 	cluster := exec.DefaultCluster(seed)
 	store := sis.NewStore(cat)
 	adv := NewAdvisor(cat, store, Config{
-		Seed:        seed,
-		Parallelism: parallelism,
-		Flighting:   flighting.Config{Catalog: cat, Cluster: cluster, Seed: seed + 5},
+		Seed:      seed,
+		Flighting: flighting.Config{Catalog: cat, Cluster: cluster, Seed: seed + 5},
 	})
 	prod := NewProduction(cat, store, cluster, seed+9)
 

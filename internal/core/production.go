@@ -75,13 +75,13 @@ func (p *Production) runJob(job *workload.Job, runSeed int64) (JobRun, error) {
 // workload view from their telemetry. Jobs run on a GOMAXPROCS-bounded
 // pool — runJob is a pure function of (job, run seed) and the hint store
 // is read-only during a day — and runs and view are assembled in job
-// order, so the result does not depend on the parallelism. A day's
+// order, so the result does not depend on GOMAXPROCS. A day's
 // recurrences of one template are one instance steered by one hint, so
 // they share its memoized rewrite, and so does the pipeline that
 // recompiles them.
 func (p *Production) RunDay(date int, jobs []*workload.Job) ([]JobRun, []workload.ViewRow, error) {
 	slots := make([]JobRun, len(jobs))
-	par.For(len(jobs), 0, func(i int) {
+	par.For(len(jobs), func(i int) {
 		// A job that cannot compile even under the default config leaves
 		// its slot zero and is dropped from the day's view.
 		slots[i], _ = p.runJob(jobs[i], p.Seed+int64(date)*100003+int64(i)*7)

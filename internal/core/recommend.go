@@ -157,26 +157,22 @@ func (r *RandomRecommender) Learn(string, float64) {}
 
 // --- Recommendation + Recompilation tasks ---
 
-// RecommendOptions tunes how the Recommendation + Recompilation tasks
-// execute; the zero value reproduces defaults (GOMAXPROCS workers).
-type RecommendOptions struct {
-	// Parallelism bounds the recompilation worker pool (0 = GOMAXPROCS,
-	// 1 = sequential). Results are bit-identical at any setting.
-	Parallelism int
+// RecommendOptions has no fields: it is kept only because cmd/qobench
+// calls RecommendWith with its zero value.
+type RecommendOptions struct{}
+
+// RecommendWith forwards to Recommend; it is kept only for cmd/qobench.
+func RecommendWith(rec Recommender, cat *rules.Catalog, feats []*JobFeatures, _ RecommendOptions) []*Recommendation {
+	return Recommend(rec, cat, feats)
 }
 
 // Recommend runs the Recommendation and Recompilation tasks for a set of
 // featurized jobs: pick an action per job, recompile under the flip,
 // compute the clipped cost-ratio reward, and feed it back to the learner.
 // Jobs whose flip does not improve the estimated cost are kept in the
-// output (with their deltas) so callers can prune and count them.
-func Recommend(rec Recommender, cat *rules.Catalog, feats []*JobFeatures) []*Recommendation {
-	return RecommendWith(rec, cat, feats, RecommendOptions{})
-}
-
-// RecommendWith is Recommend with explicit execution options. The task is
-// split into three phases so recompilation — the expensive, pure part —
-// can fan out across a worker pool without perturbing the learner:
+// output (with their deltas) so callers can prune and count them. The
+// task is split into three phases so recompilation — the expensive, pure
+// part — can fan out across a worker pool without perturbing the learner:
 //
 //  1. rank every job sequentially (the recommender's exploration RNG and
 //     event log consume randomness in job order, exactly as before),
@@ -191,7 +187,7 @@ func Recommend(rec Recommender, cat *rules.Catalog, feats []*JobFeatures) []*Rec
 // earliest ranks before their rewards arrive. NewCBRecommender's learner
 // is uncapped, and the serve layer caps a trained learner only after the
 // pipeline has returned.
-func RecommendWith(rec Recommender, cat *rules.Catalog, feats []*JobFeatures, o RecommendOptions) []*Recommendation {
+func Recommend(rec Recommender, cat *rules.Catalog, feats []*JobFeatures) []*Recommendation {
 	out := make([]*Recommendation, len(feats))
 	eventIDs := make([]string, len(feats))
 
@@ -228,7 +224,7 @@ func RecommendWith(rec Recommender, cat *rules.Catalog, feats []*JobFeatures, o 
 		}
 		r.Reward = ratio
 	}
-	par.For(len(out), o.Parallelism, func(i int) {
+	par.For(len(out), func(i int) {
 		if !out[i].NoOp {
 			recompile(i)
 		}

@@ -52,7 +52,7 @@ func (l *Lab) featuresForDay(day int, spanCache map[uint64]*span.Result, uniqueO
 		total++
 		sp, ok := spanCache[job.Template.Hash]
 		if !ok {
-			computed, err := span.Compute(job.Graph, l.Catalog, span.Options{Optimizer: job.CompileOptions(l.Catalog)})
+			computed, err := span.Compute(job.Graph, l.Catalog, job.CompileOptions(l.Catalog))
 			if err != nil {
 				spanCache[job.Template.Hash] = nil
 				continue

@@ -276,7 +276,7 @@ func BenchmarkAblationNoCostGate(b *testing.B) {
 				continue
 			}
 			opts := optimizer.Options{Catalog: cat, Stats: job.Stats, Tokens: job.Tokens}
-			sp, err := span.Compute(job.Graph, cat, span.Options{Optimizer: opts})
+			sp, err := span.Compute(job.Graph, cat, opts)
 			if err != nil || sp.Span.IsEmpty() {
 				continue
 			}
@@ -341,7 +341,7 @@ func makeFeaturizer(b *testing.B, gen *workload.Generator, cat *rules.Catalog) f
 			opts := optimizer.Options{Catalog: cat, Stats: job.Stats, Tokens: job.Tokens}
 			sp, ok := spanCache[job.Template.Hash]
 			if !ok {
-				res, err := span.Compute(job.Graph, cat, span.Options{Optimizer: opts})
+				res, err := span.Compute(job.Graph, cat, opts)
 				if err != nil {
 					spanCache[job.Template.Hash] = rules.Bitset{}
 					continue

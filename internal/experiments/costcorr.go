@@ -47,7 +47,7 @@ func (l *Lab) gatherFlights(firstDay, lastDay int) ([]FlightObservation, error) 
 		for i, job := range jobs {
 			bits, ok := spanCache[job.Template.Hash]
 			if !ok {
-				sp, err := span.Compute(job.Graph, l.Catalog, span.Options{Optimizer: job.CompileOptions(l.Catalog)})
+				sp, err := span.Compute(job.Graph, l.Catalog, job.CompileOptions(l.Catalog))
 				if err != nil {
 					spanCache[job.Template.Hash] = nil
 					continue

@@ -59,7 +59,7 @@ func (l *Lab) Stability(metric string) (*StabilityResult, error) {
 	improvedW0 := 0
 	regressedW1 := 0
 	for _, j0 := range week0Jobs {
-		sp, err := span.Compute(j0.Graph, l.Catalog, span.Options{Optimizer: j0.CompileOptions(l.Catalog)})
+		sp, err := span.Compute(j0.Graph, l.Catalog, j0.CompileOptions(l.Catalog))
 		if err != nil || sp.Span.IsEmpty() {
 			continue
 		}

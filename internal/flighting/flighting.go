@@ -9,6 +9,7 @@ package flighting
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 
 	"qoadvisor/internal/exec"
@@ -92,12 +93,6 @@ type Config struct {
 	TotalBudgetHours float64
 	// Seed drives the A/B run seeds.
 	Seed int64
-	// Parallelism bounds the worker pool flights fan out across
-	// (0 = GOMAXPROCS, 1 = strictly sequential). Every flight is
-	// deterministic per request, and the budget is folded over the
-	// cheapest-first order after execution, so results are bit-identical
-	// at any parallelism.
-	Parallelism int
 }
 
 // Service runs flights.
@@ -146,12 +141,13 @@ func classify(job *workload.Job) Outcome {
 // jobs with lower estimated costs first, such that if we finish the total
 // time budget, we are still able to provide some suggestion".
 //
-// Flights execute on a bounded worker pool (Config.Parallelism). Each
-// flight is a pure function of its request, so parallel execution is
-// speculative with respect to the budget: chunks of the ordered queue run
-// concurrently, then the budget is folded over the chunk sequentially in
-// cheapest-first order, reproducing the sequential semantics exactly —
-// including which requests come back Skipped.
+// Flights execute on a GOMAXPROCS-bounded worker pool. Each flight is a
+// pure function of its request, so parallel execution is speculative with
+// respect to the budget: chunks of the ordered queue run concurrently,
+// then the budget is folded over the chunk sequentially in cheapest-first
+// order, reproducing the sequential semantics exactly — including which
+// requests come back Skipped — so results are bit-identical at any
+// GOMAXPROCS.
 func (s *Service) Run(reqs []Request) []Result {
 	ordered := append([]Request(nil), reqs...)
 	sort.SliceStable(ordered, func(i, j int) bool {
@@ -159,27 +155,12 @@ func (s *Service) Run(reqs []Request) []Result {
 	})
 
 	budget := s.cfg.TotalBudgetHours * float64(s.cfg.QueueSize)
-	workers := par.Resolve(s.cfg.Parallelism)
-
 	used := 0.0
 	results := make([]Result, 0, len(ordered))
-	if workers == 1 {
-		for _, req := range ordered {
-			if used >= budget {
-				results = append(results, Result{Request: req, Outcome: Skipped})
-				continue
-			}
-			res := s.flightOne(req)
-			used += res.HoursUsed
-			results = append(results, res)
-		}
-		return results
-	}
-
 	// Chunked speculative execution: bounded wasted work when the budget
 	// runs out mid-chunk, full parallelism when it does not (the common
 	// case — the paper sizes the budget to cover the queue).
-	chunkSize := workers * 4
+	chunkSize := runtime.GOMAXPROCS(0) * 4
 	for start := 0; start < len(ordered); start += chunkSize {
 		if used >= budget {
 			// Budget exhausted: everything left is Skipped, uncomputed.
@@ -190,7 +171,7 @@ func (s *Service) Run(reqs []Request) []Result {
 		}
 		chunk := ordered[start:min(start+chunkSize, len(ordered))]
 		computed := make([]Result, len(chunk))
-		par.For(len(chunk), workers, func(i int) { computed[i] = s.flightOne(chunk[i]) })
+		par.For(len(chunk), func(i int) { computed[i] = s.flightOne(chunk[i]) })
 		// Sequential budget fold over the chunk, in queue order.
 		for i, req := range chunk {
 			if used >= budget {

@@ -1,6 +1,9 @@
 package flighting
 
 import (
+	"runtime"
+	"slices"
+	"sort"
 	"testing"
 
 	"qoadvisor/internal/rules"
@@ -189,18 +192,52 @@ func resultsEqual(t *testing.T, a, b []Result) {
 }
 
 // TestParallelRunMatchesSequential is the determinism contract of the
-// worker pool: any parallelism produces results bit-identical to the
-// sequential path, both with a generous budget and with one tight enough
-// that skips happen mid-chunk.
+// worker pool: at GOMAXPROCS 1 and 4, Run produces results bit-identical
+// to the one-flight-at-a-time budget fold, both with a generous budget
+// and with one tight enough that skips start mid-chunk.
 func TestParallelRunMatchesSequential(t *testing.T) {
 	cat := rules.NewCatalog()
-	jobs := testJobs(t, 14)
+	reqs := requestsFor(testJobs(t, 14), cat)
 	for _, budget := range []float64{0, 0.02} { // 0 = default (generous)
-		seq := New(Config{Catalog: cat, Seed: 9, Parallelism: 1, TotalBudgetHours: budget, QueueSize: 1})
-		par := New(Config{Catalog: cat, Seed: 9, Parallelism: 8, TotalBudgetHours: budget, QueueSize: 1})
-		reqs := requestsFor(jobs, cat)
-		resultsEqual(t, seq.Run(reqs), par.Run(reqs))
+		svc := New(Config{Catalog: cat, Seed: 9, TotalBudgetHours: budget, QueueSize: 1})
+		want := sequentialRun(svc, reqs)
+		firstSkip := slices.IndexFunc(want, func(r Result) bool { return r.Outcome == Skipped })
+		if budget == 0 && firstSkip >= 0 {
+			t.Fatalf("generous budget skipped request %d", firstSkip)
+		}
+		// Chunks are 4 × GOMAXPROCS long: a first skip off a multiple of
+		// 4 lands mid-chunk at both settings below.
+		if budget > 0 && (firstSkip <= 0 || firstSkip%4 == 0) {
+			t.Fatalf("tight budget first skips request %d of %d; want one mid-chunk", firstSkip, len(want))
+		}
+		for _, procs := range []int{1, 4} {
+			prev := runtime.GOMAXPROCS(procs)
+			got := svc.Run(reqs)
+			runtime.GOMAXPROCS(prev)
+			resultsEqual(t, want, got)
+		}
 	}
+}
+
+// sequentialRun is the reference Run is held to: flights one at a time
+// in cheapest-first order, each charged to the budget before the next
+// starts, and everything past an exhausted budget Skipped.
+func sequentialRun(s *Service, reqs []Request) []Result {
+	ordered := append([]Request(nil), reqs...)
+	sort.SliceStable(ordered, func(i, j int) bool { return ordered[i].EstCost < ordered[j].EstCost })
+	budget := s.cfg.TotalBudgetHours * float64(s.cfg.QueueSize)
+	used := 0.0
+	var results []Result
+	for _, req := range ordered {
+		if used >= budget {
+			results = append(results, Result{Request: req, Outcome: Skipped})
+			continue
+		}
+		res := s.flightOne(req)
+		used += res.HoursUsed
+		results = append(results, res)
+	}
+	return results
 }
 
 // TestFutureArmsShareTomorrowsInstance: a flight's validation arms compile

@@ -160,7 +160,7 @@ func TestApplyTuningEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		opts := optimizer.Options{Catalog: cat, Stats: job.Stats, Tokens: job.Tokens}
-		sp, err := span.Compute(job.Graph, cat, span.Options{Optimizer: opts})
+		sp, err := span.Compute(job.Graph, cat, opts)
 		if err != nil {
 			t.Fatalf("%s: span: %v", tpl.ID, err)
 		}
@@ -226,7 +226,7 @@ func TestNeededColumnsMatchReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sp, err := span.Compute(job.Graph, cat, span.Options{Optimizer: optimizer.Options{Catalog: cat, Stats: job.Stats, Tokens: job.Tokens}})
+		sp, err := span.Compute(job.Graph, cat, optimizer.Options{Catalog: cat, Stats: job.Stats, Tokens: job.Tokens})
 		if err != nil {
 			t.Fatalf("%s: span: %v", tpl.ID, err)
 		}

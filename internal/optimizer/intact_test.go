@@ -119,7 +119,7 @@ func TestOptimizeLeavesInputIntact(t *testing.T) {
 		}
 		before := renderGraph(job.Graph)
 		opts := optimizer.Options{Catalog: cat, Stats: job.Stats, Tokens: job.Tokens}
-		sp, err := span.Compute(job.Graph, cat, span.Options{Optimizer: opts})
+		sp, err := span.Compute(job.Graph, cat, opts)
 		if err != nil {
 			t.Fatalf("%s: span: %v", tpl.ID, err)
 		}

@@ -1,5 +1,6 @@
 // Package par provides the bounded worker-pool primitive the pipeline's
-// parallel stages (feature generation, recompilation, flighting) share.
+// parallel stages (production runs, feature generation, recompilation,
+// flighting) and the serve rank fan-out share.
 package par
 
 import (
@@ -8,15 +9,13 @@ import (
 )
 
 // For runs fn(i) for every i in [0, n) on a worker pool bounded to
-// workers goroutines (workers <= 0 means GOMAXPROCS). workers == 1 runs
+// GOMAXPROCS goroutines. At GOMAXPROCS 1, or when n <= 1, it runs
 // strictly sequentially in index order on the calling goroutine — the
-// mode the pipeline's "bit-identical at any parallelism" guarantee is
-// checked against — so at any other setting fn must be order-independent
-// and safe for concurrent invocation. For returns when every fn call has.
-func For(n, workers int, fn func(i int)) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+// mode the pipeline's "bit-identical at any GOMAXPROCS" guarantee is
+// checked against — so otherwise fn must be order-independent and safe
+// for concurrent invocation. For returns when every fn call has.
+func For(n int, fn func(i int)) {
+	workers := runtime.GOMAXPROCS(0)
 	if workers == 1 || n <= 1 {
 		for i := 0; i < n; i++ {
 			fn(i)
@@ -35,13 +34,4 @@ func For(n, workers int, fn func(i int)) {
 		}(i)
 	}
 	wg.Wait()
-}
-
-// Resolve maps a Parallelism config value to the worker count For would
-// use, for callers that need the number itself (e.g. to size work chunks).
-func Resolve(workers int) int {
-	if workers <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return workers
 }

@@ -1,17 +1,19 @@
 package par
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 )
 
 func TestForSequentialPreservesOrder(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var got []int
-	For(5, 1, func(i int) { got = append(got, i) })
+	For(5, func(i int) { got = append(got, i) })
 	for i, v := range got {
 		if v != i {
-			t.Fatalf("workers=1 order = %v, want ascending", got)
+			t.Fatalf("GOMAXPROCS=1 order = %v, want ascending", got)
 		}
 	}
 	if len(got) != 5 {
@@ -20,9 +22,10 @@ func TestForSequentialPreservesOrder(t *testing.T) {
 }
 
 func TestForParallelVisitsAllOnce(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	const n = 200
 	seen := make([]int32, n)
-	For(n, 8, func(i int) { atomic.AddInt32(&seen[i], 1) })
+	For(n, func(i int) { atomic.AddInt32(&seen[i], 1) })
 	for i, c := range seen {
 		if c != 1 {
 			t.Fatalf("index %d visited %d times", i, c)
@@ -32,9 +35,10 @@ func TestForParallelVisitsAllOnce(t *testing.T) {
 
 func TestForBoundsConcurrency(t *testing.T) {
 	const workers = 3
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 	var mu sync.Mutex
 	inFlight, peak := 0, 0
-	For(50, workers, func(int) {
+	For(50, func(int) {
 		mu.Lock()
 		inFlight++
 		if inFlight > peak {
@@ -46,15 +50,6 @@ func TestForBoundsConcurrency(t *testing.T) {
 		mu.Unlock()
 	})
 	if peak > workers {
-		t.Fatalf("peak concurrency %d exceeds %d workers", peak, workers)
-	}
-}
-
-func TestResolve(t *testing.T) {
-	if Resolve(4) != 4 {
-		t.Error("Resolve(4) != 4")
-	}
-	if Resolve(0) < 1 || Resolve(-1) < 1 {
-		t.Error("Resolve must return at least 1 for non-positive input")
+		t.Fatalf("peak concurrency %d exceeds GOMAXPROCS %d", peak, workers)
 	}
 }

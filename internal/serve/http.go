@@ -316,7 +316,7 @@ const rankChunk = 32
 // trace lane.
 func (h *httpLayer) rankBatch(jobs []api.RankRequest, results []api.RankResult, tr *obs.Trace) []api.RankResult {
 	results = slices.Grow(results[:0], len(jobs))[:len(jobs)]
-	par.For((len(jobs)+rankChunk-1)/rankChunk, 0, func(c int) {
+	par.For((len(jobs)+rankChunk-1)/rankChunk, func(c int) {
 		for i := c * rankChunk; i < min((c+1)*rankChunk, len(jobs)); i++ {
 			resp, err := h.srv.rankTraced(jobs[i], tr, i)
 			results[i] = api.RankResult{RankResponse: resp}
@@ -810,10 +810,24 @@ func (h *httpLayer) handleHints(w http.ResponseWriter, r *http.Request) {
 
 // handleSnapshot serves the model state: GET streams the persisted form,
 // POST writes it to the configured snapshot path for restart recovery.
+//
+// On a journaled primary a GET is a recovery seed: it serves the
+// follower bootstrap's snapshot (GET /v2/wal/snapshot), whose wal=
+// watermark covers everything in it, so Recover(journal, body) rebuilds
+// the live model. The cost is that bootstrap's checkpoint barrier:
+// reward intake fenced, the queue drained, a train mark journaled, the
+// hint and quarantine tables re-journaled. A plain Save would stamp the
+// current weights with the last checkpoint's watermark, and replay would
+// apply the journal suffix to them a second time. Followers and WAL-less
+// nodes have no journal to replay and stream Save.
 func (h *httpLayer) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	rid := requestID(w)
 	switch r.Method {
 	case http.MethodGet:
+		if h.srv.wal != nil {
+			h.handleWALSnapshot(w, r)
+			return
+		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		if err := h.srv.SnapshotTo(w); err != nil {
 			// Headers are gone; the truncated body will fail bandit.Load.

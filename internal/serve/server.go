@@ -37,10 +37,10 @@ type Config struct {
 	TrainEvery int
 	// MaxLogEvents caps the learner's in-memory event log so an
 	// indefinitely running server does not leak rank events (0 = default
-	// 16384, negative = unbounded). Each logged event retains its full
-	// featurized context (measured ~6 KiB for a 10-bit span), so the
-	// default bounds event state near 100 MiB. Applies to a
-	// caller-supplied Bandit too.
+	// 16384, negative = unbounded). Each logged event keeps ≈ 689 B
+	// resident (TestEventLogBytesPerDecision, spans 2–8), and the log
+	// grows to 1.25 × the cap before evicting, so the default bounds
+	// event state near 14 MB. Applies to a caller-supplied Bandit too.
 	MaxLogEvents int
 	// SnapshotPath is where POST /v2/model/snapshot persists the model.
 	SnapshotPath string

@@ -138,7 +138,8 @@ func (h *httpLayer) handleWALStream(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleWALSnapshot streams a checkpoint-consistent bootstrap snapshot
-// (the follower's join path). The response body is the bandit model's
+// (the follower's join path, and a journaled primary's
+// GET /v2/model/snapshot). The response body is the bandit model's
 // persisted form; its embedded wal= watermark is where the follower
 // starts tailing, and the hint table is re-journaled above that
 // watermark so the first tail batch delivers it.

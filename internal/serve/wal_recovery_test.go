@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"io"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -12,6 +13,8 @@ import (
 	"qoadvisor/internal/api"
 	"qoadvisor/internal/api/client"
 	"qoadvisor/internal/bandit"
+	"qoadvisor/internal/featurize"
+	"qoadvisor/internal/rules"
 	"qoadvisor/internal/wal"
 	"qoadvisor/internal/walrec"
 )
@@ -31,6 +34,13 @@ const walTestTrainEvery = 8
 
 func newWALRig(t *testing.T, segBytes int64) *walTestRig {
 	t.Helper()
+	return newWALRigConfig(t, segBytes, Config{Seed: 42, TrainEvery: walTestTrainEvery})
+}
+
+// newWALRigConfig is newWALRig serving cfg, with the rig's journal as
+// cfg.WAL.
+func newWALRigConfig(t *testing.T, segBytes int64, cfg Config) *walTestRig {
+	t.Helper()
 	dir := t.TempDir()
 	j, err := wal.Open(wal.Options{Dir: dir, Mode: wal.ModeSync, SegmentBytes: segBytes})
 	if err != nil {
@@ -39,7 +49,8 @@ func newWALRig(t *testing.T, segBytes int64) *walTestRig {
 	// Close before TempDir's removal: the committer may still be rolling
 	// the last record's segment into a new file.
 	t.Cleanup(func() { j.Close() })
-	srv := New(Config{Seed: 42, TrainEvery: walTestTrainEvery, WAL: j})
+	cfg.WAL = j
+	srv := New(cfg)
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	return &walTestRig{
@@ -231,6 +242,94 @@ func TestCrashRecoveryEquivalence(t *testing.T) {
 	}
 	if err := rec.Service.Reward(openID, 1.25); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSnapshotGETIsRecoverySeed: on a journaled primary, the body of
+// GET /v2/model/snapshot taken after post-checkpoint traffic seeds
+// Recover over the journal to the live model's bytes. Stamped with the
+// last checkpoint's watermark, replay would apply that traffic twice.
+func TestSnapshotGETIsRecoverySeed(t *testing.T) {
+	r := newWALRig(t, 1<<20)
+	ids1 := r.rankSome(t, 60, 1)
+	r.rewardAll(t, ids1[:30], 1.0)
+	info, err := r.srv.Checkpoint(r.snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids2 := r.rankSome(t, 40, 2)
+	r.rewardAll(t, append(append([]string{}, ids1[30:45]...), ids2[:25]...), 0.5)
+
+	body, err := r.cl.Snapshot(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := io.ReadAll(body)
+	body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed := filepath.Join(t.TempDir(), "get.snap")
+	if err := os.WriteFile(seed, got, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want := r.captureLive(t)
+
+	rec, err := Recover(wal.DirSource{Dir: r.dir}, seed, walTestTrainEvery, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rec.SnapshotLoaded || rec.FromLSN <= info.LSN {
+		t.Errorf("GET snapshot covers LSN %d, want past the checkpoint's %d (%+v)", rec.FromLSN, info.LSN, rec)
+	}
+	var recovered bytes.Buffer
+	if err := rec.Service.Save(&recovered); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(want, recovered.Bytes()) {
+		t.Fatalf("Recover(journal, GET snapshot) differs from the live model\nlive head:\n%s\nrecovered head:\n%s",
+			head(want), head(recovered.Bytes()))
+	}
+}
+
+// TestUniformRankRecovers covers a -uniform primary: every bandit-path
+// /v2/rank decision is logged at probability 1/|actions|, and replaying
+// its journal rebuilds the live model byte for byte.
+func TestUniformRankRecovers(t *testing.T) {
+	r := newWALRigConfig(t, 1<<20, Config{Seed: 42, TrainEvery: walTestTrainEvery, Uniform: true})
+	cat := rules.NewCatalog()
+	jobs := make([]api.RankRequest, 48)
+	for i := range jobs {
+		jobs[i] = api.RankRequest{
+			TemplateHash: api.TemplateHash(i + 1),
+			Span:         []int{3 + i%50, 60 + (i*7)%50, 120 + i%30, 200 + i%4}[:2+i%3],
+			RowCount:     float64(1000 * (i + 1)),
+		}
+	}
+	resp, err := r.cl.RankBatch(context.Background(), jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := make([]string, len(jobs))
+	for i, res := range resp.Results {
+		if res.Error != nil || res.Source != api.SourceBandit {
+			t.Fatalf("job %d: %+v, want a bandit-path decision", i, res)
+		}
+		var span rules.Bitset
+		for _, b := range jobs[i].Span {
+			span.Set(b)
+		}
+		if want := 1 / float64(len(featurize.Actions(cat, span))); res.Prob != want {
+			t.Errorf("job %d: prob %v, want uniform %v", i, res.Prob, want)
+		}
+		ids[i] = res.EventID
+	}
+	r.rewardAll(t, ids[:40], 0.5)
+
+	want := r.captureLive(t)
+	got, _ := r.recoverBytes(t, 7)
+	if !bytes.Equal(want, got) {
+		t.Fatalf("recovered -uniform model differs from the live model\nlive head:\n%s\nrecovered head:\n%s", head(want), head(got))
 	}
 }
 

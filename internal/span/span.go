@@ -11,8 +11,8 @@ import (
 	"qoadvisor/internal/scope"
 )
 
-// DefaultMaxIterations bounds the fix-point loop.
-const DefaultMaxIterations = 8
+// maxIterations bounds the fix-point loop.
+const maxIterations = 8
 
 // Result describes a computed job span.
 type Result struct {
@@ -30,35 +30,23 @@ type Result struct {
 	DefaultCost float64
 }
 
-// Options configures span computation.
-type Options struct {
-	Optimizer optimizer.Options
-	// MaxIterations bounds the fix-point loop; 0 means
-	// DefaultMaxIterations.
-	MaxIterations int
-}
-
 // Compute runs the span fix-point algorithm for one job.
 //
 // Starting from the default configuration's signature, it enables all
 // off-by-default rules and disables the on-by-default and implementation
 // rules that appeared in the signature, recompiles, and repeats — turning
-// off newly used rules each round — until no new rule is discovered or a
-// recompilation fails.
-func Compute(g *scope.Graph, cat *rules.Catalog, opts Options) (*Result, error) {
+// off newly used rules each round — until no new rule is discovered, a
+// recompilation fails, or maxIterations rounds have run.
+func Compute(g *scope.Graph, cat *rules.Catalog, opts optimizer.Options) (*Result, error) {
 	if cat == nil {
 		cat = rules.NewCatalog()
 	}
-	if opts.Optimizer.Catalog == nil {
-		opts.Optimizer.Catalog = cat
-	}
-	maxIters := opts.MaxIterations
-	if maxIters <= 0 {
-		maxIters = DefaultMaxIterations
+	if opts.Catalog == nil {
+		opts.Catalog = cat
 	}
 
 	def := cat.DefaultConfig()
-	base, err := optimizer.Optimize(g, def, opts.Optimizer)
+	base, err := optimizer.Optimize(g, def, opts)
 	if err != nil {
 		return nil, err // the default config must compile
 	}
@@ -94,7 +82,7 @@ func Compute(g *scope.Graph, cat *rules.Catalog, opts Options) (*Result, error) 
 	// rules available. Level 2 always compiles for plans that compiled
 	// under the default configuration.
 	level := 0
-	for iter := 0; iter < maxIters; iter++ {
+	for iter := 0; iter < maxIterations; iter++ {
 		res.Iterations = iter + 1
 		cfg := explore
 		if level >= 1 {
@@ -106,7 +94,7 @@ func Compute(g *scope.Graph, cat *rules.Catalog, opts Options) (*Result, error) 
 			}
 			cfg.Clear(id)
 		}
-		r, err := optimizer.Optimize(g, cfg, opts.Optimizer)
+		r, err := optimizer.Optimize(g, cfg, opts)
 		if err != nil {
 			if optimizer.IsCompileFailure(err) {
 				if level < 2 {

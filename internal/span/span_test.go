@@ -32,9 +32,7 @@ func computeSpan(t *testing.T) *Result {
 		t.Fatal(err)
 	}
 	cat := rules.NewCatalog()
-	res, err := Compute(g, cat, Options{
-		Optimizer: optimizer.Options{Catalog: cat, Stats: spanStats()},
-	})
+	res, err := Compute(g, cat, optimizer.Options{Catalog: cat, Stats: spanStats()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,11 +109,12 @@ func TestSpanAcrossWorkloadTemplates(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Compute(j.Graph, cat, Options{
-			Optimizer: optimizer.Options{Catalog: cat, Stats: j.Stats, Tokens: j.Tokens},
-		})
+		res, err := Compute(j.Graph, cat, optimizer.Options{Catalog: cat, Stats: j.Stats, Tokens: j.Tokens})
 		if err != nil {
 			t.Fatalf("template %s: %v", tpl.ID, err)
+		}
+		if res.Iterations < 1 || res.Iterations > maxIterations {
+			t.Errorf("template %s: %d iterations, want 1..%d", tpl.ID, res.Iterations, maxIterations)
 		}
 		sizes = append(sizes, res.Span.Count())
 	}
@@ -128,23 +127,5 @@ func TestSpanAcrossWorkloadTemplates(t *testing.T) {
 	// our simulator should land in a sane band.
 	if avg < 2 || avg > 60 {
 		t.Errorf("average span size %.1f out of plausible band", avg)
-	}
-}
-
-func TestMaxIterationsRespected(t *testing.T) {
-	g, err := scope.CompileScript(spanScript)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cat := rules.NewCatalog()
-	res, err := Compute(g, cat, Options{
-		Optimizer:     optimizer.Options{Catalog: cat, Stats: spanStats()},
-		MaxIterations: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Iterations > 1 {
-		t.Errorf("iterations = %d, want <= 1", res.Iterations)
 	}
 }
