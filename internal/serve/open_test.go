@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"qoadvisor/internal/api"
 	"qoadvisor/internal/bandit"
@@ -119,6 +120,14 @@ func TestOpenQuarantineSurvivesCompaction(t *testing.T) {
 	for i := 0; i < 30; i++ { // roll the quarantine record's segment shut
 		if _, err := srv.Rank(api.RankRequest{TemplateHash: api.TemplateHash(i + 1), Span: []int{5, 21, 60 + i}}); err != nil {
 			t.Fatal(err)
+		}
+	}
+	// The committer seals the segment off the append path; wait for it,
+	// or the restart's checkpoint could race the roll and find the
+	// quarantine record's segment still active.
+	for deadline := time.Now().Add(10 * time.Second); j.Stats().Segments < 2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the quarantine record's segment never rolled")
 		}
 	}
 	crash(srv, j)
