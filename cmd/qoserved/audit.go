@@ -22,12 +22,10 @@ import (
 
 // auditMode is the offline audit tool: read-only queries over a journal
 // directory (live or copied — nothing is ever written there). Output is
-// deterministic for a given journal, so runs can be diffed. The replay
-// flags it embeds and -model are asof's: it rebuilds the model from the
-// snapshot plus the journal, with the journaled run's serving
-// configuration, and -audit-out writes what it rebuilt.
+// deterministic for a given journal, so runs can be diffed. -model and
+// -audit-out are asof's: it rebuilds the model from the snapshot plus
+// the journal, and -audit-out writes what it rebuilt.
 type auditMode struct {
-	replayFlags
 	walDir      string
 	model       string // asof: the snapshot the replay starts from
 	query       string // records | decision | template | asof
@@ -42,7 +40,6 @@ type auditMode struct {
 }
 
 func (m *auditMode) register(fs *flag.FlagSet) {
-	m.replayFlags.register(fs)
 	fs.StringVar(&m.walDir, "wal-dir", "", "journal directory to read (required; never written)")
 	fs.StringVar(&m.model, "model", "", "asof: model snapshot to start the replay from (empty = <wal-dir>/model.snap)")
 	fs.StringVar(&m.event, "event", "", "event ID to trace (decision) or filter on (records)")
@@ -187,7 +184,7 @@ func (m *auditMode) asOf(*audit.Engine) error {
 		}
 		lsn = end
 	}
-	res, err := serve.RecoverAsOf(wal.DirSource{Dir: m.walDir}, m.model, lsn, m.trainEvery, m.maxLog)
+	res, err := serve.RecoverAsOf(wal.DirSource{Dir: m.walDir}, m.model, lsn)
 	if apiErr := (*api.Error)(nil); errors.As(err, &apiErr) {
 		// RecoverAsOf's invalid_request: the records the reconstruction
 		// needs were compacted behind a checkpoint, whose snapshot alone

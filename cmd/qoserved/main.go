@@ -51,8 +51,9 @@
 // and /v2/stats locally, and rejects writes with a structured
 // not_primary error carrying the primary's URL. If the primary compacts
 // past the follower's position, the follower re-bootstraps on its own.
-// -train-every and -max-log are replay values, not tuning: a follower
-// and audit asof must be given the primary's.
+// There are no replay values to pass: the training cadence and the
+// event-log cap are constants, so a follower, a restart and audit asof
+// rebuild the primary's model from its journal alone.
 //
 // Observability: every node serves Prometheus text-format metrics at
 // GET /metrics and its build identity at GET /v2/version (offline:
@@ -210,21 +211,6 @@ func parse(argv []string, stderr io.Writer) (mode, error) {
 	return nil, err
 }
 
-// replayFlags are the values a journal replay must share with the run
-// that wrote the journal: they place the training and eviction
-// boundaries, so a follower or audit asof given other values rebuilds
-// a different model. They are not tuning. The primary's -seed
-// is not among them: replay applies journaled decisions and never draws
-// from the exploration rng, and a snapshot's bytes do not contain it.
-type replayFlags struct {
-	trainEvery, maxLog int
-}
-
-func (r *replayFlags) register(fs *flag.FlagSet) {
-	fs.IntVar(&r.trainEvery, "train-every", 0, "train after this many applied rewards (0 = default)")
-	fs.IntVar(&r.maxLog, "max-log", 0, "cap on retained rank events (0 = default, negative = unbounded)")
-}
-
 // nodeFlags are what every serving node reads, primary or follower:
 // where to listen and how to be observed.
 type nodeFlags struct {
@@ -269,7 +255,6 @@ func (n *nodeFlags) observe() *obs.FlightRecorder {
 // serveMode is the primary.
 type serveMode struct {
 	nodeFlags
-	replayFlags
 	seed                          int64
 	hints, model, walDir, walSync string
 	walMode                       wal.Mode // -wal-sync, parsed by validate
@@ -284,7 +269,6 @@ type serveMode struct {
 
 func (m *serveMode) register(fs *flag.FlagSet) {
 	m.nodeFlags.register(fs)
-	m.replayFlags.register(fs)
 	fs.Int64Var(&m.seed, "seed", 42, "exploration seed")
 	fs.StringVar(&m.hints, "hints", "", "SIS hint file (qoadvisor -hints) to install at startup, replacing the recovered hint table")
 	fs.StringVar(&m.model, "model", "", "model snapshot path: loaded at startup if present, written on shutdown and POST /v2/model/snapshot")
@@ -339,8 +323,6 @@ func (m *serveMode) run() error {
 		Catalog:      cat,
 		Seed:         m.seed,
 		Uniform:      m.uniform,
-		TrainEvery:   m.trainEvery,
-		MaxLogEvents: m.maxLog,
 		SnapshotPath: m.model,
 		WAL:          journal,
 		Flight:       flight,
@@ -448,13 +430,11 @@ func loadHints(path string, cat *rules.Catalog) ([]sis.Hint, error) {
 // -model, -wal-*, -drift*, -incident-*, ...) do not exist here.
 type followMode struct {
 	nodeFlags
-	replayFlags
 	primary string
 }
 
 func (m *followMode) register(fs *flag.FlagSet) {
 	m.nodeFlags.register(fs)
-	m.replayFlags.register(fs)
 }
 
 func (m *followMode) validate(primary string) error {
@@ -466,11 +446,9 @@ func (m *followMode) validate(primary string) error {
 // itself if the primary compacts past its position.
 func (m *followMode) run() error {
 	f, err := replicate.Start(replicate.Config{
-		Primary:      m.primary,
-		TrainEvery:   m.trainEvery,
-		MaxLogEvents: m.maxLog,
-		Logger:       logg,
-		Flight:       m.observe(),
+		Primary: m.primary,
+		Logger:  logg,
+		Flight:  m.observe(),
 	})
 	if err != nil {
 		return err

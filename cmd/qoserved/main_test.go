@@ -61,8 +61,8 @@ func TestFlagsGolden(t *testing.T) {
 			defaults[f.Name] = f.DefValue
 		})
 	}
-	if len(defaults) != 30 {
-		t.Errorf("%d distinct flag names across all subcommands, want 30", len(defaults))
+	if len(defaults) != 28 {
+		t.Errorf("%d distinct flag names across all subcommands, want 28", len(defaults))
 	}
 	const path = "testdata/flags.golden"
 	if *update {
@@ -93,15 +93,12 @@ func TestParseBuildsEachMode(t *testing.T) {
 			walDir: "d", walSync: "sync", walMode: wal.ModeSync, walSegMB: 64,
 			snapshotEvery: 5 * time.Minute,
 		}},
-		{"follow http://p:1 -addr :1 -train-every 16", &followMode{
-			nodeFlags: node, replayFlags: replayFlags{trainEvery: 16}, primary: "http://p:1",
-		}},
+		{"follow http://p:1 -addr :1", &followMode{nodeFlags: node, primary: "http://p:1"}},
 		{"cluster http://a:1,,http://b:1", &clusterMode{endpoints: []string{"http://a:1", "http://b:1"}}},
 		{"cluster http://h:1", &clusterMode{endpoints: []string{"http://h:1"}}},
 		{"push-hints http://h:1 -hints f.hints", &pushHintsMode{url: "http://h:1", hints: "f.hints"}},
-		{"audit asof -wal-dir d -max-log -1 -audit-out out.model", &auditMode{
-			replayFlags: replayFlags{maxLog: -1}, walDir: "d", model: "d/model.snap",
-			query: "asof", out: "out.model",
+		{"audit asof -wal-dir d -audit-out out.model", &auditMode{
+			walDir: "d", model: "d/model.snap", query: "asof", out: "out.model",
 		}},
 		{"audit template -wal-dir d -template-hash a11ce", &auditMode{
 			walDir: "d", model: "d/model.snap", query: "template", hash: 0xa11ce, hasTemplate: true,
@@ -181,14 +178,15 @@ func TestParseRejects(t *testing.T) {
 		cases = append(cases, [2]string{"follow http://p:1 -" + name + "=1", undefined})
 	}
 	// The old mode flags, the four deleted knobs, the serve-time bootstrap
-	// (now qoadvisor -hints/-model) and the trace file (now /v2/traces)
-	// exist nowhere.
+	// (now qoadvisor -hints/-model), the trace file (now /v2/traces) and
+	// the replay values (now constants: the training cadence and the
+	// event-log cap) exist nowhere.
 	for _, c := range commands {
 		operand := ""
 		if c.operand != "" {
 			operand = " x"
 		}
-		for _, old := range []string{"follow", "check", "cluster", "push-hints", "replay", "audit", "version", "workers", "shards", "rank-workers", "queue", "bootstrap-days", "templates", "trace-out", "trace-sample"} {
+		for _, old := range []string{"follow", "check", "cluster", "push-hints", "replay", "audit", "version", "workers", "shards", "rank-workers", "queue", "bootstrap-days", "templates", "trace-out", "trace-sample", "train-every", "max-log"} {
 			cases = append(cases, [2]string{c.name + operand + " -" + old + "=1", undefined})
 		}
 	}
@@ -251,7 +249,7 @@ func auditJournal(t *testing.T, segBytes int64) (dir, event string, watermark ui
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, _, err := serve.Open(serve.Config{Seed: 42, TrainEvery: 4, WAL: j})
+	srv, _, err := serve.Open(serve.Config{Seed: 42, WAL: j})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +348,7 @@ func TestAuditWritesNothing(t *testing.T) {
 		{"audit", "records", "-wal-dir", dir, "-audit-type", "rank,hint_rollover", "-audit-from", "3"},
 		{"audit", "decision", "-wal-dir", dir, "-event", event},
 		{"audit", "template", "-wal-dir", dir, "-template-hash", "a11ce"},
-		{"audit", "asof", "-wal-dir", dir, "-train-every", "4"},
+		{"audit", "asof", "-wal-dir", dir},
 	} {
 		if _, err := runQuiet(t, argv...); err != nil {
 			t.Fatalf("qoserved %v: %v", argv, err)
@@ -378,11 +376,11 @@ func names(files map[string][sha256.Size]byte) []string {
 // the answer.
 func TestAuditAsOfRejectsCompactedHistory(t *testing.T) {
 	dir, _, watermark := auditJournal(t, 1)
-	_, err := runQuiet(t, "audit", "asof", "-wal-dir", dir, "-train-every", "4", "-lsn", "2")
+	_, err := runQuiet(t, "audit", "asof", "-wal-dir", dir, "-lsn", "2")
 	if err == nil || !strings.Contains(err.Error(), "compacted") {
 		t.Fatalf("as-of below a fully compacted journal's checkpoint: err = %v, want the compacted-history error", err)
 	}
-	if _, err := runQuiet(t, "audit", "asof", "-wal-dir", dir, "-train-every", "4", "-lsn", fmt.Sprint(watermark)); err != nil {
+	if _, err := runQuiet(t, "audit", "asof", "-wal-dir", dir, "-lsn", fmt.Sprint(watermark)); err != nil {
 		t.Fatalf("as-of at the checkpoint watermark %d: %v", watermark, err)
 	}
 }
@@ -398,14 +396,14 @@ func TestAsOfRefusesCompactedJournal(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := filepath.Join(t.TempDir(), "out.model")
-	_, err := runQuiet(t, "audit", "asof", "-wal-dir", dir, "-train-every", "4", "-audit-out", out)
+	_, err := runQuiet(t, "audit", "asof", "-wal-dir", dir, "-audit-out", out)
 	if err == nil || !strings.Contains(err.Error(), "compacted") || !strings.Contains(err.Error(), "-model") {
 		t.Fatalf("as-of of a compacted journal without its snapshot: err = %v, want the compacted-history error naming -model", err)
 	}
 	if _, statErr := os.Stat(out); !os.IsNotExist(statErr) {
 		t.Fatalf("refused as-of wrote %s (stat: %v)", out, statErr)
 	}
-	if _, err := runQuiet(t, "audit", "asof", "-wal-dir", dir, "-train-every", "4", "-model", snap, "-audit-out", out); err != nil {
+	if _, err := runQuiet(t, "audit", "asof", "-wal-dir", dir, "-model", snap, "-audit-out", out); err != nil {
 		t.Fatalf("as-of with the checkpoint snapshot: %v", err)
 	}
 }
@@ -417,13 +415,13 @@ func TestAsOfAuditOutIsTheDigestedModel(t *testing.T) {
 	dir, _, watermark := auditJournal(t, 1)
 	outDir := t.TempDir()
 	out := filepath.Join(outDir, "asof.model")
-	if _, err := runQuiet(t, "audit", "asof", "-wal-dir", dir, "-train-every", "4", "-lsn", "2", "-audit-out", out); err == nil {
+	if _, err := runQuiet(t, "audit", "asof", "-wal-dir", dir, "-lsn", "2", "-audit-out", out); err == nil {
 		t.Fatal("as-of below a compacted checkpoint succeeded")
 	}
 	if entries, _ := os.ReadDir(outDir); len(entries) != 0 {
 		t.Fatalf("refused as-of left %d files in the output directory", len(entries))
 	}
-	printed, err := runQuiet(t, "audit", "asof", "-wal-dir", dir, "-train-every", "4", "-lsn", fmt.Sprint(watermark), "-audit-out", out)
+	printed, err := runQuiet(t, "audit", "asof", "-wal-dir", dir, "-lsn", fmt.Sprint(watermark), "-audit-out", out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -455,12 +453,12 @@ func TestAsOfAtJournalEndLeavesRewardsPending(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, _, err := serve.Open(serve.Config{Seed: 42, TrainEvery: 4, WAL: j})
+	srv, _, err := serve.Open(serve.Config{Seed: 42, WAL: j})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close(); j.Close() })
-	for i := 0; i < 6; i++ { // 6 rewards at train-every 4: 2 pending at the journal end
+	for i := 0; i < 6; i++ { // below the training cadence: all 6 pending at the journal end
 		resp, err := srv.Rank(api.RankRequest{TemplateHash: api.TemplateHash(i + 1), Span: []int{5, 21 + i}})
 		if err != nil {
 			t.Fatal(err)
@@ -472,7 +470,7 @@ func TestAsOfAtJournalEndLeavesRewardsPending(t *testing.T) {
 	srv.Ingestor().Quiesce()()
 
 	out := filepath.Join(t.TempDir(), "asof.model")
-	if _, err := runQuiet(t, "audit", "asof", "-wal-dir", dir, "-train-every", "4", "-audit-out", out); err != nil {
+	if _, err := runQuiet(t, "audit", "asof", "-wal-dir", dir, "-audit-out", out); err != nil {
 		t.Fatal(err)
 	}
 	f, err := os.Open(out)
@@ -487,7 +485,7 @@ func TestAsOfAtJournalEndLeavesRewardsPending(t *testing.T) {
 	if n := svc.Train(); n == 0 {
 		t.Fatal("as-of at the journal end left no reward pending; the journal tests nothing")
 	}
-	rec, err := serve.Recover(wal.DirSource{Dir: dir}, filepath.Join(dir, serve.SnapshotFile), 4, 0, 42)
+	rec, err := serve.Recover(wal.DirSource{Dir: dir}, filepath.Join(dir, serve.SnapshotFile), 0, 0, 42)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -69,8 +69,7 @@ func main() {
 	}
 	cat := rules.NewCatalog()
 	srv := serve.New(serve.Config{
-		Catalog: cat, Seed: 42, TrainEvery: 16,
-		SnapshotPath: snap, WAL: j,
+		Catalog: cat, Seed: 42, SnapshotPath: snap, WAL: j,
 	})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()

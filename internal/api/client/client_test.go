@@ -26,7 +26,7 @@ import (
 // (single and batch), stats, snapshot.
 func TestAPIConformanceClientEndToEnd(t *testing.T) {
 	cat := rules.NewCatalog()
-	srv := serve.New(serve.Config{Catalog: cat, Seed: 17, TrainEvery: 2})
+	srv := serve.New(serve.Config{Catalog: cat, Seed: 17})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	defer srv.Close()
@@ -253,7 +253,7 @@ func TestClientWALStatsPassthrough(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j.Close()
-	srv := serve.New(serve.Config{Seed: 4, TrainEvery: 4, WAL: j})
+	srv := serve.New(serve.Config{Seed: 4, WAL: j})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	defer srv.Close()

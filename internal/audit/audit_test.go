@@ -22,10 +22,7 @@ import (
 	"qoadvisor/internal/walrec"
 )
 
-const (
-	asOfSeed       = 42
-	asOfTrainEvery = 8
-)
+const asOfSeed = 42
 
 // asOfRig is a WAL-backed live server the as-of tests checkpoint
 // against, driven over real HTTP so the journal carries exactly what
@@ -44,7 +41,7 @@ func newAsOfRig(t *testing.T, segBytes int64) *asOfRig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := serve.New(serve.Config{Seed: asOfSeed, TrainEvery: asOfTrainEvery, WAL: j})
+	srv := serve.New(serve.Config{Seed: asOfSeed, WAL: j})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	return &asOfRig{srv: srv, cl: client.New(ts.URL), j: j, dir: dir}
@@ -132,10 +129,12 @@ func TestAsOfByteIdentical(t *testing.T) {
 
 	// Phase B: the straddling batch — rewards for phase-A events land
 	// after checkpoint 1 — plus fresh decisions, rewards, and a hint
-	// rollover. Then checkpoint 2: the reconstruction target.
+	// rollover. Then checkpoint 2: the reconstruction target. The
+	// window holds more than bandit.DefaultTrainEvery rewards, so the
+	// replay crosses a count-based training boundary.
 	r.reward(t, idsA[10:], 0.9)
-	idsB := r.rank(t, 17, 2)
-	r.reward(t, idsB[:13], 0.25)
+	idsB := r.rank(t, 300, 2)
+	r.reward(t, idsB[:290], 0.25)
 	if _, err := r.srv.InstallHints([]sis.Hint{
 		{TemplateHash: 0xabc123, TemplateID: "T0042", Flip: cat.FlipFor(41), Day: 4},
 		{TemplateHash: 0xdef456, TemplateID: "T0099", Flip: cat.FlipFor(42), Day: 4},
@@ -168,12 +167,17 @@ func TestAsOfByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res, err := serve.RecoverAsOf(wal.DirSource{Dir: r.dir}, snap1, l, asOfTrainEvery, 0)
+	res, err := serve.RecoverAsOf(wal.DirSource{Dir: r.dir}, snap1, l)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.SnapshotLoaded || res.FromLSN != w1 {
 		t.Fatalf("reconstruction did not seed from snapshot 1: seeded=%v from=%d want=%d", res.SnapshotLoaded, res.FromLSN, w1)
+	}
+	// Every train mark is a training run; a run beyond them is a
+	// count-based pass inside the window.
+	if res.Replay.TrainRuns <= res.Replay.TrainMarks {
+		t.Fatalf("as-of ran %d training passes for %d train marks: no count-based boundary in the window", res.Replay.TrainRuns, res.Replay.TrainMarks)
 	}
 	if got := saved(t, res.Service); !bytes.Equal(got, want) {
 		t.Fatalf("as-of(%d) reconstruction differs from the live checkpoint at %d:\n--- as-of (%d bytes)\n%s\n--- checkpoint (%d bytes)\n%s",
@@ -187,7 +191,7 @@ func TestAsOfByteIdentical(t *testing.T) {
 	// first checkpoint compacted the start of the journal away, so this
 	// one cannot complete either — but it must fail for that reason,
 	// not succeed from the wrong seed.)
-	res2, err := serve.RecoverAsOf(wal.DirSource{Dir: r.dir}, snap2, w1, asOfTrainEvery, 0)
+	res2, err := serve.RecoverAsOf(wal.DirSource{Dir: r.dir}, snap2, w1)
 	if res2.SnapshotLoaded {
 		t.Error("reconstruction at an LSN below the snapshot's watermark must not seed from it")
 	}
@@ -214,7 +218,7 @@ func saved(t testing.TB, svc *bandit.Service) []byte {
 func TestAsOfAtJournalEndThenFlushIsRecover(t *testing.T) {
 	r := newAsOfRig(t, 1024)
 	ids := r.rank(t, 30, 5)
-	r.reward(t, ids[:21], 0.4) // 21 rewards at train-every 8: 5 pending at the end
+	r.reward(t, ids[:21], 0.4) // below the training cadence: the snapshot barrier trains them
 	// A bootstrap snapshot is the checkpoint barrier without compaction,
 	// so the from-scratch arm below still has the whole history.
 	var ckpt bytes.Buffer
@@ -233,11 +237,11 @@ func TestAsOfAtJournalEndThenFlushIsRecover(t *testing.T) {
 	}
 	src := wal.DirSource{Dir: r.dir}
 	for _, seed := range []string{"", snap} {
-		rec, err := serve.Recover(src, seed, asOfTrainEvery, 0, 0)
+		rec, err := serve.Recover(src, seed, 0, 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		asof, err := serve.RecoverAsOf(src, seed, r.j.LastLSN(), asOfTrainEvery, 0)
+		asof, err := serve.RecoverAsOf(src, seed, r.j.LastLSN())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -71,7 +71,7 @@ func BenchmarkAuditAsOf(b *testing.B) {
 	target := segs[len(segs)/2].FirstLSN
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := serve.RecoverAsOf(wal.DirSource{Dir: dir}, "", target, 256, 0)
+		res, err := serve.RecoverAsOf(wal.DirSource{Dir: dir}, "", target)
 		if err != nil {
 			b.Fatal(err)
 		}

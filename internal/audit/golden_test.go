@@ -133,7 +133,7 @@ func templateRows(t *testing.T, eng *audit.Engine, hash uint64) []string {
 // (empty: from the journal's first record), in the snapshot file format.
 func asOfSnapshot(t *testing.T, dir, snapshot string, lsn uint64) []byte {
 	t.Helper()
-	res, err := serve.RecoverAsOf(wal.DirSource{Dir: dir}, snapshot, lsn, asOfTrainEvery, 0)
+	res, err := serve.RecoverAsOf(wal.DirSource{Dir: dir}, snapshot, lsn)
 	if err != nil {
 		t.Fatal(err)
 	}

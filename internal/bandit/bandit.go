@@ -110,8 +110,8 @@ type Config struct {
 	// MaxLogEvents caps the in-memory event log (0 = unbounded, the
 	// offline-pipeline mode). When the cap is exceeded the oldest events
 	// are evicted — trained ones silently, pending ones forfeiting any
-	// late reward (which then reports as an unknown event). Long-running
-	// servers must set a cap or the log grows without bound.
+	// late reward (which then reports as an unknown event). Every
+	// serving process replaces it with ServingMaxLog.
 	MaxLogEvents int
 	// Seed drives exploration randomness.
 	Seed int64
@@ -265,18 +265,10 @@ func (s *Service) restoreEvent(ev *Event) {
 	s.evMu.Unlock()
 }
 
-// ServingMaxLog resolves a serving configuration's event-log cap
-// (serve.Config.MaxLogEvents, qoserved's -max-log) into SetMaxLog's
-// terms: 0 selects the serving default of 16384 events, a positive
-// value is the cap, a negative one lifts it. The live server, journal
-// recovery and audit as-of all resolve the operator's value here, so
-// replay evicts on the boundaries the live run did.
-func ServingMaxLog(configured int) int {
-	if configured == 0 {
-		return 1 << 14
-	}
-	return configured
-}
+// ServingMaxLog is the event-log cap every serving process applies: the
+// live server, journal recovery, a follower and audit as-of. It is a
+// constant so replay evicts on the boundaries the live run did.
+const ServingMaxLog = 1 << 14
 
 // SetMaxLog adjusts the event-log cap at runtime (<= 0 = unbounded) — the
 // serve layer applies its bound to a learner trained by the offline

@@ -71,7 +71,7 @@ func TestDecisionAllocBudget(t *testing.T) {
 	}); n > 1 {
 		t.Errorf("Rank allocates %v times per decision, budget 1", n)
 	}
-	capped := New(Config{Seed: 1, MaxLogEvents: ServingMaxLog(0)})
+	capped := New(Config{Seed: 1, MaxLogEvents: ServingMaxLog})
 	capped.AttachJournal(&nullJournal{})
 	const decisions = 100_000
 	if n := float64(mallocsOf(func() {
@@ -81,9 +81,9 @@ func TestDecisionAllocBudget(t *testing.T) {
 			}
 		}
 	})) / decisions; n > 0.5 {
-		t.Errorf("Rank into a %d-event log allocates %.3f times per decision over %d, budget 0.5", ServingMaxLog(0), n, decisions)
+		t.Errorf("Rank into a %d-event log allocates %.3f times per decision over %d, budget 0.5", ServingMaxLog, n, decisions)
 	} else {
-		t.Logf("Rank into a %d-event log: %.3f allocations per decision over %d", ServingMaxLog(0), n, decisions)
+		t.Logf("Rank into a %d-event log: %.3f allocations per decision over %d", ServingMaxLog, n, decisions)
 	}
 	if n := testing.AllocsPerRun(2000, func() {
 		if _, err := s.RankGreedy(ctx, actions); err != nil {
@@ -147,7 +147,7 @@ func TestEventLogBytesPerDecision(t *testing.T) {
 		runtime.ReadMemStats(&ms)
 		return ms.HeapAlloc
 	}
-	s := New(Config{Seed: 1, MaxLogEvents: ServingMaxLog(0)})
+	s := New(Config{Seed: 1, MaxLogEvents: ServingMaxLog})
 	before := heap()
 	for i := 0; i < decisions; i++ {
 		r := Mix64(uint64(i) + 0xb17e)

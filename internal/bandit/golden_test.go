@@ -95,7 +95,7 @@ func runGoldenDecisions(t *testing.T, dim int) []string {
 	emit := func(what, sum string) { lines = append(lines, fmt.Sprintf("dim=%d %s %s", dim, what, sum)) }
 
 	stream := sha256.New()
-	lr := NewReplayer(live, trainEvery)
+	lr := replayerEvery(live, trainEvery)
 	var batch []walrec.RewardEntry
 	flush := func() {
 		if len(batch) == 0 {
@@ -171,7 +171,7 @@ func runGoldenDecisions(t *testing.T, dim int) []string {
 	// Replay the whole journal into a fresh service: before Finish it is
 	// the live model, byte for byte.
 	rebuilt := New(cfg)
-	rp := NewReplayer(rebuilt, trainEvery)
+	rp := replayerEvery(rebuilt, trainEvery)
 	for i, rec := range j.recs {
 		if err := rp.Apply(uint64(i+1), rec); err != nil {
 			t.Fatalf("replay lsn %d: %v", i+1, err)
@@ -197,7 +197,7 @@ func runGoldenDecisions(t *testing.T, dim int) []string {
 		t.Fatal(err)
 	}
 	restored.SetMaxLog(cfg.MaxLogEvents)
-	rs := NewReplayer(restored, trainEvery)
+	rs := replayerEvery(restored, trainEvery)
 	for i, rec := range j.recs {
 		if lsn := uint64(i + 1); lsn > cut2000 {
 			if err := rs.Apply(lsn, rec); err != nil {

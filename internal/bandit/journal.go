@@ -62,13 +62,17 @@ type ReplayStats struct {
 //
 // Replay is deterministic — the rebuilt model is bit-identical to the
 // live one — because the serve layer's one drain goroutine makes apply
-// order equal journal order, provided trainEvery is the value used
-// when the records were written. One goroutine at a time steps a
-// Replayer; Stats may be read from any. During Apply the replayer must
-// be the only user of the service, and the service must not have a
-// journal attached (attach it after, or replay would re-journal).
+// order equal journal order, and because the training cadence is the
+// constant DefaultTrainEvery: no process can replay a journal on
+// boundaries other than the ones it was written on. One goroutine at a
+// time steps a Replayer; Stats may be read from any. During Apply the
+// replayer must be the only user of the service, and the service must
+// not have a journal attached (attach it after, or replay would
+// re-journal).
 type Replayer struct {
-	svc        *Service
+	svc *Service
+	// trainEvery is DefaultTrainEvery; only this package's tests set
+	// another cadence, to cross boundaries with few rewards.
 	trainEvery int
 	applied    int // rewards applied since the last training pass
 
@@ -76,18 +80,17 @@ type Replayer struct {
 	trainMarks, trainRuns, trainedEvents                   atomic.Int64
 }
 
-// NewReplayer wraps svc for replay. trainEvery must match the
-// ingestor's training batch size from the journaled run (0 selects the
-// shared default, 256).
-func NewReplayer(svc *Service, trainEvery int) *Replayer {
-	if trainEvery <= 0 {
-		trainEvery = DefaultTrainEvery
-	}
-	return &Replayer{svc: svc, trainEvery: trainEvery}
+// NewReplayer wraps svc for replay, or for a live run's training. It
+// trains every DefaultTrainEvery applied rewards and at every train
+// mark.
+func NewReplayer(svc *Service) *Replayer {
+	return &Replayer{svc: svc, trainEvery: DefaultTrainEvery}
 }
 
-// DefaultTrainEvery is the training batch size in applied rewards when
-// none is configured.
+// DefaultTrainEvery is the training cadence in applied rewards. It is a
+// constant, not a setting: the live node, a restart, a follower and an
+// offline as-of rebuild all train on its boundaries, so none of them
+// can rebuild a different model from the same journal.
 const DefaultTrainEvery = 256
 
 // Stats reports the counters so far.
@@ -143,9 +146,9 @@ func (r *Replayer) Apply(lsn uint64, payload []byte) error {
 }
 
 // Reward applies one reward and, when it completes a batch of
-// trainEvery applied rewards, runs a training pass. A reward for an
-// event the service does not know (never ranked, or evicted) is counted
-// and moves no boundary.
+// DefaultTrainEvery applied rewards, runs a training pass. A reward for
+// an event the service does not know (never ranked, or evicted) is
+// counted and moves no boundary.
 func (r *Replayer) Reward(eventID string, value float64) {
 	if r.svc.Reward(eventID, value) != nil {
 		r.unknownRewards.Add(1)

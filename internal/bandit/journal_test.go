@@ -63,6 +63,14 @@ func (m *memJournal) Append(p []byte) (uint64, error) {
 }
 func (m *memJournal) LastLSN() uint64 { return uint64(len(m.recs)) }
 
+// replayerEvery is NewReplayer at a cadence of n rewards, so a test
+// crosses count-based training boundaries with a few dozen rewards.
+func replayerEvery(svc *Service, n int) *Replayer {
+	r := NewReplayer(svc)
+	r.trainEvery = n
+	return r
+}
+
 // TestReplayRebuildsBitIdenticalModel is the bandit-level determinism
 // core: a live service journals its rank decisions; feeding those
 // records plus the reward batches through a Replayer into a fresh
@@ -87,7 +95,7 @@ func TestReplayRebuildsBitIdenticalModel(t *testing.T) {
 	// Live and replay both train through the Replayer, so this test
 	// cannot see where its trainEvery boundaries fall;
 	// decisions.golden (TestDecisionGolden) pins them.
-	lr := NewReplayer(live, trainEvery)
+	lr := replayerEvery(live, trainEvery)
 	var batch []walrec.RewardEntry
 	flushBatch := func() {
 		if len(batch) == 0 {
@@ -128,7 +136,7 @@ func TestReplayRebuildsBitIdenticalModel(t *testing.T) {
 
 	// Replay into a fresh service with the same hyperparameters.
 	rebuilt := New(Config{Dim: 1 << 12, Epsilon: 0.2, LearningRate: 0.1, MaxIPSWeight: 20, Seed: 99})
-	rp := NewReplayer(rebuilt, trainEvery)
+	rp := replayerEvery(rebuilt, trainEvery)
 	for i, rec := range j.recs {
 		if err := rp.Apply(uint64(i+1), rec); err != nil {
 			t.Fatalf("Apply record %d: %v", i+1, err)
@@ -189,7 +197,7 @@ func TestSnapshotPlusSuffixEquivalence(t *testing.T) {
 		}
 		return r.EventID
 	}
-	lr := NewReplayer(live, trainEvery)
+	lr := replayerEvery(live, trainEvery)
 	rewardNow := func(ids []string, v float64) {
 		var batch []walrec.RewardEntry
 		for _, id := range ids {
@@ -249,7 +257,7 @@ func TestSnapshotPlusSuffixEquivalence(t *testing.T) {
 	if restored.WALWatermark() != cut {
 		t.Fatalf("restored watermark %d, want %d", restored.WALWatermark(), cut)
 	}
-	rp := NewReplayer(restored, trainEvery)
+	rp := replayerEvery(restored, trainEvery)
 	for i, rec := range j.recs {
 		if uint64(i+1) <= cut {
 			continue

@@ -30,7 +30,7 @@ func newDriftPrimary(t *testing.T, segBytes int64) (*primaryRig, uint64, uint64)
 	}
 	cat := rules.NewCatalog()
 	srv := serve.New(serve.Config{
-		Catalog: cat, Seed: 42, TrainEvery: testTrainEvery, WAL: j,
+		Catalog: cat, Seed: 42, WAL: j,
 		Drift: &drift.Config{MinSamples: 8, QuarantineAfter: 4, ProbationAfter: 4, RestoreAfter: 8, GateCount: 1},
 	})
 	ts := httptest.NewServer(srv)

@@ -56,7 +56,10 @@ import (
 	"qoadvisor/internal/wal"
 )
 
-// Config parameterizes a follower.
+// Config parameterizes a follower. It has nothing to match against the
+// primary: the training cadence and the event-log cap are constants of
+// the bandit package, so the replica trains and evicts on the
+// primary's boundaries by construction.
 type Config struct {
 	// Primary is the primary's base URL ("http://host:port").
 	Primary string
@@ -65,12 +68,6 @@ type Config struct {
 	// Seed drives nothing observable on a follower (greedy ranking is
 	// deterministic) but is threaded into bandit.Load for consistency.
 	Seed int64
-	// TrainEvery must match the primary's ingestion batch size or the
-	// replica would train on different boundaries (0 = shared default).
-	TrainEvery int
-	// MaxLogEvents must match the primary's event-log cap (0 = default,
-	// negative = unbounded), or eviction would diverge.
-	MaxLogEvents int
 	// PollWait is the tail long-poll window asked of the primary
 	// (0 = 10s). Shorter values tighten reconnect cadence in tests.
 	PollWait time.Duration
@@ -182,20 +179,18 @@ func (f *Follower) bootstrap() error {
 		return fmt.Errorf("replicate: decoding bootstrap snapshot: %w", err)
 	}
 	srv := serve.New(serve.Config{
-		Catalog:      f.cfg.Catalog,
-		Bandit:       svc,
-		Seed:         f.cfg.Seed,
-		TrainEvery:   f.cfg.TrainEvery,
-		MaxLogEvents: f.cfg.MaxLogEvents,
-		Follower:     true,
-		LeaderURL:    f.cfg.Primary,
-		Tail:         &serve.TailProbe{Stats: f.Stats, ApplyLatency: f.applyHist},
-		Flight:       f.cfg.Flight,
+		Catalog:   f.cfg.Catalog,
+		Bandit:    svc,
+		Seed:      f.cfg.Seed,
+		Follower:  true,
+		LeaderURL: f.cfg.Primary,
+		Tail:      &serve.TailProbe{Stats: f.Stats, ApplyLatency: f.applyHist},
+		Flight:    f.cfg.Flight,
 	})
 	st := &state{
 		srv:     srv,
 		svc:     svc,
-		applier: serve.NewApplier(svc, srv.Cache(), srv.QuarantineTable(), f.cfg.TrainEvery),
+		applier: serve.NewApplier(svc, srv.Cache(), srv.QuarantineTable()),
 	}
 	old := f.cur.Swap(st)
 	from := svc.WALWatermark()

@@ -22,8 +22,6 @@ import (
 	"qoadvisor/internal/wal"
 )
 
-const testTrainEvery = 8
-
 // primaryRig is a WAL-backed primary served over real HTTP.
 type primaryRig struct {
 	srv  *serve.Server
@@ -43,7 +41,7 @@ func newPrimary(t *testing.T, segBytes int64) *primaryRig {
 		t.Fatal(err)
 	}
 	cat := rules.NewCatalog()
-	srv := serve.New(serve.Config{Catalog: cat, Seed: 42, TrainEvery: testTrainEvery, WAL: j})
+	srv := serve.New(serve.Config{Catalog: cat, Seed: 42, WAL: j})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(func() {
 		ts.Close()
@@ -122,12 +120,10 @@ func startFollower(t *testing.T, p *primaryRig) *Follower {
 func startFollowerVia(t *testing.T, p *primaryRig, url string) *Follower {
 	t.Helper()
 	f, err := Start(Config{
-		Primary:    url,
-		Catalog:    p.cat,
-		Seed:       777, // deliberately different: must not affect convergence
-		TrainEvery: testTrainEvery,
-		PollWait:   200 * time.Millisecond,
-
+		Primary:          url,
+		Catalog:          p.cat,
+		Seed:             777, // deliberately different: must not affect convergence
+		PollWait:         200 * time.Millisecond,
 		ReconnectBackoff: 20 * time.Millisecond,
 	})
 	if err != nil {
@@ -209,8 +205,10 @@ func TestClusterSmokeConvergence(t *testing.T) {
 	}
 
 	// Post-bootstrap: more traffic AND a rollover the follower must
-	// replicate in decision order.
-	p.traffic(t, 30, 2, 0.5)
+	// replicate in decision order. The 300-reward batch crosses a
+	// count-based training boundary (bandit.DefaultTrainEvery) on both
+	// nodes.
+	p.traffic(t, 600, 2, 0.5)
 	if _, err := p.srv.InstallHints(p.hints(14, 4)); err != nil {
 		t.Fatal(err)
 	}
@@ -229,6 +227,12 @@ func TestClusterSmokeConvergence(t *testing.T) {
 		if wantHints[i] != gotHints[i] {
 			t.Fatalf("hint %d diverged: %+v != %+v", i, wantHints[i], gotHints[i])
 		}
+	}
+
+	// Every train mark is a training run; a run beyond them is a
+	// count-based pass the follower crossed while tailing.
+	if rs := f.cur.Load().applier.ReplayStats(); rs.TrainRuns <= rs.TrainMarks {
+		t.Fatalf("follower ran %d training passes for %d train marks: no count-based boundary in the tail", rs.TrainRuns, rs.TrainMarks)
 	}
 
 	// Model replicated byte-identically (modulo the watermark position).
@@ -305,7 +309,6 @@ func TestFollowerLiveTailAndReconnects(t *testing.T) {
 		Primary:          p.ts.URL,
 		Catalog:          p.cat,
 		Seed:             1,
-		TrainEvery:       testTrainEvery,
 		PollWait:         30 * time.Millisecond, // stream closes almost immediately when idle
 		ReconnectBackoff: 10 * time.Millisecond,
 	})
@@ -364,7 +367,7 @@ func TestFollowerHoldsOneHintTable(t *testing.T) {
 	if got, gen := f.Server().Cache().Export(); gen != 1 || !slices.Equal(got, hints) {
 		t.Errorf("follower cache: generation %d, %d hints; want generation 1 and the installed table", gen, len(got))
 	}
-	rec, err := serve.Recover(wal.DirSource{Dir: p.dir}, "", testTrainEvery, 0, 42)
+	rec, err := serve.Recover(wal.DirSource{Dir: p.dir}, "", 0, 0, 42)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -313,7 +313,7 @@ func (h *httpLayer) handleAuditAsOf(w http.ResponseWriter, r *http.Request) {
 	if lsn == 0 {
 		lsn = h.srv.wal.SyncedLSN()
 	}
-	res, err := RecoverAsOf(wal.DirSource{Dir: h.srv.wal.Dir()}, h.srv.snapshotPath, lsn, h.srv.trainEvery, h.srv.maxLogEvents)
+	res, err := RecoverAsOf(wal.DirSource{Dir: h.srv.wal.Dir()}, h.srv.snapshotPath, lsn)
 	if err != nil {
 		writeError(w, rid, toAPIError(err))
 		return

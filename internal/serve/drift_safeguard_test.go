@@ -53,7 +53,7 @@ func newDriftRig(t *testing.T, mode wal.Mode) *driftRig {
 	}
 	cat := rules.NewCatalog()
 	srv := New(Config{
-		Catalog: cat, Seed: 42, TrainEvery: walTestTrainEvery,
+		Catalog: cat, Seed: 42,
 		WAL: j, Drift: driftTestConfig(),
 	})
 	ts := httptest.NewServer(srv)
@@ -414,7 +414,7 @@ func TestCrashRecoveryQuarantineState(t *testing.T) {
 	}
 
 	// "Crash": recover from the directory alone, twice (determinism).
-	rec, err := Recover(wal.DirSource{Dir: r.dir}, r.snap, walTestTrainEvery, 0, 42)
+	rec, err := Recover(wal.DirSource{Dir: r.dir}, r.snap, 0, 0, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,7 +427,7 @@ func TestCrashRecoveryQuarantineState(t *testing.T) {
 			t.Fatalf("template %016x recovered as %v, want %v", h, rec.Quarantine[h], s)
 		}
 	}
-	rec2, err := Recover(wal.DirSource{Dir: r.dir}, r.snap, walTestTrainEvery, 0, 42)
+	rec2, err := Recover(wal.DirSource{Dir: r.dir}, r.snap, 0, 0, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,7 +440,7 @@ func TestCrashRecoveryQuarantineState(t *testing.T) {
 	// A restarted server (restored quarantines, then a hint table
 	// installed over the recovered one, as qoserved's -hints does)
 	// refuses the quarantined hints and serves the rest.
-	srv2, _ := r.restart(t, Config{Catalog: r.cat, Seed: 42, TrainEvery: walTestTrainEvery})
+	srv2, _ := r.restart(t, Config{Catalog: r.cat, Seed: 42})
 	if _, err := srv2.InstallHints([]sis.Hint{
 		{TemplateHash: r.hintHash, TemplateID: "T0042", Flip: r.cat.FlipFor(40), Day: 7},
 		{TemplateHash: r.altHash, TemplateID: "T0043", Flip: r.cat.FlipFor(55), Day: 7},
@@ -555,7 +555,7 @@ func TestUnknownRecordTagTypedError(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, err = Recover(wal.DirSource{Dir: dir}, "", walTestTrainEvery, 0, 1)
+	_, err = Recover(wal.DirSource{Dir: dir}, "", 0, 0, 1)
 	var ue *bandit.UnknownRecordError
 	if !errors.As(err, &ue) {
 		t.Fatalf("recover error = %v (%T), want *bandit.UnknownRecordError", err, err)

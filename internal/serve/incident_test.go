@@ -94,7 +94,7 @@ func incidentTestServer(t *testing.T, cfg IncidentConfig) (*Server, *wal.WAL, *h
 		cfg.Tick = time.Hour
 	}
 	srv := New(Config{
-		Catalog: rules.NewCatalog(), Seed: 7, TrainEvery: 64,
+		Catalog: rules.NewCatalog(), Seed: 7,
 		WAL: j, Drift: driftTestConfig(),
 		Incidents: cfg,
 	})

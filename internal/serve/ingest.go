@@ -25,10 +25,10 @@ type reward struct {
 // Ingestor is the asynchronous reward-ingestion pipeline: a bounded
 // queue drained by one goroutine that applies rewards to the bandit
 // service through a bandit.Replayer, which runs an IPS training pass
-// every trainEvery applied rewards — the same code that crosses those
-// boundaries when the journal is replayed. Keeping reward application
-// and SGD off the request path is what lets /v2/reward return in
-// microseconds while the model still learns continuously.
+// every bandit.DefaultTrainEvery applied rewards — the same code that
+// crosses those boundaries when the journal is replayed. Keeping reward
+// application and SGD off the request path is what lets /v2/reward
+// return in microseconds while the model still learns continuously.
 //
 // When a WAL is attached, every accepted batch is journaled before the
 // caller is acknowledged (the durability barrier the journal's Commit
@@ -72,18 +72,16 @@ type Ingestor struct {
 const ingestQueueSize = 4096
 
 // newIngestor starts an ingestion pipeline over the given bandit
-// service. j, when non-nil, is the durable reward journal; trainEvery is
-// the training batch size in applied rewards (0 selects
-// bandit.DefaultTrainEvery); stages is the owning server's
-// stage-histogram sink, which the drain goroutine reads from its first
-// iteration. There is exactly one drain goroutine: reward application
-// serializes on the bandit's event-log mutex anyway, and one FIFO
-// consumer is what makes apply order equal journal order for
-// deterministic replay.
-func newIngestor(svc *bandit.Service, j *wal.WAL, trainEvery int, stages *stageHists) *Ingestor {
+// service. j, when non-nil, is the durable reward journal; stages is
+// the owning server's stage-histogram sink, which the drain goroutine
+// reads from its first iteration. There is exactly one drain goroutine:
+// reward application serializes on the bandit's event-log mutex anyway,
+// and one FIFO consumer is what makes apply order equal journal order
+// for deterministic replay.
+func newIngestor(svc *bandit.Service, j *wal.WAL, stages *stageHists) *Ingestor {
 	in := &Ingestor{
 		svc:    svc,
-		rp:     bandit.NewReplayer(svc, trainEvery),
+		rp:     bandit.NewReplayer(svc),
 		wal:    j,
 		ch:     make(chan reward, ingestQueueSize),
 		stages: stages,

@@ -27,10 +27,12 @@ func rankEvents(t *testing.T, svc *bandit.Service, n int) []string {
 
 func TestIngestorAppliesAndTrains(t *testing.T) {
 	svc := bandit.New(bandit.DefaultConfig(5))
-	in := newIngestor(svc, nil, 16, &stageHists{})
+	in := newIngestor(svc, nil, &stageHists{})
 	defer in.Close()
 
-	ids := rankEvents(t, svc, 64)
+	// Two count-based passes, then Drain's flush trains the rest.
+	const n = 2*bandit.DefaultTrainEvery + 64
+	ids := rankEvents(t, svc, n)
 	for _, id := range ids {
 		if n, err := in.EnqueueBatch([]walrec.RewardEntry{{EventID: id, Value: 1.5}}); n != 1 || err != nil {
 			t.Fatalf("EnqueueBatch(%s) rejected with capacity to spare: %v", id, err)
@@ -39,17 +41,17 @@ func TestIngestorAppliesAndTrains(t *testing.T) {
 	in.Drain()
 
 	st := in.Stats()
-	if st.Applied != 64 {
-		t.Errorf("Applied = %d, want 64", st.Applied)
+	if st.Applied != n {
+		t.Errorf("Applied = %d, want %d", st.Applied, n)
 	}
 	if st.Dropped != 0 || st.UnknownEvents != 0 {
 		t.Errorf("Dropped=%d Unknown=%d, want 0/0", st.Dropped, st.UnknownEvents)
 	}
-	if st.TrainedEvents != 64 {
-		t.Errorf("TrainedEvents = %d, want 64 (all rewards consumed by training)", st.TrainedEvents)
+	if st.TrainedEvents != n {
+		t.Errorf("TrainedEvents = %d, want %d (all rewards consumed by training)", st.TrainedEvents, n)
 	}
-	if st.TrainRuns == 0 {
-		t.Error("no training pass ran despite 64 applied rewards at batch size 16")
+	if st.TrainRuns != 3 {
+		t.Errorf("TrainRuns = %d, want 3: two every %d applied rewards, one at Drain", st.TrainRuns, bandit.DefaultTrainEvery)
 	}
 	// Training must actually have moved the model.
 	ctx := bandit.Context{IDs: bandit.HashFeatures([]string{"span:1", "span:9"})}
@@ -61,7 +63,7 @@ func TestIngestorAppliesAndTrains(t *testing.T) {
 
 func TestIngestorUnknownEvents(t *testing.T) {
 	svc := bandit.New(bandit.DefaultConfig(5))
-	in := newIngestor(svc, nil, 4, &stageHists{})
+	in := newIngestor(svc, nil, &stageHists{})
 	defer in.Close()
 	in.EnqueueBatch([]walrec.RewardEntry{{EventID: "ev-no-such", Value: 1.0}})
 	in.Drain()
@@ -74,7 +76,7 @@ func TestIngestorUnknownEvents(t *testing.T) {
 // bounded queue fills deterministically.
 func TestIngestorBackpressure(t *testing.T) {
 	svc := bandit.New(bandit.DefaultConfig(5))
-	in := &Ingestor{svc: svc, rp: bandit.NewReplayer(svc, 8), ch: make(chan reward, 2), stages: &stageHists{}}
+	in := &Ingestor{svc: svc, rp: bandit.NewReplayer(svc), ch: make(chan reward, 2), stages: &stageHists{}}
 
 	ids := rankEvents(t, svc, 3)
 	for _, id := range ids[:2] {
@@ -100,7 +102,7 @@ func TestIngestorBackpressure(t *testing.T) {
 
 func TestIngestorCloseRejectsAndDrains(t *testing.T) {
 	svc := bandit.New(bandit.DefaultConfig(5))
-	in := newIngestor(svc, nil, 1000, &stageHists{}) // batch too large to trigger mid-run
+	in := newIngestor(svc, nil, &stageHists{}) // 32 rewards: below the training cadence
 	ids := rankEvents(t, svc, 32)
 	for _, id := range ids {
 		in.EnqueueBatch([]walrec.RewardEntry{{EventID: id, Value: 2.0}})

@@ -166,7 +166,7 @@ func newMaximalServer(t *testing.T) (*Server, *httptest.Server) {
 		t.Fatal(err)
 	}
 	srv := New(Config{
-		Catalog: rules.NewCatalog(), Seed: 42, TrainEvery: 8,
+		Catalog: rules.NewCatalog(), Seed: 42,
 		WAL: j, Drift: driftTestConfig(),
 		Incidents: IncidentConfig{Dir: t.TempDir()},
 	})

@@ -88,7 +88,7 @@ func baseFamily(name string) string {
 // parse, histogram buckets are cumulative and consistent with _count,
 // and label values round-trip the escaping rules.
 func TestMetricsExposition(t *testing.T) {
-	_, ts := newTestServer(t, Config{Seed: 3, TrainEvery: 4})
+	_, ts := newTestServer(t, Config{Seed: 3})
 	body := scrapeMetrics(t, ts.URL)
 
 	types := map[string]string{} // family -> declared type
@@ -182,7 +182,7 @@ func TestMetricsExposition(t *testing.T) {
 // cumulative (monotone non-decreasing), the +Inf bucket equals _count,
 // and _sum is present for each series.
 func TestMetricsHistogramConsistency(t *testing.T) {
-	_, ts := newTestServer(t, Config{Seed: 3, TrainEvery: 4})
+	_, ts := newTestServer(t, Config{Seed: 3})
 	body := scrapeMetrics(t, ts.URL)
 
 	type seriesKey struct{ fam, labels string }
@@ -296,7 +296,7 @@ func TestVersionEndpoint(t *testing.T) {
 // TestStatsStagesAndRoutePercentiles checks that /v2/stats carries the
 // additive stage summaries and route percentile fields after traffic.
 func TestStatsStagesAndRoutePercentiles(t *testing.T) {
-	_, ts := newTestServer(t, Config{Seed: 3, TrainEvery: 2})
+	_, ts := newTestServer(t, Config{Seed: 3})
 	for i := 0; i < 8; i++ {
 		rr := rankOne(t, ts.URL, api.RankRequest{
 			TemplateHash: api.TemplateHash(i), TemplateID: fmt.Sprintf("T%04d", i), Span: []int{1, 5}, RowCount: 1e5,

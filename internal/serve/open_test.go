@@ -26,7 +26,7 @@ func TestOpenServesRecoveredModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	bootstrap := bandit.New(bandit.DefaultConfig(5))
-	srv, rec := r.restart(t, Config{Seed: 42, TrainEvery: walTestTrainEvery, Bandit: bootstrap})
+	srv, rec := r.restart(t, Config{Seed: 42, Bandit: bootstrap})
 	if !rec.Recovered() || !rec.SnapshotLoaded {
 		t.Fatalf("restart recovered nothing: %+v", rec)
 	}
@@ -71,7 +71,7 @@ func TestOpenRestoresEmptyRollover(t *testing.T) {
 	if gen, err := r.srv.InstallHints(nil); err != nil || gen != 2 {
 		t.Fatalf("empty rollover: generation %d, %v", gen, err)
 	}
-	srv, rec := r.restart(t, Config{Seed: 42, TrainEvery: walTestTrainEvery})
+	srv, rec := r.restart(t, Config{Seed: 42})
 	if rec.HintRollovers != 2 || len(rec.Hints) != 0 {
 		t.Fatalf("recovered %d rollovers, %d hints; want 2, 0", rec.HintRollovers, len(rec.Hints))
 	}
@@ -97,7 +97,7 @@ func TestOpenQuarantineSurvivesCompaction(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv, rec, err := Open(Config{Seed: 42, TrainEvery: walTestTrainEvery, WAL: j})
+		srv, rec, err := Open(Config{Seed: 42, WAL: j})
 		if err != nil {
 			j.Close()
 			t.Fatal(err)
@@ -203,6 +203,20 @@ func TestOpenWithoutWAL(t *testing.T) {
 	}
 }
 
+// TestRecoverRefusesReplayValues: the training cadence and the
+// event-log cap are constants, so Recover's trainEvery and
+// maxLogEvents accept only 0 and refuse anything else.
+func TestRecoverRefusesReplayValues(t *testing.T) {
+	for _, v := range [][2]int{{16, 0}, {bandit.DefaultTrainEvery, 0}, {0, 1}, {0, -1}, {0, bandit.ServingMaxLog}} {
+		if _, err := Recover(nil, "", v[0], v[1], 42); err == nil {
+			t.Errorf("Recover(trainEvery %d, maxLogEvents %d) succeeded, want an error", v[0], v[1])
+		}
+	}
+	if _, err := Recover(nil, "", 0, 0, 42); err != nil {
+		t.Fatalf("Recover(0, 0): %v", err)
+	}
+}
+
 // TestRecoverRefusesCompactedStart: checkpoints compacted the start of
 // the journal, so rebuilding without the checkpoint's snapshot would
 // silently miss those records — Recover refuses, naming the first
@@ -223,17 +237,17 @@ func TestRecoverRefusesCompactedStart(t *testing.T) {
 		t.Fatalf("journal starts at LSN %d: nothing compacted, test is vacuous", first)
 	}
 
-	_, err := Recover(wal.DirSource{Dir: r.dir}, "", walTestTrainEvery, 0, 42)
+	_, err := Recover(wal.DirSource{Dir: r.dir}, "", 0, 0, 42)
 	var apiErr *api.Error
 	if !errors.As(err, &apiErr) || apiErr.Code != api.CodeInvalidRequest ||
 		!strings.Contains(err.Error(), "compacted") || !strings.Contains(err.Error(), "needs records from 1") {
 		t.Fatalf("recover without the snapshot: err = %v, want invalid_request naming LSN 1", err)
 	}
-	if _, err := Recover(wal.DirSource{Dir: r.dir}, r.snap, walTestTrainEvery, 0, 42); err != nil {
+	if _, err := Recover(wal.DirSource{Dir: r.dir}, r.snap, 0, 0, 42); err != nil {
 		t.Fatalf("recover from the checkpoint: %v", err)
 	}
 	missing := filepath.Join(t.TempDir(), SnapshotFile)
-	if srv, _, err := Open(Config{Seed: 42, TrainEvery: walTestTrainEvery, WAL: r.j, SnapshotPath: missing}); err == nil || srv != nil {
+	if srv, _, err := Open(Config{Seed: 42, WAL: r.j, SnapshotPath: missing}); err == nil || srv != nil {
 		t.Fatalf("primary without its snapshot booted over a compacted journal (err %v)", err)
 	}
 }

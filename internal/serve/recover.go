@@ -48,10 +48,9 @@ type Applier struct {
 
 // NewApplier builds an applier over svc. cache, when non-nil, receives
 // hint rollovers as they are applied, and quar, when non-nil, receives
-// quarantine-table records (the follower's live mode); trainEvery must
-// match the journaled run's ingestion batch size.
-func NewApplier(svc *bandit.Service, cache *HintCache, quar *drift.Table, trainEvery int) *Applier {
-	return &Applier{svc: svc, rp: bandit.NewReplayer(svc, trainEvery), cache: cache, quar: quar}
+// quarantine-table records (the follower's live mode).
+func NewApplier(svc *bandit.Service, cache *HintCache, quar *drift.Table) *Applier {
+	return &Applier{svc: svc, rp: bandit.NewReplayer(svc), cache: cache, quar: quar}
 }
 
 // Apply consumes one journal record.
@@ -135,11 +134,13 @@ func (r RecoverResult) Recovered() bool {
 // snapshotPath may be empty or name a file that does not exist yet
 // (first boot) — the journal is then replayed from the beginning into
 // a fresh learner built with DefaultConfig(seed). A nil src loads the
-// snapshot alone (an in-memory server's restart). trainEvery and
-// maxLogEvents must match the serving configuration (both with
-// Config's 0-default / negative-unbounded semantics) or replay would
-// train on different boundaries — or evict different events — than
-// the live run did.
+// snapshot alone (an in-memory server's restart). Replay trains every
+// bandit.DefaultTrainEvery rewards and caps the event log at
+// bandit.ServingMaxLog, the constants the live run used.
+//
+// trainEvery and maxLogEvents are not settings: they remain only for
+// the benchmark program, which passes 0, 0, and any other value is an
+// error.
 //
 // Recovery is deterministic: replaying the same snapshot and journal
 // yields a bit-identical model, and because one goroutine drains the
@@ -153,7 +154,10 @@ func (r RecoverResult) Recovered() bool {
 // because that is data loss, not a crash artifact, and so does a
 // journal compacted past the snapshot's watermark (a missing snapshot).
 func Recover(src wal.Source, snapshotPath string, trainEvery, maxLogEvents int, seed int64) (RecoverResult, error) {
-	res, ap, err := recoverTo(src, snapshotPath, math.MaxUint64, trainEvery, maxLogEvents, seed)
+	if trainEvery != 0 || maxLogEvents != 0 {
+		return RecoverResult{}, fmt.Errorf("serve: Recover takes trainEvery 0 and maxLogEvents 0, got %d and %d: the training cadence and the event-log cap are constants", trainEvery, maxLogEvents)
+	}
+	res, ap, err := recoverTo(src, snapshotPath, math.MaxUint64, seed)
 	if err == nil && res.Journal.Records > 0 {
 		// Drain-equivalent tail flush: rewards past the last training
 		// boundary train now, exactly as a graceful shutdown would have
@@ -190,7 +194,7 @@ func Open(cfg Config) (*Server, RecoverResult, error) {
 			cfg.SnapshotPath = filepath.Join(cfg.WAL.Dir(), SnapshotFile)
 		}
 	}
-	rec, err := Recover(src, cfg.SnapshotPath, cfg.TrainEvery, cfg.MaxLogEvents, cfg.Seed)
+	rec, err := Recover(src, cfg.SnapshotPath, 0, 0, cfg.Seed)
 	if err != nil {
 		return nil, rec, err
 	}
@@ -221,15 +225,15 @@ func Open(cfg Config) (*Server, RecoverResult, error) {
 // Service.Save writes that checkpoint's file byte for byte: the
 // checkpoint barrier journals its train mark before capturing the
 // model, so the mark, and any reward batch straddling the boundary, is
-// replayed in-log. The parameters are Recover's; the seed is not among
-// them because replay never draws from the exploration rng.
+// replayed in-log. src and snapshotPath are Recover's; there is no seed
+// because replay never draws from the exploration rng.
 //
 // Reconstruction needs the records in (FromLSN, lsn] to still exist;
 // recoverTo refuses a window whose start was compacted, and a bound past
 // FromLSN with nothing retained above it is the same error here
 // (offline remedy: a journal copy taken before the checkpoint).
-func RecoverAsOf(src wal.Source, snapshotPath string, lsn uint64, trainEvery, maxLogEvents int) (RecoverResult, error) {
-	res, _, err := recoverTo(src, snapshotPath, lsn, trainEvery, maxLogEvents, 0)
+func RecoverAsOf(src wal.Source, snapshotPath string, lsn uint64) (RecoverResult, error) {
+	res, _, err := recoverTo(src, snapshotPath, lsn, 0)
 	if err != nil {
 		return res, err
 	}
@@ -256,7 +260,7 @@ var errAsOf = errors.New("serve: replay bound reached")
 // above watermark+1 is refused: compaction removed records the snapshot
 // does not cover, and rebuilding from what is left would silently lose
 // them. It hands back the applier so Recover can run the tail flush.
-func recoverTo(src wal.Source, snapshotPath string, upTo uint64, trainEvery, maxLogEvents int, seed int64) (RecoverResult, *Applier, error) {
+func recoverTo(src wal.Source, snapshotPath string, upTo uint64, seed int64) (RecoverResult, *Applier, error) {
 	var res RecoverResult
 	if snapshotPath != "" {
 		f, err := os.Open(snapshotPath)
@@ -281,9 +285,9 @@ func recoverTo(src wal.Source, snapshotPath string, upTo uint64, trainEvery, max
 	}
 	// Apply the serving event-log cap before replay so eviction behaves
 	// as it did live (serve.New applies the same rule to the learner).
-	res.Service.SetMaxLog(bandit.ServingMaxLog(maxLogEvents))
+	res.Service.SetMaxLog(bandit.ServingMaxLog)
 
-	ap := NewApplier(res.Service, nil, nil, trainEvery)
+	ap := NewApplier(res.Service, nil, nil)
 	if src == nil {
 		return res, ap, nil
 	}

@@ -86,7 +86,7 @@ func TestHintTableCrashRecovery(t *testing.T) {
 	}
 
 	// "Crash" and recover from the journal alone (no snapshot ever taken).
-	rec, err := Recover(wal.DirSource{Dir: r.dir}, "", walTestTrainEvery, 0, 42)
+	rec, err := Recover(wal.DirSource{Dir: r.dir}, "", 0, 0, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestHintTableCrashRecovery(t *testing.T) {
 	}
 
 	// A restarted server restores the table and serves it.
-	srv2, _ := r.restart(t, Config{Seed: 42, TrainEvery: walTestTrainEvery})
+	srv2, _ := r.restart(t, Config{Seed: 42})
 	resp, err := srv2.Rank(api.RankRequest{TemplateHash: api.TemplateHash(hints2[3].TemplateHash), Span: []int{50}})
 	if err != nil {
 		t.Fatal(err)
@@ -131,7 +131,7 @@ func TestHintTableSurvivesCompaction(t *testing.T) {
 		t.Fatalf("no compaction happened; test is vacuous: %+v", st)
 	}
 
-	rec, err := Recover(wal.DirSource{Dir: r.dir}, r.snap, walTestTrainEvery, 0, 42)
+	rec, err := Recover(wal.DirSource{Dir: r.dir}, r.snap, 0, 0, 42)
 	if err != nil {
 		t.Fatal(err)
 	}

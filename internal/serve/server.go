@@ -19,29 +19,25 @@ import (
 	"qoadvisor/internal/wal"
 )
 
-// Config parameterizes the steering server.
+// Config parameterizes the steering server. The training cadence
+// (bandit.DefaultTrainEvery) and the event-log cap (bandit.ServingMaxLog)
+// are constants, not fields: a restart, a follower and audit as-of
+// replay the journal on the live node's boundaries with nothing to
+// match.
 type Config struct {
 	// Catalog is the rule catalog steering decisions are made against
 	// (nil selects the canonical 256-rule catalog).
 	Catalog *rules.Catalog
 	// Bandit is the rank/reward learner to serve. Nil builds a fresh one
 	// from Seed; passing the daily pipeline's trained service carries the
-	// learned policy into serving.
+	// learned policy into serving. Either way the server caps its event
+	// log at bandit.ServingMaxLog.
 	Bandit *bandit.Service
 	// Seed drives exploration when Bandit is nil.
 	Seed int64
 	// Uniform switches ranking to the uniform-at-random logging policy
 	// (the paper's off-policy data-collection mode).
 	Uniform bool
-	// TrainEvery is the ingestion training batch size (0 = default).
-	TrainEvery int
-	// MaxLogEvents caps the learner's in-memory event log so an
-	// indefinitely running server does not leak rank events (0 = default
-	// 16384, negative = unbounded). Each logged event keeps ≈ 689 B
-	// resident (TestEventLogBytesPerDecision, spans 2–8), and the log
-	// grows to 1.25 × the cap before evicting, so the default bounds
-	// event state near 14 MB. Applies to a caller-supplied Bandit too.
-	MaxLogEvents int
 	// SnapshotPath is where POST /v2/model/snapshot persists the model.
 	SnapshotPath string
 	// WAL, when non-nil, is the durable reward journal: rank decisions
@@ -132,13 +128,10 @@ type Server struct {
 	start        time.Time
 	http         *httpLayer
 
-	// Journal audit: the lazily opened engine behind /v2/audit, its
-	// query-latency histogram, and the replay parameters as-of hands
-	// RecoverAsOf to mirror this server's own recovery (snapshotPath is
-	// the third).
-	auditEng                 atomic.Pointer[audit.Engine]
-	auditLat                 obs.Histogram
-	trainEvery, maxLogEvents int
+	// Journal audit: the lazily opened engine behind /v2/audit and its
+	// query-latency histogram.
+	auditEng atomic.Pointer[audit.Engine]
+	auditLat obs.Histogram
 
 	// rolloverMu orders hint-table swaps against their journal records:
 	// two racing rollovers must append in generation order or replay
@@ -181,7 +174,10 @@ func New(cfg Config) *Server {
 	if cfg.Bandit == nil {
 		cfg.Bandit = bandit.New(bandit.DefaultConfig(cfg.Seed))
 	}
-	cfg.Bandit.SetMaxLog(bandit.ServingMaxLog(cfg.MaxLogEvents))
+	// The event log keeps ≈ 689 B per event resident
+	// (TestEventLogBytesPerDecision, spans 2–8) and grows to 1.25 × the
+	// cap before evicting, so the cap bounds event state near 14 MB.
+	cfg.Bandit.SetMaxLog(bandit.ServingMaxLog)
 	// Stage histograms are shared with the ingestor's drain goroutine, so
 	// they must exist before newIngestor starts it.
 	stages := &stageHists{}
@@ -197,13 +193,11 @@ func New(cfg Config) *Server {
 		bandit:       cfg.Bandit,
 		wal:          cfg.WAL,
 		guard:        newSafeguard(det, cfg.WAL),
-		ingest:       newIngestor(cfg.Bandit, cfg.WAL, cfg.TrainEvery, stages),
+		ingest:       newIngestor(cfg.Bandit, cfg.WAL, stages),
 		uniform:      cfg.Uniform,
 		follower:     cfg.Follower,
 		leaderURL:    cfg.LeaderURL,
 		snapshotPath: cfg.SnapshotPath,
-		trainEvery:   cfg.TrainEvery,
-		maxLogEvents: cfg.MaxLogEvents,
 		start:        time.Now(),
 		stages:       stages,
 		version:      VersionInfo(),

@@ -70,7 +70,7 @@ func decodeJSON[T any](t *testing.T, resp *http.Response) T {
 }
 
 func TestRankRewardEndToEnd(t *testing.T) {
-	srv, ts := newTestServer(t, Config{Seed: 11, TrainEvery: 4})
+	srv, ts := newTestServer(t, Config{Seed: 11})
 
 	// No hints installed: the bandit path must answer and log an event.
 	rr := rankOne(t, ts.URL, api.RankRequest{
@@ -401,7 +401,7 @@ func TestV2BatchRankMixedResults(t *testing.T) {
 }
 
 func TestV2BatchReward(t *testing.T) {
-	srv, ts := newTestServer(t, Config{Seed: 8, TrainEvery: 2})
+	srv, ts := newTestServer(t, Config{Seed: 8})
 
 	var events []api.RewardEvent
 	val := 1.25

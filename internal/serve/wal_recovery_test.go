@@ -30,11 +30,9 @@ type walTestRig struct {
 	snap string
 }
 
-const walTestTrainEvery = 8
-
 func newWALRig(t *testing.T, segBytes int64) *walTestRig {
 	t.Helper()
-	return newWALRigConfig(t, segBytes, Config{Seed: 42, TrainEvery: walTestTrainEvery})
+	return newWALRigConfig(t, segBytes, Config{Seed: 42})
 }
 
 // newWALRigConfig is newWALRig serving cfg, with the rig's journal as
@@ -131,7 +129,7 @@ func (r *walTestRig) captureLive(t *testing.T) []byte {
 // directory (the crashed-process view) and returns its persisted form.
 func (r *walTestRig) recoverBytes(t *testing.T, seed int64) ([]byte, RecoverResult) {
 	t.Helper()
-	rec, err := Recover(wal.DirSource{Dir: r.dir}, r.snap, walTestTrainEvery, 0, seed)
+	rec, err := Recover(wal.DirSource{Dir: r.dir}, r.snap, 0, 0, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,9 +203,11 @@ func TestCrashRecoveryEquivalence(t *testing.T) {
 	}
 
 	// Phase 2: more traffic, including rewards for phase-1 events that
-	// were open at checkpoint time (they travel in the snapshot).
-	ids2 := r.rankSome(t, 40, 2)
-	r.rewardAll(t, append(append([]string{}, ids1[40:55]...), ids2[:25]...), 0.75)
+	// were open at checkpoint time (they travel in the snapshot). One
+	// batch of more than bandit.DefaultTrainEvery rewards puts a
+	// count-based training pass inside the replayed suffix.
+	ids2 := r.rankSome(t, 300, 2)
+	r.rewardAll(t, append(append([]string{}, ids1[40:55]...), ids2[:285]...), 0.75)
 
 	want := r.captureLive(t)
 
@@ -222,6 +222,11 @@ func TestCrashRecoveryEquivalence(t *testing.T) {
 	}
 	if rec.Journal.Truncated {
 		t.Fatalf("clean journal reported truncated: %v", rec.Journal.TailError)
+	}
+	// Every train mark is a run, and so is Recover's tail flush: a run
+	// beyond those is a count-based pass the replay crossed.
+	if rec.Replay.TrainRuns <= rec.Replay.TrainMarks+1 {
+		t.Fatalf("replay ran %d training passes for %d train marks: no count-based boundary in the suffix", rec.Replay.TrainRuns, rec.Replay.TrainMarks)
 	}
 	if !bytes.Equal(want, got) {
 		t.Fatalf("recovered model differs from live model\nlive %d bytes, recovered %d bytes\nlive head:\n%s\nrecovered head:\n%s",
@@ -275,7 +280,7 @@ func TestSnapshotGETIsRecoverySeed(t *testing.T) {
 	}
 	want := r.captureLive(t)
 
-	rec, err := Recover(wal.DirSource{Dir: r.dir}, seed, walTestTrainEvery, 0, 1)
+	rec, err := Recover(wal.DirSource{Dir: r.dir}, seed, 0, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +301,7 @@ func TestSnapshotGETIsRecoverySeed(t *testing.T) {
 // /v2/rank decision is logged at probability 1/|actions|, and replaying
 // its journal rebuilds the live model byte for byte.
 func TestUniformRankRecovers(t *testing.T) {
-	r := newWALRigConfig(t, 1<<20, Config{Seed: 42, TrainEvery: walTestTrainEvery, Uniform: true})
+	r := newWALRigConfig(t, 1<<20, Config{Seed: 42, Uniform: true})
 	cat := rules.NewCatalog()
 	jobs := make([]api.RankRequest, 48)
 	for i := range jobs {
@@ -410,7 +415,7 @@ func TestCrashRecoveryTornTail(t *testing.T) {
 	if j2.LastLSN() != lastGood {
 		t.Fatalf("reopened journal at LSN %d, recovery ended at %d", j2.LastLSN(), lastGood)
 	}
-	srv2, rec2, err := Open(Config{Seed: 7, TrainEvery: walTestTrainEvery, WAL: j2})
+	srv2, rec2, err := Open(Config{Seed: 7, WAL: j2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -472,7 +477,7 @@ func TestCheckpointCompactsAndRestartsFromSuffix(t *testing.T) {
 // snapshot's watermark) and resume after release.
 func TestQuiesceFencesIntake(t *testing.T) {
 	svc := bandit.New(bandit.DefaultConfig(3))
-	in := newIngestor(svc, nil, 4, &stageHists{})
+	in := newIngestor(svc, nil, &stageHists{})
 	defer in.Close()
 	ids := rankEvents(t, svc, 2)
 
