@@ -132,7 +132,7 @@ func (m *auditMode) decision(eng *audit.Engine) error {
 		fmt.Printf("reward:   none journaled\n")
 	}
 	if tr.TrainedAtLSN > 0 {
-		fmt.Printf("trained:  lsn=%d (first training boundary after the last reward)\n", tr.TrainedAtLSN)
+		fmt.Printf("trained:  by lsn=%d at the latest (first train mark after the last reward)\n", tr.TrainedAtLSN)
 	}
 	for _, lr := range tr.Lineage {
 		fmt.Printf("lineage:  lsn=%d event=%s value=%.4f\n", lr.LSN, lr.EventID, lr.Value)

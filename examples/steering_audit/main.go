@@ -9,7 +9,7 @@
 //
 //	phase 1  a day of steering      ranks, rewards, two hint rollovers
 //	phase 2  why this decision?     /v2/audit/decision — rank, rewards,
-//	                                training boundary, weight lineage
+//	                                first train mark, weight lineage
 //	phase 3  who steered template?  /v2/audit/template — flip history
 //	phase 4  time travel            /v2/audit/asof — reconstructed model
 //	                                byte-identical to a live checkpoint
@@ -120,7 +120,7 @@ func main() {
 	for _, rw := range tr.Rewards {
 		fmt.Printf("  reward lsn=%d value=%.2f\n", rw.LSN, rw.Value)
 	}
-	fmt.Printf("  trained at lsn=%d; %d lineage rewards shaped the weights it was scored with\n",
+	fmt.Printf("  trained by lsn=%d at the latest (the first train mark after its reward); %d lineage rewards shaped the weights it was scored with\n",
 		tr.TrainedAtLSN, len(tr.Lineage))
 
 	// --- Phase 3: which flips steered the hinted template? ---

@@ -660,8 +660,10 @@ type AuditDecisionResponse struct {
 	CtxIDs  int              `json:"ctxFeatures,omitempty"`
 	ActIDs  int              `json:"actFeatures,omitempty"`
 	Rewards []AuditRewardRef `json:"rewards,omitempty"`
-	// TrainedAtLSN is the first training boundary after the last
-	// reward — when the rewards became weight updates (0: none logged).
+	// TrainedAtLSN is the first train mark after the last reward: the
+	// rewards were weight updates by this LSN at the latest (a
+	// count-based training pass is not journaled, so it may have come
+	// earlier). 0: no train mark follows.
 	TrainedAtLSN uint64 `json:"trainedAtLsn,omitempty"`
 	// Lineage lists rewards (newest first, capped) whose events share
 	// action features with this decision and were applied before it —

@@ -493,7 +493,7 @@ func bruteDecision(all []journalRecord, event string) []string {
 	} else {
 		for _, r := range all {
 			if r.lsn > lastReward && r.rec.Tag == walrec.TagTrainMark {
-				rows = append(rows, fmt.Sprintf("trained:  lsn=%d (first training boundary after the last reward)", r.lsn))
+				rows = append(rows, fmt.Sprintf("trained:  by lsn=%d at the latest (first train mark after the last reward)", r.lsn))
 				break
 			}
 		}

@@ -91,7 +91,7 @@ func decisionRows(t *testing.T, eng *audit.Engine, event string) []string {
 		rows = append(rows, "reward:   none journaled")
 	}
 	if tr.TrainedAtLSN > 0 {
-		rows = append(rows, fmt.Sprintf("trained:  lsn=%d (first training boundary after the last reward)", tr.TrainedAtLSN))
+		rows = append(rows, fmt.Sprintf("trained:  by lsn=%d at the latest (first train mark after the last reward)", tr.TrainedAtLSN))
 	}
 	for _, lr := range tr.Lineage {
 		rows = append(rows, fmt.Sprintf("lineage:  lsn=%d event=%s value=%.4f", lr.LSN, lr.EventID, lr.Value))

@@ -38,9 +38,11 @@ type DecisionTrace struct {
 	Rank    *walrec.Rank
 	// Rewards are the event's observed rewards in LSN order.
 	Rewards []TraceReward
-	// TrainedAtLSN is the first training boundary at or after the last
-	// reward — the moment the rewards became weight updates (0 when no
-	// train mark follows; periodic threshold training has no marker).
+	// TrainedAtLSN is the first train mark after the last reward: the
+	// rewards were weight updates by then at the latest. A count-based
+	// pass (every bandit.DefaultTrainEvery applied rewards) leaves no
+	// record, so training may have come earlier. 0 when no train mark
+	// follows.
 	TrainedAtLSN uint64
 	// Lineage are rewards applied BEFORE this decision whose events
 	// share action features with it — the observations that trained
@@ -57,8 +59,8 @@ type DecisionTrace struct {
 const maxLineage = 64
 
 // Trace answers "why did this event get its decision": the rank
-// record, its rewards, the training boundary that absorbed them, and
-// the reward lineage of the weights it was scored with.
+// record, its rewards, the first train mark after them, and the reward
+// lineage of the weights it was scored with.
 func (e *Engine) Trace(eventID string) (*DecisionTrace, error) {
 	tr := &DecisionTrace{EventID: eventID}
 	// pass runs one query and folds its counters into the trace's.
@@ -96,7 +98,8 @@ func (e *Engine) Trace(eventID string) (*DecisionTrace, error) {
 		return tr, nil // unknown event: empty trace, not an error
 	}
 
-	// Pass 2 — the training boundary that absorbed the last reward.
+	// Pass 2 — the first train mark after the last reward: the latest
+	// point by which the journal proves it was trained.
 	if len(tr.Rewards) > 0 {
 		last := tr.Rewards[len(tr.Rewards)-1].LSN
 		err := pass(Query{Tags: []byte{walrec.TagTrainMark}, FromLSN: last + 1, Limit: 1}, func(r Result) error {
