@@ -23,9 +23,6 @@ type Config struct {
 	// UniformLogging switches the CB recommender to uniform-at-random
 	// data collection ("off-policy learning").
 	UniformLogging bool
-	// SkipHinted makes the pipeline stateful (§8): templates that already
-	// carry an active hint are not re-explored on later dates.
-	SkipHinted bool
 }
 
 // explorationFlightsPerDay is the number of random (job, span-flip)
@@ -128,15 +125,6 @@ func (a *Advisor) RunDay(date int, jobs []*workload.Job, view []workload.ViewRow
 	feats, err := a.FeatureGen.Run(jobs, view)
 	if err != nil {
 		return nil, err
-	}
-	if a.cfg.SkipHinted {
-		kept := feats[:0]
-		for _, f := range feats {
-			if _, hinted := a.Store.Lookup(f.Job.Template.Hash); !hinted {
-				kept = append(kept, f)
-			}
-		}
-		feats = kept
 	}
 	rep.JobsWithSpan = len(feats)
 

@@ -679,46 +679,3 @@ func TestRunDaysRewriteEachInstanceConfigOnce(t *testing.T) {
 		t.Error("no instance reused a rewrite under another configuration")
 	}
 }
-
-func TestAdvisorSkipHinted(t *testing.T) {
-	cat := rules.NewCatalog()
-	gen := testWorkload(t, 8)
-	store := sis.NewStore(cat)
-	// Pre-install hints for every template: a stateful advisor then has
-	// nothing left to explore.
-	var hints []sis.Hint
-	for i, tpl := range gen.Templates() {
-		off := cat.Rules(rules.OffByDefault)[i%3]
-		hints = append(hints, sis.Hint{
-			TemplateHash: tpl.Hash, TemplateID: tpl.ID,
-			Flip: rules.Flip{RuleID: off.ID, Enable: true}, Day: 0,
-		})
-	}
-	if err := store.Upload(sis.File{Day: 0, Hints: hints}); err != nil {
-		t.Fatal(err)
-	}
-	adv := NewAdvisor(cat, store, Config{
-		Seed:       3,
-		SkipHinted: true,
-		Flighting:  flighting.Config{Catalog: cat, Seed: 4},
-	})
-	jobs, err := gen.JobsForDay(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prod := NewProduction(cat, store, exec.DefaultCluster(1), 5)
-	_, view, err := prod.RunDay(1, jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := adv.RunDay(1, jobs, view)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.JobsWithSpan != 0 {
-		t.Errorf("stateful advisor should skip all hinted templates, got %d", rep.JobsWithSpan)
-	}
-	if rep.HintsUploaded != len(hints) {
-		t.Errorf("existing hints must survive: %d vs %d", rep.HintsUploaded, len(hints))
-	}
-}
