@@ -18,7 +18,10 @@
 // recovery with an upper bound (serve.RecoverAsOf) — it seeds from the
 // snapshot when that is not from the target's future, replays the
 // journal up to the LSN, and must reproduce the live checkpoint's bytes
-// exactly — sha256 compared below.
+// exactly — sha256 compared below. Nothing about training is
+// configured: the node trains every bandit.DefaultTrainEvery rewards,
+// and the 300 rewards of phase 1 cross one such boundary that the
+// reconstruction must place where the live node did.
 package main
 
 import (
@@ -83,7 +86,7 @@ func main() {
 		log.Fatal(err)
 	}
 	var events []string
-	for i := 0; i < 96; i++ {
+	for i := 0; i < 300; i++ {
 		resp, err := cl.Rank(ctx, api.RankRequest{
 			TemplateHash: api.TemplateHash(tmplBandit), Span: []int{5, 60},
 		})
