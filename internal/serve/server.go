@@ -174,9 +174,6 @@ func New(cfg Config) *Server {
 	if cfg.Bandit == nil {
 		cfg.Bandit = bandit.New(bandit.DefaultConfig(cfg.Seed))
 	}
-	// The event log keeps ≈ 689 B per event resident
-	// (TestEventLogBytesPerDecision, spans 2–8) and grows to 1.25 × the
-	// cap before evicting, so the cap bounds event state near 14 MB.
 	cfg.Bandit.SetMaxLog(bandit.ServingMaxLog)
 	// Stage histograms are shared with the ingestor's drain goroutine, so
 	// they must exist before newIngestor starts it.
