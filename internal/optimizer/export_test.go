@@ -25,15 +25,10 @@ func OptimizeTuningByRule(g *scope.Graph, cfg rules.Config, opts Options) (*Resu
 	}
 	b := new(implBuilder)
 	b.init(work, cfg, opts.Catalog, &sig, opts.Stats, &EstimationEnv{Stats: opts.Stats}, opts.Tokens)
-	for _, root := range work.Roots {
-		pn, err := b.buildNode(root)
-		if err != nil {
-			return nil, err
-		}
-		b.plan.Roots = append(b.plan.Roots, pn)
+	if err := b.lowerRoots(work); err != nil {
+		return nil, err
 	}
-
-	b.plan.order = b.plan.walk()
+	res := b.publish()
 	nodes := b.plan.Nodes()
 	for _, t := range tunings {
 		siblings := opts.Catalog.OfKind(t.kind)
@@ -56,7 +51,8 @@ func OptimizeTuningByRule(g *scope.Graph, cfg rules.Config, opts Options) (*Resu
 
 	b.assignStages()
 	b.computeCost()
-	return &Result{Plan: b.plan, Logical: work, Signature: sig, EstCost: b.plan.EstCost}, nil
+	res.Logical, res.Signature, res.EstCost = work, sig, b.plan.EstCost
+	return res, nil
 }
 
 // TestPooledRewriterPinsNothing: a rewriter goes back to rewriterPool

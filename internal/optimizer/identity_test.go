@@ -284,7 +284,7 @@ func TestNeededColumnsWideSchema(t *testing.T) {
 	}
 }
 
-// Ceilings for TestOptimizeAllocBudget: measured (38 uncached, 17 with a
+// Ceilings for TestOptimizeAllocBudget: measured (27 uncached, 6 with a
 // warm cache, go1.24) + 5 %. The same compilations cost 23,772 and 22,581
 // before plan-site identity stopped going through fmt, 824 and 263 while
 // every pass re-walked the plan for Plan.Nodes, 791 and 230 while what a
@@ -293,10 +293,13 @@ func TestNeededColumnsWideSchema(t *testing.T) {
 // slice of every node and a rewrite copied the schemas it re-derived, 91
 // and 19 while Graph.Clone allocated each node and each Inputs on its own
 // and a compilation's signature and estimation environment escaped to the
-// heap. A change that needs more raises the constant on purpose.
+// heap, and 38 and 17 while lowering built its plan in place — nodes and
+// inputs in 16-slot chunks, roots and order grown one at a time, stage
+// lists and exchange keys per call, the Result apart from its Plan. A
+// change that needs more raises the constant on purpose.
 const (
-	optimizeAllocCeiling       = 40
-	optimizeCachedAllocCeiling = 18
+	optimizeAllocCeiling       = 29
+	optimizeCachedAllocCeiling = 7
 )
 
 // TestOptimizeAllocBudget gates what one compilation allocates — the
@@ -345,5 +348,71 @@ func TestOptimizeAllocBudget(t *testing.T) {
 		if got > c.ceiling {
 			t.Errorf("%s: %.0f allocs per Optimize, ceiling %.0f", c.name, got, c.ceiling)
 		}
+	}
+}
+
+// renderPlan is a plan's String plus every stage's node IDs, upstream
+// stage IDs and parallelism.
+func renderPlan(p *optimizer.Plan) string {
+	var sb strings.Builder
+	sb.WriteString(p.String())
+	for _, s := range p.Stages {
+		fmt.Fprintf(&sb, "stage %d x%d nodes", s.ID, s.Partitions)
+		for _, n := range s.Nodes {
+			fmt.Fprintf(&sb, " #%d", n.ID)
+		}
+		fmt.Fprintf(&sb, " inputs %v\n", s.InputIDs)
+	}
+	return sb.String()
+}
+
+// TestPublishedPlanOwnsItsMemory: lowering runs on a pooled builder whose
+// scratch the next compilation reuses, so a returned plan must share none
+// of it. Once the builder's scratch has grown to fit all 51 ledger jobs,
+// one job's plan is rendered, the 50 others are compiled on the same
+// goroutine, and the first plan must render byte for byte as before. It
+// must also render as the job lowered on a builder of its own, which is
+// never pooled and so never cleared: a plan pointing into scratch the
+// pool clears would otherwise render the same cleared nodes twice.
+func TestPublishedPlanOwnsItsMemory(t *testing.T) {
+	cat := rules.NewCatalog()
+	def := cat.DefaultConfig()
+	var jobs []*workload.Job
+	for _, tpl := range ledgerTemplates(t)[:51] {
+		j, err := tpl.Instantiate(1, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs = append(jobs, j)
+	}
+	compile := func(j *workload.Job) (*optimizer.Result, error) {
+		return optimizer.Optimize(j.Graph, def, j.CompileOptions(cat))
+	}
+	for _, j := range jobs {
+		compile(j) // grow the pooled scratch, so later builds reuse it
+	}
+	first, err := compile(jobs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := renderPlan(first.Plan)
+	own, err := optimizer.OptimizeTuningByRule(jobs[0].Graph, def, optimizer.Options{Catalog: cat, Stats: jobs[0].Stats, Tokens: jobs[0].Tokens})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref := renderPlan(own.Plan); want != ref {
+		t.Fatalf("%s's plan differs from its lowering on a builder of its own:\n--- pooled\n%s--- own\n%s", jobs[0].Template.ID, want, ref)
+	}
+	compiled := 0
+	for _, j := range jobs[1:] {
+		if _, err := compile(j); err == nil {
+			compiled++
+		}
+	}
+	if compiled < 40 {
+		t.Fatalf("only %d of 50 later jobs compiled", compiled)
+	}
+	if got := renderPlan(first.Plan); got != want {
+		t.Errorf("%s's plan changed while %d later jobs were compiled:\n--- before\n%s--- after\n%s", jobs[0].Template.ID, compiled, want, got)
 	}
 }

@@ -3,8 +3,7 @@ package optimizer
 import (
 	"fmt"
 	"math"
-	"sort"
-	"strings"
+	"slices"
 	"sync"
 
 	"qoadvisor/internal/rules"
@@ -17,8 +16,15 @@ const rowsPerPartition = 200_000
 // implBuilder lowers the rewritten logical DAG into a physical plan,
 // choosing among enabled implementation rules per operator site, inserting
 // exchanges, applying tuning rules, assigning stages and costing the plan.
-// What it keeps per node is indexed by node ID and is scratch that outlives
-// the build in implPool; the Plan it returns owns none of it.
+//
+// A builder lives in implPool, and everything it keeps between builds is
+// scratch: lowering makes its nodes in the builder's chunks, their Inputs
+// in its buffer, its exchange keys in its bytes. publish then copies the
+// lowered plan, sized exactly, into memory the returned Plan owns alone —
+// one slab of nodes, one of pointers — and tuning, stage assignment and
+// costing write their fields on those nodes. Nothing the Plan holds points
+// into the builder, so a later build on it cannot reach a plan already
+// returned (TestPublishedPlanOwnsItsMemory).
 type implBuilder struct {
 	table  ruleTable
 	est    cardEngine
@@ -30,32 +36,58 @@ type implBuilder struct {
 	sig        rules.Signature
 	estimation EstimationEnv
 
-	plan *Plan
 	memo []*PhysNode // by logical node ID: the node's lowering
 
-	gates  []uint64  // scratch: tuning gates, by position in plan order
-	marked []bool    // scratch: stage assignment's visited marks, by physical ID
-	counts []int     // scratch: per stage, nodes then upstream stage IDs
-	inRows []float64 // scratch: one node's input cardinalities
+	// The plan being lowered. Node ID k is chunks[k/implChunk][k%implChunk]:
+	// a chunk keeps its nodes' addresses while more are made. The nodes'
+	// Inputs lie back to back in ins.
+	chunks [][]PhysNode
+	nodes  int // nodes made by this build
+	ins    []*PhysNode
+	roots  []*PhysNode
+	order  []*PhysNode // topological order, inputs first
+	stack  []*PhysNode // lowerUnion's lowered inputs, a nested union's above
+	key    []byte      // an exchange key, built once the inputs are lowered
+	scheme []byte      // a keyed PartScheme before it becomes a string
+	names  []string    // lowerDistinct's sorted column names
+
+	// The published plan, and the room publish left in its pointer slab
+	// for the stages' node lists.
+	plan    *Plan
+	members []*PhysNode
+
+	gates  []uint64  // tuning gates, by position in plan order
+	marked []bool    // visited marks, by physical ID
+	counts []int     // per stage: nodes, upstream stage IDs, slot
+	inRows []float64 // one node's input cardinalities
 }
+
+// implChunk is how many scratch nodes a builder allocates at once.
+const implChunk = 64
 
 var implPool = sync.Pool{New: func() any { return new(implBuilder) }}
 
 // lowerPlan lowers g, which it only reads, on a pooled builder under the
-// optimizer's estimation environment. It returns sig with the rules the
-// lowering fired added.
-func lowerPlan(g *scope.Graph, cfg rules.Config, cat *rules.Catalog, sig rules.Signature, stats StatsProvider, tokens int) (*Plan, rules.Signature, error) {
+// optimizer's estimation environment. The Result it returns carries sig
+// with the rules the lowering fired added.
+func lowerPlan(g *scope.Graph, cfg rules.Config, cat *rules.Catalog, sig rules.Signature, stats StatsProvider, tokens int) (*Result, error) {
 	b := implPool.Get().(*implBuilder)
 	b.sig, b.estimation = sig, EstimationEnv{Stats: stats}
 	b.init(g, cfg, cat, &b.sig, stats, &b.estimation, tokens)
-	plan, err := b.build(g)
-	sig = b.sig
-	// Drop what points into the caller's world before pooling.
-	b.table, b.plan, b.estimation = ruleTable{}, nil, EstimationEnv{}
+	res, err := b.build(g)
+	if err == nil {
+		res.Logical, res.Signature, res.EstCost = g, b.sig, res.Plan.EstCost
+	}
+	// Drop what points into the caller's world before pooling: the
+	// published plan, and the logical nodes and names the scratch holds.
+	b.table, b.plan, b.members, b.estimation = ruleTable{}, nil, nil, EstimationEnv{}
 	b.est.reset(nil, nil, 0)
-	clear(b.memo)
+	for c := 0; c*implChunk < b.nodes; c++ {
+		clear(b.chunks[c])
+	}
+	clear(b.names)
 	implPool.Put(b)
-	return plan, sig, err
+	return res, err
 }
 
 // init readies b, new or pooled, to lower g.
@@ -63,24 +95,81 @@ func (b *implBuilder) init(g *scope.Graph, cfg rules.Config, cat *rules.Catalog,
 	b.table = ruleTable{cat: cat, cfg: cfg, sig: sig}
 	b.est.reset(env, stats, g.IDBound())
 	b.tokens = tokens
-	b.plan = &Plan{}
 	b.memo = zeroed(b.memo, g.IDBound())
+	b.nodes = 0
+	b.ins, b.roots, b.order, b.stack = b.ins[:0], b.roots[:0], b.order[:0], b.stack[:0]
 }
 
-func (b *implBuilder) build(g *scope.Graph) (*Plan, error) {
-	for _, root := range g.Roots {
-		pn, err := b.buildNode(root)
-		if err != nil {
-			return nil, err
-		}
-		b.plan.Roots = append(b.plan.Roots, pn)
+func (b *implBuilder) build(g *scope.Graph) (*Result, error) {
+	if err := b.lowerRoots(g); err != nil {
+		return nil, err
 	}
+	res := b.publish()
 	// Tuning and stage assignment set fields; they add no node.
-	b.plan.order = b.plan.walk()
 	b.applyTuning()
 	b.assignStages()
 	b.computeCost()
-	return b.plan, nil
+	return res, nil
+}
+
+// lowerRoots lowers every root of g into the scratch and records the
+// topological order.
+func (b *implBuilder) lowerRoots(g *scope.Graph) error {
+	for _, root := range g.Roots {
+		pn, err := b.buildNode(root)
+		if err != nil {
+			return err
+		}
+		b.roots = append(b.roots, pn)
+	}
+	b.marked = zeroed(b.marked, b.nodes)
+	for _, r := range b.roots {
+		b.order = appendPhysSubtree(b.order, b.marked, r)
+	}
+	return nil
+}
+
+// published is a compilation's Result and the Plan it points to, made in
+// one allocation.
+type published struct {
+	res  Result
+	plan Plan
+}
+
+// publish copies the lowered plan out of the scratch into one slab of
+// nodes and one of pointers — every node's Inputs, the roots, the
+// topological order, then room for the stages' node lists — each sized
+// exactly, and returns the Result that points to it; the caller fills in
+// the rest of the Result. A node keeps its ID, which is its slab index.
+func (b *implBuilder) publish() *Result {
+	out := new(published)
+	p := &out.plan
+	out.res.Plan = p
+	nodes := make([]PhysNode, b.nodes)
+	ptrs := make([]*PhysNode, len(b.ins)+len(b.roots)+2*len(b.order))
+	for id := range nodes {
+		n := &nodes[id]
+		*n = b.chunks[id/implChunk][id%implChunk]
+		n.Inputs, ptrs = remap(ptrs, nodes, n.Inputs)
+	}
+	p.Roots, ptrs = remap(ptrs, nodes, b.roots)
+	p.order, b.members = remap(ptrs, nodes, b.order)
+	p.nextID = b.nodes
+	b.plan = p
+	return &out.res
+}
+
+// remap writes the published counterparts of src, nodes being the
+// published slab, to the head of dst and returns that head capped at its
+// length, and the rest of dst.
+func remap(dst []*PhysNode, nodes []PhysNode, src []*PhysNode) (own, rest []*PhysNode) {
+	if len(src) == 0 {
+		return nil, dst
+	}
+	for i, n := range src {
+		dst[i] = &nodes[n.ID]
+	}
+	return dst[:len(src):len(src)], dst[len(src):]
 }
 
 func (b *implBuilder) partitionsFor(rows float64) int {
@@ -91,10 +180,22 @@ func fail(format string, args ...interface{}) error {
 	return &CompileFailure{Reason: fmt.Sprintf(format, args...)}
 }
 
-// newPhys allocates a physical node carrying over sizing from the logical
-// node and its input.
+// newPhys makes a scratch node, carrying over sizing from the logical
+// node and its input. It copies inputs, so a caller's slice may be scratch
+// too.
 func (b *implBuilder) newPhys(op PhysOp, ln *scope.Node, inputs ...*PhysNode) *PhysNode {
-	n := b.plan.NewNode(op, ln, inputs...)
+	c := b.nodes / implChunk
+	if c == len(b.chunks) {
+		b.chunks = append(b.chunks, make([]PhysNode, implChunk))
+	}
+	n := &b.chunks[c][b.nodes%implChunk]
+	*n = PhysNode{ID: b.nodes, Op: op, Logical: ln, PackFactor: 1}
+	b.nodes++
+	if k := len(inputs); k > 0 {
+		b.ins = append(b.ins, inputs...)
+		end := len(b.ins)
+		n.Inputs = b.ins[end-k : end : end]
+	}
 	if ln != nil {
 		n.EstRows = b.est.rows(ln)
 		n.RowWidth = ln.RowWidth()
@@ -109,33 +210,50 @@ func (b *implBuilder) newPhys(op PhysOp, ln *scope.Node, inputs ...*PhysNode) *P
 	return n
 }
 
-// partScheme names the output partitioning of an exchange.
-func partScheme(kind ExchangeKind, key string) string {
-	switch kind {
-	case ExchangeHash:
-		return "hash:" + key
-	case ExchangeRange:
-		return "range:" + key
-	case ExchangeBroadcast:
-		return "bcast"
-	case ExchangeGather:
-		return "single"
-	case ExchangeRoundRobin:
-		return "rr"
+// schemePrefix is the PartScheme of an exchange of each kind; a hash or
+// range scheme goes on with its key.
+var schemePrefix = [...]string{
+	ExchangeHash: "hash:", ExchangeRange: "range:", ExchangeBroadcast: "bcast",
+	ExchangeGather: "single", ExchangeRoundRobin: "rr",
+}
+
+// hasScheme reports whether scheme is what partScheme(kind, key) would
+// make, without making it.
+func hasScheme(scheme string, kind ExchangeKind, key []byte) bool {
+	p := schemePrefix[kind]
+	return len(scheme) == len(p)+len(key) && scheme[:len(p)] == p && scheme[len(p):] == string(key)
+}
+
+// partScheme names the output partitioning of an exchange, in one
+// allocation for a keyed scheme and none otherwise.
+func (b *implBuilder) partScheme(kind ExchangeKind, key []byte) string {
+	p := schemePrefix[kind]
+	if (kind != ExchangeHash && kind != ExchangeRange) || len(key) == 0 {
+		return p
 	}
-	return ""
+	b.scheme = append(append(b.scheme[:0], p...), key...)
+	return string(b.scheme)
+}
+
+// appendKey appends the i-th column name of an exchange key to dst.
+func appendKey(dst []byte, i int, name string) []byte {
+	if i > 0 {
+		dst = append(dst, ',')
+	}
+	return append(dst, name...)
 }
 
 // exchange inserts an exchange of the given kind above in, unless in
-// already carries the required partitioning scheme.
-func (b *implBuilder) exchange(in *PhysNode, kind ExchangeKind, key string, parts int, siteGate uint64) (*PhysNode, error) {
+// already carries the required partitioning scheme. key is read, not
+// kept.
+func (b *implBuilder) exchange(in *PhysNode, kind ExchangeKind, key []byte, parts int, siteGate uint64) (*PhysNode, error) {
 	if kind == ExchangeHash || kind == ExchangeRange {
 		// Reuse existing co-location: hash or range partitioning on the
 		// same key both co-locate equal keys.
-		if in.PartScheme == "hash:"+key || in.PartScheme == "range:"+key {
+		if hasScheme(in.PartScheme, ExchangeHash, key) || hasScheme(in.PartScheme, ExchangeRange, key) {
 			return in, nil
 		}
-	} else if kind != ExchangeBroadcast && in.PartScheme == partScheme(kind, key) {
+	} else if kind != ExchangeBroadcast && hasScheme(in.PartScheme, kind, key) {
 		return in, nil
 	}
 	return b.forceExchange(in, kind, key, parts, siteGate)
@@ -145,7 +263,7 @@ func (b *implBuilder) exchange(in *PhysNode, kind ExchangeKind, key string, part
 // (used for broadcast and partition-count alignment). Hash exchanges fall
 // back to range partitioning when the hash partitioner is disabled for
 // the site; a disabled round-robin rebalance yields no node and no error.
-func (b *implBuilder) forceExchange(in *PhysNode, kind ExchangeKind, key string, parts int, siteGate uint64) (*PhysNode, error) {
+func (b *implBuilder) forceExchange(in *PhysNode, kind ExchangeKind, key []byte, parts int, siteGate uint64) (*PhysNode, error) {
 	switch kind {
 	case ExchangeHash:
 		if r, ok := b.table.pick(rules.KindImplHashPartition, siteGate); ok {
@@ -155,12 +273,12 @@ func (b *implBuilder) forceExchange(in *PhysNode, kind ExchangeKind, key string,
 			b.table.fire(r)
 			kind = ExchangeRange
 		} else {
-			return nil, fail("no partitioning implementation enabled for key %q", key)
+			return nil, fail("no partitioning implementation enabled for key %q", string(key))
 		}
 	case ExchangeRange:
 		r, ok := b.table.pick(rules.KindImplRangePartition, siteGate)
 		if !ok {
-			return nil, fail("range partitioner disabled for key %q", key)
+			return nil, fail("range partitioner disabled for key %q", string(key))
 		}
 		b.table.fire(r)
 	case ExchangeRoundRobin:
@@ -175,7 +293,7 @@ func (b *implBuilder) forceExchange(in *PhysNode, kind ExchangeKind, key string,
 	ex := b.newPhys(PhysExchange, nil, in) // sized as its input
 	ex.Exchange = kind
 	ex.Partitions = parts
-	ex.PartScheme = partScheme(kind, key)
+	ex.PartScheme = b.partScheme(kind, key)
 	ex.GateHint = siteGate
 	return ex, nil
 }
@@ -276,7 +394,7 @@ func (b *implBuilder) lowerFilter(n *scope.Node) (*PhysNode, error) {
 	pn := b.newPhys(PhysFilter, n, in)
 	// Rebalance after very selective filters to reclaim vertices.
 	if pn.EstRows < in.EstRows/8 && in.Partitions > 4 {
-		ex, err := b.exchange(pn, ExchangeRoundRobin, "", b.partitionsFor(pn.EstRows), gate(n))
+		ex, err := b.exchange(pn, ExchangeRoundRobin, nil, b.partitionsFor(pn.EstRows), gate(n))
 		if err != nil {
 			return nil, err
 		}
@@ -372,10 +490,11 @@ func (b *implBuilder) lowerJoin(n *scope.Node) (*PhysNode, error) {
 	switch best.op {
 	case PhysHashJoin, PhysMergeJoin:
 		parts := b.partitionsFor(l + r)
-		lkey, rkey := leftKey, rightKey
-		if lkey == "" {
-			lkey, rkey = "cond", "cond"
+		if leftKey == "" {
+			leftKey, rightKey = "cond", "cond"
 		}
+		b.key = append(append(b.key[:0], leftKey...), rightKey...)
+		lkey, rkey := b.key[:len(leftKey):len(leftKey)], b.key[len(leftKey):]
 		lex, err := b.exchange(left, ExchangeHash, lkey, parts, g)
 		if err != nil {
 			return nil, err
@@ -407,7 +526,7 @@ func (b *implBuilder) lowerJoin(n *scope.Node) (*PhysNode, error) {
 		return pn, nil
 
 	default: // broadcast and nested-loop both broadcast the build side
-		bex, err := b.forceExchange(build, ExchangeBroadcast, "", probeParts, g)
+		bex, err := b.forceExchange(build, ExchangeBroadcast, nil, probeParts, g)
 		if err != nil {
 			return nil, err
 		}
@@ -450,13 +569,13 @@ func (b *implBuilder) lowerAgg(n *scope.Node) (*PhysNode, error) {
 // them when there are none.
 func (b *implBuilder) groupExchange(in *PhysNode, n *scope.Node, g uint64) (*PhysNode, error) {
 	if len(n.GroupBy) == 0 {
-		return b.exchange(in, ExchangeGather, "", 1, g)
+		return b.exchange(in, ExchangeGather, nil, 1, g)
 	}
-	names := make([]string, len(n.GroupBy))
+	b.key = b.key[:0]
 	for i, c := range n.GroupBy {
-		names[i] = c.Name
+		b.key = appendKey(b.key, i, c.Name)
 	}
-	return b.exchange(in, ExchangeHash, strings.Join(names, ","), b.partitionsFor(in.EstRows), g)
+	return b.exchange(in, ExchangeHash, b.key, b.partitionsFor(in.EstRows), g)
 }
 
 func (b *implBuilder) pickAggImpl(g uint64, inRows, outRows float64) (PhysOp, rules.Rule, error) {
@@ -480,10 +599,16 @@ func (b *implBuilder) lowerDistinct(n *scope.Node) (*PhysNode, error) {
 	if err != nil {
 		return nil, err
 	}
-	names := n.ColNames()
-	sort.Strings(names)
-	key := strings.Join(names, ",")
-	ex, err := b.exchange(in, ExchangeHash, key, b.partitionsFor(in.EstRows), g)
+	b.names = b.names[:0]
+	for _, c := range n.Cols {
+		b.names = append(b.names, c.Name)
+	}
+	slices.Sort(b.names)
+	b.key = b.key[:0]
+	for i, name := range b.names {
+		b.key = appendKey(b.key, i, name)
+	}
+	ex, err := b.exchange(in, ExchangeHash, b.key, b.partitionsFor(in.EstRows), g)
 	if err != nil {
 		return nil, err
 	}
@@ -493,7 +618,7 @@ func (b *implBuilder) lowerDistinct(n *scope.Node) (*PhysNode, error) {
 }
 
 func (b *implBuilder) lowerUnion(n *scope.Node) (*PhysNode, error) {
-	var ins []*PhysNode
+	base := len(b.stack)
 	sumParts := 0
 	sumRows := 0.0
 	for _, in := range n.Inputs {
@@ -501,7 +626,7 @@ func (b *implBuilder) lowerUnion(n *scope.Node) (*PhysNode, error) {
 		if err != nil {
 			return nil, err
 		}
-		ins = append(ins, pin)
+		b.stack = append(b.stack, pin)
 		sumParts += pin.Partitions
 		sumRows += pin.EstRows
 	}
@@ -514,7 +639,8 @@ func (b *implBuilder) lowerUnion(n *scope.Node) (*PhysNode, error) {
 	}
 	best := cheapest(cands)
 	b.table.fire(best.rule)
-	pn := b.newPhys(best.op, n, ins...)
+	pn := b.newPhys(best.op, n, b.stack[base:]...)
+	b.stack = b.stack[:base]
 	if best.op == PhysConcatUnion {
 		pn.Partitions = min(sumParts, b.tokens)
 		pn.PartScheme = "rr"
@@ -525,25 +651,21 @@ func (b *implBuilder) lowerUnion(n *scope.Node) (*PhysNode, error) {
 	return pn, nil
 }
 
-func sortKeyNames(keys []scope.SortKey) string {
-	names := make([]string, len(keys))
-	for i, k := range keys {
-		names[i] = k.Col.Name
-	}
-	return strings.Join(names, ",")
-}
-
 func (b *implBuilder) lowerSort(n *scope.Node) (*PhysNode, error) {
 	in, err := b.buildNode(n.Inputs[0])
 	if err != nil {
 		return nil, err
 	}
+	b.key = b.key[:0]
+	for i, k := range n.SortKeys {
+		b.key = appendKey(b.key, i, k.Col.Name)
+	}
 	g := gate(n)
 	rule, ok := b.table.pick(rules.KindImplExternalSort, g)
 	if !ok {
-		return nil, fail("sort implementation disabled for keys %s", sortKeyNames(n.SortKeys))
+		return nil, fail("sort implementation disabled for keys %s", string(b.key))
 	}
-	ex, err := b.exchange(in, ExchangeRange, sortKeyNames(n.SortKeys), b.partitionsFor(in.EstRows), g)
+	ex, err := b.exchange(in, ExchangeRange, b.key, b.partitionsFor(in.EstRows), g)
 	if err != nil {
 		return nil, err
 	}
@@ -570,7 +692,7 @@ func (b *implBuilder) lowerTop(n *scope.Node) (*PhysNode, error) {
 
 	// Local top per partition, then gather and finalize.
 	local := b.newPhys(best.op, n, in)
-	ex, err := b.exchange(local, ExchangeGather, "", 1, g)
+	ex, err := b.exchange(local, ExchangeGather, nil, 1, g)
 	if err != nil {
 		return nil, err
 	}
@@ -750,9 +872,11 @@ func (b *implBuilder) assignStages() {
 
 	// Collect stages: IDs run 1..nextStage; one whose first node another
 	// stage had taken stays empty and is left out. Sizes are counted first,
-	// so stages, node lists and upstream lists are one allocation each.
-	b.counts = zeroed(b.counts, 2*(nextStage+1))
-	nNodes, nInputs := b.counts[:nextStage+1], b.counts[nextStage+1:]
+	// so the stages, their pointers and their upstream lists are one
+	// allocation each, and the node lists fill the room publish left.
+	k := nextStage + 1
+	b.counts = zeroed(b.counts, 3*k)
+	nNodes, nInputs, slot := b.counts[:k], b.counts[k:2*k], b.counts[2*k:]
 	used, edges := 0, 0
 	for _, n := range nodes {
 		if nNodes[n.StageID] == 0 {
@@ -764,24 +888,27 @@ func (b *implBuilder) assignStages() {
 			edges += len(n.Inputs)
 		}
 	}
-	stages := make([]Stage, nextStage+1)
-	members := make([]*PhysNode, len(nodes))
+	stages := make([]Stage, used)
 	upstream := make([]int, edges)
-	b.plan.Stages = make([]*Stage, 0, used)
-	for id := range stages {
-		if nNodes[id] == 0 {
+	members := b.members
+	b.plan.Stages = make([]*Stage, used)
+	i := 0
+	for id, c := range nNodes {
+		if c == 0 {
 			continue
 		}
-		s := &stages[id]
+		s := &stages[i]
+		slot[id] = i
+		b.plan.Stages[i] = s
+		i++
 		s.ID, s.Partitions = id, 1
-		s.Nodes, members = members[:0:nNodes[id]], members[nNodes[id]:]
+		s.Nodes, members = members[:0:c], members[c:]
 		if nInputs[id] > 0 {
 			s.InputIDs, upstream = upstream[:0:nInputs[id]], upstream[nInputs[id]:]
 		}
-		b.plan.Stages = append(b.plan.Stages, s)
 	}
 	for _, n := range nodes {
-		s := &stages[n.StageID]
+		s := &stages[slot[n.StageID]]
 		s.Nodes = append(s.Nodes, n)
 		if n.Partitions > s.Partitions {
 			s.Partitions = n.Partitions
@@ -789,7 +916,7 @@ func (b *implBuilder) assignStages() {
 	}
 	for _, n := range nodes {
 		if n.IsExchange() && !n.Fused {
-			down := &stages[n.StageID]
+			down := &stages[slot[n.StageID]]
 			for _, in := range n.Inputs {
 				down.InputIDs = append(down.InputIDs, in.StageID)
 			}

@@ -22,7 +22,8 @@ type Options struct {
 	// experimental-validity check) of the input graph, reusing a rewrite
 	// under every configuration that provably rewrites the same way (see
 	// CompileCache). Physical lowering always re-runs, so cached and
-	// uncached compilation produce identical Results. A cache belongs to
+	// uncached compilation produce identical Results, each with a Plan of
+	// its own that no later compilation writes into. A cache belongs to
 	// one job instance and comes with its Stats from
 	// (*workload.Job).CompileOptions.
 	Cache *CompileCache
@@ -110,11 +111,7 @@ func Optimize(g *scope.Graph, cfg rules.Config, opts Options) (*Result, error) {
 	if tokens <= 0 {
 		tokens = DefaultTokens
 	}
-	plan, sig, err := lowerPlan(work, cfg, cat, sig, opts.Stats, tokens)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Plan: plan, Logical: work, Signature: sig, EstCost: plan.EstCost}, nil
+	return lowerPlan(work, cfg, cat, sig, opts.Stats, tokens)
 }
 
 // rewriteLogical runs the logical phase of a compilation on a pooled

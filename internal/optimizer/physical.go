@@ -157,10 +157,12 @@ type Plan struct {
 	EstVertices int
 
 	nextID int
-	// order is the topological order, recorded once the builder has
-	// lowered every root (nil for a hand-built plan).
+	// order is the topological order, recorded when the builder publishes
+	// the plan (nil for a hand-built plan).
 	order []*PhysNode
 	// NewNode carves nodes and their Inputs from these, a chunk at a time.
+	// A published plan's own nodes are one exact slab of their own, so
+	// these start empty.
 	nodeSlab  []PhysNode
 	inputSlab []*PhysNode
 }
