@@ -295,11 +295,27 @@ func memoryBytes(n *optimizer.PhysNode, rows []float64) float64 {
 	return 64 << 20 // baseline container working set
 }
 
+// runScratch is what one Run works in: the plan's true row counts, one
+// node's input row counts, and the per-stage accumulators. It holds only
+// numbers, so a pooled scratch keeps nothing of the run it served.
+type runScratch struct {
+	rows   []float64 // by PhysNode.ID
+	inRows []float64
+	acc    []float64 // 4 per stage ID
+}
+
+var runScratches = sync.Pool{New: func() any { return new(runScratch) }}
+
 // Run executes the plan once against the truth environment and returns
 // its metrics. runSeed distinguishes repeated executions: two runs with
-// different seeds model an A/A pair.
+// different seeds model an A/A pair. Run only reads the plan, truth and
+// stats, and keeps nothing of them after it returns: it works in pooled
+// scratch, so a warmed Run allocates nothing.
 func Run(plan *optimizer.Plan, truth *Truth, stats optimizer.StatsProvider, cluster *Cluster, runSeed int64) Metrics {
-	rows := plan.Recardinalize(truth, stats) // by PhysNode.ID
+	sc := runScratches.Get().(*runScratch)
+	defer runScratches.Put(sc)
+	sc.rows = plan.Recardinalize(sc.rows, truth, stats)
+	rows := sc.rows
 	rng := SeededRand(cluster.Seed*1e9 + runSeed)
 	defer ReleaseRand(rng)
 
@@ -309,7 +325,11 @@ func Run(plan *optimizer.Plan, truth *Truth, stats optimizer.StatsProvider, clus
 	for _, s := range plan.Stages {
 		ids = max(ids, s.ID+1)
 	}
-	acc := make([]float64, 4*ids)
+	if cap(sc.acc) < 4*ids {
+		sc.acc = make([]float64, 4*ids)
+	}
+	acc := sc.acc[:4*ids]
+	clear(acc)
 	stageCPU, stageIO, stageLatency, depth := acc[:ids], acc[ids:2*ids], acc[2*ids:3*ids], acc[3*ids:]
 
 	var m Metrics
@@ -317,15 +337,15 @@ func Run(plan *optimizer.Plan, truth *Truth, stats optimizer.StatsProvider, clus
 	sumMem := 0.0
 	memCount := 0
 
-	var inBuf [4]float64
 	for _, n := range plan.Nodes() {
 		if n.Fused {
 			continue
 		}
-		inRows := inBuf[:0]
+		inRows := sc.inRows[:0]
 		for _, in := range n.Inputs {
 			inRows = append(inRows, rows[in.ID])
 		}
+		sc.inRows = inRows
 		out := rows[n.ID]
 		cpuSec := cpuMicros(n, inRows, out) / 1e6
 		read, written := ioBytes(n, rows, truth)

@@ -25,8 +25,8 @@ const compileCacheSize = 16
 // identical to one already made reuse that one immutable rewritten DAG and
 // re-run only physical lowering, which is the part that can differ per
 // call (tokens). Each call gets a fresh Plan, which nothing downstream
-// writes to: exec.Run only reads a plan, and Recardinalize returns a fresh
-// slice.
+// writes to: exec.Run only reads a plan, and Recardinalize writes into the
+// caller's dst.
 //
 // A lookup goes through two levels. The first is keyed by the identity of
 // the input graph and the exact configuration, and shares one computation

@@ -261,6 +261,14 @@ func (ce *cardEngine) reset(env Environment, stats StatsProvider, bound int) {
 	ce.memo = zeroed(ce.memo, bound)
 }
 
+// release drops what points into the caller's world — env, stats and
+// every conjunct slot of the scratch, up to its capacity — so that a
+// pooled engine pins nothing. The scratch keeps its capacity.
+func (ce *cardEngine) release() {
+	ce.reset(nil, nil, 0)
+	clearCap(ce.conj)
+}
+
 // zeroed returns s resized to n zero elements, in place when it fits.
 func zeroed[T any](s []T, n int) []T {
 	if cap(s) < n {

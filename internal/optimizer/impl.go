@@ -81,7 +81,7 @@ func lowerPlan(g *scope.Graph, cfg rules.Config, cat *rules.Catalog, sig rules.S
 	// Drop what points into the caller's world before pooling: the
 	// published plan, and the logical nodes and names the scratch holds.
 	b.table, b.plan, b.members, b.estimation = ruleTable{}, nil, nil, EstimationEnv{}
-	b.est.reset(nil, nil, 0)
+	b.est.release()
 	for c := 0; c*implChunk < b.nodes; c++ {
 		clear(b.chunks[c])
 	}

@@ -298,7 +298,7 @@ OUTPUT r TO "o";`
 func TestRecardinalizeCoversAllNodes(t *testing.T) {
 	res, _ := optimizeSrc(t, joinFilterScript, joinFilterStats, nil)
 	env := &EstimationEnv{Stats: joinFilterStats}
-	rows := res.Plan.Recardinalize(env, joinFilterStats)
+	rows := res.Plan.Recardinalize(nil, env, joinFilterStats)
 	for _, n := range res.Plan.Nodes() {
 		if n.ID >= len(rows) {
 			t.Fatalf("node #%d missing from recardinalization", n.ID)

@@ -195,11 +195,21 @@ func (t *ruleTable) fire(r rules.Rule) {
 	t.asked.Set(r.ID)
 }
 
+// cardPool recycles the engines Recardinalize runs, so their memo and
+// scratch grow once per process rather than once per call.
+var cardPool = sync.Pool{New: func() any { return new(cardEngine) }}
+
 // Recardinalize recomputes per-node row counts of a physical plan under a
 // different cardinality environment (typically the execution simulator's
 // ground truth), indexed by PhysNode.ID. Exchanges inherit their input's
 // row count.
-func (p *Plan) Recardinalize(env Environment, stats StatsProvider) []float64 {
+//
+// It writes the counts into dst's storage, resized to the plan's IDBound,
+// and returns that slice: whatever dst held is overwritten, an ID no node
+// has reads 0, and the result equals Recardinalize(nil, ...) bit for bit.
+// dst may be nil, or scratch the caller reuses for every plan. The engine
+// it runs comes from a pool and goes back holding neither env nor stats.
+func (p *Plan) Recardinalize(dst []float64, env Environment, stats StatsProvider) []float64 {
 	nodes := p.Nodes() // topological order: inputs first
 	bound := 0
 	for _, n := range nodes {
@@ -207,9 +217,9 @@ func (p *Plan) Recardinalize(env Environment, stats StatsProvider) []float64 {
 			bound = n.Logical.ID + 1
 		}
 	}
-	var engine cardEngine
+	engine := cardPool.Get().(*cardEngine)
 	engine.reset(env, stats, bound)
-	out := make([]float64, p.nextID)
+	out := zeroed(dst, p.nextID)
 	for _, n := range nodes {
 		switch {
 		case n.Logical != nil:
@@ -220,5 +230,7 @@ func (p *Plan) Recardinalize(env Environment, stats StatsProvider) []float64 {
 			out[n.ID] = 1
 		}
 	}
+	engine.release()
+	cardPool.Put(engine)
 	return out
 }

@@ -245,7 +245,7 @@ func TestRecardinalizeUsesTrueEnvironment(t *testing.T) {
 		rows: map[string]float64{"data/logs_20211103.tsv": 2e7, "data/users.tsv": 1e5},
 		sels: map[string]float64{},
 	}
-	trueRows := res.Plan.Recardinalize(env, testStats())
+	trueRows := res.Plan.Recardinalize(nil, env, testStats())
 	estTotal, trueTotal := 0.0, 0.0
 	for _, n := range res.Plan.Nodes() {
 		estTotal += n.EstRows

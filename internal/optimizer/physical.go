@@ -193,6 +193,11 @@ func (p *Plan) NewNode(op PhysOp, logical *scope.Node, inputs ...*PhysNode) *Phy
 	return n
 }
 
+// IDBound returns an exclusive upper bound on the IDs of the plan's
+// nodes: every node of p has 0 <= ID < IDBound(), so a slice of that
+// length indexed by PhysNode.ID covers the plan.
+func (p *Plan) IDBound() int { return p.nextID }
+
 // Nodes returns all physical nodes in deterministic topological order
 // (inputs first). The slice of an optimized plan is computed once and
 // shared by every caller: read-only.

@@ -54,8 +54,7 @@ var rewriterPool = sync.Pool{New: func() any { return new(rewriter) }}
 func (rw *rewriter) release() {
 	rw.ruleTable, rw.g, rw.stats, rw.env = ruleTable{}, nil, nil, nil
 	rw.estimation = EstimationEnv{}
-	rw.est.reset(nil, nil, 0)
-	clearCap(rw.est.conj)
+	rw.est.release()
 	clearCap(rw.nodes)
 	for _, ps := range rw.parents[:cap(rw.parents)] {
 		clearCap(ps)
