@@ -439,7 +439,7 @@ func TestProductionRunDayMatchesSequential(t *testing.T) {
 			continue
 		}
 		wantRuns = append(wantRuns, run)
-		wantView = append(wantView, workload.BuildViewRows(job, run.Result, run.Metrics)...)
+		wantView = workload.AppendViewRows(wantView, job, run.Result, run.Metrics)
 	}
 	hinted := 0
 	for _, r := range wantRuns {

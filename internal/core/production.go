@@ -86,14 +86,20 @@ func (p *Production) RunDay(date int, jobs []*workload.Job) ([]JobRun, []workloa
 		// its slot zero and is dropped from the day's view.
 		slots[i], _ = p.runJob(jobs[i], p.Seed+int64(date)*100003+int64(i)*7)
 	})
-	var runs []JobRun
-	var view []workload.ViewRow
+	// The kept runs close up in slots' own storage, and the view — the
+	// next day's input — is one exact allocation per day.
+	runs := slots[:0]
+	trees := 0
 	for _, run := range slots {
-		if run.Result == nil {
-			continue
+		if run.Result != nil {
+			runs = append(runs, run)
+			trees += len(run.Result.Plan.Roots)
 		}
-		runs = append(runs, run)
-		view = append(view, workload.BuildViewRows(run.Job, run.Result, run.Metrics)...)
+	}
+	clear(slots[len(runs):])
+	view := make([]workload.ViewRow, 0, trees)
+	for _, run := range runs {
+		view = workload.AppendViewRows(view, run.Job, run.Result, run.Metrics)
 	}
 	return runs, view, nil
 }

@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"sync"
+
 	"qoadvisor/internal/exec"
 	"qoadvisor/internal/optimizer"
 	"qoadvisor/internal/rules"
@@ -41,48 +43,28 @@ type ViewRow struct {
 	Tokens int
 }
 
-// BuildViewRows assembles the view rows of one executed job: one row per
-// query tree (plan root).
-func BuildViewRows(job *Job, res *optimizer.Result, m exec.Metrics) []ViewRow {
-	rows := make([]ViewRow, 0, len(res.Plan.Roots))
+// AppendViewRows appends the view rows of one executed job to dst, one
+// row per query tree (plan root), and returns the extended slice. Each
+// row's tree aggregates sum over the nodes reachable from its root, each
+// once, visited in preorder; the visited marks live in pooled scratch, so
+// appending into a dst with room allocates nothing.
+func AppendViewRows(dst []ViewRow, job *Job, res *optimizer.Result, m exec.Metrics) []ViewRow {
+	a := treeAggs.Get().(*treeAgg)
+	defer treeAggs.Put(a)
 	for qi, root := range res.Plan.Roots {
-		// Per-tree aggregates over the nodes reachable from this root.
-		var estCard, bytesRead, widthSum float64
-		nNodes := 0
-		seen := make(map[*optimizer.PhysNode]bool)
-		var visit func(n *optimizer.PhysNode)
-		visit = func(n *optimizer.PhysNode) {
-			if seen[n] {
-				return
-			}
-			seen[n] = true
-			estCard += n.EstRows
-			widthSum += float64(n.RowWidth)
-			nNodes++
-			switch n.Op {
-			case optimizer.PhysRowScan, optimizer.PhysColumnScan, optimizer.PhysIndexSeek:
-				w := float64(n.BaseWidth)
-				if w == 0 {
-					w = float64(n.RowWidth)
-				}
-				bytesRead += n.EstRows * w
-			}
-			for _, in := range n.Inputs {
-				visit(in)
-			}
-		}
-		visit(root)
+		a.reset(res.Plan.IDBound())
+		a.visit(root)
 
 		avgWidth := 0.0
-		if nNodes > 0 {
-			avgWidth = widthSum / float64(nNodes)
+		if a.nodes > 0 {
+			avgWidth = a.widthSum / float64(a.nodes)
 		}
 		queryHash := uint64(0)
 		if res.Logical != nil && qi < len(res.Logical.Roots) {
 			sub := res.Logical.Roots[qi]
 			queryHash = sub.Fingerprint()
 		}
-		rows = append(rows, ViewRow{
+		dst = append(dst, ViewRow{
 			JobID:             job.ID,
 			TemplateID:        job.Template.ID,
 			NormalizedJobName: job.Template.Name,
@@ -91,13 +73,13 @@ func BuildViewRows(job *Job, res *optimizer.Result, m exec.Metrics) []ViewRow {
 			QueryTemplate:     queryHash,
 			RuleSignature:     res.Signature,
 			EstimatedCost:     res.EstCost,
-			EstimatedCard:     estCard,
+			EstimatedCard:     a.estCard,
 			AvgRowLength:      avgWidth,
 			RowCount:          root.EstRows,
 			Latency:           m.LatencySec,
 			PNHours:           m.PNHours,
 			Vertices:          m.Vertices,
-			BytesRead:         bytesRead,
+			BytesRead:         a.bytesRead,
 			MaxMemory:         m.MaxMemory,
 			AvgMemory:         m.AvgMemory,
 			DataRead:          m.DataRead,
@@ -105,5 +87,48 @@ func BuildViewRows(job *Job, res *optimizer.Result, m exec.Metrics) []ViewRow {
 			Tokens:            job.Tokens,
 		})
 	}
-	return rows
+	return dst
+}
+
+// treeAgg accumulates one query tree's aggregates. seen marks visited
+// nodes by PhysNode.ID; it is the only thing a pooled treeAgg keeps, and
+// it holds no pointer.
+type treeAgg struct {
+	seen                         []bool
+	estCard, bytesRead, widthSum float64
+	nodes                        int
+}
+
+var treeAggs = sync.Pool{New: func() any { return new(treeAgg) }}
+
+// reset clears the aggregates and the marks for a plan of IDs below bound.
+func (a *treeAgg) reset(bound int) {
+	if cap(a.seen) < bound {
+		a.seen = make([]bool, bound)
+	}
+	a.seen = a.seen[:bound]
+	clear(a.seen)
+	a.estCard, a.bytesRead, a.widthSum, a.nodes = 0, 0, 0, 0
+}
+
+// visit adds n and then, in order, its unvisited inputs' subtrees.
+func (a *treeAgg) visit(n *optimizer.PhysNode) {
+	if a.seen[n.ID] {
+		return
+	}
+	a.seen[n.ID] = true
+	a.estCard += n.EstRows
+	a.widthSum += float64(n.RowWidth)
+	a.nodes++
+	switch n.Op {
+	case optimizer.PhysRowScan, optimizer.PhysColumnScan, optimizer.PhysIndexSeek:
+		w := float64(n.BaseWidth)
+		if w == 0 {
+			w = float64(n.RowWidth)
+		}
+		a.bytesRead += n.EstRows * w
+	}
+	for _, in := range n.Inputs {
+		a.visit(in)
+	}
 }

@@ -201,7 +201,9 @@ func TestEndToEndCompileAndRun(t *testing.T) {
 	}
 }
 
-func TestBuildViewRows(t *testing.T) {
+// TestAppendViewRows: a job contributes one row per query tree, carrying
+// its identity, appended behind what dst already held.
+func TestAppendViewRows(t *testing.T) {
 	g := newGen(t, 8)
 	cat := rules.NewCatalog()
 	cluster := exec.DefaultCluster(3)
@@ -217,7 +219,12 @@ func TestBuildViewRows(t *testing.T) {
 			t.Fatal(err)
 		}
 		m := exec.Run(res.Plan, j.Truth, j.Stats, cluster, 1)
-		rows := BuildViewRows(j, res, m)
+		prior := ViewRow{JobID: "prior"}
+		rows := AppendViewRows([]ViewRow{prior}, j, res, m)
+		if rows[0] != prior {
+			t.Fatalf("dst's row became %+v", rows[0])
+		}
+		rows = rows[1:]
 		if len(rows) != len(res.Plan.Roots) {
 			t.Fatalf("view rows = %d, want %d (one per query tree)", len(rows), len(res.Plan.Roots))
 		}
