@@ -11,7 +11,7 @@ import (
 	"qoadvisor/internal/workload"
 )
 
-// runDayAllocCeiling is TestRunDayAllocBudget's: measured (58.9, go1.24)
+// runDayAllocCeiling is TestRunDayAllocBudget's: measured (45.5, go1.24)
 // + 5 %. The same days cost 954.6 per job while every recurrence was
 // instantiated, rewritten and lowered from scratch through per-call maps,
 // 256.4 while every (template, date) was parsed and compiled from its
@@ -20,9 +20,12 @@ import (
 // than one per instance, which the pipeline then reuses, 89.1 while
 // Graph.Clone allocated each node and each Inputs on its own and a
 // compilation's signature and estimation environment escaped to the heap,
-// and 69.6 while lowering built its plan in place rather than in the
-// pooled builder's scratch, published in a handful of exact slabs.
-const runDayAllocCeiling = 62
+// 69.6 while lowering built its plan in place rather than in the pooled
+// builder's scratch, published in a handful of exact slabs, and 58.9
+// while exec.Run built a cardinality engine, its row counts and its stage
+// accumulators afresh for every job and the view rows grouped each tree's
+// nodes in a map of their own.
+const runDayAllocCeiling = 48
 
 // retainedHeapCeilingMB is TestOfflineLegRetainedHeap's: measured (6.07
 // MB, go1.24, 6.06–6.09 at GOMAXPROCS 1–4) + 10 %. The same days retained

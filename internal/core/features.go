@@ -120,21 +120,51 @@ func Aggregate(rows []workload.ViewRow) (JobFeatures, error) {
 // fans out across a GOMAXPROCS-bounded worker pool, deduplicated per
 // template. It is a pure per-template function and the returned slice
 // is sorted by job ID, so output is identical at any GOMAXPROCS.
+//
+// The view is grouped without a map of slices: each job ID gets a slot
+// in order of first appearance, and the rows are placed slot by slot into
+// one slab, each job's rows in view order; the features live in one slab
+// too. A job aggregates the rows the view gave it, in the order it gave
+// them, wherever in the view they sit.
 func (fg *FeatureGen) Run(jobs []*workload.Job, view []workload.ViewRow) ([]*JobFeatures, error) {
-	byJob := make(map[string][]workload.ViewRow)
-	for _, r := range view {
-		byJob[r.JobID] = append(byJob[r.JobID], r)
+	slotOf := make(map[string]int, len(jobs))
+	slotRow := make([]int, len(view))
+	// Per slot: its row count, then where its rows end, then — filled
+	// from the back — where they begin; the last entry closes the slab.
+	var starts []int
+	for i, r := range view {
+		k, ok := slotOf[r.JobID]
+		if !ok {
+			k = len(starts)
+			slotOf[r.JobID] = k
+			starts = append(starts, 0)
+		}
+		slotRow[i] = k
+		starts[k]++
 	}
+	end := 0
+	for k, n := range starts {
+		end += n
+		starts[k] = end
+	}
+	grouped := make([]workload.ViewRow, len(view))
+	for i := len(view) - 1; i >= 0; i-- {
+		k := slotRow[i]
+		starts[k]--
+		grouped[starts[k]] = view[i]
+	}
+	starts = append(starts, len(view))
 
+	feats := make([]JobFeatures, len(jobs))
 	results := make([]*JobFeatures, len(jobs))
 	errs := make([]error, len(jobs))
 	work := func(i int) {
 		job := jobs[i]
-		rows, ok := byJob[job.ID]
+		k, ok := slotOf[job.ID]
 		if !ok {
 			return // job missing from the view (e.g. failed upstream)
 		}
-		f, err := Aggregate(rows)
+		f, err := Aggregate(grouped[starts[k]:starts[k+1]])
 		if err != nil {
 			errs[i] = err
 			return
@@ -152,7 +182,8 @@ func (fg *FeatureGen) Run(jobs []*workload.Job, view []workload.ViewRow) ([]*Job
 		if f.Span.IsEmpty() {
 			return // "all jobs that have an empty span are not further considered"
 		}
-		results[i] = &f
+		feats[i] = f
+		results[i] = &feats[i]
 	}
 
 	par.For(len(jobs), work)

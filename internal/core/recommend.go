@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"sync"
 
 	"qoadvisor/internal/bandit"
 	"qoadvisor/internal/featurize"
@@ -89,13 +90,30 @@ func NewCBRecommender(cat *rules.Catalog, seed int64) *CBRecommender {
 // Name implements Recommender.
 func (c *CBRecommender) Name() string { return "contextual-bandit" }
 
-// Recommend implements Recommender.
+// recommendScratch is what CBRecommender.Recommend featurizes a job
+// into. The bandit copies what it logs, so the scratch is free again once
+// the rank returns.
+type recommendScratch struct {
+	ids     []uint64
+	actions []bandit.Action
+}
+
+var recommendScratches = sync.Pool{New: func() any { return new(recommendScratch) }}
+
+// Recommend implements Recommender. It featurizes the job into pooled
+// scratch, as the serving path does.
 func (c *CBRecommender) Recommend(f *JobFeatures) (rules.Flip, bool, string) {
-	ctx := ContextFeatures(f)
+	sc := recommendScratches.Get().(*recommendScratch)
+	defer recommendScratches.Put(sc)
+	var ctx bandit.Context
 	if c.BasicContext {
 		ctx = featurize.Basic(f.RowCount, f.BytesRead, float64(f.Vertices))
+	} else {
+		sc.ids = featurize.AppendContext(sc.ids[:0], f.Span, f.RowCount, f.BytesRead)
+		ctx = bandit.Context{IDs: sc.ids}
 	}
-	actions := featurize.Actions(c.Catalog, f.Span)
+	sc.actions = featurize.AppendActions(sc.actions[:0], c.Catalog, f.Span)
+	actions := sc.actions
 	var ranked bandit.Ranked
 	var err error
 	if c.Uniform {
