@@ -20,9 +20,6 @@ type Config struct {
 	MinValidationSamples int
 	// Flighting configures the pre-production A/B service.
 	Flighting flighting.Config
-	// UniformLogging switches the CB recommender to uniform-at-random
-	// data collection ("off-policy learning").
-	UniformLogging bool
 }
 
 // explorationFlightsPerDay is the number of random (job, span-flip)
@@ -89,12 +86,10 @@ func NewAdvisor(cat *rules.Catalog, store *sis.Store, cfg Config) *Advisor {
 	if cfg.Flighting.Catalog == nil {
 		cfg.Flighting.Catalog = cat
 	}
-	cb := NewCBRecommender(cat, cfg.Seed)
-	cb.Uniform = cfg.UniformLogging
 	return &Advisor{
 		Catalog:    cat,
 		FeatureGen: NewFeatureGen(cat),
-		CB:         cb,
+		CB:         NewCBRecommender(cat, cfg.Seed),
 		Flight:     flighting.New(cfg.Flighting),
 		Validator:  NewValidator(),
 		Store:      store,

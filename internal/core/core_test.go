@@ -484,8 +484,8 @@ func TestAdvisorEndToEnd(t *testing.T) {
 		Seed:                 1,
 		MinValidationSamples: 5,
 		Flighting:            flighting.Config{Catalog: cat, Seed: 2},
-		UniformLogging:       true,
 	})
+	adv.CB.Uniform = true
 
 	prod := NewProduction(cat, store, exec.DefaultCluster(1), 3)
 	var lastReport *DayReport

@@ -59,7 +59,6 @@ func (l *Lab) Aggregate(trainDays int) (*AggregateResult, error) {
 		Seed:                 l.Cfg.Seed,
 		MinValidationSamples: 12,
 		Flighting:            flighting.Config{Catalog: l.Catalog, Cluster: l.Cluster, Seed: l.Cfg.Seed + 5},
-		UniformLogging:       true,
 	})
 	prod := l.production(store, l.Cfg.Seed+9)
 

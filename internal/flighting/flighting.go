@@ -79,18 +79,21 @@ type Result struct {
 	Err error
 }
 
-// perJobTimeoutHours is the per-flight wall-clock cap: "a flight is
-// timed out after 24 hours" (paper §4.3).
-const perJobTimeoutHours = 24
+// The service's fixed limits, mirroring the paper's description.
+const (
+	// perJobTimeoutHours is the per-flight wall-clock cap: "a flight is
+	// timed out after 24 hours" (paper §4.3).
+	perJobTimeoutHours = 24
+	// queueSize is the number of concurrent flighting slots.
+	queueSize = 8
+	// totalBudgetHours is the total flighting budget per pipeline run.
+	totalBudgetHours = 200
+)
 
 // Config parameterizes the service.
 type Config struct {
 	Catalog *rules.Catalog
 	Cluster *exec.Cluster
-	// QueueSize is the number of concurrent flighting slots.
-	QueueSize int
-	// TotalBudgetHours is the total flighting budget per pipeline run.
-	TotalBudgetHours float64
 	// Seed drives the A/B run seeds.
 	Seed int64
 }
@@ -98,10 +101,13 @@ type Config struct {
 // Service runs flights.
 type Service struct {
 	cfg Config
+	// budget is a Run's slot-hours: totalBudgetHours on each of the
+	// queueSize slots.
+	budget float64
 }
 
-// New creates a flighting service. Zero config fields get defaults
-// mirroring the paper's description.
+// New creates a flighting service; a nil Catalog or Cluster is the
+// default one.
 func New(cfg Config) *Service {
 	if cfg.Catalog == nil {
 		cfg.Catalog = rules.NewCatalog()
@@ -109,13 +115,7 @@ func New(cfg Config) *Service {
 	if cfg.Cluster == nil {
 		cfg.Cluster = exec.DefaultCluster(cfg.Seed)
 	}
-	if cfg.QueueSize <= 0 {
-		cfg.QueueSize = 8
-	}
-	if cfg.TotalBudgetHours <= 0 {
-		cfg.TotalBudgetHours = 200
-	}
-	return &Service{cfg: cfg}
+	return &Service{cfg: cfg, budget: totalBudgetHours * queueSize}
 }
 
 // classify applies the deterministic failure/filter taxonomy: some job
@@ -154,7 +154,6 @@ func (s *Service) Run(reqs []Request) []Result {
 		return ordered[i].EstCost < ordered[j].EstCost
 	})
 
-	budget := s.cfg.TotalBudgetHours * float64(s.cfg.QueueSize)
 	used := 0.0
 	results := make([]Result, 0, len(ordered))
 	// Chunked speculative execution: bounded wasted work when the budget
@@ -162,7 +161,7 @@ func (s *Service) Run(reqs []Request) []Result {
 	// case — the paper sizes the budget to cover the queue).
 	chunkSize := runtime.GOMAXPROCS(0) * 4
 	for start := 0; start < len(ordered); start += chunkSize {
-		if used >= budget {
+		if used >= s.budget {
 			// Budget exhausted: everything left is Skipped, uncomputed.
 			for _, req := range ordered[start:] {
 				results = append(results, Result{Request: req, Outcome: Skipped})
@@ -174,7 +173,7 @@ func (s *Service) Run(reqs []Request) []Result {
 		par.For(len(chunk), func(i int) { computed[i] = s.flightOne(chunk[i]) })
 		// Sequential budget fold over the chunk, in queue order.
 		for i, req := range chunk {
-			if used >= budget {
+			if used >= s.budget {
 				results = append(results, Result{Request: req, Outcome: Skipped})
 				continue
 			}

@@ -88,7 +88,8 @@ func TestOutcomeTaxonomy(t *testing.T) {
 func TestBudgetExhaustionSkips(t *testing.T) {
 	cat := rules.NewCatalog()
 	jobs := testJobs(t, 30)
-	svc := New(Config{Catalog: cat, Seed: 1, TotalBudgetHours: 1e-9, QueueSize: 1})
+	svc := New(Config{Catalog: cat, Seed: 1})
+	svc.budget = 1e-9
 	results := svc.Run(requestsFor(jobs, cat))
 	counts := countByOutcome(results)
 	if counts[Skipped] == 0 {
@@ -108,7 +109,8 @@ func TestCheapestFirstOrdering(t *testing.T) {
 	for i := range reqs {
 		reqs[i].EstCost = float64(len(reqs) - i)
 	}
-	svc := New(Config{Catalog: cat, Seed: 1, TotalBudgetHours: 1e-9, QueueSize: 1})
+	svc := New(Config{Catalog: cat, Seed: 1})
+	svc.budget = 1e-9
 	results := svc.Run(reqs)
 	// First processed result must be the cheapest request.
 	if len(results) == 0 {
@@ -198,8 +200,11 @@ func resultsEqual(t *testing.T, a, b []Result) {
 func TestParallelRunMatchesSequential(t *testing.T) {
 	cat := rules.NewCatalog()
 	reqs := requestsFor(testJobs(t, 14), cat)
-	for _, budget := range []float64{0, 0.02} { // 0 = default (generous)
-		svc := New(Config{Catalog: cat, Seed: 9, TotalBudgetHours: budget, QueueSize: 1})
+	for _, budget := range []float64{0, 0.02} { // 0 = as shipped (generous)
+		svc := New(Config{Catalog: cat, Seed: 9})
+		if budget > 0 {
+			svc.budget = budget
+		}
 		want := sequentialRun(svc, reqs)
 		firstSkip := slices.IndexFunc(want, func(r Result) bool { return r.Outcome == Skipped })
 		if budget == 0 && firstSkip >= 0 {
@@ -225,11 +230,10 @@ func TestParallelRunMatchesSequential(t *testing.T) {
 func sequentialRun(s *Service, reqs []Request) []Result {
 	ordered := append([]Request(nil), reqs...)
 	sort.SliceStable(ordered, func(i, j int) bool { return ordered[i].EstCost < ordered[j].EstCost })
-	budget := s.cfg.TotalBudgetHours * float64(s.cfg.QueueSize)
 	used := 0.0
 	var results []Result
 	for _, req := range ordered {
-		if used >= budget {
+		if used >= s.budget {
 			results = append(results, Result{Request: req, Outcome: Skipped})
 			continue
 		}
