@@ -257,7 +257,14 @@ func startSelfhost(stderr io.Writer, seed int64, incidentDir string) (endpoints 
 		os.RemoveAll(dir)
 		return nil, nil, nil, err
 	}
-	primary := serve.New(serve.Config{Seed: seed, WAL: j, Incidents: serve.IncidentConfig{Dir: incidentDir}})
+	if incidentDir != "" {
+		if err := os.MkdirAll(incidentDir, 0o755); err != nil {
+			j.Close()
+			os.RemoveAll(dir)
+			return nil, nil, nil, fmt.Errorf("incident dir: %w", err)
+		}
+	}
+	primary := serve.New(serve.Config{Seed: seed, WAL: j, IncidentDir: incidentDir})
 	pURL, pStop, err := listenAndServe(primary)
 	if err != nil {
 		primary.Close()

@@ -59,13 +59,16 @@
 // GET /metrics and its build identity at GET /v2/version (offline:
 // qoserved version). -pprof mounts net/http/pprof on a separate
 // listener. Every request records its stage timeline into one flight
-// recorder, which retains the traces of slow or errored requests in a
-// bounded in-memory ring served as Chrome-trace JSON at GET /v2/traces
-// (-trace-retain-ms tunes the slow threshold). With -incident-dir set,
-// the incident engine watches the SLO burn rate, drift quarantines and
+// recorder, which retains the traces of slow (250ms; 25ms on /v2/rank)
+// or errored requests in a bounded in-memory ring served as
+// Chrome-trace JSON at GET /v2/traces. With -incident-dir set, serve's
+// incident engine watches the SLO burn rate, drift quarantines and
 // journal fail-stops, and captures a diagnostic bundle (profiles,
 // histograms, retained traces, full stats) when one fires; bundles are
-// listed at GET /v2/incidents.
+// listed at GET /v2/incidents. -drift turns on the drift safeguard. Its
+// thresholds and windows, the incident triggers and the trace ring's
+// cutoff and size are constants (internal/drift/drift.go,
+// internal/serve/incident.go, internal/obs/flight.go), not flags.
 package main
 
 import (
@@ -216,28 +219,23 @@ func parse(argv []string, stderr io.Writer) (mode, error) {
 type nodeFlags struct {
 	addr, logLevel, pprofAddr string
 	level                     slog.Level // -log-level, parsed by validate
-	traceRetainMS             int
 }
 
 func (n *nodeFlags) register(fs *flag.FlagSet) {
 	fs.StringVar(&n.addr, "addr", ":8080", "HTTP listen address")
 	fs.StringVar(&n.logLevel, "log-level", "info", "minimum log level: debug, info, warn, error")
 	fs.StringVar(&n.pprofAddr, "pprof", "", "serve net/http/pprof on a separate listener at this address (empty = disabled)")
-	fs.IntVar(&n.traceRetainMS, "trace-retain-ms", 0, "retain traces of requests slower than this many ms in the in-memory ring served at /v2/traces (0 = default 250ms)")
 }
 
 func (n *nodeFlags) validate() (err error) {
-	if n.traceRetainMS < 0 {
-		return fmt.Errorf("-trace-retain-ms must not be negative (got %d)", n.traceRetainMS)
-	}
 	n.level, err = parseLevel(n.logLevel)
 	return err
 }
 
-// observe applies the node flags: the log level, the pprof listener (its
-// own, so profile endpoints are never exposed on the serving address)
-// and the flight recorder.
-func (n *nodeFlags) observe() *obs.FlightRecorder {
+// observe applies the node flags: the log level and the pprof listener
+// (its own, so profile endpoints are never exposed on the serving
+// address).
+func (n *nodeFlags) observe() {
 	minLevel.Set(n.level)
 	if n.pprofAddr != "" {
 		// net/http/pprof registers on http.DefaultServeMux, which only
@@ -249,7 +247,6 @@ func (n *nodeFlags) observe() *obs.FlightRecorder {
 		}()
 		logg.Info("pprof listening", "addr", n.pprofAddr)
 	}
-	return serve.NewFlightRecorder(obs.FlightConfig{Threshold: time.Duration(n.traceRetainMS) * time.Millisecond})
 }
 
 // serveMode is the primary.
@@ -261,10 +258,7 @@ type serveMode struct {
 	walSegMB                      int64
 	snapshotEvery                 time.Duration
 	uniform, drift                bool
-	// The -drift-* and -incident-* flags bind straight into the configs
-	// they tune; a zero field is that package's default.
-	driftCfg  drift.Config
-	incidents serve.IncidentConfig
+	incidentDir                   string
 }
 
 func (m *serveMode) register(fs *flag.FlagSet) {
@@ -278,13 +272,7 @@ func (m *serveMode) register(fs *flag.FlagSet) {
 	fs.Int64Var(&m.walSegMB, "wal-segment-mb", 64, "journal segment size in MiB before rolling to a new file")
 	fs.DurationVar(&m.snapshotEvery, "snapshot-every", 5*time.Minute, "checkpoint interval: snapshot the model and truncate covered journal segments (0 = only on shutdown)")
 	fs.BoolVar(&m.drift, "drift", false, "detect per-template reward drift and auto-quarantine regressed hints (journaled)")
-	fs.Float64Var(&m.driftCfg.Threshold, "drift-threshold", 0, "with -drift: baseline standard deviations below baseline mean that count as degraded (0 = default 4)")
-	fs.IntVar(&m.driftCfg.QuarantineAfter, "drift-quarantine-after", 0, "with -drift: consecutive degraded observations before quarantine (0 = default 16)")
-	fs.IntVar(&m.driftCfg.RestoreAfter, "drift-restore-after", 0, "with -drift: consecutive recovered probation observations before full restore (0 = default 32)")
-	fs.IntVar(&m.driftCfg.MaxTemplates, "drift-max-templates", 0, "with -drift: cap on exactly-tracked templates, the rest stay in the sketch (0 = default 4096)")
-	fs.StringVar(&m.incidents.Dir, "incident-dir", "", "capture diagnostic bundles (profiles, histograms, slow traces, stats) into this directory when an incident trigger fires (empty = disabled)")
-	fs.Float64Var(&m.incidents.BurnThreshold, "incident-burn-threshold", 0, "with -incident-dir: shortest-window SLO burn rate that triggers a capture (0 = default 2.0)")
-	fs.DurationVar(&m.incidents.Cooldown, "incident-cooldown", 0, "with -incident-dir: minimum spacing between captures (0 = default 5m)")
+	fs.StringVar(&m.incidentDir, "incident-dir", "", "capture diagnostic bundles (profiles, histograms, slow traces, stats) into this directory when an incident trigger fires (empty = disabled)")
 }
 
 func (m *serveMode) validate(string) (err error) {
@@ -295,7 +283,7 @@ func (m *serveMode) validate(string) (err error) {
 }
 
 func (m *serveMode) run() error {
-	flight := m.observe()
+	m.observe()
 	cat := rules.NewCatalog()
 
 	var journal *wal.WAL
@@ -314,7 +302,8 @@ func (m *serveMode) run() error {
 
 	var driftCfg *drift.Config // nil = detection off; enforcement is always on
 	if m.drift {
-		driftCfg = &m.driftCfg
+		cfg := drift.DefaultConfig()
+		driftCfg = &cfg
 	}
 	// serve.Open recovers the model from -model plus the journal suffix
 	// (or starts a fresh learner), restores the journaled quarantine and
@@ -325,8 +314,7 @@ func (m *serveMode) run() error {
 		Uniform:      m.uniform,
 		SnapshotPath: m.model,
 		WAL:          journal,
-		Flight:       flight,
-		Incidents:    m.incidents, // disabled while its Dir is empty
+		IncidentDir:  m.incidentDir, // empty = disabled
 		Drift:        driftCfg,
 	})
 	if err != nil {
@@ -341,8 +329,8 @@ func (m *serveMode) run() error {
 			"hintRollovers", rec.HintRollovers, "hints", len(rec.Hints), "hintGeneration", rec.HintGen,
 			"quarantineRecords", rec.QuarantineRecords, "quarantined", len(rec.Quarantine))
 	}
-	if m.incidents.Dir != "" {
-		logg.Info("incident capture enabled", "dir", m.incidents.Dir)
+	if m.incidentDir != "" {
+		logg.Info("incident capture enabled", "dir", m.incidentDir)
 	}
 	// A -hints file is a whole SIS table (the pipeline merges before each
 	// upload), so it replaces the recovered one as one journaled rollover,
@@ -427,7 +415,10 @@ func loadHints(path string, cat *rules.Catalog) ([]sis.Hint, error) {
 // followMode is the read replica: bootstrap from the primary, tail its
 // WAL, serve reads locally until SIGINT/SIGTERM. A follower's state IS
 // the primary's snapshot and journal, so the primary's flags (-hints,
-// -model, -wal-*, -drift*, -incident-*, ...) do not exist here.
+// -model, -wal-*, -drift, -incident-dir, ...) do not exist here. What is
+// left is where to listen and how to log and profile; its trace ring
+// keeps slow and errored requests at the same fixed cutoffs as the
+// primary's.
 type followMode struct {
 	nodeFlags
 	primary string
@@ -445,10 +436,10 @@ func (m *followMode) validate(primary string) error {
 // run needs no babysitting loop: the replicate.Follower re-bootstraps
 // itself if the primary compacts past its position.
 func (m *followMode) run() error {
+	m.observe()
 	f, err := replicate.Start(replicate.Config{
 		Primary: m.primary,
 		Logger:  logg,
-		Flight:  m.observe(),
 	})
 	if err != nil {
 		return err

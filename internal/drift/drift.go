@@ -10,9 +10,9 @@
 // Memory stays bounded under open-ended template churn with a two-tier
 // design in the COMPASS tradition: every observation lands in a
 // count-min sketch over template hashes (fixed memory, no per-template
-// state), and only templates the sketch has seen at least GateCount
+// state), and only templates the sketch has seen at least gateCount
 // times graduate to an exact per-template entry holding the decayed
-// statistics. Exact entries are further capped at MaxTemplates with
+// statistics. Exact entries are further capped at maxTemplates with
 // eviction of the least-recently-seen healthy entry.
 //
 // Detection is a dual-EWMA contrast: a slow exponentially-decayed
@@ -20,7 +20,7 @@
 // tracks its recent level, and the drift score is the gap between them
 // in baseline standard deviations. A persistent reward collapse drives
 // the score up; the state machine quarantines only after the score
-// stays degraded for QuarantineAfter consecutive observations
+// stays degraded for quarantineAfter consecutive observations
 // (hysteresis — one noisy batch cannot flap a hint), and restores only
 // after a probation period of sustained recovery.
 //
@@ -102,61 +102,59 @@ const (
 	sketchDepth = 4
 )
 
-// Config parameterizes the detector. The zero value of every field
-// selects its default; a quarantined or probation template's
-// observation counts as recovered at or below half of Threshold (the
-// gap is the score hysteresis band).
-type Config struct {
-	// Threshold is the drift score (baseline standard deviations below
+// The safeguard's thresholds and windows. No caller has ever set
+// another value; a Config carries them so that this package's tests can
+// shorten the windows.
+const (
+	// threshold is the drift score (baseline standard deviations below
 	// baseline mean) at or above which an observation counts as
-	// degraded.
-	Threshold float64 // default 4
-	// MinSamples is how many observations a template needs before its
+	// degraded; at or below half of it a quarantined or probation
+	// template's observation counts as recovered (the gap is the score
+	// hysteresis band).
+	threshold = 4.0
+	// minSamples is how many observations a template needs before its
 	// score is trusted at all.
-	MinSamples int // default 32
-	// QuarantineAfter is how many consecutive degraded observations a
+	minSamples = 32
+	// quarantineAfter is how many consecutive degraded observations a
 	// suspect template needs to be quarantined.
-	QuarantineAfter int // default 16
-	// ProbationAfter is how many consecutive recovered observations a
+	quarantineAfter = 16
+	// probationAfter is how many consecutive recovered observations a
 	// quarantined template needs to enter probation.
-	ProbationAfter int // default 16
-	// RestoreAfter is how many consecutive recovered observations a
+	probationAfter = 16
+	// restoreAfter is how many consecutive recovered observations a
 	// probation template needs to be restored to healthy.
-	RestoreAfter int // default 32
-	// GateCount is the sketch estimate a template needs before the
+	restoreAfter = 32
+	// gateCount is the sketch estimate a template needs before the
 	// detector allocates an exact entry for it.
-	GateCount uint32 // default 4
-	// MaxTemplates caps exact entries; beyond it the least-recently-seen
+	gateCount = 4
+	// maxTemplates caps exact entries; beyond it the least-recently-seen
 	// healthy entry is evicted (non-healthy entries are never evicted).
-	MaxTemplates int // default 4096
+	maxTemplates = 4096
+)
+
+// Config is the detector's parameters. Outside this package the only
+// value is DefaultConfig(); the zero Config means the same.
+type Config struct {
+	threshold       float64
+	minSamples      int
+	quarantineAfter int
+	probationAfter  int
+	restoreAfter    int
+	gateCount       uint32
+	maxTemplates    int
 }
 
-// DefaultConfig returns the default detector parameters.
-func DefaultConfig() Config { return Config{}.withDefaults() }
-
-func (c Config) withDefaults() Config {
-	if c.Threshold <= 0 {
-		c.Threshold = 4
+// DefaultConfig returns the safeguard's parameters.
+func DefaultConfig() Config {
+	return Config{
+		threshold:       threshold,
+		minSamples:      minSamples,
+		quarantineAfter: quarantineAfter,
+		probationAfter:  probationAfter,
+		restoreAfter:    restoreAfter,
+		gateCount:       gateCount,
+		maxTemplates:    maxTemplates,
 	}
-	if c.MinSamples <= 0 {
-		c.MinSamples = 32
-	}
-	if c.QuarantineAfter <= 0 {
-		c.QuarantineAfter = 16
-	}
-	if c.ProbationAfter <= 0 {
-		c.ProbationAfter = 16
-	}
-	if c.RestoreAfter <= 0 {
-		c.RestoreAfter = 32
-	}
-	if c.GateCount == 0 {
-		c.GateCount = 4
-	}
-	if c.MaxTemplates <= 0 {
-		c.MaxTemplates = 4096
-	}
-	return c
 }
 
 // entry is one template's exact tracking state.
@@ -200,9 +198,11 @@ type Detector struct {
 	evictions    int64
 }
 
-// NewDetector builds a detector (zero Config = defaults).
+// NewDetector builds a detector.
 func NewDetector(cfg Config) *Detector {
-	cfg = cfg.withDefaults()
+	if cfg == (Config{}) {
+		cfg = DefaultConfig()
+	}
 	d := &Detector{
 		cfg:     cfg,
 		sketch:  make([]uint32, sketchWidth*sketchDepth),
@@ -228,9 +228,6 @@ func (d *Detector) moveToBack(e *entry) {
 	e.prev, e.next = back, &d.recency
 	back.next, d.recency.prev = e, e
 }
-
-// Config returns the (defaulted) parameters the detector runs with.
-func (d *Detector) Config() Config { return d.cfg }
 
 // mix64 is splitmix64's finalizer — the same mixer the bandit uses for
 // feature hashing. Each sketch row salts the template hash with an odd
@@ -299,13 +296,13 @@ func (d *Detector) Observe(hash uint64, reward float64) (Transition, bool) {
 	if ok {
 		d.moveToBack(e)
 	} else {
-		if est := d.sketchAdd(hash); est < d.cfg.GateCount {
+		if est := d.sketchAdd(hash); est < d.cfg.gateCount {
 			// Below the graduation gate: the sketch absorbed it, no
 			// per-template state exists yet.
 			d.gated++
 			return Transition{}, false
 		}
-		if len(d.entries) < d.cfg.MaxTemplates {
+		if len(d.entries) < d.cfg.maxTemplates {
 			e = new(entry)
 		} else if e = d.evictLocked(); e == nil {
 			d.gated++
@@ -331,7 +328,7 @@ func (d *Detector) Observe(hash uint64, reward float64) (Transition, bool) {
 	if floor := 1e-9 + 0.001*math.Abs(e.slow); std < floor {
 		std = floor
 	}
-	if e.count >= uint64(d.cfg.MinSamples) && -delta >= d.cfg.Threshold*std {
+	if e.count >= uint64(d.cfg.minSamples) && -delta >= d.cfg.threshold*std {
 		e.slow += slowAlpha / 8 * delta
 	} else {
 		e.slow += slowAlpha * delta
@@ -339,12 +336,12 @@ func (d *Detector) Observe(hash uint64, reward float64) (Transition, bool) {
 	}
 	e.fast += fastAlpha * (reward - e.fast)
 
-	if e.count < uint64(d.cfg.MinSamples) {
+	if e.count < uint64(d.cfg.minSamples) {
 		return Transition{}, false
 	}
 	s := e.score()
-	degraded := s >= d.cfg.Threshold
-	recovered := s <= d.cfg.Threshold/2
+	degraded := s >= d.cfg.threshold
+	recovered := s <= d.cfg.threshold/2
 	if degraded {
 		e.degraded++
 	} else {
@@ -362,14 +359,14 @@ func (d *Detector) Observe(hash uint64, reward float64) (Transition, bool) {
 			e.state = StateSuspect // internal move, not journaled
 		}
 	case StateSuspect:
-		if e.degraded >= d.cfg.QuarantineAfter {
+		if e.degraded >= d.cfg.quarantineAfter {
 			return Transition{TemplateHash: hash, From: StateSuspect, To: StateQuarantined, Score: s}, true
 		}
 		if !degraded {
 			e.state = StateHealthy // suspicion cleared, internal move
 		}
 	case StateQuarantined:
-		if e.recovered >= d.cfg.ProbationAfter {
+		if e.recovered >= d.cfg.probationAfter {
 			return Transition{TemplateHash: hash, From: StateQuarantined, To: StateProbation, Score: s}, true
 		}
 	case StateProbation:
@@ -378,7 +375,7 @@ func (d *Detector) Observe(hash uint64, reward float64) (Transition, bool) {
 			// suspect dwell — the template already proved it can regress.
 			return Transition{TemplateHash: hash, From: StateProbation, To: StateQuarantined, Score: s}, true
 		}
-		if e.recovered >= d.cfg.RestoreAfter {
+		if e.recovered >= d.cfg.restoreAfter {
 			return Transition{TemplateHash: hash, From: StateProbation, To: StateHealthy, Score: s}, true
 		}
 	}

@@ -6,14 +6,40 @@ import (
 	"testing"
 )
 
-// testConfig is small enough to drive transitions quickly in tests.
+// testConfig shortens the windows so transitions fire in tens of
+// observations; the score threshold and the entry cap stay as shipped.
 func testConfig() Config {
-	return Config{
-		MinSamples:      8,
-		QuarantineAfter: 4,
-		ProbationAfter:  4,
-		RestoreAfter:    8,
-		GateCount:       1, // no sketch gating in unit tests
+	cfg := DefaultConfig()
+	cfg.minSamples = 8
+	cfg.quarantineAfter = 4
+	cfg.probationAfter = 4
+	cfg.restoreAfter = 8
+	cfg.gateCount = 1 // no sketch gating in unit tests
+	return cfg
+}
+
+// TestDefaultConfigValues pins the safeguard's seven constants: no
+// surface reports them, so nothing else would catch a moved value.
+func TestDefaultConfigValues(t *testing.T) {
+	cfg := DefaultConfig()
+	for _, c := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"threshold", cfg.threshold, 4},
+		{"minSamples", float64(cfg.minSamples), 32},
+		{"quarantineAfter", float64(cfg.quarantineAfter), 16},
+		{"probationAfter", float64(cfg.probationAfter), 16},
+		{"restoreAfter", float64(cfg.restoreAfter), 32},
+		{"gateCount", float64(cfg.gateCount), 4},
+		{"maxTemplates", float64(cfg.maxTemplates), 4096},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %v, want %v", c.name, c.got, c.want)
+		}
+	}
+	if d := NewDetector(Config{}); d.cfg != cfg {
+		t.Errorf("zero Config runs with %+v, want DefaultConfig %+v", d.cfg, cfg)
 	}
 }
 
@@ -46,8 +72,8 @@ func TestQuarantineOnRegression(t *testing.T) {
 	if len(trs) != 1 || trs[0].To != StateQuarantined || trs[0].From != StateSuspect {
 		t.Fatalf("transitions = %+v, want one suspect->quarantined", trs)
 	}
-	if trs[0].Score < d.Config().Threshold {
-		t.Fatalf("transition score %.2f below threshold %.2f", trs[0].Score, d.Config().Threshold)
+	if trs[0].Score < d.cfg.threshold {
+		t.Fatalf("transition score %.2f below threshold %.2f", trs[0].Score, d.cfg.threshold)
 	}
 }
 
@@ -77,7 +103,7 @@ func TestHysteresisIgnoresOneNoisyBatch(t *testing.T) {
 	f := NewFlood(3, 1.0, 0.05)
 	const tmpl = 0x123
 	feed(d, tmpl, f.Batch(200))
-	// A burst shorter than QuarantineAfter must not quarantine.
+	// A burst shorter than quarantineAfter must not quarantine.
 	bad := NewFlood(4, 0.2, 0.05)
 	trs := feed(d, tmpl, bad.Batch(3))
 	if len(trs) != 0 {
@@ -122,30 +148,30 @@ func TestUncommittedTransitionReproposed(t *testing.T) {
 
 func TestSketchGateBoundsMemory(t *testing.T) {
 	cfg := testConfig()
-	cfg.GateCount = 4
-	cfg.MaxTemplates = 16
+	cfg.gateCount = 4
+	cfg.maxTemplates = 16
 	d := NewDetector(cfg)
 	// 10k one-shot templates: all absorbed by the sketch, no entries.
 	for i := uint64(0); i < 10000; i++ {
 		d.Observe(1000+i*7919, 1.0)
 	}
 	// Sketch collisions can graduate a few false positives, but exact
-	// state stays capped at MaxTemplates no matter how many distinct
+	// state stays capped at maxTemplates no matter how many distinct
 	// templates flow past.
 	st := d.Stats()
-	if st.Tracked > cfg.MaxTemplates {
-		t.Fatalf("tracked=%d exceeds cap %d", st.Tracked, cfg.MaxTemplates)
+	if st.Tracked > cfg.maxTemplates {
+		t.Fatalf("tracked=%d exceeds cap %d", st.Tracked, cfg.maxTemplates)
 	}
 	if st.SketchGated == 0 {
 		t.Fatal("sketch gated counter not advancing")
 	}
-	// A hot template graduates to exact tracking after GateCount
+	// A hot template graduates to exact tracking after gateCount
 	// sightings (evicting a cold healthy entry if the cap is full).
 	for i := 0; i < 10; i++ {
 		d.Observe(42, 1.0)
 	}
 	found := false
-	for _, ts := range d.Templates(cfg.MaxTemplates) {
+	for _, ts := range d.Templates(cfg.maxTemplates) {
 		if ts.TemplateHash == 42 {
 			found = true
 		}
@@ -153,14 +179,14 @@ func TestSketchGateBoundsMemory(t *testing.T) {
 	if !found {
 		t.Fatal("hot template did not graduate to exact tracking")
 	}
-	if got := d.Stats().Tracked; got > cfg.MaxTemplates {
-		t.Fatalf("tracked=%d exceeds cap %d", got, cfg.MaxTemplates)
+	if got := d.Stats().Tracked; got > cfg.maxTemplates {
+		t.Fatalf("tracked=%d exceeds cap %d", got, cfg.maxTemplates)
 	}
 }
 
 func TestMaxTemplatesEvictsHealthyOnly(t *testing.T) {
 	cfg := testConfig()
-	cfg.MaxTemplates = 4
+	cfg.maxTemplates = 4
 	d := NewDetector(cfg)
 	f := NewFlood(7, 1.0, 0.05)
 	for h := uint64(1); h <= 4; h++ {
@@ -175,8 +201,8 @@ func TestMaxTemplatesEvictsHealthyOnly(t *testing.T) {
 	if st := d.StateOf(1); st != StateQuarantined {
 		t.Fatalf("quarantined template evicted: state=%v", st)
 	}
-	if got := d.Stats().Tracked; got > cfg.MaxTemplates {
-		t.Fatalf("tracked=%d exceeds cap %d", got, cfg.MaxTemplates)
+	if got := d.Stats().Tracked; got > cfg.maxTemplates {
+		t.Fatalf("tracked=%d exceeds cap %d", got, cfg.maxTemplates)
 	}
 }
 
@@ -283,7 +309,7 @@ func scanVictim(d *Detector, lastTick map[uint64]uint64) (victim uint64, found b
 // eviction to pick the victim the old full scan would have.
 func TestEvictionMatchesMapScan(t *testing.T) {
 	cfg := testConfig()
-	cfg.MaxTemplates = 64
+	cfg.maxTemplates = 64
 	d := NewDetector(cfg)
 	rng := rand.New(rand.NewSource(17))
 	lastTick := make(map[uint64]uint64)
@@ -294,7 +320,7 @@ func TestEvictionMatchesMapScan(t *testing.T) {
 		if step%7 == 0 {
 			// Pin or release an entry, the way a committed transition or a
 			// run of degraded observations would.
-			hash := uint64(1 + rng.Intn(cfg.MaxTemplates))
+			hash := uint64(1 + rng.Intn(cfg.maxTemplates))
 			if e, ok := d.entries[hash]; ok {
 				switch rng.Intn(3) {
 				case 0:
@@ -308,10 +334,10 @@ func TestEvictionMatchesMapScan(t *testing.T) {
 			continue
 		}
 		// Skewed churn over up to ten times as many templates as slots.
-		hash := uint64(1 + rng.Intn(cfg.MaxTemplates*(1+rng.Intn(10))))
+		hash := uint64(1 + rng.Intn(cfg.maxTemplates*(1+rng.Intn(10))))
 		_, tracked := d.entries[hash]
 		want, wantFound := uint64(0), false
-		if !tracked && len(d.entries) >= cfg.MaxTemplates {
+		if !tracked && len(d.entries) >= cfg.maxTemplates {
 			want, wantFound = scanVictim(d, lastTick)
 			if front := d.recency.next; wantFound && front.hash != want {
 				skippedPinned++
@@ -321,7 +347,7 @@ func TestEvictionMatchesMapScan(t *testing.T) {
 		d.Observe(hash, 1.0)
 		tick++
 		switch {
-		case tracked || before < cfg.MaxTemplates:
+		case tracked || before < cfg.maxTemplates:
 			if len(d.entries) != before && tracked {
 				t.Fatalf("step %d: observing a tracked template changed the entry count", step)
 			}

@@ -245,10 +245,8 @@ func TestRenderShowsNodeDetail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, _, err := serve.Open(serve.Config{
-		Seed: 1, WAL: j, Drift: &drift.Config{},
-		Incidents: serve.IncidentConfig{Dir: t.TempDir()},
-	})
+	dc := drift.DefaultConfig()
+	srv, _, err := serve.Open(serve.Config{Seed: 1, WAL: j, Drift: &dc, IncidentDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,14 +18,14 @@ import (
 // head sampling: at a 256-slot ring, 1-in-N fast traces would evict
 // the slow outliers the ring exists to keep.
 
-// Retention thresholds and capacity defaults.
+// The recorder's two fixed values.
 const (
-	// DefaultRetainThreshold is the slow-trace cutoff for routes
-	// without a per-route override.
-	DefaultRetainThreshold = 250 * time.Millisecond
-	// DefaultFlightCapacity bounds the retained ring: ~256 traces of a
-	// few KB each keeps the recorder's memory ceiling in the low MB.
-	DefaultFlightCapacity = 256
+	// retainThreshold is the slow-trace cutoff for routes without a
+	// per-route override.
+	retainThreshold = 250 * time.Millisecond
+	// ringCapacity bounds the retained ring: ~256 traces of a few KB
+	// each keeps the recorder's memory ceiling in the low MB.
+	ringCapacity = 256
 )
 
 // Retention reasons, in decision precedence order.
@@ -33,19 +33,6 @@ const (
 	RetainError = "error" // request failed server-side (status >= 500)
 	RetainSlow  = "slow"  // duration crossed the route's threshold
 )
-
-// FlightConfig parameterizes a recorder.
-type FlightConfig struct {
-	// Capacity bounds the retained ring (0 = DefaultFlightCapacity).
-	Capacity int
-	// Threshold is the slow cutoff for routes without an override
-	// (0 = DefaultRetainThreshold).
-	Threshold time.Duration
-	// RouteThresholds overrides the slow cutoff per route name. A
-	// negative value disables slow retention for that route — the
-	// escape hatch for long-poll endpoints that are slow by design.
-	RouteThresholds map[string]time.Duration
-}
 
 // SpanEvent is one retained span in exported form.
 type SpanEvent struct {
@@ -84,9 +71,9 @@ type FlightStats struct {
 // span-buffer pool feeding it. Safe for concurrent use; the ring mutex
 // is touched only on retention, never on the fast path.
 type FlightRecorder struct {
-	cfg   FlightConfig
-	epoch time.Time
-	pool  sync.Pool
+	routeThresholds map[string]time.Duration // see NewFlightRecorder
+	epoch           time.Time
+	pool            sync.Pool
 
 	retainedSlow  atomic.Int64
 	retainedError atomic.Int64
@@ -98,16 +85,12 @@ type FlightRecorder struct {
 	seq  uint64
 }
 
-// NewFlightRecorder builds a recorder; zero-value config fields take
-// the package defaults.
-func NewFlightRecorder(cfg FlightConfig) *FlightRecorder {
-	if cfg.Capacity <= 0 {
-		cfg.Capacity = DefaultFlightCapacity
-	}
-	if cfg.Threshold == 0 {
-		cfg.Threshold = DefaultRetainThreshold
-	}
-	r := &FlightRecorder{cfg: cfg, epoch: time.Now()}
+// NewFlightRecorder builds a recorder. routeThresholds overrides the
+// slow cutoff per route name; a negative value disables slow retention
+// for that route — the escape hatch for long-poll endpoints that are
+// slow by design.
+func NewFlightRecorder(routeThresholds map[string]time.Duration) *FlightRecorder {
+	r := &FlightRecorder{routeThresholds: routeThresholds, epoch: time.Now()}
 	r.pool.New = func() any { return &Trace{rec: r} }
 	return r
 }
@@ -125,10 +108,10 @@ func (r *FlightRecorder) Begin() *Trace {
 // thresholdFor resolves the slow cutoff for a route; negative means
 // "never slow".
 func (r *FlightRecorder) thresholdFor(route string) time.Duration {
-	if d, ok := r.cfg.RouteThresholds[route]; ok {
+	if d, ok := r.routeThresholds[route]; ok {
 		return d
 	}
-	return r.cfg.Threshold
+	return retainThreshold
 }
 
 // finish applies the retention decision and recycles the buffer.
@@ -173,7 +156,7 @@ func (r *FlightRecorder) retain(tr *Trace, route, reason string, status int, sta
 	r.mu.Lock()
 	r.seq++
 	rt.Seq = r.seq
-	if len(r.ring) < r.cfg.Capacity {
+	if len(r.ring) < ringCapacity {
 		r.ring = append(r.ring, rt)
 	} else {
 		r.ring[r.head] = rt
@@ -214,10 +197,10 @@ func (r *FlightRecorder) Stats() FlightStats {
 	r.mu.Unlock()
 	return FlightStats{
 		Retained:      retained,
-		Capacity:      r.cfg.Capacity,
+		Capacity:      ringCapacity,
 		RetainedSlow:  r.retainedSlow.Load(),
 		RetainedError: r.retainedError.Load(),
 		Evicted:       r.evicted.Load(),
-		Threshold:     r.cfg.Threshold,
+		Threshold:     retainThreshold,
 	}
 }

@@ -13,12 +13,12 @@ func finishOne(r *FlightRecorder, route string, dur time.Duration, status int) {
 }
 
 func TestFlightRetainsSlowAndErrored(t *testing.T) {
-	r := NewFlightRecorder(FlightConfig{Threshold: 10 * time.Millisecond})
+	r := NewFlightRecorder(nil)
 
-	finishOne(r, "/fast", time.Millisecond, 200)        // unretained
-	finishOne(r, "/slow", 20*time.Millisecond, 200)     // slow
-	finishOne(r, "/boom", time.Millisecond, 500)        // error
-	finishOne(r, "/slowboom", 20*time.Millisecond, 503) // error wins over slow
+	finishOne(r, "/fast", time.Millisecond, 200)      // unretained
+	finishOne(r, "/slow", 2*retainThreshold, 200)     // slow
+	finishOne(r, "/boom", time.Millisecond, 500)      // error
+	finishOne(r, "/slowboom", 2*retainThreshold, 503) // error wins over slow
 	got := r.Query("", 0, 0)
 	if len(got) != 3 {
 		t.Fatalf("retained %d traces, want 3", len(got))
@@ -40,10 +40,7 @@ func TestFlightRetainsSlowAndErrored(t *testing.T) {
 }
 
 func TestFlightRouteThresholdOverrides(t *testing.T) {
-	r := NewFlightRecorder(FlightConfig{
-		Threshold:       time.Hour,
-		RouteThresholds: map[string]time.Duration{"/rank": time.Millisecond, "/stream": -1},
-	})
+	r := NewFlightRecorder(map[string]time.Duration{"/rank": time.Millisecond, "/stream": -1})
 	finishOne(r, "/rank", 5*time.Millisecond, 200)  // over the route override
 	finishOne(r, "/other", 5*time.Millisecond, 200) // under the default
 	finishOne(r, "/stream", 10*time.Minute, 200)    // slow retention disabled
@@ -53,17 +50,18 @@ func TestFlightRouteThresholdOverrides(t *testing.T) {
 }
 
 func TestFlightRingBoundsAndEvicts(t *testing.T) {
-	r := NewFlightRecorder(FlightConfig{Capacity: 4, Threshold: time.Millisecond})
-	for i := 0; i < 10; i++ {
+	r := NewFlightRecorder(map[string]time.Duration{"/slow": time.Millisecond})
+	const n = ringCapacity + 6
+	for i := 0; i < n; i++ {
 		finishOne(r, "/slow", 2*time.Millisecond, 200)
 	}
 	got := r.Query("", 0, 0)
-	if len(got) != 4 {
-		t.Fatalf("ring holds %d, want capacity 4", len(got))
+	if len(got) != ringCapacity {
+		t.Fatalf("ring holds %d, want capacity %d", len(got), ringCapacity)
 	}
-	// Newest first: sequence numbers 10,9,8,7.
+	// Newest first: sequence numbers n, n-1, ..., 7.
 	for i, rt := range got {
-		if want := uint64(10 - i); rt.Seq != want {
+		if want := uint64(n - i); rt.Seq != want {
 			t.Errorf("Query()[%d].Seq = %d, want %d", i, rt.Seq, want)
 		}
 	}
@@ -73,7 +71,7 @@ func TestFlightRingBoundsAndEvicts(t *testing.T) {
 }
 
 func TestFlightQueryFilters(t *testing.T) {
-	r := NewFlightRecorder(FlightConfig{Threshold: time.Millisecond})
+	r := NewFlightRecorder(map[string]time.Duration{"/a": time.Millisecond, "/b": time.Millisecond})
 	finishOne(r, "/a", 5*time.Millisecond, 200)
 	finishOne(r, "/b", 50*time.Millisecond, 200)
 	finishOne(r, "/a", 100*time.Millisecond, 200)
@@ -89,7 +87,7 @@ func TestFlightQueryFilters(t *testing.T) {
 }
 
 func TestFlightRetainedTraceCarriesSpans(t *testing.T) {
-	r := NewFlightRecorder(FlightConfig{Threshold: time.Millisecond})
+	r := NewFlightRecorder(map[string]time.Duration{"/v2/rank": time.Millisecond})
 	tr := r.Begin()
 	tr.SetRequestID("req-42")
 	start := time.Now()
@@ -121,7 +119,7 @@ func TestFlightUnretainedPathAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; the 0-alloc bound holds only in normal builds")
 	}
-	r := NewFlightRecorder(FlightConfig{Threshold: time.Hour})
+	r := NewFlightRecorder(nil)
 	// Warm the pool and the events slice capacity.
 	for i := 0; i < 16; i++ {
 		finishOne(r, "/fast", time.Microsecond, 200)
@@ -138,17 +136,18 @@ func TestFlightUnretainedPathAllocs(t *testing.T) {
 	}
 }
 
-// TestFlightNilSafety: a zero FlightConfig takes the package defaults,
-// and a fast, successful request under it is retained nowhere — there
-// is no sampled arm to keep it.
+// TestFlightNilSafety: a recorder with no route overrides runs with
+// the 256-trace ring and the 250ms cutoff, and a fast, successful
+// request under it is retained nowhere — there is no sampled arm to
+// keep it.
 func TestFlightNilSafety(t *testing.T) {
-	r := NewFlightRecorder(FlightConfig{})
+	r := NewFlightRecorder(nil)
 	for i := 0; i < 200; i++ {
 		finishOne(r, "/fast", time.Microsecond, 200)
 	}
-	want := FlightStats{Capacity: DefaultFlightCapacity, Threshold: DefaultRetainThreshold}
+	want := FlightStats{Capacity: 256, Threshold: 250 * time.Millisecond}
 	if st := r.Stats(); st != want {
-		t.Errorf("zero-config recorder stats = %+v, want %+v", st, want)
+		t.Errorf("override-free recorder stats = %+v, want %+v", st, want)
 	}
 	if got := r.Query("", 0, 0); len(got) != 0 {
 		t.Errorf("retained %d fast traces, want none", len(got))

@@ -19,8 +19,8 @@ import (
 	"qoadvisor/internal/wal"
 )
 
-// newDriftPrimary is newPrimary with drift detection enabled and small
-// hysteresis windows, plus two installed hints to regress and spare.
+// newDriftPrimary is newPrimary with drift detection enabled, plus two
+// installed hints to regress and spare.
 func newDriftPrimary(t *testing.T, segBytes int64) (*primaryRig, uint64, uint64) {
 	t.Helper()
 	dir := t.TempDir()
@@ -29,10 +29,8 @@ func newDriftPrimary(t *testing.T, segBytes int64) (*primaryRig, uint64, uint64)
 		t.Fatal(err)
 	}
 	cat := rules.NewCatalog()
-	srv := serve.New(serve.Config{
-		Catalog: cat, Seed: 42, WAL: j,
-		Drift: &drift.Config{MinSamples: 8, QuarantineAfter: 4, ProbationAfter: 4, RestoreAfter: 8, GateCount: 1},
-	})
+	dc := drift.DefaultConfig()
+	srv := serve.New(serve.Config{Catalog: cat, Seed: 42, WAL: j, Drift: &dc})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(func() {
 		ts.Close()

@@ -77,11 +77,6 @@ type Config struct {
 	// Logger receives replication lifecycle events (bootstraps,
 	// re-syncs, reconnect backoff). Nil is valid and silent.
 	Logger *slog.Logger
-	// Flight is the trace sink (serve.NewFlightRecorder). Like
-	// applyHist, it outlives the core swaps re-syncs perform — each
-	// bootstrap threads it into the fresh core — so retained traces
-	// survive them. Nil builds a default recorder.
-	Flight *obs.FlightRecorder
 }
 
 // state is one bootstrap generation: the serving core built from one
@@ -116,6 +111,9 @@ type Follower struct {
 	// core swaps re-syncs perform; each bootstrap hands it to the fresh
 	// core.
 	applyHist *obs.Histogram
+	// flight is the trace sink; like applyHist it outlives the core
+	// swaps, so retained traces survive re-syncs.
+	flight *obs.FlightRecorder
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -140,9 +138,6 @@ func Start(cfg Config) (*Follower, error) {
 	if cfg.Logger == nil {
 		cfg.Logger = slog.New(slog.DiscardHandler)
 	}
-	if cfg.Flight == nil {
-		cfg.Flight = serve.NewFlightRecorder(obs.FlightConfig{})
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	f := &Follower{
 		cfg: cfg,
@@ -156,6 +151,7 @@ func Start(cfg Config) (*Follower, error) {
 		done:      make(chan struct{}),
 		log:       cfg.Logger,
 		applyHist: &obs.Histogram{},
+		flight:    serve.NewFlightRecorder(),
 	}
 	if err := f.bootstrap(); err != nil {
 		cancel()
@@ -185,7 +181,7 @@ func (f *Follower) bootstrap() error {
 		Follower:  true,
 		LeaderURL: f.cfg.Primary,
 		Tail:      &serve.TailProbe{Stats: f.Stats, ApplyLatency: f.applyHist},
-		Flight:    f.cfg.Flight,
+		Flight:    f.flight,
 	})
 	st := &state{
 		srv:     srv,

@@ -157,7 +157,7 @@ func BenchmarkWALStream(b *testing.B) {
 // meta — via the manual trigger (force bypasses the cooldown, so every
 // iteration captures). This is the pause an incident costs the node.
 func BenchmarkIncidentCapture(b *testing.B) {
-	srv := New(Config{Seed: 1, Incidents: IncidentConfig{Dir: b.TempDir()}})
+	srv := New(Config{Seed: 1, IncidentDir: b.TempDir()})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()

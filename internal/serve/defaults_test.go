@@ -62,8 +62,10 @@ func TestEffectiveDefaults(t *testing.T) {
 		t.Errorf("a server given no incident directory reports an incidents block: %+v", stats.Incidents)
 	}
 
-	_, _, _, cl := incidentTestServer(t, IncidentConfig{Dir: t.TempDir()})
-	stats, err = cl.Stats(context.Background())
+	withDir := New(Config{IncidentDir: t.TempDir()})
+	tsDir := httptest.NewServer(withDir)
+	defer func() { tsDir.Close(); withDir.Close() }()
+	stats, err = client.New(tsDir.URL).Stats(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,16 +23,10 @@ import (
 	"qoadvisor/internal/walrec"
 )
 
-// driftTestConfig shrinks the hysteresis windows so transitions fire
-// in tens of observations instead of thousands.
-func driftTestConfig() *drift.Config {
-	return &drift.Config{
-		MinSamples:      8,
-		QuarantineAfter: 4,
-		ProbationAfter:  4,
-		RestoreAfter:    8,
-		GateCount:       1,
-	}
+// driftOn enables drift detection with the windows a primary runs.
+func driftOn() *drift.Config {
+	cfg := drift.DefaultConfig()
+	return &cfg
 }
 
 // driftRig is a WAL-backed, drift-enabled primary with one installed
@@ -54,7 +48,7 @@ func newDriftRig(t *testing.T, mode wal.Mode) *driftRig {
 	cat := rules.NewCatalog()
 	srv := New(Config{
 		Catalog: cat, Seed: 42,
-		WAL: j, Drift: driftTestConfig(),
+		WAL: j, Drift: driftOn(),
 	})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(func() {
@@ -329,6 +323,12 @@ func TestQuarantineJournalFailureFailStop(t *testing.T) {
 // test passes by terminating (run under -race in CI).
 func TestCheckpointDuringQuarantineNoDeadlock(t *testing.T) {
 	r := newDriftRig(t, wal.ModeAsync)
+	flood := drift.NewFlood(11, 1.0, 0.05)
+	for _, v := range flood.Batch(64) {
+		if err := r.observe(r.hintHash, v); err != nil {
+			t.Fatal(err)
+		}
+	}
 	r.j.SetFaults(&wal.Faults{
 		AppendDelay: func() time.Duration { return 200 * time.Microsecond },
 		SyncDelay:   func() time.Duration { return time.Millisecond },
@@ -340,19 +340,21 @@ func TestCheckpointDuringQuarantineNoDeadlock(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		// Oscillating flood: crosses the quarantine and recovery
-		// thresholds repeatedly, so transitions keep journaling while
+		// Oscillating flood: a collapse quarantines within ~20
+		// observations (a relapse from probation within a few) and a
+		// recovery reaches probation within ~50, so 40 degraded then 60
+		// recovered observations keep transitions journaling while
 		// checkpoints run.
-		flood := drift.NewFlood(11, 1.0, 0.05)
 		for i := 0; ; i++ {
 			select {
 			case <-done:
 				return
 			default:
 			}
-			if i%40 == 20 {
+			switch i % 100 {
+			case 0:
 				flood.Shift(0.0)
-			} else if i%40 == 0 {
+			case 40:
 				flood.Shift(1.0)
 			}
 			_ = r.observe(r.hintHash, flood.Next())

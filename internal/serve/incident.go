@@ -33,47 +33,26 @@ const (
 	incidentManual     = "manual"     // operator POST /v2/incidents
 )
 
-// IncidentConfig parameterizes the incident engine. Dir is required;
-// zero-valued fields take the defaults.
-type IncidentConfig struct {
-	// Dir is where capture bundles are written (one subdirectory per
-	// incident). Empty disables the engine.
-	Dir string
-	// BurnThreshold is the shortest-window burn rate that trips the SLO
-	// trigger (0 = 2.0: burning the error budget at twice the sustainable
-	// rate).
-	BurnThreshold float64
-	// Cooldown is the minimum spacing between captures; trigger firings
-	// inside it are counted as suppressed (0 = 5m).
-	Cooldown time.Duration
-	// Tick is the trigger-evaluation period (0 = 1s).
-	Tick time.Duration
-}
-
-// maxBundles bounds the bundles kept on disk; the oldest is removed
-// when a capture exceeds it.
-const maxBundles = 32
-
-func (c IncidentConfig) withDefaults() IncidentConfig {
-	if c.BurnThreshold <= 0 {
-		c.BurnThreshold = 2
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = 5 * time.Minute
-	}
-	if c.Tick <= 0 {
-		c.Tick = time.Second
-	}
-	return c
-}
+// The engine's fixed values.
+const (
+	// incidentBurnThreshold is the shortest-window burn rate that trips
+	// the SLO trigger: burning the error budget at twice the sustainable
+	// rate.
+	incidentBurnThreshold = 2.0
+	// incidentCooldown is the minimum spacing between captures; trigger
+	// firings inside it are counted as suppressed.
+	incidentCooldown = 5 * time.Minute
+	// incidentTick is the trigger-evaluation period.
+	incidentTick = time.Second
+	// maxBundles bounds the bundles kept on disk; the oldest is removed
+	// when a capture exceeds it.
+	maxBundles = 32
+)
 
 // incidentTriggers is the pure decision core, separated from the
 // engine so the crossing/debounce logic is unit-testable with an
 // injected clock. Not self-locking; the engine serializes access.
 type incidentTriggers struct {
-	burnThreshold float64
-	cooldown      time.Duration
-
 	burnHigh        bool
 	prevJournalErrs int64
 	fired           bool
@@ -83,7 +62,7 @@ type incidentTriggers struct {
 // burnCross reports a rising edge: the burn rate reached the threshold
 // after being below it. Sustained burn returns true exactly once.
 func (t *incidentTriggers) burnCross(rate float64) bool {
-	high := rate >= t.burnThreshold
+	high := rate >= incidentBurnThreshold
 	cross := high && !t.burnHigh
 	t.burnHigh = high
 	return cross
@@ -103,7 +82,7 @@ func (t *incidentTriggers) journalFailure(errs int64) bool {
 // evidence an automatic trigger would duplicate. Admitted firings
 // advance lastFire.
 func (t *incidentTriggers) admit(now time.Time, force bool) bool {
-	if !force && t.fired && now.Sub(t.lastFire) < t.cooldown {
+	if !force && t.fired && now.Sub(t.lastFire) < incidentCooldown {
 		return false
 	}
 	t.fired = true
@@ -121,7 +100,7 @@ type incidentEvent struct {
 
 type incidentEngine struct {
 	srv *Server
-	cfg IncidentConfig
+	dir string
 
 	events chan incidentEvent
 	stopCh chan struct{}
@@ -139,38 +118,34 @@ type incidentEngine struct {
 	lastCaptureMicros int64
 }
 
-func newIncidentEngine(s *Server, cfg IncidentConfig) *incidentEngine {
-	cfg = cfg.withDefaults()
+// newIncidentEngine indexes the bundles already in dir; the first
+// capture creates dir if it does not exist.
+func newIncidentEngine(s *Server, dir string) *incidentEngine {
 	e := &incidentEngine{
 		srv:    s,
-		cfg:    cfg,
+		dir:    dir,
 		events: make(chan incidentEvent, 8),
 		stopCh: make(chan struct{}),
 		done:   make(chan struct{}),
-		trig: incidentTriggers{
-			burnThreshold: cfg.BurnThreshold,
-			cooldown:      cfg.Cooldown,
-		},
 	}
-	os.MkdirAll(cfg.Dir, 0o755)
 	e.loadExisting()
 	// Quarantine transitions ride the safeguard's commit path.
 	s.guard.setNotify(e.noteTransition)
 	return e
 }
 
-// start launches the trigger-evaluation loop; stop (from Server.Close)
-// terminates it.
-func (e *incidentEngine) start() { go e.run() }
+// start launches the trigger-evaluation loop, evaluating once per tick;
+// stop (from Server.Close) terminates it.
+func (e *incidentEngine) start(tick time.Duration) { go e.run(tick) }
 
 func (e *incidentEngine) stop() {
 	close(e.stopCh)
 	<-e.done
 }
 
-func (e *incidentEngine) run() {
+func (e *incidentEngine) run(every time.Duration) {
 	defer close(e.done)
-	tick := time.NewTicker(e.cfg.Tick)
+	tick := time.NewTicker(every)
 	defer tick.Stop()
 	for {
 		select {
@@ -186,7 +161,7 @@ func (e *incidentEngine) run() {
 
 // evaluate runs the polled triggers: SLO burn-rate crossing and
 // journal-error advancement. Exported to tests via direct calls with
-// an injected clock; the run loop drives it once per Tick.
+// an injected clock; the run loop drives it once per tick.
 func (e *incidentEngine) evaluate(now time.Time) {
 	burn, objective := e.maxBurn(now)
 	e.mu.Lock()
@@ -195,7 +170,7 @@ func (e *incidentEngine) evaluate(now time.Time) {
 	e.mu.Unlock()
 	if burnCross {
 		e.fire(now, incidentBurn,
-			fmt.Sprintf("%s burn rate %.2f crossed threshold %.2f", objective, burn, e.cfg.BurnThreshold), burn, false)
+			fmt.Sprintf("%s burn rate %.2f crossed threshold %.2f", objective, burn, incidentBurnThreshold), burn, false)
 	}
 	if walFail {
 		e.fire(now, incidentWAL, "journal append/commit failed (fail-stop)", 0, false)
@@ -251,7 +226,7 @@ func (e *incidentEngine) fire(now time.Time, reason, detail string, burn float64
 	if !admitted {
 		e.suppressed.Add(1)
 		return api.IncidentMeta{}, api.Errorf(api.CodeInvalidRequest,
-			"incident capture suppressed: cooldown %s since %s", e.cfg.Cooldown, last.Format(time.RFC3339))
+			"incident capture suppressed: cooldown %s since %s", incidentCooldown, last.Format(time.RFC3339))
 	}
 	return e.capture(now, reason, detail, burn)
 }
@@ -265,7 +240,7 @@ func (e *incidentEngine) fire(now time.Time, reason, detail string, burn float64
 func (e *incidentEngine) capture(now time.Time, reason, detail string, burn float64) (api.IncidentMeta, error) {
 	captureStart := time.Now()
 	id := fmt.Sprintf("incident-%s-%s", now.UTC().Format("20060102T150405.000"), reason)
-	dir := filepath.Join(e.cfg.Dir, id)
+	dir := filepath.Join(e.dir, id)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		e.captureErrs.Add(1)
 		return api.IncidentMeta{}, api.Errorf(api.CodeInternal, "creating incident bundle: %v", err)
@@ -337,7 +312,7 @@ func (e *incidentEngine) capture(now time.Time, reason, detail string, burn floa
 	}
 	e.mu.Unlock()
 	for _, id := range evict {
-		os.RemoveAll(filepath.Join(e.cfg.Dir, id))
+		os.RemoveAll(filepath.Join(e.dir, id))
 	}
 	return meta, nil
 }
@@ -345,7 +320,7 @@ func (e *incidentEngine) capture(now time.Time, reason, detail string, burn floa
 // loadExisting indexes bundles left by earlier runs so `qoserved cluster`
 // and GET /v2/incidents see them after a restart.
 func (e *incidentEngine) loadExisting() {
-	entries, err := os.ReadDir(e.cfg.Dir)
+	entries, err := os.ReadDir(e.dir)
 	if err != nil {
 		return
 	}
@@ -353,7 +328,7 @@ func (e *incidentEngine) loadExisting() {
 		if !ent.IsDir() {
 			continue
 		}
-		b, err := os.ReadFile(filepath.Join(e.cfg.Dir, ent.Name(), "meta.json"))
+		b, err := os.ReadFile(filepath.Join(e.dir, ent.Name(), "meta.json"))
 		if err != nil {
 			continue
 		}
@@ -383,7 +358,7 @@ func (e *incidentEngine) get(id string) (api.IncidentMeta, error) {
 	if !validIncidentID(id) {
 		return api.IncidentMeta{}, api.Errorf(api.CodeInvalidRequest, "invalid incident id %q", id)
 	}
-	b, err := os.ReadFile(filepath.Join(e.cfg.Dir, id, "meta.json"))
+	b, err := os.ReadFile(filepath.Join(e.dir, id, "meta.json"))
 	if err != nil {
 		return api.IncidentMeta{}, api.Errorf(api.CodeNotFound, "no incident %q", id)
 	}
@@ -399,7 +374,7 @@ func (e *incidentEngine) file(id, name string) (*os.File, error) {
 	if !validIncidentID(id) || !validIncidentID(name) {
 		return nil, api.Errorf(api.CodeInvalidRequest, "invalid incident file %q/%q", id, name)
 	}
-	f, err := os.Open(filepath.Join(e.cfg.Dir, id, name))
+	f, err := os.Open(filepath.Join(e.dir, id, name))
 	if err != nil {
 		return nil, api.Errorf(api.CodeNotFound, "no artifact %q in incident %q", name, id)
 	}
@@ -442,8 +417,8 @@ func (e *incidentEngine) stats() *api.IncidentStats {
 		Captured:      e.capturedN.Load(),
 		Suppressed:    e.suppressed.Load(),
 		CaptureErrors: e.captureErrs.Load(),
-		BurnThreshold: e.cfg.BurnThreshold,
-		CooldownSec:   e.cfg.Cooldown.Seconds(),
+		BurnThreshold: incidentBurnThreshold,
+		CooldownSec:   incidentCooldown.Seconds(),
 	}
 	if last != nil {
 		st.LastAgeSec = time.Since(time.Unix(0, last.UnixNano)).Seconds()

@@ -24,7 +24,7 @@ import (
 // --- trigger layer (pure, injected clock) ---
 
 func TestIncidentTriggerBurnCross(t *testing.T) {
-	tr := incidentTriggers{burnThreshold: 2}
+	tr := incidentTriggers{}
 	if tr.burnCross(0.5) {
 		t.Fatal("below threshold must not cross")
 	}
@@ -60,7 +60,7 @@ func TestIncidentTriggerJournalFailure(t *testing.T) {
 
 func TestIncidentTriggerCooldown(t *testing.T) {
 	base := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
-	tr := incidentTriggers{cooldown: 5 * time.Minute}
+	tr := incidentTriggers{}
 	if !tr.admit(base, false) {
 		t.Fatal("first firing must be admitted")
 	}
@@ -82,22 +82,20 @@ func TestIncidentTriggerCooldown(t *testing.T) {
 // --- engine + HTTP surface ---
 
 // incidentTestServer builds a sync-WAL drift-enabled primary with the
-// incident engine pointed at a temp dir. Tick is an hour so trigger
-// evaluation only happens when the test calls evaluate directly.
-func incidentTestServer(t *testing.T, cfg IncidentConfig) (*Server, *wal.WAL, *httptest.Server, *client.Client) {
+// incident engine pointed at dir. Its loop ticks once an hour, so
+// trigger evaluation only happens when the test calls evaluate directly.
+func incidentTestServer(t *testing.T, dir string) (*Server, *wal.WAL, *httptest.Server, *client.Client) {
 	t.Helper()
 	j, err := wal.Open(wal.Options{Dir: t.TempDir(), Mode: wal.ModeSync})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Tick == 0 {
-		cfg.Tick = time.Hour
-	}
 	srv := New(Config{
 		Catalog: rules.NewCatalog(), Seed: 7,
-		WAL: j, Drift: driftTestConfig(),
-		Incidents: cfg,
+		WAL: j, Drift: driftOn(),
 	})
+	srv.incidents = newIncidentEngine(srv, dir)
+	srv.incidents.start(time.Hour)
 	ts := httptest.NewServer(srv)
 	t.Cleanup(func() { ts.Close(); srv.Close(); j.Close() })
 	return srv, j, ts, client.New(ts.URL)
@@ -129,7 +127,7 @@ func TestIncidentDisabledSurfaces(t *testing.T) {
 
 func TestIncidentManualCapture(t *testing.T) {
 	dir := t.TempDir()
-	srv, _, _, cl := incidentTestServer(t, IncidentConfig{Dir: dir, Cooldown: time.Hour})
+	srv, _, _, cl := incidentTestServer(t, dir)
 	ctx := context.Background()
 
 	resp, err := cl.TriggerIncident(ctx)
@@ -206,7 +204,7 @@ func TestIncidentManualCapture(t *testing.T) {
 }
 
 func TestIncidentQuarantineTriggerCaptures(t *testing.T) {
-	srv, _, _, cl := incidentTestServer(t, IncidentConfig{Dir: t.TempDir(), Cooldown: time.Hour})
+	srv, _, _, cl := incidentTestServer(t, t.TempDir())
 	if _, err := srv.Quarantine(0xabcd, true); err != nil {
 		t.Fatal(err)
 	}
@@ -239,9 +237,7 @@ func TestIncidentQuarantineTriggerCaptures(t *testing.T) {
 // retains the stalled request's trace, commit-wait stage included.
 func TestIncidentStallBurnEndToEnd(t *testing.T) {
 	dir := t.TempDir()
-	srv, j, _, cl := incidentTestServer(t, IncidentConfig{
-		Dir: dir, BurnThreshold: 2, Cooldown: time.Hour,
-	})
+	srv, j, _, cl := incidentTestServer(t, dir)
 	ctx := context.Background()
 
 	// Rank to mint reward event IDs.
@@ -310,7 +306,7 @@ func TestIncidentStallBurnEndToEnd(t *testing.T) {
 	}
 
 	// Sustained burn: further evaluations must not fire again (rising
-	// edge latched; the hour-long cooldown would suppress anyway).
+	// edge latched; the five-minute cooldown would suppress anyway).
 	srv.incidents.evaluate(time.Now())
 	srv.incidents.evaluate(time.Now())
 	if n := len(srv.incidents.list()); n != 1 {
@@ -372,11 +368,7 @@ func TestIncidentStallBurnEndToEnd(t *testing.T) {
 // append error during a reward batch advances the journal-error
 // counter, and the next evaluation captures a "wal" bundle.
 func TestIncidentWALFailureTrigger(t *testing.T) {
-	// The 5xx the failed batch answers also burns the availability SLO;
-	// an unreachable burn threshold isolates the fail-stop trigger.
-	srv, j, _, cl := incidentTestServer(t, IncidentConfig{
-		Dir: t.TempDir(), Cooldown: time.Hour, BurnThreshold: 1e9,
-	})
+	srv, j, _, cl := incidentTestServer(t, t.TempDir())
 	ctx := context.Background()
 
 	jobs := []api.RankRequest{{TemplateHash: 1, Span: []int{0, 8}}}
@@ -395,6 +387,13 @@ func TestIncidentWALFailureTrigger(t *testing.T) {
 	}
 	j.SetFaults(nil)
 
+	// The 5xx the failed batch answers also burns the availability SLO.
+	// Latch the burn trigger as if it had already fired, so that this
+	// evaluation isolates the fail-stop trigger instead of the cooldown
+	// suppressing it behind a burn capture.
+	srv.incidents.mu.Lock()
+	srv.incidents.trig.burnHigh = true
+	srv.incidents.mu.Unlock()
 	srv.incidents.evaluate(time.Now())
 	bundles := srv.incidents.list()
 	if len(bundles) != 1 || bundles[0].Reason != incidentWAL {
@@ -408,8 +407,8 @@ func TestIncidentWALFailureTrigger(t *testing.T) {
 // load: a traceEvents array of "X" complete events, the request span
 // after its stages, every event tagged with the request's X-Request-Id.
 func TestTraceOutputIsChromeTraceJSON(t *testing.T) {
-	// No route overrides: every request is "slow" at 1ns, /v2/rank too.
-	s := New(Config{Seed: 1, Flight: obs.NewFlightRecorder(obs.FlightConfig{Threshold: time.Nanosecond})})
+	// /v2/rank retains at 1ns: every rank is "slow".
+	s := New(Config{Seed: 1, Flight: obs.NewFlightRecorder(map[string]time.Duration{api.RouteV2Rank: time.Nanosecond})})
 	t.Cleanup(s.Close)
 	ts := httptest.NewServer(s)
 	t.Cleanup(ts.Close)

@@ -167,8 +167,8 @@ func newMaximalServer(t *testing.T) (*Server, *httptest.Server) {
 	}
 	srv := New(Config{
 		Catalog: rules.NewCatalog(), Seed: 42,
-		WAL: j, Drift: driftTestConfig(),
-		Incidents: IncidentConfig{Dir: t.TempDir()},
+		WAL: j, Drift: driftOn(),
+		IncidentDir: t.TempDir(),
 	})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(func() { ts.Close(); srv.Close(); j.Close() })

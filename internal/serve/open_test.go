@@ -203,6 +203,42 @@ func TestOpenWithoutWAL(t *testing.T) {
 	}
 }
 
+// TestOpenFailsOnUncreatableIncidentDir: with a file where the incident
+// directory should be, Open fails instead of starting an engine that
+// reports itself enabled while every capture fails; a directory it can
+// create, it creates.
+func TestOpenFailsOnUncreatableIncidentDir(t *testing.T) {
+	blocker := filepath.Join(t.TempDir(), "incidents")
+	if err := os.WriteFile(blocker, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, dir := range []string{blocker, filepath.Join(blocker, "sub")} {
+		srv, _, err := Open(Config{Seed: 1, IncidentDir: dir})
+		if err == nil || srv != nil {
+			if srv != nil {
+				srv.Close()
+			}
+			t.Fatalf("Open with incident dir %s: server %v, err %v; want an error", dir, srv != nil, err)
+		}
+		if !strings.Contains(err.Error(), "incident dir") {
+			t.Errorf("Open with incident dir %s: error %q does not name the incident dir", dir, err)
+		}
+	}
+
+	fresh := filepath.Join(t.TempDir(), "a", "b")
+	srv, _, err := Open(Config{Seed: 1, IncidentDir: fresh})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Close()
+	if fi, err := os.Stat(fresh); err != nil || !fi.IsDir() {
+		t.Fatalf("Open did not create incident dir %s: %v", fresh, err)
+	}
+	if st := srv.Stats(); st.Incidents == nil || !st.Incidents.Enabled {
+		t.Fatalf("incidents block %+v, want enabled", st.Incidents)
+	}
+}
+
 // TestRecoverRefusesReplayValues: the training cadence and the
 // event-log cap are constants, so Recover's trainEvery and
 // maxLogEvents accept only 0 and refuse anything else.

@@ -185,8 +185,15 @@ const SnapshotFile = "model.snap"
 // training, and the checkpoint's re-journal carries both tables above
 // the new watermark.
 // The caller owns the WAL, as with New, and decides what to install over
-// the recovered hint table.
+// the recovered hint table. A cfg.IncidentDir that cannot be created
+// fails the start: an engine that could write no bundle would still
+// report itself enabled.
 func Open(cfg Config) (*Server, RecoverResult, error) {
+	if cfg.IncidentDir != "" {
+		if err := os.MkdirAll(cfg.IncidentDir, 0o755); err != nil {
+			return nil, RecoverResult{}, fmt.Errorf("incident dir: %w", err)
+		}
+	}
 	var src wal.Source
 	if cfg.WAL != nil {
 		src = cfg.WAL

@@ -83,13 +83,12 @@ type Config struct {
 	// Flight is the trace sink every request records into, built with
 	// NewFlightRecorder. The caller owns it — the replication tailer
 	// threads one recorder through every re-bootstrapped core so retained
-	// traces survive resync swaps. Nil builds a default recorder (250ms
-	// slow threshold).
+	// traces survive resync swaps. Nil builds one.
 	Flight *obs.FlightRecorder
-	// Incidents, given a Dir, enables the incident engine: SLO-burn,
+	// IncidentDir, when set, enables the incident engine: SLO-burn,
 	// quarantine, and WAL-failure triggers capture diagnostic bundles
-	// into Dir.
-	Incidents IncidentConfig
+	// into it. Open creates it and fails if it cannot.
+	IncidentDir string
 }
 
 // TailProbe is what a replication tailer hands the follower core it
@@ -202,7 +201,7 @@ func New(cfg Config) *Server {
 		flight:       cfg.Flight,
 	}
 	if s.flight == nil {
-		s.flight = NewFlightRecorder(obs.FlightConfig{})
+		s.flight = NewFlightRecorder()
 	}
 	if cfg.WAL != nil {
 		// Attach after any snapshot load / journal replay the caller did:
@@ -216,9 +215,9 @@ func New(cfg Config) *Server {
 	// Objectives read the HTTP layer's route counters, so they declare
 	// after the routes exist.
 	s.initSLO()
-	if cfg.Incidents.Dir != "" {
-		s.incidents = newIncidentEngine(s, cfg.Incidents)
-		s.incidents.start()
+	if cfg.IncidentDir != "" {
+		s.incidents = newIncidentEngine(s, cfg.IncidentDir)
+		s.incidents.start(incidentTick)
 	}
 	return s
 }
@@ -227,14 +226,13 @@ func New(cfg Config) *Server {
 // per-route slow thresholds filled in: the rank route retains at the
 // SLO rank-latency bound (the requests whose tail burns the budget), the
 // WAL long-poll routes never retain as slow (they are slow by design),
-// everything else at cfg.Threshold.
-func NewFlightRecorder(cfg obs.FlightConfig) *obs.FlightRecorder {
-	cfg.RouteThresholds = map[string]time.Duration{
+// everything else at the recorder's 250ms.
+func NewFlightRecorder() *obs.FlightRecorder {
+	return obs.NewFlightRecorder(map[string]time.Duration{
 		api.RouteV2Rank:        rankLatencyBound,
 		api.RouteV2WAL:         -1,
 		api.RouteV2WALSnapshot: -1,
-	}
-	return obs.NewFlightRecorder(cfg)
+	})
 }
 
 // journalErrors is the WAL fail-stop signal the incident engine
