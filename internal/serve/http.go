@@ -610,6 +610,9 @@ func (h *httpLayer) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
+// maxTraceMs is the largest /v2/traces min_ms a time.Duration holds.
+const maxTraceMs = float64(math.MaxInt64 / int64(time.Millisecond))
+
 // handleTraces serves the retained slow-trace ring as a Chrome-trace
 // document: GET /v2/traces?route=&min_ms=&limit=. The body's
 // traceEvents key loads directly in chrome://tracing / Perfetto.
@@ -621,9 +624,11 @@ func (h *httpLayer) handleTraces(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	var minDur time.Duration
 	if v := q.Get("min_ms"); v != "" {
+		// !(ms >= 0) also refuses NaN; past maxTraceMs the conversion
+		// to a Duration would overflow (Inf included).
 		ms, err := strconv.ParseFloat(v, 64)
-		if err != nil || ms < 0 {
-			writeError(w, rid, api.Errorf(api.CodeInvalidRequest, "min_ms must be a non-negative number, got %q", v))
+		if err != nil || !(ms >= 0) || ms > maxTraceMs {
+			writeError(w, rid, api.Errorf(api.CodeInvalidRequest, "min_ms must be a number in [0, %.0f], got %q", maxTraceMs, v))
 			return
 		}
 		minDur = time.Duration(ms * float64(time.Millisecond))

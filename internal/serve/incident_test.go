@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"path/filepath"
 	"strings"
@@ -453,5 +454,43 @@ func TestTraceOutputIsChromeTraceJSON(t *testing.T) {
 	}
 	if last := evs[len(evs)-1]; last.Name != api.RouteV2Rank || last.Cat != "request" {
 		t.Errorf("last event should be the request span, got %+v", last)
+	}
+}
+
+// TestTracesRejectsOutOfRangeMinMs: a min_ms that is not a number, is
+// negative, or is past what a time.Duration holds (where the
+// conversion used to wrap to a negative cutoff that matched every
+// retained trace) answers invalid_request; the largest valid one
+// answers with no traces.
+func TestTracesRejectsOutOfRangeMinMs(t *testing.T) {
+	// /v2/rank retains at 1ns: every rank is "slow".
+	_, ts := newTestServer(t, Config{Seed: 1, Flight: obs.NewFlightRecorder(map[string]time.Duration{api.RouteV2Rank: time.Nanosecond})})
+	resp, err := http.Post(ts.URL+api.RouteV2Rank, "application/json",
+		strings.NewReader(`{"jobs":[{"templateHash":"feedface","span":[5,21]}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+
+	for _, v := range []string{"NaN", "nan", "Inf", "+Inf", "-Inf", "1e300", "9.3e12", "-1", "x"} {
+		resp, err := http.Get(ts.URL + api.RouteV2Traces + "?min_ms=" + url.QueryEscape(v))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Run(v, func(t *testing.T) { expectError(t, resp, http.StatusBadRequest, api.CodeInvalidRequest) })
+	}
+	resp, err = http.Get(ts.URL + api.RouteV2Traces + "?min_ms=9.2e12")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []json.RawMessage `json:"traceEvents"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || len(doc.TraceEvents) != 0 {
+		t.Errorf("min_ms=9.2e12: status %d, %d trace events; want 200 and none", resp.StatusCode, len(doc.TraceEvents))
 	}
 }
