@@ -37,11 +37,14 @@
 //
 // With -wal-dir set serve runs durably: every rank decision, accepted
 // reward batch, and hint-table rollover is journaled to a segmented
-// write-ahead log (group-commit fsync per -wal-sync), a checkpoint
-// ticker (-snapshot-every) snapshots the model with its covering WAL
-// offset and truncates sealed segments, and startup replays the journal
-// suffix above the snapshot watermark — so a crash loses at most the
-// last unsynced group-commit window instead of every reward since boot.
+// write-ahead log (group-commit fsync per -wal-sync; segments roll at
+// wal.DefaultSegmentBytes, 64 MiB, in internal/wal/wal.go), a
+// checkpoint ticker (every 5 minutes: checkpointEvery, in this file;
+// POST /v2/model/snapshot checkpoints on demand) snapshots the model
+// with its covering WAL offset and truncates sealed segments, and
+// startup replays the journal suffix above the snapshot watermark — so
+// a crash loses at most the last unsynced group-commit window instead
+// of every reward since boot.
 // A WAL-backed server is also a replication primary: followers
 // bootstrap from GET /v2/wal/snapshot and tail GET /v2/wal.
 //
@@ -249,14 +252,17 @@ func (n *nodeFlags) observe() {
 	}
 }
 
+// checkpointEvery is serve's checkpoint cadence: snapshot the model with
+// its covering journal offset and truncate the covered segments. SIGTERM
+// and POST /v2/model/snapshot checkpoint in between.
+const checkpointEvery = 5 * time.Minute
+
 // serveMode is the primary.
 type serveMode struct {
 	nodeFlags
 	seed                          int64
 	hints, model, walDir, walSync string
 	walMode                       wal.Mode // -wal-sync, parsed by validate
-	walSegMB                      int64
-	snapshotEvery                 time.Duration
 	uniform, drift                bool
 	incidentDir                   string
 }
@@ -269,8 +275,6 @@ func (m *serveMode) register(fs *flag.FlagSet) {
 	fs.BoolVar(&m.uniform, "uniform", false, "rank with the uniform-at-random logging policy")
 	fs.StringVar(&m.walDir, "wal-dir", "", "durable reward journal directory (empty = in-memory only)")
 	fs.StringVar(&m.walSync, "wal-sync", "async", "journal durability mode: sync (fsync before ack), async (group-commit window), off (never fsync)")
-	fs.Int64Var(&m.walSegMB, "wal-segment-mb", 64, "journal segment size in MiB before rolling to a new file")
-	fs.DurationVar(&m.snapshotEvery, "snapshot-every", 5*time.Minute, "checkpoint interval: snapshot the model and truncate covered journal segments (0 = only on shutdown)")
 	fs.BoolVar(&m.drift, "drift", false, "detect per-template reward drift and auto-quarantine regressed hints (journaled)")
 	fs.StringVar(&m.incidentDir, "incident-dir", "", "capture diagnostic bundles (profiles, histograms, slow traces, stats) into this directory when an incident trigger fires (empty = disabled)")
 }
@@ -284,12 +288,11 @@ func (m *serveMode) validate(string) (err error) {
 
 func (m *serveMode) run() error {
 	m.observe()
-	cat := rules.NewCatalog()
 
 	var journal *wal.WAL
 	if m.walDir != "" {
 		var err error
-		journal, err = wal.Open(wal.Options{Dir: m.walDir, Mode: m.walMode, SegmentBytes: m.walSegMB << 20})
+		journal, err = wal.Open(wal.Options{Dir: m.walDir, Mode: m.walMode})
 		if err != nil {
 			return fmt.Errorf("opening WAL %s: %w", m.walDir, err)
 		}
@@ -309,7 +312,6 @@ func (m *serveMode) run() error {
 	// (or starts a fresh learner), restores the journaled quarantine and
 	// hint tables and, with a WAL, takes the initial checkpoint.
 	srv, rec, err := serve.Open(serve.Config{
-		Catalog:      cat,
 		Seed:         m.seed,
 		Uniform:      m.uniform,
 		SnapshotPath: m.model,
@@ -336,7 +338,7 @@ func (m *serveMode) run() error {
 	// upload), so it replaces the recovered one as one journaled rollover,
 	// exactly as push-hints would. Without it the recovered table stands.
 	if m.hints != "" {
-		hints, err := loadHints(m.hints, cat)
+		hints, err := loadHints(m.hints, rules.NewCatalog())
 		if err != nil {
 			return err
 		}
@@ -353,10 +355,10 @@ func (m *serveMode) run() error {
 	// segments. The ticker stops with the serve context.
 	err = serveUntilSignal(m.addr, srv, func(ctx context.Context) {
 		logg.Info("qoserved listening", "addr", m.addr)
-		if m.snapshotEvery <= 0 || model == "" {
+		if model == "" {
 			return
 		}
-		t := time.NewTicker(m.snapshotEvery)
+		t := time.NewTicker(checkpointEvery)
 		defer t.Stop()
 		for {
 			select {

@@ -60,8 +60,8 @@ func TestFlagsGolden(t *testing.T) {
 			defaults[f.Name] = f.DefValue
 		})
 	}
-	if len(defaults) != 21 {
-		t.Errorf("%d distinct flag names across all subcommands, want 21", len(defaults))
+	if len(defaults) != 19 {
+		t.Errorf("%d distinct flag names across all subcommands, want 19", len(defaults))
 	}
 	const path = "testdata/flags.golden"
 	if *update {
@@ -89,8 +89,7 @@ func TestParseBuildsEachMode(t *testing.T) {
 	}{
 		{"serve -addr :1 -wal-dir d -wal-sync sync -drift -seed 7", &serveMode{
 			nodeFlags: node, seed: 7, drift: true,
-			walDir: "d", walSync: "sync", walMode: wal.ModeSync, walSegMB: 64,
-			snapshotEvery: 5 * time.Minute,
+			walDir: "d", walSync: "sync", walMode: wal.ModeSync,
 		}},
 		{"follow http://p:1 -addr :1", &followMode{nodeFlags: node, primary: "http://p:1"}},
 		{"cluster http://a:1,,http://b:1", &clusterMode{endpoints: []string{"http://a:1", "http://b:1"}}},
@@ -113,6 +112,21 @@ func TestParseBuildsEachMode(t *testing.T) {
 			t.Errorf("qoserved %s: %v\n%s", tc.argv, err, stderr.Bytes())
 		} else if !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("qoserved %s:\n got %+v\nwant %+v", tc.argv, got, tc.want)
+		}
+	}
+}
+
+// TestServeConstants pins serve's fixed cadence: a checkpoint every 5
+// minutes.
+func TestServeConstants(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		got, want time.Duration
+	}{
+		{"checkpointEvery", checkpointEvery, 5 * time.Minute},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %v, want %v", c.name, c.got, c.want)
 		}
 	}
 }
@@ -169,16 +183,17 @@ func TestParseRejects(t *testing.T) {
 	// table policed is simply not in follow's set.
 	for _, name := range []string{
 		"hints", "model", "uniform", "queue", "workers",
-		"wal-sync", "wal-segment-mb", "snapshot-every", "drift", "incident-dir",
+		"wal-sync", "drift", "incident-dir",
 	} {
 		cases = append(cases, [2]string{"follow http://p:1 -" + name + "=1", undefined})
 	}
 	// The old mode flags, the four deleted knobs, the serve-time bootstrap
 	// (now qoadvisor -hints/-model), the trace file (now /v2/traces), the
 	// replay values (now constants: the training cadence and the
-	// event-log cap) and the safeguard and trace tuning (now constants:
-	// the drift windows, the incident triggers, the trace cutoff) exist
-	// nowhere.
+	// event-log cap), the safeguard and trace tuning (now constants:
+	// the drift windows, the incident triggers, the trace cutoff) and the
+	// journal's segment size and checkpoint cadence (now constants too)
+	// exist nowhere.
 	for _, c := range commands {
 		operand := ""
 		if c.operand != "" {
@@ -186,7 +201,8 @@ func TestParseRejects(t *testing.T) {
 		}
 		for _, old := range []string{"follow", "check", "cluster", "push-hints", "replay", "audit", "version", "workers", "shards", "rank-workers", "queue", "bootstrap-days", "templates", "trace-out", "trace-sample", "train-every", "max-log",
 			"drift-threshold", "drift-quarantine-after", "drift-restore-after", "drift-max-templates",
-			"incident-burn-threshold", "incident-cooldown", "trace-retain-ms"} {
+			"incident-burn-threshold", "incident-cooldown", "trace-retain-ms",
+			"snapshot-every", "wal-segment-mb"} {
 			cases = append(cases, [2]string{c.name + operand + " -" + old + "=1", undefined})
 		}
 	}

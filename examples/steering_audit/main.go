@@ -71,9 +71,7 @@ func main() {
 		log.Fatal(err)
 	}
 	cat := rules.NewCatalog()
-	srv := serve.New(serve.Config{
-		Catalog: cat, Seed: 42, SnapshotPath: snap, WAL: j,
-	})
+	srv := serve.New(serve.Config{Seed: 42, SnapshotPath: snap, WAL: j})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	cl := client.New(ts.URL)

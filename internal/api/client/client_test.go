@@ -26,7 +26,7 @@ import (
 // (single and batch), stats, snapshot.
 func TestAPIConformanceClientEndToEnd(t *testing.T) {
 	cat := rules.NewCatalog()
-	srv := serve.New(serve.Config{Catalog: cat, Seed: 17})
+	srv := serve.New(serve.Config{Seed: 17})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	defer srv.Close()

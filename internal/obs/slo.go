@@ -79,14 +79,11 @@ type SLOTracker struct {
 	minPeriod time.Duration
 }
 
-// NewSLOTracker builds a tracker over the given windows (sorted
-// ascending; at least one is required). The sampling period is derived
-// from the smallest window so every window always spans several
-// samples.
+// NewSLOTracker builds a tracker over the given windows (at least one
+// is required; they are sorted ascending). The sampling period is an
+// eighth of the smallest window, at least a second, so every window
+// always spans several samples.
 func NewSLOTracker(windows ...time.Duration) *SLOTracker {
-	if len(windows) == 0 {
-		windows = []time.Duration{time.Minute, 5 * time.Minute, 30 * time.Minute}
-	}
 	ws := append([]time.Duration(nil), windows...)
 	sort.Slice(ws, func(i, j int) bool { return ws[i] < ws[j] })
 	minPeriod := ws[0] / 8
@@ -94,14 +91,6 @@ func NewSLOTracker(windows ...time.Duration) *SLOTracker {
 		minPeriod = time.Second
 	}
 	return &SLOTracker{windows: ws, minPeriod: minPeriod}
-}
-
-// SetMinSamplePeriod overrides the sampling throttle (tests use
-// sub-second windows).
-func (t *SLOTracker) SetMinSamplePeriod(d time.Duration) {
-	t.mu.Lock()
-	t.minPeriod = d
-	t.mu.Unlock()
 }
 
 // Add registers an objective. Objectives are fixed at declaration
@@ -170,9 +159,10 @@ type SLOStatus struct {
 }
 
 // Report computes every objective's windowed status against the live
-// counters. A window with no baseline yet (tracker younger than the
-// window) is measured from the oldest sample — i.e. over the tracker's
-// lifetime — which converges to the true window as samples accumulate.
+// counters. A window with no baseline yet (no sample at least the
+// window old) is measured from zero, i.e. over everything the counters
+// hold since process start; once a sample ages past the window it
+// becomes the baseline and the true window applies.
 func (t *SLOTracker) Report(now time.Time) []SLOStatus {
 	t.mu.Lock()
 	defer t.mu.Unlock()

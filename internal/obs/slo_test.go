@@ -65,7 +65,7 @@ func TestSnapshotFromPartsRoundTrip(t *testing.T) {
 func TestSLOTrackerWindows(t *testing.T) {
 	var h Histogram
 	tr := NewSLOTracker(time.Second, 10*time.Second)
-	tr.SetMinSamplePeriod(0)
+	tr.minPeriod = 0
 	tr.Add(Objective{
 		Name:      "rank_latency",
 		Kind:      SLOLatency,
@@ -121,7 +121,7 @@ func TestSLOTrackerWindows(t *testing.T) {
 func TestSLOTrackerAvailabilityAndPruning(t *testing.T) {
 	good, total := 0.0, 0.0
 	tr := NewSLOTracker(time.Second)
-	tr.SetMinSamplePeriod(0)
+	tr.minPeriod = 0
 	tr.Add(Objective{
 		Name:   "availability",
 		Kind:   SLOAvailability,

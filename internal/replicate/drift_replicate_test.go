@@ -30,7 +30,7 @@ func newDriftPrimary(t *testing.T, segBytes int64) (*primaryRig, uint64, uint64)
 	}
 	cat := rules.NewCatalog()
 	dc := drift.DefaultConfig()
-	srv := serve.New(serve.Config{Catalog: cat, Seed: 42, WAL: j, Drift: &dc})
+	srv := serve.New(serve.Config{Seed: 42, WAL: j, Drift: &dc})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(func() {
 		ts.Close()

@@ -51,7 +51,6 @@ import (
 	"qoadvisor/internal/api/client"
 	"qoadvisor/internal/bandit"
 	"qoadvisor/internal/obs"
-	"qoadvisor/internal/rules"
 	"qoadvisor/internal/serve"
 	"qoadvisor/internal/wal"
 )
@@ -63,21 +62,28 @@ import (
 type Config struct {
 	// Primary is the primary's base URL ("http://host:port").
 	Primary string
-	// Catalog is the rule catalog (nil = canonical).
-	Catalog *rules.Catalog
 	// Seed drives nothing observable on a follower (greedy ranking is
 	// deterministic) but is threaded into bandit.Load for consistency.
 	Seed int64
-	// PollWait is the tail long-poll window asked of the primary
-	// (0 = 10s). Shorter values tighten reconnect cadence in tests.
-	PollWait time.Duration
-	// ReconnectBackoff is the wait after a failed connect (0 = 500ms);
-	// it doubles per consecutive failure up to 16x.
-	ReconnectBackoff time.Duration
 	// Logger receives replication lifecycle events (bootstraps,
 	// re-syncs, reconnect backoff). Nil is valid and silent.
 	Logger *slog.Logger
+
+	// pollWait is the tail long-poll window asked of the primary
+	// (0 = defaultPollWait); reconnectBackoff the wait after a failed
+	// connect (0 = defaultReconnectBackoff), doubled per consecutive
+	// failure up to 16x. Only this package's tests shorten them.
+	pollWait         time.Duration
+	reconnectBackoff time.Duration
 }
+
+const (
+	// defaultPollWait is the tail long-poll window: an idle stream
+	// ends and reconnects this often.
+	defaultPollWait = 10 * time.Second
+	// defaultReconnectBackoff is the first wait after a failed connect.
+	defaultReconnectBackoff = 500 * time.Millisecond
+)
 
 // state is one bootstrap generation: the serving core built from one
 // snapshot. Re-syncs build a fresh state and swap it in whole.
@@ -129,11 +135,11 @@ func Start(cfg Config) (*Follower, error) {
 	if cfg.Primary == "" {
 		return nil, errors.New("replicate: Config.Primary is required")
 	}
-	if cfg.PollWait <= 0 {
-		cfg.PollWait = 10 * time.Second
+	if cfg.pollWait <= 0 {
+		cfg.pollWait = defaultPollWait
 	}
-	if cfg.ReconnectBackoff <= 0 {
-		cfg.ReconnectBackoff = 500 * time.Millisecond
+	if cfg.reconnectBackoff <= 0 {
+		cfg.reconnectBackoff = defaultReconnectBackoff
 	}
 	if cfg.Logger == nil {
 		cfg.Logger = slog.New(slog.DiscardHandler)
@@ -175,7 +181,6 @@ func (f *Follower) bootstrap() error {
 		return fmt.Errorf("replicate: decoding bootstrap snapshot: %w", err)
 	}
 	srv := serve.New(serve.Config{
-		Catalog:   f.cfg.Catalog,
 		Bandit:    svc,
 		Seed:      f.cfg.Seed,
 		Follower:  true,
@@ -207,7 +212,7 @@ func (f *Follower) bootstrap() error {
 // run is the tail loop: stream, apply, reconnect; re-bootstrap on gap.
 func (f *Follower) run() {
 	defer close(f.done)
-	backoff := f.cfg.ReconnectBackoff
+	backoff := f.cfg.reconnectBackoff
 	for f.ctx.Err() == nil {
 		err := f.tailOnce()
 		switch {
@@ -216,7 +221,7 @@ func (f *Follower) run() {
 		case err == nil:
 			// Clean stream end (idle long-poll or bounded duration):
 			// reconnect immediately, that IS the protocol.
-			backoff = f.cfg.ReconnectBackoff
+			backoff = f.cfg.reconnectBackoff
 			continue
 		case errors.Is(err, errNeedsResync):
 			f.log.Warn("tail needs re-bootstrap", "appliedLsn", f.applied.Load())
@@ -224,15 +229,15 @@ func (f *Follower) run() {
 			if berr := f.bootstrap(); berr != nil {
 				f.log.Error("re-bootstrap failed", "err", berr, "backoff", backoff)
 				f.sleep(backoff)
-				backoff = min(backoff*2, 16*f.cfg.ReconnectBackoff)
+				backoff = min(backoff*2, 16*f.cfg.reconnectBackoff)
 			} else {
-				backoff = f.cfg.ReconnectBackoff
+				backoff = f.cfg.reconnectBackoff
 			}
 		default:
 			f.log.Warn("tail stream failed", "err", err, "appliedLsn", f.applied.Load(), "backoff", backoff)
 			f.reconnects.Add(1)
 			f.sleep(backoff)
-			backoff = min(backoff*2, 16*f.cfg.ReconnectBackoff)
+			backoff = min(backoff*2, 16*f.cfg.reconnectBackoff)
 		}
 	}
 }
@@ -255,14 +260,14 @@ func (f *Follower) tailOnce() error {
 	st := f.cur.Load()
 	from := f.applied.Load()
 	url := fmt.Sprintf("%s%s?from=%d&wait=%d",
-		f.cfg.Primary, api.RouteV2WAL, from, f.cfg.PollWait.Milliseconds())
+		f.cfg.Primary, api.RouteV2WAL, from, f.cfg.pollWait.Milliseconds())
 	// Bound the whole exchange: the primary closes every stream within
 	// its bounded duration (~20s) plus our idle window, so a response
 	// still open past that means the primary silently died mid-stream
 	// (partition, power loss — no RST ever comes). Without this bound
 	// the body read would sit on a dead socket until TCP keepalive
 	// (minutes), applying nothing and serving ever-staler state.
-	ctx, cancel := context.WithTimeout(f.ctx, f.cfg.PollWait+30*time.Second)
+	ctx, cancel := context.WithTimeout(f.ctx, f.cfg.pollWait+30*time.Second)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {

@@ -41,7 +41,7 @@ func newPrimary(t *testing.T, segBytes int64) *primaryRig {
 		t.Fatal(err)
 	}
 	cat := rules.NewCatalog()
-	srv := serve.New(serve.Config{Catalog: cat, Seed: 42, WAL: j})
+	srv := serve.New(serve.Config{Seed: 42, WAL: j})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(func() {
 		ts.Close()
@@ -121,10 +121,9 @@ func startFollowerVia(t *testing.T, p *primaryRig, url string) *Follower {
 	t.Helper()
 	f, err := Start(Config{
 		Primary:          url,
-		Catalog:          p.cat,
 		Seed:             777, // deliberately different: must not affect convergence
-		PollWait:         200 * time.Millisecond,
-		ReconnectBackoff: 20 * time.Millisecond,
+		pollWait:         200 * time.Millisecond,
+		reconnectBackoff: 20 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -181,6 +180,49 @@ func postRaw(t *testing.T, url, rid string, body []byte) (int, []byte) {
 		t.Fatal(err)
 	}
 	return resp.StatusCode, raw
+}
+
+// TestDefaultConfigValues pins what a follower runs with when only the
+// primary is given: a 10 s tail long-poll, asked of the primary on the
+// wire, and a 500 ms first reconnect backoff. They are constants; only
+// this package's tests shorten them.
+func TestDefaultConfigValues(t *testing.T) {
+	p := newPrimary(t, 1<<20)
+	waits := make(chan string, 1)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == api.RouteV2WAL {
+			select {
+			case waits <- r.URL.Query().Get("wait"):
+			default:
+			}
+		}
+		p.srv.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+	f, err := Start(Config{Primary: ts.URL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	for _, c := range []struct {
+		name      string
+		got, want time.Duration
+	}{
+		{"pollWait", f.cfg.pollWait, 10 * time.Second},
+		{"reconnectBackoff", f.cfg.reconnectBackoff, 500 * time.Millisecond},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %v, want %v", c.name, c.got, c.want)
+		}
+	}
+	select {
+	case got := <-waits:
+		if got != "10000" {
+			t.Errorf("tail asked the primary for wait=%s ms, want 10000", got)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("follower never opened a tail stream")
+	}
 }
 
 // TestClusterSmokeConvergence is the acceptance core (and the CI
@@ -307,10 +349,9 @@ func TestFollowerLiveTailAndReconnects(t *testing.T) {
 
 	f, err := Start(Config{
 		Primary:          p.ts.URL,
-		Catalog:          p.cat,
 		Seed:             1,
-		PollWait:         30 * time.Millisecond, // stream closes almost immediately when idle
-		ReconnectBackoff: 10 * time.Millisecond,
+		pollWait:         30 * time.Millisecond, // stream closes almost immediately when idle
+		reconnectBackoff: 10 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -49,7 +49,7 @@ func benchCachedHintRank(b *testing.B, srv *Server, hints []sis.Hint) {
 // per rank).
 func BenchmarkServeCachedHintDriftOff(b *testing.B) {
 	cat := rules.NewCatalog()
-	srv := New(Config{Catalog: cat, Seed: 1})
+	srv := New(Config{Seed: 1})
 	defer srv.Close()
 	hints := testHints(cat, 10000, 1)
 	if _, err := srv.InstallHints(hints); err != nil {
@@ -65,7 +65,7 @@ func BenchmarkServeCachedHintDriftOff(b *testing.B) {
 func BenchmarkServeCachedHintDriftOn(b *testing.B) {
 	cat := rules.NewCatalog()
 	dc := drift.DefaultConfig()
-	srv := New(Config{Catalog: cat, Seed: 1, Drift: &dc})
+	srv := New(Config{Seed: 1, Drift: &dc})
 	defer srv.Close()
 	hints := testHints(cat, 10000, 1)
 	if _, err := srv.InstallHints(hints); err != nil {

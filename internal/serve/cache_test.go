@@ -131,7 +131,7 @@ func TestHintCacheConcurrentSwap(t *testing.T) {
 func TestRankHintAndGenerationAgree(t *testing.T) {
 	const tableSize, rollovers = 4096, 200
 	cat := rules.NewCatalog()
-	srv := New(Config{Catalog: cat, Seed: 1})
+	srv := New(Config{Seed: 1})
 	defer srv.Close()
 	install := func(gen int) {
 		got, err := srv.InstallHints(testHints(cat, tableSize, gen))

@@ -46,10 +46,7 @@ func newDriftRig(t *testing.T, mode wal.Mode) *driftRig {
 		t.Fatal(err)
 	}
 	cat := rules.NewCatalog()
-	srv := New(Config{
-		Catalog: cat, Seed: 42,
-		WAL: j, Drift: driftOn(),
-	})
+	srv := New(Config{Seed: 42, WAL: j, Drift: driftOn()})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(func() {
 		ts.Close()
@@ -442,7 +439,7 @@ func TestCrashRecoveryQuarantineState(t *testing.T) {
 	// A restarted server (restored quarantines, then a hint table
 	// installed over the recovered one, as qoserved's -hints does)
 	// refuses the quarantined hints and serves the rest.
-	srv2, _ := r.restart(t, Config{Catalog: r.cat, Seed: 42})
+	srv2, _ := r.restart(t, Config{Seed: 42})
 	if _, err := srv2.InstallHints([]sis.Hint{
 		{TemplateHash: r.hintHash, TemplateID: "T0042", Flip: r.cat.FlipFor(40), Day: 7},
 		{TemplateHash: r.altHash, TemplateID: "T0043", Flip: r.cat.FlipFor(55), Day: 7},

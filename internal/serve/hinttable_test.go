@@ -298,7 +298,7 @@ func TestHintTableBytesPerHint(t *testing.T) {
 // in the build, and the serving table stays as it was.
 func TestInstallHintsRefusesUnaddressableTable(t *testing.T) {
 	cat := rules.NewCatalog()
-	srv := New(Config{Catalog: cat, Seed: 1})
+	srv := New(Config{Seed: 1})
 	defer srv.Close()
 	if _, err := srv.InstallHints(testHints(cat, 3, 1)); err != nil {
 		t.Fatal(err)

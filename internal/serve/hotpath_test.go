@@ -85,7 +85,7 @@ func TestRankPathAllocBudget(t *testing.T) {
 	}
 	cat := rules.NewCatalog()
 	dc := drift.DefaultConfig()
-	srv := New(Config{Catalog: cat, Seed: 1, Drift: &dc})
+	srv := New(Config{Seed: 1, Drift: &dc})
 	defer srv.Close()
 	hints := testHints(cat, 16, 1)
 	if _, err := srv.InstallHints(hints); err != nil {
@@ -128,7 +128,7 @@ func TestBanditPathAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j.Close()
-	srv := New(Config{Catalog: rules.NewCatalog(), Seed: 1, WAL: j})
+	srv := New(Config{Seed: 1, WAL: j})
 	defer srv.Close()
 	jobs := make([]api.RankRequest, 16)
 	for i := range jobs {
@@ -160,7 +160,7 @@ func TestBanditPathAllocBudget(t *testing.T) {
 func TestBatchPoolsDoNotAlias(t *testing.T) {
 	cat := rules.NewCatalog()
 	dc := drift.DefaultConfig()
-	srv, ts := newTestServer(t, Config{Catalog: cat, Seed: 1, Drift: &dc})
+	srv, ts := newTestServer(t, Config{Seed: 1, Drift: &dc})
 	hints := testHints(cat, 4096, 1)
 	if _, err := srv.InstallHints(hints); err != nil {
 		t.Fatal(err)

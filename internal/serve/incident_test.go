@@ -18,7 +18,6 @@ import (
 	"qoadvisor/internal/api"
 	"qoadvisor/internal/api/client"
 	"qoadvisor/internal/obs"
-	"qoadvisor/internal/rules"
 	"qoadvisor/internal/wal"
 )
 
@@ -91,10 +90,7 @@ func incidentTestServer(t *testing.T, dir string) (*Server, *wal.WAL, *httptest.
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(Config{
-		Catalog: rules.NewCatalog(), Seed: 7,
-		WAL: j, Drift: driftOn(),
-	})
+	srv := New(Config{Seed: 7, WAL: j, Drift: driftOn()})
 	srv.incidents = newIncidentEngine(srv, dir)
 	srv.incidents.start(time.Hour)
 	ts := httptest.NewServer(srv)
@@ -103,7 +99,7 @@ func incidentTestServer(t *testing.T, dir string) (*Server, *wal.WAL, *httptest.
 }
 
 func TestIncidentDisabledSurfaces(t *testing.T) {
-	srv := New(Config{Catalog: rules.NewCatalog(), Seed: 1})
+	srv := New(Config{Seed: 1})
 	ts := httptest.NewServer(srv)
 	defer func() { ts.Close(); srv.Close() }()
 	cl := client.New(ts.URL)

@@ -14,7 +14,6 @@ import (
 
 	"qoadvisor/internal/api"
 	"qoadvisor/internal/api/client"
-	"qoadvisor/internal/rules"
 	"qoadvisor/internal/wal"
 )
 
@@ -165,11 +164,7 @@ func newMaximalServer(t *testing.T) (*Server, *httptest.Server) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(Config{
-		Catalog: rules.NewCatalog(), Seed: 42,
-		WAL: j, Drift: driftOn(),
-		IncidentDir: t.TempDir(),
-	})
+	srv := New(Config{Seed: 42, WAL: j, Drift: driftOn(), IncidentDir: t.TempDir()})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(func() { ts.Close(); srv.Close(); j.Close() })
 

@@ -545,7 +545,7 @@ func TestWALFirstLSNAfterFullCompaction(t *testing.T) {
 func TestFollowerModeContract(t *testing.T) {
 	cat := rules.NewCatalog()
 	const leader = "http://primary.example:8080"
-	srv, ts := newTestServer(t, Config{Catalog: cat, Seed: 9, Follower: true, LeaderURL: leader})
+	srv, ts := newTestServer(t, Config{Seed: 9, Follower: true, LeaderURL: leader})
 	srv.restoreHints(testHints(cat, 3, 2), 7)
 
 	// Hint read path serves, with the restored generation.

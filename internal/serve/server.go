@@ -23,11 +23,9 @@ import (
 // (bandit.DefaultTrainEvery) and the event-log cap (bandit.ServingMaxLog)
 // are constants, not fields: a restart, a follower and audit as-of
 // replay the journal on the live node's boundaries with nothing to
-// match.
+// match. Nor is the rule catalog a field: the rules package builds one
+// catalog, rules.NewCatalog's canonical 256 rules, and New uses it.
 type Config struct {
-	// Catalog is the rule catalog steering decisions are made against
-	// (nil selects the canonical 256-rule catalog).
-	Catalog *rules.Catalog
 	// Bandit is the rank/reward learner to serve. Nil builds a fresh one
 	// from Seed; passing the daily pipeline's trained service carries the
 	// learned policy into serving. Either way the server caps its event
@@ -167,9 +165,6 @@ type Server struct {
 
 // New assembles a steering server.
 func New(cfg Config) *Server {
-	if cfg.Catalog == nil {
-		cfg.Catalog = rules.NewCatalog()
-	}
 	if cfg.Bandit == nil {
 		cfg.Bandit = bandit.New(bandit.DefaultConfig(cfg.Seed))
 	}
@@ -184,7 +179,7 @@ func New(cfg Config) *Server {
 		det = drift.NewDetector(*cfg.Drift)
 	}
 	s := &Server{
-		cat:          cfg.Catalog,
+		cat:          rules.NewCatalog(),
 		cache:        NewHintCache(),
 		bandit:       cfg.Bandit,
 		wal:          cfg.WAL,
@@ -610,8 +605,8 @@ type CheckpointInfo struct {
 // below the watermark are then truncated (snapshot compaction).
 //
 // This is the one snapshot entry point for recovery-grade state:
-// SIGTERM, the -snapshot-every ticker, and POST /v2/model/snapshot all
-// land here.
+// SIGTERM, qoserved's five-minute checkpoint ticker, and
+// POST /v2/model/snapshot all land here.
 func (s *Server) Checkpoint(path string) (CheckpointInfo, error) {
 	start := time.Now()
 	s.snapMu.Lock()

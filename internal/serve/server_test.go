@@ -114,7 +114,7 @@ func TestRankRewardEndToEnd(t *testing.T) {
 
 func TestHintsInstallAndServe(t *testing.T) {
 	cat := rules.NewCatalog()
-	_, ts := newTestServer(t, Config{Catalog: cat, Seed: 11})
+	_, ts := newTestServer(t, Config{Seed: 11})
 
 	// Install a day-7 hint table through the rollover endpoint.
 	file := sis.File{Day: 7, Hints: []sis.Hint{
@@ -298,7 +298,7 @@ func TestAPIConformanceSingleVsBatchRank(t *testing.T) {
 	cat := rules.NewCatalog()
 
 	t.Run("hint path", func(t *testing.T) {
-		srv, ts := newTestServer(t, Config{Catalog: cat, Seed: 5})
+		srv, ts := newTestServer(t, Config{Seed: 5})
 		if _, err := srv.InstallHints([]sis.Hint{
 			{TemplateHash: 0x77, TemplateID: "T7", Flip: cat.FlipFor(52), Day: 3},
 		}); err != nil {
@@ -328,8 +328,8 @@ func TestAPIConformanceSingleVsBatchRank(t *testing.T) {
 		// the rng sequences align, so decision i of the one-at-a-time
 		// stream must equal decision i of the batch (event IDs carry a
 		// per-instance nonce and are excluded).
-		_, ts1 := newTestServer(t, Config{Catalog: cat, Seed: 9})
-		_, ts2 := newTestServer(t, Config{Catalog: cat, Seed: 9})
+		_, ts1 := newTestServer(t, Config{Seed: 9})
+		_, ts2 := newTestServer(t, Config{Seed: 9})
 		jobs := make([]api.RankRequest, 6)
 		for i := range jobs {
 			jobs[i] = api.RankRequest{
@@ -363,7 +363,7 @@ func TestAPIConformanceSingleVsBatchRank(t *testing.T) {
 
 func TestV2BatchRankMixedResults(t *testing.T) {
 	cat := rules.NewCatalog()
-	srv, ts := newTestServer(t, Config{Catalog: cat, Seed: 21})
+	srv, ts := newTestServer(t, Config{Seed: 21})
 	if _, err := srv.InstallHints([]sis.Hint{
 		{TemplateHash: 0x10, TemplateID: "T0", Flip: cat.FlipFor(44), Day: 2},
 	}); err != nil {
@@ -466,7 +466,7 @@ func TestV2RewardQueueFull(t *testing.T) {
 
 func TestV2HealthzAndStats(t *testing.T) {
 	cat := rules.NewCatalog()
-	srv, ts := newTestServer(t, Config{Catalog: cat, Seed: 2})
+	srv, ts := newTestServer(t, Config{Seed: 2})
 	if _, err := srv.InstallHints([]sis.Hint{
 		{TemplateHash: 0x42, TemplateID: "T", Flip: cat.FlipFor(41), Day: 1},
 	}); err != nil {

@@ -58,10 +58,7 @@ func (s *Server) initSLO() {
 		Kind:      obs.SLOLatency,
 		Target:    latencyTarget,
 		Threshold: rankLatencyBound,
-		Source: func() (float64, float64) {
-			snap := rank.lat.Snapshot()
-			return snap.CountBelow(rankLatencyBound), float64(snap.Count)
-		},
+		Source:    obs.LatencySource(&rank.lat, rankLatencyBound),
 	})
 
 	// Reward latency: good = reward batches acknowledged at or under
@@ -75,10 +72,7 @@ func (s *Server) initSLO() {
 		Kind:      obs.SLOLatency,
 		Target:    latencyTarget,
 		Threshold: rewardLatencyBound,
-		Source: func() (float64, float64) {
-			snap := reward.lat.Snapshot()
-			return snap.CountBelow(rewardLatencyBound), float64(snap.Count)
-		},
+		Source:    obs.LatencySource(&reward.lat, rewardLatencyBound),
 	})
 
 	// Availability: good = requests not answered 5xx, across every

@@ -123,8 +123,9 @@ type Options struct {
 	// SegmentBytes rolls to a new segment once the active one exceeds
 	// this size (0 = DefaultSegmentBytes).
 	SegmentBytes int64
-	// FlushEvery is the group-commit window (0 = DefaultFlushEvery).
-	FlushEvery time.Duration
+	// flushEvery is the group-commit window (0 = DefaultFlushEvery).
+	// Only this package's tests shorten it.
+	flushEvery time.Duration
 }
 
 // Stats is a point-in-time snapshot of the journal counters.
@@ -230,8 +231,8 @@ func Open(opts Options) (*WAL, error) {
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = DefaultSegmentBytes
 	}
-	if opts.FlushEvery <= 0 {
-		opts.FlushEvery = DefaultFlushEvery
+	if opts.flushEvery <= 0 {
+		opts.flushEvery = DefaultFlushEvery
 	}
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
@@ -528,7 +529,7 @@ func (w *WAL) Sync() error { return w.syncNow() }
 // time/count window so concurrent committers amortize sync cost.
 func (w *WAL) committer() {
 	defer w.wg.Done()
-	t := time.NewTicker(w.opts.FlushEvery)
+	t := time.NewTicker(w.opts.flushEvery)
 	defer t.Stop()
 	for {
 		select {

@@ -16,11 +16,33 @@ import (
 
 func openTest(t *testing.T, dir string, mode Mode, segBytes int64) *WAL {
 	t.Helper()
-	w, err := Open(Options{Dir: dir, Mode: mode, SegmentBytes: segBytes, FlushEvery: time.Millisecond})
+	w, err := Open(Options{Dir: dir, Mode: mode, SegmentBytes: segBytes, flushEvery: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return w
+}
+
+// TestDefaultOptions pins what an unset Options runs with: the 5 ms
+// group-commit window (a constant; only this package's tests shorten
+// it) and 64 MiB segments.
+func TestDefaultOptions(t *testing.T) {
+	w, err := Open(Options{Dir: t.TempDir(), Mode: ModeAsync})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	for _, c := range []struct {
+		name      string
+		got, want int64
+	}{
+		{"flushEvery", int64(w.opts.flushEvery), int64(5 * time.Millisecond)},
+		{"SegmentBytes", w.opts.SegmentBytes, 64 << 20},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %d, want %d", c.name, c.got, c.want)
+		}
+	}
 }
 
 func appendN(t *testing.T, w *WAL, n int, tag string) {
@@ -243,7 +265,7 @@ func TestTornAndCorruptTail(t *testing.T) {
 
 func TestGroupCommitConcurrentSync(t *testing.T) {
 	dir := t.TempDir()
-	w, err := Open(Options{Dir: dir, Mode: ModeSync, FlushEvery: 5 * time.Millisecond})
+	w, err := Open(Options{Dir: dir, Mode: ModeSync})
 	if err != nil {
 		t.Fatal(err)
 	}
