@@ -19,6 +19,7 @@ import (
 
 	"qoadvisor/internal/api"
 	"qoadvisor/internal/bandit"
+	"qoadvisor/internal/replicate"
 	"qoadvisor/internal/rules"
 	"qoadvisor/internal/serve"
 	"qoadvisor/internal/sis"
@@ -26,7 +27,7 @@ import (
 	"qoadvisor/internal/walrec"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/flags.golden from the current flag sets")
+var update = flag.Bool("update", false, "rewrite testdata/flags.golden and testdata/config.golden from the current code")
 
 // childEnv marks a re-executed test binary that should run main() on
 // the space-separated arguments it carries instead of the tests — the
@@ -76,6 +77,38 @@ func TestFlagsGolden(t *testing.T) {
 	}
 	if !bytes.Equal(got.Bytes(), want) {
 		t.Errorf("flag surface moved; rerun with -update if intended\n--- got\n%s--- want\n%s", got.Bytes(), want)
+	}
+}
+
+// TestConfigGolden pins the settable surface of the serving stack
+// under the flags: the name and type of every exported field of
+// serve.Config, replicate.Config and wal.Options. A new setting moves
+// this golden, as a new flag moves flags.golden. Regenerate with
+// `go test ./cmd/qoserved -run TestConfigGolden -update`.
+func TestConfigGolden(t *testing.T) {
+	var got bytes.Buffer
+	for _, v := range []any{serve.Config{}, replicate.Config{}, wal.Options{}} {
+		typ := reflect.TypeOf(v)
+		fmt.Fprintf(&got, "%s\n", typ)
+		for i := range typ.NumField() {
+			if f := typ.Field(i); f.IsExported() {
+				fmt.Fprintf(&got, "  %s\t%s\n", f.Name, f.Type)
+			}
+		}
+	}
+	const path = "testdata/config.golden"
+	if *update {
+		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("config surface moved; rerun with -update if intended\n--- got\n%s--- want\n%s", got.Bytes(), want)
 	}
 }
 
