@@ -253,8 +253,9 @@ func (n *nodeFlags) observe() {
 }
 
 // checkpointEvery is serve's checkpoint cadence: snapshot the model with
-// its covering journal offset and truncate the covered segments. SIGTERM
-// and POST /v2/model/snapshot checkpoint in between.
+// its covering journal offset and truncate the covered segments.
+// POST /v2/model/snapshot checkpoints in between, SIGTERM once more at
+// shutdown.
 const checkpointEvery = 5 * time.Minute
 
 // serveMode is the primary.
