@@ -3,6 +3,7 @@ package scope_test
 import (
 	"errors"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -169,4 +170,47 @@ func pairs(kv []string) (names, values []string) {
 		names, values = append(names, kv[i]), append(values, kv[i+1])
 	}
 	return names, values
+}
+
+// TestBindSpinesWithinPrepareBound: Bind takes its expression spine copies
+// from one slab of the size Prepare counted, which it never grows. Binding
+// every ledger template with all its names, with each single name and with
+// none stays within that bound, and the full binding, which copies every
+// spine above a placeholder, fills it exactly.
+func TestBindSpinesWithinPrepareBound(t *testing.T) {
+	gen, err := workload.New(workload.Config{Seed: 20211101, NumTemplates: 222})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tpl := range gen.Templates() {
+		p, err := scope.Prepare(tpl.ScriptPattern)
+		if err != nil {
+			t.Fatal(err)
+		}
+		names, values := []string{"DATE"}, []string{"20211103"}
+		for i, lit := range tpl.Literals {
+			names, values = append(names, strings.Trim(lit, "@")), append(values, strconv.Itoa(10+i))
+		}
+		bound := scope.SpineBound(p)
+		bind := func(names, values []string) int {
+			t.Helper()
+			used, err := scope.BindSpines(p, names, values)
+			_, bindErr := p.Bind(names, values)
+			var be *scope.BindError
+			if (err == nil) != (bindErr == nil) || err != nil && !errors.As(err, &be) {
+				t.Errorf("%s bound to %q: %v, Bind: %v", tpl.ID, names, err, bindErr)
+			}
+			if used > bound {
+				t.Errorf("%s bound to %q: %d spine copies, Prepare's bound %d", tpl.ID, names, used, bound)
+			}
+			return used
+		}
+		if used := bind(names, values); used != bound {
+			t.Errorf("%s: the full binding copies %d spines, Prepare counted %d", tpl.ID, used, bound)
+		}
+		for k := range names {
+			bind(names[k:k+1], values[k:k+1])
+		}
+		bind(nil, nil)
+	}
 }

@@ -592,6 +592,29 @@ func TestRowWidth(t *testing.T) {
 	}
 }
 
+// TestTemplateHashWalkAllocatesNothing: with its pooled visit marks warm,
+// the walk behind TemplateHash allocates nothing.
+func TestTemplateHashWalkAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	g := mustCompile(t, `raw0 = EXTRACT a:long, b:int FROM "store/t/x_20211103.tsv";
+rs1 = SELECT a, b FROM raw0 WHERE b > 7 AND a < 20211103;
+rs2 = SELECT a, SUM(b) AS s FROM rs1 GROUP BY a;
+OUTPUT rs1 TO "out/t/r1.tsv";
+OUTPUT rs2 TO "out/t/r2.tsv";
+`)
+	want := g.TemplateHash()
+	got := testing.AllocsPerRun(100, func() {
+		if h := g.computeTemplateHash(); h != want {
+			t.Fatalf("walk hashed %x, TemplateHash %x", h, want)
+		}
+	})
+	if got != 0 {
+		t.Errorf("%.0f allocs per TemplateHash walk, want 0", got)
+	}
+}
+
 func TestTemplateHashMemoStable(t *testing.T) {
 	src := `raw0 = EXTRACT a:long, b:int FROM "store/t/x.tsv";
 rs1 = SELECT a, b FROM raw0 WHERE b > 7;

@@ -636,9 +636,9 @@ func (p *Parser) parseUnary() (Expr, error) {
 func literal(t Token) (Expr, bool, string) {
 	switch t.Kind {
 	case TokenInt:
-		v, err := strconv.ParseInt(t.Text, 10, 64)
-		if err != nil {
-			return nil, true, fmt.Sprintf("bad integer %q", t.Text)
+		v, msg := intValue(t.Text)
+		if msg != "" {
+			return nil, true, msg
 		}
 		return &IntLit{Value: v}, true, ""
 	case TokenFloat:
@@ -658,6 +658,16 @@ func literal(t Token) (Expr, bool, string) {
 		}
 	}
 	return nil, false, ""
+}
+
+// intValue returns the value an integer token's text spells, or why it
+// spells none.
+func intValue(text string) (int64, string) {
+	v, err := strconv.ParseInt(text, 10, 64)
+	if err != nil {
+		return 0, fmt.Sprintf("bad integer %q", text)
+	}
+	return v, ""
 }
 
 func (p *Parser) parsePrimary() (Expr, error) {

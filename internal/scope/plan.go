@@ -499,7 +499,12 @@ func (g *Graph) TemplateHash() uint64 {
 func (g *Graph) computeTemplateHash() uint64 {
 	var buf [256]byte
 	f := fingerprinter{h: fnv64a(FNVOffset64), buf: buf[:0]}
-	for _, n := range g.Nodes() {
+	w := walkPool.Get().(*walk)
+	if cap(w.seen) < g.nextID {
+		w.seen = make([]bool, g.nextID)
+	}
+	w.nodes = g.AppendNodes(w.nodes[:0], w.seen[:g.nextID])
+	for _, n := range w.nodes {
 		f.h = f.h.str(n.Kind.String()).byte('|')
 		switch n.Kind {
 		case OpScan:
@@ -520,8 +525,20 @@ func (g *Graph) computeTemplateHash() uint64 {
 		}
 		f.h = f.h.byte(';')
 	}
+	clear(w.nodes)
+	clear(w.seen)
+	walkPool.Put(w)
 	return uint64(f.h)
 }
+
+// walk is the pooled scratch of a TemplateHash walk: the nodes in Nodes
+// order and their visit marks by ID, all false between walks.
+type walk struct {
+	nodes []*Node
+	seen  []bool
+}
+
+var walkPool = sync.Pool{New: func() any { return new(walk) }}
 
 // normalizedPath hashes p with every digit run replaced by one '#', so
 // that date-partitioned inputs ("clicks/2021/11/03.tsv") normalize to the

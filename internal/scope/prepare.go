@@ -25,6 +25,11 @@ type Prepared struct {
 	// openCols counts the columns, Cols and GroupBy alike, that sit in a
 	// slice holding an open source: the most a binding re-dates.
 	openCols int
+
+	// spines counts, over every node's Pred and JoinCond, the BinaryExprs
+	// above a placeholder or a string holding an '@': the most a binding
+	// copies, and the size of its one slab of them.
+	spines int
 }
 
 // Prepare parses and compiles a script whose literals are placeholders.
@@ -59,6 +64,10 @@ func Prepare(src string) (*Prepared, error) {
 		}
 		p.open = appendMarkedLits(p.open, n.Pred)
 		p.open = appendMarkedLits(p.open, n.JoinCond)
+		for _, e := range [2]Expr{n.Pred, n.JoinCond} {
+			k, _ := spines(e)
+			p.spines += k
+		}
 		for _, pe := range n.Projs {
 			p.fixed = appendMarkedLits(p.fixed, pe.E)
 		}
@@ -94,6 +103,34 @@ func appendMarkedLits(list []string, e Expr) []string {
 	return list
 }
 
+// spines returns how many BinaryExprs of e lie above a placeholder or a
+// string holding an '@' — each one a binding may copy — and whether e
+// holds such a placeholder or string at all.
+func spines(e Expr) (int, bool) {
+	switch x := e.(type) {
+	case *Param:
+		return 0, true
+	case *StringLit:
+		return 0, strings.IndexByte(x.Value, '@') >= 0
+	case *BinaryExpr:
+		l, lm := spines(x.Left)
+		r, rm := spines(x.Right)
+		if lm || rm {
+			return 1 + l + r, true
+		}
+	case *UnaryExpr:
+		return spines(x.Expr)
+	case *FuncExpr:
+		n, marked := 0, false
+		for _, a := range x.Args {
+			k, m := spines(a)
+			n, marked = n+k, marked || m
+		}
+		return n, marked
+	}
+	return 0, false
+}
+
 // BindError is a binding Bind refuses.
 type BindError struct {
 	Name string // the placeholder, without its '@'s
@@ -111,8 +148,10 @@ func (e *BindError) Error() string {
 // those replacements made in one pass, first name first, and it shares
 // with the prepared DAG everything a replacement does not reach:
 // projections, aggregates, sort keys, renames, undated schemas and
-// literal-free expressions. Its nodes, their Inputs, re-dated schemas and
-// rebuilt expression spines are its own.
+// literal-free expressions. Its nodes, their Inputs, re-dated schemas,
+// rebuilt expression spines and integer literals are its own, each kind in
+// one slab. It may keep strings of names and values, never the slices,
+// which the caller may reuse once Bind returns.
 //
 // Bind refuses, with a *BindError, a name that is not letters, digits and
 // underscores; a value that is not exactly one literal token — an
@@ -174,18 +213,22 @@ func (p *Prepared) Bind(names, values []string) (*Graph, error) {
 	return g, nil
 }
 
-// binder is the state of one Bind. All but cols is scratch kept in
-// binderPool; cols is the bound graph's slab of re-dated columns.
+// binder is the state of one Bind. All but cols, spines and ints is
+// scratch kept in binderPool; those three are the bound graph's slabs of
+// re-dated columns, expression spines and integer literals.
 type binder struct {
 	p             *Prepared
 	names, values []string
 	toks          []Token  // per name: the literal token its value is
 	lits          []Expr   // per name: that literal, built on first use
+	nInts         int      // how many of toks are integers
 	bound         []string // per p.open: the string bound
 	spans         []int    // per p.open: its bytes in buf, or -1, -1
 	buf           []byte
 	byID          []*Node // prepared node ID -> bound node
 	cols          []Column
+	spines        []BinaryExpr
+	ints          []IntLit
 	err           error
 }
 
@@ -197,7 +240,7 @@ func (b *binder) release() {
 	clear(b.bound)
 	clear(b.byID)
 	b.toks, b.lits, b.bound, b.spans, b.buf = b.toks[:0], b.lits[:0], b.bound[:0], b.spans[:0], b.buf[:0]
-	b.p, b.names, b.values, b.cols, b.err = nil, nil, nil, nil, nil
+	b.p, b.names, b.values, b.cols, b.spines, b.ints, b.nInts, b.err = nil, nil, nil, nil, nil, nil, 0, nil
 	binderPool.Put(b)
 }
 
@@ -221,6 +264,9 @@ func (b *binder) checkValues() error {
 		}
 		if strings.Contains(v, "*/") {
 			return &BindError{name, fmt.Sprintf("value %q holds \"*/\", which could end a comment", v)}
+		}
+		if t.Kind == TokenInt {
+			b.nInts++
 		}
 		b.toks = append(b.toks, t)
 		b.lits = append(b.lits, nil)
@@ -329,7 +375,9 @@ func (b *binder) expr(e Expr) Expr {
 	case *BinaryExpr:
 		l, r := b.expr(x.Left), b.expr(x.Right)
 		if l != x.Left || r != x.Right {
-			return &BinaryExpr{Op: x.Op, Left: l, Right: r}
+			c := take(&b.spines, b.p.spines)
+			*c = BinaryExpr{Op: x.Op, Left: l, Right: r}
+			return c
 		}
 	case *UnaryExpr:
 		if in := b.expr(x.Expr); in != x.Expr {
@@ -358,7 +406,18 @@ func (b *binder) literal(name string) Expr {
 			continue
 		}
 		if b.lits[k] == nil {
-			e, _, msg := literal(b.toks[k])
+			var e Expr
+			var msg string
+			if t := b.toks[k]; t.Kind == TokenInt {
+				var v int64
+				if v, msg = intValue(t.Text); msg == "" {
+					c := take(&b.ints, b.nInts)
+					c.Value = v
+					e = c
+				}
+			} else {
+				e, _, msg = literal(t)
+			}
 			if msg != "" {
 				b.fail(&BindError{name, msg})
 			}
@@ -368,6 +427,19 @@ func (b *binder) literal(name string) Expr {
 	}
 	b.fail(&BindError{name, "no value is bound to it"})
 	return nil
+}
+
+// take returns the next element of the bound graph's slab *slab, making
+// the slab with room for size on first use. Past size it panics rather
+// than grow: the elements handed out already belong to the graph, and
+// Prepare's counts bound what a binding takes.
+func take[T any](slab *[]T, size int) *T {
+	if *slab == nil {
+		*slab = make([]T, 0, size)
+	}
+	n := len(*slab)
+	*slab = (*slab)[:n+1]
+	return &(*slab)[n]
 }
 
 func (b *binder) fail(err error) {
