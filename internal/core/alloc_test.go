@@ -11,7 +11,7 @@ import (
 	"qoadvisor/internal/workload"
 )
 
-// runDayAllocCeiling is TestRunDayAllocBudget's: measured (45.5, go1.24)
+// runDayAllocCeiling is TestRunDayAllocBudget's: measured (29.4, go1.24)
 // + 5 %. The same days cost 954.6 per job while every recurrence was
 // instantiated, rewritten and lowered from scratch through per-call maps,
 // 256.4 while every (template, date) was parsed and compiled from its
@@ -24,8 +24,10 @@ import (
 // builder's scratch, published in a handful of exact slabs, and 58.9
 // while exec.Run built a cardinality engine, its row counts and its stage
 // accumulators afresh for every job and the view rows grouped each tree's
-// nodes in a map of their own.
-const runDayAllocCeiling = 48
+// nodes in a map of their own, and 45.5 while an instance's dated strings,
+// distinct counts, spine nodes and literals were each an allocation of
+// their own and every recurrence a copy of the instance's first job.
+const runDayAllocCeiling = 31
 
 // retainedHeapCeilingMB is TestOfflineLegRetainedHeap's: measured (6.07
 // MB, go1.24, 6.06–6.09 at GOMAXPROCS 1–4) + 10 %. The same days retained

@@ -27,7 +27,7 @@ func TestBindMatchesCompile(t *testing.T) {
 				for _, lit := range tpl.Literals {
 					values = append(values, litValueRef(tpl, lit, date))
 				}
-				want, err := scope.CompileScript(substitute(tpl.ScriptPattern, olds, values))
+				want, err := scope.CompileScript(string(appendSubstitute(nil, tpl.ScriptPattern, olds, values)))
 				if err != nil {
 					t.Fatalf("seed %d %s date %d: %v", seed, tpl.ID, date, err)
 				}
@@ -111,7 +111,7 @@ func TestInstantiateConcurrentSharesGraph(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			j, err := tpl.Instantiate(42, i)
+			j, err := tpl.Instantiate(42, i%tpl.DailyInstances)
 			if err != nil {
 				t.Error(err)
 				return

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"qoadvisor/internal/exec"
@@ -141,11 +142,34 @@ func ids(nodes []*scope.Node) string {
 	return strings.Join(s, ",")
 }
 
-// TestInstantiateSharedParts: every instance JobsForDay hands out — the
-// first of a (template, date), built by Instantiate, and the recurrences
-// stamped from it — equals the from-scratch reference field by field, on
-// dates whose decimal form has one, two and three digits; and recurrences
-// share the first instance's graph, truth and statistics.
+// refDiff describes the first way job differs from the from-scratch
+// reference for its template, date and seq, or returns "" when it equals
+// it field by field.
+func refDiff(job *Job) (string, error) {
+	want, err := instantiateRef(job.Template, job.Date, job.Seq)
+	if err != nil {
+		return "", err
+	}
+	switch {
+	case job.ID != want.ID || job.Date != want.Date || job.Seq != want.Seq || job.Tokens != want.Tokens:
+		return fmt.Sprintf("ID/Date/Seq/Tokens %s %d %d %d, reference %s %d %d %d",
+			job.ID, job.Date, job.Seq, job.Tokens, want.ID, want.Date, want.Seq, want.Tokens), nil
+	case !reflect.DeepEqual(job.Truth, want.Truth):
+		return fmt.Sprintf("truth %+v, reference %+v", job.Truth, want.Truth), nil
+	case !reflect.DeepEqual(job.Stats, want.Stats):
+		return fmt.Sprintf("stats %+v, reference %+v", job.Stats, want.Stats), nil
+	}
+	if d := graphDiff(job.Graph, want.Graph); d != "" {
+		return "graph differs from the reference: " + d, nil
+	}
+	return "", nil
+}
+
+// TestInstantiateSharedParts: every job JobsForDay hands out equals the
+// from-scratch reference field by field, on dates whose decimal form has
+// one, two and three digits; the jobs of a (template, date) share its
+// graph, truth and statistics; and Instantiate of a job's (date, seq)
+// returns the identical *Job, an element of the instance's job slab.
 func TestInstantiateSharedParts(t *testing.T) {
 	gen, err := New(Config{Seed: 20211101, NumTemplates: 24})
 	if err != nil {
@@ -159,22 +183,13 @@ func TestInstantiateSharedParts(t *testing.T) {
 		}
 		var first *Job
 		for _, got := range jobs {
-			want, err := instantiateRef(got.Template, date, got.Seq)
-			if err != nil {
+			if d, err := refDiff(got); err != nil {
 				t.Fatal(err)
+			} else if d != "" {
+				t.Errorf("%s: %s", got.ID, d)
 			}
-			if got.ID != want.ID || got.Date != want.Date || got.Seq != want.Seq || got.Tokens != want.Tokens {
-				t.Errorf("%s: ID/Date/Seq/Tokens %s %d %d %d, reference %s %d %d %d",
-					got.ID, got.ID, got.Date, got.Seq, got.Tokens, want.ID, want.Date, want.Seq, want.Tokens)
-			}
-			if !reflect.DeepEqual(got.Truth, want.Truth) {
-				t.Errorf("%s: truth %+v, reference %+v", got.ID, got.Truth, want.Truth)
-			}
-			if !reflect.DeepEqual(got.Stats, want.Stats) {
-				t.Errorf("%s: stats %+v, reference %+v", got.ID, got.Stats, want.Stats)
-			}
-			if d := graphDiff(got.Graph, want.Graph); d != "" {
-				t.Errorf("%s: graph differs from the reference: %s", got.ID, d)
+			if j, err := got.Template.Instantiate(date, got.Seq); err != nil || j != got {
+				t.Errorf("%s: Instantiate(%d, %d) = %p, %v; JobsForDay handed out %p", got.ID, date, got.Seq, j, err, got)
 			}
 			if got.Seq == 0 {
 				first = got
@@ -196,13 +211,104 @@ func TestInstantiateSharedParts(t *testing.T) {
 	}
 }
 
-// TestSubstituteMatchesSequentialReplace: one pass over a pattern gives
-// what replacing each placeholder in turn gives, in either order, with
-// placeholders adjacent, repeated, absent and sharing a prefix, and a
-// stray '@' kept.
+// TestInstantiateRejectsSeqOutOfRange: a template runs DailyInstances jobs
+// a day, so Instantiate refuses a seq outside [0, DailyInstances) rather
+// than hand out a job that no JobsForDay produces.
+func TestInstantiateRejectsSeqOutOfRange(t *testing.T) {
+	gen, err := New(Config{Seed: 20211101, NumTemplates: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tpl := range gen.Templates() {
+		for _, seq := range []int{-1, tpl.DailyInstances, tpl.DailyInstances + 7} {
+			if j, err := tpl.Instantiate(1, seq); err == nil {
+				t.Errorf("%s runs %d jobs a day; Instantiate(1, %d) = %s, want an error", tpl.ID, tpl.DailyInstances, seq, j.ID)
+			}
+		}
+		if _, err := tpl.Instantiate(1, tpl.DailyInstances-1); err != nil {
+			t.Errorf("%s: its last job of the day: %v", tpl.ID, err)
+		}
+	}
+}
+
+// TestInstantiateConcurrentMatchesReference: as flighting does from
+// par.For while the memo fills, goroutines instantiate every job of the
+// next day of every template at once, each in its own order. Each gets
+// the job JobsForDay then hands out, equal to the from-scratch reference.
+func TestInstantiateConcurrentMatchesReference(t *testing.T) {
+	gen, err := New(Config{Seed: 20211101, NumTemplates: 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const day, workers = 4, 8
+	if _, err := gen.JobsForDay(day); err != nil {
+		t.Fatal(err)
+	}
+	type slot struct {
+		tpl *Template
+		seq int
+	}
+	var slots []slot
+	for _, tpl := range gen.Templates() {
+		for seq := 0; seq < tpl.DailyInstances; seq++ {
+			slots = append(slots, slot{tpl, seq})
+		}
+	}
+	got := make([][]*Job, workers)
+	var wg sync.WaitGroup
+	for w := range got {
+		got[w] = make([]*Job, len(slots))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range slots {
+				k := (i + w*len(slots)/workers) % len(slots)
+				j, err := slots[k].tpl.Instantiate(day+1, slots[k].seq)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got[w][k] = j
+			}
+		}()
+	}
+	wg.Wait()
+	jobs, err := gen.JobsForDay(day + 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(jobs) != len(slots) {
+		t.Fatalf("JobsForDay gave %d jobs, the templates run %d", len(jobs), len(slots))
+	}
+	for k, job := range jobs {
+		for w := range got {
+			if got[w][k] != job {
+				t.Fatalf("worker %d got %p for %s, JobsForDay hands out %p", w, got[w][k], job.ID, job)
+			}
+		}
+		if d, err := refDiff(job); err != nil {
+			t.Fatal(err)
+		} else if d != "" {
+			t.Errorf("%s: %s", job.ID, d)
+		}
+	}
+}
+
+// TestSubstituteMatchesSequentialReplace: the arena writer, one pass over
+// a pattern appended behind what dst holds, gives what replacing each
+// placeholder in turn gives, in either order, with values as strings or as
+// bytes of the arena, with placeholders adjacent, repeated, absent and
+// sharing a prefix, and a stray '@' kept; and the job IDs it writes are
+// the fmt-formatted ones.
 func TestSubstituteMatchesSequentialReplace(t *testing.T) {
 	olds := []string{"@DATE@", "@LIT1@", "@LIT10@", "@LIT2@"}
 	news := []string{"20211103", "17", "9001", "230"}
+	newBytes := make([][]byte, len(news))
+	for i, v := range news {
+		newBytes[i] = []byte(v)
+	}
+	const held = "held|"
+	arena := func() []byte { return []byte(held)[:len(held):len(held)] }
 	for _, pattern := range []string{
 		"",
 		"no placeholders, one stray @ sign",
@@ -216,35 +322,51 @@ func TestSubstituteMatchesSequentialReplace(t *testing.T) {
 			fwd = strings.ReplaceAll(fwd, olds[i], news[i])
 			rev = strings.ReplaceAll(rev, olds[len(olds)-1-i], news[len(olds)-1-i])
 		}
-		if got := substitute(pattern, olds, news); got != fwd || got != rev {
-			t.Errorf("substitute(%q) = %q, sequential replacement gives %q / %q", pattern, got, fwd, rev)
+		if fwd != rev {
+			t.Fatalf("%q: the two sequential orders disagree", pattern)
+		}
+		for _, got := range []string{
+			string(appendSubstitute(arena(), pattern, olds, news)),
+			string(appendSubstitute(arena(), pattern, olds, newBytes)),
+		} {
+			if got != held+fwd {
+				t.Errorf("appendSubstitute(%q, %q) = %q, sequential replacement gives %q", held, pattern, got, held+fwd)
+			}
 		}
 	}
 	for _, date := range []int{-20211101, -20211100, -3, 0, 1, 30, 99, 100, 1 << 40} {
 		if got, want := dateStamp(date), fmt.Sprintf("%08d", 20211100+date); got != want {
 			t.Errorf("dateStamp(%d) = %q, want %q", date, got, want)
 		}
-		if got, want := jobID("T007", date, 2), fmt.Sprintf("J%08d_%s_%d", 20211100+date, "T007", 2); got != want {
-			t.Errorf("jobID(%d) = %q, want %q", date, got, want)
+		for _, seq := range []int{0, 2, 17} {
+			want := fmt.Sprintf("%sJ%08d_%s_%d", held, 20211100+date, "T007", seq)
+			if got := string(appendJobID(arena(), "T007", date, seq)); got != want {
+				t.Errorf("appendJobID(%q, %d, %d) = %q, want %q", held, date, seq, got, want)
+			}
 		}
 	}
 }
 
 // Ceilings for TestInstantiateAllocBudget, measured on the ledger's T000
-// (go1.24) + 5 %. A recurrence costs its Job and its ID, and so does
-// Instantiate of a memoized (template, date) (25 while only its graph was
-// memoized, 106 while each draw built its own rand.Source and hasher).
-// Building an instance costs the literals, the bound graph, truth,
-// statistics and an empty rewrite memo (44). Binding the prepared
+// (go1.24) + 5 %, rounded up. A recurrence and Instantiate of a memoized
+// (template, date) hand out an element of the instance's job slab and
+// allocate nothing (2 while each was a copy of the instance's first job
+// with an ID of its own, 25 while only the graph was memoized, 106 while
+// each draw built its own rand.Source and hasher). Building an instance
+// costs one arena for every dated string, the bound graph, truth,
+// statistics, an empty rewrite memo and the job slab (19; 44 while each
+// dated string, each table's distinct counts, and each spine node and
+// literal Bind made was an allocation of its own). Binding the prepared
 // script cold costs the graph alone: nodes, Inputs and Roots in one slab
-// each, the re-dated schemas in one, the dated strings in one arena, a
-// literal per placeholder and the expression spines above them (17;
-// compiling the substituted source costs 249).
+// each, the re-dated schemas in one, the dated strings in one arena, the
+// expression spines in one and the integer literals in one (7; 17 with a
+// BinaryExpr per spine node and an IntLit per placeholder; compiling the
+// substituted source costs 249).
 const (
-	recurrenceAllocCeiling  = 2
-	instantiateAllocCeiling = 2
-	instanceAllocCeiling    = 46
-	bindAllocCeiling        = 18
+	recurrenceAllocCeiling  = 0
+	instantiateAllocCeiling = 0
+	instanceAllocCeiling    = 20
+	bindAllocCeiling        = 8
 )
 
 // TestInstantiateAllocBudget gates what a day's job instances allocate:
@@ -265,7 +387,12 @@ func TestInstantiateAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sink *Job
-	got := testing.AllocsPerRun(100, func() { sink = first.recurrence(1) })
+	last := tpl.DailyInstances - 1
+	got := testing.AllocsPerRun(100, func() {
+		if sink, err = tpl.Instantiate(3, last); err != nil {
+			t.Fatal(err)
+		}
+	})
 	t.Logf("%s: %.0f allocs per recurrence", sink.ID, got)
 	if got > recurrenceAllocCeiling {
 		t.Errorf("%.0f allocs per recurrence, ceiling %d", got, recurrenceAllocCeiling)
@@ -280,12 +407,12 @@ func TestInstantiateAllocBudget(t *testing.T) {
 		t.Errorf("%.0f allocs per memoized Instantiate, ceiling %d", got, instantiateAllocCeiling)
 	}
 	got = testing.AllocsPerRun(100, func() {
-		if sink, err = tpl.instantiate(3); err != nil {
+		if _, err = tpl.instantiate(3); err != nil {
 			t.Fatal(err)
 		}
 	})
-	t.Logf("%s (%d literals, %d tables, %d sites): %.0f allocs per instance built",
-		tpl.ID, len(tpl.Literals), len(tpl.Tables), len(tpl.TrueSel), got)
+	t.Logf("%s (%d literals, %d tables, %d sites, %d jobs): %.0f allocs per instance built",
+		tpl.ID, len(tpl.Literals), len(tpl.Tables), len(tpl.TrueSel), tpl.DailyInstances, got)
 	if got > instanceAllocCeiling {
 		t.Errorf("%.0f allocs per instance built, ceiling %d", got, instanceAllocCeiling)
 	}

@@ -12,10 +12,13 @@ package workload
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 
 	"qoadvisor/internal/cache"
 	"qoadvisor/internal/exec"
@@ -58,34 +61,34 @@ func appendDateStamp(dst []byte, date int) []byte {
 	return fmt.Appendf(dst, "%08d", 20211100+date)
 }
 
-// substitute returns pattern with every occurrence of olds[i] replaced by
-// news[i], in one pass. Placeholders are "@...@" tokens, none a prefix of
-// another, and no replacement contains '@', so this is what replacing them
-// one after another in any order produces.
-func substitute(pattern string, olds, news []string) string {
-	var sb strings.Builder
-	sb.Grow(len(pattern))
+// datePlaceholder is what a table's PathPattern holds for its date.
+var datePlaceholder = []string{"@DATE@"}
+
+// appendSubstitute appends to dst pattern with every occurrence of olds[i]
+// replaced by news[i], in one pass. Placeholders are "@...@" tokens, none
+// a prefix of another, and no replacement contains '@', so this is what
+// replacing them one after another in any order produces.
+func appendSubstitute[S string | []byte](dst []byte, pattern string, olds []string, news []S) []byte {
 	for {
 		i := strings.IndexByte(pattern, '@')
 		if i < 0 {
 			break
 		}
-		sb.WriteString(pattern[:i])
+		dst = append(dst, pattern[:i]...)
 		pattern = pattern[i:]
 		k := 0
 		for k < len(olds) && (olds[k] == "" || !strings.HasPrefix(pattern, olds[k])) {
 			k++
 		}
 		if k == len(olds) {
-			sb.WriteByte('@')
+			dst = append(dst, '@')
 			pattern = pattern[1:]
 			continue
 		}
-		sb.WriteString(news[k])
+		dst = append(dst, news[k]...)
 		pattern = pattern[len(olds[k]):]
 	}
-	sb.WriteString(pattern)
-	return sb.String()
+	return append(dst, pattern...)
 }
 
 // Template is a recurring job template.
@@ -114,9 +117,16 @@ type Template struct {
 	// binds, "DATE" and then Literals, without their '@'s.
 	prepared *scope.Prepared
 	names    []string
+	// ndv is, per table, the distinct counts the optimizer sees: TrueNDV
+	// scaled by StatsNDVFactor, the same on every date, so every
+	// instance's statistics share it read-only. sites are TrueSel's keys,
+	// sorted: the order an instance writes its site keys in.
+	ndv   []map[string]float64
+	sites []string
 	// instances is the generator's (template, date) memo, shared by its
-	// templates: every job of an instance is a copy of its entry.
-	instances *cache.FIFO[instanceKey, *Job]
+	// templates: every job of an instance is an element of the instance's
+	// job slab, one per recurrence.
+	instances *cache.FIFO[instanceKey, []Job]
 }
 
 // instanceKey names a template's instance on one date.
@@ -127,7 +137,9 @@ type instanceKey struct {
 
 // Job is one instance of a template on a given date. Graph, Truth, Stats
 // and the rewrite memo are the (template, date) instance's, shared by all
-// its jobs; nothing writes them once built.
+// its jobs. The job itself is an element of the instance's job slab, the
+// one *Job JobsForDay and Instantiate hand out for its (template, date,
+// seq) while the instance is memoized; nothing writes any of it once built.
 type Job struct {
 	ID       string
 	Template *Template
@@ -154,7 +166,7 @@ func (j *Job) CompileOptions(cat *rules.Catalog) optimizer.Options {
 type Generator struct {
 	seed      int64
 	templates []*Template
-	instances *cache.FIFO[instanceKey, *Job]
+	instances *cache.FIFO[instanceKey, []Job]
 }
 
 // Config controls workload generation.
@@ -195,7 +207,7 @@ func New(cfg Config) (*Generator, error) {
 	// One instance memo for every template, holding two dates of each: a
 	// day's instances and the next day's, which flighting instantiates
 	// for its validation runs before that day's JobsForDay.
-	g := &Generator{seed: cfg.Seed, instances: cache.NewFIFO[instanceKey, *Job](2 * cfg.NumTemplates)}
+	g := &Generator{seed: cfg.Seed, instances: cache.NewFIFO[instanceKey, []Job](2 * cfg.NumTemplates)}
 	for i := 0; i < cfg.NumTemplates; i++ {
 		t, err := buildTemplate(cfg.Seed, i, cfg.MaxDailyInstances, g.instances)
 		if err != nil {
@@ -213,57 +225,90 @@ func (g *Generator) Templates() []*Template { return g.templates }
 // effectiveness: a miss builds an instance, binding its graph.
 func (g *Generator) CompileCacheStats() cache.Stats { return g.instances.Stats() }
 
-// JobsForDay instantiates every template's recurrences for the given date.
+// JobsForDay returns every template's jobs on the given date.
 func (g *Generator) JobsForDay(date int) ([]*Job, error) {
-	var jobs []*Job
+	n := 0
 	for _, t := range g.templates {
-		// A day's recurrences differ in ID and Seq alone.
-		first, err := t.Instantiate(date, 0)
+		n += t.DailyInstances
+	}
+	jobs := make([]*Job, 0, n)
+	for _, t := range g.templates {
+		inst, err := t.instance(date)
 		if err != nil {
 			return nil, err
 		}
-		jobs = append(jobs, first)
-		for s := 1; s < t.DailyInstances; s++ {
-			jobs = append(jobs, first.recurrence(s))
+		for i := range inst {
+			jobs = append(jobs, &inst[i])
 		}
 	}
 	return jobs, nil
 }
 
-// recurrence returns the job's (template, date) instance number seq,
-// sharing everything but its ID and Seq with j.
-func (j *Job) recurrence(seq int) *Job {
-	r := *j
-	r.Seq = seq
-	r.ID = jobID(j.Template.ID, j.Date, seq)
-	return &r
+// appendJobID appends to dst the ID of job seq of template on date.
+func appendJobID(dst []byte, template string, date, seq int) []byte {
+	dst = appendDateStamp(append(dst, 'J'), date)
+	dst = append(dst, '_')
+	dst = append(dst, template...)
+	dst = append(dst, '_')
+	return strconv.AppendInt(dst, int64(seq), 10)
 }
 
-func jobID(template string, date, seq int) string {
-	var buf [48]byte
-	b := appendDateStamp(append(buf[:0], 'J'), date)
-	b = append(b, '_')
-	b = append(b, template...)
-	b = append(b, '_')
-	return string(strconv.AppendInt(b, int64(seq), 10))
-}
-
-// Instantiate returns job seq of the template's instance on date. The
-// instance is built once per (template, date) and shared by its jobs.
+// Instantiate returns job seq, in [0, DailyInstances), of the template's
+// instance on date. The instance is built once per (template, date) and
+// its jobs are handed out, not copied.
 func (t *Template) Instantiate(date, seq int) (*Job, error) {
-	first, err := t.instances.Do(instanceKey{t, date}, func() (*Job, error) { return t.instantiate(date) })
+	if seq < 0 || seq >= t.DailyInstances {
+		return nil, fmt.Errorf("workload: %s runs jobs 0 to %d a day, not %d", t.ID, t.DailyInstances-1, seq)
+	}
+	jobs, err := t.instance(date)
 	if err != nil {
 		return nil, err
 	}
-	return first.recurrence(seq), nil
+	return &jobs[seq], nil
+}
+
+// instance returns the job slab of the template's instance on date.
+func (t *Template) instance(date int) ([]Job, error) {
+	return t.instances.Do(instanceKey{t, date}, func() ([]Job, error) { return t.instantiate(date) })
+}
+
+// instanceScratch is one instantiate's pooled scratch: the bytes of its
+// arena, where each piece of them ends, the values' pieces while the
+// arena is written, and then every piece cut from the arena's string.
+type instanceScratch struct {
+	buf    []byte
+	ends   []int
+	values [][]byte
+	pieces []string
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(instanceScratch) }}
+
+// cut ends a piece of the arena at the end of buf.
+func (s *instanceScratch) cut() { s.ends = append(s.ends, len(s.buf)) }
+
+// split appends to dst the pieces of arena that end at ends.
+func split[S string | []byte](dst []S, arena S, ends []int) []S {
+	start := 0
+	for _, end := range ends {
+		dst = append(dst, arena[start:end])
+		start = end
+	}
+	return dst
+}
+
+func (s *instanceScratch) release() {
+	clear(s.values)
+	clear(s.pieces)
+	s.buf, s.ends, s.values, s.pieces = s.buf[:0], s.ends[:0], s.values[:0], s.pieces[:0]
+	scratchPool.Put(s)
 }
 
 // instantiate builds the template's instance on date — concrete
 // literals, the bound graph, per-day true row counts, jittered
-// selectivities, the optimizer-visible statistics and an empty rewrite
-// memo — as a job with neither ID nor Seq: Instantiate stamps those on
-// the copies it hands out.
-func (t *Template) instantiate(date int) (*Job, error) {
+// selectivities, the optimizer-visible statistics, an empty rewrite memo
+// and its slab of DailyInstances jobs.
+func (t *Template) instantiate(date int) ([]Job, error) {
 	// Every draw below is the first values of its own stream, seeded by
 	// what it is for: one pooled generator, re-seeded per draw.
 	rng := exec.SeededRand(0)
@@ -274,12 +319,36 @@ func (t *Template) instantiate(date int) (*Job, error) {
 		return rng
 	}
 
-	// The literals: deterministic per (template, literal, date).
-	values := make([]string, len(t.names))
-	values[0] = dateStamp(date)
-	for i, lit := range t.Literals {
-		values[1+i] = strconv.Itoa(10 + draw("lit", lit).Intn(9000))
+	// Every dated string of the instance is a piece of one arena, in this
+	// order: the values bound — the date stamp, then the literals,
+	// deterministic per (template, literal, date) — the table paths, the
+	// selectivity site keys and the job IDs.
+	s := scratchPool.Get().(*instanceScratch)
+	defer s.release()
+	s.buf = appendDateStamp(s.buf, date)
+	s.cut()
+	for _, lit := range t.Literals {
+		s.buf = strconv.AppendInt(s.buf, int64(10+draw("lit", lit).Intn(9000)), 10)
+		s.cut()
 	}
+	s.values = split(s.values, s.buf, s.ends)
+	for _, tab := range t.Tables {
+		s.buf = appendSubstitute(s.buf, tab.PathPattern, datePlaceholder, s.values[:1])
+		s.cut()
+	}
+	for _, site := range t.sites {
+		s.buf = appendSubstitute(s.buf, site, t.Literals, s.values[1:])
+		s.cut()
+	}
+	for seq := 0; seq < t.DailyInstances; seq++ {
+		s.buf = appendJobID(s.buf, t.ID, date, seq)
+		s.cut()
+	}
+	s.pieces = split(s.pieces, string(s.buf), s.ends)
+	values, pieces := s.pieces[:len(t.names)], s.pieces[len(t.names):]
+	paths, pieces := pieces[:len(t.Tables)], pieces[len(t.Tables):]
+	sites, ids := pieces[:len(t.sites)], pieces[len(t.sites):]
+
 	graph, err := t.prepared.Bind(t.names, values)
 	if err != nil {
 		return nil, fmt.Errorf("workload: instance of %s does not compile: %w", t.ID, err)
@@ -287,48 +356,44 @@ func (t *Template) instantiate(date int) (*Job, error) {
 
 	truth := &exec.Truth{
 		Rows:       make(map[string]float64, len(t.Tables)),
-		Sel:        make(map[string]float64, len(t.TrueSel)),
+		Sel:        make(map[string]float64, len(t.sites)),
 		JitterSeed: hashed("jitter", t.ID),
 	}
 	statsMap := make(optimizer.MapStats, len(t.Tables))
-	for _, tab := range t.Tables {
-		path := tab.Path(date)
+	for i, tab := range t.Tables {
 		dayFactor := lognormal(draw("rows", tab.PathPattern), 0.35)
 		trueRows := tab.TrueRows * dayFactor
-		truth.Rows[path] = trueRows
-
-		ndv := make(map[string]float64, len(tab.TrueNDV))
-		for col, v := range tab.TrueNDV {
-			f := tab.StatsNDVFactor[col]
-			if f == 0 {
-				f = 1
-			}
-			ndv[col] = math.Max(1, v*f)
-		}
-		statsMap[path] = optimizer.TableStats{
+		truth.Rows[paths[i]] = trueRows
+		statsMap[paths[i]] = optimizer.TableStats{
 			Rows: math.Max(1, trueRows*tab.StatsRowFactor*lognormal(draw("statdrift", tab.PathPattern), 0.30)),
-			NDV:  ndv,
+			NDV:  t.ndv[i],
 		}
 	}
-	for sitePattern, sel := range t.TrueSel {
-		site := substitute(sitePattern, t.Literals, values[1:])
+	for i, sitePattern := range t.sites {
 		jitter := lognormal(draw("sel", sitePattern), 0.25)
-		s := sel * jitter
-		if s > 1 {
-			s = 1
+		sel := t.TrueSel[sitePattern] * jitter
+		if sel > 1 {
+			sel = 1
 		}
-		truth.Sel[site] = s
+		truth.Sel[sites[i]] = sel
 	}
 
-	return &Job{
-		Template: t,
-		Date:     date,
-		Graph:    graph,
-		Truth:    truth,
-		Stats:    statsMap,
-		Tokens:   t.Tokens,
-		rewrites: optimizer.NewCompileCache(),
-	}, nil
+	jobs := make([]Job, t.DailyInstances)
+	rewrites := optimizer.NewCompileCache()
+	for seq := range jobs {
+		jobs[seq] = Job{
+			ID:       ids[seq],
+			Template: t,
+			Date:     date,
+			Seq:      seq,
+			Graph:    graph,
+			Truth:    truth,
+			Stats:    statsMap,
+			Tokens:   t.Tokens,
+			rewrites: rewrites,
+		}
+	}
+	return jobs, nil
 }
 
 // --- Template construction ---
@@ -336,7 +401,7 @@ func (t *Template) instantiate(date int) (*Job, error) {
 // buildTemplate synthesizes one template. The script is built
 // programmatically (schema-tracked), so generated scripts always compile;
 // construction is verified anyway.
-func buildTemplate(seed int64, idx, maxDaily int, instances *cache.FIFO[instanceKey, *Job]) (*Template, error) {
+func buildTemplate(seed int64, idx, maxDaily int, instances *cache.FIFO[instanceKey, []Job]) (*Template, error) {
 	rng := rand.New(rand.NewSource(hashed("template", strconv.FormatInt(seed, 10), " ", strconv.Itoa(idx))))
 	b := &scriptBuilder{
 		rng:      rng,
@@ -362,6 +427,18 @@ func buildTemplate(seed int64, idx, maxDaily int, instances *cache.FIFO[instance
 	for _, lit := range t.Literals {
 		t.names = append(t.names, strings.Trim(lit, "@"))
 	}
+	for _, tab := range t.Tables {
+		ndv := make(map[string]float64, len(tab.TrueNDV))
+		for col, v := range tab.TrueNDV {
+			f := tab.StatsNDVFactor[col]
+			if f == 0 {
+				f = 1
+			}
+			ndv[col] = math.Max(1, v*f)
+		}
+		t.ndv = append(t.ndv, ndv)
+	}
+	t.sites = slices.Sorted(maps.Keys(t.TrueSel))
 	var err error
 	if t.prepared, err = scope.Prepare(t.ScriptPattern); err != nil {
 		return nil, fmt.Errorf("workload: template %s does not compile: %w", t.ID, err)
