@@ -31,7 +31,7 @@ import (
 )
 
 func main() {
-	err := run(os.Args[1:], os.Stdout)
+	err := run(os.Args[1:], os.Stdout, os.Stderr)
 	if errors.Is(err, flag.ErrHelp) {
 		return
 	}
@@ -41,8 +41,10 @@ func main() {
 	}
 }
 
-func run(argv []string, stdout io.Writer) error {
+// run is qoadvisor on argv; a flag error and -h print to stderr.
+func run(argv []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("qoadvisor", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	days := fs.Int("days", 10, "number of simulated days")
 	templates := fs.Int("templates", 60, "number of recurring job templates")
 	seed := fs.Int64("seed", 42, "workload and pipeline seed")

@@ -2,8 +2,13 @@ package main
 
 import (
 	"bytes"
+	"errors"
+	"flag"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strconv"
 	"strings"
@@ -11,9 +16,66 @@ import (
 
 	"qoadvisor/internal/api"
 	"qoadvisor/internal/bandit"
+	"qoadvisor/internal/core"
+	"qoadvisor/internal/exec"
+	"qoadvisor/internal/flighting"
+	"qoadvisor/internal/optimizer"
 	"qoadvisor/internal/serve"
 	"qoadvisor/internal/sis"
+	"qoadvisor/internal/workload"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/flags.golden and testdata/config.golden from the current code")
+
+// TestFlagsGolden pins qoadvisor's command line: the -h listing of
+// every flag's name, type, default and usage string. Regenerate with
+// `go test ./cmd/qoadvisor -run TestFlagsGolden -update`.
+func TestFlagsGolden(t *testing.T) {
+	var usage bytes.Buffer
+	if err := run([]string{"-h"}, io.Discard, &usage); !errors.Is(err, flag.ErrHelp) {
+		t.Fatalf("qoadvisor -h: %v, want flag.ErrHelp", err)
+	}
+	checkGolden(t, "testdata/flags.golden", usage.Bytes())
+}
+
+// TestConfigGolden pins the settable surface of the offline pipeline
+// under the flags: the name and type of every exported field of
+// core.Config, flighting.Config, workload.Config, exec.Cluster,
+// bandit.Config and optimizer.Options. A new setting moves this golden,
+// as a new flag moves flags.golden. Regenerate with
+// `go test ./cmd/qoadvisor -run TestConfigGolden -update`.
+func TestConfigGolden(t *testing.T) {
+	var got bytes.Buffer
+	for _, v := range []any{core.Config{}, flighting.Config{}, workload.Config{}, exec.Cluster{}, bandit.Config{}, optimizer.Options{}} {
+		typ := reflect.TypeOf(v)
+		fmt.Fprintf(&got, "%s\n", typ)
+		for i := range typ.NumField() {
+			if f := typ.Field(i); f.IsExported() {
+				fmt.Fprintf(&got, "  %s\t%s\n", f.Name, f.Type)
+			}
+		}
+	}
+	checkGolden(t, "testdata/config.golden", got.Bytes())
+}
+
+// checkGolden compares got with the file at path, or rewrites the file
+// under -update.
+func checkGolden(t *testing.T, path string, got []byte) {
+	t.Helper()
+	if *update {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("%s moved; rerun with -update if intended\n--- got\n%s--- want\n%s", path, got, want)
+	}
+}
 
 // TestRun drives the CLI from argv: the printed table has one row of ten
 // integer columns per simulated day between its header and its two
@@ -43,7 +105,7 @@ func TestRun(t *testing.T) {
 		}
 		var out bytes.Buffer
 		prev := runtime.GOMAXPROCS(tc.procs) // 0 only reads it
-		err := run(argv, &out)
+		err := run(argv, &out, io.Discard)
 		runtime.GOMAXPROCS(prev)
 		if err != nil {
 			t.Fatalf("qoadvisor %v: %v", argv, err)
@@ -105,7 +167,7 @@ func TestRun(t *testing.T) {
 		}
 	}
 	var out bytes.Buffer
-	if err := run([]string{"-parallelism", "1"}, &out); err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+	if err := run([]string{"-parallelism", "1"}, &out, io.Discard); err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
 		t.Errorf("qoadvisor -parallelism 1: err %v, want an undefined-flag error", err)
 	}
 }
