@@ -53,6 +53,12 @@ func run(argv []string, stdout, stderr io.Writer) error {
 	if err := fs.Parse(argv); err != nil {
 		return err // the flag package has printed it, with the usage
 	}
+	if *templates < 1 {
+		return fmt.Errorf("invalid value %d for flag -templates: want at least 1", *templates)
+	}
+	if *days < 0 {
+		return fmt.Errorf("invalid value %d for flag -days: want at least 0", *days)
+	}
 
 	fmt.Fprintf(stdout, "QO-Advisor daily loop: %d templates, %d days, seed %d\n\n", *templates, *days, *seed)
 	fmt.Fprintf(stdout, "%4s %6s %6s %7s %7s %7s %6s %8s %7s %6s\n",

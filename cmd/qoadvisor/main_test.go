@@ -83,7 +83,8 @@ func checkGolden(t *testing.T, path string, got []byte) {
 // reads: a table sis.Parse accepts (header-only after -days 0) and a
 // snapshot bandit.Load round-trips byte for byte, both identical at
 // GOMAXPROCS 1 and 4, which a primary opened on them serves. A removed
-// or unknown flag is returned as an error.
+// or unknown flag, -templates below 1 and -days below 0 are returned as
+// errors.
 func TestRun(t *testing.T) {
 	dir := t.TempDir()
 	file := func(name string) string { return filepath.Join(dir, name) }
@@ -169,6 +170,14 @@ func TestRun(t *testing.T) {
 	var out bytes.Buffer
 	if err := run([]string{"-parallelism", "1"}, &out, io.Discard); err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
 		t.Errorf("qoadvisor -parallelism 1: err %v, want an undefined-flag error", err)
+	}
+	// A template count below one or a negative day count is refused
+	// before anything runs or prints.
+	for _, argv := range [][]string{{"-days", "1", "-templates", "0"}, {"-days", "-2"}} {
+		out.Reset()
+		if err := run(argv, &out, io.Discard); err == nil || !strings.Contains(err.Error(), "invalid value") || out.Len() != 0 {
+			t.Errorf("qoadvisor %v: err %v after %q, want an invalid-value error and no output", argv, err, out.String())
+		}
 	}
 }
 
