@@ -104,7 +104,7 @@ func figure3(w io.Writer, lab *experiments.Lab) error {
 		return err
 	}
 	fmt.Fprintln(w, "=== Figure 3: A/A latency variance ===")
-	fmt.Fprintf(w, "jobs: %d (x%d runs)\n", len(res.Points), lab.Cfg.AARuns)
+	fmt.Fprintf(w, "jobs: %d (x%d runs)\n", len(res.Points), experiments.AARuns)
 	fmt.Fprintf(w, "jobs above 5%% latency variance: %s   (paper: >90%%)\n", experiments.FormatPct(res.FracAbove5))
 	fmt.Fprintf(w, "median CV %.3f, max CV %.2f\n\n", res.MedianCV, res.MaxCV)
 	return nil
@@ -128,7 +128,7 @@ func figure5(w io.Writer, lab *experiments.Lab) error {
 		return err
 	}
 	fmt.Fprintln(w, "=== Figure 5: A/A PNhours variance ===")
-	fmt.Fprintf(w, "jobs: %d (x%d runs)\n", len(res.Points), lab.Cfg.AARuns)
+	fmt.Fprintf(w, "jobs: %d (x%d runs)\n", len(res.Points), experiments.AARuns)
 	fmt.Fprintf(w, "jobs above 5%% PNhours variance: %s   (paper: <50%%)\n", experiments.FormatPct(res.FracAbove5))
 	fmt.Fprintf(w, "median CV %.3f, max CV %.2f\n\n", res.MedianCV, res.MaxCV)
 	return nil

@@ -107,12 +107,6 @@ type Config struct {
 	LearningRate float64
 	// MaxIPSWeight clips importance weights.
 	MaxIPSWeight float64
-	// MaxLogEvents caps the in-memory event log (0 = unbounded, the
-	// offline-pipeline mode). When the cap is exceeded the oldest events
-	// are evicted — trained ones silently, pending ones forfeiting any
-	// late reward (which then reports as an unknown event). Every
-	// serving process replaces it with ServingMaxLog.
-	MaxLogEvents int
 	// Seed drives exploration randomness.
 	Seed int64
 }
@@ -218,7 +212,6 @@ func New(cfg Config) *Service {
 		pairs:  newPairSpace(cfg.Dim),
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
 		events: make(map[string]*Event),
-		maxLog: cfg.MaxLogEvents,
 		nonce:  fmt.Sprintf("%x", uint64(time.Now().UnixNano())^uint64(instanceSeq.Add(1))<<48),
 	}
 }
@@ -273,9 +266,13 @@ func (s *Service) restoreEvent(ev *Event) {
 // the cap bounds event state near 14 MB.
 const ServingMaxLog = 1 << 14
 
-// SetMaxLog adjusts the event-log cap at runtime (<= 0 = unbounded) — the
-// serve layer applies its bound to a learner trained by the offline
-// pipeline. The cap takes effect on the next Rank.
+// SetMaxLog caps the in-memory event log (<= 0 = unbounded, what a new
+// Service starts with: the offline-pipeline mode). When the cap is
+// exceeded the oldest events are evicted — trained ones silently,
+// pending ones forfeiting any late reward (which then reports as an
+// unknown event). Every serving process sets ServingMaxLog, also on a
+// learner trained by the offline pipeline. The cap takes effect on the
+// next Rank.
 func (s *Service) SetMaxLog(n int) {
 	s.evMu.Lock()
 	s.maxLog = n

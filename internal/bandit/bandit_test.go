@@ -444,7 +444,8 @@ func TestRankKeepsItsOwnCopy(t *testing.T) {
 // a time to appendEventID's, sequence number by sequence number, across
 // the eight-digit padding boundary.
 func TestBlockEventIDsMatchAppendEventID(t *testing.T) {
-	s := New(Config{Dim: 1 << 10, Seed: 1, MaxLogEvents: 64})
+	s := New(Config{Dim: 1 << 10, Seed: 1})
+	s.SetMaxLog(64)
 	s.seq = 99_999_900
 	ctx, actions := spanDecision(1, 3)
 	for i := 0; i < 300; i++ {

@@ -71,7 +71,8 @@ func TestDecisionAllocBudget(t *testing.T) {
 	}); n > 1 {
 		t.Errorf("Rank allocates %v times per decision, budget 1", n)
 	}
-	capped := New(Config{Seed: 1, MaxLogEvents: ServingMaxLog})
+	capped := New(Config{Seed: 1})
+	capped.SetMaxLog(ServingMaxLog)
 	capped.AttachJournal(&nullJournal{})
 	const decisions = 100_000
 	if n := float64(mallocsOf(func() {
@@ -147,7 +148,8 @@ func TestEventLogBytesPerDecision(t *testing.T) {
 		runtime.ReadMemStats(&ms)
 		return ms.HeapAlloc
 	}
-	s := New(Config{Seed: 1, MaxLogEvents: ServingMaxLog})
+	s := New(Config{Seed: 1})
+	s.SetMaxLog(ServingMaxLog)
 	before := heap()
 	for i := 0; i < decisions; i++ {
 		r := Mix64(uint64(i) + 0xb17e)

@@ -81,9 +81,11 @@ func runGoldenDecisions(t *testing.T, dim int) []string {
 		decisions  = 3000
 		trainEvery = 64
 		rewardLag  = 16
+		maxLog     = 512
 	)
-	cfg := Config{Dim: dim, Epsilon: 0.2, LearningRate: 0.05, MaxIPSWeight: 50, MaxLogEvents: 512, Seed: seed}
+	cfg := Config{Dim: dim, Epsilon: 0.2, LearningRate: 0.05, MaxIPSWeight: 50, Seed: seed}
 	live := New(cfg)
+	live.SetMaxLog(maxLog)
 	live.nonce = "7e57"
 	// Start just below the %08d width so event IDs grow a ninth digit
 	// halfway through.
@@ -171,6 +173,7 @@ func runGoldenDecisions(t *testing.T, dim int) []string {
 	// Replay the whole journal into a fresh service: before Finish it is
 	// the live model, byte for byte.
 	rebuilt := New(cfg)
+	rebuilt.SetMaxLog(maxLog)
 	rp := replayerEvery(rebuilt, trainEvery)
 	for i, rec := range j.recs {
 		if err := rp.Apply(uint64(i+1), rec); err != nil {
@@ -196,7 +199,7 @@ func runGoldenDecisions(t *testing.T, dim int) []string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored.SetMaxLog(cfg.MaxLogEvents)
+	restored.SetMaxLog(maxLog)
 	rs := replayerEvery(restored, trainEvery)
 	for i, rec := range j.recs {
 		if lsn := uint64(i + 1); lsn > cut2000 {

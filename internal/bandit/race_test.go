@@ -77,7 +77,8 @@ func TestConcurrentRankRewardTrain(t *testing.T) {
 // events are evicted (late rewards report unknown) and the log stays
 // within cap plus compaction slack.
 func TestMaxLogEviction(t *testing.T) {
-	svc := New(Config{Dim: 1 << 10, Seed: 1, MaxLogEvents: 100})
+	svc := New(Config{Dim: 1 << 10, Seed: 1})
+	svc.SetMaxLog(100)
 	ctx := Context{IDs: HashFeatures([]string{"span:1"})}
 	actions := []Action{{ID: "a"}, {ID: "b"}}
 

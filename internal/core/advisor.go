@@ -91,7 +91,7 @@ func NewAdvisor(cat *rules.Catalog, store *sis.Store, cfg Config) *Advisor {
 		FeatureGen: NewFeatureGen(cat),
 		CB:         NewCBRecommender(cat, cfg.Seed),
 		Flight:     flighting.New(cfg.Flighting),
-		Validator:  NewValidator(),
+		Validator:  new(Validator),
 		Store:      store,
 		cfg:        cfg,
 	}

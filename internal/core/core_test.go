@@ -252,7 +252,7 @@ func TestRepresentativePerTemplate(t *testing.T) {
 }
 
 func TestValidatorLifecycle(t *testing.T) {
-	v := NewValidator()
+	v := new(Validator)
 	if v.Ready() {
 		t.Fatal("untrained validator should not be ready")
 	}
@@ -284,10 +284,6 @@ func TestValidatorLifecycle(t *testing.T) {
 	}
 	if v.Accept(0.3, 0.3, 0.3) {
 		t.Error("observed increase should fail validation")
-	}
-	// Temporal split training.
-	if err := v.TrainBefore(7); err != nil {
-		t.Fatal(err)
 	}
 	if v.Model() == nil {
 		t.Error("model should be exposed")

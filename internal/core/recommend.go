@@ -76,10 +76,6 @@ type CBRecommender struct {
 	// Uniform switches to the uniform-at-random logging policy used for
 	// off-policy data collection.
 	Uniform bool
-	// BasicContext drops the span co-occurrence features and keeps only
-	// coarse input-size context — the ablation for §6's "surprising
-	// effectiveness of span features".
-	BasicContext bool
 }
 
 // NewCBRecommender builds a CB recommender with its own bandit service.
@@ -105,13 +101,8 @@ var recommendScratches = sync.Pool{New: func() any { return new(recommendScratch
 func (c *CBRecommender) Recommend(f *JobFeatures) (rules.Flip, bool, string) {
 	sc := recommendScratches.Get().(*recommendScratch)
 	defer recommendScratches.Put(sc)
-	var ctx bandit.Context
-	if c.BasicContext {
-		ctx = featurize.Basic(f.RowCount, f.BytesRead, float64(f.Vertices))
-	} else {
-		sc.ids = featurize.AppendContext(sc.ids[:0], f.Span, f.RowCount, f.BytesRead)
-		ctx = bandit.Context{IDs: sc.ids}
-	}
+	sc.ids = featurize.AppendContext(sc.ids[:0], f.Span, f.RowCount, f.BytesRead)
+	ctx := bandit.Context{IDs: sc.ids}
 	sc.actions = featurize.AppendActions(sc.actions[:0], c.Catalog, f.Span)
 	actions := sc.actions
 	var ranked bandit.Ranked

@@ -20,21 +20,15 @@ const DefaultValidationThreshold = -0.05
 // DataWritten deltas observed in a single flighting run (§4.3). The
 // intuition: "if with the new configuration a job reads and writes less
 // data, this will likely translate into better runtime", and unlike
-// latency those I/O volumes are stable across runs.
+// latency those I/O volumes are stable across runs. The zero Validator
+// is ready to use.
 type Validator struct {
-	// Threshold is the acceptance cutoff on predicted PNhours delta.
-	Threshold float64
-	// Lambda is the ridge penalty used when fitting.
-	Lambda float64
-
 	samples []regression.Sample
 	model   *regression.Linear
 }
 
-// NewValidator creates a validator with the production threshold.
-func NewValidator() *Validator {
-	return &Validator{Threshold: DefaultValidationThreshold, Lambda: 1e-6}
-}
+// validationLambda is the ridge penalty used when fitting.
+const validationLambda = 1e-6
 
 // Deltas computes the (DataRead delta, DataWritten delta, PNhours delta)
 // triple of an A/B flight, using the new/old - 1 convention.
@@ -73,23 +67,7 @@ func (v *Validator) Train() error {
 	if len(v.samples) < 4 {
 		return errors.New("core: not enough validation samples")
 	}
-	m, err := regression.FitSamples(v.samples, v.Lambda)
-	if err != nil {
-		return err
-	}
-	v.model = m
-	return nil
-}
-
-// TrainBefore fits the model only on samples dated strictly before
-// cutoff, the paper's temporal train/test protocol (train on week0, test
-// on week1).
-func (v *Validator) TrainBefore(cutoff int) error {
-	train, _ := regression.TemporalSplit(v.samples, cutoff)
-	if len(train) < 4 {
-		return errors.New("core: not enough validation samples before cutoff")
-	}
-	m, err := regression.FitSamples(train, v.Lambda)
+	m, err := regression.FitSamples(v.samples, validationLambda)
 	if err != nil {
 		return err
 	}
@@ -108,9 +86,9 @@ func (v *Validator) Predict(pnObserved, readDelta, writtenDelta float64) float64
 }
 
 // Accept decides whether a flip passes validation: the predicted future
-// PNhours delta must be below the threshold.
+// PNhours delta must be below DefaultValidationThreshold.
 func (v *Validator) Accept(pnObserved, readDelta, writtenDelta float64) bool {
-	return v.Predict(pnObserved, readDelta, writtenDelta) < v.Threshold
+	return v.Predict(pnObserved, readDelta, writtenDelta) < DefaultValidationThreshold
 }
 
 // Model exposes the fitted model for reporting (nil if untrained).

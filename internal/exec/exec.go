@@ -98,23 +98,15 @@ type Cluster struct {
 	// Seed is the cluster's base randomness seed; combined with the
 	// per-run seed so A/A runs differ.
 	Seed int64
-	// StragglerSigma controls the lognormal per-stage straggler tail
-	// multiplying stage latency.
-	StragglerSigma float64
-	// QueueSigma controls the global lognormal queueing/scheduling noise
-	// on job latency.
-	QueueSigma float64
-	// CPUNoiseSigma controls the small lognormal noise on total CPU time
-	// (and hence PNhours).
-	CPUNoiseSigma float64
-	// IONoiseSigma controls the bounded lognormal noise on total I/O
-	// time: data volumes are constant across A/A runs, but disk and
-	// network service times still vary a little.
-	IONoiseSigma float64
-	// HiccupProb is the probability that a run hits a cluster hiccup
-	// multiplying latency by HiccupFactor (the >100% variance tail).
-	HiccupProb   float64
-	HiccupFactor float64
+
+	// The noise model, set by DefaultCluster (a Cluster built as a
+	// literal is noise-free); only this package's tests change it.
+	stragglerSigma float64 // lognormal per-stage straggler tail on stage latency
+	queueSigma     float64 // global lognormal queueing/scheduling noise on job latency
+	cpuNoiseSigma  float64 // small lognormal noise on total CPU time (and hence PNhours)
+	ioNoiseSigma   float64 // bounded lognormal noise on total I/O time: fixed volumes, varying service times
+	hiccupProb     float64 // probability that a run hits a cluster hiccup
+	hiccupFactor   float64 // latency multiplier of a hiccup (the >100% variance tail)
 }
 
 // DefaultCluster returns a cluster with variability calibrated to the
@@ -123,12 +115,12 @@ type Cluster struct {
 func DefaultCluster(seed int64) *Cluster {
 	return &Cluster{
 		Seed:           seed,
-		StragglerSigma: 0.18,
-		QueueSigma:     0.16,
-		CPUNoiseSigma:  0.12,
-		IONoiseSigma:   0.04,
-		HiccupProb:     0.04,
-		HiccupFactor:   2.5,
+		stragglerSigma: 0.18,
+		queueSigma:     0.16,
+		cpuNoiseSigma:  0.12,
+		ioNoiseSigma:   0.04,
+		hiccupProb:     0.04,
+		hiccupFactor:   2.5,
 	}
 }
 
@@ -374,8 +366,8 @@ func Run(plan *optimizer.Plan, truth *Truth, stats optimizer.StatsProvider, clus
 	// PNhours: total CPU + I/O over all vertices plus per-vertex
 	// overhead. CPU gets small multiplicative noise; I/O is bounded
 	// because data read and written stay constant across runs (§4.3).
-	cpuNoise := math.Exp(rng.NormFloat64() * cluster.CPUNoiseSigma)
-	ioNoise := math.Exp(rng.NormFloat64() * cluster.IONoiseSigma)
+	cpuNoise := math.Exp(rng.NormFloat64() * cluster.cpuNoiseSigma)
+	ioNoise := math.Exp(rng.NormFloat64() * cluster.ioNoiseSigma)
 	totalSec := m.TotalCPUSec*cpuNoise + m.TotalIOSec*ioNoise + perVertexCPUSec*float64(m.Vertices)
 	m.PNHours = totalSec / 3600
 
@@ -386,7 +378,7 @@ func Run(plan *optimizer.Plan, truth *Truth, stats optimizer.StatsProvider, clus
 		work := (stageCPU[s.ID] + stageIO[s.ID]) / parts
 		// The slowest of P vertices: lognormal straggler whose tail
 		// grows with the fan-out.
-		straggler := math.Exp(math.Abs(rng.NormFloat64()) * cluster.StragglerSigma * math.Sqrt(math.Log2(parts+1)))
+		straggler := math.Exp(math.Abs(rng.NormFloat64()) * cluster.stragglerSigma * math.Sqrt(math.Log2(parts+1)))
 		stageLatency[s.ID] = work*straggler + vertexStartupMs/1000
 	}
 	// Longest path: stages' InputIDs point upstream.
@@ -399,9 +391,9 @@ func Run(plan *optimizer.Plan, truth *Truth, stats optimizer.StatsProvider, clus
 			longest = d
 		}
 	}
-	queue := math.Exp(rng.NormFloat64() * cluster.QueueSigma)
-	if rng.Float64() < cluster.HiccupProb {
-		queue *= cluster.HiccupFactor
+	queue := math.Exp(rng.NormFloat64() * cluster.queueSigma)
+	if rng.Float64() < cluster.hiccupProb {
+		queue *= cluster.hiccupFactor
 	}
 	m.LatencySec = longest * queue
 

@@ -165,8 +165,8 @@ func TestBiggerDataMeansBiggerMetrics(t *testing.T) {
 func TestHiccupTailExists(t *testing.T) {
 	plan := compilePlan(t)
 	cl := DefaultCluster(11)
-	cl.HiccupProb = 0.5
-	cl.HiccupFactor = 10
+	cl.hiccupProb = 0.5
+	cl.hiccupFactor = 10
 	runs := RunN(plan, testTruth(), testStats(), cl, 0, 40)
 	var lat []float64
 	for _, r := range runs {

@@ -153,9 +153,9 @@ OUTPUT o TO "out";`
 		JitterSeed: 3,
 	}
 	cl := DefaultCluster(3)
-	cl.QueueSigma = 0 // remove global noise for a clean comparison
-	cl.StragglerSigma = 0
-	cl.HiccupProb = 0
+	cl.queueSigma = 0 // remove global noise for a clean comparison
+	cl.stragglerSigma = 0
+	cl.hiccupProb = 0
 	mFlat := Run(buildPlan(t, flat, st), truth, st, cl, 1)
 	mDeep := Run(buildPlan(t, deep, st), truth, st, cl, 1)
 	if mDeep.LatencySec <= mFlat.LatencySec {

@@ -14,7 +14,6 @@ import (
 	"sync"
 	"testing"
 
-	"qoadvisor/internal/core"
 	"qoadvisor/internal/exec"
 	"qoadvisor/internal/experiments"
 	"qoadvisor/internal/optimizer"
@@ -26,7 +25,7 @@ import (
 // benchConfig sizes the benchmark experiments: smaller than the Full
 // reproduction run (see cmd/experiments) but large enough that shapes are
 // visible in the reported metrics.
-var benchConfig = experiments.Config{Seed: 42, NumTemplates: 24, AARuns: 8}
+var benchConfig = experiments.Config{Seed: 42, NumTemplates: 24}
 
 var (
 	labOnce sync.Once
@@ -222,40 +221,6 @@ func BenchmarkTable3RandomVsCB(b *testing.B) {
 
 // --- Ablations ---
 
-// BenchmarkAblationFeaturization compares span co-occurrence context
-// features against a plan-level-only context (§6: span features were
-// critical; plan featurizations were "mostly ineffective").
-func BenchmarkAblationFeaturization(b *testing.B) {
-	gen, err := workload.New(workload.Config{Seed: 23, NumTemplates: 16, MaxDailyInstances: 2})
-	if err != nil {
-		b.Fatal(err)
-	}
-	cat := rules.NewCatalog()
-	featurize := makeFeaturizer(b, gen, cat)
-
-	for i := 0; i < b.N; i++ {
-		evalLower := func(basic bool) float64 {
-			cb := core.NewCBRecommender(cat, 31)
-			cb.BasicContext = basic
-			cb.Uniform = true
-			for day := 1; day <= 10; day++ {
-				core.Recommend(cb, cat, featurize(day))
-				cb.Train()
-			}
-			cb.Uniform = false
-			lower := 0
-			for _, r := range core.Recommend(cb, cat, featurize(11)) {
-				if !r.NoOp && !r.CompileFailed && r.CostDelta < 0 {
-					lower++
-				}
-			}
-			return float64(lower)
-		}
-		b.ReportMetric(evalLower(false), "spanFeatureLower")
-		b.ReportMetric(evalLower(true), "basicFeatureLower")
-	}
-}
-
 // BenchmarkAblationNoCostGate reproduces the §5.2 experiment that disabled
 // all estimated-cost filters: without the cost gate, flighting processes
 // arbitrarily bad plans and its time budget explodes ("after three days,
@@ -298,69 +263,5 @@ func BenchmarkAblationNoCostGate(b *testing.B) {
 		}
 		b.ReportMetric(gatedHours, "gatedFlightHours")
 		b.ReportMetric(ungatedHours, "ungatedFlightHours")
-	}
-}
-
-// BenchmarkAblationValidationThreshold sweeps the validation threshold,
-// the paper's aggressiveness knob (§4.3), reporting acceptance volume and
-// precision at each setting.
-func BenchmarkAblationValidationThreshold(b *testing.B) {
-	lab := sharedLab(b)
-	for i := 0; i < b.N; i++ {
-		for _, threshold := range []float64{-0.02, -0.05, -0.10} {
-			res, err := lab.ValidationSweep(threshold)
-			if err != nil {
-				b.Fatal(err)
-			}
-			name := "accepted@-0.02"
-			prec := "precision@-0.02"
-			switch threshold {
-			case -0.05:
-				name, prec = "accepted@-0.05", "precision@-0.05"
-			case -0.10:
-				name, prec = "accepted@-0.10", "precision@-0.10"
-			}
-			b.ReportMetric(float64(res.AcceptedCount), name)
-			b.ReportMetric(res.FracActualBelow0, prec)
-		}
-	}
-}
-
-// makeFeaturizer builds the shared job featurization used by the
-// featurization ablation.
-func makeFeaturizer(b *testing.B, gen *workload.Generator, cat *rules.Catalog) func(day int) []*core.JobFeatures {
-	b.Helper()
-	spanCache := make(map[uint64]rules.Bitset)
-	return func(day int) []*core.JobFeatures {
-		jobs, err := gen.JobsForDay(day)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var out []*core.JobFeatures
-		for _, job := range jobs {
-			opts := optimizer.Options{Catalog: cat, Stats: job.Stats, Tokens: job.Tokens}
-			sp, ok := spanCache[job.Template.Hash]
-			if !ok {
-				res, err := span.Compute(job.Graph, cat, opts)
-				if err != nil {
-					spanCache[job.Template.Hash] = rules.Bitset{}
-					continue
-				}
-				sp = res.Span
-				spanCache[job.Template.Hash] = sp
-			}
-			if sp.IsEmpty() {
-				continue
-			}
-			base, err := optimizer.Optimize(job.Graph, cat.DefaultConfig(), opts)
-			if err != nil {
-				continue
-			}
-			out = append(out, &core.JobFeatures{
-				Job: job, EstCost: base.EstCost, Span: sp,
-				RowCount: base.Plan.Roots[0].EstRows,
-			})
-		}
-		return out
 	}
 }

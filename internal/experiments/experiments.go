@@ -25,16 +25,17 @@ import (
 type Config struct {
 	Seed         int64
 	NumTemplates int
-	// AARuns is the number of A/A repetitions for variance experiments.
-	AARuns int
 }
+
+// AARuns is the number of A/A repetitions of the variance experiments.
+const AARuns = 10
 
 // Scale presets.
 var (
 	// Quick is sized for benchmarks and tests.
-	Quick = Config{Seed: 42, NumTemplates: 40, AARuns: 10}
+	Quick = Config{Seed: 42, NumTemplates: 40}
 	// Full is sized for the cmd/experiments reproduction run.
-	Full = Config{Seed: 42, NumTemplates: 120, AARuns: 10}
+	Full = Config{Seed: 42, NumTemplates: 120}
 )
 
 // Lab bundles the shared infrastructure of all experiments: the workload
@@ -53,9 +54,6 @@ type Lab struct {
 func NewLab(cfg Config) (*Lab, error) {
 	if cfg.NumTemplates <= 0 {
 		cfg.NumTemplates = 40
-	}
-	if cfg.AARuns <= 0 {
-		cfg.AARuns = 10
 	}
 	gen, err := workload.New(workload.Config{Seed: cfg.Seed, NumTemplates: cfg.NumTemplates, MaxDailyInstances: 2})
 	if err != nil {

@@ -7,7 +7,7 @@ import (
 // tinyLab builds a small lab shared by the experiment smoke tests.
 func tinyLab(t *testing.T) *Lab {
 	t.Helper()
-	lab, err := NewLab(Config{Seed: 9, NumTemplates: 12, AARuns: 6})
+	lab, err := NewLab(Config{Seed: 9, NumTemplates: 12})
 	if err != nil {
 		t.Fatal(err)
 	}

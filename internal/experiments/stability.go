@@ -179,7 +179,7 @@ func (l *Lab) Variance(metric string) (*VarianceResult, error) {
 		if err != nil {
 			continue
 		}
-		runs := exec.RunN(base.Plan, job.Truth, job.Stats, l.Cluster, int64(9000+i*37), l.Cfg.AARuns)
+		runs := exec.RunN(base.Plan, job.Truth, job.Stats, l.Cluster, int64(9000+i*37), AARuns)
 		var vals []float64
 		for _, m := range runs {
 			if metric == "pnhours" {

@@ -35,12 +35,6 @@ type ValidationPoint struct {
 // flights, train on days 1-7, test on days 8-14, using the production
 // acceptance threshold.
 func (l *Lab) ValidationAccuracy() (*ValidationAccuracyResult, error) {
-	return l.ValidationSweep(core.DefaultValidationThreshold)
-}
-
-// ValidationSweep runs the Figure 9 protocol with an explicit acceptance
-// threshold — the aggressiveness knob of §4.3.
-func (l *Lab) ValidationSweep(threshold float64) (*ValidationAccuracyResult, error) {
 	obs, err := l.gatherFlights(1, 14)
 	if err != nil {
 		return nil, err
@@ -48,8 +42,8 @@ func (l *Lab) ValidationSweep(threshold float64) (*ValidationAccuracyResult, err
 	samples := observationsToSamples(obs)
 	train, test := regression.TemporalSplit(samples, 8)
 
-	v := core.NewValidator()
-	v.Threshold = threshold
+	const threshold = core.DefaultValidationThreshold
+	v := new(core.Validator)
 	for _, s := range train {
 		v.Observe(s.Date, s.X[0], s.X[1], s.X[2], s.Y)
 	}
@@ -61,7 +55,7 @@ func (l *Lab) ValidationSweep(threshold float64) (*ValidationAccuracyResult, err
 		TrainSamples: len(train),
 		TestSamples:  len(test),
 		Model:        v.Model(),
-		Threshold:    v.Threshold,
+		Threshold:    threshold,
 	}
 	var preds, actuals []float64
 	belowT, below0 := 0, 0
@@ -75,9 +69,9 @@ func (l *Lab) ValidationSweep(threshold float64) (*ValidationAccuracyResult, err
 		res.Points = append(res.Points, ValidationPoint{JobID: jobID, Predicted: pred, Actual: s.Y})
 		preds = append(preds, pred)
 		actuals = append(actuals, s.Y)
-		if pred < v.Threshold {
+		if pred < threshold {
 			res.AcceptedCount++
-			if s.Y < v.Threshold {
+			if s.Y < threshold {
 				belowT++
 			}
 			if s.Y < 0 {

@@ -33,7 +33,7 @@ const (
 	tagSpanAll
 	tagRows
 	tagBytes
-	tagVertices
+	_ // unused; holds the action tags' values, which trained weights key on
 	tagActNoop
 	tagActRule
 	tagActKind
@@ -109,18 +109,6 @@ func AppendContext(dst []uint64, span rules.Bitset, rows, bytes float64) []uint6
 		feat1(tagRows, uint64(logBucket(rows))),
 		feat1(tagBytes, uint64(logBucket(bytes))),
 	)
-}
-
-// Basic builds a context without any span information: only the coarse
-// input-stream properties and the plan's vertex count, in Context's tag
-// space. The paper found such plan-level featurizations "mostly
-// ineffective" compared to span co-occurrence features (§6).
-func Basic(rows, bytes, vertices float64) bandit.Context {
-	return bandit.Context{IDs: []uint64{
-		feat1(tagRows, uint64(logBucket(rows))),
-		feat1(tagBytes, uint64(logBucket(bytes))),
-		feat1(tagVertices, uint64(logBucket(vertices))),
-	}}
 }
 
 func logBucket(x float64) int {

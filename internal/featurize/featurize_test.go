@@ -36,11 +36,6 @@ func TestContextFeaturesIncludeCoOccurrence(t *testing.T) {
 			t.Errorf("missing context feature %s (ID %#x) in %v", name, id, ctx.IDs)
 		}
 	}
-	// Basic shares the tag space: its rows and bytes IDs are Context's.
-	basic := Basic(1e6, 0, 12)
-	if basic.IDs[0] != feat1(tagRows, 6) || basic.IDs[1] != feat1(tagBytes, 0) || basic.IDs[2] != feat1(tagVertices, 1) {
-		t.Errorf("Basic(1e6, 0, 12) = %v, want rows:6, bytes:0, vertices:1", basic.IDs)
-	}
 }
 
 // TestContextFeaturesSizedToSpan: Context and Actions are the append
