@@ -34,7 +34,7 @@ var (
 )
 
 // sharedLab returns a lazily built lab shared by read-only benchmarks
-// (the per-job compilation cache warms across benchmarks).
+// (its flights and the job instances' rewrite memos warm across benchmarks).
 func sharedLab(b *testing.B) *experiments.Lab {
 	b.Helper()
 	labOnce.Do(func() {

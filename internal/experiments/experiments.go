@@ -39,15 +39,14 @@ var (
 )
 
 // Lab bundles the shared infrastructure of all experiments: the workload
-// generator, rule catalog, cluster model, and caches of compiled jobs.
+// generator, rule catalog, cluster model, and a cache of flights.
 type Lab struct {
 	Cfg     Config
 	Catalog *rules.Catalog
 	Gen     *workload.Generator
 	Cluster *exec.Cluster
 
-	compiled map[string]*optimizer.Result // default-config compilations
-	flights  map[[2]int][]FlightObservation
+	flights map[[2]int][]FlightObservation
 }
 
 // NewLab builds the shared experiment infrastructure.
@@ -60,26 +59,18 @@ func NewLab(cfg Config) (*Lab, error) {
 		return nil, err
 	}
 	return &Lab{
-		Cfg:      cfg,
-		Catalog:  rules.NewCatalog(),
-		Gen:      gen,
-		Cluster:  exec.DefaultCluster(cfg.Seed),
-		compiled: make(map[string]*optimizer.Result),
-		flights:  make(map[[2]int][]FlightObservation),
+		Cfg:     cfg,
+		Catalog: rules.NewCatalog(),
+		Gen:     gen,
+		Cluster: exec.DefaultCluster(cfg.Seed),
+		flights: make(map[[2]int][]FlightObservation),
 	}, nil
 }
 
-// compileDefault compiles a job under the default configuration, cached.
+// compileDefault compiles a job under the default configuration. The
+// job instance's own rewrite memo makes a repeat cheap.
 func (l *Lab) compileDefault(job *workload.Job) (*optimizer.Result, error) {
-	if res, ok := l.compiled[job.ID]; ok {
-		return res, nil
-	}
-	res, err := optimizer.Optimize(job.Graph, l.Catalog.DefaultConfig(), job.CompileOptions(l.Catalog))
-	if err != nil {
-		return nil, err
-	}
-	l.compiled[job.ID] = res
-	return res, nil
+	return l.compileWith(job, l.Catalog.DefaultConfig())
 }
 
 // jobsForDay instantiates the day's workload.
