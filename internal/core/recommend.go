@@ -43,8 +43,6 @@ type Recommender interface {
 	Recommend(f *JobFeatures) (flip rules.Flip, noop bool, eventID string)
 	// Learn feeds back the observed reward for a previous Recommend.
 	Learn(eventID string, reward float64)
-	// Name identifies the recommender in reports.
-	Name() string
 }
 
 // --- Featurization (internal/featurize holds the feature contract) ---
@@ -82,9 +80,6 @@ type CBRecommender struct {
 func NewCBRecommender(cat *rules.Catalog, seed int64) *CBRecommender {
 	return &CBRecommender{Catalog: cat, Service: bandit.New(bandit.DefaultConfig(seed))}
 }
-
-// Name implements Recommender.
-func (c *CBRecommender) Name() string { return "contextual-bandit" }
 
 // recommendScratch is what CBRecommender.Recommend featurizes a job
 // into. The bandit copies what it logs, so the scratch is free again once
@@ -147,9 +142,6 @@ type RandomRecommender struct {
 func NewRandomRecommender(cat *rules.Catalog, seed int64) *RandomRecommender {
 	return &RandomRecommender{Catalog: cat, rng: rand.New(rand.NewSource(seed))}
 }
-
-// Name implements Recommender.
-func (r *RandomRecommender) Name() string { return "uniform-random" }
 
 // Recommend implements Recommender.
 func (r *RandomRecommender) Recommend(f *JobFeatures) (rules.Flip, bool, string) {
