@@ -100,6 +100,11 @@ func (c *Client) do(ctx context.Context, method, path, contentType string, in, o
 	})
 }
 
+// jsonContentType is the one Content-Type value of every JSON request.
+// net/http only reads a request's header values, and an Add appends past
+// len == cap into a copy, so the slice is shared and never written.
+var jsonContentType = []string{"application/json"}
+
 // doRaw is the transport loop under do, also used directly for
 // non-JSON bodies (hint files) and streamed responses (snapshots).
 // onOK consumes a 2xx response's body; non-2xx responses become
@@ -124,7 +129,11 @@ func (c *Client) doRaw(ctx context.Context, method, path, contentType string, pa
 		if err != nil {
 			return fmt.Errorf("client: %s %s: %w", method, path, err)
 		}
-		if contentType != "" {
+		switch contentType {
+		case "":
+		case jsonContentType[0]:
+			req.Header["Content-Type"] = jsonContentType
+		default:
 			req.Header.Set("Content-Type", contentType)
 		}
 		resp, err := c.hc.Do(req)
@@ -252,8 +261,11 @@ func (c *Client) RewardBatch(ctx context.Context, events []api.RewardEvent) (api
 
 // batchBody is a response buffer with the decoder that walks it. Unlike
 // a request body, a response the client has itself read to EOF has no
-// other reader, and the decoder copies every string out of it, so the
-// buffer can go back to a pool.
+// other reader, and every string the decoder hands out is cut from its
+// own arena for that body (api.Decoder) — a copy, which the next body
+// never rewrites — so the buffer can go back to a pool while the
+// caller keeps the event IDs, and a kept ID pins the strings of its
+// response, not the response.
 type batchBody struct {
 	buf bytes.Buffer
 	dec api.Decoder

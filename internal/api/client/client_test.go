@@ -312,12 +312,13 @@ func TestClientWALStatsPassthrough(t *testing.T) {
 
 // The committed allocation ceilings of the two batch calls, per call,
 // everything in the process counted: the client's own share (encode into
-// one fresh buffer, decode out of a pooled one, one Flip string per
-// result) plus net/http's client and server for one keep-alive loopback
-// round trip against a canned handler. Measured on this tree plus two.
+// one fresh buffer, decode out of a pooled one, every result's Flip cut
+// from one arena string per response) plus net/http's client and server
+// for one keep-alive loopback round trip against a canned handler.
+// Measured on this tree plus two.
 const (
-	rankBatchAllocCeiling   = 111
-	rewardBatchAllocCeiling = 94
+	rankBatchAllocCeiling   = 95
+	rewardBatchAllocCeiling = 93
 )
 
 // TestBatchCallAllocBudget is the client-side sibling of serve's

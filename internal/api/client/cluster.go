@@ -96,7 +96,9 @@ func (c *Cluster) readRotation() []*Client {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	n := len(c.order)
-	start := int(c.rr.Add(1)-1) % n
+	// Reduced as a uint64: converted first, a counter past the int range
+	// would make a negative index.
+	start := int((c.rr.Add(1) - 1) % uint64(n))
 	out := make([]*Client, 0, n)
 	for i := 0; i < n; i++ {
 		out = append(out, c.clients[c.order[(start+i)%n]])

@@ -120,6 +120,27 @@ func TestClusterReadsFanOut(t *testing.T) {
 	}
 }
 
+// TestClusterReadRotationPastIntRange: the round-robin counter is a
+// uint64 that runs for the life of the process. Past 2^63 (2^31 on a
+// 32-bit build) it no longer fits an int, and the rotation must still
+// pick a node in range and keep alternating.
+func TestClusterReadRotationPastIntRange(t *testing.T) {
+	a, b := newFakeNode(t, "a"), newFakeNode(t, "b")
+	cc, err := NewCluster([]string{a.ts.URL, b.ts.URL}, WithRetries(0, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cc.rr.Store(1 << 63)
+	for i := 0; i < 2; i++ {
+		if _, err := cc.RankBatch(context.Background(), rankJobs(1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if a.reads.Load() != 1 || b.reads.Load() != 1 {
+		t.Errorf("two reads past 2^63 served a=%d b=%d, want one each", a.reads.Load(), b.reads.Load())
+	}
+}
+
 // TestClusterHealthFailsOverDegradedNode: a stale follower's degraded
 // 503 is node-specific, not a request rejection — the rotation must
 // move past it to a healthy node instead of reporting the whole

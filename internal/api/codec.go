@@ -11,6 +11,8 @@ import (
 	"unicode"
 	"unicode/utf16"
 	"unicode/utf8"
+
+	"qoadvisor/internal/strarena"
 )
 
 // This file is the hand-written JSON codec for the four batch types of
@@ -378,8 +380,17 @@ func (r BatchRewardResponse) MarshalJSON() ([]byte, error) {
 // Decoder owns and rewinds at the start of each Decode call, so a reused
 // Decoder decodes a steady stream of batches without allocating them —
 // and everything the previous call decoded is invalid once the next one
-// starts. Strings are always fresh copies. A Decoder must not be used
-// from two goroutines at once.
+// starts. Strings are the exception: every string one call decodes is a
+// substring of an arena string of that call (internal/strarena), never
+// of the input, and the arena is never rewound — a strings.Builder never
+// rewrites a byte it has written — so a string stays valid after the
+// Decoder decodes another body and after the caller overwrites the
+// input, and a string the caller keeps pins only its call's strings. The
+// arena is sized to what the previous body of the same kind decoded to,
+// scaled to this body's length and capped at it, so a steady stream
+// makes one allocation per call for all its strings. The two Source
+// constants stay interned. A Decoder must not be used from two
+// goroutines at once.
 type Decoder struct {
 	data  []byte
 	pos   int
@@ -395,13 +406,48 @@ type Decoder struct {
 	spans   []int
 	rewards []float64
 	hashes  []TemplateHash
+
+	strs strarena.Arena
+	// sizes is what the last body of each kind decoded to, for sizing
+	// the next one's string arena.
+	sizes [numBodyKinds]strSize
+}
+
+// bodyKind names what a decode call decodes, for the arena sizing.
+type bodyKind int
+
+const (
+	rankRequestBody bodyKind = iota
+	rankResponseBody
+	rewardRequestBody
+	rewardResponseBody
+	fragmentBody // an UnmarshalJSON call's one value
+	numBodyKinds
+)
+
+// strSize is the string bytes one body decoded to, and its length.
+type strSize struct{ strBytes, bodyLen int }
+
+// arenaSize is the arena one body of len n starts with: the last body of
+// its kind's string bytes scaled to n, plus an eighth for the variation
+// between bodies, capped at n. Before the kind has a history it is 0:
+// the first string sizes the first block, and each block after doubles,
+// so a string kept from a fresh Decoder's call never pins room sized to
+// the body.
+func (z strSize) arenaSize(n int) int {
+	if z.bodyLen == 0 {
+		return 0
+	}
+	size := int(int64(z.strBytes) * int64(n) / int64(z.bodyLen))
+	return min(size+size/8, n)
 }
 
 // Release ends the life of everything the Decoder has decoded and drops
-// any arena a large body grew past 1 MiB, so that a pool it goes back
-// into never pins more than that.
+// its string arena and any other arena a large body grew past 1 MiB, so
+// that a pool it goes back into never pins more than that.
 func (d *Decoder) Release() {
 	const maxPooled = 1 << 20
+	d.strs.Reset(0)
 	if cap(d.scratch) > maxPooled {
 		d.scratch = nil
 	}
@@ -450,9 +496,10 @@ func (d *Decoder) mismatch(got byte, want string) error {
 // decode runs value over data from a rewound Decoder and settles the
 // error class. whole is for the UnmarshalJSON methods, which are handed
 // exactly one value: anything but white space after it is an error.
-func (d *Decoder) decode(data []byte, whole bool, value func() error) error {
+func (d *Decoder) decode(data []byte, kind bodyKind, whole bool, value func() error) error {
 	d.data, d.pos, d.depth, d.touched = data, 0, 0, 0
 	d.spans, d.rewards, d.hashes = d.spans[:0], d.rewards[:0], d.hashes[:0]
+	d.strs.Reset(d.sizes[kind].arenaSize(len(data)))
 	err := value()
 	if err == nil && whole {
 		if _, eof := d.next(); eof == nil {
@@ -467,28 +514,29 @@ func (d *Decoder) decode(data []byte, whole bool, value func() error) error {
 			err = serr
 		}
 	}
+	d.sizes[kind] = strSize{d.strs.Len(), len(data)}
 	d.data = nil
 	return err
 }
 
 // DecodeBatchRankRequest decodes a /v2/rank request body into v.
 func (d *Decoder) DecodeBatchRankRequest(data []byte, v *BatchRankRequest) error {
-	return d.decode(data, false, func() error { return d.batchRankRequest(v) })
+	return d.decode(data, rankRequestBody, false, func() error { return d.batchRankRequest(v) })
 }
 
 // DecodeBatchRankResponse decodes a /v2/rank response body into v.
 func (d *Decoder) DecodeBatchRankResponse(data []byte, v *BatchRankResponse) error {
-	return d.decode(data, false, func() error { return d.batchRankResponse(v) })
+	return d.decode(data, rankResponseBody, false, func() error { return d.batchRankResponse(v) })
 }
 
 // DecodeBatchRewardRequest decodes a /v2/reward request body into v.
 func (d *Decoder) DecodeBatchRewardRequest(data []byte, v *BatchRewardRequest) error {
-	return d.decode(data, false, func() error { return d.batchRewardRequest(v) })
+	return d.decode(data, rewardRequestBody, false, func() error { return d.batchRewardRequest(v) })
 }
 
 // DecodeBatchRewardResponse decodes a /v2/reward response body into v.
 func (d *Decoder) DecodeBatchRewardResponse(data []byte, v *BatchRewardResponse) error {
-	return d.decode(data, false, func() error { return d.batchRewardResponse(v) })
+	return d.decode(data, rewardResponseBody, false, func() error { return d.batchRewardResponse(v) })
 }
 
 // --- scanner primitives ---
@@ -857,7 +905,7 @@ func (d *Decoder) str(p *string) error {
 	case SourceBandit:
 		*p = SourceBandit
 	default:
-		*p = string(b)
+		*p = d.strs.String(b)
 	}
 	return nil
 }
@@ -976,7 +1024,7 @@ func (d *Decoder) hash(p *TemplateHash) error {
 // UnmarshalJSON accepts a hex string of up to 64 bits.
 func (h *TemplateHash) UnmarshalJSON(b []byte) error {
 	var d Decoder
-	return d.decode(b, true, func() error { return d.hash(h) })
+	return d.decode(b, fragmentBody, true, func() error { return d.hash(h) })
 }
 
 // ints consumes a span array. A fresh span is carved from the arena; one
@@ -1165,7 +1213,7 @@ func (d *Decoder) rankRequest(r *RankRequest) error {
 // UnmarshalJSON implements json.Unmarshaler over the Decoder.
 func (r *RankRequest) UnmarshalJSON(b []byte) error {
 	var d Decoder
-	return d.decode(b, true, func() error { return d.rankRequest(r) })
+	return d.decode(b, fragmentBody, true, func() error { return d.rankRequest(r) })
 }
 
 func (d *Decoder) batchRankRequest(r *BatchRankRequest) error {
@@ -1191,7 +1239,7 @@ func (d *Decoder) batchRankRequest(r *BatchRankRequest) error {
 // UnmarshalJSON implements json.Unmarshaler over the Decoder.
 func (r *BatchRankRequest) UnmarshalJSON(b []byte) error {
 	var d Decoder
-	return d.decode(b, true, func() error { return d.batchRankRequest(r) })
+	return d.decode(b, fragmentBody, true, func() error { return d.batchRankRequest(r) })
 }
 
 func (d *Decoder) errorPayload(e *Error) error {
@@ -1222,7 +1270,7 @@ func (d *Decoder) errorPayload(e *Error) error {
 // UnmarshalJSON implements json.Unmarshaler over the Decoder.
 func (e *Error) UnmarshalJSON(b []byte) error {
 	var d Decoder
-	return d.decode(b, true, func() error { return d.errorPayload(e) })
+	return d.decode(b, fragmentBody, true, func() error { return d.errorPayload(e) })
 }
 
 func (d *Decoder) rankResult(r *RankResult) error {
@@ -1275,7 +1323,7 @@ func (d *Decoder) rankResult(r *RankResult) error {
 // decoded.
 func (r *RankResult) UnmarshalJSON(b []byte) error {
 	var d Decoder
-	return d.decode(b, true, func() error { return d.rankResult(r) })
+	return d.decode(b, fragmentBody, true, func() error { return d.rankResult(r) })
 }
 
 func (d *Decoder) batchRankResponse(r *BatchRankResponse) error {
@@ -1306,7 +1354,7 @@ func (d *Decoder) batchRankResponse(r *BatchRankResponse) error {
 // UnmarshalJSON implements json.Unmarshaler over the Decoder.
 func (r *BatchRankResponse) UnmarshalJSON(b []byte) error {
 	var d Decoder
-	return d.decode(b, true, func() error { return d.batchRankResponse(r) })
+	return d.decode(b, fragmentBody, true, func() error { return d.batchRankResponse(r) })
 }
 
 func (d *Decoder) rewardEvent(e *RewardEvent) error {
@@ -1355,7 +1403,7 @@ func (d *Decoder) rewardEvent(e *RewardEvent) error {
 // UnmarshalJSON implements json.Unmarshaler over the Decoder.
 func (e *RewardEvent) UnmarshalJSON(b []byte) error {
 	var d Decoder
-	return d.decode(b, true, func() error { return d.rewardEvent(e) })
+	return d.decode(b, fragmentBody, true, func() error { return d.rewardEvent(e) })
 }
 
 func (d *Decoder) batchRewardRequest(r *BatchRewardRequest) error {
@@ -1381,7 +1429,7 @@ func (d *Decoder) batchRewardRequest(r *BatchRewardRequest) error {
 // UnmarshalJSON implements json.Unmarshaler over the Decoder.
 func (r *BatchRewardRequest) UnmarshalJSON(b []byte) error {
 	var d Decoder
-	return d.decode(b, true, func() error { return d.batchRewardRequest(r) })
+	return d.decode(b, fragmentBody, true, func() error { return d.batchRewardRequest(r) })
 }
 
 func (d *Decoder) rewardRejection(r *RewardRejection) error {
@@ -1412,7 +1460,7 @@ func (d *Decoder) rewardRejection(r *RewardRejection) error {
 // UnmarshalJSON implements json.Unmarshaler over the Decoder.
 func (r *RewardRejection) UnmarshalJSON(b []byte) error {
 	var d Decoder
-	return d.decode(b, true, func() error { return d.rewardRejection(r) })
+	return d.decode(b, fragmentBody, true, func() error { return d.rewardRejection(r) })
 }
 
 func (d *Decoder) batchRewardResponse(r *BatchRewardResponse) error {
@@ -1447,5 +1495,5 @@ func (d *Decoder) batchRewardResponse(r *BatchRewardResponse) error {
 // UnmarshalJSON implements json.Unmarshaler over the Decoder.
 func (r *BatchRewardResponse) UnmarshalJSON(b []byte) error {
 	var d Decoder
-	return d.decode(b, true, func() error { return d.batchRewardResponse(r) })
+	return d.decode(b, fragmentBody, true, func() error { return d.batchRewardResponse(r) })
 }

@@ -6,9 +6,12 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // The reference side of the differential tests: the wire types as they
@@ -215,6 +218,9 @@ func diffDecode[R interface{ api() V }, V batch](t *testing.T, data []byte,
 			t.Fatalf("first value of %q into a reused target:\nreference %+v\ncodec     %+v", data, want, got)
 		}
 	}
+	if refErr == nil {
+		stringsOutlive(t, reused, data, decode)
+	}
 	var whole R
 	var got V
 	wholeErr := json.Unmarshal(data, &whole)
@@ -228,6 +234,52 @@ func diffDecode[R interface{ api() V }, V batch](t *testing.T, data []byte,
 		}
 	}
 	return ref, refErr == nil
+}
+
+// stringsOutlive decodes data with d from a buffer of its own, then
+// overwrites the buffer and decodes data again with d: the first call's
+// strings must not have moved. The next call rewinds the span, reward
+// and hash arenas, so only strings are compared.
+func stringsOutlive[V any](t *testing.T, d *Decoder, data []byte, decode func(*Decoder, []byte, *V) error) {
+	t.Helper()
+	buf := bytes.Clone(data)
+	var kept V
+	if err := decode(d, buf, &kept); err != nil {
+		t.Fatalf("decoding %q from a copy: %v", data, err)
+	}
+	want := appendStrings(nil, reflect.ValueOf(kept))
+	for i := range want {
+		want[i] = strings.Clone(want[i])
+	}
+	for i := range buf {
+		buf[i] = '"'
+	}
+	var next V
+	decode(d, data, &next)
+	if got := appendStrings(nil, reflect.ValueOf(kept)); !slices.Equal(got, want) {
+		t.Fatalf("strings decoded from %q changed after the input was overwritten and decoded again:\nwas %q\nnow %q", data, want, got)
+	}
+}
+
+// appendStrings appends every string v reaches, in field order.
+func appendStrings(dst []string, v reflect.Value) []string {
+	switch v.Kind() {
+	case reflect.String:
+		dst = append(dst, v.String())
+	case reflect.Pointer:
+		if !v.IsNil() {
+			dst = appendStrings(dst, v.Elem())
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			dst = appendStrings(dst, v.Field(i))
+		}
+	case reflect.Slice:
+		for i := 0; i < v.Len(); i++ {
+			dst = appendStrings(dst, v.Index(i))
+		}
+	}
+	return dst
 }
 
 // diffEncode requires the codec's bytes for v, AppendJSON plus the
@@ -441,6 +493,95 @@ func TestDecoderReuse(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("a warm Decoder allocated %v times per rank+reward decode, want 0", n)
 	}
+}
+
+// TestDecodedStringsOutliveTheDecoder pins the string arena's contract:
+// what one call decodes — escaped or plain, flip, event ID, error text —
+// stays as it was after its input buffer is overwritten and the Decoder
+// decodes a larger body of the same kind, and a smaller one, and is
+// released into a pool.
+func TestDecodedStringsOutliveTheDecoder(t *testing.T) {
+	var d Decoder
+	first := []byte(`{"requestId":"rid-1","results":[` +
+		`{"source":"hint","flip":"-R040","generation":1},` +
+		`{"source":"bandit","flip":"+R007","eventId":"ev0011223344556677-00000001","prob":0.9},` +
+		`{"source":"bandit","eventId":"ev\u00e9\n-00000002","error":{"code":"internal","message":"m\"q","leader":"http://l"}}]}`)
+	var kept BatchRankResponse
+	if err := d.DecodeBatchRankResponse(first, &kept); err != nil {
+		t.Fatal(err)
+	}
+	want := BatchRankResponse{RequestID: "rid-1", Results: []RankResult{
+		{RankResponse: RankResponse{Source: SourceHint, Flip: "-R040", Generation: 1}},
+		{RankResponse: RankResponse{Source: SourceBandit, Flip: "+R007", EventID: "ev0011223344556677-00000001", Prob: 0.9}},
+		{RankResponse: RankResponse{Source: SourceBandit, EventID: "ev\u00e9\n-00000002"}, Error: &Error{Code: "internal", Message: "m\"q", Leader: "http://l"}},
+	}}
+	if !reflect.DeepEqual(kept, want) {
+		t.Fatalf("decoded %+v\nwant    %+v", kept, want)
+	}
+	for i := range first {
+		first[i] = 'x'
+	}
+	var next BatchRankResponse
+	bigger, _ := BatchRankResponse{RequestID: strings.Repeat("r", 300), Results: []RankResult{{RankResponse: RankResponse{
+		Source: SourceBandit, Flip: strings.Repeat("f", 200), EventID: strings.Repeat("e", 500)}}}}.AppendJSON(nil)
+	for _, body := range [][]byte{bigger, []byte(`{"requestId":"ab","results":[]}`)} {
+		if err := d.DecodeBatchRankResponse(body, &next); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d.Release()
+	if !reflect.DeepEqual(kept, want) {
+		t.Fatalf("after the input was overwritten and two more decodes:\n%+v\nwant %+v", kept, want)
+	}
+	if kept.Results[0].Source != SourceHint || unsafe.StringData(kept.Results[0].Source) != unsafe.StringData(SourceHint) {
+		t.Error("the hint Source is not the interned constant")
+	}
+}
+
+// TestDecodedStringRetainedHeap keeps one 8-byte string from each of
+// 1,000 decodes of a 64 KB body, through a reused Decoder and through
+// UnmarshalJSON's fresh one: what stays live must be the strings and
+// their calls' few other strings, not the bodies (about 64 MB).
+func TestDecodedStringRetainedHeap(t *testing.T) {
+	body := []byte(`{"requestId":"rid-0000","pad":"` + strings.Repeat("x", 64<<10) + `","results":[]}`)
+	const decodes = 1000
+	for _, way := range []struct {
+		name   string
+		decode func([]byte, *BatchRankResponse) error
+	}{
+		{"reused", new(Decoder).DecodeBatchRankResponse},
+		{"unmarshal", func(b []byte, v *BatchRankResponse) error { return v.UnmarshalJSON(b) }},
+	} {
+		kept := make([]string, decodes)
+		before := liveHeap()
+		for i := range kept {
+			copy(body[len(`{"requestId":"rid-`):], fmt.Sprintf("%04d", i))
+			var v BatchRankResponse
+			if err := way.decode(body, &v); err != nil {
+				t.Fatal(err)
+			}
+			kept[i] = v.RequestID
+		}
+		grown := int64(liveHeap()) - int64(before)
+		for i, s := range kept {
+			if s != fmt.Sprintf("rid-%04d", i) {
+				t.Fatalf("%s: kept string %d is %q", way.name, i, s)
+			}
+		}
+		if grown > 1<<20 {
+			t.Errorf("%s: %d kept 8-byte strings hold %.1f MB live, want under 1 MB", way.name, decodes, float64(grown)/(1<<20))
+		} else {
+			t.Logf("%s: %d kept 8-byte strings hold %d bytes live", way.name, decodes, grown)
+		}
+	}
+}
+
+// liveHeap is the heap in use after a full collection.
+func liveHeap() uint64 {
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
 }
 
 // BenchmarkBatchCodec times one 16-job rank exchange and its reward

@@ -17,6 +17,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"qoadvisor/internal/strarena"
 	"qoadvisor/internal/walrec"
 )
 
@@ -166,6 +167,12 @@ type Service struct {
 	ctxBlock []uint64
 	actBlock []Action
 	evBlock  []Event
+	// replayEvBlock and replayIDs are journal replay's evBlock: a
+	// restored decision keeps the ID it was journaled with, so its Event
+	// comes from a block of its own and its ID is copied into a rolling
+	// arena of replayIDBlockLen-byte strings.
+	replayEvBlock []Event
+	replayIDs     strarena.Arena
 	// nonce makes event IDs unique across Service instances (and hence
 	// process restarts), so a reward held across a model-restore restart
 	// fails loudly as unknown instead of silently training the wrong
@@ -245,16 +252,41 @@ func (s *Service) WALWatermark() uint64 {
 }
 
 // restoreEvent reinstates a rank event without ranking — the snapshot
-// load and journal replay path. The event keeps its original ID, so
-// rewards issued against the pre-crash process still apply.
+// load path. The event keeps its original ID, so rewards issued against
+// the pre-crash process still apply.
 func (s *Service) restoreEvent(ev *Event) {
 	s.evMu.Lock()
+	s.logLocked(ev)
+	s.evMu.Unlock()
+}
+
+// logLocked indexes and logs an event, then enforces the cap: caller
+// holds evMu.
+func (s *Service) logLocked(ev *Event) {
 	s.events[ev.EventID] = ev
 	s.log = append(s.log, ev)
 	if ev.Rewarded && !ev.Trained {
 		s.pending = append(s.pending, ev)
 	}
 	s.evictLocked()
+}
+
+// restoreRank reinstates a journaled rank decision — the journal replay
+// path, storing it the way rank does: the Event from a block, its
+// context IDs and its one action (the chosen one) carved from the
+// blocks, and its ID, which it keeps, cut from the replay ID arena.
+func (s *Service) restoreRank(f walrec.RankFrame) {
+	s.evMu.Lock()
+	ev := &take(&s.replayEvBlock, 1, evBlockLen)[0]
+	if n := s.replayIDs.Len(); n == 0 || n+len(f.EventID) > replayIDBlockLen {
+		s.replayIDs.Reset(replayIDBlockLen)
+	}
+	ev.EventID = s.replayIDs.String(f.EventID)
+	ev.Context = Context{IDs: f.CtxIDs.AppendTo(take(&s.ctxBlock, f.CtxIDs.Len(), ctxBlockLen)[:0])}
+	ev.Actions = take(&s.actBlock, 1, actBlockLen)
+	ev.Actions[0] = Action{IDs: f.ActIDs.AppendTo(take(&s.ctxBlock, f.ActIDs.Len(), ctxBlockLen)[:0])}
+	ev.Prob = f.Prob
+	s.logLocked(ev)
 	s.evMu.Unlock()
 }
 
@@ -477,9 +509,7 @@ func (s *Service) rank(ctx Context, actions []Action, uniform bool) (Ranked, err
 	ev.Context = Context{IDs: carve(&s.ctxBlock, ctx.IDs, ctxBlockLen)}
 	ev.Actions = carve(&s.actBlock, actions, actBlockLen)
 	ev.Chosen, ev.Prob = chosen, prob
-	s.events[ev.EventID] = ev
-	s.log = append(s.log, ev)
-	s.evictLocked()
+	s.logLocked(ev)
 	if s.journal != nil {
 		// Journal under evMu so record order equals event-log order
 		// (replay rebuilds the log in journal order). Append only
@@ -501,23 +531,29 @@ const (
 	ctxBlockLen = 4096
 	actBlockLen = 1024
 	evBlockLen  = 64
+	// replayIDBlockLen holds about evBlockLen replayed event IDs.
+	replayIDBlockLen = 2048
 )
 
-// carve copies src into the front of *block, capped at its length, and
-// advances *block past it. A src that does not fit in what is left
-// starts a new block of blockLen; one longer than a block gets storage
-// of its own.
-func carve[T any](block *[]T, src []T, blockLen int) []T {
-	n := len(src)
+// take returns the front n elements of *block, capped at n, and advances
+// *block past them. n elements that do not fit in what is left start a
+// new block of blockLen; more than a block get storage of their own.
+func take[T any](block *[]T, n, blockLen int) []T {
 	if n > len(*block) {
 		if n > blockLen {
-			return append([]T(nil), src...)
+			return make([]T, n)
 		}
 		*block = make([]T, blockLen)
 	}
 	dst := (*block)[:n:n]
-	copy(dst, src)
 	*block = (*block)[n:]
+	return dst
+}
+
+// carve copies src into storage taken from *block.
+func carve[T any](block *[]T, src []T, blockLen int) []T {
+	dst := take(block, len(src), blockLen)
+	copy(dst, src)
 	return dst
 }
 
@@ -559,18 +595,34 @@ func appendEventID(dst []byte, nonce string, seq int) []byte {
 func (s *Service) Reward(eventID string, reward float64) error {
 	s.evMu.Lock()
 	defer s.evMu.Unlock()
-	ev, ok := s.events[eventID]
-	if !ok {
+	if !s.rewardLocked(s.events[eventID], reward) {
 		// Unknown, evicted, or already trained (trained events leave the
 		// index) — in every case the reward has nowhere to go.
 		return fmt.Errorf("bandit: unknown event %q", eventID)
+	}
+	return nil
+}
+
+// rewardID is Reward for an event ID read in place from a journal
+// record; it reports whether the event was known.
+func (s *Service) rewardID(eventID []byte, reward float64) bool {
+	s.evMu.Lock()
+	defer s.evMu.Unlock()
+	return s.rewardLocked(s.events[string(eventID)], reward)
+}
+
+// rewardLocked attaches the reward to ev, nil for an unknown event, and
+// reports whether there was one: caller holds evMu.
+func (s *Service) rewardLocked(ev *Event, reward float64) bool {
+	if ev == nil {
+		return false
 	}
 	if !ev.Rewarded {
 		s.pending = append(s.pending, ev)
 	}
 	ev.Reward = reward
 	ev.Rewarded = true
-	return nil
+	return true
 }
 
 // trainExample is an immutable snapshot of a rewarded event, taken under

@@ -8,6 +8,8 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+
+	"qoadvisor/internal/walrec"
 )
 
 // span8Decision builds decision i of an 8-bit span, the benchmark's
@@ -117,6 +119,58 @@ func TestDecisionAllocBudget(t *testing.T) {
 		}
 	}); n > 40 {
 		t.Errorf("CheckpointTo of 100,000 non-zero weights allocates %v times, budget 40 (buffer growth only)", n)
+	}
+}
+
+// TestReplayAllocBudget gates journal replay — a follower's apply, a
+// restart's recovery, an as-of rebuild — per record. A rank record is
+// stored in the log's blocks the way a ranked decision is, and a reward
+// batch is read in place, so what replay allocates is a block now and
+// then, the log and its index growing and training's example list: at
+// most 0.1 per record, counted exactly over runs of 16 span-8 rank
+// records, each followed by the reward batch that names them, into a
+// serving-capped log.
+func TestReplayAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	live := New(Config{Seed: 1})
+	live.SetMaxLog(ServingMaxLog)
+	j := &memJournal{}
+	live.AttachJournal(j)
+	batch := make([]walrec.RewardEntry, 16)
+	for round := 0; round < 2048; round++ {
+		for i := range batch {
+			ctx, actions := span8Decision(round*len(batch) + i)
+			r, err := live.Rank(ctx, actions)
+			if err != nil {
+				t.Fatal(err)
+			}
+			batch[i] = walrec.RewardEntry{EventID: r.EventID, Value: float64(i%7) / 3}
+		}
+		j.Append(walrec.EncodeRewardBatch(batch))
+	}
+
+	replica := New(Config{Seed: 1})
+	replica.SetMaxLog(ServingMaxLog)
+	rp := NewReplayer(replica)
+	apply := func(from, to int) {
+		for lsn := from; lsn < to; lsn++ {
+			if err := rp.Apply(uint64(lsn+1), j.recs[lsn]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	warm := len(j.recs) / 4
+	apply(0, warm)
+	n := float64(mallocsOf(func() { apply(warm, len(j.recs)) })) / float64(len(j.recs)-warm)
+	if st := rp.Stats(); st.UnknownRewards != 0 || st.Ranks != int64(len(j.recs)*16/17) {
+		t.Fatalf("replay stats %+v", st)
+	}
+	if n > 0.1 {
+		t.Errorf("replay allocates %.3f times per applied rank or reward-batch record, budget 0.1", n)
+	} else {
+		t.Logf("replay: %.4f allocations per applied record over %d", n, len(j.recs)-warm)
 	}
 }
 

@@ -115,26 +115,20 @@ func (r *Replayer) Apply(lsn uint64, payload []byte) error {
 	r.records.Add(1)
 	switch payload[0] {
 	case walrec.TagRank:
-		rec, err := walrec.DecodeRank(payload)
+		f, err := walrec.ScanRank(payload)
 		if err != nil {
 			return fmt.Errorf("bandit: lsn %d: %w", lsn, err)
 		}
-		r.svc.restoreEvent(&Event{
-			EventID: rec.EventID,
-			Context: Context{IDs: rec.CtxIDs},
-			Actions: []Action{{IDs: rec.ActIDs}},
-			Chosen:  0,
-			Prob:    rec.Prob,
-		})
+		r.svc.restoreRank(f)
 		r.ranks.Add(1)
 	case walrec.TagRewardBatch:
-		entries, err := walrec.DecodeRewardBatch(payload)
+		f, err := walrec.ScanRewardBatch(payload)
 		if err != nil {
 			return fmt.Errorf("bandit: lsn %d: %w", lsn, err)
 		}
 		r.rewardBatches.Add(1)
-		for _, e := range entries {
-			r.Reward(e.EventID, e.Value)
+		for id, v, ok := f.Next(); ok; id, v, ok = f.Next() {
+			r.tally(r.svc.rewardID(id, v))
 		}
 	case walrec.TagTrainMark:
 		r.Mark()
@@ -150,7 +144,13 @@ func (r *Replayer) Apply(lsn uint64, payload []byte) error {
 // an event the service does not know (never ranked, or evicted) is
 // counted and moves no boundary.
 func (r *Replayer) Reward(eventID string, value float64) {
-	if r.svc.Reward(eventID, value) != nil {
+	r.tally(r.svc.Reward(eventID, value) == nil)
+}
+
+// tally counts one applied reward, known or not, and trains when a
+// known one completes a batch.
+func (r *Replayer) tally(known bool) {
+	if !known {
 		r.unknownRewards.Add(1)
 		return
 	}

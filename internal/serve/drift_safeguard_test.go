@@ -514,7 +514,7 @@ func TestRewardRejectsNonFinite(t *testing.T) {
 
 	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		v := v
-		_, observed, rejected := r.srv.http.rewardBatch(
+		_, observed, rejected := r.srv.http.rewardBatch(new(batchState),
 			[]api.RewardEvent{{TemplateHash: &th, Reward: &v}}, nil)
 		if observed != 0 || len(rejected) != 1 || rejected[0].Error.Code != api.CodeInvalidReward {
 			t.Fatalf("reward %v: observed=%d rejected=%+v, want invalid_reward", v, observed, rejected)

@@ -22,14 +22,16 @@ import (
 )
 
 // The committed allocation ceilings of the two hot routes, per request,
-// for a 16-job all-hinted batch, its 16-event template-only reward batch
-// and a 16-job batch that misses every hint: what TestRankPathAllocBudget
-// and TestBanditPathAllocBudget measure on this tree plus two. A change
-// that needs more has to raise them on purpose.
+// for a 16-job all-hinted batch, its 16-event template-only reward batch,
+// a 16-job batch that misses every hint and the 16-event reward batch
+// that names its decisions by event ID: what TestRankPathAllocBudget and
+// TestBanditPathAllocBudget measure on this tree plus two. A change that
+// needs more has to raise them on purpose.
 const (
 	rankRequestAllocCeiling   = 8
 	rewardRequestAllocCeiling = 6
 	banditRequestAllocCeiling = 9
+	banditRewardAllocCeiling  = 8
 )
 
 // reusedBody is a request body that can be rewound, so that the budget
@@ -60,12 +62,22 @@ func requestAllocs(t *testing.T, srv *Server, route string, payload any, wantSta
 	if err != nil {
 		t.Fatal(err)
 	}
+	return requestsAllocs(t, srv, route, [][]byte{raw}, wantStatus)
+}
+
+// requestsAllocs is requestAllocs over a run of bodies, one per request
+// in turn: the first warms the pools, the next 200 are counted.
+func requestsAllocs(t *testing.T, srv *Server, route string, raws [][]byte, wantStatus int) float64 {
+	t.Helper()
 	body := new(reusedBody)
 	req := httptest.NewRequest(http.MethodPost, route, nil)
-	req.Body, req.ContentLength = body, int64(len(raw))
 	w := &reusedWriter{header: make(http.Header)}
+	next := 0
 	serve := func() {
+		raw := raws[next%len(raws)]
+		next++
 		body.Reset(raw)
+		req.Body, req.ContentLength = body, int64(len(raw))
 		clear(w.header)
 		srv.ServeHTTP(w, req)
 		if w.status != wantStatus {
@@ -119,6 +131,9 @@ func TestRankPathAllocBudget(t *testing.T) {
 // and its ID — into blocks it owns, so a decision allocates nothing of
 // its own but a share of a block now and then; the ceiling is the
 // request's own allocations, that share and the event index growing.
+// Then the reward side: 16 event IDs decoded into one arena string, the
+// batch sorted into pooled lists, journaled and queued (the drain
+// goroutine's applying and training is counted too).
 func TestBanditPathAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -143,6 +158,34 @@ func TestBanditPathAllocBudget(t *testing.T) {
 		t.Errorf("a 16-job unhinted /v2/rank request allocates %v times, ceiling %d", n, banditRequestAllocCeiling)
 	} else {
 		t.Logf("/v2/rank, bandit path: %v allocations per 16-job request (ceiling %d)", n, banditRequestAllocCeiling)
+	}
+
+	// The matching reward requests: each names the 16 decisions of one
+	// more such rank request by event ID, with its template hash, as a
+	// bandit-served job's reward does. Each event is rewarded once, so
+	// every one is accepted, journaled and queued.
+	rewards := make([][]byte, 201)
+	w := &reusedWriter{header: make(http.Header)}
+	rankBody, _ := api.BatchRankRequest{Jobs: jobs}.AppendJSON(nil)
+	reward := 0.5
+	for k := range rewards {
+		req := httptest.NewRequest(http.MethodPost, api.RouteV2Rank, bytes.NewReader(rankBody))
+		srv.ServeHTTP(w, req)
+		var ranked api.BatchRankResponse
+		if err := json.Unmarshal(w.body, &ranked); err != nil || len(ranked.Results) != len(jobs) {
+			t.Fatalf("rank: %v: %s", err, w.body)
+		}
+		events := make([]api.RewardEvent, len(jobs))
+		for i := range events {
+			events[i] = api.RewardEvent{EventID: ranked.Results[i].EventID, Reward: &reward, TemplateHash: &jobs[i].TemplateHash}
+		}
+		rewards[k], _ = api.BatchRewardRequest{Events: events}.AppendJSON(nil)
+	}
+	n = requestsAllocs(t, srv, api.RouteV2Reward, rewards, http.StatusAccepted)
+	if n > banditRewardAllocCeiling {
+		t.Errorf("a 16-event /v2/reward request by event ID allocates %v times, ceiling %d", n, banditRewardAllocCeiling)
+	} else {
+		t.Logf("/v2/reward, by event ID: %v allocations per 16-event request (ceiling %d)", n, banditRewardAllocCeiling)
 	}
 	if errs := srv.Bandit().JournalErrors(); errs != 0 {
 		t.Errorf("%d journal appends failed", errs)

@@ -246,7 +246,7 @@ func (h *httpLayer) routeMetrics() map[string]api.RouteStats {
 // --- encoding helpers ---
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(v)
 }
@@ -344,15 +344,14 @@ func (h *httpLayer) rankBatch(jobs []api.RankRequest, results []api.RankResult, 
 // weights or the drift sketches, and a drift transition that cannot
 // be journaled rejects the event with CodeInternal (fail-stop: the
 // hint must not keep serving unsafeguarded while the disk is sick).
-func (h *httpLayer) rewardBatch(events []api.RewardEvent, tr *obs.Trace) (queued, observed int, rejected []api.RewardRejection) {
+//
+// st lends the two lists the batch is sorted into: entries, the events
+// bound for the learner's queue, and idxs, their positions in the batch.
+func (h *httpLayer) rewardBatch(st *batchState, events []api.RewardEvent, tr *obs.Trace) (queued, observed int, rejected []api.RewardRejection) {
 	reject := func(i int, e *api.Error) {
 		rejected = append(rejected, api.RewardRejection{Index: i, EventID: events[i].EventID, Error: *e})
 	}
-	// entries are the events bound for the learner's queue and idxs their
-	// positions in the batch; a template-only batch (every hint-served
-	// decision's reward) needs neither.
-	var entries []walrec.RewardEntry
-	var idxs []int
+	entries, idxs := st.entries[:0], st.idxs[:0]
 	for i, ev := range events {
 		switch {
 		case ev.Reward == nil || (ev.EventID == "" && ev.TemplateHash == nil):
@@ -373,14 +372,11 @@ func (h *httpLayer) rewardBatch(events []api.RewardEvent, tr *obs.Trace) (queued
 			observed++
 		}
 		if ev.EventID != "" {
-			if entries == nil {
-				entries = make([]walrec.RewardEntry, 0, len(events)-i)
-				idxs = make([]int, 0, len(events)-i)
-			}
 			entries = append(entries, walrec.RewardEntry{EventID: ev.EventID, Value: *ev.Reward})
 			idxs = append(idxs, i)
 		}
 	}
+	st.entries, st.idxs = entries, idxs
 	if len(entries) == 0 {
 		return 0, observed, rejected
 	}
@@ -411,10 +407,14 @@ const maxPooledBuf = 1 << 20
 
 // batchState is what one /v2/rank or /v2/reward request works in: the
 // body as read, the decoder with the slices it fills, the rank results,
-// the encoded response. The handler owns all of it until it returns —
-// ResponseWriter.Write copies what it is given — so a state goes back to
-// the pool whole; the one thing that outlives the request, an event ID
-// handed to the ingest queue, is a string the decoder copied out.
+// the reward entries bound for the ingest queue, the encoded response.
+// The handler owns all of it until it returns — ResponseWriter.Write
+// copies what it is given — so a state goes back to the pool whole. The
+// one thing that outlives the request, an event ID handed to the ingest
+// queue, is a string of the decoder's arena for this body
+// (api.Decoder): a copy, never a view of body, and never rewritten by
+// the next request the state serves, so a queued ID pins the body's
+// strings and nothing else.
 type batchState struct {
 	body    bytes.Buffer
 	out     []byte
@@ -422,9 +422,11 @@ type batchState struct {
 	jobs    []api.RankRequest
 	events  []api.RewardEvent
 	results []api.RankResult
+	entries []walrec.RewardEntry
+	idxs    []int
 }
 
-// jsonContentType is shared by every hot response: header value slices
+// jsonContentType is shared by every JSON response: header value slices
 // are read and cloned by net/http, never written.
 var jsonContentType = []string{"application/json"}
 
@@ -436,6 +438,7 @@ func (st *batchState) release() {
 	clear(st.jobs)
 	clear(st.events)
 	clear(st.results)
+	clear(st.entries)
 	if st.body.Cap() > maxPooledBuf {
 		st.body = bytes.Buffer{}
 	}
@@ -446,7 +449,7 @@ func (st *batchState) release() {
 		st.jobs = nil
 	}
 	if cap(st.events) > api.MaxRewardBatch {
-		st.events = nil
+		st.events, st.entries, st.idxs = nil, nil, nil
 	}
 	st.dec.Release()
 	batchStates.Put(st)
@@ -550,7 +553,7 @@ func (h *httpLayer) handleReward(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	st.events = req.Events
-	queued, observed, rejected := h.rewardBatch(req.Events, traceFrom(w))
+	queued, observed, rejected := h.rewardBatch(st, req.Events, traceFrom(w))
 	// Nothing accepted at all and a systemic failure was among the
 	// reasons: surface it as the whole-batch status so clients react to
 	// the condition instead of parsing rejections. queue_full → 503

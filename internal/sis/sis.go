@@ -15,6 +15,7 @@ import (
 	"strconv"
 
 	"qoadvisor/internal/rules"
+	"qoadvisor/internal/strarena"
 )
 
 // Hint steers one job template with one rule flip.
@@ -49,8 +50,13 @@ func Serialize(w io.Writer, f File) error {
 }
 
 // Parse reads and validates the SIS exchange format. Fields are parsed
-// from the scanner's buffer and only the template ID is copied out, so a
-// parsed hint pins its ID, not its line.
+// from the scanner's buffer and only the template ID is copied out, into
+// one arena for the file (internal/strarena): every ID is a substring of
+// a few long strings, each twice the one before, instead of a string of
+// its own. The arena is never rewound — a strings.Builder never rewrites
+// a byte it has written — so an ID stays valid after the input is
+// overwritten or another file is parsed, and a parsed hint pins the
+// file's IDs, never its lines.
 func Parse(r io.Reader) (File, error) {
 	sc := bufio.NewScanner(r)
 	if !sc.Scan() {
@@ -62,6 +68,8 @@ func Parse(r io.Reader) (File, error) {
 		return File{}, fmt.Errorf("sis: bad header %q", header)
 	}
 	f := File{Day: day}
+	var ids strarena.Arena
+	ids.Reset(firstIDBlock)
 	line := 1
 	for sc.Scan() {
 		line++
@@ -92,7 +100,7 @@ func Parse(r io.Reader) (File, error) {
 		}
 		f.Hints = append(f.Hints, Hint{
 			TemplateHash: hash,
-			TemplateID:   string(id),
+			TemplateID:   ids.String(id),
 			Flip:         flip,
 			Day:          hintDay,
 		})
@@ -101,6 +109,10 @@ func Parse(r io.Reader) (File, error) {
 }
 
 var comma = []byte{','}
+
+// firstIDBlock is the size of a hint file's first block of template IDs:
+// a day's few dozen hints fit in it.
+const firstIDBlock = 1 << 10
 
 // Validate checks a file's internal consistency: rule IDs in range, no
 // duplicate templates, no hints flipping required rules.

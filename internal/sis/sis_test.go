@@ -1,9 +1,12 @@
 package sis
 
 import (
+	"bytes"
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"qoadvisor/internal/rules"
 )
@@ -259,5 +262,45 @@ func BenchmarkParse(b *testing.B) {
 		if err != nil || len(got.Hints) != n {
 			b.Fatalf("Parse: %d hints, %v", len(got.Hints), err)
 		}
+	}
+}
+
+// TestDecodedStringsOutliveTheDecoder: the template IDs of a parsed file
+// stay as they were after the bytes they were read from are overwritten
+// and another file is parsed, and a file's IDs share a few arena strings
+// instead of one each: 600 IDs of 20 bytes, back to back but for the
+// three places a block fills (a 1 KiB first block, each next twice as
+// large).
+func TestDecodedStringsOutliveTheDecoder(t *testing.T) {
+	var src strings.Builder
+	src.WriteString("qoadvisor-hints v1 day=3\n")
+	want := make([]string, 600)
+	for i := range want {
+		want[i] = fmt.Sprintf("T%019d", i)
+		fmt.Fprintf(&src, "%016x,%s,-R040,3\n", i+1, want[i])
+	}
+	in := []byte(src.String())
+	f, err := Parse(bytes.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range in {
+		in[i] = ','
+	}
+	if _, err := Parse(strings.NewReader("qoadvisor-hints v1 day=4\n0000000000000001,Tother,+R001,4\n")); err != nil {
+		t.Fatal(err)
+	}
+	breaks := 0
+	for i, h := range f.Hints {
+		if h.TemplateID != want[i] {
+			t.Fatalf("hint %d's ID is %q after its input was overwritten, want %q", i, h.TemplateID, want[i])
+		}
+		prev := f.Hints[max(i-1, 0)].TemplateID
+		if i > 0 && unsafe.StringData(h.TemplateID) != (*byte)(unsafe.Add(unsafe.Pointer(unsafe.StringData(prev)), len(prev))) {
+			breaks++
+		}
+	}
+	if breaks != 3 {
+		t.Errorf("600 IDs of 20 bytes sit in %d blocks, want 4", breaks+1)
 	}
 }

@@ -10,7 +10,7 @@
 // types are used under their names here; no package re-exports them.
 //
 // The package is deliberately wire-level: it depends only on the
-// standard library and decodes into raw forms (flips as strings,
+// standard library and internal/strarena and decodes into raw forms (flips as strings,
 // quarantine states as bytes). Domain interpretation — parsing a flip
 // into rules.Flip, validating a drift.State — stays with the owning
 // packages, which wrap these codecs.
@@ -19,12 +19,22 @@
 // bits (feature IDs span the full 64-bit space, so varints would
 // inflate them), uvarints for lengths and counts. Every payload starts
 // with its tag byte.
+//
+// A decoded record never aliases its payload: every string one decode
+// call returns is a substring of one arena string for that record
+// (internal/strarena), so a rollover or reward batch makes one string
+// however many hints or events it carries, and a string a caller keeps
+// pins its record's strings, not the payload. The replay path that
+// needs no copy at all reads rank and reward-batch payloads in place
+// through ScanRank and ScanRewardBatch.
 package walrec
 
 import (
 	"encoding/binary"
 	"fmt"
 	"math"
+
+	"qoadvisor/internal/strarena"
 )
 
 // Journal record tags. LSN-ordered replay dispatches on the payload's
@@ -147,15 +157,16 @@ func takeUvarint(b []byte) (uint64, []byte, error) {
 	return v, b[n:], nil
 }
 
-func takeString(b []byte) (string, []byte, error) {
+// takeBytes reads a length-prefixed string in place.
+func takeBytes(b []byte) ([]byte, []byte, error) {
 	n, b, err := takeUvarint(b)
 	if err != nil {
-		return "", nil, err
+		return nil, nil, err
 	}
 	if uint64(len(b)) < n {
-		return "", nil, fmt.Errorf("walrec: record truncated at string")
+		return nil, nil, fmt.Errorf("walrec: record truncated at string")
 	}
-	return string(b[:n]), b[n:], nil
+	return b[:n], b[n:], nil
 }
 
 func takeUint64(b []byte) (uint64, []byte, error) {
@@ -165,7 +176,30 @@ func takeUint64(b []byte) (uint64, []byte, error) {
 	return binary.LittleEndian.Uint64(b), b[8:], nil
 }
 
-func takeIDs(b []byte) ([]uint64, []byte, error) {
+// IDList is a list of feature IDs read in place from a record: eight
+// little-endian bytes each.
+type IDList []byte
+
+// Len returns the number of IDs.
+func (l IDList) Len() int { return len(l) / 8 }
+
+// AppendTo appends the IDs to dst.
+func (l IDList) AppendTo(dst []uint64) []uint64 {
+	for i := 0; i+8 <= len(l); i += 8 {
+		dst = append(dst, binary.LittleEndian.Uint64(l[i:]))
+	}
+	return dst
+}
+
+// decode returns the IDs in a slice of their own, nil for none.
+func (l IDList) decode() []uint64 {
+	if len(l) == 0 {
+		return nil
+	}
+	return l.AppendTo(make([]uint64, 0, l.Len()))
+}
+
+func takeIDs(b []byte) (IDList, []byte, error) {
 	n, b, err := takeUvarint(b)
 	if err != nil {
 		return nil, nil, err
@@ -173,14 +207,7 @@ func takeIDs(b []byte) ([]uint64, []byte, error) {
 	if n > uint64(len(b))/8 { // not n*8 > len: a corrupt count must not overflow past the check
 		return nil, nil, fmt.Errorf("walrec: record truncated at ID list")
 	}
-	if n == 0 {
-		return nil, b, nil
-	}
-	ids := make([]uint64, n)
-	for i := range ids {
-		ids[i] = binary.LittleEndian.Uint64(b[i*8:])
-	}
-	return ids, b[n*8:], nil
+	return IDList(b[:n*8]), b[n*8:], nil
 }
 
 // --- rank (tag 1) ---
@@ -208,29 +235,53 @@ func AppendRank(dst []byte, eventID string, prob float64, ctxIDs, actIDs []uint6
 	return dst
 }
 
-// DecodeRank parses a TagRank payload (including the type tag).
-func DecodeRank(p []byte) (Rank, error) {
-	var rec Rank
+// RankFrame is a TagRank payload read in place: EventID, CtxIDs and
+// ActIDs are views of the payload, valid while it is.
+type RankFrame struct {
+	EventID []byte
+	Prob    float64
+	CtxIDs  IDList
+	ActIDs  IDList
+}
+
+// ScanRank reads a TagRank payload (including the type tag) in place,
+// allocating nothing.
+func ScanRank(p []byte) (RankFrame, error) {
+	var f RankFrame
 	if len(p) == 0 || p[0] != TagRank {
-		return rec, fmt.Errorf("walrec: not a rank record")
+		return f, fmt.Errorf("walrec: not a rank record")
 	}
 	b := p[1:]
 	var err error
-	if rec.EventID, b, err = takeString(b); err != nil {
-		return rec, err
+	if f.EventID, b, err = takeBytes(b); err != nil {
+		return f, err
 	}
 	var bits uint64
 	if bits, b, err = takeUint64(b); err != nil {
-		return rec, err
+		return f, err
 	}
-	rec.Prob = math.Float64frombits(bits)
-	if rec.CtxIDs, b, err = takeIDs(b); err != nil {
-		return rec, err
+	f.Prob = math.Float64frombits(bits)
+	if f.CtxIDs, b, err = takeIDs(b); err != nil {
+		return f, err
 	}
-	if rec.ActIDs, _, err = takeIDs(b); err != nil {
-		return rec, err
+	if f.ActIDs, _, err = takeIDs(b); err != nil {
+		return f, err
 	}
-	return rec, nil
+	return f, nil
+}
+
+// DecodeRank parses a TagRank payload (including the type tag).
+func DecodeRank(p []byte) (Rank, error) {
+	f, err := ScanRank(p)
+	if err != nil {
+		return Rank{}, err
+	}
+	return Rank{
+		EventID: string(f.EventID),
+		Prob:    f.Prob,
+		CtxIDs:  f.CtxIDs.decode(),
+		ActIDs:  f.ActIDs.decode(),
+	}, nil
 }
 
 // --- reward batch (tag 2) ---
@@ -251,34 +302,69 @@ func EncodeRewardBatch(entries []RewardEntry) []byte {
 	return b
 }
 
-// DecodeRewardBatch parses a TagRewardBatch payload.
-func DecodeRewardBatch(p []byte) ([]RewardEntry, error) {
+// RewardBatchFrame is a TagRewardBatch payload read in place and
+// checked whole; Next walks its entries.
+type RewardBatchFrame struct {
+	n       int    // entries not yet walked
+	b       []byte // the rest of them
+	idBytes int    // the bytes of all the event IDs
+}
+
+// ScanRewardBatch reads a TagRewardBatch payload in place, allocating
+// nothing. It checks every entry before it returns, so a corrupt record
+// is refused before any of it is applied.
+func ScanRewardBatch(p []byte) (RewardBatchFrame, error) {
 	if len(p) == 0 || p[0] != TagRewardBatch {
-		return nil, fmt.Errorf("walrec: not a reward-batch record")
+		return RewardBatchFrame{}, fmt.Errorf("walrec: not a reward-batch record")
 	}
-	b := p[1:]
-	n, b, err := takeUvarint(b)
+	n, b, err := takeUvarint(p[1:])
 	if err != nil {
-		return nil, err
+		return RewardBatchFrame{}, err
 	}
 	// An entry encodes to at least 9 bytes (length prefix + 8-byte
 	// float); a count claiming more is corruption, not an allocation
 	// request.
 	if n > uint64(len(b))/9 {
-		return nil, fmt.Errorf("walrec: reward batch claims %d entries in %d bytes", n, len(b))
+		return RewardBatchFrame{}, fmt.Errorf("walrec: reward batch claims %d entries in %d bytes", n, len(b))
 	}
-	entries := make([]RewardEntry, 0, n)
-	for i := uint64(0); i < n; i++ {
-		var e RewardEntry
-		if e.EventID, b, err = takeString(b); err != nil {
-			return nil, err
+	f := RewardBatchFrame{n: int(n), b: b}
+	for rest := b; n > 0; n-- {
+		var id []byte
+		if id, rest, err = takeBytes(rest); err != nil {
+			return RewardBatchFrame{}, err
 		}
-		var bits uint64
-		if bits, b, err = takeUint64(b); err != nil {
-			return nil, err
+		if _, rest, err = takeUint64(rest); err != nil {
+			return RewardBatchFrame{}, err
 		}
-		e.Value = math.Float64frombits(bits)
-		entries = append(entries, e)
+		f.idBytes += len(id)
+	}
+	return f, nil
+}
+
+// Next returns the next entry, its event ID a view of the payload; ok is
+// false after the last.
+func (f *RewardBatchFrame) Next() (eventID []byte, value float64, ok bool) {
+	if f.n == 0 {
+		return nil, 0, false
+	}
+	f.n--
+	eventID, f.b, _ = takeBytes(f.b)
+	bits, b, _ := takeUint64(f.b)
+	f.b = b
+	return eventID, math.Float64frombits(bits), true
+}
+
+// DecodeRewardBatch parses a TagRewardBatch payload.
+func DecodeRewardBatch(p []byte) ([]RewardEntry, error) {
+	f, err := ScanRewardBatch(p)
+	if err != nil {
+		return nil, err
+	}
+	var ids strarena.Arena
+	ids.Reset(f.idBytes)
+	entries := make([]RewardEntry, 0, f.n)
+	for id, v, ok := f.Next(); ok; id, v, ok = f.Next() {
+		entries = append(entries, RewardEntry{EventID: ids.String(id), Value: v})
 	}
 	return entries, nil
 }
@@ -354,28 +440,52 @@ func DecodeHintRollover(p []byte) (HintRollover, error) {
 	if n > uint64(len(b))/minHintEnc {
 		return rec, fmt.Errorf("walrec: hint record claims %d hints in %d bytes", n, len(b))
 	}
-	rec.Hints = make([]Hint, 0, n)
-	for i := uint64(0); i < n; i++ {
-		var h Hint
-		if len(b) < 8 {
-			return rec, fmt.Errorf("walrec: hint record truncated at hash")
-		}
-		h.TemplateHash = binary.LittleEndian.Uint64(b)
-		b = b[8:]
-		if h.TemplateID, b, err = takeString(b); err != nil {
+	// The first pass checks every hint and counts the bytes of their IDs
+	// and flips: the size of the one arena the second pass cuts them from.
+	size := 0
+	for i, rest := uint64(0), b; i < n; i++ {
+		var h rawHint
+		if h, rest, err = takeHint(rest); err != nil {
 			return rec, err
 		}
-		if h.Flip, b, err = takeString(b); err != nil {
-			return rec, err
+		size += len(h.id) + len(h.flip)
+	}
+	var strs strarena.Arena
+	strs.Reset(size)
+	rec.Hints = make([]Hint, n)
+	for i := range rec.Hints {
+		var h rawHint
+		h, b, _ = takeHint(b)
+		rec.Hints[i] = Hint{
+			TemplateHash: h.hash,
+			TemplateID:   strs.String(h.id),
+			Flip:         strs.String(h.flip),
+			Day:          int(h.day),
 		}
-		var day uint64
-		if day, b, err = takeUvarint(b); err != nil {
-			return rec, err
-		}
-		h.Day = int(day)
-		rec.Hints = append(rec.Hints, h)
 	}
 	return rec, nil
+}
+
+// rawHint is one hint of a rollover record read in place.
+type rawHint struct {
+	hash     uint64
+	id, flip []byte
+	day      uint64
+}
+
+func takeHint(b []byte) (h rawHint, rest []byte, err error) {
+	if len(b) < 8 {
+		return h, nil, fmt.Errorf("walrec: hint record truncated at hash")
+	}
+	h.hash, b = binary.LittleEndian.Uint64(b), b[8:]
+	if h.id, b, err = takeBytes(b); err != nil {
+		return h, nil, err
+	}
+	if h.flip, b, err = takeBytes(b); err != nil {
+		return h, nil, err
+	}
+	h.day, b, err = takeUvarint(b)
+	return h, b, err
 }
 
 // --- quarantine (tag 5) ---

@@ -6,8 +6,11 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"slices"
+	"strings"
 	"testing"
+	"unsafe"
 )
 
 // sampleRecords is one encoded record per registered tag, each with
@@ -99,6 +102,7 @@ func FuzzDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
+		stringsOutlive(t, p)
 		again, err := Decode(encode(rec))
 		if err != nil {
 			t.Fatalf("re-encoded %s record does not decode: %v", Name(rec.Tag), err)
@@ -107,6 +111,108 @@ func FuzzDecode(f *testing.F) {
 			t.Errorf("%s record changed across re-encoding:\n%+v\n%+v", Name(rec.Tag), rec, again)
 		}
 	})
+}
+
+// stringsOutlive decodes p from a buffer of its own, overwrites the
+// buffer and decodes another record: the first record's strings must
+// not have moved.
+func stringsOutlive(t *testing.T, p []byte) {
+	t.Helper()
+	buf := bytes.Clone(p)
+	rec, err := Decode(buf)
+	if err != nil {
+		t.Fatalf("decoding a copy of an accepted record: %v", err)
+	}
+	want := recordStrings(rec)
+	for i := range want {
+		want[i] = strings.Clone(want[i])
+	}
+	for i := range buf {
+		buf[i] = 0xa5
+	}
+	Decode(p)
+	if got := recordStrings(rec); !slices.Equal(got, want) {
+		t.Fatalf("%s record's strings changed after its payload was overwritten:\nwas %q\nnow %q", Name(rec.Tag), want, got)
+	}
+}
+
+// recordStrings lists every string a decoded record holds.
+func recordStrings(rec Record) []string {
+	var out []string
+	if rec.Rank != nil {
+		out = append(out, rec.Rank.EventID)
+	}
+	for _, e := range rec.RewardBatch {
+		out = append(out, e.EventID)
+	}
+	if rec.HintRollover != nil {
+		for _, h := range rec.HintRollover.Hints {
+			out = append(out, h.TemplateID, h.Flip)
+		}
+	}
+	return out
+}
+
+// TestDecodedStringsOutliveTheDecoder runs every sample record through
+// stringsOutlive, and checks that a rollover's and a reward batch's
+// strings are cut from one string each: strings that sit back to back.
+func TestDecodedStringsOutliveTheDecoder(t *testing.T) {
+	for _, p := range sampleRecords() {
+		stringsOutlive(t, p)
+	}
+	for _, p := range [][]byte{
+		EncodeRewardBatch([]RewardEntry{{EventID: "ev-a-0001", Value: 1}, {EventID: "ev-b-00002", Value: 2}, {EventID: "ev-c-3", Value: 3}}),
+		EncodeHintRollover(4, []Hint{{TemplateID: "T1", Flip: "-R040"}, {TemplateID: "T22", Flip: "+R1"}}),
+	} {
+		rec, err := Decode(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		strs := recordStrings(rec)
+		for i := 1; i < len(strs); i++ {
+			prev := unsafe.Add(unsafe.Pointer(unsafe.StringData(strs[i-1])), len(strs[i-1]))
+			if unsafe.Pointer(unsafe.StringData(strs[i])) != prev {
+				t.Errorf("%s record: string %d (%q) does not follow string %d in one arena", Name(rec.Tag), i, strs[i], i-1)
+			}
+		}
+	}
+}
+
+// TestDecodedStringRetainedHeap keeps one 8-byte string from each of
+// 1,000 decodes of three 64 KB records — a rank record of 8,192 context
+// IDs, and a reward batch and a rollover of one entry each followed by
+// bytes Decode ignores: what stays live must be the strings, not the
+// payloads (about 192 MB).
+func TestDecodedStringRetainedHeap(t *testing.T) {
+	pad := make([]byte, 64<<10)
+	recs := [][]byte{
+		EncodeRank("ev-00000", 0.5, make([]uint64, 8<<10), nil),
+		append(EncodeRewardBatch([]RewardEntry{{EventID: "ev-00000", Value: 1}}), pad...),
+		append(EncodeHintRollover(1, []Hint{{TemplateID: "ev-00000", Flip: "-R040"}}), pad...),
+	}
+	kept := make([]string, 0, 1000*len(recs))
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 1000; i++ {
+		for _, p := range recs {
+			rec, err := Decode(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			kept = append(kept, recordStrings(rec)[0])
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if grown := int64(after.HeapAlloc) - int64(before.HeapAlloc); grown > 1<<20 {
+		t.Errorf("%d kept 8-byte strings hold %.1f MB live, want under 1 MB", len(kept), float64(grown)/(1<<20))
+	}
+	for _, id := range kept {
+		if id != "ev-00000" {
+			t.Fatalf("kept string %q", id)
+		}
+	}
 }
 
 // encode frames a decoded record with its tag's encoder.
