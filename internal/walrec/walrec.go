@@ -10,10 +10,10 @@
 // types are used under their names here; no package re-exports them.
 //
 // The package is deliberately wire-level: it depends only on the
-// standard library and internal/strarena and decodes into raw forms (flips as strings,
-// quarantine states as bytes). Domain interpretation — parsing a flip
-// into rules.Flip, validating a drift.State — stays with the owning
-// packages, which wrap these codecs.
+// standard library and internal/strarena, and decodes into raw forms
+// (flips as strings, quarantine states as bytes). Domain interpretation
+// — parsing a flip into rules.Flip, validating a drift.State — stays
+// with the owning packages, which wrap these codecs.
 //
 // Encodings are little-endian: fixed 8-byte words for hashes and float
 // bits (feature IDs span the full 64-bit space, so varints would
