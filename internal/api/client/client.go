@@ -131,7 +131,7 @@ func (c *Client) doRaw(ctx context.Context, method, path, contentType string, pa
 		}
 		switch contentType {
 		case "":
-		case jsonContentType[0]:
+		case "application/json":
 			req.Header["Content-Type"] = jsonContentType
 		default:
 			req.Header.Set("Content-Type", contentType)
