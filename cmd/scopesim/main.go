@@ -45,8 +45,8 @@ func main() {
 	}
 }
 
-// errUsage is a command line scopesim cannot run: a bad flag, or neither
-// -demo nor exactly one script.
+// errUsage is a command line scopesim cannot run: a bad flag or flag
+// value, or neither -demo nor exactly one script.
 var errUsage = errors.New("usage: scopesim [-run] [-span] [-flip +R123] [-tokens N] <script.scope> | -demo")
 
 func run(argv []string, stdout, stderr io.Writer) error {
@@ -61,6 +61,9 @@ func run(argv []string, stdout, stderr io.Writer) error {
 		return nil
 	} else if err != nil {
 		return errUsage
+	}
+	if *tokens < 0 {
+		return fmt.Errorf("invalid value %d for flag -tokens: want at least 0\n%w", *tokens, errUsage)
 	}
 
 	var flip rules.Flip

@@ -29,12 +29,14 @@ func TestRun(t *testing.T) {
 		{argv: []string{"-demo", "-run"}, sections: append(plan[:4:4], "=== simulated execution ===", "PNhours: ")},
 		{argv: []string{"-demo", "-flip", "-R037"}, sections: []string{"=== logical DAG ===", "applying flip -R037 (LocalGlobalAgg_v1, on-by-default)", "=== physical plan ==="}},
 		{argv: []string{script}, sections: plan},
+		{argv: []string{"-demo", "-tokens", "4"}, sections: plan},
 		{argv: []string{"-demo", "-flip", "R12"}, err: `malformed flip "R12"`},
 		{argv: []string{"-demo", "-flip", "+R9999"}, err: "malformed flip"},
 		{argv: []string{filepath.Join(t.TempDir(), "missing.scope")}, err: "no such file"},
 		{argv: []string{}, err: "usage:", usage: true},
 		{argv: []string{"-bogus", "-demo"}, err: "usage:", usage: true},
 		{argv: []string{script, script}, err: "usage:", usage: true},
+		{argv: []string{"-demo", "-tokens", "-1"}, err: "invalid value -1 for flag -tokens", usage: true},
 	} {
 		var out, stderr bytes.Buffer
 		err := run(tc.argv, &out, &stderr)

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 
 	"qoadvisor/internal/optimizer"
@@ -202,29 +201,5 @@ func TestRunNSeedsDiffer(t *testing.T) {
 	}
 	if len(distinct) < 2 {
 		t.Error("A/A runs should produce varying latencies")
-	}
-}
-
-// TestSeededRandMatchesNewSource: a pooled generator, whatever it drew
-// before, re-seeds into exactly the stream a fresh
-// rand.New(rand.NewSource(seed)) produces — what every derived seed of the
-// workload and the simulator relied on when each built its own.
-func TestSeededRandMatchesNewSource(t *testing.T) {
-	for i := uint64(0); i < 1000; i++ {
-		seed := int64(i * 0x9e3779b97f4a7c15) // spread over the int64 range, both signs
-		got := SeededRand(seed)
-		want := rand.New(rand.NewSource(seed))
-		for k := 0; k < 4; k++ {
-			if g, w := got.Float64(), want.Float64(); g != w {
-				t.Fatalf("seed %d draw %d: Float64 %v, want %v", seed, k, g, w)
-			}
-			if g, w := got.NormFloat64(), want.NormFloat64(); g != w {
-				t.Fatalf("seed %d draw %d: NormFloat64 %v, want %v", seed, k, g, w)
-			}
-			if g, w := got.Intn(9000), want.Intn(9000); g != w {
-				t.Fatalf("seed %d draw %d: Intn %v, want %v", seed, k, g, w)
-			}
-		}
-		ReleaseRand(got)
 	}
 }

@@ -310,7 +310,9 @@ func (s *instanceScratch) release() {
 // and its slab of DailyInstances jobs.
 func (t *Template) instantiate(date int) ([]Job, error) {
 	// Every draw below is the first values of its own stream, seeded by
-	// what it is for: one pooled generator, re-seeded per draw.
+	// what it is for: one pooled generator, re-seeded per draw, each seed
+	// O(1) (exec.SeededRand's source computes only the state words a
+	// draw reads).
 	rng := exec.SeededRand(0)
 	defer exec.ReleaseRand(rng)
 	day := strconv.Itoa(date)
@@ -402,7 +404,8 @@ func (t *Template) instantiate(date int) ([]Job, error) {
 // programmatically (schema-tracked), so generated scripts always compile;
 // construction is verified anyway.
 func buildTemplate(seed int64, idx, maxDaily int, instances *cache.FIFO[instanceKey, []Job]) (*Template, error) {
-	rng := rand.New(rand.NewSource(hashed("template", strconv.FormatInt(seed, 10), " ", strconv.Itoa(idx))))
+	rng := exec.SeededRand(hashed("template", strconv.FormatInt(seed, 10), " ", strconv.Itoa(idx)))
+	defer exec.ReleaseRand(rng)
 	b := &scriptBuilder{
 		rng:      rng,
 		tID:      fmt.Sprintf("T%03d", idx),
