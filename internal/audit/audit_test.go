@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"qoadvisor/internal/api"
 	"qoadvisor/internal/api/client"
@@ -45,6 +46,28 @@ func newAsOfRig(t *testing.T, segBytes int64) *asOfRig {
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	return &asOfRig{srv: srv, cl: client.New(ts.URL), j: j, dir: dir}
+}
+
+// waitReclaimed waits until the journal's reclaimer has unlinked every
+// segment compaction detached: the first segment on disk is the first
+// the journal retains. A checkpoint returns before those unlinks.
+func waitReclaimed(t *testing.T, j *wal.WAL) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		first, _ := j.Window()
+		segs, err := wal.Segments(j.Dir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(segs) > 0 && segs[0].FirstLSN == first {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("compacted segments still on disk after 10s: %d listed, the journal retains from LSN %d", len(segs), first)
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 func (r *asOfRig) rank(t *testing.T, n, salt int) []string {
@@ -191,6 +214,7 @@ func TestAsOfByteIdentical(t *testing.T) {
 	// first checkpoint compacted the start of the journal away, so this
 	// one cannot complete either — but it must fail for that reason,
 	// not succeed from the wrong seed.)
+	waitReclaimed(t, r.j)
 	res2, err := serve.RecoverAsOf(wal.DirSource{Dir: r.dir}, snap2, w1)
 	if res2.SnapshotLoaded {
 		t.Error("reconstruction at an LSN below the snapshot's watermark must not seed from it")

@@ -272,6 +272,7 @@ func TestRecoverRefusesCompactedStart(t *testing.T) {
 	if first <= 1 {
 		t.Fatalf("journal starts at LSN %d: nothing compacted, test is vacuous", first)
 	}
+	waitReclaimed(t, r.j)
 
 	_, err := Recover(wal.DirSource{Dir: r.dir}, "", 0, 0, 42)
 	var apiErr *api.Error

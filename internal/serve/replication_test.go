@@ -465,6 +465,7 @@ func TestAuditAsOfRejectsFullyCompactedHistory(t *testing.T) {
 			t.Fatalf("journal never fully compacted (window %d..%d)", first, next)
 		}
 	}
+	waitReclaimed(t, j)
 	resp, err := http.Get(fmt.Sprintf("%s%s?lsn=2", ts.URL, api.RouteV2AuditAsOf))
 	if err != nil {
 		t.Fatal(err)

@@ -591,9 +591,11 @@ type CheckpointInfo struct {
 	Bytes int64
 	// LSN is the WAL watermark the snapshot covers (0 without a WAL).
 	LSN uint64
-	// SegmentsRemoved counts WAL segments compacted away.
+	// SegmentsRemoved counts WAL segments compacted away. Their files
+	// are unlinked by the journal's reclaimer after Checkpoint returns.
 	SegmentsRemoved int
-	// Duration is the end-to-end checkpoint time, including the barrier.
+	// Duration is the end-to-end checkpoint time, including the barrier
+	// and not the unlinks of the compacted segments.
 	Duration time.Duration
 }
 
@@ -602,7 +604,8 @@ type CheckpointInfo struct {
 // fenced, the queue drains, a train mark flushes pending telemetry
 // into the weights, and the snapshot records the WAL watermark it
 // covers — so recovery replays only the suffix. Sealed segments wholly
-// below the watermark are then truncated (snapshot compaction).
+// below the watermark are then detached from the journal (snapshot
+// compaction); the journal unlinks their files in the background.
 //
 // This is the one snapshot entry point for recovery-grade state:
 // SIGTERM, qoserved's five-minute checkpoint ticker, and

@@ -140,14 +140,39 @@ func (r *walTestRig) recoverBytes(t *testing.T, seed int64) ([]byte, RecoverResu
 	return buf.Bytes(), rec
 }
 
+// waitReclaimed waits until the journal's reclaimer has unlinked every
+// segment compaction detached: the first segment on disk is the first
+// the journal retains. A checkpoint returns before those unlinks, so a
+// test that reads the directory after one waits here first.
+func waitReclaimed(t *testing.T, j *wal.WAL) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		first, _ := j.Window()
+		segs, err := wal.Segments(j.Dir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(segs) > 0 && segs[0].FirstLSN == first {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("compacted segments still on disk after 10s: %d listed, the journal retains from LSN %d", len(segs), first)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // restart is a crashed primary's reboot: it syncs the rig's journal,
-// copies its directory as it stands and starts a primary on the copy
-// through Open, leaving the live rig untouched.
+// copies its directory as it stands once compaction's unlinks are done
+// and starts a primary on the copy through Open, leaving the live rig
+// untouched.
 func (r *walTestRig) restart(t *testing.T, cfg Config) (*Server, RecoverResult) {
 	t.Helper()
 	if err := r.j.Sync(); err != nil {
 		t.Fatal(err)
 	}
+	waitReclaimed(t, r.j)
 	dir := t.TempDir()
 	entries, err := os.ReadDir(r.dir)
 	if err != nil {

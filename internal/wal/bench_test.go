@@ -43,3 +43,38 @@ func BenchmarkWALAppend(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkTruncateBefore measures what compaction costs the
+// checkpoint that runs it: the time TruncateBefore takes to drop two
+// fsynced 1 MiB segments. The unlinks and the directory fsync run on the
+// reclaimer after it returns (on a filesystem mounted with discard one
+// unlink of a written-back segment can take a large fraction of a
+// second), so none of that is timed here.
+func BenchmarkTruncateBefore(b *testing.B) {
+	payload := make([]byte, 64<<10)
+	w, err := Open(Options{Dir: b.TempDir(), Mode: ModeSync, SegmentBytes: 1 << 20})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer w.Close()
+	dropped := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		// Sync mode: the committer fsyncs each segment it seals.
+		for want := w.Stats().Segments + 2; w.Stats().Segments < want; {
+			lsn, err := w.Append(payload)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := w.Commit(lsn); err != nil {
+				b.Fatal(err)
+			}
+		}
+		last := w.LastLSN()
+		b.StartTimer()
+		dropped += w.TruncateBefore(last)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(dropped)/float64(b.N), "segments/op")
+}

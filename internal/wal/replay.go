@@ -49,7 +49,7 @@ type DirSource struct {
 
 // Replay implements Source.
 func (d DirSource) Replay(afterLSN uint64, fn func(lsn uint64, payload []byte) error) (ReplayInfo, error) {
-	segs, err := scanDir(d.Dir)
+	segs, _, err := scanDir(d.Dir)
 	if err != nil {
 		return ReplayInfo{}, err
 	}

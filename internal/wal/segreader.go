@@ -26,9 +26,12 @@ type SegmentInfo struct {
 // Segments lists the journal segments in dir in LSN order, read-only —
 // the offline entry point for DirSource replay and audit queries.
 // Non-segment files (snapshots, whatever else shares the directory) are
-// ignored.
+// ignored. On a live journal the list may still hold segments
+// compaction detached but has not unlinked yet; a segment unlinked
+// while it is being listed is left out with every older one, and so is
+// a newest segment whose header a roll has not written yet.
 func Segments(dir string) ([]SegmentInfo, error) {
-	segs, err := scanDir(dir)
+	segs, _, err := scanDir(dir)
 	if err != nil {
 		return nil, err
 	}

@@ -25,6 +25,15 @@
 // cost amortized). ModeAsync returns immediately and lets the
 // background committer flush on its time/count window. ModeOff never
 // fsyncs at all (buffers still flush so readers see the data).
+//
+// Compaction model: TruncateBefore detaches the covered sealed segments
+// under the journal mutex, and a second background goroutine, the
+// reclaimer, unlinks their files and fsyncs the directory outside it.
+// While the journal takes appends, neither an fsync nor an unlink runs
+// under the mutex Append takes. Until the reclaimer gets to them a directory reader may still
+// list detached segments; what stays on disk is always one contiguous
+// run of segments, because unlinks go oldest first and stop at the
+// first failure.
 package wal
 
 import (
@@ -180,6 +189,11 @@ type WAL struct {
 	syncs         int64
 	truncatedSegs int64
 
+	// reclaim queues the segments TruncateBefore detached and the
+	// reclaimer has not unlinked yet, oldest first. The unlinks run
+	// outside mu.
+	reclaim []segment
+
 	// syncObs, when set, observes each fsync's wall duration (the
 	// group-commit stall budget) — the serving layer points it at a
 	// latency histogram. Stored atomically so it can be attached after
@@ -190,9 +204,10 @@ type WAL struct {
 	// Faults); nil in production.
 	faults atomic.Pointer[Faults]
 
-	flushCh chan struct{}
-	done    chan struct{}
-	wg      sync.WaitGroup
+	flushCh   chan struct{}
+	reclaimCh chan struct{} // kicks the reclaimer
+	done      chan struct{}
+	wg        sync.WaitGroup
 }
 
 // SetSyncObserver installs a callback observing every fsync's
@@ -237,15 +252,19 @@ func Open(opts Options) (*WAL, error) {
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
-	segs, err := scanDir(opts.Dir)
+	segs, newborn, err := scanDir(opts.Dir)
+	if err == nil {
+		err = newborn
+	}
 	if err != nil {
 		return nil, err
 	}
 	w := &WAL{
-		opts:    opts,
-		segs:    segs,
-		flushCh: make(chan struct{}, 1),
-		done:    make(chan struct{}),
+		opts:      opts,
+		segs:      segs,
+		flushCh:   make(chan struct{}, 1),
+		reclaimCh: make(chan struct{}, 1),
+		done:      make(chan struct{}),
 	}
 	w.cond = sync.NewCond(&w.mu)
 	w.wake = func() {
@@ -295,18 +314,30 @@ func Open(opts Options) (*WAL, error) {
 	}
 	w.syncedLSN = w.nextLSN - 1
 
-	w.wg.Add(1)
+	w.wg.Add(2)
 	go w.committer()
+	go w.reclaimer()
 	return w, nil
 }
 
-// scanDir lists and orders the journal's segment files.
-func scanDir(dir string) ([]segment, error) {
+// scanDir lists and orders the journal's segment files. It reads a
+// directory another process may be writing, so two transient states are
+// not errors:
+//   - A segment listed but gone by the time it is opened was unlinked by
+//     compaction, which removes segments oldest first: it and every
+//     segment below it are left out, so the list stays one contiguous
+//     run.
+//   - The newest segment may not have its header yet: a roll creates the
+//     file and then writes the header. It holds no record and is left
+//     out; newborn carries its short-header error, which Open, the one
+//     caller that must not skip it, returns.
+func scanDir(dir string) (segs []segment, newborn, err error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, fmt.Errorf("wal: %w", err)
+		return nil, nil, fmt.Errorf("wal: %w", err)
 	}
-	var segs []segment
+	var cut uint64 // segments below this index were compacted away
+	var newbornIdx uint64
 	for _, e := range entries {
 		name := e.Name()
 		if e.IsDir() || !strings.HasPrefix(name, segPrefix) || !strings.HasSuffix(name, segSuffix) {
@@ -318,24 +349,38 @@ func scanDir(dir string) ([]segment, error) {
 		}
 		path := filepath.Join(dir, name)
 		f, err := os.Open(path)
+		if errors.Is(err, os.ErrNotExist) {
+			cut = max(cut, idx+1)
+			continue
+		}
 		if err != nil {
-			return nil, fmt.Errorf("wal: %w", err)
+			return nil, nil, fmt.Errorf("wal: %w", err)
 		}
 		first, err := readSegmentHeader(f, path)
 		f.Close()
+		if (errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF)) && newborn == nil {
+			newborn, newbornIdx = err, idx
+			continue
+		}
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		segs = append(segs, segment{path: path, index: idx, firstLSN: first})
 	}
 	sort.Slice(segs, func(i, j int) bool { return segs[i].index < segs[j].index })
+	for len(segs) > 0 && segs[0].index < cut {
+		segs = segs[1:]
+	}
+	if newborn != nil && len(segs) > 0 && newbornIdx < segs[len(segs)-1].index {
+		return nil, nil, newborn // a short header below the newest segment is damage
+	}
 	for i := 1; i < len(segs); i++ {
 		if segs[i].firstLSN < segs[i-1].firstLSN {
-			return nil, fmt.Errorf("wal: segment %s first LSN %d below predecessor's %d",
+			return nil, nil, fmt.Errorf("wal: segment %s first LSN %d below predecessor's %d",
 				segs[i].path, segs[i].firstLSN, segs[i-1].firstLSN)
 		}
 	}
-	return segs, nil
+	return segs, newborn, nil
 }
 
 // openSegmentLocked creates and switches to a fresh segment; callers
@@ -678,26 +723,80 @@ func (w *WAL) LastLSN() uint64 {
 // read-only beside a live WAL.
 func (w *WAL) Dir() string { return w.opts.Dir }
 
-// TruncateBefore removes sealed segments every record of which has
-// LSN <= lsn — the compaction step after a snapshot covers them. The
-// active segment is never removed. Returns how many segments were
-// deleted.
+// TruncateBefore compacts the journal once a snapshot covers every
+// record with LSN <= lsn: it detaches the sealed segments wholly at or
+// below lsn and returns how many it detached. The active segment is
+// never detached. Window, Stats and cursors see the shorter journal at
+// once; the files are unlinked later by the reclaimer, outside mu and
+// off the caller's path, because an unlink can take seconds (a written-
+// back 64 MiB segment on a filesystem mounted with discard). Until then
+// DirSource and Segments may still list them, and a crash leaves them
+// on disk: the state a crash between the snapshot's write and this call
+// leaves, which Open lists and the next compaction drops. A closed
+// journal detaches nothing.
 func (w *WAL) TruncateBefore(lsn uint64) int {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	removed := 0
-	for len(w.segs) > 1 && w.segs[1].firstLSN <= lsn+1 {
-		if err := os.Remove(w.segs[0].path); err != nil && !errors.Is(err, os.ErrNotExist) {
+	if w.closed {
+		return 0
+	}
+	n := 0
+	for n+1 < len(w.segs) && w.segs[n+1].firstLSN <= lsn+1 {
+		n++
+	}
+	w.reclaim = append(w.reclaim, w.segs[:n]...)
+	w.segs = w.segs[n:]
+	w.truncatedSegs += int64(n)
+	if len(w.reclaim) > 0 {
+		select {
+		case w.reclaimCh <- struct{}{}:
+		default:
+		}
+	}
+	return n
+}
+
+// removeFile is the reclaimer's unlink; a test swaps it to block or
+// fail one.
+var removeFile = os.Remove
+
+// reclaimer unlinks the segments TruncateBefore detached, a pass per
+// kick and a final one when the journal closes.
+func (w *WAL) reclaimer() {
+	defer w.wg.Done()
+	for {
+		select {
+		case <-w.done:
+			w.reclaimPass()
+			return
+		case <-w.reclaimCh:
+			w.reclaimPass()
+		}
+	}
+}
+
+// reclaimPass unlinks the queued segments oldest first and then fsyncs
+// the directory, holding mu only to read and trim the queue. It stops at
+// the first unlink that fails and keeps that segment and every later one
+// queued for the next pass, so the files left on disk stay contiguous.
+func (w *WAL) reclaimPass() {
+	w.mu.Lock()
+	queued := w.reclaim // TruncateBefore only appends past these
+	w.mu.Unlock()
+	n := 0
+	for _, s := range queued {
+		if err := removeFile(s.path); err != nil && !errors.Is(err, os.ErrNotExist) {
 			break
 		}
-		w.segs = w.segs[1:]
-		removed++
+		n++
 	}
-	if removed > 0 {
-		w.truncatedSegs += int64(removed)
-		syncDir(w.opts.Dir)
+	if n == 0 {
+		return
 	}
-	return removed
+	syncDir(w.opts.Dir)
+	w.mu.Lock()
+	w.reclaim = w.reclaim[n:]
+	w.mu.Unlock()
 }
 
 // Stats snapshots the journal counters.
@@ -718,8 +817,9 @@ func (w *WAL) Stats() Stats {
 	return st
 }
 
-// Close stops the committer, flushes, fsyncs (outside ModeOff), and
-// closes the active segment.
+// Close stops the committer, waits for the reclaimer's final pass over
+// the segments compaction detached, flushes, fsyncs (outside ModeOff),
+// and closes the active segment.
 func (w *WAL) Close() error {
 	w.mu.Lock()
 	if w.closed {

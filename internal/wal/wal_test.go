@@ -450,7 +450,7 @@ func TestDirSourceResumeMidSegment(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if segs, err := scanDir(dir); err != nil || len(segs) < 3 {
+	if segs, _, err := scanDir(dir); err != nil || len(segs) < 3 {
 		t.Fatalf("want >= 3 segments for a meaningful resume test, got %d (err %v)", len(segs), err)
 	}
 
@@ -618,7 +618,7 @@ func TestSealedSegmentsHoldRecords(t *testing.T) {
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
-		segs, err := scanDir(dir)
+		segs, _, err := scanDir(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
