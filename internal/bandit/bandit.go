@@ -86,7 +86,9 @@ type Ranked struct {
 
 // Event is one logged rank decision with its eventual reward. A ranked
 // event's Context.IDs and Actions are the log's own copies, carved from
-// blocks it shares with neighbouring events: read-only.
+// blocks it shares with neighbouring events: read-only. In a capped
+// (serving) log, Train releases them: a trained event keeps neither,
+// and leaves the log.
 type Event struct {
 	EventID  string
 	Context  Context
@@ -96,6 +98,9 @@ type Event struct {
 	Reward   float64
 	Rewarded bool
 	Trained  bool
+	// pos is the event's position in the log since the service began:
+	// its slot is log[pos-logBase] until eviction passes it.
+	pos int
 }
 
 // Config parameterizes the service.
@@ -151,7 +156,13 @@ type Service struct {
 	evMu   sync.Mutex
 	rng    *rand.Rand
 	events map[string]*Event
-	log    []*Event
+	// log holds the logged events in rank order. A capped log keeps a
+	// trained event's slot, nil, until eviction passes it, so its length
+	// and eviction boundaries do not depend on when Train runs. logBase
+	// is the number of slots eviction has dropped: the position of
+	// log[0].
+	log     []*Event
+	logBase int
 	// pending holds rewarded-but-untrained events so Train is O(batch)
 	// rather than a full-log scan, and so an accepted reward survives
 	// log eviction until it is trained.
@@ -263,6 +274,7 @@ func (s *Service) restoreEvent(ev *Event) {
 // logLocked indexes and logs an event, then enforces the cap: caller
 // holds evMu.
 func (s *Service) logLocked(ev *Event) {
+	ev.pos = s.logBase + len(s.log)
 	s.events[ev.EventID] = ev
 	s.log = append(s.log, ev)
 	if ev.Rewarded && !ev.Trained {
@@ -292,42 +304,50 @@ func (s *Service) restoreRank(f walrec.RankFrame) {
 
 // ServingMaxLog is the event-log cap every serving process applies: the
 // live server, journal recovery, a follower and audit as-of. It is a
-// constant so replay evicts on the boundaries the live run did. Each
-// logged event keeps ≈ 689 B resident (TestEventLogBytesPerDecision,
-// spans 2–8) and the log grows to 1.25 × the cap before evicting, so
-// the cap bounds event state near 14 MB.
+// constant so replay evicts on the boundaries the live run did. An open
+// event keeps ≈ 722 B resident: its features, Event, ID and index
+// entry. A trained one keeps ≈ 28.5 B, its nil slot and its share of
+// the slices (TestEventLogBytesPerDecision, spans 2–8). The log grows
+// to 1.25 × the cap before evicting, so the cap bounds event state near
+// 15 MB only while the logged decisions are open; once their rewards
+// train, it holds a small fraction of that.
 const ServingMaxLog = 1 << 14
 
 // SetMaxLog caps the in-memory event log (<= 0 = unbounded, what a new
-// Service starts with: the offline-pipeline mode). When the cap is
-// exceeded the oldest events are evicted — trained ones silently,
-// pending ones forfeiting any late reward (which then reports as an
-// unknown event). Every serving process sets ServingMaxLog, also on a
-// learner trained by the offline pipeline. The cap takes effect on the
-// next Rank.
+// Service starts with: the offline-pipeline mode, whose log keeps every
+// trained event for Events and CounterfactualValue). When the cap is
+// exceeded the oldest slots are evicted, unrewarded events forfeiting
+// any late reward (which then reports as an unknown event). A capped
+// log keeps only a position for each event Train consumes: the event
+// leaves Events and CounterfactualValue, and its features are
+// released. Every serving process sets ServingMaxLog, also on a learner
+// trained by the offline pipeline. The cap takes effect on the next
+// Rank and the next Train.
 func (s *Service) SetMaxLog(n int) {
 	s.evMu.Lock()
 	s.maxLog = n
 	s.evMu.Unlock()
 }
 
-// evictLocked enforces maxLog by dropping the oldest events; callers
-// hold evMu. Trained events are simply forgotten; unrewarded ones lose
-// their slot in the index, so a late reward reports as unknown. An
-// accepted-but-untrained reward is never lost: the pending list keeps
-// the event for the next Train even after it leaves the log. The 25%
-// slack before compaction amortizes the copy cost across ranks.
+// evictLocked enforces maxLog by dropping the oldest slots; callers
+// hold evMu. A trained event's slot is already nil (Train released it);
+// unrewarded events lose their slot in the index, so a late reward
+// reports as unknown. An accepted-but-untrained reward is never lost:
+// the pending list keeps the event for the next Train even after it
+// leaves the log. The 25% slack before compaction amortizes the copy
+// cost across ranks.
 func (s *Service) evictLocked() {
 	if s.maxLog <= 0 || len(s.log) <= s.maxLog+s.maxLog/4 {
 		return
 	}
 	drop := len(s.log) - s.maxLog
 	for _, ev := range s.log[:drop] {
-		if !ev.Rewarded || ev.Trained {
+		if ev != nil && (!ev.Rewarded || ev.Trained) {
 			delete(s.events, ev.EventID)
 		}
 	}
 	s.log = append(s.log[:0:0], s.log[drop:]...)
+	s.logBase += drop
 }
 
 // MixGamma is the golden-ratio multiplier shared by every hash in the
@@ -648,7 +668,10 @@ const maxKeptTrainIdx = 1 << 18
 const trainEpochs = 4
 
 // Train performs trainEpochs IPS-weighted SGD passes over all rewarded,
-// untrained events and returns how many events were consumed.
+// untrained events and returns how many events were consumed. A capped
+// log then releases each one: nothing reads a trained serving event
+// again (snapshots write open events only, its rank record is already
+// journaled), so it keeps only its position, a nil slot.
 func (s *Service) Train() int {
 	s.evMu.Lock()
 	fresh := make([]trainExample, 0, len(s.pending))
@@ -663,6 +686,12 @@ func (s *Service) Train() int {
 		// A trained event can no longer accept rewards; drop it from the
 		// lookup index so the index only holds pending events.
 		delete(s.events, ev.EventID)
+		if s.maxLog > 0 {
+			if i := ev.pos - s.logBase; i >= 0 {
+				s.log[i] = nil
+			}
+			ev.Context.IDs, ev.Actions = nil, nil
+		}
 	}
 	clear(s.pending)
 	s.pending = s.pending[:0]
@@ -712,7 +741,9 @@ func (s *Service) update(ex trainExample, idx []int) {
 	}
 }
 
-// LogSize returns the number of logged rank events.
+// LogSize returns the number of slots in the event log: logged rank
+// events, counting those a capped log has trained and released until
+// eviction passes them.
 func (s *Service) LogSize() int {
 	s.evMu.Lock()
 	defer s.evMu.Unlock()
@@ -737,14 +768,17 @@ func (s *Service) HasEvent(eventID string) bool {
 // under the lock so the caller can read Reward/Rewarded/Trained without
 // racing concurrent Reward and Train calls. Context and Actions are the
 // log's own copies, shared with it: read-only. The high-fidelity log is
-// what enables counterfactual policy evaluation.
+// what enables counterfactual policy evaluation; only an uncapped log
+// keeps trained events, a capped one returns the open events alone.
 func (s *Service) Events() []*Event {
 	s.evMu.Lock()
 	defer s.evMu.Unlock()
-	out := make([]*Event, len(s.log))
-	for i, ev := range s.log {
-		cp := *ev
-		out[i] = &cp
+	out := make([]*Event, 0, len(s.log))
+	for _, ev := range s.log {
+		if ev != nil {
+			cp := *ev
+			out = append(out, &cp)
+		}
 	}
 	return out
 }
@@ -763,7 +797,7 @@ func (s *Service) CounterfactualValue(policy func(ctx Context, actions []Action)
 	s.evMu.Lock()
 	examples := make([]cfExample, 0, len(s.log))
 	for _, ev := range s.log {
-		if !ev.Rewarded {
+		if ev == nil || !ev.Rewarded {
 			continue
 		}
 		examples = append(examples, cfExample{ev.Context, ev.Actions, ev.Chosen, ev.Prob, ev.Reward})

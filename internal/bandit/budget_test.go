@@ -177,16 +177,44 @@ func TestReplayAllocBudget(t *testing.T) {
 // TestEventLogBytesPerDecision pins what the decision log keeps resident
 // per logged event at the serving cap: 40,000 decisions of span 2–8,
 // each featurized into fresh slices with its action IDs shared from one
-// table (as internal/featurize shares a catalog's), rewarded, and
-// trained 256 at a time (the ingestor's batch). The block sizes decide
-// it: a block's unused tail is waste, which a smaller block makes worse.
-// The budget is what a log that kept its callers' slices held, 696.2
-// bytes. Named so the un-raced allocation-gate CI step selects it.
+// table (as internal/featurize shares a catalog's). Named so the
+// un-raced allocation-gate CI step selects it.
+//   - open: no decision is rewarded, so every logged event keeps its
+//     features and its entry in the event index. The block sizes decide
+//     it: a block's unused tail is waste, which a smaller block makes
+//     worse. The budget is what a log that kept its callers' slices
+//     held, 696.2 bytes, plus the index entry, ≈ 28 bytes at this log
+//     size.
+//   - trained: every decision is rewarded and trained 256 at a time (the
+//     ingestor's batch), so a logged event is its nil slot and nothing
+//     else. The budget is the reading, 28.5 bytes, plus a margin.
 func TestEventLogBytesPerDecision(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes heap accounting")
 	}
-	const decisions, budget = 40_000, 697.0
+	for _, c := range []struct {
+		name   string
+		train  bool
+		budget float64
+	}{
+		{"open", false, 725},
+		{"trained", true, 30},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			perEvent, logged := eventLogBytesPerDecision(t, c.train)
+			t.Logf("40000 decisions, %d logged: %.1f bytes resident each", logged, perEvent)
+			if perEvent > c.budget {
+				t.Errorf("the log holds %.1f bytes a decision, budget %v", perEvent, c.budget)
+			}
+		})
+	}
+}
+
+// eventLogBytesPerDecision logs TestEventLogBytesPerDecision's 40,000
+// decisions into a serving-capped log, rewarding and training them when
+// train is set, and returns the heap it grew by per logged event.
+func eventLogBytesPerDecision(t *testing.T, train bool) (float64, int) {
+	const decisions = 40_000
 	var table [256]Action
 	for r := range table {
 		rule := uint64(r)
@@ -223,6 +251,9 @@ func TestEventLogBytesPerDecision(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if !train {
+			continue
+		}
 		if err := s.Reward(ranked.EventID, float64(i%5)/4); err != nil {
 			t.Fatal(err)
 		}
@@ -232,12 +263,9 @@ func TestEventLogBytesPerDecision(t *testing.T) {
 	}
 	s.Train()
 	after := heap()
-	perEvent := float64(int64(after)-int64(before)) / float64(s.LogSize())
-	t.Logf("%d decisions, %d logged: %.1f bytes resident each", decisions, s.LogSize(), perEvent)
-	if perEvent > budget {
-		t.Errorf("the log holds %.1f bytes a decision, budget %v", perEvent, budget)
-	}
+	logged := s.LogSize()
 	runtime.KeepAlive(s)
+	return float64(int64(after)-int64(before)) / float64(logged), logged
 }
 
 // referenceEncode is the snapshot encoder as it was written through fmt;
@@ -265,6 +293,9 @@ func referenceEncode(s *Service, buf *bytes.Buffer) {
 		return b.String()
 	}
 	for _, ev := range s.log {
+		if ev == nil {
+			continue
+		}
 		if _, open := s.events[ev.EventID]; !open || ev.Trained {
 			continue
 		}

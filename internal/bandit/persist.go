@@ -87,6 +87,9 @@ func (s *Service) encodeLocked(buf *bytes.Buffer) {
 	s.mu.RUnlock()
 
 	for _, ev := range s.log {
+		if ev == nil {
+			continue
+		}
 		if _, open := s.events[ev.EventID]; !open || ev.Trained {
 			continue
 		}

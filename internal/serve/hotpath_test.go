@@ -19,6 +19,7 @@ import (
 	"qoadvisor/internal/featurize"
 	"qoadvisor/internal/rules"
 	"qoadvisor/internal/wal"
+	"qoadvisor/internal/walrec"
 )
 
 // The committed allocation ceilings of the two hot routes, per request,
@@ -197,13 +198,16 @@ func TestBanditPathAllocBudget(t *testing.T) {
 // a body over the 1 MiB pool cap, a malformed body, templates with
 // different hints, unhinted templates whose spans differ in length — and
 // checks each response against its own request. Every bandit decision's
-// logged context must be the featurization of the job that got its event
-// ID: the rank path featurizes into pooled scratch, which the log must
-// not keep.
+// journaled context and chosen action, and every open or pending
+// decision's logged context and action set, must be the featurization
+// of the job that got its event ID: the rank path featurizes into pooled
+// scratch, which neither may keep. Trained decisions leave the log.
 func TestBatchPoolsDoNotAlias(t *testing.T) {
 	cat := rules.NewCatalog()
 	dc := drift.DefaultConfig()
 	srv, ts := newTestServer(t, Config{Seed: 1, Drift: &dc})
+	journal := &recordingJournal{}
+	srv.Bandit().AttachJournal(journal)
 	hints := testHints(cat, 4096, 1)
 	if _, err := srv.InstallHints(hints); err != nil {
 		t.Fatal(err)
@@ -226,9 +230,10 @@ func TestBatchPoolsDoNotAlias(t *testing.T) {
 
 	var (
 		wg sync.WaitGroup
-		// ranked maps each event ID a response returned to its job.
+		// ranked maps each event ID a response returned to its job and
+		// the index of the action it chose.
 		rankedMu sync.Mutex
-		ranked   = map[string]api.RankRequest{}
+		ranked   = map[string]rankedJob{}
 	)
 	for g := 8; g < 12; g++ {
 		wg.Add(1)
@@ -267,7 +272,7 @@ func TestBatchPoolsDoNotAlias(t *testing.T) {
 					if res.Error != nil || res.Source != api.SourceBandit || res.EventID == "" {
 						t.Errorf("%s job %d: got %+v, want a bandit decision", rid, i, res)
 					}
-					ranked[res.EventID] = jobs[i]
+					ranked[res.EventID] = rankedJob{jobs[i], res.Chosen}
 					events[i] = api.RewardEvent{EventID: res.EventID, Reward: &reward}
 				}
 				rankedMu.Unlock()
@@ -347,27 +352,97 @@ func TestBatchPoolsDoNotAlias(t *testing.T) {
 	if len(ranked) != 12*(2+9+40+64) {
 		t.Fatalf("%d bandit decisions returned distinct event IDs, want %d", len(ranked), 12*(2+9+40+64))
 	}
-	logged := map[string]*bandit.Event{}
-	for _, ev := range srv.Bandit().Events() {
-		logged[ev.EventID] = ev
-	}
-	for id, job := range ranked {
-		ev, ok := logged[id]
-		if !ok {
-			t.Errorf("event %s (template %v) is not in the log", id, job.TemplateHash)
-			continue
-		}
+	features := func(job api.RankRequest) (bandit.Context, []bandit.Action) {
 		var span rules.Bitset
 		for _, b := range job.Span {
 			span.Set(b)
 		}
-		if want := featurize.Context(span, job.RowCount, job.BytesRead); !slices.Equal(ev.Context.IDs, want.IDs) {
-			t.Errorf("event %s (template %v): logged context %x, want the job's %x", id, job.TemplateHash, ev.Context.IDs, want.IDs)
+		return featurize.Context(span, job.RowCount, job.BytesRead), featurize.Actions(cat, span)
+	}
+	// Rewards train asynchronously: the log holds the open and pending
+	// decisions, each with its job's exact features, and no trained one.
+	for _, ev := range srv.Bandit().Events() {
+		r, ok := ranked[ev.EventID]
+		switch {
+		case !ok:
+			t.Errorf("logged event %s was not returned by any response", ev.EventID)
+			continue
+		case ev.Trained:
+			t.Errorf("event %s (template %v) is trained but still in the log", ev.EventID, r.job.TemplateHash)
+			continue
 		}
-		if want := featurize.Actions(cat, span); !reflect.DeepEqual(ev.Actions, want) {
-			t.Errorf("event %s (template %v): logged actions %v, want the job's %v", id, job.TemplateHash, ev.Actions, want)
+		ctx, actions := features(r.job)
+		if !slices.Equal(ev.Context.IDs, ctx.IDs) {
+			t.Errorf("event %s (template %v): logged context %x, want the job's %x", ev.EventID, r.job.TemplateHash, ev.Context.IDs, ctx.IDs)
+		}
+		if !reflect.DeepEqual(ev.Actions, actions) {
+			t.Errorf("event %s (template %v): logged actions %v, want the job's %v", ev.EventID, r.job.TemplateHash, ev.Actions, actions)
 		}
 	}
+	// Every decision was journaled as its job made it.
+	recs := journal.records()
+	if len(recs) != len(ranked) {
+		t.Errorf("%d rank records journaled for %d decisions", len(recs), len(ranked))
+	}
+	for _, rec := range recs {
+		f, err := walrec.ScanRank(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, ok := ranked[string(f.EventID)]
+		if !ok {
+			t.Errorf("journaled event %s was not returned by any response", f.EventID)
+			continue
+		}
+		ctx, actions := features(r.job)
+		if got := f.CtxIDs.AppendTo(nil); !slices.Equal(got, ctx.IDs) {
+			t.Errorf("event %s (template %v): journaled context %x, want the job's %x", f.EventID, r.job.TemplateHash, got, ctx.IDs)
+		}
+		if got, want := f.ActIDs.AppendTo(nil), actions[r.chosen].IDs; !slices.Equal(got, want) {
+			t.Errorf("event %s (template %v): journaled action %x, want the job's choice %d, %x", f.EventID, r.job.TemplateHash, got, r.chosen, want)
+		}
+	}
+	// Once every reward is applied and trained, no decision is left in
+	// the log; its slots stay until eviction passes them.
+	srv.ingest.Drain()
+	if evs := srv.Bandit().Events(); len(evs) != 0 {
+		t.Errorf("%d events still logged after every decision was rewarded and trained", len(evs))
+	}
+	if n := srv.Bandit().LogSize(); n != len(ranked) {
+		t.Errorf("LogSize = %d after training, want the %d decisions' slots", n, len(ranked))
+	}
+}
+
+// rankedJob is a bandit decision as a /v2/rank response returned it.
+type rankedJob struct {
+	job    api.RankRequest
+	chosen int
+}
+
+// recordingJournal is a bandit.Journal that keeps a copy of every record
+// appended to it.
+type recordingJournal struct {
+	mu   sync.Mutex
+	recs [][]byte
+}
+
+func (j *recordingJournal) Append(p []byte) (uint64, error) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.recs = append(j.recs, bytes.Clone(p))
+	return uint64(len(j.recs)), nil
+}
+
+func (j *recordingJournal) LastLSN() uint64 {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return uint64(len(j.recs))
+}
+
+func (j *recordingJournal) records() [][]byte {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.recs
 }
 
 // TestAPIConformanceHostileRequestID sends correlation IDs no HTTP
