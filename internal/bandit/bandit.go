@@ -139,7 +139,10 @@ type Service struct {
 	cfg Config
 
 	// mu guards the weight vector w: read-locked for scoring, write-locked
-	// for SGD updates and deserialization.
+	// for SGD updates and deserialization. w stays nil, every weight
+	// zero, until the first write — a trained example or a loaded
+	// weight — allocates all Dim of it: a node that only serves hints,
+	// or only explores uniformly, never holds the 2 MB of a default Dim.
 	mu sync.RWMutex
 	w  []float64
 	// pairs maps (context ID, action ID) pairs onto w: by mask when Dim is
@@ -226,7 +229,6 @@ func New(cfg Config) *Service {
 	}
 	return &Service{
 		cfg:    cfg,
-		w:      make([]float64, cfg.Dim),
 		pairs:  newPairSpace(cfg.Dim),
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
 		events: make(map[string]*Event),
@@ -435,8 +437,12 @@ func (s *Service) Score(ctx Context, a Action) float64 {
 }
 
 // scoreIDs sums the weights of the pair cross product without allocating;
-// callers hold mu (read or write).
+// callers hold mu (read or write). A nil weight vector is all zeros, so
+// every action scores +0.0, as a zeroed vector's do.
 func (s *Service) scoreIDs(ctxIDs, actIDs []uint64) float64 {
+	if s.w == nil {
+		return 0
+	}
 	var buf [8]uint64
 	ams := premultiply(buf[:0], actIDs)
 	p, w := s.pairs, s.w
@@ -506,7 +512,10 @@ func (s *Service) rank(ctx Context, actions []Action, uniform bool) (Ranked, err
 		return Ranked{}, errors.New("bandit: no actions")
 	}
 	k := len(actions)
-	best := s.argmax(ctx, actions)
+	best := 0 // read only by the learned policy: a uniform draw scores nothing
+	if !uniform {
+		best = s.argmax(ctx, actions)
+	}
 
 	s.evMu.Lock()
 	// The draw shares the event log's critical section: the rng is
@@ -725,8 +734,11 @@ func (s *Service) Train() int {
 
 // update applies an importance-weighted regression step toward the
 // observed reward for the chosen action, over the example's pair indexes.
-// Callers hold mu.
+// Callers hold mu's write lock; the first update allocates the weights.
 func (s *Service) update(ex trainExample, idx []int) {
+	if s.w == nil {
+		s.w = make([]float64, s.cfg.Dim)
+	}
 	pred := 0.0
 	for _, i := range idx {
 		pred += s.w[i]

@@ -110,6 +110,7 @@ func TestDecisionAllocBudget(t *testing.T) {
 	}
 
 	big := New(DefaultConfig(1))
+	big.w = make([]float64, big.cfg.Dim)
 	for i := 0; i < 100_000; i++ {
 		big.w[2*i+1] = float64(i+1) / 7
 	}
@@ -232,6 +233,7 @@ func eventLogBytesPerDecision(t *testing.T, train bool) (float64, int) {
 	}
 	s := New(Config{Seed: 1})
 	s.SetMaxLog(ServingMaxLog)
+	s.w = make([]float64, s.cfg.Dim) // the first Train's weights are not the log's
 	before := heap()
 	for i := 0; i < decisions; i++ {
 		r := Mix64(uint64(i) + 0xb17e)
@@ -328,6 +330,7 @@ func TestSnapshotEncodingMatchesFmt(t *testing.T) {
 	}
 	s := New(Config{Dim: 1 << 17, Epsilon: 0.1 / 3, LearningRate: 1e-7, MaxIPSWeight: 1e21, Seed: 1})
 	s.walLSN = math.MaxUint64
+	s.w = make([]float64, s.cfg.Dim)
 	for i := range s.w {
 		s.w[i] = float()
 	}

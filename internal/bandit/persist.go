@@ -206,6 +206,9 @@ func Load(r io.Reader, seed int64) (*Service, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bandit: line %d: bad weight %q", line, parts[1])
 		}
+		if svc.w == nil {
+			svc.w = make([]float64, dim)
+		}
 		svc.w[idx] = wgt
 	}
 	return svc, sc.Err()

@@ -17,59 +17,59 @@ import (
 // installed as from the same table.
 //
 // It is the node's one resident copy of the hints, laid out at their own
-// size: a packed entry per distinct template hash in install order, every
-// template ID copied into one string arena, and an open-addressed index
-// of entry numbers at load 0.5 — 32 + 8 bytes a hint plus its ID, and
-// three allocations however many hints there are.
+// size: a 16-byte entry per distinct template hash, grouped into buckets
+// of about two by the top bits of the mixed hash behind a directory of
+// bucket starts; every template ID in one string arena; and each distinct
+// (Day, RuleID, Enable, ID length) once, in a dictionary the entries
+// number into. At qobench's 262,144 hints with seven-byte IDs that is 16
+// bytes of entry, 2 of directory and 7 of arena a hint. The ID's length
+// sits in the dictionary, not before the ID, because serving reads a
+// hint's flip and day, never its ID's bytes: a hit does not touch the
+// arena. Two entries a bucket rather than four cost a byte of directory
+// a hint and keep a bucket within a cache line more often.
 //
 // The table is lossless: lookup and export return exactly the sis.Hint
 // that went in, for every value of every field (any Day, any RuleID,
-// empty IDs, hash 0), because entries carry Day and RuleID at full
-// width. What is narrow is the addressing: entry numbers and arena
-// offsets are uint32 and an ID's length shares its word with the flip's
-// Enable bit, so a table holds at most maxHintEntries hints whose IDs
-// total at most maxHintArena bytes, none longer than maxHintIDLen.
-// newHintTable panics past those. Nothing the process reads can get
-// there — a journal record is at most wal.MaxRecordSize (16 MiB), an
-// HTTP rollover at most maxHintBody (64 MiB) — and Server.InstallHints
+// empty IDs, hash 0), because the dictionary carries every field at full
+// width. What is narrow is the addressing: entry and value numbers, arena
+// offsets and ID lengths are uint32, so a table holds at most
+// maxHintEntries hints whose IDs total at most maxHintArena bytes.
+// newHintTable panics past those. Nothing the process reads can get there
+// — a journal record is at most wal.MaxRecordSize (16 MiB), an HTTP
+// rollover at most maxHintBody (64 MiB) — and Server.InstallHints
 // refuses such a slice from an in-process caller with an error first.
 type hintTable struct {
-	entries []hintEntry
-	ids     string // every entry's template ID, back to back
-	// index is open-addressed with linear probing. A word is 0 when
-	// empty, else an entry's number (from 1) above tagBits bits of its
-	// hash: the entry number takes as many bits as the table's size
-	// needs and the tag gets the rest (13 at 262,144 hints, none at 2³¹).
-	index   []uint32
-	tagBits uint8
-	gen     uint64
+	entries []hintEntry // bucket after bucket, each in ascending hash
+	// dir[b] is where bucket b starts in entries and dir[b+1] where it
+	// ends; a hash's bucket is the top 64-shift bits of its mix.
+	dir   []uint32
+	shift uint8
+	vals  []hintValue
+	ids   string // every entry's template ID, back to back
+	gen   uint64
 }
 
-// hintEntry is one hint in 32 bytes.
+// hintEntry is one hint in 16 bytes.
 type hintEntry struct {
 	hash  uint64
-	day   int64
-	rule  int64
 	idOff uint32
-	idLen uint32 // low 31 bits; the top bit is Flip.Enable
+	val   uint32 // the hint's flip, day and ID length: vals[val]
 }
 
-const (
-	hintEnableBit  = 1 << 31
-	maxHintIDLen   = hintEnableBit - 1
-	maxHintArena   = math.MaxUint32
-	maxHintEntries = math.MaxUint32 - 1 // the index numbers entries from 1
-)
+// hintValue is one distinct (Day, RuleID, Enable, ID length) of a table.
+type hintValue struct {
+	day, rule int
+	idLen     uint32
+	enable    bool
+}
+
+const maxHintArena, maxHintEntries = math.MaxUint32, math.MaxUint32
 
 // hintArena returns the bytes of template ID the hints carry, and whether
 // one table can address them all.
 func hintArena(hints []sis.Hint) (idBytes uint64, ok bool) {
 	for i := range hints {
-		n := uint64(len(hints[i].TemplateID))
-		if n > maxHintIDLen {
-			return 0, false
-		}
-		idBytes += n
+		idBytes += uint64(len(hints[i].TemplateID))
 	}
 	return idBytes, uint64(len(hints)) <= maxHintEntries && idBytes <= maxHintArena
 }
@@ -98,72 +98,55 @@ func (c *HintCache) lookup(templateHash uint64) (h sis.Hint, gen uint64, ok bool
 }
 
 // Lookup returns the active hint for a job template, if any. This is the
-// serving hot path: one pointer load, an index probe and the entry it
-// names, no allocation — the hint's TemplateID is a substring of the
-// table's arena.
+// serving hot path: one pointer load, a directory word and one bucket's
+// scan, no allocation — the hint's TemplateID is in the table's arena.
 func (c *HintCache) Lookup(templateHash uint64) (sis.Hint, bool) {
 	h, _, ok := c.lookup(templateHash)
 	return h, ok
 }
 
-// probe is where a hash's probe sequence starts — a slot — and the tag
-// its index word carries. Template hashes are not trusted to be spread
-// (tests install sequential ones), so the hash is mixed first; the
-// multiply-shift maps the mix's high bits onto a slot count that is not a
-// power of two, and the tag is its low bits.
-func (t *hintTable) probe(hash uint64) (home int, tag uint32) {
+// bucket is the bucket a hash's entry sits in. Template hashes are not
+// trusted to be spread (tests install sequential ones), so the hash is
+// mixed first and the bucket is the mix's top bits.
+func (t *hintTable) bucket(hash uint64) uint64 {
 	hash ^= hash >> 32
 	hash *= 0x9e3779b97f4a7c15
-	hi, _ := bits.Mul64(hash, uint64(len(t.index)))
-	return int(hi), uint32(hash) & (1<<t.tagBits - 1)
-}
-
-// slot probes for hash and returns the index slot that names its entry,
-// or the empty slot that ends its probe sequence, and the hash's tag. The
-// index is never full (load 0.5), so the probe terminates. An entry is
-// read only when its slot's tag matches, so a miss seldom leaves the
-// index.
-func (t *hintTable) slot(hash uint64) (int, uint32) {
-	i, tag := t.probe(hash)
-	for {
-		w := t.index[i]
-		if w == 0 || (w&(1<<t.tagBits-1) == tag && t.entries[w>>t.tagBits-1].hash == hash) {
-			return i, tag
-		}
-		if i++; i == len(t.index) {
-			i = 0
-		}
-	}
+	return hash >> t.shift
 }
 
 func (t *hintTable) lookup(hash uint64) (sis.Hint, bool) {
-	if len(t.index) == 0 {
+	if len(t.dir) == 0 {
 		return sis.Hint{}, false
 	}
-	i, _ := t.slot(hash)
-	w := t.index[i]
-	if w == 0 {
-		return sis.Hint{}, false
+	b := t.bucket(hash)
+	run := t.entries[t.dir[b]:t.dir[b+1]]
+	for i := range run {
+		if run[i].hash == hash {
+			return t.hint(&run[i]), true
+		}
 	}
-	return t.hint(&t.entries[w>>t.tagBits-1]), true
+	return sis.Hint{}, false
 }
 
 // hint materialises an entry; the ID shares the arena's bytes.
 func (t *hintTable) hint(e *hintEntry) sis.Hint {
+	v := &t.vals[e.val]
 	return sis.Hint{
 		TemplateHash: e.hash,
-		TemplateID:   t.ids[e.idOff : e.idOff+(e.idLen&maxHintIDLen)],
-		Flip:         rules.Flip{RuleID: int(e.rule), Enable: e.idLen&hintEnableBit != 0},
-		Day:          int(e.day),
+		TemplateID:   t.ids[e.idOff : e.idOff+v.idLen],
+		Flip:         rules.Flip{RuleID: v.rule, Enable: v.enable},
+		Day:          v.day,
 	}
 }
 
-// newHintTable builds the table in one pass over the hints, in install
-// order (sorting 262,144 of them costs more than the rest of the build).
-// Duplicate hashes keep the last occurrence, matching sis.Store upload
-// semantics: the index finds the earlier entry and it is overwritten in
-// place, so no second structure dedupes. (The earlier ID stays in the
-// arena, unreferenced; validated installs carry no duplicates.)
+// newHintTable builds the table by a stable counting sort of the hints on
+// their buckets: a pass counts each bucket, a pass places each hint at its
+// bucket's cursor in install order, and a pass over the buckets sorts each
+// stably by hash and keeps the last of every run of one hash. Duplicate
+// hashes so keep the last occurrence, matching sis.Store upload
+// semantics, in O(k log k) comparisons for a bucket of k. (A dropped
+// duplicate's ID stays in the arena, unreferenced; validated installs
+// carry none.)
 func newHintTable(hints []sis.Hint, gen uint64) *hintTable {
 	t := &hintTable{gen: gen}
 	if len(hints) == 0 {
@@ -173,33 +156,50 @@ func newHintTable(hints []sis.Hint, gen uint64) *hintTable {
 	if !ok {
 		panic("serve: hint table past its uint32 addressing (see hintTable)")
 	}
+	// A power of two of buckets, len(hints)/2 rounded up.
+	t.shift = uint8(64 - max(bits.Len(uint(len(hints)-1))-1, 0))
+	nb := 1 << (64 - t.shift)
+	t.dir = make([]uint32, nb+1)
+	for i := range hints {
+		t.dir[t.bucket(hints[i].TemplateHash)+1]++
+	}
+	for b := 1; b <= nb; b++ {
+		t.dir[b] += t.dir[b-1]
+	}
 	var ids strings.Builder
 	ids.Grow(int(idBytes))
-	t.entries = make([]hintEntry, 0, len(hints))
-	t.index = make([]uint32, 2*len(hints))
-	t.tagBits = uint8(32 - bits.Len(uint(len(hints))))
+	t.entries = make([]hintEntry, len(hints))
+	vals := make(map[hintValue]uint32)
 	for i := range hints {
 		h := &hints[i]
-		e := hintEntry{
-			hash:  h.TemplateHash,
-			day:   int64(h.Day),
-			rule:  int64(h.Flip.RuleID),
-			idOff: uint32(ids.Len()),
-			idLen: uint32(len(h.TemplateID)),
+		v := hintValue{h.Day, h.Flip.RuleID, uint32(len(h.TemplateID)), h.Flip.Enable}
+		vi, ok := vals[v]
+		if !ok {
+			vi = uint32(len(t.vals))
+			vals[v] = vi
+			t.vals = append(t.vals, v)
 		}
-		if h.Flip.Enable {
-			e.idLen |= hintEnableBit
-		}
+		b := t.bucket(h.TemplateHash)
+		t.entries[t.dir[b]] = hintEntry{hash: h.TemplateHash, idOff: uint32(ids.Len()), val: vi}
+		t.dir[b]++
 		ids.WriteString(h.TemplateID)
-		s, tag := t.slot(e.hash)
-		if w := t.index[s]; w != 0 {
-			t.entries[w>>t.tagBits-1] = e
-			continue
-		}
-		t.entries = append(t.entries, e)
-		t.index[s] = uint32(len(t.entries))<<t.tagBits | tag
 	}
 	t.ids = ids.String()
+	// Placing moved each bucket's cursor, dir[b], to where it ends.
+	lo, kept := uint32(0), uint32(0)
+	for b := range nb {
+		run := t.entries[lo:t.dir[b]]
+		lo, t.dir[b] = t.dir[b], kept
+		slices.SortStableFunc(run, func(x, y hintEntry) int { return cmp.Compare(x.hash, y.hash) })
+		for i := range run {
+			if i+1 == len(run) || run[i+1].hash != run[i].hash {
+				t.entries[kept] = run[i]
+				kept++
+			}
+		}
+	}
+	t.dir[nb] = kept
+	t.entries = t.entries[:kept]
 	return t
 }
 

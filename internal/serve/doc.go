@@ -72,7 +72,8 @@
 //	                     order). Then: bandit.Service.mu (read side, for
 //	                     a snapshot encode), wal.
 //	bandit.Service.mu    The weight vector: read-locked to score,
-//	                     write-locked for SGD and load. Innermost.
+//	                     write-locked for SGD (whose first step
+//	                     allocates it) and load. Innermost.
 //
 // Leaf locks those call into, which call back into nothing above:
 // wal.WAL.mu (Append, Commit, Sync), drift.Detector.mu, drift.Table's

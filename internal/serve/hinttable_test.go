@@ -4,13 +4,13 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"math/bits"
 	"runtime"
 	"slices"
 	"sort"
 	"strings"
 	"testing"
 
+	"qoadvisor/internal/bandit"
 	"qoadvisor/internal/rules"
 	"qoadvisor/internal/sis"
 	"qoadvisor/internal/wal"
@@ -71,24 +71,44 @@ func checkHintTable(hints []sis.Hint, probes []uint64) string {
 	return ""
 }
 
-// sameHome returns n hashes whose probe sequences all start at slot home
-// of a table of size hints. With sameTag they also share every bit a tag
-// can hold, so a probe cannot tell them apart without reading entries:
-// a<<32 | a^x has the same low word under the mix's first step for every
-// a, and the mix's multiply keeps low words equal.
-func sameHome(size, home, n int, sameTag bool) []uint64 {
-	t := &hintTable{index: make([]uint32, 2*size), tagBits: uint8(32 - bits.Len(uint(size)))}
+// sameBucket returns n hashes that all land in bucket b of a table built
+// from size hints. The table's bucket count depends only on how many
+// hints it is given, so a table of size copies of one hint has it.
+func sameBucket(size int, b uint64, n int) []uint64 {
+	t := newHintTable(make([]sis.Hint, size), 0)
 	var out []uint64
-	for a := uint64(1); len(out) < n; a++ {
-		h := a
-		if sameTag {
-			h = a<<32 | (a^0x5eed)&math.MaxUint32
-		}
-		if at, _ := t.probe(h); at == home {
+	for h := uint64(1); len(out) < n; h++ {
+		if t.bucket(h) == b {
 			out = append(out, h)
 		}
 	}
 	return out
+}
+
+// checkBuckets holds a table to its layout: the directory rises from 0
+// to the entry count, every entry sits in its hash's bucket, a bucket's
+// hashes strictly ascend, and every value number and ID is in range. It
+// returns what is wrong, or "".
+func checkBuckets(t *hintTable) string {
+	if len(t.entries) == 0 {
+		return ""
+	}
+	if nb := 1 << (64 - t.shift); len(t.dir) != nb+1 || t.dir[0] != 0 || int(t.dir[nb]) != len(t.entries) {
+		return fmt.Sprintf("directory of %d words for %d buckets runs %d..%d over %d entries", len(t.dir), nb, t.dir[0], t.dir[len(t.dir)-1], len(t.entries))
+	}
+	for b := 0; b+1 < len(t.dir); b++ {
+		if t.dir[b] > t.dir[b+1] {
+			return fmt.Sprintf("bucket %d starts at %d and ends at %d", b, t.dir[b], t.dir[b+1])
+		}
+		for i := t.dir[b]; i < t.dir[b+1]; i++ {
+			e := t.entries[i]
+			if t.bucket(e.hash) != uint64(b) || (i > t.dir[b] && t.entries[i-1].hash >= e.hash) ||
+				int(e.val) >= len(t.vals) || int(e.idOff)+int(t.vals[e.val].idLen) > len(t.ids) {
+				return fmt.Sprintf("entry %d of bucket %d: %+v", i, b, e)
+			}
+		}
+	}
+	return ""
 }
 
 func TestHintTableMatchesMap(t *testing.T) {
@@ -99,21 +119,34 @@ func TestHintTableMatchesMap(t *testing.T) {
 	a2 := hint(11, "Ta-again", 77, false, 9)
 	long := strings.Repeat("template/", 9000) // past a uint16 length
 
-	// Eight hints whose probes all start at the index's last slot: the
-	// run wraps to slot 0, and every lookup but the first walks it. Two
-	// more hashes with that home stay absent and walk the whole run. The
-	// second set also shares its tag, so every step of the walk reads an
-	// entry to tell the keys apart.
-	const n = 8
-	collisions := func(sameTag bool) (hints []sis.Hint, absent []uint64) {
-		keys := sameHome(n, 2*n-1, n+2, sameTag)
-		for i, h := range keys[:n] {
-			hints = append(hints, hint(h, fmt.Sprint("C", i), i, i%2 == 0, i))
+	// Tables of n = 64 hints have 32 buckets. crowd puts every hint in
+	// one bucket, so a lookup scans all of them; two more hashes of that
+	// bucket stay absent and scan it too. edges fills only the first and
+	// the last bucket, leaving thirty empty between them.
+	const n, last = 64, 31
+	bucketHints := func(keys []uint64) (hints []sis.Hint) {
+		for i, h := range keys {
+			hints = append(hints, hint(h, fmt.Sprint("B", i), i, i%2 == 0, i%3))
 		}
-		return hints, keys[n:]
+		return hints
 	}
-	collide, absent := collisions(false)
-	collideTag, absentTag := collisions(true)
+	inMiddle := sameBucket(n, 7, n+2)
+	crowd, absent := bucketHints(inMiddle[:n]), inMiddle[n:]
+	first, lastKeys := sameBucket(n, 0, n/2+1), sameBucket(n, last, n/2+1)
+	edges := bucketHints(append(slices.Clone(first[:n/2]), lastKeys[:n/2]...))
+	edgeAbsent := []uint64{first[n/2], lastKeys[n/2], inMiddle[0]}
+	// compact adds eight hashes of bucket 7 to spread twice each, once
+	// adds them a single time with the second copies' values. Both are
+	// 33 to 64 hints, so both tables have 32 buckets, and dropping the
+	// first copies closes bucket 7 up: every later bucket starts where
+	// once's does.
+	spread := mkHints(n-16, 3)
+	compact, once := slices.Clone(spread), slices.Clone(spread)
+	for i, h := range inMiddle[:8] {
+		compact = append(compact, hint(h, "first", 1, true, 1))
+		once = append(once, hint(h, fmt.Sprint("again", i), 2, false, i))
+	}
+	compact = append(compact, once[len(spread):]...)
 
 	for _, tc := range []struct {
 		name   string
@@ -143,33 +176,31 @@ func TestHintTableMatchesMap(t *testing.T) {
 			hint(4, "d", rules.NumRules, false, 1), hint(5, "e", 1<<16, true, 1), hint(6, "f", -1<<31, false, 1),
 			hint(7, "g", math.MinInt64, false, math.MinInt64), hint(8, "h", math.MaxInt64, true, math.MaxInt64),
 		}, nil},
-		{"colliding keys, wrapped run", collide, absent},
-		{"colliding keys and tags, wrapped run", collideTag, absentTag},
-		{"colliding keys with a duplicate", append(slices.Clone(collideTag), hint(collideTag[n-1].TemplateHash, "again", 99, true, 99), hint(collideTag[0].TemplateHash, "", 98, false, 98)), absentTag},
+		{"every hash in one bucket", crowd, absent},
+		{"first and last buckets only", edges, edgeAbsent},
+		{"one bucket with a duplicate", append(slices.Clone(crowd), hint(crowd[n-1].TemplateHash, "again", 99, true, 99), hint(crowd[0].TemplateHash, "", 98, false, 98)), absent},
+		{"duplicates compact a bucket", compact, []uint64{inMiddle[8], 0}},
 		{"sequential hashes", testHints(rules.NewCatalog(), 1000, 3), []uint64{0xfff, 0x1000 + 1000}},
 		{"spread hashes", mkHints(1000, 3), []uint64{0, 2, 0xdeadbeef}},
+		{"all duplicates of one hash, many times", slices.Repeat([]sis.Hint{a, a2}, 5000), []uint64{22}},
 	} {
 		if msg := checkHintTable(tc.hints, tc.probes); msg != "" {
 			t.Errorf("%s: %s", tc.name, msg)
 		}
+		if msg := checkBuckets(newHintTable(tc.hints, 1)); msg != "" {
+			t.Errorf("%s: %s", tc.name, msg)
+		}
 	}
 
-	// The collision cases are what they say: one home, a run that wraps,
-	// and in the second one tag.
-	for _, hints := range [][]sis.Hint{collide, collideTag} {
-		tab := newHintTable(hints, 1)
-		for i := 0; i < n; i++ {
-			at := (2*n - 1 + i) % (2 * n)
-			if ref := tab.index[at] >> tab.tagBits; ref != uint32(i+1) {
-				t.Fatalf("slot %d of the wrapped run names entry %d, want %d", at, ref, i+1)
-			}
-		}
+	// The bucket cases are what they say.
+	if tab := newHintTable(crowd, 1); tab.dir[7] != 0 || tab.dir[8] != n || tab.dir[len(tab.dir)-1] != n {
+		t.Errorf("crowd: bucket 7 spans %d..%d, want every one of %d entries", tab.dir[7], tab.dir[8], n)
 	}
-	tab := newHintTable(collideTag, 1)
-	for i := 1; i < n; i++ {
-		if a, b := tab.index[i-1]<<(32-tab.tagBits), tab.index[2*n-1]<<(32-tab.tagBits); a != b {
-			t.Fatalf("slots %d and %d carry tags %#x and %#x, want one tag", i-1, 2*n-1, a, b)
-		}
+	if tab := newHintTable(edges, 1); tab.dir[1] != n/2 || tab.dir[last] != n/2 || len(tab.dir) != last+2 {
+		t.Errorf("edges: directory %v, want %d entries in bucket 0, %d in bucket %d and none between", tab.dir, n/2, n/2, last)
+	}
+	if packed, placed := newHintTable(compact, 1), newHintTable(once, 1); !slices.Equal(packed.dir, placed.dir) || len(packed.dir) != last+2 {
+		t.Errorf("compact: directory %v, want %v, the directory without the first copies", packed.dir, placed.dir)
 	}
 }
 
@@ -263,14 +294,17 @@ func TestHintLookupZeroAlloc(t *testing.T) {
 }
 
 // TestHintTableBytesPerHint pins the table's resident size at the scale
-// qobench's hint_hit installs (262,144 hints, seven-byte IDs): 32 bytes
-// of entry, 8 of index and 7 of arena. The map it replaced read ≈ 131.
-// Named so the un-raced allocation-gate CI step selects it.
+// qobench's hint_hit installs (262,144 hints, seven-byte IDs): 16 bytes
+// of entry, 2 of bucket directory and 7 of arena; the value dictionary
+// is 200 entries. The layout before it read
+// ≈ 47 (a 32-byte entry and an open-addressed index at load 0.5), the
+// map before that ≈ 131. Named so the un-raced allocation-gate CI step
+// selects it.
 func TestHintTableBytesPerHint(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes heap accounting")
 	}
-	const n, budget = 262144, 48.0
+	const n, budget = 262144, 26.0
 	hints := benchTableHints(n)
 	heap := func() uint64 {
 		runtime.GC()
@@ -362,4 +396,39 @@ func TestRolloverRecordBytesUnchanged(t *testing.T) {
 			t.Errorf("rollover record %d: %d bytes differ from walrec.EncodeHintRollover's %d", i, len(got[i]), len(want[i]))
 		}
 	}
+}
+
+// TestHintOnlyServerRetainedHeap: a node that only serves hints holds the
+// hint table and no bandit weights — the learner allocates its weight
+// vector (2 MiB at the default Dim) on its first write, and a hint hit
+// writes none. Named so the un-raced allocation-gate CI step selects it.
+func TestHintOnlyServerRetainedHeap(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes heap accounting")
+	}
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	hints := benchTableHints(4096)
+	before := heap()
+	srv := New(Config{Seed: 1})
+	defer srv.Close()
+	if _, err := srv.InstallHints(hints); err != nil {
+		t.Fatal(err)
+	}
+	for i := range hints {
+		if h, ok := srv.Cache().Lookup(hints[i].TemplateHash); !ok || h != hints[i] {
+			t.Fatalf("Lookup(%#x) = %+v, %v", hints[i].TemplateHash, h, ok)
+		}
+	}
+	retained := int64(heap()) - int64(before)
+	t.Logf("a hint-only server with %d hints retains %d bytes", len(hints), retained)
+	if weights := int64(8 * bandit.DefaultConfig(1).Dim); retained >= weights/2 {
+		t.Errorf("a hint-only server retains %d bytes, want under %d: half the weight vector it must not hold", retained, weights/2)
+	}
+	runtime.KeepAlive(hints)
 }

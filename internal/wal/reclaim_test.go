@@ -7,6 +7,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -300,8 +301,8 @@ func TestScanDirSkipsVanishedSegment(t *testing.T) {
 // TestScanDirSkipsNewbornSegment: a roll creates the next segment file
 // and then writes its header, so a directory reader can find the newest
 // segment without one. It holds no record, and Segments and DirSource
-// leave it out; Open, which would append after it, still refuses the
-// journal. A short header below the newest segment is damage.
+// leave it out (Open removes it: TestOpenDropsNewbornSegment). A short
+// header below the newest segment is damage.
 func TestScanDirSkipsNewbornSegment(t *testing.T) {
 	dir := t.TempDir()
 	w := openJournal(t, dir, wal.ModeSync, 64)
@@ -320,16 +321,120 @@ func TestScanDirSkipsNewbornSegment(t *testing.T) {
 	if info, err := (wal.DirSource{Dir: dir}).Replay(0, func(uint64, []byte) error { return nil }); err != nil || info.Records != 20 {
 		t.Fatalf("replay with a newborn segment: %+v, %v; want 20 records", info, err)
 	}
-	if w, err := wal.Open(wal.Options{Dir: dir, Mode: wal.ModeSync}); err == nil {
-		w.Close()
-		t.Fatal("Open accepted a journal whose newest segment has no header")
-	}
 	if err := os.Truncate(segs[1].Path, 3); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := wal.Segments(dir); err == nil {
 		t.Fatal("a short header below the newest segment listed without error")
 	}
+}
+
+// TestOpenDropsNewbornSegment: a crash between a roll's create and its
+// header write (or inside the first Open's) leaves a newest segment with
+// no whole header — empty, or a prefix of one. Open removes it and resumes
+// on the last sealed segment, or starts the journal afresh when there is
+// none; appends continue the LSNs, and a replay returns exactly the
+// records written before the crash and after Open. A header-less segment
+// at an index no roll would have created, or a short header below the
+// newest segment, is still an error.
+func TestOpenDropsNewbornSegment(t *testing.T) {
+	hdr := wal.SegmentHeader(1)
+	replayAll := func(t *testing.T, dir string) []string {
+		t.Helper()
+		var got []string
+		var next uint64 = 1
+		if _, err := (wal.DirSource{Dir: dir}).Replay(0, func(lsn uint64, p []byte) error {
+			if lsn != next {
+				return fmt.Errorf("record at LSN %d, want %d", lsn, next)
+			}
+			next++
+			got = append(got, string(p))
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	want := func(before, after int) []string {
+		var out []string
+		for i := 0; i < before; i++ {
+			out = append(out, fmt.Sprintf("rec-%04d", i))
+		}
+		for i := 0; i < after; i++ {
+			out = append(out, fmt.Sprintf("rec-%04d", i))
+		}
+		return out
+	}
+	for _, sealed := range []int{0, 20} {
+		for _, stub := range [][]byte{nil, hdr[:1], hdr[:len(hdr)-1]} {
+			t.Run(fmt.Sprintf("%d records, %d-byte stub", sealed, len(stub)), func(t *testing.T) {
+				dir := t.TempDir()
+				next := uint64(1)
+				if sealed > 0 {
+					w := openJournal(t, dir, wal.ModeSync, 64)
+					appendCommitted(t, w, sealed)
+					if err := w.Close(); err != nil {
+						t.Fatal(err)
+					}
+					segs := listed(t, dir)
+					next = segs[len(segs)-1].Index + 1
+				}
+				newborn := filepath.Join(dir, fmt.Sprintf("wal-%016d.seg", next))
+				if err := os.WriteFile(newborn, stub, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				w, err := wal.Open(wal.Options{Dir: dir, Mode: wal.ModeSync, SegmentBytes: 64})
+				if err != nil {
+					t.Fatalf("Open with a header-less newest segment: %v", err)
+				}
+				if _, err := os.Stat(newborn); sealed > 0 && !errors.Is(err, fs.ErrNotExist) {
+					t.Fatalf("the stub survived Open: %v", err)
+				}
+				appendCommitted(t, w, 10)
+				if err := w.Close(); err != nil {
+					t.Fatal(err)
+				}
+				segs := listed(t, dir)
+				if segs[0].Index != 1 || segs[len(segs)-1].Index < next {
+					t.Fatalf("segments %+v after appends; want a run from 1 past index %d", segs, next)
+				}
+				if got, want := replayAll(t, dir), want(sealed, 10); !slices.Equal(got, want) {
+					t.Fatalf("replay after Open and 10 appends:\n%q\nwant\n%q", got, want)
+				}
+			})
+		}
+	}
+
+	t.Run("not the next index", func(t *testing.T) {
+		dir := t.TempDir()
+		w := openJournal(t, dir, wal.ModeSync, 64)
+		appendCommitted(t, w, 20)
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		segs := listed(t, dir)
+		stray := filepath.Join(dir, fmt.Sprintf("wal-%016d.seg", segs[len(segs)-1].Index+2))
+		if err := os.WriteFile(stray, nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if w, err := wal.Open(wal.Options{Dir: dir, Mode: wal.ModeSync}); err == nil {
+			w.Close()
+			t.Fatal("Open accepted a header-less segment two past the newest")
+		}
+		if _, err := os.Stat(stray); err != nil {
+			t.Fatalf("a refused Open touched the stray segment: %v", err)
+		}
+		if err := os.Remove(stray); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Truncate(segs[1].Path, 3); err != nil {
+			t.Fatal(err)
+		}
+		if w, err := wal.Open(wal.Options{Dir: dir, Mode: wal.ModeSync}); err == nil {
+			w.Close()
+			t.Fatal("Open accepted a short header below the newest segment")
+		}
+	})
 }
 
 // TestDirSourceReplayRacesCompaction lists and replays the journal

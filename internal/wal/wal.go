@@ -239,6 +239,14 @@ func (w *WAL) observeSync(f *os.File) error {
 // torn tail: a final record cut mid-write is truncated away so appends
 // resume at a clean boundary. Returns the WAL positioned after the
 // last valid record.
+//
+// It also recovers from a crash inside a roll, between creating the next
+// segment and writing its header (or inside the first Open's create): the
+// newest segment then has no whole header and holds no record. Open
+// removes that stub, fsyncs the directory and resumes on the last sealed
+// segment, whose next roll creates the stub's index afresh. Only the
+// segment a roll would have created is a stub: one at another index is
+// an error, as is a short header below the newest segment.
 func Open(opts Options) (*WAL, error) {
 	if opts.Dir == "" {
 		return nil, errors.New("wal: Options.Dir is required")
@@ -253,11 +261,23 @@ func Open(opts Options) (*WAL, error) {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
 	segs, newborn, err := scanDir(opts.Dir)
-	if err == nil {
-		err = newborn
-	}
 	if err != nil {
 		return nil, err
+	}
+	if newborn != nil {
+		next := uint64(1)
+		if len(segs) > 0 {
+			next = segs[len(segs)-1].index + 1
+		}
+		if newborn.index != next {
+			return nil, fmt.Errorf("wal: segment %s has no header and is not the segment after %d", newborn.path, next-1)
+		}
+		if err := os.Remove(newborn.path); err != nil {
+			return nil, fmt.Errorf("wal: removing header-less segment: %w", err)
+		}
+		if err := syncDir(opts.Dir); err != nil {
+			return nil, fmt.Errorf("wal: %w", err)
+		}
 	}
 	w := &WAL{
 		opts:      opts,
@@ -329,15 +349,15 @@ func Open(opts Options) (*WAL, error) {
 //     run.
 //   - The newest segment may not have its header yet: a roll creates the
 //     file and then writes the header. It holds no record and is left
-//     out; newborn carries its short-header error, which Open, the one
-//     caller that must not skip it, returns.
-func scanDir(dir string) (segs []segment, newborn, err error) {
+//     out, returned as newborn: Open, which would append after it,
+//     removes it.
+func scanDir(dir string) (segs []segment, newborn *segment, err error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, nil, fmt.Errorf("wal: %w", err)
 	}
 	var cut uint64 // segments below this index were compacted away
-	var newbornIdx uint64
+	var short error
 	for _, e := range entries {
 		name := e.Name()
 		if e.IsDir() || !strings.HasPrefix(name, segPrefix) || !strings.HasSuffix(name, segSuffix) {
@@ -359,7 +379,7 @@ func scanDir(dir string) (segs []segment, newborn, err error) {
 		first, err := readSegmentHeader(f, path)
 		f.Close()
 		if (errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF)) && newborn == nil {
-			newborn, newbornIdx = err, idx
+			newborn, short = &segment{path: path, index: idx}, err
 			continue
 		}
 		if err != nil {
@@ -371,8 +391,8 @@ func scanDir(dir string) (segs []segment, newborn, err error) {
 	for len(segs) > 0 && segs[0].index < cut {
 		segs = segs[1:]
 	}
-	if newborn != nil && len(segs) > 0 && newbornIdx < segs[len(segs)-1].index {
-		return nil, nil, newborn // a short header below the newest segment is damage
+	if newborn != nil && len(segs) > 0 && newborn.index < segs[len(segs)-1].index {
+		return nil, nil, short // a short header below the newest segment is damage
 	}
 	for i := 1; i < len(segs); i++ {
 		if segs[i].firstLSN < segs[i-1].firstLSN {
