@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"math/rand"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -173,20 +172,21 @@ type Service struct {
 	seq     int
 	maxLog  int
 	// ctxBlock, actBlock and evBlock are the unused tails of the blocks
-	// ranked decisions are stored in: rank copies a decision's context
-	// IDs and action set into the first two and takes its Event, ID
-	// already rendered, from the third. A block is allocated when the
-	// last one runs out and never reused; the collector frees it once no
-	// event in it is logged, pending or being trained.
+	// every logged decision is stored in — ranked, replayed from the
+	// journal or loaded from a snapshot: its context IDs and actions
+	// (a restored one's single chosen action, whose IDs also come from
+	// ctxBlock) in the first two, its Event in the third. A block is
+	// allocated when the last one runs out and never reused; the
+	// collector frees it once no event in it is logged, pending or being
+	// trained.
 	ctxBlock []uint64
 	actBlock []Action
 	evBlock  []Event
-	// replayEvBlock and replayIDs are journal replay's evBlock: a
-	// restored decision keeps the ID it was journaled with, so its Event
-	// comes from a block of its own and its ID is copied into a rolling
-	// arena of replayIDBlockLen-byte strings.
-	replayEvBlock []Event
-	replayIDs     strarena.Arena
+	// ids is the event IDs' arena, rolled to a fresh idBlockLen-byte
+	// block when the next ID does not fit: eventLocked copies every
+	// logged event's ID into it, so an ID pins its neighbours' IDs and
+	// nothing it was rendered or read from.
+	ids strarena.Arena
 	// nonce makes event IDs unique across Service instances (and hence
 	// process restarts), so a reward held across a model-restore restart
 	// fails loudly as unknown instead of silently training the wrong
@@ -264,13 +264,31 @@ func (s *Service) WALWatermark() uint64 {
 	return s.walLSN
 }
 
-// restoreEvent reinstates a rank event without ranking — the snapshot
-// load path. The event keeps its original ID, so rewards issued against
-// the pre-crash process still apply.
-func (s *Service) restoreEvent(ev *Event) {
-	s.evMu.Lock()
-	s.logLocked(ev)
-	s.evMu.Unlock()
+// eventLocked takes the next Event from the event block and gives it
+// id, cut from the ID arena: the one way a decision enters the log,
+// ranked, replayed or loaded. The caller fills the rest in and logs it;
+// it holds evMu.
+func (s *Service) eventLocked(id []byte) *Event {
+	ev := &take(&s.evBlock, 1, evBlockLen)[0]
+	if n := s.ids.Len(); n == 0 || n+len(id) > idBlockLen {
+		s.ids.Reset(idBlockLen)
+	}
+	ev.EventID = s.ids.String(id)
+	return ev
+}
+
+// restoreLocked is eventLocked for a decision restored without ranking,
+// from the journal or a snapshot: it keeps the ID it was logged with,
+// so rewards issued against the process that ranked it still apply,
+// and only the chosen action, index 0. Its nCtx context IDs and the
+// action's nAct IDs get room carved from the blocks, for the caller to
+// fill in place; caller holds evMu.
+func (s *Service) restoreLocked(id []byte, nCtx, nAct int) *Event {
+	ev := s.eventLocked(id)
+	ev.Context.IDs = take(&s.ctxBlock, nCtx, ctxBlockLen)
+	ev.Actions = take(&s.actBlock, 1, actBlockLen)
+	ev.Actions[0].IDs = take(&s.ctxBlock, nAct, ctxBlockLen)
+	return ev
 }
 
 // logLocked indexes and logs an event, then enforces the cap: caller
@@ -286,19 +304,12 @@ func (s *Service) logLocked(ev *Event) {
 }
 
 // restoreRank reinstates a journaled rank decision — the journal replay
-// path, storing it the way rank does: the Event from a block, its
-// context IDs and its one action (the chosen one) carved from the
-// blocks, and its ID, which it keeps, cut from the replay ID arena.
+// path — reading the record's ID lists straight into the event's room.
 func (s *Service) restoreRank(f walrec.RankFrame) {
 	s.evMu.Lock()
-	ev := &take(&s.replayEvBlock, 1, evBlockLen)[0]
-	if n := s.replayIDs.Len(); n == 0 || n+len(f.EventID) > replayIDBlockLen {
-		s.replayIDs.Reset(replayIDBlockLen)
-	}
-	ev.EventID = s.replayIDs.String(f.EventID)
-	ev.Context = Context{IDs: f.CtxIDs.AppendTo(take(&s.ctxBlock, f.CtxIDs.Len(), ctxBlockLen)[:0])}
-	ev.Actions = take(&s.actBlock, 1, actBlockLen)
-	ev.Actions[0] = Action{IDs: f.ActIDs.AppendTo(take(&s.ctxBlock, f.ActIDs.Len(), ctxBlockLen)[:0])}
+	ev := s.restoreLocked(f.EventID, f.CtxIDs.Len(), f.ActIDs.Len())
+	f.CtxIDs.AppendTo(ev.Context.IDs[:0])
+	f.ActIDs.AppendTo(ev.Actions[0].IDs[:0])
 	ev.Prob = f.Prob
 	s.logLocked(ev)
 	s.evMu.Unlock()
@@ -307,7 +318,7 @@ func (s *Service) restoreRank(f walrec.RankFrame) {
 // ServingMaxLog is the event-log cap every serving process applies: the
 // live server, journal recovery, a follower and audit as-of. It is a
 // constant so replay evicts on the boundaries the live run did. An open
-// event keeps ≈ 722 B resident: its features, Event, ID and index
+// event keeps ≈ 721 B resident: its features, Event, ID and index
 // entry. A trained one keeps ≈ 28.5 B, its nil slot and its share of
 // the slices (TestEventLogBytesPerDecision, spans 2–8). The log grows
 // to 1.25 × the cap before evicting, so the cap bounds event state near
@@ -534,7 +545,9 @@ func (s *Service) rank(ctx Context, actions []Action, uniform bool) (Ranked, err
 	default:
 		prob = s.cfg.Epsilon / float64(k)
 	}
-	ev := s.nextEventLocked()
+	s.seq++
+	s.recBuf = appendEventID(s.recBuf[:0], s.nonce, s.seq)
+	ev := s.eventLocked(s.recBuf)
 	ev.Context = Context{IDs: carve(&s.ctxBlock, ctx.IDs, ctxBlockLen)}
 	ev.Actions = carve(&s.actBlock, actions, actBlockLen)
 	ev.Chosen, ev.Prob = chosen, prob
@@ -560,8 +573,8 @@ const (
 	ctxBlockLen = 4096
 	actBlockLen = 1024
 	evBlockLen  = 64
-	// replayIDBlockLen holds about evBlockLen replayed event IDs.
-	replayIDBlockLen = 2048
+	// idBlockLen holds about 75 of this process's event IDs.
+	idBlockLen = 2048
 )
 
 // take returns the front n elements of *block, capped at n, and advances
@@ -584,28 +597,6 @@ func carve[T any](block *[]T, src []T, blockLen int) []T {
 	dst := take(block, len(src), blockLen)
 	copy(dst, src)
 	return dst
-}
-
-// nextEventLocked advances the ID sequence and returns the event that
-// takes it, from the current event block. A new block's IDs are
-// rendered into one string, back to back, each a substring of it:
-// caller holds evMu.
-func (s *Service) nextEventLocked() *Event {
-	if len(s.evBlock) == 0 {
-		s.evBlock = make([]Event, evBlockLen)
-		var idBuf [48]byte
-		var ids strings.Builder
-		ids.Grow(evBlockLen * len(appendEventID(idBuf[:0], s.nonce, s.seq+1)))
-		for i := range s.evBlock {
-			start := ids.Len()
-			ids.Write(appendEventID(idBuf[:0], s.nonce, s.seq+1+i))
-			s.evBlock[i].EventID = ids.String()[start:]
-		}
-	}
-	s.seq++
-	ev := &s.evBlock[0]
-	s.evBlock = s.evBlock[1:]
-	return ev
 }
 
 // appendEventID renders "ev<nonce>-<seq>" with seq zero-padded to eight

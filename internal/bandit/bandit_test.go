@@ -368,10 +368,14 @@ func TestRankGreedyReadOnly(t *testing.T) {
 // and one action buffer, scribbling over both after each call, beside a
 // reference service fed fresh slices: the logged contexts and actions,
 // the choices and the weights Train learns from them must all agree.
-// Two decisions are longer than a storage block.
+// Two decisions are longer than a storage block. The journal of those
+// ranks is then replayed a record at a time from one buffer, scribbled
+// after each Apply: the replayed events must equal the live ones.
 func TestRankKeepsItsOwnCopy(t *testing.T) {
 	cfg := Config{Dim: 1 << 12, Seed: 7}
 	ref, got := New(cfg), New(cfg)
+	j := &memJournal{}
+	got.AttachJournal(j)
 	ctxBuf := make([]uint64, 0, 128)
 	actBuf := make([]Action, 0, 16)
 	junk := Action{ID: "scribbled", IDs: []uint64{0xdead, 0xbeef}}
@@ -438,23 +442,30 @@ func TestRankKeepsItsOwnCopy(t *testing.T) {
 	if !slices.Equal(got.w, ref.w) {
 		t.Error("weights trained from the scribbled buffers differ from the reference's")
 	}
-}
 
-// TestBlockEventIDsMatchAppendEventID holds the IDs rendered a block at
-// a time to appendEventID's, sequence number by sequence number, across
-// the eight-digit padding boundary.
-func TestBlockEventIDsMatchAppendEventID(t *testing.T) {
-	s := New(Config{Dim: 1 << 10, Seed: 1})
-	s.SetMaxLog(64)
-	s.seq = 99_999_900
-	ctx, actions := spanDecision(1, 3)
-	for i := 0; i < 300; i++ {
-		r, err := s.Rank(ctx, actions)
-		if err != nil {
+	replica := New(cfg)
+	rp := NewReplayer(replica)
+	var rec []byte
+	for lsn, r := range j.recs {
+		rec = append(rec[:0], r...)
+		if err := rp.Apply(uint64(lsn+1), rec); err != nil {
 			t.Fatal(err)
 		}
-		if want := fmt.Sprintf("ev%s-%08d", s.nonce, 99_999_901+i); r.EventID != want {
-			t.Fatalf("decision %d: event ID %q, want %q", i, r.EventID, want)
+		for k, full := 0, rec[:cap(rec)]; k < len(full); k++ {
+			full[k] = byte(k)
+		}
+	}
+	replayed := replica.Events()
+	if len(replayed) != len(gotEvents) {
+		t.Fatalf("replayed %d events, logged %d", len(replayed), len(gotEvents))
+	}
+	for i, ev := range replayed {
+		live := gotEvents[i]
+		if ev.EventID != live.EventID || !slices.Equal(ev.Context.IDs, live.Context.IDs) ||
+			!slices.Equal(ev.Actions[ev.Chosen].IDs, live.Actions[live.Chosen].IDs) || ev.Prob != live.Prob {
+			t.Fatalf("event %d: replayed %q, context %x, chosen %x, p=%v; logged %q, %x, %x, p=%v", i,
+				ev.EventID, ev.Context.IDs, ev.Actions[ev.Chosen].IDs, ev.Prob,
+				live.EventID, live.Context.IDs, live.Actions[live.Chosen].IDs, live.Prob)
 		}
 	}
 }

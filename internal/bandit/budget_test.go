@@ -189,20 +189,26 @@ func TestReplayAllocBudget(t *testing.T) {
 //   - trained: every decision is rewarded and trained 256 at a time (the
 //     ingestor's batch), so a logged event is its nil slot and nothing
 //     else. The budget is the reading, 28.5 bytes, plus a margin.
+//   - loaded: the open log is saved, and what its snapshot's events keep
+//     once Load restores them into a serving-capped service is
+//     measured. A loaded event is stored as a replayed one is, with only
+//     its chosen action, so it holds less than an open one. The budget
+//     is the reading, 529.0 bytes, plus 3; a loaded event that kept a
+//     view of its snapshot line and slices of its own held 1,235.8.
 func TestEventLogBytesPerDecision(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes heap accounting")
 	}
 	for _, c := range []struct {
 		name   string
-		train  bool
 		budget float64
 	}{
-		{"open", false, 725},
-		{"trained", true, 30},
+		{"open", 725},
+		{"trained", 30},
+		{"loaded", 532},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			perEvent, logged := eventLogBytesPerDecision(t, c.train)
+			perEvent, logged := eventLogBytesPerDecision(t, c.name)
 			t.Logf("40000 decisions, %d logged: %.1f bytes resident each", logged, perEvent)
 			if perEvent > c.budget {
 				t.Errorf("the log holds %.1f bytes a decision, budget %v", perEvent, c.budget)
@@ -212,9 +218,11 @@ func TestEventLogBytesPerDecision(t *testing.T) {
 }
 
 // eventLogBytesPerDecision logs TestEventLogBytesPerDecision's 40,000
-// decisions into a serving-capped log, rewarding and training them when
-// train is set, and returns the heap it grew by per logged event.
-func eventLogBytesPerDecision(t *testing.T, train bool) (float64, int) {
+// decisions into a serving-capped log, rewarding and training them in
+// mode "trained", and returns the heap it grew by per logged event. In
+// mode "loaded" it measures instead the heap a Load of the open log's
+// snapshot grows by per loaded event.
+func eventLogBytesPerDecision(t *testing.T, mode string) (float64, int) {
 	const decisions = 40_000
 	var table [256]Action
 	for r := range table {
@@ -253,7 +261,7 @@ func eventLogBytesPerDecision(t *testing.T, train bool) (float64, int) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !train {
+		if mode != "trained" {
 			continue
 		}
 		if err := s.Reward(ranked.EventID, float64(i%5)/4); err != nil {
@@ -264,9 +272,23 @@ func eventLogBytesPerDecision(t *testing.T, train bool) (float64, int) {
 		}
 	}
 	s.Train()
+	var snap bytes.Buffer
+	if mode == "loaded" {
+		if err := s.Save(&snap); err != nil {
+			t.Fatal(err)
+		}
+		s = nil
+		before = heap()
+		var err error
+		if s, err = Load(&snap, 1); err != nil {
+			t.Fatal(err)
+		}
+		s.SetMaxLog(ServingMaxLog)
+	}
 	after := heap()
 	logged := s.LogSize()
 	runtime.KeepAlive(s)
+	runtime.KeepAlive(&snap)
 	return float64(int64(after)-int64(before)) / float64(logged), logged
 }
 
@@ -335,22 +357,18 @@ func TestSnapshotEncodingMatchesFmt(t *testing.T) {
 		s.w[i] = float()
 	}
 	for i := 0; i < 500; i++ {
-		ev := &Event{
-			EventID:  string(appendEventID(nil, "d1ff", i)),
-			Context:  Context{IDs: make([]uint64, rng.Intn(5))},
-			Actions:  []Action{{}, {IDs: make([]uint64, rng.Intn(3))}},
-			Chosen:   1,
-			Prob:     float(),
-			Reward:   float(),
-			Rewarded: i%3 == 0,
-		}
+		nCtx, nAct := rng.Intn(5), rng.Intn(3)
+		s.evMu.Lock()
+		ev := s.restoreLocked(appendEventID(nil, "d1ff", i), nCtx, nAct)
+		ev.Prob, ev.Reward, ev.Rewarded = float(), float(), i%3 == 0
 		for k := range ev.Context.IDs {
 			ev.Context.IDs[k] = rng.Uint64() >> uint(rng.Intn(64))
 		}
-		for k := range ev.Actions[1].IDs {
-			ev.Actions[1].IDs[k] = rng.Uint64() >> uint(rng.Intn(64))
+		for k := range ev.Actions[0].IDs {
+			ev.Actions[0].IDs[k] = rng.Uint64() >> uint(rng.Intn(64))
 		}
-		s.restoreEvent(ev)
+		s.logLocked(ev)
+		s.evMu.Unlock()
 	}
 	var got, want bytes.Buffer
 	if err := s.Save(&got); err != nil {
@@ -369,7 +387,8 @@ func TestSnapshotEncodingMatchesFmt(t *testing.T) {
 }
 
 // TestEventIDMatchesSprintf holds the append-rendered event ID to the
-// format it replaced, across the eight-digit padding boundary.
+// format it replaced, across the eight-digit padding boundary, and so
+// the IDs Rank hands out and logs, sequence number by sequence number.
 func TestEventIDMatchesSprintf(t *testing.T) {
 	seqs := []int{0, 1, 9, 10, 99, 12345, 9_999_999, 10_000_000, 99_999_999, 100_000_000, 123_456_789_012, math.MaxInt64}
 	rng := rand.New(rand.NewSource(5))
@@ -381,6 +400,21 @@ func TestEventIDMatchesSprintf(t *testing.T) {
 			if got, want := string(appendEventID(nil, nonce, seq)), fmt.Sprintf("ev%s-%08d", nonce, seq); got != want {
 				t.Fatalf("event ID %q, want %q", got, want)
 			}
+		}
+	}
+
+	s := New(Config{Dim: 1 << 10, Seed: 1})
+	s.SetMaxLog(64)
+	s.seq = 99_999_900
+	ctx, actions := spanDecision(1, 3)
+	for i := 0; i < 300; i++ {
+		r, err := s.Rank(ctx, actions)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf("ev%s-%08d", s.nonce, 99_999_901+i)
+		if r.EventID != want || !s.HasEvent(want) {
+			t.Fatalf("decision %d: event ID %q (logged: %v), want %q", i, r.EventID, s.HasEvent(want), want)
 		}
 	}
 }

@@ -129,20 +129,26 @@ func appendIDs(dst []byte, ids []uint64) []byte {
 	return dst
 }
 
-func parseIDs(s string) ([]uint64, error) {
-	if s == "-" {
-		return nil, nil
+// countIDs returns how many IDs an appendIDs list holds.
+func countIDs(list string) int {
+	if list == "-" {
+		return 0
 	}
-	parts := strings.Split(s, ",")
-	ids := make([]uint64, len(parts))
-	for i, p := range parts {
+	return strings.Count(list, ",") + 1
+}
+
+// parseIDsInto parses an appendIDs list into dst, which holds
+// countIDs(list) IDs ("-" holds none).
+func parseIDsInto(dst []uint64, list string) error {
+	for i := range dst {
+		p, rest, _ := strings.Cut(list, ",")
 		v, err := strconv.ParseUint(p, 16, 64)
 		if err != nil {
-			return nil, fmt.Errorf("bad feature ID %q", p)
+			return fmt.Errorf("bad feature ID %q", p)
 		}
-		ids[i] = v
+		dst[i], list = v, rest
 	}
-	return ids, nil
+	return nil
 }
 
 // maxLoadDim bounds the weight dimension Load allocates on a header's
@@ -188,11 +194,9 @@ func Load(r io.Reader, seed int64) (*Service, error) {
 		}
 		parts := strings.Fields(text)
 		if parts[0] == "ev" {
-			ev, err := parseEventLine(parts)
-			if err != nil {
+			if err := svc.loadEventLine(parts); err != nil {
 				return nil, fmt.Errorf("bandit: line %d: %w", line, err)
 			}
-			svc.restoreEvent(ev)
 			continue
 		}
 		if len(parts) != 2 {
@@ -214,15 +218,16 @@ func Load(r io.Reader, seed int64) (*Service, error) {
 	return svc, sc.Err()
 }
 
-// parseEventLine decodes one open-event snapshot line:
-// "ev <id> <prob> <rewarded> <reward> <ctxIDs> <actIDs>".
-func parseEventLine(parts []string) (*Event, error) {
+// loadEventLine logs one open-event snapshot line, "ev <id> <prob>
+// <rewarded> <reward> <ctxIDs> <actIDs>", parsing its ID lists straight
+// into the room restoreLocked carves.
+func (s *Service) loadEventLine(parts []string) error {
 	if len(parts) != 7 {
-		return nil, fmt.Errorf("event line has %d fields, want 7", len(parts))
+		return fmt.Errorf("event line has %d fields, want 7", len(parts))
 	}
 	prob, err := strconv.ParseFloat(parts[2], 64)
 	if err != nil {
-		return nil, fmt.Errorf("bad prob %q", parts[2])
+		return fmt.Errorf("bad prob %q", parts[2])
 	}
 	rewarded := false
 	switch parts[3] {
@@ -230,27 +235,22 @@ func parseEventLine(parts []string) (*Event, error) {
 	case "1":
 		rewarded = true
 	default:
-		return nil, fmt.Errorf("bad rewarded flag %q", parts[3])
+		return fmt.Errorf("bad rewarded flag %q", parts[3])
 	}
 	reward, err := strconv.ParseFloat(parts[4], 64)
 	if err != nil {
-		return nil, fmt.Errorf("bad reward %q", parts[4])
+		return fmt.Errorf("bad reward %q", parts[4])
 	}
-	ctxIDs, err := parseIDs(parts[5])
-	if err != nil {
-		return nil, err
+	s.evMu.Lock()
+	defer s.evMu.Unlock()
+	ev := s.restoreLocked([]byte(parts[1]), countIDs(parts[5]), countIDs(parts[6]))
+	if err := parseIDsInto(ev.Context.IDs, parts[5]); err != nil {
+		return err
 	}
-	actIDs, err := parseIDs(parts[6])
-	if err != nil {
-		return nil, err
+	if err := parseIDsInto(ev.Actions[0].IDs, parts[6]); err != nil {
+		return err
 	}
-	return &Event{
-		EventID:  parts[1],
-		Context:  Context{IDs: ctxIDs},
-		Actions:  []Action{{IDs: actIDs}},
-		Chosen:   0,
-		Prob:     prob,
-		Reward:   reward,
-		Rewarded: rewarded,
-	}, nil
+	ev.Prob, ev.Reward, ev.Rewarded = prob, reward, rewarded
+	s.logLocked(ev)
+	return nil
 }

@@ -4,7 +4,10 @@
 // string they decode into an Arena, so the strings of one body, file or
 // record cost one allocation instead of one each, and a string a caller
 // keeps pins the strings decoded beside it — never the input they were
-// decoded from.
+// decoded from. The bandit's event log (internal/bandit) copies every
+// event ID it logs into one Arena it Resets to a fixed-size block
+// whenever the next ID does not fit, so a kept ID pins at most one
+// block of its neighbours.
 package strarena
 
 import "strings"

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"maps"
 	"os"
 	"path/filepath"
 	"slices"
@@ -329,6 +330,25 @@ func TestScanDirSkipsNewbornSegment(t *testing.T) {
 	}
 }
 
+// replayAll returns every record in dir, failing unless their LSNs run
+// densely from 1.
+func replayAll(t *testing.T, dir string) []string {
+	t.Helper()
+	var got []string
+	var next uint64 = 1
+	if _, err := (wal.DirSource{Dir: dir}).Replay(0, func(lsn uint64, p []byte) error {
+		if lsn != next {
+			return fmt.Errorf("record at LSN %d, want %d", lsn, next)
+		}
+		next++
+		got = append(got, string(p))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
 // TestOpenDropsNewbornSegment: a crash between a roll's create and its
 // header write (or inside the first Open's) leaves a newest segment with
 // no whole header — empty, or a prefix of one. Open removes it and resumes
@@ -339,22 +359,6 @@ func TestScanDirSkipsNewbornSegment(t *testing.T) {
 // newest segment, is still an error.
 func TestOpenDropsNewbornSegment(t *testing.T) {
 	hdr := wal.SegmentHeader(1)
-	replayAll := func(t *testing.T, dir string) []string {
-		t.Helper()
-		var got []string
-		var next uint64 = 1
-		if _, err := (wal.DirSource{Dir: dir}).Replay(0, func(lsn uint64, p []byte) error {
-			if lsn != next {
-				return fmt.Errorf("record at LSN %d, want %d", lsn, next)
-			}
-			next++
-			got = append(got, string(p))
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		return got
-	}
 	want := func(before, after int) []string {
 		var out []string
 		for i := 0; i < before; i++ {
@@ -435,6 +439,77 @@ func TestOpenDropsNewbornSegment(t *testing.T) {
 			t.Fatal("Open accepted a short header below the newest segment")
 		}
 	})
+}
+
+// TestOpenNewbornUnlinkFails: Open drops a header-less newest segment
+// through the same unlink the reclaimer uses, so a failing disk fails
+// Open and leaves the stub and every sealed segment as they were; once
+// the fault clears, the next Open drops the stub and replays the same
+// records.
+func TestOpenNewbornUnlinkFails(t *testing.T) {
+	dir := t.TempDir()
+	w := openJournal(t, dir, wal.ModeSync, 64)
+	appendCommitted(t, w, 20)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs := listed(t, dir)
+	hdr := wal.SegmentHeader(1)
+	newborn := filepath.Join(dir, fmt.Sprintf("wal-%016d.seg", segs[len(segs)-1].Index+1))
+	if err := os.WriteFile(newborn, hdr[:1], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	files := func() map[string]string {
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make(map[string]string, len(entries))
+		for _, e := range entries {
+			b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[e.Name()] = string(b)
+		}
+		return out
+	}
+	before := files()
+	want := replayAll(t, dir)
+
+	var unlinks []string
+	restore := wal.SetRemoveFile(func(path string) error {
+		unlinks = append(unlinks, path)
+		return &fs.PathError{Op: "remove", Path: path, Err: syscall.EIO}
+	})
+	if w, err := wal.Open(wal.Options{Dir: dir, Mode: wal.ModeSync, SegmentBytes: 64}); err == nil {
+		w.Close()
+		restore()
+		t.Fatal("Open succeeded although the stub's unlink failed")
+	} else if !errors.Is(err, syscall.EIO) {
+		t.Errorf("Open with a failing unlink: %v, want EIO", err)
+	}
+	restore()
+	if !slices.Equal(unlinks, []string{newborn}) {
+		t.Errorf("Open unlinked %q, want only the stub %s", unlinks, newborn)
+	}
+	if after := files(); !maps.Equal(after, before) {
+		t.Fatalf("a failed Open changed the directory: %d files before, %d after", len(before), len(after))
+	}
+
+	w, err := wal.Open(wal.Options{Dir: dir, Mode: wal.ModeSync, SegmentBytes: 64})
+	if err != nil {
+		t.Fatalf("Open after the fault cleared: %v", err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if exists(newborn) {
+		t.Error("the stub survived the second Open")
+	}
+	if got := replayAll(t, dir); !slices.Equal(got, want) || len(got) != 20 {
+		t.Fatalf("replay after the second Open:\n%q\nwant\n%q", got, want)
+	}
 }
 
 // TestDirSourceReplayRacesCompaction lists and replays the journal

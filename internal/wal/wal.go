@@ -272,7 +272,7 @@ func Open(opts Options) (*WAL, error) {
 		if newborn.index != next {
 			return nil, fmt.Errorf("wal: segment %s has no header and is not the segment after %d", newborn.path, next-1)
 		}
-		if err := os.Remove(newborn.path); err != nil {
+		if err := removeFile(newborn.path); err != nil {
 			return nil, fmt.Errorf("wal: removing header-less segment: %w", err)
 		}
 		if err := syncDir(opts.Dir); err != nil {
@@ -776,8 +776,8 @@ func (w *WAL) TruncateBefore(lsn uint64) int {
 	return n
 }
 
-// removeFile is the reclaimer's unlink; a test swaps it to block or
-// fail one.
+// removeFile unlinks a segment: the reclaimer's detached ones and the
+// header-less stub Open drops. A test swaps it to block or fail one.
 var removeFile = os.Remove
 
 // reclaimer unlinks the segments TruncateBefore detached, a pass per
