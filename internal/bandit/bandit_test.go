@@ -469,3 +469,23 @@ func TestRankKeepsItsOwnCopy(t *testing.T) {
 		}
 	}
 }
+
+// TestBlockEventIDsMatchAppendEventID holds the IDs Rank hands out and
+// logs to appendEventID's format, sequence number by sequence number,
+// across the eight-digit padding boundary.
+func TestBlockEventIDsMatchAppendEventID(t *testing.T) {
+	s := New(Config{Dim: 1 << 10, Seed: 1})
+	s.SetMaxLog(64)
+	s.seq = 99_999_900
+	ctx, actions := spanDecision(1, 3)
+	for i := 0; i < 300; i++ {
+		r, err := s.Rank(ctx, actions)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf("ev%s-%08d", s.nonce, 99_999_901+i)
+		if r.EventID != want || !s.HasEvent(want) {
+			t.Fatalf("decision %d: event ID %q (logged: %v), want %q", i, r.EventID, s.HasEvent(want), want)
+		}
+	}
+}

