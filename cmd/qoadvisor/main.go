@@ -104,17 +104,12 @@ func run(argv []string, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stdout, "hint file written to %s\n", *hintsOut)
 	}
 	if *modelOut != "" {
-		var snap, model bytes.Buffer
-		adv.CB.Service.Save(&snap) // a bytes.Buffer write cannot fail
-		// The trained weights without the open rank events ("ev" lines):
-		// those are decisions whose recompilation failed, which no reward
-		// will ever close, and their IDs carry a per-process nonce — left
-		// in, they would make the file differ from run to run.
-		for _, line := range bytes.SplitAfter(snap.Bytes(), []byte("\n")) {
-			if !bytes.HasPrefix(line, []byte("ev ")) {
-				model.Write(line)
-			}
-		}
+		// The pipeline leaves its learner no open rank event (Train
+		// releases what was rewarded, Recommend forgets what failed to
+		// recompile), so the snapshot is the trained weights alone, with
+		// no per-process event ID to make it differ from run to run.
+		var model bytes.Buffer
+		adv.CB.Service.Save(&model) // a bytes.Buffer write cannot fail
 		if err := wal.WriteFileAtomic(*modelOut, model.Bytes()); err != nil {
 			return err
 		}

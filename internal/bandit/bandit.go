@@ -85,8 +85,8 @@ type Ranked struct {
 
 // Event is one logged rank decision with its eventual reward. A ranked
 // event's Context.IDs and Actions are the log's own copies, carved from
-// blocks it shares with neighbouring events: read-only. In a capped
-// (serving) log, Train releases them: a trained event keeps neither,
+// blocks it shares with neighbouring events: read-only. Train releases
+// them, and so does Forget: a trained or forgotten event keeps neither,
 // and leaves the log.
 type Event struct {
 	EventID  string
@@ -323,19 +323,19 @@ func (s *Service) restoreRank(f walrec.RankFrame) {
 // the slices (TestEventLogBytesPerDecision, spans 2–8). The log grows
 // to 1.25 × the cap before evicting, so the cap bounds event state near
 // 15 MB only while the logged decisions are open; once their rewards
-// train, it holds a small fraction of that.
+// train, it holds a small fraction of that. The cap bounds the slots,
+// which an uncapped log keeps one of per decision for good.
 const ServingMaxLog = 1 << 14
 
 // SetMaxLog caps the in-memory event log (<= 0 = unbounded, what a new
-// Service starts with: the offline-pipeline mode, whose log keeps every
-// trained event for Events and CounterfactualValue). When the cap is
-// exceeded the oldest slots are evicted, unrewarded events forfeiting
-// any late reward (which then reports as an unknown event). A capped
-// log keeps only a position for each event Train consumes: the event
-// leaves Events and CounterfactualValue, and its features are
-// released. Every serving process sets ServingMaxLog, also on a learner
-// trained by the offline pipeline. The cap takes effect on the next
-// Rank and the next Train.
+// Service starts with: the offline pipeline's mode, which ranks a whole
+// day before any of it is rewarded). When the cap is exceeded the
+// oldest slots are evicted, unrewarded events forfeiting any late
+// reward (which then reports as an unknown event). Capped or not, the
+// log keeps only a position, a nil slot, for each event Train consumes
+// or Forget drops. Every serving process sets ServingMaxLog, also on a
+// learner trained by the offline pipeline. The cap takes effect on the
+// next Rank and the next Train.
 func (s *Service) SetMaxLog(n int) {
 	s.evMu.Lock()
 	s.maxLog = n
@@ -343,7 +343,7 @@ func (s *Service) SetMaxLog(n int) {
 }
 
 // evictLocked enforces maxLog by dropping the oldest slots; callers
-// hold evMu. A trained event's slot is already nil (Train released it);
+// hold evMu. A trained or forgotten event's slot is already nil;
 // unrewarded events lose their slot in the index, so a late reward
 // reports as unknown. An accepted-but-untrained reward is never lost:
 // the pending list keeps the event for the next Train even after it
@@ -668,10 +668,11 @@ const maxKeptTrainIdx = 1 << 18
 const trainEpochs = 4
 
 // Train performs trainEpochs IPS-weighted SGD passes over all rewarded,
-// untrained events and returns how many events were consumed. A capped
-// log then releases each one: nothing reads a trained serving event
-// again (snapshots write open events only, its rank record is already
-// journaled), so it keeps only its position, a nil slot.
+// untrained events and returns how many events were consumed, and
+// releases each one: nothing reads a trained event again (snapshots
+// write open events only, its rank record is already journaled, and
+// off-policy evaluation collects its events before Train), so it keeps
+// only its position, a nil slot.
 func (s *Service) Train() int {
 	s.evMu.Lock()
 	fresh := make([]trainExample, 0, len(s.pending))
@@ -686,12 +687,7 @@ func (s *Service) Train() int {
 		// A trained event can no longer accept rewards; drop it from the
 		// lookup index so the index only holds pending events.
 		delete(s.events, ev.EventID)
-		if s.maxLog > 0 {
-			if i := ev.pos - s.logBase; i >= 0 {
-				s.log[i] = nil
-			}
-			ev.Context.IDs, ev.Actions = nil, nil
-		}
+		s.releaseLocked(ev)
 	}
 	clear(s.pending)
 	s.pending = s.pending[:0]
@@ -723,6 +719,36 @@ func (s *Service) Train() int {
 	return len(fresh)
 }
 
+// releaseLocked empties ev's slot, if eviction has not dropped it, and
+// lets go of its features, so the blocks they were carved from are
+// freed once their other events go too: caller holds evMu and has
+// taken ev out of the index.
+func (s *Service) releaseLocked(ev *Event) {
+	if i := ev.pos - s.logBase; i >= 0 {
+		s.log[i] = nil
+	}
+	ev.Context.IDs, ev.Actions = nil, nil
+}
+
+// Forget drops an open, unrewarded decision no reward will close — the
+// offline pipeline's rank of a flip whose recompilation failed: it
+// leaves the index, and keeps only its position, as a trained event
+// does. It reports whether it did. It refuses an unknown, evicted or
+// rewarded event, and any event of a learner with a journal attached:
+// the journal holds the rank record and nothing of the Forget, so
+// replay would restore the event.
+func (s *Service) Forget(eventID string) bool {
+	s.evMu.Lock()
+	defer s.evMu.Unlock()
+	ev := s.events[eventID]
+	if ev == nil || ev.Rewarded || s.journal != nil {
+		return false
+	}
+	delete(s.events, eventID)
+	s.releaseLocked(ev)
+	return true
+}
+
 // update applies an importance-weighted regression step toward the
 // observed reward for the chosen action, over the example's pair indexes.
 // Callers hold mu's write lock; the first update allocates the weights.
@@ -745,8 +771,8 @@ func (s *Service) update(ex trainExample, idx []int) {
 }
 
 // LogSize returns the number of slots in the event log: logged rank
-// events, counting those a capped log has trained and released until
-// eviction passes them.
+// events, counting those trained or forgotten until eviction passes
+// them.
 func (s *Service) LogSize() int {
 	s.evMu.Lock()
 	defer s.evMu.Unlock()
@@ -767,12 +793,14 @@ func (s *Service) HasEvent(eventID string) bool {
 	return ok
 }
 
-// Events returns a snapshot of the event log. Each Event is copied
-// under the lock so the caller can read Reward/Rewarded/Trained without
-// racing concurrent Reward and Train calls. Context and Actions are the
-// log's own copies, shared with it: read-only. The high-fidelity log is
-// what enables counterfactual policy evaluation; only an uncapped log
-// keeps trained events, a capped one returns the open events alone.
+// Events returns a snapshot of the open events in the log: ranked,
+// replayed or loaded, and neither trained nor forgotten. Each Event is
+// copied under the lock so the caller can read Reward/Rewarded/Trained
+// without racing concurrent Reward and Train calls. Context and
+// Actions are the log's own copies, shared with it: read-only, and
+// still valid after Train releases the event. This high-fidelity log is
+// what enables counterfactual policy evaluation: a caller collects the
+// rewarded events before the Train that consumes them.
 func (s *Service) Events() []*Event {
 	s.evMu.Lock()
 	defer s.evMu.Unlock()
@@ -787,39 +815,28 @@ func (s *Service) Events() []*Event {
 }
 
 // CounterfactualValue estimates the average reward another policy would
-// have obtained on the logged data using inverse propensity scoring:
+// have obtained on the rewarded ones of events, collected from Events,
+// using inverse propensity scoring:
 // V(π) = mean( r_i * 1{π(x_i) = a_i} / p_i ).
-func (s *Service) CounterfactualValue(policy func(ctx Context, actions []Action) int) (float64, error) {
-	type cfExample struct {
-		ctx     Context
-		actions []Action
-		chosen  int
-		prob    float64
-		reward  float64
-	}
-	s.evMu.Lock()
-	examples := make([]cfExample, 0, len(s.log))
-	for _, ev := range s.log {
-		if ev == nil || !ev.Rewarded {
+func (s *Service) CounterfactualValue(events []*Event, policy func(ctx Context, actions []Action) int) (float64, error) {
+	sum, n := 0.0, 0
+	for _, ev := range events {
+		if !ev.Rewarded {
 			continue
 		}
-		examples = append(examples, cfExample{ev.Context, ev.Actions, ev.Chosen, ev.Prob, ev.Reward})
-	}
-	s.evMu.Unlock()
-	if len(examples) == 0 {
-		return 0, errors.New("bandit: no rewarded events")
-	}
-	sum := 0.0
-	for _, ex := range examples {
-		if policy(ex.ctx, ex.actions) == ex.chosen {
-			w := 1 / ex.prob
+		n++
+		if policy(ev.Context, ev.Actions) == ev.Chosen {
+			w := 1 / ev.Prob
 			if w > s.cfg.MaxIPSWeight {
 				w = s.cfg.MaxIPSWeight
 			}
-			sum += ex.reward * w
+			sum += ev.Reward * w
 		}
 	}
-	return sum / float64(len(examples)), nil
+	if n == 0 {
+		return 0, errors.New("bandit: no rewarded events")
+	}
+	return sum / float64(n), nil
 }
 
 // GreedyPolicy returns a policy function that picks the best-scoring

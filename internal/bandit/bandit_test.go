@@ -186,11 +186,11 @@ func TestCounterfactualValue(t *testing.T) {
 	}
 	alwaysGood := func(Context, []Action) int { return 0 }
 	alwaysBad := func(Context, []Action) int { return 1 }
-	vGood, err := s.CounterfactualValue(alwaysGood)
+	vGood, err := s.CounterfactualValue(s.Events(), alwaysGood)
 	if err != nil {
 		t.Fatal(err)
 	}
-	vBad, _ := s.CounterfactualValue(alwaysBad)
+	vBad, _ := s.CounterfactualValue(s.Events(), alwaysBad)
 	// True values are 1.0 and 0.0; IPS is unbiased, so estimates should
 	// be near those.
 	if math.Abs(vGood-1) > 0.25 {
@@ -200,7 +200,7 @@ func TestCounterfactualValue(t *testing.T) {
 		t.Errorf("V(bad) = %v, want ~0", vBad)
 	}
 	empty := New(DefaultConfig(1))
-	if _, err := empty.CounterfactualValue(alwaysGood); err == nil {
+	if _, err := empty.CounterfactualValue(empty.Events(), alwaysGood); err == nil {
 		t.Error("empty log should error")
 	}
 }
@@ -367,7 +367,8 @@ func TestRankGreedyReadOnly(t *testing.T) {
 // TestRankKeepsItsOwnCopy ranks every decision from one context buffer
 // and one action buffer, scribbling over both after each call, beside a
 // reference service fed fresh slices: the logged contexts and actions,
-// the choices and the weights Train learns from them must all agree.
+// read before each Train releases them, the choices and the weights
+// Train learns from them must all agree.
 // Two decisions are longer than a storage block. The journal of those
 // ranks is then replayed a record at a time from one buffer, scribbled
 // after each Apply: the replayed events must equal the live ones.
@@ -379,6 +380,7 @@ func TestRankKeepsItsOwnCopy(t *testing.T) {
 	ctxBuf := make([]uint64, 0, 128)
 	actBuf := make([]Action, 0, 16)
 	junk := Action{ID: "scribbled", IDs: []uint64{0xdead, 0xbeef}}
+	var refEvents, gotEvents []*Event
 	for i := 0; i < 600; i++ {
 		ctx, actions := spanDecision(Mix64(uint64(i)+0x0c09), 1+i%8)
 		switch i {
@@ -422,14 +424,12 @@ func TestRankKeepsItsOwnCopy(t *testing.T) {
 			t.Fatal(err)
 		}
 		if i%50 == 49 {
+			refEvents, gotEvents = append(refEvents, ref.Events()...), append(gotEvents, got.Events()...)
 			ref.Train()
 			got.Train()
 		}
 	}
-	ref.Train()
-	got.Train()
-	refEvents, gotEvents := ref.Events(), got.Events()
-	if len(gotEvents) != len(refEvents) {
+	if len(gotEvents) != 600 || len(gotEvents) != len(refEvents) {
 		t.Fatalf("logged %d events, reference %d", len(gotEvents), len(refEvents))
 	}
 	for i, ev := range gotEvents {

@@ -189,6 +189,14 @@ func TestReplayAllocBudget(t *testing.T) {
 //   - trained: every decision is rewarded and trained 256 at a time (the
 //     ingestor's batch), so a logged event is its nil slot and nothing
 //     else. The budget is the reading, 28.5 bytes, plus a margin.
+//   - offline: the offline pipeline's uncapped learner, fed as the
+//     pipeline feeds it: 256 decisions ranked, then each rewarded or,
+//     one in four, forgotten (a failed recompilation), then trained. A
+//     logged event is its nil slot, in a log that never evicts and
+//     grows by doubling. The budget is the reading, 16.6 bytes, plus a
+//     margin; before Train released on an uncapped log and Forget
+//     existed, such an event kept its features and, forgotten, its
+//     index entry too.
 //   - loaded: the open log is saved, and what its snapshot's events keep
 //     once Load restores them into a serving-capped service is
 //     measured. A loaded event is stored as a replayed one is, with only
@@ -205,6 +213,7 @@ func TestEventLogBytesPerDecision(t *testing.T) {
 	}{
 		{"open", 725},
 		{"trained", 30},
+		{"offline", 18},
 		{"loaded", 532},
 	} {
 		t.Run(c.name, func(t *testing.T) {
@@ -220,8 +229,9 @@ func TestEventLogBytesPerDecision(t *testing.T) {
 // eventLogBytesPerDecision logs TestEventLogBytesPerDecision's 40,000
 // decisions into a serving-capped log, rewarding and training them in
 // mode "trained", and returns the heap it grew by per logged event. In
-// mode "loaded" it measures instead the heap a Load of the open log's
-// snapshot grows by per loaded event.
+// mode "offline" the log is uncapped and the decisions are rewarded or
+// forgotten a batch at a time. In mode "loaded" it measures instead the
+// heap a Load of the open log's snapshot grows by per loaded event.
 func eventLogBytesPerDecision(t *testing.T, mode string) (float64, int) {
 	const decisions = 40_000
 	var table [256]Action
@@ -240,8 +250,11 @@ func eventLogBytesPerDecision(t *testing.T, mode string) (float64, int) {
 		return ms.HeapAlloc
 	}
 	s := New(Config{Seed: 1})
-	s.SetMaxLog(ServingMaxLog)
+	if mode != "offline" {
+		s.SetMaxLog(ServingMaxLog)
+	}
 	s.w = make([]float64, s.cfg.Dim) // the first Train's weights are not the log's
+	var batch []string
 	before := heap()
 	for i := 0; i < decisions; i++ {
 		r := Mix64(uint64(i) + 0xb17e)
@@ -260,6 +273,22 @@ func eventLogBytesPerDecision(t *testing.T, mode string) (float64, int) {
 		ranked, err := s.Rank(ctx, actions)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if mode == "offline" {
+			if batch = append(batch, ranked.EventID); len(batch) == 256 || i == decisions-1 {
+				for k, id := range batch {
+					if k%4 == 3 {
+						if !s.Forget(id) {
+							t.Fatalf("Forget(%s) refused an open event", id)
+						}
+					} else if err := s.Reward(id, float64(k%5)/4); err != nil {
+						t.Fatal(err)
+					}
+				}
+				batch = batch[:0]
+				s.Train()
+			}
+			continue
 		}
 		if mode != "trained" {
 			continue
@@ -287,6 +316,9 @@ func eventLogBytesPerDecision(t *testing.T, mode string) (float64, int) {
 	}
 	after := heap()
 	logged := s.LogSize()
+	if mode == "offline" && len(s.Events()) != 0 {
+		t.Fatalf("%d events still open after every decision was rewarded or forgotten and trained", len(s.Events()))
+	}
 	runtime.KeepAlive(s)
 	runtime.KeepAlive(&snap)
 	return float64(int64(after)-int64(before)) / float64(logged), logged

@@ -73,7 +73,7 @@ func TestCappedLogReleasesTrainedEvents(t *testing.T) {
 	if got := s.LogSize(); got != 40 {
 		t.Errorf("LogSize after Train = %d, want 40: a trained event keeps its slot", got)
 	}
-	if _, err := s.CounterfactualValue(s.GreedyPolicy()); err == nil {
+	if _, err := s.CounterfactualValue(s.Events(), s.GreedyPolicy()); err == nil {
 		t.Error("CounterfactualValue over a capped log of trained and open events succeeded, want no rewarded events")
 	}
 }
@@ -223,55 +223,156 @@ func TestCappedLogTrainsEvictedPending(t *testing.T) {
 	}
 }
 
-// TestUncappedLogKeepsTrainedEvents: the offline pipeline's uncapped
-// log keeps every trained event with its features, so off-policy
-// evaluation still reads them after Train.
-func TestUncappedLogKeepsTrainedEvents(t *testing.T) {
+// TestUncappedLogReleasesTrainedEvents: the offline pipeline's
+// uncapped log releases every event Train consumes, as a capped one
+// does — it leaves Events, its slot is emptied and its features let go —
+// while LogSize still counts the slot. What Events returned before
+// Train keeps its features, so off-policy evaluation over it reads the
+// same value after Train as before.
+func TestUncappedLogReleasesTrainedEvents(t *testing.T) {
 	s := New(Config{Dim: 1 << 10, Seed: 3})
 	type decision struct {
 		ctx     []uint64
 		actions []Action
 	}
 	var want []decision
-	for i := 0; i < 50; i++ {
+	var open []string
+	for i := 0; i < 60; i++ {
 		ctx, actions := spanDecision(uint64(i)+0x0ff1, 2+i%7)
 		r, err := s.Rank(ctx, actions)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if i%6 == 5 {
+			open = append(open, r.EventID)
+			continue
 		}
 		want = append(want, decision{slices.Clone(ctx.IDs), actions})
 		if err := s.Reward(r.EventID, float64(r.Chosen%2)); err != nil {
 			t.Fatal(err)
 		}
 	}
+	var collected, logged []*Event
+	for _, ev := range s.Events() {
+		if ev.Rewarded {
+			collected, logged = append(collected, ev), append(logged, s.events[ev.EventID])
+		}
+	}
 	firstAction := func(Context, []Action) int { return 0 }
-	before, err := s.CounterfactualValue(firstAction)
+	before, err := s.CounterfactualValue(collected, firstAction)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n := s.Train(); n != 50 {
 		t.Fatalf("Train consumed %d events, want 50", n)
 	}
-	evs := s.Events()
-	if len(evs) != 50 {
-		t.Fatalf("Events after Train = %d, want all 50", len(evs))
+	if got := openEventIDs(s); !slices.Equal(got, open) {
+		t.Errorf("Events after Train = %v, want the unrewarded %v", got, open)
 	}
-	for i, ev := range evs {
-		if !ev.Trained || !slices.Equal(ev.Context.IDs, want[i].ctx) || !slices.EqualFunc(ev.Actions, want[i].actions, func(a, b Action) bool {
-			return a.ID == b.ID && slices.Equal(a.IDs, b.IDs)
-		}) {
-			t.Fatalf("event %d after Train: trained %v, context %x, %d actions; want its own features", i, ev.Trained, ev.Context.IDs, len(ev.Actions))
+	if got := s.LogSize(); got != 60 {
+		t.Errorf("LogSize after Train = %d, want 60: a trained event keeps its slot", got)
+	}
+	for i, ev := range logged {
+		if !ev.Trained || ev.Context.IDs != nil || ev.Actions != nil || s.log[ev.pos] != nil {
+			t.Fatalf("logged event %d after Train: trained %v, %d context IDs, %d actions, slot kept %v; want it trained and released",
+				i, ev.Trained, len(ev.Context.IDs), len(ev.Actions), s.log[ev.pos] != nil)
 		}
 	}
-	after, err := s.CounterfactualValue(firstAction)
+	for i, ev := range collected {
+		if !slices.Equal(ev.Context.IDs, want[i].ctx) || !slices.EqualFunc(ev.Actions, want[i].actions, func(a, b Action) bool {
+			return a.ID == b.ID && slices.Equal(a.IDs, b.IDs)
+		}) {
+			t.Fatalf("collected event %d after Train: context %x, %d actions; want its own features", i, ev.Context.IDs, len(ev.Actions))
+		}
+	}
+	after, err := s.CounterfactualValue(collected, firstAction)
 	if err != nil {
 		t.Fatalf("CounterfactualValue after Train: %v", err)
 	}
 	if after != before {
 		t.Errorf("CounterfactualValue of a fixed policy moved across Train: %v, was %v", after, before)
 	}
-	if _, err := s.CounterfactualValue(s.GreedyPolicy()); err != nil {
+	if _, err := s.CounterfactualValue(collected, s.GreedyPolicy()); err != nil {
 		t.Errorf("CounterfactualValue of the greedy policy after Train: %v", err)
+	}
+}
+
+// TestForgetDropsOpenEvent: Forget takes an open, unrewarded event out
+// of the index, Events and the snapshot, keeps its slot and releases its
+// features; a late reward for it is unknown. It refuses an unknown, a
+// rewarded and an already forgotten event, and moves no weight.
+func TestForgetDropsOpenEvent(t *testing.T) {
+	s := New(Config{Dim: 1 << 10, Seed: 4})
+	var ids []string
+	for i := 0; i < 6; i++ {
+		ctx, actions := spanDecision(uint64(i)+0xf06e, 3)
+		r, err := s.Rank(ctx, actions)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, r.EventID)
+	}
+	if err := s.Reward(ids[1], 1); err != nil {
+		t.Fatal(err)
+	}
+	ev := s.events[ids[2]]
+	if !s.Forget(ids[2]) {
+		t.Fatal("Forget refused an open event")
+	}
+	if s.Forget(ids[2]) || s.Forget(ids[1]) || s.Forget("ev-unknown") {
+		t.Error("Forget acted on a forgotten, a rewarded or an unknown event")
+	}
+	if s.HasEvent(ids[2]) || s.Reward(ids[2], 1) == nil {
+		t.Error("a forgotten event still takes a reward")
+	}
+	if ev.Context.IDs != nil || ev.Actions != nil || s.log[ev.pos] != nil {
+		t.Errorf("the forgotten event keeps %d context IDs, %d actions, its slot %v", len(ev.Context.IDs), len(ev.Actions), s.log[ev.pos] != nil)
+	}
+	want := []string{ids[0], ids[1], ids[3], ids[4], ids[5]}
+	if got := openEventIDs(s); !slices.Equal(got, want) {
+		t.Errorf("Events = %v, want %v", got, want)
+	}
+	if got, _ := checkpointEvents(t, s); !slices.Equal(got, want) {
+		t.Errorf("snapshot ev lines %v, want %v", got, want)
+	}
+	if s.LogSize() != 6 {
+		t.Errorf("LogSize = %d, want 6: a forgotten event keeps its slot", s.LogSize())
+	}
+	if n := s.Train(); n != 1 || !s.HasEvent(ids[0]) {
+		t.Errorf("Train consumed %d events, want the one rewarded", n)
+	}
+}
+
+// TestForgetOnJournaledLearnerChangesNothing: the journal holds every
+// rank record and no record of a Forget, so replay would restore what
+// Forget dropped. A learner with a journal attached refuses, and its
+// index, Events and snapshot stay as they were.
+func TestForgetOnJournaledLearnerChangesNothing(t *testing.T) {
+	s := New(Config{Dim: 1 << 10, Seed: 4})
+	s.AttachJournal(&memJournal{})
+	var ids []string
+	for i := 0; i < 6; i++ {
+		ctx, actions := spanDecision(uint64(i)+0x70a1, 3)
+		r, err := s.Rank(ctx, actions)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, r.EventID)
+	}
+	before, events := checkpoint(t, s), openEventIDs(s)
+	for _, id := range ids {
+		if s.Forget(id) {
+			t.Fatalf("Forget(%s) acted on a journaled learner", id)
+		}
+		if !s.HasEvent(id) {
+			t.Fatalf("Forget(%s) took the event out of the index", id)
+		}
+	}
+	if got := openEventIDs(s); !slices.Equal(got, events) || len(got) != 6 {
+		t.Errorf("Events = %v, was %v", got, events)
+	}
+	if after := checkpoint(t, s); !bytes.Equal(after, before) {
+		t.Errorf("the snapshot moved:\n%s\nwas\n%s", after, before)
 	}
 }
 

@@ -75,7 +75,7 @@ func TestFreshServiceRetainedHeap(t *testing.T) {
 			eager.Reward(want.EventID, float64(i%5)/4)
 		}
 	}
-	if _, err := lazy.CounterfactualValue(lazy.GreedyPolicy()); err != nil || lazy.w != nil {
+	if _, err := lazy.CounterfactualValue(lazy.Events(), lazy.GreedyPolicy()); err != nil || lazy.w != nil {
 		t.Fatalf("CounterfactualValue: %v; weights allocated %v", err, lazy.w != nil)
 	}
 	if loaded, err := Load(bytes.NewReader(checkpoint(t, lazy)), 1); err != nil || loaded.w != nil {

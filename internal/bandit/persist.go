@@ -7,6 +7,7 @@ import (
 	"io"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // Save serializes the service's state: configuration, non-zero
@@ -188,27 +189,33 @@ func Load(r io.Reader, seed int64) (*Service, error) {
 	line := 1
 	for sc.Scan() {
 		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
+		text := bytes.TrimSpace(sc.Bytes())
+		if len(text) == 0 {
 			continue
 		}
-		parts := strings.Fields(text)
-		if parts[0] == "ev" {
-			if err := svc.loadEventLine(parts); err != nil {
-				return nil, fmt.Errorf("bandit: line %d: %w", line, err)
+		idxField, wgtField, ok := weightFields(text)
+		if !ok {
+			parts := strings.Fields(string(text))
+			if parts[0] == "ev" {
+				if err := svc.loadEventLine(parts); err != nil {
+					return nil, fmt.Errorf("bandit: line %d: %w", line, err)
+				}
+				continue
 			}
-			continue
+			if len(parts) != 2 {
+				return nil, fmt.Errorf("bandit: line %d: want 'index weight'", line)
+			}
+			idxField, wgtField = []byte(parts[0]), []byte(parts[1])
 		}
-		if len(parts) != 2 {
-			return nil, fmt.Errorf("bandit: line %d: want 'index weight'", line)
-		}
-		idx, err := strconv.Atoi(parts[0])
+		// Neither parse keeps its operand, so the conversions of a
+		// number's few bytes stay off the heap.
+		idx, err := strconv.Atoi(string(idxField))
 		if err != nil || idx < 0 || idx >= dim {
-			return nil, fmt.Errorf("bandit: line %d: bad index %q", line, parts[0])
+			return nil, fmt.Errorf("bandit: line %d: bad index %q", line, idxField)
 		}
-		wgt, err := strconv.ParseFloat(parts[1], 64)
+		wgt, err := strconv.ParseFloat(string(wgtField), 64)
 		if err != nil {
-			return nil, fmt.Errorf("bandit: line %d: bad weight %q", line, parts[1])
+			return nil, fmt.Errorf("bandit: line %d: bad weight %q", line, wgtField)
 		}
 		if svc.w == nil {
 			svc.w = make([]float64, dim)
@@ -216,6 +223,36 @@ func Load(r io.Reader, seed int64) (*Service, error) {
 		svc.w[idx] = wgt
 	}
 	return svc, sc.Err()
+}
+
+// weightFields splits a trimmed snapshot line into the two fields of a
+// weight line, "<index> <weight>", in place. It reports false for
+// every other line — one with a byte outside ASCII, another number of
+// fields, or an "ev" first field — which Load splits with
+// strings.Fields instead: on an ASCII line the two split at the same
+// six bytes, and past ASCII only strings.Fields knows the Unicode
+// spaces.
+func weightFields(line []byte) (idx, wgt []byte, ok bool) {
+	end := -1 // of the first field
+	for k, c := range line {
+		switch {
+		case c >= utf8.RuneSelf:
+			return nil, nil, false
+		case c == ' ' || '\t' <= c && c <= '\r':
+			if wgt != nil {
+				return nil, nil, false // a third field follows
+			}
+			if end < 0 {
+				end = k
+			}
+		case end >= 0 && wgt == nil:
+			wgt = line[k:]
+		}
+	}
+	if wgt == nil || string(line[:end]) == "ev" {
+		return nil, nil, false
+	}
+	return line[:end], wgt, true
 }
 
 // loadEventLine logs one open-event snapshot line, "ev <id> <prob>

@@ -2,6 +2,7 @@ package bandit
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -163,5 +164,44 @@ func TestLoadRejectsV3WithoutWALField(t *testing.T) {
 	data := "qoadvisor-bandit v3 dim=1024 epsilon=0.25 lr=0.07 clip=30\n"
 	if _, err := Load(strings.NewReader(data), 1); err == nil {
 		t.Error("v3 snapshot without wal= field should be rejected")
+	}
+}
+
+// TestLoadAllocsPerWeightLine gates what Load allocates per weight line:
+// it splits and parses each line in the scanner's buffer, so a dense
+// snapshot of the default Dim — every one of 2^18 weights a line — costs
+// the header, the service and the weight vector, and nothing per line.
+// The budget is 0.01 per weight line; parsing from a string of each
+// line and its strings.Fields split made two.
+func TestLoadAllocsPerWeightLine(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	s := New(DefaultConfig(1))
+	s.w = make([]float64, s.cfg.Dim)
+	for i := range s.w {
+		s.w[i] = float64(i%977-488) / 7 * float64(int64(1)<<(i%40))
+		if s.w[i] == 0 {
+			s.w[i] = 1e-300
+		}
+	}
+	var snap bytes.Buffer
+	if err := s.Save(&snap); err != nil {
+		t.Fatal(err)
+	}
+	var loaded *Service
+	n := testing.AllocsPerRun(3, func() {
+		var err error
+		if loaded, err = Load(bytes.NewReader(snap.Bytes()), 1); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if !slices.Equal(loaded.w, s.w) {
+		t.Fatal("Load restored other weights than the snapshot's")
+	}
+	if perLine := n / float64(s.cfg.Dim); perLine > 0.01 {
+		t.Errorf("Load allocates %.0f times for %d weight lines, %.4f a line, budget 0.01", n, s.cfg.Dim, perLine)
+	} else {
+		t.Logf("Load: %.0f allocations for %d weight lines", n, s.cfg.Dim)
 	}
 }

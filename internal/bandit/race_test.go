@@ -64,11 +64,14 @@ func TestConcurrentRankRewardTrain(t *testing.T) {
 	}()
 	wg.Wait()
 
+	// The rewards after each goroutine's last Train are still open:
+	// collect them before the Train that releases them.
+	events := svc.Events()
 	svc.Train()
 	if got := svc.LogSize(); got != goroutines*perG {
 		t.Fatalf("LogSize = %d, want %d", got, goroutines*perG)
 	}
-	if _, err := svc.CounterfactualValue(svc.GreedyPolicy()); err != nil {
+	if _, err := svc.CounterfactualValue(events, svc.GreedyPolicy()); err != nil {
 		t.Fatalf("CounterfactualValue: %v", err)
 	}
 }

@@ -519,6 +519,53 @@ func TestAdvisorEndToEnd(t *testing.T) {
 	}
 }
 
+// TestAdvisorKeepsNoOpenEvents: after each Advisor.RunDay the pipeline's
+// uncapped learner holds no open decision — Train released every
+// rewarded one and Recommend forgot every rank whose flip failed
+// recompilation — while its log still counts a slot per decision, and
+// its snapshot carries weights and no "ev" line.
+func TestAdvisorKeepsNoOpenEvents(t *testing.T) {
+	cat := rules.NewCatalog()
+	gen := testWorkload(t, 15)
+	store := sis.NewStore(cat)
+	adv := NewAdvisor(cat, store, Config{Seed: 1, MinValidationSamples: 5, Flighting: flighting.Config{Catalog: cat, Seed: 2}})
+	prod := NewProduction(cat, store, exec.DefaultCluster(1), 3)
+	fails, recs := 0, 0
+	for day := 1; day <= 4; day++ {
+		adv.CB.Uniform = day <= 2
+		jobs, err := gen.JobsForDay(day)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, view, err := prod.RunDay(day, jobs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := adv.RunDay(day, jobs, view)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fails += rep.CompileFails
+		recs += rep.Recommendations
+		if evs := adv.CB.Service.Events(); len(evs) != 0 {
+			t.Fatalf("day %d (%d failed recompilations): %d events still open, first %+v", day, rep.CompileFails, len(evs), *evs[0])
+		}
+		if got := adv.CB.Service.LogSize(); got != recs {
+			t.Errorf("day %d: LogSize = %d, want a slot for each of %d recommendations", day, got, recs)
+		}
+	}
+	if fails == 0 {
+		t.Fatal("no recompilation failed in 4 days: the test no longer covers Forget")
+	}
+	var snap bytes.Buffer
+	if err := adv.CB.Service.Save(&snap); err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(snap.Bytes(), []byte("\nev ")) || bytes.Count(snap.Bytes(), []byte("\n")) < 2 {
+		t.Errorf("the trained learner's snapshot holds an ev line or no weight:\n%.300s", snap.Bytes())
+	}
+}
+
 // TestParallelRunDayDeterministic is the parallelism contract: running
 // the full pipeline at GOMAXPROCS 4 must produce byte-identical
 // DayReports and SIS uploads to the run at GOMAXPROCS 1, where every

@@ -43,6 +43,9 @@ type Recommender interface {
 	Recommend(f *JobFeatures) (flip rules.Flip, noop bool, eventID string)
 	// Learn feeds back the observed reward for a previous Recommend.
 	Learn(eventID string, reward float64)
+	// Forget drops a previous Recommend no reward will close: its flip
+	// failed recompilation.
+	Forget(eventID string)
 }
 
 // --- Featurization (internal/featurize holds the feature contract) ---
@@ -126,6 +129,14 @@ func (c *CBRecommender) Learn(eventID string, reward float64) {
 	_ = c.Service.Reward(eventID, reward)
 }
 
+// Forget implements Recommender: the learner drops the open rank event,
+// which would otherwise stay in its log for good.
+func (c *CBRecommender) Forget(eventID string) {
+	if eventID != "" {
+		c.Service.Forget(eventID)
+	}
+}
+
 // Train triggers an off-policy training pass over rewarded events.
 func (c *CBRecommender) Train() int { return c.Service.Train() }
 
@@ -156,6 +167,9 @@ func (r *RandomRecommender) Recommend(f *JobFeatures) (rules.Flip, bool, string)
 // Learn implements Recommender (the baseline does not learn).
 func (r *RandomRecommender) Learn(string, float64) {}
 
+// Forget implements Recommender (the baseline logs nothing).
+func (r *RandomRecommender) Forget(string) {}
+
 // --- Recommendation + Recompilation tasks ---
 
 // RecommendOptions has no fields: it is kept only because cmd/qobench
@@ -181,13 +195,16 @@ func RecommendWith(rec Recommender, cat *rules.Catalog, feats []*JobFeatures, _ 
 //     pure function of (graph, config, stats)),
 //  3. feed rewards back sequentially in job order (training order — and
 //     hence the learned weights — match the sequential pipeline bit for
-//     bit).
+//     bit), and have the learner forget the rank of every flip whose
+//     recompilation failed: no reward will close it.
 //
 // Phase 1 ranks the whole day before phase 3 rewards any of it, so the
 // learner's event log must hold a day: a capped log would evict the
 // earliest ranks before their rewards arrive. NewCBRecommender's learner
 // is uncapped, and the serve layer caps a trained learner only after the
-// pipeline has returned.
+// pipeline has returned. Once the caller trains, the day leaves the
+// learner holding no open event: Train releases what phase 3 rewarded,
+// and phase 3 forgot the rest.
 func Recommend(rec Recommender, cat *rules.Catalog, feats []*JobFeatures) []*Recommendation {
 	out := make([]*Recommendation, len(feats))
 	eventIDs := make([]string, len(feats))
@@ -207,9 +224,10 @@ func Recommend(rec Recommender, cat *rules.Catalog, feats []*JobFeatures) []*Rec
 		res, err := optimizer.Optimize(f.Job.Graph, cfg, f.Job.CompileOptions(cat))
 		if err != nil {
 			// A failed recompilation produces no cost estimate and hence
-			// no reward; the rank event stays unrewarded and is skipped
-			// by training (which is why the learned policy only slightly
-			// reduces failures relative to random, as in Table 3).
+			// no reward; phase 3 forgets the rank event, so training
+			// never sees it (which is why the learned policy only
+			// slightly reduces failures relative to random, as in
+			// Table 3).
 			r.CompileFailed = true
 			r.Reward = 0
 			r.CostDelta = math.Inf(1)
@@ -240,7 +258,8 @@ func Recommend(rec Recommender, cat *rules.Catalog, feats []*JobFeatures) []*Rec
 			continue
 		}
 		if r.CompileFailed {
-			continue // no reward: the rank event stays unrewarded
+			rec.Forget(eventIDs[i]) // no reward will close the rank event
+			continue
 		}
 		rec.Learn(eventIDs[i], r.Reward)
 	}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"qoadvisor/internal/bandit"
 	"qoadvisor/internal/core"
 	"qoadvisor/internal/span"
 	"qoadvisor/internal/workload"
@@ -177,38 +178,41 @@ type OffPolicyResult struct {
 }
 
 // OffPolicyEvaluation trains the CB off-policy and evaluates the learned
-// greedy policy counterfactually against the logging policy.
+// greedy policy counterfactually against the logging policy. Train
+// releases the events it consumes, so each day's rewarded events are
+// collected before it.
 func (l *Lab) OffPolicyEvaluation(trainDays int) (*OffPolicyResult, error) {
 	spanCache := make(map[uint64]*span.Result)
 	cb := core.NewCBRecommender(l.Catalog, l.Cfg.Seed+177)
 	cb.Uniform = true
+	var logged []*bandit.Event
+	sum := 0.0
 	for day := 1; day <= trainDays; day++ {
 		feats, _, err := l.featuresForDay(day, spanCache, false)
 		if err != nil {
 			return nil, err
 		}
 		core.Recommend(cb, l.Catalog, feats)
+		for _, ev := range cb.Service.Events() {
+			if ev.Rewarded {
+				logged = append(logged, ev)
+				sum += ev.Reward
+			}
+		}
 		cb.Train()
 	}
-	res := &OffPolicyResult{}
-	sum, n := 0.0, 0
-	for _, ev := range cb.Service.Events() {
-		if ev.Rewarded {
-			sum += ev.Reward
-			n++
-		}
-	}
-	if n == 0 {
+	if len(logged) == 0 {
 		return nil, errNoRewardedEvents
 	}
-	res.LoggedEvents = n
-	res.LoggingValue = sum / float64(n)
-	v, err := cb.Service.CounterfactualValue(cb.Service.GreedyPolicy())
+	v, err := cb.Service.CounterfactualValue(logged, cb.Service.GreedyPolicy())
 	if err != nil {
 		return nil, err
 	}
-	res.GreedyIPSValue = v
-	return res, nil
+	return &OffPolicyResult{
+		LoggedEvents:   len(logged),
+		LoggingValue:   sum / float64(len(logged)),
+		GreedyIPSValue: v,
+	}, nil
 }
 
 var errNoRewardedEvents = fmt.Errorf("experiments: no rewarded events logged")

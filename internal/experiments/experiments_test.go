@@ -215,4 +215,11 @@ func TestOffPolicyEvaluation(t *testing.T) {
 	if res.GreedyIPSValue < 0 {
 		t.Errorf("greedy IPS value = %v", res.GreedyIPSValue)
 	}
+	// The values read when the uncapped learner still kept every trained
+	// event and the evaluation scanned its whole log after the last
+	// Train: collecting each day's rewarded events before its Train sums
+	// the same events in the same order.
+	if res.LoggedEvents != 61 || res.LoggingValue != 0.9853911633202712 || res.GreedyIPSValue != 4.4751729495550565 {
+		t.Errorf("off-policy evaluation = %+v, want {LoggedEvents:61 LoggingValue:0.9853911633202712 GreedyIPSValue:4.4751729495550565}", *res)
+	}
 }
