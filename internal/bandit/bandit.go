@@ -160,9 +160,9 @@ type Service struct {
 	events map[string]*Event
 	// log holds the logged events in rank order. A capped log keeps a
 	// trained event's slot, nil, until eviction passes it, so its length
-	// and eviction boundaries do not depend on when Train runs. logBase
-	// is the number of slots eviction has dropped: the position of
-	// log[0].
+	// and eviction boundaries do not depend on when Train runs; an
+	// uncapped one drops its leading nil slots as they empty. logBase is
+	// the number of slots dropped: the position of log[0].
 	log     []*Event
 	logBase int
 	// pending holds rewarded-but-untrained events so Train is O(batch)
@@ -324,16 +324,17 @@ func (s *Service) restoreRank(f walrec.RankFrame) {
 // to 1.25 × the cap before evicting, so the cap bounds event state near
 // 15 MB only while the logged decisions are open; once their rewards
 // train, it holds a small fraction of that. The cap bounds the slots,
-// which an uncapped log keeps one of per decision for good.
+// which an uncapped log keeps only up to its oldest open decision.
 const ServingMaxLog = 1 << 14
 
 // SetMaxLog caps the in-memory event log (<= 0 = unbounded, what a new
 // Service starts with: the offline pipeline's mode, which ranks a whole
 // day before any of it is rewarded). When the cap is exceeded the
 // oldest slots are evicted, unrewarded events forfeiting any late
-// reward (which then reports as an unknown event). Capped or not, the
-// log keeps only a position, a nil slot, for each event Train consumes
-// or Forget drops. Every serving process sets ServingMaxLog, also on a
+// reward (which then reports as an unknown event). A capped log keeps
+// only a position, a nil slot, for each event Train consumes or Forget
+// drops; an uncapped one keeps such a slot only while an older decision
+// is still open. Every serving process sets ServingMaxLog, also on a
 // learner trained by the offline pipeline. The cap takes effect on the
 // next Rank and the next Train.
 func (s *Service) SetMaxLog(n int) {
@@ -722,12 +723,26 @@ func (s *Service) Train() int {
 // releaseLocked empties ev's slot, if eviction has not dropped it, and
 // lets go of its features, so the blocks they were carved from are
 // freed once their other events go too: caller holds evMu and has
-// taken ev out of the index.
+// taken ev out of the index. An uncapped log has no eviction to drop
+// its empty slots, so it drops its leading ones here: once every
+// decision in it is trained or forgotten it holds no slot, and lets go
+// of its backing array.
 func (s *Service) releaseLocked(ev *Event) {
 	if i := ev.pos - s.logBase; i >= 0 {
 		s.log[i] = nil
 	}
 	ev.Context.IDs, ev.Actions = nil, nil
+	if s.maxLog > 0 {
+		return
+	}
+	k := 0
+	for k < len(s.log) && s.log[k] == nil {
+		k++
+	}
+	s.logBase += k
+	if s.log = s.log[k:]; len(s.log) == 0 {
+		s.log = nil
+	}
 }
 
 // Forget drops an open, unrewarded decision no reward will close — the
@@ -772,7 +787,7 @@ func (s *Service) update(ex trainExample, idx []int) {
 
 // LogSize returns the number of slots in the event log: logged rank
 // events, counting those trained or forgotten until eviction passes
-// them.
+// them — in an uncapped log, until no older decision is open.
 func (s *Service) LogSize() int {
 	s.evMu.Lock()
 	defer s.evMu.Unlock()

@@ -191,12 +191,14 @@ func TestReplayAllocBudget(t *testing.T) {
 //     else. The budget is the reading, 28.5 bytes, plus a margin.
 //   - offline: the offline pipeline's uncapped learner, fed as the
 //     pipeline feeds it: 256 decisions ranked, then each rewarded or,
-//     one in four, forgotten (a failed recompilation), then trained. A
-//     logged event is its nil slot, in a log that never evicts and
-//     grows by doubling. The budget is the reading, 16.6 bytes, plus a
-//     margin; before Train released on an uncapped log and Forget
-//     existed, such an event kept its features and, forgotten, its
-//     index entry too.
+//     one in four, forgotten (a failed recompilation), then trained.
+//     The log then holds no slot, so the heap is counted per decision
+//     made: what stays is the learner's fixed scratch, most of it
+//     Train's index slab (≈ 170 KB), not anything per decision. The
+//     budget is the reading, 7.0 bytes, plus a margin. The log read
+//     16.6 while it kept a nil slot for every decision for good, and
+//     before Train released on an uncapped log and Forget existed, such
+//     an event kept its features and, forgotten, its index entry too.
 //   - loaded: the open log is saved, and what its snapshot's events keep
 //     once Load restores them into a serving-capped service is
 //     measured. A loaded event is stored as a replayed one is, with only
@@ -213,7 +215,7 @@ func TestEventLogBytesPerDecision(t *testing.T) {
 	}{
 		{"open", 725},
 		{"trained", 30},
-		{"offline", 18},
+		{"offline", 8},
 		{"loaded", 532},
 	} {
 		t.Run(c.name, func(t *testing.T) {
@@ -230,7 +232,8 @@ func TestEventLogBytesPerDecision(t *testing.T) {
 // decisions into a serving-capped log, rewarding and training them in
 // mode "trained", and returns the heap it grew by per logged event. In
 // mode "offline" the log is uncapped and the decisions are rewarded or
-// forgotten a batch at a time. In mode "loaded" it measures instead the
+// forgotten a batch at a time, and the heap is per decision: the log
+// must end empty. In mode "loaded" it measures instead the
 // heap a Load of the open log's snapshot grows by per loaded event.
 func eventLogBytesPerDecision(t *testing.T, mode string) (float64, int) {
 	const decisions = 40_000
@@ -316,8 +319,11 @@ func eventLogBytesPerDecision(t *testing.T, mode string) (float64, int) {
 	}
 	after := heap()
 	logged := s.LogSize()
-	if mode == "offline" && len(s.Events()) != 0 {
-		t.Fatalf("%d events still open after every decision was rewarded or forgotten and trained", len(s.Events()))
+	if mode == "offline" {
+		if len(s.Events()) != 0 || logged != 0 {
+			t.Fatalf("%d events still open, %d slots kept, after every decision was rewarded or forgotten and trained", len(s.Events()), logged)
+		}
+		logged = decisions // the log is empty: what stays is per decision made
 	}
 	runtime.KeepAlive(s)
 	runtime.KeepAlive(&snap)

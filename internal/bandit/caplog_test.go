@@ -269,13 +269,14 @@ func TestUncappedLogReleasesTrainedEvents(t *testing.T) {
 	if got := openEventIDs(s); !slices.Equal(got, open) {
 		t.Errorf("Events after Train = %v, want the unrewarded %v", got, open)
 	}
-	if got := s.LogSize(); got != 60 {
-		t.Errorf("LogSize after Train = %d, want 60: a trained event keeps its slot", got)
+	if got := s.LogSize(); got != 55 {
+		t.Errorf("LogSize after Train = %d, want 55: a trained event keeps its slot only behind the first open one, the sixth", got)
 	}
 	for i, ev := range logged {
-		if !ev.Trained || ev.Context.IDs != nil || ev.Actions != nil || s.log[ev.pos] != nil {
+		slot := ev.pos - s.logBase
+		if !ev.Trained || ev.Context.IDs != nil || ev.Actions != nil || slot >= 0 && s.log[slot] != nil {
 			t.Fatalf("logged event %d after Train: trained %v, %d context IDs, %d actions, slot kept %v; want it trained and released",
-				i, ev.Trained, len(ev.Context.IDs), len(ev.Actions), s.log[ev.pos] != nil)
+				i, ev.Trained, len(ev.Context.IDs), len(ev.Actions), slot >= 0 && s.log[slot] != nil)
 		}
 	}
 	for i, ev := range collected {

@@ -68,8 +68,8 @@ func TestConcurrentRankRewardTrain(t *testing.T) {
 	// collect them before the Train that releases them.
 	events := svc.Events()
 	svc.Train()
-	if got := svc.LogSize(); got != goroutines*perG {
-		t.Fatalf("LogSize = %d, want %d", got, goroutines*perG)
+	if got := svc.LogSize(); got != 0 {
+		t.Fatalf("LogSize = %d after training all %d decisions, want 0: an uncapped log keeps no slot once every decision is trained", got, goroutines*perG)
 	}
 	if _, err := svc.CounterfactualValue(events, svc.GreedyPolicy()); err != nil {
 		t.Fatalf("CounterfactualValue: %v", err)

@@ -11,8 +11,8 @@ import (
 	"qoadvisor/internal/workload"
 )
 
-// runDayAllocCeiling is TestRunDayAllocBudget's: measured (29.4, go1.24)
-// + 5 %. The same days cost 954.6 per job while every recurrence was
+// runDayAllocCeiling is TestRunDayAllocBudget's: measured (25.8, go1.24,
+// at GOMAXPROCS 1 and 2) + 5 %. The same days cost 954.6 per job while every recurrence was
 // instantiated, rewritten and lowered from scratch through per-call maps,
 // 256.4 while every (template, date) was parsed and compiled from its
 // substituted source and every rewrite deep-copied its input's payloads,
@@ -26,16 +26,19 @@ import (
 // accumulators afresh for every job and the view rows grouped each tree's
 // nodes in a map of their own, and 45.5 while an instance's dated strings,
 // distinct counts, spine nodes and literals were each an allocation of
-// their own and every recurrence a copy of the instance's first job.
-const runDayAllocCeiling = 31
+// their own and every recurrence a copy of the instance's first job, and
+// 29.4 while every recurrence compiled its instance again rather than
+// sharing one compilation with the day's other recurrences.
+const runDayAllocCeiling = 27
 
-// retainedHeapCeilingMB is TestOfflineLegRetainedHeap's: measured (6.07
-// MB, go1.24, 6.06–6.09 at GOMAXPROCS 1–4) + 10 %. The same days retained
-// 14.28 MB while the advisor kept every rewrite for the life of the process
-// and the generator every (template, date) graph up to 4,096 of them, and
-// 6.49 MB while every configuration of an instance kept a rewrite of its
-// own.
-const retainedHeapCeilingMB = 6.7
+// retainedHeapCeilingMB is TestOfflineLegRetainedHeap's: measured (4.64
+// MB, go1.24, 4.62–4.64 at GOMAXPROCS 1 and 2) + 10 %. The same days
+// retained 14.28 MB while the advisor kept every rewrite for the life of
+// the process and the generator every (template, date) graph up to 4,096
+// of them, 6.49 MB while every configuration of an instance kept a rewrite
+// of its own, and 6.07 MB while the offline learner kept the features of
+// every decision it had trained.
+const retainedHeapCeilingMB = 5.1
 
 // TestRunDayAllocBudget gates what one production job allocates end to
 // end — instantiated, compiled under the store's hints, executed, turned

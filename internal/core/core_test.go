@@ -522,8 +522,8 @@ func TestAdvisorEndToEnd(t *testing.T) {
 // TestAdvisorKeepsNoOpenEvents: after each Advisor.RunDay the pipeline's
 // uncapped learner holds no open decision — Train released every
 // rewarded one and Recommend forgot every rank whose flip failed
-// recompilation — while its log still counts a slot per decision, and
-// its snapshot carries weights and no "ev" line.
+// recompilation — so its uncapped log keeps no slot either, and its
+// snapshot carries weights and no "ev" line.
 func TestAdvisorKeepsNoOpenEvents(t *testing.T) {
 	cat := rules.NewCatalog()
 	gen := testWorkload(t, 15)
@@ -550,8 +550,8 @@ func TestAdvisorKeepsNoOpenEvents(t *testing.T) {
 		if evs := adv.CB.Service.Events(); len(evs) != 0 {
 			t.Fatalf("day %d (%d failed recompilations): %d events still open, first %+v", day, rep.CompileFails, len(evs), *evs[0])
 		}
-		if got := adv.CB.Service.LogSize(); got != recs {
-			t.Errorf("day %d: LogSize = %d, want a slot for each of %d recommendations", day, got, recs)
+		if got := adv.CB.Service.LogSize(); got != 0 {
+			t.Errorf("day %d: LogSize = %d after %d recommendations, want 0: every decision is closed", day, got, recs)
 		}
 	}
 	if fails == 0 {

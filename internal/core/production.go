@@ -5,6 +5,7 @@ import (
 	"qoadvisor/internal/optimizer"
 	"qoadvisor/internal/par"
 	"qoadvisor/internal/rules"
+	"qoadvisor/internal/scope"
 	"qoadvisor/internal/sis"
 	"qoadvisor/internal/workload"
 )
@@ -44,10 +45,11 @@ func NewProduction(cat *rules.Catalog, store *sis.Store, cluster *exec.Cluster, 
 	return &Production{Catalog: cat, Store: store, Cluster: cluster, Seed: seed}
 }
 
-// runJob compiles and executes a single job under the current hints. If a
-// hinted compilation fails, production falls back to the default
-// configuration (hints must never break jobs).
-func (p *Production) runJob(job *workload.Job, runSeed int64) (JobRun, error) {
+// compile compiles a job's instance under the current hints, as a run
+// with no job and no metrics yet. If a hinted compilation fails,
+// production falls back to the default configuration (hints must never
+// break jobs); a run with a nil Result did not compile even under that.
+func (p *Production) compile(job *workload.Job) JobRun {
 	def := p.Catalog.DefaultConfig()
 	cfg := p.Store.ConfigFor(job.Template.Hash, def)
 	hinted := !cfg.Equal(def.Bitset)
@@ -59,32 +61,39 @@ func (p *Production) runJob(job *workload.Job, runSeed int64) (JobRun, error) {
 		hinted = false
 	}
 	if err != nil {
-		return JobRun{}, err
+		return JobRun{}
 	}
-	run := JobRun{Job: job, Result: res, Hinted: hinted}
+	run := JobRun{Result: res, Hinted: hinted}
 	if hinted {
 		if h, ok := p.Store.Lookup(job.Template.Hash); ok {
 			run.Flip = h.Flip
 		}
 	}
-	run.Metrics = exec.Run(res.Plan, job.Truth, job.Stats, p.Cluster, runSeed)
-	return run, nil
+	return run
 }
 
 // RunDay executes all of a day's jobs and assembles the denormalized
-// workload view from their telemetry. Jobs run on a GOMAXPROCS-bounded
-// pool — runJob is a pure function of (job, run seed) and the hint store
-// is read-only during a day — and runs and view are assembled in job
-// order, so the result does not depend on GOMAXPROCS. A day's
-// recurrences of one template are one instance steered by one hint, so
-// they share its memoized rewrite, and so does the pipeline that
-// recompiles them.
+// workload view from their telemetry. A day's recurrences of one
+// template are one instance (one job.Graph) steered by one hint, so
+// RunDay compiles each distinct instance once and every recurrence runs
+// that one *optimizer.Result's plan, each with its own run seed. Both
+// passes fan out on a GOMAXPROCS-bounded pool — a compilation is a pure
+// function of the instance and the hint store, which is read-only during
+// a day, and exec.Run only reads the plan it shares — and runs and view
+// are assembled in job order, so the result does not depend on
+// GOMAXPROCS. The pipeline that recompiles the day's jobs shares the
+// instance's memoized rewrites too.
 func (p *Production) RunDay(date int, jobs []*workload.Job) ([]JobRun, []workload.ViewRow, error) {
-	slots := make([]JobRun, len(jobs))
+	slots := shareBy(len(jobs),
+		func(i int) *scope.Graph { return jobs[i].Graph },
+		func(i int) JobRun { return p.compile(jobs[i]) })
 	par.For(len(jobs), func(i int) {
 		// A job that cannot compile even under the default config leaves
-		// its slot zero and is dropped from the day's view.
-		slots[i], _ = p.runJob(jobs[i], p.Seed+int64(date)*100003+int64(i)*7)
+		// its slot without a Result and is dropped from the day's view.
+		if run := &slots[i]; run.Result != nil {
+			run.Job = jobs[i]
+			run.Metrics = exec.Run(run.Result.Plan, jobs[i].Truth, jobs[i].Stats, p.Cluster, p.Seed+int64(date)*100003+int64(i)*7)
+		}
 	})
 	// The kept runs close up in slots' own storage, and the view — the
 	// next day's input — is one exact allocation per day.

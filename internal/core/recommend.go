@@ -9,8 +9,8 @@ import (
 	"qoadvisor/internal/bandit"
 	"qoadvisor/internal/featurize"
 	"qoadvisor/internal/optimizer"
-	"qoadvisor/internal/par"
 	"qoadvisor/internal/rules"
+	"qoadvisor/internal/scope"
 )
 
 // RewardClip caps the estimated-cost-ratio reward: "we clip any plan that
@@ -181,6 +181,13 @@ func RecommendWith(rec Recommender, cat *rules.Catalog, feats []*JobFeatures, _ 
 	return Recommend(rec, cat, feats)
 }
 
+// recompileKey is what a recompilation is a function of: the job
+// instance and the flip.
+type recompileKey struct {
+	graph *scope.Graph
+	flip  rules.Flip
+}
+
 // Recommend runs the Recommendation and Recompilation tasks for a set of
 // featurized jobs: pick an action per job, recompile under the flip,
 // compute the clipped cost-ratio reward, and feed it back to the learner.
@@ -191,8 +198,9 @@ func RecommendWith(rec Recommender, cat *rules.Catalog, feats []*JobFeatures, _ 
 //
 //  1. rank every job sequentially (the recommender's exploration RNG and
 //     event log consume randomness in job order, exactly as before),
-//  2. recompile the chosen flips in parallel (optimizer.Optimize is a
-//     pure function of (graph, config, stats)),
+//  2. recompile the chosen flips in parallel, once per (instance, flip)
+//     (optimizer.Optimize is a pure function of (graph, config, stats),
+//     and a day's recurrences of an instance share all three),
 //  3. feed rewards back sequentially in job order (training order — and
 //     hence the learned weights — match the sequential pipeline bit for
 //     bit), and have the learner forget the rank of every flip whose
@@ -216,13 +224,28 @@ func Recommend(rec Recommender, cat *rules.Catalog, feats []*JobFeatures) []*Rec
 		out[i] = r
 	}
 
-	// Phase 2: parallel recompilation of the non-noop flips.
-	recompile := func(i int) {
-		r := out[i]
-		f := r.Features
-		cfg := cat.DefaultConfig().WithFlip(r.Flip)
-		res, err := optimizer.Optimize(f.Job.Graph, cfg, f.Job.CompileOptions(cat))
-		if err != nil {
+	// Phase 2: parallel recompilation of the non-noop flips, once per
+	// (instance, flip): every job of an instance that drew the same flip
+	// shares the one result.
+	todo := make([]*Recommendation, 0, len(out))
+	for _, r := range out {
+		if !r.NoOp {
+			todo = append(todo, r)
+		}
+	}
+	results := shareBy(len(todo),
+		func(i int) recompileKey { return recompileKey{todo[i].Features.Job.Graph, todo[i].Flip} },
+		func(i int) *optimizer.Result {
+			job := todo[i].Features.Job
+			res, err := optimizer.Optimize(job.Graph, cat.DefaultConfig().WithFlip(todo[i].Flip), job.CompileOptions(cat))
+			if err != nil {
+				return nil
+			}
+			return res
+		})
+	for i, r := range todo {
+		res := results[i]
+		if res == nil {
 			// A failed recompilation produces no cost estimate and hence
 			// no reward; phase 3 forgets the rank event, so training
 			// never sees it (which is why the learned policy only
@@ -231,23 +254,15 @@ func Recommend(rec Recommender, cat *rules.Catalog, feats []*JobFeatures) []*Rec
 			r.CompileFailed = true
 			r.Reward = 0
 			r.CostDelta = math.Inf(1)
-			return
+			continue
 		}
+		f := r.Features
 		r.Recompiled = res
 		r.CostDelta = res.EstCost/f.EstCost - 1
 		// Reward: ratio of default estimated cost over the recompiled
 		// cost, clipped so outliers do not skew the model.
-		ratio := f.EstCost / res.EstCost
-		if ratio > RewardClip {
-			ratio = RewardClip
-		}
-		r.Reward = ratio
+		r.Reward = min(f.EstCost/res.EstCost, RewardClip)
 	}
-	par.For(len(out), func(i int) {
-		if !out[i].NoOp {
-			recompile(i)
-		}
-	})
 
 	// Phase 3: sequential reward feedback in job order.
 	for i, r := range out {

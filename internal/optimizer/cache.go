@@ -23,10 +23,14 @@ const compileCacheSize = 16
 // the recommended flip, flighting's arms, the previous day's validation
 // run); the cache makes every compilation whose rewrite it can prove
 // identical to one already made reuse that one immutable rewritten DAG and
-// re-run only physical lowering, which is the part that can differ per
-// call (tokens). Each call gets a fresh Plan, which nothing downstream
-// writes to: exec.Run only reads a plan, and Recardinalize writes into the
-// caller's dst.
+// re-run only physical lowering. It keeps no Result: a caller that
+// compiles one instance under one configuration many times in a batch —
+// production's recurrences of a day, the advisor's jobs that drew one
+// flip — shares that one compilation for as long as the batch's output
+// lives (internal/core), where a memo here would keep plans for as long
+// as the instance. Each call gets a fresh Plan, which nothing downstream
+// writes to: exec.Run only reads a plan, and Recardinalize writes into
+// the caller's dst.
 //
 // A lookup goes through two levels. The first is keyed by the identity of
 // the input graph and the exact configuration, and shares one computation

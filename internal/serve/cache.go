@@ -63,6 +63,22 @@ type hintValue struct {
 	enable    bool
 }
 
+// pack returns v as one word, and whether it fits there: a Day that
+// fits an int32, a RuleID in [0, 2¹⁵) and an ID length below 2¹⁶, as in
+// every hint file the pipeline writes. The word holds each field whole
+// in bits of its own, so two values that pack share a word only if they
+// are equal.
+func (v hintValue) pack() (uint64, bool) {
+	if v.day != int(int32(v.day)) || v.rule < 0 || v.rule >= 1<<15 || v.idLen >= 1<<16 {
+		return 0, false
+	}
+	k := uint64(uint32(v.day))<<32 | uint64(v.rule)<<17 | uint64(v.idLen)<<1
+	if v.enable {
+		k |= 1
+	}
+	return k, true
+}
+
 const maxHintArena, maxHintEntries = math.MaxUint32, math.MaxUint32
 
 // hintArena returns the bytes of template ID the hints carry, and whether
@@ -169,14 +185,25 @@ func newHintTable(hints []sis.Hint, gen uint64) *hintTable {
 	var ids strings.Builder
 	ids.Grow(int(idBytes))
 	t.entries = make([]hintEntry, len(hints))
-	vals := make(map[hintValue]uint32)
+	// The dictionary is found by packed value, a word hashed by the
+	// map's fast path; the rare value that does not pack goes through a
+	// map keyed by the value itself.
+	packed, wide := make(map[uint64]uint32), make(map[hintValue]uint32)
 	for i := range hints {
 		h := &hints[i]
 		v := hintValue{h.Day, h.Flip.RuleID, uint32(len(h.TemplateID)), h.Flip.Enable}
-		vi, ok := vals[v]
-		if !ok {
-			vi = uint32(len(t.vals))
-			vals[v] = vi
+		next := uint32(len(t.vals))
+		var vi uint32
+		var seen bool
+		if k, ok := v.pack(); ok {
+			if vi, seen = packed[k]; !seen {
+				packed[k] = next
+			}
+		} else if vi, seen = wide[v]; !seen {
+			wide[v] = next
+		}
+		if !seen {
+			vi = next
 			t.vals = append(t.vals, v)
 		}
 		b := t.bucket(h.TemplateHash)

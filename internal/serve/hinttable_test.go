@@ -204,6 +204,73 @@ func TestHintTableMatchesMap(t *testing.T) {
 	}
 }
 
+// TestHintValuePackIsLossless: the value dictionary's packed key. A value
+// packs exactly when each field fits its bits, and two values that pack
+// share a key only if they are equal — over negative, huge and
+// equal-but-for-one-field values of every field. A table of hints with
+// such values, packing and not, numbers each distinct value once and
+// answers as the map does.
+func TestHintValuePackIsLossless(t *testing.T) {
+	days := []int{0, 1, -1, 7, math.MaxInt32, math.MinInt32, math.MaxInt32 + 1, math.MinInt32 - 1, 1<<32 + 7, -1<<32 + 7, 1<<33 + 1, math.MaxInt, math.MinInt}
+	ruleIDs := []int{0, 1, 40, 1<<15 - 1, 1 << 15, 1<<17 + 40, -1, -1 << 15, math.MaxInt, math.MinInt}
+	idLens := []uint32{0, 1, 7, 1<<16 - 1, 1 << 16, 1<<17 + 7, math.MaxUint32}
+	keys := make(map[uint64]hintValue)
+	packs := 0
+	for _, day := range days {
+		for _, rule := range ruleIDs {
+			for _, idLen := range idLens {
+				for _, enable := range []bool{false, true} {
+					v := hintValue{day, rule, idLen, enable}
+					k, ok := v.pack()
+					fits := day >= math.MinInt32 && day <= math.MaxInt32 && rule >= 0 && rule < 1<<15 && idLen < 1<<16
+					if ok != fits {
+						t.Fatalf("%+v packs %v, want %v", v, ok, fits)
+					}
+					if !ok {
+						continue
+					}
+					packs++
+					if w, dup := keys[k]; dup {
+						t.Fatalf("%+v and %+v share the key %#x", v, w, k)
+					}
+					keys[k] = v
+				}
+			}
+		}
+	}
+	if packs == 0 || packs == len(days)*len(ruleIDs)*len(idLens)*2 {
+		t.Fatalf("%d values pack; want some that do and some that do not", packs)
+	}
+
+	var hints []sis.Hint
+	distinct := make(map[hintValue]bool)
+	for _, day := range days {
+		for _, rule := range ruleIDs {
+			for _, idLen := range []int{0, 3, 1<<16 - 1, 1 << 16} {
+				if idLen > 3 && (day != 7 || rule != 40) {
+					continue // long IDs only at one day and rule
+				}
+				for _, enable := range []bool{false, true} {
+					id := strings.Repeat("T", idLen)
+					hints = append(hints, sis.Hint{TemplateHash: uint64(len(hints)) + 1, TemplateID: id, Flip: rules.Flip{RuleID: rule, Enable: enable}, Day: day})
+					distinct[hintValue{day, rule, uint32(idLen), enable}] = true
+				}
+			}
+		}
+	}
+	// The same values again, under other hashes: each must find its entry.
+	for _, h := range slices.Clone(hints) {
+		h.TemplateHash += 1 << 40
+		hints = append(hints, h)
+	}
+	if got := len(newHintTable(hints, 1).vals); got != len(distinct) {
+		t.Errorf("the dictionary holds %d values, want the %d distinct ones", got, len(distinct))
+	}
+	if diff := checkHintTable(hints, nil); diff != "" {
+		t.Error(diff)
+	}
+}
+
 // fuzzHints decodes fuzz bytes into an install list and probe keys. Each
 // record starts with an op byte: bit 0 picks a one-byte hash (so
 // duplicates and absent neighbours are common) or an eight-byte one, bit 1
