@@ -45,19 +45,6 @@ func WithTimeout(d time.Duration) Option {
 	}
 }
 
-// WithRetries sets how many times a queue_full 503 (reward-queue
-// backpressure; nothing was accepted, retrying the whole batch is
-// safe) is retried and the base backoff between attempts, which
-// doubles per retry. Other 503s — a degraded follower's healthz, a
-// proxy shedding load — fail immediately so rotations can move on.
-// retries <= 0 disables retrying.
-func WithRetries(retries int, backoff time.Duration) Option {
-	return func(c *Client) {
-		c.retries = retries
-		c.backoff = backoff
-	}
-}
-
 // New builds a client for a server base URL ("http://host:port").
 // Defaults: 10s per-attempt timeout, 3 retries on 503 with 50ms base
 // backoff.
@@ -226,22 +213,6 @@ func (c *Client) RankBatch(ctx context.Context, jobs []api.RankRequest) (api.Bat
 	return out, err
 }
 
-// Reward reports one event's reward: a /v2/reward batch of one, with a
-// rejection surfaced as the returned *api.Error. A saturated queue (503)
-// is retried per the client's retry policy before the error is returned.
-func (c *Client) Reward(ctx context.Context, eventID string, value float64) error {
-	resp, err := c.RewardBatch(ctx, []api.RewardEvent{{EventID: eventID, Reward: &value}})
-	if err != nil {
-		return err
-	}
-	if len(resp.Rejected) > 0 {
-		e := resp.Rejected[0].Error
-		e.HTTPStatus = api.StatusForCode(e.Code)
-		return &e
-	}
-	return nil
-}
-
 // RewardBatch feeds a telemetry batch to /v2/reward. The transport
 // retries whole-batch 503s (nothing was queued in that case); per-event
 // rejections are returned in the response for the caller to inspect.
@@ -374,13 +345,6 @@ func (c *Client) QuarantineList(ctx context.Context) (api.QuarantineListResponse
 	return out, err
 }
 
-// Version fetches the server's build identity (GET /v2/version).
-func (c *Client) Version(ctx context.Context) (api.VersionResponse, error) {
-	var out api.VersionResponse
-	err := c.do(ctx, http.MethodGet, api.RouteV2Version, "", nil, &out)
-	return out, err
-}
-
 // getStream issues one GET and hands the 2xx body to the caller, who
 // must Close it.
 func (c *Client) getStream(ctx context.Context, path string) (io.ReadCloser, error) {
@@ -400,69 +364,12 @@ func (c *Client) getStream(ctx context.Context, path string) (io.ReadCloser, err
 	return resp.Body, nil
 }
 
-// Snapshot streams the model's persisted form from the server. The
-// caller must Close the returned reader.
-func (c *Client) Snapshot(ctx context.Context) (io.ReadCloser, error) {
-	return c.getStream(ctx, api.RouteV2Snapshot)
-}
-
 // BootstrapSnapshot streams the primary's replication bootstrap
 // snapshot (GET /v2/wal/snapshot): a checkpoint-consistent model whose
 // embedded WAL watermark is where a follower starts tailing. The
 // caller must Close the returned reader.
 func (c *Client) BootstrapSnapshot(ctx context.Context) (io.ReadCloser, error) {
 	return c.getStream(ctx, api.RouteV2WALSnapshot)
-}
-
-// AuditRecordsOptions filter a GET /v2/audit/records listing. Zero
-// values mean "no filter"; the server caps Limit.
-type AuditRecordsOptions struct {
-	// Types restricts the listing to named record types (the journal
-	// registry's names: "rank", "reward_batch", "train_mark",
-	// "hint_rollover", "quarantine").
-	Types []string
-	// EventID restricts to records mentioning the event.
-	EventID string
-	// TemplateHash restricts to records mentioning the template (hint
-	// rollovers, quarantine records). HasTemplate gates it so hash 0
-	// stays queryable.
-	TemplateHash api.TemplateHash
-	HasTemplate  bool
-	// FromLSN/ToLSN bound the scan (inclusive; 0 = unbounded).
-	FromLSN, ToLSN uint64
-	// Limit caps the rows returned (0 = server default).
-	Limit int
-}
-
-// AuditRecords lists journal records matching the filters
-// (GET /v2/audit/records). WAL-backed nodes only.
-func (c *Client) AuditRecords(ctx context.Context, opts AuditRecordsOptions) (api.AuditRecordsResponse, error) {
-	q := url.Values{}
-	if len(opts.Types) > 0 {
-		q.Set("type", strings.Join(opts.Types, ","))
-	}
-	if opts.EventID != "" {
-		q.Set("event", opts.EventID)
-	}
-	if opts.HasTemplate {
-		q.Set("template", opts.TemplateHash.String())
-	}
-	if opts.FromLSN > 0 {
-		q.Set("fromLsn", strconv.FormatUint(opts.FromLSN, 10))
-	}
-	if opts.ToLSN > 0 {
-		q.Set("toLsn", strconv.FormatUint(opts.ToLSN, 10))
-	}
-	if opts.Limit > 0 {
-		q.Set("limit", strconv.Itoa(opts.Limit))
-	}
-	path := api.RouteV2AuditRecords
-	if enc := q.Encode(); enc != "" {
-		path += "?" + enc
-	}
-	var out api.AuditRecordsResponse
-	err := c.do(ctx, http.MethodGet, path, "", nil, &out)
-	return out, err
 }
 
 // AuditDecision fetches one event's decision trace
@@ -538,33 +445,11 @@ func (c *Client) Incidents(ctx context.Context) (api.IncidentsResponse, error) {
 	return out, err
 }
 
-// Incident fetches one bundle's metadata (GET /v2/incidents/{id}).
-func (c *Client) Incident(ctx context.Context, id string) (api.IncidentResponse, error) {
-	var out api.IncidentResponse
-	err := c.do(ctx, http.MethodGet, api.RouteV2Incidents+"/"+url.PathEscape(id), "", nil, &out)
-	return out, err
-}
-
-// IncidentFile streams one bundle artifact
-// (GET /v2/incidents/{id}?file={name}). The caller must Close the
-// returned reader.
-func (c *Client) IncidentFile(ctx context.Context, id, name string) (io.ReadCloser, error) {
-	return c.getStream(ctx, api.RouteV2Incidents+"/"+url.PathEscape(id)+"?file="+url.QueryEscape(name))
-}
-
 // TriggerIncident captures a diagnostic bundle now (POST /v2/incidents),
 // bypassing the capture cooldown. Nodes without -incident-dir answer
 // incidents_disabled.
 func (c *Client) TriggerIncident(ctx context.Context) (api.IncidentResponse, error) {
 	var out api.IncidentResponse
 	err := c.do(ctx, http.MethodPost, api.RouteV2Incidents, "", nil, &out)
-	return out, err
-}
-
-// SaveSnapshot asks the server to persist its model to the configured
-// snapshot path.
-func (c *Client) SaveSnapshot(ctx context.Context) (api.SnapshotSaveResponse, error) {
-	var out api.SnapshotSaveResponse
-	err := c.do(ctx, http.MethodPost, api.RouteV2Snapshot, "", nil, &out)
 	return out, err
 }

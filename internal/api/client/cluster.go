@@ -1,11 +1,9 @@
 package client
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"sync"
 	"sync/atomic"
 
@@ -13,12 +11,12 @@ import (
 )
 
 // Cluster is the multi-endpoint client for a replicated steering
-// deployment: reads (rank, health, stats) fan out round-robin across
-// every node — followers serve them from their local replica — and
-// fail over to the next node on transport faults; writes (rewards,
-// hint rollovers, snapshot saves) are sent to the current leader
-// guess and chase the not_primary redirect when the guess is stale,
-// learning the real leader from the error envelope's leader URL.
+// deployment: reads (rank batches) fan out round-robin across every
+// node — followers serve them from their local replica — and fail over
+// to the next node on transport faults; writes (reward batches) are
+// sent to the current leader guess and chase the not_primary redirect
+// when the guess is stale, learning the real leader from the error
+// envelope's leader URL.
 //
 // Cluster is safe for concurrent use. It assumes the follower serving
 // model: replicas are read-only and eventually consistent (bounded by
@@ -192,17 +190,6 @@ func (c *Cluster) write(fn func(*Client) error) error {
 
 // --- reads (fan across all nodes) ---
 
-// Rank steers one job on whichever node the rotation picks.
-func (c *Cluster) Rank(ctx context.Context, job api.RankRequest) (api.RankResponse, error) {
-	var out api.RankResponse
-	err := c.read(func(cl *Client) error {
-		var rerr error
-		out, rerr = cl.Rank(ctx, job)
-		return rerr
-	})
-	return out, err
-}
-
 // RankBatch steers one batch on one node of the rotation.
 func (c *Cluster) RankBatch(ctx context.Context, jobs []api.RankRequest) (api.BatchRankResponse, error) {
 	var out api.BatchRankResponse
@@ -214,35 +201,7 @@ func (c *Cluster) RankBatch(ctx context.Context, jobs []api.RankRequest) (api.Ba
 	return out, err
 }
 
-// Health probes one node of the rotation.
-func (c *Cluster) Health(ctx context.Context) (api.HealthResponse, error) {
-	var out api.HealthResponse
-	err := c.read(func(cl *Client) error {
-		var rerr error
-		out, rerr = cl.Health(ctx)
-		return rerr
-	})
-	return out, err
-}
-
-// Stats fetches one node's stats (role-dependent; internal/fleet merges
-// the whole fleet's).
-func (c *Cluster) Stats(ctx context.Context) (api.StatsResponse, error) {
-	var out api.StatsResponse
-	err := c.read(func(cl *Client) error {
-		var rerr error
-		out, rerr = cl.Stats(ctx)
-		return rerr
-	})
-	return out, err
-}
-
 // --- writes (chase the leader) ---
-
-// Reward reports one event's reward to the leader.
-func (c *Cluster) Reward(ctx context.Context, eventID string, value float64) error {
-	return c.write(func(cl *Client) error { return cl.Reward(ctx, eventID, value) })
-}
 
 // RewardBatch feeds a telemetry batch to the leader.
 func (c *Cluster) RewardBatch(ctx context.Context, events []api.RewardEvent) (api.BatchRewardResponse, error) {
@@ -250,34 +209,6 @@ func (c *Cluster) RewardBatch(ctx context.Context, events []api.RewardEvent) (ap
 	err := c.write(func(cl *Client) error {
 		var werr error
 		out, werr = cl.RewardBatch(ctx, events)
-		return werr
-	})
-	return out, err
-}
-
-// InstallHints uploads a hint rollover to the leader. The file is read
-// once up front so redirect hops (and 503 retries) replay identical
-// bytes.
-func (c *Cluster) InstallHints(ctx context.Context, hintFile io.Reader) (api.HintsInstallResponse, error) {
-	payload, err := io.ReadAll(hintFile)
-	if err != nil {
-		return api.HintsInstallResponse{}, fmt.Errorf("client: reading hint file: %w", err)
-	}
-	var out api.HintsInstallResponse
-	err = c.write(func(cl *Client) error {
-		var werr error
-		out, werr = cl.InstallHints(ctx, bytes.NewReader(payload))
-		return werr
-	})
-	return out, err
-}
-
-// SaveSnapshot asks the leader to persist its model.
-func (c *Cluster) SaveSnapshot(ctx context.Context) (api.SnapshotSaveResponse, error) {
-	var out api.SnapshotSaveResponse
-	err := c.write(func(cl *Client) error {
-		var werr error
-		out, werr = cl.SaveSnapshot(ctx)
 		return werr
 	})
 	return out, err

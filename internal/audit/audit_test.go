@@ -328,7 +328,7 @@ func buildBigJournal(tb testing.TB, dir string, nRanks int, segBytes int64) (wan
 		ev := fmt.Sprintf("ev%08d", i)
 		ctx := []uint64{uint64(i) * 3, uint64(i)*3 + 1, uint64(i)*3 + 2}
 		act := []uint64{uint64(i % 97), uint64(i%89) + 1000}
-		lsn, err := j.Append(walrec.EncodeRank(ev, 0.5, ctx, act))
+		lsn, err := j.Append(walrec.AppendRank(nil, ev, 0.5, ctx, act))
 		if err != nil {
 			tb.Fatal(err)
 		}

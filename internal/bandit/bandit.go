@@ -21,9 +21,8 @@ import (
 )
 
 // Action is one candidate decision, described by pre-hashed 64-bit
-// feature IDs. Featurizers compute IDs directly (integer mixing over
-// span bits); callers that still speak categorical string tokens fold
-// them into the same ID space with HashFeatures.
+// feature IDs, which featurizers compute directly (integer mixing over
+// span bits).
 type Action struct {
 	ID string
 	// IDs is read-only: Rank copies the action set but not the IDs, so
@@ -51,19 +50,6 @@ func fnv64a(s string) uint64 {
 		h *= 1099511628211
 	}
 	return h
-}
-
-// HashFeatures maps categorical feature tokens into the pre-hashed
-// feature-ID space — the one adapter for callers that speak tokens.
-func HashFeatures(tokens []string) []uint64 {
-	if len(tokens) == 0 {
-		return nil
-	}
-	out := make([]uint64, len(tokens))
-	for i, tok := range tokens {
-		out[i] = fnv64a(tok)
-	}
-	return out
 }
 
 // Bias feature IDs: every (context, action) pair contributes at least the

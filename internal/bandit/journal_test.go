@@ -15,7 +15,7 @@ func TestRankRecordRoundTrip(t *testing.T) {
 		{EventID: "e", Prob: 1.0 / 3.0, CtxIDs: nil, ActIDs: nil},
 	}
 	for _, want := range cases {
-		p := walrec.EncodeRank(want.EventID, want.Prob, want.CtxIDs, want.ActIDs)
+		p := walrec.AppendRank(nil, want.EventID, want.Prob, want.CtxIDs, want.ActIDs)
 		got, err := walrec.DecodeRank(p)
 		if err != nil {
 			t.Fatalf("DecodeRank: %v", err)
@@ -26,7 +26,7 @@ func TestRankRecordRoundTrip(t *testing.T) {
 	}
 	// Truncation fails loudly at every cut point (the CRC layer should
 	// catch this first, but the codec must not panic or misread).
-	full := walrec.EncodeRank("evx-1", 0.5, []uint64{7, 8}, []uint64{9})
+	full := walrec.AppendRank(nil, "evx-1", 0.5, []uint64{7, 8}, []uint64{9})
 	for cut := 1; cut < len(full); cut++ {
 		if _, err := walrec.DecodeRank(full[:cut]); err == nil && cut < len(full) {
 			t.Fatalf("truncated rank record at %d decoded without error", cut)
@@ -47,7 +47,7 @@ func TestRewardBatchRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("round trip = %+v, want %+v", got, want)
 	}
-	if _, err := walrec.DecodeRewardBatch(walrec.EncodeRank("x", 1, nil, nil)); err == nil {
+	if _, err := walrec.DecodeRewardBatch(walrec.AppendRank(nil, "x", 1, nil, nil)); err == nil {
 		t.Error("reward decoder accepted a rank record")
 	}
 }

@@ -253,7 +253,7 @@ func TestRepresentativePerTemplate(t *testing.T) {
 
 func TestValidatorLifecycle(t *testing.T) {
 	v := new(Validator)
-	if v.Ready() {
+	if v.model != nil {
 		t.Fatal("untrained validator should not be ready")
 	}
 	if err := v.Train(); err == nil {
@@ -275,7 +275,7 @@ func TestValidatorLifecycle(t *testing.T) {
 	if err := v.Train(); err != nil {
 		t.Fatal(err)
 	}
-	if !v.Ready() {
+	if v.model == nil {
 		t.Fatal("trained validator should be ready")
 	}
 	// Strongly negative observations must be accepted, positive rejected.
@@ -574,8 +574,8 @@ func TestAdvisorKeepsNoOpenEvents(t *testing.T) {
 // the rewrite memos and bandit locking.
 func TestParallelRunDayDeterministic(t *testing.T) {
 	type dayOut struct {
-		Report *DayReport
-		Hints  []sis.Hint
+		Report  *DayReport
+		Uploads []sis.File
 	}
 	run := func(procs int) []dayOut {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
@@ -605,7 +605,7 @@ func TestParallelRunDayDeterministic(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			out = append(out, dayOut{Report: rep, Hints: adv.Store.Current()})
+			out = append(out, dayOut{Report: rep, Uploads: adv.Store.History()})
 		}
 		return out
 	}

@@ -75,12 +75,8 @@ func (v *Validator) Train() error {
 	return nil
 }
 
-// Ready reports whether the model has been trained.
-func (v *Validator) Ready() bool { return v.model != nil }
-
 // Predict returns the predicted future PNhours delta of a flip from one
-// flight's observed deltas. It panics if the model is untrained; check
-// Ready first.
+// flight's observed deltas. It panics if the model is untrained.
 func (v *Validator) Predict(pnObserved, readDelta, writtenDelta float64) float64 {
 	return v.model.Predict([]float64{pnObserved, readDelta, writtenDelta})
 }

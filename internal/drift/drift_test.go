@@ -241,24 +241,23 @@ func TestTableBlockedAndReplace(t *testing.T) {
 	if tb.Blocked(1) {
 		t.Fatal("empty table blocks")
 	}
-	tb.Set(1, StateQuarantined)
-	tb.Set(2, StateProbation)
+	tb.Replace(map[uint64]State{1: StateQuarantined, 2: StateProbation})
 	if !tb.Blocked(1) {
 		t.Fatal("quarantined not blocked")
 	}
 	if tb.Blocked(2) {
 		t.Fatal("probation must serve the hint")
 	}
-	tb.Set(1, StateHealthy)
-	if tb.Blocked(1) || tb.Len() != 1 {
-		t.Fatalf("restore failed: blocked=%v len=%d", tb.Blocked(1), tb.Len())
+	tb.Replace(map[uint64]State{1: StateHealthy, 2: StateProbation})
+	if n := len(tb.Snapshot()); tb.Blocked(1) || n != 1 {
+		t.Fatalf("restore failed: blocked=%v len=%d", tb.Blocked(1), n)
 	}
 	tb.Replace(map[uint64]State{5: StateQuarantined, 6: StateSuspect})
-	if !tb.Blocked(5) || tb.Len() != 1 {
-		t.Fatalf("replace failed: blocked(5)=%v len=%d", tb.Blocked(5), tb.Len())
+	if n := len(tb.Snapshot()); !tb.Blocked(5) || n != 1 {
+		t.Fatalf("replace failed: blocked(5)=%v len=%d", tb.Blocked(5), n)
 	}
 	tb.Replace(nil)
-	if tb.Len() != 0 || tb.Blocked(5) {
+	if len(tb.Snapshot()) != 0 || tb.Blocked(5) {
 		t.Fatal("empty replace did not clear")
 	}
 	q, p := tb.Counts()
@@ -269,7 +268,7 @@ func TestTableBlockedAndReplace(t *testing.T) {
 
 func BenchmarkTableBlockedMiss(b *testing.B) {
 	tb := NewTable()
-	tb.Set(99, StateQuarantined)
+	tb.Replace(map[uint64]State{99: StateQuarantined})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if tb.Blocked(uint64(i) | 1<<40) {

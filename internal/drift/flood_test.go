@@ -2,12 +2,12 @@ package drift
 
 import "math/rand"
 
-// Flood generates deterministic synthetic reward streams for chaos
-// tests and the steering_drift example: a gaussian reward source whose
-// mean can be shifted mid-stream to script a plan regression (reward
-// collapse after a workload shift) and a later recovery. Determinism
-// matters — the chaos tests assert quarantine within a bounded number
-// of batches, which only holds for a reproducible stream.
+// Flood generates deterministic synthetic reward streams for the
+// detector tests: a gaussian reward source whose mean can be shifted
+// mid-stream to script a plan regression (reward collapse after a
+// workload shift) and a later recovery. Determinism matters — the tests
+// assert quarantine within a bounded number of observations, which only
+// holds for a reproducible stream.
 type Flood struct {
 	rng   *rand.Rand
 	mean  float64

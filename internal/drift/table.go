@@ -45,30 +45,6 @@ func (t *Table) StateOf(hash uint64) State {
 	return (*m)[hash]
 }
 
-// Set records a template's durable state: healthy removes the entry,
-// quarantined/probation upserts it. Suspect is not durable and is
-// rejected by ignoring it.
-func (t *Table) Set(hash uint64, st State) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	old := t.p.Load()
-	var next map[uint64]State
-	if old != nil {
-		next = make(map[uint64]State, len(*old)+1)
-		for k, v := range *old {
-			next[k] = v
-		}
-	} else {
-		next = make(map[uint64]State, 1)
-	}
-	if st.Durable() {
-		next[hash] = st
-	} else {
-		delete(next, hash)
-	}
-	t.store(next)
-}
-
 // Replace installs a complete durable-state map wholesale — the replay
 // and snapshot-restore path (quarantine journal records carry the full
 // table, so last-record-wins).
@@ -103,15 +79,6 @@ func (t *Table) Snapshot() map[uint64]State {
 		out[k] = v
 	}
 	return out
-}
-
-// Len reports how many templates hold a durable non-healthy state.
-func (t *Table) Len() int {
-	m := t.p.Load()
-	if m == nil {
-		return 0
-	}
-	return len(*m)
 }
 
 // Counts reports the durable population by state.

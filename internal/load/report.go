@@ -5,7 +5,6 @@ import (
 
 	"qoadvisor/internal/api"
 	"qoadvisor/internal/fleet"
-	"qoadvisor/internal/obs"
 )
 
 // PhaseReport is one phase's serialized summary inside BENCH_load.json.
@@ -152,7 +151,3 @@ type Report struct {
 	Fleet     *FleetReport    `json:"fleet,omitempty"`
 	Incidents *IncidentReport `json:"incidents,omitempty"`
 }
-
-// Hist re-exports the snapshot type so cmd/qoload can reference
-// percentiles without importing obs directly.
-type Hist = obs.HistSnapshot

@@ -49,13 +49,13 @@ func TestCachedOptimizeMatchesUncached(t *testing.T) {
 			continue
 		}
 		if cached.EstCost != plain.EstCost {
-			t.Errorf("cfg %v: cached cost %v != uncached %v", cfg.DiffFrom(cat.DefaultConfig()), cached.EstCost, plain.EstCost)
+			t.Errorf("cfg %v: cached cost %v != uncached %v", cfg, cached.EstCost, plain.EstCost)
 		}
 		if !cached.Signature.Equal(plain.Signature.Bitset) {
-			t.Errorf("cfg %v: cached signature differs", cfg.DiffFrom(cat.DefaultConfig()))
+			t.Errorf("cfg %v: cached signature differs", cfg)
 		}
 		if cached.Plan.EstVertices != plain.Plan.EstVertices {
-			t.Errorf("cfg %v: cached vertices %d != %d", cfg.DiffFrom(cat.DefaultConfig()), cached.Plan.EstVertices, plain.Plan.EstVertices)
+			t.Errorf("cfg %v: cached vertices %d != %d", cfg, cached.Plan.EstVertices, plain.Plan.EstVertices)
 		}
 	}
 	st := cache.Stats()

@@ -82,7 +82,7 @@ func TestCertifiedRewriteMatchesFresh(t *testing.T) {
 			want, wantErr := optimizer.Optimize(job.Graph, cfg, fresh)
 			got, gotErr := optimizer.Optimize(job.Graph, cfg, shared)
 			if diff := sameCompilation(got, gotErr, want, wantErr); diff != "" {
-				t.Fatalf("%s %v: cached compilation differs from a fresh one: %s", tpl.ID, cfg.DiffFrom(cat.DefaultConfig()), diff)
+				t.Fatalf("%s %v: cached compilation differs from a fresh one: %s", tpl.ID, cfg, diff)
 			}
 		}
 		st := shared.Cache.Stats()
@@ -139,7 +139,7 @@ func TestCertifiedRewriteConcurrent(t *testing.T) {
 				i := (k + w*len(configs)/workers) % len(configs)
 				got, gotErr := optimizer.Optimize(job.Graph, configs[i], opts)
 				if diff := sameCompilation(got, gotErr, want[i], wantErr[i]); diff != "" {
-					t.Errorf("%v: cached compilation differs from a fresh one: %s", configs[i].DiffFrom(cat.DefaultConfig()), diff)
+					t.Errorf("%v: cached compilation differs from a fresh one: %s", configs[i], diff)
 					return
 				}
 			}

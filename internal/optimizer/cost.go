@@ -100,7 +100,6 @@ func clampCard(rows float64) float64 { return max(rows, 1) }
 
 // Selectivity heuristics, in the spirit of System R defaults.
 const (
-	selEquality   = 0.0 // computed from NDV
 	selRange      = 0.30
 	selInequality = 0.90
 	selDefault    = 0.10

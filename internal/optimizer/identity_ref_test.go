@@ -192,7 +192,11 @@ func refSiteKey(n *scope.Node) string {
 		sort.Strings(keys)
 		return "agg:" + strings.Join(keys, ",")
 	case scope.OpDistinct:
-		return "distinct:" + strings.Join(n.ColNames(), ",")
+		names := make([]string, len(n.Cols))
+		for i, c := range n.Cols {
+			names[i] = c.Name
+		}
+		return "distinct:" + strings.Join(names, ",")
 	case scope.OpReduce:
 		return "reduce:" + n.UserOp
 	case scope.OpProcess:

@@ -80,7 +80,7 @@ func checkIdentity(t testing.TB, what string, g *scope.Graph) {
 		if got, want := n.Fingerprint(), refFingerprint(n); got != want {
 			t.Errorf("%s: node #%d %s: Fingerprint = %016x, reference %016x", what, n.ID, n.Kind, got, want)
 		}
-		if got, want := n.SiteKey(), refSiteKey(n); got != want {
+		if got, want := string(n.AppendSiteKey(nil)), refSiteKey(n); got != want {
 			t.Errorf("%s: node #%d %s: SiteKey = %q, reference %q", what, n.ID, n.Kind, got, want)
 		}
 		if got, want := optimizer.Gate(n), refGate(n); got != want {
@@ -177,26 +177,26 @@ func TestApplyTuningEquivalence(t *testing.T) {
 			}
 			want, err := optimizer.OptimizeTuningByRule(job.Graph, cfg, opts)
 			if err != nil {
-				t.Fatalf("%s %v: reference failed where Optimize succeeded: %v", tpl.ID, cfg.DiffFrom(def), err)
+				t.Fatalf("%s %v: reference failed where Optimize succeeded: %v", tpl.ID, cfg, err)
 			}
 			compared++
 			if !got.Signature.Equal(want.Signature.Bitset) {
-				t.Errorf("%s %v: signature %v, reference %v", tpl.ID, cfg.DiffFrom(def), got.Signature.Bits(), want.Signature.Bits())
+				t.Errorf("%s %v: signature %v, reference %v", tpl.ID, cfg, got.Signature.Bits(), want.Signature.Bits())
 			}
 			if got.EstCost != want.EstCost || got.Plan.EstVertices != want.Plan.EstVertices {
-				t.Errorf("%s %v: cost %v / %d vertices, reference %v / %d", tpl.ID, cfg.DiffFrom(def),
+				t.Errorf("%s %v: cost %v / %d vertices, reference %v / %d", tpl.ID, cfg,
 					got.EstCost, got.Plan.EstVertices, want.EstCost, want.Plan.EstVertices)
 			}
 			gn, wn := got.Plan.Nodes(), want.Plan.Nodes()
 			if len(gn) != len(wn) {
-				t.Fatalf("%s %v: %d physical nodes, reference %d", tpl.ID, cfg.DiffFrom(def), len(gn), len(wn))
+				t.Fatalf("%s %v: %d physical nodes, reference %d", tpl.ID, cfg, len(gn), len(wn))
 			}
 			for i, g := range gn {
 				w := wn[i]
 				if g.Partitions != w.Partitions || g.PackFactor != w.PackFactor || g.Fused != w.Fused ||
 					g.Compress != w.Compress || g.PartScheme != w.PartScheme {
 					t.Errorf("%s %v: node %d %s: partitions/pack/fused/compress/scheme %d %v %v %v %q, reference %d %v %v %v %q",
-						tpl.ID, cfg.DiffFrom(def), i, g.Op,
+						tpl.ID, cfg, i, g.Op,
 						g.Partitions, g.PackFactor, g.Fused, g.Compress, g.PartScheme,
 						w.Partitions, w.PackFactor, w.Fused, w.Compress, w.PartScheme)
 				}
@@ -239,7 +239,7 @@ func TestNeededColumnsMatchReference(t *testing.T) {
 			rewrites++
 			sets += n
 			for _, d := range diffs {
-				t.Errorf("%s %v: %s", tpl.ID, cfg.DiffFrom(def), d)
+				t.Errorf("%s %v: %s", tpl.ID, cfg, d)
 			}
 		}
 		if t.Failed() {
@@ -344,7 +344,7 @@ func TestOptimizeAllocBudget(t *testing.T) {
 		}
 		compile() // warm the cache, the template hash and the runtime
 		got := testing.AllocsPerRun(50, compile)
-		t.Logf("%s %s (%d logical nodes): %.0f allocs per Optimize", job.Template.ID, c.name, job.Graph.NodeCount(), got)
+		t.Logf("%s %s (%d logical nodes): %.0f allocs per Optimize", job.Template.ID, c.name, len(job.Graph.Nodes()), got)
 		if got > c.ceiling {
 			t.Errorf("%s: %.0f allocs per Optimize, ceiling %.0f", c.name, got, c.ceiling)
 		}

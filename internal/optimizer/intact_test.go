@@ -132,7 +132,7 @@ func TestOptimizeLeavesInputIntact(t *testing.T) {
 				compiled++
 			}
 			if after := renderGraph(job.Graph); after != before {
-				t.Fatalf("%s %v: Optimize changed its input graph:\n%s\nwas\n%s", tpl.ID, cfg.DiffFrom(def), after, before)
+				t.Fatalf("%s %v: Optimize changed its input graph:\n%s\nwas\n%s", tpl.ID, cfg, after, before)
 			}
 		}
 	}

@@ -54,12 +54,12 @@ func (op PhysOp) String() string {
 	return fmt.Sprintf("phys(%d)", int(op))
 }
 
-// ExchangeKind describes how an Exchange redistributes rows.
+// ExchangeKind describes how an Exchange redistributes rows. The zero
+// value is no exchange.
 type ExchangeKind int
 
 const (
-	ExchangeNone ExchangeKind = iota
-	ExchangeHash
+	ExchangeHash ExchangeKind = iota + 1
 	ExchangeRange
 	ExchangeBroadcast
 	ExchangeGather // merge all partitions into one
@@ -160,37 +160,6 @@ type Plan struct {
 	// order is the topological order, recorded when the builder publishes
 	// the plan (nil for a hand-built plan).
 	order []*PhysNode
-	// NewNode carves nodes and their Inputs from these, a chunk at a time.
-	// A published plan's own nodes are one exact slab of their own, so
-	// these start empty.
-	nodeSlab  []PhysNode
-	inputSlab []*PhysNode
-}
-
-// physChunk is how many nodes (and how many input slots) NewNode
-// allocates at once: 16 PhysNodes fill a 2,304-byte size class exactly.
-const physChunk = 16
-
-// NewNode allocates a physical node attached to this plan. It copies
-// inputs into the plan's own memory, capped at their length, so appending
-// to a node's Inputs never writes into a sibling's.
-func (p *Plan) NewNode(op PhysOp, logical *scope.Node, inputs ...*PhysNode) *PhysNode {
-	if len(p.nodeSlab) == 0 {
-		p.nodeSlab = make([]PhysNode, physChunk)
-	}
-	n := &p.nodeSlab[0]
-	p.nodeSlab = p.nodeSlab[1:]
-	*n = PhysNode{ID: p.nextID, Op: op, Logical: logical, PackFactor: 1}
-	p.nextID++
-	if k := len(inputs); k > 0 {
-		if len(p.inputSlab) < k {
-			p.inputSlab = make([]*PhysNode, max(k, physChunk))
-		}
-		n.Inputs = p.inputSlab[:k:k]
-		p.inputSlab = p.inputSlab[k:]
-		copy(n.Inputs, inputs)
-	}
-	return n
 }
 
 // IDBound returns an exclusive upper bound on the IDs of the plan's

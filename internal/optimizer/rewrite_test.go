@@ -222,7 +222,7 @@ OUTPUT x TO "o";`
 	for _, n := range res.Logical.Nodes() {
 		if n.Kind == scope.OpScan {
 			if len(n.Cols) != 1 || n.Cols[0].Name != "a" {
-				t.Errorf("scan should be pruned to [a], got %v", n.ColNames())
+				t.Errorf("scan should be pruned to [a], got %v", n.Cols)
 			}
 			if n.BaseWidth <= n.RowWidth() {
 				t.Error("pruned width should be below the base width")

@@ -41,13 +41,9 @@ func (m *Linear) String() string {
 	return s
 }
 
-// Fit performs ordinary least squares of y on X (rows are observations).
-func Fit(X [][]float64, y []float64) (*Linear, error) {
-	return FitRidge(X, y, 0)
-}
-
-// FitRidge performs ridge regression with penalty lambda >= 0 (the
-// intercept is not penalized).
+// FitRidge performs ridge regression of y on X (rows are observations)
+// with penalty lambda >= 0; the intercept is not penalized, and lambda 0
+// is ordinary least squares.
 func FitRidge(X [][]float64, y []float64, lambda float64) (*Linear, error) {
 	n := len(X)
 	if n == 0 || n != len(y) {
@@ -126,17 +122,6 @@ func solve(m [][]float64) ([]float64, error) {
 // Polynomial is a fitted 1-D polynomial y = Σ Coef[i] * x^i.
 type Polynomial struct {
 	Coef []float64 // Coef[0] is the constant term
-}
-
-// Predict evaluates the polynomial at x.
-func (p *Polynomial) Predict(x float64) float64 {
-	y := 0.0
-	pow := 1.0
-	for _, c := range p.Coef {
-		y += c * pow
-		pow *= x
-	}
-	return y
 }
 
 // PolyFit fits a polynomial of the given degree to (xs, ys) by least

@@ -14,7 +14,7 @@ func TestFitRecoversExactLine(t *testing.T) {
 	for i, row := range X {
 		y[i] = 3 + 2*row[0] - row[1]
 	}
-	m, err := Fit(X, y)
+	m, err := FitRidge(X, y, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func TestFitWithNoiseApproximates(t *testing.T) {
 		X = append(X, []float64{x})
 		y = append(y, 1.5+0.8*x+rng.NormFloat64()*0.1)
 	}
-	m, err := Fit(X, y)
+	m, err := FitRidge(X, y, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,19 +42,19 @@ func TestFitWithNoiseApproximates(t *testing.T) {
 }
 
 func TestFitErrors(t *testing.T) {
-	if _, err := Fit(nil, nil); err == nil {
+	if _, err := FitRidge(nil, nil, 0); err == nil {
 		t.Error("empty input should fail")
 	}
-	if _, err := Fit([][]float64{{1}}, []float64{1, 2}); err == nil {
+	if _, err := FitRidge([][]float64{{1}}, []float64{1, 2}, 0); err == nil {
 		t.Error("dimension mismatch should fail")
 	}
-	if _, err := Fit([][]float64{{1, 2}, {1}}, []float64{1, 2}); err == nil {
+	if _, err := FitRidge([][]float64{{1, 2}, {1}}, []float64{1, 2}, 0); err == nil {
 		t.Error("ragged matrix should fail")
 	}
 	// Perfectly collinear features are singular without ridge.
 	X := [][]float64{{1, 2}, {2, 4}, {3, 6}}
 	y := []float64{1, 2, 3}
-	if _, err := Fit(X, y); err == nil {
+	if _, err := FitRidge(X, y, 0); err == nil {
 		t.Error("collinear OLS should be singular")
 	}
 	if _, err := FitRidge(X, y, 0.1); err != nil {
@@ -71,7 +71,7 @@ func TestRidgeShrinksCoefficients(t *testing.T) {
 		X = append(X, []float64{x})
 		y = append(y, 5*x+rng.NormFloat64()*0.01)
 	}
-	ols, _ := Fit(X, y)
+	ols, _ := FitRidge(X, y, 0)
 	ridge, _ := FitRidge(X, y, 1000)
 	if math.Abs(ridge.Coef[0]) >= math.Abs(ols.Coef[0]) {
 		t.Errorf("ridge |coef| %v should be < ols %v", ridge.Coef[0], ols.Coef[0])
@@ -187,7 +187,7 @@ func TestOLSNormalEquationsProperty(t *testing.T) {
 			}
 			y[i] = rng.NormFloat64()
 		}
-		m, err := Fit(X, y)
+		m, err := FitRidge(X, y, 0)
 		if err != nil {
 			return true // singular draws are fine to skip
 		}

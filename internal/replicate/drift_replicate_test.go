@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -53,16 +54,15 @@ func newDriftPrimary(t *testing.T, segBytes int64) (*primaryRig, uint64, uint64)
 // quarantine on the primary.
 func regress(t *testing.T, p *primaryRig, hash uint64) {
 	t.Helper()
-	flood := drift.NewFlood(int64(hash), 1.0, 0.05)
-	for _, v := range flood.Batch(64) {
-		if err := p.srv.ObserveReward(hash, v); err != nil {
+	rng := rand.New(rand.NewSource(int64(hash)))
+	for i := 0; i < 64; i++ {
+		if err := p.srv.ObserveReward(hash, 1.0+0.05*rng.NormFloat64()); err != nil {
 			t.Fatal(err)
 		}
 	}
-	flood.Shift(0.0)
 	table := p.srv.QuarantineTable()
 	for i := 0; i < 200 && !table.Blocked(hash); i++ {
-		if err := p.srv.ObserveReward(hash, flood.Next()); err != nil {
+		if err := p.srv.ObserveReward(hash, 0.05*rng.NormFloat64()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -171,7 +171,7 @@ func TestFollowerReplicatesQuarantine(t *testing.T) {
 	if f.Server().QuarantineTable().Blocked(sick) {
 		t.Fatal("re-bootstrap resurrected a restored template's quarantine")
 	}
-	if n := f.Server().QuarantineTable().Len(); n != 0 {
+	if n := len(f.Server().QuarantineTable().Snapshot()); n != 0 {
 		t.Fatalf("re-bootstrapped quarantine table has %d entries, want 0", n)
 	}
 }

@@ -361,9 +361,6 @@ func (f *Follower) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // re-sync; keep no long-lived references across calls).
 func (f *Follower) Server() *serve.Server { return f.cur.Load().srv }
 
-// Applied returns the newest journal LSN applied locally.
-func (f *Follower) Applied() uint64 { return f.applied.Load() }
-
 // Lag returns how many records the replica is behind the newest
 // durable primary position it has observed.
 func (f *Follower) Lag() int64 {

@@ -242,7 +242,7 @@ func TestClusterSmokeConvergence(t *testing.T) {
 	p.settle(t)
 
 	f := startFollower(t, p)
-	if f.Applied() == 0 {
+	if f.applied.Load() == 0 {
 		t.Fatal("bootstrap watermark is 0: snapshot was not checkpoint-consistent")
 	}
 
@@ -368,7 +368,7 @@ func TestFollowerLiveTailAndReconnects(t *testing.T) {
 	p.settle(t)
 	caughtUp(t, f)
 
-	if got, want := f.Applied(), p.j.LastLSN(); got != want {
+	if got, want := f.applied.Load(), p.j.LastLSN(); got != want {
 		t.Fatalf("applied %d, journal end %d", got, want)
 	}
 	want := modelBytes(t, p.srv.Bandit().Save)
@@ -432,7 +432,7 @@ func TestFollowerResyncAfterGap(t *testing.T) {
 		return api.WALStreamContentType, body
 	})
 	f := startFollowerVia(t, p, px.ts.URL)
-	parked := f.Applied()
+	parked := f.applied.Load()
 	for round := 0; round < 4; round++ {
 		p.traffic(t, 25, 40+round, 0.8)
 		if _, err := p.srv.Checkpoint(p.snap); err != nil {
@@ -506,7 +506,7 @@ func TestFollowerRejectsWritesOverHTTP(t *testing.T) {
 	defer fts.Close()
 
 	v := 1.0
-	_, err := client.New(fts.URL, client.WithRetries(0, 0)).
+	_, err := client.New(fts.URL).
 		RewardBatch(context.Background(), []api.RewardEvent{{EventID: "x", Reward: &v}})
 	var apiErr *api.Error
 	if !errors.As(err, &apiErr) || apiErr.Code != api.CodeNotPrimary || apiErr.Leader != p.ts.URL {

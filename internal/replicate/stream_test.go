@@ -130,8 +130,8 @@ func pendingPrimary(t *testing.T, rw rewrite) (*primaryRig, *streamProxy, *Follo
 	f := startFollowerVia(t, p, px.ts.URL)
 	p.traffic(t, 10, 2, 0.5)
 	p.settle(t)
-	if p.j.LastLSN() < f.Applied()+2 {
-		t.Fatalf("journal ends at %d, follower bootstrapped at %d: nothing to ship", p.j.LastLSN(), f.Applied())
+	if p.j.LastLSN() < f.applied.Load()+2 {
+		t.Fatalf("journal ends at %d, follower bootstrapped at %d: nothing to ship", p.j.LastLSN(), f.applied.Load())
 	}
 	return p, px, f
 }
@@ -144,7 +144,7 @@ func TestFollowerRefusesOtherStreamFormat(t *testing.T) {
 	_, px, f := pendingPrimary(t, func(_ int, _ uint64, body []byte) (string, []byte) {
 		return "application/x-qoadvisor-wal", body
 	})
-	bootstrapped := f.Applied()
+	bootstrapped := f.applied.Load()
 	px.release()
 	waitFor(t, "two refused tails", func() bool { return f.Stats().Reconnects >= 2 })
 	if st := f.Stats(); st.RecordsApplied != 0 || st.AppliedLSN != bootstrapped || st.Resyncs != 0 {
@@ -201,7 +201,7 @@ func TestFollowerResumesAfterCutFrame(t *testing.T) {
 		whole.Store(records - 1)
 		return api.WALStreamContentType, body[:len(body)-1] // inside the last record's payload
 	})
-	bootstrapped := f.Applied()
+	bootstrapped := f.applied.Load()
 	px.release()
 	waitFor(t, "a second tail", func() bool { return len(px.requests()) >= 2 })
 	n := whole.Load()

@@ -11,9 +11,9 @@ import (
 func ExampleCatalog_DefaultConfig() {
 	cat := rules.NewCatalog()
 	cfg := cat.DefaultConfig()
-	fmt.Println("total rules:", cat.Size())
+	fmt.Println("total rules:", rules.NumRules)
 	fmt.Println("enabled by default:", cfg.Count())
-	fmt.Println("off by default:", cat.Size()-cfg.Count())
+	fmt.Println("off by default:", rules.NumRules-cfg.Count())
 	// Output:
 	// total rules: 256
 	// enabled by default: 179

@@ -363,9 +363,6 @@ func NewCatalog() *Catalog {
 	return c
 }
 
-// Size returns the number of rules in the catalog.
-func (c *Catalog) Size() int { return len(c.rules) }
-
 // Rule returns the rule with the given ID. It panics on out-of-range IDs,
 // which always indicate a programming error.
 func (c *Catalog) Rule(id int) Rule {
@@ -430,9 +427,6 @@ func (b *Bitset) Set(id int) { b.w[id>>6] |= 1 << (uint(id) & 63) }
 
 // Clear clears bit id.
 func (b *Bitset) Clear(id int) { b.w[id>>6] &^= 1 << (uint(id) & 63) }
-
-// Flip toggles bit id.
-func (b *Bitset) Flip(id int) { b.w[id>>6] ^= 1 << (uint(id) & 63) }
 
 // Count returns the number of set bits.
 func (b Bitset) Count() int {
@@ -528,18 +522,6 @@ func (c Config) WithFlip(f Flip) Config {
 		out.Clear(f.RuleID)
 	}
 	return out
-}
-
-// DiffFrom returns the flips that transform base into c, in rule-ID order.
-func (c Config) DiffFrom(base Config) []Flip {
-	var flips []Flip
-	for i := 0; i < NumRules; i++ {
-		cb, bb := c.Get(i), base.Get(i)
-		if cb != bb {
-			flips = append(flips, Flip{RuleID: i, Enable: cb})
-		}
-	}
-	return flips
 }
 
 // Signature records the rules that directly contributed to a plan, i.e.

@@ -9,8 +9,8 @@ import (
 
 func TestCatalogHasExactly256Rules(t *testing.T) {
 	c := NewCatalog()
-	if c.Size() != NumRules {
-		t.Fatalf("catalog size = %d, want %d", c.Size(), NumRules)
+	if len(c.rules) != NumRules {
+		t.Fatalf("catalog size = %d, want %d", len(c.rules), NumRules)
 	}
 	if len(c.All()) != NumRules {
 		t.Fatalf("All() length = %d, want %d", len(c.All()), NumRules)
@@ -77,9 +77,8 @@ func TestFlipFor(t *testing.T) {
 		if mod.Enabled(r.ID) == def.Enabled(r.ID) {
 			t.Fatalf("flip %v did not change rule %d", f, r.ID)
 		}
-		diff := mod.DiffFrom(def)
-		if len(diff) != 1 || diff[0].RuleID != r.ID {
-			t.Fatalf("diff after single flip = %v", diff)
+		if n := mod.Minus(def.Bitset).Count() + def.Minus(mod.Bitset).Count(); n != 1 {
+			t.Fatalf("a single flip changed %d rules", n)
 		}
 	}
 }
@@ -149,14 +148,6 @@ func TestBitsetBasicOps(t *testing.T) {
 	b.Clear(63)
 	if b.Get(63) || b.Count() != 3 {
 		t.Error("Clear failed")
-	}
-	b.Flip(63)
-	if !b.Get(63) {
-		t.Error("Flip failed to set")
-	}
-	b.Flip(63)
-	if b.Get(63) {
-		t.Error("Flip failed to clear")
 	}
 }
 

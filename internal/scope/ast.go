@@ -448,14 +448,3 @@ func (s *OutputStmt) Pos() int { return s.Line }
 type Script struct {
 	Statements []Statement
 }
-
-// Outputs returns the script's OUTPUT statements in order.
-func (s *Script) Outputs() []*OutputStmt {
-	var outs []*OutputStmt
-	for _, st := range s.Statements {
-		if o, ok := st.(*OutputStmt); ok {
-			outs = append(outs, o)
-		}
-	}
-	return outs
-}

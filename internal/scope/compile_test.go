@@ -110,16 +110,15 @@ OUTPUT j TO "o.tsv";`)
 		t.Fatal("no join node")
 	}
 	// Right side's "id" collides; it must be renamed in the join schema.
-	names := join.ColNames()
 	seen := map[string]bool{}
-	for _, n := range names {
-		if seen[n] {
-			t.Fatalf("duplicate column %q in join schema %v", n, names)
+	for _, c := range join.Cols {
+		if seen[c.Name] {
+			t.Fatalf("duplicate column %q in join schema %v", c.Name, join.Cols)
 		}
-		seen[n] = true
+		seen[c.Name] = true
 	}
 	if !seen["r_id"] {
-		t.Errorf("expected renamed column r_id in %v", names)
+		t.Errorf("expected renamed column r_id in %v", join.Cols)
 	}
 	// The join condition references the merged name.
 	if !strings.Contains(join.JoinCond.String(), "r_id") {
@@ -143,7 +142,7 @@ OUTPUT j TO "o.tsv";`)
 		t.Fatalf("join type = %v", join.JoinType)
 	}
 	if len(join.Cols) != 1 || join.Cols[0].Name != "a" {
-		t.Errorf("semi join should keep only left columns: %v", join.ColNames())
+		t.Errorf("semi join should keep only left columns: %v", join.Cols)
 	}
 }
 
@@ -342,8 +341,8 @@ OUTPUT j TO "o.tsv";`)
 func TestGraphCloneIndependence(t *testing.T) {
 	g := mustCompile(t, sampleScript)
 	clone := g.Clone()
-	if clone.NodeCount() != g.NodeCount() {
-		t.Fatalf("clone nodes = %d, want %d", clone.NodeCount(), g.NodeCount())
+	if len(clone.Nodes()) != len(g.Nodes()) {
+		t.Fatalf("clone nodes = %d, want %d", len(clone.Nodes()), len(g.Nodes()))
 	}
 	// Mutating the clone must not affect the original.
 	for _, n := range clone.Nodes() {
@@ -551,7 +550,7 @@ func TestSiteKeys(t *testing.T) {
 	g := mustCompile(t, sampleScript)
 	keys := map[string]int{}
 	for _, n := range g.Nodes() {
-		if k := n.SiteKey(); k != "" {
+		if k := string(n.AppendSiteKey(nil)); k != "" {
 			keys[k]++
 		}
 	}

@@ -23,3 +23,6 @@ func BindSpines(p *Prepared, names, values []string) (int, error) {
 	}
 	return len(b.spines), b.err
 }
+
+// Conjuncts is AppendConjuncts into a fresh slice.
+func Conjuncts(e Expr) []Expr { return AppendConjuncts(nil, e) }

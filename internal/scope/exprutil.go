@@ -1,12 +1,10 @@
 package scope
 
-// Conjuncts splits an expression on top-level ANDs, returning the list of
-// conjuncts. A non-AND expression is its own single conjunct. Conjunct
-// identity is what keeps filter-merge and filter-split rewrites
-// cardinality-neutral: the engine estimates each conjunct independently.
-func Conjuncts(e Expr) []Expr { return AppendConjuncts(nil, e) }
-
-// AppendConjuncts appends e's conjuncts to dst, in Conjuncts order.
+// AppendConjuncts splits an expression on top-level ANDs, appending the
+// conjuncts to dst in source order. A non-AND expression is its own
+// single conjunct. Conjunct identity is what keeps filter-merge and
+// filter-split rewrites cardinality-neutral: the engine estimates each
+// conjunct independently.
 func AppendConjuncts(dst []Expr, e Expr) []Expr {
 	if be, ok := e.(*BinaryExpr); ok && be.Op == "AND" {
 		return AppendConjuncts(AppendConjuncts(dst, be.Left), be.Right)

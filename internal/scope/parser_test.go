@@ -57,8 +57,14 @@ func TestParseSampleScript(t *testing.T) {
 	if sel.Top != 100 {
 		t.Errorf("top = %d", sel.Top)
 	}
-	if len(s.Outputs()) != 1 {
-		t.Errorf("outputs = %d, want 1", len(s.Outputs()))
+	outputs := 0
+	for _, st := range s.Statements {
+		if _, ok := st.(*OutputStmt); ok {
+			outputs++
+		}
+	}
+	if outputs != 1 {
+		t.Errorf("outputs = %d, want 1", outputs)
 	}
 }
 

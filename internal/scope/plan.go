@@ -119,15 +119,6 @@ type Node struct {
 	RightRenames map[string]string
 }
 
-// ColNames returns the node's output column names in order.
-func (n *Node) ColNames() []string {
-	names := make([]string, len(n.Cols))
-	for i, c := range n.Cols {
-		names[i] = c.Name
-	}
-	return names
-}
-
 // FindCol returns the column with the given name and whether it exists.
 func (n *Node) FindCol(name string) (Column, bool) {
 	for _, c := range n.Cols {
@@ -266,9 +257,6 @@ func appendSubtree(dst []*Node, seen []bool, n *Node) []*Node {
 	}
 	return append(dst, n)
 }
-
-// NodeCount returns the number of reachable nodes.
-func (g *Graph) NodeCount() int { return len(g.Nodes()) }
 
 // Clone copies the DAG for a rewrite, preserving node sharing. The clone's
 // node IDs match the originals so that site keys remain comparable.
@@ -559,17 +547,11 @@ func (h fnv64a) normalizedPath(p string) fnv64a {
 	return h
 }
 
-// SiteKey returns the stable identity of an operator "site" used to carry
-// true selectivities from the workload generator to the execution
-// simulator. Sites are keyed by the operator's semantic payload, which
-// survives plan rewrites (a pushed-down filter keeps its predicate).
-func (n *Node) SiteKey() string {
-	var buf [128]byte
-	return string(n.AppendSiteKey(buf[:0]))
-}
-
-// AppendSiteKey appends SiteKey's bytes to dst — nothing for a kind
-// without a site — for callers that only hash the key or look it up.
+// AppendSiteKey appends to dst the stable identity of an operator "site"
+// used to carry true selectivities from the workload generator to the
+// execution simulator — nothing for a kind without a site. Sites are
+// keyed by the operator's semantic payload, which survives plan rewrites
+// (a pushed-down filter keeps its predicate).
 func (n *Node) AppendSiteKey(dst []byte) []byte {
 	switch n.Kind {
 	case OpFilter:

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -99,9 +100,32 @@ func (r *driftRig) observe(hash uint64, v float64) error {
 	return nil
 }
 
+// rewardFlood is a seeded gaussian reward stream (σ 0.05) whose mean a
+// test shifts to script a plan regression and a later recovery.
+type rewardFlood struct {
+	rng  *rand.Rand
+	mean float64
+}
+
+func newRewardFlood(seed int64, mean float64) *rewardFlood {
+	return &rewardFlood{rng: rand.New(rand.NewSource(seed)), mean: mean}
+}
+
+func (f *rewardFlood) Shift(mean float64) { f.mean = mean }
+
+func (f *rewardFlood) Next() float64 { return f.mean + 0.05*f.rng.NormFloat64() }
+
+func (f *rewardFlood) Batch(n int) []float64 {
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = f.Next()
+	}
+	return out
+}
+
 // observeUntil feeds rewards drawn from the flood until cond holds,
 // failing the test if it never does within max observations.
-func (r *driftRig) observeUntil(t *testing.T, hash uint64, f *drift.Flood, max int, cond func() bool) int {
+func (r *driftRig) observeUntil(t *testing.T, hash uint64, f *rewardFlood, max int, cond func() bool) int {
 	t.Helper()
 	for i := 0; i < max; i++ {
 		if cond() {
@@ -131,7 +155,7 @@ func TestAutoQuarantineAndProbationRestore(t *testing.T) {
 	}
 
 	// Healthy baseline, then a collapse.
-	flood := drift.NewFlood(1, 1.0, 0.05)
+	flood := newRewardFlood(1, 1.0)
 	for i, v := range flood.Batch(64) {
 		if err := r.observe(r.hintHash, v); err != nil {
 			t.Fatalf("baseline observation %d: %v", i, err)
@@ -221,7 +245,7 @@ func TestRewardFloodIsolation(t *testing.T) {
 		}
 	}()
 
-	flood := drift.NewFlood(7, 1.0, 0.05)
+	flood := newRewardFlood(7, 1.0)
 	for _, v := range flood.Batch(64) {
 		if err := r.observe(r.hintHash, v); err != nil {
 			t.Fatal(err)
@@ -251,7 +275,7 @@ func TestQuarantineJournalFailureFailStop(t *testing.T) {
 	r := newDriftRig(t, wal.ModeSync)
 	table := r.srv.QuarantineTable()
 
-	flood := drift.NewFlood(3, 1.0, 0.05)
+	flood := newRewardFlood(3, 1.0)
 	for _, v := range flood.Batch(64) {
 		if err := r.observe(r.hintHash, v); err != nil {
 			t.Fatal(err)
@@ -320,7 +344,7 @@ func TestQuarantineJournalFailureFailStop(t *testing.T) {
 // test passes by terminating (run under -race in CI).
 func TestCheckpointDuringQuarantineNoDeadlock(t *testing.T) {
 	r := newDriftRig(t, wal.ModeAsync)
-	flood := drift.NewFlood(11, 1.0, 0.05)
+	flood := newRewardFlood(11, 1.0)
 	for _, v := range flood.Batch(64) {
 		if err := r.observe(r.hintHash, v); err != nil {
 			t.Fatal(err)
@@ -393,7 +417,7 @@ func TestCrashRecoveryQuarantineState(t *testing.T) {
 	// quarantine of a second template after the checkpoint.
 	ids := r.rankSome(t, 20, 1)
 	r.rewardAll(t, ids[:10], 0.8)
-	flood := drift.NewFlood(5, 1.0, 0.05)
+	flood := newRewardFlood(5, 1.0)
 	for _, v := range flood.Batch(64) {
 		if err := r.observe(r.hintHash, v); err != nil {
 			t.Fatal(err)

@@ -124,7 +124,7 @@ func TestIncidentDisabledSurfaces(t *testing.T) {
 
 func TestIncidentManualCapture(t *testing.T) {
 	dir := t.TempDir()
-	srv, _, _, cl := incidentTestServer(t, dir)
+	srv, _, ts, cl := incidentTestServer(t, dir)
 	ctx := context.Background()
 
 	resp, err := cl.TriggerIncident(ctx)
@@ -166,22 +166,22 @@ func TestIncidentManualCapture(t *testing.T) {
 		t.Fatalf("want 2 bundles newest-first, got %+v", list)
 	}
 
-	// Fetch one bundle and stream an artifact through the client.
-	got, err := cl.Incident(ctx, m.ID)
-	if err != nil {
-		t.Fatal(err)
+	// Fetch one bundle and stream an artifact.
+	hr := getURL(t, ts.URL+api.RouteV2Incidents+"/"+m.ID)
+	var got api.IncidentResponse
+	err = json.NewDecoder(hr.Body).Decode(&got)
+	hr.Body.Close()
+	if err != nil || hr.StatusCode != http.StatusOK {
+		t.Fatalf("GET bundle: status %d, %v", hr.StatusCode, err)
 	}
 	if got.Incident.ID != m.ID {
 		t.Fatalf("fetched %q, want %q", got.Incident.ID, m.ID)
 	}
-	rc, err := cl.IncidentFile(ctx, m.ID, "stats.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, err := io.ReadAll(rc)
-	rc.Close()
-	if err != nil {
-		t.Fatal(err)
+	hr = getURL(t, ts.URL+api.RouteV2Incidents+"/"+m.ID+"?file=stats.json")
+	body, err := io.ReadAll(hr.Body)
+	hr.Body.Close()
+	if err != nil || hr.StatusCode != http.StatusOK {
+		t.Fatalf("GET stats.json artifact: status %d, %v", hr.StatusCode, err)
 	}
 	var doc map[string]any
 	if err := json.Unmarshal(body, &doc); err != nil {
@@ -195,8 +195,8 @@ func TestIncidentManualCapture(t *testing.T) {
 	if _, err := srv.incidents.file(m.ID, "../meta.json"); err == nil {
 		t.Fatal("traversal artifact name must be rejected")
 	}
-	if _, err := cl.Incident(ctx, "no-such-incident"); err == nil {
-		t.Fatal("unknown incident must 404")
+	if resp := getURL(t, ts.URL+api.RouteV2Incidents+"/no-such-incident"); resp.Body.Close() != nil || resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("unknown incident answered %d, want 404", resp.StatusCode)
 	}
 }
 

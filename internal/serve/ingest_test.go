@@ -9,10 +9,10 @@ import (
 
 func rankEvents(t *testing.T, svc *bandit.Service, n int) []string {
 	t.Helper()
-	ctx := bandit.Context{IDs: bandit.HashFeatures([]string{"span:1", "span:9"})}
+	ctx := bandit.Context{IDs: []uint64{1, 9}}
 	actions := []bandit.Action{
-		{ID: "noop", IDs: bandit.HashFeatures([]string{"act:noop"})},
-		{ID: "+R030", IDs: bandit.HashFeatures([]string{"rule:30"})},
+		{ID: "noop", IDs: []uint64{100}},
+		{ID: "+R030", IDs: []uint64{30}},
 	}
 	ids := make([]string, n)
 	for i := range ids {
@@ -54,8 +54,8 @@ func TestIngestorAppliesAndTrains(t *testing.T) {
 		t.Errorf("TrainRuns = %d, want 3: two every %d applied rewards, one at Drain", st.TrainRuns, bandit.DefaultTrainEvery)
 	}
 	// Training must actually have moved the model.
-	ctx := bandit.Context{IDs: bandit.HashFeatures([]string{"span:1", "span:9"})}
-	a := bandit.Action{ID: "+R030", IDs: bandit.HashFeatures([]string{"rule:30"})}
+	ctx := bandit.Context{IDs: []uint64{1, 9}}
+	a := bandit.Action{ID: "+R030", IDs: []uint64{30}}
 	if svc.Score(ctx, a) == 0 {
 		t.Error("model weights untouched after ingestion training")
 	}

@@ -191,8 +191,8 @@ func newMaximalServer(t *testing.T) (*Server, *httptest.Server) {
 	if _, err := cl.RewardBatch(ctx, events); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.AuditRecords(ctx, client.AuditRecordsOptions{Limit: 5}); err != nil {
-		t.Fatal(err)
+	if resp := getURL(t, ts.URL+api.RouteV2AuditRecords+"?limit=5"); resp.Body.Close() != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s answered %d", api.RouteV2AuditRecords, resp.StatusCode)
 	}
 	if _, err := srv.Checkpoint(t.TempDir() + "/conformance.snap"); err != nil {
 		t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"io"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -290,14 +291,11 @@ func TestSnapshotGETIsRecoverySeed(t *testing.T) {
 	ids2 := r.rankSome(t, 40, 2)
 	r.rewardAll(t, append(append([]string{}, ids1[30:45]...), ids2[:25]...), 0.5)
 
-	body, err := r.cl.Snapshot(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := io.ReadAll(body)
-	body.Close()
-	if err != nil {
-		t.Fatal(err)
+	resp := getURL(t, r.ts.URL+api.RouteV2Snapshot)
+	got, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: status %d, %v", api.RouteV2Snapshot, resp.StatusCode, err)
 	}
 	seed := filepath.Join(t.TempDir(), "get.snap")
 	if err := os.WriteFile(seed, got, 0o644); err != nil {

@@ -11,7 +11,6 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 
 	"qoadvisor/internal/rules"
@@ -187,19 +186,6 @@ func (s *Store) ConfigFor(templateHash uint64, def rules.Config) rules.Config {
 		return def.WithFlip(h.Flip)
 	}
 	return def
-}
-
-// Current returns a snapshot of the active hint set in ascending
-// template-hash order. The returned slice is owned by the caller — this
-// is the servable form the online steering layer installs into its hint
-// cache on pipeline rollover.
-func (s *Store) Current() []Hint {
-	out := make([]Hint, 0, len(s.current))
-	for _, h := range s.current {
-		out = append(out, h)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].TemplateHash < out[j].TemplateHash })
-	return out
 }
 
 // History returns the installed versions (shared slice; do not modify).

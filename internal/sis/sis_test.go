@@ -181,9 +181,8 @@ func TestConfigFor(t *testing.T) {
 	if got.Enabled(flip.RuleID) != flip.Enable {
 		t.Errorf("hint not applied: rule %d enabled=%v", flip.RuleID, got.Enabled(flip.RuleID))
 	}
-	diff := got.DiffFrom(def)
-	if len(diff) != 1 {
-		t.Errorf("hinted config should differ by exactly one flip, got %v", diff)
+	if got != def.WithFlip(flip) {
+		t.Errorf("hinted config %v should be the default with one flip, %v", got, flip)
 	}
 }
 

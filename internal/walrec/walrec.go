@@ -71,14 +71,6 @@ var tagNames = map[byte]string{
 // unknown (a journal written by a newer binary).
 func Name(tag byte) string { return tagNames[tag] }
 
-// Known reports whether the tag is registered.
-func Known(tag byte) bool { _, ok := tagNames[tag]; return ok }
-
-// Tags lists every registered tag in ascending order.
-func Tags() []byte {
-	return []byte{TagRank, TagRewardBatch, TagTrainMark, TagHintRollover, TagQuarantine}
-}
-
 // ParseTag resolves a registered name back to its tag byte.
 func ParseTag(name string) (byte, error) {
 	for tag, n := range tagNames {
@@ -212,14 +204,7 @@ func takeIDs(b []byte) (IDList, []byte, error) {
 
 // --- rank (tag 1) ---
 
-// EncodeRank frames one rank decision.
-func EncodeRank(eventID string, prob float64, ctxIDs, actIDs []uint64) []byte {
-	b := make([]byte, 0, 1+len(eventID)+4+8+(len(ctxIDs)+len(actIDs))*8+8)
-	return AppendRank(b, eventID, prob, ctxIDs, actIDs)
-}
-
-// AppendRank appends the frame of one rank decision to dst — EncodeRank
-// for a caller that owns and reuses its record buffer.
+// AppendRank appends the frame of one rank decision to dst.
 func AppendRank(dst []byte, eventID string, prob float64, ctxIDs, actIDs []uint64) []byte {
 	dst = append(dst, TagRank)
 	dst = appendString(dst, eventID)

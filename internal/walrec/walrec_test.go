@@ -17,7 +17,7 @@ import (
 // enough content that every field and length prefix is exercised.
 func sampleRecords() map[byte][]byte {
 	return map[byte][]byte{
-		TagRank: EncodeRank("ev1f00-00000007", 0.925, []uint64{1, 1 << 40, ^uint64(0)}, []uint64{7, 9}),
+		TagRank: AppendRank(nil, "ev1f00-00000007", 0.925, []uint64{1, 1 << 40, ^uint64(0)}, []uint64{7, 9}),
 		TagRewardBatch: EncodeRewardBatch([]RewardEntry{
 			{EventID: "ev1f00-00000007", Value: 1.5}, {EventID: "", Value: -0.25}, {EventID: "ev-long-" + string(make([]byte, 200)), Value: 0},
 		}),
@@ -34,19 +34,19 @@ func sampleRecords() map[byte][]byte {
 // the values that went in, under the tag's registered name.
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	recs := sampleRecords()
-	if len(recs) != len(Tags()) {
-		t.Fatalf("samples cover %d tags, registry has %d", len(recs), len(Tags()))
+	if len(recs) != len(tagNames) {
+		t.Fatalf("samples cover %d tags, registry has %d", len(recs), len(tagNames))
 	}
 	wantNames := map[byte]string{
 		TagRank: "rank", TagRewardBatch: "reward_batch", TagTrainMark: "train_mark",
 		TagHintRollover: "hint_rollover", TagQuarantine: "quarantine",
 	}
-	for _, tag := range Tags() {
+	for tag := range tagNames {
 		rec, err := Decode(recs[tag])
 		if err != nil {
 			t.Fatalf("tag %d: Decode: %v", tag, err)
 		}
-		if rec.Tag != tag || Name(rec.Tag) != wantNames[tag] || !Known(tag) {
+		if rec.Tag != tag || Name(rec.Tag) != wantNames[tag] {
 			t.Errorf("tag %d decoded as tag %d name %q", tag, rec.Tag, Name(rec.Tag))
 		}
 		if back, err := ParseTag(Name(tag)); err != nil || back != tag {
@@ -67,7 +67,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 			t.Errorf("tag %d: encode(decode(x)) != x", tag)
 		}
 	}
-	if _, err := Decode([]byte{0x7f}); err == nil || Known(0x7f) || Name(0x7f) != "" {
+	if _, err := Decode([]byte{0x7f}); err == nil || Name(0x7f) != "" {
 		t.Error("unregistered tag 0x7f must fail Decode and have no name")
 	}
 }
@@ -186,7 +186,7 @@ func TestDecodedStringsOutliveTheDecoder(t *testing.T) {
 func TestDecodedStringRetainedHeap(t *testing.T) {
 	pad := make([]byte, 64<<10)
 	recs := [][]byte{
-		EncodeRank("ev-00000", 0.5, make([]uint64, 8<<10), nil),
+		AppendRank(nil, "ev-00000", 0.5, make([]uint64, 8<<10), nil),
 		append(EncodeRewardBatch([]RewardEntry{{EventID: "ev-00000", Value: 1}}), pad...),
 		append(EncodeHintRollover(1, []Hint{{TemplateID: "ev-00000", Flip: "-R040"}}), pad...),
 	}
@@ -219,7 +219,7 @@ func TestDecodedStringRetainedHeap(t *testing.T) {
 func encode(rec Record) []byte {
 	switch rec.Tag {
 	case TagRank:
-		return EncodeRank(rec.Rank.EventID, rec.Rank.Prob, rec.Rank.CtxIDs, rec.Rank.ActIDs)
+		return AppendRank(nil, rec.Rank.EventID, rec.Rank.Prob, rec.Rank.CtxIDs, rec.Rank.ActIDs)
 	case TagRewardBatch:
 		return EncodeRewardBatch(rec.RewardBatch)
 	case TagTrainMark:

@@ -425,8 +425,14 @@ func TestInstantiateAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	t.Logf("%s (%d logical nodes): %.0f allocs per cold Bind", tpl.ID, first.Graph.NodeCount(), got)
+	t.Logf("%s (%d logical nodes): %.0f allocs per cold Bind", tpl.ID, len(first.Graph.Nodes()), got)
 	if got > bindAllocCeiling {
 		t.Errorf("%.0f allocs per Bind, ceiling %d", got, bindAllocCeiling)
 	}
+}
+
+// dateStamp is appendDateStamp into a fresh string.
+func dateStamp(date int) string {
+	var buf [24]byte
+	return string(appendDateStamp(buf[:0], date))
 }

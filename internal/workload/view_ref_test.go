@@ -171,11 +171,11 @@ func TestAppendViewRowsMatchesReference(t *testing.T) {
 			dst = AppendViewRows(dst, job, res, m)
 			got := dst[prefix:]
 			if len(got) != len(want) {
-				t.Fatalf("%s %v: %d rows appended, want %d", tpl.ID, cfg.DiffFrom(cat.DefaultConfig()), len(got), len(want))
+				t.Fatalf("%s %v: %d rows appended, want %d", tpl.ID, cfg, len(got), len(want))
 			}
 			for i := range want {
 				if d := viewRowDiff(got[i], want[i]); d != "" {
-					t.Fatalf("%s %v row %d differs from the reference: %s", tpl.ID, cfg.DiffFrom(cat.DefaultConfig()), i, d)
+					t.Fatalf("%s %v row %d differs from the reference: %s", tpl.ID, cfg, i, d)
 				}
 			}
 			plans++

@@ -42,18 +42,8 @@ type TableDef struct {
 	StatsNDVFactor map[string]float64
 }
 
-// Path returns the concrete path for a date.
-func (t *TableDef) Path(date int) string {
-	return strings.ReplaceAll(t.PathPattern, "@DATE@", dateStamp(date))
-}
-
-// dateStamp is what "@DATE@" stands for on a date: 20211100+date, zero-
-// padded to eight digits.
-func dateStamp(date int) string {
-	var buf [24]byte
-	return string(appendDateStamp(buf[:0], date))
-}
-
+// appendDateStamp appends what "@DATE@" stands for on a date:
+// 20211100+date, zero-padded to eight digits.
 func appendDateStamp(dst []byte, date int) []byte {
 	if v := 20211100 + date; v >= 1e7 {
 		return strconv.AppendInt(dst, int64(v), 10) // eight digits or more: nothing to pad
