@@ -667,9 +667,18 @@ func TestAdvisorHintsSurviveAcrossDays(t *testing.T) {
 // Production.RunDay then Advisor.RunDay each (instance, configuration) is
 // rewritten at most once — less when a rewrite under another
 // configuration certifies it — and the pipeline reuses the rewrites
-// production made.
+// production made. After the day, compiling each job again under the
+// configuration production ran it under, and under that configuration
+// with two tuning rules flipped (rules no rewrite asks about, in a
+// configuration no stage compiles), must rewrite nothing and reuse
+// production's rewritten graph.
 func TestRunDaysRewriteEachInstanceConfigOnce(t *testing.T) {
 	cat := rules.NewCatalog()
+	def := cat.DefaultConfig()
+	tuning := []rules.Flip{
+		cat.FlipFor(cat.OfKind(rules.KindTunePartitionCount)[0].ID),
+		cat.FlipFor(cat.OfKind(rules.KindTuneStageFusion)[0].ID),
+	}
 	gen := testWorkload(t, 12)
 	store := sis.NewStore(cat)
 	adv := NewAdvisor(cat, store, Config{
@@ -678,7 +687,6 @@ func TestRunDaysRewriteEachInstanceConfigOnce(t *testing.T) {
 		Flighting:            flighting.Config{Catalog: cat, Seed: 2},
 	})
 	prod := NewProduction(cat, store, exec.DefaultCluster(1), 3)
-	certified := false
 	for day := 1; day <= 3; day++ {
 		jobs, err := gen.JobsForDay(day)
 		if err != nil {
@@ -688,37 +696,48 @@ func TestRunDaysRewriteEachInstanceConfigOnce(t *testing.T) {
 		for _, j := range jobs {
 			memos[j.CompileOptions(cat).Cache] = true
 		}
-		hits := func() (n uint64) {
+		total := func() (st optimizer.CompileCacheStats) {
 			for m := range memos {
-				n += m.Stats().Hits
+				s := m.Stats()
+				st.Hits += s.Hits
+				st.Misses += s.Misses
 			}
-			return n
+			return st
 		}
-		_, view, err := prod.RunDay(day, jobs)
+		runs, view, err := prod.RunDay(day, jobs)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for m := range memos {
-			if m.Stats().Size == 0 {
+			if st := m.Stats(); st.Hits+st.Misses == 0 {
 				t.Fatalf("day %d: production compiled an instance without its memo", day)
 			}
 		}
-		prodHits := hits()
+		prodHits := total().Hits
 		if _, err := adv.RunDay(day, jobs, view); err != nil {
 			t.Fatal(err)
 		}
-		if hits() == prodHits {
+		if total().Hits == prodHits {
 			t.Errorf("day %d: the pipeline reused none of production's rewrites", day)
 		}
-		for m := range memos {
-			st := m.Stats()
-			if st.Misses > uint64(st.Size) {
-				t.Errorf("day %d: an instance rewrote %d times for %d configurations", day, st.Misses, st.Size)
+		rewrites := total().Misses
+		for _, r := range runs {
+			if r.Result == nil {
+				continue
 			}
-			certified = certified || st.Misses < uint64(st.Size)
+			cfg := def
+			if r.Hinted {
+				cfg = def.WithFlip(r.Flip)
+			}
+			opts := r.Job.CompileOptions(cat)
+			for _, probe := range []rules.Config{cfg, cfg.WithFlip(tuning[0]).WithFlip(tuning[1])} {
+				if res, err := optimizer.Optimize(r.Job.Graph, probe, opts); err == nil && res.Logical != r.Result.Logical {
+					t.Errorf("day %d: %s compiled to another rewritten graph than production's", day, r.Job.ID)
+				}
+			}
 		}
-	}
-	if !certified {
-		t.Error("no instance reused a rewrite under another configuration")
+		if got := total().Misses - rewrites; got != 0 {
+			t.Errorf("day %d: compiling again under production's configurations rewrote %d times", day, got)
+		}
 	}
 }

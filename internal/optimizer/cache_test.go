@@ -86,7 +86,7 @@ func tuningConfigs(cat *rules.Catalog, n int) []rules.Config {
 
 // TestCompileCacheHitCounts checks the lookup accounting: a miss is a
 // rewrite run, one per (graph, certificate); a hit is any lookup that
-// reuses one, by exact key or by certificate.
+// reuses one, a repeat of its configuration or not.
 func TestCompileCacheHitCounts(t *testing.T) {
 	g := compileTestGraph(t, testScript)
 	cat := rules.NewCatalog()
@@ -102,14 +102,14 @@ func TestCompileCacheHitCounts(t *testing.T) {
 	if st := cache.Stats(); st.Misses != 1 || st.Hits != 2 {
 		t.Errorf("stats = %+v, want 1 miss / 2 hits", st)
 	}
-	// A configuration the rewrite never asked about is a new key but no
-	// new rewrite.
+	// A configuration that differs only in rules the rewrite never asked
+	// about is no new rewrite.
 	Optimize(g, tuningConfigs(cat, 1)[0], opts) // lowering may fail; the lookup counts
-	if st := cache.Stats(); st.Misses != 1 || st.Hits != 3 || st.Size != 2 {
-		t.Errorf("stats = %+v, want 1 miss / 3 hits over 2 keys", st)
+	if st := cache.Stats(); st.Misses != 1 || st.Hits != 3 {
+		t.Errorf("stats = %+v, want 1 miss / 3 hits", st)
 	}
-	// A second graph of the same script is a distinct key: the cache is
-	// identity-keyed, not content-keyed, and so are its certificates.
+	// A second graph of the same script is rewritten anew: certificates
+	// are identity-keyed, not content-keyed.
 	g2 := compileTestGraph(t, testScript)
 	if _, err := Optimize(g2, def, opts); err != nil {
 		t.Fatal(err)
@@ -119,16 +119,16 @@ func TestCompileCacheHitCounts(t *testing.T) {
 	}
 }
 
-// TestCompileCacheEviction checks capacity-driven invalidation at both
-// levels.
+// TestCompileCacheEviction checks what takes room in the cache and what
+// capacity evicts.
 func TestCompileCacheEviction(t *testing.T) {
 	cat := rules.NewCatalog()
 	stats := testStats()
 	def := cat.DefaultConfig()
 
-	// Exact keys: compileCacheSize certified configurations push the
-	// default's key out, and the default is then served by its
-	// certificate, not rewritten.
+	// Reuse takes no room: compileCacheSize configurations certified by
+	// the default's rewrite leave one certificate, and it still serves the
+	// default.
 	g := compileTestGraph(t, testScript)
 	cache := NewCompileCache()
 	opts := Options{Catalog: cat, Stats: stats, Cache: cache}
@@ -136,16 +136,16 @@ func TestCompileCacheEviction(t *testing.T) {
 	for _, cfg := range tuningConfigs(cat, compileCacheSize) {
 		Optimize(g, cfg, opts)
 	}
-	if st := cache.Stats(); st.Misses != 1 || st.Size != compileCacheSize {
-		t.Errorf("stats = %+v, want 1 miss and %d entries", st, compileCacheSize)
+	if st := cache.Stats(); st.Misses != 1 || st.Hits != compileCacheSize || len(cache.certs) != 1 {
+		t.Errorf("stats = %+v with %d certificates, want 1 miss, %d hits and 1 certificate", st, len(cache.certs), compileCacheSize)
 	}
 	Optimize(g, def, opts)
 	if st := cache.Stats(); st.Misses != 1 {
-		t.Errorf("an evicted key with a live certificate rewrote: %+v", st)
+		t.Errorf("the default rewrote again after certified lookups: %+v", st)
 	}
 
-	// Certificates: one graph more than the cap, each rewritten once,
-	// evicts the first graph's key and certificate, so it rewrites again.
+	// Capacity: one graph more than the cap, each rewritten once, evicts
+	// the first graph's certificate, so it rewrites again.
 	cache = NewCompileCache()
 	opts.Cache = cache
 	graphs := make([]*scope.Graph, compileCacheSize+1)
@@ -153,12 +153,49 @@ func TestCompileCacheEviction(t *testing.T) {
 		graphs[i] = compileTestGraph(t, testScript)
 		Optimize(graphs[i], def, opts)
 	}
-	if st := cache.Stats(); st.Misses != uint64(len(graphs)) || st.Size > compileCacheSize || len(cache.certs) != compileCacheSize {
-		t.Errorf("stats = %+v with %d certificates, want %d misses and at most %d of each", st, len(cache.certs), len(graphs), compileCacheSize)
+	if st := cache.Stats(); st.Misses != uint64(len(graphs)) || len(cache.certs) != compileCacheSize {
+		t.Errorf("stats = %+v with %d certificates, want %d misses and %d certificates", st, len(cache.certs), len(graphs), compileCacheSize)
 	}
 	Optimize(graphs[0], def, opts)
 	if got := cache.Stats().Misses; got != uint64(len(graphs))+1 {
 		t.Errorf("an evicted graph should rewrite again: %d misses", got)
+	}
+}
+
+// TestCompileCacheConcurrentCertifiedRewriteOnce: goroutines that compile
+// one graph at once, each under its own configuration but all differing
+// only in rules the rewrite never asks about, share one rewrite — the
+// first lookup's, which the others wait for and find certified.
+func TestCompileCacheConcurrentCertifiedRewriteOnce(t *testing.T) {
+	g := compileTestGraph(t, testScript)
+	cat := rules.NewCatalog()
+	cache := NewCompileCache()
+	stats := testStats()
+	cfgs := tuningConfigs(cat, 16)
+	logical := make([]*scope.Graph, len(cfgs))
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i, cfg := range cfgs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			work, _, err := cache.logical(g, cfg, cat, stats)
+			if err != nil {
+				t.Error(err)
+			}
+			logical[i] = work
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if st := cache.Stats(); st.Misses != 1 || st.Hits != uint64(len(cfgs)-1) {
+		t.Errorf("stats = %+v, want 1 rewrite and %d reuses", st, len(cfgs)-1)
+	}
+	for _, work := range logical[1:] {
+		if work != logical[0] {
+			t.Fatal("every configuration must get the one rewritten graph")
+		}
 	}
 }
 

@@ -112,8 +112,8 @@ func checkCertifiedCompile(t *testing.T, g *scope.Graph, configs []rules.Config)
 
 // TestCertifiedRewriteConcurrent shares one cache among goroutines that
 // compile one job under every single-flip configuration, each starting at
-// another point of the list, so that exact-key lookups, certificate checks
-// and certifications interleave (CI runs it under -race, repeatedly).
+// another point of the list, so that certificate lookups and
+// certifications interleave (CI runs it under -race, repeatedly).
 // Every compilation must equal the fresh one.
 func TestCertifiedRewriteConcurrent(t *testing.T) {
 	cat := rules.NewCatalog()

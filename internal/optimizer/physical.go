@@ -158,7 +158,7 @@ type Plan struct {
 
 	nextID int
 	// order is the topological order, recorded when the builder publishes
-	// the plan (nil for a hand-built plan).
+	// the plan.
 	order []*PhysNode
 }
 
@@ -168,25 +168,12 @@ type Plan struct {
 func (p *Plan) IDBound() int { return p.nextID }
 
 // Nodes returns all physical nodes in deterministic topological order
-// (inputs first). The slice of an optimized plan is computed once and
-// shared by every caller: read-only.
-func (p *Plan) Nodes() []*PhysNode {
-	if p.order != nil {
-		return p.order
-	}
-	return p.walk()
-}
+// (inputs first). The slice is computed once, when the plan is published,
+// and shared by every caller: read-only.
+func (p *Plan) Nodes() []*PhysNode { return p.order }
 
-// walk computes the topological order from the roots.
-func (p *Plan) walk() []*PhysNode {
-	order := make([]*PhysNode, 0, p.nextID)
-	seen := make([]bool, p.nextID)
-	for _, r := range p.Roots {
-		order = appendPhysSubtree(order, seen, r)
-	}
-	return order
-}
-
+// appendPhysSubtree appends to dst n's subtree, inputs first, skipping
+// the nodes seen marks and marking the rest.
 func appendPhysSubtree(dst []*PhysNode, seen []bool, n *PhysNode) []*PhysNode {
 	if seen[n.ID] {
 		return dst

@@ -43,10 +43,9 @@ func TestBindMatchesCompile(t *testing.T) {
 	}
 }
 
-// TestGraphMemoHitsShareGraphs: the (template, date) memo holds two dates
-// of each template, so today's and tomorrow's instances both stay memoized
-// — a repeat of either is a hit returning the identical graph, statistics
-// and rewrite memo — and a third date evicts the oldest.
+// TestGraphMemoHitsShareGraphs: today's and tomorrow's instances both stay
+// memoized — a repeat of either is a hit returning the identical graph,
+// statistics and rewrite memo — and two dates are two instances.
 func TestGraphMemoHitsShareGraphs(t *testing.T) {
 	gen, err := New(Config{Seed: 3, NumTemplates: 1})
 	if err != nil {
@@ -54,10 +53,6 @@ func TestGraphMemoHitsShareGraphs(t *testing.T) {
 	}
 	tpl := gen.Templates()[0]
 	base := gen.CompileCacheStats() // New binds day 1 of each template to check it
-	delta := func() (hits, misses uint64) {
-		st := gen.CompileCacheStats()
-		return st.Hits - base.Hits, st.Misses - base.Misses
-	}
 	inst := func(date, seq int) *Job {
 		t.Helper()
 		j, err := tpl.Instantiate(date, seq)
@@ -77,21 +72,38 @@ func TestGraphMemoHitsShareGraphs(t *testing.T) {
 	if same(today, tomorrow) {
 		t.Error("two dates must be two instances")
 	}
-	if h, m := delta(); h != 2 || m != 2 {
+	st := gen.CompileCacheStats()
+	if h, m := st.Hits-base.Hits, st.Misses-base.Misses; h != 2 || m != 2 {
 		t.Errorf("%d hits / %d misses, want 2 / 2", h, m)
 	}
-	if st := gen.CompileCacheStats(); st.Max != 2 || st.Size != 2 {
-		t.Errorf("memo holds %d of at most %d instances, want 2 of 2 for one template", st.Size, st.Max)
+}
+
+// TestInstanceMemoKeepsTwoDates: a template memoizes the instances of the
+// two dates it built last. After dates d, d+1 and d+2, date d+1 still
+// hits, handing out the identical job, and date d is built again.
+func TestInstanceMemoKeepsTwoDates(t *testing.T) {
+	gen, err := New(Config{Seed: 3, NumTemplates: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	inst(12, 0) // a third date evicts today
-	if !same(inst(11, 1), tomorrow) {
-		t.Error("the third date evicted tomorrow, not the oldest")
+	inst := func(date int) *Job {
+		t.Helper()
+		j, err := gen.Templates()[0].Instantiate(date, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return j
 	}
-	if again := inst(10, 0); same(again, today) || again.Graph.TemplateHash() != today.Graph.TemplateHash() {
-		t.Error("an evicted date must be rebuilt as a new instance of the same template")
+	first, second, _ := inst(20), inst(21), inst(22)
+	base := gen.CompileCacheStats()
+	if inst(21) != second {
+		t.Error("date d+1 was rebuilt after date d+2")
 	}
-	if h, m := delta(); h != 3 || m != 4 {
-		t.Errorf("%d hits / %d misses, want 3 / 4", h, m)
+	if again := inst(20); again == first || again.ID != first.ID {
+		t.Error("date d must be built again, as the same job")
+	}
+	if st := gen.CompileCacheStats(); st.Hits != base.Hits+1 || st.Misses != base.Misses+1 {
+		t.Errorf("lookups %+v after %+v, want a hit for d+1 and a miss for d", st, base)
 	}
 }
 

@@ -354,9 +354,10 @@ func TestSubstituteMatchesSequentialReplace(t *testing.T) {
 // with an ID of its own, 25 while only the graph was memoized, 106 while
 // each draw built its own rand.Source and hasher). Building an instance
 // costs one arena for every dated string, the bound graph, truth,
-// statistics, an empty rewrite memo and the job slab (19; 44 while each
-// dated string, each table's distinct counts, and each spine node and
-// literal Bind made was an allocation of its own). Binding the prepared
+// statistics, an empty rewrite memo and the job slab (17; 19 while the
+// rewrite memo was a generic singleflight cache, 44 while each dated
+// string, each table's distinct counts, and each spine node and literal
+// Bind made was an allocation of its own). Binding the prepared
 // script cold costs the graph alone: nodes, Inputs and Roots in one slab
 // each, the re-dated schemas in one, the dated strings in one arena, the
 // expression spines in one and the integer literals in one (7; 17 with a
@@ -365,7 +366,7 @@ func TestSubstituteMatchesSequentialReplace(t *testing.T) {
 const (
 	recurrenceAllocCeiling  = 0
 	instantiateAllocCeiling = 0
-	instanceAllocCeiling    = 20
+	instanceAllocCeiling    = 18
 	bindAllocCeiling        = 8
 )
 

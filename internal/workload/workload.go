@@ -19,8 +19,8 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
-	"qoadvisor/internal/cache"
 	"qoadvisor/internal/exec"
 	"qoadvisor/internal/optimizer"
 	"qoadvisor/internal/rules"
@@ -81,7 +81,10 @@ func appendSubstitute[S string | []byte](dst []byte, pattern string, olds []stri
 	return append(dst, pattern...)
 }
 
-// Template is a recurring job template.
+// Template is a recurring job template. It memoizes its instances on the
+// two dates it built last: in the daily loop a day's and the next day's,
+// which flighting instantiates for its validation runs before that day's
+// JobsForDay.
 type Template struct {
 	ID   string
 	Name string // normalized job name
@@ -113,17 +116,25 @@ type Template struct {
 	// sorted: the order an instance writes its site keys in.
 	ndv   []map[string]float64
 	sites []string
-	// instances is the generator's (template, date) memo, shared by its
-	// templates: every job of an instance is an element of the instance's
-	// job slab, one per recurrence.
-	instances *cache.FIFO[instanceKey, []Job]
+	// memo holds the instances of the two dates built last, older first,
+	// under mu: every job of an instance is an element of the instance's
+	// job slab, one per recurrence. A miss builds the instance under mu
+	// and replaces the older. lookups is the generator's count.
+	mu      sync.Mutex
+	memo    [2]dated
+	lookups *lookups
 }
 
-// instanceKey names a template's instance on one date.
-type instanceKey struct {
-	t    *Template
+// dated is a template's instance on one date; jobs is nil in an empty
+// memo slot.
+type dated struct {
 	date int
+	jobs []Job
 }
+
+// lookups counts a generator's instance lookups, every template's: a miss
+// builds an instance, binding its graph.
+type lookups struct{ hits, misses atomic.Uint64 }
 
 // Job is one instance of a template on a given date. Graph, Truth, Stats
 // and the rewrite memo are the (template, date) instance's, shared by all
@@ -156,7 +167,7 @@ func (j *Job) CompileOptions(cat *rules.Catalog) optimizer.Options {
 type Generator struct {
 	seed      int64
 	templates []*Template
-	instances *cache.FIFO[instanceKey, []Job]
+	lookups   lookups
 }
 
 // Config controls workload generation.
@@ -194,12 +205,9 @@ func New(cfg Config) (*Generator, error) {
 	if cfg.MaxDailyInstances <= 0 {
 		cfg.MaxDailyInstances = 3
 	}
-	// One instance memo for every template, holding two dates of each: a
-	// day's instances and the next day's, which flighting instantiates
-	// for its validation runs before that day's JobsForDay.
-	g := &Generator{seed: cfg.Seed, instances: cache.NewFIFO[instanceKey, []Job](2 * cfg.NumTemplates)}
+	g := &Generator{seed: cfg.Seed}
 	for i := 0; i < cfg.NumTemplates; i++ {
-		t, err := buildTemplate(cfg.Seed, i, cfg.MaxDailyInstances, g.instances)
+		t, err := buildTemplate(cfg.Seed, i, cfg.MaxDailyInstances, &g.lookups)
 		if err != nil {
 			return nil, fmt.Errorf("workload: template %d: %w", i, err)
 		}
@@ -211,9 +219,11 @@ func New(cfg Config) (*Generator, error) {
 // Templates returns the generated templates.
 func (g *Generator) Templates() []*Template { return g.templates }
 
-// CompileCacheStats reports the (template, date) instance memo's
-// effectiveness: a miss builds an instance, binding its graph.
-func (g *Generator) CompileCacheStats() cache.Stats { return g.instances.Stats() }
+// CompileCacheStats counts the templates' instance lookups so far: a miss
+// builds an instance, binding its graph.
+func (g *Generator) CompileCacheStats() optimizer.CompileCacheStats {
+	return optimizer.CompileCacheStats{Hits: g.lookups.hits.Load(), Misses: g.lookups.misses.Load()}
+}
 
 // JobsForDay returns every template's jobs on the given date.
 func (g *Generator) JobsForDay(date int) ([]*Job, error) {
@@ -259,7 +269,21 @@ func (t *Template) Instantiate(date, seq int) (*Job, error) {
 
 // instance returns the job slab of the template's instance on date.
 func (t *Template) instance(date int) ([]Job, error) {
-	return t.instances.Do(instanceKey{t, date}, func() ([]Job, error) { return t.instantiate(date) })
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, m := range t.memo {
+		if m.jobs != nil && m.date == date {
+			t.lookups.hits.Add(1)
+			return m.jobs, nil
+		}
+	}
+	t.lookups.misses.Add(1)
+	jobs, err := t.instantiate(date)
+	if err != nil {
+		return nil, err
+	}
+	t.memo = [2]dated{t.memo[1], {date, jobs}}
+	return jobs, nil
 }
 
 // instanceScratch is one instantiate's pooled scratch: the bytes of its
@@ -393,7 +417,7 @@ func (t *Template) instantiate(date int) ([]Job, error) {
 // buildTemplate synthesizes one template. The script is built
 // programmatically (schema-tracked), so generated scripts always compile;
 // construction is verified anyway.
-func buildTemplate(seed int64, idx, maxDaily int, instances *cache.FIFO[instanceKey, []Job]) (*Template, error) {
+func buildTemplate(seed int64, idx, maxDaily int, lookups *lookups) (*Template, error) {
 	rng := exec.SeededRand(hashed("template", strconv.FormatInt(seed, 10), " ", strconv.Itoa(idx)))
 	defer exec.ReleaseRand(rng)
 	b := &scriptBuilder{
@@ -415,7 +439,7 @@ func buildTemplate(seed int64, idx, maxDaily int, instances *cache.FIFO[instance
 		DailyInstances: 1 + rng.Intn(maxDaily),
 		Tokens:         50 + rng.Intn(4)*50,
 		names:          []string{"DATE"},
-		instances:      instances,
+		lookups:        lookups,
 	}
 	for _, lit := range t.Literals {
 		t.names = append(t.names, strings.Trim(lit, "@"))
