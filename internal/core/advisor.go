@@ -143,17 +143,24 @@ func (a *Advisor) RunDay(date int, jobs []*workload.Job, view []workload.ViewRow
 	}
 
 	// 4. Flighting: improved flips only (any estimated-cost improvement
-	// earns a flight), one representative per template.
+	// earns a flight), one representative per template. A flight whose
+	// service shares the advisor's catalog runs the recompilation's
+	// result rather than compiling the treatment again.
 	improved := Improved(recs)
 	reps := RepresentativePerTemplate(improved, a.cfg.Seed+int64(date))
+	shareCompiled := a.Flight.Catalog() == a.Catalog
 	var reqs []flighting.Request
 	for _, r := range reps {
-		reqs = append(reqs, flighting.Request{
+		req := flighting.Request{
 			Job:       r.Features.Job,
 			Treatment: a.Catalog.DefaultConfig().WithFlip(r.Flip),
 			EstCost:   r.Recompiled.EstCost,
 			Flip:      r.Flip,
-		})
+		}
+		if shareCompiled {
+			req.Compiled = r.Recompiled
+		}
+		reqs = append(reqs, req)
 	}
 	rep.FlightsRequested = len(reqs)
 	results := a.Flight.Run(reqs)
@@ -223,9 +230,10 @@ func (a *Advisor) explorationFlights(date int, feats []*JobFeatures) []flighting
 	}
 	rng := rand.New(rand.NewSource(a.cfg.Seed + int64(date)*31))
 	var reqs []flighting.Request
+	var buf [rules.NumRules]int
 	for i := 0; i < explorationFlightsPerDay; i++ {
 		f := feats[rng.Intn(len(feats))]
-		bits := f.Span.Bits()
+		bits := f.Span.AppendBits(buf[:0])
 		if len(bits) == 0 {
 			continue
 		}

@@ -55,6 +55,12 @@ type Request struct {
 	EstCost float64
 	// Flip is carried through for bookkeeping.
 	Flip rules.Flip
+	// Compiled, when set, is Job already compiled under Treatment with
+	// the service's catalog (see Catalog), and the flight runs it rather
+	// than compiling the treatment again. A result compiled with another
+	// catalog must not be passed: it need not be the plan this service
+	// would compile.
+	Compiled *optimizer.Result
 }
 
 // Result is the outcome of one flighting attempt.
@@ -117,6 +123,9 @@ func New(cfg Config) *Service {
 	}
 	return &Service{cfg: cfg, budget: totalBudgetHours * queueSize}
 }
+
+// Catalog returns the catalog the service compiles with.
+func (s *Service) Catalog() *rules.Catalog { return s.cfg.Catalog }
 
 // classify applies the deterministic failure/filter taxonomy: some job
 // classes are unsupported by the Flighting Service, and some inputs have
@@ -201,12 +210,14 @@ func (s *Service) flightOne(req Request) Result {
 		out.Err = err
 		return out
 	}
-	treatRes, err := optimizer.Optimize(job.Graph, req.Treatment, opts)
-	if err != nil {
-		out.Outcome = Failure
-		out.Err = err
-		out.HoursUsed = 0.05
-		return out
+	treatRes := req.Compiled
+	if treatRes == nil {
+		if treatRes, err = optimizer.Optimize(job.Graph, req.Treatment, opts); err != nil {
+			out.Outcome = Failure
+			out.Err = err
+			out.HoursUsed = 0.05
+			return out
+		}
 	}
 
 	seed := s.cfg.Seed + int64(job.Date)*1000003 + int64(len(job.ID))

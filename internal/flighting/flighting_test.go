@@ -1,11 +1,13 @@
 package flighting
 
 import (
+	"reflect"
 	"runtime"
 	"slices"
 	"sort"
 	"testing"
 
+	"qoadvisor/internal/optimizer"
 	"qoadvisor/internal/rules"
 	"qoadvisor/internal/workload"
 )
@@ -291,5 +293,60 @@ func TestFutureArmsShareTomorrowsInstance(t *testing.T) {
 	}
 	if got, want := gen.CompileCacheStats().Misses-misses, uint64(len(gen.Templates())-len(flown)); got != want {
 		t.Errorf("JobsForDay(4) built %d instances; want %d, one per template no flight instantiated", got, want)
+	}
+}
+
+// TestFlightReusesCompiledTreatment: a flight handed its treatment's
+// compilation returns, field for field, the Result of one that compiles
+// the treatment itself, and looks up today's rewrite memos less often.
+func TestFlightReusesCompiledTreatment(t *testing.T) {
+	cat := rules.NewCatalog()
+	jobs := testJobs(t, 24)
+	caches := make(map[*optimizer.CompileCache]bool)
+	for _, j := range jobs {
+		caches[j.CompileOptions(cat).Cache] = true
+	}
+	lookups := func() uint64 {
+		var n uint64
+		for c := range caches {
+			st := c.Stats()
+			n += st.Hits + st.Misses
+		}
+		return n
+	}
+	run := func(reqs []Request) ([]Result, uint64) {
+		before := lookups()
+		results := New(Config{Catalog: cat, Seed: 1}).Run(reqs)
+		return results, lookups() - before
+	}
+
+	plain := requestsFor(jobs, cat)
+	withCompiled := slices.Clone(plain)
+	compiled := 0
+	for i, req := range withCompiled {
+		if res, err := optimizer.Optimize(req.Job.Graph, req.Treatment, req.Job.CompileOptions(cat)); err == nil {
+			withCompiled[i].Compiled = res
+			compiled++
+		}
+	}
+	want, plainLookups := run(plain)
+	got, reuseLookups := run(withCompiled)
+	if compiled == 0 || len(Successes(want)) == 0 {
+		t.Fatal("no treatment compiled or no flight succeeded; the test lost its coverage")
+	}
+	t.Logf("%d requests, %d treatments compiled beforehand, %d successes; %d memo lookups without, %d with",
+		len(plain), compiled, len(Successes(want)), plainLookups, reuseLookups)
+	if len(got) != len(want) {
+		t.Fatalf("%d results, want %d", len(got), len(want))
+	}
+	for i := range got {
+		g := got[i]
+		g.Request.Compiled = nil
+		if !reflect.DeepEqual(g, want[i]) {
+			t.Errorf("result %d differs with Compiled set:\n got %+v\nwant %+v", i, g, want[i])
+		}
+	}
+	if reuseLookups >= plainLookups {
+		t.Errorf("%d rewrite-memo lookups with Compiled set, %d without: the treatment was compiled again", reuseLookups, plainLookups)
 	}
 }

@@ -66,8 +66,9 @@ func Compute(g *scope.Graph, cat *rules.Catalog, opts optimizer.Options) (*Resul
 		return cat.Rule(id).Category != rules.Required
 	}
 
-	var seen rules.Bitset // steerable rules observed in any signature
-	for _, id := range base.Signature.Bits() {
+	var buf [rules.NumRules]int // each signature's rule IDs, in turn
+	var seen rules.Bitset       // steerable rules observed in any signature
+	for _, id := range base.Signature.AppendBits(buf[:0]) {
 		if isSteerable(id) {
 			seen.Set(id)
 		}
@@ -88,7 +89,7 @@ func Compute(g *scope.Graph, cat *rules.Catalog, opts optimizer.Options) (*Resul
 		if level >= 1 {
 			cfg = def
 		}
-		for _, id := range turnedOff.Bits() {
+		for _, id := range turnedOff.AppendBits(buf[:0]) {
 			if level >= 2 && cat.Rule(id).Category == rules.Implementation {
 				continue
 			}
@@ -107,7 +108,7 @@ func Compute(g *scope.Graph, cat *rules.Catalog, opts optimizer.Options) (*Resul
 			return nil, err
 		}
 		newFound := false
-		for _, id := range r.Signature.Bits() {
+		for _, id := range r.Signature.AppendBits(buf[:0]) {
 			if isSteerable(id) && !seen.Get(id) {
 				seen.Set(id)
 				turnedOff.Set(id)

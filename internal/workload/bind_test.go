@@ -107,6 +107,62 @@ func TestInstanceMemoKeepsTwoDates(t *testing.T) {
 	}
 }
 
+// TestJobsForDayRetiresPastDates: JobsForDay(d) leaves a template
+// memoizing no date before d, while Instantiate retires nothing. Day 1 is
+// a hit after day 0, since New built it; a look-ahead to d+1 after
+// JobsForDay(d) sits beside d; and after JobsForDay(d+1), d is built
+// again, as a new job with the same ID.
+func TestJobsForDayRetiresPastDates(t *testing.T) {
+	gen, err := New(Config{Seed: 3, NumTemplates: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tpl := gen.Templates()[0]
+	step := 0
+	lookup := func(get func() (*Job, error), wantHit bool) *Job {
+		t.Helper()
+		step++
+		before := gen.CompileCacheStats()
+		j, err := get()
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := gen.CompileCacheStats()
+		if hit := st.Hits == before.Hits+1 && st.Misses == before.Misses; hit != wantHit {
+			t.Errorf("step %d: lookups %+v after %+v, want hit = %v", step, st, before, wantHit)
+		}
+		return j
+	}
+	day := func(date int) func() (*Job, error) {
+		return func() (*Job, error) {
+			jobs, err := gen.JobsForDay(date)
+			if err != nil {
+				return nil, err
+			}
+			return jobs[0], nil
+		}
+	}
+	inst := func(date int) func() (*Job, error) {
+		return func() (*Job, error) { return tpl.Instantiate(date, 0) }
+	}
+
+	lookup(day(0), false)
+	d := lookup(day(1), true) // New built day 1, and JobsForDay(0) retired no later date
+	next := lookup(inst(2), false)
+	if lookup(inst(1), true) != d {
+		t.Error("a look-ahead to d+1 must keep d memoized beside it")
+	}
+	if lookup(inst(2), true) != next {
+		t.Error("a repeat of the look-ahead must return its job")
+	}
+	if lookup(day(2), true) != next {
+		t.Error("JobsForDay(d+1) must hand out the look-ahead's job")
+	}
+	if again := lookup(inst(1), false); again == d || again.ID != d.ID {
+		t.Error("after JobsForDay(d+1), date d must be built again, as a new job with the same ID")
+	}
+}
+
 // TestInstantiateConcurrentSharesGraph: concurrent instantiations of one
 // (template, date) bind it once and share the graph.
 func TestInstantiateConcurrentSharesGraph(t *testing.T) {

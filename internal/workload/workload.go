@@ -81,10 +81,10 @@ func appendSubstitute[S string | []byte](dst []byte, pattern string, olds []stri
 	return append(dst, pattern...)
 }
 
-// Template is a recurring job template. It memoizes its instances on the
-// two dates it built last: in the daily loop a day's and the next day's,
-// which flighting instantiates for its validation runs before that day's
-// JobsForDay.
+// Template is a recurring job template. It memoizes its instances on at
+// most two dates: in the daily loop a day's and the next day's, which
+// flighting instantiates for its validation runs before that day's
+// JobsForDay. JobsForDay(d) first retires every date before d.
 type Template struct {
 	ID   string
 	Name string // normalized job name
@@ -116,17 +116,19 @@ type Template struct {
 	// sorted: the order an instance writes its site keys in.
 	ndv   []map[string]float64
 	sites []string
-	// memo holds the instances of the two dates built last, older first,
+	// memo holds the instances of at most two dates, older built first,
 	// under mu: every job of an instance is an element of the instance's
 	// job slab, one per recurrence. A miss builds the instance under mu
-	// and replaces the older. lookups is the generator's count.
+	// into an empty slot, or else in place of the older. JobsForDay(d)
+	// empties the slots dated before d: nothing asks for them again.
+	// lookups is the generator's count.
 	mu      sync.Mutex
 	memo    [2]dated
 	lookups *lookups
 }
 
 // dated is a template's instance on one date; jobs is nil in an empty
-// memo slot.
+// memo slot, one never filled or retired by JobsForDay.
 type dated struct {
 	date int
 	jobs []Job
@@ -225,7 +227,10 @@ func (g *Generator) CompileCacheStats() optimizer.CompileCacheStats {
 	return optimizer.CompileCacheStats{Hits: g.lookups.hits.Load(), Misses: g.lookups.misses.Load()}
 }
 
-// JobsForDay returns every template's jobs on the given date.
+// JobsForDay returns every template's jobs on the given date. The day
+// loop has moved on to date, so each template first retires the
+// instances of earlier dates it memoizes; the next date's, which
+// flighting may already have built, stays.
 func (g *Generator) JobsForDay(date int) ([]*Job, error) {
 	n := 0
 	for _, t := range g.templates {
@@ -233,7 +238,7 @@ func (g *Generator) JobsForDay(date int) ([]*Job, error) {
 	}
 	jobs := make([]*Job, 0, n)
 	for _, t := range g.templates {
-		inst, err := t.instance(date)
+		inst, err := t.instance(date, true)
 		if err != nil {
 			return nil, err
 		}
@@ -260,17 +265,23 @@ func (t *Template) Instantiate(date, seq int) (*Job, error) {
 	if seq < 0 || seq >= t.DailyInstances {
 		return nil, fmt.Errorf("workload: %s runs jobs 0 to %d a day, not %d", t.ID, t.DailyInstances-1, seq)
 	}
-	jobs, err := t.instance(date)
+	jobs, err := t.instance(date, false)
 	if err != nil {
 		return nil, err
 	}
 	return &jobs[seq], nil
 }
 
-// instance returns the job slab of the template's instance on date.
-func (t *Template) instance(date int) ([]Job, error) {
+// instance returns the job slab of the template's instance on date,
+// first emptying the memo slots dated before it if retire is set.
+func (t *Template) instance(date int, retire bool) ([]Job, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	for i, m := range t.memo {
+		if retire && m.date < date {
+			t.memo[i] = dated{}
+		}
+	}
 	for _, m := range t.memo {
 		if m.jobs != nil && m.date == date {
 			t.lookups.hits.Add(1)
@@ -282,7 +293,10 @@ func (t *Template) instance(date int) ([]Job, error) {
 	if err != nil {
 		return nil, err
 	}
-	t.memo = [2]dated{t.memo[1], {date, jobs}}
+	if t.memo[1].jobs != nil {
+		t.memo[0] = t.memo[1]
+	}
+	t.memo[1] = dated{date, jobs}
 	return jobs, nil
 }
 
