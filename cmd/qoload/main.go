@@ -15,10 +15,14 @@
 //
 //	qoload -cluster http://h1:8080,http://h2:8081 \
 //	       [-phases "steady:30s@400,ramp:60s@100..2000,crowd:30s@200!1500"] \
-//	       [-batch 16] [-workers 64] [-templates 64] [-zipf 1.3] \
-//	       [-seed 1] [-timeout 30s] [-no-rewards] [-out BENCH_load.json]
+//	       [-seed 1] [-out BENCH_load.json] [-fleet-check]
 //
 //	qoload -selfhost [-stall 600ms] [-incident-dir DIR] [...]
+//
+// The rest of the workload is fixed: 16 jobs per op, at most 64 ops in
+// flight, a population of 64 synthetic templates drawn with Zipf skew
+// 1.3, every ranked job rewarded, and a load.Timeout (30 s) bound on
+// each op and each request.
 //
 // -selfhost spins a sync-mode WAL primary plus one tailing follower on
 // loopback listeners and aims the run at that two-node cluster — the CI
@@ -49,7 +53,6 @@ import (
 	"net/http"
 	"os"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"qoadvisor/internal/api/client"
@@ -61,7 +64,11 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+	err := run(os.Args[1:], os.Stdout, os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		return
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "qoload:", err)
 		if errors.Is(err, errUsage) {
 			os.Exit(2)
@@ -73,6 +80,8 @@ func main() {
 // errUsage is a command line whose flags do not parse.
 var errUsage = errors.New("usage")
 
+// run is qoload on argv; a flag error and -h print to stderr, and -h
+// returns flag.ErrHelp.
 func run(argv []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("qoload", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -82,17 +91,11 @@ func run(argv []string, stdout, stderr io.Writer) error {
 	incidentDir := fs.String("incident-dir", "", "with -selfhost: enable incident capture on the primary, writing diagnostic bundles to this directory")
 	phasesFlag := fs.String("phases", "steady:10s@200,ramp:10s@50..500,crowd:10s@100!800",
 		"load plan: name:dur@rate phases; rate forms: 500 (const), 100..2000 (ramp), 200~800 (diurnal), 100!2000 (flash)")
-	batch := fs.Int("batch", 16, "jobs per scheduled op")
-	workers := fs.Int("workers", 64, "max concurrent in-flight ops")
-	templates := fs.Int("templates", 64, "synthetic template population size")
-	zipfS := fs.Float64("zipf", 1.3, "Zipf skew over the template population (> 1)")
 	seed := fs.Int64("seed", 1, "workload seed (template population + mix)")
-	timeout := fs.Duration("timeout", 30*time.Second, "per-op timeout")
-	noRewards := fs.Bool("no-rewards", false, "skip reward follow-ups (rank-only ops)")
 	out := fs.String("out", "BENCH_load.json", "report output path (empty = stdout only)")
 	fleetCheck := fs.Bool("fleet-check", false, "exit nonzero unless goodput > 0 and fleet count == Σ node counts")
-	if err := fs.Parse(argv); err == flag.ErrHelp {
-		return nil
+	if err := fs.Parse(argv); errors.Is(err, flag.ErrHelp) {
+		return err
 	} else if err != nil {
 		return errUsage
 	}
@@ -126,30 +129,14 @@ func run(argv []string, stdout, stderr io.Writer) error {
 		}
 	}
 
-	target, err := client.NewCluster(endpoints, client.WithTimeout(*timeout))
+	target, err := client.NewCluster(endpoints, client.WithTimeout(load.Timeout))
 	if err != nil {
 		return err
 	}
-	cfg := load.Config{
-		Target:    target,
-		Templates: *templates,
-		ZipfS:     *zipfS,
-		Batch:     *batch,
-		Workers:   *workers,
-		Timeout:   *timeout,
-		NoRewards: *noRewards,
-		Seed:      *seed,
-	}
+	cfg := load.Config{Target: target, Seed: *seed}
 	runner := load.NewRunner(cfg)
 
-	report := load.Report{
-		Target:    strings.Join(endpoints, ","),
-		Seed:      *seed,
-		Batch:     *batch,
-		Workers:   *workers,
-		Templates: *templates,
-		ZipfS:     *zipfS,
-	}
+	report := load.Report{Target: strings.Join(endpoints, ","), Seed: *seed}
 	ctx := context.Background()
 	var totalRanked int64
 	for _, p := range phases {
@@ -170,19 +157,22 @@ func run(argv []string, stdout, stderr io.Writer) error {
 		report.Stall = runStallArm(ctx, stderr, cfg, endpoints[0], primaryWAL, *stall)
 	}
 
-	snap := fleet.Scrape(ctx, endpoints, client.WithTimeout(*timeout))
+	snap := fleet.Scrape(ctx, endpoints, client.WithTimeout(load.Timeout))
 	snap.Render(stderr)
 	report.Fleet = load.FleetReportFrom(snap)
 
 	if *incidentDir != "" {
-		report.Incidents = scrapeIncidents(ctx, stderr, endpoints[0], *timeout)
+		report.Incidents = scrapeIncidents(ctx, stderr, endpoints[0])
 		fmt.Fprintf(stderr, "incidents: %d bundles (last %s %s), %d retained traces, max %.1fms\n",
 			report.Incidents.Bundles, report.Incidents.LastReason, report.Incidents.LastID,
 			report.Incidents.RetainedTraces, report.Incidents.MaxTraceMs)
 	}
 
 	if *out != "" {
-		buf, _ := json.MarshalIndent(report, "", "  ")
+		buf, err := json.MarshalIndent(report, "", "  ")
+		if err != nil {
+			return err
+		}
 		if err := os.WriteFile(*out, append(buf, '\n'), 0o644); err != nil {
 			return err
 		}
@@ -215,8 +205,8 @@ func run(argv []string, stdout, stderr io.Writer) error {
 // answers into the report's incidents block. Best-effort: a failed
 // scrape leaves the corresponding fields zero instead of failing the
 // run — the CI smoke's assertions then fail with the report in hand.
-func scrapeIncidents(ctx context.Context, stderr io.Writer, primaryURL string, timeout time.Duration) *load.IncidentReport {
-	cl := client.New(primaryURL, client.WithTimeout(timeout))
+func scrapeIncidents(ctx context.Context, stderr io.Writer, primaryURL string) *load.IncidentReport {
+	cl := client.New(primaryURL, client.WithTimeout(load.Timeout))
 	ir := &load.IncidentReport{}
 	if inc, err := cl.Incidents(ctx); err != nil {
 		fmt.Fprintf(stderr, "qoload: incidents scrape failed: %v\n", err)
@@ -247,49 +237,54 @@ func scrapeIncidents(ctx context.Context, stderr io.Writer, primaryURL string, t
 // A non-empty incidentDir enables incident capture on the primary
 // with stock thresholds, so an injected stall exercises the real
 // burn→capture path end to end.
-func startSelfhost(stderr io.Writer, seed int64, incidentDir string) (endpoints []string, j *wal.WAL, cleanup func(), err error) {
-	dir, err := os.MkdirTemp("", "qoload-wal-*")
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	j, err = wal.Open(wal.Options{Dir: dir, Mode: wal.ModeSync})
-	if err != nil {
-		os.RemoveAll(dir)
-		return nil, nil, nil, err
-	}
-	if incidentDir != "" {
-		if err := os.MkdirAll(incidentDir, 0o755); err != nil {
-			j.Close()
-			os.RemoveAll(dir)
-			return nil, nil, nil, fmt.Errorf("incident dir: %w", err)
+func startSelfhost(stderr io.Writer, seed int64, incidentDir string) ([]string, *wal.WAL, func(), error) {
+	// undo holds the teardown of every part started so far; cleanup
+	// runs it newest first, and a failed start runs it before
+	// returning.
+	var undo []func()
+	cleanup := func() {
+		for i := len(undo) - 1; i >= 0; i-- {
+			undo[i]()
 		}
 	}
-	primary := serve.New(serve.Config{Seed: seed, WAL: j, IncidentDir: incidentDir})
-	pURL, pStop, err := listenAndServe(primary)
-	if err != nil {
-		primary.Close()
-		j.Close()
-		os.RemoveAll(dir)
+	fail := func(err error) ([]string, *wal.WAL, func(), error) {
+		cleanup()
 		return nil, nil, nil, err
 	}
 
+	dir, err := os.MkdirTemp("", "qoload-wal-*")
+	if err != nil {
+		return fail(err)
+	}
+	undo = append(undo, func() { os.RemoveAll(dir) })
+	j, err := wal.Open(wal.Options{Dir: dir, Mode: wal.ModeSync})
+	if err != nil {
+		return fail(err)
+	}
+	undo = append(undo, func() { j.Close() })
+	if incidentDir != "" {
+		if err := os.MkdirAll(incidentDir, 0o755); err != nil {
+			return fail(fmt.Errorf("incident dir: %w", err))
+		}
+	}
+	primary := serve.New(serve.Config{Seed: seed, WAL: j, IncidentDir: incidentDir})
+	undo = append(undo, primary.Close)
+	pURL, pStop, err := listenAndServe(primary)
+	if err != nil {
+		return fail(err)
+	}
+	undo = append(undo, pStop)
+
 	follower, err := replicate.Start(replicate.Config{Primary: pURL, Seed: seed})
 	if err != nil {
-		pStop()
-		primary.Close()
-		j.Close()
-		os.RemoveAll(dir)
-		return nil, nil, nil, err
+		return fail(err)
 	}
+	undo = append(undo, follower.Close)
 	fURL, fStop, err := listenAndServe(follower)
 	if err != nil {
-		follower.Close()
-		pStop()
-		primary.Close()
-		j.Close()
-		os.RemoveAll(dir)
-		return nil, nil, nil, err
+		return fail(err)
 	}
+	undo = append(undo, fStop)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := follower.WaitCaughtUp(ctx, 10*time.Second); err != nil {
@@ -297,14 +292,6 @@ func startSelfhost(stderr io.Writer, seed int64, incidentDir string) (endpoints 
 	}
 
 	fmt.Fprintf(stderr, "selfhost: primary %s (sync WAL %s), follower %s\n", pURL, dir, fURL)
-	cleanup = func() {
-		fStop()
-		follower.Close()
-		pStop()
-		primary.Close()
-		j.Close()
-		os.RemoveAll(dir)
-	}
 	return []string{pURL, fURL}, j, cleanup, nil
 }
 
@@ -330,10 +317,10 @@ func listenAndServe(handler http.Handler) (string, func(), error) {
 // the stall queue behind the frozen commit, so the stall lands in p99.
 func runStallArm(ctx context.Context, stderr io.Writer, cfg load.Config, primaryURL string, j *wal.WAL, stall time.Duration) *load.StallReport {
 	fmt.Fprintf(stderr, "stall arm: one-shot %v fsync stall, open-loop\n", stall)
-	cfg.Target = client.New(primaryURL, client.WithTimeout(cfg.Timeout))
+	cfg.Target = client.New(primaryURL, client.WithTimeout(load.Timeout))
 	cfg.Batch = 2
 
-	armStall(j, 300*time.Millisecond, stall)
+	load.ArmStall(j, 300*time.Millisecond, stall)
 	res := load.NewRunner(cfg).RunPhase(ctx, load.Phase{
 		Name: "stall-open", Shape: load.ShapeConstant, Duration: 4 * stall / 2, Low: 200,
 	})
@@ -342,17 +329,4 @@ func runStallArm(ctx context.Context, stderr io.Writer, cfg load.Config, primary
 	or := load.Summarize(res)
 	fmt.Fprintf(stderr, "  open-loop p99 %8.2fms over %d ops (stall visible)\n", or.P99Ms, or.CompletedOps)
 	return &load.StallReport{StallMs: float64(stall) / float64(time.Millisecond), OpenLoop: or}
-}
-
-// armStall installs a one-shot fsync stall that fires once the arm is
-// `after` old.
-func armStall(j *wal.WAL, after, stall time.Duration) {
-	start := time.Now()
-	var fired atomic.Bool
-	j.SetFaults(&wal.Faults{SyncDelay: func() time.Duration {
-		if time.Since(start) >= after && fired.CompareAndSwap(false, true) {
-			return stall
-		}
-		return 0
-	}})
 }

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"net/http/httptest"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -28,19 +27,6 @@ func startSyncServer(t *testing.T) (*wal.WAL, *httptest.Server) {
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	return j, ts
-}
-
-// armStall installs a one-shot fsync stall that fires once the run is
-// `after` old, freezing every in-flight sync-mode commit for `stall`.
-func armStall(j *wal.WAL, after, stall time.Duration) {
-	start := time.Now()
-	var fired atomic.Bool
-	j.SetFaults(&wal.Faults{SyncDelay: func() time.Duration {
-		if time.Since(start) >= after && fired.CompareAndSwap(false, true) {
-			return stall
-		}
-		return 0
-	}})
 }
 
 // runClosedLoopN drives n ops back-to-back across `workers` concurrent
@@ -69,7 +55,7 @@ func (r *Runner) runClosedLoopN(ctx context.Context, n, workers int) Result {
 		go func(w int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(r.cfg.Seed + 7919*int64(w+1)))
-			zipf := rand.NewZipf(rng, r.cfg.ZipfS, 1, uint64(len(r.templates)-1))
+			zipf := rand.NewZipf(rng, zipfS, 1, uint64(len(r.templates)-1))
 			for range remaining {
 				if ctx.Err() != nil {
 					return
@@ -112,8 +98,8 @@ func TestCoordinatedOmission(t *testing.T) {
 	// Open-loop arm: 200 ops/s for 1.2s, stall at t=300ms. The ~120 ops
 	// scheduled during the stall back up behind the frozen fsync.
 	jOpen, tsOpen := startSyncServer(t)
-	open := NewRunner(Config{Target: client.New(tsOpen.URL), Batch: 2, Workers: 256, Seed: 11})
-	armStall(jOpen, 300*time.Millisecond, stall)
+	open := NewRunner(Config{Target: client.New(tsOpen.URL), Batch: 2, Seed: 11})
+	ArmStall(jOpen, 300*time.Millisecond, stall)
 	openRes := open.RunPhase(ctx, Phase{
 		Name: "stall-open", Shape: ShapeConstant, Duration: 1200 * time.Millisecond, Low: 200,
 	})
@@ -122,8 +108,8 @@ func TestCoordinatedOmission(t *testing.T) {
 	// worker issuing a fixed op count so exactly one sample absorbs the
 	// whole stall.
 	jClosed, tsClosed := startSyncServer(t)
-	closed := NewRunner(Config{Target: client.New(tsClosed.URL), Batch: 2, Workers: 1, Seed: 11})
-	armStall(jClosed, 300*time.Millisecond, stall)
+	closed := NewRunner(Config{Target: client.New(tsClosed.URL), Batch: 2, Seed: 11})
+	ArmStall(jClosed, 300*time.Millisecond, stall)
 	closedRes := closed.runClosedLoopN(ctx, 400, 1)
 
 	openP99 := openRes.Hist.Quantile(0.99)

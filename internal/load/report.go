@@ -142,10 +142,6 @@ type IncidentReport struct {
 type Report struct {
 	Target    string          `json:"target"`
 	Seed      int64           `json:"seed"`
-	Batch     int             `json:"batch"`
-	Workers   int             `json:"workers"`
-	Templates int             `json:"templates"`
-	ZipfS     float64         `json:"zipfS"`
 	Phases    []PhaseReport   `json:"phases"`
 	Stall     *StallReport    `json:"stall,omitempty"`
 	Fleet     *FleetReport    `json:"fleet,omitempty"`

@@ -10,6 +10,7 @@ import (
 
 	"qoadvisor/internal/api"
 	"qoadvisor/internal/obs"
+	"qoadvisor/internal/wal"
 )
 
 // Target is the slice of the serving API an op exercises: one rank
@@ -24,45 +25,34 @@ type Target interface {
 // Config parameterizes a Runner.
 type Config struct {
 	Target Target
-	// Templates is the synthetic template population size (default 64).
-	Templates int
-	// ZipfS is the Zipf skew exponent over the template population
-	// (must be > 1; default 1.3). Rank 0 dominates, the tail is heavy —
-	// the same shape real workloads show.
-	ZipfS float64
-	// Batch is the jobs per scheduled op (default 16).
+	// Batch is the jobs per scheduled op (default 16, at most
+	// api.MaxRankBatch).
 	Batch int
-	// Workers caps concurrent in-flight ops (default 64). When every
-	// worker is blocked on a stalled server, later ops start late and
-	// their open-loop latency grows — by design.
-	Workers int
-	// Timeout bounds each op (default 30s).
-	Timeout time.Duration
-	// NoRewards skips the reward follow-up, leaving rank-only ops.
-	NoRewards bool
 	// Seed makes template populations and mixes reproducible.
 	Seed int64
 }
 
+// Timeout bounds each op; qoload gives its clients the same bound.
+const Timeout = 30 * time.Second
+
+const (
+	// templates is the synthetic template population size.
+	templates = 64
+	// zipfS is the Zipf skew exponent over the template population
+	// (> 1). Rank 0 dominates, the tail is heavy — the same shape real
+	// workloads show.
+	zipfS = 1.3
+	// workers caps concurrent in-flight ops. When every worker is
+	// blocked on a stalled server, later ops start late and their
+	// open-loop latency grows — by design.
+	workers = 64
+)
+
 func (c Config) withDefaults() Config {
-	if c.Templates <= 0 {
-		c.Templates = 64
-	}
-	if c.ZipfS <= 1 {
-		c.ZipfS = 1.3
-	}
 	if c.Batch <= 0 {
 		c.Batch = 16
 	}
-	if c.Batch > api.MaxRankBatch {
-		c.Batch = api.MaxRankBatch
-	}
-	if c.Workers <= 0 {
-		c.Workers = 64
-	}
-	if c.Timeout <= 0 {
-		c.Timeout = 30 * time.Second
-	}
+	c.Batch = min(c.Batch, api.MaxRankBatch)
 	return c
 }
 
@@ -116,7 +106,7 @@ type Runner struct {
 func NewRunner(cfg Config) *Runner {
 	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	ts := make([]template, cfg.Templates)
+	ts := make([]template, templates)
 	for i := range ts {
 		lo := rng.Intn(48)
 		ts[i] = template{
@@ -166,12 +156,12 @@ func (r *Runner) RunPhase(ctx context.Context, p Phase) Result {
 
 	st := &opStats{errs: errTally{m: make(map[string]int64)}}
 	var wg sync.WaitGroup
-	for w := 0; w < r.cfg.Workers; w++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(r.cfg.Seed + int64(w) + 1))
-			zipf := rand.NewZipf(rng, r.cfg.ZipfS, 1, uint64(len(r.templates)-1))
+			zipf := rand.NewZipf(rng, zipfS, 1, uint64(len(r.templates)-1))
 			for at := range times {
 				if d := time.Until(at); d > 0 {
 					select {
@@ -204,7 +194,7 @@ func (r *Runner) RunPhase(ctx context.Context, p Phase) Result {
 // doOp executes one op — rank a batch, reward its bandit decisions —
 // and records its latency from the scheduled send time `at`.
 func (r *Runner) doOp(ctx context.Context, at time.Time, rng *rand.Rand, zipf *rand.Zipf, st *opStats) {
-	opCtx, cancel := context.WithTimeout(ctx, r.cfg.Timeout)
+	opCtx, cancel := context.WithTimeout(ctx, Timeout)
 	defer cancel()
 
 	jobs := make([]api.RankRequest, r.cfg.Batch)
@@ -232,7 +222,7 @@ func (r *Runner) doOp(ctx context.Context, at time.Time, rng *rand.Rand, zipf *r
 			continue
 		}
 		st.ranked.Add(1)
-		if res.EventID != "" && !r.cfg.NoRewards {
+		if res.EventID != "" {
 			reward := rng.Float64()
 			events = append(events, api.RewardEvent{
 				EventID:      res.EventID,
@@ -264,4 +254,18 @@ func errCode(err error) string {
 		return apiErr.Code
 	}
 	return "transport"
+}
+
+// ArmStall installs a one-shot fsync stall on j that fires once the
+// arm is `after` old, freezing every in-flight sync-mode commit for
+// `stall`. j.SetFaults(nil) disarms it.
+func ArmStall(j *wal.WAL, after, stall time.Duration) {
+	start := time.Now()
+	var fired atomic.Bool
+	j.SetFaults(&wal.Faults{SyncDelay: func() time.Duration {
+		if time.Since(start) >= after && fired.CompareAndSwap(false, true) {
+			return stall
+		}
+		return 0
+	}})
 }

@@ -3,6 +3,7 @@ package load
 import (
 	"context"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
@@ -29,7 +30,7 @@ func TestRunPhaseOpenLoop(t *testing.T) {
 	_, ts := startServer(t)
 	r := NewRunner(Config{
 		Target: client.New(ts.URL),
-		Batch:  4, Workers: 8, Seed: 1,
+		Batch:  4, Seed: 1,
 	})
 	res := r.RunPhase(context.Background(), Phase{
 		Name: "smoke", Shape: ShapeConstant, Duration: 500 * time.Millisecond, Low: 100,
@@ -63,7 +64,7 @@ func TestRunPhaseOpenLoop(t *testing.T) {
 func TestRunPhaseTypedErrors(t *testing.T) {
 	r := NewRunner(Config{
 		Target: client.New("http://127.0.0.1:1"), // nothing listens
-		Batch:  2, Workers: 4, Seed: 1, Timeout: time.Second,
+		Batch:  2, Seed: 1,
 	})
 	res := r.RunPhase(context.Background(), Phase{
 		Name: "dead", Shape: ShapeConstant, Duration: 200 * time.Millisecond, Low: 50,
@@ -86,7 +87,7 @@ func TestZipfMixIsHeavyTailed(t *testing.T) {
 			counts[j.TemplateHash]++
 		}
 	}}
-	r := NewRunner(Config{Target: rec, Templates: 64, ZipfS: 1.3, Batch: 8, Workers: 1, Seed: 3})
+	r := NewRunner(Config{Target: rec, Batch: 8, Seed: 3})
 	r.RunPhase(context.Background(), Phase{Name: "z", Shape: ShapeConstant, Duration: 300 * time.Millisecond, Low: 200})
 
 	total, max := 0, 0
@@ -104,13 +105,17 @@ func TestZipfMixIsHeavyTailed(t *testing.T) {
 	}
 }
 
-// recordingTarget is an in-memory Target for mix-shape tests.
+// recordingTarget is an in-memory Target for mix-shape tests. The
+// runner's workers call it concurrently, so onRank runs under mu.
 type recordingTarget struct {
+	mu     sync.Mutex
 	onRank func(jobs []api.RankRequest)
 }
 
 func (r *recordingTarget) RankBatch(_ context.Context, jobs []api.RankRequest) (api.BatchRankResponse, error) {
+	r.mu.Lock()
 	r.onRank(jobs)
+	r.mu.Unlock()
 	out := api.BatchRankResponse{Results: make([]api.RankResult, len(jobs))}
 	for i := range out.Results {
 		out.Results[i].Source = api.SourceBandit
