@@ -64,12 +64,6 @@ type Advisor struct {
 	Store      *sis.Store
 
 	cfg Config
-
-	// lastHints caches the most recent uploaded hint set (in upload
-	// order) so the daily merge does not rebuild it from the store's
-	// version history; lastVersion detects out-of-band store uploads.
-	lastHints   []sis.Hint
-	lastVersion int
 }
 
 // NewAdvisor assembles a pipeline around a shared catalog and SIS store.
@@ -216,8 +210,6 @@ func (a *Advisor) RunDay(date int, jobs []*workload.Job, view []workload.ViewRow
 	if err := a.Store.Upload(sis.File{Day: date, Hints: merged}); err != nil {
 		return nil, err
 	}
-	a.lastHints = merged
-	a.lastVersion = a.Store.Version()
 	rep.HintsUploaded = len(merged)
 	return rep, nil
 }
@@ -248,45 +240,28 @@ func (a *Advisor) explorationFlights(date int, feats []*JobFeatures) []flighting
 	return a.Flight.Run(reqs)
 }
 
-// mergeHints combines newly validated hints with the active set; new
-// hints win on conflict. The active set comes from the Advisor's cached
-// copy of its last upload (refreshed from the store only when another
-// writer has uploaded in between), and the merge map is pre-sized, so a
-// steady-state day costs O(active + fresh) with two allocations instead
-// of rebuilding state from the store's version history.
+// mergeHints combines newly validated hints with the active set — the
+// store's newest version, whoever uploaded it; new hints win on conflict.
+// The merge map is pre-sized, so a day costs O(active + fresh) with two
+// allocations.
 func (a *Advisor) mergeHints(fresh []sis.Hint) []sis.Hint {
-	a.refreshLastHints()
-	byTemplate := make(map[uint64]sis.Hint, len(a.lastHints)+len(fresh))
-	order := make([]uint64, 0, len(a.lastHints)+len(fresh))
-	for _, h := range a.lastHints {
-		if _, ok := byTemplate[h.TemplateHash]; !ok {
-			order = append(order, h.TemplateHash)
-		}
-		byTemplate[h.TemplateHash] = h
+	var active []sis.Hint
+	if hist := a.Store.History(); len(hist) > 0 {
+		active = hist[len(hist)-1].Hints
 	}
-	for _, h := range fresh {
-		if _, ok := byTemplate[h.TemplateHash]; !ok {
-			order = append(order, h.TemplateHash)
+	byTemplate := make(map[uint64]sis.Hint, len(active)+len(fresh))
+	order := make([]uint64, 0, len(active)+len(fresh))
+	for _, hints := range [2][]sis.Hint{active, fresh} {
+		for _, h := range hints {
+			if _, ok := byTemplate[h.TemplateHash]; !ok {
+				order = append(order, h.TemplateHash)
+			}
+			byTemplate[h.TemplateHash] = h
 		}
-		byTemplate[h.TemplateHash] = h
 	}
 	out := make([]sis.Hint, 0, len(order))
 	for _, key := range order {
 		out = append(out, byTemplate[key])
 	}
 	return out
-}
-
-// refreshLastHints reconciles the cached last-upload with the store: if
-// a version was installed that this Advisor did not produce (tests and
-// operators pre-seed hint sets), adopt its hints as the active set.
-func (a *Advisor) refreshLastHints() {
-	if v := a.Store.Version(); v != a.lastVersion {
-		hist := a.Store.History()
-		a.lastHints = nil
-		if len(hist) > 0 {
-			a.lastHints = append([]sis.Hint(nil), hist[len(hist)-1].Hints...)
-		}
-		a.lastVersion = v
-	}
 }

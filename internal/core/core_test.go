@@ -662,6 +662,81 @@ func TestAdvisorHintsSurviveAcrossDays(t *testing.T) {
 	}
 }
 
+// TestAdvisorMergesOutOfBandUpload: the active set a day's merge starts
+// from is the store's newest version, whoever uploaded it. A store seeded
+// out of band before the pipeline's first validated hints keeps its
+// hints in that day's upload, and the pipeline's new hint replaces the
+// seeded one on the template both name. Production runs against a store
+// of its own, so the seeding changes nothing but the merge.
+func TestAdvisorMergesOutOfBandUpload(t *testing.T) {
+	cat := rules.NewCatalog()
+	// runDays runs a fresh advisor through the given days, calling seed
+	// (if set) before the last one, and returns its store.
+	runDays := func(days int, seed func(*sis.Store)) *sis.Store {
+		gen, err := workload.New(workload.Config{Seed: 42, NumTemplates: 24, MaxDailyInstances: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cluster := exec.DefaultCluster(42)
+		store := sis.NewStore(cat)
+		adv := NewAdvisor(cat, store, Config{
+			Seed:      42,
+			Flighting: flighting.Config{Catalog: cat, Cluster: cluster, Seed: 47},
+		})
+		prod := NewProduction(cat, sis.NewStore(cat), cluster, 51)
+		for day := 1; day <= days; day++ {
+			adv.CB.Uniform = day <= 2
+			jobs, err := gen.JobsForDay(day)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, view, err := prod.RunDay(day, jobs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if day == days && seed != nil {
+				seed(store)
+			}
+			if _, err := adv.RunDay(day, jobs, view); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return store
+	}
+
+	// The day the pipeline first uploads hints, all of them fresh.
+	ref := runDays(8, nil)
+	first := 0
+	for i, f := range ref.History() {
+		if len(f.Hints) > 0 {
+			first = i + 1
+			break
+		}
+	}
+	if first == 0 {
+		t.Fatal("the pipeline validated no hint in 8 days")
+	}
+	fresh := ref.History()[first-1].Hints
+
+	other := rules.Flip{RuleID: 32, Enable: !fresh[0].Flip.Enable}
+	if fresh[0].Flip.RuleID == 32 {
+		other.RuleID = 33
+	}
+	clash := sis.Hint{TemplateHash: fresh[0].TemplateHash, TemplateID: fresh[0].TemplateID, Flip: other, Day: first - 1}
+	foreign := sis.Hint{TemplateHash: 0xfeedface, TemplateID: "seeded", Flip: other, Day: first - 1}
+	store := runDays(first, func(s *sis.Store) {
+		if err := s.Upload(sis.File{Day: first - 1, Hints: []sis.Hint{clash, foreign}}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	hist := store.History()
+	got := hist[len(hist)-1].Hints
+	want := append([]sis.Hint{fresh[0], foreign}, fresh[1:]...)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("day %d upload after an out-of-band seed = %+v, want %+v", first, got, want)
+	}
+}
+
 // TestRunDaysRewriteEachInstanceConfigOnce: production and the pipeline
 // compile a day's jobs through their instance's one rewrite memo, so over
 // Production.RunDay then Advisor.RunDay each (instance, configuration) is

@@ -5,7 +5,6 @@ import (
 
 	"qoadvisor/internal/bandit"
 	"qoadvisor/internal/core"
-	"qoadvisor/internal/span"
 	"qoadvisor/internal/workload"
 )
 
@@ -36,7 +35,7 @@ type Table3Result struct {
 // featuresForDay featurizes one day's jobs: span + default cost. With
 // uniqueOnly, one instance per template is used (the evaluation setting);
 // otherwise every recurrence contributes training data.
-func (l *Lab) featuresForDay(day int, spanCache map[uint64]*span.Result, uniqueOnly bool) ([]*core.JobFeatures, int, error) {
+func (l *Lab) featuresForDay(day int, uniqueOnly bool) ([]*core.JobFeatures, int, error) {
 	var jobs []*workload.Job
 	var err error
 	if uniqueOnly {
@@ -51,17 +50,8 @@ func (l *Lab) featuresForDay(day int, spanCache map[uint64]*span.Result, uniqueO
 	total := 0
 	for _, job := range jobs {
 		total++
-		sp, ok := spanCache[job.Template.Hash]
-		if !ok {
-			computed, err := span.Compute(job.Graph, l.Catalog, job.CompileOptions(l.Catalog))
-			if err != nil {
-				spanCache[job.Template.Hash] = nil
-				continue
-			}
-			sp = computed
-			spanCache[job.Template.Hash] = sp
-		}
-		if sp == nil || sp.Span.IsEmpty() {
+		sp, err := l.spans.Span(job)
+		if err != nil || sp.Span.IsEmpty() {
 			continue
 		}
 		base, err := l.compileDefault(job)
@@ -84,12 +74,10 @@ func (l *Lab) featuresForDay(day int, spanCache map[uint64]*span.Result, uniqueO
 // Table3 trains the CB recommender off-policy for trainDays days and then
 // compares CB flips against uniform-random flips on a fresh day.
 func (l *Lab) Table3(trainDays int) (*Table3Result, error) {
-	spanCache := make(map[uint64]*span.Result)
-
 	cb := core.NewCBRecommender(l.Catalog, l.Cfg.Seed+77)
 	cb.Uniform = true // off-policy data collection
 	for day := 1; day <= trainDays; day++ {
-		feats, _, err := l.featuresForDay(day, spanCache, false)
+		feats, _, err := l.featuresForDay(day, false)
 		if err != nil {
 			return nil, err
 		}
@@ -98,7 +86,7 @@ func (l *Lab) Table3(trainDays int) (*Table3Result, error) {
 	}
 
 	evalDay := trainDays + 1
-	feats, total, err := l.featuresForDay(evalDay, spanCache, true)
+	feats, total, err := l.featuresForDay(evalDay, true)
 	if err != nil {
 		return nil, err
 	}
@@ -182,13 +170,12 @@ type OffPolicyResult struct {
 // releases the events it consumes, so each day's rewarded events are
 // collected before it.
 func (l *Lab) OffPolicyEvaluation(trainDays int) (*OffPolicyResult, error) {
-	spanCache := make(map[uint64]*span.Result)
 	cb := core.NewCBRecommender(l.Catalog, l.Cfg.Seed+177)
 	cb.Uniform = true
 	var logged []*bandit.Event
 	sum := 0.0
 	for day := 1; day <= trainDays; day++ {
-		feats, _, err := l.featuresForDay(day, spanCache, false)
+		feats, _, err := l.featuresForDay(day, false)
 		if err != nil {
 			return nil, err
 		}

@@ -2,15 +2,14 @@ package experiments
 
 import (
 	"math/rand"
+	"sort"
 
 	"qoadvisor/internal/core"
 	"qoadvisor/internal/exec"
 	"qoadvisor/internal/optimizer"
 	"qoadvisor/internal/regression"
 	"qoadvisor/internal/rules"
-	"qoadvisor/internal/span"
 	"qoadvisor/internal/stats"
-	"qoadvisor/internal/workload"
 )
 
 // FlightObservation is one A/B flighting measurement of a
@@ -30,34 +29,43 @@ type FlightObservation struct {
 	HasFuture     bool
 }
 
-// gatherFlights flights one cost-improving flip per unique job per day
-// over the given day range, returning the observations.
-func (l *Lab) gatherFlights(firstDay, lastDay int) ([]FlightObservation, error) {
-	if cached, ok := l.flights[[2]int{firstDay, lastDay}]; ok {
-		return cached, nil
+// flightDays is the length of the lab's flight log: Figure 9's two
+// weeks, whose first five days are Figures 6-8's.
+const flightDays = 14
+
+// flightsThrough returns the lab's flight log up to and including
+// lastDay (at most flightDays), gathering the whole log on first use.
+// One rng draws the log day by day, so its prefix is what a gather that
+// stopped at lastDay would have drawn.
+func (l *Lab) flightsThrough(lastDay int) ([]FlightObservation, error) {
+	if l.flights == nil {
+		obs, err := l.gatherFlights()
+		if err != nil {
+			return nil, err
+		}
+		l.flights = obs
 	}
+	n := sort.Search(len(l.flights), func(i int) bool { return l.flights[i].Day > lastDay })
+	return l.flights[:n:n], nil
+}
+
+// gatherFlights flights one cost-improving flip per unique job per day
+// over days 1 to flightDays, returning the observations in day order
+// (non-nil, so an empty log is still a gathered one).
+func (l *Lab) gatherFlights() ([]FlightObservation, error) {
 	rng := rand.New(rand.NewSource(l.Cfg.Seed + 301))
-	var out []FlightObservation
-	spanCache := make(map[uint64][]int)
-	for day := firstDay; day <= lastDay; day++ {
+	out := []FlightObservation{}
+	for day := 1; day <= flightDays; day++ {
 		jobs, err := l.uniqueJobsForDay(day)
 		if err != nil {
 			return nil, err
 		}
 		for i, job := range jobs {
-			bits, ok := spanCache[job.Template.Hash]
-			if !ok {
-				sp, err := span.Compute(job.Graph, l.Catalog, job.CompileOptions(l.Catalog))
-				if err != nil {
-					spanCache[job.Template.Hash] = nil
-					continue
-				}
-				bits = sp.Span.Bits()
-				spanCache[job.Template.Hash] = bits
-			}
-			if len(bits) == 0 {
+			sp, err := l.spans.Span(job)
+			if err != nil || sp.Span.IsEmpty() {
 				continue
 			}
+			bits := sp.Span.Bits()
 			base, err := l.compileDefault(job)
 			if err != nil {
 				continue
@@ -103,7 +111,6 @@ func (l *Lab) gatherFlights(firstDay, lastDay int) ([]FlightObservation, error) 
 			out = append(out, obs)
 		}
 	}
-	l.flights[[2]int{firstDay, lastDay}] = out
 	return out, nil
 }
 
@@ -122,7 +129,7 @@ type CostVsLatencyResult struct {
 
 // CostVsLatency runs the Figure 6 experiment over five days of jobs.
 func (l *Lab) CostVsLatency() (*CostVsLatencyResult, error) {
-	obs, err := l.gatherFlights(1, 5)
+	obs, err := l.flightsThrough(5)
 	if err != nil {
 		return nil, err
 	}
@@ -167,7 +174,7 @@ type IOCorrelationResult struct {
 
 // IOCorrelation runs the Figure 7/8 experiment for "read" or "written".
 func (l *Lab) IOCorrelation(metric string) (*IOCorrelationResult, error) {
-	obs, err := l.gatherFlights(1, 5)
+	obs, err := l.flightsThrough(5)
 	if err != nil {
 		return nil, err
 	}
@@ -209,5 +216,3 @@ func observationsToSamples(obs []FlightObservation) []regression.Sample {
 	}
 	return out
 }
-
-var _ = workload.ViewRow{} // keep the workload dependency explicit

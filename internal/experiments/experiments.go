@@ -39,14 +39,20 @@ var (
 )
 
 // Lab bundles the shared infrastructure of all experiments: the workload
-// generator, rule catalog, cluster model, and a cache of flights.
+// generator, rule catalog, cluster model, one span memo and one flight
+// log.
 type Lab struct {
 	Cfg     Config
 	Catalog *rules.Catalog
 	Gen     *workload.Generator
 	Cluster *exec.Cluster
 
-	flights map[[2]int][]FlightObservation
+	// spans is the span memo every experiment reads (Feature
+	// Generation's, keyed by template).
+	spans *core.FeatureGen
+	// flights is the flight log of days 1 to flightDays, gathered on
+	// first use (nil until then).
+	flights []FlightObservation
 }
 
 // NewLab builds the shared experiment infrastructure.
@@ -58,12 +64,13 @@ func NewLab(cfg Config) (*Lab, error) {
 	if err != nil {
 		return nil, err
 	}
+	cat := rules.NewCatalog()
 	return &Lab{
 		Cfg:     cfg,
-		Catalog: rules.NewCatalog(),
+		Catalog: cat,
 		Gen:     gen,
 		Cluster: exec.DefaultCluster(cfg.Seed),
-		flights: make(map[[2]int][]FlightObservation),
+		spans:   core.NewFeatureGen(cat),
 	}, nil
 }
 

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"reflect"
 	"testing"
 )
 
@@ -221,5 +222,44 @@ func TestOffPolicyEvaluation(t *testing.T) {
 	// the same events in the same order.
 	if res.LoggedEvents != 61 || res.LoggingValue != 0.9853911633202712 || res.GreedyIPSValue != 4.4751729495550565 {
 		t.Errorf("off-policy evaluation = %+v, want {LoggedEvents:61 LoggingValue:0.9853911633202712 GreedyIPSValue:4.4751729495550565}", *res)
+	}
+}
+
+// TestSharedLabMatchesFreshLabs: the lab's span memo and flight log are
+// filled by whichever experiment asks first, so each experiment must
+// return on a lab other experiments have used, in any order, exactly
+// what it returns on a fresh one.
+func TestSharedLabMatchesFreshLabs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	experiments := []struct {
+		name string
+		run  func(*Lab) (any, error)
+	}{
+		{"CostVsLatency", func(l *Lab) (any, error) { return l.CostVsLatency() }},
+		{"ValidationAccuracy", func(l *Lab) (any, error) { return l.ValidationAccuracy() }},
+		{"Table3", func(l *Lab) (any, error) { return l.Table3(3) }},
+		{"Stability", func(l *Lab) (any, error) { return l.Stability("latency") }},
+		{"OffPolicyEvaluation", func(l *Lab) (any, error) { return l.OffPolicyEvaluation(4) }},
+	}
+	fresh := make([]any, len(experiments))
+	for i, e := range experiments {
+		res, err := e.run(tinyLab(t))
+		if err != nil {
+			t.Fatalf("%s on a fresh lab: %v", e.name, err)
+		}
+		fresh[i] = res
+	}
+	shared := tinyLab(t)
+	for i := len(experiments) - 1; i >= 0; i-- {
+		e := experiments[i]
+		res, err := e.run(shared)
+		if err != nil {
+			t.Fatalf("%s on the shared lab: %v", e.name, err)
+		}
+		if !reflect.DeepEqual(res, fresh[i]) {
+			t.Errorf("%s on the shared lab = %+v, on a fresh lab = %+v", e.name, res, fresh[i])
+		}
 	}
 }

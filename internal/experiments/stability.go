@@ -4,19 +4,8 @@ import (
 	"math/rand"
 
 	"qoadvisor/internal/exec"
-	"qoadvisor/internal/rules"
-	"qoadvisor/internal/span"
 	"qoadvisor/internal/stats"
 )
-
-// candidateFlights is how many candidate flips the week-0 protocol
-// flights per job before keeping the best observed one (the prior work
-// flighted the 10 most promising configurations; single flips give a
-// smaller pool).
-const candidateFlights = 1
-
-type rulesFlip = rules.Flip
-type execMetrics = exec.Metrics
 
 // StabilityPoint is one job's week0/week1 delta pair (Figures 2 and 4):
 // the A/B improvement measured in week0 versus the improvement of the
@@ -59,7 +48,7 @@ func (l *Lab) Stability(metric string) (*StabilityResult, error) {
 	improvedW0 := 0
 	regressedW1 := 0
 	for _, j0 := range week0Jobs {
-		sp, err := span.Compute(j0.Graph, l.Catalog, j0.CompileOptions(l.Catalog))
+		sp, err := l.spans.Span(j0)
 		if err != nil || sp.Span.IsEmpty() {
 			continue
 		}
@@ -70,39 +59,13 @@ func (l *Lab) Stability(metric string) (*StabilityResult, error) {
 		seed0 := int64(1000 + len(res.Points))
 		mBase0 := exec.Run(base0.Plan, j0.Truth, j0.Stats, l.Cluster, seed0)
 
-		// Week 0: flight up to candidateFlights cost-improving flips and
-		// keep the one with the best observed week-0 metric — the
-		// select-best-of-flighted protocol of the prior work [29], whose
-		// winner's-curse selection is what Figures 2 and 4 expose.
-		bits := sp.Span.Bits()
-		order := rng.Perm(len(bits))
-		var bestFlip rulesFlip
-		var bestTreat0 execMetrics
-		found := false
-		flighted := 0
-		for _, bi := range order {
-			if flighted >= candidateFlights {
-				break
-			}
-			flip := l.Catalog.FlipFor(bits[bi])
-			cfg := l.Catalog.DefaultConfig().WithFlip(flip)
-			treatRes, err := l.compileWith(j0, cfg)
-			if err != nil || treatRes.EstCost >= base0.EstCost {
-				continue
-			}
-			flighted++
-			m := exec.Run(treatRes.Plan, j0.Truth, j0.Stats, l.Cluster, seed0+int64(flighted))
-			if !found || pickMetric(m) < pickMetric(bestTreat0) {
-				found = true
-				bestFlip = flip
-				bestTreat0 = m
-			}
-		}
+		// Week 0: flight one cost-improving flip, drawn in random span
+		// order.
+		flip, treat0, found := l.costImprovingFlip(j0, sp.Span.Bits(), rng)
 		if !found {
 			continue
 		}
-		flip := bestFlip
-		mTreat0 := bestTreat0
+		mTreat0 := exec.Run(treat0.Plan, j0.Truth, j0.Stats, l.Cluster, seed0+1)
 
 		// Week 1: the same recurring template, seven days later, with
 		// that week's inputs and fresh cluster noise.

@@ -35,7 +35,7 @@ type ValidationPoint struct {
 // flights, train on days 1-7, test on days 8-14, using the production
 // acceptance threshold.
 func (l *Lab) ValidationAccuracy() (*ValidationAccuracyResult, error) {
-	obs, err := l.gatherFlights(1, 14)
+	obs, err := l.flightsThrough(flightDays)
 	if err != nil {
 		return nil, err
 	}
