@@ -2,13 +2,15 @@
 // protocol (qoadvisor/internal/api): one implementation of timeouts,
 // retry-on-queue_full (reward-queue backpressure), error envelope decoding,
 // and batch helpers, shared by the server CLI, the examples, and the
-// benchmarks instead of hand-rolled JSON.
+// benchmarks instead of hand-rolled JSON. Every request it sends is
+// built by newRequest.
 package client
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -24,7 +26,10 @@ import (
 // Client talks the versioned steering protocol to one server.
 // Zero-value is unusable; use New. Client is safe for concurrent use.
 type Client struct {
-	base    string
+	// url is the base URL parsed once, what every request's URL starts
+	// from; urlErr is why it did not parse, returned by every call.
+	url     url.URL
+	urlErr  error
 	hc      *http.Client
 	retries int
 	backoff time.Duration
@@ -34,6 +39,9 @@ type Client struct {
 type Option func(*Client)
 
 // WithHTTPClient substitutes the transport (pooling, TLS, test doubles).
+// Its RoundTripper must not modify a request's header, as the
+// http.RoundTripper contract says: requests without a cookie jar share
+// one read-only header map.
 func WithHTTPClient(hc *http.Client) Option { return func(c *Client) { c.hc = hc } }
 
 // WithTimeout caps each attempt end to end (default 10s).
@@ -45,15 +53,30 @@ func WithTimeout(d time.Duration) Option {
 	}
 }
 
-// New builds a client for a server base URL ("http://host:port").
-// Defaults: 10s per-attempt timeout, 3 retries on 503 with 50ms base
-// backoff.
+// New builds a client for a server base URL ("http://host:port", with
+// or without a path prefix; a query or fragment on it is dropped, and
+// each route is appended to its path). A base that does not parse
+// fails every call with url.Parse's error, which quotes the base
+// without its trailing slash. Defaults: 10s per-attempt timeout, 3
+// retries on 503 with 50ms base backoff.
 func New(base string, opts ...Option) *Client {
 	c := &Client{
-		base:    strings.TrimRight(base, "/"),
 		hc:      &http.Client{Timeout: 10 * time.Second},
 		retries: 3,
 		backoff: 50 * time.Millisecond,
+	}
+	// Cut a query and a fragment off where url.Parse would, so that the
+	// slash trimmed is the path's.
+	base, _, _ = strings.Cut(base, "#")
+	base, _, _ = strings.Cut(base, "?")
+	if u, err := url.Parse(strings.TrimRight(base, "/")); err != nil {
+		c.urlErr = err
+	} else {
+		c.url = *u
+		// What http.NewRequest does to a host with an empty port.
+		if strings.LastIndex(c.url.Host, ":") > strings.LastIndex(c.url.Host, "]") {
+			c.url.Host = strings.TrimSuffix(c.url.Host, ":")
+		}
 	}
 	for _, o := range opts {
 		o(c)
@@ -61,42 +84,121 @@ func New(base string, opts ...Option) *Client {
 	return c
 }
 
-// do runs one protocol call: marshal in (nil = no body), retry
-// queue_full 503s, decode either the typed response into out or the
-// error envelope into an *api.Error. The request body is re-sent from
-// the encoded bytes on each retry, so retries are never partial.
-func (c *Client) do(ctx context.Context, method, path, contentType string, in, out any) error {
+// jsonHeader and noHeader are the header maps of every JSON request and
+// every request without a body type. net/http's client only reads a
+// request's header map — redirects and basic auth copy it first — so
+// the two are shared and never written; the exception is a cookie jar,
+// which Client.Do adds into the map it is handed.
+var (
+	jsonHeader = http.Header{"Content-Type": {"application/json"}}
+	noHeader   = http.Header{}
+)
+
+// outgoing is what a request points into besides its header: its URL
+// and the reader over its payload, allocated together.
+type outgoing struct {
+	url  url.URL
+	body bytes.Reader
+}
+
+// newRequest builds one attempt's request: the request net/http's own
+// constructor makes of base+path, ctx and payload (nil = no body), with
+// a Content-Type header, in fewer allocations. The URL is the parsed
+// base with path appended: path is a route constant, plus an
+// already-escaped query. The body stays an io.NopCloser over a
+// *bytes.Reader, which net/http knows to be in memory and writes in one
+// flush with the header; GetBody lets the transport replay it on a
+// kept-alive connection that failed before a byte was written.
+func (c *Client) newRequest(ctx context.Context, method, path, contentType string, payload []byte) (*http.Request, error) {
+	if c.urlErr != nil {
+		return nil, c.urlErr
+	}
+	if ctx == nil {
+		return nil, errors.New("net/http: nil Context")
+	}
+	o := &outgoing{url: c.url}
+	p, q, _ := strings.Cut(path, "?")
+	o.url.Path, o.url.RawQuery = c.url.Path+p, q
+	if c.url.RawPath != "" {
+		o.url.RawPath = c.url.RawPath + p
+	}
+	req := http.Request{
+		Method:     method,
+		URL:        &o.url,
+		Proto:      "HTTP/1.1",
+		ProtoMajor: 1,
+		ProtoMinor: 1,
+		Host:       o.url.Host,
+	}
+	switch {
+	case c.hc.Jar == nil && contentType == "":
+		req.Header = noHeader
+	case c.hc.Jar == nil && contentType == "application/json":
+		req.Header = jsonHeader
+	case contentType == "":
+		req.Header = make(http.Header)
+	default:
+		req.Header = http.Header{"Content-Type": {contentType}}
+	}
+	switch {
+	case len(payload) > 0:
+		o.body.Reset(payload)
+		req.Body, req.ContentLength = io.NopCloser(&o.body), int64(len(payload))
+		req.GetBody = func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(payload)), nil }
+	case payload != nil:
+		req.Body, req.GetBody = http.NoBody, noBody
+	}
+	return req.WithContext(ctx), nil
+}
+
+func noBody() (io.ReadCloser, error) { return http.NoBody, nil }
+
+// do runs one JSON protocol call: marshal in (nil = no body) and hand
+// it to call.
+func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
 	var payload []byte
+	contentType := ""
 	if in != nil {
 		var err error
 		if payload, err = json.Marshal(in); err != nil {
 			return fmt.Errorf("client: encoding %s %s: %w", method, path, err)
 		}
-		if contentType == "" {
-			contentType = "application/json"
-		}
+		contentType = "application/json"
 	}
-	return c.doRaw(ctx, method, path, contentType, payload, func(resp *http.Response) error {
-		if out == nil {
-			return nil
-		}
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-			return fmt.Errorf("client: decoding %s %s response: %w", method, path, err)
-		}
-		return nil
-	})
+	return c.call(ctx, method, path, contentType, payload, out)
 }
 
-// jsonContentType is the one Content-Type value of every JSON request.
-// net/http only reads a request's header values, and an Add appends past
-// len == cap into a copy, so the slice is shared and never written.
-var jsonContentType = []string{"application/json"}
+// call sends payload and decodes a 2xx response's JSON into out (nil =
+// ignore the body).
+func (c *Client) call(ctx context.Context, method, path, contentType string, payload []byte, out any) error {
+	resp, err := c.send(ctx, method, path, contentType, payload)
+	if err != nil {
+		return err
+	}
+	defer finish(resp)
+	if out == nil {
+		return nil
+	}
+	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		return fmt.Errorf("client: decoding %s %s response: %w", method, path, err)
+	}
+	return nil
+}
 
-// doRaw is the transport loop under do, also used directly for
-// non-JSON bodies (hint files) and streamed responses (snapshots).
-// onOK consumes a 2xx response's body; non-2xx responses become
-// *api.Error after the retry budget is spent.
-func (c *Client) doRaw(ctx context.Context, method, path, contentType string, payload []byte, onOK func(*http.Response) error) error {
+// finish drains and closes a 2xx response: json.Decoder stops at the end
+// of the value, and a body closed with bytes unread costs the keep-alive
+// connection.
+func finish(resp *http.Response) {
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+}
+
+// send is the transport loop under every retried call: a fresh request
+// from payload per attempt, so retries are never partial, and queue_full
+// 503s retried with backoff. It returns a 2xx response for the caller to
+// read and finish; any other status becomes an *api.Error once the
+// retry budget is spent.
+func (c *Client) send(ctx context.Context, method, path, contentType string, payload []byte) (*http.Response, error) {
 	var lastErr error
 	for attempt := 0; ; attempt++ {
 		if attempt > 0 {
@@ -104,37 +206,20 @@ func (c *Client) doRaw(ctx context.Context, method, path, contentType string, pa
 			select {
 			case <-time.After(wait):
 			case <-ctx.Done():
-				return fmt.Errorf("client: %s %s: %w (last error: %v)", method, path, ctx.Err(), lastErr)
+				return nil, fmt.Errorf("client: %s %s: %w (last error: %v)", method, path, ctx.Err(), lastErr)
 			}
 		}
 
-		var body io.Reader
-		if payload != nil {
-			body = bytes.NewReader(payload)
-		}
-		req, err := http.NewRequestWithContext(ctx, method, c.base+path, body)
+		req, err := c.newRequest(ctx, method, path, contentType, payload)
 		if err != nil {
-			return fmt.Errorf("client: %s %s: %w", method, path, err)
-		}
-		switch contentType {
-		case "":
-		case "application/json":
-			req.Header["Content-Type"] = jsonContentType
-		default:
-			req.Header.Set("Content-Type", contentType)
+			return nil, fmt.Errorf("client: %s %s: %w", method, path, err)
 		}
 		resp, err := c.hc.Do(req)
 		if err != nil {
-			return fmt.Errorf("client: %s %s: %w", method, path, err)
+			return nil, fmt.Errorf("client: %s %s: %w", method, path, err)
 		}
 		if resp.StatusCode < 400 {
-			err := onOK(resp)
-			// Drain before Close: json.Decoder stops at the end of the
-			// value, and a body closed with bytes unread costs the
-			// keep-alive connection.
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			return err
+			return resp, nil
 		}
 		apiErr := DecodeError(resp)
 		resp.Body.Close()
@@ -147,7 +232,7 @@ func (c *Client) doRaw(ctx context.Context, method, path, contentType string, pa
 			lastErr = apiErr
 			continue
 		}
-		return apiErr
+		return nil, apiErr
 	}
 }
 
@@ -205,12 +290,15 @@ func (c *Client) RankBatch(ctx context.Context, jobs []api.RankRequest) (api.Bat
 		return api.BatchRankResponse{}, fmt.Errorf("client: encoding %s %s: %w", http.MethodPost, api.RouteV2Rank, err)
 	}
 	out := api.BatchRankResponse{Results: make([]api.RankResult, 0, len(jobs))}
-	err = c.doRaw(ctx, http.MethodPost, api.RouteV2Rank, "application/json", payload, func(resp *http.Response) error {
-		return decodeBatch(resp, api.RouteV2Rank, func(d *api.Decoder, body []byte) error {
-			return d.DecodeBatchRankResponse(body, &out)
-		})
-	})
-	return out, err
+	bb, err := c.postBatch(ctx, api.RouteV2Rank, payload)
+	if err != nil {
+		return out, err
+	}
+	defer bb.release()
+	if err := bb.dec.DecodeBatchRankResponse(bb.buf.Bytes(), &out); err != nil {
+		return out, fmt.Errorf("client: decoding %s %s response: %w", http.MethodPost, api.RouteV2Rank, err)
+	}
+	return out, nil
 }
 
 // RewardBatch feeds a telemetry batch to /v2/reward. The transport
@@ -222,12 +310,15 @@ func (c *Client) RewardBatch(ctx context.Context, events []api.RewardEvent) (api
 		return api.BatchRewardResponse{}, fmt.Errorf("client: encoding %s %s: %w", http.MethodPost, api.RouteV2Reward, err)
 	}
 	var out api.BatchRewardResponse
-	err = c.doRaw(ctx, http.MethodPost, api.RouteV2Reward, "application/json", payload, func(resp *http.Response) error {
-		return decodeBatch(resp, api.RouteV2Reward, func(d *api.Decoder, body []byte) error {
-			return d.DecodeBatchRewardResponse(body, &out)
-		})
-	})
-	return out, err
+	bb, err := c.postBatch(ctx, api.RouteV2Reward, payload)
+	if err != nil {
+		return out, err
+	}
+	defer bb.release()
+	if err := bb.dec.DecodeBatchRewardResponse(bb.buf.Bytes(), &out); err != nil {
+		return out, fmt.Errorf("client: decoding %s %s response: %w", http.MethodPost, api.RouteV2Reward, err)
+	}
+	return out, nil
 }
 
 // batchBody is a response buffer with the decoder that walks it. Unlike
@@ -244,26 +335,32 @@ type batchBody struct {
 
 var batchBodies = sync.Pool{New: func() any { return new(batchBody) }}
 
-// decodeBatch reads a 2xx batch response to EOF into a pooled buffer and
-// hands it to decode.
-func decodeBatch(resp *http.Response, path string, decode func(*api.Decoder, []byte) error) error {
+// release returns bb to the pool. Nothing over 1 MiB goes back: one
+// 4,096-job response must not stay pinned behind a stream of 16-job
+// ones.
+func (bb *batchBody) release() {
+	if bb.buf.Cap() <= 1<<20 {
+		bb.dec.Release()
+		batchBodies.Put(bb)
+	}
+}
+
+// postBatch sends a batch payload to path and reads the 2xx response to
+// EOF into a pooled batchBody, which the caller decodes and releases.
+func (c *Client) postBatch(ctx context.Context, path string, payload []byte) (*batchBody, error) {
+	resp, err := c.send(ctx, http.MethodPost, path, "application/json", payload)
+	if err != nil {
+		return nil, err
+	}
 	bb := batchBodies.Get().(*batchBody)
-	defer func() {
-		// Nothing over 1 MiB goes back: one 4,096-job response must not
-		// stay pinned behind a stream of 16-job ones.
-		if bb.buf.Cap() <= 1<<20 {
-			bb.dec.Release()
-			batchBodies.Put(bb)
-		}
-	}()
 	bb.buf.Reset()
-	if _, err := bb.buf.ReadFrom(resp.Body); err != nil {
-		return fmt.Errorf("client: reading %s %s response: %w", http.MethodPost, path, err)
+	_, err = bb.buf.ReadFrom(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		bb.release()
+		return nil, fmt.Errorf("client: reading %s %s response: %w", http.MethodPost, path, err)
 	}
-	if err := decode(&bb.dec, bb.buf.Bytes()); err != nil {
-		return fmt.Errorf("client: decoding %s %s response: %w", http.MethodPost, path, err)
-	}
-	return nil
+	return bb, nil
 }
 
 // InstallHints uploads a SIS exchange-format hint file (the pipeline
@@ -275,9 +372,7 @@ func (c *Client) InstallHints(ctx context.Context, hintFile io.Reader) (api.Hint
 		return api.HintsInstallResponse{}, fmt.Errorf("client: reading hint file: %w", err)
 	}
 	var out api.HintsInstallResponse
-	err = c.doRaw(ctx, http.MethodPost, api.RouteV2Hints, "text/plain", payload, func(resp *http.Response) error {
-		return json.NewDecoder(resp.Body).Decode(&out)
-	})
+	err = c.call(ctx, http.MethodPost, api.RouteV2Hints, "text/plain", payload, &out)
 	return out, err
 }
 
@@ -290,7 +385,7 @@ func (c *Client) InstallHints(ctx context.Context, hintFile io.Reader) (api.Hint
 // operators see what is wrong with it.
 func (c *Client) Health(ctx context.Context) (api.HealthResponse, error) {
 	var out api.HealthResponse
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+api.RouteV2Healthz, nil)
+	req, err := c.newRequest(ctx, http.MethodGet, api.RouteV2Healthz, "", nil)
 	if err != nil {
 		return out, fmt.Errorf("client: GET %s: %w", api.RouteV2Healthz, err)
 	}
@@ -322,7 +417,7 @@ func (c *Client) Health(ctx context.Context) (api.HealthResponse, error) {
 // Stats fetches /v2/stats (serving counters plus per-route metrics).
 func (c *Client) Stats(ctx context.Context) (api.StatsResponse, error) {
 	var out api.StatsResponse
-	err := c.do(ctx, http.MethodGet, api.RouteV2Stats, "", nil, &out)
+	err := c.do(ctx, http.MethodGet, api.RouteV2Stats, nil, &out)
 	return out, err
 }
 
@@ -332,7 +427,7 @@ func (c *Client) Stats(ctx context.Context) (api.StatsResponse, error) {
 // server journaled. Followers answer 403 — point this at the primary.
 func (c *Client) Quarantine(ctx context.Context, templateHash api.TemplateHash, action string) (api.QuarantineResponse, error) {
 	var out api.QuarantineResponse
-	err := c.do(ctx, http.MethodPost, api.RouteV2Quarantine, "",
+	err := c.do(ctx, http.MethodPost, api.RouteV2Quarantine,
 		api.QuarantineRequest{TemplateHash: templateHash, Action: action}, &out)
 	return out, err
 }
@@ -341,14 +436,14 @@ func (c *Client) Quarantine(ctx context.Context, templateHash api.TemplateHash, 
 // safeguard state — quarantined or probation (GET /v2/quarantine).
 func (c *Client) QuarantineList(ctx context.Context) (api.QuarantineListResponse, error) {
 	var out api.QuarantineListResponse
-	err := c.do(ctx, http.MethodGet, api.RouteV2Quarantine, "", nil, &out)
+	err := c.do(ctx, http.MethodGet, api.RouteV2Quarantine, nil, &out)
 	return out, err
 }
 
 // getStream issues one GET and hands the 2xx body to the caller, who
 // must Close it.
 func (c *Client) getStream(ctx context.Context, path string) (io.ReadCloser, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
+	req, err := c.newRequest(ctx, http.MethodGet, path, "", nil)
 	if err != nil {
 		return nil, fmt.Errorf("client: GET %s: %w", path, err)
 	}
@@ -377,7 +472,7 @@ func (c *Client) BootstrapSnapshot(ctx context.Context) (io.ReadCloser, error) {
 func (c *Client) AuditDecision(ctx context.Context, eventID string) (api.AuditDecisionResponse, error) {
 	var out api.AuditDecisionResponse
 	path := api.RouteV2AuditDecision + "?event=" + url.QueryEscape(eventID)
-	err := c.do(ctx, http.MethodGet, path, "", nil, &out)
+	err := c.do(ctx, http.MethodGet, path, nil, &out)
 	return out, err
 }
 
@@ -386,7 +481,7 @@ func (c *Client) AuditDecision(ctx context.Context, eventID string) (api.AuditDe
 func (c *Client) AuditTemplate(ctx context.Context, hash api.TemplateHash) (api.AuditTemplateResponse, error) {
 	var out api.AuditTemplateResponse
 	path := api.RouteV2AuditTemplate + "?template=" + hash.String()
-	err := c.do(ctx, http.MethodGet, path, "", nil, &out)
+	err := c.do(ctx, http.MethodGet, path, nil, &out)
 	return out, err
 }
 
@@ -399,7 +494,7 @@ func (c *Client) AuditAsOf(ctx context.Context, lsn uint64) (api.AuditAsOfRespon
 	if lsn > 0 {
 		path += "?lsn=" + strconv.FormatUint(lsn, 10)
 	}
-	err := c.do(ctx, http.MethodGet, path, "", nil, &out)
+	err := c.do(ctx, http.MethodGet, path, nil, &out)
 	return out, err
 }
 
@@ -432,7 +527,7 @@ func (c *Client) Traces(ctx context.Context, opts TracesOptions) (api.TracesResp
 		path += "?" + enc
 	}
 	var out api.TracesResponse
-	err := c.do(ctx, http.MethodGet, path, "", nil, &out)
+	err := c.do(ctx, http.MethodGet, path, nil, &out)
 	return out, err
 }
 
@@ -441,7 +536,7 @@ func (c *Client) Traces(ctx context.Context, opts TracesOptions) (api.TracesResp
 // list with Enabled false.
 func (c *Client) Incidents(ctx context.Context) (api.IncidentsResponse, error) {
 	var out api.IncidentsResponse
-	err := c.do(ctx, http.MethodGet, api.RouteV2Incidents, "", nil, &out)
+	err := c.do(ctx, http.MethodGet, api.RouteV2Incidents, nil, &out)
 	return out, err
 }
 
@@ -450,6 +545,6 @@ func (c *Client) Incidents(ctx context.Context) (api.IncidentsResponse, error) {
 // incidents_disabled.
 func (c *Client) TriggerIncident(ctx context.Context) (api.IncidentResponse, error) {
 	var out api.IncidentResponse
-	err := c.do(ctx, http.MethodPost, api.RouteV2Incidents, "", nil, &out)
+	err := c.do(ctx, http.MethodPost, api.RouteV2Incidents, nil, &out)
 	return out, err
 }

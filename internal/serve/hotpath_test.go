@@ -27,12 +27,15 @@ import (
 // a 16-job batch that misses every hint and the 16-event reward batch
 // that names its decisions by event ID: what TestRankPathAllocBudget and
 // TestBanditPathAllocBudget measure on this tree plus two. A change that
-// needs more has to raise them on purpose.
+// needs more has to raise them on purpose. They read 6, 4, 7 and 6 while
+// every batch body went through http.MaxBytesReader, Content-Length was
+// set through Header.Set and a one-chunk rank batch built its par.For
+// closure.
 const (
-	rankRequestAllocCeiling   = 8
-	rewardRequestAllocCeiling = 6
-	banditRequestAllocCeiling = 9
-	banditRewardAllocCeiling  = 8
+	rankRequestAllocCeiling   = 5
+	rewardRequestAllocCeiling = 4
+	banditRequestAllocCeiling = 6
+	banditRewardAllocCeiling  = 6
 )
 
 // reusedBody is a request body that can be rewound, so that the budget

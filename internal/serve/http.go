@@ -132,8 +132,12 @@ type requestState struct {
 	status int
 	// id is the correlation ID; the one-element array is the response
 	// header's value slice, so echoing the ID costs no allocation.
-	id [1]string
-	tr *obs.Trace
+	// contentLength is the Content-Length value slice the same way. A
+	// header map can outlive the request (httptest.ResponseRecorder
+	// keeps it), so a requestState is never pooled.
+	id            [1]string
+	contentLength [1]string
+	tr            *obs.Trace
 }
 
 // requestID returns the request's correlation ID, assigned or
@@ -309,23 +313,32 @@ func (h *httpLayer) requirePrimary(w http.ResponseWriter, r *http.Request) bool 
 const rankChunk = 32
 
 // rankBatch ranks a job batch into results[:len(jobs)], fanning chunks
-// of it out over the rank worker pool (par.For runs a single chunk on
-// the caller's goroutine). Results align index-for-index with jobs;
-// per-job failures land in the item's Error field so one malformed job
-// cannot void its neighbors. tr records each job's stages on its own
-// trace lane.
+// of it out over the rank worker pool; a batch of one chunk is ranked
+// on the caller's goroutine without a pool or a closure. Results align
+// index-for-index with jobs; per-job failures land in the item's Error
+// field so one malformed job cannot void its neighbors. tr records each
+// job's stages on its own trace lane.
 func (h *httpLayer) rankBatch(jobs []api.RankRequest, results []api.RankResult, tr *obs.Trace) []api.RankResult {
 	results = slices.Grow(results[:0], len(jobs))[:len(jobs)]
+	if len(jobs) <= rankChunk {
+		h.rankRange(jobs, results, tr, 0, len(jobs))
+		return results
+	}
 	par.For((len(jobs)+rankChunk-1)/rankChunk, func(c int) {
-		for i := c * rankChunk; i < min((c+1)*rankChunk, len(jobs)); i++ {
-			resp, err := h.srv.rankTraced(jobs[i], tr, i)
-			results[i] = api.RankResult{RankResponse: resp}
-			if err != nil {
-				results[i].Error = toAPIError(err)
-			}
-		}
+		h.rankRange(jobs, results, tr, c*rankChunk, min((c+1)*rankChunk, len(jobs)))
 	})
 	return results
+}
+
+// rankRange ranks jobs[lo:hi] into results[lo:hi].
+func (h *httpLayer) rankRange(jobs []api.RankRequest, results []api.RankResult, tr *obs.Trace, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		resp, err := h.srv.rankTraced(jobs[i], tr, i)
+		results[i] = api.RankResult{RankResponse: resp}
+		if err != nil {
+			results[i].Error = toAPIError(err)
+		}
+	}
 }
 
 // rewardBatch feeds a telemetry batch to the ingestion queue. Events
@@ -458,12 +471,26 @@ func (st *batchState) release() {
 // readBody reads the request body into st.body under the batch cap.
 // capped reports that the cap cut it short, with the bytes under the cap
 // kept: like the json.Decoder this replaces, the handler still accepts
-// such a body when its first value ends before the cut.
+// such a body when its first value ends before the cut. A body whose
+// declared length is within the cap needs no MaxBytesReader: net/http
+// reads no further than Content-Length.
 func (st *batchState) readBody(w http.ResponseWriter, r *http.Request) (capped bool, err error) {
 	st.body.Reset()
-	if _, err := st.body.ReadFrom(http.MaxBytesReader(w, r.Body, maxBatchBody)); err != nil {
+	body := r.Body
+	if r.ContentLength < 0 || r.ContentLength > maxBatchBody {
+		body = http.MaxBytesReader(w, r.Body, maxBatchBody)
+	}
+	if _, err := st.body.ReadFrom(body); err != nil {
 		var mbe *http.MaxBytesError
-		return errors.As(err, &mbe), err
+		if !errors.As(err, &mbe) {
+			return false, err
+		}
+		// A client that sent more than the cap is not handed another
+		// request on its connection. (net/http would reuse it after
+		// discarding a small unread rest; the middleware's writer hides
+		// the close MaxBytesReader asks an unwrapped writer for.)
+		w.Header().Set("Connection", "close")
+		return true, err
 	}
 	return false, nil
 }
@@ -479,11 +506,14 @@ func bodyError(err error, capped bool) *api.Error {
 }
 
 // respond writes the response encoded in st.out, ending it with the
-// newline json.Encoder would.
+// newline json.Encoder would. w is the instrument middleware's
+// *requestState, which holds the Content-Length value.
 func (st *batchState) respond(w http.ResponseWriter, status int) {
 	st.out = append(st.out, '\n')
 	w.Header()["Content-Type"] = jsonContentType
-	w.Header().Set("Content-Length", strconv.Itoa(len(st.out)))
+	rs := w.(*requestState)
+	rs.contentLength[0] = strconv.Itoa(len(st.out))
+	w.Header()["Content-Length"] = rs.contentLength[:]
 	w.WriteHeader(status)
 	w.Write(st.out)
 }

@@ -1,13 +1,20 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"qoadvisor/internal/api"
 	"qoadvisor/internal/bandit"
@@ -253,16 +260,146 @@ func TestAPIConformanceErrorEnvelopes(t *testing.T) {
 	resp.Body.Close()
 }
 
-// TestAPIConformanceOversizedBatch checks the 8 MiB JSON cap separately
-// (the body is large enough to keep out of the table above).
-func TestAPIConformanceOversizedBatch(t *testing.T) {
-	_, ts := newTestServer(t, Config{Seed: 3})
-	body := `{"jobs":[{"templateId":"` + strings.Repeat("A", maxBatchBody) + `"}]}`
-	resp, err := http.Post(ts.URL+api.RouteV2Rank, "application/json", strings.NewReader(body))
+// rawConn is one client connection to a test server driven by hand, so
+// that a test sees what the server does with the connection itself.
+type rawConn struct {
+	net.Conn
+	br *bufio.Reader
+}
+
+func dialRaw(t *testing.T, ts *httptest.Server) *rawConn {
+	t.Helper()
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { conn.Close() })
+	return &rawConn{Conn: conn, br: bufio.NewReader(conn)}
+}
+
+// post sends body to route — chunked, or under a Content-Length — and
+// reads the response. The body goes out from its own goroutine: the
+// server may answer before it has read all of it.
+func (c *rawConn) post(t *testing.T, route string, body []byte, chunked bool) *http.Response {
+	t.Helper()
+	sent := make(chan struct{})
+	t.Cleanup(func() { c.Close(); <-sent })
+	go func() {
+		defer close(sent)
+		w := bufio.NewWriter(c.Conn)
+		fmt.Fprintf(w, "POST %s HTTP/1.1\r\nHost: qoadvisor.test\r\nContent-Type: application/json\r\n", route)
+		if !chunked {
+			fmt.Fprintf(w, "Content-Length: %d\r\n\r\n", len(body))
+			w.Write(body)
+			w.Flush()
+			return
+		}
+		io.WriteString(w, "Transfer-Encoding: chunked\r\n\r\n")
+		for rest := body; len(rest) > 0; {
+			n := min(len(rest), 64<<10)
+			fmt.Fprintf(w, "%x\r\n%s\r\n", n, rest[:n])
+			rest = rest[n:]
+		}
+		io.WriteString(w, "0\r\n\r\n")
+		w.Flush()
+	}()
+	c.SetReadDeadline(time.Now().Add(30 * time.Second))
+	resp, err := http.ReadResponse(c.br, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp
+}
+
+// closedByServer reports whether the server closed the connection: a
+// read after the response ends instead of waiting for more.
+func (c *rawConn) closedByServer() bool {
+	c.SetReadDeadline(time.Now().Add(10 * time.Second))
+	_, err := c.br.ReadByte()
+	var ne net.Error
+	return err != nil && !(errors.As(err, &ne) && ne.Timeout())
+}
+
+// TestAPIConformanceOversizedBatch checks the 8 MiB JSON cap on a body
+// of declared length; TestAPIConformanceOversizedChunkedBatch, on one
+// sent chunked.
+func TestAPIConformanceOversizedBatch(t *testing.T) {
+	checkBatchCap(t, false)
+}
+
+// TestAPIConformanceOversizedChunkedBatch sends /v2/rank bodies chunked,
+// with no Content-Length for the server to check up front: the cap
+// still holds while reading.
+func TestAPIConformanceOversizedChunkedBatch(t *testing.T) {
+	checkBatchCap(t, true)
+}
+
+// checkBatchCap: a body one byte over the cap is body_too_large, and the
+// server closes the connection rather than read the rest; one of
+// exactly the cap is read whole — cut short, its unterminated string
+// would read as body_too_large too — and the connection serves the
+// next request.
+func checkBatchCap(t *testing.T, chunked bool) {
+	_, ts := newTestServer(t, Config{Seed: 3})
+	prefix := `{"jobs":[{"templateId":"`
+
+	over := dialRaw(t, ts)
+	resp := over.post(t, api.RouteV2Rank, []byte(prefix+strings.Repeat("A", maxBatchBody+1-len(prefix))), chunked)
 	expectError(t, resp, http.StatusRequestEntityTooLarge, api.CodeBodyTooLarge)
+	if !resp.Close || !over.closedByServer() {
+		t.Errorf("connection kept open after an over-cap body (Connection: close sent: %v)", resp.Close)
+	}
+
+	exact := dialRaw(t, ts)
+	resp = exact.post(t, api.RouteV2Rank, []byte(prefix+strings.Repeat("A", maxBatchBody-len(prefix))), chunked)
+	expectError(t, resp, http.StatusBadRequest, api.CodeInvalidJSON)
+	if resp.Close {
+		t.Error("a body of exactly the cap closed the connection")
+	}
+	resp = exact.post(t, api.RouteV2Rank, []byte(`{"jobs":[{"templateHash":"1","span":[5]}]}`), chunked)
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("next request on the connection: status %d", resp.StatusCode)
+	}
+	resp.Body.Close()
+}
+
+// TestAPIConformanceHeadersOutliveRequest: a handler's header map can
+// outlive its request (httptest.ResponseRecorder keeps it), so no value
+// in it may point into state a later request reuses. After a second
+// request through the same server, the first recorder still holds its
+// own request ID and Content-Length.
+func TestAPIConformanceHeadersOutliveRequest(t *testing.T) {
+	srv, _ := newTestServer(t, Config{Seed: 3})
+	for _, c := range []struct{ route, first, second string }{
+		{api.RouteV2Rank, `{"jobs":[{"templateHash":"1","span":[5]}]}`,
+			`{"jobs":[{"templateHash":"2","span":[5]},{"templateHash":"3","span":[7]}]}`},
+		{api.RouteV2Reward, `{"events":[{"eventId":"never-ranked","reward":1}]}`,
+			`{"events":[{"eventId":"a","reward":1},{"eventId":"b","reward":1}]}`},
+	} {
+		serve := func(rid, body string) *httptest.ResponseRecorder {
+			req := httptest.NewRequest(http.MethodPost, c.route, strings.NewReader(body))
+			req.Header.Set(api.RequestIDHeader, rid)
+			rec := httptest.NewRecorder()
+			srv.ServeHTTP(rec, req)
+			return rec
+		}
+		first := serve("first-"+c.route, c.first)
+		second := serve("second-"+c.route, c.second)
+		for _, r := range []struct {
+			rec  *httptest.ResponseRecorder
+			want string
+		}{{first, "first-" + c.route}, {second, "second-" + c.route}} {
+			if got := r.rec.Header().Get(api.RequestIDHeader); got != r.want {
+				t.Errorf("%s: %s header reads %q, want %q", c.route, api.RequestIDHeader, got, r.want)
+			}
+			if got, want := r.rec.Header().Get("Content-Length"), strconv.Itoa(r.rec.Body.Len()); got != want {
+				t.Errorf("%s %s: Content-Length %q for a %s-byte body", c.route, r.want, got, want)
+			}
+		}
+		if first.Body.Len() == second.Body.Len() {
+			t.Fatalf("%s: both bodies are %d bytes; the test needs them to differ", c.route, first.Body.Len())
+		}
+	}
 }
 
 // TestAPIConformanceOversizedHintFile checks the 64 MiB rollover cap:
