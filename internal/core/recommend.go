@@ -212,14 +212,17 @@ type recompileKey struct {
 // is uncapped, and the serve layer caps a trained learner only after the
 // pipeline has returned. Once the caller trains, the day leaves the
 // learner holding no open event: Train releases what phase 3 rewarded,
-// and phase 3 forgot the rest.
+// and phase 3 forgot the rest. The Recommendations it returns lie in one
+// slab, so keeping one keeps the call's.
 func Recommend(rec Recommender, cat *rules.Catalog, feats []*JobFeatures) []*Recommendation {
 	out := make([]*Recommendation, len(feats))
+	slab := make([]Recommendation, len(feats)) // out[i] is &slab[i]
 	eventIDs := make([]string, len(feats))
 
 	// Phase 1: sequential ranks.
 	for i, f := range feats {
-		r := &Recommendation{Features: f}
+		r := &slab[i]
+		r.Features = f
 		r.Flip, r.NoOp, eventIDs[i] = rec.Recommend(f)
 		out[i] = r
 	}

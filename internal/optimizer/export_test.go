@@ -55,11 +55,28 @@ func OptimizeTuningByRule(g *scope.Graph, cfg rules.Config, opts Options) (*Resu
 	return res, nil
 }
 
+// RewriteOnHeap is the logical phase of Optimize(g, cfg, opts) without a
+// cache, run on a rewriter of its own whose working copy is a heap Clone
+// of g rather than a pooled scratch: the rewritten graph, or the
+// compilation's error.
+func RewriteOnHeap(g *scope.Graph, cfg rules.Config, opts Options) (*scope.Graph, error) {
+	cat := opts.Catalog
+	if cat == nil {
+		cat = canonicalCatalog()
+	}
+	work, sig, _ := new(rewriter).rewrite(g.Clone(), cfg, cat, opts.Stats)
+	if err := checkExperimentalValidity(work, cfg, cat, sig); err != nil {
+		return nil, err
+	}
+	return work, nil
+}
+
 // TestPooledRewriterPinsNothing: a rewriter goes back to rewriterPool
 // holding no pointer into the compilation it served — no graph, no
 // *scope.Node or expression in any scratch slot up to its capacity, no
-// statistics — so a pooled rewriter never keeps a rewrite's working slab
-// alive. The pool may hand out a fresh rewriter instead (the race detector
+// statistics — so a pooled rewriter never keeps a rewrite's graph alive
+// (its working copy's Reset is held to the same by
+// scope.TestScratchWorkingCopyMatchesHeap). The pool may hand out a fresh rewriter instead (the race detector
 // drops pooled items at random), so the check repeats until it has seen a
 // used one.
 func TestPooledRewriterPinsNothing(t *testing.T) {

@@ -85,7 +85,9 @@ OUTPUT ro TO "out/ro.tsv";`,
 // Nothing may panic; every identity of the compiled and of the rewritten
 // graphs equals the fmt-based reference; the needed-columns analysis
 // equals the map-based reference; Optimize returns a plan or a
-// *CompileFailure and leaves the compiled graph as it found it; and both
+// *CompileFailure and leaves the compiled graph as it found it; a second
+// compilation rewrites the same way and leaves the first's rewritten graph
+// as it found it; and both
 // configurations compiled through one cache, the second possibly by the
 // first's reuse certificate, equal their uncached compilations.
 func FuzzCompileOptimize(f *testing.F) {
@@ -119,6 +121,17 @@ func FuzzCompileOptimize(f *testing.F) {
 				t.Fatal("Optimize returned neither a plan nor an error")
 			}
 			checkIdentity(t, "rewritten", res.Logical)
+			logical := renderGraph(res.Logical)
+			again, err := optimizer.Optimize(g, cfg, optimizer.Options{})
+			if err != nil {
+				t.Fatalf("a second compilation failed: %v", err)
+			}
+			if got := renderGraph(res.Logical); got != logical {
+				t.Fatalf("a second compilation changed the first's rewritten graph:\n%s\nwas\n%s", got, logical)
+			}
+			if got := renderGraph(again.Logical); got != logical {
+				t.Fatalf("a second compilation rewrote differently:\n%s\nfirst\n%s", got, logical)
+			}
 		}
 		checkCertifiedCompile(t, g, configs)
 	})

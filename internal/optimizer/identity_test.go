@@ -284,7 +284,7 @@ func TestNeededColumnsWideSchema(t *testing.T) {
 	}
 }
 
-// Ceilings for TestOptimizeAllocBudget: measured (27 uncached, 6 with a
+// Ceilings for TestOptimizeAllocBudget: measured (17 uncached, 6 with a
 // warm cache, go1.24) + 5 %. The same compilations cost 23,772 and 22,581
 // before plan-site identity stopped going through fmt, 824 and 263 while
 // every pass re-walked the plan for Plan.Nodes, 791 and 230 while what a
@@ -295,10 +295,12 @@ func TestNeededColumnsWideSchema(t *testing.T) {
 // and a compilation's signature and estimation environment escaped to the
 // heap, and 38 and 17 while lowering built its plan in place — nodes and
 // inputs in 16-slot chunks, roots and order grown one at a time, stage
-// lists and exchange keys per call, the Result apart from its Plan. A
-// change that needs more raises the constant on purpose.
+// lists and exchange keys per call, the Result apart from its Plan, and
+// 27 uncached while a rewrite's working copy was a heap Clone and every
+// node it made a heap node with heap Inputs. A change that needs more
+// raises the constant on purpose.
 const (
-	optimizeAllocCeiling       = 29
+	optimizeAllocCeiling       = 18
 	optimizeCachedAllocCeiling = 7
 )
 
@@ -364,6 +366,60 @@ func renderPlan(p *optimizer.Plan) string {
 		fmt.Fprintf(&sb, " inputs %v\n", s.InputIDs)
 	}
 	return sb.String()
+}
+
+// TestRewrittenGraphOwnsItsMemory: a rewrite works on a copy in its
+// pooled rewriter's scratch, which the next rewrite reuses, so the
+// rewritten graph a Result keeps must share none of it. Once the scratch
+// has grown on all 51 ledger jobs compiled without a cache, so that every
+// compilation rewrites, job 0's rewritten graph is rendered, the 50 others
+// are compiled on the same goroutine, and the first graph must render
+// byte for byte as before. It must also render as the rewrite whose
+// working copy is a heap Clone, which no later rewrite reuses.
+func TestRewrittenGraphOwnsItsMemory(t *testing.T) {
+	cat := rules.NewCatalog()
+	def := cat.DefaultConfig()
+	var jobs []*workload.Job
+	for _, tpl := range ledgerTemplates(t)[:51] {
+		j, err := tpl.Instantiate(1, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs = append(jobs, j)
+	}
+	opts := func(j *workload.Job) optimizer.Options {
+		return optimizer.Options{Catalog: cat, Stats: j.Stats, Tokens: j.Tokens}
+	}
+	compile := func(j *workload.Job) (*optimizer.Result, error) {
+		return optimizer.Optimize(j.Graph, def, opts(j))
+	}
+	for _, j := range jobs {
+		compile(j) // grow the pooled scratch, so later rewrites reuse it
+	}
+	first, err := compile(jobs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := renderGraph(first.Logical)
+	heap, err := optimizer.RewriteOnHeap(jobs[0].Graph, def, opts(jobs[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref := renderGraph(heap); want != ref {
+		t.Fatalf("%s's rewrite differs from its rewrite on a heap working copy:\n--- pooled\n%s--- heap\n%s", jobs[0].Template.ID, want, ref)
+	}
+	compiled := 0
+	for _, j := range jobs[1:] {
+		if _, err := compile(j); err == nil {
+			compiled++
+		}
+	}
+	if compiled < 40 {
+		t.Fatalf("only %d of 50 later jobs compiled", compiled)
+	}
+	if got := renderGraph(first.Logical); got != want {
+		t.Errorf("%s's rewritten graph changed while %d later jobs were compiled:\n--- before\n%s--- after\n%s", jobs[0].Template.ID, compiled, want, got)
+	}
 }
 
 // TestPublishedPlanOwnsItsMemory: lowering runs on a pooled builder whose

@@ -115,11 +115,12 @@ func Optimize(g *scope.Graph, cfg rules.Config, opts Options) (*Result, error) {
 }
 
 // rewriteLogical runs the logical phase of a compilation on a pooled
-// rewriter: clone the input DAG, apply the enabled rewrites to fixpoint,
-// compact the result and run the experimental validity check. The
-// returned graph is final — nothing downstream (the implBuilder, the
-// execution simulator, view building) mutates logical nodes, which is
-// what makes the result cacheable and shareable.
+// rewriter: copy the input DAG into the rewriter's scratch, apply the
+// enabled rewrites to fixpoint, compact the result onto the heap and run
+// the experimental validity check. The returned graph is final — nothing
+// downstream (the implBuilder, the execution simulator, view building)
+// mutates logical nodes, which is what makes the result cacheable and
+// shareable.
 //
 // asked is the set of rules whose setting the phase read: every rule
 // ruleTable.pick answered for, the fired ones among them. The rewrite
@@ -127,23 +128,28 @@ func Optimize(g *scope.Graph, cfg rules.Config, opts Options) (*Result, error) {
 // of g, stats and cfg ∩ asked — the certificate CompileCache reuses it by.
 func rewriteLogical(g *scope.Graph, cfg rules.Config, cat *rules.Catalog, stats StatsProvider) (work *scope.Graph, sig rules.Signature, asked rules.Bitset, err error) {
 	rw := rewriterPool.Get().(*rewriter)
+	work, sig, asked = rw.rewrite(rw.scratch.Clone(g), cfg, cat, stats)
+	rw.release()
+	if err := checkExperimentalValidity(work, cfg, cat, sig); err != nil {
+		return nil, sig, asked, err
+	}
+	return work, sig, asked, nil
+}
+
+// rewrite rewrites the working copy wc in place and returns a Clone of
+// it: the one allocation of the rewritten DAG, holding only the nodes
+// still reachable, and none of wc's memory.
+func (rw *rewriter) rewrite(wc *scope.Graph, cfg rules.Config, cat *rules.Catalog, stats StatsProvider) (*scope.Graph, rules.Signature, rules.Bitset) {
 	rw.sig = rules.Signature{}
 	for _, r := range cat.Rules(rules.Required) {
 		rw.sig.Record(r.ID) // normalization always runs
 	}
 	rw.estimation = EstimationEnv{Stats: stats}
 	rw.ruleTable = ruleTable{cat: cat, cfg: cfg, sig: &rw.sig}
-	rw.g, rw.stats, rw.env = g.Clone(), stats, &rw.estimation
+	rw.g, rw.stats, rw.env = wc, stats, &rw.estimation
 	rw.noMerge = rw.noMerge[:0]
 	rw.run()
-	// The working clone's slab still holds every node the rewrite
-	// disconnected; what the caller keeps is a copy of the reachable DAG.
-	work, sig, asked = rw.g.Clone(), rw.sig, rw.asked
-	rw.release()
-	if err := checkExperimentalValidity(work, cfg, cat, sig); err != nil {
-		return nil, sig, asked, err
-	}
-	return work, sig, asked, nil
+	return rw.g.Clone(), rw.sig, rw.asked
 }
 
 // checkExperimentalValidity models the riskiness of off-by-default rules:

@@ -17,12 +17,18 @@ const maxRewriteFires = 400
 // keeps per node is a slice indexed by scope.Node.ID (dense below
 // g.IDBound(); rewrites only add nodes), and every slice is scratch that
 // outlives the rewrite in rewriterPool, unreachable from the graph.
+//
+// In rewriteLogical the graph it rewrites is a working copy in scratch,
+// and so is every node a rewrite makes: the Clone that rewrite returns is
+// the one allocation of the DAG, and release clears the working copy
+// before the rewriter is pooled, as lowerPlan clears its builder's chunks.
 type rewriter struct {
 	ruleTable
-	g     *scope.Graph
-	stats StatsProvider
-	env   Environment
-	est   cardEngine
+	g       *scope.Graph
+	scratch scope.Scratch // rewriteLogical's working copy of g
+	stats   StatsProvider
+	env     Environment
+	est     cardEngine
 
 	// sig and estimation back ruleTable.sig and env in rewriteLogical, so
 	// that a compilation's signature and environment live in the pool
@@ -49,10 +55,11 @@ type rewriter struct {
 var rewriterPool = sync.Pool{New: func() any { return new(rewriter) }}
 
 // release drops everything that points into the caller's world — the
-// graph, and every pointer slot of the scratch, up to its capacity — and
-// pools rw. The scratch keeps its capacity.
+// graph, the working copy, and every pointer slot of the scratch, up to
+// its capacity — and pools rw. The scratch keeps its capacity.
 func (rw *rewriter) release() {
 	rw.ruleTable, rw.g, rw.stats, rw.env = ruleTable{}, nil, nil, nil
+	rw.scratch.Reset()
 	rw.estimation = EstimationEnv{}
 	rw.est.release()
 	clearCap(rw.nodes)

@@ -203,11 +203,16 @@ func appendSortKeys(dst []byte, keys []SortKey) []byte {
 // everything it reaches: it shares slices and expressions with the
 // Prepared it was bound from, with the other bindings of it, and with
 // every Clone taken of it, across job instances and goroutines. The
-// optimizer rewrites a Clone, which owns only its nodes, their Inputs and
-// their Projs (see Clone); whatever else a rewrite changes it replaces.
+// optimizer rewrites a working copy (Scratch.Clone), which owns only its
+// nodes, their Inputs and their Projs; whatever else a rewrite changes it
+// replaces.
 type Graph struct {
 	Roots  []*Node
 	nextID int
+
+	// scratch is set on a working copy made by Scratch.Clone: NewNode
+	// makes its nodes there too.
+	scratch *Scratch
 
 	// tmplOnce/tmplHash memoize TemplateHash: the hash walks the whole
 	// DAG, which is too expensive to redo on every compilation of a
@@ -218,9 +223,21 @@ type Graph struct {
 	tmplHash uint64
 }
 
-// NewNode allocates a node with a fresh ID attached to this graph.
+// NewNode makes a node with a fresh ID attached to this graph, with a
+// copy of inputs as its Inputs. A working copy made by Scratch.Clone
+// makes it, and its Inputs, in its scratch; any other graph on the heap.
 func (g *Graph) NewNode(kind OpKind, inputs ...*Node) *Node {
-	n := &Node{ID: g.nextID, Kind: kind, Inputs: inputs}
+	var n *Node
+	if s := g.scratch; s != nil {
+		n = &s.takeNodes(1)[0]
+		if len(inputs) > 0 {
+			n.Inputs = carve(&s.ptrs, len(inputs))
+			copy(n.Inputs, inputs)
+		}
+	} else {
+		n = &Node{Inputs: slices.Clone(inputs)}
+	}
+	n.ID, n.Kind = g.nextID, kind
 	g.nextID++
 	return n
 }
@@ -258,8 +275,9 @@ func appendSubtree(dst []*Node, seen []bool, n *Node) []*Node {
 	return append(dst, n)
 }
 
-// Clone copies the DAG for a rewrite, preserving node sharing. The clone's
-// node IDs match the originals so that site keys remain comparable.
+// Clone copies the reachable DAG, preserving node sharing, onto the heap.
+// The clone's node IDs match the originals so that site keys remain
+// comparable.
 //
 // The copy is copy-on-write below the node: each node, its Inputs and its
 // Projs — the one payload a rewrite writes in place — are the clone's own;
@@ -267,14 +285,17 @@ func appendSubtree(dst []*Node, seen []bool, n *Node) []*Node {
 // shared with g and read-only. A rewrite replaces such a slice, never
 // writes through it.
 //
-// The copy lives in three slabs: the reachable nodes in one []Node, every
-// Inputs and the Roots in one []*Node, every Projs in one []NamedExpr. Each
-// node's slices are capped subslices of those, so appending to one
-// reallocates it rather than writing over a neighbour's. A slab lives as
-// long as any node in it: the nodes a rewrite disconnects stay allocated
-// until the whole clone is dropped, so a graph that outlives its rewrite
-// should be cloned again, which copies only what is still reachable.
-func (g *Graph) Clone() *Graph {
+// The copy lives in three slabs sized exactly: the reachable nodes in one
+// []Node, every Inputs and the Roots in one []*Node, every Projs in one
+// []NamedExpr. Each node's slices are capped subslices of those, so
+// appending to one reallocates it rather than writing over a neighbour's.
+// Nodes g made but no longer reaches are not copied, so Clone of a working
+// copy is what outlives its rewrite.
+func (g *Graph) Clone() *Graph { return g.cloneInto(nil) }
+
+// cloneInto is Clone into s's storage, which must be empty, or onto the
+// heap when s is nil: the one copy loop of both.
+func (g *Graph) cloneInto(s *Scratch) *Graph {
 	// Graphs of up to cloneStack IDs walk and map on the stack.
 	const cloneStack = 128
 	var seenBuf [cloneStack]bool
@@ -290,9 +311,18 @@ func (g *Graph) Clone() *Graph {
 		nptrs += len(n.Inputs)
 		nprojs += len(n.Projs)
 	}
-	nodes := make([]Node, len(order))
-	ptrs := make([]*Node, nptrs)
-	projs := make([]NamedExpr, nprojs)
+	var clone *Graph
+	var nodes []Node
+	var ptrs []*Node
+	var projs []NamedExpr
+	if s == nil {
+		clone = &Graph{nextID: g.nextID}
+		nodes, ptrs, projs = make([]Node, len(order)), make([]*Node, nptrs), make([]NamedExpr, nprojs)
+	} else {
+		s.g = Graph{nextID: g.nextID, scratch: s}
+		clone = &s.g
+		nodes, ptrs, projs = s.takeNodes(len(order)), carve(&s.ptrs, nptrs), carve(&s.projs, nprojs)
+	}
 	for i, n := range order {
 		c := &nodes[i]
 		*c = *n
@@ -306,11 +336,80 @@ func (g *Graph) Clone() *Graph {
 		}
 		mapping[n.ID] = c
 	}
-	clone := &Graph{nextID: g.nextID, Roots: ptrs}
+	clone.Roots = ptrs
 	for i, r := range g.Roots {
 		clone.Roots[i] = mapping[r.ID]
 	}
 	return clone
+}
+
+// Scratch is reusable storage for the working copy a rewrite writes in
+// place: Clone copies a graph into it, and the copy's NewNode makes its
+// nodes and their Inputs there too, so neither costs an allocation once
+// the storage has grown to the largest graph it held. What the rewrite
+// keeps is a Clone of the working copy, which lies on the heap and shares
+// none of it. The working copy is valid until the next Clone or Reset.
+// A Scratch is not safe for concurrent use; its zero value is empty.
+type Scratch struct {
+	g Graph // the working copy
+
+	// Nodes lie in chunks, which keep their nodes' addresses while more
+	// are made: chunks[:cur] are spent, chunks[cur][:off] in use. Every
+	// Inputs and the Roots lie back to back in ptrs, every Projs in projs,
+	// each a capped subslice.
+	chunks   [][]Node
+	cur, off int
+	ptrs     []*Node
+	projs    []NamedExpr
+}
+
+// scratchChunk is how many nodes a Scratch allocates at once, unless one
+// Clone needs more.
+const scratchChunk = 64
+
+// Clone copies g's reachable DAG into s, as Graph.Clone does onto the
+// heap, and returns the copy. It discards what s held.
+func (s *Scratch) Clone(g *Graph) *Graph {
+	s.Reset()
+	return g.cloneInto(s)
+}
+
+// Reset clears what s holds, so that a pooled Scratch points into no
+// graph, and keeps its storage.
+func (s *Scratch) Reset() {
+	for i := 0; i < s.cur; i++ {
+		clear(s.chunks[i])
+	}
+	if s.cur < len(s.chunks) {
+		clear(s.chunks[s.cur][:s.off])
+	}
+	s.cur, s.off = 0, 0
+	clear(s.ptrs)
+	clear(s.projs)
+	s.ptrs, s.projs = s.ptrs[:0], s.projs[:0]
+	s.g = Graph{}
+}
+
+// takeNodes returns k unused nodes, contiguous and capped.
+func (s *Scratch) takeNodes(k int) []Node {
+	for s.cur < len(s.chunks) && len(s.chunks[s.cur])-s.off < k {
+		s.cur, s.off = s.cur+1, 0
+	}
+	if s.cur == len(s.chunks) {
+		s.chunks = append(s.chunks, make([]Node, max(k, scratchChunk)))
+	}
+	s.off += k
+	return s.chunks[s.cur][s.off-k : s.off : s.off]
+}
+
+// carve extends *buf by k elements and returns them, capped. When *buf
+// has no room it moves to a larger array; what was carved before stays
+// where it is.
+func carve[T any](buf *[]T, k int) []T {
+	b := slices.Grow(*buf, k)
+	b = b[:len(b)+k]
+	*buf = b
+	return b[len(b)-k : len(b) : len(b)]
 }
 
 // String renders the DAG as an indented tree per root, with shared nodes
