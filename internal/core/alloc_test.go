@@ -11,7 +11,7 @@ import (
 	"qoadvisor/internal/workload"
 )
 
-// runDayAllocCeiling is TestRunDayAllocBudget's: measured (18.2, go1.24,
+// runDayAllocCeiling is TestRunDayAllocBudget's: measured (17.1, go1.24,
 // at GOMAXPROCS 1 and 2) + 5 %. The same days cost 954.6 per job while every recurrence was
 // instantiated, rewritten and lowered from scratch through per-call maps,
 // 256.4 while every (template, date) was parsed and compiled from its
@@ -32,8 +32,10 @@ import (
 // while the rewrite memo kept an exact-key singleflight level in front of
 // its certificates and the instance memo was a generator-wide FIFO, and
 // 22.8 while a rewrite's working copy was a heap Clone and every node it
-// made a heap node with heap Inputs.
-const runDayAllocCeiling = 19.1
+// made a heap node with heap Inputs, and 18.2 while every rule that moved
+// an expression through a rename or a projection built a map of it and
+// copied every node of the expression, renamed or not.
+const runDayAllocCeiling = 18.0
 
 // retainedHeapCeilingMB is TestOfflineLegRetainedHeap's: measured (4.08
 // MB, go1.24, 4.07–4.08 at GOMAXPROCS 1 and 2; 4.19 and 4.10 after 20 and

@@ -1,7 +1,9 @@
 package optimizer_test
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -49,6 +51,34 @@ func sameCompilation(got *optimizer.Result, gotErr error, want *optimizer.Result
 	return ""
 }
 
+// unresolvedRefs lists every reference of a rewritten graph's Filter
+// predicates and Sort/Top keys that names no column of the node's input,
+// and of its scan predicates that names none of the scan's own: a rule
+// that moves a predicate or a key below a rename must rename it.
+func unresolvedRefs(g *scope.Graph) []string {
+	var bad []string
+	for _, n := range g.Nodes() {
+		in, refs := n, []*scope.ColRef(nil)
+		switch n.Kind {
+		case scope.OpScan:
+			refs = scope.CollectColRefs(n.Pred, nil)
+		case scope.OpFilter:
+			in, refs = n.Inputs[0], scope.CollectColRefs(n.Pred, nil)
+		case scope.OpSort, scope.OpTop:
+			in = n.Inputs[0]
+			for _, k := range n.SortKeys {
+				refs = append(refs, k.Col)
+			}
+		}
+		for _, r := range refs {
+			if _, ok := in.FindCol(r.Name); !ok {
+				bad = append(bad, fmt.Sprintf("%s #%d: %s is no column of %s", n.Label(), n.ID, r.Name, in.Label()))
+			}
+		}
+	}
+	return bad
+}
+
 func errString(err error) string {
 	if err == nil {
 		return "nil"
@@ -59,7 +89,8 @@ func errString(err error) string {
 // TestCertifiedRewriteMatchesFresh is the reuse certificate's oracle. On
 // every ledger template, the default configuration and every single flip
 // of a non-required rule are compiled through one cache and uncached; the
-// two must agree on everything a compilation returns. Each configuration
+// two must agree on everything a compilation returns, and every pushed
+// predicate and sort key must resolve (unresolvedRefs). Each configuration
 // is looked up once, so every hit is a rewrite reused by certificate, and
 // at least one must be. TestCertifiedRewriteConcurrent is its raced
 // counterpart.
@@ -83,6 +114,11 @@ func TestCertifiedRewriteMatchesFresh(t *testing.T) {
 			got, gotErr := optimizer.Optimize(job.Graph, cfg, shared)
 			if diff := sameCompilation(got, gotErr, want, wantErr); diff != "" {
 				t.Fatalf("%s %v: cached compilation differs from a fresh one: %s", tpl.ID, cfg, diff)
+			}
+			if wantErr == nil {
+				if bad := unresolvedRefs(want.Logical); len(bad) > 0 {
+					t.Fatalf("%s %v: unresolved references after the rewrite:\n%s", tpl.ID, cfg, strings.Join(bad, "\n"))
+				}
 			}
 		}
 		st := shared.Cache.Stats()

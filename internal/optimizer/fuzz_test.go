@@ -77,13 +77,23 @@ ro = SELECT a2, t FROM l RIGHT JOIN r ON a == a2 WHERE LEN(UPPER(t)) > 3;
 red = REDUCE fo ON a, s USING Collapse PRODUCE a:int, n:long;
 OUTPUT red TO "out/red.tsv";
 OUTPUT ro TO "out/ro.tsv";`,
+	renamedRightFilterScript,
 }
+
+// renamedRightFilterScript filters an inner join on a right column the
+// join renamed (r.v is r_v above the join): the default configuration
+// pushes that conjunct below the join, under the right input's name v.
+const renamedRightFilterScript = `l = EXTRACT k:int, v:double FROM "in/l.tsv";
+r = EXTRACT k:int, v:double, w:string FROM "in/r.tsv";
+j = SELECT l.k, l.v, r.v AS rv, w FROM l JOIN r ON l.k == r.k WHERE r.v > 2.5 AND l.v < 9;
+OUTPUT j TO "out/j.tsv";`
 
 // FuzzCompileOptimize feeds arbitrary text to the script compiler and,
 // when it compiles, through the optimizer with zero Options under the
 // default configuration and under every off-by-default rule as well.
 // Nothing may panic; every identity of the compiled and of the rewritten
-// graphs equals the fmt-based reference; the needed-columns analysis
+// graphs equals the fmt-based reference; every predicate and sort key of
+// the rewritten graph resolves (unresolvedRefs); the needed-columns analysis
 // equals the map-based reference; Optimize returns a plan or a
 // *CompileFailure and leaves the compiled graph as it found it; a second
 // compilation rewrites the same way and leaves the first's rewritten graph
@@ -121,6 +131,9 @@ func FuzzCompileOptimize(f *testing.F) {
 				t.Fatal("Optimize returned neither a plan nor an error")
 			}
 			checkIdentity(t, "rewritten", res.Logical)
+			if bad := unresolvedRefs(res.Logical); len(bad) > 0 {
+				t.Fatalf("unresolved references after the rewrite:\n%s", strings.Join(bad, "\n"))
+			}
 			logical := renderGraph(res.Logical)
 			again, err := optimizer.Optimize(g, cfg, optimizer.Options{})
 			if err != nil {

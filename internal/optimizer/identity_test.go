@@ -298,17 +298,21 @@ func TestNeededColumnsWideSchema(t *testing.T) {
 // lists and exchange keys per call, the Result apart from its Plan, and
 // 27 uncached while a rewrite's working copy was a heap Clone and every
 // node it made a heap node with heap Inputs. A change that needs more
-// raises the constant on purpose.
+// raises the constant on purpose. The rename case, renamedRightFilterScript
+// (PushFilterBelowJoin moves a conjunct on a renamed right column), reads
+// 14 uncached; T001 reaches no rename rule.
 const (
 	optimizeAllocCeiling       = 18
 	optimizeCachedAllocCeiling = 7
+	optimizeRenameAllocCeiling = 15
 )
 
 // TestOptimizeAllocBudget gates what one compilation allocates — the
 // offline pipeline's budget is this number times its recompilations — on
 // the first ledger template with three outputs, under the default
 // configuration: uncached (rewrite + lowering) and through the job's
-// warm rewrite memo (lowering only).
+// warm rewrite memo (lowering only); and on renamedRightFilterScript
+// uncached, whose default rewrite must fire PushFilterBelowJoin.
 func TestOptimizeAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -329,28 +333,50 @@ func TestOptimizeAllocBudget(t *testing.T) {
 	if job == nil {
 		t.Fatal("no three-output template in the ledger population")
 	}
+	renamed, err := scope.CompileScript(renamedRightFilterScript)
+	if err != nil {
+		t.Fatal(err)
+	}
 	opts := optimizer.Options{Catalog: cat, Stats: job.Stats, Tokens: job.Tokens}
-	cached := job.CompileOptions(cat)
 	for _, c := range []struct {
 		name    string
+		g       *scope.Graph
 		opts    optimizer.Options
 		ceiling float64
+		fires   []rules.Kind // rule kinds the rewrite must fire
 	}{
-		{"uncached", opts, optimizeAllocCeiling},
-		{"warm cache", cached, optimizeCachedAllocCeiling},
+		{job.Template.ID + " uncached", job.Graph, opts, optimizeAllocCeiling, nil},
+		{job.Template.ID + " warm cache", job.Graph, job.CompileOptions(cat), optimizeCachedAllocCeiling, nil},
+		{"renamed right column, uncached", renamed, optimizer.Options{}, optimizeRenameAllocCeiling, []rules.Kind{rules.KindPushFilterBelowJoin}},
 	} {
+		var res *optimizer.Result
 		compile := func() {
-			if _, err := optimizer.Optimize(job.Graph, def, c.opts); err != nil {
+			if res, err = optimizer.Optimize(c.g, def, c.opts); err != nil {
 				t.Fatal(err)
 			}
 		}
 		compile() // warm the cache, the template hash and the runtime
+		for _, k := range c.fires {
+			if !firesKind(cat, res.Signature, k) {
+				t.Errorf("%s: the default rewrite does not fire %v", c.name, k)
+			}
+		}
 		got := testing.AllocsPerRun(50, compile)
-		t.Logf("%s %s (%d logical nodes): %.0f allocs per Optimize", job.Template.ID, c.name, len(job.Graph.Nodes()), got)
+		t.Logf("%s (%d logical nodes): %.0f allocs per Optimize", c.name, len(c.g.Nodes()), got)
 		if got > c.ceiling {
 			t.Errorf("%s: %.0f allocs per Optimize, ceiling %.0f", c.name, got, c.ceiling)
 		}
 	}
+}
+
+// firesKind reports whether sig holds a rule of kind k.
+func firesKind(cat *rules.Catalog, sig rules.Signature, k rules.Kind) bool {
+	for _, r := range cat.OfKind(k) {
+		if sig.Fired(r.ID) {
+			return true
+		}
+	}
+	return false
 }
 
 // renderPlan is a plan's String plus every stage's node IDs, upstream

@@ -236,10 +236,9 @@ func (rw *rewriter) tryPushFilterBelowProject(f *scope.Node) bool {
 	if in.Kind != scope.OpProject || !rw.singleParent(in) {
 		return false
 	}
-	// Every reference must map to a pure column reference in the project.
-	refs := rw.colRefs(f.Pred)
-	for _, ref := range refs {
-		if projectedRef(in, ref.Name) == nil {
+	// Every reference must be to a column the project passes through.
+	for _, ref := range rw.colRefs(f.Pred) {
+		if e, _ := in.Projection(ref.Name); !isColRef(e) {
 			return false
 		}
 	}
@@ -247,27 +246,25 @@ func (rw *rewriter) tryPushFilterBelowProject(f *scope.Node) bool {
 	if !ok {
 		return false
 	}
-	mapping := make(map[string]string, len(refs))
-	for _, ref := range refs {
-		mapping[ref.Name] = projectedRef(in, ref.Name).Name
-	}
-	nf := rw.newFilter(scope.RenameRefs(f.Pred, mapping), in.Inputs[0])
+	nf := rw.newFilter(scope.MapRefs(f.Pred, in.Projection), in.Inputs[0])
 	in.Inputs[0] = nf
 	rw.replaceEverywhere(f, in)
 	rw.fire(r)
 	return true
 }
 
-// projectedRef returns the column reference that project p's first output
-// named name is, or nil when there is none or it is computed.
-func projectedRef(p *scope.Node, name string) *scope.ColRef {
-	for _, pe := range p.Projs {
-		if pe.Name == name {
-			cr, _ := pe.E.(*scope.ColRef)
-			return cr
-		}
+func isColRef(e scope.Expr) bool {
+	_, ok := e.(*scope.ColRef)
+	return ok
+}
+
+// renamedRef is a MapRefs lookup's answer for a reference to from that
+// names to instead: a new reference, or none when the name is unchanged.
+func renamedRef(from, to string) (scope.Expr, bool) {
+	if to == from {
+		return nil, false
 	}
-	return nil
+	return &scope.ColRef{Name: to}, true
 }
 
 // A join's merged output columns fall on two sides. The left side is the
@@ -316,11 +313,10 @@ func (rw *rewriter) tryPushFilterBelowJoin(f *scope.Node) bool {
 		case allLeft:
 			pushLeft = append(pushLeft, c)
 		case allRight:
-			toOrig := make(map[string]string, len(refs))
-			for _, ref := range refs {
-				toOrig[ref.Name], _ = rightOrig(j, ref.Name)
-			}
-			pushRight = append(pushRight, scope.RenameRefs(c, toOrig))
+			pushRight = append(pushRight, scope.MapRefs(c, func(name string) (scope.Expr, bool) {
+				orig, _ := rightOrig(j, name)
+				return renamedRef(name, orig)
+			}))
 		default:
 			remain = append(remain, c)
 		}
@@ -353,7 +349,9 @@ func (rw *rewriter) tryPushFilterBelowUnion(f *scope.Node) bool {
 		return false
 	}
 	for i, in := range u.Inputs {
-		u.Inputs[i] = rw.newFilter(scope.RenameRefs(f.Pred, unionRenames(u, in)), in)
+		u.Inputs[i] = rw.newFilter(scope.MapRefs(f.Pred, func(name string) (scope.Expr, bool) {
+			return renamedRef(name, unionName(u, in, name))
+		}), in)
 	}
 	rw.replaceEverywhere(f, u)
 	rw.fire(r)
@@ -436,20 +434,11 @@ func (rw *rewriter) tryProjectPullUp(f *scope.Node) bool {
 	// at least one referenced projection is a computed expression.
 	computed := false
 	for _, ref := range rw.colRefs(f.Pred) {
-		// The last projection of a name is the one the substitution below
-		// sees.
-		var e scope.Expr
-		for i := len(p.Projs) - 1; i >= 0 && e == nil; i-- {
-			if p.Projs[i].Name == ref.Name {
-				e = p.Projs[i].E
-			}
-		}
-		if e == nil {
+		e, ok := p.Projection(ref.Name)
+		if !ok {
 			return false
 		}
-		if _, isRef := e.(*scope.ColRef); !isRef {
-			computed = true
-		}
+		computed = computed || !isColRef(e)
 	}
 	if !computed {
 		return false
@@ -458,11 +447,7 @@ func (rw *rewriter) tryProjectPullUp(f *scope.Node) bool {
 	if !ok {
 		return false
 	}
-	projMap := make(map[string]scope.Expr, len(p.Projs))
-	for _, pe := range p.Projs {
-		projMap[pe.Name] = pe.E
-	}
-	nf := rw.newFilter(scope.SubstituteRefs(f.Pred, projMap), p.Inputs[0])
+	nf := rw.newFilter(scope.MapRefs(f.Pred, p.Projection), p.Inputs[0])
 	p.Inputs[0] = nf
 	rw.replaceEverywhere(f, p)
 	rw.fire(r)
@@ -480,12 +465,8 @@ func (rw *rewriter) tryMergeProjects(p *scope.Node) bool {
 	if !ok {
 		return false
 	}
-	inner := make(map[string]scope.Expr)
-	for _, pe := range in.Projs {
-		inner[pe.Name] = pe.E
-	}
 	for i := range p.Projs {
-		p.Projs[i].E = scope.SubstituteRefs(p.Projs[i].E, inner)
+		p.Projs[i].E = scope.MapRefs(p.Projs[i].E, in.Projection)
 	}
 	p.Inputs[0] = in.Inputs[0]
 	rw.fire(r)
@@ -885,12 +866,8 @@ func (rw *rewriter) tryTopNPushdown(t *scope.Node) bool {
 	for i, in := range u.Inputs {
 		nt := rw.g.NewNode(scope.OpTop, in)
 		nt.TopN = t.TopN
-		mapping := unionRenames(u, in)
 		for _, k := range t.SortKeys {
-			name := k.Col.Name
-			if to, ok := mapping[name]; ok {
-				name = to
-			}
+			name := unionName(u, in, k.Col.Name)
 			nt.SortKeys = append(nt.SortKeys, scope.SortKey{Col: &scope.ColRef{Name: name}, Desc: k.Desc})
 		}
 		nt.Cols = in.Cols
@@ -900,15 +877,16 @@ func (rw *rewriter) tryTopNPushdown(t *scope.Node) bool {
 	return true
 }
 
-// unionRenames maps union u's column names, by position, to input in's.
-func unionRenames(u, in *scope.Node) map[string]string {
-	mapping := make(map[string]string, len(u.Cols))
-	for pos, c := range u.Cols {
-		if pos < len(in.Cols) {
-			mapping[c.Name] = in.Cols[pos].Name
+// unionName returns input in's name for union u's column name: the input
+// column at the position of u's last column so named, or name itself when
+// no such position lies within both schemas.
+func unionName(u, in *scope.Node, name string) string {
+	for pos := min(len(u.Cols), len(in.Cols)) - 1; pos >= 0; pos-- {
+		if u.Cols[pos].Name == name {
+			return in.Cols[pos].Name
 		}
 	}
-	return mapping
+	return name
 }
 
 func (rw *rewriter) tryFlattenUnion(u *scope.Node) bool {

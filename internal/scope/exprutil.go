@@ -1,5 +1,7 @@
 package scope
 
+import "slices"
+
 // AppendConjuncts splits an expression on top-level ANDs, appending the
 // conjuncts to dst in source order. A non-AND expression is its own
 // single conjunct. Conjunct identity is what keeps filter-merge and
@@ -56,52 +58,37 @@ func RefNames(e Expr) map[string]bool {
 	return out
 }
 
-// RenameRefs returns a copy of e with column references renamed through
-// mapping; names missing from the mapping are kept. The input expression
-// is never mutated.
-func RenameRefs(e Expr, mapping map[string]string) Expr {
+// MapRefs returns e with every column reference that to maps replaced by
+// the expression to returns for its name; a reference to does not map is
+// kept. It copies only the spine above a replaced reference: a subtree
+// with none is e's own, shared, and e is never mutated — expressions are
+// immutable once built, as Graph.Clone's sharing of them assumes.
+func MapRefs(e Expr, to func(name string) (Expr, bool)) Expr {
 	switch x := e.(type) {
 	case *ColRef:
-		if to, ok := mapping[x.Name]; ok {
-			return &ColRef{Name: to}
+		if r, ok := to(x.Name); ok {
+			return r
 		}
-		return &ColRef{Name: x.Name}
 	case *BinaryExpr:
-		return &BinaryExpr{Op: x.Op, Left: RenameRefs(x.Left, mapping), Right: RenameRefs(x.Right, mapping)}
+		l, r := MapRefs(x.Left, to), MapRefs(x.Right, to)
+		if l != x.Left || r != x.Right {
+			return &BinaryExpr{Op: x.Op, Left: l, Right: r}
+		}
 	case *UnaryExpr:
-		return &UnaryExpr{Op: x.Op, Expr: RenameRefs(x.Expr, mapping)}
+		if in := MapRefs(x.Expr, to); in != x.Expr {
+			return &UnaryExpr{Op: x.Op, Expr: in}
+		}
 	case *FuncExpr:
-		out := &FuncExpr{Name: x.Name, Star: x.Star}
-		for _, a := range x.Args {
-			out.Args = append(out.Args, RenameRefs(a, mapping))
+		for i, a := range x.Args {
+			if m := MapRefs(a, to); m != a {
+				args := slices.Clone(x.Args)
+				args[i] = m
+				for j := i + 1; j < len(args); j++ {
+					args[j] = MapRefs(args[j], to)
+				}
+				return &FuncExpr{Name: x.Name, Args: args, Star: x.Star}
+			}
 		}
-		return out
-	default:
-		return e
 	}
-}
-
-// SubstituteRefs returns a copy of e with column references replaced by
-// the mapped expressions; names missing from the mapping are kept as
-// references. Used to move predicates through projections.
-func SubstituteRefs(e Expr, mapping map[string]Expr) Expr {
-	switch x := e.(type) {
-	case *ColRef:
-		if to, ok := mapping[x.Name]; ok {
-			return to
-		}
-		return &ColRef{Name: x.Name}
-	case *BinaryExpr:
-		return &BinaryExpr{Op: x.Op, Left: SubstituteRefs(x.Left, mapping), Right: SubstituteRefs(x.Right, mapping)}
-	case *UnaryExpr:
-		return &UnaryExpr{Op: x.Op, Expr: SubstituteRefs(x.Expr, mapping)}
-	case *FuncExpr:
-		out := &FuncExpr{Name: x.Name, Star: x.Star}
-		for _, a := range x.Args {
-			out.Args = append(out.Args, SubstituteRefs(a, mapping))
-		}
-		return out
-	default:
-		return e
-	}
+	return e
 }

@@ -64,12 +64,80 @@ func TestRefNames(t *testing.T) {
 	}
 }
 
+// RenameRefs is the map-based reference MapRefs is held to: a copy of e,
+// every node new, with column references renamed through mapping and
+// names missing from it kept.
+func RenameRefs(e Expr, mapping map[string]string) Expr {
+	switch x := e.(type) {
+	case *ColRef:
+		if to, ok := mapping[x.Name]; ok {
+			return &ColRef{Name: to}
+		}
+		return &ColRef{Name: x.Name}
+	case *BinaryExpr:
+		return &BinaryExpr{Op: x.Op, Left: RenameRefs(x.Left, mapping), Right: RenameRefs(x.Right, mapping)}
+	case *UnaryExpr:
+		return &UnaryExpr{Op: x.Op, Expr: RenameRefs(x.Expr, mapping)}
+	case *FuncExpr:
+		out := &FuncExpr{Name: x.Name, Star: x.Star}
+		for _, a := range x.Args {
+			out.Args = append(out.Args, RenameRefs(a, mapping))
+		}
+		return out
+	default:
+		return e
+	}
+}
+
+// SubstituteRefs is RenameRefs with column references replaced by the
+// mapped expressions.
+func SubstituteRefs(e Expr, mapping map[string]Expr) Expr {
+	switch x := e.(type) {
+	case *ColRef:
+		if to, ok := mapping[x.Name]; ok {
+			return to
+		}
+		return &ColRef{Name: x.Name}
+	case *BinaryExpr:
+		return &BinaryExpr{Op: x.Op, Left: SubstituteRefs(x.Left, mapping), Right: SubstituteRefs(x.Right, mapping)}
+	case *UnaryExpr:
+		return &UnaryExpr{Op: x.Op, Expr: SubstituteRefs(x.Expr, mapping)}
+	case *FuncExpr:
+		out := &FuncExpr{Name: x.Name, Star: x.Star}
+		for _, a := range x.Args {
+			out.Args = append(out.Args, SubstituteRefs(a, mapping))
+		}
+		return out
+	default:
+		return e
+	}
+}
+
+// lookup is m as a MapRefs lookup.
+func lookup(m map[string]Expr) func(string) (Expr, bool) {
+	return func(name string) (Expr, bool) {
+		e, ok := m[name]
+		return e, ok
+	}
+}
+
+// renames is m as a MapRefs lookup that renames references.
+func renames(m map[string]string) func(string) (Expr, bool) {
+	return func(name string) (Expr, bool) {
+		to, ok := m[name]
+		if !ok {
+			return nil, false
+		}
+		return &ColRef{Name: to}, true
+	}
+}
+
 func TestRenameRefsDoesNotMutate(t *testing.T) {
 	e := parsePred(t, "a > 1 AND b == 2")
 	before := e.String()
-	renamed := RenameRefs(e, map[string]string{"a": "x"})
+	renamed := MapRefs(e, renames(map[string]string{"a": "x"}))
 	if e.String() != before {
-		t.Fatal("RenameRefs mutated its input")
+		t.Fatal("MapRefs mutated its input")
 	}
 	if !strings.Contains(renamed.String(), "x") || strings.Contains(renamed.String(), "a >") {
 		t.Errorf("rename failed: %s", renamed)
@@ -83,33 +151,145 @@ func TestRenameRefsDoesNotMutate(t *testing.T) {
 func TestSubstituteRefsInlinesExpressions(t *testing.T) {
 	e := parsePred(t, "s > 10")
 	inner := parsePred(t, "a + b > 0").(*BinaryExpr).Left // (a + b)
-	out := SubstituteRefs(e, map[string]Expr{"s": inner})
+	out := MapRefs(e, lookup(map[string]Expr{"s": inner}))
 	if !strings.Contains(out.String(), "a + b") {
 		t.Errorf("substitution failed: %s", out)
 	}
 	// Input untouched.
 	if !strings.Contains(e.String(), "s") {
-		t.Error("SubstituteRefs mutated its input")
+		t.Error("MapRefs mutated its input")
 	}
 }
 
-// randomExpr builds a random expression tree for property tests.
+// randomExpr builds a random expression tree for property tests: every
+// leaf and every inner node kind MapRefs walks.
 func randomExpr(rng *rand.Rand, depth int) Expr {
 	if depth <= 0 || rng.Float64() < 0.3 {
-		switch rng.Intn(3) {
+		switch rng.Intn(5) {
 		case 0:
 			return &ColRef{Name: string(rune('a' + rng.Intn(6)))}
 		case 1:
 			return &IntLit{Value: int64(rng.Intn(100))}
-		default:
+		case 2:
 			return &FloatLit{Value: rng.Float64() * 10}
+		case 3:
+			return &StringLit{Value: string(rune('p' + rng.Intn(3)))}
+		default:
+			return &Param{Name: string(rune('p' + rng.Intn(3)))}
 		}
+	}
+	switch rng.Intn(4) {
+	case 0:
+		return &UnaryExpr{Op: []string{"NOT", "-"}[rng.Intn(2)], Expr: randomExpr(rng, depth-1)}
+	case 1:
+		args := make([]Expr, rng.Intn(4))
+		for i := range args {
+			args[i] = randomExpr(rng, depth-1)
+		}
+		return &FuncExpr{Name: []string{"CLAMP", "LEN", "UPPER"}[rng.Intn(3)], Args: args}
 	}
 	ops := []string{"AND", "OR", "+", "-", "*", "==", "<", ">"}
 	return &BinaryExpr{
 		Op:    ops[rng.Intn(len(ops))],
 		Left:  randomExpr(rng, depth-1),
 		Right: randomExpr(rng, depth-1),
+	}
+}
+
+// randomMapping maps a random subset of e's reference names to random
+// expressions.
+func randomMapping(rng *rand.Rand, e Expr) map[string]Expr {
+	m := make(map[string]Expr)
+	for name := range RefNames(e) {
+		if rng.Intn(2) == 0 {
+			m[name] = randomExpr(rng, 2)
+		}
+	}
+	return m
+}
+
+// Property: MapRefs renders as the map-based reference does, for
+// substitutions and renames alike.
+func TestMapRefsMatchesReferenceProperty(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		e := randomExpr(rng, 5)
+		m := randomMapping(rng, e)
+		if MapRefs(e, lookup(m)).String() != SubstituteRefs(e, m).String() {
+			return false
+		}
+		r := make(map[string]string)
+		for name := range m {
+			r[name] = "r" + name
+		}
+		return MapRefs(e, renames(r)).String() == RenameRefs(e, r).String()
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+}
+
+// sharesUntouched reports whether out, MapRefs of in, is in itself where
+// in holds no mapped reference and a new node on the spine above one.
+func sharesUntouched(in, out Expr, mapped map[string]Expr) bool {
+	touched := false
+	for _, r := range CollectColRefs(in, nil) {
+		_, hit := mapped[r.Name]
+		touched = touched || hit
+	}
+	if !touched {
+		return out == in
+	}
+	if out == in {
+		return false
+	}
+	switch x := in.(type) {
+	case *ColRef:
+		return out == mapped[x.Name]
+	case *BinaryExpr:
+		y, ok := out.(*BinaryExpr)
+		return ok && sharesUntouched(x.Left, y.Left, mapped) && sharesUntouched(x.Right, y.Right, mapped)
+	case *UnaryExpr:
+		y, ok := out.(*UnaryExpr)
+		return ok && sharesUntouched(x.Expr, y.Expr, mapped)
+	case *FuncExpr:
+		y, ok := out.(*FuncExpr)
+		if !ok || len(y.Args) != len(x.Args) {
+			return false
+		}
+		for i := range x.Args {
+			if !sharesUntouched(x.Args[i], y.Args[i], mapped) {
+				return false
+			}
+		}
+		return true
+	}
+	return false
+}
+
+// Property: MapRefs copies only the spine above a replaced reference. A
+// lookup that replaces nothing returns e itself; replacing one name's
+// references leaves every subtree without one pointer-equal to e's, and e
+// as it was.
+func TestMapRefsSharesUntouchedSubtreesProperty(t *testing.T) {
+	none := func(string) (Expr, bool) { return nil, false }
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		e := randomExpr(rng, 5)
+		if MapRefs(e, none) != e {
+			return false
+		}
+		refs := CollectColRefs(e, nil)
+		if len(refs) == 0 {
+			return true
+		}
+		before := e.String()
+		m := map[string]Expr{refs[rng.Intn(len(refs))].Name: &ColRef{Name: "z"}}
+		out := MapRefs(e, lookup(m))
+		return sharesUntouched(e, out, m) && e.String() == before
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -145,7 +325,7 @@ func TestRenameIdentityProperty(t *testing.T) {
 		for name := range RefNames(e) {
 			identity[name] = name
 		}
-		return RenameRefs(e, identity).String() == e.String()
+		return MapRefs(e, renames(identity)).String() == e.String()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -167,7 +347,7 @@ func TestRenameInverseProperty(t *testing.T) {
 			back[fresh] = name
 			i++
 		}
-		return RenameRefs(RenameRefs(e, fwd), back).String() == e.String()
+		return MapRefs(MapRefs(e, renames(fwd)), renames(back)).String() == e.String()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

@@ -129,6 +129,19 @@ func (n *Node) FindCol(name string) (Column, bool) {
 	return Column{}, false
 }
 
+// Projection returns the expression project n computes for its output
+// column name, and whether it has one: a lookup MapRefs can substitute
+// through. The compiler refuses a duplicate output name, so the first
+// match is the only one.
+func (n *Node) Projection(name string) (Expr, bool) {
+	for _, p := range n.Projs {
+		if p.Name == name {
+			return p.E, true
+		}
+	}
+	return nil, false
+}
+
 // Label renders a one-line description of the operator for plan dumps.
 func (n *Node) Label() string {
 	switch n.Kind {
