@@ -26,7 +26,7 @@ func sampleRecords() map[byte][]byte {
 			{TemplateHash: 0xabc123, TemplateID: "T0042", Flip: "-R040", Day: 7},
 			{TemplateHash: 0, TemplateID: "", Flip: "+R200", Day: 1 << 20},
 		}),
-		TagQuarantine: EncodeQuarantine(map[uint64]byte{0x1001: 2, 0x1002: 3, 0: 1}, true, true),
+		TagQuarantine: EncodeQuarantine(map[uint64]byte{0x1001: 2, 0x1002: 3, 0: 3}, true, true),
 	}
 }
 
@@ -56,7 +56,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		// (quarantine maps encode in unspecified order, so that tag
 		// compares decoded forms instead).
 		if tag == TagQuarantine {
-			want := Quarantine{States: map[uint64]byte{0x1001: 2, 0x1002: 3, 0: 1}, Snapshot: true, Manual: true}
+			want := Quarantine{States: map[uint64]byte{0x1001: 2, 0x1002: 3, 0: 3}, Snapshot: true, Manual: true}
 			if !reflect.DeepEqual(*rec.Quarantine, want) {
 				t.Errorf("quarantine decoded as %+v, want %+v", *rec.Quarantine, want)
 			}
