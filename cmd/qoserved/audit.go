@@ -14,7 +14,6 @@ import (
 
 	"qoadvisor/internal/api"
 	"qoadvisor/internal/audit"
-	"qoadvisor/internal/drift"
 	"qoadvisor/internal/serve"
 	"qoadvisor/internal/wal"
 	"qoadvisor/internal/walrec"
@@ -161,7 +160,7 @@ func (m *auditMode) template(eng *audit.Engine) error {
 			if ev.Snapshot {
 				kind = "checkpoint re-journal"
 			}
-			fmt.Printf("%10d  quarantine state=%s (%s)\n", ev.LSN, drift.State(ev.State).String(), kind)
+			fmt.Printf("%10d  quarantine state=%s (%s)\n", ev.LSN, ev.State, kind)
 		case "quarantine_cleared":
 			fmt.Printf("%10d  quarantine cleared\n", ev.LSN)
 		}

@@ -350,12 +350,12 @@ func buildBigJournal(tb testing.TB, dir string, nRanks int, segBytes int64) (wan
 		// something a tag filter alone would let through.
 		switch {
 		case i == nRanks/4 || i == 3*nRanks/4:
-			hints := []walrec.Hint{{TemplateHash: wantTemplate, TemplateID: "Twant", Flip: "-R040", Day: i / 1000}}
+			hints := []sis.Hint{{TemplateHash: wantTemplate, TemplateID: "Twant", Flip: rules.Flip{RuleID: 40}, Day: i / 1000}}
 			if _, err := j.Append(walrec.EncodeHintRollover(uint64(i), hints)); err != nil {
 				tb.Fatal(err)
 			}
 		case i%(nRanks/8) == nRanks/16:
-			hints := []walrec.Hint{{TemplateHash: decoy, TemplateID: "Tdecoy", Flip: "-R041", Day: i / 1000}}
+			hints := []sis.Hint{{TemplateHash: decoy, TemplateID: "Tdecoy", Flip: rules.Flip{RuleID: 41}, Day: i / 1000}}
 			if _, err := j.Append(walrec.EncodeHintRollover(uint64(i), hints)); err != nil {
 				tb.Fatal(err)
 			}
@@ -590,7 +590,7 @@ func bruteTemplate(all []journalRecord, hash uint64) []string {
 			quarantines++
 			now := ""
 			if st, in := r.rec.Quarantine.States[hash]; in {
-				now = drift.State(st).String()
+				now = st.String()
 			}
 			kind := "transition"
 			if r.rec.Quarantine.Snapshot {
@@ -798,5 +798,88 @@ func TestScanCountersAndDamageRule(t *testing.T) {
 	}
 	if st, err := count(audit.Query{FromLSN: segs[2].FirstLSN, ToLSN: segs[3].FirstLSN - 1}); err != nil || st.SegmentsScanned != 1 {
 		t.Errorf("a window that never opens the damaged segment: %+v, %v", st, err)
+	}
+}
+
+// TestAuditAndRecoveryRefuseTheSameRecords: a rollover whose flip does
+// not parse ("F40") and a quarantine record that holds a state which is
+// never journaled (suspect) are refused by the one record decoder, and so
+// by audit and recovery alike. walrec.Decode fails; audit lists the
+// record as undecoded and finds the template in no record and no history
+// event; serve.Recover fails. Each bad record differs from a good one
+// only in the refused field.
+func TestAuditAndRecoveryRefuseTheSameRecords(t *testing.T) {
+	const hash = 0xabc123
+	rollover := walrec.EncodeHintRollover(1, []sis.Hint{{TemplateHash: hash, TemplateID: "T0042", Flip: rules.Flip{RuleID: 40}, Day: 7}})
+	quarantine := walrec.EncodeQuarantine(map[uint64]drift.State{hash: drift.StateQuarantined}, false, false)
+	badQuarantine := bytes.Clone(quarantine)
+	badQuarantine[len(badQuarantine)-1] = byte(drift.StateSuspect)
+	for _, tc := range []struct {
+		name      string
+		good, bad []byte
+	}{
+		{"flip F40", rollover, bytes.Replace(rollover, []byte("\x05-R040"), []byte("\x03F40"), 1)},
+		{"suspect state", quarantine, badQuarantine},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := walrec.Decode(tc.good); err != nil {
+				t.Fatalf("the good record does not decode: %v", err)
+			}
+			if bytes.Equal(tc.good, tc.bad) {
+				t.Fatal("the bad record is the good one")
+			}
+			if rec, err := walrec.Decode(tc.bad); err == nil {
+				t.Fatalf("walrec.Decode accepted %+v", rec)
+			}
+
+			dir := t.TempDir()
+			j, err := wal.Open(wal.Options{Dir: dir, Mode: wal.ModeSync})
+			if err != nil {
+				t.Fatal(err)
+			}
+			lsn, err := j.Append(tc.bad)
+			if err == nil {
+				err = j.Commit(lsn)
+			}
+			if cerr := j.Close(); err == nil {
+				err = cerr
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			eng, err := audit.Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var listed []string
+			if _, err := eng.Run(audit.Query{}, func(r audit.Result) error {
+				listed = append(listed, audit.Summary(r))
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			want := walrec.Name(tc.bad[0]) + " (undecoded)"
+			if len(listed) != 1 || listed[0] != want {
+				t.Errorf("audit records lists %q, want [%q]", listed, want)
+			}
+			if _, err := eng.Run(audit.Query{Template: hash, HasTemplate: true}, func(r audit.Result) error {
+				t.Errorf("audit records template=%x matched lsn %d: %s", hash, r.LSN, audit.Summary(r))
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			th, err := eng.Template(hash)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(th.Events) != 0 || th.Rollovers != 0 || th.QuarantineRecords != 0 {
+				t.Errorf("audit template reads the record: %d events, %d rollovers, %d quarantine records", len(th.Events), th.Rollovers, th.QuarantineRecords)
+			}
+
+			if _, err := serve.Recover(wal.DirSource{Dir: dir}, "", 0, 0, 42); err == nil {
+				t.Error("serve.Recover accepted the record")
+			}
+		})
 	}
 }

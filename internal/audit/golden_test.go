@@ -14,7 +14,6 @@ import (
 
 	"qoadvisor/internal/api"
 	"qoadvisor/internal/audit"
-	"qoadvisor/internal/drift"
 	"qoadvisor/internal/rules"
 	"qoadvisor/internal/serve"
 	"qoadvisor/internal/sis"
@@ -120,7 +119,7 @@ func templateRows(t *testing.T, eng *audit.Engine, hash uint64) []string {
 			if ev.Snapshot {
 				kind = "checkpoint re-journal"
 			}
-			rows = append(rows, fmt.Sprintf("%10d  quarantine state=%s (%s)", ev.LSN, drift.State(ev.State).String(), kind))
+			rows = append(rows, fmt.Sprintf("%10d  quarantine state=%s (%s)", ev.LSN, ev.State, kind))
 		case "quarantine_cleared":
 			rows = append(rows, fmt.Sprintf("%10d  quarantine cleared", ev.LSN))
 		}

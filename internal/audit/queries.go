@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"slices"
 
+	"qoadvisor/internal/drift"
+	"qoadvisor/internal/rules"
 	"qoadvisor/internal/walrec"
 )
 
@@ -161,11 +163,11 @@ type TemplateEvent struct {
 	// "quarantine_cleared".
 	Kind string
 	// Flip/Day/Gen describe a hint change (Kind "hint").
-	Flip string
+	Flip rules.Flip
 	Day  int
 	Gen  uint64
-	// State is the raw drift state byte for quarantine transitions.
-	State byte
+	// State is the durable drift state a quarantine transition entered.
+	State drift.State
 	// Snapshot marks a checkpoint re-journal rather than a transition.
 	Snapshot bool
 }
@@ -188,10 +190,10 @@ type TemplateHistory struct {
 // (checkpoint re-journals) are collapsed to the first occurrence.
 func (e *Engine) Template(hash uint64) (*TemplateHistory, error) {
 	th := &TemplateHistory{TemplateHash: hash}
-	var lastFlip string
+	var lastFlip rules.Flip
 	var lastDay int
 	haveHint := false
-	var lastState byte
+	var lastState drift.State
 	haveQuar := false
 	// Tag filter only — no template key: a removal is proven by a
 	// rollover that does NOT carry the hash, which a key filter would

@@ -322,11 +322,18 @@ func (c *compiler) compileSelect(s *SelectStmt) error {
 			rightMerged[i] = name
 			renames[name] = col.Name
 		}
+		leftEntries := len(sc.entries)
 		sc.addInput(alias, right.Cols, rightMerged)
 
 		cond, err := sc.resolveExpr(jc.On)
 		if err != nil {
 			return err
+		}
+		// A semi join's right side is visible to its ON clause only: it
+		// produces no column a later clause could read. Its merged names
+		// stay taken, so the names of later joins do not move.
+		if jc.Type == JoinSemi {
+			sc.entries = sc.entries[:leftEntries]
 		}
 		join := c.graph.NewNode(OpJoin, cur, right)
 		join.JoinType = jc.Type

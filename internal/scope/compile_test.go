@@ -1,6 +1,7 @@
 package scope
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"slices"
@@ -305,11 +306,15 @@ func TestCompileErrors(t *testing.T) {
 		{`t = EXTRACT a:int FROM "f"; r = REDUCE t ON nocol USING R PRODUCE a:int; OUTPUT r TO "o";`, "not found"},
 		{`t = EXTRACT a:int FROM "f";`, "no OUTPUT"},
 		{`t = EXTRACT a:int FROM "f"; u = t UNION t; x = SELECT a FROM t JOIN t AS t2 ON a == a; OUTPUT x TO "o";`, "ambiguous"},
+		// A semi join's right side is visible to its ON clause only.
+		{`l = EXTRACT a:int FROM "l"; s = EXTRACT c:int FROM "s"; x = SELECT a FROM l SEMI JOIN s ON a == c WHERE c > 1; OUTPUT x TO "o";`, `unknown column "c"`},
+		{`l = EXTRACT a:int FROM "l"; s = EXTRACT c:int FROM "s"; x = SELECT a, c FROM l SEMI JOIN s ON a == c; OUTPUT x TO "o";`, `unknown column "c"`},
 	}
 	for _, c := range cases {
 		_, err := CompileScript(c.src)
-		if err == nil {
-			t.Errorf("CompileScript(%q) should fail", c.src)
+		var ce *CompileError
+		if !errors.As(err, &ce) {
+			t.Errorf("CompileScript(%q) = %v, want a *CompileError", c.src, err)
 			continue
 		}
 		if !strings.Contains(err.Error(), c.wantSubstr) {

@@ -11,7 +11,6 @@ import (
 
 	"qoadvisor/internal/api"
 	"qoadvisor/internal/audit"
-	"qoadvisor/internal/drift"
 	"qoadvisor/internal/obs"
 	"qoadvisor/internal/wal"
 	"qoadvisor/internal/walrec"
@@ -277,13 +276,15 @@ func (h *httpLayer) handleAuditTemplate(w http.ResponseWriter, r *http.Request) 
 		out := api.AuditTemplateEvent{
 			LSN:      ev.LSN,
 			Kind:     ev.Kind,
-			Flip:     ev.Flip,
 			Day:      ev.Day,
 			Gen:      ev.Gen,
 			Snapshot: ev.Snapshot,
 		}
-		if ev.Kind == "quarantine" {
-			out.State = drift.State(ev.State).String()
+		switch ev.Kind {
+		case "hint":
+			out.Flip = ev.Flip.String()
+		case "quarantine":
+			out.State = ev.State.String()
 		}
 		resp.Events = append(resp.Events, out)
 	}

@@ -416,9 +416,10 @@ func TestInstallHintsRefusesUnaddressableTable(t *testing.T) {
 }
 
 // TestRolloverRecordBytesUnchanged holds the journal's hint-rollover
-// record to walrec.EncodeHintRollover over the same hints, byte for byte,
-// on both writers: InstallHints (the caller's install order) and the
-// checkpoint's re-journal (the table's export, ascending hash).
+// records to walrec.EncodeHintRollover byte for byte (whose bytes
+// walrec's records.golden pins), on both writers: InstallHints journals
+// the caller's install order and the checkpoint's re-journal the table's
+// export, in ascending hash order.
 func TestRolloverRecordBytesUnchanged(t *testing.T) {
 	r := newWALRig(t, 1<<20)
 	cat := rules.NewCatalog()
@@ -445,16 +446,9 @@ func TestRolloverRecordBytesUnchanged(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	wire := func(hints []sis.Hint) []walrec.Hint {
-		out := make([]walrec.Hint, len(hints))
-		for i, h := range hints {
-			out[i] = walrec.Hint{TemplateHash: h.TemplateHash, TemplateID: h.TemplateID, Flip: h.Flip.String(), Day: h.Day}
-		}
-		return out
-	}
 	sorted := slices.Clone(hints)
 	slices.Reverse(sorted)
-	want := [][]byte{walrec.EncodeHintRollover(1, wire(hints)), walrec.EncodeHintRollover(1, wire(sorted))}
+	want := [][]byte{walrec.EncodeHintRollover(1, hints), walrec.EncodeHintRollover(1, sorted)}
 	if len(got) != len(want) {
 		t.Fatalf("journal holds %d rollover records, want the install and the checkpoint's re-journal", len(got))
 	}

@@ -56,16 +56,16 @@ func NewApplier(svc *bandit.Service, cache *HintCache, quar *drift.Table) *Appli
 // Apply consumes one journal record.
 func (a *Applier) Apply(lsn uint64, payload []byte) error {
 	if len(payload) > 0 && payload[0] == walrec.TagHintRollover {
-		gen, hints, err := decodeHintRollover(payload)
+		rec, err := walrec.DecodeHintRollover(payload)
 		if err != nil {
 			return fmt.Errorf("serve: lsn %d: %w", lsn, err)
 		}
-		a.HintGen = gen
+		a.HintGen = rec.Gen
 		a.Rollovers++
 		if a.cache != nil {
-			a.cache.Restore(hints, gen)
+			a.cache.Restore(rec.Hints, rec.Gen)
 		} else {
-			a.Hints = hints
+			a.Hints = rec.Hints
 		}
 		// Hint records advance the covered-state watermark like any other
 		// applied record, so a later snapshot supersedes them.
@@ -73,14 +73,14 @@ func (a *Applier) Apply(lsn uint64, payload []byte) error {
 		return nil
 	}
 	if len(payload) > 0 && payload[0] == walrec.TagQuarantine {
-		states, _, _, err := decodeQuarantine(payload)
+		rec, err := walrec.DecodeQuarantine(payload)
 		if err != nil {
 			return fmt.Errorf("serve: lsn %d: %w", lsn, err)
 		}
-		a.Quarantine = states
+		a.Quarantine = rec.States
 		a.QuarantineRecords++
 		if a.quar != nil {
-			a.quar.Replace(states)
+			a.quar.Replace(rec.States)
 		}
 		a.svc.SetWALWatermark(lsn)
 		return nil

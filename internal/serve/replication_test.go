@@ -34,30 +34,6 @@ func testHints(cat *rules.Catalog, n, day int) []sis.Hint {
 	return hints
 }
 
-func TestHintRolloverRecordRoundTrip(t *testing.T) {
-	cat := rules.NewCatalog()
-	hints := testHints(cat, 17, 5)
-	rec := encodeHintRollover(3, hints)
-	gen, got, err := decodeHintRollover(rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gen != 3 || len(got) != len(hints) {
-		t.Fatalf("decoded gen %d, %d hints", gen, len(got))
-	}
-	for i := range hints {
-		if got[i] != hints[i] {
-			t.Fatalf("hint %d: %+v != %+v", i, got[i], hints[i])
-		}
-	}
-	// Truncated payloads fail loudly rather than installing a partial table.
-	for cut := 1; cut < len(rec); cut += 7 {
-		if _, _, err := decodeHintRollover(rec[:cut]); err == nil {
-			t.Fatalf("truncation at %d bytes decoded cleanly", cut)
-		}
-	}
-}
-
 // TestHintTableCrashRecovery is the satellite regression: before hint
 // journaling, a crash restart restored the bandit but came back with
 // an EMPTY hint cache — every steered template silently fell back to

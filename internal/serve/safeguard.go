@@ -8,6 +8,7 @@ import (
 	"qoadvisor/internal/api"
 	"qoadvisor/internal/drift"
 	"qoadvisor/internal/wal"
+	"qoadvisor/internal/walrec"
 )
 
 // safeguard wires the drift package into the server: detection (on a
@@ -115,7 +116,7 @@ func (g *safeguard) commitLocked(tr drift.Transition) error {
 		delete(next, tr.TemplateHash)
 	}
 	if g.wal != nil {
-		lsn, err := g.wal.Append(encodeQuarantine(next, false, tr.Manual))
+		lsn, err := g.wal.Append(walrec.EncodeQuarantine(next, false, tr.Manual))
 		if err == nil {
 			// Same durability barrier as an accepted reward batch: in sync
 			// mode the transition is on disk before it takes effect.
@@ -166,7 +167,7 @@ func (g *safeguard) journalState() error {
 	if len(snap) == 0 {
 		return nil
 	}
-	_, err := g.wal.Append(encodeQuarantine(snap, true, false))
+	_, err := g.wal.Append(walrec.EncodeQuarantine(snap, true, false))
 	return err
 }
 

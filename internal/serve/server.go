@@ -17,6 +17,7 @@ import (
 	"qoadvisor/internal/rules"
 	"qoadvisor/internal/sis"
 	"qoadvisor/internal/wal"
+	"qoadvisor/internal/walrec"
 )
 
 // Config parameterizes the steering server. The training cadence
@@ -274,7 +275,7 @@ func (s *Server) InstallHints(hints []sis.Hint) (uint64, error) {
 		// Append before the swap: if the disk is sick the table must not
 		// be serving while absent from the journal. The generation the
 		// swap WILL mint is current+1 (rolloverMu excludes other writers).
-		if _, err := s.wal.Append(encodeHintRollover(s.cache.Generation()+1, hints)); err != nil {
+		if _, err := s.wal.Append(walrec.EncodeHintRollover(s.cache.Generation()+1, hints)); err != nil {
 			s.rolloverMu.Unlock()
 			return s.cache.Generation(), api.Errorf(api.CodeInternal, "journaling hint rollover: %v", err)
 		}
@@ -308,7 +309,7 @@ func (s *Server) journalHints() error {
 	if gen == 0 && len(hints) == 0 {
 		return nil // nothing ever installed; don't journal an empty wipe
 	}
-	_, err := s.wal.Append(encodeHintRollover(gen, hints))
+	_, err := s.wal.Append(walrec.EncodeHintRollover(gen, hints))
 	return err
 }
 

@@ -10,6 +10,9 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"qoadvisor/internal/rules"
+	"qoadvisor/internal/sis"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/records.golden from the current encoders")
@@ -25,9 +28,9 @@ func goldenRecords() (names []string, recs [][]byte) {
 		recs = append(recs, samples[tag])
 	}
 	names = append(names, "hint_rollover_edges")
-	recs = append(recs, EncodeHintRollover(1<<33, []Hint{
-		{TemplateHash: 0x0123456789abcdef, TemplateID: "", Flip: "+R000", Day: 0},
-		{TemplateHash: ^uint64(0), TemplateID: strings.Repeat("T", 300), Flip: "-R255", Day: 1 << 40},
+	recs = append(recs, EncodeHintRollover(1<<33, []sis.Hint{
+		{TemplateHash: 0x0123456789abcdef, TemplateID: "", Flip: rules.Flip{RuleID: 0, Enable: true}, Day: 0},
+		{TemplateHash: ^uint64(0), TemplateID: strings.Repeat("T", 300), Flip: rules.Flip{RuleID: 255}, Day: 1 << 40},
 	}))
 	return names, recs
 }

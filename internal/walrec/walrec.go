@@ -1,6 +1,6 @@
 // Package walrec is the registry of journal record types: every tag
-// the write-ahead log carries, its registered name, and the wire codec
-// for its payload. It is the one decoder of journal records, shared by
+// the write-ahead log carries, its registered name, and the codec for
+// its payload. It is the one decoder of journal records, shared by
 // journal replay (qoadvisor/internal/bandit.Replayer), crash recovery,
 // audit as-of and follower tailing (qoadvisor/internal/serve.Applier,
 // the last via internal/replicate), and the audit queries
@@ -9,16 +9,19 @@
 // consumers can never drift apart on the format. The tags and record
 // types are used under their names here; no package re-exports them.
 //
-// The package is deliberately wire-level: it depends only on the
-// standard library and internal/strarena, and decodes into raw forms
-// (flips as strings, quarantine states as bytes). Domain interpretation
-// — parsing a flip into rules.Flip, validating a drift.State — stays
-// with the owning packages, which wrap these codecs.
+// Records decode straight to the types their consumers use: a hint
+// rollover to sis.Hint, its flip parsed by rules.ParseFlip, and a
+// quarantine table to durable drift.State values. Those leaf packages
+// do not import walrec, so no cycle forms, and the strictness of a
+// record is decided here once: a flip that does not parse or a state
+// that is not durable fails Decode, for recovery, a follower and audit
+// alike, instead of passing a wire-level decode that a second parser
+// downstream may or may not repeat.
 //
 // Encodings are little-endian: fixed 8-byte words for hashes and float
 // bits (feature IDs span the full 64-bit space, so varints would
 // inflate them), uvarints for lengths and counts. Every payload starts
-// with its tag byte.
+// with its tag byte. testdata/records.golden pins one record of each.
 //
 // A decoded record never aliases its payload: every string one decode
 // call returns is a substring of one arena string for that record
@@ -34,6 +37,9 @@ import (
 	"fmt"
 	"math"
 
+	"qoadvisor/internal/drift"
+	"qoadvisor/internal/rules"
+	"qoadvisor/internal/sis"
 	"qoadvisor/internal/strarena"
 )
 
@@ -50,10 +56,15 @@ const (
 	// TagTrainMark is an out-of-band training flush (drain, shutdown,
 	// checkpoint barrier).
 	TagTrainMark byte = 3
-	// TagHintRollover is a wholesale hint-table install (complete table
-	// plus the cache generation it minted).
+	// TagHintRollover is a wholesale hint-table install: the complete
+	// table plus the cache generation it minted, so replay restores the
+	// generation clients observe too. Checkpoints and follower
+	// bootstraps re-journal the live table above the snapshot watermark,
+	// so compaction never truncates the only copy.
 	TagHintRollover byte = 4
-	// TagQuarantine is the complete durable drift-safeguard table.
+	// TagQuarantine is the complete durable drift-safeguard table, so
+	// replay is last-record-wins; healthy and suspect templates are
+	// absent by construction.
 	TagQuarantine byte = 5
 )
 
@@ -96,20 +107,10 @@ type RewardEntry struct {
 	Value   float64
 }
 
-// Hint is the wire-level form of one hint inside a rollover record:
-// the flip travels as its string rendering (the owning package parses
-// it into a typed rules.Flip).
-type Hint struct {
-	TemplateHash uint64
-	TemplateID   string
-	Flip         string
-	Day          int
-}
-
 // HintRollover is the decoded form of a TagHintRollover payload.
 type HintRollover struct {
 	Gen   uint64
-	Hints []Hint
+	Hints []sis.Hint
 }
 
 // Quarantine flag bits.
@@ -121,11 +122,10 @@ const (
 	QuarFlagManual byte = 1 << 1
 )
 
-// Quarantine is the decoded form of a TagQuarantine payload. States
-// map template hashes to raw drift-state bytes; the serve layer
-// validates them against drift.State's durable set.
+// Quarantine is the decoded form of a TagQuarantine payload: States
+// maps template hashes to durable drift states.
 type Quarantine struct {
-	States   map[uint64]byte
+	States   map[uint64]drift.State
 	Snapshot bool
 	Manual   bool
 }
@@ -361,49 +361,36 @@ func EncodeTrainMark() []byte { return []byte{TagTrainMark} }
 
 // --- hint rollover (tag 4) ---
 
-// EncodeHintRollover frames one hint-table rollover:
+// EncodeHintRollover frames one hint-table rollover, each flip as its
+// Flip.String rendering:
 //
 //	[tag][uvarint generation][uvarint count]
 //	per hint: [8-byte hash][string templateID][string flip][uvarint day]
-func EncodeHintRollover(gen uint64, hints []Hint) []byte {
-	var idBytes, flipBytes int
-	for _, h := range hints {
-		idBytes += len(h.TemplateID)
-		flipBytes += len(h.Flip)
+func EncodeHintRollover(gen uint64, hints []sis.Hint) []byte {
+	// Capacity, not a limit: per hint two length prefixes and a day
+	// varint fit in 16 bytes and a catalog flip renders in five
+	// ("+R255"); a longer day or a rule outside the catalog grows the
+	// buffer instead.
+	size := 1 + 2*binary.MaxVarintLen64 + len(hints)*(8+16+5)
+	for i := range hints {
+		size += len(hints[i].TemplateID)
 	}
-	b := make([]byte, 0, HintRolloverSizeMax(len(hints), idBytes, flipBytes))
-	b = AppendHintRolloverHeader(b, gen, len(hints))
-	for _, h := range hints {
-		b = AppendHint(b, h.TemplateHash, h.TemplateID, h.Flip, h.Day)
+	b := make([]byte, 0, size)
+	b = append(b, TagHintRollover)
+	b = binary.AppendUvarint(b, gen)
+	b = binary.AppendUvarint(b, uint64(len(hints)))
+	for i := range hints {
+		h := &hints[i]
+		b = appendUint64(b, h.TemplateHash)
+		b = appendString(b, h.TemplateID)
+		b = appendString(b, h.Flip.String())
+		b = binary.AppendUvarint(b, uint64(h.Day))
 	}
 	return b
 }
 
-// HintRolloverSizeMax bounds the encoding of a rollover record of count
-// hints whose template IDs and flip renderings total these many bytes.
-func HintRolloverSizeMax(count, idBytes, flipBytes int) int {
-	return 1 + 2*binary.MaxVarintLen64 + count*(8+16) + idBytes + flipBytes
-}
-
-// AppendHintRolloverHeader starts a rollover record of count hints;
-// exactly count AppendHint calls complete it. The two let a caller that
-// holds the hints in another form (serve's typed sis.Hint) frame the
-// record without first converting the table to []Hint.
-func AppendHintRolloverHeader(b []byte, gen uint64, count int) []byte {
-	b = append(b, TagHintRollover)
-	b = binary.AppendUvarint(b, gen)
-	return binary.AppendUvarint(b, uint64(count))
-}
-
-// AppendHint appends one hint of a rollover record.
-func AppendHint(b []byte, templateHash uint64, templateID, flip string, day int) []byte {
-	b = appendUint64(b, templateHash)
-	b = appendString(b, templateID)
-	b = appendString(b, flip)
-	return binary.AppendUvarint(b, uint64(day))
-}
-
-// DecodeHintRollover parses a TagHintRollover payload.
+// DecodeHintRollover parses a TagHintRollover payload, each flip with
+// rules.ParseFlip.
 func DecodeHintRollover(p []byte) (HintRollover, error) {
 	var rec HintRollover
 	if len(p) == 0 || p[0] != TagHintRollover {
@@ -425,26 +412,33 @@ func DecodeHintRollover(p []byte) (HintRollover, error) {
 	if n > uint64(len(b))/minHintEnc {
 		return rec, fmt.Errorf("walrec: hint record claims %d hints in %d bytes", n, len(b))
 	}
-	// The first pass checks every hint and counts the bytes of their IDs
-	// and flips: the size of the one arena the second pass cuts them from.
+	// The first pass checks the framing of every hint and counts the
+	// bytes of their IDs: the size of the one arena the second pass cuts
+	// them from.
 	size := 0
 	for i, rest := uint64(0), b; i < n; i++ {
 		var h rawHint
 		if h, rest, err = takeHint(rest); err != nil {
 			return rec, err
 		}
-		size += len(h.id) + len(h.flip)
+		size += len(h.id)
 	}
-	var strs strarena.Arena
-	strs.Reset(size)
-	rec.Hints = make([]Hint, n)
+	var ids strarena.Arena
+	ids.Reset(size)
+	rec.Hints = make([]sis.Hint, n)
 	for i := range rec.Hints {
 		var h rawHint
 		h, b, _ = takeHint(b)
-		rec.Hints[i] = Hint{
+		// The conversion does not outlive the call (ParseFlip copies what
+		// an error quotes), so it does not allocate.
+		flip, err := rules.ParseFlip(string(h.flip))
+		if err != nil {
+			return rec, fmt.Errorf("walrec: hint record: %w", err)
+		}
+		rec.Hints[i] = sis.Hint{
 			TemplateHash: h.hash,
-			TemplateID:   strs.String(h.id),
-			Flip:         strs.String(h.flip),
+			TemplateID:   ids.String(h.id),
+			Flip:         flip,
 			Day:          int(h.day),
 		}
 	}
@@ -479,9 +473,10 @@ func takeHint(b []byte) (h rawHint, rest []byte, err error) {
 //
 //	[tag][flags][uvarint count] per template: [8-byte hash][state byte]
 //
+// Only durable states belong in the journal; any other is dropped.
 // Iteration order is unspecified; decode builds a map, so records with
 // the same content replay identically regardless of encoding order.
-func EncodeQuarantine(states map[uint64]byte, snapshot, manual bool) []byte {
+func EncodeQuarantine(states map[uint64]drift.State, snapshot, manual bool) []byte {
 	var flags byte
 	if snapshot {
 		flags |= QuarFlagSnapshot
@@ -489,17 +484,26 @@ func EncodeQuarantine(states map[uint64]byte, snapshot, manual bool) []byte {
 	if manual {
 		flags |= QuarFlagManual
 	}
-	b := make([]byte, 0, 2+binary.MaxVarintLen64+9*len(states))
+	n := 0
+	for _, st := range states {
+		if st.Durable() {
+			n++
+		}
+	}
+	b := make([]byte, 0, 2+binary.MaxVarintLen64+9*n)
 	b = append(b, TagQuarantine, flags)
-	b = binary.AppendUvarint(b, uint64(len(states)))
+	b = binary.AppendUvarint(b, uint64(n))
 	for hash, st := range states {
-		b = appendUint64(b, hash)
-		b = append(b, st)
+		if st.Durable() {
+			b = appendUint64(b, hash)
+			b = append(b, byte(st))
+		}
 	}
 	return b
 }
 
-// DecodeQuarantine parses a TagQuarantine payload.
+// DecodeQuarantine parses a TagQuarantine payload, refusing a state
+// that is not durable.
 func DecodeQuarantine(p []byte) (Quarantine, error) {
 	var rec Quarantine
 	if len(p) < 2 || p[0] != TagQuarantine {
@@ -515,12 +519,16 @@ func DecodeQuarantine(p []byte) (Quarantine, error) {
 	if n > uint64(len(b))/9 {
 		return rec, fmt.Errorf("walrec: quarantine record claims %d templates in %d bytes", n, len(b))
 	}
-	rec.States = make(map[uint64]byte, n)
+	rec.States = make(map[uint64]drift.State, n)
 	for i := uint64(0); i < n; i++ {
 		if len(b) < 9 {
 			return rec, fmt.Errorf("walrec: quarantine record truncated")
 		}
-		rec.States[binary.LittleEndian.Uint64(b)] = b[8]
+		hash, st := binary.LittleEndian.Uint64(b), drift.State(b[8])
+		if !st.Durable() {
+			return rec, fmt.Errorf("walrec: quarantine record carries non-durable state %d for template %016x", st, hash)
+		}
+		rec.States[hash] = st
 		b = b[9:]
 	}
 	return rec, nil

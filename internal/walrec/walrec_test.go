@@ -11,6 +11,10 @@ import (
 	"strings"
 	"testing"
 	"unsafe"
+
+	"qoadvisor/internal/drift"
+	"qoadvisor/internal/rules"
+	"qoadvisor/internal/sis"
 )
 
 // sampleRecords is one encoded record per registered tag, each with
@@ -22,12 +26,16 @@ func sampleRecords() map[byte][]byte {
 			{EventID: "ev1f00-00000007", Value: 1.5}, {EventID: "", Value: -0.25}, {EventID: "ev-long-" + string(make([]byte, 200)), Value: 0},
 		}),
 		TagTrainMark: EncodeTrainMark(),
-		TagHintRollover: EncodeHintRollover(300, []Hint{
-			{TemplateHash: 0xabc123, TemplateID: "T0042", Flip: "-R040", Day: 7},
-			{TemplateHash: 0, TemplateID: "", Flip: "+R200", Day: 1 << 20},
+		TagHintRollover: EncodeHintRollover(300, []sis.Hint{
+			{TemplateHash: 0xabc123, TemplateID: "T0042", Flip: rules.Flip{RuleID: 40}, Day: 7},
+			{TemplateHash: 0, TemplateID: "", Flip: rules.Flip{RuleID: 200, Enable: true}, Day: 1 << 20},
 		}),
-		TagQuarantine: EncodeQuarantine(map[uint64]byte{0x1001: 2, 0x1002: 3, 0: 3}, true, true),
+		TagQuarantine: EncodeQuarantine(sampleQuarantine(), true, true),
 	}
+}
+
+func sampleQuarantine() map[uint64]drift.State {
+	return map[uint64]drift.State{0x1001: drift.StateQuarantined, 0x1002: drift.StateProbation, 0: drift.StateProbation}
 }
 
 // TestEncodeDecodeRoundTrip: every tag's encoder output decodes back to
@@ -56,7 +64,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		// (quarantine maps encode in unspecified order, so that tag
 		// compares decoded forms instead).
 		if tag == TagQuarantine {
-			want := Quarantine{States: map[uint64]byte{0x1001: 2, 0x1002: 3, 0: 3}, Snapshot: true, Manual: true}
+			want := Quarantine{States: sampleQuarantine(), Snapshot: true, Manual: true}
 			if !reflect.DeepEqual(*rec.Quarantine, want) {
 				t.Errorf("quarantine decoded as %+v, want %+v", *rec.Quarantine, want)
 			}
@@ -69,6 +77,30 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 	if _, err := Decode([]byte{0x7f}); err == nil || Name(0x7f) != "" {
 		t.Error("unregistered tag 0x7f must fail Decode and have no name")
+	}
+}
+
+// TestHintRolloverRecordRoundTrip: a rollover decodes to the generation
+// and the very hints that went in, and a truncated one fails loudly
+// rather than installing a partial table.
+func TestHintRolloverRecordRoundTrip(t *testing.T) {
+	cat := rules.NewCatalog()
+	hints := make([]sis.Hint, 17)
+	for i := range hints {
+		hints[i] = sis.Hint{TemplateHash: uint64(0x1000 + i), TemplateID: fmt.Sprintf("T%04d", i), Flip: cat.FlipFor(40 + i%40), Day: 5}
+	}
+	rec := EncodeHintRollover(3, hints)
+	got, err := DecodeHintRollover(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Gen != 3 || !slices.Equal(got.Hints, hints) {
+		t.Fatalf("decoded generation %d, hints %+v; want 3, %+v", got.Gen, got.Hints, hints)
+	}
+	for cut := 1; cut < len(rec); cut += 7 {
+		if _, err := DecodeHintRollover(rec[:cut]); err == nil {
+			t.Fatalf("truncation at %d bytes decoded cleanly", cut)
+		}
 	}
 }
 
@@ -86,8 +118,10 @@ func TestDecodeRejectsEveryStrictPrefix(t *testing.T) {
 }
 
 // FuzzDecode: no input makes Decode panic or allocate from an
-// unchecked count, and whatever Decode accepts is a fixed point of its
-// tag's encoder: re-encoded and decoded again, it is the same record.
+// unchecked count; a flip Decode accepts names a catalog rule and a
+// quarantine state it accepts is durable; and whatever Decode accepts is
+// a fixed point of its tag's encoder: re-encoded and decoded again, it
+// is the same record.
 // Decoded forms are compared, not bytes: Decode accepts trailing bytes
 // and non-minimal varints, which no encoder writes.
 func FuzzDecode(f *testing.F) {
@@ -97,12 +131,29 @@ func FuzzDecode(f *testing.F) {
 	// Counts chosen so that count*width wraps to a small number.
 	f.Add(append(append([]byte{TagRank, 0}, make([]byte, 8)...), binary.AppendUvarint(nil, 1<<61)...))
 	f.Add(append([]byte{TagRewardBatch, 1}, binary.AppendUvarint(nil, ^uint64(0)-7)...))
+	// A flip and a state Decode refuses.
+	f.Add(bytes.Replace(sampleRecords()[TagHintRollover], []byte("\x05-R040"), []byte("\x03F40"), 1))
+	f.Add(append([]byte{TagQuarantine, 0, 1}, 0, 0, 0, 0, 0, 0, 0, 0, byte(drift.StateSuspect)))
 	f.Fuzz(func(t *testing.T, p []byte) {
 		rec, err := Decode(p)
 		if err != nil {
 			return
 		}
 		stringsOutlive(t, p)
+		if rec.HintRollover != nil {
+			for _, h := range rec.HintRollover.Hints {
+				if h.Flip.RuleID < 0 || h.Flip.RuleID >= rules.NumRules {
+					t.Fatalf("decoded flip %+v names no catalog rule", h.Flip)
+				}
+			}
+		}
+		if rec.Quarantine != nil {
+			for hash, st := range rec.Quarantine.States {
+				if !st.Durable() {
+					t.Fatalf("decoded state %v for template %016x is not durable", st, hash)
+				}
+			}
+		}
 		again, err := Decode(encode(rec))
 		if err != nil {
 			t.Fatalf("re-encoded %s record does not decode: %v", Name(rec.Tag), err)
@@ -147,7 +198,7 @@ func recordStrings(rec Record) []string {
 	}
 	if rec.HintRollover != nil {
 		for _, h := range rec.HintRollover.Hints {
-			out = append(out, h.TemplateID, h.Flip)
+			out = append(out, h.TemplateID)
 		}
 	}
 	return out
@@ -162,7 +213,7 @@ func TestDecodedStringsOutliveTheDecoder(t *testing.T) {
 	}
 	for _, p := range [][]byte{
 		EncodeRewardBatch([]RewardEntry{{EventID: "ev-a-0001", Value: 1}, {EventID: "ev-b-00002", Value: 2}, {EventID: "ev-c-3", Value: 3}}),
-		EncodeHintRollover(4, []Hint{{TemplateID: "T1", Flip: "-R040"}, {TemplateID: "T22", Flip: "+R1"}}),
+		EncodeHintRollover(4, []sis.Hint{{TemplateID: "T1", Flip: rules.Flip{RuleID: 40}}, {TemplateID: "T22", Flip: rules.Flip{RuleID: 1, Enable: true}}}),
 	} {
 		rec, err := Decode(p)
 		if err != nil {
@@ -188,7 +239,7 @@ func TestDecodedStringRetainedHeap(t *testing.T) {
 	recs := [][]byte{
 		AppendRank(nil, "ev-00000", 0.5, make([]uint64, 8<<10), nil),
 		append(EncodeRewardBatch([]RewardEntry{{EventID: "ev-00000", Value: 1}}), pad...),
-		append(EncodeHintRollover(1, []Hint{{TemplateID: "ev-00000", Flip: "-R040"}}), pad...),
+		append(EncodeHintRollover(1, []sis.Hint{{TemplateID: "ev-00000", Flip: rules.Flip{RuleID: 40}}}), pad...),
 	}
 	kept := make([]string, 0, 1000*len(recs))
 	runtime.GC()
