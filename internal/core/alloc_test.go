@@ -11,7 +11,7 @@ import (
 	"qoadvisor/internal/workload"
 )
 
-// runDayAllocCeiling is TestRunDayAllocBudget's: measured (17.1, go1.24,
+// runDayAllocCeiling is TestRunDayAllocBudget's: measured (13.5, go1.24,
 // at GOMAXPROCS 1 and 2) + 5 %. The same days cost 954.6 per job while every recurrence was
 // instantiated, rewritten and lowered from scratch through per-call maps,
 // 256.4 while every (template, date) was parsed and compiled from its
@@ -34,8 +34,11 @@ import (
 // 22.8 while a rewrite's working copy was a heap Clone and every node it
 // made a heap node with heap Inputs, and 18.2 while every rule that moved
 // an expression through a rename or a projection built a map of it and
-// copied every node of the expression, renamed or not.
-const runDayAllocCeiling = 18.0
+// copied every node of the expression, renamed or not, and 17.1 while an
+// instance's facts were three maps keyed by dated string, every keyed
+// partitioning scheme a string of its own and a plan's stages had a
+// pointer slab.
+const runDayAllocCeiling = 14.2
 
 // retainedHeapCeilingMB is TestOfflineLegRetainedHeap's: measured (4.08
 // MB, go1.24, 4.07–4.08 at GOMAXPROCS 1 and 2; 4.19 and 4.10 after 20 and

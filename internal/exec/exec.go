@@ -34,20 +34,40 @@ type Metrics struct {
 // sizes and the real per-site selectivities of a job instance. It
 // implements optimizer.Environment, so the optimizer's own cardinality
 // engine can be re-run under truth (the simulator's "actual" data flow).
+//
+// Its facts are positional: keys with parallel values, in the order the
+// workload generator makes them (a template's tables and sites). A lookup
+// scans for its key and the last match wins, as the last write did when
+// these were maps: two site patterns can substitute to one key.
 type Truth struct {
-	// Rows maps table path to true row count.
-	Rows map[string]float64
-	// Sel maps operator site keys to true selectivities/fractions.
-	Sel map[string]float64
+	// Paths are table paths and Rows, parallel to them, their true row
+	// counts.
+	Paths []string
+	Rows  []float64
+	// Sites are operator site keys and Sel, parallel to them, their true
+	// selectivities/fractions.
+	Sites []string
+	Sel   []float64
 	// JitterSeed derives deterministic selectivity jitter for sites not
-	// present in Sel (predicates synthesized by rewrites).
+	// among Sites (predicates synthesized by rewrites).
 	JitterSeed int64
+}
+
+// lastIndex returns the index of the last element of keys equal to key,
+// or -1.
+func lastIndex[S string | []byte](keys []string, key S) int {
+	for i := len(keys) - 1; i >= 0; i-- {
+		if keys[i] == string(key) {
+			return i
+		}
+	}
+	return -1
 }
 
 // BaseRows implements optimizer.Environment.
 func (t *Truth) BaseRows(path string) float64 {
-	if r, ok := t.Rows[path]; ok {
-		return r
+	if i := lastIndex(t.Paths, path); i >= 0 {
+		return t.Rows[i]
 	}
 	return 1e6
 }
@@ -57,8 +77,8 @@ func (t *Truth) BaseRows(path string) float64 {
 // per-site jitter, so even synthesized predicates behave consistently
 // across recompilations.
 func (t *Truth) Selectivity(site []byte, heuristic float64) float64 {
-	if s, ok := t.Sel[string(site)]; ok {
-		return s
+	if i := lastIndex(t.Sites, site); i >= 0 {
+		return t.Sel[i]
 	}
 	rng := SeededRand(int64(scope.FNV1a(scope.FNVOffset64, site)) ^ t.JitterSeed)
 	u := rng.Float64()
@@ -317,8 +337,8 @@ func Run(plan *optimizer.Plan, truth *Truth, stats optimizer.StatsProvider, clus
 	// Per-stage accumulators, indexed by stage ID: CPU and I/O seconds,
 	// the stage's latency, and the critical path ending at it.
 	ids := 1
-	for _, s := range plan.Stages {
-		ids = max(ids, s.ID+1)
+	for i := range plan.Stages {
+		ids = max(ids, plan.Stages[i].ID+1)
 	}
 	if cap(sc.acc) < 4*ids {
 		sc.acc = make([]float64, 4*ids)
@@ -362,8 +382,8 @@ func Run(plan *optimizer.Plan, truth *Truth, stats optimizer.StatsProvider, clus
 	}
 
 	// Vertices: the compiled plan's stage parallelism.
-	for _, s := range plan.Stages {
-		m.Vertices += s.Partitions
+	for i := range plan.Stages {
+		m.Vertices += plan.Stages[i].Partitions
 	}
 
 	// PNhours: total CPU + I/O over all vertices plus per-vertex
@@ -376,7 +396,8 @@ func Run(plan *optimizer.Plan, truth *Truth, stats optimizer.StatsProvider, clus
 
 	// Latency: critical path over the stage DAG, with per-stage
 	// straggler noise and global queueing noise.
-	for _, s := range plan.Stages {
+	for i := range plan.Stages {
+		s := &plan.Stages[i]
 		parts := float64(max(s.Partitions, 1))
 		work := (stageCPU[s.ID] + stageIO[s.ID]) / parts
 		// The slowest of P vertices: lognormal straggler whose tail
@@ -389,8 +410,8 @@ func Run(plan *optimizer.Plan, truth *Truth, stats optimizer.StatsProvider, clus
 		depth[i] = -1 // not visited
 	}
 	longest := 0.0
-	for _, s := range plan.Stages {
-		if d := criticalPath(plan.Stages, s.ID, stageLatency, depth); d > longest {
+	for i := range plan.Stages {
+		if d := criticalPath(plan.Stages, plan.Stages[i].ID, stageLatency, depth); d > longest {
 			longest = d
 		}
 	}
@@ -409,13 +430,14 @@ func Run(plan *optimizer.Plan, truth *Truth, stats optimizer.StatsProvider, clus
 
 // criticalPath returns the latency of the longest chain of stages ending
 // at stage id, memoized in depth (by stage ID; negative = not visited).
-func criticalPath(stages []*optimizer.Stage, id int, latency, depth []float64) float64 {
+func criticalPath(stages []optimizer.Stage, id int, latency, depth []float64) float64 {
 	if depth[id] >= 0 {
 		return depth[id]
 	}
 	depth[id] = 0 // guard cycles (none expected)
 	best := 0.0
-	for _, st := range stages {
+	for i := range stages {
+		st := &stages[i]
 		if st.ID != id {
 			continue
 		}

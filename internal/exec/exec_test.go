@@ -28,10 +28,8 @@ func testStats() optimizer.MapStats {
 
 func testTruth() *Truth {
 	return &Truth{
-		Rows: map[string]float64{"data/logs.tsv": 2.4e6, "data/users.tsv": 1e5},
-		Sel: map[string]float64{
-			"filter:(dur > 100)": 0.4,
-		},
+		Paths: []string{"data/logs.tsv", "data/users.tsv"}, Rows: []float64{2.4e6, 1e5},
+		Sites: []string{"filter:(dur > 100)"}, Sel: []float64{0.4},
 		JitterSeed: 99,
 	}
 }
@@ -146,10 +144,31 @@ func TestTruthBaseRowsDefault(t *testing.T) {
 	}
 }
 
+// TestTruthLastMatchWins: a key that appears twice answers with its last
+// value, as the map the facts once were kept its last write.
+func TestTruthLastMatchWins(t *testing.T) {
+	tr := &Truth{
+		Paths: []string{"data/a.tsv", "data/b.tsv", "data/a.tsv"}, Rows: []float64{1, 2, 3},
+		Sites: []string{"filter:(x > 1)", "agg:k", "filter:(x > 1)"}, Sel: []float64{0.1, 0.2, 0.3},
+	}
+	if got := tr.BaseRows("data/a.tsv"); got != 3 {
+		t.Errorf("BaseRows of a path listed twice = %v, want the last value 3", got)
+	}
+	if got := tr.BaseRows("data/b.tsv"); got != 2 {
+		t.Errorf("BaseRows(data/b.tsv) = %v, want 2", got)
+	}
+	if got := tr.Selectivity([]byte("filter:(x > 1)"), 0.5); got != 0.3 {
+		t.Errorf("Selectivity of a site listed twice = %v, want the last value 0.3", got)
+	}
+	if got := tr.Selectivity([]byte("agg:k"), 0.5); got != 0.2 {
+		t.Errorf("Selectivity(agg:k) = %v, want 0.2", got)
+	}
+}
+
 func TestBiggerDataMeansBiggerMetrics(t *testing.T) {
 	plan := compilePlan(t)
-	small := &Truth{Rows: map[string]float64{"data/logs.tsv": 1e5, "data/users.tsv": 1e4}, JitterSeed: 5}
-	big := &Truth{Rows: map[string]float64{"data/logs.tsv": 1e7, "data/users.tsv": 1e6}, JitterSeed: 5}
+	small := &Truth{Paths: []string{"data/logs.tsv", "data/users.tsv"}, Rows: []float64{1e5, 1e4}, JitterSeed: 5}
+	big := &Truth{Paths: []string{"data/logs.tsv", "data/users.tsv"}, Rows: []float64{1e7, 1e6}, JitterSeed: 5}
 	cl := DefaultCluster(3)
 	ms := Run(plan, small, testStats(), cl, 1)
 	mb := Run(plan, big, testStats(), cl, 1)

@@ -30,8 +30,8 @@ OUTPUT t TO "o";`
 	st := optimizer.MapStats{"data/t.tsv": {Rows: 1e6, NDV: map[string]float64{"a": 1e5}}}
 	plan := buildPlan(t, src, st)
 	cl := DefaultCluster(1)
-	m1 := Run(plan, &Truth{Rows: map[string]float64{"data/t.tsv": 1e6}, JitterSeed: 1}, st, cl, 1)
-	m2 := Run(plan, &Truth{Rows: map[string]float64{"data/t.tsv": 2e6}, JitterSeed: 1}, st, cl, 1)
+	m1 := Run(plan, &Truth{Paths: []string{"data/t.tsv"}, Rows: []float64{1e6}, JitterSeed: 1}, st, cl, 1)
+	m2 := Run(plan, &Truth{Paths: []string{"data/t.tsv"}, Rows: []float64{2e6}, JitterSeed: 1}, st, cl, 1)
 	ratio := m2.DataRead / m1.DataRead
 	if ratio < 1.9 || ratio > 2.1 {
 		t.Errorf("doubling true rows should ~double data read, ratio=%v", ratio)
@@ -44,7 +44,7 @@ t = EXTRACT a:long FROM "data/t.tsv";
 OUTPUT t TO "o";`
 	st := optimizer.MapStats{"data/t.tsv": {Rows: 1e6, NDV: map[string]float64{"a": 1e5}}}
 	plan := buildPlan(t, src, st)
-	m := Run(plan, &Truth{Rows: map[string]float64{"data/t.tsv": 1e6}, JitterSeed: 1}, st, DefaultCluster(1), 1)
+	m := Run(plan, &Truth{Paths: []string{"data/t.tsv"}, Rows: []float64{1e6}, JitterSeed: 1}, st, DefaultCluster(1), 1)
 	// A pure copy job writes its full output: 1e6 rows * 8 bytes.
 	if m.DataWritten < 7e6 || m.DataWritten > 9e6 {
 		t.Errorf("data written = %v, want ~8e6", m.DataWritten)
@@ -61,8 +61,8 @@ OUTPUT a TO "o";`
 	st := optimizer.MapStats{"data/t.tsv": {Rows: 1e6, NDV: map[string]float64{"k": 5e5, "v": 1e4}}}
 	plan := buildPlan(t, src, st)
 	truth := &Truth{
-		Rows:       map[string]float64{"data/t.tsv": 1e6},
-		Sel:        map[string]float64{"agg:k": 0.5},
+		Paths: []string{"data/t.tsv"}, Rows: []float64{1e6},
+		Sites: []string{"agg:k"}, Sel: []float64{0.5},
 		JitterSeed: 1,
 	}
 	m := Run(plan, truth, st, DefaultCluster(1), 1)
@@ -100,8 +100,8 @@ OUTPUT j TO "o";`
 		t.Skip("planner did not choose a broadcast join for this shape")
 	}
 	truth := &Truth{
-		Rows:       map[string]float64{"data/big.tsv": 2e7, "data/dim.tsv": 1e3},
-		Sel:        map[string]float64{"join:(k == b_k)": 1e-3},
+		Paths: []string{"data/big.tsv", "data/dim.tsv"}, Rows: []float64{2e7, 1e3},
+		Sites: []string{"join:(k == b_k)"}, Sel: []float64{1e-3},
 		JitterSeed: 1,
 	}
 	m := Run(plan, truth, st, DefaultCluster(1), 1)
@@ -121,8 +121,8 @@ OUTPUT j TO "o";`
 		"data/r.tsv": {Rows: 5e6, NDV: map[string]float64{"k": 1e6}},
 	}
 	plan := buildPlan(t, src, st)
-	small := &Truth{Rows: map[string]float64{"data/l.tsv": 5e6, "data/r.tsv": 1e4}, JitterSeed: 2}
-	big := &Truth{Rows: map[string]float64{"data/l.tsv": 5e6, "data/r.tsv": 5e7}, JitterSeed: 2}
+	small := &Truth{Paths: []string{"data/l.tsv", "data/r.tsv"}, Rows: []float64{5e6, 1e4}, JitterSeed: 2}
+	big := &Truth{Paths: []string{"data/l.tsv", "data/r.tsv"}, Rows: []float64{5e6, 5e7}, JitterSeed: 2}
 	cl := DefaultCluster(2)
 	mSmall := Run(plan, small, st, cl, 1)
 	mBig := Run(plan, big, st, cl, 1)
@@ -149,7 +149,7 @@ OUTPUT o TO "out";`
 		"data/u.tsv": {Rows: 2e6, NDV: map[string]float64{"k": 1e5, "w": 1e4}},
 	}
 	truth := &Truth{
-		Rows:       map[string]float64{"data/t.tsv": 2e6, "data/u.tsv": 2e6},
+		Paths: []string{"data/t.tsv", "data/u.tsv"}, Rows: []float64{2e6, 2e6},
 		JitterSeed: 3,
 	}
 	cl := DefaultCluster(3)
@@ -169,7 +169,7 @@ t = EXTRACT a:long FROM "data/t.tsv";
 OUTPUT t TO "o";`
 	st := optimizer.MapStats{"data/t.tsv": {Rows: 1e6, NDV: map[string]float64{"a": 1e5}}}
 	plan := buildPlan(t, src, st)
-	truth := &Truth{Rows: map[string]float64{"data/t.tsv": 1e6}, JitterSeed: 1}
+	truth := &Truth{Paths: []string{"data/t.tsv"}, Rows: []float64{1e6}, JitterSeed: 1}
 	cl := &Cluster{Seed: 1} // all sigmas zero
 	m1 := Run(plan, truth, st, cl, 1)
 	m2 := Run(plan, truth, st, cl, 999)
@@ -185,7 +185,7 @@ a = SELECT k, SUM(v) AS s FROM t GROUP BY k;
 OUTPUT a TO "o";`
 	st := optimizer.MapStats{"data/t.tsv": {Rows: 5e6, NDV: map[string]float64{"k": 1e5}}}
 	plan := buildPlan(t, src, st)
-	m := Run(plan, &Truth{Rows: map[string]float64{"data/t.tsv": 5e6}, JitterSeed: 1}, st, DefaultCluster(1), 1)
+	m := Run(plan, &Truth{Paths: []string{"data/t.tsv"}, Rows: []float64{5e6}, JitterSeed: 1}, st, DefaultCluster(1), 1)
 	if m.Vertices != plan.EstVertices {
 		t.Errorf("runtime vertices %d != compiled plan vertices %d", m.Vertices, plan.EstVertices)
 	}

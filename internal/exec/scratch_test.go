@@ -1,7 +1,6 @@
 package exec_test
 
 import (
-	"maps"
 	"math"
 	"reflect"
 	"runtime"
@@ -106,7 +105,12 @@ func TestRunScratchMatchesFresh(t *testing.T) {
 // runOnce runs the plan against a truth of its own and returns only a
 // weak pointer to that truth, so nothing but Run can have kept it.
 func runOnce(r ledgerRun) weak.Pointer[exec.Truth] {
-	truth := &exec.Truth{Rows: maps.Clone(r.job.Truth.Rows), Sel: maps.Clone(r.job.Truth.Sel), JitterSeed: r.job.Truth.JitterSeed}
+	jt := r.job.Truth
+	truth := &exec.Truth{
+		Paths: slices.Clone(jt.Paths), Rows: slices.Clone(jt.Rows),
+		Sites: slices.Clone(jt.Sites), Sel: slices.Clone(jt.Sel),
+		JitterSeed: jt.JitterSeed,
+	}
 	exec.Run(r.plan, truth, r.job.Stats, exec.DefaultCluster(1), 1)
 	return weak.Make(truth)
 }

@@ -22,7 +22,8 @@ type StatsProvider interface {
 }
 
 // MapStats is a StatsProvider backed by a map, used by tests and the
-// workload generator.
+// scopesim demo. A workload instance's statistics are positional instead:
+// estimated rows by table position, beside the instance's dated paths.
 type MapStats map[string]TableStats
 
 // TableStats implements StatsProvider.

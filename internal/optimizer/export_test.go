@@ -55,6 +55,41 @@ func OptimizeTuningByRule(g *scope.Graph, cfg rules.Config, opts Options) (*Resu
 	return res, nil
 }
 
+// LoweringAllocs lowers the uncached rewrite of g under cfg on
+// a builder of its own and, with the builder warm, counts with
+// testing.AllocsPerRun what two parts of a lowering allocate: partScheme
+// for each of the plan's keyed schemes (keyed is how many), every one of
+// which the builder has interned, and publish plus assignStages.
+func LoweringAllocs(g *scope.Graph, cfg rules.Config, opts Options) (scheme, publish float64, keyed int, err error) {
+	work, sig, _, err := rewriteLogical(g, cfg, opts.Catalog, opts.Stats)
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	b := new(implBuilder)
+	b.init(work, cfg, opts.Catalog, &sig, opts.Stats, &EstimationEnv{Stats: opts.Stats}, opts.Tokens)
+	if err := b.lowerRoots(work); err != nil {
+		return 0, 0, 0, err
+	}
+	b.publish()
+	var kinds []ExchangeKind
+	var keys [][]byte
+	for _, n := range b.plan.Nodes() {
+		if p := schemePrefix[n.Exchange]; n.IsExchange() && len(n.PartScheme) > len(p) {
+			kinds, keys = append(kinds, n.Exchange), append(keys, []byte(n.PartScheme[len(p):]))
+		}
+	}
+	scheme = testing.AllocsPerRun(100, func() {
+		for i, key := range keys {
+			b.partScheme(kinds[i], key)
+		}
+	})
+	publish = testing.AllocsPerRun(100, func() {
+		b.publish()
+		b.assignStages()
+	})
+	return scheme, publish, len(keys), nil
+}
+
 // RewriteOnHeap is the logical phase of Optimize(g, cfg, opts) without a
 // cache, run on a rewriter of its own whose working copy is a heap Clone
 // of g rather than a pooled scratch: the rewritten graph, or the

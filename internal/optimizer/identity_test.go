@@ -284,7 +284,7 @@ func TestNeededColumnsWideSchema(t *testing.T) {
 	}
 }
 
-// Ceilings for TestOptimizeAllocBudget: measured (17 uncached, 6 with a
+// Ceilings for TestOptimizeAllocBudget: measured (16 uncached, 5 with a
 // warm cache, go1.24) + 5 %. The same compilations cost 23,772 and 22,581
 // before plan-site identity stopped going through fmt, 824 and 263 while
 // every pass re-walked the plan for Plan.Nodes, 791 and 230 while what a
@@ -297,15 +297,57 @@ func TestNeededColumnsWideSchema(t *testing.T) {
 // inputs in 16-slot chunks, roots and order grown one at a time, stage
 // lists and exchange keys per call, the Result apart from its Plan, and
 // 27 uncached while a rewrite's working copy was a heap Clone and every
-// node it made a heap node with heap Inputs. A change that needs more
-// raises the constant on purpose. The rename case, renamedRightFilterScript
-// (PushFilterBelowJoin moves a conjunct on a renamed right column), reads
-// 14 uncached; T001 reaches no rename rule.
+// node it made a heap node with heap Inputs, and 17 and 6 while every
+// keyed partitioning scheme was a string of its own and a plan's stages
+// had a pointer slab. A change that needs more raises the constant on
+// purpose. The rename case, renamedRightFilterScript (PushFilterBelowJoin
+// moves a conjunct on a renamed right column), reads 13 uncached; T001
+// reaches no rename rule.
 const (
-	optimizeAllocCeiling       = 18
-	optimizeCachedAllocCeiling = 7
-	optimizeRenameAllocCeiling = 15
+	optimizeAllocCeiling       = 17
+	optimizeCachedAllocCeiling = 6
+	optimizeRenameAllocCeiling = 14
 )
+
+// lowerAllocCeiling is TestLoweringAllocBudget's for publish plus
+// assignStages on a warm builder: the published Result and Plan, the node
+// slab, the pointer slab, the stage slab and the stages' upstream IDs (5;
+// 6 while the stages had a pointer slab of their own).
+const lowerAllocCeiling = 5
+
+// TestLoweringAllocBudget: on a warm builder, partScheme allocates
+// nothing for a keyed scheme it has interned, and publishing a lowered
+// ledger plan and assigning its stages allocates at most
+// lowerAllocCeiling, on each of the first 40 ledger templates.
+func TestLoweringAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	cat := rules.NewCatalog()
+	keyed, worst := 0, 0.0
+	for _, tpl := range ledgerTemplates(t)[:40] {
+		j, err := tpl.Instantiate(1, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scheme, publish, n, err := optimizer.LoweringAllocs(j.Graph, cat.DefaultConfig(), optimizer.Options{Catalog: cat, Stats: j.Stats, Tokens: j.Tokens})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if scheme != 0 {
+			t.Errorf("%s: %.0f allocs interning %d keyed schemes the builder has seen, want 0", tpl.ID, scheme, n)
+		}
+		keyed += n
+		worst = max(worst, publish)
+	}
+	if keyed == 0 {
+		t.Fatal("no ledger plan has a keyed exchange; the scheme check lost its coverage")
+	}
+	t.Logf("40 ledger plans, %d keyed schemes: at most %.0f allocs per publish + assignStages", keyed, worst)
+	if worst > lowerAllocCeiling {
+		t.Errorf("%.0f allocs per publish + assignStages, ceiling %d", worst, lowerAllocCeiling)
+	}
+}
 
 // TestOptimizeAllocBudget gates what one compilation allocates — the
 // offline pipeline's budget is this number times its recompilations — on

@@ -18,13 +18,17 @@ const rowsPerPartition = 200_000
 // exchanges, applying tuning rules, assigning stages and costing the plan.
 //
 // A builder lives in implPool, and everything it keeps between builds is
-// scratch: lowering makes its nodes in the builder's chunks, their Inputs
-// in its buffer, its exchange keys in its bytes. publish then copies the
-// lowered plan, sized exactly, into memory the returned Plan owns alone —
-// one slab of nodes, one of pointers — and tuning, stage assignment and
-// costing write their fields on those nodes. Nothing the Plan holds points
-// into the builder, so a later build on it cannot reach a plan already
-// returned (TestPublishedPlanOwnsItsMemory).
+// scratch but its scheme table: lowering makes its nodes in the builder's
+// chunks, their Inputs in its buffer, its exchange keys in its bytes.
+// publish then copies the lowered plan, sized exactly, into memory the
+// returned Plan owns alone — one slab of nodes, one of pointers — and
+// tuning, stage assignment and costing write their fields on those nodes;
+// stage assignment adds the Plan's slab of stages and one of their
+// upstream IDs. The keyed partitioning schemes are strings interned in
+// the builder's table, immutable and shared by every plan that names
+// them. Nothing else the Plan holds points into the builder, so a later
+// build on it cannot reach a plan already returned
+// (TestPublishedPlanOwnsItsMemory).
 type implBuilder struct {
 	table  ruleTable
 	est    cardEngine
@@ -48,13 +52,17 @@ type implBuilder struct {
 	order  []*PhysNode // topological order, inputs first
 	stack  []*PhysNode // lowerUnion's lowered inputs, a nested union's above
 	key    []byte      // an exchange key, built once the inputs are lowered
-	scheme []byte      // a keyed PartScheme before it becomes a string
+	scheme []byte      // a keyed PartScheme before it is looked up
 	names  []string    // lowerDistinct's sorted column names
 
 	// The published plan, and the room publish left in its pointer slab
 	// for the stages' node lists.
 	plan    *Plan
 	members []*PhysNode
+
+	// schemes interns keyed PartSchemes, each keyed by itself: the one
+	// part of the builder a published plan shares (schemeInternCap).
+	schemes map[string]string
 
 	gates  []uint64  // tuning gates, by position in plan order
 	marked []bool    // visited marks, by physical ID
@@ -224,15 +232,33 @@ func hasScheme(scheme string, kind ExchangeKind, key []byte) bool {
 	return len(scheme) == len(p)+len(key) && scheme[:len(p)] == p && scheme[len(p):] == string(key)
 }
 
-// partScheme names the output partitioning of an exchange, in one
-// allocation for a keyed scheme and none otherwise.
+// schemeInternCap bounds a builder's table of interned keyed schemes; a
+// full table is cleared. The ledger's ten-day loop at benchmark size
+// (222 templates) sees 122.
+const schemeInternCap = 512
+
+// partScheme names the output partitioning of an exchange. A keyed
+// scheme is interned in the builder's table: it allocates only the first
+// time the builder sees it (and again after the table is cleared).
+// Interned strings are immutable, so plans share them safely.
 func (b *implBuilder) partScheme(kind ExchangeKind, key []byte) string {
 	p := schemePrefix[kind]
 	if (kind != ExchangeHash && kind != ExchangeRange) || len(key) == 0 {
 		return p
 	}
 	b.scheme = append(append(b.scheme[:0], p...), key...)
-	return string(b.scheme)
+	if s, ok := b.schemes[string(b.scheme)]; ok {
+		return s
+	}
+	if len(b.schemes) == schemeInternCap {
+		clear(b.schemes)
+	}
+	if b.schemes == nil {
+		b.schemes = make(map[string]string)
+	}
+	s := string(b.scheme)
+	b.schemes[s] = s
+	return s
 }
 
 // appendKey appends the i-th column name of an exchange key to dst.
@@ -872,8 +898,8 @@ func (b *implBuilder) assignStages() {
 
 	// Collect stages: IDs run 1..nextStage; one whose first node another
 	// stage had taken stays empty and is left out. Sizes are counted first,
-	// so the stages, their pointers and their upstream lists are one
-	// allocation each, and the node lists fill the room publish left.
+	// so the stages and their upstream lists are one allocation each, and
+	// the node lists fill the room publish left.
 	k := nextStage + 1
 	b.counts = zeroed(b.counts, 3*k)
 	nNodes, nInputs, slot := b.counts[:k], b.counts[k:2*k], b.counts[2*k:]
@@ -891,7 +917,7 @@ func (b *implBuilder) assignStages() {
 	stages := make([]Stage, used)
 	upstream := make([]int, edges)
 	members := b.members
-	b.plan.Stages = make([]*Stage, used)
+	b.plan.Stages = stages
 	i := 0
 	for id, c := range nNodes {
 		if c == 0 {
@@ -899,7 +925,6 @@ func (b *implBuilder) assignStages() {
 		}
 		s := &stages[i]
 		slot[id] = i
-		b.plan.Stages[i] = s
 		i++
 		s.ID, s.Partitions = id, 1
 		s.Nodes, members = members[:0:c], members[c:]
@@ -962,8 +987,8 @@ func (b *implBuilder) computeCost() {
 		total += c
 	}
 	vertices := 0
-	for _, s := range b.plan.Stages {
-		vertices += s.Partitions
+	for i := range b.plan.Stages {
+		vertices += b.plan.Stages[i].Partitions
 	}
 	total += float64(vertices) * costStartupPerPart
 	b.plan.EstCost = total

@@ -146,7 +146,7 @@ type Stage struct {
 // Plan is a complete physical plan.
 type Plan struct {
 	Roots  []*PhysNode
-	Stages []*Stage
+	Stages []Stage
 
 	// EstCost is the optimizer's estimated cost of the whole plan, the
 	// quantity QO-Advisor's contextual bandit learns over.

@@ -36,8 +36,8 @@ func goldenRecords() (names []string, recs [][]byte) {
 }
 
 // canonicalQuarantine returns a quarantine record with its 9-byte
-// template entries in ascending byte order: the encoder writes them in
-// map order, so only this form is stable from run to run. Other records
+// template entries in ascending byte order, the form the golden holds: it
+// was written while the encoder wrote them in map order. Other records
 // come back as they are.
 func canonicalQuarantine(p []byte) []byte {
 	if len(p) < 2 || p[0] != TagQuarantine {

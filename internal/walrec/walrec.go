@@ -473,9 +473,9 @@ func takeHint(b []byte) (h rawHint, rest []byte, err error) {
 //
 //	[tag][flags][uvarint count] per template: [8-byte hash][state byte]
 //
-// Only durable states belong in the journal; any other is dropped.
-// Iteration order is unspecified; decode builds a map, so records with
-// the same content replay identically regardless of encoding order.
+// Only durable states belong in the journal; any other is dropped. The
+// entries are written in ascending hash order, so one table always
+// encodes to the same bytes; decode builds a map and accepts any order.
 func EncodeQuarantine(states map[uint64]drift.State, snapshot, manual bool) []byte {
 	var flags byte
 	if snapshot {
@@ -493,13 +493,50 @@ func EncodeQuarantine(states map[uint64]drift.State, snapshot, manual bool) []by
 	b := make([]byte, 0, 2+binary.MaxVarintLen64+9*n)
 	b = append(b, TagQuarantine, flags)
 	b = binary.AppendUvarint(b, uint64(n))
+	head := len(b)
 	for hash, st := range states {
 		if st.Durable() {
 			b = appendUint64(b, hash)
 			b = append(b, byte(st))
 		}
 	}
+	sortEntries(b[head:])
 	return b
+}
+
+// sortEntries sorts b's 9-byte [hash][state] entries by ascending hash in
+// place: a heapsort, so that it allocates nothing.
+func sortEntries(b []byte) {
+	hash := func(i int) uint64 { return binary.LittleEndian.Uint64(b[9*i:]) }
+	swap := func(i, j int) {
+		for k := 0; k < 9; k++ {
+			b[9*i+k], b[9*j+k] = b[9*j+k], b[9*i+k]
+		}
+	}
+	siftDown := func(i, end int) {
+		for {
+			c := 2*i + 1
+			if c >= end {
+				return
+			}
+			if c+1 < end && hash(c+1) > hash(c) {
+				c++
+			}
+			if hash(i) >= hash(c) {
+				return
+			}
+			swap(i, c)
+			i = c
+		}
+	}
+	n := len(b) / 9
+	for i := n/2 - 1; i >= 0; i-- {
+		siftDown(i, n)
+	}
+	for end := n - 1; end > 0; end-- {
+		swap(0, end)
+		siftDown(0, end)
+	}
 }
 
 // DecodeQuarantine parses a TagQuarantine payload, refusing a state

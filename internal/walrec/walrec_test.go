@@ -83,6 +83,72 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 // TestHintRolloverRecordRoundTrip: a rollover decodes to the generation
 // and the very hints that went in, and a truncated one fails loudly
 // rather than installing a partial table.
+// TestEncodeQuarantineIsCanonical: one quarantine table, its maps built
+// in three insertion orders, encodes to one byte string whose entries
+// ascend by hash, non-durable states dropped; the sort is in place, so
+// the record is the encoder's one allocation.
+func TestEncodeQuarantineIsCanonical(t *testing.T) {
+	var hashes []uint64
+	for i := uint64(0); i < 64; i++ {
+		hashes = append(hashes, i*0x9e3779b97f4a7c15, ^i)
+	}
+	build := func(order []uint64) map[uint64]drift.State {
+		states := make(map[uint64]drift.State, len(order))
+		for _, h := range order {
+			st := drift.StateQuarantined
+			switch h % 3 {
+			case 1:
+				st = drift.StateProbation
+			case 2:
+				st = drift.StateHealthy
+			}
+			states[h] = st
+		}
+		return states
+	}
+	ascending := slices.Sorted(slices.Values(hashes))
+	descending := slices.Clone(ascending)
+	slices.Reverse(descending)
+	var want []byte
+	for i, order := range [][]uint64{ascending, descending, hashes} {
+		got := EncodeQuarantine(build(order), true, false)
+		if i == 0 {
+			want = got
+			continue
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("insertion order %d encodes to\n%x\nthe first to\n%x", i, got, want)
+		}
+	}
+	_, entries, err := takeUvarint(want[2:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	durable := 0
+	for _, st := range build(hashes) {
+		if st.Durable() {
+			durable++
+		}
+	}
+	if len(entries) != 9*durable {
+		t.Fatalf("%d entry bytes, want %d durable entries of 9", len(entries), durable)
+	}
+	var prev uint64
+	for i := 0; i < len(entries); i += 9 {
+		h := binary.LittleEndian.Uint64(entries[i:])
+		if i > 0 && h <= prev {
+			t.Fatalf("entry %d: hash %016x after %016x, not ascending", i/9, h, prev)
+		}
+		prev = h
+	}
+	if !raceEnabled {
+		table := build(hashes)
+		if got := testing.AllocsPerRun(100, func() { EncodeQuarantine(table, false, true) }); got != 1 {
+			t.Errorf("EncodeQuarantine makes %.0f allocations, want its record's 1", got)
+		}
+	}
+}
+
 func TestHintRolloverRecordRoundTrip(t *testing.T) {
 	cat := rules.NewCatalog()
 	hints := make([]sis.Hint, 17)

@@ -3,9 +3,11 @@ package workload
 import (
 	"fmt"
 	"hash/fnv"
+	"maps"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -37,7 +39,36 @@ func litValueRef(t *Template, lit string, date int) string {
 	return fmt.Sprintf("%d", 10+rngForRef("lit", t.ID, lit, date).Intn(9000))
 }
 
-func instantiateRef(t *Template, date, seq int) (*Job, error) {
+// refInstance is what instantiateRef builds for a job: its identity, its
+// graph, and its facts in the maps they were kept in before they became
+// positional.
+type refInstance struct {
+	ID                string
+	Date, Seq, Tokens int
+	Graph             *scope.Graph
+	Rows, Sel         map[string]float64
+	Stats             optimizer.MapStats
+	JitterSeed        int64
+}
+
+// baseRows and selectivity are what exec.Truth answered when its facts
+// were these maps: a known key its value, an unknown path 1e6 and an
+// unknown site the jitter every Truth with that seed gives it.
+func (r *refInstance) baseRows(path string) float64 {
+	if v, ok := r.Rows[path]; ok {
+		return v
+	}
+	return 1e6
+}
+
+func (r *refInstance) selectivity(site string, heuristic float64) float64 {
+	if v, ok := r.Sel[site]; ok {
+		return v
+	}
+	return (&exec.Truth{JitterSeed: r.JitterSeed}).Selectivity([]byte(site), heuristic)
+}
+
+func instantiateRef(t *Template, date, seq int) (*refInstance, error) {
 	src := strings.ReplaceAll(t.ScriptPattern, "@DATE@", fmt.Sprintf("%08d", 20211100+date))
 	litVals := make(map[string]string, len(t.Literals))
 	for _, lit := range t.Literals {
@@ -50,17 +81,22 @@ func instantiateRef(t *Template, date, seq int) (*Job, error) {
 	if err != nil {
 		return nil, err
 	}
-	truth := &exec.Truth{
+	ref := &refInstance{
+		ID:         fmt.Sprintf("J%08d_%s_%d", 20211100+date, t.ID, seq),
+		Date:       date,
+		Seq:        seq,
+		Tokens:     t.Tokens,
+		Graph:      graph,
 		Rows:       make(map[string]float64, len(t.Tables)),
 		Sel:        make(map[string]float64, len(t.TrueSel)),
+		Stats:      make(optimizer.MapStats, len(t.Tables)),
 		JitterSeed: hashedRef("jitter", t.ID),
 	}
-	statsMap := make(optimizer.MapStats, len(t.Tables))
 	for _, tab := range t.Tables {
 		path := strings.ReplaceAll(tab.PathPattern, "@DATE@", fmt.Sprintf("%08d", 20211100+date))
 		dayFactor := lognormal(rngForRef("rows", t.ID, tab.PathPattern, date), 0.35)
 		trueRows := tab.TrueRows * dayFactor
-		truth.Rows[path] = trueRows
+		ref.Rows[path] = trueRows
 		ndv := make(map[string]float64, len(tab.TrueNDV))
 		for col, v := range tab.TrueNDV {
 			f := tab.StatsNDVFactor[col]
@@ -69,33 +105,26 @@ func instantiateRef(t *Template, date, seq int) (*Job, error) {
 			}
 			ndv[col] = math.Max(1, v*f)
 		}
-		statsMap[path] = optimizer.TableStats{
+		ref.Stats[path] = optimizer.TableStats{
 			Rows: math.Max(1, trueRows*tab.StatsRowFactor*lognormal(rngForRef("statdrift", t.ID, tab.PathPattern, date), 0.30)),
 			NDV:  ndv,
 		}
 	}
-	for sitePattern, sel := range t.TrueSel {
+	// Site patterns are written in sorted order: where two substitute to
+	// one key, the later pattern's write is the one the map keeps.
+	for _, sitePattern := range slices.Sorted(maps.Keys(t.TrueSel)) {
 		site := sitePattern
 		for lit, v := range litVals {
 			site = strings.ReplaceAll(site, lit, v)
 		}
 		jitter := lognormal(rngForRef("sel", t.ID, sitePattern, date), 0.25)
-		s := sel * jitter
+		s := t.TrueSel[sitePattern] * jitter
 		if s > 1 {
 			s = 1
 		}
-		truth.Sel[site] = s
+		ref.Sel[site] = s
 	}
-	return &Job{
-		ID:       fmt.Sprintf("J%08d_%s_%d", 20211100+date, t.ID, seq),
-		Template: t,
-		Date:     date,
-		Seq:      seq,
-		Graph:    graph,
-		Truth:    truth,
-		Stats:    statsMap,
-		Tokens:   t.Tokens,
-	}, nil
+	return ref, nil
 }
 
 // graphDiff compares two DAGs field by field — every field of every
@@ -144,20 +173,40 @@ func ids(nodes []*scope.Node) string {
 
 // refDiff describes the first way job differs from the from-scratch
 // reference for its template, date and seq, or returns "" when it equals
-// it field by field.
+// it field by field. The facts are compared through their lookups —
+// BaseRows, Selectivity and TableStats — on every key either side holds
+// and on one neither does: equal answers on all of them are equal maps.
 func refDiff(job *Job) (string, error) {
 	want, err := instantiateRef(job.Template, job.Date, job.Seq)
 	if err != nil {
 		return "", err
 	}
-	switch {
-	case job.ID != want.ID || job.Date != want.Date || job.Seq != want.Seq || job.Tokens != want.Tokens:
+	if job.ID != want.ID || job.Date != want.Date || job.Seq != want.Seq || job.Tokens != want.Tokens {
 		return fmt.Sprintf("ID/Date/Seq/Tokens %s %d %d %d, reference %s %d %d %d",
 			job.ID, job.Date, job.Seq, job.Tokens, want.ID, want.Date, want.Seq, want.Tokens), nil
-	case !reflect.DeepEqual(job.Truth, want.Truth):
-		return fmt.Sprintf("truth %+v, reference %+v", job.Truth, want.Truth), nil
-	case !reflect.DeepEqual(job.Stats, want.Stats):
-		return fmt.Sprintf("stats %+v, reference %+v", job.Stats, want.Stats), nil
+	}
+	if job.Truth.JitterSeed != want.JitterSeed {
+		return fmt.Sprintf("jitter seed %d, reference %d", job.Truth.JitterSeed, want.JitterSeed), nil
+	}
+	const unknownPath, unknownSite = "no/such/table.tsv", "filter:(no_such_column > 0)"
+	paths := slices.Concat(slices.Sorted(maps.Keys(want.Rows)), job.Truth.Paths, []string{unknownPath})
+	for _, p := range paths {
+		if got, w := job.Truth.BaseRows(p), want.baseRows(p); got != w {
+			return fmt.Sprintf("BaseRows(%q) %v, reference %v", p, got, w), nil
+		}
+		got, gotOK := job.Stats.TableStats(p)
+		w, wantOK := want.Stats[p]
+		if gotOK != wantOK || !reflect.DeepEqual(got, w) {
+			return fmt.Sprintf("TableStats(%q) %+v %v, reference %+v %v", p, got, gotOK, w, wantOK), nil
+		}
+	}
+	sites := slices.Concat(slices.Sorted(maps.Keys(want.Sel)), job.Truth.Sites, []string{unknownSite})
+	for _, site := range sites {
+		for _, heuristic := range []float64{0.05, 0.5} {
+			if got, w := job.Truth.Selectivity([]byte(site), heuristic), want.selectivity(site, heuristic); got != w {
+				return fmt.Sprintf("Selectivity(%q, %v) %v, reference %v", site, heuristic, got, w), nil
+			}
+		}
 	}
 	if d := graphDiff(job.Graph, want.Graph); d != "" {
 		return "graph differs from the reference: " + d, nil
@@ -196,8 +245,7 @@ func TestInstantiateSharedParts(t *testing.T) {
 				continue
 			}
 			recurrences++
-			if got.Template != first.Template || got.Graph != first.Graph || got.Truth != first.Truth ||
-				reflect.ValueOf(got.Stats).Pointer() != reflect.ValueOf(first.Stats).Pointer() {
+			if got.Template != first.Template || got.Graph != first.Graph || got.Truth != first.Truth || got.Stats != first.Stats {
 				t.Errorf("%s does not share instance 0's graph, truth and statistics", got.ID)
 			}
 		}
@@ -294,6 +342,71 @@ func TestInstantiateConcurrentMatchesReference(t *testing.T) {
 	}
 }
 
+// TestInstantiateSiteCollisionLastWins: two site patterns of a template
+// can substitute to one key on a date — here a pattern and its copy with
+// one placeholder written out as the value it takes that day. The key's
+// true selectivity is then the later pattern's in the template's site
+// order, as the map the facts once were kept the later write, and the
+// instance still equals the reference.
+func TestInstantiateSiteCollisionLastWins(t *testing.T) {
+	gen, err := New(Config{Seed: 20211101, NumTemplates: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const date = 50
+	for _, tpl := range gen.Templates() {
+		var pattern, lit string
+		for _, site := range tpl.sites {
+			for _, l := range tpl.Literals {
+				if strings.Contains(site, l) {
+					pattern, lit = site, l
+				}
+			}
+		}
+		if pattern == "" {
+			continue
+		}
+		// The copy has digits where pattern has '@', so it sorts first.
+		twin := strings.ReplaceAll(pattern, lit, litValueRef(tpl, lit, date))
+		tpl.TrueSel[twin] = tpl.TrueSel[pattern] / 3
+		tpl.sites = slices.Sorted(maps.Keys(tpl.TrueSel))
+		if i, j := slices.Index(tpl.sites, twin), slices.Index(tpl.sites, pattern); i >= j {
+			t.Fatalf("%s: %q sorts at %d, after %q at %d", tpl.ID, twin, i, pattern, j)
+		}
+		job, err := tpl.Instantiate(date, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := instantiateRef(tpl, date, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d, err := refDiff(job); err != nil {
+			t.Fatal(err)
+		} else if d != "" {
+			t.Fatalf("%s: %s", job.ID, d)
+		}
+		key := pattern
+		for _, l := range tpl.Literals {
+			key = strings.ReplaceAll(key, l, litValueRef(tpl, l, date))
+		}
+		if n := slices.Index(job.Truth.Sites, key); n < 0 || slices.Index(job.Truth.Sites[n+1:], key) < 0 {
+			t.Fatalf("%s: key %q is not written twice; the test lost its collision", job.ID, key)
+		}
+		last := min(tpl.TrueSel[pattern]*lognormal(rngForRef("sel", tpl.ID, pattern, date), 0.25), 1)
+		first := min(tpl.TrueSel[twin]*lognormal(rngForRef("sel", tpl.ID, twin, date), 0.25), 1)
+		if last == first {
+			t.Fatalf("%s: both patterns give %v; the test cannot tell them apart", job.ID, last)
+		}
+		if got := job.Truth.Selectivity([]byte(key), 0.5); got != last || want.Sel[key] != last {
+			t.Errorf("%s: Selectivity(%q) = %v, reference %v; want the later pattern's %v (the earlier gives %v)",
+				job.ID, key, got, want.Sel[key], last, first)
+		}
+		return
+	}
+	t.Fatal("no template has a site pattern with a literal")
+}
+
 // TestSubstituteMatchesSequentialReplace: the arena writer, one pass over
 // a pattern appended behind what dst holds, gives what replacing each
 // placeholder in turn gives, in either order, with values as strings or as
@@ -353,11 +466,13 @@ func TestSubstituteMatchesSequentialReplace(t *testing.T) {
 // allocate nothing (2 while each was a copy of the instance's first job
 // with an ID of its own, 25 while only the graph was memoized, 106 while
 // each draw built its own rand.Source and hasher). Building an instance
-// costs one arena for every dated string, the bound graph, truth,
-// statistics, an empty rewrite memo and the job slab (17; 19 while the
-// rewrite memo was a generic singleflight cache, 44 while each dated
-// string, each table's distinct counts, and each spine node and literal
-// Bind made was an allocation of its own). Binding the prepared
+// costs one arena for every dated string, the bound graph, its slab of
+// keys, its slab of floats, the truth and statistics over them, an empty
+// rewrite memo and the job slab (13; 17 while the truth's rows and
+// selectivities and the statistics were three maps keyed by dated
+// string, 19 while the rewrite memo was a generic singleflight cache, 44
+// while each dated string, each table's distinct counts, and each spine
+// node and literal Bind made was an allocation of its own). Binding the prepared
 // script cold costs the graph alone: nodes, Inputs and Roots in one slab
 // each, the re-dated schemas in one, the dated strings in one arena, the
 // expression spines in one and the integer literals in one (7; 17 with a
@@ -366,7 +481,7 @@ func TestSubstituteMatchesSequentialReplace(t *testing.T) {
 const (
 	recurrenceAllocCeiling  = 0
 	instantiateAllocCeiling = 0
-	instanceAllocCeiling    = 18
+	instanceAllocCeiling    = 14
 	bindAllocCeiling        = 8
 )
 

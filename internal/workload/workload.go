@@ -150,7 +150,7 @@ type Job struct {
 	Seq      int
 	Graph    *scope.Graph
 	Truth    *exec.Truth
-	Stats    optimizer.MapStats
+	Stats    optimizer.StatsProvider
 	Tokens   int
 	// rewrites memoizes Graph's rewrites under Stats per rule
 	// configuration, for every compilation of the instance.
@@ -375,37 +375,37 @@ func (t *Template) instantiate(date int) ([]Job, error) {
 		s.cut()
 	}
 	s.pieces = split(s.pieces, string(s.buf), s.ends)
+	nt, ns := len(t.Tables), len(t.sites)
 	values, pieces := s.pieces[:len(t.names)], s.pieces[len(t.names):]
-	paths, pieces := pieces[:len(t.Tables)], pieces[len(t.Tables):]
-	sites, ids := pieces[:len(t.sites)], pieces[len(t.sites):]
+	ids := pieces[nt+ns:]
 
 	graph, err := t.prepared.Bind(t.names, values)
 	if err != nil {
 		return nil, fmt.Errorf("workload: instance of %s does not compile: %w", t.ID, err)
 	}
 
-	truth := &exec.Truth{
-		Rows:       make(map[string]float64, len(t.Tables)),
-		Sel:        make(map[string]float64, len(t.sites)),
-		JitterSeed: hashed("jitter", t.ID),
-	}
-	statsMap := make(optimizer.MapStats, len(t.Tables))
+	// The instance's facts follow the template's tables and then its
+	// sites: the keys are the dated paths and site keys, copied out of
+	// the pooled pieces, and the floats the true rows, the estimated rows
+	// and the true selectivities.
+	keys := slices.Clone(pieces[:nt+ns])
+	vals := make([]float64, 2*nt+ns)
 	for i, tab := range t.Tables {
 		dayFactor := lognormal(draw("rows", tab.PathPattern), 0.35)
-		trueRows := tab.TrueRows * dayFactor
-		truth.Rows[paths[i]] = trueRows
-		statsMap[paths[i]] = optimizer.TableStats{
-			Rows: math.Max(1, trueRows*tab.StatsRowFactor*lognormal(draw("statdrift", tab.PathPattern), 0.30)),
-			NDV:  t.ndv[i],
-		}
+		vals[i] = tab.TrueRows * dayFactor
+		vals[nt+i] = math.Max(1, vals[i]*tab.StatsRowFactor*lognormal(draw("statdrift", tab.PathPattern), 0.30))
 	}
 	for i, sitePattern := range t.sites {
 		jitter := lognormal(draw("sel", sitePattern), 0.25)
-		sel := t.TrueSel[sitePattern] * jitter
-		if sel > 1 {
-			sel = 1
-		}
-		truth.Sel[sites[i]] = sel
+		vals[2*nt+i] = min(t.TrueSel[sitePattern]*jitter, 1)
+	}
+	f := &facts{
+		truth: exec.Truth{
+			Paths: keys[:nt:nt], Rows: vals[:nt:nt],
+			Sites: keys[nt:], Sel: vals[2*nt:],
+			JitterSeed: hashed("jitter", t.ID),
+		},
+		stats: instanceStats{paths: keys[:nt:nt], rows: vals[nt : 2*nt : 2*nt], ndv: t.ndv},
 	}
 
 	jobs := make([]Job, t.DailyInstances)
@@ -417,13 +417,40 @@ func (t *Template) instantiate(date int) ([]Job, error) {
 			Date:     date,
 			Seq:      seq,
 			Graph:    graph,
-			Truth:    truth,
-			Stats:    statsMap,
+			Truth:    &f.truth,
+			Stats:    &f.stats,
 			Tokens:   t.Tokens,
 			rewrites: rewrites,
 		}
 	}
 	return jobs, nil
+}
+
+// facts is an instance's truth and statistics, made in one allocation.
+// Both read the instance's one slab of keys and one of floats.
+type facts struct {
+	truth exec.Truth
+	stats instanceStats
+}
+
+// instanceStats is the optimizer-visible statistics of an instance:
+// estimated rows parallel to its dated table paths, and the template's
+// distinct counts, by table position.
+type instanceStats struct {
+	paths []string
+	rows  []float64
+	ndv   []map[string]float64
+}
+
+// TableStats implements optimizer.StatsProvider. The last table with the
+// path wins, as it did when the statistics were a map.
+func (st *instanceStats) TableStats(path string) (optimizer.TableStats, bool) {
+	for i := len(st.paths) - 1; i >= 0; i-- {
+		if st.paths[i] == path {
+			return optimizer.TableStats{Rows: st.rows[i], NDV: st.ndv[i]}, true
+		}
+	}
+	return optimizer.TableStats{}, false
 }
 
 // --- Template construction ---

@@ -78,14 +78,14 @@ func TestInstanceVariesAcrossDays(t *testing.T) {
 	j2, _ := tpl.Instantiate(2, 0)
 	// True base rows differ day to day.
 	same := true
-	for p1, r1 := range j1.Truth.Rows {
-		for p2, r2 := range j2.Truth.Rows {
-			if strings.Split(p1, "_")[0] == strings.Split(p2, "_")[0] && r1 != r2 {
+	for i1, p1 := range j1.Truth.Paths {
+		for i2, p2 := range j2.Truth.Paths {
+			if strings.Split(p1, "_")[0] == strings.Split(p2, "_")[0] && j1.Truth.Rows[i1] != j2.Truth.Rows[i2] {
 				same = false
 			}
 		}
 	}
-	if same && len(j1.Truth.Rows) > 0 {
+	if same && len(j1.Truth.Paths) > 0 {
 		t.Error("true row counts should vary across days")
 	}
 }
@@ -114,7 +114,7 @@ func TestTruthSitesMatchCompiledPlan(t *testing.T) {
 				}
 			}
 		}
-		for site := range j.Truth.Sel {
+		for _, site := range j.Truth.Sites {
 			totalSites++
 			if planSites[site] {
 				matched++
@@ -157,9 +157,13 @@ func TestStatsHaveEstimationError(t *testing.T) {
 	total := 0
 	for _, tpl := range g.Templates() {
 		j, _ := tpl.Instantiate(1, 0)
-		for path, ts := range j.Stats {
+		for _, path := range j.Truth.Paths {
+			ts, ok := j.Stats.TableStats(path)
+			if !ok {
+				t.Fatalf("%s: no statistics for its table %s", j.ID, path)
+			}
 			total++
-			if trueRows, ok := j.Truth.Rows[path]; ok && ts.Rows == trueRows {
+			if ts.Rows == j.Truth.BaseRows(path) {
 				exact++
 			}
 		}
