@@ -39,9 +39,12 @@ type Client struct {
 type Option func(*Client)
 
 // WithHTTPClient substitutes the transport (pooling, TLS, test doubles).
-// Its RoundTripper must not modify a request's header, as the
-// http.RoundTripper contract says: requests without a cookie jar share
-// one read-only header map.
+// The client reads three of its fields: Transport (nil =
+// http.DefaultTransport), Timeout (each attempt's deadline) and Jar.
+// CheckRedirect is unused: the protocol has no redirects, and a 3xx is
+// returned as an *api.Error. The RoundTripper must not modify a
+// request's header, as the http.RoundTripper contract says: requests
+// without a cookie jar share one read-only header map.
 func WithHTTPClient(hc *http.Client) Option { return func(c *Client) { c.hc = hc } }
 
 // WithTimeout caps each attempt end to end (default 10s).
@@ -85,10 +88,10 @@ func New(base string, opts ...Option) *Client {
 }
 
 // jsonHeader and noHeader are the header maps of every JSON request and
-// every request without a body type. net/http's client only reads a
-// request's header map — redirects and basic auth copy it first — so
-// the two are shared and never written; the exception is a cookie jar,
-// which Client.Do adds into the map it is handed.
+// every request without a body type. The transport only reads a
+// request's header map, so the two are shared and never written; with
+// a cookie jar each request gets a map of its own, which roundTrip adds
+// the jar's cookies to.
 var (
 	jsonHeader = http.Header{"Content-Type": {"application/json"}}
 	noHeader   = http.Header{}
@@ -171,11 +174,11 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 // call sends payload and decodes a 2xx response's JSON into out (nil =
 // ignore the body).
 func (c *Client) call(ctx context.Context, method, path, contentType string, payload []byte, out any) error {
-	resp, err := c.send(ctx, method, path, contentType, payload)
+	resp, stop, err := c.send(ctx, method, path, contentType, payload)
 	if err != nil {
 		return err
 	}
-	defer finish(resp)
+	defer finish(resp, stop)
 	if out == nil {
 		return nil
 	}
@@ -185,20 +188,71 @@ func (c *Client) call(ctx context.Context, method, path, contentType string, pay
 	return nil
 }
 
-// finish drains and closes a 2xx response: json.Decoder stops at the end
-// of the value, and a body closed with bytes unread costs the keep-alive
-// connection.
-func finish(resp *http.Response) {
+// finish drains and closes a 2xx response, then releases its attempt's
+// deadline: json.Decoder stops at the end of the value, and a body
+// closed with bytes unread costs the keep-alive connection.
+func finish(resp *http.Response, stop context.CancelFunc) {
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
+	stop()
+}
+
+// nop is the stop of an attempt with no deadline of its own.
+func nop() {}
+
+// roundTrip runs one attempt: the request newRequest builds, handed
+// straight to hc.Transport. Around it, it does what http.Client.send
+// does — cookies from and back to hc.Jar, a transport error returned as
+// a *url.Error — and none of what http.Client.do adds: no redirect is
+// followed (a 3xx comes back as it is) and nothing is copied for one.
+// With hc.Timeout set the attempt runs under a deadline of its own —
+// unless the caller's comes first, as qoload's per-op deadline does,
+// where http.Client did not make one either. The caller reads the
+// response and then calls the returned stop, which releases it. On
+// error there is nothing to stop.
+func (c *Client) roundTrip(ctx context.Context, method, path, contentType string, payload []byte) (*http.Response, context.CancelFunc, error) {
+	stop := context.CancelFunc(nop)
+	if ctx != nil && c.hc.Timeout > 0 {
+		if d, ok := ctx.Deadline(); !ok || time.Until(d) > c.hc.Timeout {
+			ctx, stop = context.WithTimeout(ctx, c.hc.Timeout)
+		}
+	}
+	req, err := c.newRequest(ctx, method, path, contentType, payload)
+	if err != nil {
+		stop()
+		return nil, nil, err
+	}
+	jar := c.hc.Jar
+	if jar != nil {
+		for _, ck := range jar.Cookies(req.URL) {
+			req.AddCookie(ck)
+		}
+	}
+	rt := c.hc.Transport
+	if rt == nil {
+		rt = http.DefaultTransport
+	}
+	resp, err := rt.RoundTrip(req)
+	if err != nil {
+		stop()
+		// The error http.Client returns: Op "Post", "Get", ….
+		return nil, nil, &url.Error{Op: method[:1] + strings.ToLower(method[1:]), URL: req.URL.Redacted(), Err: err}
+	}
+	if jar != nil {
+		if rc := resp.Cookies(); len(rc) > 0 {
+			jar.SetCookies(req.URL, rc)
+		}
+	}
+	return resp, stop, nil
 }
 
 // send is the transport loop under every retried call: a fresh request
 // from payload per attempt, so retries are never partial, and queue_full
-// 503s retried with backoff. It returns a 2xx response for the caller to
-// read and finish; any other status becomes an *api.Error once the
-// retry budget is spent.
-func (c *Client) send(ctx context.Context, method, path, contentType string, payload []byte) (*http.Response, error) {
+// 503s retried with backoff, each attempt under a deadline of its own.
+// It returns a 2xx response for the caller to read and finish, with its
+// attempt's stop; any other status becomes an *api.Error once the retry
+// budget is spent.
+func (c *Client) send(ctx context.Context, method, path, contentType string, payload []byte) (*http.Response, context.CancelFunc, error) {
 	var lastErr error
 	for attempt := 0; ; attempt++ {
 		if attempt > 0 {
@@ -206,23 +260,20 @@ func (c *Client) send(ctx context.Context, method, path, contentType string, pay
 			select {
 			case <-time.After(wait):
 			case <-ctx.Done():
-				return nil, fmt.Errorf("client: %s %s: %w (last error: %v)", method, path, ctx.Err(), lastErr)
+				return nil, nil, fmt.Errorf("client: %s %s: %w (last error: %v)", method, path, ctx.Err(), lastErr)
 			}
 		}
 
-		req, err := c.newRequest(ctx, method, path, contentType, payload)
+		resp, stop, err := c.roundTrip(ctx, method, path, contentType, payload)
 		if err != nil {
-			return nil, fmt.Errorf("client: %s %s: %w", method, path, err)
+			return nil, nil, fmt.Errorf("client: %s %s: %w", method, path, err)
 		}
-		resp, err := c.hc.Do(req)
-		if err != nil {
-			return nil, fmt.Errorf("client: %s %s: %w", method, path, err)
-		}
-		if resp.StatusCode < 400 {
-			return resp, nil
+		if resp.StatusCode/100 == 2 {
+			return resp, stop, nil
 		}
 		apiErr := DecodeError(resp)
 		resp.Body.Close()
+		stop()
 		// Retry only backpressure: queue_full means nothing was accepted
 		// and the condition is transient. Other 503s are not — notably a
 		// degraded follower's /v2/healthz, where re-probing the same
@@ -232,7 +283,7 @@ func (c *Client) send(ctx context.Context, method, path, contentType string, pay
 			lastErr = apiErr
 			continue
 		}
-		return nil, apiErr
+		return nil, nil, apiErr
 	}
 }
 
@@ -348,7 +399,7 @@ func (bb *batchBody) release() {
 // postBatch sends a batch payload to path and reads the 2xx response to
 // EOF into a pooled batchBody, which the caller decodes and releases.
 func (c *Client) postBatch(ctx context.Context, path string, payload []byte) (*batchBody, error) {
-	resp, err := c.send(ctx, http.MethodPost, path, "application/json", payload)
+	resp, stop, err := c.send(ctx, http.MethodPost, path, "application/json", payload)
 	if err != nil {
 		return nil, err
 	}
@@ -356,6 +407,7 @@ func (c *Client) postBatch(ctx context.Context, path string, payload []byte) (*b
 	bb.buf.Reset()
 	_, err = bb.buf.ReadFrom(resp.Body)
 	resp.Body.Close()
+	stop()
 	if err != nil {
 		bb.release()
 		return nil, fmt.Errorf("client: reading %s %s response: %w", http.MethodPost, path, err)
@@ -385,16 +437,13 @@ func (c *Client) InstallHints(ctx context.Context, hintFile io.Reader) (api.Hint
 // operators see what is wrong with it.
 func (c *Client) Health(ctx context.Context) (api.HealthResponse, error) {
 	var out api.HealthResponse
-	req, err := c.newRequest(ctx, http.MethodGet, api.RouteV2Healthz, "", nil)
+	resp, stop, err := c.roundTrip(ctx, http.MethodGet, api.RouteV2Healthz, "", nil)
 	if err != nil {
 		return out, fmt.Errorf("client: GET %s: %w", api.RouteV2Healthz, err)
 	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return out, fmt.Errorf("client: GET %s: %w", api.RouteV2Healthz, err)
-	}
+	defer stop()
 	defer resp.Body.Close()
-	if resp.StatusCode < 400 {
+	if resp.StatusCode/100 == 2 {
 		if derr := json.NewDecoder(resp.Body).Decode(&out); derr != nil {
 			return out, fmt.Errorf("client: decoding %s response: %w", api.RouteV2Healthz, derr)
 		}
@@ -441,22 +490,35 @@ func (c *Client) QuarantineList(ctx context.Context) (api.QuarantineListResponse
 }
 
 // getStream issues one GET and hands the 2xx body to the caller, who
-// must Close it.
+// must Close it. The body stays under the attempt's deadline until then.
 func (c *Client) getStream(ctx context.Context, path string) (io.ReadCloser, error) {
-	req, err := c.newRequest(ctx, http.MethodGet, path, "", nil)
+	resp, stop, err := c.roundTrip(ctx, http.MethodGet, path, "", nil)
 	if err != nil {
 		return nil, fmt.Errorf("client: GET %s: %w", path, err)
 	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("client: GET %s: %w", path, err)
-	}
-	if resp.StatusCode >= 400 {
+	if resp.StatusCode/100 != 2 {
 		apiErr := DecodeError(resp)
 		resp.Body.Close()
+		stop()
 		return nil, apiErr
 	}
-	return resp.Body, nil
+	if c.hc.Timeout <= 0 {
+		return resp.Body, nil
+	}
+	return &stoppingBody{ReadCloser: resp.Body, stop: stop}, nil
+}
+
+// stoppingBody is a streamed body whose Close also releases its
+// attempt's deadline, as http.Client's cancelTimerBody did.
+type stoppingBody struct {
+	io.ReadCloser
+	stop context.CancelFunc
+}
+
+func (b *stoppingBody) Close() error {
+	err := b.ReadCloser.Close()
+	b.stop()
+	return err
 }
 
 // BootstrapSnapshot streams the primary's replication bootstrap

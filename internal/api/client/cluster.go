@@ -28,8 +28,11 @@ type Cluster struct {
 
 	mu      sync.RWMutex
 	clients map[string]*Client
-	order   []string // read rotation, as given (plus learned leaders)
-	leader  string
+	// order is the read rotation, as given (plus learned leaders). It
+	// only grows by append, so an element once written never changes and
+	// a read walks the slice header it took under mu.
+	order  []member
+	leader string
 
 	rr atomic.Uint64
 
@@ -55,17 +58,28 @@ func NewCluster(endpoints []string, opts ...Option) (*Cluster, error) {
 		if _, dup := c.clients[ep]; dup {
 			continue
 		}
-		c.clients[ep] = New(ep, opts...)
-		c.order = append(c.order, ep)
+		cl := New(ep, opts...)
+		c.clients[ep] = cl
+		c.order = append(c.order, member{ep, cl})
 	}
 	return c, nil
+}
+
+// member is one node of the read rotation.
+type member struct {
+	base string
+	cl   *Client
 }
 
 // Endpoints returns the node URLs currently in the read rotation.
 func (c *Cluster) Endpoints() []string {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return append([]string(nil), c.order...)
+	eps := make([]string, len(c.order))
+	for i, m := range c.order {
+		eps[i] = m.base
+	}
+	return eps
 }
 
 // Leader returns the current leader guess (updated by redirects).
@@ -83,37 +97,29 @@ func (c *Cluster) client(base string) *Client {
 	if !ok {
 		cl = New(base, c.opts...)
 		c.clients[base] = cl
-		c.order = append(c.order, base)
+		c.order = append(c.order, member{base, cl})
 	}
 	return cl
 }
 
-// readRotation returns the node order for one read: round-robin start,
-// then the rest as fallbacks.
-func (c *Cluster) readRotation() []*Client {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	n := len(c.order)
-	// Reduced as a uint64: converted first, a counter past the int range
-	// would make a negative index.
-	start := int((c.rr.Add(1) - 1) % uint64(n))
-	out := make([]*Client, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, c.clients[c.order[(start+i)%n]])
-	}
-	return out
-}
-
-// read runs fn against nodes in rotation order until one succeeds.
+// read runs fn against nodes in rotation order until one succeeds: a
+// round-robin start, then the rest as fallbacks.
 // Typed protocol errors (an *api.Error) are returned immediately — the
 // request itself is wrong and every node would reject it the same way;
 // transport faults (connection refused, timeouts, missing envelopes)
 // and node-specific conditions (internal faults, a degraded follower's
 // health probe) fail over to the next node.
 func (c *Cluster) read(fn func(*Client) error) error {
+	c.mu.RLock()
+	order := c.order
+	c.mu.RUnlock()
+	n := len(order)
+	// Reduced as a uint64: converted first, a counter past the int range
+	// would make a negative index.
+	start := int((c.rr.Add(1) - 1) % uint64(n))
 	var lastErr error
-	for _, cl := range c.readRotation() {
-		err := fn(cl)
+	for i := range n {
+		err := fn(order[(start+i)%n].cl)
 		if err == nil {
 			return nil
 		}
@@ -155,10 +161,12 @@ func (c *Cluster) write(fn func(*Client) error) error {
 	}
 	for {
 		err := fn(c.client(base))
+		if err == nil {
+			return nil
+		}
+		// Declared past the success return: errors.As moves it to the heap.
 		var apiErr *api.Error
 		switch {
-		case err == nil:
-			return nil
 		case errors.As(err, &apiErr) && apiErr.Code == api.CodeNotPrimary:
 			if apiErr.Leader == "" {
 				// A follower that doesn't know its leader: treat like an

@@ -91,11 +91,13 @@ func (h *httpLayer) handleWALStream(w http.ResponseWriter, r *http.Request) {
 	s.walStreamsTotal.Add(1)
 	defer s.walStreams.Add(-1)
 
-	// A stateful cursor remembers the byte offset of the last shipped
-	// record, so each long-poll wake reads only the new suffix — a
-	// naive per-wake Replay would re-scan (and re-CRC) the whole active
-	// segment every group-commit window, per follower.
+	// A stateful cursor keeps the segment it reads open at the last
+	// shipped record, so each long-poll wake reads on from there with no
+	// file to open and no buffer to allocate — a naive per-wake Replay
+	// would re-scan (and re-CRC) the whole active segment every
+	// group-commit window, per follower.
 	cur := s.wal.NewCursor(from)
+	defer cur.Close()
 	deadline := time.Now().Add(walStreamMaxDuration)
 	for {
 		wait := time.Until(deadline)

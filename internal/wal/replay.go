@@ -116,23 +116,37 @@ func replaySegments(segs []segment, afterLSN uint64, fn func(lsn uint64, payload
 }
 
 // Cursor is a stateful tail reader over an open journal: Next delivers
-// records in LSN order and remembers the exact segment and byte offset
-// it stopped at, so each call reads only the new suffix — unlike
-// Replay, which re-scans the segment containing its start point from
-// the beginning on every call. This is what keeps a replication stream
-// O(new records) per long-poll wake instead of O(active segment).
+// records in LSN order and keeps the segment it stopped in open, its
+// reader at the exact frame it stopped at, so each call reads on from
+// there — unlike Replay, which re-scans the segment containing its
+// start point from the beginning on every call. This is what keeps a
+// replication stream O(new records) per long-poll wake instead of
+// O(active segment), with no file to open and no buffer to allocate
+// while it stays in one segment.
 //
 // The caller must only ask for records it knows are flushed (the
 // stream handler caps at SyncedLSN); within that bound the cursor
-// never sees a torn record. A cursor is owned by one goroutine.
+// never sees a torn record. Its reader may buffer bytes past that
+// bound — part of a record still being written — but segments are
+// append-only, so those bytes are the ones the next call reads. A
+// segment that compaction detaches while the cursor is in it stays
+// readable through the open file until the cursor moves on. A cursor is
+// owned by one goroutine, and its owner Closes it.
 type Cursor struct {
 	w *WAL
 	// nextLSN is the next record to deliver; pos is its byte offset in
-	// the segment with firstLSN segFirst (pos 0 = not yet located).
+	// seg once located.
 	nextLSN uint64
 	seg     segment
 	pos     int64
 	located bool
+	// sr reads seg from pos: opened on the first read there, closed
+	// when the cursor advances past seg, and nil then.
+	sr *SegmentReader
+	// segs is the cursor's own copy of the journal's segment list,
+	// refreshed by each Next.
+	segs []segment
+	// scratch holds the read buffer between calls (see readSegment).
 	scratch []byte
 }
 
@@ -155,12 +169,11 @@ func (c *Cursor) Next(upTo uint64, fn func(lsn uint64, frame []byte) error) (int
 	if c.nextLSN > upTo {
 		return 0, nil
 	}
-	segs, err := c.w.flushedSegments()
-	if err != nil {
+	if err := c.refresh(); err != nil {
 		return 0, err
 	}
 	if !c.located {
-		if err := c.locate(segs); err != nil {
+		if err := c.locate(); err != nil {
 			return 0, err
 		}
 	}
@@ -176,14 +189,14 @@ func (c *Cursor) Next(upTo uint64, fn func(lsn uint64, frame []byte) error) (int
 		}
 		// Current segment exhausted below upTo: advance to the segment
 		// that starts at the cursor's LSN.
-		if !c.advance(segs) {
+		if !c.advance() {
 			// The records exist (<= upTo <= SyncedLSN) but no segment
 			// starts where we need one — the snapshot predates a roll;
 			// refresh and retry once, else report the gap.
-			if segs, err = c.w.flushedSegments(); err != nil {
+			if err := c.refresh(); err != nil {
 				return delivered, err
 			}
-			if !c.advance(segs) {
+			if !c.advance() {
 				return delivered, fmt.Errorf("wal: no segment holds LSN %d (compacted past the cursor)", c.nextLSN)
 			}
 		}
@@ -191,11 +204,23 @@ func (c *Cursor) Next(upTo uint64, fn func(lsn uint64, frame []byte) error) (int
 	return delivered, nil
 }
 
-// advance moves the cursor to the start of the later segment in segs
-// that begins at its next LSN, and reports whether there was one.
-func (c *Cursor) advance(segs []segment) bool {
-	for _, s := range segs {
+// Close releases the segment file the cursor holds open. The cursor
+// must not be used after it.
+func (c *Cursor) Close() error {
+	if c.sr == nil {
+		return nil
+	}
+	err := c.sr.Close()
+	c.sr = nil
+	return err
+}
+
+// advance moves the cursor to the start of the later segment in its
+// list that begins at its next LSN, and reports whether there was one.
+func (c *Cursor) advance() bool {
+	for _, s := range c.segs {
 		if s.firstLSN == c.nextLSN && s.index > c.seg.index {
+			c.Close()
 			c.seg, c.pos = s, segHeaderSize
 			return true
 		}
@@ -203,26 +228,30 @@ func (c *Cursor) advance(segs []segment) bool {
 	return false
 }
 
-// flushedSegments snapshots the segment list with buffered appends
-// flushed, so everything up to SyncedLSN is readable from the files.
-func (w *WAL) flushedSegments() ([]segment, error) {
+// refresh copies the journal's segment list into the cursor's own
+// with buffered appends flushed, so everything up to SyncedLSN is
+// readable from the files.
+func (c *Cursor) refresh() error {
+	w := c.w
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.err != nil {
-		return nil, w.err
+		return w.err
 	}
 	if w.bw != nil {
 		if err := w.bw.Flush(); err != nil {
 			w.err = err
-			return nil, err
+			return err
 		}
 	}
-	return append([]segment(nil), w.segs...), nil
+	c.segs = append(c.segs[:0], w.segs...)
+	return nil
 }
 
 // locate finds the segment and byte offset of c.nextLSN by scanning
 // (once) the segment that contains it.
-func (c *Cursor) locate(segs []segment) error {
+func (c *Cursor) locate() error {
+	segs := c.segs
 	idx := -1
 	for i, s := range segs {
 		if s.firstLSN <= c.nextLSN {
@@ -256,12 +285,15 @@ func (c *Cursor) locate(segs []segment) error {
 // segment's current end (more may be appended later) and returns how
 // many records it delivered to fn.
 func (c *Cursor) readSegment(upTo uint64, fn func(lsn uint64, frame []byte) error) (int, error) {
-	info := SegmentInfo{Path: c.seg.path, Index: c.seg.index, FirstLSN: c.seg.firstLSN}
-	sr, err := OpenSegmentAt(info, c.pos, c.nextLSN)
-	if err != nil {
-		return 0, err
+	if c.sr == nil {
+		info := SegmentInfo{Path: c.seg.path, Index: c.seg.index, FirstLSN: c.seg.firstLSN}
+		sr, err := OpenSegmentAt(info, c.pos, c.nextLSN)
+		if err != nil {
+			return 0, err
+		}
+		c.sr = sr
 	}
-	defer sr.Close()
+	sr := c.sr
 	sr.frame = c.scratch
 	defer func() {
 		// Take the reader's buffer back for the next call, unless one
@@ -278,6 +310,9 @@ func (c *Cursor) readSegment(upTo uint64, fn func(lsn uint64, frame []byte) erro
 			if errors.Is(rerr, io.EOF) {
 				return delivered, nil // segment end (so far); caller advances or waits
 			}
+			// The reader may have stopped mid-frame: the next call
+			// reopens the segment at the last whole record.
+			c.Close()
 			var cre *CorruptRecordError
 			if errors.As(rerr, &cre) {
 				// The caller only asks for records it knows are durable, so

@@ -682,3 +682,37 @@ func TestWriteFileAtomicDirSyncError(t *testing.T) {
 		}
 	}
 }
+
+// TestCursorWakeAllocBudget: a warm tail cursor delivering one new
+// record — one long-poll wake of the replication stream — allocates
+// nothing. It keeps its segment open and copies the segment list into
+// a slice of its own, where a wake used to open the file, allocate a
+// 64 KiB read buffer and copy the list afresh.
+func TestCursorWakeAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	w := openTest(t, t.TempDir(), ModeOff, 64<<20)
+	defer w.Close()
+	payload := bytes.Repeat([]byte{0x5a}, 200)
+	cur := w.NewCursor(0)
+	defer cur.Close()
+	wake := func() {
+		if _, err := w.Append(payload); err != nil {
+			t.Fatal(err)
+		}
+		n, err := cur.Next(w.LastLSN(), func(_ uint64, frame []byte) error {
+			if !bytes.Equal(frame[recHeaderSize:], payload) {
+				t.Fatalf("frame %x does not carry the payload", frame)
+			}
+			return nil
+		})
+		if err != nil || n != 1 {
+			t.Fatalf("Next = %d, %v (want 1 record)", n, err)
+		}
+	}
+	wake() // locate and open the segment
+	if allocs := testing.AllocsPerRun(1000, wake); allocs != 0 {
+		t.Errorf("a warm cursor allocates %v times per record delivered, want 0", allocs)
+	}
+}
