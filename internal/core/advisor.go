@@ -148,7 +148,7 @@ func (a *Advisor) RunDay(date int, jobs []*workload.Job, view []workload.ViewRow
 		req := flighting.Request{
 			Job:       r.Features.Job,
 			Treatment: a.Catalog.DefaultConfig().WithFlip(r.Flip),
-			EstCost:   r.Recompiled.EstCost,
+			EstCost:   r.TreatCost,
 			Flip:      r.Flip,
 		}
 		if shareCompiled {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"qoadvisor/internal/exec"
@@ -85,6 +86,65 @@ func TestRunDayAllocBudget(t *testing.T) {
 	t.Logf("%d jobs: %.1f allocs per job (JobsForDay + RunDay)", jobs, perJob)
 	if perJob > runDayAllocCeiling {
 		t.Errorf("%.1f allocs per production job, ceiling %.1f", perJob, runDayAllocCeiling)
+	}
+}
+
+// advisorDayAllocCeiling is TestAdvisorDayAllocBudget's: measured (19.9–20.0,
+// go1.24) + 5 %. The same day cost 30.3–30.4 per job while the span search
+// and every recommended flip's recompilation published a plan that only
+// its estimated cost and signature were read from.
+const advisorDayAllocCeiling = 21.0
+
+// TestAdvisorDayAllocBudget gates what the advisor allocates per job over
+// its first day of the ledger's first 40 templates, run after that day's
+// production: features and every template's span, ranks,
+// recompilations, flights and validation. TestRunDayAllocBudget gates
+// production's share of a pipeline day; this is the rest.
+func TestAdvisorDayAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	// One worker throughout, as testing.AllocsPerRun measures: the
+	// advisor then finds the pools production warmed, and the count is
+	// the same on every machine.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const seed = 20211101
+	gen, err := workload.New(workload.Config{Seed: seed, NumTemplates: 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat := rules.NewCatalog()
+	store := sis.NewStore(cat)
+	prod := NewProduction(cat, store, exec.DefaultCluster(seed), seed+12)
+	adv := NewAdvisor(cat, store, Config{
+		Seed:      seed,
+		Flighting: flighting.Config{Catalog: cat, Cluster: exec.DefaultCluster(seed), Seed: seed + 5},
+	})
+	var view []workload.ViewRow
+	var jobs []*workload.Job
+	for day := 0; day <= 1; day++ { // day 0's view is day 1's input
+		if jobs, err = gen.JobsForDay(day); err != nil {
+			t.Fatal(err)
+		}
+		if _, view, err = prod.RunDay(day, jobs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	adv.CB.Uniform = true // the pipeline's first days explore uniformly
+	// No collection while it runs: one would empty the pools production
+	// warmed at a moment the heap decides.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rep, err := adv.RunDay(1, jobs, view)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perJob := float64(after.Mallocs-before.Mallocs) / float64(len(jobs))
+	t.Logf("%d jobs, %d recommendations, %d flights: %.1f allocs per job (Advisor.RunDay)", len(jobs), rep.Recommendations, rep.FlightsRequested, perJob)
+	if perJob > advisorDayAllocCeiling {
+		t.Errorf("%.1f allocs per advisor job, ceiling %.1f", perJob, advisorDayAllocCeiling)
 	}
 }
 

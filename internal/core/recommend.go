@@ -25,8 +25,14 @@ type Recommendation struct {
 	// change nothing.
 	Flip rules.Flip
 	NoOp bool
-	// Recompiled is the treatment compilation result (nil on NoOp or
-	// compile failure).
+	// TreatCost is the estimated cost of the flipped configuration, set
+	// whenever the flip compiled.
+	TreatCost float64
+	// Recompiled is the treatment compilation result, the plan a flight
+	// can run. It is set only for a flip that improves the estimated cost
+	// (CostDelta < 0), the only ones Improved hands on; it is nil on NoOp,
+	// on a compile failure and for a flip that does not improve the cost,
+	// which Recommend estimates without building a plan.
 	Recompiled *optimizer.Result
 	// CompileFailed marks flips that failed recompilation.
 	CompileFailed bool
@@ -188,6 +194,11 @@ type recompileKey struct {
 	flip  rules.Flip
 }
 
+// recompileKeys returns the recompileKey of recs[i] by index.
+func recompileKeys(recs []*Recommendation) func(i int) recompileKey {
+	return func(i int) recompileKey { return recompileKey{recs[i].Features.Job.Graph, recs[i].Flip} }
+}
+
 // Recommend runs the Recommendation and Recompilation tasks for a set of
 // featurized jobs: pick an action per job, recompile under the flip,
 // compute the clipped cost-ratio reward, and feed it back to the learner.
@@ -199,8 +210,11 @@ type recompileKey struct {
 //  1. rank every job sequentially (the recommender's exploration RNG and
 //     event log consume randomness in job order, exactly as before),
 //  2. recompile the chosen flips in parallel, once per (instance, flip)
-//     (optimizer.Optimize is a pure function of (graph, config, stats),
-//     and a day's recurrences of an instance share all three),
+//     (a compilation is a pure function of (graph, config, stats), and a
+//     day's recurrences of an instance share all three): every key is
+//     estimated (optimizer.Estimate, no plan), and only a key whose flip
+//     improves the cost is compiled again into a plan (optimizer.Optimize,
+//     a hit in the instance's rewrite memo),
 //  3. feed rewards back sequentially in job order (training order — and
 //     hence the learned weights — match the sequential pipeline bit for
 //     bit), and have the learner forget the rank of every flip whose
@@ -229,26 +243,26 @@ func Recommend(rec Recommender, cat *rules.Catalog, feats []*JobFeatures) []*Rec
 
 	// Phase 2: parallel recompilation of the non-noop flips, once per
 	// (instance, flip): every job of an instance that drew the same flip
-	// shares the one result.
+	// shares the one estimate, and the one plan if its flip improves.
 	todo := make([]*Recommendation, 0, len(out))
 	for _, r := range out {
 		if !r.NoOp {
 			todo = append(todo, r)
 		}
 	}
-	results := shareBy(len(todo),
-		func(i int) recompileKey { return recompileKey{todo[i].Features.Job.Graph, todo[i].Flip} },
-		func(i int) *optimizer.Result {
-			job := todo[i].Features.Job
-			res, err := optimizer.Optimize(job.Graph, cat.DefaultConfig().WithFlip(todo[i].Flip), job.CompileOptions(cat))
-			if err != nil {
-				return nil
-			}
-			return res
-		})
+	type estimate struct {
+		cost float64
+		ok   bool
+	}
+	ests := shareBy(len(todo), recompileKeys(todo), func(i int) estimate {
+		job := todo[i].Features.Job
+		_, cost, err := optimizer.Estimate(job.Graph, cat.DefaultConfig().WithFlip(todo[i].Flip), job.CompileOptions(cat))
+		return estimate{cost, err == nil}
+	})
+	improving := todo[:0] // todo[i] is read before improving grows past i
 	for i, r := range todo {
-		res := results[i]
-		if res == nil {
+		cost := ests[i].cost
+		if !ests[i].ok {
 			// A failed recompilation produces no cost estimate and hence
 			// no reward; phase 3 forgets the rank event, so training
 			// never sees it (which is why the learned policy only
@@ -260,11 +274,24 @@ func Recommend(rec Recommender, cat *rules.Catalog, feats []*JobFeatures) []*Rec
 			continue
 		}
 		f := r.Features
-		r.Recompiled = res
-		r.CostDelta = res.EstCost/f.EstCost - 1
+		r.TreatCost = cost
+		r.CostDelta = cost/f.EstCost - 1
 		// Reward: ratio of default estimated cost over the recompiled
 		// cost, clipped so outliers do not skew the model.
-		r.Reward = min(f.EstCost/res.EstCost, RewardClip)
+		r.Reward = min(f.EstCost/cost, RewardClip)
+		if r.CostDelta < 0 {
+			improving = append(improving, r)
+		}
+	}
+	// The improving flips' plans: the same compilations, which compiled
+	// above, so none fails.
+	plans := shareBy(len(improving), recompileKeys(improving), func(i int) *optimizer.Result {
+		job := improving[i].Features.Job
+		res, _ := optimizer.Optimize(job.Graph, cat.DefaultConfig().WithFlip(improving[i].Flip), job.CompileOptions(cat))
+		return res
+	})
+	for i, r := range improving {
+		r.Recompiled = plans[i]
 	}
 
 	// Phase 3: sequential reward feedback in job order.

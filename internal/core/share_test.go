@@ -147,9 +147,11 @@ func TestRunDaySharesInstanceCompile(t *testing.T) {
 	}
 }
 
-// scriptedRecommender picks a job's flip by its recurrence number — seqs
-// 0 and 1 the span's first rule, 2 and 3 its second — and a no-op for a
-// fifth of the templates, and records what phase 3 feeds back.
+// scriptedRecommender picks a no-op for a fifth of the templates, for
+// two more fifths the first span flip that lowers the job's estimated cost
+// if there is one, and otherwise a job's flip by its recurrence number —
+// seqs 0 and 1 the span's first rule, 2 and 3 its second — and records
+// what phase 3 feeds back.
 type scriptedRecommender struct {
 	cat      *rules.Catalog
 	n        int
@@ -169,6 +171,15 @@ func (s *scriptedRecommender) Recommend(f *JobFeatures) (rules.Flip, bool, strin
 	if f.Job.Template.Hash%5 == 0 || len(bits) == 0 {
 		return rules.Flip{}, true, id
 	}
+	if h := f.Job.Template.Hash % 5; h == 1 || h == 2 {
+		opts := optimizer.Options{Catalog: s.cat, Stats: f.Job.Stats, Tokens: f.Job.Tokens}
+		for _, b := range bits {
+			flip := s.cat.FlipFor(b)
+			if res, err := optimizer.Optimize(f.Job.Graph, s.cat.DefaultConfig().WithFlip(flip), opts); err == nil && res.EstCost < f.EstCost {
+				return flip, false, id
+			}
+		}
+	}
 	return s.cat.FlipFor(bits[f.Job.Seq/2%len(bits)]), false, id
 }
 
@@ -181,11 +192,13 @@ func (s *scriptedRecommender) Forget(id string) {
 }
 
 // TestRecommendSharesRecompile holds Recommend, which recompiles once per
-// (instance, flip), to a per-job recompilation without the instance's
-// memo: same Recompiled (an equal Result), CompileFailed, CostDelta and
-// Reward for every job, and the same Learn/Forget calls in job order,
-// with recurrences apart in the input. Every job of an instance that drew
-// one flip holds the one *optimizer.Result.
+// (instance, flip), to a per-job Optimize without the instance's memo:
+// the same CompileFailed for every job; for every compiled flip
+// TreatCost, CostDelta and Reward bit for bit, and Recompiled nil when
+// the flip does not improve the cost and a Result equal to Optimize's
+// when it does; and the same Learn/Forget calls in job order, with
+// recurrences apart in the input. Every job of an instance that drew one
+// improving flip holds the one *optimizer.Result.
 func TestRecommendSharesRecompile(t *testing.T) {
 	cat := rules.NewCatalog()
 	_, jobs := sharingDay(t)
@@ -206,7 +219,7 @@ func TestRecommendSharesRecompile(t *testing.T) {
 
 	var wantFeedback []feedback
 	byKey := make(map[recompileKey]*optimizer.Result)
-	noops, failed, shared := 0, 0, 0
+	noops, failed, notImproving, improving, shared := 0, 0, 0, 0, 0
 	for i, r := range recs {
 		f := feats[i]
 		if r.Features != f {
@@ -230,13 +243,24 @@ func TestRecommendSharesRecompile(t *testing.T) {
 			wantFeedback = append(wantFeedback, feedback{eventID: f.Job.ID, forget: true})
 			continue
 		}
-		reward := min(f.EstCost/res.EstCost, RewardClip)
-		if r.CompileFailed || r.Recompiled == nil || !reflect.DeepEqual(*r.Recompiled, *res) || r.Reward != reward || r.CostDelta != res.EstCost/f.EstCost-1 {
-			t.Fatalf("%s under %v: failed %v, reward %v, delta %v, or its Result differs; want reward %v, delta %v",
-				f.Job.ID, r.Flip, r.CompileFailed, r.Reward, r.CostDelta, reward, res.EstCost/f.EstCost-1)
+		reward, delta := min(f.EstCost/res.EstCost, RewardClip), res.EstCost/f.EstCost-1
+		if r.CompileFailed || !sameBits(r.TreatCost, res.EstCost) || !sameBits(r.Reward, reward) || !sameBits(r.CostDelta, delta) {
+			t.Fatalf("%s under %v: failed %v, treatment cost %v, reward %v, delta %v; want cost %v, reward %v, delta %v",
+				f.Job.ID, r.Flip, r.CompileFailed, r.TreatCost, r.Reward, r.CostDelta, res.EstCost, reward, delta)
 		}
 		wantFeedback = append(wantFeedback, feedback{eventID: f.Job.ID, reward: reward})
 		key := recompileKey{f.Job.Graph, r.Flip}
+		if delta >= 0 {
+			notImproving++
+			if r.Recompiled != nil {
+				t.Fatalf("%s under %v: delta %v, yet Recompiled holds a plan", f.Job.ID, r.Flip, delta)
+			}
+			continue
+		}
+		if r.Recompiled == nil || !reflect.DeepEqual(*r.Recompiled, *res) {
+			t.Fatalf("%s under %v: delta %v, and Recompiled is nil or differs from Optimize's Result", f.Job.ID, r.Flip, delta)
+		}
+		improving++
 		if first, ok := byKey[key]; !ok {
 			byKey[key] = r.Recompiled
 		} else if first != r.Recompiled {
@@ -245,10 +269,14 @@ func TestRecommendSharesRecompile(t *testing.T) {
 			shared++
 		}
 	}
-	if noops == 0 || failed == 0 || shared == 0 {
-		t.Fatalf("%d no-ops, %d failed and %d shared recompilations; want each", noops, failed, shared)
+	t.Logf("%d no-ops, %d failed, %d not improving, %d improving (%d sharing a Result)", noops, failed, notImproving, improving, shared)
+	if noops == 0 || failed == 0 || notImproving == 0 || shared == 0 {
+		t.Fatalf("%d no-ops, %d failed, %d not improving and %d shared improving recompilations; want each", noops, failed, notImproving, shared)
 	}
 	if !slices.Equal(rec.feedback, wantFeedback) {
 		t.Errorf("phase 3 fed back %v, want %v", rec.feedback, wantFeedback)
 	}
 }
+
+// sameBits reports whether a and b are the same float64, bit for bit.
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }

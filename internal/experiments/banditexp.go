@@ -141,11 +141,11 @@ func tabulate(label string, recs []*core.Recommendation) Table3Row {
 func totalCost(recs []*core.Recommendation) float64 {
 	sum := 0.0
 	for _, r := range recs {
-		if r.NoOp || r.CompileFailed || r.Recompiled == nil {
+		if r.NoOp || r.CompileFailed {
 			sum += r.Features.EstCost
 			continue
 		}
-		sum += r.Recompiled.EstCost
+		sum += r.TreatCost
 	}
 	return sum
 }

@@ -103,21 +103,17 @@ func (l *Lab) uniqueJobsForDay(day int) ([]*workload.Job, error) {
 // single rule flip whose recompilation lowers the estimated cost. It
 // returns the flip, the treatment result, and whether one was found —
 // the "rule flips leading to lower estimated costs" the paper flights.
+// The search estimates; only the flip it returns is compiled to a plan.
 func (l *Lab) costImprovingFlip(job *workload.Job, spanBits []int, rng *rand.Rand) (rules.Flip, *optimizer.Result, bool) {
-	base, err := l.compileDefault(job)
+	baseCost, err := l.estimateWith(job, l.Catalog.DefaultConfig())
 	if err != nil {
 		return rules.Flip{}, nil, false
 	}
 	order := rng.Perm(len(spanBits))
 	for _, i := range order {
 		flip := l.Catalog.FlipFor(spanBits[i])
-		cfg := l.Catalog.DefaultConfig().WithFlip(flip)
-		res, err := optimizer.Optimize(job.Graph, cfg, job.CompileOptions(l.Catalog))
-		if err != nil {
-			continue
-		}
-		if res.EstCost < base.EstCost {
-			return flip, res, true
+		if cost, err := l.estimateWith(job, l.Catalog.DefaultConfig().WithFlip(flip)); err == nil && cost < baseCost {
+			return l.treatment(job, flip)
 		}
 	}
 	return rules.Flip{}, nil, false
@@ -125,25 +121,39 @@ func (l *Lab) costImprovingFlip(job *workload.Job, spanBits []int, rng *rand.Ran
 
 // bestCostFlip searches the whole span for the flip with the lowest
 // recompiled estimated cost, mirroring the flighting queue's
-// lowest-estimated-cost-first priority.
+// lowest-estimated-cost-first priority. The search estimates; only the
+// flip it returns is compiled to a plan.
 func (l *Lab) bestCostFlip(job *workload.Job, spanBits []int) (rules.Flip, *optimizer.Result, bool) {
-	base, err := l.compileDefault(job)
+	bestCost, err := l.estimateWith(job, l.Catalog.DefaultConfig())
 	if err != nil {
 		return rules.Flip{}, nil, false
 	}
 	var bestFlip rules.Flip
-	var bestRes *optimizer.Result
+	found := false
 	for _, id := range spanBits {
 		flip := l.Catalog.FlipFor(id)
-		res, err := optimizer.Optimize(job.Graph, l.Catalog.DefaultConfig().WithFlip(flip), job.CompileOptions(l.Catalog))
-		if err != nil {
-			continue
-		}
-		if res.EstCost < base.EstCost && (bestRes == nil || res.EstCost < bestRes.EstCost) {
-			bestFlip, bestRes = flip, res
+		if cost, err := l.estimateWith(job, l.Catalog.DefaultConfig().WithFlip(flip)); err == nil && cost < bestCost {
+			bestFlip, bestCost, found = flip, cost, true
 		}
 	}
-	return bestFlip, bestRes, bestRes != nil
+	if !found {
+		return rules.Flip{}, nil, false
+	}
+	return l.treatment(job, bestFlip)
+}
+
+// treatment compiles a job under a flip its search has already compiled,
+// so it does not fail.
+func (l *Lab) treatment(job *workload.Job, flip rules.Flip) (rules.Flip, *optimizer.Result, bool) {
+	res, err := l.compileWith(job, l.Catalog.DefaultConfig().WithFlip(flip))
+	return flip, res, err == nil
+}
+
+// estimateWith is the estimated cost of a job's compilation under an
+// arbitrary configuration, found without building a plan.
+func (l *Lab) estimateWith(job *workload.Job, cfg rules.Config) (float64, error) {
+	_, cost, err := optimizer.Estimate(job.Graph, cfg, job.CompileOptions(l.Catalog))
+	return cost, err
 }
 
 // compileWith compiles a job under an arbitrary configuration.

@@ -26,7 +26,7 @@ const compileCacheSize = 16
 // production's recurrences of a day, the advisor's jobs that drew one
 // flip — shares that one compilation for as long as the batch's output
 // lives (internal/core), where a memo here would keep plans for as long
-// as the instance. Each call gets a fresh Plan, which nothing downstream
+// as the instance. Each Optimize gets a fresh Plan, which nothing downstream
 // writes to: exec.Run only reads a plan, and Recardinalize writes into
 // the caller's dst.
 //

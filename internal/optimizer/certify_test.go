@@ -132,7 +132,8 @@ func TestCertifiedRewriteMatchesFresh(t *testing.T) {
 }
 
 // checkCertifiedCompile compiles g under every configuration through one
-// cache and holds each compilation to an uncached one. It is the part of
+// cache and holds each compilation to an uncached one, and an Estimate
+// through the cache to the cached compilation. It is the part of
 // FuzzCompileOptimize that exercises the reuse certificate.
 func checkCertifiedCompile(t *testing.T, g *scope.Graph, configs []rules.Config) {
 	t.Helper()
@@ -142,6 +143,10 @@ func checkCertifiedCompile(t *testing.T, g *scope.Graph, configs []rules.Config)
 		got, gotErr := optimizer.Optimize(g, cfg, shared)
 		if diff := sameCompilation(got, gotErr, want, wantErr); diff != "" {
 			t.Fatalf("cached compilation differs from a fresh one: %s", diff)
+		}
+		sig, cost, err := optimizer.Estimate(g, cfg, shared)
+		if diff := sameEstimate(sig, cost, err, got, gotErr); diff != "" {
+			t.Fatalf("cached Estimate differs from the cached compilation: %s", diff)
 		}
 	}
 }

@@ -17,19 +17,17 @@ var Gate = gate
 // lands on the rule's residue, apply, and fire the rule once if any node
 // changed. TestApplyTuningEquivalence holds the one-pass applyTuning to it.
 // It skips Optimize's up-front rejections, so compare only configurations
-// Optimize accepts.
+// Optimize accepts. Its builder is never pooled.
 func OptimizeTuningByRule(g *scope.Graph, cfg rules.Config, opts Options) (*Result, error) {
 	work, sig, _, err := rewriteLogical(g, cfg, opts.Catalog, opts.Stats)
 	if err != nil {
 		return nil, err
 	}
 	b := new(implBuilder)
-	b.init(work, cfg, opts.Catalog, &sig, opts.Stats, &EstimationEnv{Stats: opts.Stats}, opts.Tokens)
+	b.init(work, cfg, opts.Catalog, sig, opts.Stats, opts.Tokens)
 	if err := b.lowerRoots(work); err != nil {
 		return nil, err
 	}
-	res := b.publish()
-	nodes := b.plan.Nodes()
 	for _, t := range tunings {
 		siblings := opts.Catalog.OfKind(t.kind)
 		for idx, r := range siblings {
@@ -37,7 +35,7 @@ func OptimizeTuningByRule(g *scope.Graph, cfg rules.Config, opts Options) (*Resu
 				continue
 			}
 			fired := false
-			for _, n := range nodes {
+			for _, n := range b.order {
 				if int(gateOf(n)%uint64(len(siblings))) == idx && t.apply(n, r, b.tokens) {
 					fired = true
 				}
@@ -47,33 +45,30 @@ func OptimizeTuningByRule(g *scope.Graph, cfg rules.Config, opts Options) (*Resu
 			}
 		}
 	}
-	b.settlePartitions(nodes)
-
+	b.settlePartitions(b.order)
 	b.assignStages()
 	b.computeCost()
-	res.Logical, res.Signature, res.EstCost = work, sig, b.plan.EstCost
-	return res, nil
+	return b.publish(work), nil
 }
 
-// LoweringAllocs lowers the uncached rewrite of g under cfg on
-// a builder of its own and, with the builder warm, counts with
-// testing.AllocsPerRun what two parts of a lowering allocate: partScheme
-// for each of the plan's keyed schemes (keyed is how many), every one of
-// which the builder has interned, and publish plus assignStages.
+// LoweringAllocs builds the uncached rewrite of g under cfg on a builder
+// of its own and, with the builder warm, counts with testing.AllocsPerRun
+// what two parts of a compilation allocate: partScheme for each of the
+// plan's keyed schemes (keyed is how many), every one of which the
+// builder has interned, and publish of the finished plan.
 func LoweringAllocs(g *scope.Graph, cfg rules.Config, opts Options) (scheme, publish float64, keyed int, err error) {
 	work, sig, _, err := rewriteLogical(g, cfg, opts.Catalog, opts.Stats)
 	if err != nil {
 		return 0, 0, 0, err
 	}
 	b := new(implBuilder)
-	b.init(work, cfg, opts.Catalog, &sig, opts.Stats, &EstimationEnv{Stats: opts.Stats}, opts.Tokens)
-	if err := b.lowerRoots(work); err != nil {
+	b.init(work, cfg, opts.Catalog, sig, opts.Stats, opts.Tokens)
+	if err := b.build(work); err != nil {
 		return 0, 0, 0, err
 	}
-	b.publish()
 	var kinds []ExchangeKind
 	var keys [][]byte
-	for _, n := range b.plan.Nodes() {
+	for _, n := range b.order {
 		if p := schemePrefix[n.Exchange]; n.IsExchange() && len(n.PartScheme) > len(p) {
 			kinds, keys = append(kinds, n.Exchange), append(keys, []byte(n.PartScheme[len(p):]))
 		}
@@ -83,10 +78,7 @@ func LoweringAllocs(g *scope.Graph, cfg rules.Config, opts Options) (scheme, pub
 			b.partScheme(kinds[i], key)
 		}
 	})
-	publish = testing.AllocsPerRun(100, func() {
-		b.publish()
-		b.assignStages()
-	})
+	publish = testing.AllocsPerRun(100, func() { b.publish(work) })
 	return scheme, publish, len(keys), nil
 }
 

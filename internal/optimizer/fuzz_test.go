@@ -97,7 +97,9 @@ OUTPUT j TO "out/j.tsv";`
 // equals the map-based reference; Optimize returns a plan or a
 // *CompileFailure and leaves the compiled graph as it found it; a second
 // compilation rewrites the same way and leaves the first's rewritten graph
-// as it found it; and both
+// as it found it; Estimate fails with Optimize or agrees with it on the
+// signature and, bit for bit, the estimated cost, uncached and through
+// the cache; and both
 // configurations compiled through one cache, the second possibly by the
 // first's reuse certificate, equal their uncached compilations.
 func FuzzCompileOptimize(f *testing.F) {
@@ -120,6 +122,10 @@ func FuzzCompileOptimize(f *testing.F) {
 			res, err := optimizer.Optimize(g, cfg, optimizer.Options{})
 			if after := renderGraph(g); after != before {
 				t.Fatalf("Optimize changed its input graph:\n%s\nwas\n%s", after, before)
+			}
+			sig, cost, estErr := optimizer.Estimate(g, cfg, optimizer.Options{})
+			if diff := sameEstimate(sig, cost, estErr, res, err); diff != "" {
+				t.Fatalf("Estimate differs from Optimize: %s", diff)
 			}
 			if err != nil {
 				if !optimizer.IsCompileFailure(err) {

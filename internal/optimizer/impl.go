@@ -19,30 +19,30 @@ const rowsPerPartition = 200_000
 //
 // A builder lives in implPool, and everything it keeps between builds is
 // scratch but its scheme table: lowering makes its nodes in the builder's
-// chunks, their Inputs in its buffer, its exchange keys in its bytes.
-// publish then copies the lowered plan, sized exactly, into memory the
-// returned Plan owns alone — one slab of nodes, one of pointers — and
-// tuning, stage assignment and costing write their fields on those nodes;
-// stage assignment adds the Plan's slab of stages and one of their
-// upstream IDs. The keyed partitioning schemes are strings interned in
-// the builder's table, immutable and shared by every plan that names
-// them. Nothing else the Plan holds points into the builder, so a later
-// build on it cannot reach a plan already returned
-// (TestPublishedPlanOwnsItsMemory).
+// chunks, their Inputs in its buffer, its exchange keys in its bytes, and
+// tuning, stage assignment and costing then finish the plan there, its
+// stages, their node lists and upstream IDs in buffers of their own. Only
+// Optimize publishes the finished plan, last: publish copies it, sized
+// exactly, into memory the returned Plan owns alone; Estimate reads its
+// signature and cost and publishes nothing. The keyed partitioning
+// schemes are strings interned in the builder's table, immutable and
+// shared by every plan that names them. Nothing else a published Plan
+// holds points into the builder, so a later build on it cannot reach a
+// plan already returned (TestPublishedPlanOwnsItsMemory).
 type implBuilder struct {
 	table  ruleTable
 	est    cardEngine
 	tokens int
 
-	// sig and estimation back table.sig and est's environment in
-	// lowerPlan, so that a compilation's signature and environment live in
-	// the pool rather than on the heap.
+	// sig and estimation back table.sig and est's environment, so that a
+	// compilation's signature and environment live in the pool rather
+	// than on the heap.
 	sig        rules.Signature
 	estimation EstimationEnv
 
 	memo []*PhysNode // by logical node ID: the node's lowering
 
-	// The plan being lowered. Node ID k is chunks[k/implChunk][k%implChunk]:
+	// The plan being built. Node ID k is chunks[k/implChunk][k%implChunk]:
 	// a chunk keeps its nodes' addresses while more are made. The nodes'
 	// Inputs lie back to back in ins.
 	chunks [][]PhysNode
@@ -55,10 +55,13 @@ type implBuilder struct {
 	scheme []byte      // a keyed PartScheme before it is looked up
 	names  []string    // lowerDistinct's sorted column names
 
-	// The published plan, and the room publish left in its pointer slab
-	// for the stages' node lists.
-	plan    *Plan
-	members []*PhysNode
+	// The finished plan's stages, whose node lists lie in members and
+	// upstream stage IDs in upstream, and its cost and vertex count.
+	stages   []Stage
+	members  []*PhysNode
+	upstream []int
+	cost     float64
+	vertices int
 
 	// schemes interns keyed PartSchemes, each keyed by itself: the one
 	// part of the builder a published plan shares (schemeInternCap).
@@ -75,49 +78,56 @@ const implChunk = 64
 
 var implPool = sync.Pool{New: func() any { return new(implBuilder) }}
 
-// lowerPlan lowers g, which it only reads, on a pooled builder under the
-// optimizer's estimation environment. The Result it returns carries sig
-// with the rules the lowering fired added.
-func lowerPlan(g *scope.Graph, cfg rules.Config, cat *rules.Catalog, sig rules.Signature, stats StatsProvider, tokens int) (*Result, error) {
+// lower builds g's plan, reading g only, on a pooled builder under the
+// optimizer's estimation environment: lowered, tuned, staged and costed
+// in the builder's scratch, with the rules the lowering fired added to
+// sig in b.sig. The caller publishes the plan or not and then releases
+// the builder; on an error lower has released it already.
+func lower(g *scope.Graph, cfg rules.Config, cat *rules.Catalog, sig rules.Signature, stats StatsProvider, tokens int) (*implBuilder, error) {
 	b := implPool.Get().(*implBuilder)
-	b.sig, b.estimation = sig, EstimationEnv{Stats: stats}
-	b.init(g, cfg, cat, &b.sig, stats, &b.estimation, tokens)
-	res, err := b.build(g)
-	if err == nil {
-		res.Logical, res.Signature, res.EstCost = g, b.sig, res.Plan.EstCost
+	b.init(g, cfg, cat, sig, stats, tokens)
+	if err := b.build(g); err != nil {
+		b.release()
+		return nil, err
 	}
-	// Drop what points into the caller's world before pooling: the
-	// published plan, and the logical nodes and names the scratch holds.
-	b.table, b.plan, b.members, b.estimation = ruleTable{}, nil, nil, EstimationEnv{}
+	return b, nil
+}
+
+// release pools b once it has dropped what points into the caller's
+// world: the rule table, the environment, and the logical nodes and names
+// the scratch holds.
+func (b *implBuilder) release() {
+	b.table, b.estimation = ruleTable{}, EstimationEnv{}
 	b.est.release()
 	for c := 0; c*implChunk < b.nodes; c++ {
 		clear(b.chunks[c])
 	}
 	clear(b.names)
 	implPool.Put(b)
-	return res, err
 }
 
-// init readies b, new or pooled, to lower g.
-func (b *implBuilder) init(g *scope.Graph, cfg rules.Config, cat *rules.Catalog, sig *rules.Signature, stats StatsProvider, env Environment, tokens int) {
-	b.table = ruleTable{cat: cat, cfg: cfg, sig: sig}
-	b.est.reset(env, stats, g.IDBound())
+// init readies b, new or pooled, to lower g under cfg, starting from the
+// signature sig.
+func (b *implBuilder) init(g *scope.Graph, cfg rules.Config, cat *rules.Catalog, sig rules.Signature, stats StatsProvider, tokens int) {
+	b.sig, b.estimation = sig, EstimationEnv{Stats: stats}
+	b.table = ruleTable{cat: cat, cfg: cfg, sig: &b.sig}
+	b.est.reset(&b.estimation, stats, g.IDBound())
 	b.tokens = tokens
 	b.memo = zeroed(b.memo, g.IDBound())
 	b.nodes = 0
 	b.ins, b.roots, b.order, b.stack = b.ins[:0], b.roots[:0], b.order[:0], b.stack[:0]
 }
 
-func (b *implBuilder) build(g *scope.Graph) (*Result, error) {
+// build lowers g and finishes the plan in the scratch. Tuning and stage
+// assignment set fields; they add no node.
+func (b *implBuilder) build(g *scope.Graph) error {
 	if err := b.lowerRoots(g); err != nil {
-		return nil, err
+		return err
 	}
-	res := b.publish()
-	// Tuning and stage assignment set fields; they add no node.
 	b.applyTuning()
 	b.assignStages()
 	b.computeCost()
-	return res, nil
+	return nil
 }
 
 // lowerRoots lowers every root of g into the scratch and records the
@@ -144,15 +154,15 @@ type published struct {
 	plan Plan
 }
 
-// publish copies the lowered plan out of the scratch into one slab of
-// nodes and one of pointers — every node's Inputs, the roots, the
-// topological order, then room for the stages' node lists — each sized
-// exactly, and returns the Result that points to it; the caller fills in
-// the rest of the Result. A node keeps its ID, which is its slab index.
-func (b *implBuilder) publish() *Result {
+// publish copies the finished plan out of the scratch and returns the
+// Result of compiling it from the rewritten graph work: one slab of
+// nodes, one of pointers — every node's Inputs, the roots, the
+// topological order, then the stages' node lists — one of stages and one
+// of their upstream IDs, each sized exactly. A node keeps its ID, which
+// is its slab index.
+func (b *implBuilder) publish(work *scope.Graph) *Result {
 	out := new(published)
 	p := &out.plan
-	out.res.Plan = p
 	nodes := make([]PhysNode, b.nodes)
 	ptrs := make([]*PhysNode, len(b.ins)+len(b.roots)+2*len(b.order))
 	for id := range nodes {
@@ -161,9 +171,19 @@ func (b *implBuilder) publish() *Result {
 		n.Inputs, ptrs = remap(ptrs, nodes, n.Inputs)
 	}
 	p.Roots, ptrs = remap(ptrs, nodes, b.roots)
-	p.order, b.members = remap(ptrs, nodes, b.order)
-	p.nextID = b.nodes
-	b.plan = p
+	p.order, ptrs = remap(ptrs, nodes, b.order)
+	p.Stages = make([]Stage, len(b.stages))
+	upstream := make([]int, len(b.upstream))
+	for i, s := range b.stages {
+		s.Nodes, ptrs = remap(ptrs, nodes, s.Nodes)
+		if k := len(s.InputIDs); k > 0 {
+			copy(upstream, s.InputIDs)
+			s.InputIDs, upstream = upstream[:k:k], upstream[k:]
+		}
+		p.Stages[i] = s
+	}
+	p.EstCost, p.EstVertices, p.nextID = b.cost, b.vertices, b.nodes
+	out.res = Result{Plan: p, Logical: work, Signature: b.sig, EstCost: b.cost}
 	return &out.res
 }
 
@@ -839,7 +859,7 @@ func tuneSortBuffer(n *PhysNode, _ rules.Rule, _ int) bool {
 // one pass over the nodes, firing the governing rule where it is enabled
 // and changes the node.
 func (b *implBuilder) applyTuning() {
-	nodes := b.plan.Nodes()
+	nodes := b.order
 	b.gates = b.gates[:0]
 	for _, n := range nodes {
 		b.gates = append(b.gates, gateOf(n))
@@ -888,18 +908,18 @@ func (b *implBuilder) settlePartitions(nodes []*PhysNode) {
 // are stage boundaries: the exchange belongs to the downstream stage and
 // its input starts a new upstream stage.
 func (b *implBuilder) assignStages() {
-	nodes := b.plan.Nodes()
-	b.marked = zeroed(b.marked, b.plan.nextID)
+	nodes := b.order
+	b.marked = zeroed(b.marked, b.nodes)
 	nextStage := 0
-	for _, r := range b.plan.Roots {
+	for _, r := range b.roots {
 		nextStage++
 		nextStage = b.stageSubtree(r, nextStage, nextStage)
 	}
 
 	// Collect stages: IDs run 1..nextStage; one whose first node another
 	// stage had taken stays empty and is left out. Sizes are counted first,
-	// so the stages and their upstream lists are one allocation each, and
-	// the node lists fill the room publish left.
+	// so the stages, their node lists and their upstream lists each fill
+	// one of the builder's buffers.
 	k := nextStage + 1
 	b.counts = zeroed(b.counts, 3*k)
 	nNodes, nInputs, slot := b.counts[:k], b.counts[k:2*k], b.counts[2*k:]
@@ -914,10 +934,10 @@ func (b *implBuilder) assignStages() {
 			edges += len(n.Inputs)
 		}
 	}
-	stages := make([]Stage, used)
-	upstream := make([]int, edges)
-	members := b.members
-	b.plan.Stages = stages
+	b.stages = zeroed(b.stages, used)
+	b.members = zeroed(b.members, len(nodes))
+	b.upstream = zeroed(b.upstream, edges)
+	stages, members, upstream := b.stages, b.members, b.upstream
 	i := 0
 	for id, c := range nNodes {
 		if c == 0 {
@@ -972,7 +992,7 @@ func (b *implBuilder) stageSubtree(n *PhysNode, stage, nextStage int) int {
 // computeCost sums per-operator estimated costs plus per-vertex startup.
 func (b *implBuilder) computeCost() {
 	total := 0.0
-	for _, n := range b.plan.Nodes() {
+	for _, n := range b.order {
 		if n.Fused {
 			continue
 		}
@@ -987,10 +1007,9 @@ func (b *implBuilder) computeCost() {
 		total += c
 	}
 	vertices := 0
-	for i := range b.plan.Stages {
-		vertices += b.plan.Stages[i].Partitions
+	for i := range b.stages {
+		vertices += b.stages[i].Partitions
 	}
 	total += float64(vertices) * costStartupPerPart
-	b.plan.EstCost = total
-	b.plan.EstVertices = vertices
+	b.cost, b.vertices = total, vertices
 }

@@ -70,6 +70,35 @@ var canonicalCatalog = sync.OnceValue(rules.NewCatalog)
 // TestCachedLogicalGraphSharedLoweringRace — so a cached clone can be
 // lowered concurrently by many goroutines.
 func Optimize(g *scope.Graph, cfg rules.Config, opts Options) (*Result, error) {
+	work, b, err := compile(g, cfg, opts)
+	if err != nil {
+		return nil, err
+	}
+	res := b.publish(work)
+	b.release()
+	return res, nil
+}
+
+// Estimate is Optimize for a caller that keeps no plan: the same
+// compilation, failing exactly when Optimize fails, that returns only
+// the Result's Signature and EstCost and publishes nothing, so with a
+// warm opts.Cache it allocates nothing (TestEstimateMatchesOptimize,
+// TestEstimateAllocBudget).
+func Estimate(g *scope.Graph, cfg rules.Config, opts Options) (rules.Signature, float64, error) {
+	_, b, err := compile(g, cfg, opts)
+	if err != nil {
+		return rules.Signature{}, 0, err
+	}
+	sig, cost := b.sig, b.cost
+	b.release()
+	return sig, cost, nil
+}
+
+// compile runs the compilation Optimize and Estimate share: the up-front
+// rejections, the logical phase (through opts.Cache when set) and the
+// lowering. It returns the rewritten graph and the pooled builder holding
+// the finished, unpublished plan, which the caller releases.
+func compile(g *scope.Graph, cfg rules.Config, opts Options) (*scope.Graph, *implBuilder, error) {
 	cat := opts.Catalog
 	if cat == nil {
 		cat = canonicalCatalog()
@@ -77,7 +106,7 @@ func Optimize(g *scope.Graph, cfg rules.Config, opts Options) (*Result, error) {
 	// Required rules must be enabled to obtain valid plans.
 	for _, r := range cat.Rules(rules.Required) {
 		if !cfg.Enabled(r.ID) {
-			return nil, &CompileFailure{Reason: fmt.Sprintf("required rule %s (R%03d) is disabled", r.Name, r.ID)}
+			return nil, nil, &CompileFailure{Reason: fmt.Sprintf("required rule %s (R%03d) is disabled", r.Name, r.ID)}
 		}
 	}
 	// Hinted compilations (single-rule deviations from the default) hit
@@ -91,7 +120,7 @@ func Optimize(g *scope.Graph, cfg rules.Config, opts Options) (*Result, error) {
 		h := g.TemplateHash() ^ (uint64(id+1) * 0x9e3779b97f4a7c15)
 		if h%6 == 3 {
 			r := cat.Rule(id)
-			return nil, &CompileFailure{Reason: fmt.Sprintf("unsupported rule combination: flipping %s (R%03d) on this plan shape", r.Name, r.ID)}
+			return nil, nil, &CompileFailure{Reason: fmt.Sprintf("unsupported rule combination: flipping %s (R%03d) on this plan shape", r.Name, r.ID)}
 		}
 	}
 
@@ -104,14 +133,18 @@ func Optimize(g *scope.Graph, cfg rules.Config, opts Options) (*Result, error) {
 		work, sig, _, err = rewriteLogical(g, cfg, cat, opts.Stats)
 	}
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	tokens := opts.Tokens
 	if tokens <= 0 {
 		tokens = DefaultTokens
 	}
-	return lowerPlan(work, cfg, cat, sig, opts.Stats, tokens)
+	b, err := lower(work, cfg, cat, sig, opts.Stats, tokens)
+	if err != nil {
+		return nil, nil, err
+	}
+	return work, b, nil
 }
 
 // rewriteLogical runs the logical phase of a compilation on a pooled

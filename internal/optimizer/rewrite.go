@@ -21,7 +21,7 @@ const maxRewriteFires = 400
 // In rewriteLogical the graph it rewrites is a working copy in scratch,
 // and so is every node a rewrite makes: the Clone that rewrite returns is
 // the one allocation of the DAG, and release clears the working copy
-// before the rewriter is pooled, as lowerPlan clears its builder's chunks.
+// before the rewriter is pooled, as implBuilder.release clears its chunks.
 type rewriter struct {
 	ruleTable
 	g       *scope.Graph

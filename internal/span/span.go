@@ -36,7 +36,9 @@ type Result struct {
 // off-by-default rules and disables the on-by-default and implementation
 // rules that appeared in the signature, recompiles, and repeats — turning
 // off newly used rules each round — until no new rule is discovered, a
-// recompilation fails, or maxIterations rounds have run.
+// recompilation fails, or maxIterations rounds have run. It reads only
+// each compilation's signature and cost, so it compiles with
+// optimizer.Estimate and builds no plan.
 func Compute(g *scope.Graph, cat *rules.Catalog, opts optimizer.Options) (*Result, error) {
 	if cat == nil {
 		cat = rules.NewCatalog()
@@ -46,13 +48,13 @@ func Compute(g *scope.Graph, cat *rules.Catalog, opts optimizer.Options) (*Resul
 	}
 
 	def := cat.DefaultConfig()
-	base, err := optimizer.Optimize(g, def, opts)
+	baseSig, baseCost, err := optimizer.Estimate(g, def, opts)
 	if err != nil {
 		return nil, err // the default config must compile
 	}
 	res := &Result{
-		DefaultSignature: base.Signature,
-		DefaultCost:      base.EstCost,
+		DefaultSignature: baseSig,
+		DefaultCost:      baseCost,
 	}
 
 	// The exploration baseline: everything enabled, including the
@@ -68,7 +70,7 @@ func Compute(g *scope.Graph, cat *rules.Catalog, opts optimizer.Options) (*Resul
 
 	var buf [rules.NumRules]int // each signature's rule IDs, in turn
 	var seen rules.Bitset       // steerable rules observed in any signature
-	for _, id := range base.Signature.AppendBits(buf[:0]) {
+	for _, id := range baseSig.AppendBits(buf[:0]) {
 		if isSteerable(id) {
 			seen.Set(id)
 		}
@@ -95,7 +97,7 @@ func Compute(g *scope.Graph, cat *rules.Catalog, opts optimizer.Options) (*Resul
 			}
 			cfg.Clear(id)
 		}
-		r, err := optimizer.Optimize(g, cfg, opts)
+		sig, _, err := optimizer.Estimate(g, cfg, opts)
 		if err != nil {
 			if optimizer.IsCompileFailure(err) {
 				if level < 2 {
@@ -108,7 +110,7 @@ func Compute(g *scope.Graph, cat *rules.Catalog, opts optimizer.Options) (*Resul
 			return nil, err
 		}
 		newFound := false
-		for _, id := range r.Signature.AppendBits(buf[:0]) {
+		for _, id := range sig.AppendBits(buf[:0]) {
 			if isSteerable(id) && !seen.Get(id) {
 				seen.Set(id)
 				turnedOff.Set(id)

@@ -121,6 +121,14 @@ func readSegmentHeader(r io.Reader, name string) (firstLSN uint64, err error) {
 	return binary.LittleEndian.Uint64(hdr[8:]), nil
 }
 
+// tailReadBuffer is the read buffer of a reader OpenSegmentAt opens, a
+// tail cursor's: a cursor lives as long as its follower and reads what
+// was appended since its last wake, usually a few records of a few
+// hundred bytes, so it keeps 4 KiB where NewSegmentReader's replay and
+// stream readers, which read whole segments, keep 64 KiB. A record
+// longer than the buffer still reads whole.
+const tailReadBuffer = 4 << 10
+
 // NewSegmentReader reads a segment from r — a replication stream body,
 // or any other reader positioned at a segment header — labelling
 // errors with name. The header's first LSN numbers the records
@@ -171,7 +179,7 @@ func OpenSegmentAt(info SegmentInfo, offset int64, nextLSN uint64) (*SegmentRead
 	return &SegmentReader{
 		path:    info.Path,
 		f:       f,
-		br:      bufio.NewReaderSize(f, 1<<16),
+		br:      bufio.NewReaderSize(f, tailReadBuffer),
 		nextLSN: nextLSN,
 		off:     offset,
 	}, nil
