@@ -3,7 +3,9 @@
 // retry-on-queue_full (reward-queue backpressure), error envelope decoding,
 // and batch helpers, shared by the server CLI, the examples, and the
 // benchmarks instead of hand-rolled JSON. Every request it sends is
-// built by newRequest.
+// built by newRequest. An attempt ends within (15/16·T, T] of its start
+// under a Timeout T: attempts whose caller's context cannot be canceled
+// share one deadline per T/16 window instead of making one each.
 package client
 
 import (
@@ -18,6 +20,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"qoadvisor/internal/api"
@@ -33,6 +36,20 @@ type Client struct {
 	hc      *http.Client
 	retries int
 	backoff time.Duration
+	// epoch is the deadline the current window's attempts share;
+	// epochMu serialises its replacement.
+	epoch   atomic.Pointer[epoch]
+	epochMu sync.Mutex
+}
+
+// epoch is one shared deadline: a context that ends at deadline.
+type epoch struct {
+	ctx      context.Context
+	deadline time.Time
+	// cancel is never called: the epoch ends when its deadline passes,
+	// and the attempts still under it may be in flight until then. It
+	// is kept only so that it is not lost.
+	cancel context.CancelFunc
 }
 
 // Option configures a Client.
@@ -40,14 +57,19 @@ type Option func(*Client)
 
 // WithHTTPClient substitutes the transport (pooling, TLS, test doubles).
 // The client reads three of its fields: Transport (nil =
-// http.DefaultTransport), Timeout (each attempt's deadline) and Jar.
+// http.DefaultTransport), Timeout T (each attempt ends within
+// (15/16·T, T] of its start; a streamed body at T) and Jar.
 // CheckRedirect is unused: the protocol has no redirects, and a 3xx is
 // returned as an *api.Error. The RoundTripper must not modify a
 // request's header, as the http.RoundTripper contract says: requests
 // without a cookie jar share one read-only header map.
 func WithHTTPClient(hc *http.Client) Option { return func(c *Client) { c.hc = hc } }
 
-// WithTimeout caps each attempt end to end (default 10s).
+// WithTimeout caps each attempt end to end (default 10s): an attempt
+// ends within (15/16·d, d] of its start, since the attempts of a
+// context that cannot be canceled share one deadline per d/16 window.
+// A streamed body, and a call whose context can be canceled, gets a
+// deadline d of its own.
 func WithTimeout(d time.Duration) Option {
 	return func(c *Client) {
 		hc := *c.hc
@@ -97,22 +119,67 @@ var (
 	noHeader   = http.Header{}
 )
 
-// outgoing is what a request points into besides its header: its URL
-// and the reader over its payload, allocated together.
+// outgoing is what a request points into besides its header: its URL,
+// the reader over its payload and, under a shared deadline, its
+// context, allocated together.
 type outgoing struct {
 	url  url.URL
 	body bytes.Reader
+	ctx  attemptCtx
+}
+
+// attemptCtx is the context of an attempt under a shared epoch: the
+// epoch's deadline and cancellation, the caller's values. Value asks the
+// caller first and then the epoch, so the transport's own child context
+// finds the epoch's cancelCtx and registers in its children map, where a
+// context.WithTimeout per attempt would make a map and a Done channel.
+type attemptCtx struct {
+	caller, epoch context.Context
+}
+
+func (a *attemptCtx) Deadline() (time.Time, bool) { return a.epoch.Deadline() }
+func (a *attemptCtx) Done() <-chan struct{}       { return a.epoch.Done() }
+func (a *attemptCtx) Err() error                  { return a.epoch.Err() }
+
+func (a *attemptCtx) Value(key any) any {
+	if v := a.caller.Value(key); v != nil {
+		return v
+	}
+	return a.epoch.Value(key)
+}
+
+// shared returns the epoch for an attempt starting now: the current one
+// while more than 15/16 of hc.Timeout is left of it, else a new one
+// that ends hc.Timeout from now. So a new epoch starts at most every
+// Timeout/16 and at most 17 are live.
+func (c *Client) shared() *epoch {
+	t := c.hc.Timeout
+	if e := c.epoch.Load(); e != nil && time.Until(e.deadline) > t-t/16 {
+		return e
+	}
+	c.epochMu.Lock()
+	defer c.epochMu.Unlock()
+	now := time.Now()
+	e := c.epoch.Load()
+	if e == nil || e.deadline.Sub(now) <= t-t/16 {
+		e = &epoch{deadline: now.Add(t)}
+		e.ctx, e.cancel = context.WithDeadline(context.Background(), e.deadline)
+		c.epoch.Store(e)
+	}
+	return e
 }
 
 // newRequest builds one attempt's request: the request net/http's own
 // constructor makes of base+path, ctx and payload (nil = no body), with
-// a Content-Type header, in fewer allocations. The URL is the parsed
-// base with path appended: path is a route constant, plus an
-// already-escaped query. The body stays an io.NopCloser over a
-// *bytes.Reader, which net/http knows to be in memory and writes in one
-// flush with the header; GetBody lets the transport replay it on a
-// kept-alive connection that failed before a byte was written.
-func (c *Client) newRequest(ctx context.Context, method, path, contentType string, payload []byte) (*http.Request, error) {
+// a Content-Type header, in fewer allocations. A non-nil shared is an
+// epoch the attempt runs under: the request's context is then an
+// attemptCtx over ctx and it. The URL is the parsed base with path
+// appended: path is a route constant, plus an already-escaped query.
+// The body stays an io.NopCloser over a *bytes.Reader, which net/http
+// knows to be in memory and writes in one flush with the header;
+// GetBody lets the transport replay it on a kept-alive connection that
+// failed before a byte was written.
+func (c *Client) newRequest(ctx, shared context.Context, method, path, contentType string, payload []byte) (*http.Request, error) {
 	if c.urlErr != nil {
 		return nil, c.urlErr
 	}
@@ -150,6 +217,10 @@ func (c *Client) newRequest(ctx context.Context, method, path, contentType strin
 		req.GetBody = func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(payload)), nil }
 	case payload != nil:
 		req.Body, req.GetBody = http.NoBody, noBody
+	}
+	if shared != nil {
+		o.ctx = attemptCtx{caller: ctx, epoch: shared}
+		ctx = &o.ctx
 	}
 	return req.WithContext(ctx), nil
 }
@@ -205,19 +276,26 @@ func nop() {}
 // does — cookies from and back to hc.Jar, a transport error returned as
 // a *url.Error — and none of what http.Client.do adds: no redirect is
 // followed (a 3xx comes back as it is) and nothing is copied for one.
-// With hc.Timeout set the attempt runs under a deadline of its own —
-// unless the caller's comes first, as qoload's per-op deadline does,
-// where http.Client did not make one either. The caller reads the
-// response and then calls the returned stop, which releases it. On
-// error there is nothing to stop.
-func (c *Client) roundTrip(ctx context.Context, method, path, contentType string, payload []byte) (*http.Response, context.CancelFunc, error) {
+// With hc.Timeout set, an attempt whose context has no Done channel
+// and no deadline runs under the client's shared epoch (it ends within
+// (15/16·Timeout, Timeout] of its start). A stream, whose body keeps
+// its deadline until Close, and an attempt whose caller can cancel it
+// get a deadline of their own — unless the caller's comes first, as
+// qoload's per-op deadline does, where http.Client did not make one
+// either. The caller reads the response and then calls the returned
+// stop, which releases it. On error there is nothing to stop.
+func (c *Client) roundTrip(ctx context.Context, method, path, contentType string, payload []byte, stream bool) (*http.Response, context.CancelFunc, error) {
 	stop := context.CancelFunc(nop)
+	var shared context.Context
 	if ctx != nil && c.hc.Timeout > 0 {
-		if d, ok := ctx.Deadline(); !ok || time.Until(d) > c.hc.Timeout {
+		switch d, ok := ctx.Deadline(); {
+		case !stream && !ok && ctx.Done() == nil:
+			shared = c.shared().ctx
+		case !ok || time.Until(d) > c.hc.Timeout:
 			ctx, stop = context.WithTimeout(ctx, c.hc.Timeout)
 		}
 	}
-	req, err := c.newRequest(ctx, method, path, contentType, payload)
+	req, err := c.newRequest(ctx, shared, method, path, contentType, payload)
 	if err != nil {
 		stop()
 		return nil, nil, err
@@ -248,10 +326,10 @@ func (c *Client) roundTrip(ctx context.Context, method, path, contentType string
 
 // send is the transport loop under every retried call: a fresh request
 // from payload per attempt, so retries are never partial, and queue_full
-// 503s retried with backoff, each attempt under a deadline of its own.
-// It returns a 2xx response for the caller to read and finish, with its
-// attempt's stop; any other status becomes an *api.Error once the retry
-// budget is spent.
+// 503s retried with backoff, each attempt under the deadline roundTrip
+// gives it. It returns a 2xx response for the caller to read and
+// finish, with its attempt's stop; any other status becomes an
+// *api.Error once the retry budget is spent.
 func (c *Client) send(ctx context.Context, method, path, contentType string, payload []byte) (*http.Response, context.CancelFunc, error) {
 	var lastErr error
 	for attempt := 0; ; attempt++ {
@@ -264,7 +342,7 @@ func (c *Client) send(ctx context.Context, method, path, contentType string, pay
 			}
 		}
 
-		resp, stop, err := c.roundTrip(ctx, method, path, contentType, payload)
+		resp, stop, err := c.roundTrip(ctx, method, path, contentType, payload, false)
 		if err != nil {
 			return nil, nil, fmt.Errorf("client: %s %s: %w", method, path, err)
 		}
@@ -437,7 +515,7 @@ func (c *Client) InstallHints(ctx context.Context, hintFile io.Reader) (api.Hint
 // operators see what is wrong with it.
 func (c *Client) Health(ctx context.Context) (api.HealthResponse, error) {
 	var out api.HealthResponse
-	resp, stop, err := c.roundTrip(ctx, http.MethodGet, api.RouteV2Healthz, "", nil)
+	resp, stop, err := c.roundTrip(ctx, http.MethodGet, api.RouteV2Healthz, "", nil, false)
 	if err != nil {
 		return out, fmt.Errorf("client: GET %s: %w", api.RouteV2Healthz, err)
 	}
@@ -492,7 +570,7 @@ func (c *Client) QuarantineList(ctx context.Context) (api.QuarantineListResponse
 // getStream issues one GET and hands the 2xx body to the caller, who
 // must Close it. The body stays under the attempt's deadline until then.
 func (c *Client) getStream(ctx context.Context, path string) (io.ReadCloser, error) {
-	resp, stop, err := c.roundTrip(ctx, http.MethodGet, path, "", nil)
+	resp, stop, err := c.roundTrip(ctx, http.MethodGet, path, "", nil, true)
 	if err != nil {
 		return nil, fmt.Errorf("client: GET %s: %w", path, err)
 	}

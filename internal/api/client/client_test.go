@@ -321,10 +321,14 @@ func TestClientWALStatsPassthrough(t *testing.T) {
 // closures to hand its response decoder to the transport loop, and 91
 // and 89 while each attempt went through http.Client.Do, which copied
 // the request's headers for redirects and forked the request, wrapped
-// its body and built two closures for its Timeout.
+// its body and built two closures for its Timeout, and 83 and 81 while
+// each attempt made a context.WithTimeout of its own, under which the
+// transport's child context made a children map and a Done channel
+// (TestClusterOpAllocBudget's op then read 160; it reads 146 under the
+// shared epoch).
 const (
-	rankBatchAllocCeiling   = 83
-	rewardBatchAllocCeiling = 81
+	rankBatchAllocCeiling   = 76
+	rewardBatchAllocCeiling = 74
 )
 
 // batchFixture is a 16-job rank batch, its 16-event reward batch and

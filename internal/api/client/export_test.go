@@ -53,3 +53,12 @@ func (c *Cluster) Health(ctx context.Context) (api.HealthResponse, error) {
 	})
 	return out, err
 }
+
+// Epoch returns the context of c's current shared deadline, nil before
+// its first attempt under one.
+func Epoch(c *Client) context.Context {
+	if e := c.epoch.Load(); e != nil {
+		return e.ctx
+	}
+	return nil
+}

@@ -5,13 +5,16 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"maps"
 	"net"
 	"net/http"
 	"net/http/cookiejar"
 	"net/http/httptest"
+	"net/http/httptrace"
 	"net/url"
 	"runtime"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -195,6 +198,205 @@ func TestAPIConformanceClientStreamDeadline(t *testing.T) {
 		t.Errorf("reading a stalled stream: %v after %v, want a timeout well within 2s", err, took)
 	}
 }
+
+// TestAPIConformanceClientSharedDeadlineValues: an attempt under the
+// shared deadline still carries the caller's values — a context key
+// reaches the RoundTripper, an httptrace.ClientTrace hears of its
+// connection — and a deadline within (15/16, 1] × Timeout of its start.
+func TestAPIConformanceClientSharedDeadlineValues(t *testing.T) {
+	const timeout = time.Minute
+	ranked, _ := api.BatchRankResponse{RequestID: "r", Generation: 1, Results: []api.RankResult{{}}}.AppendJSON(nil)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == api.RouteV2Rank {
+			w.Write(ranked)
+			return
+		}
+		io.WriteString(w, `{"status":"ok"}`)
+	}))
+	defer ts.Close()
+	tr := &http.Transport{}
+	defer tr.CloseIdleConnections()
+	rec := &contextRecorder{RoundTripper: tr}
+	c := client.New(ts.URL, client.WithHTTPClient(&http.Client{Transport: rec, Timeout: timeout}))
+	for _, call := range calls {
+		var gotConn atomic.Bool
+		ctx := context.WithValue(context.Background(), ctxKey{}, "caller")
+		ctx = httptrace.WithClientTrace(ctx, &httptrace.ClientTrace{
+			GotConn: func(httptrace.GotConnInfo) { gotConn.Store(true) },
+		})
+		start := time.Now()
+		if err := call.call(ctx, c); err != nil {
+			t.Fatalf("%s: %v", call.name, err)
+		}
+		if v := rec.last.Value(ctxKey{}); v != "caller" {
+			t.Errorf("%s: the RoundTripper saw %v under the caller's key, want %q", call.name, v, "caller")
+		}
+		if !gotConn.Load() {
+			t.Errorf("%s: the caller's ClientTrace heard of no connection", call.name)
+		}
+		// The attempt started between start and now.
+		if d, ok := rec.last.Deadline(); !ok || !d.After(start.Add(timeout-timeout/16)) || d.After(time.Now().Add(timeout)) {
+			t.Errorf("%s: the attempt's deadline is %v after the call began (set %v), want it within (15/16, 1] × %v of the attempt's start",
+				call.name, d.Sub(start), ok, timeout)
+		}
+	}
+}
+
+// TestAPIConformanceClientSharedDeadlineStall: an attempt that starts
+// partway into the shared deadline's window — T/32 in, where it shares
+// the window's deadline, or T/8 in, where it needs a new one — still
+// gets more than 15/16 of Timeout T: a stalled server fails it no
+// earlier than that, and well within 2s.
+func TestAPIConformanceClientSharedDeadlineStall(t *testing.T) {
+	const timeout = 320 * time.Millisecond
+	ts := stallServer(t, func(w http.ResponseWriter, r *http.Request, release <-chan struct{}) {
+		if r.URL.Path == api.RouteV2Healthz {
+			io.WriteString(w, `{"status":"ok"}`)
+			return
+		}
+		stall(r, release)
+	})
+	c := client.New(ts.URL, client.WithTimeout(timeout))
+	ctx := context.Background()
+	for i, pause := range []time.Duration{timeout / 32, timeout / 8} {
+		call := calls[i]
+		// A quick call starts a window; the stalled one starts in it.
+		if _, err := c.Health(ctx); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(pause)
+		start := time.Now()
+		err := call.call(ctx, c)
+		took := time.Since(start)
+		if !isTimeout(err) {
+			t.Errorf("%s against a stalled server: error %v, want a timeout", call.name, err)
+		}
+		if took < timeout-timeout/16 || took > 2*time.Second {
+			t.Errorf("%s against a stalled server, %v into a window, failed after %v under a %v timeout, want between %v and 2s",
+				call.name, pause, took, timeout, timeout-timeout/16)
+		}
+	}
+}
+
+// TestAPIConformanceClientCanceledMidStall: a caller that can cancel
+// its call still can — canceled while the server stalls, the attempt
+// ends with context.Canceled, long before the client's Timeout.
+func TestAPIConformanceClientCanceledMidStall(t *testing.T) {
+	ts := stallServer(t, func(w http.ResponseWriter, r *http.Request, release <-chan struct{}) {
+		stall(r, release)
+	})
+	c := client.New(ts.URL, client.WithTimeout(time.Minute))
+	for _, call := range calls {
+		ctx, cancel := context.WithCancel(context.Background())
+		timer := time.AfterFunc(50*time.Millisecond, cancel)
+		start := time.Now()
+		err := call.call(ctx, c)
+		took := time.Since(start)
+		timer.Stop()
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("%s canceled mid-stall: error %v, want context.Canceled", call.name, err)
+		}
+		if took > 2*time.Second {
+			t.Errorf("%s canceled mid-stall returned after %v", call.name, took)
+		}
+	}
+}
+
+// TestAPIConformanceClientOneEpoch: 100 sequential calls well inside
+// one window share one deadline context, and leave no goroutine behind
+// once the connection is closed.
+func TestAPIConformanceClientOneEpoch(t *testing.T) {
+	url, jobs, events := batchFixture(t)
+	tr := &http.Transport{}
+	defer tr.CloseIdleConnections()
+	c := client.New(url, client.WithHTTPClient(&http.Client{Transport: tr, Timeout: time.Minute}))
+	rank, _ := batchCalls(t, c, jobs, events)
+	before := runtime.NumGoroutine()
+	if client.Epoch(c) != nil {
+		t.Fatal("a client that has sent nothing holds a shared deadline")
+	}
+	rank()
+	first := client.Epoch(c)
+	if first == nil {
+		t.Fatal("no shared deadline after a call under context.Background")
+	}
+	for range 99 {
+		rank()
+	}
+	if client.Epoch(c) != first {
+		t.Error("100 calls inside one window made more than one shared deadline")
+	}
+	if err := first.Err(); err != nil {
+		t.Errorf("the shared deadline ended inside its window: %v", err)
+	}
+	tr.CloseIdleConnections()
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("%d goroutines after 100 calls and closing the connection, %d before them", n, before)
+	}
+}
+
+// TestClientEpochConcurrentCalls: 8 goroutines × 50 RankBatch calls
+// through one Client with a 160ms Timeout cross epoch replacements.
+// Every call succeeds, every attempt's deadline is at most Timeout
+// after it reached the transport, and the shared deadlines seen start
+// at least Timeout/16 apart: a window makes one epoch however many
+// attempts race to replace the last.
+func TestClientEpochConcurrentCalls(t *testing.T) {
+	const timeout = 160 * time.Millisecond
+	url, jobs, _ := batchFixture(t)
+	tr := &http.Transport{}
+	defer tr.CloseIdleConnections()
+	var (
+		mu        sync.Mutex
+		deadlines = map[time.Time]bool{}
+	)
+	rt := roundTripFunc(func(req *http.Request) (*http.Response, error) {
+		d, ok := req.Context().Deadline()
+		if left := time.Until(d); !ok || left > timeout {
+			t.Errorf("an attempt reached the transport with deadline %v away (set %v), want at most %v", left, ok, timeout)
+		}
+		mu.Lock()
+		deadlines[d] = true
+		mu.Unlock()
+		return tr.RoundTrip(req)
+	})
+	c := client.New(url, client.WithHTTPClient(&http.Client{Transport: rt, Timeout: timeout}))
+	ctx := context.Background()
+	var wg sync.WaitGroup
+	for range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 50 {
+				if resp, err := c.RankBatch(ctx, jobs); err != nil || len(resp.Results) != len(jobs) {
+					t.Errorf("RankBatch = %d results, %v", len(resp.Results), err)
+					return
+				}
+				time.Sleep(timeout / 64)
+			}
+		}()
+	}
+	wg.Wait()
+	seen := slices.SortedFunc(maps.Keys(deadlines), time.Time.Compare)
+	if len(seen) < 2 {
+		t.Fatalf("%d shared deadlines over 400 calls spread over at least %v; the test needs them to cross a replacement", len(seen), 50*timeout/64)
+	}
+	for i := 1; i < len(seen); i++ {
+		if gap := seen[i].Sub(seen[i-1]); gap < timeout/16 {
+			t.Errorf("shared deadlines %d and %d are %v apart, want at least %v", i-1, i, gap, timeout/16)
+		}
+	}
+}
+
+// roundTripFunc is a RoundTripper made of a function.
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(req *http.Request) (*http.Response, error) { return f(req) }
 
 // TestAPIConformanceClientCookieJar: a cookie a response sets lands in
 // the client's jar and goes out on its next request.

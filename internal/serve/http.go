@@ -473,7 +473,9 @@ func (st *batchState) release() {
 // kept: like the json.Decoder this replaces, the handler still accepts
 // such a body when its first value ends before the cut. A body whose
 // declared length is within the cap needs no MaxBytesReader: net/http
-// reads no further than Content-Length.
+// reads no further than Content-Length. A body read to EOF is closed,
+// so that net/http does not set up a discard of its rest after the
+// handler returns.
 func (st *batchState) readBody(w http.ResponseWriter, r *http.Request) (capped bool, err error) {
 	st.body.Reset()
 	body := r.Body
@@ -492,6 +494,7 @@ func (st *batchState) readBody(w http.ResponseWriter, r *http.Request) (capped b
 		w.Header().Set("Connection", "close")
 		return true, err
 	}
+	r.Body.Close()
 	return false, nil
 }
 

@@ -3,6 +3,7 @@ package serve
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -13,10 +14,12 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"qoadvisor/internal/api"
+	"qoadvisor/internal/api/client"
 	"qoadvisor/internal/bandit"
 	"qoadvisor/internal/rules"
 	"qoadvisor/internal/sis"
@@ -361,6 +364,51 @@ func checkBatchCap(t *testing.T, chunked bool) {
 		t.Errorf("next request on the connection: status %d", resp.StatusCode)
 	}
 	resp.Body.Close()
+}
+
+// TestAPIConformanceBatchKeepsItsConnection: rank and reward batches
+// read to EOF (and closed by the handler) leave their connection to the
+// next request: 20 rank plus reward ops through one client open one
+// connection.
+func TestAPIConformanceBatchKeepsItsConnection(t *testing.T) {
+	srv := New(Config{Seed: 3})
+	defer srv.Close()
+	if _, err := srv.InstallHints(testHints(rules.NewCatalog(), 16, 1)); err != nil {
+		t.Fatal(err)
+	}
+	var opened atomic.Int64
+	ts := httptest.NewUnstartedServer(srv)
+	ts.Config.ConnState = func(_ net.Conn, state http.ConnState) {
+		if state == http.StateNew {
+			opened.Add(1)
+		}
+	}
+	ts.Start()
+	defer ts.Close()
+	tr := &http.Transport{}
+	defer tr.CloseIdleConnections()
+	c := client.New(ts.URL, client.WithHTTPClient(&http.Client{Transport: tr, Timeout: 10 * time.Second}))
+
+	jobs := make([]api.RankRequest, 16)
+	events := make([]api.RewardEvent, 16)
+	reward := 0.5
+	for i := range jobs {
+		th := api.TemplateHash(0x1000 + i)
+		jobs[i] = api.RankRequest{TemplateHash: th, Span: []int{40 + i}}
+		events[i] = api.RewardEvent{TemplateHash: &th, Reward: &reward}
+	}
+	ctx := context.Background()
+	for op := range 20 {
+		if resp, err := c.RankBatch(ctx, jobs); err != nil || len(resp.Results) != 16 {
+			t.Fatalf("op %d: RankBatch = %d results, %v", op, len(resp.Results), err)
+		}
+		if _, err := c.RewardBatch(ctx, events); err != nil {
+			t.Fatalf("op %d: RewardBatch: %v", op, err)
+		}
+	}
+	if n := opened.Load(); n != 1 {
+		t.Errorf("20 rank plus reward ops opened %d connections, want 1", n)
+	}
 }
 
 // TestAPIConformanceHeadersOutliveRequest: a handler's header map can
