@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -15,6 +16,7 @@ import (
 	"qoadvisor/internal/api"
 	"qoadvisor/internal/api/client"
 	"qoadvisor/internal/bandit"
+	"qoadvisor/internal/budget"
 	"qoadvisor/internal/rules"
 	"qoadvisor/internal/serve"
 	"qoadvisor/internal/sis"
@@ -310,29 +312,9 @@ func TestClientWALStatsPassthrough(t *testing.T) {
 	}
 }
 
-// The committed allocation ceilings of the two batch calls, per call,
-// everything in the process counted: the client's own share (encode into
-// one fresh buffer, decode out of a pooled one, every result's Flip cut
-// from one arena string per response) plus net/http's client and server
-// for one keep-alive loopback round trip against a canned handler.
-// Measured on this tree plus two. They read 93 and 91 while each request
-// came from http.NewRequestWithContext (a URL string to concatenate and
-// parse, a header map, a bytes.Reader of its own) and each call built
-// closures to hand its response decoder to the transport loop, and 91
-// and 89 while each attempt went through http.Client.Do, which copied
-// the request's headers for redirects and forked the request, wrapped
-// its body and built two closures for its Timeout, and 83 and 81 while
-// each attempt made a context.WithTimeout of its own, under which the
-// transport's child context made a children map and a Done channel
-// (TestClusterOpAllocBudget's op then read 160; it reads 146 under the
-// shared epoch).
-const (
-	rankBatchAllocCeiling   = 76
-	rewardBatchAllocCeiling = 74
-)
-
 // batchFixture is a 16-job rank batch, its 16-event reward batch and
-// an httptest.Server that answers both with canned bytes.
+// an httptest.Server that answers both with canned bytes, having read
+// the request body to EOF and closed it as the real handlers do.
 func batchFixture(t *testing.T) (url string, jobs []api.RankRequest, events []api.RewardEvent) {
 	t.Helper()
 	jobs = make([]api.RankRequest, 16)
@@ -348,6 +330,8 @@ func batchFixture(t *testing.T) (url string, jobs []api.RankRequest, events []ap
 	ranked, _ := api.BatchRankResponse{RequestID: "r", Generation: 1, Results: results}.AppendJSON(nil)
 	acked, _ := api.BatchRewardResponse{RequestID: "r", Generation: 1, Observed: 16}.AppendJSON(nil)
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		r.Body.Close()
 		if r.URL.Path == api.RouteV2Rank {
 			w.Write(ranked)
 		} else {
@@ -386,23 +370,12 @@ func batchCalls(t *testing.T, b batcher, jobs []api.RankRequest, events []api.Re
 // TestRankPathAllocBudget: a 16-job RankBatch and its 16-event
 // RewardBatch against an httptest.Server that answers canned bytes.
 func TestBatchCallAllocBudget(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector's instrumentation allocates")
-	}
 	url, jobs, events := batchFixture(t)
 	rank, rewardAll := batchCalls(t, client.New(url), jobs, events)
 	rank() // open the connection, warm the pools
 	rewardAll()
-	if n := testing.AllocsPerRun(200, rank); n > rankBatchAllocCeiling {
-		t.Errorf("a 16-job RankBatch round trip allocates %v times, ceiling %d", n, rankBatchAllocCeiling)
-	} else {
-		t.Logf("RankBatch: %v allocations per round trip (ceiling %d)", n, rankBatchAllocCeiling)
-	}
-	if n := testing.AllocsPerRun(200, rewardAll); n > rewardBatchAllocCeiling {
-		t.Errorf("a 16-event RewardBatch round trip allocates %v times, ceiling %d", n, rewardBatchAllocCeiling)
-	} else {
-		t.Logf("RewardBatch: %v allocations per round trip (ceiling %d)", n, rewardBatchAllocCeiling)
-	}
+	budget.Allocs(t, "client.rank_batch", 200, rank)
+	budget.Allocs(t, "client.reward_batch", 200, rewardAll)
 }
 
 // TestClusterOpAllocBudget holds a one-node Cluster's rank plus reward
@@ -411,9 +384,6 @@ func TestBatchCallAllocBudget(t *testing.T) {
 // Each side is the least of three readings, so a stray allocation of
 // the loopback server does not decide it.
 func TestClusterOpAllocBudget(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector's instrumentation allocates")
-	}
 	url, jobs, events := batchFixture(t)
 	cluster, err := client.NewCluster([]string{url})
 	if err != nil {
@@ -429,10 +399,8 @@ func TestClusterOpAllocBudget(t *testing.T) {
 		}
 		return least
 	}
-	single, clustered := perOp(client.New(url)), perOp(cluster)
-	if clustered > single {
-		t.Errorf("a one-node Cluster rank plus reward op allocates %v times, the Client's two calls %v", clustered, single)
-	} else {
-		t.Logf("rank plus reward: Cluster %v allocations, Client %v", clustered, single)
-	}
+	budget.Gate(t, "client.cluster_over_client", func() float64 {
+		single := perOp(client.New(url))
+		return perOp(cluster) - single
+	})
 }

@@ -12,6 +12,8 @@ import (
 	"strings"
 	"testing"
 	"unsafe"
+
+	"qoadvisor/internal/budget"
 )
 
 // The reference side of the differential tests: the wire types as they
@@ -480,19 +482,22 @@ func TestDecoderReuse(t *testing.T) {
 	if rw.Events[0] != (RewardEvent{}) || rw.Events[1].Reward == nil || *rw.Events[1].Reward != 3 || rw.Events[1].EventID != "" {
 		t.Errorf("second reward decode = %+v", rw.Events)
 	}
+}
 
-	// Warm, a Decoder and its targets decode string-free batches out of
-	// the arenas alone.
+// TestDecoderAllocBudget: warm, a Decoder and its targets decode
+// string-free batches out of the arenas alone.
+func TestDecoderAllocBudget(t *testing.T) {
+	var d Decoder
+	var req BatchRankRequest
+	var rw BatchRewardRequest
 	rankBody := []byte(`{"jobs":[{"templateHash":"a","span":[41,42,43],"rowCount":1e6,"bytesRead":2.5e9},{"templateHash":"b","span":[44]}]}`)
 	rewardBody := []byte(`{"events":[{"reward":0.5,"templateHash":"a"},{"reward":0.25,"templateHash":"b"}]}`)
-	if n := testing.AllocsPerRun(100, func() {
+	budget.Allocs(t, "api.decoder.warm", 100, func() {
 		req.Jobs, rw.Events = req.Jobs[:0], rw.Events[:0]
 		if d.DecodeBatchRankRequest(rankBody, &req) != nil || d.DecodeBatchRewardRequest(rewardBody, &rw) != nil {
 			t.Fatal("decode failed")
 		}
-	}); n != 0 {
-		t.Errorf("a warm Decoder allocated %v times per rank+reward decode, want 0", n)
-	}
+	})
 }
 
 // TestDecodedStringsOutliveTheDecoder pins the string arena's contract:
@@ -543,45 +548,33 @@ func TestDecodedStringsOutliveTheDecoder(t *testing.T) {
 // UnmarshalJSON's fresh one: what stays live must be the strings and
 // their calls' few other strings, not the bodies (about 64 MB).
 func TestDecodedStringRetainedHeap(t *testing.T) {
-	body := []byte(`{"requestId":"rid-0000","pad":"` + strings.Repeat("x", 64<<10) + `","results":[]}`)
-	const decodes = 1000
-	for _, way := range []struct {
-		name   string
-		decode func([]byte, *BatchRankResponse) error
-	}{
-		{"reused", new(Decoder).DecodeBatchRankResponse},
-		{"unmarshal", func(b []byte, v *BatchRankResponse) error { return v.UnmarshalJSON(b) }},
-	} {
-		kept := make([]string, decodes)
-		before := liveHeap()
+	reused := new(Decoder).DecodeBatchRankResponse
+	budget.Retained(t, "api.decoded_strings.reused", keptStrings(t, reused))
+	budget.Retained(t, "api.decoded_strings.unmarshal", keptStrings(t, func(b []byte, v *BatchRankResponse) error { return v.UnmarshalJSON(b) }))
+}
+
+// keptStrings returns a run of 1,000 decodes of a 64 KB body that keeps
+// each one's 8-byte request ID while t runs.
+func keptStrings(t *testing.T, decode func([]byte, *BatchRankResponse) error) func() int {
+	kept := make([]string, 1000)
+	t.Cleanup(func() { runtime.KeepAlive(kept) })
+	return func() int {
+		body := []byte(`{"requestId":"rid-0000","pad":"` + strings.Repeat("x", 64<<10) + `","results":[]}`)
 		for i := range kept {
 			copy(body[len(`{"requestId":"rid-`):], fmt.Sprintf("%04d", i))
 			var v BatchRankResponse
-			if err := way.decode(body, &v); err != nil {
+			if err := decode(body, &v); err != nil {
 				t.Fatal(err)
 			}
 			kept[i] = v.RequestID
 		}
-		grown := int64(liveHeap()) - int64(before)
 		for i, s := range kept {
 			if s != fmt.Sprintf("rid-%04d", i) {
-				t.Fatalf("%s: kept string %d is %q", way.name, i, s)
+				t.Fatalf("kept string %d is %q", i, s)
 			}
 		}
-		if grown > 1<<20 {
-			t.Errorf("%s: %d kept 8-byte strings hold %.1f MB live, want under 1 MB", way.name, decodes, float64(grown)/(1<<20))
-		} else {
-			t.Logf("%s: %d kept 8-byte strings hold %d bytes live", way.name, decodes, grown)
-		}
+		return 1
 	}
-}
-
-// liveHeap is the heap in use after a full collection.
-func liveHeap() uint64 {
-	runtime.GC()
-	var m runtime.MemStats
-	runtime.ReadMemStats(&m)
-	return m.HeapAlloc
 }
 
 // BenchmarkBatchCodec times one 16-job rank exchange and its reward

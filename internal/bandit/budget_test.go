@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"testing"
 
+	"qoadvisor/internal/budget"
 	"qoadvisor/internal/walrec"
 )
 
@@ -40,101 +41,76 @@ func rewardedBatch(tb testing.TB, s *Service, n int) {
 	}
 }
 
-// mallocsOf counts the heap allocations of one call of f.
-func mallocsOf(f func()) uint64 {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	f()
-	runtime.ReadMemStats(&after)
-	return after.Mallocs - before.Mallocs
-}
-
 // TestDecisionAllocBudget is the tier-1 gate on what the learner itself
 // allocates per decision, with a journal attached and the benchmark's
 // widest span. Rank copies the decision into blocks the log owns, so
 // what it allocates is a block now and then plus the event index and
-// log growing: at most one per decision over 2,000, and at most half of
-// one, counted exactly, over 100,000 into a serving-capped log.
-// RankGreedy keeps nothing, Train allocates its example list, a
-// checkpoint only its growing buffer.
+// log growing: over 2,000, and counted exactly over 100,000 into a
+// serving-capped log. RankGreedy keeps nothing, Train allocates its
+// example list, a checkpoint only its growing buffer.
 func TestDecisionAllocBudget(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector's instrumentation allocates")
-	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	s := New(DefaultConfig(1))
 	s.AttachJournal(&nullJournal{})
 	ctx, actions := span8Decision(0)
-
-	if n := testing.AllocsPerRun(2000, func() {
+	budget.Allocs(t, "bandit.rank", 2000, func() {
 		if _, err := s.Rank(ctx, actions); err != nil {
 			t.Fatal(err)
 		}
-	}); n > 1 {
-		t.Errorf("Rank allocates %v times per decision, budget 1", n)
-	}
+	})
 	capped := New(Config{Seed: 1})
 	capped.SetMaxLog(ServingMaxLog)
 	capped.AttachJournal(&nullJournal{})
-	const decisions = 100_000
-	if n := float64(mallocsOf(func() {
-		for i := 0; i < decisions; i++ {
+	budget.Mallocs(t, "bandit.rank.capped", func() int {
+		for i := 0; i < 100_000; i++ {
 			if _, err := capped.Rank(ctx, actions); err != nil {
 				t.Fatal(err)
 			}
 		}
-	})) / decisions; n > 0.5 {
-		t.Errorf("Rank into a %d-event log allocates %.3f times per decision over %d, budget 0.5", ServingMaxLog, n, decisions)
-	} else {
-		t.Logf("Rank into a %d-event log: %.3f allocations per decision over %d", ServingMaxLog, n, decisions)
-	}
-	if n := testing.AllocsPerRun(2000, func() {
+		return 100_000
+	})
+	budget.Allocs(t, "bandit.rank_greedy", 2000, func() {
 		if _, err := s.RankGreedy(ctx, actions); err != nil {
 			t.Fatal(err)
 		}
-	}); n != 0 {
-		t.Errorf("RankGreedy allocates %v times per decision, budget 0", n)
-	}
+	})
 
 	rewardedBatch(t, s, 256)
 	s.Train() // warm the index slab
-	best := uint64(math.MaxUint64)
-	for round := 0; round < 3; round++ {
-		rewardedBatch(t, s, 256)
-		if n := mallocsOf(func() { s.Train() }); n < best {
-			best = n
+	budget.Gate(t, "bandit.train", func() float64 {
+		best := uint64(math.MaxUint64)
+		for round := 0; round < 3; round++ {
+			rewardedBatch(t, s, 256)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			s.Train()
+			runtime.ReadMemStats(&after)
+			best = min(best, after.Mallocs-before.Mallocs)
 		}
-	}
-	if best > 2 {
-		t.Errorf("Train over 256 rewarded events allocates %d times with a warm slab, budget 2", best)
-	}
+		return float64(best)
+	})
 
 	big := New(DefaultConfig(1))
 	big.w = make([]float64, big.cfg.Dim)
 	for i := 0; i < 100_000; i++ {
 		big.w[2*i+1] = float64(i+1) / 7
 	}
-	if n := testing.AllocsPerRun(3, func() {
+	budget.Allocs(t, "bandit.checkpoint", 3, func() {
 		if err := big.CheckpointTo(io.Discard); err != nil {
 			t.Fatal(err)
 		}
-	}); n > 40 {
-		t.Errorf("CheckpointTo of 100,000 non-zero weights allocates %v times, budget 40 (buffer growth only)", n)
-	}
+	})
 }
 
 // TestReplayAllocBudget gates journal replay — a follower's apply, a
 // restart's recovery, an as-of rebuild — per record. A rank record is
 // stored in the log's blocks the way a ranked decision is, and a reward
 // batch is read in place, so what replay allocates is a block now and
-// then, the log and its index growing and training's example list: at
-// most 0.1 per record, counted exactly over runs of 16 span-8 rank
-// records, each followed by the reward batch that names them, into a
-// serving-capped log.
+// then, the log and its index growing and training's example list,
+// counted exactly over runs of 16 span-8 rank records, each followed by
+// the reward batch that names them, into a serving-capped log.
 func TestReplayAllocBudget(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector's instrumentation allocates")
-	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	live := New(Config{Seed: 1})
 	live.SetMaxLog(ServingMaxLog)
 	j := &memJournal{}
@@ -155,88 +131,97 @@ func TestReplayAllocBudget(t *testing.T) {
 	replica := New(Config{Seed: 1})
 	replica.SetMaxLog(ServingMaxLog)
 	rp := NewReplayer(replica)
-	apply := func(from, to int) {
+	apply := func(from, to int) int {
 		for lsn := from; lsn < to; lsn++ {
 			if err := rp.Apply(uint64(lsn+1), j.recs[lsn]); err != nil {
 				t.Fatal(err)
 			}
 		}
+		return to - from
 	}
 	warm := len(j.recs) / 4
 	apply(0, warm)
-	n := float64(mallocsOf(func() { apply(warm, len(j.recs)) })) / float64(len(j.recs)-warm)
+	budget.Mallocs(t, "bandit.replay", func() int { return apply(warm, len(j.recs)) })
 	if st := rp.Stats(); st.UnknownRewards != 0 || st.Ranks != int64(len(j.recs)*16/17) {
 		t.Fatalf("replay stats %+v", st)
-	}
-	if n > 0.1 {
-		t.Errorf("replay allocates %.3f times per applied rank or reward-batch record, budget 0.1", n)
-	} else {
-		t.Logf("replay: %.4f allocations per applied record over %d", n, len(j.recs)-warm)
 	}
 }
 
 // TestEventLogBytesPerDecision pins what the decision log keeps resident
 // per logged event at the serving cap: 40,000 decisions of span 2–8,
 // each featurized into fresh slices with its action IDs shared from one
-// table (as internal/featurize shares a catalog's). Named so the
-// un-raced allocation-gate CI step selects it.
+// table (as internal/featurize shares a catalog's).
 //   - open: no decision is rewarded, so every logged event keeps its
 //     features and its entry in the event index. The block sizes decide
 //     it: a block's unused tail is waste, which a smaller block makes
-//     worse. The budget is what a log that kept its callers' slices
-//     held, 696.2 bytes, plus the index entry, ≈ 28 bytes at this log
-//     size.
+//     worse.
 //   - trained: every decision is rewarded and trained 256 at a time (the
 //     ingestor's batch), so a logged event is its nil slot and nothing
-//     else. The budget is the reading, 28.5 bytes, plus a margin.
+//     else.
 //   - offline: the offline pipeline's uncapped learner, fed as the
 //     pipeline feeds it: 256 decisions ranked, then each rewarded or,
 //     one in four, forgotten (a failed recompilation), then trained.
 //     The log then holds no slot, so the heap is counted per decision
 //     made: what stays is the learner's fixed scratch, most of it
-//     Train's index slab (≈ 170 KB), not anything per decision. The
-//     budget is the reading, 7.0 bytes, plus a margin. The log read
-//     16.6 while it kept a nil slot for every decision for good, and
-//     before Train released on an uncapped log and Forget existed, such
-//     an event kept its features and, forgotten, its index entry too.
+//     Train's index slab (≈ 170 KB), not anything per decision. The log
+//     read 16.6 while it kept a nil slot for every decision for good,
+//     and before Train released on an uncapped log and Forget existed,
+//     such an event kept its features and, forgotten, its index entry
+//     too.
 //   - loaded: the open log is saved, and what its snapshot's events keep
 //     once Load restores them into a serving-capped service is
 //     measured. A loaded event is stored as a replayed one is, with only
-//     its chosen action, so it holds less than an open one. The budget
-//     is the reading, 529.0 bytes, plus 3; a loaded event that kept a
-//     view of its snapshot line and slices of its own held 1,235.8.
+//     its chosen action, so it holds less than an open one; one that
+//     kept a view of its snapshot line and slices of its own held
+//     1,235.8.
 func TestEventLogBytesPerDecision(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation changes heap accounting")
-	}
-	for _, c := range []struct {
-		name   string
-		budget float64
-	}{
-		{"open", 725},
-		{"trained", 30},
-		{"offline", 8},
-		{"loaded", 532},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			perEvent, logged := eventLogBytesPerDecision(t, c.name)
-			t.Logf("40000 decisions, %d logged: %.1f bytes resident each", logged, perEvent)
-			if perEvent > c.budget {
-				t.Errorf("the log holds %.1f bytes a decision, budget %v", perEvent, c.budget)
+	t.Run("open", func(t *testing.T) {
+		s, decide := eventLog(t, "open")
+		budget.Retained(t, "bandit.log.open", func() int { decide(); return s.LogSize() })
+	})
+	t.Run("trained", func(t *testing.T) {
+		s, decide := eventLog(t, "trained")
+		budget.Retained(t, "bandit.log.trained", func() int { decide(); return s.LogSize() })
+	})
+	t.Run("offline", func(t *testing.T) {
+		s, decide := eventLog(t, "offline")
+		budget.Retained(t, "bandit.log.offline", func() int { decide(); return eventLogDecisions })
+		if len(s.Events()) != 0 || s.LogSize() != 0 {
+			t.Fatalf("%d events still open, %d slots kept, after every decision was rewarded or forgotten and trained", len(s.Events()), s.LogSize())
+		}
+	})
+	t.Run("loaded", func(t *testing.T) {
+		s, decide := eventLog(t, "open")
+		decide()
+		var snap bytes.Buffer
+		if err := s.Save(&snap); err != nil {
+			t.Fatal(err)
+		}
+		var loaded *Service
+		budget.Retained(t, "bandit.log.loaded", func() int {
+			var err error
+			if loaded, err = Load(&snap, 1); err != nil {
+				t.Fatal(err)
 			}
+			loaded.SetMaxLog(ServingMaxLog)
+			return loaded.LogSize()
 		})
-	}
+		runtime.KeepAlive(loaded)
+		runtime.KeepAlive(&snap)
+	})
 }
 
-// eventLogBytesPerDecision logs TestEventLogBytesPerDecision's 40,000
-// decisions into a serving-capped log, rewarding and training them in
-// mode "trained", and returns the heap it grew by per logged event. In
-// mode "offline" the log is uncapped and the decisions are rewarded or
-// forgotten a batch at a time, and the heap is per decision: the log
-// must end empty. In mode "loaded" it measures instead the
-// heap a Load of the open log's snapshot grows by per loaded event.
-func eventLogBytesPerDecision(t *testing.T, mode string) (float64, int) {
-	const decisions = 40_000
+// eventLogDecisions is how many decisions eventLog's run makes.
+const eventLogDecisions = 40_000
+
+// eventLog is TestEventLogBytesPerDecision's service for mode, its
+// weights allocated up front (the first Train's weights are not the
+// log's), and the run that logs eventLogDecisions decisions into it and
+// trains what was rewarded: none in mode "open", every one 256 at a
+// time in mode "trained", and in mode "offline", where the log is
+// uncapped, each batch of 256 rewarded or forgotten. The service and the
+// action table stay live while t runs.
+func eventLog(t *testing.T, mode string) (*Service, func()) {
 	var table [256]Action
 	for r := range table {
 		rule := uint64(r)
@@ -245,89 +230,60 @@ func eventLogBytesPerDecision(t *testing.T, mode string) (float64, int) {
 		}}
 	}
 	noop := Action{ID: "noop", IDs: []uint64{Mix64(0xa0)}}
-	heap := func() uint64 {
-		runtime.GC()
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return ms.HeapAlloc
-	}
 	s := New(Config{Seed: 1})
 	if mode != "offline" {
 		s.SetMaxLog(ServingMaxLog)
 	}
-	s.w = make([]float64, s.cfg.Dim) // the first Train's weights are not the log's
-	var batch []string
-	before := heap()
-	for i := 0; i < decisions; i++ {
-		r := Mix64(uint64(i) + 0xb17e)
-		n := 2 + int(r%7)
-		ctx := Context{IDs: make([]uint64, n+min(n*(n-1)/2, 60)+min(n*(n-1)*(n-2)/6, 40)+3)}
-		for k := range ctx.IDs {
-			r = Mix64(r + MixGamma)
-			ctx.IDs[k] = r
-		}
-		actions := make([]Action, 1, n+1)
-		actions[0] = noop
-		for k := 0; k < n; k++ {
-			r = Mix64(r + MixGamma)
-			actions = append(actions, table[r%256])
-		}
-		ranked, err := s.Rank(ctx, actions)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if mode == "offline" {
-			if batch = append(batch, ranked.EventID); len(batch) == 256 || i == decisions-1 {
-				for k, id := range batch {
-					if k%4 == 3 {
-						if !s.Forget(id) {
-							t.Fatalf("Forget(%s) refused an open event", id)
+	s.w = make([]float64, s.cfg.Dim)
+	t.Cleanup(func() { runtime.KeepAlive(s); runtime.KeepAlive(&table) })
+	return s, func() {
+		var batch []string
+		for i := 0; i < eventLogDecisions; i++ {
+			r := Mix64(uint64(i) + 0xb17e)
+			n := 2 + int(r%7)
+			ctx := Context{IDs: make([]uint64, n+min(n*(n-1)/2, 60)+min(n*(n-1)*(n-2)/6, 40)+3)}
+			for k := range ctx.IDs {
+				r = Mix64(r + MixGamma)
+				ctx.IDs[k] = r
+			}
+			actions := make([]Action, 1, n+1)
+			actions[0] = noop
+			for k := 0; k < n; k++ {
+				r = Mix64(r + MixGamma)
+				actions = append(actions, table[r%256])
+			}
+			ranked, err := s.Rank(ctx, actions)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if mode == "offline" {
+				if batch = append(batch, ranked.EventID); len(batch) == 256 || i == eventLogDecisions-1 {
+					for k, id := range batch {
+						if k%4 == 3 {
+							if !s.Forget(id) {
+								t.Fatalf("Forget(%s) refused an open event", id)
+							}
+						} else if err := s.Reward(id, float64(k%5)/4); err != nil {
+							t.Fatal(err)
 						}
-					} else if err := s.Reward(id, float64(k%5)/4); err != nil {
-						t.Fatal(err)
 					}
+					batch = batch[:0]
+					s.Train()
 				}
-				batch = batch[:0]
+				continue
+			}
+			if mode != "trained" {
+				continue
+			}
+			if err := s.Reward(ranked.EventID, float64(i%5)/4); err != nil {
+				t.Fatal(err)
+			}
+			if i%256 == 255 {
 				s.Train()
 			}
-			continue
 		}
-		if mode != "trained" {
-			continue
-		}
-		if err := s.Reward(ranked.EventID, float64(i%5)/4); err != nil {
-			t.Fatal(err)
-		}
-		if i%256 == 255 {
-			s.Train()
-		}
+		s.Train()
 	}
-	s.Train()
-	var snap bytes.Buffer
-	if mode == "loaded" {
-		if err := s.Save(&snap); err != nil {
-			t.Fatal(err)
-		}
-		s = nil
-		before = heap()
-		var err error
-		if s, err = Load(&snap, 1); err != nil {
-			t.Fatal(err)
-		}
-		s.SetMaxLog(ServingMaxLog)
-	}
-	after := heap()
-	logged := s.LogSize()
-	if mode == "offline" {
-		if len(s.Events()) != 0 || logged != 0 {
-			t.Fatalf("%d events still open, %d slots kept, after every decision was rewarded or forgotten and trained", len(s.Events()), logged)
-		}
-		logged = decisions // the log is empty: what stays is per decision made
-	}
-	runtime.KeepAlive(s)
-	runtime.KeepAlive(&snap)
-	return float64(int64(after)-int64(before)) / float64(logged), logged
 }
 
 // referenceEncode is the snapshot encoder as it was written through fmt;

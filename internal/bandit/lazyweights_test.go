@@ -2,11 +2,12 @@ package bandit
 
 import (
 	"bytes"
-	"runtime"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
+
+	"qoadvisor/internal/budget"
 )
 
 // checkpoint returns s's CheckpointTo bytes.
@@ -24,28 +25,14 @@ func checkpoint(t *testing.T, s *Service) []byte {
 // loading a snapshot without weights read the missing vector as zeros,
 // and decide and encode exactly as a service whose zeroed vector was
 // allocated up front; the first Train allocates it, and the trained
-// weights and the checkpoint bytes equal that eager service's. Named so
-// the un-raced allocation-gate CI step selects it.
+// weights and the checkpoint bytes equal that eager service's.
 func TestFreshServiceRetainedHeap(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation changes heap accounting")
-	}
-	heap := func() uint64 {
-		runtime.GC()
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return ms.HeapAlloc
-	}
 	cfg := DefaultConfig(1)
-	before := heap()
-	lazy := New(cfg)
-	retained := int64(heap()) - int64(before)
-	if lazy.w != nil || retained > 64<<10 {
-		t.Fatalf("a fresh service retains %d bytes (weights allocated: %v); want under 64 KiB and none (%d bytes at Dim %d)",
-			retained, lazy.w != nil, 8*cfg.Dim, cfg.Dim)
+	var lazy *Service
+	budget.Retained(t, "bandit.fresh_service", func() int { lazy = New(cfg); return 1 })
+	if lazy.w != nil {
+		t.Fatalf("a fresh service allocated its weights (%d bytes at Dim %d)", 8*cfg.Dim, cfg.Dim)
 	}
-	t.Logf("a fresh service at Dim %d retains %d bytes", cfg.Dim, retained)
 	eager := New(cfg)
 	eager.w = make([]float64, cfg.Dim)
 	if got, want := checkpoint(t, lazy), checkpoint(t, eager); !bytes.Equal(got, want) {

@@ -5,6 +5,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"qoadvisor/internal/budget"
 )
 
 // trainedService builds a service with learned, non-trivial weights.
@@ -171,12 +173,7 @@ func TestLoadRejectsV3WithoutWALField(t *testing.T) {
 // it splits and parses each line in the scanner's buffer, so a dense
 // snapshot of the default Dim — every one of 2^18 weights a line — costs
 // the header, the service and the weight vector, and nothing per line.
-// The budget is 0.01 per weight line; parsing from a string of each
-// line and its strings.Fields split made two.
 func TestLoadAllocsPerWeightLine(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector's instrumentation allocates")
-	}
 	s := New(DefaultConfig(1))
 	s.w = make([]float64, s.cfg.Dim)
 	for i := range s.w {
@@ -190,18 +187,15 @@ func TestLoadAllocsPerWeightLine(t *testing.T) {
 		t.Fatal(err)
 	}
 	var loaded *Service
-	n := testing.AllocsPerRun(3, func() {
-		var err error
-		if loaded, err = Load(bytes.NewReader(snap.Bytes()), 1); err != nil {
-			t.Fatal(err)
-		}
+	budget.Gate(t, "bandit.load_per_line", func() float64 {
+		return testing.AllocsPerRun(3, func() {
+			var err error
+			if loaded, err = Load(bytes.NewReader(snap.Bytes()), 1); err != nil {
+				t.Fatal(err)
+			}
+		}) / float64(s.cfg.Dim)
 	})
 	if !slices.Equal(loaded.w, s.w) {
 		t.Fatal("Load restored other weights than the snapshot's")
-	}
-	if perLine := n / float64(s.cfg.Dim); perLine > 0.01 {
-		t.Errorf("Load allocates %.0f times for %d weight lines, %.4f a line, budget 0.01", n, s.cfg.Dim, perLine)
-	} else {
-		t.Logf("Load: %.0f allocations for %d weight lines", n, s.cfg.Dim)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"sync"
 
 	"qoadvisor/internal/bandit"
 	"qoadvisor/internal/featurize"
@@ -76,13 +75,21 @@ func ActionsFor(cat *rules.Catalog, f *JobFeatures) ([]bandit.Action, []rules.Fl
 // --- Contextual-bandit recommender ---
 
 // CBRecommender selects flips with the bandit service (Azure
-// Personalizer stand-in).
+// Personalizer stand-in). It is not for concurrent use: Recommend
+// featurizes into the recommender's own buffers, and its callers —
+// Recommend's first phase and the experiments — call it in sequence.
 type CBRecommender struct {
 	Catalog *rules.Catalog
 	Service *bandit.Service
 	// Uniform switches to the uniform-at-random logging policy used for
 	// off-policy data collection.
 	Uniform bool
+
+	// ids and actions are what Recommend featurizes a job into. The
+	// bandit copies what it logs, so they are free again once the rank
+	// returns.
+	ids     []uint64
+	actions []bandit.Action
 }
 
 // NewCBRecommender builds a CB recommender with its own bandit service.
@@ -90,25 +97,13 @@ func NewCBRecommender(cat *rules.Catalog, seed int64) *CBRecommender {
 	return &CBRecommender{Catalog: cat, Service: bandit.New(bandit.DefaultConfig(seed))}
 }
 
-// recommendScratch is what CBRecommender.Recommend featurizes a job
-// into. The bandit copies what it logs, so the scratch is free again once
-// the rank returns.
-type recommendScratch struct {
-	ids     []uint64
-	actions []bandit.Action
-}
-
-var recommendScratches = sync.Pool{New: func() any { return new(recommendScratch) }}
-
-// Recommend implements Recommender. It featurizes the job into pooled
-// scratch, as the serving path does.
+// Recommend implements Recommender. It featurizes the job into the
+// recommender's buffers, as the serving path does into pooled scratch.
 func (c *CBRecommender) Recommend(f *JobFeatures) (rules.Flip, bool, string) {
-	sc := recommendScratches.Get().(*recommendScratch)
-	defer recommendScratches.Put(sc)
-	sc.ids = featurize.AppendContext(sc.ids[:0], f.Span, f.RowCount, f.BytesRead)
-	ctx := bandit.Context{IDs: sc.ids}
-	sc.actions = featurize.AppendActions(sc.actions[:0], c.Catalog, f.Span)
-	actions := sc.actions
+	c.ids = featurize.AppendContext(c.ids[:0], f.Span, f.RowCount, f.BytesRead)
+	ctx := bandit.Context{IDs: c.ids}
+	c.actions = featurize.AppendActions(c.actions[:0], c.Catalog, f.Span)
+	actions := c.actions
 	var ranked bandit.Ranked
 	var err error
 	if c.Uniform {

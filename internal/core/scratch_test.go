@@ -82,10 +82,10 @@ func TestFeatureGenInterleavedView(t *testing.T) {
 	}
 }
 
-// TestCBRecommenderEventsKeepOwnCopy: Recommend featurizes into pooled
-// scratch that the next call overwrites, so the bandit's log must hold
-// copies. After many calls, every logged event holds the context and the
-// action set of its own job.
+// TestCBRecommenderEventsKeepOwnCopy: Recommend featurizes into the
+// recommender's own buffers, which the next call overwrites, so the
+// bandit's log must hold copies. After many calls, every logged event
+// holds the context and the action set of its own job.
 func TestCBRecommenderEventsKeepOwnCopy(t *testing.T) {
 	cat := rules.NewCatalog()
 	gen := testWorkload(t, 12)

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"qoadvisor/internal/budget"
 	"qoadvisor/internal/exec"
 )
 
@@ -146,28 +147,18 @@ func FuzzLazySource(f *testing.F) {
 	})
 }
 
-// seededRandAllocCeiling is TestSeededRandAllocBudget's: a warm pool
-// hands out a generator and Seed writes no memory it did not own.
-const seededRandAllocCeiling = 0
-
 var sinkDraw float64
 
 // TestSeededRandAllocBudget: a seed plus two draws, the simulator's and
 // the workload generator's unit of use, allocates nothing.
 func TestSeededRandAllocBudget(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector drops sync.Pool puts at random")
-	}
 	var seed int64
-	got := testing.AllocsPerRun(1000, func() {
+	budget.Allocs(t, "exec.seeded_rand", 1000, func() {
 		seed++
 		rng := exec.SeededRand(seed)
 		sinkDraw += rng.Float64() + float64(rng.Intn(9000))
 		exec.ReleaseRand(rng)
 	})
-	if got > seededRandAllocCeiling {
-		t.Errorf("%.2f allocs per seed and two draws, ceiling %d", got, seededRandAllocCeiling)
-	}
 }
 
 // BenchmarkSeededRand times a seed plus two draws.

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"weak"
 
+	"qoadvisor/internal/budget"
 	"qoadvisor/internal/exec"
 	"qoadvisor/internal/optimizer"
 	"qoadvisor/internal/rules"
@@ -131,25 +132,16 @@ func TestRunDoesNotPinTruth(t *testing.T) {
 	}
 }
 
-// runAllocCeiling is TestRunAllocBudget's: Run works in pooled scratch,
-// so a warmed Run allocates nothing.
-const runAllocCeiling = 0
-
 // TestRunAllocBudget: once its pooled scratch has grown to the largest
 // plan, Run allocates nothing on any ledger plan.
 func TestRunAllocBudget(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector's instrumentation allocates")
-	}
 	runs := ledgerRuns(t, 40)
 	cluster := exec.DefaultCluster(20211101)
-	got := testing.AllocsPerRun(10, func() {
-		for i, r := range runs {
-			r.run(cluster, int64(i))
-		}
-	}) / float64(len(runs))
-	t.Logf("%d ledger plans: %.2f allocs per Run", len(runs), got)
-	if got > runAllocCeiling {
-		t.Errorf("%.2f allocs per warmed Run, ceiling %d", got, runAllocCeiling)
-	}
+	budget.Gate(t, "exec.run", func() float64 {
+		return testing.AllocsPerRun(10, func() {
+			for i, r := range runs {
+				r.run(cluster, int64(i))
+			}
+		}) / float64(len(runs))
+	})
 }

@@ -3,6 +3,8 @@ package obs
 import (
 	"testing"
 	"time"
+
+	"qoadvisor/internal/budget"
 )
 
 func finishOne(r *FlightRecorder, route string, dur time.Duration, status int) {
@@ -116,24 +118,18 @@ func TestFlightRetainedTraceCarriesSpans(t *testing.T) {
 // must complete the Begin → Stage → FinishRequest cycle without
 // allocating (the span buffer pool absorbs it).
 func TestFlightUnretainedPathAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race-detector instrumentation allocates; the 0-alloc bound holds only in normal builds")
-	}
 	r := NewFlightRecorder(nil)
 	// Warm the pool and the events slice capacity.
 	for i := 0; i < 16; i++ {
 		finishOne(r, "/fast", time.Microsecond, 200)
 	}
 	start := time.Now()
-	allocs := testing.AllocsPerRun(200, func() {
+	budget.Allocs(t, "obs.flight_unretained", 200, func() {
 		tr := r.Begin()
 		tr.Stage(1, "stage_a", start, time.Microsecond)
 		tr.Stage(1, "stage_b", start, time.Microsecond)
 		tr.FinishRequest("/fast", start, 2*time.Microsecond, 200)
 	})
-	if allocs > 0 {
-		t.Errorf("unretained path allocates %.1f per request, want 0", allocs)
-	}
 }
 
 // TestFlightNilSafety: a recorder with no route overrides runs with

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"qoadvisor/internal/budget"
 	"qoadvisor/internal/optimizer"
 	"qoadvisor/internal/par"
 	"qoadvisor/internal/rules"
@@ -101,11 +102,9 @@ func TestEstimateMatchesOptimize(t *testing.T) {
 // TestEstimateAllocBudget: an Estimate through a warm rewrite memo — the
 // span search's and the recommender's compilation — lowers, tunes, stages
 // and costs in pooled scratch and publishes nothing, so it allocates
-// nothing; Optimize there allocates what publish does.
+// nothing; Optimize there allocates what publish does
+// (TestOptimizeAllocBudget).
 func TestEstimateAllocBudget(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector's instrumentation allocates")
-	}
 	cat := rules.NewCatalog()
 	def := cat.DefaultConfig()
 	job := threeOutputJob(t)
@@ -113,18 +112,9 @@ func TestEstimateAllocBudget(t *testing.T) {
 	if _, err := optimizer.Optimize(job.Graph, def, opts); err != nil { // warm the memo and the pools
 		t.Fatal(err)
 	}
-	estimate := testing.AllocsPerRun(50, func() {
+	budget.Allocs(t, "optimizer.estimate", 50, func() {
 		if _, _, err := optimizer.Estimate(job.Graph, def, opts); err != nil {
 			t.Fatal(err)
 		}
 	})
-	optimize := testing.AllocsPerRun(50, func() {
-		if _, err := optimizer.Optimize(job.Graph, def, opts); err != nil {
-			t.Fatal(err)
-		}
-	})
-	t.Logf("%s warm memo: %.0f allocs per Estimate, %.0f per Optimize", job.Template.ID, estimate, optimize)
-	if estimate != 0 {
-		t.Errorf("%.0f allocs per warm Estimate, want 0", estimate)
-	}
 }

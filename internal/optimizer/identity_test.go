@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"qoadvisor/internal/budget"
 	"qoadvisor/internal/optimizer"
 	"qoadvisor/internal/rules"
 	"qoadvisor/internal/scope"
@@ -284,71 +285,34 @@ func TestNeededColumnsWideSchema(t *testing.T) {
 	}
 }
 
-// Ceilings for TestOptimizeAllocBudget: measured (16 uncached, 5 with a
-// warm cache, go1.24) + 5 %. The same compilations cost 23,772 and 22,581
-// before plan-site identity stopped going through fmt, 824 and 263 while
-// every pass re-walked the plan for Plan.Nodes, 791 and 230 while what a
-// compilation keeps per node lived in maps keyed by node pointer, built
-// and dropped per call, 125 and 19 while Graph.Clone copied every payload
-// slice of every node and a rewrite copied the schemas it re-derived, 91
-// and 19 while Graph.Clone allocated each node and each Inputs on its own
-// and a compilation's signature and estimation environment escaped to the
-// heap, and 38 and 17 while lowering built its plan in place — nodes and
-// inputs in 16-slot chunks, roots and order grown one at a time, stage
-// lists and exchange keys per call, the Result apart from its Plan, and
-// 27 uncached while a rewrite's working copy was a heap Clone and every
-// node it made a heap node with heap Inputs, and 17 and 6 while every
-// keyed partitioning scheme was a string of its own and a plan's stages
-// had a pointer slab. A change that needs more raises the constant on
-// purpose. The rename case, renamedRightFilterScript (PushFilterBelowJoin
-// moves a conjunct on a renamed right column), reads 13 uncached; T001
-// reaches no rename rule.
-const (
-	optimizeAllocCeiling       = 17
-	optimizeCachedAllocCeiling = 6
-	optimizeRenameAllocCeiling = 14
-)
-
-// lowerAllocCeiling is TestLoweringAllocBudget's for publishing a
-// finished plan from a warm builder: the published Result and Plan, the
-// node slab, the pointer slab, the stage slab and the stages' upstream IDs
-// (5; 6 while the stages had a pointer slab of their own). Everything
-// before publish — lowering, tuning, stage assignment, costing — runs in
-// the builder's scratch and allocates nothing warm (TestEstimateAllocBudget).
-const lowerAllocCeiling = 5
-
 // TestLoweringAllocBudget: on a warm builder, partScheme allocates
 // nothing for a keyed scheme it has interned, and publishing a finished
-// ledger plan allocates at most lowerAllocCeiling, on each of the first 40
-// ledger templates.
+// plan allocates its Result and slabs only, on each of the first 40
+// ledger templates. Everything before publish — lowering, tuning, stage
+// assignment, costing — runs in the builder's scratch and allocates
+// nothing warm (TestEstimateAllocBudget).
 func TestLoweringAllocBudget(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector's instrumentation allocates")
-	}
 	cat := rules.NewCatalog()
-	keyed, worst := 0, 0.0
-	for _, tpl := range ledgerTemplates(t)[:40] {
-		j, err := tpl.Instantiate(1, 0)
-		if err != nil {
-			t.Fatal(err)
+	var scheme float64
+	budget.Gate(t, "optimizer.lowering.publish", func() float64 {
+		keyed, publish := 0, 0.0
+		for _, tpl := range ledgerTemplates(t)[:40] {
+			j, err := tpl.Instantiate(1, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, p, n, err := optimizer.LoweringAllocs(j.Graph, cat.DefaultConfig(), optimizer.Options{Catalog: cat, Stats: j.Stats, Tokens: j.Tokens})
+			if err != nil {
+				t.Fatal(err)
+			}
+			keyed, scheme, publish = keyed+n, max(scheme, s), max(publish, p)
 		}
-		scheme, publish, n, err := optimizer.LoweringAllocs(j.Graph, cat.DefaultConfig(), optimizer.Options{Catalog: cat, Stats: j.Stats, Tokens: j.Tokens})
-		if err != nil {
-			t.Fatal(err)
+		if keyed == 0 {
+			t.Fatal("no ledger plan has a keyed exchange; the scheme check lost its coverage")
 		}
-		if scheme != 0 {
-			t.Errorf("%s: %.0f allocs interning %d keyed schemes the builder has seen, want 0", tpl.ID, scheme, n)
-		}
-		keyed += n
-		worst = max(worst, publish)
-	}
-	if keyed == 0 {
-		t.Fatal("no ledger plan has a keyed exchange; the scheme check lost its coverage")
-	}
-	t.Logf("40 ledger plans, %d keyed schemes: at most %.0f allocs per publish", keyed, worst)
-	if worst > lowerAllocCeiling {
-		t.Errorf("%.0f allocs per publish, ceiling %d", worst, lowerAllocCeiling)
-	}
+		return publish
+	})
+	budget.Gate(t, "optimizer.lowering.scheme", func() float64 { return scheme })
 }
 
 // TestOptimizeAllocBudget gates what one compilation allocates — the
@@ -358,9 +322,6 @@ func TestLoweringAllocBudget(t *testing.T) {
 // warm rewrite memo (lowering only); and on renamedRightFilterScript
 // uncached, whose default rewrite must fire PushFilterBelowJoin.
 func TestOptimizeAllocBudget(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector's instrumentation allocates")
-	}
 	cat := rules.NewCatalog()
 	def := cat.DefaultConfig()
 	job := threeOutputJob(t)
@@ -368,36 +329,22 @@ func TestOptimizeAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := optimizer.Options{Catalog: cat, Stats: job.Stats, Tokens: job.Tokens}
-	for _, c := range []struct {
-		name    string
-		g       *scope.Graph
-		opts    optimizer.Options
-		ceiling float64
-		fires   []rules.Kind // rule kinds the rewrite must fire
-	}{
-		{job.Template.ID + " uncached", job.Graph, opts, optimizeAllocCeiling, nil},
-		{job.Template.ID + " warm cache", job.Graph, job.CompileOptions(cat), optimizeCachedAllocCeiling, nil},
-		{"renamed right column, uncached", renamed, optimizer.Options{}, optimizeRenameAllocCeiling, []rules.Kind{rules.KindPushFilterBelowJoin}},
-	} {
-		var res *optimizer.Result
-		compile := func() {
-			if res, err = optimizer.Optimize(c.g, def, c.opts); err != nil {
+	compile := func(g *scope.Graph, opts optimizer.Options) func() {
+		f := func() {
+			if _, err := optimizer.Optimize(g, def, opts); err != nil {
 				t.Fatal(err)
 			}
 		}
-		compile() // warm the cache, the template hash and the runtime
-		for _, k := range c.fires {
-			if !firesKind(cat, res.Signature, k) {
-				t.Errorf("%s: the default rewrite does not fire %v", c.name, k)
-			}
-		}
-		got := testing.AllocsPerRun(50, compile)
-		t.Logf("%s (%d logical nodes): %.0f allocs per Optimize", c.name, len(c.g.Nodes()), got)
-		if got > c.ceiling {
-			t.Errorf("%s: %.0f allocs per Optimize, ceiling %.0f", c.name, got, c.ceiling)
-		}
+		f() // warm the cache, the template hash and the runtime
+		return f
 	}
+	res, err := optimizer.Optimize(renamed, def, optimizer.Options{})
+	if err != nil || !firesKind(cat, res.Signature, rules.KindPushFilterBelowJoin) {
+		t.Fatalf("the default rewrite of renamedRightFilterScript does not fire PushFilterBelowJoin (%v)", err)
+	}
+	budget.Allocs(t, "optimizer.optimize.uncached", 50, compile(job.Graph, optimizer.Options{Catalog: cat, Stats: job.Stats, Tokens: job.Tokens}))
+	budget.Allocs(t, "optimizer.optimize.warm", 50, compile(job.Graph, job.CompileOptions(cat)))
+	budget.Allocs(t, "optimizer.optimize.rename", 50, compile(renamed, optimizer.Options{}))
 }
 
 // threeOutputJob instantiates the first ledger template with three

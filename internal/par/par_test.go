@@ -6,6 +6,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"qoadvisor/internal/budget"
 )
 
 func TestForSequentialPreservesOrder(t *testing.T) {
@@ -82,42 +84,22 @@ func TestForNested(t *testing.T) {
 	}
 }
 
-// forAllocsPerCall is what one For call allocates at GOMAXPROCS 4,
-// averaged over runs. testing.AllocsPerRun would pin GOMAXPROCS to 1, where
-// For never starts a worker, so the malloc count is read directly.
-func forAllocsPerCall(n int) float64 {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	const runs = 200
-	fn := func(int) {}
-	For(n, fn) // warm the runtime's free goroutines
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for r := 0; r < runs; r++ {
-		For(n, fn)
-	}
-	runtime.ReadMemStats(&after)
-	return float64(after.Mallocs-before.Mallocs) / runs
-}
-
-// forAllocCeiling is TestForAllocBudget's: one pool plus one goroutine
-// start per extra worker at GOMAXPROCS 4 (4.0–4.3, go1.24: a worker's
-// goroutine is not always recycled before the next call starts one), + 1.
-// For cost 2 per item (18 at n = 8, 8,195 at n = 4,096) while every index
-// had a goroutine and a semaphore slot of its own.
-const forAllocCeiling = 5
-
 // TestForAllocBudget: a For call allocates per call, not per item — the
-// same count for 8 indexes as for 4,096.
+// same count for 8 indexes as for 4,096 — counted at GOMAXPROCS 4, since
+// at GOMAXPROCS 1, where testing.AllocsPerRun counts, For starts no
+// worker.
 func TestForAllocBudget(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector's instrumentation allocates")
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	calls := func(n int) func() int {
+		For(n, func(int) {}) // warm the runtime's free goroutines
+		return func() int {
+			for range 200 {
+				For(n, func(int) {})
+			}
+			return 200
+		}
 	}
-	small, large := forAllocsPerCall(8), forAllocsPerCall(4096)
-	t.Logf("allocs per For call at GOMAXPROCS 4: n=8 %.2f, n=4096 %.2f", small, large)
-	if math.Abs(small-large) >= 1 {
-		t.Errorf("n=8 allocates %.2f per call, n=4096 %.2f: allocation grows with n", small, large)
-	}
-	if small > forAllocCeiling || large > forAllocCeiling {
-		t.Errorf("%.2f and %.2f allocs per For call, ceiling %d", small, large, forAllocCeiling)
-	}
+	small := budget.Mallocs(t, "par.for.8", calls(8))
+	large := budget.Mallocs(t, "par.for.4096", calls(4096))
+	budget.Gate(t, "par.for.growth", func() float64 { return math.Abs(small - large) })
 }

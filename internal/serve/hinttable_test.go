@@ -10,7 +10,7 @@ import (
 	"strings"
 	"testing"
 
-	"qoadvisor/internal/bandit"
+	"qoadvisor/internal/budget"
 	"qoadvisor/internal/rules"
 	"qoadvisor/internal/sis"
 	"qoadvisor/internal/wal"
@@ -334,30 +334,23 @@ func FuzzHintTable(f *testing.F) {
 // miss, allocates nothing — the returned hint's ID is a substring of the
 // table's arena.
 func TestHintLookupZeroAlloc(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation allocates")
-	}
 	hints := benchTableHints(4096)
 	c := NewHintCache()
 	c.Replace(hints)
 	i := 0
-	if n := testing.AllocsPerRun(1000, func() {
+	budget.Allocs(t, "serve.hint_lookup.hit", 1000, func() {
 		h, ok := c.Lookup(hints[i%len(hints)].TemplateHash)
 		if !ok || h.TemplateID != hints[i%len(hints)].TemplateID {
 			t.Fatalf("Lookup(%#x) = %+v, %v", hints[i%len(hints)].TemplateHash, h, ok)
 		}
 		i++
-	}); n != 0 {
-		t.Errorf("a hit allocates %v times, want 0", n)
-	}
-	if n := testing.AllocsPerRun(1000, func() {
+	})
+	budget.Allocs(t, "serve.hint_lookup.miss", 1000, func() {
 		if _, ok := c.Lookup(uint64(i) * 2); ok { // installed hashes are odd multiples plus one of an odd constant; small even keys are absent
 			t.Fatalf("Lookup(%#x) hit", uint64(i)*2)
 		}
 		i++
-	}); n != 0 {
-		t.Errorf("a miss allocates %v times, want 0", n)
-	}
+	})
 }
 
 // TestHintTableBytesPerHint pins the table's resident size at the scale
@@ -365,31 +358,16 @@ func TestHintLookupZeroAlloc(t *testing.T) {
 // of entry, 2 of bucket directory and 7 of arena; the value dictionary
 // is 200 entries. The layout before it read
 // ≈ 47 (a 32-byte entry and an open-addressed index at load 0.5), the
-// map before that ≈ 131. Named so the un-raced allocation-gate CI step
-// selects it.
+// map before that ≈ 131.
 func TestHintTableBytesPerHint(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation changes heap accounting")
-	}
-	const n, budget = 262144, 26.0
-	hints := benchTableHints(n)
-	heap := func() uint64 {
-		runtime.GC()
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return ms.HeapAlloc
-	}
-	before := heap()
-	tab := newHintTable(hints, 1)
-	after := heap()
-	perHint := float64(int64(after)-int64(before)) / n
-	t.Logf("%d hints: %.1f bytes resident each", n, perHint)
-	if perHint > budget {
-		t.Errorf("table holds %.1f bytes a hint, budget %v", perHint, budget)
-	}
-	if len(tab.entries) != n {
-		t.Fatalf("table holds %d entries, want %d", len(tab.entries), n)
+	hints := benchTableHints(262144)
+	var tab *hintTable
+	budget.Retained(t, "serve.hint_table", func() int {
+		tab = newHintTable(hints, 1)
+		return len(hints)
+	})
+	if len(tab.entries) != len(hints) {
+		t.Fatalf("table holds %d entries, want %d", len(tab.entries), len(hints))
 	}
 	runtime.KeepAlive(hints)
 }
@@ -462,34 +440,22 @@ func TestRolloverRecordBytesUnchanged(t *testing.T) {
 // TestHintOnlyServerRetainedHeap: a node that only serves hints holds the
 // hint table and no bandit weights — the learner allocates its weight
 // vector (2 MiB at the default Dim) on its first write, and a hint hit
-// writes none. Named so the un-raced allocation-gate CI step selects it.
+// writes none.
 func TestHintOnlyServerRetainedHeap(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation changes heap accounting")
-	}
-	heap := func() uint64 {
-		runtime.GC()
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return ms.HeapAlloc
-	}
 	hints := benchTableHints(4096)
-	before := heap()
-	srv := New(Config{Seed: 1})
-	defer srv.Close()
-	if _, err := srv.InstallHints(hints); err != nil {
-		t.Fatal(err)
-	}
-	for i := range hints {
-		if h, ok := srv.Cache().Lookup(hints[i].TemplateHash); !ok || h != hints[i] {
-			t.Fatalf("Lookup(%#x) = %+v, %v", hints[i].TemplateHash, h, ok)
+	var srv *Server
+	budget.Retained(t, "serve.hint_only_server", func() int {
+		srv = New(Config{Seed: 1})
+		if _, err := srv.InstallHints(hints); err != nil {
+			t.Fatal(err)
 		}
-	}
-	retained := int64(heap()) - int64(before)
-	t.Logf("a hint-only server with %d hints retains %d bytes", len(hints), retained)
-	if weights := int64(8 * bandit.DefaultConfig(1).Dim); retained >= weights/2 {
-		t.Errorf("a hint-only server retains %d bytes, want under %d: half the weight vector it must not hold", retained, weights/2)
-	}
+		for i := range hints {
+			if h, ok := srv.Cache().Lookup(hints[i].TemplateHash); !ok || h != hints[i] {
+				t.Fatalf("Lookup(%#x) = %+v, %v", hints[i].TemplateHash, h, ok)
+			}
+		}
+		return 1
+	})
+	srv.Close()
 	runtime.KeepAlive(hints)
 }

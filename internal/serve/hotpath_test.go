@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -14,28 +15,14 @@ import (
 	"testing"
 
 	"qoadvisor/internal/api"
+	"qoadvisor/internal/api/client"
 	"qoadvisor/internal/bandit"
+	"qoadvisor/internal/budget"
 	"qoadvisor/internal/drift"
 	"qoadvisor/internal/featurize"
 	"qoadvisor/internal/rules"
 	"qoadvisor/internal/wal"
 	"qoadvisor/internal/walrec"
-)
-
-// The committed allocation ceilings of the two hot routes, per request,
-// for a 16-job all-hinted batch, its 16-event template-only reward batch,
-// a 16-job batch that misses every hint and the 16-event reward batch
-// that names its decisions by event ID: what TestRankPathAllocBudget and
-// TestBanditPathAllocBudget measure on this tree plus two. A change that
-// needs more has to raise them on purpose. They read 6, 4, 7 and 6 while
-// every batch body went through http.MaxBytesReader, Content-Length was
-// set through Header.Set and a one-chunk rank batch built its par.For
-// closure.
-const (
-	rankRequestAllocCeiling   = 5
-	rewardRequestAllocCeiling = 4
-	banditRequestAllocCeiling = 6
-	banditRewardAllocCeiling  = 6
 )
 
 // reusedBody is a request body that can be rewound, so that the budget
@@ -58,20 +45,11 @@ func (w *reusedWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// requestAllocs reports what one in-memory request costs srv.ServeHTTP,
-// body and response writer reused so the harness adds nothing.
-func requestAllocs(t *testing.T, srv *Server, route string, payload any, wantStatus int) float64 {
-	t.Helper()
-	raw, err := json.Marshal(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return requestsAllocs(t, srv, route, [][]byte{raw}, wantStatus)
-}
-
-// requestsAllocs is requestAllocs over a run of bodies, one per request
-// in turn: the first warms the pools, the next 200 are counted.
-func requestsAllocs(t *testing.T, srv *Server, route string, raws [][]byte, wantStatus int) float64 {
+// inMemory returns a call that sends one in-memory request to
+// srv.ServeHTTP, the next of raws in turn, with body and response writer
+// reused so the harness adds nothing. It makes the first call, which
+// warms the pools.
+func inMemory(t *testing.T, srv *Server, route string, raws [][]byte, wantStatus int) func() {
 	t.Helper()
 	body := new(reusedBody)
 	req := httptest.NewRequest(http.MethodPost, route, nil)
@@ -88,22 +66,19 @@ func requestsAllocs(t *testing.T, srv *Server, route string, raws [][]byte, want
 			t.Fatalf("%s answered %d: %s", route, w.status, w.body)
 		}
 	}
-	serve() // warm the pools
-	return testing.AllocsPerRun(200, serve)
+	serve()
+	return serve
 }
 
-// TestRankPathAllocBudget is the tier-1 gate on what a steering decision
-// costs the server besides net/http: Server.ServeHTTP on in-memory
-// requests, drift detection on, every template hinted.
-func TestRankPathAllocBudget(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector's instrumentation allocates")
-	}
-	cat := rules.NewCatalog()
+// hintedServer is a server with drift detection on and 16 hints
+// installed, a 16-job batch that hits every hint and its 16-event reward
+// batch by template hash.
+func hintedServer(t *testing.T) (*Server, []api.RankRequest, []api.RewardEvent) {
+	t.Helper()
 	dc := drift.DefaultConfig()
 	srv := New(Config{Seed: 1, Drift: &dc})
-	defer srv.Close()
-	hints := testHints(cat, 16, 1)
+	t.Cleanup(srv.Close)
+	hints := testHints(rules.NewCatalog(), 16, 1)
 	if _, err := srv.InstallHints(hints); err != nil {
 		t.Fatal(err)
 	}
@@ -115,17 +90,40 @@ func TestRankPathAllocBudget(t *testing.T) {
 		jobs[i] = api.RankRequest{TemplateHash: th, Span: []int{40, 41 + i, 90}, RowCount: 1e6, BytesRead: 2.5e9}
 		events[i] = api.RewardEvent{Reward: &reward, TemplateHash: &th}
 	}
+	return srv, jobs, events
+}
 
-	if n := requestAllocs(t, srv, api.RouteV2Rank, api.BatchRankRequest{Jobs: jobs}, http.StatusOK); n > rankRequestAllocCeiling {
-		t.Errorf("a 16-job hinted /v2/rank request allocates %v times, ceiling %d", n, rankRequestAllocCeiling)
-	} else {
-		t.Logf("/v2/rank: %v allocations per 16-job request (ceiling %d)", n, rankRequestAllocCeiling)
+// banditServer is a server journaling to an async WAL and 16 unhinted
+// 8-bit-span jobs.
+func banditServer(t *testing.T) (*Server, []api.RankRequest) {
+	t.Helper()
+	j, err := wal.Open(wal.Options{Dir: t.TempDir(), Mode: wal.ModeAsync})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if n := requestAllocs(t, srv, api.RouteV2Reward, api.BatchRewardRequest{Events: events}, http.StatusAccepted); n > rewardRequestAllocCeiling {
-		t.Errorf("a 16-event template-only /v2/reward request allocates %v times, ceiling %d", n, rewardRequestAllocCeiling)
-	} else {
-		t.Logf("/v2/reward: %v allocations per 16-event request (ceiling %d)", n, rewardRequestAllocCeiling)
+	t.Cleanup(func() { j.Close() })
+	srv := New(Config{Seed: 1, WAL: j})
+	t.Cleanup(srv.Close)
+	jobs := make([]api.RankRequest, 16)
+	for i := range jobs {
+		jobs[i] = api.RankRequest{
+			TemplateHash: api.TemplateHash(0xb000 + i),
+			Span:         []int{3, 17 + i, 40, 64, 99, 128 + i, 200, 255},
+			RowCount:     1e6, BytesRead: 2.5e9,
+		}
 	}
+	return srv, jobs
+}
+
+// TestRankPathAllocBudget is the tier-1 gate on what a steering decision
+// costs the server besides net/http: Server.ServeHTTP on in-memory
+// requests, drift detection on, every template hinted.
+func TestRankPathAllocBudget(t *testing.T) {
+	srv, jobs, events := hintedServer(t)
+	rank, _ := api.BatchRankRequest{Jobs: jobs}.AppendJSON(nil)
+	reward, _ := api.BatchRewardRequest{Events: events}.AppendJSON(nil)
+	budget.Allocs(t, "serve.rank.hinted", 200, inMemory(t, srv, api.RouteV2Rank, [][]byte{rank}, http.StatusOK))
+	budget.Allocs(t, "serve.reward.template", 200, inMemory(t, srv, api.RouteV2Reward, [][]byte{reward}, http.StatusAccepted))
 }
 
 // TestBanditPathAllocBudget gates the other side of the hint cache: 16
@@ -139,30 +137,9 @@ func TestRankPathAllocBudget(t *testing.T) {
 // batch sorted into pooled lists, journaled and queued (the drain
 // goroutine's applying and training is counted too).
 func TestBanditPathAllocBudget(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector's instrumentation allocates")
-	}
-	j, err := wal.Open(wal.Options{Dir: t.TempDir(), Mode: wal.ModeAsync})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
-	srv := New(Config{Seed: 1, WAL: j})
-	defer srv.Close()
-	jobs := make([]api.RankRequest, 16)
-	for i := range jobs {
-		jobs[i] = api.RankRequest{
-			TemplateHash: api.TemplateHash(0xb000 + i),
-			Span:         []int{3, 17 + i, 40, 64, 99, 128 + i, 200, 255},
-			RowCount:     1e6, BytesRead: 2.5e9,
-		}
-	}
-	n := requestAllocs(t, srv, api.RouteV2Rank, api.BatchRankRequest{Jobs: jobs}, http.StatusOK)
-	if n > banditRequestAllocCeiling {
-		t.Errorf("a 16-job unhinted /v2/rank request allocates %v times, ceiling %d", n, banditRequestAllocCeiling)
-	} else {
-		t.Logf("/v2/rank, bandit path: %v allocations per 16-job request (ceiling %d)", n, banditRequestAllocCeiling)
-	}
+	srv, jobs := banditServer(t)
+	rankBody, _ := api.BatchRankRequest{Jobs: jobs}.AppendJSON(nil)
+	budget.Allocs(t, "serve.rank.bandit", 200, inMemory(t, srv, api.RouteV2Rank, [][]byte{rankBody}, http.StatusOK))
 
 	// The matching reward requests: each names the 16 decisions of one
 	// more such rank request by event ID, with its template hash, as a
@@ -170,7 +147,6 @@ func TestBanditPathAllocBudget(t *testing.T) {
 	// every one is accepted, journaled and queued.
 	rewards := make([][]byte, 201)
 	w := &reusedWriter{header: make(http.Header)}
-	rankBody, _ := api.BatchRankRequest{Jobs: jobs}.AppendJSON(nil)
 	reward := 0.5
 	for k := range rewards {
 		req := httptest.NewRequest(http.MethodPost, api.RouteV2Rank, bytes.NewReader(rankBody))
@@ -185,15 +161,57 @@ func TestBanditPathAllocBudget(t *testing.T) {
 		}
 		rewards[k], _ = api.BatchRewardRequest{Events: events}.AppendJSON(nil)
 	}
-	n = requestsAllocs(t, srv, api.RouteV2Reward, rewards, http.StatusAccepted)
-	if n > banditRewardAllocCeiling {
-		t.Errorf("a 16-event /v2/reward request by event ID allocates %v times, ceiling %d", n, banditRewardAllocCeiling)
-	} else {
-		t.Logf("/v2/reward, by event ID: %v allocations per 16-event request (ceiling %d)", n, banditRewardAllocCeiling)
-	}
+	budget.Allocs(t, "serve.reward.event_id", 200, inMemory(t, srv, api.RouteV2Reward, rewards, http.StatusAccepted))
 	if errs := srv.Bandit().JournalErrors(); errs != 0 {
 		t.Errorf("%d journal appends failed", errs)
 	}
+}
+
+// TestRealServerAllocBudget counts what the in-memory gates leave out:
+// serve.New behind an httptest.Server, driven by the typed client, one
+// 16-job rank and the 16-event reward of its decisions per op, on the
+// hint path and on the bandit path. Less the client's canned-handler
+// rows and the path's in-memory rows, what remains is the real server's
+// net/http share (the budget table's composition).
+func TestRealServerAllocBudget(t *testing.T) {
+	srv, jobs, events := hintedServer(t)
+	budget.Allocs(t, "serve.real_server.hinted", 200, realServerOp(t, srv, jobs, events))
+	srv, jobs = banditServer(t)
+	events = make([]api.RewardEvent, len(jobs))
+	reward := 0.5
+	for i := range events {
+		events[i] = api.RewardEvent{Reward: &reward, TemplateHash: &jobs[i].TemplateHash}
+	}
+	budget.Allocs(t, "serve.real_server.bandit", 200, realServerOp(t, srv, jobs, events))
+	if errs := srv.Bandit().JournalErrors(); errs != 0 {
+		t.Errorf("%d journal appends failed", errs)
+	}
+}
+
+// realServerOp serves srv over loopback and returns one op through a
+// client.Client: RankBatch(jobs), then RewardBatch(events) with each
+// event naming its job's decision. It makes the first op, which opens
+// the connection and warms the pools.
+func realServerOp(t *testing.T, srv *Server, jobs []api.RankRequest, events []api.RewardEvent) func() {
+	t.Helper()
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
+	c := client.New(ts.URL)
+	ctx := context.Background()
+	op := func() {
+		ranked, err := c.RankBatch(ctx, jobs)
+		if err != nil || len(ranked.Results) != len(jobs) {
+			t.Fatalf("RankBatch = %+v, %v", ranked, err)
+		}
+		for i := range events {
+			events[i].EventID = ranked.Results[i].EventID
+		}
+		if acked, err := c.RewardBatch(ctx, events); err != nil || acked.Observed != len(events) {
+			t.Fatalf("RewardBatch = %+v, %v", acked, err)
+		}
+	}
+	op()
+	return op
 }
 
 // TestBatchPoolsDoNotAlias drives one server from twelve goroutines with

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"testing"
 	"unsafe"
+
+	"qoadvisor/internal/budget"
 )
 
 // TestStringsShareBlocks: strings cut after one Reset sit back to back in
@@ -44,21 +46,29 @@ func TestStringsShareBlocks(t *testing.T) {
 }
 
 // TestShortStringsTakeNoRoom: "" and one-byte strings are the runtime's
-// static copies, so they neither allocate nor count.
+// static copies, so they do not count (TestShortStringsAllocBudget: nor
+// allocate).
 func TestShortStringsTakeNoRoom(t *testing.T) {
 	var a Arena
 	a.Reset(0)
-	one := []byte("q")
-	if n := testing.AllocsPerRun(100, func() {
-		if a.String(nil) != "" || a.String(one) != "q" {
-			t.Fatal("wrong short string")
-		}
-	}); n != 0 {
-		t.Errorf("short strings allocate %v times", n)
+	if a.String(nil) != "" || a.String([]byte("q")) != "q" {
+		t.Fatal("wrong short string")
 	}
 	if a.Len() != 0 {
 		t.Errorf("Len = %d after short strings only", a.Len())
 	}
+}
+
+// TestShortStringsAllocBudget: "" and one-byte strings allocate nothing.
+func TestShortStringsAllocBudget(t *testing.T) {
+	var a Arena
+	a.Reset(0)
+	one := []byte("q")
+	budget.Allocs(t, "strarena.short_strings", 100, func() {
+		if a.String(nil) != "" || a.String(one) != "q" {
+			t.Fatal("wrong short string")
+		}
+	})
 }
 
 // TestOneAllocationPerBlock: strings that fit the block Reset asked for
@@ -66,12 +76,10 @@ func TestShortStringsTakeNoRoom(t *testing.T) {
 func TestOneAllocationPerBlock(t *testing.T) {
 	var a Arena
 	id := []byte("ev0123456789abcdef-00000042")
-	if n := testing.AllocsPerRun(100, func() {
+	budget.Allocs(t, "strarena.block", 100, func() {
 		a.Reset(16 * len(id))
 		for i := 0; i < 16; i++ {
 			a.String(id)
 		}
-	}); n != 1 {
-		t.Errorf("16 strings in a block of 16 allocate %v times, want 1", n)
-	}
+	})
 }

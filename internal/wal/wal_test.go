@@ -12,6 +12,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"qoadvisor/internal/budget"
 )
 
 func openTest(t *testing.T, dir string, mode Mode, segBytes int64) *WAL {
@@ -551,20 +553,14 @@ func TestCursorTailsAcrossRolls(t *testing.T) {
 // the record header lives in the WAL, not in a local that escapes
 // through the buffered writer.
 func TestAppendDoesNotAllocate(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation allocates")
-	}
 	w := openTest(t, t.TempDir(), ModeOff, 64<<20)
 	defer w.Close()
 	payload := bytes.Repeat([]byte{0xa5}, 200)
-	allocs := testing.AllocsPerRun(2000, func() {
+	budget.Allocs(t, "wal.append", 2000, func() {
 		if _, err := w.Append(payload); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if allocs != 0 {
-		t.Errorf("Append allocates %v times per 200-byte record, want 0", allocs)
-	}
 }
 
 // TestCursorDropsLargeScratch ships a 1 MiB record (a hint rollover)
@@ -689,9 +685,6 @@ func TestWriteFileAtomicDirSyncError(t *testing.T) {
 // a slice of its own, where a wake used to open the file, allocate a
 // 64 KiB read buffer and copy the list afresh.
 func TestCursorWakeAllocBudget(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation allocates")
-	}
 	w := openTest(t, t.TempDir(), ModeOff, 64<<20)
 	defer w.Close()
 	payload := bytes.Repeat([]byte{0x5a}, 200)
@@ -712,7 +705,5 @@ func TestCursorWakeAllocBudget(t *testing.T) {
 		}
 	}
 	wake() // locate and open the segment
-	if allocs := testing.AllocsPerRun(1000, wake); allocs != 0 {
-		t.Errorf("a warm cursor allocates %v times per record delivered, want 0", allocs)
-	}
+	budget.Allocs(t, "wal.cursor_wake", 1000, wake)
 }

@@ -13,6 +13,7 @@ import (
 	"sync"
 	"testing"
 
+	"qoadvisor/internal/budget"
 	"qoadvisor/internal/exec"
 	"qoadvisor/internal/optimizer"
 	"qoadvisor/internal/scope"
@@ -460,91 +461,42 @@ func TestSubstituteMatchesSequentialReplace(t *testing.T) {
 	}
 }
 
-// Ceilings for TestInstantiateAllocBudget, measured on the ledger's T000
-// (go1.24) + 5 %, rounded up. A recurrence and Instantiate of a memoized
-// (template, date) hand out an element of the instance's job slab and
-// allocate nothing (2 while each was a copy of the instance's first job
-// with an ID of its own, 25 while only the graph was memoized, 106 while
-// each draw built its own rand.Source and hasher). Building an instance
-// costs one arena for every dated string, the bound graph, its slab of
-// keys, its slab of floats, the truth and statistics over them, an empty
-// rewrite memo and the job slab (13; 17 while the truth's rows and
-// selectivities and the statistics were three maps keyed by dated
-// string, 19 while the rewrite memo was a generic singleflight cache, 44
-// while each dated string, each table's distinct counts, and each spine
-// node and literal Bind made was an allocation of its own). Binding the prepared
-// script cold costs the graph alone: nodes, Inputs and Roots in one slab
-// each, the re-dated schemas in one, the dated strings in one arena, the
-// expression spines in one and the integer literals in one (7; 17 with a
-// BinaryExpr per spine node and an IntLit per placeholder; compiling the
-// substituted source costs 249).
-const (
-	recurrenceAllocCeiling  = 0
-	instantiateAllocCeiling = 0
-	instanceAllocCeiling    = 14
-	bindAllocCeiling        = 8
-)
-
 // TestInstantiateAllocBudget gates what a day's job instances allocate:
 // a recurrence, Instantiate of a memoized instance, and building the
 // instance of a (template, date) seen for the first time, with and
 // without the rest of the instance around its Bind.
 func TestInstantiateAllocBudget(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector's instrumentation allocates")
-	}
 	gen, err := New(Config{Seed: 20211101, NumTemplates: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	tpl := gen.Templates()[0]
-	first, err := tpl.Instantiate(3, 0)
-	if err != nil {
+	if _, err := tpl.Instantiate(3, 0); err != nil {
 		t.Fatal(err)
 	}
-	var sink *Job
-	last := tpl.DailyInstances - 1
-	got := testing.AllocsPerRun(100, func() {
-		if sink, err = tpl.Instantiate(3, last); err != nil {
+	instantiate := func(date, index int) func() {
+		return func() {
+			if _, err := tpl.Instantiate(date, index); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	budget.Allocs(t, "workload.recurrence", 100, instantiate(3, tpl.DailyInstances-1))
+	budget.Allocs(t, "workload.instantiate_memo", 100, instantiate(3, 0))
+	budget.Allocs(t, "workload.instance", 100, func() {
+		if _, err := tpl.instantiate(3); err != nil {
 			t.Fatal(err)
 		}
 	})
-	t.Logf("%s: %.0f allocs per recurrence", sink.ID, got)
-	if got > recurrenceAllocCeiling {
-		t.Errorf("%.0f allocs per recurrence, ceiling %d", got, recurrenceAllocCeiling)
-	}
-	got = testing.AllocsPerRun(100, func() {
-		if sink, err = tpl.Instantiate(3, 0); err != nil {
-			t.Fatal(err)
-		}
-	})
-	t.Logf("%s: %.0f allocs per Instantiate of a memoized instance", tpl.ID, got)
-	if got > instantiateAllocCeiling {
-		t.Errorf("%.0f allocs per memoized Instantiate, ceiling %d", got, instantiateAllocCeiling)
-	}
-	got = testing.AllocsPerRun(100, func() {
-		if _, err = tpl.instantiate(3); err != nil {
-			t.Fatal(err)
-		}
-	})
-	t.Logf("%s (%d literals, %d tables, %d sites, %d jobs): %.0f allocs per instance built",
-		tpl.ID, len(tpl.Literals), len(tpl.Tables), len(tpl.TrueSel), tpl.DailyInstances, got)
-	if got > instanceAllocCeiling {
-		t.Errorf("%.0f allocs per instance built, ceiling %d", got, instanceAllocCeiling)
-	}
 	values := []string{dateStamp(3)}
 	for i := range tpl.Literals {
 		values = append(values, strconv.Itoa(100+i))
 	}
-	got = testing.AllocsPerRun(100, func() {
+	budget.Allocs(t, "workload.bind", 100, func() {
 		if _, err := tpl.prepared.Bind(tpl.names, values); err != nil {
 			t.Fatal(err)
 		}
 	})
-	t.Logf("%s (%d logical nodes): %.0f allocs per cold Bind", tpl.ID, len(first.Graph.Nodes()), got)
-	if got > bindAllocCeiling {
-		t.Errorf("%.0f allocs per Bind, ceiling %d", got, bindAllocCeiling)
-	}
 }
 
 // dateStamp is appendDateStamp into a fresh string.

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"qoadvisor/internal/budget"
 	"qoadvisor/internal/exec"
 	"qoadvisor/internal/optimizer"
 	"qoadvisor/internal/rules"
@@ -193,16 +194,9 @@ func TestAppendViewRowsMatchesReference(t *testing.T) {
 	}
 }
 
-// appendViewRowsAllocCeiling is TestAppendViewRowsAllocBudget's: the marks
-// are pooled, so appending into a dst with room allocates nothing.
-const appendViewRowsAllocCeiling = 0
-
 // TestAppendViewRowsAllocBudget: once its pooled marks have grown,
 // AppendViewRows into a dst with room for the rows allocates nothing.
 func TestAppendViewRowsAllocBudget(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector's instrumentation allocates")
-	}
 	gen := newGen(t, 12)
 	cat := rules.NewCatalog()
 	cluster := exec.DefaultCluster(3)
@@ -226,14 +220,10 @@ func TestAppendViewRowsAllocBudget(t *testing.T) {
 		roots += len(res.Plan.Roots)
 	}
 	dst := make([]ViewRow, 0, roots)
-	got := testing.AllocsPerRun(20, func() {
+	budget.Allocs(t, "workload.view_rows", 20, func() {
 		dst = dst[:0]
 		for _, r := range runs {
 			dst = AppendViewRows(dst, r.job, r.res, r.m)
 		}
 	})
-	t.Logf("%d jobs, %d rows: %.1f allocs per pass", len(runs), len(dst), got)
-	if got > appendViewRowsAllocCeiling {
-		t.Errorf("%.1f allocs appending %d jobs' view rows, ceiling %d", got, len(runs), appendViewRowsAllocCeiling)
-	}
 }
