@@ -359,9 +359,12 @@ type Hist struct {
 // percentile fields are estimated from a log₂-bucketed latency
 // histogram (one bucket spans a doubling, so estimates are exact to
 // within one bucket); they are 0 until the route has served a request.
+// Errors counts answers with status >= 400, Status5xx those >= 500 (the
+// availability objective's error input).
 type RouteStats struct {
 	Count       int64 `json:"count"`
 	Errors      int64 `json:"errors"`
+	Status5xx   int64 `json:"status5xx"`
 	TotalMicros int64 `json:"totalMicros"`
 	MaxMicros   int64 `json:"maxMicros"`
 	P50Micros   int64 `json:"p50Micros"`
@@ -603,6 +606,7 @@ type AuditStats struct {
 	SegmentsScanned int64 `json:"segmentsScanned"`
 	SegmentsSkipped int64 `json:"segmentsSkipped"`
 	RecordsScanned  int64 `json:"recordsScanned"`
+	RecordsMatched  int64 `json:"recordsMatched"`
 }
 
 // AuditScanStats reports one audit query's scan counters: how many of

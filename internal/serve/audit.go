@@ -57,6 +57,7 @@ func (s *Server) auditStats() *api.AuditStats {
 		SegmentsScanned: t.SegmentsScanned,
 		SegmentsSkipped: t.SegmentsSkipped,
 		RecordsScanned:  t.RecordsScanned,
+		RecordsMatched:  t.RecordsMatched,
 	}
 }
 

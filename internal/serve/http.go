@@ -235,6 +235,7 @@ func (h *httpLayer) routeMetrics() map[string]api.RouteStats {
 		out[route] = api.RouteStats{
 			Count:       int64(lat.Count),
 			Errors:      m.errors.Load(),
+			Status5xx:   m.status5xx.Load(),
 			TotalMicros: int64(lat.Sum / 1000),
 			MaxMicros:   m.maxMicros.Load(),
 			P50Micros:   lat.Quantile(0.50).Microseconds(),

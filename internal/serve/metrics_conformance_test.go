@@ -93,9 +93,11 @@ var statsMetricRules = []struct {
 	{path: re(`^audit\.segmentsScanned$`), family: "qoserved_audit_segments_scanned_total"},
 	{path: re(`^audit\.segmentsSkipped$`), family: "qoserved_audit_segments_skipped_total"},
 	{path: re(`^audit\.recordsScanned$`), family: "qoserved_audit_records_scanned_total"},
+	{path: re(`^audit\.recordsMatched$`), family: "qoserved_audit_records_matched_total"},
 
 	{path: re(`^routes\.[^.]+\.count$`), family: "qoserved_http_requests_total"},
 	{path: re(`^routes\.[^.]+\.errors$`), family: "qoserved_http_request_errors_total"},
+	{path: re(`^routes\.[^.]+\.status5xx$`), family: "qoserved_http_request_5xx_total"},
 	{path: re(`^routes\.[^.]+\.(totalMicros|maxMicros|p50Micros|p90Micros|p99Micros|p999Micros|hist\..+)$`),
 		family: "qoserved_http_request_duration_seconds"},
 	{path: re(`^stages\.[^.]+\.`), family: "qoserved_stage_duration_seconds"},
