@@ -11,7 +11,6 @@ import (
 
 	"qoadvisor/internal/api"
 	"qoadvisor/internal/audit"
-	"qoadvisor/internal/obs"
 	"qoadvisor/internal/wal"
 	"qoadvisor/internal/walrec"
 )
@@ -59,21 +58,6 @@ func (s *Server) auditStats() *api.AuditStats {
 		RecordsScanned:  t.RecordsScanned,
 		RecordsMatched:  t.RecordsMatched,
 	}
-}
-
-// collectAuditMetrics contributes the qoserved_audit_* families to
-// /metrics once the engine exists.
-func (s *Server) collectAuditMetrics(e *obs.Exposition) {
-	eng := s.auditEng.Load()
-	if eng == nil {
-		return
-	}
-	t := eng.Totals()
-	e.Counter("qoserved_audit_queries_total", "Audit queries served.", nil, float64(t.Queries))
-	e.Counter("qoserved_audit_segments_scanned_total", "Journal segments scanned by audit queries.", nil, float64(t.SegmentsScanned))
-	e.Counter("qoserved_audit_segments_skipped_total", "Journal segments outside an audit query's LSN window, never opened.", nil, float64(t.SegmentsSkipped))
-	e.Counter("qoserved_audit_records_scanned_total", "Journal records scanned by audit queries.", nil, float64(t.RecordsScanned))
-	e.Counter("qoserved_audit_records_matched_total", "Journal records matched by audit queries.", nil, float64(t.RecordsMatched))
 }
 
 // auditScanStats converts engine counters to the wire form. Segments

@@ -13,7 +13,6 @@ import (
 
 	"qoadvisor/internal/api"
 	"qoadvisor/internal/drift"
-	"qoadvisor/internal/obs"
 )
 
 // Incident engine: the flight recorder's capture arm. Detection
@@ -21,9 +20,10 @@ import (
 // this layer turns a detection into evidence, at the moment of the
 // anomaly, without an operator attached: when a trigger fires it
 // writes a timestamped diagnostic bundle — goroutine + heap profiles,
-// histogram snapshots, the retained slow-trace ring, the full stats
-// document — into -incident-dir, debounced so a sustained burn yields
-// one incident rather than thousands.
+// the retained slow-trace ring, the full stats document with every
+// stage's and route's raw latency buckets — into -incident-dir,
+// debounced so a sustained burn yields one incident rather than
+// thousands.
 
 // Incident trigger reasons.
 const (
@@ -285,10 +285,10 @@ func (e *incidentEngine) capture(now time.Time, reason, detail string, burn floa
 	}
 
 	// The full stats document carries the WAL, replication, drift, SLO,
-	// and route/stage state the responder needs first.
+	// and route/stage state the responder needs first, each stage's and
+	// route's raw latency buckets among it.
 	writeJSONFile("stats.json", e.srv.Stats())
 	writeJSONFile("traces.json", e.srv.tracesResponse("", 0, 0))
-	writeJSONFile("histograms.json", e.srv.histogramSnapshots())
 	writeProfile("goroutine.pprof", "goroutine")
 	writeProfile("heap.pprof", "heap")
 
@@ -428,53 +428,6 @@ func (e *incidentEngine) stats() *api.IncidentStats {
 	}
 	e.mu.Unlock()
 	return st
-}
-
-// collectMetrics contributes the qoserved_incident_* families.
-func (e *incidentEngine) collectMetrics(x *obs.Exposition) {
-	if e == nil {
-		return
-	}
-	st := e.stats()
-	x.Gauge("qoserved_incident_enabled",
-		"1 when the incident engine is capturing to -incident-dir.", nil, 1)
-	x.Gauge("qoserved_incident_bundles",
-		"Diagnostic bundles currently on disk.", nil, float64(st.Count))
-	x.Counter("qoserved_incident_triggered_total",
-		"Incident trigger firings (burn, quarantine, wal, manual).", nil, float64(st.Triggered))
-	x.Counter("qoserved_incident_captured_total",
-		"Diagnostic bundles captured.", nil, float64(st.Captured))
-	x.Counter("qoserved_incident_suppressed_total",
-		"Trigger firings swallowed by the capture cooldown.", nil, float64(st.Suppressed))
-	x.Counter("qoserved_incident_capture_errors_total",
-		"Bundle artifacts that failed to write.", nil, float64(st.CaptureErrors))
-	x.Gauge("qoserved_incident_burn_threshold",
-		"Shortest-window SLO burn rate that trips the burn trigger.", nil, st.BurnThreshold)
-	x.Gauge("qoserved_incident_cooldown_seconds",
-		"Minimum spacing between captures.", nil, st.CooldownSec)
-	if st.LastAgeSec > 0 {
-		x.Gauge("qoserved_incident_last_age_seconds",
-			"Age of the newest bundle.", nil, st.LastAgeSec)
-		x.Gauge("qoserved_incident_last_capture_duration_seconds",
-			"Wall time the newest capture took.", nil, float64(st.LastCaptureMicros)/1e6)
-	}
-}
-
-// histogramSnapshots assembles the full-resolution histogram dump for
-// a capture bundle: every stage and route distribution in wire form
-// (raw log₂ buckets, not just summaries).
-func (s *Server) histogramSnapshots() map[string]map[string]*api.Hist {
-	out := map[string]map[string]*api.Hist{
-		"stages": make(map[string]*api.Hist),
-		"routes": make(map[string]*api.Hist),
-	}
-	s.eachStage(func(name string, h *obs.Histogram) {
-		out["stages"][name] = histToWire(h.Snapshot())
-	})
-	for route, m := range s.http.stats {
-		out["routes"][route] = histToWire(m.lat.Snapshot())
-	}
-	return out
 }
 
 // tracesResponse renders the retained ring as a /v2/traces answer: a

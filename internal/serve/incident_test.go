@@ -136,7 +136,7 @@ func TestIncidentManualCapture(t *testing.T) {
 		t.Fatalf("unexpected incident meta: %+v", m)
 	}
 	want := map[string]bool{
-		"stats.json": false, "traces.json": false, "histograms.json": false,
+		"stats.json": false, "traces.json": false,
 		"goroutine.pprof": false, "heap.pprof": false,
 	}
 	for _, f := range m.Files {
@@ -183,12 +183,24 @@ func TestIncidentManualCapture(t *testing.T) {
 	if err != nil || hr.StatusCode != http.StatusOK {
 		t.Fatalf("GET stats.json artifact: status %d, %v", hr.StatusCode, err)
 	}
-	var doc map[string]any
+	var doc api.StatsResponse
 	if err := json.Unmarshal(body, &doc); err != nil {
 		t.Fatalf("stats.json artifact is not JSON: %v", err)
 	}
-	if _, ok := doc["wal"]; !ok {
-		t.Fatalf("stats.json must carry the full stats document; keys: %v", sortedKeys(doc))
+	if doc.WAL == nil || len(doc.Stages) == 0 || len(doc.Routes) == 0 {
+		t.Fatalf("stats.json must carry the full stats document: %s", body)
+	}
+	// The bundle's one copy of every latency distribution: raw buckets
+	// for each stage and each route.
+	for name, st := range doc.Stages {
+		if st.Hist == nil {
+			t.Errorf("stats.json stage %s has no raw histogram", name)
+		}
+	}
+	for route, rs := range doc.Routes {
+		if rs.Hist == nil {
+			t.Errorf("stats.json route %s has no raw histogram", route)
+		}
 	}
 
 	// Path traversal is rejected, unknown bundles 404.

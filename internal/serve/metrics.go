@@ -2,7 +2,6 @@ package serve
 
 import (
 	"net/http"
-	"time"
 
 	"qoadvisor/internal/api"
 	"qoadvisor/internal/obs"
@@ -10,10 +9,11 @@ import (
 
 // Observability assembly: the serving path's stage histograms, the
 // Prometheus text-format exposition behind GET /metrics, and the
-// /v2/version build-info endpoint. Every counter and gauge that
-// /v2/stats reports is registered here under a stable qoserved_*
-// metric name, plus the latency histograms the JSON stats summarize
-// as percentiles.
+// /v2/version build-info endpoint. /metrics is a projection of the
+// /v2/stats document: every counter and gauge it reports appears there
+// under a stable qoserved_* metric name, and the latency histograms
+// the JSON stats summarize as percentiles are rebuilt from the raw
+// buckets the document carries.
 
 // stageHists holds one latency histogram per instrumented serving
 // stage. Recording is lock-free and allocation-free (obs.Histogram),
@@ -67,51 +67,48 @@ func histToWire(s obs.HistSnapshot) *api.Hist {
 	return &api.Hist{Count: s.Count, SumNanos: s.Sum, Buckets: b}
 }
 
-// eachStage visits every stage this node reports: the built-in ones,
+// stageSummaries builds StatsResponse.Stages: the built-in stages,
 // audit_query once the audit engine has opened, and replication_apply
 // on a follower core constructed by a tailer.
-func (s *Server) eachStage(fn func(name string, h *obs.Histogram)) {
-	s.stages.each(fn)
-	if s.auditEng.Load() != nil {
-		fn("audit_query", &s.auditLat)
-	}
-	if s.tail != nil {
-		fn("replication_apply", s.tail.ApplyLatency)
-	}
-}
-
-// stageSummaries builds StatsResponse.Stages.
 func (s *Server) stageSummaries() map[string]api.LatencySummary {
 	out := make(map[string]api.LatencySummary, 10)
-	s.eachStage(func(name string, h *obs.Histogram) {
-		out[name] = summarize(h.Snapshot())
-	})
+	add := func(name string, h *obs.Histogram) { out[name] = summarize(h.Snapshot()) }
+	s.stages.each(add)
+	if s.auditEng.Load() != nil {
+		add("audit_query", &s.auditLat)
+	}
+	if s.tail != nil {
+		add("replication_apply", s.tail.ApplyLatency)
+	}
 	return out
 }
 
-// collectMetrics assembles the server-owned families of the /metrics
-// exposition from the same counters /v2/stats reports, plus the stage
-// histograms. Route-level families are added by the HTTP layer.
-func (s *Server) collectMetrics(e *obs.Exposition) {
-	v := s.version
+// writeMetrics renders the /metrics exposition from one /v2/stats
+// document: every series is a projection of a stats leaf, so a scrape
+// reads one instant and cannot disagree with /v2/stats, a fleet merge
+// or an incident bundle's stats.json. Absent blocks (no WAL, no audit
+// engine, no incident directory, a node outside a cluster) contribute
+// no families; the detector's families need drift detection on. The
+// version, drift, SLO and traces blocks are always present.
+func writeMetrics(e *obs.Exposition, st *api.StatsResponse) {
+	v := st.Version
 	e.Gauge("qoserved_build_info",
 		"Build metadata of the running binary (always 1; identity is in the labels).",
 		obs.Labels{{Name: "module", Value: v.Module}, {Name: "version", Value: v.Version},
 			{Name: "go_version", Value: v.GoVersion}, {Name: "revision", Value: v.Revision}}, 1)
-	e.Gauge("qoserved_uptime_seconds", "Seconds since the server started.",
-		nil, time.Since(s.start).Seconds())
+	e.Gauge("qoserved_uptime_seconds", "Seconds since the server started.", nil, st.UptimeSec)
 
 	// Serving counters.
-	e.Counter("qoserved_rank_requests_total", "Rank decisions requested.", nil, float64(s.rankRequests.Load()))
-	e.Counter("qoserved_rank_hint_hits_total", "Ranks answered from the hint cache.", nil, float64(s.hintHits.Load()))
-	e.Counter("qoserved_rank_bandit_total", "Ranks answered by the bandit policy.", nil, float64(s.banditRanks.Load()))
-	e.Counter("qoserved_rank_noops_total", "Bandit ranks that chose the no-op action.", nil, float64(s.noops.Load()))
-	e.Gauge("qoserved_hint_cache_entries", "Hints in the serving cache.", nil, float64(s.cache.Size()))
-	e.Gauge("qoserved_hint_cache_generation", "Hint-table generation.", nil, float64(s.cache.Generation()))
-	e.Gauge("qoserved_bandit_log_events", "Rank events retained awaiting rewards.", nil, float64(s.bandit.LogSize()))
+	e.Counter("qoserved_rank_requests_total", "Rank decisions requested.", nil, float64(st.RankRequests))
+	e.Counter("qoserved_rank_hint_hits_total", "Ranks answered from the hint cache.", nil, float64(st.HintHits))
+	e.Counter("qoserved_rank_bandit_total", "Ranks answered by the bandit policy.", nil, float64(st.BanditRanks))
+	e.Counter("qoserved_rank_noops_total", "Bandit ranks that chose the no-op action.", nil, float64(st.NoOps))
+	e.Gauge("qoserved_hint_cache_entries", "Hints in the serving cache.", nil, float64(st.CacheSize))
+	e.Gauge("qoserved_hint_cache_generation", "Hint-table generation.", nil, float64(st.CacheGen))
+	e.Gauge("qoserved_bandit_log_events", "Rank events retained awaiting rewards.", nil, float64(st.BanditLog))
 
 	// Ingestion counters.
-	ing := s.ingest.Stats()
+	ing := &st.Ingest
 	e.Counter("qoserved_ingest_enqueued_total", "Rewards accepted into the ingestion queue.", nil, float64(ing.Enqueued))
 	e.Counter("qoserved_ingest_dropped_total", "Rewards rejected for backpressure or shutdown.", nil, float64(ing.Dropped))
 	e.Counter("qoserved_ingest_applied_total", "Rewards applied to the learner.", nil, float64(ing.Applied))
@@ -123,27 +120,26 @@ func (s *Server) collectMetrics(e *obs.Exposition) {
 	e.Gauge("qoserved_ingest_queue_capacity", "Ingestion queue capacity.", nil, float64(ing.QueueCap))
 
 	// Journal counters (WAL-backed servers only).
-	if s.wal != nil {
-		ws := s.wal.Stats()
+	if ws := st.WAL; ws != nil {
 		e.Counter("qoserved_wal_appends_total", "Journal records appended.", nil, float64(ws.Appends))
 		e.Counter("qoserved_wal_appended_bytes_total", "Journal bytes appended.", nil, float64(ws.AppendedBytes))
 		e.Counter("qoserved_wal_syncs_total", "Journal fsync batches.", nil, float64(ws.Syncs))
 		e.Gauge("qoserved_wal_segments", "Journal segment files on disk.", nil, float64(ws.Segments))
-		e.Counter("qoserved_wal_truncated_segments_total", "Segments removed by snapshot compaction.", nil, float64(ws.TruncatedSegs))
+		e.Counter("qoserved_wal_truncated_segments_total", "Segments removed by snapshot compaction.", nil, float64(ws.TruncatedSegments))
 		e.Gauge("qoserved_wal_first_lsn", "Oldest retained journal position (last LSN + 1 when nothing is retained).", nil, float64(ws.FirstLSN))
 		e.Gauge("qoserved_wal_last_lsn", "Newest appended journal position.", nil, float64(ws.LastLSN))
 		e.Gauge("qoserved_wal_synced_lsn", "Durable journal frontier.", nil, float64(ws.SyncedLSN))
-		e.Counter("qoserved_checkpoints_total", "Checkpoints taken.", nil, float64(s.checkpoints.Load()))
-		e.Gauge("qoserved_checkpoint_last_lsn", "Journal watermark of the last checkpoint.", nil, float64(s.lastCkptLSN.Load()))
-		e.Gauge("qoserved_checkpoint_last_bytes", "Snapshot size of the last checkpoint.", nil, float64(s.lastCkptBytes.Load()))
+		e.Counter("qoserved_checkpoints_total", "Checkpoints taken.", nil, float64(ws.Checkpoints))
+		e.Gauge("qoserved_checkpoint_last_lsn", "Journal watermark of the last checkpoint.", nil, float64(ws.LastCheckpointLSN))
+		e.Gauge("qoserved_checkpoint_last_bytes", "Snapshot size of the last checkpoint.", nil, float64(ws.LastCheckpointB))
 		e.Gauge("qoserved_checkpoint_last_duration_seconds", "End-to-end duration of the last checkpoint.", nil,
-			float64(s.lastCkptMicros.Load())/1e6)
+			float64(ws.LastCheckpointUs)/1e6)
 	}
 
 	// Drift-safeguard families. Enforcement gauges/counters are live on
 	// every node (the quarantine table replicates); detector families
 	// only where detection runs.
-	ds := s.guard.stats(0)
+	ds := st.Drift
 	enabled := 0.0
 	if ds.Enabled {
 		enabled = 1
@@ -168,7 +164,7 @@ func (s *Server) collectMetrics(e *obs.Exposition) {
 	}
 
 	// Replication counters (cluster nodes only).
-	if r := s.replicationStats(); r != nil {
+	if r := st.Replication; r != nil {
 		e.Gauge("qoserved_replication_info",
 			"Cluster role of this node (always 1; role is in the labels).",
 			obs.Labels{{Name: "role", Value: r.Role}, {Name: "leader", Value: r.LeaderURL}}, 1)
@@ -188,53 +184,110 @@ func (s *Server) collectMetrics(e *obs.Exposition) {
 		}
 	}
 
-	s.eachStage(func(name string, h *obs.Histogram) {
-		e.Histogram("qoserved_stage_duration_seconds", "Serving-stage latency distributions.", obs.L("stage", name), h.Snapshot())
-	})
-	s.collectAuditMetrics(e)
-	s.collectSLOMetrics(e)
-	s.collectTraceMetrics(e)
-	s.incidents.collectMetrics(e)
-}
-
-// collectTraceMetrics contributes the flight recorder's
-// qoserved_trace_* families.
-func (s *Server) collectTraceMetrics(e *obs.Exposition) {
-	fs := s.flight.Stats()
-	const retainedHelp = "Traces retained by the flight recorder, by retention reason."
-	e.Counter("qoserved_trace_retained_total", retainedHelp, obs.L("reason", obs.RetainSlow), float64(fs.RetainedSlow))
-	e.Counter("qoserved_trace_retained_total", retainedHelp, obs.L("reason", obs.RetainError), float64(fs.RetainedError))
-	e.Counter("qoserved_trace_evicted_total",
-		"Retained traces pushed out of the ring by newer ones.", nil, float64(fs.Evicted))
-	e.Gauge("qoserved_trace_ring_size", "Traces currently retained.", nil, float64(fs.Retained))
-	e.Gauge("qoserved_trace_ring_capacity", "Retained-ring capacity.", nil, float64(fs.Capacity))
-	e.Gauge("qoserved_trace_retain_threshold_seconds",
-		"Default slow-retention latency cutoff.", nil, fs.Threshold.Seconds())
-}
-
-// collectRouteMetrics adds the HTTP middleware's per-route families.
-func (h *httpLayer) collectRouteMetrics(e *obs.Exposition) {
-	for route, m := range h.stats {
-		labels := obs.L("route", route)
-		lat := m.lat.Snapshot()
-		e.Counter("qoserved_http_requests_total", "HTTP requests served, by route.", labels, float64(lat.Count))
-		e.Counter("qoserved_http_request_errors_total", "HTTP requests answered with status >= 400, by route.", labels, float64(m.errors.Load()))
-		e.Counter("qoserved_http_request_5xx_total", "HTTP requests answered with status >= 500, by route (the availability-SLO error input).", labels, float64(m.status5xx.Load()))
-		e.Histogram("qoserved_http_request_duration_seconds", "HTTP request latency, by route.", labels, lat)
+	for name, ls := range st.Stages {
+		e.Histogram("qoserved_stage_duration_seconds", "Serving-stage latency distributions.",
+			obs.L("stage", name), wireHist(ls.Hist))
 	}
+
+	if a := st.Audit; a != nil {
+		e.Counter("qoserved_audit_queries_total", "Audit queries served.", nil, float64(a.Queries))
+		e.Counter("qoserved_audit_segments_scanned_total", "Journal segments scanned by audit queries.", nil, float64(a.SegmentsScanned))
+		e.Counter("qoserved_audit_segments_skipped_total", "Journal segments outside an audit query's LSN window, never opened.", nil, float64(a.SegmentsSkipped))
+		e.Counter("qoserved_audit_records_scanned_total", "Journal records scanned by audit queries.", nil, float64(a.RecordsScanned))
+		e.Counter("qoserved_audit_records_matched_total", "Journal records matched by audit queries.", nil, float64(a.RecordsMatched))
+	}
+
+	for _, o := range st.SLO.Objectives {
+		base := obs.Labels{{Name: "slo", Value: o.Name}}
+		e.Gauge("qoserved_slo_target",
+			"Declared good-fraction target of the objective.",
+			append(append(obs.Labels{}, base...), obs.Label{Name: "kind", Value: o.Kind}), o.Target)
+		if o.Kind == obs.SLOLatency {
+			e.Gauge("qoserved_slo_latency_threshold_seconds",
+				"Latency bound under which a request counts as good.",
+				base, float64(o.ThresholdMicros)/1e6)
+		}
+		for _, w := range o.Windows {
+			labels := append(append(obs.Labels{}, base...), obs.Label{Name: "window", Value: w.Window})
+			e.Gauge("qoserved_slo_window_ops",
+				"Operations observed inside the rolling window.", labels, w.Ops)
+			e.Gauge("qoserved_slo_compliance_ratio",
+				"Achieved good fraction over the rolling window.", labels, w.Compliance)
+			e.Gauge("qoserved_slo_burn_rate",
+				"Error rate over the window divided by the budgeted rate (1.0 = spending the budget exactly).", labels, w.BurnRate)
+			e.Gauge("qoserved_slo_error_budget_remaining",
+				"Unspent fraction of the window's error budget (negative once overspent).", labels, w.BudgetRemaining)
+		}
+	}
+
+	tr := st.Traces
+	const retainedHelp = "Traces retained by the flight recorder, by retention reason."
+	e.Counter("qoserved_trace_retained_total", retainedHelp, obs.L("reason", obs.RetainSlow), float64(tr.RetainedSlow))
+	e.Counter("qoserved_trace_retained_total", retainedHelp, obs.L("reason", obs.RetainError), float64(tr.RetainedError))
+	e.Counter("qoserved_trace_evicted_total",
+		"Retained traces pushed out of the ring by newer ones.", nil, float64(tr.Evicted))
+	e.Gauge("qoserved_trace_ring_size", "Traces currently retained.", nil, float64(tr.Retained))
+	e.Gauge("qoserved_trace_ring_capacity", "Retained-ring capacity.", nil, float64(tr.Capacity))
+	e.Gauge("qoserved_trace_retain_threshold_seconds",
+		"Default slow-retention latency cutoff.", nil, float64(tr.ThresholdMicros)/1e6)
+
+	if in := st.Incidents; in != nil {
+		e.Gauge("qoserved_incident_enabled",
+			"1 when the incident engine is capturing to -incident-dir.", nil, 1)
+		e.Gauge("qoserved_incident_bundles",
+			"Diagnostic bundles currently on disk.", nil, float64(in.Count))
+		e.Counter("qoserved_incident_triggered_total",
+			"Incident trigger firings (burn, quarantine, wal, manual).", nil, float64(in.Triggered))
+		e.Counter("qoserved_incident_captured_total",
+			"Diagnostic bundles captured.", nil, float64(in.Captured))
+		e.Counter("qoserved_incident_suppressed_total",
+			"Trigger firings swallowed by the capture cooldown.", nil, float64(in.Suppressed))
+		e.Counter("qoserved_incident_capture_errors_total",
+			"Bundle artifacts that failed to write.", nil, float64(in.CaptureErrors))
+		e.Gauge("qoserved_incident_burn_threshold",
+			"Shortest-window SLO burn rate that trips the burn trigger.", nil, in.BurnThreshold)
+		e.Gauge("qoserved_incident_cooldown_seconds",
+			"Minimum spacing between captures.", nil, in.CooldownSec)
+		if in.LastAgeSec > 0 {
+			e.Gauge("qoserved_incident_last_age_seconds",
+				"Age of the newest bundle.", nil, in.LastAgeSec)
+			e.Gauge("qoserved_incident_last_capture_duration_seconds",
+				"Wall time the newest capture took.", nil, float64(in.LastCaptureMicros)/1e6)
+		}
+	}
+
+	// The HTTP middleware's per-route families.
+	for route, rs := range st.Routes {
+		labels := obs.L("route", route)
+		e.Counter("qoserved_http_requests_total", "HTTP requests served, by route.", labels, float64(rs.Count))
+		e.Counter("qoserved_http_request_errors_total", "HTTP requests answered with status >= 400, by route.", labels, float64(rs.Errors))
+		e.Counter("qoserved_http_request_5xx_total", "HTTP requests answered with status >= 500, by route (the availability-SLO error input).", labels, float64(rs.Status5xx))
+		e.Histogram("qoserved_http_request_duration_seconds", "HTTP request latency, by route.", labels, wireHist(rs.Hist))
+	}
+	// Map-fed families (routes, stages) iterate in random order; sort
+	// so consecutive scrapes diff cleanly.
+	e.SortSeries()
 }
 
-// handleMetrics serves the Prometheus text-format exposition.
+// wireHist rebuilds a histogram snapshot from its wire form (the
+// inverse of histToWire); a missing histogram is an empty one. It is
+// fleet.FromWire, which serve cannot import: fleet's tests import serve.
+func wireHist(h *api.Hist) obs.HistSnapshot {
+	if h == nil {
+		return obs.HistSnapshot{}
+	}
+	return obs.SnapshotFromParts(h.SumNanos, h.Buckets)
+}
+
+// handleMetrics serves the Prometheus text-format exposition, rendered
+// from one Stats snapshot.
 func (h *httpLayer) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if !requireMethod(w, r, http.MethodGet) {
 		return
 	}
+	st := h.srv.Stats()
 	e := obs.NewExposition()
-	h.srv.collectMetrics(e)
-	h.collectRouteMetrics(e)
-	// Map-fed families (routes, stages) iterate in random order; sort
-	// so consecutive scrapes diff cleanly.
-	e.SortSeries()
+	writeMetrics(e, &st)
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	e.WriteTo(w)
 }

@@ -14,6 +14,7 @@ import (
 
 	"qoadvisor/internal/api"
 	"qoadvisor/internal/api/client"
+	"qoadvisor/internal/obs"
 	"qoadvisor/internal/wal"
 )
 
@@ -134,9 +135,9 @@ var statsMetricRules = []struct {
 func re(s string) *regexp.Regexp { return regexp.MustCompile(s) }
 
 // walkLeaves visits every numeric and boolean leaf of a decoded JSON
-// document with its dotted path. Strings are identity/label material,
-// never counters, and are not visited.
-func walkLeaves(prefix string, v any, visit func(path string)) {
+// document with its dotted path and value. Strings are identity/label
+// material, never counters, and are not visited.
+func walkLeaves(prefix string, v any, visit func(path string, leaf any)) {
 	switch x := v.(type) {
 	case map[string]any:
 		for k, val := range x {
@@ -151,7 +152,7 @@ func walkLeaves(prefix string, v any, visit func(path string)) {
 			walkLeaves(fmt.Sprintf("%s.%d", prefix, i), val, visit)
 		}
 	case float64, bool:
-		visit(prefix)
+		visit(prefix, x)
 	}
 }
 
@@ -232,16 +233,12 @@ func TestStatsMetricsConformance(t *testing.T) {
 	families := metricFamilies(t, ts.URL)
 	var unmapped []string
 	needed := map[string]string{} // family -> example stats path
-	walkLeaves("", doc, func(path string) {
-		for _, rule := range statsMetricRules {
-			if rule.path.MatchString(path) {
-				if rule.family != "" {
-					needed[rule.family] = path
-				}
-				return
-			}
+	walkLeaves("", doc, func(path string, _ any) {
+		if family, ok := statsFamily(path); !ok {
+			unmapped = append(unmapped, path)
+		} else if family != "" {
+			needed[family] = path
 		}
-		unmapped = append(unmapped, path)
 	})
 	if len(unmapped) > 0 {
 		sort.Strings(unmapped)
@@ -253,6 +250,228 @@ func TestStatsMetricsConformance(t *testing.T) {
 			t.Errorf("stats leaf %q maps to %s, which /metrics does not expose", path, family)
 		}
 	}
+}
+
+// identityFamilies are the /metrics families no stats leaf maps to, each
+// with its reason.
+var identityFamilies = map[string]string{
+	"qoserved_build_info":       "a constant 1 carrying the version block's strings (module, version, goVersion, revision) as labels",
+	"qoserved_replication_info": "a constant 1 carrying the replication block's role and leaderUrl strings as labels",
+}
+
+// TestMetricsFamiliesHaveStatsLeaves is TestStatsMetricsConformance
+// read backwards: /metrics is a projection of the /v2/stats document,
+// so every family a scrape of the maximal server exposes is the target
+// of a statsMetricRules rule, or one of identityFamilies.
+func TestMetricsFamiliesHaveStatsLeaves(t *testing.T) {
+	_, ts := newMaximalServer(t)
+	targets := map[string]bool{}
+	for _, rule := range statsMetricRules {
+		targets[rule.family] = true
+	}
+	for family := range metricFamilies(t, ts.URL) {
+		if !targets[family] && identityFamilies[family] == "" {
+			t.Errorf("/metrics exposes %s, which no /v2/stats leaf maps to (add the leaf and its statsMetricRules rule)", family)
+		}
+	}
+}
+
+// statsFamily is the family of the first statsMetricRules rule matching
+// path ("" for a justified skip); ok is false when no rule matches.
+func statsFamily(path string) (family string, ok bool) {
+	for _, rule := range statsMetricRules {
+		if rule.path.MatchString(path) {
+			return rule.family, true
+		}
+	}
+	return "", false
+}
+
+// projectionStats is a hand-built /v2/stats document with every block
+// present and every figure distinct, for TestMetricsProjectStatsLeaves.
+func projectionStats() api.StatsResponse {
+	hist := func(sumNanos uint64, counts ...uint64) *api.Hist {
+		b := make([]uint64, obs.NumHistBuckets)
+		copy(b[12:], counts)
+		h := &api.Hist{SumNanos: sumNanos, Buckets: b}
+		for _, c := range counts {
+			h.Count += c
+		}
+		return h
+	}
+	return api.StatsResponse{
+		UptimeSec: 12.5, RankRequests: 101, HintHits: 102, BanditRanks: 103, NoOps: 104,
+		CacheSize: 105, CacheGen: 106, BanditLog: 107,
+		Ingest: api.IngestStats{Enqueued: 201, Dropped: 202, Applied: 203, UnknownEvents: 204,
+			TrainRuns: 205, TrainedEvents: 206, QueueDepth: 207, QueueCap: 208, JournalErrors: 209},
+		WAL: &api.WALStats{Mode: "sync", FirstLSN: 301, LastLSN: 302, SyncedLSN: 303, Appends: 304,
+			AppendedBytes: 305, Syncs: 306, Segments: 307, TruncatedSegments: 308, Checkpoints: 309,
+			LastCheckpointLSN: 310, LastCheckpointB: 311, LastCheckpointUs: 1_234_567},
+		Replication: &api.ReplicationStats{Role: api.RolePrimary, Followers: 401, StreamsServed: 402,
+			RecordsShipped: 403, BytesShipped: 404},
+		Routes: map[string]api.RouteStats{
+			"/v2/rank":   {Count: 9, Errors: 2, Status5xx: 1, Hist: hist(7_000_000, 4, 5)},
+			"/v2/reward": {Count: 3, Errors: 1, Hist: hist(900_000, 0, 0, 3)},
+		},
+		Stages: map[string]api.LatencySummary{
+			"rank_bandit":        {Count: 6, Hist: hist(5_000_000, 1, 2, 3)},
+			"reward_commit_wait": {Count: 2, Hist: hist(600_000_000, 0, 0, 0, 0, 0, 0, 2)},
+		},
+		Version: &api.VersionInfo{Module: "qoadvisor", Version: "v1.2.3", GoVersion: "go1.24", Revision: "abc"},
+		Drift: &api.DriftStats{Enabled: true, Tracked: 501, Observations: 502, SketchGated: 503,
+			Evictions: 504, SketchBytes: 505, Suspects: 506, QuarantinedNow: 507, ProbationNow: 508,
+			BlockedRanks: 509, Transitions: 510, Quarantines: 511, Probations: 512, Restores: 513,
+			Manual: 514, JournalErrs: 515},
+		Audit: &api.AuditStats{Queries: 601, SegmentsScanned: 602, SegmentsSkipped: 603,
+			RecordsScanned: 604, RecordsMatched: 605},
+		SLO: &api.SLOStats{Objectives: []api.SLOObjectiveStats{
+			{Name: "rank_latency", Kind: obs.SLOLatency, Target: 0.99, ThresholdMicros: 25_000,
+				Windows: []api.SLOWindowStats{{Window: "1m", Ops: 701, Compliance: 0.97, BurnRate: 3, BudgetRemaining: -2}}},
+			{Name: "availability", Kind: obs.SLOAvailability, Target: 0.999,
+				Windows: []api.SLOWindowStats{{Window: "5m", Ops: 702, Compliance: 1, BurnRate: 0, BudgetRemaining: 1}}},
+		}},
+		Traces: &api.TraceStats{Retained: 801, Capacity: 802, RetainedTotal: 1607, RetainedSlow: 803,
+			RetainedError: 804, Evicted: 805, ThresholdMicros: 250_125},
+		Incidents: &api.IncidentStats{Enabled: true, Count: 901, Triggered: 902, Captured: 903,
+			Suppressed: 904, CaptureErrors: 905, BurnThreshold: 2.5, CooldownSec: 300, LastAgeSec: 7.25,
+			LastCaptureMicros: 3_125, LastReason: "manual", LastID: "incident-x"},
+	}
+}
+
+// renderSamples renders st through writeMetrics, with no server, and
+// returns every sample keyed by its series text (name{labels}).
+func renderSamples(t *testing.T, st *api.StatsResponse) map[string]float64 {
+	t.Helper()
+	e := obs.NewExposition()
+	writeMetrics(e, st)
+	var b strings.Builder
+	e.WriteTo(&b)
+	out := map[string]float64{}
+	for _, line := range strings.Split(b.String(), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		name, labels, v := parseSampleLine(t, line)
+		if labels != "" {
+			name += "{" + labels + "}"
+		}
+		out[name] = v
+	}
+	return out
+}
+
+// TestMetricsProjectStatsLeaves holds each /metrics sample to the stats
+// leaf it projects. Every unlabeled sample must equal the leaf its
+// statsMetricRules rule maps to it (a *Micros leaf in seconds, a boolean
+// as 0/1); the labeled families are checked series by series.
+func TestMetricsProjectStatsLeaves(t *testing.T) {
+	st := projectionStats()
+	got := renderSamples(t, &st)
+	raw, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]any
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	checked := map[string]bool{}
+	walkLeaves("", doc, func(path string, leaf any) {
+		family, ok := statsFamily(path)
+		if !ok {
+			t.Errorf("stats leaf %s matches no statsMetricRules rule", path)
+			return
+		}
+		v, ok := got[family]
+		if !ok {
+			return // a skip, or a labeled family checked below
+		}
+		want, _ := leaf.(float64)
+		if leaf == true {
+			want = 1
+		}
+		if strings.HasSuffix(path, "Micros") {
+			want /= 1e6
+		}
+		if v != want {
+			t.Errorf("%s = %v, want %v (leaf %s)", family, v, want, path)
+		}
+		checked[family] = true
+	})
+	for series := range got {
+		if !strings.Contains(series, "{") && !checked[series] {
+			t.Errorf("%s is unlabeled but projects no stats leaf", series)
+		}
+	}
+
+	for series, want := range map[string]float64{
+		`qoserved_build_info{module="qoadvisor",version="v1.2.3",go_version="go1.24",revision="abc"}`: 1,
+		`qoserved_replication_info{role="primary",leader=""}`:                                         1,
+		`qoserved_http_requests_total{route="/v2/rank"}`:                                              9,
+		`qoserved_http_request_errors_total{route="/v2/rank"}`:                                        2,
+		`qoserved_http_request_5xx_total{route="/v2/rank"}`:                                           1,
+		`qoserved_http_request_5xx_total{route="/v2/reward"}`:                                         0,
+		`qoserved_http_request_duration_seconds_count{route="/v2/rank"}`:                              9,
+		`qoserved_http_request_duration_seconds_sum{route="/v2/rank"}`:                                0.007,
+		`qoserved_http_request_duration_seconds_bucket{route="/v2/rank",le="+Inf"}`:                   9,
+		`qoserved_stage_duration_seconds_count{stage="reward_commit_wait"}`:                           2,
+		`qoserved_stage_duration_seconds_sum{stage="reward_commit_wait"}`:                             0.6,
+		`qoserved_stage_duration_seconds_count{stage="rank_bandit"}`:                                  6,
+		`qoserved_trace_retained_total{reason="slow"}`:                                                803,
+		`qoserved_trace_retained_total{reason="error"}`:                                               804,
+		`qoserved_slo_target{slo="rank_latency",kind="latency"}`:                                      0.99,
+		`qoserved_slo_target{slo="availability",kind="availability"}`:                                 0.999,
+		`qoserved_slo_latency_threshold_seconds{slo="rank_latency"}`:                                  0.025,
+		`qoserved_slo_window_ops{slo="rank_latency",window="1m"}`:                                     701,
+		`qoserved_slo_compliance_ratio{slo="rank_latency",window="1m"}`:                               0.97,
+		`qoserved_slo_burn_rate{slo="rank_latency",window="1m"}`:                                      3,
+		`qoserved_slo_error_budget_remaining{slo="rank_latency",window="1m"}`:                         -2,
+		`qoserved_slo_window_ops{slo="availability",window="5m"}`:                                     702,
+	} {
+		if v, ok := got[series]; !ok || v != want {
+			t.Errorf("%s = %v (present %v), want %v", series, v, ok, want)
+		}
+	}
+	// Buckets are cumulative over the leaf's raw counts.
+	for le, want := range map[string]float64{"2.048e-06": 0, "4.096e-06": 1, "8.192e-06": 3, "1.6384e-05": 6} {
+		series := `qoserved_stage_duration_seconds_bucket{stage="rank_bandit",le="` + le + `"}`
+		if got[series] != want {
+			t.Errorf("%s = %v, want %v", series, got[series], want)
+		}
+	}
+	if _, ok := got[`qoserved_slo_latency_threshold_seconds{slo="availability"}`]; ok {
+		t.Error("an availability objective has no latency threshold series")
+	}
+
+	t.Run("absent blocks", func(t *testing.T) {
+		st := projectionStats()
+		st.WAL, st.Audit, st.Incidents = nil, nil, nil
+		st.Drift = &api.DriftStats{QuarantinedNow: 1}
+		got := renderSamples(t, &st)
+		for series := range got {
+			name, _, _ := strings.Cut(series, "{")
+			for _, absent := range []string{"qoserved_wal_", "qoserved_checkpoint", "qoserved_audit_", "qoserved_incident_",
+				"qoserved_drift_tracked", "qoserved_drift_suspect", "qoserved_drift_observations", "qoserved_drift_sketch", "qoserved_drift_evictions"} {
+				if strings.HasPrefix(name, absent) {
+					t.Errorf("%s rendered from a document without its block", series)
+				}
+			}
+		}
+		if got["qoserved_drift_enabled"] != 0 || got["qoserved_quarantine_templates"] != 1 {
+			t.Errorf("drift off: drift_enabled %v, quarantine_templates %v; want 0 and 1 (enforcement runs on every node)",
+				got["qoserved_drift_enabled"], got["qoserved_quarantine_templates"])
+		}
+	})
+	t.Run("no bundle yet", func(t *testing.T) {
+		st := projectionStats()
+		st.Incidents.LastAgeSec, st.Incidents.LastCaptureMicros = 0, 0
+		got := renderSamples(t, &st)
+		for _, family := range []string{"qoserved_incident_last_age_seconds", "qoserved_incident_last_capture_duration_seconds"} {
+			if _, ok := got[family]; ok {
+				t.Errorf("%s rendered before the first capture", family)
+			}
+		}
+	})
 }
 
 // metricFamilies scrapes /metrics and returns the set of family names.

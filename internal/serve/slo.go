@@ -124,31 +124,3 @@ func (s *Server) sloStats() *api.SLOStats {
 	}
 	return out
 }
-
-// collectSLOMetrics contributes the qoserved_slo_* families.
-func (s *Server) collectSLOMetrics(e *obs.Exposition) {
-	now := time.Now()
-	s.slo.Tick(now)
-	for _, st := range s.slo.Report(now) {
-		base := obs.Labels{{Name: "slo", Value: st.Name}}
-		e.Gauge("qoserved_slo_target",
-			"Declared good-fraction target of the objective.",
-			append(append(obs.Labels{}, base...), obs.Label{Name: "kind", Value: st.Kind}), st.Target)
-		if st.Kind == obs.SLOLatency {
-			e.Gauge("qoserved_slo_latency_threshold_seconds",
-				"Latency bound under which a request counts as good.",
-				base, st.Threshold.Seconds())
-		}
-		for _, w := range st.Windows {
-			labels := append(append(obs.Labels{}, base...), obs.Label{Name: "window", Value: obs.FormatWindow(w.Window)})
-			e.Gauge("qoserved_slo_window_ops",
-				"Operations observed inside the rolling window.", labels, w.Ops)
-			e.Gauge("qoserved_slo_compliance_ratio",
-				"Achieved good fraction over the rolling window.", labels, w.Compliance)
-			e.Gauge("qoserved_slo_burn_rate",
-				"Error rate over the window divided by the budgeted rate (1.0 = spending the budget exactly).", labels, w.BurnRate)
-			e.Gauge("qoserved_slo_error_budget_remaining",
-				"Unspent fraction of the window's error budget (negative once overspent).", labels, w.BudgetRemaining)
-		}
-	}
-}
