@@ -270,17 +270,17 @@ type SnapshotSaveResponse struct {
 // IngestStats is a point-in-time snapshot of the reward-ingestion
 // counters, embedded in StatsResponse.
 type IngestStats struct {
-	Enqueued      int64 `json:"enqueued"`
-	Dropped       int64 `json:"dropped"`
-	Applied       int64 `json:"applied"`
-	UnknownEvents int64 `json:"unknownEvents"`
-	TrainRuns     int64 `json:"trainRuns"`
-	TrainedEvents int64 `json:"trainedEvents"`
-	QueueDepth    int   `json:"queueDepth"`
-	QueueCap      int   `json:"queueCap"`
+	Enqueued      int64 `json:"enqueued" metric:"qoserved_ingest_enqueued_total" help:"Rewards accepted into the ingestion queue."`
+	Dropped       int64 `json:"dropped" metric:"qoserved_ingest_dropped_total" help:"Rewards rejected for backpressure or shutdown."`
+	Applied       int64 `json:"applied" metric:"qoserved_ingest_applied_total" help:"Rewards applied to the learner."`
+	UnknownEvents int64 `json:"unknownEvents" metric:"qoserved_ingest_unknown_events_total" help:"Rewards naming no logged rank event."`
+	TrainRuns     int64 `json:"trainRuns" metric:"qoserved_ingest_train_runs_total" help:"Training passes run."`
+	TrainedEvents int64 `json:"trainedEvents" metric:"qoserved_ingest_trained_events_total" help:"Events consumed by training passes."`
+	QueueDepth    int   `json:"queueDepth" metric:"qoserved_ingest_queue_depth" help:"Rewards waiting in the ingestion queue."`
+	QueueCap      int   `json:"queueCap" metric:"qoserved_ingest_queue_capacity" help:"Ingestion queue capacity."`
 	// JournalErrors counts failed durable-journal writes (0 when the
 	// server runs without a WAL).
-	JournalErrors int64 `json:"journalErrors,omitempty"`
+	JournalErrors int64 `json:"journalErrors,omitempty" metric:"qoserved_ingest_journal_errors_total" help:"Failed durable-journal writes."`
 }
 
 // WALStats is a point-in-time snapshot of the durable reward journal,
@@ -291,18 +291,18 @@ type IngestStats struct {
 // nothing was ever written — and SyncedLSN the durable frontier).
 type WALStats struct {
 	Mode              string `json:"mode"`
-	FirstLSN          uint64 `json:"firstLsn"`
-	LastLSN           uint64 `json:"lastLsn"`
-	SyncedLSN         uint64 `json:"syncedLsn"`
-	Appends           int64  `json:"appends"`
-	AppendedBytes     int64  `json:"appendedBytes"`
-	Syncs             int64  `json:"syncs"`
-	Segments          int    `json:"segments"`
-	TruncatedSegments int64  `json:"truncatedSegments"`
-	Checkpoints       int64  `json:"checkpoints"`
-	LastCheckpointLSN uint64 `json:"lastCheckpointLsn"`
-	LastCheckpointB   int64  `json:"lastCheckpointBytes"`
-	LastCheckpointUs  int64  `json:"lastCheckpointMicros"`
+	FirstLSN          uint64 `json:"firstLsn" metric:"qoserved_wal_first_lsn" help:"Oldest retained journal position (last LSN + 1 when nothing is retained)."`
+	LastLSN           uint64 `json:"lastLsn" metric:"qoserved_wal_last_lsn" help:"Newest appended journal position."`
+	SyncedLSN         uint64 `json:"syncedLsn" metric:"qoserved_wal_synced_lsn" help:"Durable journal frontier."`
+	Appends           int64  `json:"appends" metric:"qoserved_wal_appends_total" help:"Journal records appended."`
+	AppendedBytes     int64  `json:"appendedBytes" metric:"qoserved_wal_appended_bytes_total" help:"Journal bytes appended."`
+	Syncs             int64  `json:"syncs" metric:"qoserved_wal_syncs_total" help:"Journal fsync batches."`
+	Segments          int    `json:"segments" metric:"qoserved_wal_segments" help:"Journal segment files on disk."`
+	TruncatedSegments int64  `json:"truncatedSegments" metric:"qoserved_wal_truncated_segments_total" help:"Segments removed by snapshot compaction."`
+	Checkpoints       int64  `json:"checkpoints" metric:"qoserved_checkpoints_total" help:"Checkpoints taken."`
+	LastCheckpointLSN uint64 `json:"lastCheckpointLsn" metric:"qoserved_checkpoint_last_lsn" help:"Journal watermark of the last checkpoint."`
+	LastCheckpointB   int64  `json:"lastCheckpointBytes" metric:"qoserved_checkpoint_last_bytes" help:"Snapshot size of the last checkpoint."`
+	LastCheckpointUs  int64  `json:"lastCheckpointMicros" metric:"qoserved_checkpoint_last_duration_seconds" help:"End-to-end duration of the last checkpoint."`
 }
 
 // Replication roles, as reported in ReplicationStats.Role.
@@ -318,29 +318,37 @@ const (
 // the primary frontier it last observed, and the age of its last tail
 // activity.
 type ReplicationStats struct {
-	Role string `json:"role"`
+	Role string `json:"role" metric:"qoserved_replication_info"`
 	// LeaderURL is where writes must go (set on followers; it is the
 	// same URL carried by not_primary error envelopes).
-	LeaderURL string `json:"leaderUrl,omitempty"`
+	LeaderURL string `json:"leaderUrl,omitempty" metric:"qoserved_replication_info"`
+	ReplicationPrimary
+	ReplicationFollower
+}
 
-	// Primary-side counters. BytesShipped counts journal bytes as
-	// stored: 8 + payload per record, plus a 16-byte segment header per
-	// stream.
-	Followers      int   `json:"followers"`
-	StreamsServed  int64 `json:"streamsServed,omitempty"`
-	RecordsShipped int64 `json:"recordsShipped,omitempty"`
-	BytesShipped   int64 `json:"bytesShipped,omitempty"`
+// ReplicationPrimary holds a primary's replication counters; /metrics
+// renders them on a primary only. BytesShipped counts journal bytes as
+// stored: 8 + payload per record, plus a 16-byte segment header per
+// stream.
+type ReplicationPrimary struct {
+	Followers      int   `json:"followers" metric:"qoserved_replication_followers" help:"Follower streams currently attached."`
+	StreamsServed  int64 `json:"streamsServed,omitempty" metric:"qoserved_replication_streams_served_total" help:"WAL streams served."`
+	RecordsShipped int64 `json:"recordsShipped,omitempty" metric:"qoserved_replication_records_shipped_total" help:"Journal records shipped to followers."`
+	BytesShipped   int64 `json:"bytesShipped,omitempty" metric:"qoserved_replication_bytes_shipped_total" help:"Journal bytes shipped to followers: 8 + payload per record, plus a 16-byte segment header per stream."`
+}
 
-	// Follower-side counters. AppliedLSN is the newest journal record
-	// applied locally; FrontierLSN is the newest durable primary LSN the
-	// follower has observed; LagRecords is their difference.
-	AppliedLSN     uint64  `json:"appliedLsn,omitempty"`
-	FrontierLSN    uint64  `json:"frontierLsn,omitempty"`
-	LagRecords     int64   `json:"lagRecords"`
-	LastTailSec    float64 `json:"lastTailSec,omitempty"`
-	RecordsApplied int64   `json:"recordsApplied,omitempty"`
-	Reconnects     int64   `json:"reconnects,omitempty"`
-	Resyncs        int64   `json:"resyncs,omitempty"`
+// ReplicationFollower holds a follower's replication counters; /metrics
+// renders them on a follower only. AppliedLSN is the newest journal
+// record applied locally; FrontierLSN is the newest durable primary LSN
+// the follower has observed; LagRecords is their difference.
+type ReplicationFollower struct {
+	AppliedLSN     uint64  `json:"appliedLsn,omitempty" metric:"qoserved_replication_applied_lsn" help:"Newest journal record applied locally."`
+	FrontierLSN    uint64  `json:"frontierLsn,omitempty" metric:"qoserved_replication_frontier_lsn" help:"Newest durable primary position observed."`
+	LagRecords     int64   `json:"lagRecords" metric:"qoserved_replication_lag_records" help:"Records behind the observed primary frontier."`
+	LastTailSec    float64 `json:"lastTailSec,omitempty" metric:"qoserved_replication_last_tail_seconds" help:"Seconds since the last tail activity."`
+	RecordsApplied int64   `json:"recordsApplied,omitempty" metric:"qoserved_replication_records_applied_total" help:"Journal records applied since start."`
+	Reconnects     int64   `json:"reconnects,omitempty" metric:"qoserved_replication_reconnects_total" help:"Tail stream reconnects."`
+	Resyncs        int64   `json:"resyncs,omitempty" metric:"qoserved_replication_resyncs_total" help:"Full re-bootstraps."`
 }
 
 // Hist carries a latency histogram's raw log₂ buckets on the wire
@@ -362,18 +370,18 @@ type Hist struct {
 // Errors counts answers with status >= 400, Status5xx those >= 500 (the
 // availability objective's error input).
 type RouteStats struct {
-	Count       int64 `json:"count"`
-	Errors      int64 `json:"errors"`
-	Status5xx   int64 `json:"status5xx"`
-	TotalMicros int64 `json:"totalMicros"`
-	MaxMicros   int64 `json:"maxMicros"`
-	P50Micros   int64 `json:"p50Micros"`
-	P90Micros   int64 `json:"p90Micros"`
-	P99Micros   int64 `json:"p99Micros"`
-	P999Micros  int64 `json:"p999Micros"`
+	Count       int64 `json:"count" metric:"qoserved_http_requests_total"`
+	Errors      int64 `json:"errors" metric:"qoserved_http_request_errors_total"`
+	Status5xx   int64 `json:"status5xx" metric:"qoserved_http_request_5xx_total"`
+	TotalMicros int64 `json:"totalMicros" metric:"qoserved_http_request_duration_seconds"`
+	MaxMicros   int64 `json:"maxMicros" metric:"qoserved_http_request_duration_seconds"`
+	P50Micros   int64 `json:"p50Micros" metric:"qoserved_http_request_duration_seconds"`
+	P90Micros   int64 `json:"p90Micros" metric:"qoserved_http_request_duration_seconds"`
+	P99Micros   int64 `json:"p99Micros" metric:"qoserved_http_request_duration_seconds"`
+	P999Micros  int64 `json:"p999Micros" metric:"qoserved_http_request_duration_seconds"`
 	// Hist is the route's raw latency histogram, the mergeable source
 	// the percentiles above were estimated from.
-	Hist *Hist `json:"hist,omitempty"`
+	Hist *Hist `json:"hist,omitempty" metric:"qoserved_http_request_duration_seconds"`
 }
 
 // LatencySummary reports one instrumented stage's latency
@@ -383,27 +391,27 @@ type RouteStats struct {
 // reward_queue_wait, reward_apply, wal_fsync, checkpoint,
 // replication_apply).
 type LatencySummary struct {
-	Count      int64 `json:"count"`
-	MeanMicros int64 `json:"meanMicros"`
-	P50Micros  int64 `json:"p50Micros"`
-	P90Micros  int64 `json:"p90Micros"`
-	P99Micros  int64 `json:"p99Micros"`
-	P999Micros int64 `json:"p999Micros"`
+	Count      int64 `json:"count" metric:"qoserved_stage_duration_seconds"`
+	MeanMicros int64 `json:"meanMicros" metric:"qoserved_stage_duration_seconds"`
+	P50Micros  int64 `json:"p50Micros" metric:"qoserved_stage_duration_seconds"`
+	P90Micros  int64 `json:"p90Micros" metric:"qoserved_stage_duration_seconds"`
+	P99Micros  int64 `json:"p99Micros" metric:"qoserved_stage_duration_seconds"`
+	P999Micros int64 `json:"p999Micros" metric:"qoserved_stage_duration_seconds"`
 	// Hist is the stage's raw latency histogram (additive), the
 	// mergeable source of the percentiles above.
-	Hist *Hist `json:"hist,omitempty"`
+	Hist *Hist `json:"hist,omitempty" metric:"qoserved_stage_duration_seconds"`
 }
 
 // VersionInfo identifies a running node's build: module version,
 // toolchain, and VCS metadata when the binary was built from a
 // checkout. Embedded in StatsResponse and served by /v2/version.
 type VersionInfo struct {
-	Module    string `json:"module,omitempty"`
-	Version   string `json:"version"`
-	GoVersion string `json:"goVersion"`
-	Revision  string `json:"revision,omitempty"`
+	Module    string `json:"module,omitempty" metric:"qoserved_build_info"`
+	Version   string `json:"version" metric:"qoserved_build_info"`
+	GoVersion string `json:"goVersion" metric:"qoserved_build_info"`
+	Revision  string `json:"revision,omitempty" metric:"qoserved_build_info"`
 	BuildTime string `json:"buildTime,omitempty"`
-	Modified  bool   `json:"modified,omitempty"`
+	Modified  bool   `json:"modified,omitempty" metric:"-"`
 }
 
 // VersionResponse answers GET /v2/version.
@@ -412,16 +420,24 @@ type VersionResponse struct {
 	RequestID string `json:"requestId,omitempty"`
 }
 
-// StatsResponse answers /v2/stats.
+// StatsResponse answers /v2/stats. It is also the declaration of every
+// qoserved_* series on /metrics: a field's metric tag names the family
+// that carries it (a string as a label), or is "-" for a number no
+// family carries. A field with a help tag is a plain series of its own
+// — a counter when its name ends in _total, a gauge otherwise, a
+// …Micros field in seconds, a bool as 0/1 — which internal/serve
+// renders from the tags; a field without one belongs to a labeled
+// family rendered in code. An embedded struct groups the fields that
+// render only on some nodes.
 type StatsResponse struct {
-	UptimeSec    float64     `json:"uptimeSec"`
-	RankRequests int64       `json:"rankRequests"`
-	HintHits     int64       `json:"hintHits"`
-	BanditRanks  int64       `json:"banditRanks"`
-	NoOps        int64       `json:"noops"`
-	CacheSize    int         `json:"cacheSize"`
-	CacheGen     uint64      `json:"cacheGeneration"`
-	BanditLog    int64       `json:"banditLogSize"`
+	UptimeSec    float64     `json:"uptimeSec" metric:"qoserved_uptime_seconds" help:"Seconds since the server started."`
+	RankRequests int64       `json:"rankRequests" metric:"qoserved_rank_requests_total" help:"Rank decisions requested."`
+	HintHits     int64       `json:"hintHits" metric:"qoserved_rank_hint_hits_total" help:"Ranks answered from the hint cache."`
+	BanditRanks  int64       `json:"banditRanks" metric:"qoserved_rank_bandit_total" help:"Ranks answered by the bandit policy."`
+	NoOps        int64       `json:"noops" metric:"qoserved_rank_noops_total" help:"Bandit ranks that chose the no-op action."`
+	CacheSize    int         `json:"cacheSize" metric:"qoserved_hint_cache_entries" help:"Hints in the serving cache."`
+	CacheGen     uint64      `json:"cacheGeneration" metric:"qoserved_hint_cache_generation" help:"Hint-table generation."`
+	BanditLog    int64       `json:"banditLogSize" metric:"qoserved_bandit_log_events" help:"Rank events retained awaiting rewards."`
 	Ingest       IngestStats `json:"ingest"`
 	// WAL is present when the server journals rewards durably.
 	WAL *WALStats `json:"wal,omitempty"`
@@ -455,18 +471,18 @@ type StatsResponse struct {
 // retention ring.
 type TraceStats struct {
 	// Retained / Capacity describe the ring's current occupancy.
-	Retained int `json:"retained"`
-	Capacity int `json:"capacity"`
+	Retained int `json:"retained" metric:"qoserved_trace_ring_size" help:"Traces currently retained."`
+	Capacity int `json:"capacity" metric:"qoserved_trace_ring_capacity" help:"Retained-ring capacity."`
 	// RetainedTotal is the lifetime retention count; the per-reason
 	// counters below sum to it.
-	RetainedTotal int64 `json:"retainedTotal"`
-	RetainedSlow  int64 `json:"retainedSlow"`
-	RetainedError int64 `json:"retainedError"`
+	RetainedTotal int64 `json:"retainedTotal" metric:"qoserved_trace_retained_total"`
+	RetainedSlow  int64 `json:"retainedSlow" metric:"qoserved_trace_retained_total"`
+	RetainedError int64 `json:"retainedError" metric:"qoserved_trace_retained_total"`
 	// Evicted counts retained traces pushed out of the ring by newer
 	// ones.
-	Evicted int64 `json:"evicted"`
+	Evicted int64 `json:"evicted" metric:"qoserved_trace_evicted_total" help:"Retained traces pushed out of the ring by newer ones."`
 	// ThresholdMicros is the default slow-retention cutoff.
-	ThresholdMicros int64 `json:"thresholdMicros"`
+	ThresholdMicros int64 `json:"thresholdMicros" metric:"qoserved_trace_retain_threshold_seconds" help:"Default slow-retention latency cutoff."`
 }
 
 // TraceEvent is one span in Chrome trace-event format ("X" complete
@@ -507,24 +523,29 @@ type TracesResponse struct {
 
 // IncidentStats is the incidents block of /v2/stats.
 type IncidentStats struct {
-	Enabled bool `json:"enabled"`
+	Enabled bool `json:"enabled" metric:"qoserved_incident_enabled" help:"1 when the incident engine is capturing to -incident-dir."`
 	// Count is the number of bundles on disk (including ones found at
 	// startup from earlier runs).
-	Count int64 `json:"count"`
+	Count int64 `json:"count" metric:"qoserved_incident_bundles" help:"Diagnostic bundles currently on disk."`
 	// Triggered / Captured / Suppressed: trigger firings, bundles
 	// actually written, and firings swallowed by the cooldown.
-	Triggered  int64 `json:"triggered"`
-	Captured   int64 `json:"captured"`
-	Suppressed int64 `json:"suppressed"`
+	Triggered  int64 `json:"triggered" metric:"qoserved_incident_triggered_total" help:"Incident trigger firings (burn, quarantine, wal, manual)."`
+	Captured   int64 `json:"captured" metric:"qoserved_incident_captured_total" help:"Diagnostic bundles captured."`
+	Suppressed int64 `json:"suppressed" metric:"qoserved_incident_suppressed_total" help:"Trigger firings swallowed by the capture cooldown."`
 	// CaptureErrors counts bundle artifacts that failed to write.
-	CaptureErrors int64   `json:"captureErrors"`
-	BurnThreshold float64 `json:"burnThreshold"`
-	CooldownSec   float64 `json:"cooldownSec"`
-	// LastAgeSec is the age of the newest bundle (absent before the
-	// first capture).
-	LastAgeSec float64 `json:"lastAgeSec,omitempty"`
+	CaptureErrors int64   `json:"captureErrors" metric:"qoserved_incident_capture_errors_total" help:"Bundle artifacts that failed to write."`
+	BurnThreshold float64 `json:"burnThreshold" metric:"qoserved_incident_burn_threshold" help:"Shortest-window SLO burn rate that trips the burn trigger."`
+	CooldownSec   float64 `json:"cooldownSec" metric:"qoserved_incident_cooldown_seconds" help:"Minimum spacing between captures."`
+	IncidentLastBundle
+}
+
+// IncidentLastBundle describes the newest bundle; it is absent before
+// the first capture, and so are its /metrics gauges.
+type IncidentLastBundle struct {
+	// LastAgeSec is the age of the newest bundle.
+	LastAgeSec float64 `json:"lastAgeSec,omitempty" metric:"qoserved_incident_last_age_seconds" help:"Age of the newest bundle."`
 	// LastCaptureMicros is the wall time the newest capture took.
-	LastCaptureMicros int64  `json:"lastCaptureMicros,omitempty"`
+	LastCaptureMicros int64  `json:"lastCaptureMicros,omitempty" metric:"qoserved_incident_last_capture_duration_seconds" help:"Wall time the newest capture took."`
 	LastReason        string `json:"lastReason,omitempty"`
 	LastID            string `json:"lastId,omitempty"`
 }
@@ -572,15 +593,15 @@ type SLOWindowStats struct {
 	// Window is the rolling window ("1m", "5m", "30m").
 	Window string `json:"window"`
 	// Ops is the operations observed inside the window.
-	Ops float64 `json:"ops"`
+	Ops float64 `json:"ops" metric:"qoserved_slo_window_ops"`
 	// Compliance is the achieved good fraction (1 with no traffic).
-	Compliance float64 `json:"compliance"`
+	Compliance float64 `json:"compliance" metric:"qoserved_slo_compliance_ratio"`
 	// BurnRate is the error rate divided by the budgeted error rate:
 	// 1.0 spends the budget exactly, >1 burns it faster.
-	BurnRate float64 `json:"burnRate"`
+	BurnRate float64 `json:"burnRate" metric:"qoserved_slo_burn_rate"`
 	// BudgetRemaining is the unspent fraction of the window's error
 	// budget (negative once overspent).
-	BudgetRemaining float64 `json:"budgetRemaining"`
+	BudgetRemaining float64 `json:"budgetRemaining" metric:"qoserved_slo_error_budget_remaining"`
 }
 
 // SLOObjectiveStats is one declared objective with its multi-window
@@ -588,9 +609,9 @@ type SLOWindowStats struct {
 type SLOObjectiveStats struct {
 	Name   string  `json:"name"`
 	Kind   string  `json:"kind"`
-	Target float64 `json:"target"`
+	Target float64 `json:"target" metric:"qoserved_slo_target"`
 	// ThresholdMicros is the latency bound of a latency objective.
-	ThresholdMicros int64            `json:"thresholdMicros,omitempty"`
+	ThresholdMicros int64            `json:"thresholdMicros,omitempty" metric:"qoserved_slo_latency_threshold_seconds"`
 	Windows         []SLOWindowStats `json:"windows"`
 }
 
@@ -602,11 +623,11 @@ type SLOStats struct {
 // AuditStats is the audit block of /v2/stats: cumulative engine
 // counters across every query served since the engine was opened.
 type AuditStats struct {
-	Queries         int64 `json:"queries"`
-	SegmentsScanned int64 `json:"segmentsScanned"`
-	SegmentsSkipped int64 `json:"segmentsSkipped"`
-	RecordsScanned  int64 `json:"recordsScanned"`
-	RecordsMatched  int64 `json:"recordsMatched"`
+	Queries         int64 `json:"queries" metric:"qoserved_audit_queries_total" help:"Audit queries served."`
+	SegmentsScanned int64 `json:"segmentsScanned" metric:"qoserved_audit_segments_scanned_total" help:"Journal segments scanned by audit queries."`
+	SegmentsSkipped int64 `json:"segmentsSkipped" metric:"qoserved_audit_segments_skipped_total" help:"Journal segments outside an audit query's LSN window, never opened."`
+	RecordsScanned  int64 `json:"recordsScanned" metric:"qoserved_audit_records_scanned_total" help:"Journal records scanned by audit queries."`
+	RecordsMatched  int64 `json:"recordsMatched" metric:"qoserved_audit_records_matched_total" help:"Journal records matched by audit queries."`
 }
 
 // AuditScanStats reports one audit query's scan counters: how many of
@@ -749,29 +770,36 @@ type DriftTemplateStats struct {
 }
 
 // DriftStats is the drift-safeguard block of /v2/stats. Enabled is
-// true only on a node running detection (a primary with -drift);
-// enforcement counters (BlockedRanks, QuarantinedNow) are live on
-// every node because the quarantine table replicates.
+// true only on a node running detection (a primary with -drift), the
+// only node that fills DriftDetector; enforcement counters
+// (BlockedRanks, QuarantinedNow) are live on every node because the
+// quarantine table replicates.
 type DriftStats struct {
-	Enabled        bool  `json:"enabled"`
-	Tracked        int   `json:"tracked,omitempty"`
-	Observations   int64 `json:"observations,omitempty"`
-	SketchGated    int64 `json:"sketchGated,omitempty"`
-	Evictions      int64 `json:"evictions,omitempty"`
-	SketchBytes    int   `json:"sketchBytes,omitempty"`
-	Suspects       int   `json:"suspects,omitempty"`
-	QuarantinedNow int   `json:"quarantinedNow"`
-	ProbationNow   int   `json:"probationNow"`
-	BlockedRanks   int64 `json:"blockedRanks"`
-	Transitions    int64 `json:"transitions"`
-	Quarantines    int64 `json:"quarantines"`
-	Probations     int64 `json:"probations"`
-	Restores       int64 `json:"restores"`
-	Manual         int64 `json:"manualTransitions,omitempty"`
-	JournalErrs    int64 `json:"journalErrors,omitempty"`
+	Enabled bool `json:"enabled" metric:"qoserved_drift_enabled" help:"Whether drift detection runs on this node (enforcement is always on)."`
+	DriftDetector
+	QuarantinedNow int   `json:"quarantinedNow" metric:"qoserved_quarantine_templates" help:"Templates currently quarantined."`
+	ProbationNow   int   `json:"probationNow" metric:"qoserved_quarantine_probation_templates" help:"Templates currently on probation."`
+	BlockedRanks   int64 `json:"blockedRanks" metric:"qoserved_quarantine_blocked_ranks_total" help:"Rank requests whose installed hint was refused because the template is quarantined."`
+	Transitions    int64 `json:"transitions" metric:"qoserved_quarantine_transitions_total" help:"Committed quarantine state-machine transitions."`
+	Quarantines    int64 `json:"quarantines" metric:"qoserved_quarantine_entered_total" help:"Transitions into quarantine."`
+	Probations     int64 `json:"probations" metric:"qoserved_quarantine_probations_total" help:"Transitions from quarantine into probation."`
+	Restores       int64 `json:"restores" metric:"qoserved_quarantine_restores_total" help:"Transitions back to healthy."`
+	Manual         int64 `json:"manualTransitions,omitempty" metric:"qoserved_quarantine_manual_total" help:"Operator-initiated transitions (POST /v2/quarantine)."`
+	JournalErrs    int64 `json:"journalErrors,omitempty" metric:"qoserved_quarantine_journal_errors_total" help:"Quarantine transitions rejected because the journal append failed."`
 	// Templates lists non-healthy templates (every node) plus the
 	// worst-scoring tracked ones (detecting primary only).
-	Templates []DriftTemplateStats `json:"templates,omitempty"`
+	Templates []DriftTemplateStats `json:"templates,omitempty" metric:"-"`
+}
+
+// DriftDetector holds the detector's figures, filled and rendered on
+// /metrics only where detection runs.
+type DriftDetector struct {
+	Tracked      int   `json:"tracked,omitempty" metric:"qoserved_drift_tracked_templates" help:"Templates with exact drift-tracking entries."`
+	Observations int64 `json:"observations,omitempty" metric:"qoserved_drift_observations_total" help:"Template-attributed rewards observed by the detector."`
+	SketchGated  int64 `json:"sketchGated,omitempty" metric:"qoserved_drift_sketch_gated_total" help:"Observations absorbed by the count-min sketch without exact tracking."`
+	Evictions    int64 `json:"evictions,omitempty" metric:"qoserved_drift_evictions_total" help:"Exact entries evicted under the template cap."`
+	SketchBytes  int   `json:"sketchBytes,omitempty" metric:"qoserved_drift_sketch_bytes" help:"Count-min sketch memory footprint."`
+	Suspects     int   `json:"suspects,omitempty" metric:"qoserved_drift_suspect_templates" help:"Templates currently under suspicion (pre-quarantine hysteresis)."`
 }
 
 // HealthResponse answers /v2/healthz: a cheap liveness probe carrying

@@ -110,9 +110,7 @@ func TestDecisionAllocBudget(t *testing.T) {
 // counted exactly over runs of 16 span-8 rank records, each followed by
 // the reward batch that names them, into a serving-capped log.
 func TestReplayAllocBudget(t *testing.T) {
-	if raceEnabled {
-		t.Skip("an allocation gate, and 32,768 ranks to set it up")
-	}
+	budget.SkipRace(t) // before the 32,768 ranks that set it up
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	live := New(Config{Seed: 1})
 	live.SetMaxLog(ServingMaxLog)
@@ -178,9 +176,7 @@ func TestReplayAllocBudget(t *testing.T) {
 //     kept a view of its snapshot line and slices of its own held
 //     1,235.8.
 func TestEventLogBytesPerDecision(t *testing.T) {
-	if raceEnabled {
-		t.Skip("a resident-heap gate, and 40,000 decisions a case to set it up")
-	}
+	budget.SkipRace(t) // before the 40,000 decisions a case that set it up
 	t.Run("open", func(t *testing.T) {
 		s, decide := eventLog(t, "open")
 		budget.Retained(t, "bandit.log.open", func() int { decide(); return s.LogSize() })

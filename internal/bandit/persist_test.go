@@ -174,9 +174,7 @@ func TestLoadRejectsV3WithoutWALField(t *testing.T) {
 // snapshot of the default Dim — every one of 2^18 weights a line — costs
 // the header, the service and the weight vector, and nothing per line.
 func TestLoadAllocsPerWeightLine(t *testing.T) {
-	if raceEnabled {
-		t.Skip("an allocation gate, and a 2^18-weight snapshot to set it up")
-	}
+	budget.SkipRace(t) // before the 2^18-weight snapshot that sets it up
 	s := New(DefaultConfig(1))
 	s.w = make([]float64, s.cfg.Dim)
 	for i := range s.w {

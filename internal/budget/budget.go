@@ -23,7 +23,7 @@ import (
 // call, at GOMAXPROCS 1.
 func Allocs(t testing.TB, row string, runs int, f func()) float64 {
 	t.Helper()
-	skipRace(t)
+	SkipRace(t)
 	return check(t, row, testing.AllocsPerRun(runs, f))
 }
 
@@ -31,7 +31,7 @@ func Allocs(t testing.TB, row string, runs int, f func()) float64 {
 // GOMAXPROCS the caller set, per unit of work f reports doing.
 func Mallocs(t testing.TB, row string, f func() (units int)) float64 {
 	t.Helper()
-	skipRace(t)
+	SkipRace(t)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	units := f()
@@ -46,7 +46,7 @@ func Mallocs(t testing.TB, row string, f func() (units int)) float64 {
 // call.
 func Retained(t testing.TB, row string, f func() (units int)) float64 {
 	t.Helper()
-	skipRace(t)
+	SkipRace(t)
 	before := liveHeap()
 	units := f()
 	return check(t, row, float64(int64(liveHeap())-int64(before))/float64(units))
@@ -57,11 +57,14 @@ func Retained(t testing.TB, row string, f func() (units int)) float64 {
 // the difference of two.
 func Gate(t testing.TB, row string, reading func() float64) float64 {
 	t.Helper()
-	skipRace(t)
+	SkipRace(t)
 	return check(t, row, reading())
 }
 
-func skipRace(t testing.TB) {
+// SkipRace skips t under the race detector, as every helper does. A
+// gate whose set-up outlasts its reading calls it before the set-up.
+func SkipRace(t testing.TB) {
+	t.Helper()
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates and moves heap accounting")
 	}

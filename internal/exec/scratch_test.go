@@ -135,6 +135,7 @@ func TestRunDoesNotPinTruth(t *testing.T) {
 // TestRunAllocBudget: once its pooled scratch has grown to the largest
 // plan, Run allocates nothing on any ledger plan.
 func TestRunAllocBudget(t *testing.T) {
+	budget.SkipRace(t) // before the 40 ledger runs that set it up
 	runs := ledgerRuns(t, 40)
 	cluster := exec.DefaultCluster(20211101)
 	budget.Gate(t, "exec.run", func() float64 {

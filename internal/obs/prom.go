@@ -2,7 +2,7 @@ package obs
 
 import (
 	"io"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -27,9 +27,20 @@ func L(name, value string) Labels { return Labels{{Name: name, Value: value}} }
 
 type promSample struct {
 	suffix string // "", "_bucket", "_sum", "_count"
-	labels Labels
+	labels Labels // shared by every sample of one histogram series
+	le     string // a _bucket sample's upper bound, rendered after labels
 	value  float64
 }
+
+// leBounds are the histogram buckets' le label values, in seconds:
+// every fixed log₂ bound, then +Inf.
+var leBounds = func() (b [NumHistBuckets]string) {
+	for i := range NumHistBuckets - 1 {
+		b[i] = formatFloat(float64(BucketUpperNanos(i)) / float64(time.Second))
+	}
+	b[NumHistBuckets-1] = "+Inf"
+	return b
+}()
 
 type promFamily struct {
 	name, help, typ string
@@ -73,18 +84,15 @@ func (e *Exposition) Gauge(name, help string, labels Labels, v float64) {
 // Histogram adds one series of a histogram family from a snapshot:
 // cumulative _bucket samples with le bounds in seconds (every fixed
 // log₂ bucket plus +Inf), then _sum and _count. Bucket counts are
-// cumulative and monotone by construction.
+// cumulative and monotone by construction. Every sample keeps labels,
+// as Counter's and Gauge's do, so the caller must not change it after.
 func (e *Exposition) Histogram(name, help string, labels Labels, s HistSnapshot) {
 	f := e.family(name, help, "histogram")
+	f.samples = slices.Grow(f.samples, NumHistBuckets+2)
 	cum := uint64(0)
 	for i := 0; i < NumHistBuckets-1; i++ {
 		cum += s.Buckets[i]
-		le := formatFloat(float64(BucketUpperNanos(i)) / float64(time.Second))
-		f.samples = append(f.samples, promSample{
-			suffix: "_bucket",
-			labels: append(append(Labels{}, labels...), Label{"le", le}),
-			value:  float64(cum),
-		})
+		f.samples = append(f.samples, promSample{suffix: "_bucket", labels: labels, le: leBounds[i], value: float64(cum)})
 	}
 	// The +Inf bucket must equal _count; use Count rather than the
 	// bucket sum so a racy snapshot still satisfies the invariant.
@@ -92,83 +100,85 @@ func (e *Exposition) Histogram(name, help string, labels Labels, s HistSnapshot)
 	if s.Count > total {
 		total = s.Count
 	}
-	f.samples = append(f.samples, promSample{
-		suffix: "_bucket",
-		labels: append(append(Labels{}, labels...), Label{"le", "+Inf"}),
-		value:  float64(total),
-	})
+	f.samples = append(f.samples, promSample{suffix: "_bucket", labels: labels, le: leBounds[NumHistBuckets-1], value: float64(total)})
 	f.samples = append(f.samples, promSample{suffix: "_sum", labels: labels, value: s.SumSeconds()})
 	f.samples = append(f.samples, promSample{suffix: "_count", labels: labels, value: float64(total)})
 }
 
 // WriteTo renders the exposition in Prometheus text format.
 func (e *Exposition) WriteTo(w io.Writer) (int64, error) {
-	var b strings.Builder
+	const chunk = 32 << 10 // written out whenever a family leaves this much
+	var total int64
+	b := make([]byte, 0, 2*chunk)
 	for _, f := range e.families {
-		b.WriteString("# HELP ")
-		b.WriteString(f.name)
-		b.WriteByte(' ')
-		b.WriteString(escapeHelp(f.help))
-		b.WriteByte('\n')
-		b.WriteString("# TYPE ")
-		b.WriteString(f.name)
-		b.WriteByte(' ')
-		b.WriteString(f.typ)
-		b.WriteByte('\n')
+		if len(b) >= chunk {
+			n, err := w.Write(b)
+			if total += int64(n); err != nil {
+				return total, err
+			}
+			b = b[:0]
+		}
+		b = append(b, "# HELP "...)
+		b = append(b, f.name...)
+		b = append(b, ' ')
+		b = append(b, escapeHelp(f.help)...)
+		b = append(b, "\n# TYPE "...)
+		b = append(b, f.name...)
+		b = append(b, ' ')
+		b = append(b, f.typ...)
+		b = append(b, '\n')
 		for _, s := range f.samples {
-			b.WriteString(f.name)
-			b.WriteString(s.suffix)
-			writeLabels(&b, s.labels)
-			b.WriteByte(' ')
-			b.WriteString(formatFloat(s.value))
-			b.WriteByte('\n')
+			b = append(b, f.name...)
+			b = append(b, s.suffix...)
+			b = appendLabels(b, s.labels, s.le)
+			b = append(b, ' ')
+			b = appendFloat(b, s.value)
+			b = append(b, '\n')
 		}
 	}
-	n, err := io.WriteString(w, b.String())
-	return int64(n), err
+	n, err := w.Write(b)
+	return total + int64(n), err
 }
 
 // SortSeries orders each family's series by label values so map-fed
-// families (per-route metrics) render deterministically. Histogram
-// sample groups (bucket/sum/count per series) are kept contiguous and
-// internally ordered, so exposition validity is preserved.
+// families (per-route metrics) render deterministically. A histogram
+// series' samples (bucket/sum/count) move as one group, so exposition
+// validity is preserved; the sort is stable and each series' key is
+// computed once.
 func (e *Exposition) SortSeries() {
 	for _, f := range e.families {
+		size := 1
 		if f.typ == "histogram" {
-			// One histogram series spans NumHistBuckets+2 samples; sort by
-			// groups keyed on the series labels (all samples of a group
-			// carry the same base labels, bucket samples plus "le").
-			groupSize := NumHistBuckets + 2
-			if len(f.samples)%groupSize != 0 {
-				continue // mixed construction; leave as inserted
-			}
-			groups := len(f.samples) / groupSize
-			idx := make([]int, groups)
-			for i := range idx {
-				idx[i] = i
-			}
-			sort.SliceStable(idx, func(a, bIdx int) bool {
-				return labelKey(f.samples[idx[a]*groupSize].labels) < labelKey(f.samples[idx[bIdx]*groupSize].labels)
-			})
-			out := make([]promSample, 0, len(f.samples))
-			for _, g := range idx {
-				out = append(out, f.samples[g*groupSize:(g+1)*groupSize]...)
-			}
-			f.samples = out
-			continue
+			size = NumHistBuckets + 2
 		}
-		sort.SliceStable(f.samples, func(a, b int) bool {
-			return labelKey(f.samples[a].labels) < labelKey(f.samples[b].labels)
-		})
+		n := len(f.samples) / size
+		if n < 2 || len(f.samples)%size != 0 {
+			continue // one series, or mixed construction: leave as inserted
+		}
+		keys := make([]string, n)
+		order := make([]int, n)
+		for g := range order {
+			order[g] = g
+			keys[g] = labelKey(f.samples[g*size].labels)
+		}
+		slices.SortStableFunc(order, func(a, b int) int { return strings.Compare(keys[a], keys[b]) })
+		out := make([]promSample, 0, len(f.samples))
+		for _, g := range order {
+			out = append(out, f.samples[g*size:(g+1)*size]...)
+		}
+		f.samples = out
 	}
 }
 
+// labelKey is a series' sort key: each label as name=value, in order.
 func labelKey(ls Labels) string {
-	var b strings.Builder
+	n := 0
 	for _, l := range ls {
-		if l.Name == "le" {
-			continue
-		}
+		n += len(l.Name) + len(l.Value) + 2
+	}
+	var b strings.Builder
+	b.Grow(n)
+	for _, l := range ls {
 		b.WriteString(l.Name)
 		b.WriteByte('=')
 		b.WriteString(l.Value)
@@ -177,21 +187,30 @@ func labelKey(ls Labels) string {
 	return b.String()
 }
 
-func writeLabels(b *strings.Builder, ls Labels) {
-	if len(ls) == 0 {
-		return
+// appendLabels renders a label set, then le when it is set.
+func appendLabels(b []byte, ls Labels, le string) []byte {
+	if len(ls) == 0 && le == "" {
+		return b
 	}
-	b.WriteByte('{')
+	b = append(b, '{')
 	for i, l := range ls {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		b.WriteString(l.Name)
-		b.WriteString(`="`)
-		b.WriteString(escapeLabelValue(l.Value))
-		b.WriteByte('"')
+		b = append(b, l.Name...)
+		b = append(b, `="`...)
+		b = append(b, escapeLabelValue(l.Value)...)
+		b = append(b, '"')
 	}
-	b.WriteByte('}')
+	if le != "" {
+		if len(ls) > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, `le="`...)
+		b = append(b, le...)
+		b = append(b, '"')
+	}
+	return append(b, '}')
 }
 
 // escapeLabelValue applies the text-format escaping rules for label
@@ -238,15 +257,18 @@ func escapeHelp(v string) string {
 
 // formatFloat renders a sample value the way Prometheus expects:
 // shortest round-trip representation, +Inf/-Inf/NaN spelled out.
-func formatFloat(v float64) string {
+func formatFloat(v float64) string { return string(appendFloat(nil, v)) }
+
+// appendFloat appends formatFloat(v) to b.
+func appendFloat(b []byte, v float64) []byte {
 	switch {
 	case v != v:
-		return "NaN"
+		return append(b, "NaN"...)
 	case v > 1.7976931348623157e308:
-		return "+Inf"
+		return append(b, "+Inf"...)
 	case v < -1.7976931348623157e308:
-		return "-Inf"
+		return append(b, "-Inf"...)
 	}
 	// 'g' can produce exponents like "1e+06"; that is valid text format.
-	return strconv.FormatFloat(v, 'g', -1, 64)
+	return strconv.AppendFloat(b, v, 'g', -1, 64)
 }

@@ -105,6 +105,7 @@ func TestEstimateMatchesOptimize(t *testing.T) {
 // nothing; Optimize there allocates what publish does
 // (TestOptimizeAllocBudget).
 func TestEstimateAllocBudget(t *testing.T) {
+	budget.SkipRace(t) // before the warming compilations
 	cat := rules.NewCatalog()
 	def := cat.DefaultConfig()
 	job := threeOutputJob(t)

@@ -322,6 +322,7 @@ func TestLoweringAllocBudget(t *testing.T) {
 // warm rewrite memo (lowering only); and on renamedRightFilterScript
 // uncached, whose default rewrite must fire PushFilterBelowJoin.
 func TestOptimizeAllocBudget(t *testing.T) {
+	budget.SkipRace(t) // before the warming compilations
 	cat := rules.NewCatalog()
 	def := cat.DefaultConfig()
 	job := threeOutputJob(t)

@@ -374,9 +374,7 @@ func (f *Follower) Lag() int64 {
 // Stats reports the follower's replication view — handed to each
 // serving core as its serve.TailProbe.
 func (f *Follower) Stats() api.ReplicationStats {
-	return api.ReplicationStats{
-		Role:           api.RoleFollower,
-		LeaderURL:      f.cfg.Primary,
+	return api.ReplicationStats{Role: api.RoleFollower, LeaderURL: f.cfg.Primary, ReplicationFollower: api.ReplicationFollower{
 		AppliedLSN:     f.applied.Load(),
 		FrontierLSN:    f.frontier.Load(),
 		LagRecords:     f.Lag(),
@@ -384,7 +382,7 @@ func (f *Follower) Stats() api.ReplicationStats {
 		RecordsApplied: f.recordsApplied.Load(),
 		Reconnects:     f.reconnects.Load(),
 		Resyncs:        f.resyncs.Load(),
-	}
+	}}
 }
 
 // WaitCaughtUp blocks until the replica has applied everything the

@@ -230,7 +230,7 @@ func checkGolden(t *testing.T, name string, lines []string) {
 	}
 	want, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("%v (run go test -run TestSurfaceGoldens -update ./internal/serve)", err)
+		t.Fatalf("%v (run go test -run %s -update ./internal/serve)", err, t.Name())
 	}
 	if got == string(want) {
 		return
@@ -251,5 +251,5 @@ func checkGolden(t *testing.T, name string, lines []string) {
 			diff = append(diff, "+"+l)
 		}
 	}
-	t.Errorf("%s differs from the running server (-update accepts; - golden, + got):\n%s", path, strings.Join(diff, "\n"))
+	t.Errorf("%s differs (-update accepts; - golden, + got):\n%s", path, strings.Join(diff, "\n"))
 }

@@ -360,6 +360,7 @@ func TestHintLookupZeroAlloc(t *testing.T) {
 // ≈ 47 (a 32-byte entry and an open-addressed index at load 0.5), the
 // map before that ≈ 131.
 func TestHintTableBytesPerHint(t *testing.T) {
+	budget.SkipRace(t) // before the 262,144 hints that set it up
 	hints := benchTableHints(262144)
 	var tab *hintTable
 	budget.Retained(t, "serve.hint_table", func() int {

@@ -167,6 +167,23 @@ func TestBanditPathAllocBudget(t *testing.T) {
 	}
 }
 
+// TestMetricsScrapeAllocBudget gates one /metrics scrape of the maximal
+// server, ServeHTTP in memory: its Stats() snapshot and an exposition
+// that allocates per series, not per histogram bucket.
+func TestMetricsScrapeAllocBudget(t *testing.T) {
+	budget.SkipRace(t) // before the maximal server's traffic
+	srv, _ := newMaximalServer(t)
+	req := httptest.NewRequest(http.MethodGet, api.RouteMetrics, nil)
+	w := &reusedWriter{header: make(http.Header)}
+	budget.Allocs(t, "serve.metrics_scrape", 50, func() {
+		clear(w.header)
+		srv.ServeHTTP(w, req)
+	})
+	if !bytes.HasSuffix(w.body, []byte("\n")) {
+		t.Fatalf("/metrics wrote %q", w.body)
+	}
+}
+
 // TestRealServerAllocBudget counts what the in-memory gates leave out:
 // serve.New behind an httptest.Server, driven by the typed client, one
 // 16-job rank and the 16-event reward of its decisions per op, on the

@@ -2,6 +2,8 @@ package serve
 
 import (
 	"net/http"
+	"reflect"
+	"strings"
 
 	"qoadvisor/internal/api"
 	"qoadvisor/internal/obs"
@@ -11,9 +13,10 @@ import (
 // Prometheus text-format exposition behind GET /metrics, and the
 // /v2/version build-info endpoint. /metrics is a projection of the
 // /v2/stats document: every counter and gauge it reports appears there
-// under a stable qoserved_* metric name, and the latency histograms
-// the JSON stats summarize as percentiles are rebuilt from the raw
-// buckets the document carries.
+// under a stable qoserved_* metric name, declared in a struct tag on
+// the api field it projects, and the latency histograms the JSON stats
+// summarize as percentiles are rebuilt from the raw buckets the
+// document carries.
 
 // stageHists holds one latency histogram per instrumented serving
 // stage. Recording is lock-free and allocation-free (obs.Histogram),
@@ -86,101 +89,36 @@ func (s *Server) stageSummaries() map[string]api.LatencySummary {
 // writeMetrics renders the /metrics exposition from one /v2/stats
 // document: every series is a projection of a stats leaf, so a scrape
 // reads one instant and cannot disagree with /v2/stats, a fleet merge
-// or an incident bundle's stats.json. Absent blocks (no WAL, no audit
-// engine, no incident directory, a node outside a cluster) contribute
-// no families; the detector's families need drift detection on. The
-// version, drift, SLO and traces blocks are always present.
+// or an incident bundle's stats.json. The plain series are declared on
+// the api fields they project (project); this function keeps what
+// the tags do not say: which blocks render on this node, and the
+// labeled families. The version, drift, SLO and traces blocks are
+// always present.
 func writeMetrics(e *obs.Exposition, st *api.StatsResponse) {
 	v := st.Version
 	e.Gauge("qoserved_build_info",
 		"Build metadata of the running binary (always 1; identity is in the labels).",
 		obs.Labels{{Name: "module", Value: v.Module}, {Name: "version", Value: v.Version},
 			{Name: "go_version", Value: v.GoVersion}, {Name: "revision", Value: v.Revision}}, 1)
-	e.Gauge("qoserved_uptime_seconds", "Seconds since the server started.", nil, st.UptimeSec)
+	project(e, st)
+	project(e, &st.Ingest)
+	project(e, st.WAL)
 
-	// Serving counters.
-	e.Counter("qoserved_rank_requests_total", "Rank decisions requested.", nil, float64(st.RankRequests))
-	e.Counter("qoserved_rank_hint_hits_total", "Ranks answered from the hint cache.", nil, float64(st.HintHits))
-	e.Counter("qoserved_rank_bandit_total", "Ranks answered by the bandit policy.", nil, float64(st.BanditRanks))
-	e.Counter("qoserved_rank_noops_total", "Bandit ranks that chose the no-op action.", nil, float64(st.NoOps))
-	e.Gauge("qoserved_hint_cache_entries", "Hints in the serving cache.", nil, float64(st.CacheSize))
-	e.Gauge("qoserved_hint_cache_generation", "Hint-table generation.", nil, float64(st.CacheGen))
-	e.Gauge("qoserved_bandit_log_events", "Rank events retained awaiting rewards.", nil, float64(st.BanditLog))
-
-	// Ingestion counters.
-	ing := &st.Ingest
-	e.Counter("qoserved_ingest_enqueued_total", "Rewards accepted into the ingestion queue.", nil, float64(ing.Enqueued))
-	e.Counter("qoserved_ingest_dropped_total", "Rewards rejected for backpressure or shutdown.", nil, float64(ing.Dropped))
-	e.Counter("qoserved_ingest_applied_total", "Rewards applied to the learner.", nil, float64(ing.Applied))
-	e.Counter("qoserved_ingest_unknown_events_total", "Rewards naming no logged rank event.", nil, float64(ing.UnknownEvents))
-	e.Counter("qoserved_ingest_train_runs_total", "Training passes run.", nil, float64(ing.TrainRuns))
-	e.Counter("qoserved_ingest_trained_events_total", "Events consumed by training passes.", nil, float64(ing.TrainedEvents))
-	e.Counter("qoserved_ingest_journal_errors_total", "Failed durable-journal writes.", nil, float64(ing.JournalErrors))
-	e.Gauge("qoserved_ingest_queue_depth", "Rewards waiting in the ingestion queue.", nil, float64(ing.QueueDepth))
-	e.Gauge("qoserved_ingest_queue_capacity", "Ingestion queue capacity.", nil, float64(ing.QueueCap))
-
-	// Journal counters (WAL-backed servers only).
-	if ws := st.WAL; ws != nil {
-		e.Counter("qoserved_wal_appends_total", "Journal records appended.", nil, float64(ws.Appends))
-		e.Counter("qoserved_wal_appended_bytes_total", "Journal bytes appended.", nil, float64(ws.AppendedBytes))
-		e.Counter("qoserved_wal_syncs_total", "Journal fsync batches.", nil, float64(ws.Syncs))
-		e.Gauge("qoserved_wal_segments", "Journal segment files on disk.", nil, float64(ws.Segments))
-		e.Counter("qoserved_wal_truncated_segments_total", "Segments removed by snapshot compaction.", nil, float64(ws.TruncatedSegments))
-		e.Gauge("qoserved_wal_first_lsn", "Oldest retained journal position (last LSN + 1 when nothing is retained).", nil, float64(ws.FirstLSN))
-		e.Gauge("qoserved_wal_last_lsn", "Newest appended journal position.", nil, float64(ws.LastLSN))
-		e.Gauge("qoserved_wal_synced_lsn", "Durable journal frontier.", nil, float64(ws.SyncedLSN))
-		e.Counter("qoserved_checkpoints_total", "Checkpoints taken.", nil, float64(ws.Checkpoints))
-		e.Gauge("qoserved_checkpoint_last_lsn", "Journal watermark of the last checkpoint.", nil, float64(ws.LastCheckpointLSN))
-		e.Gauge("qoserved_checkpoint_last_bytes", "Snapshot size of the last checkpoint.", nil, float64(ws.LastCheckpointB))
-		e.Gauge("qoserved_checkpoint_last_duration_seconds", "End-to-end duration of the last checkpoint.", nil,
-			float64(ws.LastCheckpointUs)/1e6)
+	// Enforcement figures are live on every node (the quarantine table
+	// replicates); the detector's only where detection runs.
+	project(e, st.Drift)
+	if st.Drift.Enabled {
+		project(e, &st.Drift.DriftDetector)
 	}
 
-	// Drift-safeguard families. Enforcement gauges/counters are live on
-	// every node (the quarantine table replicates); detector families
-	// only where detection runs.
-	ds := st.Drift
-	enabled := 0.0
-	if ds.Enabled {
-		enabled = 1
-	}
-	e.Gauge("qoserved_drift_enabled", "Whether drift detection runs on this node (enforcement is always on).", nil, enabled)
-	e.Counter("qoserved_quarantine_blocked_ranks_total", "Rank requests whose installed hint was refused because the template is quarantined.", nil, float64(ds.BlockedRanks))
-	e.Counter("qoserved_quarantine_transitions_total", "Committed quarantine state-machine transitions.", nil, float64(ds.Transitions))
-	e.Counter("qoserved_quarantine_entered_total", "Transitions into quarantine.", nil, float64(ds.Quarantines))
-	e.Counter("qoserved_quarantine_probations_total", "Transitions from quarantine into probation.", nil, float64(ds.Probations))
-	e.Counter("qoserved_quarantine_restores_total", "Transitions back to healthy.", nil, float64(ds.Restores))
-	e.Counter("qoserved_quarantine_manual_total", "Operator-initiated transitions (POST /v2/quarantine).", nil, float64(ds.Manual))
-	e.Counter("qoserved_quarantine_journal_errors_total", "Quarantine transitions rejected because the journal append failed.", nil, float64(ds.JournalErrs))
-	e.Gauge("qoserved_quarantine_templates", "Templates currently quarantined.", nil, float64(ds.QuarantinedNow))
-	e.Gauge("qoserved_quarantine_probation_templates", "Templates currently on probation.", nil, float64(ds.ProbationNow))
-	if ds.Enabled {
-		e.Gauge("qoserved_drift_tracked_templates", "Templates with exact drift-tracking entries.", nil, float64(ds.Tracked))
-		e.Gauge("qoserved_drift_suspect_templates", "Templates currently under suspicion (pre-quarantine hysteresis).", nil, float64(ds.Suspects))
-		e.Counter("qoserved_drift_observations_total", "Template-attributed rewards observed by the detector.", nil, float64(ds.Observations))
-		e.Counter("qoserved_drift_sketch_gated_total", "Observations absorbed by the count-min sketch without exact tracking.", nil, float64(ds.SketchGated))
-		e.Counter("qoserved_drift_evictions_total", "Exact entries evicted under the template cap.", nil, float64(ds.Evictions))
-		e.Gauge("qoserved_drift_sketch_bytes", "Count-min sketch memory footprint.", nil, float64(ds.SketchBytes))
-	}
-
-	// Replication counters (cluster nodes only).
 	if r := st.Replication; r != nil {
 		e.Gauge("qoserved_replication_info",
 			"Cluster role of this node (always 1; role is in the labels).",
 			obs.Labels{{Name: "role", Value: r.Role}, {Name: "leader", Value: r.LeaderURL}}, 1)
 		if r.Role == api.RolePrimary {
-			e.Gauge("qoserved_replication_followers", "Follower streams currently attached.", nil, float64(r.Followers))
-			e.Counter("qoserved_replication_streams_served_total", "WAL streams served.", nil, float64(r.StreamsServed))
-			e.Counter("qoserved_replication_records_shipped_total", "Journal records shipped to followers.", nil, float64(r.RecordsShipped))
-			e.Counter("qoserved_replication_bytes_shipped_total", "Journal bytes shipped to followers: 8 + payload per record, plus a 16-byte segment header per stream.", nil, float64(r.BytesShipped))
+			project(e, &r.ReplicationPrimary)
 		} else {
-			e.Gauge("qoserved_replication_applied_lsn", "Newest journal record applied locally.", nil, float64(r.AppliedLSN))
-			e.Gauge("qoserved_replication_frontier_lsn", "Newest durable primary position observed.", nil, float64(r.FrontierLSN))
-			e.Gauge("qoserved_replication_lag_records", "Records behind the observed primary frontier.", nil, float64(r.LagRecords))
-			e.Gauge("qoserved_replication_last_tail_seconds", "Seconds since the last tail activity.", nil, r.LastTailSec)
-			e.Counter("qoserved_replication_records_applied_total", "Journal records applied since start.", nil, float64(r.RecordsApplied))
-			e.Counter("qoserved_replication_reconnects_total", "Tail stream reconnects.", nil, float64(r.Reconnects))
-			e.Counter("qoserved_replication_resyncs_total", "Full re-bootstraps.", nil, float64(r.Resyncs))
+			project(e, &r.ReplicationFollower)
 		}
 	}
 
@@ -188,14 +126,7 @@ func writeMetrics(e *obs.Exposition, st *api.StatsResponse) {
 		e.Histogram("qoserved_stage_duration_seconds", "Serving-stage latency distributions.",
 			obs.L("stage", name), wireHist(ls.Hist))
 	}
-
-	if a := st.Audit; a != nil {
-		e.Counter("qoserved_audit_queries_total", "Audit queries served.", nil, float64(a.Queries))
-		e.Counter("qoserved_audit_segments_scanned_total", "Journal segments scanned by audit queries.", nil, float64(a.SegmentsScanned))
-		e.Counter("qoserved_audit_segments_skipped_total", "Journal segments outside an audit query's LSN window, never opened.", nil, float64(a.SegmentsSkipped))
-		e.Counter("qoserved_audit_records_scanned_total", "Journal records scanned by audit queries.", nil, float64(a.RecordsScanned))
-		e.Counter("qoserved_audit_records_matched_total", "Journal records matched by audit queries.", nil, float64(a.RecordsMatched))
-	}
+	project(e, st.Audit)
 
 	for _, o := range st.SLO.Objectives {
 		base := obs.Labels{{Name: "slo", Value: o.Name}}
@@ -224,35 +155,12 @@ func writeMetrics(e *obs.Exposition, st *api.StatsResponse) {
 	const retainedHelp = "Traces retained by the flight recorder, by retention reason."
 	e.Counter("qoserved_trace_retained_total", retainedHelp, obs.L("reason", obs.RetainSlow), float64(tr.RetainedSlow))
 	e.Counter("qoserved_trace_retained_total", retainedHelp, obs.L("reason", obs.RetainError), float64(tr.RetainedError))
-	e.Counter("qoserved_trace_evicted_total",
-		"Retained traces pushed out of the ring by newer ones.", nil, float64(tr.Evicted))
-	e.Gauge("qoserved_trace_ring_size", "Traces currently retained.", nil, float64(tr.Retained))
-	e.Gauge("qoserved_trace_ring_capacity", "Retained-ring capacity.", nil, float64(tr.Capacity))
-	e.Gauge("qoserved_trace_retain_threshold_seconds",
-		"Default slow-retention latency cutoff.", nil, float64(tr.ThresholdMicros)/1e6)
+	project(e, tr)
 
 	if in := st.Incidents; in != nil {
-		e.Gauge("qoserved_incident_enabled",
-			"1 when the incident engine is capturing to -incident-dir.", nil, 1)
-		e.Gauge("qoserved_incident_bundles",
-			"Diagnostic bundles currently on disk.", nil, float64(in.Count))
-		e.Counter("qoserved_incident_triggered_total",
-			"Incident trigger firings (burn, quarantine, wal, manual).", nil, float64(in.Triggered))
-		e.Counter("qoserved_incident_captured_total",
-			"Diagnostic bundles captured.", nil, float64(in.Captured))
-		e.Counter("qoserved_incident_suppressed_total",
-			"Trigger firings swallowed by the capture cooldown.", nil, float64(in.Suppressed))
-		e.Counter("qoserved_incident_capture_errors_total",
-			"Bundle artifacts that failed to write.", nil, float64(in.CaptureErrors))
-		e.Gauge("qoserved_incident_burn_threshold",
-			"Shortest-window SLO burn rate that trips the burn trigger.", nil, in.BurnThreshold)
-		e.Gauge("qoserved_incident_cooldown_seconds",
-			"Minimum spacing between captures.", nil, in.CooldownSec)
+		project(e, in)
 		if in.LastAgeSec > 0 {
-			e.Gauge("qoserved_incident_last_age_seconds",
-				"Age of the newest bundle.", nil, in.LastAgeSec)
-			e.Gauge("qoserved_incident_last_capture_duration_seconds",
-				"Wall time the newest capture took.", nil, float64(in.LastCaptureMicros)/1e6)
+			project(e, &in.IncidentLastBundle)
 		}
 	}
 
@@ -267,6 +175,48 @@ func writeMetrics(e *obs.Exposition, st *api.StatsResponse) {
 	// Map-fed families (routes, stages) iterate in random order; sort
 	// so consecutive scrapes diff cleanly.
 	e.SortSeries()
+}
+
+// project renders the plain series of one stats block: each field
+// with a help tag, under its metric tag's name — a counter when the
+// name ends in _total, a gauge otherwise — with a …Micros field in
+// seconds and a bool as 0/1. A nil block renders nothing; embedded
+// groups and labeled families are the caller's.
+func project(e *obs.Exposition, block any) {
+	v := reflect.ValueOf(block)
+	if v.IsNil() {
+		return
+	}
+	v = v.Elem()
+	for i := range v.NumField() {
+		tag := v.Type().Field(i).Tag
+		help := tag.Get("help")
+		if help == "" {
+			continue
+		}
+		x := v.Field(i)
+		var val float64
+		switch {
+		case x.Kind() == reflect.Bool:
+			if x.Bool() {
+				val = 1
+			}
+		case x.CanInt():
+			val = float64(x.Int())
+		case x.CanUint():
+			val = float64(x.Uint())
+		default:
+			val = x.Float()
+		}
+		if json, _, _ := strings.Cut(tag.Get("json"), ","); strings.HasSuffix(json, "Micros") {
+			val /= 1e6
+		}
+		if name := tag.Get("metric"); strings.HasSuffix(name, "_total") {
+			e.Counter(name, help, nil, val)
+		} else {
+			e.Gauge(name, help, nil, val)
+		}
+	}
 }
 
 // wireHist rebuilds a histogram snapshot from its wire form (the

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -461,7 +462,7 @@ func TestAuditAsOfRejectsFullyCompactedHistory(t *testing.T) {
 // TestWALFirstLSNAfterFullCompaction: the exported "oldest retained
 // record" is wal.Window's first on every surface — /v2/stats
 // wal.firstLsn (the `qoserved cluster` wal: line prints that field) and
-// qoserved_wal_first_lsn. Once compaction has emptied the retained
+// the /metrics family that field declares. Once compaction has emptied the retained
 // window it reads lastLsn+1, "everything through lastLsn is gone", where
 // it used to read 0, "nothing was ever removed".
 func TestWALFirstLSNAfterFullCompaction(t *testing.T) {
@@ -473,6 +474,8 @@ func TestWALFirstLSNAfterFullCompaction(t *testing.T) {
 	}
 	defer j.Close()
 	srv, ts := newTestServer(t, Config{Seed: 42, WAL: j, SnapshotPath: snap})
+	field, _ := reflect.TypeOf(api.WALStats{}).FieldByName("FirstLSN")
+	family := field.Tag.Get("metric")
 	surfaces := func() (stats *api.WALStats, metric float64) {
 		t.Helper()
 		resp, err := http.Get(ts.URL + api.RouteV2Stats)
@@ -487,7 +490,7 @@ func TestWALFirstLSNAfterFullCompaction(t *testing.T) {
 		defer resp.Body.Close()
 		body, _ := io.ReadAll(resp.Body)
 		for _, line := range strings.Split(string(body), "\n") {
-			if strings.HasPrefix(line, "qoserved_wal_first_lsn ") {
+			if strings.HasPrefix(line, family+" ") {
 				_, _, metric = parseSampleLine(t, line)
 			}
 		}
@@ -643,7 +646,7 @@ func TestFollowerHealthzDegradesWhenStale(t *testing.T) {
 	tailAge := 1.0 // seconds; fresh
 	_, ts := newTestServer(t, Config{Seed: 4, Follower: true, LeaderURL: "http://p:1", Tail: &TailProbe{
 		Stats: func() api.ReplicationStats {
-			return api.ReplicationStats{Role: api.RoleFollower, LastTailSec: tailAge}
+			return api.ReplicationStats{Role: api.RoleFollower, ReplicationFollower: api.ReplicationFollower{LastTailSec: tailAge}}
 		},
 		ApplyLatency: &obs.Histogram{},
 	}})

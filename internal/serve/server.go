@@ -545,13 +545,12 @@ func (s *Server) replicationStats() *api.ReplicationStats {
 		return &api.ReplicationStats{Role: api.RoleFollower, LeaderURL: s.leaderURL}
 	}
 	if s.wal != nil {
-		return &api.ReplicationStats{
-			Role:           api.RolePrimary,
+		return &api.ReplicationStats{Role: api.RolePrimary, ReplicationPrimary: api.ReplicationPrimary{
 			Followers:      int(s.walStreams.Load()),
 			StreamsServed:  s.walStreamsTotal.Load(),
 			RecordsShipped: s.walRecsShipped.Load(),
 			BytesShipped:   s.walBytesShipped.Load(),
-		}
+		}}
 	}
 	return nil
 }
