@@ -55,8 +55,8 @@ var table = map[string]ceiling{
 	"bandit.fresh_service": {64 << 10, "B retained", "a fresh Service holds no weight vector (2 MiB at the default Dim) until something writes a weight"},
 
 	// internal/core: the offline leg.
-	"core.run_day":     {14.2, "allocs per job", "JobsForDay plus Production.RunDay over 40 templates: the reading (13.5 at GOMAXPROCS 1 and 2) + 5 %"},
-	"core.advisor_day": {21.0, "allocs per job", "Advisor.RunDay's first day with the GC off, so no collection empties the pools production warmed (a day-owned scratch measured +1.57 per job): 19.9–20.0 + 5 %"},
+	"core.run_day":     {11.7, "allocs per job", "JobsForDay plus Production.RunDay over 40 templates, every recurrence run in its instance's borrowed compilation: the reading (11.04–11.06 at GOMAXPROCS 1 and 2) + 5 %, rounded up"},
+	"core.advisor_day": {17.8, "allocs per job", "Advisor.RunDay's first day with the GC off, so no collection empties the pools production warmed (a day-owned scratch measured +1.57 per job), every flight arm run in its borrowed compilation: 16.86–16.90 + 5 %, rounded up"},
 	"core.offline_leg": {4.5, "MB retained", "generator, production and advisor after ten days of 40 templates: 4.07–4.08 MB + 10 %"},
 
 	// internal/exec: the simulator.
@@ -73,6 +73,7 @@ var table = map[string]ceiling{
 	"optimizer.optimize.warm":     {6, "allocs per Optimize", "T001 through its warm rewrite memo, lowering only: 5 + 5 %, rounded up"},
 	"optimizer.optimize.rename":   {14, "allocs per Optimize", "PushFilterBelowJoin moving a conjunct on a renamed right column, uncached: 13 + 5 %, rounded up"},
 	"optimizer.estimate":          {0, "allocs per Estimate", "an Estimate through a warm memo lowers, tunes, stages and costs in pooled scratch and publishes nothing"},
+	"optimizer.use":               {0, "allocs per Use", "a Use through a warm memo lends its callback the plan in the pooled builder's scratch and publishes nothing"},
 
 	// internal/par.
 	"par.for.8":      {5, "allocs per For call", "n=8 at GOMAXPROCS 4: one pool plus a goroutine start per extra worker (4.0–4.3), + 1"},

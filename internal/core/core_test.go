@@ -362,9 +362,11 @@ func TestProductionAppliesHints(t *testing.T) {
 	}
 }
 
-// runJobRef is runJob as a job-by-job loop without the instance's rewrite
-// memo runs it: every compilation rewrites the job's graph afresh.
-func runJobRef(p *Production, job *workload.Job, runSeed int64) (JobRun, error) {
+// runJobRef is RunDay's run of one job as a job-by-job loop without the
+// instance's rewrite memo: every compilation rewrites the job's graph
+// afresh and publishes its plan, which it returns with the run for the
+// job's view rows.
+func runJobRef(p *Production, job *workload.Job, runSeed int64) (JobRun, *optimizer.Result, error) {
 	def := p.Catalog.DefaultConfig()
 	cfg := p.Store.ConfigFor(job.Template.Hash, def)
 	hinted := !cfg.Equal(def.Bitset)
@@ -375,15 +377,15 @@ func runJobRef(p *Production, job *workload.Job, runSeed int64) (JobRun, error) 
 		hinted = false
 	}
 	if err != nil {
-		return JobRun{}, err
+		return JobRun{}, nil, err
 	}
-	run := JobRun{Job: job, Result: res, Hinted: hinted}
+	run := JobRun{Job: job, Logical: res.Logical, Signature: res.Signature, EstCost: res.EstCost, Hinted: hinted}
 	if hinted {
 		h, _ := p.Store.Lookup(job.Template.Hash)
 		run.Flip = h.Flip
 	}
 	run.Metrics = exec.Run(res.Plan, job.Truth, job.Stats, p.Cluster, runSeed)
-	return run, nil
+	return run, res, nil
 }
 
 // TestProductionRunDayMatchesSequential holds the fanned-out RunDay to the
@@ -430,12 +432,12 @@ func TestProductionRunDayMatchesSequential(t *testing.T) {
 	var wantRuns []JobRun
 	var wantView []workload.ViewRow
 	for i, job := range jobs {
-		run, err := runJobRef(prod, job, prod.Seed+2*100003+int64(i)*7)
+		run, res, err := runJobRef(prod, job, prod.Seed+2*100003+int64(i)*7)
 		if err != nil {
 			continue
 		}
 		wantRuns = append(wantRuns, run)
-		wantView = workload.AppendViewRows(wantView, job, run.Result, run.Metrics)
+		wantView = workload.AppendViewRows(wantView, job, res, run.Metrics)
 	}
 	hinted := 0
 	for _, r := range wantRuns {
@@ -462,7 +464,7 @@ func TestProductionRunDayMatchesSequential(t *testing.T) {
 		}
 		shared := 0
 		for i := 1; i < len(runs); i++ {
-			if runs[i].Job.Graph == runs[i-1].Job.Graph && runs[i].Result.Logical == runs[i-1].Result.Logical {
+			if runs[i].Job.Graph == runs[i-1].Job.Graph && runs[i].Logical == runs[i-1].Logical {
 				shared++
 			}
 		}
@@ -797,16 +799,13 @@ func TestRunDaysRewriteEachInstanceConfigOnce(t *testing.T) {
 		}
 		rewrites := total().Misses
 		for _, r := range runs {
-			if r.Result == nil {
-				continue
-			}
 			cfg := def
 			if r.Hinted {
 				cfg = def.WithFlip(r.Flip)
 			}
 			opts := r.Job.CompileOptions(cat)
 			for _, probe := range []rules.Config{cfg, cfg.WithFlip(tuning[0]).WithFlip(tuning[1])} {
-				if res, err := optimizer.Optimize(r.Job.Graph, probe, opts); err == nil && res.Logical != r.Result.Logical {
+				if res, err := optimizer.Optimize(r.Job.Graph, probe, opts); err == nil && res.Logical != r.Logical {
 					t.Errorf("day %d: %s compiled to another rewritten graph than production's", day, r.Job.ID)
 				}
 			}

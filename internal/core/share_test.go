@@ -55,13 +55,16 @@ func offFlip(cat *rules.Catalog, job *workload.Job, fail bool) (rules.Flip, bool
 }
 
 // TestRunDaySharesInstanceCompile holds RunDay, which compiles each
-// instance once, to runJobRef, which compiles every job on its own: same
-// runs (job, metrics, Hinted, Flip, an equal Result) and same view, in
-// job order, at GOMAXPROCS 1 and 4, with recurrences apart in jobs. A
-// third of the templates carry a hint that compiles and a third one that
-// fails, so production falls back to the default. Every recurrence of an
-// instance holds the one *optimizer.Result, and distinct instances hold
-// distinct ones.
+// instance once and runs its recurrences in that borrowed compilation, to
+// runJobRef, which compiles every job on its own and runs its published
+// plan: same runs (job, rewritten graph, signature, cost bits, metrics,
+// Hinted, Flip) and same view, in job order, at GOMAXPROCS 1 and 4, with
+// recurrences apart in jobs. A third of the templates carry a hint that
+// compiles and a third one that fails, so production falls back to the
+// default. Every recurrence of an instance holds its memo's one rewritten
+// graph, distinct instances hold distinct ones, and RunDay asks each
+// instance's memo exactly as often as one compilation of the instance
+// does.
 func TestRunDaySharesInstanceCompile(t *testing.T) {
 	cat := rules.NewCatalog()
 	gen, jobs := sharingDay(t)
@@ -90,12 +93,12 @@ func TestRunDaySharesInstanceCompile(t *testing.T) {
 	var wantView []workload.ViewRow
 	hinted, fellBack := 0, 0
 	for i, job := range jobs {
-		run, err := runJobRef(prod, job, prod.Seed+2*100003+int64(i)*7)
+		run, res, err := runJobRef(prod, job, prod.Seed+2*100003+int64(i)*7)
 		if err != nil {
 			continue
 		}
 		want = append(want, run)
-		wantView = workload.AppendViewRows(wantView, job, run.Result, run.Metrics)
+		wantView = workload.AppendViewRows(wantView, job, res, run.Metrics)
 		switch {
 		case run.Hinted:
 			hinted++
@@ -107,9 +110,26 @@ func TestRunDaySharesInstanceCompile(t *testing.T) {
 		t.Fatalf("%d runs hinted, %d fell back from a failing hint; want both", hinted, fellBack)
 	}
 
+	// lookups counts what each instance's memo is asked while do runs.
+	lookups := func(do func()) map[*scope.Graph]uint64 {
+		n := make(map[*scope.Graph]uint64)
+		for g, job := range instances(jobs) {
+			st := job.CompileOptions(cat).Cache.Stats()
+			n[g] -= st.Hits + st.Misses
+		}
+		do()
+		for g, job := range instances(jobs) {
+			st := job.CompileOptions(cat).Cache.Stats()
+			n[g] += st.Hits + st.Misses
+		}
+		return n
+	}
 	for _, procs := range []int{1, 4} {
+		var runs []JobRun
+		var view []workload.ViewRow
+		var err error
 		prev := runtime.GOMAXPROCS(procs)
-		runs, view, err := prod.RunDay(2, jobs)
+		asked := lookups(func() { runs, view, err = prod.RunDay(2, jobs) })
 		runtime.GOMAXPROCS(prev)
 		if err != nil {
 			t.Fatal(err)
@@ -117,34 +137,59 @@ func TestRunDaySharesInstanceCompile(t *testing.T) {
 		if len(runs) != len(want) {
 			t.Fatalf("GOMAXPROCS=%d: %d runs, want %d", procs, len(runs), len(want))
 		}
-		byInstance := make(map[*scope.Graph]*optimizer.Result)
-		results := make(map[*optimizer.Result]bool)
+		byInstance := make(map[*scope.Graph]*scope.Graph)
+		graphs := make(map[*scope.Graph]bool)
 		shared := 0
 		for i, r := range runs {
 			w := want[i]
-			if r.Job != w.Job || r.Metrics != w.Metrics || r.Hinted != w.Hinted || r.Flip != w.Flip || !reflect.DeepEqual(*r.Result, *w.Result) {
-				t.Fatalf("GOMAXPROCS=%d: run %d (%s) hinted %v flip %v metrics %+v, want hinted %v flip %v metrics %+v, or its Result differs",
+			if r.Job != w.Job || r.Metrics != w.Metrics || r.Hinted != w.Hinted || r.Flip != w.Flip ||
+				!r.Signature.Equal(w.Signature.Bitset) || !sameBits(r.EstCost, w.EstCost) || !reflect.DeepEqual(r.Logical, w.Logical) {
+				t.Fatalf("GOMAXPROCS=%d: run %d (%s) hinted %v flip %v metrics %+v, want hinted %v flip %v metrics %+v, or its compilation differs",
 					procs, i, r.Job.ID, r.Hinted, r.Flip, r.Metrics, w.Hinted, w.Flip, w.Metrics)
 			}
 			if first, ok := byInstance[r.Job.Graph]; !ok {
-				byInstance[r.Job.Graph] = r.Result
-				if results[r.Result] {
-					t.Fatalf("GOMAXPROCS=%d: run %d shares a Result with another instance", procs, i)
+				byInstance[r.Job.Graph] = r.Logical
+				if graphs[r.Logical] {
+					t.Fatalf("GOMAXPROCS=%d: run %d shares a rewritten graph with another instance", procs, i)
 				}
-				results[r.Result] = true
-			} else if first != r.Result {
-				t.Fatalf("GOMAXPROCS=%d: run %d (%s) compiled its instance again", procs, i, r.Job.ID)
+				graphs[r.Logical] = true
+			} else if first != r.Logical {
+				t.Fatalf("GOMAXPROCS=%d: run %d (%s) holds another rewritten graph than its instance's", procs, i, r.Job.ID)
 			} else {
 				shared++
 			}
 		}
 		if shared == 0 {
-			t.Errorf("GOMAXPROCS=%d: no recurrence shared its instance's Result", procs)
+			t.Errorf("GOMAXPROCS=%d: no recurrence shared its instance's rewritten graph", procs)
+		}
+		once := lookups(func() {
+			for g, job := range instances(jobs) {
+				def := cat.DefaultConfig()
+				if _, err := optimizer.Optimize(g, store.ConfigFor(job.Template.Hash, def), job.CompileOptions(cat)); err != nil {
+					optimizer.Optimize(g, def, job.CompileOptions(cat))
+				}
+			}
+		})
+		for g, job := range instances(jobs) {
+			if asked[g] != once[g] {
+				t.Errorf("GOMAXPROCS=%d: RunDay asked %s's memo %d times, one compilation asks it %d", procs, job.ID, asked[g], once[g])
+			}
 		}
 		if !reflect.DeepEqual(view, wantView) {
 			t.Errorf("GOMAXPROCS=%d: view differs from the per-job reference's", procs)
 		}
 	}
+}
+
+// instances maps each distinct instance among jobs to its first job.
+func instances(jobs []*workload.Job) map[*scope.Graph]*workload.Job {
+	out := make(map[*scope.Graph]*workload.Job)
+	for _, job := range jobs {
+		if _, ok := out[job.Graph]; !ok {
+			out[job.Graph] = job
+		}
+	}
+	return out
 }
 
 // scriptedRecommender picks a no-op for a fifth of the templates, for

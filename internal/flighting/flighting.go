@@ -56,8 +56,10 @@ type Request struct {
 	// Flip is carried through for bookkeeping.
 	Flip rules.Flip
 	// Compiled, when set, is Job already compiled under Treatment with
-	// the service's catalog (see Catalog), and the flight runs it rather
-	// than compiling the treatment again. A result compiled with another
+	// the service's catalog (see Catalog) into a plan the caller keeps
+	// (the recommender's Recompiled), and the flight runs its plan rather
+	// than compiling the treatment again; unset, the flight compiles the
+	// treatment itself and keeps no plan. A result compiled with another
 	// catalog must not be passed: it need not be the plan this service
 	// would compile.
 	Compiled *optimizer.Result
@@ -94,6 +96,10 @@ const (
 	queueSize = 8
 	// totalBudgetHours is the total flighting budget per pipeline run.
 	totalBudgetHours = 200
+	// failedAttemptHours is the set-up cost of a flight that does not
+	// run: a filtered or expired job, or a treatment that fails to
+	// compile.
+	failedAttemptHours = 0.05
 )
 
 // Config parameterizes the service.
@@ -169,6 +175,7 @@ func (s *Service) Run(reqs []Request) []Result {
 	// runs out mid-chunk, full parallelism when it does not (the common
 	// case — the paper sizes the budget to cover the queue).
 	chunkSize := runtime.GOMAXPROCS(0) * 4
+	flights := make([]Result, min(chunkSize, len(ordered)))
 	for start := 0; start < len(ordered); start += chunkSize {
 		if used >= s.budget {
 			// Budget exhausted: everything left is Skipped, uncomputed.
@@ -178,7 +185,7 @@ func (s *Service) Run(reqs []Request) []Result {
 			break
 		}
 		chunk := ordered[start:min(start+chunkSize, len(ordered))]
-		computed := make([]Result, len(chunk))
+		computed := flights[:len(chunk)]
 		par.For(len(chunk), func(i int) { computed[i] = s.flightOne(chunk[i]) })
 		// Sequential budget fold over the chunk, in queue order.
 		for i, req := range chunk {
@@ -193,36 +200,39 @@ func (s *Service) Run(reqs []Request) []Result {
 	return results
 }
 
-// flightOne runs a single A/B comparison.
+// flightOne runs a single A/B comparison. Each arm runs inside its own
+// compilation (run) and keeps no plan. The arms compile one after the
+// other, so a flight holds one pooled builder at a time, and a flight
+// keeps both arms' metrics or neither's: the baseline's are dropped when
+// the treatment fails to compile, the next occurrence's when either of
+// its arms does.
 func (s *Service) flightOne(req Request) Result {
 	out := Result{Request: req}
 	if o := classify(req.Job); o != Success {
 		out.Outcome = o
-		out.HoursUsed = 0.05 // setup cost of a failed attempt
+		out.HoursUsed = failedAttemptHours
 		return out
 	}
 	job := req.Job
 	opts := job.CompileOptions(s.cfg.Catalog)
+	def := s.cfg.Catalog.DefaultConfig()
+	seed := s.cfg.Seed + int64(job.Date)*1000003 + int64(len(job.ID))
 
-	baseRes, err := optimizer.Optimize(job.Graph, s.cfg.Catalog.DefaultConfig(), opts)
-	if err != nil {
+	var base exec.Metrics
+	if err := s.run(&base, job, def, opts, seed); err != nil {
 		out.Outcome = Failure
 		out.Err = err
 		return out
 	}
-	treatRes := req.Compiled
-	if treatRes == nil {
-		if treatRes, err = optimizer.Optimize(job.Graph, req.Treatment, opts); err != nil {
-			out.Outcome = Failure
-			out.Err = err
-			out.HoursUsed = 0.05
-			return out
-		}
+	if req.Compiled != nil {
+		out.Treat = exec.Run(req.Compiled.Plan, job.Truth, job.Stats, s.cfg.Cluster, seed+1)
+	} else if err := s.run(&out.Treat, job, req.Treatment, opts, seed+1); err != nil {
+		out.Outcome = Failure
+		out.Err = err
+		out.HoursUsed = failedAttemptHours
+		return out
 	}
-
-	seed := s.cfg.Seed + int64(job.Date)*1000003 + int64(len(job.ID))
-	out.Baseline = exec.Run(baseRes.Plan, job.Truth, job.Stats, s.cfg.Cluster, seed)
-	out.Treat = exec.Run(treatRes.Plan, job.Truth, job.Stats, s.cfg.Cluster, seed+1)
+	out.Baseline = base
 
 	hours := (out.Baseline.LatencySec + out.Treat.LatencySec) / 3600
 	if out.Baseline.LatencySec/3600 > perJobTimeoutHours ||
@@ -239,15 +249,21 @@ func (s *Service) flightOne(req Request) Result {
 	// and all.
 	if future, err := job.Template.Instantiate(job.Date+1, job.Seq); err == nil {
 		fOpts := future.CompileOptions(s.cfg.Catalog)
-		fBase, err1 := optimizer.Optimize(future.Graph, s.cfg.Catalog.DefaultConfig(), fOpts)
-		fTreat, err2 := optimizer.Optimize(future.Graph, req.Treatment, fOpts)
-		if err1 == nil && err2 == nil {
-			out.FutureBaseline = exec.Run(fBase.Plan, future.Truth, future.Stats, s.cfg.Cluster, seed+77)
-			out.FutureTreat = exec.Run(fTreat.Plan, future.Truth, future.Stats, s.cfg.Cluster, seed+78)
-			out.HasFuture = true
+		var fBase, fTreat exec.Metrics
+		if s.run(&fBase, future, def, fOpts, seed+77) == nil && s.run(&fTreat, future, req.Treatment, fOpts, seed+78) == nil {
+			out.FutureBaseline, out.FutureTreat, out.HasFuture = fBase, fTreat, true
 		}
 	}
 	return out
+}
+
+// run compiles job's graph under cfg and runs the plan, inside its
+// compilation (optimizer.Use), on the job's truth with seed into m. It
+// returns the compilation's error and leaves m as it was on one.
+func (s *Service) run(m *exec.Metrics, job *workload.Job, cfg rules.Config, opts optimizer.Options, seed int64) error {
+	return optimizer.Use(job.Graph, cfg, opts, func(res *optimizer.Result) {
+		*m = exec.Run(res.Plan, job.Truth, job.Stats, s.cfg.Cluster, seed)
+	})
 }
 
 // Successes filters results down to successful flights.

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"testing"
 
+	"qoadvisor/internal/exec"
 	"qoadvisor/internal/optimizer"
 	"qoadvisor/internal/rules"
 	"qoadvisor/internal/workload"
@@ -348,5 +349,151 @@ func TestFlightReusesCompiledTreatment(t *testing.T) {
 	}
 	if reuseLookups >= plainLookups {
 		t.Errorf("%d rewrite-memo lookups with Compiled set, %d without: the treatment was compiled again", reuseLookups, plainLookups)
+	}
+}
+
+// advisorDayRequests asks for one flight per job as an advisor day does,
+// queued by the treatment's estimated cost: every third job flies the
+// first single flip that lowers its cost, carrying that compilation as
+// the recommender's improving flips do (Request.Compiled); the others fly
+// a flip of one of the first on-by-default rules, compiled by the flight,
+// and every seventh job one disabling a required rule, which never
+// compiles. A treatment that fails to compile queues at its job's index.
+func advisorDayRequests(t *testing.T, jobs []*workload.Job, cat *rules.Catalog) []Request {
+	t.Helper()
+	def := cat.DefaultConfig()
+	reqs := make([]Request, len(jobs))
+	compiled, failing := 0, 0
+	for i, j := range jobs {
+		opts := j.CompileOptions(cat)
+		_, base, err := optimizer.Estimate(j.Graph, def, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		flip := rules.Flip{RuleID: cat.Rules(rules.OnByDefault)[i%10].ID, Enable: false}
+		if i%7 == 6 {
+			flip.RuleID = cat.Rules(rules.Required)[0].ID
+		}
+		req := Request{Job: j, Treatment: def.WithFlip(flip), EstCost: float64(i), Flip: flip}
+		if i%3 == 0 {
+			if f, ok := improvingFlip(cat, j, base); ok {
+				req = Request{Job: j, Treatment: def.WithFlip(f), Flip: f}
+			}
+		}
+		if _, cost, err := optimizer.Estimate(j.Graph, req.Treatment, opts); err != nil {
+			failing++
+		} else if req.EstCost = cost; cost < base {
+			if req.Compiled, err = optimizer.Optimize(j.Graph, req.Treatment, opts); err != nil {
+				t.Fatal(err)
+			}
+			compiled++
+		}
+		reqs[i] = req
+	}
+	if compiled == 0 || failing == 0 {
+		t.Fatalf("%d improving and %d failing treatments; want both", compiled, failing)
+	}
+	return reqs
+}
+
+// improvingFlip returns the first single flip of a rule that is not
+// required under which j's estimated cost is below base.
+func improvingFlip(cat *rules.Catalog, j *workload.Job, base float64) (rules.Flip, bool) {
+	def := cat.DefaultConfig()
+	for _, r := range cat.All() {
+		f := rules.Flip{RuleID: r.ID, Enable: !def.Enabled(r.ID)}
+		if r.Category == rules.Required {
+			continue
+		}
+		if _, cost, err := optimizer.Estimate(j.Graph, def.WithFlip(f), j.CompileOptions(cat)); err == nil && cost < base {
+			return f, true
+		}
+	}
+	return rules.Flip{}, false
+}
+
+// flightRef is flightOne with every arm compiled by Optimize into a plan
+// of its own, then run.
+func flightRef(s *Service, req Request) Result {
+	out := Result{Request: req}
+	if o := classify(req.Job); o != Success {
+		out.Outcome = o
+		out.HoursUsed = 0.05
+		return out
+	}
+	job := req.Job
+	opts := job.CompileOptions(s.cfg.Catalog)
+	baseRes, err := optimizer.Optimize(job.Graph, s.cfg.Catalog.DefaultConfig(), opts)
+	if err != nil {
+		out.Outcome, out.Err = Failure, err
+		return out
+	}
+	treatRes := req.Compiled
+	if treatRes == nil {
+		if treatRes, err = optimizer.Optimize(job.Graph, req.Treatment, opts); err != nil {
+			out.Outcome, out.Err, out.HoursUsed = Failure, err, 0.05
+			return out
+		}
+	}
+	seed := s.cfg.Seed + int64(job.Date)*1000003 + int64(len(job.ID))
+	out.Baseline = exec.Run(baseRes.Plan, job.Truth, job.Stats, s.cfg.Cluster, seed)
+	out.Treat = exec.Run(treatRes.Plan, job.Truth, job.Stats, s.cfg.Cluster, seed+1)
+	if out.Baseline.LatencySec/3600 > perJobTimeoutHours || out.Treat.LatencySec/3600 > perJobTimeoutHours {
+		out.Outcome, out.HoursUsed = Timeout, perJobTimeoutHours
+		return out
+	}
+	out.Outcome = Success
+	out.HoursUsed = (out.Baseline.LatencySec + out.Treat.LatencySec) / 3600
+	if future, err := job.Template.Instantiate(job.Date+1, job.Seq); err == nil {
+		fOpts := future.CompileOptions(s.cfg.Catalog)
+		fBase, err1 := optimizer.Optimize(future.Graph, s.cfg.Catalog.DefaultConfig(), fOpts)
+		fTreat, err2 := optimizer.Optimize(future.Graph, req.Treatment, fOpts)
+		if err1 == nil && err2 == nil {
+			out.FutureBaseline = exec.Run(fBase.Plan, future.Truth, future.Stats, s.cfg.Cluster, seed+77)
+			out.FutureTreat = exec.Run(fTreat.Plan, future.Truth, future.Stats, s.cfg.Cluster, seed+78)
+			out.HasFuture = true
+		}
+	}
+	return out
+}
+
+// TestBorrowedFlightsMatchPublished holds every flight of one advisor
+// day, each arm run inside its borrowed compilation, to flightRef, which
+// runs published plans: the same Outcome, HoursUsed, Err, baseline,
+// treatment and future metrics and HasFuture, in the same queue order, at
+// GOMAXPROCS 1 and 4, with chunks of several flights running at once.
+func TestBorrowedFlightsMatchPublished(t *testing.T) {
+	cat := rules.NewCatalog()
+	jobs := testJobs(t, 40)
+	reqs := advisorDayRequests(t, jobs, cat)
+	svc := New(Config{Catalog: cat, Seed: 3})
+	ordered := slices.Clone(reqs)
+	sort.SliceStable(ordered, func(i, j int) bool { return ordered[i].EstCost < ordered[j].EstCost })
+	want := make([]Result, len(ordered))
+	outcomes := make(map[Outcome]int)
+	futures := 0
+	for i, req := range ordered {
+		want[i] = flightRef(svc, req)
+		outcomes[want[i].Outcome]++
+		if want[i].HasFuture {
+			futures++
+		}
+	}
+	t.Logf("%d flights: %v, %d with future arms", len(want), outcomes, futures)
+	if outcomes[Success] == 0 || outcomes[Failure] == 0 || futures == 0 {
+		t.Fatalf("%d successes, %d failures, %d with future arms; want each", outcomes[Success], outcomes[Failure], futures)
+	}
+	for _, procs := range []int{1, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		got := svc.Run(reqs)
+		runtime.GOMAXPROCS(prev)
+		if len(got) != len(want) {
+			t.Fatalf("GOMAXPROCS=%d: %d results, want %d", procs, len(got), len(want))
+		}
+		for i := range got {
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Fatalf("GOMAXPROCS=%d: flight %d (%s) differs from the published reference:\n got %+v\nwant %+v", procs, i, want[i].Request.Job.ID, got[i], want[i])
+			}
+		}
 	}
 }

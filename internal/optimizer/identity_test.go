@@ -452,6 +452,12 @@ func TestRewrittenGraphOwnsItsMemory(t *testing.T) {
 // must also render as the job lowered on a builder of its own, which is
 // never pooled and so never cleared: a plan pointing into scratch the
 // pool clears would otherwise render the same cleared nodes twice.
+//
+// The other way round, Use lends its callback the scratch plan itself,
+// which must render as the published one there and must not outlive the
+// callback: a Result and Plan kept past it read, once Use has pooled the
+// builder, as a Result with no plan or rewritten graph and a Plan with no
+// roots, stages or nodes.
 func TestPublishedPlanOwnsItsMemory(t *testing.T) {
 	cat := rules.NewCatalog()
 	def := cat.DefaultConfig()
@@ -492,5 +498,21 @@ func TestPublishedPlanOwnsItsMemory(t *testing.T) {
 	}
 	if got := renderPlan(first.Plan); got != want {
 		t.Errorf("%s's plan changed while %d later jobs were compiled:\n--- before\n%s--- after\n%s", jobs[0].Template.ID, compiled, want, got)
+	}
+
+	var kept *optimizer.Result
+	var keptPlan *optimizer.Plan
+	err = optimizer.Use(jobs[0].Graph, def, jobs[0].CompileOptions(cat), func(res *optimizer.Result) {
+		if got := renderPlan(res.Plan); got != want {
+			t.Errorf("%s's borrowed plan differs from its published one:\n--- borrowed\n%s--- published\n%s", jobs[0].Template.ID, got, want)
+		}
+		kept, keptPlan = res, res.Plan
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if kept.Plan != nil || kept.Logical != nil || len(keptPlan.Roots)+len(keptPlan.Stages)+len(keptPlan.Nodes())+keptPlan.IDBound() != 0 {
+		t.Errorf("%s's borrowed Result still reads as a compilation once Use returned: plan %v, rewritten graph %v, %d roots, %d stages, %d nodes",
+			jobs[0].Template.ID, kept.Plan != nil, kept.Logical != nil, len(keptPlan.Roots), len(keptPlan.Stages), len(keptPlan.Nodes()))
 	}
 }

@@ -24,7 +24,8 @@ const rowsPerPartition = 200_000
 // stages, their node lists and upstream IDs in buffers of their own. Only
 // Optimize publishes the finished plan, last: publish copies it, sized
 // exactly, into memory the returned Plan owns alone; Estimate reads its
-// signature and cost and publishes nothing. The keyed partitioning
+// signature and cost and publishes nothing, and Use lends the scratch
+// plan itself to its callback (borrow). The keyed partitioning
 // schemes are strings interned in the builder's table, immutable and
 // shared by every plan that names them. Nothing else a published Plan
 // holds points into the builder, so a later build on it cannot reach a
@@ -63,6 +64,11 @@ type implBuilder struct {
 	cost     float64
 	vertices int
 
+	// res and plan are the Result and Plan borrow lends over the scratch;
+	// release zeroes them.
+	res  Result
+	plan Plan
+
 	// schemes interns keyed PartSchemes, each keyed by itself: the one
 	// part of the builder a published plan shares (schemeInternCap).
 	schemes map[string]string
@@ -94,10 +100,13 @@ func lower(g *scope.Graph, cfg rules.Config, cat *rules.Catalog, sig rules.Signa
 }
 
 // release pools b once it has dropped what points into the caller's
-// world: the rule table, the environment, and the logical nodes and names
-// the scratch holds.
+// world: the rule table, the environment, the borrowed Result and Plan,
+// and the logical nodes and names the scratch holds. A borrowed Result
+// kept past release reads as one with no plan, a borrowed Plan as one
+// with no roots, stages or nodes.
 func (b *implBuilder) release() {
 	b.table, b.estimation = ruleTable{}, EstimationEnv{}
+	b.res, b.plan = Result{}, Plan{}
 	b.est.release()
 	for c := 0; c*implChunk < b.nodes; c++ {
 		clear(b.chunks[c])
@@ -185,6 +194,16 @@ func (b *implBuilder) publish(work *scope.Graph) *Result {
 	p.EstCost, p.EstVertices, p.nextID = b.cost, b.vertices, b.nodes
 	out.res = Result{Plan: p, Logical: work, Signature: b.sig, EstCost: b.cost}
 	return &out.res
+}
+
+// borrow returns the Result of compiling the finished plan from the
+// rewritten graph work without copying it: the Plan's roots, topological
+// order and stages are the scratch's own slices, and its nodes the
+// scratch's, until release.
+func (b *implBuilder) borrow(work *scope.Graph) *Result {
+	b.plan = Plan{Roots: b.roots, Stages: b.stages, EstCost: b.cost, EstVertices: b.vertices, nextID: b.nodes, order: b.order}
+	b.res = Result{Plan: &b.plan, Logical: work, Signature: b.sig, EstCost: b.cost}
+	return &b.res
 }
 
 // remap writes the published counterparts of src, nodes being the

@@ -94,7 +94,27 @@ func Estimate(g *scope.Graph, cfg rules.Config, opts Options) (rules.Signature, 
 	return sig, cost, nil
 }
 
-// compile runs the compilation Optimize and Estimate share: the up-front
+// Use is Optimize for a caller that reads the plan only while fn runs:
+// the same compilation, failing exactly when Optimize fails, that hands
+// fn a Result whose Plan is the pooled builder's own scratch, published
+// nowhere, so with a warm opts.Cache it allocates nothing
+// (TestEstimateMatchesOptimize, TestUseAllocBudget). The Result and
+// everything it reaches but Logical are valid only until fn returns:
+// then the builder is pooled, its plan headers zeroed, and the next
+// compilation reuses its scratch, so fn must keep no pointer into them
+// (TestPublishedPlanOwnsItsMemory). Use returns the compilation's error;
+// fn runs only when it is nil.
+func Use(g *scope.Graph, cfg rules.Config, opts Options, fn func(*Result)) error {
+	work, b, err := compile(g, cfg, opts)
+	if err != nil {
+		return err
+	}
+	fn(b.borrow(work))
+	b.release()
+	return nil
+}
+
+// compile runs the compilation Optimize, Estimate and Use share: the up-front
 // rejections, the logical phase (through opts.Cache when set) and the
 // lowering. It returns the rewritten graph and the pooled builder holding
 // the finished, unpublished plan, which the caller releases.
