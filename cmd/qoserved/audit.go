@@ -1,9 +1,6 @@
 package main
 
 import (
-	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"errors"
 	"flag"
 	"fmt"
@@ -75,6 +72,8 @@ func (m *auditMode) validate(query string) error {
 		return errors.New("template needs -template-hash <64-bit hex>")
 	case m.walDir == "":
 		return errors.New("needs -wal-dir <journal directory>")
+	case m.limit < 0:
+		return fmt.Errorf("-audit-limit %d: want 0 (unlimited) or a positive row cap", m.limit)
 	}
 	// Mirror the serving default: a WAL-backed server snapshots next to
 	// the journal unless told otherwise.
@@ -101,10 +100,7 @@ func (m *auditMode) records(eng *audit.Engine) error {
 	st, err := eng.Run(audit.Query{
 		EventID: m.event, FromLSN: m.from, ToLSN: m.to, Limit: m.limit,
 		Tags: m.tags, Template: m.hash, HasTemplate: m.hasTemplate,
-	}, func(res audit.Result) error {
-		fmt.Printf("%10d  %-13s %s\n", res.LSN, walrec.Name(res.Rec.Tag), audit.Summary(res))
-		return nil
-	})
+	}, func(res audit.Result) error { return audit.WriteRecord(os.Stdout, res.Row()) })
 	if err != nil {
 		return err
 	}
@@ -114,61 +110,24 @@ func (m *auditMode) records(eng *audit.Engine) error {
 
 func (m *auditMode) decision(eng *audit.Engine) error {
 	tr, err := eng.Trace(m.event)
-	if err != nil {
-		return err
+	if err == nil {
+		err = audit.WriteDecision(os.Stdout, tr)
 	}
-	if tr.Rank == nil {
-		fmt.Printf("event %s: no rank record in the journal (never ranked, or compacted away)\n", m.event)
-		return nil
+	if err == nil && tr.Found {
+		printScan("decision", len(tr.Rewards)+len(tr.Lineage)+1, tr.Scan)
 	}
-	fmt.Printf("event:    %s\n", m.event)
-	fmt.Printf("decision: lsn=%d prob=%.4f ctxFeatures=%d actFeatures=%d\n",
-		tr.RankLSN, tr.Rank.Prob, len(tr.Rank.CtxIDs), len(tr.Rank.ActIDs))
-	for _, rw := range tr.Rewards {
-		fmt.Printf("reward:   lsn=%d value=%.4f\n", rw.LSN, rw.Value)
-	}
-	if len(tr.Rewards) == 0 {
-		fmt.Printf("reward:   none journaled\n")
-	}
-	if tr.TrainedAtLSN > 0 {
-		fmt.Printf("trained:  by lsn=%d at the latest (first train mark after the last reward)\n", tr.TrainedAtLSN)
-	}
-	for _, lr := range tr.Lineage {
-		fmt.Printf("lineage:  lsn=%d event=%s value=%.4f\n", lr.LSN, lr.EventID, lr.Value)
-	}
-	if tr.LineageTruncated {
-		fmt.Printf("lineage:  (truncated at cap)\n")
-	}
-	printScan("decision", len(tr.Rewards)+len(tr.Lineage)+1, tr.Scan)
-	return nil
+	return err
 }
 
 func (m *auditMode) template(eng *audit.Engine) error {
 	th, err := eng.Template(m.hash)
-	if err != nil {
-		return err
+	if err == nil {
+		err = audit.WriteTemplate(os.Stdout, th)
 	}
-	fmt.Printf("template: %016x\n", m.hash)
-	for _, ev := range th.Events {
-		switch ev.Kind {
-		case "hint":
-			fmt.Printf("%10d  hint flip=%s day=%d generation=%d\n", ev.LSN, ev.Flip, ev.Day, ev.Gen)
-		case "hint_removed":
-			fmt.Printf("%10d  hint removed (generation %d)\n", ev.LSN, ev.Gen)
-		case "quarantine":
-			kind := "transition"
-			if ev.Snapshot {
-				kind = "checkpoint re-journal"
-			}
-			fmt.Printf("%10d  quarantine state=%s (%s)\n", ev.LSN, ev.State, kind)
-		case "quarantine_cleared":
-			fmt.Printf("%10d  quarantine cleared\n", ev.LSN)
-		}
+	if err == nil {
+		printScan("template", len(th.Events), th.Scan)
 	}
-	fmt.Printf("history:  %d events from %d rollovers, %d quarantine records\n",
-		len(th.Events), th.Rollovers, th.QuarantineRecords)
-	printScan("template", len(th.Events), th.Scan)
-	return nil
+	return err
 }
 
 func (m *auditMode) asOf(*audit.Engine) error {
@@ -183,40 +142,26 @@ func (m *auditMode) asOf(*audit.Engine) error {
 		}
 		lsn = end
 	}
-	res, err := serve.RecoverAsOf(wal.DirSource{Dir: m.walDir}, m.model, lsn)
+	res, snap, err := serve.AuditAsOf(wal.DirSource{Dir: m.walDir}, m.model, lsn)
 	if apiErr := (*api.Error)(nil); errors.As(err, &apiErr) {
 		// RecoverAsOf's invalid_request: the records the reconstruction
 		// needs were compacted behind a checkpoint, whose snapshot alone
 		// covers them.
 		return fmt.Errorf("%w; pass -model with the snapshot of the checkpoint that compacted it", err)
 	}
+	if err == nil {
+		err = audit.WriteAsOf(os.Stdout, res, m.model)
+	}
 	if err != nil {
 		return err
 	}
-	var snap bytes.Buffer
-	if err := res.Service.Save(&snap); err != nil {
-		return err
-	}
-	sum := sha256.Sum256(snap.Bytes())
-	fmt.Printf("asof:     lsn=%d\n", lsn)
-	fmt.Printf("seed:     snapshot=%v watermark=%d (%s)\n", res.SnapshotLoaded, res.FromLSN, m.model)
-	fmt.Printf("replayed: %d records (%d ranks, %d rewards, %d train marks -> %d training runs over %d events)\n",
-		res.Replay.Records, res.Replay.Ranks, res.Replay.Rewards,
-		res.Replay.TrainMarks, res.Replay.TrainRuns, res.Replay.TrainedEvents)
-	if len(res.Hints) > 0 {
-		fmt.Printf("hints:    %d active (generation %d)\n", len(res.Hints), res.HintGen)
-	}
-	if len(res.Quarantine) > 0 {
-		fmt.Printf("held:     %d templates in a durable safeguard state\n", len(res.Quarantine))
-	}
-	fmt.Printf("model:    %d bytes, sha256=%s\n", snap.Len(), hex.EncodeToString(sum[:]))
 	if m.out != "" {
-		if err := wal.WriteFileAtomic(m.out, snap.Bytes()); err != nil {
+		if err := wal.WriteFileAtomic(m.out, snap); err != nil {
 			return err
 		}
 		fmt.Printf("written:  %s\n", m.out)
 	}
-	printScan("asof", int(res.Replay.Records), audit.ScanOf(res.Journal, res.Replay.Records))
+	printScan("asof", int(res.Replay.Records), res.Scan)
 	return nil
 }
 
@@ -236,7 +181,7 @@ func journalEnd(dir string) (uint64, error) {
 
 // printScan reports what the query read versus skipped — the audit
 // tool's own observability, on stderr so stdout stays diffable.
-func printScan(mode string, rows int, st audit.ScanStats) {
+func printScan(mode string, rows int, st api.AuditScanStats) {
 	fmt.Fprintf(os.Stderr,
 		"audit %s: %d rows; segments %d scanned / %d skipped of %d; %d records scanned, %d matched\n",
 		mode, rows, st.SegmentsScanned, st.SegmentsSkipped, st.SegmentsTotal,

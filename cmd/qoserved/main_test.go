@@ -201,6 +201,7 @@ func TestParseRejects(t *testing.T) {
 		{"audit template -wal-dir d", "needs -template-hash"},
 		{"audit template -wal-dir d -template-hash xyz", "invalid value"},
 		{"audit records -wal-dir d -audit-type bogus", "bogus"},
+		{"audit records -wal-dir d -audit-limit -1", "-audit-limit -1"},
 		{"audit bogus -wal-dir d", "unknown query"},
 		{"serve -wal-sync bogus", "bad -wal-sync"},
 		{"serve -log-level loud", "unknown log level"},

@@ -8,8 +8,9 @@
 // journal through the /v2/audit endpoints:
 //
 //	phase 1  a day of steering      ranks, rewards, two hint rollovers
-//	phase 2  why this decision?     /v2/audit/decision — rank, rewards,
-//	                                first train mark, weight lineage
+//	phase 2  why this decision?     /v2/audit/records — the event's own
+//	                                records; /v2/audit/decision — rank,
+//	                                rewards, first train mark, lineage
 //	phase 3  who steered template?  /v2/audit/template — flip history
 //	phase 4  time travel            /v2/audit/asof — reconstructed model
 //	                                byte-identical to a live checkpoint
@@ -32,6 +33,7 @@ import (
 	"fmt"
 	"log"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"path/filepath"
 
@@ -118,6 +120,13 @@ func main() {
 	}
 	fmt.Printf("event %s: ranked at lsn=%d prob=%.4f (%d context, %d action features)\n",
 		tr.EventID, tr.RankLSN, tr.Prob, tr.CtxIDs, tr.ActIDs)
+	recs, err := cl.AuditRecords(ctx, url.Values{"event": {target}})
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, rec := range recs.Records {
+		fmt.Printf("  journal lsn=%d %s\n", rec.LSN, rec.Summary)
+	}
 	for _, rw := range tr.Rewards {
 		fmt.Printf("  reward lsn=%d value=%.2f\n", rw.LSN, rw.Value)
 	}

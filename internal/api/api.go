@@ -35,6 +35,8 @@ package api
 import (
 	"fmt"
 	"net/http"
+
+	"qoadvisor/internal/obs"
 )
 
 // Route paths. Clients should use these constants rather than spelling
@@ -361,6 +363,16 @@ type Hist struct {
 	Count    uint64   `json:"count"`
 	SumNanos uint64   `json:"sumNanos"`
 	Buckets  []uint64 `json:"buckets"`
+}
+
+// Snapshot rebuilds the histogram from its wire form, for fleet
+// merging and the /metrics exposition. A missing histogram (a node
+// predating the field) is an empty one.
+func (h *Hist) Snapshot() obs.HistSnapshot {
+	if h == nil {
+		return obs.HistSnapshot{}
+	}
+	return obs.SnapshotFromParts(h.SumNanos, h.Buckets)
 }
 
 // RouteStats aggregates the middleware's per-route counters. The

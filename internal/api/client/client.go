@@ -607,6 +607,19 @@ func (c *Client) BootstrapSnapshot(ctx context.Context) (io.ReadCloser, error) {
 	return c.getStream(ctx, api.RouteV2WALSnapshot)
 }
 
+// AuditRecords lists the journal records matching a filter
+// (GET /v2/audit/records). filter holds the route's parameters: type,
+// event, template, fromLsn, toLsn and limit.
+func (c *Client) AuditRecords(ctx context.Context, filter url.Values) (api.AuditRecordsResponse, error) {
+	var out api.AuditRecordsResponse
+	path := api.RouteV2AuditRecords
+	if len(filter) > 0 {
+		path += "?" + filter.Encode()
+	}
+	err := c.do(ctx, http.MethodGet, path, nil, &out)
+	return out, err
+}
+
 // AuditDecision fetches one event's decision trace
 // (GET /v2/audit/decision?event=...).
 func (c *Client) AuditDecision(ctx context.Context, eventID string) (api.AuditDecisionResponse, error) {

@@ -397,11 +397,18 @@ func TestTraceAnswersWhy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Rank == nil {
+	if !tr.Found {
 		t.Fatalf("trace found no rank record for %s", ids[5])
 	}
-	if tr.Rank.EventID != ids[5] {
-		t.Fatalf("trace resolved the wrong event: %s", tr.Rank.EventID)
+	var rank api.AuditRecord
+	if _, err := eng.Run(audit.Query{Tags: []byte{walrec.TagRank}, EventID: ids[5]}, func(r audit.Result) error {
+		rank = r.Row()
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if rank.EventID != ids[5] || tr.RankLSN != rank.LSN {
+		t.Fatalf("trace resolved the wrong event: rank at lsn %d, %s's rank record is at lsn %d", tr.RankLSN, ids[5], rank.LSN)
 	}
 	if len(tr.Rewards) != 1 {
 		t.Fatalf("trace found %d rewards, want 1", len(tr.Rewards))
@@ -414,7 +421,7 @@ func TestTraceAnswersWhy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if missing.Rank != nil || len(missing.Rewards) != 0 {
+	if missing.Found || len(missing.Rewards) != 0 {
 		t.Error("unknown event produced a non-empty trace")
 	}
 }
@@ -423,7 +430,6 @@ func TestTraceAnswersWhy(t *testing.T) {
 type journalRecord struct {
 	lsn uint64
 	rec walrec.Record
-	raw []byte
 }
 
 // readAll is the reference reader: every record of the journal through
@@ -436,7 +442,7 @@ func readAll(t *testing.T, dir string) []journalRecord {
 		if err != nil {
 			return err
 		}
-		all = append(all, journalRecord{lsn, rec, bytes.Clone(payload)})
+		all = append(all, journalRecord{lsn, rec})
 		return nil
 	}); err != nil {
 		t.Fatal(err)
@@ -479,7 +485,7 @@ func bruteRecords(all []journalRecord, q audit.Query) []string {
 				continue
 			}
 		}
-		rows = append(rows, recordRow(r.lsn, r.rec, r.raw))
+		rows = append(rows, recordRow(audit.Result{LSN: r.lsn, Rec: r.rec}))
 		if len(rows) == q.Limit {
 			break
 		}
@@ -731,7 +737,7 @@ func TestScanCountersAndDamageRule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	count := func(q audit.Query) (audit.ScanStats, error) {
+	count := func(q audit.Query) (api.AuditScanStats, error) {
 		return eng.Run(q, func(audit.Result) error { return nil })
 	}
 
@@ -854,7 +860,7 @@ func TestAuditAndRecoveryRefuseTheSameRecords(t *testing.T) {
 			}
 			var listed []string
 			if _, err := eng.Run(audit.Query{}, func(r audit.Result) error {
-				listed = append(listed, audit.Summary(r))
+				listed = append(listed, r.Row().Summary)
 				return nil
 			}); err != nil {
 				t.Fatal(err)
@@ -864,7 +870,7 @@ func TestAuditAndRecoveryRefuseTheSameRecords(t *testing.T) {
 				t.Errorf("audit records lists %q, want [%q]", listed, want)
 			}
 			if _, err := eng.Run(audit.Query{Template: hash, HasTemplate: true}, func(r audit.Result) error {
-				t.Errorf("audit records template=%x matched lsn %d: %s", hash, r.LSN, audit.Summary(r))
+				t.Errorf("audit records template=%x matched lsn %d: %s", hash, r.LSN, r.Row().Summary)
 				return nil
 			}); err != nil {
 				t.Fatal(err)

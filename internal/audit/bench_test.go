@@ -97,7 +97,7 @@ func BenchmarkAuditTrace(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if tr.Rank == nil || len(tr.Lineage) == 0 {
+		if !tr.Found || len(tr.Lineage) == 0 {
 			b.Fatal("empty trace")
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"os"
 	"sync/atomic"
 
+	"qoadvisor/internal/api"
 	"qoadvisor/internal/wal"
 	"qoadvisor/internal/walrec"
 )
@@ -36,18 +37,9 @@ func Open(dir string) (*Engine, error) {
 	return &Engine{dir: dir}, nil
 }
 
-// Totals are the engine's cumulative counters across all queries.
-type Totals struct {
-	Queries         int64
-	SegmentsScanned int64
-	SegmentsSkipped int64
-	RecordsScanned  int64
-	RecordsMatched  int64
-}
-
 // Totals reports the engine's lifetime counters.
-func (e *Engine) Totals() Totals {
-	return Totals{
+func (e *Engine) Totals() api.AuditStats {
+	return api.AuditStats{
 		Queries:         e.queries.Load(),
 		SegmentsScanned: e.segScanned.Load(),
 		SegmentsSkipped: e.segSkipped.Load(),
@@ -57,9 +49,9 @@ func (e *Engine) Totals() Totals {
 }
 
 // Count adds one journal pass to the totals. Run counts its own; the
-// as-of reconstruction, which replays through serve.RecoverAsOf rather
+// as-of reconstruction, which replays through serve.AuditAsOf rather
 // than Run, is counted by its caller.
-func (e *Engine) Count(st ScanStats) {
+func (e *Engine) Count(st api.AuditScanStats) {
 	e.queries.Add(1)
 	e.segScanned.Add(st.SegmentsScanned)
 	e.segSkipped.Add(st.SegmentsSkipped)
@@ -85,49 +77,38 @@ type Query struct {
 	Limit int
 }
 
-// ScanStats counts what one pass over the journal touched. Segments are
-// skipped on their headers alone: those wholly below the LSN window are
-// never opened, and the pass stops at the window's last record or the
-// row limit without opening the ones after it.
-type ScanStats struct {
-	SegmentsTotal   int64
-	SegmentsScanned int64
-	SegmentsSkipped int64
-	RecordsScanned  int64 // records read inside the LSN window
-	RecordsMatched  int64 // results delivered
-	// Truncated reports a torn tail on the final segment (crash
-	// artifact): the scan ended cleanly just before it.
-	Truncated bool
-}
-
-// ScanOf renders a replay pass as scan counters.
-func ScanOf(info wal.ReplayInfo, matched int64) ScanStats {
-	return ScanStats{
+// ScanOf renders a replay pass as scan counters. Segments are skipped
+// on their headers alone: those wholly below the LSN window are never
+// opened, and the pass stops at the window's last record or the row
+// limit without opening the ones after it.
+func ScanOf(info wal.ReplayInfo, matched int64) api.AuditScanStats {
+	skipped := int64(info.Segments - info.SegmentsRead)
+	return api.AuditScanStats{
 		SegmentsTotal:   int64(info.Segments),
 		SegmentsScanned: int64(info.SegmentsRead),
-		SegmentsSkipped: int64(info.Segments - info.SegmentsRead),
+		SegmentsSkipped: skipped,
+		SkippedByLSN:    skipped,
 		RecordsScanned:  info.Records,
 		RecordsMatched:  matched,
 		Truncated:       info.Truncated,
 	}
 }
 
-// add accumulates one pass's counters into a multi-pass total.
-func (s *ScanStats) add(o ScanStats) {
+// addScan accumulates one pass's counters into a multi-pass total.
+func addScan(s *api.AuditScanStats, o api.AuditScanStats) {
 	s.SegmentsTotal += o.SegmentsTotal
 	s.SegmentsScanned += o.SegmentsScanned
 	s.SegmentsSkipped += o.SegmentsSkipped
+	s.SkippedByLSN += o.SkippedByLSN
 	s.RecordsScanned += o.RecordsScanned
 	s.RecordsMatched += o.RecordsMatched
 	s.Truncated = s.Truncated || o.Truncated
 }
 
-// Result is one matching record. Raw is the record's wire payload,
-// valid only for the duration of the callback — copy it to keep it.
+// Result is one matching record, decoded.
 type Result struct {
 	LSN uint64
 	Rec walrec.Record
-	Raw []byte
 }
 
 // match applies the clauses cheapest first: the tag byte, then one
@@ -142,13 +123,13 @@ func (q *Query) match(lsn uint64, payload []byte) (Result, bool) {
 		// Unfiltered listing: surface unknown tags as opaque rows rather
 		// than hiding them. They mention no event or template.
 		unfiltered := len(q.Tags) == 0 && !q.HasTemplate && q.EventID == ""
-		return Result{LSN: lsn, Rec: walrec.Record{Tag: payload[0]}, Raw: payload}, unfiltered
+		return Result{LSN: lsn, Rec: walrec.Record{Tag: payload[0]}}, unfiltered
 	}
 	if q.HasTemplate && !recordMentionsTemplate(rec, q.Template) ||
 		q.EventID != "" && !recordMentionsEvent(rec, q.EventID) {
 		return Result{}, false
 	}
-	return Result{LSN: lsn, Rec: rec, Raw: payload}, true
+	return Result{LSN: lsn, Rec: rec}, true
 }
 
 // errStop ends a replay pass at the LSN window's end or the row limit.
@@ -157,9 +138,9 @@ var errStop = errors.New("audit: scan complete")
 // Run streams the records matching q to fn in LSN order. The segment
 // list is read at call time; records appended afterwards may or may not
 // be observed. A torn tail on the final segment ends the scan cleanly
-// (ScanStats.Truncated); damage before it, an unreadable segment, or an
-// error from fn ends it with that error.
-func (e *Engine) Run(q Query, fn func(Result) error) (ScanStats, error) {
+// (Truncated); damage before it, an unreadable segment, or an error from
+// fn ends it with that error.
+func (e *Engine) Run(q Query, fn func(Result) error) (api.AuditScanStats, error) {
 	var matched int64
 	info, err := wal.DirSource{Dir: e.dir}.Replay(max(q.FromLSN, 1)-1, func(lsn uint64, payload []byte) error {
 		// Records are LSN-dense and ascending: nothing past ToLSN matches.

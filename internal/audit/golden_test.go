@@ -6,6 +6,7 @@ import (
 	"crypto/sha256"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -50,14 +51,15 @@ func (g *goldenOut) section(name string, rows []string) {
 	}
 }
 
-// recordRows, decisionRows and templateRows render what `qoserved audit
-// records|decision|template` print on stdout, line for line (scan
-// counters go to stderr there and are left out here).
+// recordRows, decisionRows and templateRows are what `qoserved audit
+// records|decision|template` print on stdout: the engine's answer put
+// through the CLI's renderer (scan counters go to stderr there and are
+// left out here).
 func recordRows(t *testing.T, eng *audit.Engine, q audit.Query) []string {
 	t.Helper()
 	var rows []string
 	if _, err := eng.Run(q, func(res audit.Result) error {
-		rows = append(rows, recordRow(res.LSN, res.Rec, res.Raw))
+		rows = append(rows, recordRow(res))
 		return nil
 	}); err != nil {
 		t.Fatal(err)
@@ -65,8 +67,10 @@ func recordRows(t *testing.T, eng *audit.Engine, q audit.Query) []string {
 	return rows
 }
 
-func recordRow(lsn uint64, rec walrec.Record, raw []byte) string {
-	return fmt.Sprintf("%10d  %-13s %s", lsn, walrec.Name(rec.Tag), audit.Summary(audit.Result{LSN: lsn, Rec: rec, Raw: raw}))
+func recordRow(res audit.Result) string {
+	var b strings.Builder
+	audit.WriteRecord(&b, res.Row())
+	return strings.TrimSuffix(b.String(), "\n")
 }
 
 func decisionRows(t *testing.T, eng *audit.Engine, event string) []string {
@@ -75,30 +79,7 @@ func decisionRows(t *testing.T, eng *audit.Engine, event string) []string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Rank == nil {
-		return []string{fmt.Sprintf("event %s: no rank record in the journal (never ranked, or compacted away)", event)}
-	}
-	rows := []string{
-		fmt.Sprintf("event:    %s", event),
-		fmt.Sprintf("decision: lsn=%d prob=%.4f ctxFeatures=%d actFeatures=%d",
-			tr.RankLSN, tr.Rank.Prob, len(tr.Rank.CtxIDs), len(tr.Rank.ActIDs)),
-	}
-	for _, rw := range tr.Rewards {
-		rows = append(rows, fmt.Sprintf("reward:   lsn=%d value=%.4f", rw.LSN, rw.Value))
-	}
-	if len(tr.Rewards) == 0 {
-		rows = append(rows, "reward:   none journaled")
-	}
-	if tr.TrainedAtLSN > 0 {
-		rows = append(rows, fmt.Sprintf("trained:  by lsn=%d at the latest (first train mark after the last reward)", tr.TrainedAtLSN))
-	}
-	for _, lr := range tr.Lineage {
-		rows = append(rows, fmt.Sprintf("lineage:  lsn=%d event=%s value=%.4f", lr.LSN, lr.EventID, lr.Value))
-	}
-	if tr.LineageTruncated {
-		rows = append(rows, "lineage:  (truncated at cap)")
-	}
-	return rows
+	return rendered(t, func(w io.Writer) error { return audit.WriteDecision(w, tr) })
 }
 
 func templateRows(t *testing.T, eng *audit.Engine, hash uint64) []string {
@@ -107,25 +88,17 @@ func templateRows(t *testing.T, eng *audit.Engine, hash uint64) []string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := []string{fmt.Sprintf("template: %016x", hash)}
-	for _, ev := range th.Events {
-		switch ev.Kind {
-		case "hint":
-			rows = append(rows, fmt.Sprintf("%10d  hint flip=%s day=%d generation=%d", ev.LSN, ev.Flip, ev.Day, ev.Gen))
-		case "hint_removed":
-			rows = append(rows, fmt.Sprintf("%10d  hint removed (generation %d)", ev.LSN, ev.Gen))
-		case "quarantine":
-			kind := "transition"
-			if ev.Snapshot {
-				kind = "checkpoint re-journal"
-			}
-			rows = append(rows, fmt.Sprintf("%10d  quarantine state=%s (%s)", ev.LSN, ev.State, kind))
-		case "quarantine_cleared":
-			rows = append(rows, fmt.Sprintf("%10d  quarantine cleared", ev.LSN))
-		}
+	return rendered(t, func(w io.Writer) error { return audit.WriteTemplate(w, th) })
+}
+
+// rendered runs a renderer and returns what it printed, line by line.
+func rendered(t *testing.T, render func(io.Writer) error) []string {
+	t.Helper()
+	var b strings.Builder
+	if err := render(&b); err != nil {
+		t.Fatal(err)
 	}
-	return append(rows, fmt.Sprintf("history:  %d events from %d rollovers, %d quarantine records",
-		len(th.Events), th.Rollovers, th.QuarantineRecords))
+	return strings.Split(strings.TrimSuffix(b.String(), "\n"), "\n")
 }
 
 // asOfSnapshot reconstructs the model as of lsn, seeded from snapshot

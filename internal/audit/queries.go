@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 
+	"qoadvisor/internal/api"
 	"qoadvisor/internal/drift"
 	"qoadvisor/internal/rules"
 	"qoadvisor/internal/walrec"
@@ -14,94 +15,55 @@ import (
 // get flip Y" — what was ranked, what rewards came back, when it
 // trained) and the flip/quarantine lineage of a template's steering
 // history. The third, the as-of belief at an LSN, is recovery with an
-// upper bound: serve.RecoverAsOf.
-
-// TraceReward is one reward observed for the traced event.
-type TraceReward struct {
-	LSN   uint64
-	Value float64
-}
-
-// LineageReward is one reward that trained weights the traced
-// decision read: its event shares at least one action feature with
-// the traced event, and it was applied before the trace's rank.
-type LineageReward struct {
-	LSN     uint64
-	EventID string
-	Value   float64
-}
-
-// DecisionTrace reconstructs one decision's history from the journal.
-type DecisionTrace struct {
-	EventID string
-	// RankLSN/Rank are the logged decision (nil Rank: the event is not
-	// in the journal — never made, or compacted away).
-	RankLSN uint64
-	Rank    *walrec.Rank
-	// Rewards are the event's observed rewards in LSN order.
-	Rewards []TraceReward
-	// TrainedAtLSN is the first train mark after the last reward: the
-	// rewards were weight updates by then at the latest. A count-based
-	// pass (every bandit.DefaultTrainEvery applied rewards) leaves no
-	// record, so training may have come earlier. 0 when no train mark
-	// follows.
-	TrainedAtLSN uint64
-	// Lineage are rewards applied BEFORE this decision whose events
-	// share action features with it — the observations that trained
-	// the weights this decision was scored with. Bounded by the
-	// lineage cap, newest first.
-	Lineage []LineageReward
-	// LineageTruncated reports that the cap cut the lineage short.
-	LineageTruncated bool
-	// Scan aggregates the scan counters across the trace's passes.
-	Scan ScanStats
-}
+// upper bound: serve.AuditAsOf, over serve.RecoverAsOf. Each answer is
+// its api wire type, which the routes send as JSON and render.go prints.
 
 // maxLineage bounds the lineage pass's memory and output.
 const maxLineage = 64
 
 // Trace answers "why did this event get its decision": the rank
 // record, its rewards, the first train mark after them, and the reward
-// lineage of the weights it was scored with.
-func (e *Engine) Trace(eventID string) (*DecisionTrace, error) {
-	tr := &DecisionTrace{EventID: eventID}
+// lineage of the weights it was scored with. An event the journal does
+// not rank (never made, or compacted away) is an answer with Found
+// false, not an error.
+func (e *Engine) Trace(eventID string) (api.AuditDecisionResponse, error) {
+	tr := api.AuditDecisionResponse{EventID: eventID}
 	// pass runs one query and folds its counters into the trace's.
 	pass := func(q Query, fn func(Result) error) error {
 		st, err := e.Run(q, fn)
-		tr.Scan.add(st)
+		addScan(&tr.Scan, st)
 		return err
 	}
 
 	// Pass 1 — the event's own records.
+	var rank walrec.Rank
 	err := pass(Query{
 		Tags:    []byte{walrec.TagRank, walrec.TagRewardBatch},
 		EventID: eventID,
 	}, func(r Result) error {
 		switch r.Rec.Tag {
 		case walrec.TagRank:
-			if tr.Rank == nil { // event IDs are unique; keep the first
-				rank := *r.Rec.Rank
-				tr.Rank = &rank
-				tr.RankLSN = r.LSN
+			if !tr.Found { // event IDs are unique; keep the first
+				rank, tr.Found, tr.RankLSN = *r.Rec.Rank, true, r.LSN
+				tr.Prob, tr.CtxIDs, tr.ActIDs = rank.Prob, len(rank.CtxIDs), len(rank.ActIDs)
 			}
 		case walrec.TagRewardBatch:
 			for _, entry := range r.Rec.RewardBatch {
 				if entry.EventID == eventID {
-					tr.Rewards = append(tr.Rewards, TraceReward{LSN: r.LSN, Value: entry.Value})
+					tr.Rewards = append(tr.Rewards, api.AuditRewardRef{LSN: r.LSN, Value: entry.Value})
 				}
 			}
 		}
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	if tr.Rank == nil {
-		return tr, nil // unknown event: empty trace, not an error
+	if err != nil || !tr.Found {
+		return tr, err
 	}
 
 	// Pass 2 — the first train mark after the last reward: the latest
-	// point by which the journal proves it was trained.
+	// point by which the journal proves it was trained. A count-based
+	// pass (every bandit.DefaultTrainEvery applied rewards) leaves no
+	// record, so training may have come earlier.
 	if len(tr.Rewards) > 0 {
 		last := tr.Rewards[len(tr.Rewards)-1].LSN
 		err := pass(Query{Tags: []byte{walrec.TagTrainMark}, FromLSN: last + 1, Limit: 1}, func(r Result) error {
@@ -109,7 +71,7 @@ func (e *Engine) Trace(eventID string) (*DecisionTrace, error) {
 			return nil
 		})
 		if err != nil {
-			return nil, err
+			return tr, err
 		}
 	}
 
@@ -120,8 +82,8 @@ func (e *Engine) Trace(eventID string) (*DecisionTrace, error) {
 	if tr.RankLSN <= 1 {
 		return tr, nil
 	}
-	actSet := make(map[uint64]struct{}, len(tr.Rank.ActIDs))
-	for _, id := range tr.Rank.ActIDs {
+	actSet := make(map[uint64]struct{}, len(rank.ActIDs))
+	for _, id := range rank.ActIDs {
 		actSet[id] = struct{}{}
 	}
 	related := make(map[string]struct{})
@@ -137,14 +99,14 @@ func (e *Engine) Trace(eventID string) (*DecisionTrace, error) {
 		case walrec.TagRewardBatch:
 			for _, entry := range r.Rec.RewardBatch {
 				if _, hit := related[entry.EventID]; hit {
-					tr.Lineage = append(tr.Lineage, LineageReward{LSN: r.LSN, EventID: entry.EventID, Value: entry.Value})
+					tr.Lineage = append(tr.Lineage, api.AuditRewardRef{LSN: r.LSN, EventID: entry.EventID, Value: entry.Value})
 				}
 			}
 		}
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return tr, err
 	}
 	// Newest first, capped: the most recent observations dominate the
 	// weights anyway.
@@ -156,40 +118,12 @@ func (e *Engine) Trace(eventID string) (*DecisionTrace, error) {
 	return tr, nil
 }
 
-// TemplateEvent is one change in a template's steering history.
-type TemplateEvent struct {
-	LSN uint64
-	// Kind is "hint", "hint_removed", "quarantine", or
-	// "quarantine_cleared".
-	Kind string
-	// Flip/Day/Gen describe a hint change (Kind "hint").
-	Flip rules.Flip
-	Day  int
-	Gen  uint64
-	// State is the durable drift state a quarantine transition entered.
-	State drift.State
-	// Snapshot marks a checkpoint re-journal rather than a transition.
-	Snapshot bool
-}
-
-// TemplateHistory is a template's steering lineage: every hint change
-// and quarantine transition the journal records for it.
-type TemplateHistory struct {
-	TemplateHash uint64
-	Events       []TemplateEvent
-	// Rollovers/QuarantineRecords count the records inspected (each
-	// carries a whole table; only changes produce Events).
-	Rollovers         int64
-	QuarantineRecords int64
-	Scan              ScanStats
-}
-
 // Template answers "which flips steered this template, and when":
 // the hint/quarantine change history extracted from the wholesale
 // table records. Consecutive records that repeat the same state
 // (checkpoint re-journals) are collapsed to the first occurrence.
-func (e *Engine) Template(hash uint64) (*TemplateHistory, error) {
-	th := &TemplateHistory{TemplateHash: hash}
+func (e *Engine) Template(hash uint64) (api.AuditTemplateResponse, error) {
+	th := api.AuditTemplateResponse{TemplateHash: api.TemplateHash(hash), Events: []api.AuditTemplateEvent{}}
 	var lastFlip rules.Flip
 	var lastDay int
 	haveHint := false
@@ -212,15 +146,15 @@ func (e *Engine) Template(hash uint64) (*TemplateHistory, error) {
 				}
 				found = true
 				if !haveHint || h.Flip != lastFlip || h.Day != lastDay {
-					th.Events = append(th.Events, TemplateEvent{
-						LSN: r.LSN, Kind: "hint", Flip: h.Flip, Day: h.Day, Gen: r.Rec.HintRollover.Gen,
+					th.Events = append(th.Events, api.AuditTemplateEvent{
+						LSN: r.LSN, Kind: "hint", Flip: h.Flip.String(), Day: h.Day, Gen: r.Rec.HintRollover.Gen,
 					})
 					lastFlip, lastDay, haveHint = h.Flip, h.Day, true
 				}
 				break
 			}
 			if !found && haveHint {
-				th.Events = append(th.Events, TemplateEvent{LSN: r.LSN, Kind: "hint_removed", Gen: r.Rec.HintRollover.Gen})
+				th.Events = append(th.Events, api.AuditTemplateEvent{LSN: r.LSN, Kind: "hint_removed", Gen: r.Rec.HintRollover.Gen})
 				haveHint = false
 			}
 		case walrec.TagQuarantine:
@@ -228,26 +162,32 @@ func (e *Engine) Template(hash uint64) (*TemplateHistory, error) {
 			st, present := r.Rec.Quarantine.States[hash]
 			switch {
 			case present && (!haveQuar || st != lastState):
-				th.Events = append(th.Events, TemplateEvent{
-					LSN: r.LSN, Kind: "quarantine", State: st, Snapshot: r.Rec.Quarantine.Snapshot,
+				th.Events = append(th.Events, api.AuditTemplateEvent{
+					LSN: r.LSN, Kind: "quarantine", State: st.String(), Snapshot: r.Rec.Quarantine.Snapshot,
 				})
 				lastState, haveQuar = st, true
 			case !present && haveQuar:
-				th.Events = append(th.Events, TemplateEvent{LSN: r.LSN, Kind: "quarantine_cleared", Snapshot: r.Rec.Quarantine.Snapshot})
+				th.Events = append(th.Events, api.AuditTemplateEvent{LSN: r.LSN, Kind: "quarantine_cleared", Snapshot: r.Rec.Quarantine.Snapshot})
 				haveQuar = false
 			}
 		}
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return th, nil
+	return th, err
 }
 
-// Summary renders a one-line human description of a decoded record —
-// the CLI listing and the API's summary column share it.
-func Summary(r Result) string {
+// Row renders a matching record as its listing row — one row of
+// /v2/audit/records and of `qoserved audit records` alike.
+func (r Result) Row() api.AuditRecord {
+	row := api.AuditRecord{LSN: r.LSN, Type: walrec.Name(r.Rec.Tag), Summary: summary(r)}
+	if r.Rec.Rank != nil {
+		row.EventID = r.Rec.Rank.EventID
+	}
+	return row
+}
+
+// summary is a one-line human description of a decoded record.
+func summary(r Result) string {
 	switch r.Rec.Tag {
 	case walrec.TagRank:
 		if r.Rec.Rank != nil {

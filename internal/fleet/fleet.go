@@ -75,15 +75,6 @@ type Snapshot struct {
 	Stages map[string]Merged
 }
 
-// FromWire rebuilds a node's histogram from its wire form (nil-safe:
-// an empty snapshot for nodes predating the hist field).
-func FromWire(h *api.Hist) obs.HistSnapshot {
-	if h == nil {
-		return obs.HistSnapshot{}
-	}
-	return obs.SnapshotFromParts(h.SumNanos, h.Buckets)
-}
-
 // Scrape fetches /v2/healthz, then /v2/stats, from every endpoint
 // concurrently and aggregates the answers. Unreachable nodes appear in
 // Nodes with Err set and contribute nothing to the merged series; the
@@ -126,14 +117,14 @@ func Aggregate(nodes []Node) *Snapshot {
 		}
 		for route, rs := range n.Stats.Routes {
 			m := s.Routes[route]
-			m.Hist.Merge(FromWire(rs.Hist))
+			m.Hist.Merge(rs.Hist.Snapshot())
 			m.Count += rs.Count
 			m.Errors += rs.Errors
 			s.Routes[route] = m
 		}
 		for stage, ls := range n.Stats.Stages {
 			m := s.Stages[stage]
-			m.Hist.Merge(FromWire(ls.Hist))
+			m.Hist.Merge(ls.Hist.Snapshot())
 			m.Count += ls.Count
 			s.Stages[stage] = m
 		}

@@ -63,7 +63,7 @@ func TestScrapeMergesCounts(t *testing.T) {
 		if rs.Hist == nil {
 			t.Fatalf("node %s ships no raw histogram for %s", n.Endpoint, api.RouteV2Rank)
 		}
-		nodeSum += FromWire(rs.Hist).Count
+		nodeSum += rs.Hist.Snapshot().Count
 		wireSum += rs.Count
 	}
 	m := snap.Routes[api.RouteV2Rank]
@@ -76,7 +76,7 @@ func TestScrapeMergesCounts(t *testing.T) {
 
 	var stageSum uint64
 	for _, n := range snap.Nodes {
-		stageSum += FromWire(n.Stats.Stages["rank_bandit"].Hist).Count
+		stageSum += n.Stats.Stages["rank_bandit"].Hist.Snapshot().Count
 	}
 	if sm := snap.Stages["rank_bandit"]; sm.Hist.Count != stageSum || stageSum == 0 {
 		t.Fatalf("stage merge: fleet %d != Σ nodes %d (must be nonzero)", sm.Hist.Count, stageSum)

@@ -109,7 +109,7 @@ func FleetReportFrom(snap *fleet.Snapshot) *FleetReport {
 			if d := n.Stats.Drift; d != nil {
 				row.Quarantined = d.QuarantinedNow
 			}
-			nodeSum += fleet.FromWire(n.Stats.Routes[api.RouteV2Rank].Hist).Count
+			nodeSum += n.Stats.Routes[api.RouteV2Rank].Hist.Snapshot().Count
 		}
 		fr.Nodes = append(fr.Nodes, row)
 	}

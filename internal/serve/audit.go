@@ -51,27 +51,7 @@ func (s *Server) auditStats() *api.AuditStats {
 		return nil
 	}
 	t := eng.Totals()
-	return &api.AuditStats{
-		Queries:         t.Queries,
-		SegmentsScanned: t.SegmentsScanned,
-		SegmentsSkipped: t.SegmentsSkipped,
-		RecordsScanned:  t.RecordsScanned,
-		RecordsMatched:  t.RecordsMatched,
-	}
-}
-
-// auditScanStats converts engine counters to the wire form. Segments
-// are only ever skipped by the LSN window.
-func auditScanStats(st audit.ScanStats) api.AuditScanStats {
-	return api.AuditScanStats{
-		SegmentsTotal:   st.SegmentsTotal,
-		SegmentsScanned: st.SegmentsScanned,
-		SegmentsSkipped: st.SegmentsSkipped,
-		SkippedByLSN:    st.SegmentsSkipped,
-		RecordsScanned:  st.RecordsScanned,
-		RecordsMatched:  st.RecordsMatched,
-		Truncated:       st.Truncated,
-	}
+	return &t
 }
 
 // auditPrep resolves the engine and makes the journal's current state
@@ -157,15 +137,7 @@ func (h *httpLayer) handleAuditRecords(w http.ResponseWriter, r *http.Request) {
 
 	resp := api.AuditRecordsResponse{RequestID: rid, Records: []api.AuditRecord{}}
 	scan, err := eng.Run(q, func(res audit.Result) error {
-		rec := api.AuditRecord{
-			LSN:     res.LSN,
-			Type:    walrec.Name(res.Rec.Tag),
-			Summary: audit.Summary(res),
-		}
-		if res.Rec.Rank != nil {
-			rec.EventID = res.Rec.Rank.EventID
-		}
-		resp.Records = append(resp.Records, rec)
+		resp.Records = append(resp.Records, res.Row())
 		return nil
 	})
 	if err != nil {
@@ -173,7 +145,7 @@ func (h *httpLayer) handleAuditRecords(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp.Limited = len(resp.Records) == q.Limit
-	resp.Scan = auditScanStats(scan)
+	resp.Scan = scan
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -194,31 +166,12 @@ func (h *httpLayer) handleAuditDecision(w http.ResponseWriter, r *http.Request) 
 	if !ok {
 		return
 	}
-	tr, err := eng.Trace(eventID)
+	resp, err := eng.Trace(eventID)
 	if err != nil {
 		writeError(w, rid, toAPIError(err))
 		return
 	}
-	resp := api.AuditDecisionResponse{
-		EventID:          eventID,
-		Found:            tr.Rank != nil,
-		TrainedAtLSN:     tr.TrainedAtLSN,
-		LineageTruncated: tr.LineageTruncated,
-		Scan:             auditScanStats(tr.Scan),
-		RequestID:        rid,
-	}
-	if tr.Rank != nil {
-		resp.RankLSN = tr.RankLSN
-		resp.Prob = tr.Rank.Prob
-		resp.CtxIDs = len(tr.Rank.CtxIDs)
-		resp.ActIDs = len(tr.Rank.ActIDs)
-	}
-	for _, rw := range tr.Rewards {
-		resp.Rewards = append(resp.Rewards, api.AuditRewardRef{LSN: rw.LSN, Value: rw.Value})
-	}
-	for _, lr := range tr.Lineage {
-		resp.Lineage = append(resp.Lineage, api.AuditRewardRef{LSN: lr.LSN, Value: lr.Value, EventID: lr.EventID})
-	}
+	resp.RequestID = rid
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -244,35 +197,12 @@ func (h *httpLayer) handleAuditTemplate(w http.ResponseWriter, r *http.Request) 
 	if !ok {
 		return
 	}
-	th, terr := eng.Template(hash)
-	if terr != nil {
-		writeError(w, rid, toAPIError(terr))
+	resp, err := eng.Template(hash)
+	if err != nil {
+		writeError(w, rid, toAPIError(err))
 		return
 	}
-	resp := api.AuditTemplateResponse{
-		TemplateHash:      api.TemplateHash(hash),
-		Events:            []api.AuditTemplateEvent{},
-		Rollovers:         th.Rollovers,
-		QuarantineRecords: th.QuarantineRecords,
-		Scan:              auditScanStats(th.Scan),
-		RequestID:         rid,
-	}
-	for _, ev := range th.Events {
-		out := api.AuditTemplateEvent{
-			LSN:      ev.LSN,
-			Kind:     ev.Kind,
-			Day:      ev.Day,
-			Gen:      ev.Gen,
-			Snapshot: ev.Snapshot,
-		}
-		switch ev.Kind {
-		case "hint":
-			out.Flip = ev.Flip.String()
-		case "quarantine":
-			out.State = ev.State.String()
-		}
-		resp.Events = append(resp.Events, out)
-	}
+	resp.RequestID = rid
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -299,37 +229,44 @@ func (h *httpLayer) handleAuditAsOf(w http.ResponseWriter, r *http.Request) {
 	if lsn == 0 {
 		lsn = h.srv.wal.SyncedLSN()
 	}
-	res, err := RecoverAsOf(wal.DirSource{Dir: h.srv.wal.Dir()}, h.srv.snapshotPath, lsn)
+	resp, _, err := AuditAsOf(wal.DirSource{Dir: h.srv.wal.Dir()}, h.srv.snapshotPath, lsn)
 	if err != nil {
 		writeError(w, rid, toAPIError(err))
 		return
 	}
+	eng.Count(resp.Scan)
+	resp.RequestID = rid
+	writeJSON(w, http.StatusOK, resp)
+}
+
+// AuditAsOf reconstructs the model as of lsn (RecoverAsOf) and returns
+// its summary and its bytes in the snapshot file format — the one
+// as-of answer of /v2/audit/asof and `qoserved audit asof`. Counting
+// the pass against an engine's totals is the caller's.
+func AuditAsOf(src wal.Source, snapshotPath string, lsn uint64) (api.AuditAsOfResponse, []byte, error) {
+	res, err := RecoverAsOf(src, snapshotPath, lsn)
+	if err != nil {
+		return api.AuditAsOfResponse{}, nil, err
+	}
 	var snap bytes.Buffer
 	if err := res.Service.Save(&snap); err != nil {
-		writeError(w, rid, toAPIError(err))
-		return
+		return api.AuditAsOfResponse{}, nil, err
 	}
-	scan := audit.ScanOf(res.Journal, res.Replay.Records)
-	eng.Count(scan)
 	sum := sha256.Sum256(snap.Bytes())
-	writeJSON(w, http.StatusOK, api.AuditAsOfResponse{
+	r := res.Replay
+	return api.AuditAsOfResponse{
 		LSN:            lsn,
 		SnapshotBytes:  snap.Len(),
 		SnapshotSHA256: hex.EncodeToString(sum[:]),
 		SnapshotSeeded: res.SnapshotLoaded,
 		FromLSN:        res.FromLSN,
 		Replay: api.AuditReplayStats{
-			Records:       res.Replay.Records,
-			Ranks:         res.Replay.Ranks,
-			Rewards:       res.Replay.Rewards,
-			TrainMarks:    res.Replay.TrainMarks,
-			TrainRuns:     res.Replay.TrainRuns,
-			TrainedEvents: res.Replay.TrainedEvents,
+			Records: r.Records, Ranks: r.Ranks, Rewards: r.Rewards,
+			TrainMarks: r.TrainMarks, TrainRuns: r.TrainRuns, TrainedEvents: r.TrainedEvents,
 		},
 		HintGen:     res.HintGen,
 		Hints:       len(res.Hints),
 		Quarantined: len(res.Quarantine),
-		Scan:        auditScanStats(scan),
-		RequestID:   rid,
-	})
+		Scan:        audit.ScanOf(res.Journal, r.Records),
+	}, snap.Bytes(), nil
 }

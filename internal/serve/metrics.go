@@ -63,7 +63,7 @@ func summarize(s obs.HistSnapshot) api.LatencySummary {
 
 // histToWire puts a histogram snapshot's raw buckets on the wire
 // (api.Hist); internal/fleet rebuilds and merges them with
-// obs.SnapshotFromParts.
+// api.Hist.Snapshot.
 func histToWire(s obs.HistSnapshot) *api.Hist {
 	b := make([]uint64, obs.NumHistBuckets)
 	copy(b, s.Buckets[:])
@@ -124,7 +124,7 @@ func writeMetrics(e *obs.Exposition, st *api.StatsResponse) {
 
 	for name, ls := range st.Stages {
 		e.Histogram("qoserved_stage_duration_seconds", "Serving-stage latency distributions.",
-			obs.L("stage", name), wireHist(ls.Hist))
+			obs.L("stage", name), ls.Hist.Snapshot())
 	}
 	project(e, st.Audit)
 
@@ -170,7 +170,7 @@ func writeMetrics(e *obs.Exposition, st *api.StatsResponse) {
 		e.Counter("qoserved_http_requests_total", "HTTP requests served, by route.", labels, float64(rs.Count))
 		e.Counter("qoserved_http_request_errors_total", "HTTP requests answered with status >= 400, by route.", labels, float64(rs.Errors))
 		e.Counter("qoserved_http_request_5xx_total", "HTTP requests answered with status >= 500, by route (the availability-SLO error input).", labels, float64(rs.Status5xx))
-		e.Histogram("qoserved_http_request_duration_seconds", "HTTP request latency, by route.", labels, wireHist(rs.Hist))
+		e.Histogram("qoserved_http_request_duration_seconds", "HTTP request latency, by route.", labels, rs.Hist.Snapshot())
 	}
 	// Map-fed families (routes, stages) iterate in random order; sort
 	// so consecutive scrapes diff cleanly.
@@ -217,16 +217,6 @@ func project(e *obs.Exposition, block any) {
 			e.Gauge(name, help, nil, val)
 		}
 	}
-}
-
-// wireHist rebuilds a histogram snapshot from its wire form (the
-// inverse of histToWire); a missing histogram is an empty one. It is
-// fleet.FromWire, which serve cannot import: fleet's tests import serve.
-func wireHist(h *api.Hist) obs.HistSnapshot {
-	if h == nil {
-		return obs.HistSnapshot{}
-	}
-	return obs.SnapshotFromParts(h.SumNanos, h.Buckets)
 }
 
 // handleMetrics serves the Prometheus text-format exposition, rendered
