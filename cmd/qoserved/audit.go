@@ -131,22 +131,23 @@ func (m *auditMode) template(eng *audit.Engine) error {
 }
 
 func (m *auditMode) asOf(*audit.Engine) error {
+	end, err := journalEnd(m.walDir)
+	if err != nil {
+		return err
+	}
 	lsn := m.lsn
 	if lsn == 0 {
-		end, err := journalEnd(m.walDir)
-		if err != nil {
-			return err
-		}
 		if end == 0 {
 			return fmt.Errorf("journal %s is empty; nothing to reconstruct", m.walDir)
 		}
 		lsn = end
 	}
 	res, snap, err := serve.AuditAsOf(wal.DirSource{Dir: m.walDir}, m.model, lsn)
-	if apiErr := (*api.Error)(nil); errors.As(err, &apiErr) {
-		// RecoverAsOf's invalid_request: the records the reconstruction
-		// needs were compacted behind a checkpoint, whose snapshot alone
-		// covers them.
+	if apiErr := (*api.Error)(nil); errors.As(err, &apiErr) && lsn <= end {
+		// RecoverAsOf's invalid_request for a bound within the journal:
+		// the records the reconstruction needs were compacted behind a
+		// checkpoint, whose snapshot alone covers them. A bound past the
+		// journal's end is refused as it is on the route, with no remedy.
 		return fmt.Errorf("%w; pass -model with the snapshot of the checkpoint that compacted it", err)
 	}
 	if err == nil {

@@ -3,8 +3,10 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
+	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"os"
@@ -205,5 +207,25 @@ func TestAuditSurfacesAgree(t *testing.T) {
 			t.Errorf("as-of(%d): seeded=%v, want %v", lsn, res.SnapshotSeeded, seeded)
 		}
 		agree([]string{"asof", "-lsn", fmt.Sprint(lsn)}, func(w io.Writer) error { return audit.WriteAsOf(w, res, model) })
+	}
+	// A bound past the journal's end is refused on both surfaces, with one
+	// message: a 400 on the route, an error (exit 1) from the CLI, and no
+	// model claiming records the journal never held.
+	const pastEnd = 999999
+	_, routeErr := cl.AuditAsOf(ctx, pastEnd)
+	var apiErr *api.Error
+	if !errors.As(routeErr, &apiErr) || apiErr.HTTPStatus != http.StatusBadRequest || apiErr.Code != api.CodeInvalidRequest {
+		t.Fatalf("route as-of(%d): %v, want a 400 invalid_request", pastEnd, routeErr)
+	}
+	out := filepath.Join(t.TempDir(), "asof.model")
+	got, cliErr := runQuiet(t, "audit", "asof", "-lsn", fmt.Sprint(pastEnd), "-wal-dir", dir, "-audit-out", out)
+	if cliErr == nil || cliErr.Error() != apiErr.Error() || got != "" {
+		t.Errorf("qoserved audit asof -lsn %d: printed %q, err %v; the route refused with %v", pastEnd, got, cliErr, apiErr)
+	}
+	if _, err := os.Stat(out); !os.IsNotExist(err) {
+		t.Errorf("the refused as-of wrote %s (stat: %v)", out, err)
+	}
+	if !strings.Contains(apiErr.Message, "past its end") {
+		t.Errorf("route refusal %q does not say the bound is past the journal's end", apiErr.Message)
 	}
 }

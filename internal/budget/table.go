@@ -55,8 +55,8 @@ var table = map[string]ceiling{
 	"bandit.fresh_service": {64 << 10, "B retained", "a fresh Service holds no weight vector (2 MiB at the default Dim) until something writes a weight"},
 
 	// internal/core: the offline leg.
-	"core.run_day":     {11.7, "allocs per job", "JobsForDay plus Production.RunDay over 40 templates, every recurrence run in its instance's borrowed compilation: the reading (11.04–11.06 at GOMAXPROCS 1 and 2) + 5 %, rounded up"},
-	"core.advisor_day": {17.8, "allocs per job", "Advisor.RunDay's first day with the GC off, so no collection empties the pools production warmed (a day-owned scratch measured +1.57 per job), every flight arm run in its borrowed compilation: 16.86–16.90 + 5 %, rounded up"},
+	"core.run_day":     {9.2, "allocs per job", "JobsForDay plus Production.RunDay over 40 templates, every recurrence run in its instance's borrowed compilation, each instance one facts block with its graph header and first rewrite certificate inline: the reading (8.70–8.73 at GOMAXPROCS 1 and 2) + 5 %, rounded up"},
+	"core.advisor_day": {14.5, "allocs per job", "Advisor.RunDay's first day with the GC off, so no collection empties the pools production warmed (a day-owned scratch measured +1.57 per job), every flight arm run in its borrowed compilation, compile failures formatted only when read, FitRidge's rows built in one buffer: 13.74–13.75 + 5 %, rounded up"},
 	"core.offline_leg": {4.5, "MB retained", "generator, production and advisor after ten days of 40 templates: 4.07–4.08 MB + 10 %"},
 
 	// internal/exec: the simulator.
@@ -69,7 +69,7 @@ var table = map[string]ceiling{
 	// internal/optimizer: compilation.
 	"optimizer.lowering.scheme":   {0, "allocs per plan's keyed schemes", "partScheme allocates nothing for a scheme a warm builder has interned; worst of 40 ledger plans"},
 	"optimizer.lowering.publish":  {5, "allocs per publish", "the Result and Plan, the node, pointer and stage slabs and the stages' upstream IDs; worst of 40 ledger plans"},
-	"optimizer.optimize.uncached": {17, "allocs per Optimize", "T001 rewritten and lowered with no memo: the reading (16) + 5 %, rounded up"},
+	"optimizer.optimize.uncached": {17, "allocs per Optimize", "T001 rewritten and lowered with no memo: the reading (16, which no pass-through filter push or compile failure of T001's moves) + 5 %, rounded up"},
 	"optimizer.optimize.warm":     {6, "allocs per Optimize", "T001 through its warm rewrite memo, lowering only: 5 + 5 %, rounded up"},
 	"optimizer.optimize.rename":   {14, "allocs per Optimize", "PushFilterBelowJoin moving a conjunct on a renamed right column, uncached: 13 + 5 %, rounded up"},
 	"optimizer.estimate":          {0, "allocs per Estimate", "an Estimate through a warm memo lowers, tunes, stages and costs in pooled scratch and publishes nothing"},
@@ -112,6 +112,6 @@ var table = map[string]ceiling{
 	"workload.view_rows":        {0, "allocs per pass", "AppendViewRows into a dst with room keeps its marks in a pool"},
 	"workload.recurrence":       {0, "allocs per recurrence", "a recurrence is handed out from the instance's job slab"},
 	"workload.instantiate_memo": {0, "allocs per Instantiate", "Instantiate of a memoized instance allocates nothing"},
-	"workload.instance":         {14, "allocs per instance built", "the instance's dated-string arena, bound graph, key and float slabs, truth, statistics, empty memo and job slab: 13 + 5 %, rounded up"},
+	"workload.instance":         {12, "allocs per instance built", "the instance's dated-string arena, the bound graph's six slabs, the key and float slabs, one facts block (graph header, truth, statistics, empty memo) and the job slab: 11 + 5 %, rounded up"},
 	"workload.bind":             {8, "allocs per cold Bind", "nodes, Inputs, Roots, schemas, dated strings, expression spines and literals, one slab each: 7 + 5 %, rounded up"},
 }

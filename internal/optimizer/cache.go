@@ -14,6 +14,21 @@ import (
 // flighting arms' — which is at most nine on the ledger's population.
 const compileCacheSize = 16
 
+// compileCacheInline is how many certificates a CompileCache holds in
+// itself before its list moves to the heap, and compileCacheSpill the
+// room the list gets there. Over the ten days of the ledger's offline leg
+// (222 templates, 4,500 jobs) an instance's memo makes 1.43 certificates
+// on average, and 222 of the 239 memos live at its end hold one. With one
+// inline certificate a one-rewrite memo takes no more memory than a cache
+// pointing at a heap list of one; two would add a certificate's 128 bytes
+// to every instance for 0.07 fewer allocations per job (GC off,
+// GOMAXPROCS 1: 10.37 per job with one, 10.30 with two; the live heap
+// after the leg −0.1 % and +0.2 % against a cache with a heap list).
+const (
+	compileCacheInline = 1
+	compileCacheSpill  = 4
+)
+
 // CompileCache memoizes the logical phase of Optimize — the rewrite
 // fixpoint plus the experimental-validity check — for one input graph
 // under many rule configurations. The daily pipeline compiles one job
@@ -43,15 +58,24 @@ const compileCacheSize = 16
 // it, and lookups of different instances never meet. The list is FIFO
 // past compileCacheSize, and an eviction only costs a recompute.
 //
-// A cache belongs to one job instance: workload builds it beside the
-// instance's graph and statistics, and (*workload.Job).CompileOptions
-// hands the three out together, so every compilation through a cache
-// sees the same statistics and no certificate need record them. Cached
-// rewritten graphs are shared across goroutines; nothing downstream of
-// the rewrite mutates logical nodes (verified under -race).
+// The zero CompileCache is an empty cache, ready to use; it must not be
+// copied once used. Its first certificate lives in the cache itself, so a
+// memo of one rewrite allocates no list; a second moves the list to the
+// heap, whole, with room for compileCacheSpill.
+//
+// A cache belongs to one job instance: workload holds it by value in the
+// instance's facts, beside the instance's graph header and statistics,
+// and (*workload.Job).CompileOptions hands the three out together, so
+// every compilation through a cache sees the same statistics and no
+// certificate need record them. Cached rewritten graphs are shared across
+// goroutines; nothing downstream of the rewrite mutates logical nodes
+// (verified under -race).
 type CompileCache struct {
-	mu           sync.Mutex
-	certs        []certificate // oldest first, at most compileCacheSize
+	mu sync.Mutex
+	// certs is the list, oldest first, at most compileCacheSize long: a
+	// slice of inline until it outgrows it, then of a heap array.
+	certs        []certificate
+	inline       [compileCacheInline]certificate
 	hits, misses uint64
 }
 
@@ -75,9 +99,6 @@ type CompileCacheStats struct{ Hits, Misses uint64 }
 // in the process, for CompileCacheTotals.
 var rewriteHits, rewriteMisses atomic.Uint64
 
-// NewCompileCache builds an empty cache.
-func NewCompileCache() *CompileCache { return new(CompileCache) }
-
 // logical returns the (possibly cached) logical phase result for (g, cfg).
 func (c *CompileCache) logical(g *scope.Graph, cfg rules.Config, cat *rules.Catalog, stats StatsProvider) (*scope.Graph, rules.Signature, error) {
 	c.mu.Lock()
@@ -92,12 +113,26 @@ func (c *CompileCache) logical(g *scope.Graph, cfg rules.Config, cat *rules.Cata
 	c.misses++
 	rewriteMisses.Add(1)
 	work, sig, asked, err := rewriteLogical(g, cfg, cat, stats)
-	if len(c.certs) == compileCacheSize {
+	c.add(certificate{graph: g, asked: asked, on: cfg.Intersect(asked), work: work, sig: sig, err: err})
+	return work, sig, err
+}
+
+// add appends e to the list, evicting the oldest certificate when the
+// list is full. The list starts in c.inline; the add that outgrows it
+// moves the list to the heap and clears c.inline, so no rewrite stays
+// reachable from a slot the list no longer holds.
+func (c *CompileCache) add(e certificate) {
+	switch {
+	case c.certs == nil:
+		c.certs = c.inline[:0]
+	case len(c.certs) == compileCacheSize:
 		copy(c.certs, c.certs[1:])
 		c.certs = c.certs[:len(c.certs)-1]
+	case len(c.certs) == len(c.inline) && &c.certs[0] == &c.inline[0]:
+		c.certs = append(make([]certificate, 0, compileCacheSpill), c.certs...)
+		clear(c.inline[:])
 	}
-	c.certs = append(c.certs, certificate{graph: g, asked: asked, on: cfg.Intersect(asked), work: work, sig: sig, err: err})
-	return work, sig, err
+	c.certs = append(c.certs, e)
 }
 
 // Stats snapshots the cache's lookups.

@@ -32,7 +32,7 @@ func flipConfigs(cat *rules.Catalog, limit int) []rules.Config {
 func TestCachedOptimizeMatchesUncached(t *testing.T) {
 	g := compileTestGraph(t, testScript)
 	cat := rules.NewCatalog()
-	cache := NewCompileCache()
+	cache := new(CompileCache)
 	stats := testStats()
 
 	for _, cfg := range flipConfigs(cat, 60) {
@@ -90,7 +90,7 @@ func tuningConfigs(cat *rules.Catalog, n int) []rules.Config {
 func TestCompileCacheHitCounts(t *testing.T) {
 	g := compileTestGraph(t, testScript)
 	cat := rules.NewCatalog()
-	cache := NewCompileCache()
+	cache := new(CompileCache)
 	opts := Options{Catalog: cat, Stats: testStats(), Cache: cache}
 	def := cat.DefaultConfig()
 
@@ -119,6 +119,55 @@ func TestCompileCacheHitCounts(t *testing.T) {
 	}
 }
 
+// TestCompileCacheInlineCertificates: a memo's first certificates live in
+// the cache itself; the one that outgrows them moves the whole list, in
+// order, to a heap array with room for compileCacheSpill and clears the
+// inline slots; and every certificate still serves its graph.
+func TestCompileCacheInlineCertificates(t *testing.T) {
+	cat := rules.NewCatalog()
+	def := cat.DefaultConfig()
+	cache := new(CompileCache)
+	opts := Options{Catalog: cat, Stats: testStats(), Cache: cache}
+	graphs := make([]*scope.Graph, compileCacheSpill+1)
+	works := make([]*scope.Graph, len(graphs))
+	for i := range graphs {
+		graphs[i] = compileTestGraph(t, testScript)
+		res, err := Optimize(graphs[i], def, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		works[i] = res.Logical
+		inline := &cache.certs[0] == &cache.inline[0]
+		switch {
+		case i < compileCacheInline && !inline:
+			t.Fatalf("%d certificates left the cache's inline slots", i+1)
+		case i >= compileCacheInline && inline:
+			t.Fatalf("%d certificates still in %d inline slots", i+1, compileCacheInline)
+		case i >= compileCacheInline && cache.inline != [compileCacheInline]certificate{}:
+			t.Fatalf("with %d certificates on the heap, an inline slot still holds a rewrite", i+1)
+		case i == compileCacheInline && cap(cache.certs) != compileCacheSpill:
+			t.Fatalf("the list moved to an array of %d, want %d", cap(cache.certs), compileCacheSpill)
+		}
+		if len(cache.certs) != i+1 {
+			t.Fatalf("%d certificates after %d rewrites", len(cache.certs), i+1)
+		}
+		for k, c := range cache.certs {
+			if c.graph != graphs[k] || c.work != works[k] {
+				t.Fatalf("after %d rewrites, certificate %d is not graph %d's rewrite", i+1, k, k)
+			}
+		}
+	}
+	misses := cache.Stats().Misses
+	for i, g := range graphs {
+		if res, err := Optimize(g, def, opts); err != nil || res.Logical != works[i] {
+			t.Errorf("graph %d: a repeat does not reuse its rewrite (err %v)", i, err)
+		}
+	}
+	if got := cache.Stats().Misses; got != misses {
+		t.Errorf("repeats rewrote %d times", got-misses)
+	}
+}
+
 // TestCompileCacheEviction checks what takes room in the cache and what
 // capacity evicts.
 func TestCompileCacheEviction(t *testing.T) {
@@ -130,7 +179,7 @@ func TestCompileCacheEviction(t *testing.T) {
 	// the default's rewrite leave one certificate, and it still serves the
 	// default.
 	g := compileTestGraph(t, testScript)
-	cache := NewCompileCache()
+	cache := new(CompileCache)
 	opts := Options{Catalog: cat, Stats: stats, Cache: cache}
 	Optimize(g, def, opts)
 	for _, cfg := range tuningConfigs(cat, compileCacheSize) {
@@ -146,7 +195,7 @@ func TestCompileCacheEviction(t *testing.T) {
 
 	// Capacity: one graph more than the cap, each rewritten once, evicts
 	// the first graph's certificate, so it rewrites again.
-	cache = NewCompileCache()
+	cache = new(CompileCache)
 	opts.Cache = cache
 	graphs := make([]*scope.Graph, compileCacheSize+1)
 	for i := range graphs {
@@ -169,7 +218,7 @@ func TestCompileCacheEviction(t *testing.T) {
 func TestCompileCacheConcurrentCertifiedRewriteOnce(t *testing.T) {
 	g := compileTestGraph(t, testScript)
 	cat := rules.NewCatalog()
-	cache := NewCompileCache()
+	cache := new(CompileCache)
 	stats := testStats()
 	cfgs := tuningConfigs(cat, 16)
 	logical := make([]*scope.Graph, len(cfgs))
@@ -206,7 +255,7 @@ func TestCompileCacheConcurrentCertifiedRewriteOnce(t *testing.T) {
 func TestCachedLogicalGraphSharedLoweringRace(t *testing.T) {
 	g := compileTestGraph(t, testScript)
 	cat := rules.NewCatalog()
-	cache := NewCompileCache()
+	cache := new(CompileCache)
 	stats := testStats()
 	def := cat.DefaultConfig()
 	opts := Options{Catalog: cat, Stats: stats, Cache: cache}

@@ -108,7 +108,7 @@ func TestCertifiedRewriteMatchesFresh(t *testing.T) {
 		}
 		fresh := optimizer.Options{Catalog: cat, Stats: job.Stats, Tokens: job.Tokens}
 		shared := fresh
-		shared.Cache = optimizer.NewCompileCache()
+		shared.Cache = new(optimizer.CompileCache)
 		for _, cfg := range configs {
 			want, wantErr := optimizer.Optimize(job.Graph, cfg, fresh)
 			got, gotErr := optimizer.Optimize(job.Graph, cfg, shared)
@@ -137,7 +137,7 @@ func TestCertifiedRewriteMatchesFresh(t *testing.T) {
 // FuzzCompileOptimize that exercises the reuse certificate.
 func checkCertifiedCompile(t *testing.T, g *scope.Graph, configs []rules.Config) {
 	t.Helper()
-	shared := optimizer.Options{Cache: optimizer.NewCompileCache()}
+	shared := optimizer.Options{Cache: new(optimizer.CompileCache)}
 	for _, cfg := range configs {
 		want, wantErr := optimizer.Optimize(g, cfg, optimizer.Options{})
 		got, gotErr := optimizer.Optimize(g, cfg, shared)
@@ -169,7 +169,7 @@ func TestCertifiedRewriteConcurrent(t *testing.T) {
 	for i, cfg := range configs {
 		want[i], wantErr[i] = optimizer.Optimize(job.Graph, cfg, opts)
 	}
-	opts.Cache = optimizer.NewCompileCache()
+	opts.Cache = new(optimizer.CompileCache)
 	const workers = 4
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {

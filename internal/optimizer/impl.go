@@ -1,7 +1,6 @@
 package optimizer
 
 import (
-	"fmt"
 	"math"
 	"slices"
 	"sync"
@@ -223,10 +222,6 @@ func (b *implBuilder) partitionsFor(rows float64) int {
 	return min(max(int(math.Ceil(rows/rowsPerPartition)), 1), b.tokens)
 }
 
-func fail(format string, args ...interface{}) error {
-	return &CompileFailure{Reason: fmt.Sprintf(format, args...)}
-}
-
 // newPhys makes a scratch node, carrying over sizing from the logical
 // node and its input. It copies inputs, so a caller's slice may be scratch
 // too.
@@ -338,12 +333,12 @@ func (b *implBuilder) forceExchange(in *PhysNode, kind ExchangeKind, key []byte,
 			b.table.fire(r)
 			kind = ExchangeRange
 		} else {
-			return nil, fail("no partitioning implementation enabled for key %q", string(key))
+			return nil, &CompileFailure{kind: failNoPartitioning, operand: string(key)}
 		}
 	case ExchangeRange:
 		r, ok := b.table.pick(rules.KindImplRangePartition, siteGate)
 		if !ok {
-			return nil, fail("range partitioner disabled for key %q", string(key))
+			return nil, &CompileFailure{kind: failRangeOff, operand: string(key)}
 		}
 		b.table.fire(r)
 	case ExchangeRoundRobin:
@@ -408,7 +403,7 @@ func (b *implBuilder) lower(n *scope.Node) (*PhysNode, error) {
 	case scope.OpReduce:
 		return b.lowerReduce(n)
 	default:
-		return nil, fail("no lowering for operator %s", n.Kind)
+		return nil, &CompileFailure{kind: failNoLowering, op: n.Kind}
 	}
 }
 
@@ -427,7 +422,7 @@ func (b *implBuilder) lowerScan(n *scope.Node) (*PhysNode, error) {
 		cands = b.offer(cands, rules.KindImplIndexSeek, g, PhysIndexSeek, scanCost(PhysIndexSeek, outRows, width, baseWidth))
 	}
 	if len(cands) == 0 {
-		return nil, fail("no scan implementation enabled for %s", n.TablePath)
+		return nil, &CompileFailure{kind: failNoScan, operand: n.TablePath}
 	}
 	best := cheapest(cands)
 	b.table.fire(best.rule)
@@ -537,7 +532,7 @@ func (b *implBuilder) lowerJoin(n *scope.Node) (*PhysNode, error) {
 	cands = b.offer(cands, rules.KindImplNestedLoopJoin, g, PhysNestedLoopJoin,
 		l*r*costNLJPerRowPair+buildRows*bw*costBroadcastPerB*float64(probeParts))
 	if len(cands) == 0 {
-		return nil, fail("no join implementation enabled for %s", n.JoinCond)
+		return nil, &CompileFailure{kind: failNoJoin, cond: n.JoinCond}
 	}
 
 	best := cheapest(cands)
@@ -648,7 +643,7 @@ func (b *implBuilder) pickAggImpl(g uint64, inRows, outRows float64) (PhysOp, ru
 	cands = b.offer(cands, rules.KindImplHashAgg, g, PhysHashAgg, inRows*1.5+outRows)
 	cands = b.offer(cands, rules.KindImplStreamAgg, g, PhysStreamAgg, inRows*(0.6+0.055*math.Log2(math.Max(inRows, 2)))+outRows*0.5)
 	if len(cands) == 0 {
-		return 0, rules.Rule{}, fail("no aggregation implementation enabled")
+		return 0, rules.Rule{}, &CompileFailure{kind: failNoAgg}
 	}
 	best := cheapest(cands)
 	return best.op, best.rule, nil
@@ -700,7 +695,7 @@ func (b *implBuilder) lowerUnion(n *scope.Node) (*PhysNode, error) {
 	cands = b.offer(cands, rules.KindImplConcatUnion, g, PhysConcatUnion, sumRows*0.2)
 	cands = b.offer(cands, rules.KindImplSortedUnion, g, PhysSortedUnion, sumRows*0.6)
 	if len(cands) == 0 {
-		return nil, fail("no union implementation enabled")
+		return nil, &CompileFailure{kind: failNoUnion}
 	}
 	best := cheapest(cands)
 	b.table.fire(best.rule)
@@ -728,7 +723,7 @@ func (b *implBuilder) lowerSort(n *scope.Node) (*PhysNode, error) {
 	g := gate(n)
 	rule, ok := b.table.pick(rules.KindImplExternalSort, g)
 	if !ok {
-		return nil, fail("sort implementation disabled for keys %s", string(b.key))
+		return nil, &CompileFailure{kind: failSortOff, operand: string(b.key)}
 	}
 	ex, err := b.exchange(in, ExchangeRange, b.key, b.partitionsFor(in.EstRows), g)
 	if err != nil {
@@ -750,7 +745,7 @@ func (b *implBuilder) lowerTop(n *scope.Node) (*PhysNode, error) {
 	cands = b.offer(cands, rules.KindImplTopNHeap, g, PhysTopNHeap, inRows*1.2)
 	cands = b.offer(cands, rules.KindImplExternalSort, g, PhysTopNSort, inRows*costSortRowLog*math.Log2(math.Max(inRows, 2)))
 	if len(cands) == 0 {
-		return nil, fail("no top-n implementation enabled")
+		return nil, &CompileFailure{kind: failNoTopN}
 	}
 	best := cheapest(cands)
 	b.table.fire(best.rule)

@@ -34,12 +34,66 @@ const DefaultTokens = 200
 
 // CompileFailure is returned when a rule configuration cannot produce a
 // valid plan — the "recompilation failures" the paper counts in Table 3.
+// It keeps what failed, not a message: most callers only test for a
+// failure and drop it, so Error formats the message when it is read.
 type CompileFailure struct {
-	Reason string
+	kind    failKind
+	rule    rules.Rule   // the rule a configuration rejection names
+	operand string       // a table path, or a partitioning or sort key
+	cond    scope.Expr   // a join condition
+	op      scope.OpKind // an operator with no lowering
+}
+
+// failKind is what a CompileFailure reports, each kind with its message.
+type failKind uint8
+
+const (
+	failRequiredOff failKind = iota
+	failUnsupportedFlip
+	failInvalidPlan
+	failNoPartitioning
+	failRangeOff
+	failNoLowering
+	failNoScan
+	failNoJoin
+	failNoAgg
+	failNoUnion
+	failSortOff
+	failNoTopN
+)
+
+// failFormats is each kind's message, formatted with the operand its
+// kind keeps: the rule's name and ID, a key, a path, a condition or an
+// operator.
+var failFormats = [...]string{
+	failRequiredOff:     "required rule %s (R%03d) is disabled",
+	failUnsupportedFlip: "unsupported rule combination: flipping %s (R%03d) on this plan shape",
+	failInvalidPlan:     "experimental rule %s (R%03d) produced an invalid plan",
+	failNoPartitioning:  "no partitioning implementation enabled for key %q",
+	failRangeOff:        "range partitioner disabled for key %q",
+	failNoLowering:      "no lowering for operator %s",
+	failNoScan:          "no scan implementation enabled for %s",
+	failNoJoin:          "no join implementation enabled for %s",
+	failNoAgg:           "no aggregation implementation enabled",
+	failNoUnion:         "no union implementation enabled",
+	failSortOff:         "sort implementation disabled for keys %s",
+	failNoTopN:          "no top-n implementation enabled",
 }
 
 func (e *CompileFailure) Error() string {
-	return "optimizer: compilation failed: " + e.Reason
+	format := failFormats[e.kind]
+	reason := format
+	switch e.kind {
+	case failRequiredOff, failUnsupportedFlip, failInvalidPlan:
+		reason = fmt.Sprintf(format, e.rule.Name, e.rule.ID)
+	case failNoPartitioning, failRangeOff, failNoScan, failSortOff:
+		reason = fmt.Sprintf(format, e.operand)
+	case failNoJoin:
+		reason = fmt.Sprintf(format, e.cond)
+	case failNoLowering:
+		reason = fmt.Sprintf(format, e.op)
+	}
+	return "optimizer: compilation failed: " + reason
 }
 
 // IsCompileFailure reports whether err is a CompileFailure.
@@ -126,7 +180,7 @@ func compile(g *scope.Graph, cfg rules.Config, opts Options) (*scope.Graph, *imp
 	// Required rules must be enabled to obtain valid plans.
 	for _, r := range cat.Rules(rules.Required) {
 		if !cfg.Enabled(r.ID) {
-			return nil, nil, &CompileFailure{Reason: fmt.Sprintf("required rule %s (R%03d) is disabled", r.Name, r.ID)}
+			return nil, nil, &CompileFailure{kind: failRequiredOff, rule: r}
 		}
 	}
 	// Hinted compilations (single-rule deviations from the default) hit
@@ -139,8 +193,7 @@ func compile(g *scope.Graph, cfg rules.Config, opts Options) (*scope.Graph, *imp
 		id := on.Union(off).AppendBits(buf[:0])[0]
 		h := g.TemplateHash() ^ (uint64(id+1) * 0x9e3779b97f4a7c15)
 		if h%6 == 3 {
-			r := cat.Rule(id)
-			return nil, nil, &CompileFailure{Reason: fmt.Sprintf("unsupported rule combination: flipping %s (R%03d) on this plan shape", r.Name, r.ID)}
+			return nil, nil, &CompileFailure{kind: failUnsupportedFlip, rule: cat.Rule(id)}
 		}
 	}
 
@@ -219,7 +272,7 @@ func checkExperimentalValidity(g *scope.Graph, cfg rules.Config, cat *rules.Cata
 		// slice of plan shapes.
 		h := g.TemplateHash() ^ (uint64(r.ID) * 0x9e3779b97f4a7c15)
 		if h%23 == 5 {
-			return &CompileFailure{Reason: fmt.Sprintf("experimental rule %s (R%03d) produced an invalid plan", r.Name, r.ID)}
+			return &CompileFailure{kind: failInvalidPlan, rule: r}
 		}
 	}
 	return nil

@@ -333,10 +333,37 @@ func TestOffByDefaultRulesCanFire(t *testing.T) {
 	}
 }
 
+// TestCompileFailureError pins the message of each failure kind. A
+// CompileFailure keeps its kind and operands and formats the message only
+// when Error is called.
 func TestCompileFailureError(t *testing.T) {
-	err := &CompileFailure{Reason: "boom"}
-	if !strings.Contains(err.Error(), "boom") {
-		t.Errorf("error = %q", err.Error())
+	r := rules.Rule{ID: 7, Name: "PushFilterBelowJoin"}
+	cond := &scope.BinaryExpr{Op: "==", Left: &scope.ColRef{Name: "uid"}, Right: &scope.ColRef{Qualifier: "u", Name: "uid"}}
+	for _, tc := range []struct {
+		err  *CompileFailure
+		want string
+	}{
+		{&CompileFailure{kind: failRequiredOff, rule: r}, "required rule PushFilterBelowJoin (R007) is disabled"},
+		{&CompileFailure{kind: failUnsupportedFlip, rule: r}, "unsupported rule combination: flipping PushFilterBelowJoin (R007) on this plan shape"},
+		{&CompileFailure{kind: failInvalidPlan, rule: rules.Rule{ID: 213, Name: "Exp213"}}, "experimental rule Exp213 (R213) produced an invalid plan"},
+		{&CompileFailure{kind: failNoPartitioning, operand: "uid,page"}, `no partitioning implementation enabled for key "uid,page"`},
+		{&CompileFailure{kind: failRangeOff, operand: `a"b`}, `range partitioner disabled for key "a\"b"`},
+		{&CompileFailure{kind: failNoLowering, op: scope.OpProcess}, "no lowering for operator Process"},
+		{&CompileFailure{kind: failNoLowering, op: scope.OpKind(99)}, "no lowering for operator op(99)"},
+		{&CompileFailure{kind: failNoScan, operand: "data/logs_20211103.tsv"}, "no scan implementation enabled for data/logs_20211103.tsv"},
+		{&CompileFailure{kind: failNoJoin, cond: cond}, "no join implementation enabled for (uid == u.uid)"},
+		{&CompileFailure{kind: failNoJoin}, "no join implementation enabled for %!s(<nil>)"},
+		{&CompileFailure{kind: failNoAgg}, "no aggregation implementation enabled"},
+		{&CompileFailure{kind: failNoUnion}, "no union implementation enabled"},
+		{&CompileFailure{kind: failSortOff, operand: "cnt,region"}, "sort implementation disabled for keys cnt,region"},
+		{&CompileFailure{kind: failNoTopN}, "no top-n implementation enabled"},
+	} {
+		if got, want := tc.err.Error(), "optimizer: compilation failed: "+tc.want; got != want {
+			t.Errorf("kind %d: Error() = %q, want %q", tc.err.kind, got, want)
+		}
+		if !IsCompileFailure(tc.err) {
+			t.Errorf("kind %d is not a compile failure", tc.err.kind)
+		}
 	}
 	if IsCompileFailure(nil) {
 		t.Error("nil is not a compile failure")

@@ -246,6 +246,9 @@ func (rw *rewriter) tryPushFilterBelowProject(f *scope.Node) bool {
 	if !ok {
 		return false
 	}
+	// A pass-through column maps a reference to an equal one, which
+	// MapRefs keeps: a filter on such columns alone moves down with its own
+	// predicate, copying nothing.
 	nf := rw.newFilter(scope.MapRefs(f.Pred, in.Projection), in.Inputs[0])
 	in.Inputs[0] = nf
 	rw.replaceEverywhere(f, in)

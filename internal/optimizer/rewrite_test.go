@@ -489,3 +489,77 @@ OUTPUT j2 TO "o";`
 		t.Errorf("rotation should reduce estimated cost: %.3g vs %.3g", res2.EstCost, res.EstCost)
 	}
 }
+
+// TestPushFilterBelowPassThroughProjectKeepsPredicate: a filter pushed
+// below a project that passes its columns through keeps its own predicate
+// — a reference the projection maps to an equal one is not copied — and a
+// renamed column copies only the spine above it. Either way the pushed
+// filter's site key and the plan are the ones the rule produced when it
+// copied every reference.
+func TestPushFilterBelowPassThroughProjectKeepsPredicate(t *testing.T) {
+	const wantPlan = `root 0 (cost 2.28e+06):
+  #3 s1 Output{Output(out/f.tsv)} x3 rows=90000
+    #2 s1 Project{Project(k)} x3 rows=90000
+      #1 s1 Filter{Filter(((v > 5) AND (k < 1000)))} x3 rows=90000
+        #0 s1 ColumnScan{Scan(data/raw.tsv)} x3 rows=1000000
+`
+	stats := MapStats{"data/raw.tsv": {Rows: 1e6, NDV: map[string]float64{"k": 1e5, "v": 100, "w": 50}}}
+	for _, tc := range []struct {
+		name, project, where string
+		keepsPred            bool
+	}{
+		{"pass-through", "k, v", "v > 5 AND k < 1000", true},
+		{"renamed", "k, v AS x", "x > 5 AND k < 1000", false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g, err := scope.CompileScript(`
+raw = EXTRACT k:long, v:int, w:string FROM "data/raw.tsv";
+p = SELECT ` + tc.project + ` FROM raw;
+f = SELECT k FROM p WHERE ` + tc.where + `;
+OUTPUT f TO "out/f.tsv";`)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var pred *scope.BinaryExpr
+			for _, n := range g.Nodes() {
+				if n.Kind == scope.OpFilter {
+					pred = n.Pred.(*scope.BinaryExpr)
+				}
+			}
+			cat := rules.NewCatalog()
+			res, err := Optimize(g, disableKinds(rules.KindPushFilterIntoScan)(cat, cat.DefaultConfig()), Options{Catalog: cat, Stats: stats})
+			if err != nil {
+				t.Fatal(err)
+			}
+			fired := false
+			for _, r := range cat.OfKind(rules.KindPushFilterBelowProject) {
+				fired = fired || res.Signature.Fired(r.ID)
+			}
+			if !fired {
+				t.Fatal("PushFilterBelowProject did not fire")
+			}
+			var pushed *scope.Node
+			for _, n := range res.Logical.Nodes() {
+				if n.Kind == scope.OpFilter && n.Inputs[0].Kind == scope.OpScan {
+					pushed = n
+				}
+			}
+			if pushed == nil {
+				t.Fatal("no filter directly above the scan")
+			}
+			got := pushed.Pred.(*scope.BinaryExpr)
+			if keeps := got == pred; keeps != tc.keepsPred {
+				t.Errorf("pushed filter keeps the filter's own predicate: %v, want %v", keeps, tc.keepsPred)
+			}
+			if got.Right != pred.Right {
+				t.Error("the conjunct on the unrenamed column k was copied")
+			}
+			if site := string(pushed.AppendSiteKey(nil)); site != "filter:((v > 5) AND (k < 1000))" {
+				t.Errorf("site key %q", site)
+			}
+			if plan := res.Plan.String(); plan != wantPlan {
+				t.Errorf("plan\n%s\nwant\n%s", plan, wantPlan)
+			}
+		})
+	}
+}

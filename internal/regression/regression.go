@@ -57,14 +57,17 @@ func FitRidge(X [][]float64, y []float64, lambda float64) (*Linear, error) {
 	}
 	// Augment with the intercept column.
 	k := d + 1
-	// Normal equations: (A'A + λI) w = A'y with A = [1 | X].
+	// Normal equations: (A'A + λI) w = A'y with A = [1 | X], its rows
+	// cut from one slab; the last column holds A'y. Each sample's row of A
+	// is built in one buffer, which the next sample overwrites.
 	ata := make([][]float64, k)
+	cells := make([]float64, k*(k+1))
 	for i := range ata {
-		ata[i] = make([]float64, k+1) // last column holds A'y
+		ata[i] = cells[i*(k+1) : (i+1)*(k+1) : (i+1)*(k+1)]
 	}
+	row := make([]float64, k)
+	row[0] = 1
 	for r := 0; r < n; r++ {
-		row := make([]float64, k)
-		row[0] = 1
 		copy(row[1:], X[r])
 		for i := 0; i < k; i++ {
 			for j := 0; j < k; j++ {

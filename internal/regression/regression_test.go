@@ -232,3 +232,69 @@ func TestRidgeMonotoneShrinkageProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// fitRidgeRef is FitRidge as it was written first: a fresh row of A and
+// a fresh row of the normal equations per use. FitRidge builds every row
+// of A in one buffer and the normal equations in one slab, with the same
+// additions in the same order.
+func fitRidgeRef(X [][]float64, y []float64, lambda float64) (*Linear, error) {
+	k := len(X[0]) + 1
+	ata := make([][]float64, k)
+	for i := range ata {
+		ata[i] = make([]float64, k+1)
+	}
+	for r := range X {
+		row := make([]float64, k)
+		row[0] = 1
+		copy(row[1:], X[r])
+		for i := 0; i < k; i++ {
+			for j := 0; j < k; j++ {
+				ata[i][j] += row[i] * row[j]
+			}
+			ata[i][k] += row[i] * y[r]
+		}
+	}
+	for i := 1; i < k; i++ {
+		ata[i][i] += lambda
+	}
+	w, err := solve(ata)
+	if err != nil {
+		return nil, err
+	}
+	return &Linear{Intercept: w[0], Coef: w[1:]}, nil
+}
+
+// TestFitRidgeMatchesReference: FitRidge's fit is fitRidgeRef's bit for
+// bit, singular systems included, over random designs and penalties.
+func TestFitRidgeMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 200; trial++ {
+		n, d := 1+rng.Intn(40), 1+rng.Intn(6)
+		X := make([][]float64, n)
+		y := make([]float64, n)
+		for i := range X {
+			X[i] = make([]float64, d)
+			for j := range X[i] {
+				X[i][j] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(7)-3))
+			}
+			y[i] = rng.NormFloat64() * 100
+		}
+		lambda := []float64{0, 1e-9, 0.5, 100}[trial%4]
+		got, err := FitRidge(X, y, lambda)
+		want, errRef := fitRidgeRef(X, y, lambda)
+		if (err == nil) != (errRef == nil) {
+			t.Fatalf("trial %d: error %v, reference %v", trial, err, errRef)
+		}
+		if err != nil {
+			continue
+		}
+		if math.Float64bits(got.Intercept) != math.Float64bits(want.Intercept) {
+			t.Fatalf("trial %d: intercept %v, reference %v", trial, got.Intercept, want.Intercept)
+		}
+		for i := range want.Coef {
+			if math.Float64bits(got.Coef[i]) != math.Float64bits(want.Coef[i]) {
+				t.Fatalf("trial %d: coefficient %d is %v, reference %v", trial, i, got.Coef[i], want.Coef[i])
+			}
+		}
+	}
+}

@@ -59,14 +59,20 @@ func RefNames(e Expr) map[string]bool {
 }
 
 // MapRefs returns e with every column reference that to maps replaced by
-// the expression to returns for its name; a reference to does not map is
-// kept. It copies only the spine above a replaced reference: a subtree
-// with none is e's own, shared, and e is never mutated — expressions are
-// immutable once built, as Graph.Clone's sharing of them assumes.
+// the expression to returns for its name; a reference to does not map,
+// or maps to an equal reference (same qualifier and name, as a
+// pass-through projection's column does), is kept. It copies only the
+// spine above a replaced reference: a subtree with none is e's own,
+// shared, so an identity mapping returns e itself, and e is never
+// mutated — expressions are immutable once built, as Graph.Clone's
+// sharing of them assumes.
 func MapRefs(e Expr, to func(name string) (Expr, bool)) Expr {
 	switch x := e.(type) {
 	case *ColRef:
 		if r, ok := to(x.Name); ok {
+			if c, isRef := r.(*ColRef); isRef && *c == *x {
+				return e
+			}
 			return r
 		}
 	case *BinaryExpr:

@@ -144,38 +144,52 @@ func (e *BindError) Error() string {
 // Bind returns a new Graph: the prepared DAG with each placeholder named in
 // names (without its '@'s) replaced by the value at the same index — in an
 // expression by the literal the value spells, inside a string by the
-// value's text. It is the graph CompileScript returns for the source with
-// those replacements made in one pass, first name first, and it shares
-// with the prepared DAG everything a replacement does not reach:
-// projections, aggregates, sort keys, renames, undated schemas and
-// literal-free expressions. Its nodes, their Inputs, re-dated schemas,
-// rebuilt expression spines and integer literals are its own, each kind in
-// one slab. It may keep strings of names and values, never the slices,
-// which the caller may reuse once Bind returns.
+// value's text. It is BindInto a Graph of its own; see BindInto for what
+// the graph shares and what Bind refuses.
+func (p *Prepared) Bind(names, values []string) (*Graph, error) {
+	g := new(Graph)
+	if err := p.BindInto(g, names, values); err != nil {
+		return nil, err
+	}
+	return g, nil
+}
+
+// BindInto is Bind into the caller's Graph header dst, which it
+// overwrites whole: dst must be a Graph nothing else uses yet, typically
+// a field of a block the caller allocates with the graph's other
+// per-binding state (a job instance's facts). The bound graph is the
+// graph CompileScript returns for the source with those replacements made
+// in one pass, first name first, and it shares with the prepared DAG
+// everything a replacement does not reach: projections, aggregates, sort
+// keys, renames, undated schemas and literal-free expressions. Its nodes,
+// their Inputs and Roots, re-dated schemas, rebuilt expression spines and
+// integer literals are its own, each kind in one slab. It may keep strings
+// of names and values, never the slices, which the caller may reuse once
+// BindInto returns. On an error dst is left as it was.
 //
-// Bind refuses, with a *BindError, a name that is not letters, digits and
-// underscores; a value that is not exactly one literal token — an
+// BindInto refuses, with a *BindError, a name that is not letters, digits
+// and underscores; a value that is not exactly one literal token — an
 // integer, float, string, TRUE or FALSE, with nothing around it — or that
 // holds "*/", which could end a comment; a value holding '"' or '\' that
 // would land inside a string; a placeholder bound inside a string literal
 // of a SELECT item or an aggregate's argument; and a placeholder in an
 // expression that names bind no value to.
-func (p *Prepared) Bind(names, values []string) (*Graph, error) {
+func (p *Prepared) BindInto(dst *Graph, names, values []string) error {
 	if len(names) != len(values) {
-		return nil, fmt.Errorf("scope: %d placeholder names for %d values", len(names), len(values))
+		return fmt.Errorf("scope: %d placeholder names for %d values", len(names), len(values))
 	}
 	b := binderPool.Get().(*binder)
 	defer b.release()
 	b.p, b.names, b.values = p, names, values
 	if err := b.checkValues(); err != nil {
-		return nil, err
+		return err
 	}
 	if err := b.bindStrings(); err != nil {
-		return nil, err
+		return err
 	}
 	for _, s := range p.fixed {
 		if _, k := b.match(s, 0); k >= 0 {
-			return nil, &BindError{names[k], "inside a string literal of a SELECT item or an aggregate's argument, where its value could merge or split aggregates"}
+			return &BindError{names[k], "inside a string literal of a SELECT item or an aggregate's argument, where its value could merge or split aggregates"}
 		}
 	}
 
@@ -204,13 +218,13 @@ func (p *Prepared) Bind(names, values []string) (*Graph, error) {
 		b.byID[n.ID] = c
 	}
 	if b.err != nil {
-		return nil, b.err
+		return b.err
 	}
-	g := &Graph{nextID: p.g.nextID, Roots: ptrs}
+	*dst = Graph{nextID: p.g.nextID, Roots: ptrs}
 	for i, r := range p.g.Roots {
-		g.Roots[i] = b.byID[r.ID]
+		dst.Roots[i] = b.byID[r.ID]
 	}
-	return g, nil
+	return nil
 }
 
 // binder is the state of one Bind. All but cols, spines and ints is

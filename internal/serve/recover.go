@@ -44,6 +44,9 @@ type Applier struct {
 	// explicit empty table, which means every template was restored.
 	Quarantine        map[uint64]drift.State
 	QuarantineRecords int64
+
+	// lastLSN is the last record replayed, FromLSN when none was.
+	lastLSN uint64
 }
 
 // NewApplier builds an applier over svc. cache, when non-nil, receives
@@ -118,6 +121,9 @@ type RecoverResult struct {
 	// QuarantineRecords counts them.
 	Quarantine        map[uint64]drift.State
 	QuarantineRecords int64
+
+	// lastLSN is the last record replayed, FromLSN when none was.
+	lastLSN uint64
 }
 
 // Recovered reports whether any persisted state was found — when
@@ -238,18 +244,27 @@ func Open(cfg Config) (*Server, RecoverResult, error) {
 // Reconstruction needs the records in (FromLSN, lsn] to still exist;
 // recoverTo refuses a window whose start was compacted, and a bound past
 // FromLSN with nothing retained above it is the same error here
-// (offline remedy: a journal copy taken before the checkpoint).
+// (offline remedy: a journal copy taken before the checkpoint). A bound
+// past the last record the journal holds is refused too, with the
+// journal's end: the model would otherwise claim records it never saw,
+// and a node booted from it would skip every record later appended up
+// to lsn.
 func RecoverAsOf(src wal.Source, snapshotPath string, lsn uint64) (RecoverResult, error) {
 	res, _, err := recoverTo(src, snapshotPath, lsn, 0)
 	if err != nil {
 		return res, err
 	}
-	if lsn > res.FromLSN && res.Journal.Records == 0 {
+	switch {
+	case lsn > res.FromLSN && res.lastLSN == res.FromLSN:
 		return res, api.Errorf(api.CodeInvalidRequest,
 			"journal holds no record above LSN %d (compacted, or %d is past its end); reconstruction at %d needs records from %d",
 			res.FromLSN, lsn, lsn, res.FromLSN+1)
+	case lsn > res.lastLSN:
+		return res, api.Errorf(api.CodeInvalidRequest,
+			"journal ends at LSN %d; reconstruction at %d is past its end", res.lastLSN, lsn)
 	}
-	// A checkpoint records LastLSN at capture time even when the newest
+	// lsn is the last record replayed, or the snapshot's own watermark. A
+	// checkpoint records LastLSN at capture time even when the newest
 	// records are serve-owned; mirror that so the rendered header's wal=
 	// field says lsn.
 	res.Service.SetWALWatermark(lsn)
@@ -295,6 +310,7 @@ func recoverTo(src wal.Source, snapshotPath string, upTo uint64, seed int64) (Re
 	res.Service.SetMaxLog(bandit.ServingMaxLog)
 
 	ap := NewApplier(res.Service, nil, nil)
+	res.lastLSN = res.FromLSN
 	if src == nil {
 		return res, ap, nil
 	}
@@ -303,8 +319,11 @@ func recoverTo(src wal.Source, snapshotPath string, upTo uint64, seed int64) (Re
 			return errAsOf
 		}
 		err := ap.Apply(lsn, payload)
-		if err == nil && lsn == upTo {
-			err = errAsOf
+		if err == nil {
+			res.lastLSN = lsn
+			if lsn == upTo {
+				err = errAsOf
+			}
 		}
 		return err
 	})

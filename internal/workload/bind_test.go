@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 
+	"qoadvisor/internal/optimizer"
+	"qoadvisor/internal/rules"
 	"qoadvisor/internal/scope"
 )
 
@@ -62,7 +64,7 @@ func TestGraphMemoHitsShareGraphs(t *testing.T) {
 		return j
 	}
 	same := func(a, b *Job) bool {
-		return a.Graph == b.Graph && a.Truth == b.Truth && a.rewrites == b.rewrites &&
+		return a.Graph == b.Graph && a.Truth == b.Truth && a.facts == b.facts &&
 			reflect.ValueOf(a.Stats).Pointer() == reflect.ValueOf(b.Stats).Pointer()
 	}
 	today, tomorrow := inst(10, 0), inst(11, 0)
@@ -196,5 +198,63 @@ func TestInstantiateConcurrentSharesGraph(t *testing.T) {
 	}
 	if got := gen.CompileCacheStats().Misses - before; got != 1 {
 		t.Errorf("%d binds, want 1", got)
+	}
+}
+
+// TestInstanceJobsShareOneBlock: every job of an instance, handed out to
+// goroutines that compile it at once, points into one facts block — its
+// graph header, truth, statistics and rewrite memo — and the memo, shared
+// by all of them, rewrites the instance once under one configuration.
+func TestInstanceJobsShareOneBlock(t *testing.T) {
+	gen, err := New(Config{Seed: 5, NumTemplates: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tpl *Template
+	for _, c := range gen.Templates() {
+		if tpl == nil || c.DailyInstances > tpl.DailyInstances {
+			tpl = c
+		}
+	}
+	if tpl.DailyInstances < 2 {
+		t.Fatal("no template recurs more than once a day")
+	}
+	cat := rules.NewCatalog()
+	const n = 16
+	jobs := make([]*Job, n)
+	var wg sync.WaitGroup
+	for i := range jobs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			j, err := tpl.Instantiate(7, i%tpl.DailyInstances)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if _, err := optimizer.Optimize(j.Graph, cat.DefaultConfig(), j.CompileOptions(cat)); err != nil {
+				t.Error(err)
+			}
+			jobs[i] = j
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	f := jobs[0].facts
+	for i, j := range jobs {
+		if j.facts != f {
+			t.Fatalf("job %d (seq %d) has facts of its own", i, j.Seq)
+		}
+		if j.Graph != &f.graph || j.Truth != &f.truth || j.Stats != optimizer.StatsProvider(&f.stats) {
+			t.Errorf("job %d: graph, truth or statistics outside the instance's facts", i)
+		}
+		if c := j.CompileOptions(cat).Cache; c != &f.rewrites {
+			t.Errorf("job %d compiles through a memo outside the instance's facts", i)
+		}
+	}
+	if st := f.rewrites.Stats(); st.Misses != 1 || st.Hits != n-1 {
+		t.Errorf("the instance's memo read %+v over %d compilations, want 1 miss and %d hits", st, n, n-1)
 	}
 }

@@ -140,9 +140,10 @@ type lookups struct{ hits, misses atomic.Uint64 }
 
 // Job is one instance of a template on a given date. Graph, Truth, Stats
 // and the rewrite memo are the (template, date) instance's, shared by all
-// its jobs. The job itself is an element of the instance's job slab, the
-// one *Job JobsForDay and Instantiate hand out for its (template, date,
-// seq) while the instance is memoized; nothing writes any of it once built.
+// its jobs: each points into the instance's facts. The job itself is an
+// element of the instance's job slab, the one *Job JobsForDay and
+// Instantiate hand out for its (template, date, seq) while the instance
+// is memoized; nothing writes any of it once built.
 type Job struct {
 	ID       string
 	Template *Template
@@ -152,16 +153,16 @@ type Job struct {
 	Truth    *exec.Truth
 	Stats    optimizer.StatsProvider
 	Tokens   int
-	// rewrites memoizes Graph's rewrites under Stats per rule
-	// configuration, for every compilation of the instance.
-	rewrites *optimizer.CompileCache
+	// facts is the instance's, which holds Graph's header, Truth, Stats
+	// and the rewrite memo.
+	facts *facts
 }
 
 // CompileOptions returns the options the job compiles under with catalog
 // cat: its statistics, its token allocation, and its instance's rewrite
 // memo, which only ever sees those statistics.
 func (j *Job) CompileOptions(cat *rules.Catalog) optimizer.Options {
-	return optimizer.Options{Catalog: cat, Stats: j.Stats, Tokens: j.Tokens, Cache: j.rewrites}
+	return optimizer.Options{Catalog: cat, Stats: j.Stats, Tokens: j.Tokens, Cache: &j.facts.rewrites}
 }
 
 // Generator produces templates and daily job instances deterministically
@@ -335,7 +336,9 @@ func (s *instanceScratch) release() {
 // instantiate builds the template's instance on date — concrete
 // literals, the bound graph, per-day true row counts, jittered
 // selectivities, the optimizer-visible statistics, an empty rewrite memo
-// and its slab of DailyInstances jobs.
+// and its slab of DailyInstances jobs — one allocation each for the arena
+// string, the bound graph's slabs, the key and float slabs, the facts and
+// the job slab.
 func (t *Template) instantiate(date int) ([]Job, error) {
 	// Every draw below is the first values of its own stream, seeded by
 	// what it is for: one pooled generator, re-seeded per draw, each seed
@@ -379,12 +382,14 @@ func (t *Template) instantiate(date int) ([]Job, error) {
 	values, pieces := s.pieces[:len(t.names)], s.pieces[len(t.names):]
 	ids := pieces[nt+ns:]
 
-	graph, err := t.prepared.Bind(t.names, values)
-	if err != nil {
+	// The instance's facts hold its bound graph's header and its rewrite
+	// memo by value, beside its truth and statistics: one allocation.
+	f := new(facts)
+	if err := t.prepared.BindInto(&f.graph, t.names, values); err != nil {
 		return nil, fmt.Errorf("workload: instance of %s does not compile: %w", t.ID, err)
 	}
 
-	// The instance's facts follow the template's tables and then its
+	// The truth and statistics follow the template's tables and then its
 	// sites: the keys are the dated paths and site keys, copied out of
 	// the pooled pieces, and the floats the true rows, the estimated rows
 	// and the true selectivities.
@@ -399,38 +404,39 @@ func (t *Template) instantiate(date int) ([]Job, error) {
 		jitter := lognormal(draw("sel", sitePattern), 0.25)
 		vals[2*nt+i] = min(t.TrueSel[sitePattern]*jitter, 1)
 	}
-	f := &facts{
-		truth: exec.Truth{
-			Paths: keys[:nt:nt], Rows: vals[:nt:nt],
-			Sites: keys[nt:], Sel: vals[2*nt:],
-			JitterSeed: hashed("jitter", t.ID),
-		},
-		stats: instanceStats{paths: keys[:nt:nt], rows: vals[nt : 2*nt : 2*nt], ndv: t.ndv},
+	f.truth = exec.Truth{
+		Paths: keys[:nt:nt], Rows: vals[:nt:nt],
+		Sites: keys[nt:], Sel: vals[2*nt:],
+		JitterSeed: hashed("jitter", t.ID),
 	}
+	f.stats = instanceStats{paths: keys[:nt:nt], rows: vals[nt : 2*nt : 2*nt], ndv: t.ndv}
 
 	jobs := make([]Job, t.DailyInstances)
-	rewrites := optimizer.NewCompileCache()
 	for seq := range jobs {
 		jobs[seq] = Job{
 			ID:       ids[seq],
 			Template: t,
 			Date:     date,
 			Seq:      seq,
-			Graph:    graph,
+			Graph:    &f.graph,
 			Truth:    &f.truth,
 			Stats:    &f.stats,
 			Tokens:   t.Tokens,
-			rewrites: rewrites,
+			facts:    f,
 		}
 	}
 	return jobs, nil
 }
 
-// facts is an instance's truth and statistics, made in one allocation.
-// Both read the instance's one slab of keys and one of floats.
+// facts is what an instance's jobs share, made in one allocation: the
+// header of its bound graph, its truth and statistics — both read the
+// instance's one slab of keys and one of floats — and its rewrite memo,
+// empty until the instance first compiles.
 type facts struct {
-	truth exec.Truth
-	stats instanceStats
+	graph    scope.Graph
+	truth    exec.Truth
+	stats    instanceStats
+	rewrites optimizer.CompileCache
 }
 
 // instanceStats is the optimizer-visible statistics of an instance:
