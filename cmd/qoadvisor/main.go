@@ -98,7 +98,7 @@ func run(argv []string, stdout, stderr io.Writer) error {
 		}
 		var buf bytes.Buffer
 		sis.Serialize(&buf, final) // a bytes.Buffer write cannot fail
-		if err := wal.WriteFileAtomic(*hintsOut, buf.Bytes()); err != nil {
+		if err := wal.WriteFileAtomic(wal.OS{}, *hintsOut, buf.Bytes()); err != nil {
 			return err
 		}
 		fmt.Fprintf(stdout, "hint file written to %s\n", *hintsOut)
@@ -110,7 +110,7 @@ func run(argv []string, stdout, stderr io.Writer) error {
 		// no per-process event ID to make it differ from run to run.
 		var model bytes.Buffer
 		adv.CB.Service.Save(&model) // a bytes.Buffer write cannot fail
-		if err := wal.WriteFileAtomic(*modelOut, model.Bytes()); err != nil {
+		if err := wal.WriteFileAtomic(wal.OS{}, *modelOut, model.Bytes()); err != nil {
 			return err
 		}
 		fmt.Fprintf(stdout, "model written to %s\n", *modelOut)

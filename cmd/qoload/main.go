@@ -114,10 +114,10 @@ func run(argv []string, stdout, stderr io.Writer) error {
 	}
 
 	var endpoints []string
-	var primaryWAL *wal.WAL
+	var primaryFS *load.StallFS
 	if *selfhost {
 		var cleanup func()
-		endpoints, primaryWAL, cleanup, err = startSelfhost(stderr, *seed, *incidentDir)
+		endpoints, primaryFS, cleanup, err = startSelfhost(stderr, *seed, *incidentDir)
 		if err != nil {
 			return err
 		}
@@ -154,7 +154,7 @@ func run(argv []string, stdout, stderr io.Writer) error {
 	}
 
 	if *stall > 0 {
-		report.Stall = runStallArm(ctx, stderr, cfg, endpoints[0], primaryWAL, *stall)
+		report.Stall = runStallArm(ctx, stderr, cfg, endpoints[0], primaryFS, *stall)
 	}
 
 	snap := fleet.Scrape(ctx, endpoints, client.WithTimeout(load.Timeout))
@@ -232,12 +232,13 @@ func scrapeIncidents(ctx context.Context, stderr io.Writer, primaryURL string) *
 
 // startSelfhost spins the in-process two-node cluster: a sync-mode
 // WAL primary and one tailing follower, each on its own loopback
-// listener. Returns the endpoints (primary first), the primary's WAL
-// for fault injection, and a cleanup closing everything in order.
+// listener. Returns the endpoints (primary first), the FS the primary's
+// WAL writes through, where a stall is injected, and a cleanup closing
+// everything in order.
 // A non-empty incidentDir enables incident capture on the primary
 // with stock thresholds, so an injected stall exercises the real
 // burn→capture path end to end.
-func startSelfhost(stderr io.Writer, seed int64, incidentDir string) ([]string, *wal.WAL, func(), error) {
+func startSelfhost(stderr io.Writer, seed int64, incidentDir string) ([]string, *load.StallFS, func(), error) {
 	// undo holds the teardown of every part started so far; cleanup
 	// runs it newest first, and a failed start runs it before
 	// returning.
@@ -247,7 +248,7 @@ func startSelfhost(stderr io.Writer, seed int64, incidentDir string) ([]string, 
 			undo[i]()
 		}
 	}
-	fail := func(err error) ([]string, *wal.WAL, func(), error) {
+	fail := func(err error) ([]string, *load.StallFS, func(), error) {
 		cleanup()
 		return nil, nil, nil, err
 	}
@@ -257,7 +258,8 @@ func startSelfhost(stderr io.Writer, seed int64, incidentDir string) ([]string, 
 		return fail(err)
 	}
 	undo = append(undo, func() { os.RemoveAll(dir) })
-	j, err := wal.Open(wal.Options{Dir: dir, Mode: wal.ModeSync})
+	fsys := &load.StallFS{FS: wal.OS{}}
+	j, err := wal.Open(wal.Options{Dir: dir, Mode: wal.ModeSync, FS: fsys})
 	if err != nil {
 		return fail(err)
 	}
@@ -292,7 +294,7 @@ func startSelfhost(stderr io.Writer, seed int64, incidentDir string) ([]string, 
 	}
 
 	fmt.Fprintf(stderr, "selfhost: primary %s (sync WAL %s), follower %s\n", pURL, dir, fURL)
-	return []string{pURL, fURL}, j, cleanup, nil
+	return []string{pURL, fURL}, fsys, cleanup, nil
 }
 
 // listenAndServe serves handler on a fresh loopback port, returning
@@ -315,16 +317,16 @@ func listenAndServe(handler http.Handler) (string, func(), error) {
 // runStallArm runs a constant open-loop workload against the primary
 // with a one-shot fsync stall armed mid-run: the ops scheduled during
 // the stall queue behind the frozen commit, so the stall lands in p99.
-func runStallArm(ctx context.Context, stderr io.Writer, cfg load.Config, primaryURL string, j *wal.WAL, stall time.Duration) *load.StallReport {
+func runStallArm(ctx context.Context, stderr io.Writer, cfg load.Config, primaryURL string, fsys *load.StallFS, stall time.Duration) *load.StallReport {
 	fmt.Fprintf(stderr, "stall arm: one-shot %v fsync stall, open-loop\n", stall)
 	cfg.Target = client.New(primaryURL, client.WithTimeout(load.Timeout))
 	cfg.Batch = 2
 
-	load.ArmStall(j, 300*time.Millisecond, stall)
+	load.ArmStall(fsys, 300*time.Millisecond, stall)
 	res := load.NewRunner(cfg).RunPhase(ctx, load.Phase{
 		Name: "stall-open", Shape: load.ShapeConstant, Duration: 4 * stall / 2, Low: 200,
 	})
-	j.SetFaults(nil)
+	fsys.SetDelay(nil)
 
 	or := load.Summarize(res)
 	fmt.Fprintf(stderr, "  open-loop p99 %8.2fms over %d ops (stall visible)\n", or.P99Ms, or.CompletedOps)

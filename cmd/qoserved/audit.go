@@ -157,7 +157,7 @@ func (m *auditMode) asOf(*audit.Engine) error {
 		return err
 	}
 	if m.out != "" {
-		if err := wal.WriteFileAtomic(m.out, snap); err != nil {
+		if err := wal.WriteFileAtomic(wal.OS{}, m.out, snap); err != nil {
 			return err
 		}
 		fmt.Printf("written:  %s\n", m.out)

@@ -13,12 +13,14 @@ import (
 	"qoadvisor/internal/wal"
 )
 
-// startSyncServer spins a sync-mode WAL-backed server: every reward
-// batch's acknowledgment waits for the group fsync, so an injected
-// SyncDelay stalls the reward path exactly like a sick disk would.
-func startSyncServer(t *testing.T) (*wal.WAL, *httptest.Server) {
+// startSyncServer spins a sync-mode WAL-backed server writing through
+// the StallFS it returns: every reward batch's acknowledgment waits for
+// the group fsync, so a stalled Sync stalls the reward path exactly like
+// a sick disk would.
+func startSyncServer(t *testing.T) (*StallFS, *httptest.Server) {
 	t.Helper()
-	j, err := wal.Open(wal.Options{Dir: t.TempDir(), Mode: wal.ModeSync})
+	fsys := &StallFS{FS: wal.OS{}}
+	j, err := wal.Open(wal.Options{Dir: t.TempDir(), Mode: wal.ModeSync, FS: fsys})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +28,7 @@ func startSyncServer(t *testing.T) (*wal.WAL, *httptest.Server) {
 	t.Cleanup(func() { srv.Close(); j.Close() })
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
-	return j, ts
+	return fsys, ts
 }
 
 // runClosedLoopN drives n ops back-to-back across `workers` concurrent

@@ -256,16 +256,55 @@ func errCode(err error) string {
 	return "transport"
 }
 
-// ArmStall installs a one-shot fsync stall on j that fires once the
-// arm is `after` old, freezing every in-flight sync-mode commit for
-// `stall`. j.SetFaults(nil) disarms it.
-func ArmStall(j *wal.WAL, after, stall time.Duration) {
+// StallFS is a wal.FS whose files' Syncs first sleep for what the
+// function SetDelay installed returns: a slow disk's fsync, injected
+// under the journal, so commit waiters, the sync histogram and a
+// snapshot publish all wait it out. Build it over the FS it decorates
+// (&StallFS{FS: wal.OS{}}) and pass it as wal.Options.FS.
+type StallFS struct {
+	wal.FS
+	delay atomic.Pointer[func() time.Duration]
+}
+
+// SetDelay installs fn, consulted by every Sync of a file s opened (nil
+// removes it). fn must be safe for concurrent use.
+func (s *StallFS) SetDelay(fn func() time.Duration) { s.delay.Store(&fn) }
+
+func (s *StallFS) Create(path string) (wal.File, error) { return s.wrap(s.FS.Create(path)) }
+
+func (s *StallFS) OpenAt(path string, size int64) (wal.File, error) {
+	return s.wrap(s.FS.OpenAt(path, size))
+}
+
+func (s *StallFS) wrap(f wal.File, err error) (wal.File, error) {
+	if err != nil {
+		return nil, err
+	}
+	return stallFile{f, s}, nil
+}
+
+type stallFile struct {
+	wal.File
+	fs *StallFS
+}
+
+func (f stallFile) Sync() error {
+	if fn := f.fs.delay.Load(); fn != nil && *fn != nil {
+		time.Sleep((*fn)())
+	}
+	return f.File.Sync()
+}
+
+// ArmStall arms a one-shot fsync stall on s: the first Sync once the arm
+// is `after` old sleeps for `stall`, freezing every sync-mode commit in
+// flight behind it. s.SetDelay(nil) disarms it.
+func ArmStall(s *StallFS, after, stall time.Duration) {
 	start := time.Now()
 	var fired atomic.Bool
-	j.SetFaults(&wal.Faults{SyncDelay: func() time.Duration {
+	s.SetDelay(func() time.Duration {
 		if time.Since(start) >= after && fired.CompareAndSwap(false, true) {
 			return stall
 		}
 		return 0
-	}})
+	})
 }

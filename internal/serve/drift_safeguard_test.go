@@ -18,6 +18,7 @@ import (
 	"qoadvisor/internal/api/client"
 	"qoadvisor/internal/bandit"
 	"qoadvisor/internal/drift"
+	"qoadvisor/internal/load"
 	"qoadvisor/internal/rules"
 	"qoadvisor/internal/sis"
 	"qoadvisor/internal/wal"
@@ -34,6 +35,7 @@ func driftOn() *drift.Config {
 // hint the tests regress and restore.
 type driftRig struct {
 	*walTestRig
+	fs       *load.StallFS // the rig's journal writes through it
 	cat      *rules.Catalog
 	hintHash uint64
 	altHash  uint64
@@ -42,7 +44,8 @@ type driftRig struct {
 func newDriftRig(t *testing.T, mode wal.Mode) *driftRig {
 	t.Helper()
 	dir := t.TempDir()
-	j, err := wal.Open(wal.Options{Dir: dir, Mode: mode, SegmentBytes: 1 << 20})
+	fsys := &load.StallFS{FS: wal.OS{}}
+	j, err := wal.Open(wal.Options{Dir: dir, Mode: mode, SegmentBytes: 1 << 20, FS: fsys})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,6 +59,7 @@ func newDriftRig(t *testing.T, mode wal.Mode) *driftRig {
 	r := &driftRig{
 		walTestRig: &walTestRig{srv: srv, ts: ts, cl: client.New(ts.URL), j: j,
 			dir: dir, snap: filepath.Join(dir, "model.snap")},
+		fs:       fsys,
 		cat:      cat,
 		hintHash: 0xabc123,
 		altHash:  0xdef456,
@@ -287,12 +291,12 @@ func TestQuarantineJournalFailureFailStop(t *testing.T) {
 	// safeguard's records, as a torn-record or full-disk window on
 	// exactly the transition moment would be.
 	injected := errors.New("injected append fault")
-	r.j.SetFaults(&wal.Faults{AppendErr: func(p []byte) error {
+	r.j.FailAppends(func(p []byte) error {
 		if len(p) > 0 && p[0] == walrec.TagQuarantine {
 			return injected
 		}
 		return nil
-	}})
+	})
 
 	flood.Shift(0.0)
 	var typedErr *api.Error
@@ -326,7 +330,7 @@ func TestQuarantineJournalFailureFailStop(t *testing.T) {
 
 	// Fault window closes: the very next degraded observation
 	// re-proposes the same transition and commits it durably.
-	r.j.SetFaults(nil)
+	r.j.FailAppends(nil)
 	if err := r.observe(r.hintHash, flood.Next()); err != nil {
 		t.Fatalf("post-fault observation: %v", err)
 	}
@@ -340,8 +344,10 @@ func TestQuarantineJournalFailureFailStop(t *testing.T) {
 
 // TestCheckpointDuringQuarantineNoDeadlock races checkpoints against a
 // transition-heavy reward flood with injected append and fsync latency
-// — the lock-order soak for guard.mu vs the checkpoint barrier. The
-// test passes by terminating (run under -race in CI).
+// — the lock-order soak for guard.mu vs the checkpoint barrier. Each
+// Append first waits 200µs in its append fault, which fails nothing, and
+// each file Sync, the snapshot's included, waits 1ms in the rig's
+// StallFS. The test passes by terminating (run under -race in CI).
 func TestCheckpointDuringQuarantineNoDeadlock(t *testing.T) {
 	r := newDriftRig(t, wal.ModeAsync)
 	flood := newRewardFlood(11, 1.0)
@@ -350,11 +356,13 @@ func TestCheckpointDuringQuarantineNoDeadlock(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	r.j.SetFaults(&wal.Faults{
-		AppendDelay: func() time.Duration { return 200 * time.Microsecond },
-		SyncDelay:   func() time.Duration { return time.Millisecond },
+	r.j.FailAppends(func([]byte) error {
+		time.Sleep(200 * time.Microsecond)
+		return nil
 	})
-	defer r.j.SetFaults(nil)
+	defer r.j.FailAppends(nil)
+	r.fs.SetDelay(func() time.Duration { return time.Millisecond })
+	defer r.fs.SetDelay(nil)
 
 	done := make(chan struct{})
 	var wg sync.WaitGroup

@@ -11,12 +11,12 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"qoadvisor/internal/api"
 	"qoadvisor/internal/api/client"
+	"qoadvisor/internal/load"
 	"qoadvisor/internal/obs"
 	"qoadvisor/internal/wal"
 )
@@ -82,11 +82,13 @@ func TestIncidentTriggerCooldown(t *testing.T) {
 // --- engine + HTTP surface ---
 
 // incidentTestServer builds a sync-WAL drift-enabled primary with the
-// incident engine pointed at dir. Its loop ticks once an hour, so
-// trigger evaluation only happens when the test calls evaluate directly.
+// incident engine pointed at dir. Its journal writes through a
+// load.StallFS (j.FS()), where a test stalls an fsync. Its loop ticks
+// once an hour, so trigger evaluation only happens when the test calls
+// evaluate directly.
 func incidentTestServer(t *testing.T, dir string) (*Server, *wal.WAL, *httptest.Server, *client.Client) {
 	t.Helper()
-	j, err := wal.Open(wal.Options{Dir: t.TempDir(), Mode: wal.ModeSync})
+	j, err := wal.Open(wal.Options{Dir: t.TempDir(), Mode: wal.ModeSync, FS: &load.StallFS{FS: wal.OS{}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,15 +289,9 @@ func TestIncidentStallBurnEndToEnd(t *testing.T) {
 	// past both the 100ms reward SLO threshold and the 250ms trace
 	// retention threshold.
 	const stall = 400 * time.Millisecond
-	var armed atomic.Bool
-	armed.Store(true)
-	j.SetFaults(&wal.Faults{SyncDelay: func() time.Duration {
-		if armed.CompareAndSwap(true, false) {
-			return stall
-		}
-		return 0
-	}})
-	defer j.SetFaults(nil)
+	fsys := j.FS().(*load.StallFS)
+	load.ArmStall(fsys, 0, stall)
+	defer fsys.SetDelay(nil)
 
 	start := time.Now()
 	if _, err := cl.RewardBatch(ctx, events); err != nil {
@@ -391,14 +387,14 @@ func TestIncidentWALFailureTrigger(t *testing.T) {
 	}
 	srv.incidents.evaluate(time.Now()) // baseline: primes the error-delta trigger
 
-	j.SetFaults(&wal.Faults{AppendErr: func([]byte) error { return errors.New("injected append failure") }})
+	j.FailAppends(func([]byte) error { return errors.New("injected append failure") })
 	reward := 0.5
 	if _, err := cl.RewardBatch(ctx, []api.RewardEvent{
 		{EventID: batch.Results[0].EventID, Reward: &reward},
 	}); err == nil {
 		t.Fatal("reward batch must surface the journal failure")
 	}
-	j.SetFaults(nil)
+	j.FailAppends(nil)
 
 	// The 5xx the failed batch answers also burns the availability SLO.
 	// Latch the burn trigger as if it had already fired, so that this

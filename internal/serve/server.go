@@ -617,7 +617,9 @@ func (s *Server) Checkpoint(path string) (CheckpointInfo, error) {
 
 	var info CheckpointInfo
 	var buf bytes.Buffer
+	var fsys wal.FS = wal.OS{}
 	if s.wal != nil {
+		fsys = s.wal.FS()
 		if err := s.checkpointBarrier(&buf); err != nil {
 			return info, err
 		}
@@ -626,7 +628,7 @@ func (s *Server) Checkpoint(path string) (CheckpointInfo, error) {
 			return info, err
 		}
 	}
-	if err := wal.WriteFileAtomic(path, buf.Bytes()); err != nil {
+	if err := wal.WriteFileAtomic(fsys, path, buf.Bytes()); err != nil {
 		return info, err
 	}
 	info.Bytes = int64(buf.Len())

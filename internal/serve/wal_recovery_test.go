@@ -276,6 +276,67 @@ func TestCrashRecoveryEquivalence(t *testing.T) {
 	}
 }
 
+// TestCrashRecoveryFromAsOfSnapshot: a model reconstructed as of the
+// journal's end and saved (what `qoserved audit asof -audit-out` writes)
+// boots a node. serve.Open over it and the same journal, after more
+// records were appended, replays exactly the later ones: the model it
+// serves Saves to the bytes Recover from scratch over the whole journal
+// does.
+func TestCrashRecoveryFromAsOfSnapshot(t *testing.T) {
+	r := newWALRig(t, 1<<20)
+	ids1 := r.rankSome(t, 60, 1)
+	r.rewardAll(t, ids1[:30], 1.0)
+	r.srv.Ingestor().Drain()
+	if err := r.j.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	end := r.j.LastLSN()
+	asof, err := RecoverAsOf(wal.DirSource{Dir: r.dir}, "", end)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := asof.Service.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	asofPath := filepath.Join(t.TempDir(), "asof.snap")
+	if err := os.WriteFile(asofPath, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	// Records the as-of model has not seen: new ranks, and rewards for
+	// events it holds open as well as for the new ones.
+	ids2 := r.rankSome(t, 40, 2)
+	r.rewardAll(t, append(append([]string{}, ids1[30:45]...), ids2[:30]...), 0.5)
+	r.srv.Ingestor().Drain()
+
+	srv, rec := r.restart(t, Config{Seed: 42, SnapshotPath: asofPath})
+	if !rec.SnapshotLoaded || rec.FromLSN != end || rec.Journal.Records == 0 {
+		t.Fatalf("Open did not boot from the as-of model plus the later records: %+v", rec)
+	}
+	srv.Ingestor().Drain()
+	if err := srv.wal.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	srv.Bandit().SetWALWatermark(srv.wal.LastLSN())
+	var got bytes.Buffer
+	if err := srv.Bandit().Save(&got); err != nil {
+		t.Fatal(err)
+	}
+	scratch, err := Recover(wal.DirSource{Dir: srv.wal.Dir()}, "", 0, 0, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := scratch.Service.Save(&want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("a node booted from the as-of model differs from a recovery from scratch\nbooted head:\n%s\nscratch head:\n%s",
+			head(got.Bytes()), head(want.Bytes()))
+	}
+}
+
 // TestSnapshotGETIsRecoverySeed: on a journaled primary, the body of
 // GET /v2/model/snapshot taken after post-checkpoint traffic seeds
 // Recover over the journal to the live model's bytes. Stamped with the

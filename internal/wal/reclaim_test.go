@@ -23,12 +23,18 @@ import (
 
 // These tests drive compaction's two halves: TruncateBefore detaching
 // segments under the journal mutex, and the reclaimer unlinking them
-// outside it. wal.SetRemoveFile (export_test.go) blocks or fails the
-// reclaimer's unlinks.
+// outside it. A wal.OpFS (export_test.go) under one journal blocks or
+// fails the reclaimer's unlinks.
 
 func openJournal(t *testing.T, dir string, mode wal.Mode, segBytes int64) *wal.WAL {
 	t.Helper()
-	w, err := wal.Open(wal.Options{Dir: dir, Mode: mode, SegmentBytes: segBytes})
+	return openJournalFS(t, nil, dir, mode, segBytes)
+}
+
+// openJournalFS is openJournal writing through fsys (nil = wal.OS).
+func openJournalFS(t *testing.T, fsys wal.FS, dir string, mode wal.Mode, segBytes int64) *wal.WAL {
+	t.Helper()
+	w, err := wal.Open(wal.Options{Dir: dir, Mode: mode, SegmentBytes: segBytes, FS: fsys})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,21 +84,22 @@ func exists(path string) bool {
 	return err == nil
 }
 
-// blockUnlinks makes every unlink of the reclaimer report its path on
-// entered and wait for release before it unlinks. Call it before
-// opening the journal, and register release after: cleanups then
-// release the reclaimer, close the journal and restore the unlink, in
-// that order.
-func blockUnlinks(t *testing.T) (entered <-chan string, release func()) {
+// blockUnlinks returns an FS whose every unlink reports its path on
+// entered and waits for release before it unlinks. Open the journal on
+// it and register release after: cleanups then release the reclaimer
+// and close the journal, in that order.
+func blockUnlinks() (fsys *wal.OpFS, entered <-chan string, release func()) {
 	ch := make(chan string, 64)
 	gate := make(chan struct{})
 	var once sync.Once
-	t.Cleanup(wal.SetRemoveFile(func(path string) error {
-		ch <- path
-		<-gate
-		return os.Remove(path)
-	}))
-	return ch, func() { once.Do(func() { close(gate) }) }
+	fsys = &wal.OpFS{Before: func(op wal.Op) error {
+		if op.Kind == "remove" {
+			ch <- op.Path
+			<-gate
+		}
+		return nil
+	}}
+	return fsys, ch, func() { once.Do(func() { close(gate) }) }
 }
 
 func receive(t *testing.T, ch <-chan string, what string) string {
@@ -128,9 +135,9 @@ func within(t *testing.T, what string, fn func()) {
 // all complete. Released, the reclaimer unlinks exactly the detached
 // segments by the time Close returns.
 func TestReclaimOffTheLock(t *testing.T) {
-	entered, release := blockUnlinks(t)
+	fsys, entered, release := blockUnlinks()
 	dir := t.TempDir()
-	w := openJournal(t, dir, wal.ModeSync, 64)
+	w := openJournalFS(t, fsys, dir, wal.ModeSync, 64)
 	t.Cleanup(release)
 	appendCommitted(t, w, 20)
 	before := listed(t, dir)
@@ -189,23 +196,24 @@ func TestReclaimRetriesFailedUnlink(t *testing.T) {
 	calls := make(chan string)
 	answers := make(chan error)
 	quit := make(chan struct{}) // a failed test lets the reclaimer finish
-	t.Cleanup(wal.SetRemoveFile(func(path string) error {
+	fsys := &wal.OpFS{Before: func(op wal.Op) error {
+		if op.Kind != "remove" {
+			return nil
+		}
 		select {
-		case calls <- path:
+		case calls <- op.Path:
 		case <-quit:
-			return os.Remove(path)
+			return nil
 		}
 		select {
 		case err := <-answers:
-			if err != nil {
-				return err
-			}
+			return err
 		case <-quit:
 		}
-		return os.Remove(path)
-	}))
+		return nil
+	}}
 	dir := t.TempDir()
-	w := openJournal(t, dir, wal.ModeSync, 64)
+	w := openJournalFS(t, fsys, dir, wal.ModeSync, 64)
 	t.Cleanup(func() { close(quit) })
 	appendCommitted(t, w, 20)
 	before := listed(t, dir)
@@ -478,18 +486,19 @@ func TestOpenNewbornUnlinkFails(t *testing.T) {
 	want := replayAll(t, dir)
 
 	var unlinks []string
-	restore := wal.SetRemoveFile(func(path string) error {
-		unlinks = append(unlinks, path)
-		return &fs.PathError{Op: "remove", Path: path, Err: syscall.EIO}
-	})
-	if w, err := wal.Open(wal.Options{Dir: dir, Mode: wal.ModeSync, SegmentBytes: 64}); err == nil {
+	failing := &wal.OpFS{Before: func(op wal.Op) error {
+		if op.Kind != "remove" {
+			return nil
+		}
+		unlinks = append(unlinks, op.Path)
+		return &fs.PathError{Op: "remove", Path: op.Path, Err: syscall.EIO}
+	}}
+	if w, err := wal.Open(wal.Options{Dir: dir, Mode: wal.ModeSync, SegmentBytes: 64, FS: failing}); err == nil {
 		w.Close()
-		restore()
 		t.Fatal("Open succeeded although the stub's unlink failed")
 	} else if !errors.Is(err, syscall.EIO) {
 		t.Errorf("Open with a failing unlink: %v, want EIO", err)
 	}
-	restore()
 	if !slices.Equal(unlinks, []string{newborn}) {
 		t.Errorf("Open unlinked %q, want only the stub %s", unlinks, newborn)
 	}
@@ -629,9 +638,9 @@ func liveModel(t *testing.T, srv *serve.Server, j *wal.WAL) []byte {
 // them is blocked, ranking, rewards and the next checkpoint all
 // complete.
 func TestReclaimCheckpointOffTheLock(t *testing.T) {
-	entered, release := blockUnlinks(t)
+	fsys, entered, release := blockUnlinks()
 	dir := t.TempDir()
-	j := openJournal(t, dir, wal.ModeSync, 1024)
+	j := openJournalFS(t, fsys, dir, wal.ModeSync, 1024)
 	srv := serve.New(serve.Config{Seed: 42, WAL: j})
 	t.Cleanup(srv.Close)
 	t.Cleanup(release)
@@ -673,12 +682,14 @@ func TestReclaimCheckpointOffTheLock(t *testing.T) {
 // those segments below the watermark), and the restart's own checkpoint
 // compacts and unlinks them.
 func TestReclaimAfterCrash(t *testing.T) {
-	restore := wal.SetRemoveFile(func(path string) error {
-		return &os.PathError{Op: "remove", Path: path, Err: syscall.EIO}
-	})
-	defer restore()
+	failing := &wal.OpFS{Before: func(op wal.Op) error {
+		if op.Kind == "remove" {
+			return &os.PathError{Op: "remove", Path: op.Path, Err: syscall.EIO}
+		}
+		return nil
+	}}
 	dir := t.TempDir()
-	j := openJournal(t, dir, wal.ModeSync, 1024)
+	j := openJournalFS(t, failing, dir, wal.ModeSync, 1024)
 	srv := serve.New(serve.Config{Seed: 42, WAL: j})
 	snap := filepath.Join(dir, serve.SnapshotFile)
 	for round := 0; round < 2; round++ {
@@ -711,7 +722,6 @@ func TestReclaimAfterCrash(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	restore()
 	j2, err := wal.Open(wal.Options{Dir: dir, Mode: wal.ModeSync, SegmentBytes: 1024})
 	if err != nil {
 		t.Fatal(err)

@@ -60,22 +60,26 @@ func (d DirSource) Replay(afterLSN uint64, fn func(lsn uint64, payload []byte) e
 // appends first so every appended record is visible; intended for the
 // startup window before concurrent appends begin.
 func (w *WAL) Replay(afterLSN uint64, fn func(lsn uint64, payload []byte) error) (ReplayInfo, error) {
-	w.mu.Lock()
-	if w.err != nil {
-		err := w.err
-		w.mu.Unlock()
+	segs, err := w.flushedSegments(nil)
+	if err != nil {
 		return ReplayInfo{}, err
 	}
-	if w.bw != nil {
-		if err := w.bw.Flush(); err != nil {
-			w.err = err
-			w.mu.Unlock()
-			return ReplayInfo{}, err
-		}
-	}
-	segs := append([]segment(nil), w.segs...)
-	w.mu.Unlock()
 	return replaySegments(segs, afterLSN, fn)
+}
+
+// flushedSegments flushes buffered appends, so every appended record is
+// readable from the files, and appends the segment list to dst.
+func (w *WAL) flushedSegments(dst []segment) ([]segment, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.err != nil {
+		return dst, w.err
+	}
+	if err := w.bw.Flush(); err != nil {
+		w.err = err
+		return dst, err
+	}
+	return append(dst, w.segs...), nil
 }
 
 func replaySegments(segs []segment, afterLSN uint64, fn func(lsn uint64, payload []byte) error) (ReplayInfo, error) {
@@ -231,21 +235,9 @@ func (c *Cursor) advance() bool {
 // refresh copies the journal's segment list into the cursor's own
 // with buffered appends flushed, so everything up to SyncedLSN is
 // readable from the files.
-func (c *Cursor) refresh() error {
-	w := c.w
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.err != nil {
-		return w.err
-	}
-	if w.bw != nil {
-		if err := w.bw.Flush(); err != nil {
-			w.err = err
-			return err
-		}
-	}
-	c.segs = append(c.segs[:0], w.segs...)
-	return nil
+func (c *Cursor) refresh() (err error) {
+	c.segs, err = c.w.flushedSegments(c.segs[:0])
+	return err
 }
 
 // locate finds the segment and byte offset of c.nextLSN by scanning

@@ -51,7 +51,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"syscall"
 	"time"
 )
 
@@ -132,6 +131,9 @@ type Options struct {
 	// SegmentBytes rolls to a new segment once the active one exceeds
 	// this size (0 = DefaultSegmentBytes).
 	SegmentBytes int64
+	// FS is what every disk change of the journal goes through (nil =
+	// OS).
+	FS FS
 	// flushEvery is the group-commit window (0 = DefaultFlushEvery).
 	// Only this package's tests shorten it.
 	flushEvery time.Duration
@@ -166,7 +168,7 @@ type WAL struct {
 	// wake broadcasts cond under mu: what a WaitLSN deadline or a done
 	// context calls. Built once, so a wait allocates no closure for it.
 	wake func()
-	f    *os.File // active segment
+	f    File // active segment
 	bw   *bufio.Writer
 	hdr  [recHeaderSize]byte // Append's record header: a local would escape through bw.Write
 	segs []segment           // ascending; last is active
@@ -200,9 +202,9 @@ type WAL struct {
 	// Open without racing the committer.
 	syncObs atomic.Pointer[func(time.Duration)]
 
-	// faults, when set, is the chaos-test fault-injection plan (see
-	// Faults); nil in production.
-	faults atomic.Pointer[Faults]
+	// failAppend, when set, is the append fault FailAppends installed;
+	// nil in production.
+	failAppend atomic.Pointer[func(payload []byte) error]
 
 	flushCh   chan struct{}
 	reclaimCh chan struct{} // kicks the reclaimer
@@ -214,19 +216,24 @@ type WAL struct {
 // duration (called off the append path, on the committer or a
 // sync-mode Commit waiter). Pass the observing end of a latency
 // histogram; nil removes the observer.
-func (w *WAL) SetSyncObserver(fn func(time.Duration)) {
-	if fn == nil {
-		w.syncObs.Store(nil)
-		return
-	}
-	w.syncObs.Store(&fn)
-}
+func (w *WAL) SetSyncObserver(fn func(time.Duration)) { w.syncObs.Store(&fn) }
+
+// FailAppends installs fn as the append fault: every Append consults it
+// before any journal state changes, and a non-nil return fails that
+// append with no LSN consumed. Unlike a real I/O error it does not latch
+// the journal fail-stop, so a test can open a fault window and close it
+// again (nil removes fn). fn runs on the appending goroutine, outside
+// the journal mutex, and must be safe for concurrent use.
+func (w *WAL) FailAppends(fn func(payload []byte) error) { w.failAppend.Store(&fn) }
+
+// FS returns the file system the journal writes through: what a
+// snapshot published beside it is written with.
+func (w *WAL) FS() FS { return w.opts.FS }
 
 // observeSync times one fsync call through the installed observer.
-func (w *WAL) observeSync(f *os.File) error {
-	w.injectSyncDelay()
+func (w *WAL) observeSync(f File) error {
 	obs := w.syncObs.Load()
-	if obs == nil {
+	if obs == nil || *obs == nil {
 		return f.Sync()
 	}
 	start := time.Now()
@@ -238,7 +245,9 @@ func (w *WAL) observeSync(f *os.File) error {
 // Open opens (or creates) the journal in opts.Dir, recovering from a
 // torn tail: a final record cut mid-write is truncated away so appends
 // resume at a clean boundary. Returns the WAL positioned after the
-// last valid record.
+// last valid record. A journal it creates has its first segment's
+// directory entry fsynced (outside ModeOff) before Open returns, as a
+// roll fsyncs the next one's before any of its records is acknowledged.
 //
 // It also recovers from a crash inside a roll, between creating the next
 // segment and writing its header (or inside the first Open's create): the
@@ -257,7 +266,10 @@ func Open(opts Options) (*WAL, error) {
 	if opts.flushEvery <= 0 {
 		opts.flushEvery = DefaultFlushEvery
 	}
-	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
+	if opts.FS == nil {
+		opts.FS = OS{}
+	}
+	if err := opts.FS.MkdirAll(opts.Dir); err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
 	segs, newborn, err := scanDir(opts.Dir)
@@ -272,10 +284,10 @@ func Open(opts Options) (*WAL, error) {
 		if newborn.index != next {
 			return nil, fmt.Errorf("wal: segment %s has no header and is not the segment after %d", newborn.path, next-1)
 		}
-		if err := removeFile(newborn.path); err != nil {
+		if err := opts.FS.Remove(newborn.path); err != nil {
 			return nil, fmt.Errorf("wal: removing header-less segment: %w", err)
 		}
-		if err := syncDir(opts.Dir); err != nil {
+		if err := opts.FS.SyncDir(opts.Dir); err != nil {
 			return nil, fmt.Errorf("wal: %w", err)
 		}
 	}
@@ -298,6 +310,12 @@ func Open(opts Options) (*WAL, error) {
 		if err := w.openSegmentLocked(1, 1); err != nil {
 			return nil, err
 		}
+		if opts.Mode != ModeOff {
+			if err := opts.FS.SyncDir(opts.Dir); err != nil {
+				w.f.Close()
+				return nil, fmt.Errorf("wal: %w", err)
+			}
+		}
 	} else {
 		last := segs[len(segs)-1]
 		count, validEnd, tailErr, serr := scanSegment(last.path, last.firstLSN, nil)
@@ -309,23 +327,16 @@ func Open(opts Options) (*WAL, error) {
 			return nil, fmt.Errorf("wal: %w", err)
 		}
 		if fi.Size() > validEnd {
-			// Torn tail from a crash mid-append: cut back to the last
-			// whole record so new appends start at a clean frame. The
-			// damage is recorded so the operator can be told data past
-			// the durable frontier was discarded (TailDamage).
-			if err := os.Truncate(last.path, validEnd); err != nil {
-				return nil, fmt.Errorf("wal: truncating torn tail of %s: %w", last.path, err)
-			}
+			// Torn tail from a crash mid-append: the reopen cuts back to
+			// the last whole record so new appends start at a clean
+			// frame. The damage is recorded so the operator can be told
+			// data past the durable frontier was discarded (TailDamage).
 			w.tornBytes = fi.Size() - validEnd
 			w.tornErr = tailErr
 		}
-		f, err := os.OpenFile(last.path, os.O_RDWR, 0o644)
+		f, err := opts.FS.OpenAt(last.path, validEnd)
 		if err != nil {
-			return nil, fmt.Errorf("wal: %w", err)
-		}
-		if _, err := f.Seek(validEnd, io.SeekStart); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("wal: %w", err)
+			return nil, fmt.Errorf("wal: reopening %s: %w", last.path, err)
 		}
 		w.f = f
 		w.bw = bufio.NewWriterSize(f, 1<<16)
@@ -407,7 +418,7 @@ func scanDir(dir string) (segs []segment, newborn *segment, err error) {
 // hold mu (or are inside Open before the WAL is shared).
 func (w *WAL) openSegmentLocked(index, firstLSN uint64) error {
 	path := filepath.Join(w.opts.Dir, fmt.Sprintf("%s%016d%s", segPrefix, index, segSuffix))
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_RDWR, 0o644)
+	f, err := w.opts.FS.Create(path)
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
@@ -448,10 +459,7 @@ func (w *WAL) maybeRoll() error {
 		return err
 	}
 	if err := w.bw.Flush(); err != nil {
-		w.err = err
-		w.cond.Broadcast()
-		w.mu.Unlock()
-		return err
+		return w.failLocked(err)
 	}
 	old := w.f
 	sealedLast := w.nextLSN - 1 // every record in the sealed segment
@@ -459,30 +467,36 @@ func (w *WAL) maybeRoll() error {
 	if err := w.openSegmentLocked(next, w.nextLSN); err != nil {
 		// openSegmentLocked leaves w.f/w.bw untouched on failure, so
 		// appends keep landing in the (oversized) old segment.
-		w.err = err
-		w.cond.Broadcast()
-		w.mu.Unlock()
-		return err
+		return w.failLocked(err)
 	}
 	w.unflushed = 0
 	w.syncing = true
 	w.mu.Unlock()
 
+	// The new segment's directory entry is made durable before any of
+	// its records can be: a failed directory fsync latches the journal
+	// like a failed segment fsync.
 	var serr error
 	if w.opts.Mode != ModeOff {
-		serr = w.observeSync(old)
+		if serr = w.observeSync(old); serr == nil {
+			serr = w.opts.FS.SyncDir(w.opts.Dir)
+		}
 	}
-	syncDir(w.opts.Dir)
 	if cerr := old.Close(); serr == nil {
 		serr = cerr
 	}
+	return w.syncDone(sealedLast, serr)
+}
 
+// syncDone ends the fsync in flight outside mu: it latches serr, or
+// advances the durable frontier to target, and wakes every waiter.
+func (w *WAL) syncDone(target uint64, serr error) error {
 	w.mu.Lock()
 	w.syncing = false
 	if serr != nil {
 		w.err = serr
-	} else if sealedLast > w.syncedLSN {
-		w.syncedLSN = sealedLast
+	} else if target > w.syncedLSN {
+		w.syncedLSN = target
 		if w.opts.Mode != ModeOff {
 			w.syncs++
 		}
@@ -490,6 +504,15 @@ func (w *WAL) maybeRoll() error {
 	w.cond.Broadcast()
 	w.mu.Unlock()
 	return serr
+}
+
+// failLocked latches err, a disk change that failed under mu, so the
+// journal is fail-stop; it wakes every waiter to see it and releases mu.
+func (w *WAL) failLocked(err error) error {
+	w.err = err
+	w.cond.Broadcast()
+	w.mu.Unlock()
+	return err
 }
 
 // Append frames and buffers one record, returning its LSN. It never
@@ -503,8 +526,10 @@ func (w *WAL) Append(payload []byte) (uint64, error) {
 	if len(payload) > MaxRecordSize {
 		return 0, fmt.Errorf("wal: record of %d bytes exceeds limit %d", len(payload), MaxRecordSize)
 	}
-	if err := w.injectAppend(payload); err != nil {
-		return 0, err
+	if fn := w.failAppend.Load(); fn != nil && *fn != nil {
+		if err := (*fn)(payload); err != nil {
+			return 0, err
+		}
 	}
 	w.mu.Lock()
 	if w.closed {
@@ -518,18 +543,12 @@ func (w *WAL) Append(payload []byte) (uint64, error) {
 	}
 	binary.LittleEndian.PutUint32(w.hdr[:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(w.hdr[4:], crc32.Checksum(payload, crcTable))
-	if _, err := w.bw.Write(w.hdr[:]); err == nil {
+	_, err := w.bw.Write(w.hdr[:])
+	if err == nil {
 		_, err = w.bw.Write(payload)
-		if err != nil {
-			w.err = err
-		}
-	} else {
-		w.err = err
 	}
-	if w.err != nil {
-		err := w.err
-		w.mu.Unlock()
-		return 0, err
+	if err != nil {
+		return 0, w.failLocked(err)
 	}
 	lsn := w.nextLSN
 	w.nextLSN++
@@ -631,10 +650,7 @@ func (w *WAL) syncNow() error {
 		return nil
 	}
 	if err := w.bw.Flush(); err != nil {
-		w.err = err
-		w.cond.Broadcast()
-		w.mu.Unlock()
-		return err
+		return w.failLocked(err)
 	}
 	w.unflushed = 0
 	if w.opts.Mode == ModeOff {
@@ -648,19 +664,7 @@ func (w *WAL) syncNow() error {
 	w.syncing = true
 	w.mu.Unlock()
 
-	serr := w.observeSync(f)
-
-	w.mu.Lock()
-	w.syncing = false
-	if serr != nil {
-		w.err = serr
-	} else if target > w.syncedLSN {
-		w.syncedLSN = target
-		w.syncs++
-	}
-	w.cond.Broadcast()
-	w.mu.Unlock()
-	return serr
+	return w.syncDone(target, w.observeSync(f))
 }
 
 // SyncedLSN returns the durable frontier: the newest LSN covered by a
@@ -776,10 +780,6 @@ func (w *WAL) TruncateBefore(lsn uint64) int {
 	return n
 }
 
-// removeFile unlinks a segment: the reclaimer's detached ones and the
-// header-less stub Open drops. A test swaps it to block or fail one.
-var removeFile = os.Remove
-
 // reclaimer unlinks the segments TruncateBefore detached, a pass per
 // kick and a final one when the journal closes.
 func (w *WAL) reclaimer() {
@@ -805,7 +805,7 @@ func (w *WAL) reclaimPass() {
 	w.mu.Unlock()
 	n := 0
 	for _, s := range queued {
-		if err := removeFile(s.path); err != nil && !errors.Is(err, os.ErrNotExist) {
+		if err := w.opts.FS.Remove(s.path); err != nil && !errors.Is(err, os.ErrNotExist) {
 			break
 		}
 		n++
@@ -813,7 +813,7 @@ func (w *WAL) reclaimPass() {
 	if n == 0 {
 		return
 	}
-	syncDir(w.opts.Dir)
+	w.opts.FS.SyncDir(w.opts.Dir) // best effort: a segment a crash brings back is compacted again
 	w.mu.Lock()
 	w.reclaim = w.reclaim[n:]
 	w.mu.Unlock()
@@ -858,9 +858,7 @@ func (w *WAL) Close() error {
 	}
 	var err error
 	if w.f != nil {
-		if ferr := w.bw.Flush(); ferr != nil && err == nil {
-			err = ferr
-		}
+		err = w.bw.Flush()
 		if w.opts.Mode != ModeOff {
 			if serr := w.f.Sync(); serr != nil && err == nil {
 				err = serr
@@ -881,20 +879,19 @@ func (w *WAL) Close() error {
 	return err
 }
 
-// WriteFileAtomic replaces path with data durably: the bytes go to
-// path+".tmp", are fsynced and renamed over path, and then path's
-// directory is fsynced, because a rename survives a crash only once its
-// directory does. A crash leaves the old file or the new one, never a
-// truncated mix. An error before the rename leaves the old file in
-// place; an error from the directory fsync leaves the new bytes at path
-// without a promise that the rename survives a crash. Only a filesystem
-// that cannot fsync directories (EINVAL, ENOTSUP) is let through.
-// Checkpoints publish the model snapshot through it before compacting
-// the journal segments the snapshot covers, and stop on its error, so
-// the compaction cannot outlive the snapshot's rename.
-func WriteFileAtomic(path string, data []byte) error {
+// WriteFileAtomic replaces path with data durably through fsys: the
+// bytes go to path+".tmp", are fsynced and renamed over path, and then
+// path's directory is fsynced, because a rename survives a crash only
+// once its directory does. A crash leaves the old file or the new one,
+// never a truncated mix. An error before the rename leaves the old file
+// in place; an error from the directory fsync leaves the new bytes at
+// path without a promise that the rename survives a crash.
+// Checkpoints publish the model snapshot through their journal's FS
+// before compacting the journal segments the snapshot covers, and stop
+// on its error, so the compaction cannot outlive the snapshot's rename.
+func WriteFileAtomic(fsys FS, path string, data []byte) error {
 	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
+	f, err := fsys.OpenAt(tmp, 0)
 	if err != nil {
 		return err
 	}
@@ -906,34 +903,11 @@ func WriteFileAtomic(path string, data []byte) error {
 		err = cerr
 	}
 	if err == nil {
-		err = os.Rename(tmp, path)
+		err = fsys.Rename(tmp, path)
 	}
 	if err != nil {
-		os.Remove(tmp)
+		fsys.Remove(tmp)
 		return err
 	}
-	return syncDir(filepath.Dir(path))
-}
-
-// fsyncDir is syncDir's fsync; a test swaps it to inject a failure.
-var fsyncDir = (*os.File).Sync
-
-// syncDir fsyncs a directory so a create, rename or remove in it
-// survives a crash. A filesystem that cannot fsync directories answers
-// EINVAL or ENOTSUP; that is not an error. The journal's segment
-// create/remove calls treat it as best effort; WriteFileAtomic returns
-// its error.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = fsyncDir(d)
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	if errors.Is(err, syscall.EINVAL) || errors.Is(err, syscall.ENOTSUP) {
-		return nil
-	}
-	return err
+	return fsys.SyncDir(filepath.Dir(path))
 }

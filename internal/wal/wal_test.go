@@ -635,7 +635,7 @@ func TestSealedSegmentsHoldRecords(t *testing.T) {
 func TestWriteFileAtomic(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "model.snap")
 	for _, data := range []string{"first", "second, longer"} {
-		if err := WriteFileAtomic(path, []byte(data)); err != nil {
+		if err := WriteFileAtomic(OS{}, path, []byte(data)); err != nil {
 			t.Fatal(err)
 		}
 		if got, err := os.ReadFile(path); err != nil || string(got) != data {
@@ -649,7 +649,7 @@ func TestWriteFileAtomic(t *testing.T) {
 	if err := os.Mkdir(path+".tmp", 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteFileAtomic(path, []byte("third")); err == nil {
+	if err := WriteFileAtomic(OS{}, path, []byte("third")); err == nil {
 		t.Fatal("write over an uncreatable temp file succeeded")
 	}
 	if got, err := os.ReadFile(path); err != nil || string(got) != "second, longer" {
@@ -660,10 +660,10 @@ func TestWriteFileAtomic(t *testing.T) {
 // TestWriteFileAtomicDirSyncError: a failed directory fsync is the
 // caller's error (a checkpoint must not compact behind a rename that
 // may not survive a crash), except the EINVAL a filesystem that cannot
-// fsync directories answers.
+// fsync directories answers. The FS's SyncDir runs OS's rule over a
+// directory fsync that fails.
 func TestWriteFileAtomicDirSyncError(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "model.snap")
-	defer func(orig func(*os.File) error) { fsyncDir = orig }(fsyncDir)
 	for _, tc := range []struct {
 		err  error
 		fail bool
@@ -671,8 +671,13 @@ func TestWriteFileAtomicDirSyncError(t *testing.T) {
 		{&os.PathError{Op: "sync", Err: syscall.EIO}, true},
 		{&os.PathError{Op: "sync", Err: syscall.EINVAL}, false},
 	} {
-		fsyncDir = func(*os.File) error { return tc.err }
-		err := WriteFileAtomic(path, []byte("data"))
+		fsys := &OpFS{Before: func(op Op) error {
+			if op.Kind != "syncdir" {
+				return nil
+			}
+			return syncDir(op.Path, func(*os.File) error { return tc.err })
+		}}
+		err := WriteFileAtomic(fsys, path, []byte("data"))
 		if (err != nil) != tc.fail {
 			t.Errorf("directory fsync fails with %v: WriteFileAtomic = %v, want failure %v", tc.err, err, tc.fail)
 		}
