@@ -117,10 +117,11 @@ func TestDurableOpsOrdered(t *testing.T) {
 	if n := w.TruncateBefore(watermark); n != 2 {
 		t.Fatalf("TruncateBefore(%d) detached %d segments, want 2", watermark, n)
 	}
-	// Wait out the reclaimer's pass, so Close's final pass finds nothing.
+	// Wait out the reclaimer's pass (its unlinks, then a directory
+	// fsync), so Close's final pass finds nothing.
 	for deadline := time.Now().Add(5 * time.Second); ; {
 		ops := fsys.Ops()
-		if len(ops) > 0 && ops[len(ops)-1].Kind == "syncdir" {
+		if n := len(ops); ops[n-2].Kind == "remove" && ops[n-1].Kind == "syncdir" {
 			break
 		}
 		if time.Now().After(deadline) {
