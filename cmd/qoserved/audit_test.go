@@ -1,13 +1,11 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"net/url"
 	"os"
 	"path/filepath"
@@ -15,121 +13,38 @@ import (
 	"testing"
 
 	"qoadvisor/internal/api"
-	"qoadvisor/internal/api/client"
 	"qoadvisor/internal/audit"
-	"qoadvisor/internal/rules"
+	"qoadvisor/internal/nodetest"
 	"qoadvisor/internal/serve"
-	"qoadvisor/internal/sis"
 	"qoadvisor/internal/wal"
 )
 
 // TestAuditSurfacesAgree holds the two audit surfaces to one answer:
-// over the steering session internal/audit's TestQueriesGolden scripts
-// (ranks and rewards over real HTTP, hint rollovers, a quarantine and
-// its restore, three checkpoint barriers), each /v2/audit answer,
-// fetched through the typed client and put through the text renderer,
-// is what `qoserved audit` prints for the same journal directory.
+// over nodetest's steering session, the one internal/audit's
+// TestQueriesGolden pins (ranks and rewards over real HTTP, hint
+// rollovers, a quarantine and its restore, three checkpoint barriers),
+// each /v2/audit answer, fetched through the typed client and put
+// through the text renderer, is what `qoserved audit` prints for the
+// same journal directory.
 func TestAuditSurfacesAgree(t *testing.T) {
 	ctx := context.Background()
-	dir := t.TempDir()
+	j := nodetest.Journal(t, wal.Options{Mode: wal.ModeSync, SegmentBytes: 1024})
+	dir := j.Dir()
 	model := filepath.Join(dir, serve.SnapshotFile)
-	j, err := wal.Open(wal.Options{Dir: dir, Mode: wal.ModeSync, SegmentBytes: 1024})
-	if err != nil {
-		t.Fatal(err)
-	}
 	srv := serve.New(serve.Config{Seed: 42, WAL: j, SnapshotPath: model})
-	t.Cleanup(func() { srv.Close(); j.Close() })
-	ts := httptest.NewServer(srv)
-	t.Cleanup(ts.Close)
-	cl := client.New(ts.URL)
-
-	rank := func(n, salt int) []string {
-		t.Helper()
-		jobs := make([]api.RankRequest, n)
-		for i := range jobs {
-			jobs[i] = api.RankRequest{
-				TemplateHash: api.TemplateHash(uint64(salt)<<32 | uint64(i)),
-				Span:         []int{3 + (i+salt)%50, 60 + (i*7+salt)%50, 120 + i%30},
-				RowCount:     float64(1000 * (i + 1)),
-			}
-		}
-		resp, err := cl.RankBatch(ctx, jobs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids := make([]string, n)
-		for i, res := range resp.Results {
-			if res.Error != nil {
-				t.Fatalf("job %d rejected: %v", i, res.Error)
-			}
-			ids[i] = res.EventID
-		}
-		return ids
-	}
-	reward := func(ids []string, v float64) {
-		t.Helper()
-		events := make([]api.RewardEvent, len(ids))
-		for i, id := range ids {
-			val := v + float64(i)*0.01
-			events[i] = api.RewardEvent{EventID: id, Reward: &val}
-		}
-		if resp, err := cl.RewardBatch(ctx, events); err != nil || resp.Queued != len(ids) {
-			t.Fatalf("queued %d of %d rewards: %v", resp.Queued, len(ids), err)
-		}
-		srv.Ingestor().Quiesce()()
-	}
-	hints := func(hs ...sis.Hint) {
-		t.Helper()
-		if _, err := srv.InstallHints(hs); err != nil {
-			t.Fatal(err)
-		}
-	}
-	quarantine := func(action string) {
-		t.Helper()
-		if _, err := cl.Quarantine(ctx, 0xabc123, action); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var ckpts []uint64
-	var seed []byte // the second checkpoint, which seeds as-of from -model
-	barrier := func() {
-		t.Helper()
-		var buf bytes.Buffer
-		lsn, err := srv.BootstrapSnapshot(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ckpts = append(ckpts, lsn); len(ckpts) == 2 {
-			seed = buf.Bytes()
-		}
-	}
-
-	cat := rules.NewCatalog()
-	idsA := rank(20, 1)
-	reward(idsA[:10], 0.5)
-	hints(sis.Hint{TemplateHash: 0xabc123, TemplateID: "T0042", Flip: cat.FlipFor(40), Day: 3})
-	quarantine(api.QuarantineActionQuarantine)
-	barrier()
-	reward(idsA[10:], 0.9)
-	idsB := rank(17, 2)
-	reward(idsB[:13], 0.25)
-	hints(
-		sis.Hint{TemplateHash: 0xabc123, TemplateID: "T0042", Flip: cat.FlipFor(41), Day: 4},
-		sis.Hint{TemplateHash: 0xdef456, TemplateID: "T0099", Flip: cat.FlipFor(42), Day: 4},
-	)
-	barrier()
-	quarantine(api.QuarantineActionRestore)
-	idsC := rank(9, 3)
-	reward(idsC, 0.7)
-	hints(sis.Hint{TemplateHash: 0xdef456, TemplateID: "T0099", Flip: cat.FlipFor(42), Day: 5})
-	barrier()
-	reward(idsB[13:], 0.1)
+	_, cl := nodetest.Serve(t, srv)
+	s := nodetest.Steer(t, cl, srv, func() { srv.Ingestor().Quiesce()() })
 	srv.Ingestor().Drain()
 	if err := j.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(model, seed, 0o644); err != nil {
+	// The second checkpoint seeds as-of from -model.
+	if err := os.WriteFile(model, s.Barriers[1].Snapshot, 0o644); err != nil {
 		t.Fatal(err)
+	}
+	ckpts := make([]uint64, len(s.Barriers))
+	for i, b := range s.Barriers {
+		ckpts[i] = b.LSN
 	}
 
 	agree := func(argv []string, render func(io.Writer) error) {
@@ -156,7 +71,7 @@ func TestAuditSurfacesAgree(t *testing.T) {
 		{[]string{"-audit-type", "reward_batch,train_mark"}, url.Values{"type": {"reward_batch,train_mark"}}},
 		{[]string{"-audit-type", "hint_rollover", "-template-hash", "abc123"}, url.Values{"type": {"hint_rollover"}, "template": {"abc123"}}},
 		{[]string{"-template-hash", "abc123"}, url.Values{"template": {"abc123"}}},
-		{[]string{"-event", idsA[12]}, url.Values{"event": {idsA[12]}}},
+		{[]string{"-event", s.A[12]}, url.Values{"event": {s.A[12]}}},
 		{[]string{"-audit-from", from, "-audit-to", to}, url.Values{"fromLsn": {from}, "toLsn": {to}}},
 		{[]string{"-audit-type", "rank", "-audit-limit", "5"}, url.Values{"type": {"rank"}, "limit": {"5"}}},
 	} {
@@ -182,7 +97,7 @@ func TestAuditSurfacesAgree(t *testing.T) {
 			return nil
 		})
 	}
-	for _, event := range []string{idsA[12], idsB[15], idsC[8], "ev-no-such-event"} {
+	for _, event := range []string{s.A[12], s.B[15], s.C[8], "ev-no-such-event"} {
 		tr, err := cl.AuditDecision(ctx, event)
 		if err != nil {
 			t.Fatal(err)

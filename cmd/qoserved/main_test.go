@@ -19,6 +19,7 @@ import (
 
 	"qoadvisor/internal/api"
 	"qoadvisor/internal/bandit"
+	"qoadvisor/internal/nodetest"
 	"qoadvisor/internal/replicate"
 	"qoadvisor/internal/rules"
 	"qoadvisor/internal/serve"
@@ -293,12 +294,9 @@ func TestExitCodes(t *testing.T) {
 // a checkpoint re-journals a live hint table above its watermark.
 func auditJournal(t *testing.T, segBytes int64) (dir, event string, watermark uint64) {
 	t.Helper()
-	dir = t.TempDir()
+	j := nodetest.Journal(t, wal.Options{Mode: wal.ModeSync, SegmentBytes: segBytes})
+	dir = j.Dir()
 	snap := filepath.Join(dir, serve.SnapshotFile)
-	j, err := wal.Open(wal.Options{Dir: dir, Mode: wal.ModeSync, SegmentBytes: segBytes})
-	if err != nil {
-		t.Fatal(err)
-	}
 	srv, _, err := serve.Open(serve.Config{Seed: 42, WAL: j})
 	if err != nil {
 		t.Fatal(err)
@@ -498,16 +496,13 @@ func TestAsOfAuditOutIsTheDigestedModel(t *testing.T) {
 // trains them at its next boundary — and that one pass is all that
 // separates it from Recover's model.
 func TestAsOfAtJournalEndLeavesRewardsPending(t *testing.T) {
-	dir := t.TempDir()
-	j, err := wal.Open(wal.Options{Dir: dir, Mode: wal.ModeSync})
-	if err != nil {
-		t.Fatal(err)
-	}
+	j := nodetest.Journal(t, wal.Options{Mode: wal.ModeSync})
+	dir := j.Dir()
 	srv, _, err := serve.Open(serve.Config{Seed: 42, WAL: j})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { srv.Close(); j.Close() })
+	t.Cleanup(srv.Close)
 	for i := 0; i < 6; i++ { // below the training cadence: all 6 pending at the journal end
 		resp, err := srv.Rank(api.RankRequest{TemplateHash: api.TemplateHash(i + 1), Span: []int{5, 21 + i}})
 		if err != nil {
@@ -556,9 +551,7 @@ func TestAsOfAtJournalEndLeavesRewardsPending(t *testing.T) {
 // reachable, prints its detail, and fails the run; a healthy one passes.
 func TestClusterFailsOnDegradedNode(t *testing.T) {
 	srv := serve.New(serve.Config{Seed: 1})
-	t.Cleanup(srv.Close)
-	healthy := httptest.NewServer(srv)
-	t.Cleanup(healthy.Close)
+	healthy, _ := nodetest.Serve(t, srv)
 	mux := http.NewServeMux()
 	mux.Handle("/", srv)
 	mux.HandleFunc(api.RouteV2Healthz, func(w http.ResponseWriter, _ *http.Request) {

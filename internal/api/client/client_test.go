@@ -17,6 +17,7 @@ import (
 	"qoadvisor/internal/api/client"
 	"qoadvisor/internal/bandit"
 	"qoadvisor/internal/budget"
+	"qoadvisor/internal/nodetest"
 	"qoadvisor/internal/rules"
 	"qoadvisor/internal/serve"
 	"qoadvisor/internal/sis"
@@ -29,10 +30,7 @@ import (
 func TestAPIConformanceClientEndToEnd(t *testing.T) {
 	cat := rules.NewCatalog()
 	srv := serve.New(serve.Config{Seed: 17})
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-	defer srv.Close()
-	c := client.New(ts.URL)
+	_, c := nodetest.Serve(t, srv)
 	ctx := context.Background()
 
 	// Rollover: upload a hint file through the typed client.
@@ -117,11 +115,7 @@ func TestAPIConformanceClientEndToEnd(t *testing.T) {
 }
 
 func TestClientTypedError(t *testing.T) {
-	srv := serve.New(serve.Config{Seed: 1})
-	defer srv.Close()
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-	c := client.New(ts.URL)
+	_, c := nodetest.Serve(t, serve.New(serve.Config{Seed: 1}))
 
 	_, err := c.Rank(context.Background(), api.RankRequest{TemplateHash: 1, Span: []int{}})
 	var apiErr *api.Error
@@ -249,17 +243,9 @@ func TestClientKeepsConnectionAlive(t *testing.T) {
 // its sync mode, journal positions, and checkpoint counters in
 // /v2/stats, and a server without a WAL omits the block entirely.
 func TestClientWALStatsPassthrough(t *testing.T) {
-	dir := t.TempDir()
-	j, err := wal.Open(wal.Options{Dir: dir, Mode: wal.ModeSync})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
+	j := nodetest.Journal(t, wal.Options{Mode: wal.ModeSync})
 	srv := serve.New(serve.Config{Seed: 4, WAL: j})
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-	defer srv.Close()
-	cl := client.New(ts.URL)
+	_, cl := nodetest.Serve(t, srv)
 	ctx := context.Background()
 
 	// Rank + reward so the journal has records, then checkpoint.
@@ -271,7 +257,7 @@ func TestClientWALStatsPassthrough(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv.Ingestor().Drain()
-	if _, err := srv.Checkpoint(dir + "/model.snap"); err != nil {
+	if _, err := srv.Checkpoint(j.Dir() + "/model.snap"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -299,11 +285,8 @@ func TestClientWALStatsPassthrough(t *testing.T) {
 	}
 
 	// No WAL: the block is omitted (omitempty pointer).
-	srv2 := serve.New(serve.Config{Seed: 5})
-	ts2 := httptest.NewServer(srv2)
-	defer ts2.Close()
-	defer srv2.Close()
-	stats2, err := client.New(ts2.URL).Stats(ctx)
+	_, cl2 := nodetest.Serve(t, serve.New(serve.Config{Seed: 5}))
+	stats2, err := cl2.Stats(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}

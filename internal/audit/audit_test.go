@@ -5,17 +5,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"qoadvisor/internal/api"
-	"qoadvisor/internal/api/client"
 	"qoadvisor/internal/audit"
 	"qoadvisor/internal/bandit"
 	"qoadvisor/internal/drift"
+	"qoadvisor/internal/nodetest"
 	"qoadvisor/internal/rules"
 	"qoadvisor/internal/serve"
 	"qoadvisor/internal/sis"
@@ -25,97 +23,13 @@ import (
 
 const asOfSeed = 42
 
-// asOfRig is a WAL-backed live server the as-of tests checkpoint
-// against, driven over real HTTP so the journal carries exactly what
-// production carries.
-type asOfRig struct {
-	srv *serve.Server
-	cl  *client.Client
-	j   *wal.WAL
-	dir string
-}
-
-func newAsOfRig(t *testing.T, segBytes int64) *asOfRig {
+// checkpointCopy checkpoints srv into its journal's directory and
+// squirrels the snapshot file away, returning the copy's path and the
+// checkpoint watermark.
+func checkpointCopy(t *testing.T, srv *serve.Server, j *wal.WAL, name string) (string, uint64) {
 	t.Helper()
-	dir := t.TempDir()
-	j, err := wal.Open(wal.Options{Dir: dir, Mode: wal.ModeSync, SegmentBytes: segBytes})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := serve.New(serve.Config{Seed: asOfSeed, WAL: j})
-	ts := httptest.NewServer(srv)
-	t.Cleanup(ts.Close)
-	return &asOfRig{srv: srv, cl: client.New(ts.URL), j: j, dir: dir}
-}
-
-// waitReclaimed waits until the journal's reclaimer has unlinked every
-// segment compaction detached: the first segment on disk is the first
-// the journal retains. A checkpoint returns before those unlinks.
-func waitReclaimed(t *testing.T, j *wal.WAL) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		first, _ := j.Window()
-		segs, err := wal.Segments(j.Dir())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(segs) > 0 && segs[0].FirstLSN == first {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("compacted segments still on disk after 10s: %d listed, the journal retains from LSN %d", len(segs), first)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-func (r *asOfRig) rank(t *testing.T, n, salt int) []string {
-	t.Helper()
-	jobs := make([]api.RankRequest, n)
-	for i := range jobs {
-		jobs[i] = api.RankRequest{
-			TemplateHash: api.TemplateHash(uint64(salt)<<32 | uint64(i)),
-			Span:         []int{3 + (i+salt)%50, 60 + (i*7+salt)%50, 120 + i%30},
-			RowCount:     float64(1000 * (i + 1)),
-		}
-	}
-	resp, err := r.cl.RankBatch(context.Background(), jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ids := make([]string, 0, n)
-	for i, res := range resp.Results {
-		if res.Error != nil {
-			t.Fatalf("job %d rejected: %v", i, res.Error)
-		}
-		ids = append(ids, res.EventID)
-	}
-	return ids
-}
-
-func (r *asOfRig) reward(t *testing.T, ids []string, v float64) {
-	t.Helper()
-	events := make([]api.RewardEvent, len(ids))
-	for i, id := range ids {
-		val := v + float64(i)*0.01
-		events[i] = api.RewardEvent{EventID: id, Reward: &val}
-	}
-	resp, err := r.cl.RewardBatch(context.Background(), events)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Queued != len(ids) {
-		t.Fatalf("queued %d of %d rewards: %+v", resp.Queued, len(ids), resp.Rejected)
-	}
-}
-
-// checkpointCopy checkpoints the server and squirrels the snapshot
-// file away, returning the copy's path and the checkpoint watermark.
-func (r *asOfRig) checkpointCopy(t *testing.T, name string) (string, uint64) {
-	t.Helper()
-	snap := filepath.Join(r.dir, "model.snap")
-	info, err := r.srv.Checkpoint(snap)
+	snap := filepath.Join(j.Dir(), "model.snap")
+	info, err := srv.Checkpoint(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +37,7 @@ func (r *asOfRig) checkpointCopy(t *testing.T, name string) (string, uint64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp := filepath.Join(r.dir, name)
+	cp := filepath.Join(j.Dir(), name)
 	if err := os.WriteFile(cp, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -137,28 +51,30 @@ func (r *asOfRig) checkpointCopy(t *testing.T, name string) (string, uint64) {
 // checkpoint (events ranked before it, rewarded after, so the open
 // events travel via the snapshot and the rewards via the journal).
 func TestAsOfByteIdentical(t *testing.T) {
-	r := newAsOfRig(t, 1024) // tiny segments: the window spans many files
+	j := nodetest.Journal(t, wal.Options{Mode: wal.ModeSync, SegmentBytes: 1024}) // tiny segments: the window spans many files
+	srv := serve.New(serve.Config{Seed: asOfSeed, WAL: j})
+	_, cl := nodetest.Serve(t, srv)
 	cat := rules.NewCatalog()
 
 	// Phase A: decisions and some rewards, then checkpoint 1.
-	idsA := r.rank(t, 20, 1)
-	r.reward(t, idsA[:10], 0.5)
-	if _, err := r.srv.InstallHints([]sis.Hint{
+	idsA := nodetest.Rank(t, cl, 20, 1)
+	nodetest.Reward(t, cl, idsA[:10], 0.5)
+	if _, err := srv.InstallHints([]sis.Hint{
 		{TemplateHash: 0xabc123, TemplateID: "T0042", Flip: cat.FlipFor(40), Day: 3},
 	}); err != nil {
 		t.Fatal(err)
 	}
-	snap1, w1 := r.checkpointCopy(t, "snap1.copy")
+	snap1, w1 := checkpointCopy(t, srv, j, "snap1.copy")
 
 	// Phase B: the straddling batch — rewards for phase-A events land
 	// after checkpoint 1 — plus fresh decisions, rewards, and a hint
 	// rollover. Then checkpoint 2: the reconstruction target. The
 	// window holds more than bandit.DefaultTrainEvery rewards, so the
 	// replay crosses a count-based training boundary.
-	r.reward(t, idsA[10:], 0.9)
-	idsB := r.rank(t, 300, 2)
-	r.reward(t, idsB[:290], 0.25)
-	if _, err := r.srv.InstallHints([]sis.Hint{
+	nodetest.Reward(t, cl, idsA[10:], 0.9)
+	idsB := nodetest.Rank(t, cl, 300, 2)
+	nodetest.Reward(t, cl, idsB[:290], 0.25)
+	if _, err := srv.InstallHints([]sis.Hint{
 		{TemplateHash: 0xabc123, TemplateID: "T0042", Flip: cat.FlipFor(41), Day: 4},
 		{TemplateHash: 0xdef456, TemplateID: "T0099", Flip: cat.FlipFor(42), Day: 4},
 	}); err != nil {
@@ -169,7 +85,7 @@ func TestAsOfByteIdentical(t *testing.T) {
 	// window (w1, l] the reconstruction needs — time travel only works
 	// over history that compaction has not eaten.
 	var snap2buf bytes.Buffer
-	l, err := r.srv.BootstrapSnapshot(&snap2buf)
+	l, err := srv.BootstrapSnapshot(&snap2buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,20 +93,20 @@ func TestAsOfByteIdentical(t *testing.T) {
 	if l <= w1 {
 		t.Fatalf("checkpoint LSNs did not advance: w1=%d l=%d", w1, l)
 	}
-	snap2 := filepath.Join(r.dir, "snap2.copy")
+	snap2 := filepath.Join(j.Dir(), "snap2.copy")
 	if err := os.WriteFile(snap2, want, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
 	// Phase C: the journal moves on past L.
-	idsC := r.rank(t, 9, 3)
-	r.reward(t, idsC, 0.7)
-	r.srv.Ingestor().Drain()
-	if err := r.j.Sync(); err != nil {
+	idsC := nodetest.Rank(t, cl, 9, 3)
+	nodetest.Reward(t, cl, idsC, 0.7)
+	srv.Ingestor().Drain()
+	if err := j.Sync(); err != nil {
 		t.Fatal(err)
 	}
 
-	res, err := serve.RecoverAsOf(wal.DirSource{Dir: r.dir}, snap1, l)
+	res, err := serve.RecoverAsOf(wal.DirSource{Dir: j.Dir()}, snap1, l)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,13 +130,13 @@ func TestAsOfByteIdentical(t *testing.T) {
 	// first checkpoint compacted the start of the journal away, so this
 	// one cannot complete either — but it must fail for that reason,
 	// not succeed from the wrong seed.)
-	waitReclaimed(t, r.j)
-	res2, err := serve.RecoverAsOf(wal.DirSource{Dir: r.dir}, snap2, w1)
+	nodetest.WaitReclaimed(t, j)
+	res2, err := serve.RecoverAsOf(wal.DirSource{Dir: j.Dir()}, snap2, w1)
 	if res2.SnapshotLoaded {
 		t.Error("reconstruction at an LSN below the snapshot's watermark must not seed from it")
 	}
 	var ae *api.Error
-	if first, _ := r.j.Window(); first > 1 && (!errors.As(err, &ae) || ae.Code != api.CodeInvalidRequest) {
+	if first, _ := j.Window(); first > 1 && (!errors.As(err, &ae) || ae.Code != api.CodeInvalidRequest) {
 		t.Errorf("as-of(%d) over a journal compacted to start at %d: err = %v, want invalid_request", w1, first, err)
 	}
 }
@@ -240,32 +156,34 @@ func saved(t testing.TB, svc *bandit.Service) []byte {
 // drain-equivalent tail flush. As-of at the journal's last record plus
 // that flush is Recover's model, byte for byte.
 func TestAsOfAtJournalEndThenFlushIsRecover(t *testing.T) {
-	r := newAsOfRig(t, 1024)
-	ids := r.rank(t, 30, 5)
-	r.reward(t, ids[:21], 0.4) // below the training cadence: the snapshot barrier trains them
+	j := nodetest.Journal(t, wal.Options{Mode: wal.ModeSync, SegmentBytes: 1024})
+	srv := serve.New(serve.Config{Seed: asOfSeed, WAL: j})
+	_, cl := nodetest.Serve(t, srv)
+	ids := nodetest.Rank(t, cl, 30, 5)
+	nodetest.Reward(t, cl, ids[:21], 0.4) // below the training cadence: the snapshot barrier trains them
 	// A bootstrap snapshot is the checkpoint barrier without compaction,
 	// so the from-scratch arm below still has the whole history.
 	var ckpt bytes.Buffer
-	if _, err := r.srv.BootstrapSnapshot(&ckpt); err != nil {
+	if _, err := srv.BootstrapSnapshot(&ckpt); err != nil {
 		t.Fatal(err)
 	}
 	snap := filepath.Join(t.TempDir(), "ckpt.snap")
 	if err := os.WriteFile(snap, ckpt.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	more := r.rank(t, 12, 6)
-	r.reward(t, append(ids[21:], more[:6]...), 0.8)
-	r.srv.Ingestor().Quiesce()()
-	if err := r.j.Sync(); err != nil {
+	more := nodetest.Rank(t, cl, 12, 6)
+	nodetest.Reward(t, cl, append(ids[21:], more[:6]...), 0.8)
+	srv.Ingestor().Quiesce()()
+	if err := j.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	src := wal.DirSource{Dir: r.dir}
+	src := wal.DirSource{Dir: j.Dir()}
 	for _, seed := range []string{"", snap} {
 		rec, err := serve.Recover(src, seed, 0, 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		asof, err := serve.RecoverAsOf(src, seed, r.j.LastLSN())
+		asof, err := serve.RecoverAsOf(src, seed, j.LastLSN())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -378,18 +296,20 @@ func buildBigJournal(tb testing.TB, dir string, nRanks int, segBytes int64) (wan
 // journal: the rank, its rewards, the absorbing train mark, and a
 // bounded lineage.
 func TestTraceAnswersWhy(t *testing.T) {
-	r := newAsOfRig(t, 4096)
-	ids := r.rank(t, 24, 7)
-	r.reward(t, ids, 0.6)
+	j := nodetest.Journal(t, wal.Options{Mode: wal.ModeSync, SegmentBytes: 4096})
+	srv := serve.New(serve.Config{Seed: asOfSeed, WAL: j})
+	_, cl := nodetest.Serve(t, srv)
+	ids := nodetest.Rank(t, cl, 24, 7)
+	nodetest.Reward(t, cl, ids, 0.6)
 	// Drain journals a train mark after the rewards. (A checkpoint
 	// would too, but it also compacts the segments holding the rank
 	// records — history a trace needs.)
-	r.srv.Ingestor().Drain()
-	if err := r.j.Sync(); err != nil {
+	srv.Ingestor().Drain()
+	if err := j.Sync(); err != nil {
 		t.Fatal(err)
 	}
 
-	eng, err := audit.Open(r.dir)
+	eng, err := audit.Open(j.Dir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -685,30 +605,32 @@ func TestQueriesMatchBruteForce(t *testing.T) {
 	})
 
 	t.Run("rig", func(t *testing.T) {
-		r := newAsOfRig(t, 1024)
-		ids := r.rank(t, 20, 1)
-		r.reward(t, ids[:15], 0.5)
+		j := nodetest.Journal(t, wal.Options{Mode: wal.ModeSync, SegmentBytes: 1024})
+		srv := serve.New(serve.Config{Seed: asOfSeed, WAL: j})
+		_, cl := nodetest.Serve(t, srv)
+		ids := nodetest.Rank(t, cl, 20, 1)
+		nodetest.Reward(t, cl, ids[:15], 0.5)
 		for _, action := range []string{api.QuarantineActionQuarantine, api.QuarantineActionRestore} {
-			if _, err := r.srv.InstallHints([]sis.Hint{{TemplateHash: 0xabc123, TemplateID: "T0042", Flip: rules.NewCatalog().FlipFor(40), Day: len(action)}}); err != nil {
+			if _, err := srv.InstallHints([]sis.Hint{{TemplateHash: 0xabc123, TemplateID: "T0042", Flip: rules.NewCatalog().FlipFor(40), Day: len(action)}}); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := r.cl.Quarantine(context.Background(), 0xabc123, action); err != nil {
+			if _, err := cl.Quarantine(context.Background(), 0xabc123, action); err != nil {
 				t.Fatal(err)
 			}
 			var sink bytes.Buffer
-			if _, err := r.srv.BootstrapSnapshot(&sink); err != nil {
+			if _, err := srv.BootstrapSnapshot(&sink); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if _, err := r.srv.InstallHints(nil); err != nil {
+		if _, err := srv.InstallHints(nil); err != nil {
 			t.Fatal(err)
 		}
-		r.reward(t, ids[15:], 0.9)
-		r.srv.Ingestor().Drain()
-		if err := r.j.Sync(); err != nil {
+		nodetest.Reward(t, cl, ids[15:], 0.9)
+		srv.Ingestor().Drain()
+		if err := j.Sync(); err != nil {
 			t.Fatal(err)
 		}
-		run(t, r.dir, []audit.Query{
+		run(t, j.Dir(), []audit.Query{
 			{},
 			{Tags: []byte{walrec.TagQuarantine}},
 			{Template: 0xabc123, HasTemplate: true},
@@ -761,10 +683,7 @@ func TestScanCountersAndDamageRule(t *testing.T) {
 	}
 
 	// The journal grows under the same engine: nothing is cached.
-	j, err := wal.Open(wal.Options{Dir: dir, Mode: wal.ModeSync, SegmentBytes: 32 << 10})
-	if err != nil {
-		t.Fatal(err)
-	}
+	j := nodetest.Journal(t, wal.Options{Dir: dir, Mode: wal.ModeSync, SegmentBytes: 32 << 10})
 	lsn, err := j.Append(walrec.EncodeTrainMark())
 	if err != nil {
 		t.Fatal(err)
@@ -838,11 +757,8 @@ func TestAuditAndRecoveryRefuseTheSameRecords(t *testing.T) {
 				t.Fatalf("walrec.Decode accepted %+v", rec)
 			}
 
-			dir := t.TempDir()
-			j, err := wal.Open(wal.Options{Dir: dir, Mode: wal.ModeSync})
-			if err != nil {
-				t.Fatal(err)
-			}
+			j := nodetest.Journal(t, wal.Options{Mode: wal.ModeSync})
+			dir := j.Dir()
 			lsn, err := j.Append(tc.bad)
 			if err == nil {
 				err = j.Commit(lsn)

@@ -2,7 +2,6 @@ package audit_test
 
 import (
 	"bytes"
-	"context"
 	"crypto/sha256"
 	"flag"
 	"fmt"
@@ -13,11 +12,9 @@ import (
 	"strings"
 	"testing"
 
-	"qoadvisor/internal/api"
 	"qoadvisor/internal/audit"
-	"qoadvisor/internal/rules"
+	"qoadvisor/internal/nodetest"
 	"qoadvisor/internal/serve"
-	"qoadvisor/internal/sis"
 	"qoadvisor/internal/wal"
 	"qoadvisor/internal/walrec"
 )
@@ -136,74 +133,28 @@ func scrubbed(rows []string) []string {
 func TestQueriesGolden(t *testing.T) {
 	var g goldenOut
 
-	// The scripted rig. Every reward batch is applied before the next
-	// request (Quiesce), so each rank sees the same weights on every run;
-	// checkpoints are bootstrap snapshots — the same barrier as
-	// Checkpoint, no compaction — so the whole history stays queryable.
-	r := newAsOfRig(t, 1024)
-	cat := rules.NewCatalog()
-	settle := func() { r.srv.Ingestor().Quiesce()() }
-	hints := func(hs ...sis.Hint) {
-		t.Helper()
-		if _, err := r.srv.InstallHints(hs); err != nil {
-			t.Fatal(err)
-		}
-	}
-	type checkpoint struct {
-		lsn  uint64
-		path string
-		data []byte
-	}
-	var ckpts []checkpoint
-	barrier := func() {
-		t.Helper()
-		var buf bytes.Buffer
-		lsn, err := r.srv.BootstrapSnapshot(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		path := filepath.Join(t.TempDir(), fmt.Sprintf("ckpt%d.snap", len(ckpts)+1))
-		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		ckpts = append(ckpts, checkpoint{lsn, path, buf.Bytes()})
-	}
-
-	idsA := r.rank(t, 20, 1)
-	r.reward(t, idsA[:10], 0.5)
-	settle()
-	hints(sis.Hint{TemplateHash: 0xabc123, TemplateID: "T0042", Flip: cat.FlipFor(40), Day: 3})
-	quarantine := func(hash uint64, action string) {
-		t.Helper()
-		if _, err := r.cl.Quarantine(context.Background(), api.TemplateHash(hash), action); err != nil {
-			t.Fatal(err)
-		}
-	}
-	quarantine(0xabc123, api.QuarantineActionQuarantine)
-	barrier()
-	r.reward(t, idsA[10:], 0.9) // straddles checkpoint 1: ranked before, rewarded after
-	settle()
-	idsB := r.rank(t, 17, 2)
-	r.reward(t, idsB[:13], 0.25)
-	settle()
-	hints(
-		sis.Hint{TemplateHash: 0xabc123, TemplateID: "T0042", Flip: cat.FlipFor(41), Day: 4},
-		sis.Hint{TemplateHash: 0xdef456, TemplateID: "T0099", Flip: cat.FlipFor(42), Day: 4},
-	)
-	barrier()
-	quarantine(0xabc123, api.QuarantineActionRestore)
-	idsC := r.rank(t, 9, 3)
-	r.reward(t, idsC, 0.7)
-	settle()
-	hints(sis.Hint{TemplateHash: 0xdef456, TemplateID: "T0099", Flip: cat.FlipFor(42), Day: 5})
-	barrier()
-	r.reward(t, idsB[13:], 0.1)
-	r.srv.Ingestor().Drain()
-	if err := r.j.Sync(); err != nil {
+	// The steering session over real HTTP. Every reward batch is applied
+	// before the next request (Quiesce), so each rank sees the same
+	// weights on every run; its checkpoints are bootstrap snapshots — the
+	// same barrier as Checkpoint, no compaction — so the whole history
+	// stays queryable.
+	j := nodetest.Journal(t, wal.Options{Mode: wal.ModeSync, SegmentBytes: 1024})
+	srv := serve.New(serve.Config{Seed: asOfSeed, WAL: j})
+	_, cl := nodetest.Serve(t, srv)
+	s := nodetest.Steer(t, cl, srv, func() { srv.Ingestor().Quiesce()() })
+	srv.Ingestor().Drain()
+	if err := j.Sync(); err != nil {
 		t.Fatal(err)
 	}
+	paths := make([]string, len(s.Barriers))
+	for i, ck := range s.Barriers {
+		paths[i] = filepath.Join(t.TempDir(), fmt.Sprintf("ckpt%d.snap", i+1))
+		if err := os.WriteFile(paths[i], ck.Snapshot, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 
-	eng, err := audit.Open(r.dir)
+	eng, err := audit.Open(j.Dir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,12 +163,12 @@ func TestQueriesGolden(t *testing.T) {
 	rig("records type=reward_batch,train_mark", recordRows(t, eng, audit.Query{Tags: []byte{walrec.TagRewardBatch, walrec.TagTrainMark}}))
 	rig("records type=hint_rollover template=abc123", recordRows(t, eng, audit.Query{Tags: []byte{walrec.TagHintRollover}, Template: 0xabc123, HasTemplate: true}))
 	rig("records template=abc123", recordRows(t, eng, audit.Query{Template: 0xabc123, HasTemplate: true}))
-	rig("records event=idsA[12]", recordRows(t, eng, audit.Query{EventID: idsA[12]}))
-	rig("records from=ckpt1+1 to=ckpt2", recordRows(t, eng, audit.Query{FromLSN: ckpts[0].lsn + 1, ToLSN: ckpts[1].lsn}))
+	rig("records event=idsA[12]", recordRows(t, eng, audit.Query{EventID: s.A[12]}))
+	rig("records from=ckpt1+1 to=ckpt2", recordRows(t, eng, audit.Query{FromLSN: s.Barriers[0].LSN + 1, ToLSN: s.Barriers[1].LSN}))
 	rig("records type=rank limit=5", recordRows(t, eng, audit.Query{Tags: []byte{walrec.TagRank}, Limit: 5}))
-	rig("decision idsA[12]", decisionRows(t, eng, idsA[12]))
-	rig("decision idsB[15]", decisionRows(t, eng, idsB[15]))
-	rig("decision idsC[8]", decisionRows(t, eng, idsC[8]))
+	rig("decision idsA[12]", decisionRows(t, eng, s.A[12]))
+	rig("decision idsB[15]", decisionRows(t, eng, s.B[15]))
+	rig("decision idsC[8]", decisionRows(t, eng, s.C[8]))
 	rig("decision unknown", decisionRows(t, eng, "ev-no-such-event"))
 	rig("template abc123", templateRows(t, eng, 0xabc123))
 	rig("template def456", templateRows(t, eng, 0xdef456))
@@ -227,17 +178,17 @@ func TestQueriesGolden(t *testing.T) {
 	// and seeded from the previous checkpoint, the reconstruction is the
 	// checkpoint's own bytes.
 	var asof []string
-	for i, ck := range ckpts {
-		if got := asOfSnapshot(t, r.dir, "", ck.lsn); !bytes.Equal(got, ck.data) {
-			t.Errorf("as-of(%d) from scratch differs from checkpoint %d: %s", ck.lsn, i+1, firstDiff(got, ck.data))
+	for i, ck := range s.Barriers {
+		if got := asOfSnapshot(t, j.Dir(), "", ck.LSN); !bytes.Equal(got, ck.Snapshot) {
+			t.Errorf("as-of(%d) from scratch differs from checkpoint %d: %s", ck.LSN, i+1, firstDiff(got, ck.Snapshot))
 		}
 		if i > 0 {
-			if got := asOfSnapshot(t, r.dir, ckpts[i-1].path, ck.lsn); !bytes.Equal(got, ck.data) {
-				t.Errorf("as-of(%d) seeded from checkpoint %d differs from checkpoint %d: %s", ck.lsn, i, i+1, firstDiff(got, ck.data))
+			if got := asOfSnapshot(t, j.Dir(), paths[i-1], ck.LSN); !bytes.Equal(got, ck.Snapshot) {
+				t.Errorf("as-of(%d) seeded from checkpoint %d differs from checkpoint %d: %s", ck.LSN, i, i+1, firstDiff(got, ck.Snapshot))
 			}
 		}
-		model := scrub(ck.data)
-		asof = append(asof, fmt.Sprintf("asof:     lsn=%d model: %d bytes, sha256=%x", ck.lsn, len(model), sha256.Sum256(model)))
+		model := scrub(ck.Snapshot)
+		asof = append(asof, fmt.Sprintf("asof:     lsn=%d model: %d bytes, sha256=%x", ck.LSN, len(model), sha256.Sum256(model)))
 	}
 	rig("asof at each checkpoint", asof)
 

@@ -6,9 +6,9 @@
 // and fails the test above it. CI's un-raced "Allocation and
 // resident-size gates" step runs every gate.
 //
-// Only _test.go files import this package: TestNoBinaryLinksBudget
-// holds that line, and TestEveryRowHasOneGate holds the table to its
-// readers.
+// Only _test.go files import this package: internal/lint's
+// TestNoBinaryLinksTestOnlyPackages holds that line, and
+// TestEveryRowHasOneGate holds the table to its readers.
 package budget
 
 import (

@@ -6,7 +6,6 @@ import (
 	"go/token"
 	"io/fs"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"regexp"
 	"slices"
@@ -16,27 +15,6 @@ import (
 )
 
 const self = "qoadvisor/internal/budget"
-
-// TestNoBinaryLinksBudget holds the line the package doc draws: no
-// package of the module, and so no binary, imports budget outside its
-// tests.
-func TestNoBinaryLinksBudget(t *testing.T) {
-	goTool, err := exec.LookPath("go")
-	if err != nil {
-		t.Skip("no go command on PATH")
-	}
-	cmd := exec.Command(goTool, "list", "-f", "{{.ImportPath}}{{range .Deps}} {{.}}{{end}}", "./...")
-	cmd.Dir = "../.."
-	out, err := cmd.Output()
-	if err != nil {
-		t.Fatalf("go list -deps ./...: %v", err)
-	}
-	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
-		if f := strings.Fields(line); f[0] != self && slices.Contains(f[1:], self) {
-			t.Errorf("%s links %s", f[0], self)
-		}
-	}
-}
 
 // TestEveryRowHasOneGate scans every _test.go file of the module for
 // calls of the helpers. Each must name a row of the table by a string

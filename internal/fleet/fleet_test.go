@@ -14,6 +14,7 @@ import (
 	"qoadvisor/internal/api"
 	"qoadvisor/internal/api/client"
 	"qoadvisor/internal/drift"
+	"qoadvisor/internal/nodetest"
 	"qoadvisor/internal/obs"
 	"qoadvisor/internal/serve"
 	"qoadvisor/internal/wal"
@@ -28,10 +29,7 @@ func startNodes(t *testing.T, n, jobsPer int) ([]*httptest.Server, []string) {
 	servers := make([]*httptest.Server, n)
 	endpoints := make([]string, n)
 	for i := range servers {
-		srv := serve.New(serve.Config{Seed: int64(i + 1)})
-		t.Cleanup(srv.Close)
-		ts := httptest.NewServer(srv)
-		t.Cleanup(ts.Close)
+		ts, cl := nodetest.Serve(t, serve.New(serve.Config{Seed: int64(i + 1)}))
 		servers[i] = ts
 		endpoints[i] = ts.URL
 
@@ -39,7 +37,7 @@ func startNodes(t *testing.T, n, jobsPer int) ([]*httptest.Server, []string) {
 		for j := range jobs {
 			jobs[j] = api.RankRequest{TemplateHash: api.TemplateHash(j + 1), Span: []int{j % 8, 8 + j%8}}
 		}
-		if _, err := client.New(ts.URL).RankBatch(ctx, jobs); err != nil {
+		if _, err := cl.RankBatch(ctx, jobs); err != nil {
 			t.Fatalf("seeding node %d: %v", i, err)
 		}
 	}
@@ -240,17 +238,11 @@ func TestOneNodeFleetIsTheNode(t *testing.T) {
 // and incident capture on reports every block, and the fleet view
 // prints a line for each of them.
 func TestRenderShowsNodeDetail(t *testing.T) {
-	dir := t.TempDir()
-	j, err := wal.Open(wal.Options{Dir: dir, Mode: wal.ModeSync})
-	if err != nil {
-		t.Fatal(err)
-	}
 	dc := drift.DefaultConfig()
-	srv, _, err := serve.Open(serve.Config{Seed: 1, WAL: j, Drift: &dc, IncidentDir: t.TempDir()})
+	srv, _, err := serve.Open(serve.Config{Seed: 1, WAL: nodetest.Journal(t, wal.Options{Mode: wal.ModeSync}), Drift: &dc, IncidentDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { srv.Close(); j.Close() })
 	resp, err := srv.Rank(api.RankRequest{TemplateHash: 7, Span: []int{5, 21}})
 	if err != nil {
 		t.Fatal(err)
@@ -258,8 +250,7 @@ func TestRenderShowsNodeDetail(t *testing.T) {
 	if _, err := srv.Ingestor().EnqueueBatch([]walrec.RewardEntry{{EventID: resp.EventID, Value: 0.5}}); err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(srv)
-	t.Cleanup(ts.Close)
+	ts, _ := nodetest.Serve(t, srv)
 
 	snap := Scrape(context.Background(), []string{ts.URL}, client.WithTimeout(5*time.Second))
 	if snap.Healthy() != 1 {

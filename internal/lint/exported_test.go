@@ -8,6 +8,7 @@ import (
 	"go/token"
 	"go/types"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -35,7 +36,8 @@ type (
 // declared in a package under internal/ that no non-test code of the
 // module uses, as "<dir>.<Name>" or "<dir>.<Type>.<Method>", to its
 // position. A use inside the name's own declaration, or as a method
-// receiver, does not count. A method counts as used when its receiver
+// receiver, does not count, nor does a test-only package's use of a name
+// declared outside it. A method counts as used when its receiver
 // implements an interface that has the method and that the module
 // names, passes a value to as a parameter of a function it calls, or
 // that dynamic names.
@@ -121,6 +123,9 @@ func unusedExported(m *module) (map[string]string, error) {
 				continue
 			}
 			if d := decls[obj]; d != nil && d.from <= id.Pos() && id.Pos() < d.to {
+				continue
+			}
+			if slices.Contains(testOnly, p.rel) && obj.Pkg() != p.types {
 				continue
 			}
 			used[obj] = true

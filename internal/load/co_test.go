@@ -3,33 +3,15 @@ package load
 import (
 	"context"
 	"math/rand"
-	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
 
 	"qoadvisor/internal/api/client"
+	"qoadvisor/internal/nodetest"
 	"qoadvisor/internal/serve"
 	"qoadvisor/internal/wal"
 )
-
-// startSyncServer spins a sync-mode WAL-backed server writing through
-// the StallFS it returns: every reward batch's acknowledgment waits for
-// the group fsync, so a stalled Sync stalls the reward path exactly like
-// a sick disk would.
-func startSyncServer(t *testing.T) (*StallFS, *httptest.Server) {
-	t.Helper()
-	fsys := &StallFS{FS: wal.OS{}}
-	j, err := wal.Open(wal.Options{Dir: t.TempDir(), Mode: wal.ModeSync, FS: fsys})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := serve.New(serve.Config{Seed: 42, WAL: j})
-	t.Cleanup(func() { srv.Close(); j.Close() })
-	ts := httptest.NewServer(srv)
-	t.Cleanup(ts.Close)
-	return fsys, ts
-}
 
 // runClosedLoopN drives n ops back-to-back across `workers` concurrent
 // loops, measuring each op from its *actual* send time. This is the
@@ -97,11 +79,20 @@ func TestCoordinatedOmission(t *testing.T) {
 	const stall = 600 * time.Millisecond
 	ctx := context.Background()
 
+	// Each arm's server journals in sync mode through a StallFS: every
+	// reward batch's acknowledgment waits for the group fsync, so a
+	// stalled Sync stalls the reward path exactly like a sick disk would.
+	syncNode := func() (*StallFS, *client.Client) {
+		fsys := &StallFS{FS: wal.OS{}}
+		_, cl := nodetest.Serve(t, serve.New(serve.Config{Seed: 42, WAL: nodetest.Journal(t, wal.Options{Mode: wal.ModeSync, FS: fsys})}))
+		return fsys, cl
+	}
+
 	// Open-loop arm: 200 ops/s for 1.2s, stall at t=300ms. The ~120 ops
 	// scheduled during the stall back up behind the frozen fsync.
-	jOpen, tsOpen := startSyncServer(t)
-	open := NewRunner(Config{Target: client.New(tsOpen.URL), Batch: 2, Seed: 11})
-	ArmStall(jOpen, 300*time.Millisecond, stall)
+	fsOpen, clOpen := syncNode()
+	open := NewRunner(Config{Target: clOpen, Batch: 2, Seed: 11})
+	ArmStall(fsOpen, 300*time.Millisecond, stall)
 	openRes := open.RunPhase(ctx, Phase{
 		Name: "stall-open", Shape: ShapeConstant, Duration: 1200 * time.Millisecond, Low: 200,
 	})
@@ -109,9 +100,9 @@ func TestCoordinatedOmission(t *testing.T) {
 	// Closed-loop arm: same server config, same stall, one back-to-back
 	// worker issuing a fixed op count so exactly one sample absorbs the
 	// whole stall.
-	jClosed, tsClosed := startSyncServer(t)
-	closed := NewRunner(Config{Target: client.New(tsClosed.URL), Batch: 2, Seed: 11})
-	ArmStall(jClosed, 300*time.Millisecond, stall)
+	fsClosed, clClosed := syncNode()
+	closed := NewRunner(Config{Target: clClosed, Batch: 2, Seed: 11})
+	ArmStall(fsClosed, 300*time.Millisecond, stall)
 	closedRes := closed.runClosedLoopN(ctx, 400, 1)
 
 	openP99 := openRes.Hist.Quantile(0.99)

@@ -2,24 +2,15 @@ package load
 
 import (
 	"context"
-	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
 
 	"qoadvisor/internal/api"
 	"qoadvisor/internal/api/client"
+	"qoadvisor/internal/nodetest"
 	"qoadvisor/internal/serve"
 )
-
-func startServer(t *testing.T) (*serve.Server, *httptest.Server) {
-	t.Helper()
-	srv := serve.New(serve.Config{Seed: 42})
-	t.Cleanup(srv.Close)
-	ts := httptest.NewServer(srv)
-	t.Cleanup(ts.Close)
-	return srv, ts
-}
 
 // TestRunPhaseOpenLoop drives a short constant phase against a live
 // in-process server and checks the harness accounting end to end:
@@ -27,11 +18,8 @@ func startServer(t *testing.T) (*serve.Server, *httptest.Server) {
 // close the loop, goodput is nonzero, and the latency histogram holds
 // one sample per op.
 func TestRunPhaseOpenLoop(t *testing.T) {
-	_, ts := startServer(t)
-	r := NewRunner(Config{
-		Target: client.New(ts.URL),
-		Batch:  4, Seed: 1,
-	})
+	_, cl := nodetest.Serve(t, serve.New(serve.Config{Seed: 42}))
+	r := NewRunner(Config{Target: cl, Batch: 4, Seed: 1})
 	res := r.RunPhase(context.Background(), Phase{
 		Name: "smoke", Shape: ShapeConstant, Duration: 500 * time.Millisecond, Low: 100,
 	})

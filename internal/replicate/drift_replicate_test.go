@@ -6,44 +6,28 @@ import (
 	"encoding/json"
 	"math/rand"
 	"net/http"
-	"net/http/httptest"
-	"path/filepath"
 	"testing"
 	"time"
 
 	"qoadvisor/internal/api"
 	"qoadvisor/internal/api/client"
 	"qoadvisor/internal/drift"
-	"qoadvisor/internal/rules"
+	"qoadvisor/internal/nodetest"
 	"qoadvisor/internal/serve"
 	"qoadvisor/internal/sis"
 	"qoadvisor/internal/wal"
 )
 
-// newDriftPrimary is newPrimary with drift detection enabled, plus two
-// installed hints to regress and spare.
+// newDriftPrimary is a drift-detecting primary on a sync journal, plus
+// two installed hints to regress and spare.
 func newDriftPrimary(t *testing.T, segBytes int64) (*primaryRig, uint64, uint64) {
 	t.Helper()
-	dir := t.TempDir()
-	j, err := wal.Open(wal.Options{Dir: dir, Mode: wal.ModeSync, SegmentBytes: segBytes})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cat := rules.NewCatalog()
 	dc := drift.DefaultConfig()
-	srv := serve.New(serve.Config{Seed: 42, WAL: j, Drift: &dc})
-	ts := httptest.NewServer(srv)
-	t.Cleanup(func() {
-		ts.Close()
-		srv.Close()
-		j.Close()
-	})
-	p := &primaryRig{srv: srv, ts: ts, cl: client.New(ts.URL), j: j, cat: cat,
-		dir: dir, snap: filepath.Join(dir, "model.snap")}
+	p := servePrimary(t, wal.Options{Mode: wal.ModeSync, SegmentBytes: segBytes}, serve.Config{Seed: 42, Drift: &dc})
 	const sick, healthy = uint64(0xabc123), uint64(0xdef456)
-	if _, err := srv.InstallHints([]sis.Hint{
-		{TemplateHash: sick, TemplateID: "T0042", Flip: cat.FlipFor(40), Day: 7},
-		{TemplateHash: healthy, TemplateID: "T0043", Flip: cat.FlipFor(55), Day: 7},
+	if _, err := p.srv.InstallHints([]sis.Hint{
+		{TemplateHash: sick, TemplateID: "T0042", Flip: p.cat.FlipFor(40), Day: 7},
+		{TemplateHash: healthy, TemplateID: "T0043", Flip: p.cat.FlipFor(55), Day: 7},
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -104,8 +88,7 @@ func TestFollowerReplicatesQuarantine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fts := httptest.NewServer(f)
-	defer fts.Close()
+	fts, _ := nodetest.Serve(t, f)
 	pst, praw := postRaw(t, p.ts.URL+api.RouteV2Rank, "quar-1", body)
 	fst, fraw := postRaw(t, fts.URL+api.RouteV2Rank, "quar-1", body)
 	if pst != http.StatusOK || fst != http.StatusOK || !bytes.Equal(praw, fraw) {

@@ -16,6 +16,7 @@ import (
 
 	"qoadvisor/internal/api"
 	"qoadvisor/internal/api/client"
+	"qoadvisor/internal/nodetest"
 	"qoadvisor/internal/rules"
 	"qoadvisor/internal/serve"
 	"qoadvisor/internal/sis"
@@ -35,21 +36,18 @@ type primaryRig struct {
 
 func newPrimary(t *testing.T, segBytes int64) *primaryRig {
 	t.Helper()
-	dir := t.TempDir()
-	j, err := wal.Open(wal.Options{Dir: dir, Mode: wal.ModeAsync, SegmentBytes: segBytes})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cat := rules.NewCatalog()
-	srv := serve.New(serve.Config{Seed: 42, WAL: j})
-	ts := httptest.NewServer(srv)
-	t.Cleanup(func() {
-		ts.Close()
-		srv.Close()
-		j.Close()
-	})
-	return &primaryRig{srv: srv, ts: ts, cl: client.New(ts.URL), j: j, cat: cat,
-		dir: dir, snap: filepath.Join(dir, "model.snap")}
+	return servePrimary(t, wal.Options{Mode: wal.ModeAsync, SegmentBytes: segBytes}, serve.Config{Seed: 42})
+}
+
+// servePrimary serves cfg on a journal opened with opts.
+func servePrimary(t *testing.T, opts wal.Options, cfg serve.Config) *primaryRig {
+	t.Helper()
+	j := nodetest.Journal(t, opts)
+	cfg.WAL = j
+	srv := serve.New(cfg)
+	ts, cl := nodetest.Serve(t, srv)
+	return &primaryRig{srv: srv, ts: ts, cl: cl, j: j, cat: rules.NewCatalog(),
+		dir: j.Dir(), snap: filepath.Join(j.Dir(), "model.snap")}
 }
 
 func (p *primaryRig) hints(n, day int) []sis.Hint {
@@ -303,8 +301,7 @@ func TestClusterSmokeConvergence(t *testing.T) {
 		t.Fatal(err)
 	}
 	pst, praw := postRaw(t, p.ts.URL+api.RouteV2Rank, "conv-1", body)
-	fts := httptest.NewServer(f)
-	defer fts.Close()
+	fts, _ := nodetest.Serve(t, f)
 	fst, fraw := postRaw(t, fts.URL+api.RouteV2Rank, "conv-1", body)
 	if pst != http.StatusOK || fst != http.StatusOK {
 		t.Fatalf("status %d / %d", pst, fst)
@@ -502,8 +499,7 @@ func TestFollowerRejectsWritesOverHTTP(t *testing.T) {
 	p.traffic(t, 5, 1, 0)
 	p.settle(t)
 	f := startFollower(t, p)
-	fts := httptest.NewServer(f)
-	defer fts.Close()
+	fts, _ := nodetest.Serve(t, f)
 
 	v := 1.0
 	_, err := client.New(fts.URL).

@@ -7,14 +7,13 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
-	"net/http/httptest"
 	"slices"
 	"testing"
 
 	"qoadvisor/internal/api"
-	"qoadvisor/internal/api/client"
 	"qoadvisor/internal/bandit"
 	"qoadvisor/internal/drift"
+	"qoadvisor/internal/nodetest"
 	"qoadvisor/internal/rules"
 	"qoadvisor/internal/sis"
 	"qoadvisor/internal/wal"
@@ -88,14 +87,8 @@ func BenchmarkServeCachedHintDriftOn(b *testing.B) {
 // CRC-verify every frame); records/s is the shipping rate a follower
 // can ingest from a primary on this host.
 func BenchmarkWALStream(b *testing.B) {
-	dir := b.TempDir()
-	j, err := wal.Open(wal.Options{Dir: dir, Mode: wal.ModeOff})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer j.Close()
+	j := nodetest.Journal(b, wal.Options{Mode: wal.ModeOff})
 	srv := New(Config{Seed: 3, WAL: j})
-	defer srv.Close()
 
 	// A realistic record mix: rank records with resolved feature IDs,
 	// reward batches every 64 ranks.
@@ -122,8 +115,7 @@ func BenchmarkWALStream(b *testing.B) {
 	}
 	records := j.LastLSN()
 
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
+	ts, _ := nodetest.Serve(b, srv)
 	hc := &http.Client{}
 	var bytesShipped int64
 	b.ResetTimer()
@@ -160,10 +152,7 @@ func BenchmarkWALStream(b *testing.B) {
 // iteration captures). This is the pause an incident costs the node.
 func BenchmarkIncidentCapture(b *testing.B) {
 	srv := New(Config{Seed: 1, IncidentDir: b.TempDir()})
-	defer srv.Close()
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-	cl := client.New(ts.URL)
+	_, cl := nodetest.Serve(b, srv)
 	ctx := context.Background()
 	// A little traffic so the bundle has real content.
 	if _, err := cl.RankBatch(ctx, []api.RankRequest{{TemplateHash: 7, Span: []int{3, 17, 40}}}); err != nil {

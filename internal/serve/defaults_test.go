@@ -2,11 +2,10 @@ package serve
 
 import (
 	"context"
-	"net/http/httptest"
 	"reflect"
 	"testing"
 
-	"qoadvisor/internal/api/client"
+	"qoadvisor/internal/nodetest"
 )
 
 // TestEffectiveDefaults pins the numbers a node runs with when nobody
@@ -15,10 +14,8 @@ import (
 // ring. They are the values the README documents and operators alert
 // on; a change that moves one must say so here.
 func TestEffectiveDefaults(t *testing.T) {
-	srv := New(Config{})
-	ts := httptest.NewServer(srv)
-	defer func() { ts.Close(); srv.Close() }()
-	stats, err := client.New(ts.URL).Stats(context.Background())
+	_, cl := nodetest.Serve(t, New(Config{}))
+	stats, err := cl.Stats(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,10 +59,8 @@ func TestEffectiveDefaults(t *testing.T) {
 		t.Errorf("a server given no incident directory reports an incidents block: %+v", stats.Incidents)
 	}
 
-	withDir := New(Config{IncidentDir: t.TempDir()})
-	tsDir := httptest.NewServer(withDir)
-	defer func() { tsDir.Close(); withDir.Close() }()
-	stats, err = client.New(tsDir.URL).Stats(context.Background())
+	_, cl = nodetest.Serve(t, New(Config{IncidentDir: t.TempDir()}))
+	stats, err = cl.Stats(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

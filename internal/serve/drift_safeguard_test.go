@@ -8,17 +8,15 @@ import (
 	"math"
 	"math/rand"
 	"net/http"
-	"net/http/httptest"
-	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 
 	"qoadvisor/internal/api"
-	"qoadvisor/internal/api/client"
 	"qoadvisor/internal/bandit"
 	"qoadvisor/internal/drift"
 	"qoadvisor/internal/load"
+	"qoadvisor/internal/nodetest"
 	"qoadvisor/internal/rules"
 	"qoadvisor/internal/sis"
 	"qoadvisor/internal/wal"
@@ -43,28 +41,16 @@ type driftRig struct {
 
 func newDriftRig(t *testing.T, mode wal.Mode) *driftRig {
 	t.Helper()
-	dir := t.TempDir()
 	fsys := &load.StallFS{FS: wal.OS{}}
-	j, err := wal.Open(wal.Options{Dir: dir, Mode: mode, SegmentBytes: 1 << 20, FS: fsys})
-	if err != nil {
-		t.Fatal(err)
-	}
 	cat := rules.NewCatalog()
-	srv := New(Config{Seed: 42, WAL: j, Drift: driftOn()})
-	ts := httptest.NewServer(srv)
-	t.Cleanup(func() {
-		ts.Close()
-		srv.Close()
-	})
 	r := &driftRig{
-		walTestRig: &walTestRig{srv: srv, ts: ts, cl: client.New(ts.URL), j: j,
-			dir: dir, snap: filepath.Join(dir, "model.snap")},
-		fs:       fsys,
-		cat:      cat,
-		hintHash: 0xabc123,
-		altHash:  0xdef456,
+		walTestRig: newWALRigConfig(t, wal.Options{Mode: mode, SegmentBytes: 1 << 20, FS: fsys}, Config{Seed: 42, Drift: driftOn()}),
+		fs:         fsys,
+		cat:        cat,
+		hintHash:   0xabc123,
+		altHash:    0xdef456,
 	}
-	if _, err := srv.InstallHints([]sis.Hint{
+	if _, err := r.srv.InstallHints([]sis.Hint{
 		{TemplateHash: r.hintHash, TemplateID: "T0042", Flip: cat.FlipFor(40), Day: 7},
 		{TemplateHash: r.altHash, TemplateID: "T0043", Flip: cat.FlipFor(55), Day: 7},
 	}); err != nil {
@@ -423,8 +409,8 @@ func TestCrashRecoveryQuarantineState(t *testing.T) {
 	// History that exercises the full record mix: traffic, a
 	// checkpoint (snapshot re-journal), a quarantine, then a manual
 	// quarantine of a second template after the checkpoint.
-	ids := r.rankSome(t, 20, 1)
-	r.rewardAll(t, ids[:10], 0.8)
+	ids := nodetest.Rank(t, r.cl, 20, 1)
+	nodetest.Reward(t, r.cl, ids[:10], 0.8)
 	flood := newRewardFlood(5, 1.0)
 	for _, v := range flood.Batch(64) {
 		if err := r.observe(r.hintHash, v); err != nil {
@@ -570,11 +556,7 @@ func TestRewardRejectsNonFinite(t *testing.T) {
 // UnknownRecordError carrying the LSN and tag — at both the bandit
 // replayer and the serve applier.
 func TestUnknownRecordTagTypedError(t *testing.T) {
-	dir := t.TempDir()
-	j, err := wal.Open(wal.Options{Dir: dir, Mode: wal.ModeSync})
-	if err != nil {
-		t.Fatal(err)
-	}
+	j := nodetest.Journal(t, wal.Options{Mode: wal.ModeSync})
 	lsn, err := j.Append([]byte{99, 1, 2, 3}) // tag 99: not invented yet
 	if err != nil {
 		t.Fatal(err)
@@ -586,7 +568,7 @@ func TestUnknownRecordTagTypedError(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, err = Recover(wal.DirSource{Dir: dir}, "", 0, 0, 1)
+	_, err = Recover(wal.DirSource{Dir: j.Dir()}, "", 0, 0, 1)
 	var ue *bandit.UnknownRecordError
 	if !errors.As(err, &ue) {
 		t.Fatalf("recover error = %v (%T), want *bandit.UnknownRecordError", err, err)

@@ -20,6 +20,7 @@ import (
 	"qoadvisor/internal/budget"
 	"qoadvisor/internal/drift"
 	"qoadvisor/internal/featurize"
+	"qoadvisor/internal/nodetest"
 	"qoadvisor/internal/rules"
 	"qoadvisor/internal/wal"
 	"qoadvisor/internal/walrec"
@@ -97,12 +98,7 @@ func hintedServer(t *testing.T) (*Server, []api.RankRequest, []api.RewardEvent) 
 // 8-bit-span jobs.
 func banditServer(t *testing.T) (*Server, []api.RankRequest) {
 	t.Helper()
-	j, err := wal.Open(wal.Options{Dir: t.TempDir(), Mode: wal.ModeAsync})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { j.Close() })
-	srv := New(Config{Seed: 1, WAL: j})
+	srv := New(Config{Seed: 1, WAL: nodetest.Journal(t, wal.Options{Mode: wal.ModeAsync})})
 	t.Cleanup(srv.Close)
 	jobs := make([]api.RankRequest, 16)
 	for i := range jobs {

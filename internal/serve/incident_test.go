@@ -17,6 +17,7 @@ import (
 	"qoadvisor/internal/api"
 	"qoadvisor/internal/api/client"
 	"qoadvisor/internal/load"
+	"qoadvisor/internal/nodetest"
 	"qoadvisor/internal/obs"
 	"qoadvisor/internal/wal"
 )
@@ -88,23 +89,17 @@ func TestIncidentTriggerCooldown(t *testing.T) {
 // evaluate directly.
 func incidentTestServer(t *testing.T, dir string) (*Server, *wal.WAL, *httptest.Server, *client.Client) {
 	t.Helper()
-	j, err := wal.Open(wal.Options{Dir: t.TempDir(), Mode: wal.ModeSync, FS: &load.StallFS{FS: wal.OS{}}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	j := nodetest.Journal(t, wal.Options{Mode: wal.ModeSync, FS: &load.StallFS{FS: wal.OS{}}})
 	srv := New(Config{Seed: 7, WAL: j, Drift: driftOn()})
 	srv.incidents = newIncidentEngine(srv, dir)
 	srv.incidents.start(time.Hour)
-	ts := httptest.NewServer(srv)
-	t.Cleanup(func() { ts.Close(); srv.Close(); j.Close() })
-	return srv, j, ts, client.New(ts.URL)
+	ts, cl := nodetest.Serve(t, srv)
+	return srv, j, ts, cl
 }
 
 func TestIncidentDisabledSurfaces(t *testing.T) {
 	srv := New(Config{Seed: 1})
-	ts := httptest.NewServer(srv)
-	defer func() { ts.Close(); srv.Close() }()
-	cl := client.New(ts.URL)
+	_, cl := nodetest.Serve(t, srv)
 	ctx := context.Background()
 
 	list, err := cl.Incidents(ctx)
@@ -417,10 +412,7 @@ func TestIncidentWALFailureTrigger(t *testing.T) {
 // after its stages, every event tagged with the request's X-Request-Id.
 func TestTraceOutputIsChromeTraceJSON(t *testing.T) {
 	// /v2/rank retains at 1ns: every rank is "slow".
-	s := New(Config{Seed: 1, Flight: obs.NewFlightRecorder(map[string]time.Duration{api.RouteV2Rank: time.Nanosecond})})
-	t.Cleanup(s.Close)
-	ts := httptest.NewServer(s)
-	t.Cleanup(ts.Close)
+	_, ts := newTestServer(t, Config{Seed: 1, Flight: obs.NewFlightRecorder(map[string]time.Duration{api.RouteV2Rank: time.Nanosecond})})
 	resp, err := http.Post(ts.URL+api.RouteV2Rank, "application/json",
 		strings.NewReader(`{"jobs":[{"templateHash":"feedface","span":[5,21]}]}`))
 	if err != nil {

@@ -10,7 +10,7 @@ import (
 	"testing"
 
 	"qoadvisor/internal/api"
-	"qoadvisor/internal/api/client"
+	"qoadvisor/internal/nodetest"
 	"qoadvisor/internal/obs"
 	"qoadvisor/internal/wal"
 )
@@ -139,17 +139,12 @@ func TestStatsMetricsConformance(t *testing.T) {
 func newMaximalServer(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
 	ctx := context.Background()
-	j, err := wal.Open(wal.Options{Dir: t.TempDir(), Mode: wal.ModeSync})
-	if err != nil {
-		t.Fatal(err)
-	}
+	j := nodetest.Journal(t, wal.Options{Mode: wal.ModeSync})
 	srv := New(Config{Seed: 42, WAL: j, Drift: driftOn(), IncidentDir: t.TempDir()})
-	ts := httptest.NewServer(srv)
-	t.Cleanup(func() { ts.Close(); srv.Close(); j.Close() })
+	ts, cl := nodetest.Serve(t, srv)
 
 	// Touch every conditional surface: ranks, template-attributed
 	// rewards (drift), an audit query, a checkpoint.
-	cl := client.New(ts.URL)
 	jobs := make([]api.RankRequest, 24)
 	for i := range jobs {
 		jobs[i] = api.RankRequest{TemplateHash: api.TemplateHash(i%3 + 1), Span: []int{i % 8, 8 + i%8}}

@@ -11,6 +11,7 @@ import (
 
 	"qoadvisor/internal/api"
 	"qoadvisor/internal/bandit"
+	"qoadvisor/internal/nodetest"
 	"qoadvisor/internal/rules"
 	"qoadvisor/internal/wal"
 )
@@ -20,8 +21,8 @@ import (
 // the caller's model is the one served.
 func TestOpenServesRecoveredModel(t *testing.T) {
 	r := newWALRig(t, 1<<20)
-	ids := r.rankSome(t, 20, 1)
-	r.rewardAll(t, ids[:10], 0.7)
+	ids := nodetest.Rank(t, r.cl, 20, 1)
+	nodetest.Reward(t, r.cl, ids[:10], 0.7)
 	if _, err := r.srv.Checkpoint(r.snap); err != nil {
 		t.Fatal(err)
 	}
@@ -38,11 +39,7 @@ func TestOpenServesRecoveredModel(t *testing.T) {
 	}
 
 	// A first boot: an empty journal directory recovers nothing.
-	j, err := wal.Open(wal.Options{Dir: t.TempDir(), Mode: wal.ModeSync})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
+	j := nodetest.Journal(t, wal.Options{Mode: wal.ModeSync})
 	fresh, rec, err := Open(Config{Seed: 42, WAL: j, Bandit: bootstrap})
 	if err != nil {
 		t.Fatal(err)
@@ -261,13 +258,13 @@ func TestRecoverRefusesReplayValues(t *testing.T) {
 func TestRecoverRefusesCompactedStart(t *testing.T) {
 	r := newWALRig(t, 1024)
 	for round := 0; round < 2; round++ {
-		ids := r.rankSome(t, 25, 30+round)
-		r.rewardAll(t, ids[:20], 0.6)
+		ids := nodetest.Rank(t, r.cl, 25, 30+round)
+		nodetest.Reward(t, r.cl, ids[:20], 0.6)
 		if _, err := r.srv.Checkpoint(r.snap); err != nil {
 			t.Fatal(err)
 		}
 	}
-	r.rankSome(t, 5, 40)
+	nodetest.Rank(t, r.cl, 5, 40)
 	// Flush the records above the checkpoint to the segment file: a
 	// replay that found none would have nothing to refuse.
 	if err := r.j.Sync(); err != nil {
@@ -277,7 +274,7 @@ func TestRecoverRefusesCompactedStart(t *testing.T) {
 	if first <= 1 {
 		t.Fatalf("journal starts at LSN %d: nothing compacted, test is vacuous", first)
 	}
-	waitReclaimed(t, r.j)
+	nodetest.WaitReclaimed(t, r.j)
 
 	_, err := Recover(wal.DirSource{Dir: r.dir}, "", 0, 0, 42)
 	var apiErr *api.Error

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"qoadvisor/internal/api"
+	"qoadvisor/internal/nodetest"
 	"qoadvisor/internal/obs"
 	"qoadvisor/internal/rules"
 	"qoadvisor/internal/sis"
@@ -44,8 +45,8 @@ func TestHintTableCrashRecovery(t *testing.T) {
 	r := newWALRig(t, 1<<20)
 	cat := rules.NewCatalog()
 
-	ids := r.rankSome(t, 10, 1)
-	r.rewardAll(t, ids[:6], 0.8)
+	ids := nodetest.Rank(t, r.cl, 10, 1)
+	nodetest.Reward(t, r.cl, ids[:6], 0.8)
 
 	hints := testHints(cat, 9, 4)
 	if _, err := r.srv.InstallHints(hints); err != nil {
@@ -98,8 +99,8 @@ func TestHintTableSurvivesCompaction(t *testing.T) {
 	// Traffic + checkpoints until the segment holding the rollover is
 	// compacted away.
 	for round := 0; round < 3; round++ {
-		ids := r.rankSome(t, 25, 20+round)
-		r.rewardAll(t, ids[:20], 0.5)
+		ids := nodetest.Rank(t, r.cl, 25, 20+round)
+		nodetest.Reward(t, r.cl, ids[:20], 0.5)
 		if _, err := r.srv.Checkpoint(r.snap); err != nil {
 			t.Fatal(err)
 		}
@@ -167,8 +168,8 @@ func readRecords(t *testing.T, body io.Reader, from uint64) (lsns []uint64) {
 func TestWALStreamCatchUpAndResume(t *testing.T) {
 	r := newWALRig(t, 1<<20)
 	cat := rules.NewCatalog()
-	ids := r.rankSome(t, 20, 3)
-	r.rewardAll(t, ids[:15], 0.7)
+	ids := nodetest.Rank(t, r.cl, 20, 3)
+	nodetest.Reward(t, r.cl, ids[:15], 0.7)
 	if _, err := r.srv.InstallHints(testHints(cat, 5, 2)); err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +244,7 @@ func TestWALStreamCatchUpAndResume(t *testing.T) {
 		}
 	}()
 	time.Sleep(20 * time.Millisecond) // let the long-poll park
-	r.rankSome(t, 3, 77)
+	nodetest.Rank(t, r.cl, 3, 77)
 	deadline := time.After(5 * time.Second)
 	got := 0
 	for got < 3 {
@@ -299,8 +300,8 @@ func TestWALStreamErrors(t *testing.T) {
 	t.Run("gap after compaction", func(t *testing.T) {
 		r := newWALRig(t, 1024)
 		for round := 0; round < 3; round++ {
-			ids := r.rankSome(t, 25, round)
-			r.rewardAll(t, ids[:20], 0.5)
+			ids := nodetest.Rank(t, r.cl, 25, round)
+			nodetest.Reward(t, r.cl, ids[:20], 0.5)
 			if _, err := r.srv.Checkpoint(r.snap); err != nil {
 				t.Fatal(err)
 			}
@@ -328,7 +329,7 @@ func TestWALStreamErrors(t *testing.T) {
 		// empty. A follower parked below the journal's end must still get
 		// wal_gap — not an empty stream it would re-poll forever.
 		r := newWALRig(t, 1)
-		r.rewardAll(t, r.rankSome(t, 5, 1), 0.5)
+		nodetest.Reward(t, r.cl, nodetest.Rank(t, r.cl, 5, 1), 0.5)
 		deadline := time.Now().Add(5 * time.Second)
 		for first, next := r.j.Window(); first < next; first, next = r.j.Window() {
 			if time.Now().After(deadline) {
@@ -417,15 +418,10 @@ func TestWALStreamErrors(t *testing.T) {
 // as "everything through LastLSN is gone", not as "nothing was ever
 // removed", or the server answers 200 with a model rebuilt from nothing.
 func TestAuditAsOfRejectsFullyCompactedHistory(t *testing.T) {
-	dir := t.TempDir()
-	snap := filepath.Join(dir, "model.snap")
 	// One-byte segments seal after every record, so a checkpoint can
 	// compact the whole journal.
-	j, err := wal.Open(wal.Options{Dir: dir, Mode: wal.ModeSync, SegmentBytes: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
+	j := nodetest.Journal(t, wal.Options{Mode: wal.ModeSync, SegmentBytes: 1})
+	snap := filepath.Join(j.Dir(), "model.snap")
 	srv, ts := newTestServer(t, Config{Seed: 42, WAL: j, SnapshotPath: snap})
 	for i := 0; i < 5; i++ {
 		if _, err := srv.Rank(api.RankRequest{TemplateHash: api.TemplateHash(i + 1), Span: []int{5, 21}}); err != nil {
@@ -442,7 +438,7 @@ func TestAuditAsOfRejectsFullyCompactedHistory(t *testing.T) {
 			t.Fatalf("journal never fully compacted (window %d..%d)", first, next)
 		}
 	}
-	waitReclaimed(t, j)
+	nodetest.WaitReclaimed(t, j)
 	resp, err := http.Get(fmt.Sprintf("%s%s?lsn=2", ts.URL, api.RouteV2AuditAsOf))
 	if err != nil {
 		t.Fatal(err)
@@ -466,13 +462,8 @@ func TestAuditAsOfRejectsFullyCompactedHistory(t *testing.T) {
 // window it reads lastLsn+1, "everything through lastLsn is gone", where
 // it used to read 0, "nothing was ever removed".
 func TestWALFirstLSNAfterFullCompaction(t *testing.T) {
-	dir := t.TempDir()
-	snap := filepath.Join(dir, "model.snap")
-	j, err := wal.Open(wal.Options{Dir: dir, Mode: wal.ModeSync, SegmentBytes: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
+	j := nodetest.Journal(t, wal.Options{Mode: wal.ModeSync, SegmentBytes: 1})
+	snap := filepath.Join(j.Dir(), "model.snap")
 	srv, ts := newTestServer(t, Config{Seed: 42, WAL: j, SnapshotPath: snap})
 	field, _ := reflect.TypeOf(api.WALStats{}).FieldByName("FirstLSN")
 	family := field.Tag.Get("metric")
@@ -599,8 +590,8 @@ func TestFollowerModeContract(t *testing.T) {
 // role, open-stream gauge, and shipped counters.
 func TestPrimaryReplicationStats(t *testing.T) {
 	r := newWALRig(t, 1<<20)
-	ids := r.rankSome(t, 5, 1)
-	r.rewardAll(t, ids, 0.5)
+	ids := nodetest.Rank(t, r.cl, 5, 1)
+	nodetest.Reward(t, r.cl, ids, 0.5)
 	r.srv.Ingestor().Drain()
 	if err := r.j.Sync(); err != nil {
 		t.Fatal(err)

@@ -21,6 +21,7 @@ import (
 	"qoadvisor/internal/api"
 	"qoadvisor/internal/api/client"
 	"qoadvisor/internal/bandit"
+	"qoadvisor/internal/nodetest"
 	"qoadvisor/internal/rules"
 	"qoadvisor/internal/sis"
 	"qoadvisor/internal/walrec"
@@ -29,11 +30,7 @@ import (
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	s := New(cfg)
-	ts := httptest.NewServer(s)
-	t.Cleanup(func() {
-		ts.Close()
-		s.Close()
-	})
+	ts, _ := nodetest.Serve(t, s)
 	return s, ts
 }
 

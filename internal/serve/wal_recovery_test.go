@@ -15,6 +15,7 @@ import (
 	"qoadvisor/internal/api/client"
 	"qoadvisor/internal/bandit"
 	"qoadvisor/internal/featurize"
+	"qoadvisor/internal/nodetest"
 	"qoadvisor/internal/rules"
 	"qoadvisor/internal/wal"
 	"qoadvisor/internal/walrec"
@@ -33,80 +34,18 @@ type walTestRig struct {
 
 func newWALRig(t *testing.T, segBytes int64) *walTestRig {
 	t.Helper()
-	return newWALRigConfig(t, segBytes, Config{Seed: 42})
+	return newWALRigConfig(t, wal.Options{Mode: wal.ModeSync, SegmentBytes: segBytes}, Config{Seed: 42})
 }
 
-// newWALRigConfig is newWALRig serving cfg, with the rig's journal as
-// cfg.WAL.
-func newWALRigConfig(t *testing.T, segBytes int64, cfg Config) *walTestRig {
+// newWALRigConfig is newWALRig on a journal opened with opts, serving
+// cfg with that journal as cfg.WAL.
+func newWALRigConfig(t *testing.T, opts wal.Options, cfg Config) *walTestRig {
 	t.Helper()
-	dir := t.TempDir()
-	j, err := wal.Open(wal.Options{Dir: dir, Mode: wal.ModeSync, SegmentBytes: segBytes})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Close before TempDir's removal: the committer may still be rolling
-	// the last record's segment into a new file.
-	t.Cleanup(func() { j.Close() })
+	j := nodetest.Journal(t, opts)
 	cfg.WAL = j
 	srv := New(cfg)
-	ts := httptest.NewServer(srv)
-	t.Cleanup(ts.Close)
-	return &walTestRig{
-		srv:  srv,
-		ts:   ts,
-		cl:   client.New(ts.URL),
-		j:    j,
-		dir:  dir,
-		snap: filepath.Join(dir, "model.snap"),
-	}
-}
-
-// rankSome steers n bandit-path jobs over /v2/rank and returns their
-// event IDs.
-func (r *walTestRig) rankSome(t *testing.T, n, salt int) []string {
-	t.Helper()
-	jobs := make([]api.RankRequest, n)
-	for i := range jobs {
-		jobs[i] = api.RankRequest{
-			TemplateHash: api.TemplateHash(uint64(salt)<<32 | uint64(i)),
-			Span:         []int{3 + (i+salt)%50, 60 + (i*7+salt)%50, 120 + i%30},
-			RowCount:     float64(1000 * (i + 1)),
-		}
-	}
-	resp, err := r.cl.RankBatch(context.Background(), jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ids := make([]string, 0, n)
-	for i, res := range resp.Results {
-		if res.Error != nil {
-			t.Fatalf("job %d rejected: %v", i, res.Error)
-		}
-		if res.EventID == "" {
-			t.Fatalf("job %d took the hint path in a hintless server", i)
-		}
-		ids = append(ids, res.EventID)
-	}
-	return ids
-}
-
-// rewardAll posts one /v2/reward batch for the given events and
-// requires full acceptance.
-func (r *walTestRig) rewardAll(t *testing.T, ids []string, v float64) {
-	t.Helper()
-	events := make([]api.RewardEvent, len(ids))
-	for i, id := range ids {
-		val := v + float64(i)*0.01
-		events[i] = api.RewardEvent{EventID: id, Reward: &val}
-	}
-	resp, err := r.cl.RewardBatch(context.Background(), events)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Queued != len(ids) {
-		t.Fatalf("queued %d of %d rewards: %+v", resp.Queued, len(ids), resp.Rejected)
-	}
+	ts, cl := nodetest.Serve(t, srv)
+	return &walTestRig{srv: srv, ts: ts, cl: cl, j: j, dir: j.Dir(), snap: filepath.Join(j.Dir(), "model.snap")}
 }
 
 // captureLive drains the pipeline, syncs the journal, and returns the
@@ -141,29 +80,6 @@ func (r *walTestRig) recoverBytes(t *testing.T, seed int64) ([]byte, RecoverResu
 	return buf.Bytes(), rec
 }
 
-// waitReclaimed waits until the journal's reclaimer has unlinked every
-// segment compaction detached: the first segment on disk is the first
-// the journal retains. A checkpoint returns before those unlinks, so a
-// test that reads the directory after one waits here first.
-func waitReclaimed(t *testing.T, j *wal.WAL) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		first, _ := j.Window()
-		segs, err := wal.Segments(j.Dir())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(segs) > 0 && segs[0].FirstLSN == first {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("compacted segments still on disk after 10s: %d listed, the journal retains from LSN %d", len(segs), first)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
 // restart is a crashed primary's reboot: it syncs the rig's journal,
 // copies its directory as it stands once compaction's unlinks are done
 // and starts a primary on the copy through Open, leaving the live rig
@@ -173,7 +89,7 @@ func (r *walTestRig) restart(t *testing.T, cfg Config) (*Server, RecoverResult) 
 	if err := r.j.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	waitReclaimed(t, r.j)
+	nodetest.WaitReclaimed(t, r.j)
 	dir := t.TempDir()
 	entries, err := os.ReadDir(r.dir)
 	if err != nil {
@@ -188,12 +104,7 @@ func (r *walTestRig) restart(t *testing.T, cfg Config) (*Server, RecoverResult) 
 			t.Fatal(err)
 		}
 	}
-	j, err := wal.Open(wal.Options{Dir: dir, Mode: wal.ModeSync})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { j.Close() })
-	cfg.WAL = j
+	cfg.WAL = nodetest.Journal(t, wal.Options{Dir: dir, Mode: wal.ModeSync})
 	srv, rec, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -211,9 +122,9 @@ func TestCrashRecoveryEquivalence(t *testing.T) {
 	r := newWALRig(t, 2048)
 
 	// Phase 1: traffic, partially rewarded.
-	ids1 := r.rankSome(t, 60, 1)
-	r.rewardAll(t, ids1[:20], 1.0)
-	r.rewardAll(t, ids1[20:40], 0.5)
+	ids1 := nodetest.Rank(t, r.cl, 60, 1)
+	nodetest.Reward(t, r.cl, ids1[:20], 1.0)
+	nodetest.Reward(t, r.cl, ids1[20:40], 0.5)
 
 	// Mid-run checkpoint: quiesce, train-flush, snapshot with
 	// watermark, compact covered segments.
@@ -232,8 +143,8 @@ func TestCrashRecoveryEquivalence(t *testing.T) {
 	// were open at checkpoint time (they travel in the snapshot). One
 	// batch of more than bandit.DefaultTrainEvery rewards puts a
 	// count-based training pass inside the replayed suffix.
-	ids2 := r.rankSome(t, 300, 2)
-	r.rewardAll(t, append(append([]string{}, ids1[40:55]...), ids2[:285]...), 0.75)
+	ids2 := nodetest.Rank(t, r.cl, 300, 2)
+	nodetest.Reward(t, r.cl, append(append([]string{}, ids1[40:55]...), ids2[:285]...), 0.75)
 
 	want := r.captureLive(t)
 
@@ -284,8 +195,8 @@ func TestCrashRecoveryEquivalence(t *testing.T) {
 // does.
 func TestCrashRecoveryFromAsOfSnapshot(t *testing.T) {
 	r := newWALRig(t, 1<<20)
-	ids1 := r.rankSome(t, 60, 1)
-	r.rewardAll(t, ids1[:30], 1.0)
+	ids1 := nodetest.Rank(t, r.cl, 60, 1)
+	nodetest.Reward(t, r.cl, ids1[:30], 1.0)
 	r.srv.Ingestor().Drain()
 	if err := r.j.Sync(); err != nil {
 		t.Fatal(err)
@@ -306,8 +217,8 @@ func TestCrashRecoveryFromAsOfSnapshot(t *testing.T) {
 
 	// Records the as-of model has not seen: new ranks, and rewards for
 	// events it holds open as well as for the new ones.
-	ids2 := r.rankSome(t, 40, 2)
-	r.rewardAll(t, append(append([]string{}, ids1[30:45]...), ids2[:30]...), 0.5)
+	ids2 := nodetest.Rank(t, r.cl, 40, 2)
+	nodetest.Reward(t, r.cl, append(append([]string{}, ids1[30:45]...), ids2[:30]...), 0.5)
 	r.srv.Ingestor().Drain()
 
 	srv, rec := r.restart(t, Config{Seed: 42, SnapshotPath: asofPath})
@@ -343,14 +254,14 @@ func TestCrashRecoveryFromAsOfSnapshot(t *testing.T) {
 // last checkpoint's watermark, replay would apply that traffic twice.
 func TestSnapshotGETIsRecoverySeed(t *testing.T) {
 	r := newWALRig(t, 1<<20)
-	ids1 := r.rankSome(t, 60, 1)
-	r.rewardAll(t, ids1[:30], 1.0)
+	ids1 := nodetest.Rank(t, r.cl, 60, 1)
+	nodetest.Reward(t, r.cl, ids1[:30], 1.0)
 	info, err := r.srv.Checkpoint(r.snap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids2 := r.rankSome(t, 40, 2)
-	r.rewardAll(t, append(append([]string{}, ids1[30:45]...), ids2[:25]...), 0.5)
+	ids2 := nodetest.Rank(t, r.cl, 40, 2)
+	nodetest.Reward(t, r.cl, append(append([]string{}, ids1[30:45]...), ids2[:25]...), 0.5)
 
 	resp := getURL(t, r.ts.URL+api.RouteV2Snapshot)
 	got, err := io.ReadAll(resp.Body)
@@ -385,7 +296,7 @@ func TestSnapshotGETIsRecoverySeed(t *testing.T) {
 // /v2/rank decision is logged at probability 1/|actions|, and replaying
 // its journal rebuilds the live model byte for byte.
 func TestUniformRankRecovers(t *testing.T) {
-	r := newWALRigConfig(t, 1<<20, Config{Seed: 42, Uniform: true})
+	r := newWALRigConfig(t, wal.Options{Mode: wal.ModeSync, SegmentBytes: 1 << 20}, Config{Seed: 42, Uniform: true})
 	cat := rules.NewCatalog()
 	jobs := make([]api.RankRequest, 48)
 	for i := range jobs {
@@ -413,7 +324,7 @@ func TestUniformRankRecovers(t *testing.T) {
 		}
 		ids[i] = res.EventID
 	}
-	r.rewardAll(t, ids[:40], 0.5)
+	nodetest.Reward(t, r.cl, ids[:40], 0.5)
 
 	want := r.captureLive(t)
 	got, _ := r.recoverBytes(t, 7)
@@ -427,8 +338,8 @@ func TestUniformRankRecovers(t *testing.T) {
 // so two seeds rebuild the live model's bytes.
 func TestReplayIgnoresSeed(t *testing.T) {
 	r := newWALRig(t, 1<<20)
-	ids := r.rankSome(t, 40, 3)
-	r.rewardAll(t, ids[:30], 0.8)
+	ids := nodetest.Rank(t, r.cl, 40, 3)
+	nodetest.Reward(t, r.cl, ids[:30], 0.8)
 	want := r.captureLive(t)
 	for _, seed := range []int64{1, 2} {
 		got, rec := r.recoverBytes(t, seed) // no checkpoint was taken: a fresh learner from this seed
@@ -447,12 +358,12 @@ func TestReplayIgnoresSeed(t *testing.T) {
 func TestCrashRecoveryTornTail(t *testing.T) {
 	r := newWALRig(t, 1<<20) // one segment: the torn record is in it
 
-	ids := r.rankSome(t, 30, 9)
-	r.rewardAll(t, ids[:12], 1.0)
+	ids := nodetest.Rank(t, r.cl, 30, 9)
+	nodetest.Reward(t, r.cl, ids[:12], 1.0)
 	if _, err := r.srv.Checkpoint(r.snap); err != nil {
 		t.Fatal(err)
 	}
-	r.rewardAll(t, ids[12:20], 0.5)
+	nodetest.Reward(t, r.cl, ids[12:20], 0.5)
 
 	// Reference point: everything up to here is durable and captured.
 	want := r.captureLive(t)
@@ -468,7 +379,7 @@ func TestCrashRecoveryTornTail(t *testing.T) {
 	sizeAtCapture := fi.Size()
 
 	// One more durable reward batch after the capture...
-	r.rewardAll(t, ids[20:25], 0.25)
+	nodetest.Reward(t, r.cl, ids[20:25], 0.25)
 	r.srv.Ingestor().Drain()
 	if err := r.j.Sync(); err != nil {
 		t.Fatal(err)
@@ -491,11 +402,7 @@ func TestCrashRecoveryTornTail(t *testing.T) {
 	// A server restarted on the damaged directory opens cleanly (Open
 	// truncates the tail) and keeps journaling from the valid end.
 	lastGood := rec.Service.WALWatermark()
-	j2, err := wal.Open(wal.Options{Dir: r.dir, Mode: wal.ModeSync})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j2.Close()
+	j2 := nodetest.Journal(t, wal.Options{Dir: r.dir, Mode: wal.ModeSync})
 	if j2.LastLSN() != lastGood {
 		t.Fatalf("reopened journal at LSN %d, recovery ended at %d", j2.LastLSN(), lastGood)
 	}
@@ -526,8 +433,8 @@ func TestCheckpointCompactsAndRestartsFromSuffix(t *testing.T) {
 	r := newWALRig(t, 1024)
 
 	for round := 0; round < 3; round++ {
-		ids := r.rankSome(t, 25, 10+round)
-		r.rewardAll(t, ids[:20], 0.6)
+		ids := nodetest.Rank(t, r.cl, 25, 10+round)
+		nodetest.Reward(t, r.cl, ids[:20], 0.6)
 		if _, err := r.srv.Checkpoint(r.snap); err != nil {
 			t.Fatal(err)
 		}
@@ -544,8 +451,8 @@ func TestCheckpointCompactsAndRestartsFromSuffix(t *testing.T) {
 		t.Fatalf("journal still starts at LSN %d after compaction", first)
 	}
 
-	ids := r.rankSome(t, 10, 99)
-	r.rewardAll(t, ids[:5], 0.9)
+	ids := nodetest.Rank(t, r.cl, 10, 99)
+	nodetest.Reward(t, r.cl, ids[:5], 0.9)
 	want := r.captureLive(t)
 	got, rec := r.recoverBytes(t, 1)
 	if !bytes.Equal(want, got) {
