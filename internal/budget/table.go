@@ -55,7 +55,7 @@ var table = map[string]ceiling{
 	"bandit.fresh_service": {64 << 10, "B retained", "a fresh Service holds no weight vector (2 MiB at the default Dim) until something writes a weight"},
 
 	// internal/core: the offline leg.
-	"core.run_day":     {9.2, "allocs per job", "JobsForDay plus Production.RunDay over 40 templates, every recurrence run in its instance's borrowed compilation, each instance one facts block with its graph header and first rewrite certificate inline: the reading (8.70–8.73 at GOMAXPROCS 1 and 2) + 5 %, rounded up"},
+	"core.run_day":     {4.7, "allocs per job", "JobsForDay plus Production.RunDay over 40 templates, the day's instances built in one batch (one slab per kind for the day), every recurrence run in its instance's borrowed compilation, each instance one facts block with its graph header and first rewrite certificate inline: the reading (4.38–4.41 at GOMAXPROCS 1 and 2) + 5 %, rounded up"},
 	"core.advisor_day": {14.5, "allocs per job", "Advisor.RunDay's first day with the GC off, so no collection empties the pools production warmed (a day-owned scratch measured +1.57 per job), every flight arm run in its borrowed compilation, compile failures formatted only when read, FitRidge's rows built in one buffer: 13.74–13.75 + 5 %, rounded up"},
 	"core.offline_leg": {4.5, "MB retained", "generator, production and advisor after ten days of 40 templates: 4.07–4.08 MB + 10 %"},
 
@@ -112,6 +112,7 @@ var table = map[string]ceiling{
 	"workload.view_rows":        {0, "allocs per pass", "AppendViewRows into a dst with room keeps its marks in a pool"},
 	"workload.recurrence":       {0, "allocs per recurrence", "a recurrence is handed out from the instance's job slab"},
 	"workload.instantiate_memo": {0, "allocs per Instantiate", "Instantiate of a memoized instance allocates nothing"},
-	"workload.instance":         {12, "allocs per instance built", "the instance's dated-string arena, the bound graph's six slabs, the key and float slabs, one facts block (graph header, truth, statistics, empty memo) and the job slab: 11 + 5 %, rounded up"},
-	"workload.bind":             {8, "allocs per cold Bind", "nodes, Inputs, Roots, schemas, dated strings, expression spines and literals, one slab each: 7 + 5 %, rounded up"},
+	"workload.instance":         {12, "allocs per instance built", "a lone instance, as Instantiate's look-ahead builds one, is a batch of one: its dated-string arena, the bound graph's string arena and five slabs, the key and float slabs, the facts block (graph header, truth, statistics, empty memo) and the job slab: 11 + 5 %, rounded up"},
+	"workload.jobs_for_day":     {2.5, "allocs per instance built", "JobsForDay on a fresh date over 40 templates builds them in one batch: each instance's two string arenas, plus eleven shared by all 40 (the nine slabs, the reservation flags and the day's job list): 2.28–2.3 + 5 %, rounded up"},
+	"workload.bind":             {8, "allocs per cold Bind", "a lone Bind is a batch of one: the Graph header, its dated strings, and nodes, Inputs and Roots, schemas, expression spines and literals, one slab each: 7 + 5 %, rounded up"},
 }

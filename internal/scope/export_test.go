@@ -2,7 +2,7 @@ package scope
 
 // SpineBound is Prepare's bound on the expression spine copies a binding
 // of p makes: the size of Bind's one slab of them.
-func SpineBound(p *Prepared) int { return p.spines }
+func SpineBound(p *Prepared) int { return p.room.spines }
 
 // BindSpines binds names to values as Bind does, up to building the
 // graph, and returns how many spine copies the binding took from its slab,
@@ -17,6 +17,10 @@ func BindSpines(p *Prepared, names, values []string) (int, error) {
 	if err := b.bindStrings(); err != nil {
 		return 0, err
 	}
+	var s Slabs
+	s.Reserve(p)
+	s.Make()
+	b.cutRoom(&s)
 	for _, n := range p.nodes {
 		b.expr(n.Pred)
 		b.expr(n.JoinCond)

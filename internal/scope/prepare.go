@@ -11,9 +11,8 @@ import (
 // logical DAG every binding of it starts from. It is immutable, and Bind is
 // safe for concurrent use.
 type Prepared struct {
-	g      *Graph
-	nodes  []*Node // g.Nodes(): inputs before consumers
-	inputs int     // len(Inputs) summed over nodes
+	g     *Graph
+	nodes []*Node // g.Nodes(): inputs before consumers
 
 	// open are the distinct strings of g holding an '@', which a binding
 	// may rewrite: scan and output paths, column sources, and the string
@@ -22,14 +21,34 @@ type Prepared struct {
 	// a binding may not touch.
 	open, fixed []string
 
-	// openCols counts the columns, Cols and GroupBy alike, that sit in a
-	// slice holding an open source: the most a binding re-dates.
-	openCols int
+	// room is what one binding takes from its Slabs.
+	room slabSizes
+}
 
+// slabSizes counts the elements of each of a bound graph's slabs. For one
+// binding of a Prepared the counts are fixed by the prepared DAG alone:
+// nodes and ptrs exactly, the rest as the most a binding can take.
+type slabSizes struct {
+	nodes int // one per node
+	ptrs  int // len(Inputs) summed over nodes, and then the Roots
+	// cols counts the columns, Cols and GroupBy alike, that sit in a slice
+	// holding an open source: the most a binding re-dates.
+	cols int
 	// spines counts, over every node's Pred and JoinCond, the BinaryExprs
 	// above a placeholder or a string holding an '@': the most a binding
-	// copies, and the size of its one slab of them.
+	// copies.
 	spines int
+	// ints counts the distinct placeholders of Preds and JoinConds: the
+	// most integer literals a binding makes, one per name.
+	ints int
+}
+
+func (z *slabSizes) add(o slabSizes) {
+	z.nodes += o.nodes
+	z.ptrs += o.ptrs
+	z.cols += o.cols
+	z.spines += o.spines
+	z.ints += o.ints
 }
 
 // Prepare parses and compiles a script whose literals are placeholders.
@@ -46,8 +65,10 @@ func Prepare(src string) (*Prepared, error) {
 		return nil, err
 	}
 	p := &Prepared{g: g, nodes: g.Nodes()}
+	p.room.nodes, p.room.ptrs = len(p.nodes), len(g.Roots)
+	var params []string
 	for _, n := range p.nodes {
-		p.inputs += len(n.Inputs)
+		p.room.ptrs += len(n.Inputs)
 		p.open = addMarked(p.open, n.TablePath)
 		p.open = addMarked(p.open, n.OutPath)
 		for _, cols := range [2][]Column{n.Cols, n.GroupBy} {
@@ -59,14 +80,15 @@ func Prepare(src string) (*Prepared, error) {
 				}
 			}
 			if dated {
-				p.openCols += len(cols)
+				p.room.cols += len(cols)
 			}
 		}
 		p.open = appendMarkedLits(p.open, n.Pred)
 		p.open = appendMarkedLits(p.open, n.JoinCond)
 		for _, e := range [2]Expr{n.Pred, n.JoinCond} {
 			k, _ := spines(e)
-			p.spines += k
+			p.room.spines += k
+			params = appendParams(params, e)
 		}
 		for _, pe := range n.Projs {
 			p.fixed = appendMarkedLits(p.fixed, pe.E)
@@ -75,6 +97,7 @@ func Prepare(src string) (*Prepared, error) {
 			p.fixed = appendMarkedLits(p.fixed, a.Arg)
 		}
 	}
+	p.room.ints = len(params)
 	return p, nil
 }
 
@@ -98,6 +121,25 @@ func appendMarkedLits(list []string, e Expr) []string {
 	case *FuncExpr:
 		for _, a := range x.Args {
 			list = appendMarkedLits(list, a)
+		}
+	}
+	return list
+}
+
+// appendParams adds to list the names of e's placeholders it lacks.
+func appendParams(list []string, e Expr) []string {
+	switch x := e.(type) {
+	case *Param:
+		if !slices.Contains(list, x.Name) {
+			list = append(list, x.Name)
+		}
+	case *BinaryExpr:
+		return appendParams(appendParams(list, x.Left), x.Right)
+	case *UnaryExpr:
+		return appendParams(list, x.Expr)
+	case *FuncExpr:
+		for _, a := range x.Args {
+			list = appendParams(list, a)
 		}
 	}
 	return list
@@ -141,31 +183,77 @@ func (e *BindError) Error() string {
 	return fmt.Sprintf("scope: cannot bind @%s@: %s", e.Name, e.Msg)
 }
 
+// Slabs is storage for the bound graphs of a batch of bindings: their
+// nodes, Inputs and Roots, re-dated schemas, rebuilt expression spines and
+// integer literals, each kind in one slab. Reserve counts one binding's
+// room, Make allocates what was counted, and each BindInto takes its
+// graph's room as capped subslices, so no graph's appends reach another's.
+// Every graph bound into a batch keeps the whole batch alive. The zero
+// value is an empty batch; a Slabs is not safe for concurrent use.
+type Slabs struct {
+	nodes    []Node
+	ptrs     []*Node
+	cols     []Column
+	spines   []BinaryExpr
+	ints     []IntLit
+	reserved slabSizes
+}
+
+// Reserve counts room in the next Make for one binding of p.
+func (s *Slabs) Reserve(p *Prepared) { s.reserved.add(p.room) }
+
+// Make allocates the room Reserve counted, one allocation per kind of
+// slab and none for a kind no binding needs, and starts a new count. Room
+// the slabs still held is dropped.
+func (s *Slabs) Make() {
+	z := s.reserved
+	*s = Slabs{
+		nodes:  make([]Node, z.nodes),
+		ptrs:   make([]*Node, z.ptrs),
+		cols:   make([]Column, z.cols),
+		spines: make([]BinaryExpr, z.spines),
+		ints:   make([]IntLit, z.ints),
+	}
+}
+
+// cut cuts the first n elements off *slab as a capped subslice. Past what
+// the slab holds it panics: the batch's Reserve did not count them.
+func cut[T any](slab *[]T, n int) []T {
+	c := (*slab)[:n:n]
+	*slab = (*slab)[n:]
+	return c
+}
+
 // Bind returns a new Graph: the prepared DAG with each placeholder named in
 // names (without its '@'s) replaced by the value at the same index — in an
 // expression by the literal the value spells, inside a string by the
-// value's text. It is BindInto a Graph of its own; see BindInto for what
-// the graph shares and what Bind refuses.
+// value's text. It is BindInto a Graph of its own from a batch of one; see
+// BindInto for what the graph shares and what Bind refuses.
 func (p *Prepared) Bind(names, values []string) (*Graph, error) {
+	var s Slabs
+	s.Reserve(p)
+	s.Make()
 	g := new(Graph)
-	if err := p.BindInto(g, names, values); err != nil {
+	if err := p.BindInto(g, &s, names, values); err != nil {
 		return nil, err
 	}
 	return g, nil
 }
 
 // BindInto is Bind into the caller's Graph header dst, which it
-// overwrites whole: dst must be a Graph nothing else uses yet, typically
-// a field of a block the caller allocates with the graph's other
-// per-binding state (a job instance's facts). The bound graph is the
+// overwrites whole, taking the graph's slabs from s, where the caller
+// reserved room for this binding: dst must be a Graph nothing else uses
+// yet, typically a field of a block the caller allocates with the graph's
+// other per-binding state (a job instance's facts). The bound graph is the
 // graph CompileScript returns for the source with those replacements made
 // in one pass, first name first, and it shares with the prepared DAG
 // everything a replacement does not reach: projections, aggregates, sort
 // keys, renames, undated schemas and literal-free expressions. Its nodes,
 // their Inputs and Roots, re-dated schemas, rebuilt expression spines and
-// integer literals are its own, each kind in one slab. It may keep strings
-// of names and values, never the slices, which the caller may reuse once
-// BindInto returns. On an error dst is left as it was.
+// integer literals are its own, cut from s; its re-dated strings are one
+// allocation of their own. It may keep strings of names and values, never
+// the slices, which the caller may reuse once BindInto returns. On an
+// error dst is left as it was, and room it took from s stays unused.
 //
 // BindInto refuses, with a *BindError, a name that is not letters, digits
 // and underscores; a value that is not exactly one literal token — an
@@ -174,7 +262,7 @@ func (p *Prepared) Bind(names, values []string) (*Graph, error) {
 // would land inside a string; a placeholder bound inside a string literal
 // of a SELECT item or an aggregate's argument; and a placeholder in an
 // expression that names bind no value to.
-func (p *Prepared) BindInto(dst *Graph, names, values []string) error {
+func (p *Prepared) BindInto(dst *Graph, s *Slabs, names, values []string) error {
 	if len(names) != len(values) {
 		return fmt.Errorf("scope: %d placeholder names for %d values", len(names), len(values))
 	}
@@ -187,23 +275,23 @@ func (p *Prepared) BindInto(dst *Graph, names, values []string) error {
 	if err := b.bindStrings(); err != nil {
 		return err
 	}
-	for _, s := range p.fixed {
-		if _, k := b.match(s, 0); k >= 0 {
+	for _, f := range p.fixed {
+		if _, k := b.match(f, 0); k >= 0 {
 			return &BindError{names[k], "inside a string literal of a SELECT item or an aggregate's argument, where its value could merge or split aggregates"}
 		}
 	}
 
 	// The bound graph is immutable and every node of it reachable, so its
-	// nodes and its Inputs and Roots slices can each be one allocation: no
-	// rewrite disconnects a node of it and leaves the rest pinned.
-	slab := make([]Node, len(p.nodes))
-	ptrs := make([]*Node, p.inputs+len(p.g.Roots))
+	// nodes and its Inputs and Roots slices can each be cut from one slab:
+	// no rewrite disconnects a node of it and leaves the rest pinned.
+	b.cutRoom(s)
+	nodes, ptrs := cut(&s.nodes, p.room.nodes), cut(&s.ptrs, p.room.ptrs)
 	if cap(b.byID) < p.g.nextID {
 		b.byID = make([]*Node, p.g.nextID)
 	}
 	b.byID = b.byID[:p.g.nextID]
 	for i, n := range p.nodes {
-		c := &slab[i]
+		c := &nodes[i]
 		*c = *n
 		if n.Inputs != nil {
 			k := len(n.Inputs)
@@ -228,14 +316,14 @@ func (p *Prepared) BindInto(dst *Graph, names, values []string) error {
 }
 
 // binder is the state of one Bind. All but cols, spines and ints is
-// scratch kept in binderPool; those three are the bound graph's slabs of
-// re-dated columns, expression spines and integer literals.
+// scratch kept in binderPool; those three are the bound graph's room in
+// its batch's slabs of re-dated columns, expression spines and integer
+// literals, empty until the binding takes from them.
 type binder struct {
 	p             *Prepared
 	names, values []string
 	toks          []Token  // per name: the literal token its value is
 	lits          []Expr   // per name: that literal, built on first use
-	nInts         int      // how many of toks are integers
 	bound         []string // per p.open: the string bound
 	spans         []int    // per p.open: its bytes in buf, or -1, -1
 	buf           []byte
@@ -254,8 +342,16 @@ func (b *binder) release() {
 	clear(b.bound)
 	clear(b.byID)
 	b.toks, b.lits, b.bound, b.spans, b.buf = b.toks[:0], b.lits[:0], b.bound[:0], b.spans[:0], b.buf[:0]
-	b.p, b.names, b.values, b.cols, b.spines, b.ints, b.nInts, b.err = nil, nil, nil, nil, nil, nil, 0, nil
+	b.p, b.names, b.values, b.cols, b.spines, b.ints, b.err = nil, nil, nil, nil, nil, nil, nil
 	binderPool.Put(b)
+}
+
+// cutRoom cuts from s the binding's room for re-dated columns, expression
+// spines and integer literals, each empty and capped at its bound.
+func (b *binder) cutRoom(s *Slabs) {
+	b.cols = cut(&s.cols, b.p.room.cols)[:0]
+	b.spines = cut(&s.spines, b.p.room.spines)[:0]
+	b.ints = cut(&s.ints, b.p.room.ints)[:0]
 }
 
 // checkValues lexes every value and keeps its token.
@@ -278,9 +374,6 @@ func (b *binder) checkValues() error {
 		}
 		if strings.Contains(v, "*/") {
 			return &BindError{name, fmt.Sprintf("value %q holds \"*/\", which could end a comment", v)}
-		}
-		if t.Kind == TokenInt {
-			b.nInts++
 		}
 		b.toks = append(b.toks, t)
 		b.lits = append(b.lits, nil)
@@ -359,9 +452,6 @@ func (b *binder) str(s string) string {
 func (b *binder) columns(cols []Column) []Column {
 	for i, c := range cols {
 		if s := b.str(c.Source); s != c.Source {
-			if b.cols == nil {
-				b.cols = make([]Column, 0, b.p.openCols)
-			}
 			n, k := len(b.cols), len(cols)
 			out := b.cols[n : n+k : n+k]
 			b.cols = b.cols[:n+k]
@@ -389,7 +479,7 @@ func (b *binder) expr(e Expr) Expr {
 	case *BinaryExpr:
 		l, r := b.expr(x.Left), b.expr(x.Right)
 		if l != x.Left || r != x.Right {
-			c := take(&b.spines, b.p.spines)
+			c := take(&b.spines)
 			*c = BinaryExpr{Op: x.Op, Left: l, Right: r}
 			return c
 		}
@@ -425,7 +515,7 @@ func (b *binder) literal(name string) Expr {
 			if t := b.toks[k]; t.Kind == TokenInt {
 				var v int64
 				if v, msg = intValue(t.Text); msg == "" {
-					c := take(&b.ints, b.nInts)
+					c := take(&b.ints)
 					c.Value = v
 					e = c
 				}
@@ -443,14 +533,10 @@ func (b *binder) literal(name string) Expr {
 	return nil
 }
 
-// take returns the next element of the bound graph's slab *slab, making
-// the slab with room for size on first use. Past size it panics rather
-// than grow: the elements handed out already belong to the graph, and
-// Prepare's counts bound what a binding takes.
-func take[T any](slab *[]T, size int) *T {
-	if *slab == nil {
-		*slab = make([]T, 0, size)
-	}
+// take returns the next element of the bound graph's room *slab. Past
+// its capacity it panics rather than grow: the elements handed out already
+// belong to the graph, and Prepare's counts bound what a binding takes.
+func take[T any](slab *[]T) *T {
 	n := len(*slab)
 	*slab = (*slab)[:n+1]
 	return &(*slab)[n]

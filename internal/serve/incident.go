@@ -102,9 +102,10 @@ type incidentEngine struct {
 	srv *Server
 	dir string
 
-	events chan incidentEvent
-	stopCh chan struct{}
-	done   chan struct{}
+	events   chan incidentEvent
+	stopCh   chan struct{}
+	stopOnce sync.Once
+	done     chan struct{}
 
 	triggered   atomic.Int64
 	capturedN   atomic.Int64
@@ -135,11 +136,12 @@ func newIncidentEngine(s *Server, dir string) *incidentEngine {
 }
 
 // start launches the trigger-evaluation loop, evaluating once per tick;
-// stop (from Server.Close) terminates it.
+// stop (from Server.Close) terminates it. A second stop waits for the
+// loop the first one ended.
 func (e *incidentEngine) start(tick time.Duration) { go e.run(tick) }
 
 func (e *incidentEngine) stop() {
-	close(e.stopCh)
+	e.stopOnce.Do(func() { close(e.stopCh) })
 	<-e.done
 }
 

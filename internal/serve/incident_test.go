@@ -119,6 +119,15 @@ func TestIncidentDisabledSurfaces(t *testing.T) {
 	}
 }
 
+// TestCloseTwiceWithIncidentDir: Close stops the incident engine once; a
+// second Close on a node with an incident directory returns without
+// closing its stop channel again.
+func TestCloseTwiceWithIncidentDir(t *testing.T) {
+	srv := New(Config{IncidentDir: t.TempDir()})
+	srv.Close()
+	srv.Close()
+}
+
 func TestIncidentManualCapture(t *testing.T) {
 	dir := t.TempDir()
 	srv, _, ts, cl := incidentTestServer(t, dir)

@@ -342,7 +342,8 @@ func (s *Server) DriftStats(templateLimit int) *api.DriftStats {
 	return s.guard.stats(templateLimit)
 }
 
-// Close drains and stops the reward ingestor and the incident engine.
+// Close drains and stops the reward ingestor and the incident engine. A
+// second Close does nothing more.
 func (s *Server) Close() {
 	if s.incidents != nil {
 		s.incidents.stop()

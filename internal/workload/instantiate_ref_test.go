@@ -462,9 +462,10 @@ func TestSubstituteMatchesSequentialReplace(t *testing.T) {
 }
 
 // TestInstantiateAllocBudget gates what a day's job instances allocate:
-// a recurrence, Instantiate of a memoized instance, and building the
-// instance of a (template, date) seen for the first time, with and
-// without the rest of the instance around its Bind.
+// a recurrence, Instantiate of a memoized instance, building the instance
+// of a (template, date) seen for the first time alone, with and without
+// the rest of the instance around its Bind, and building a fresh date's
+// instances of 40 templates in JobsForDay's one batch.
 func TestInstantiateAllocBudget(t *testing.T) {
 	gen, err := New(Config{Seed: 20211101, NumTemplates: 1})
 	if err != nil {
@@ -484,7 +485,10 @@ func TestInstantiateAllocBudget(t *testing.T) {
 	budget.Allocs(t, "workload.recurrence", 100, instantiate(3, tpl.DailyInstances-1))
 	budget.Allocs(t, "workload.instantiate_memo", 100, instantiate(3, 0))
 	budget.Allocs(t, "workload.instance", 100, func() {
-		if _, err := tpl.instantiate(3); err != nil {
+		var b batch
+		b.reserve(tpl)
+		b.make()
+		if _, err := tpl.instantiate(3, &b); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -496,6 +500,20 @@ func TestInstantiateAllocBudget(t *testing.T) {
 		if _, err := tpl.prepared.Bind(tpl.names, values); err != nil {
 			t.Fatal(err)
 		}
+	})
+
+	day, err := New(Config{Seed: 20211101, NumTemplates: 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	date := 1 // New built day 1's instances; every run asks for a date no memo holds
+	budget.Gate(t, "workload.jobs_for_day", func() float64 {
+		return testing.AllocsPerRun(20, func() {
+			date++
+			if _, err := day.JobsForDay(date); err != nil {
+				t.Fatal(err)
+			}
+		}) / float64(len(day.Templates()))
 	})
 }
 

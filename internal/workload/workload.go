@@ -231,20 +231,53 @@ func (g *Generator) CompileCacheStats() optimizer.CompileCacheStats {
 // JobsForDay returns every template's jobs on the given date. The day
 // loop has moved on to date, so each template first retires the
 // instances of earlier dates it memoizes; the next date's, which
-// flighting may already have built, stays.
+// flighting may already have built, stays. Every instance of the date
+// that a memo lacks is built in one batch, in two passes: the first reads
+// each memo under its template's lock and reserves room for a missing
+// instance, the second checks the memo again under the lock and builds the
+// instance in its room. Room reserved for an instance another goroutine
+// built in between stays unused; an instance whose memo lost it in
+// between is built alone.
 func (g *Generator) JobsForDay(date int) ([]*Job, error) {
+	b, reserved := g.reserveDay(date)
+	return g.buildDay(date, &b, reserved)
+}
+
+// reserveDay is JobsForDay's first pass: a batch with room for every
+// instance of date that its template's memo lacks, and per template
+// whether the batch holds room for it.
+func (g *Generator) reserveDay(date int) (b batch, reserved []bool) {
+	reserved = make([]bool, len(g.templates))
+	for i, t := range g.templates {
+		if !t.holds(date) {
+			b.reserve(t)
+			reserved[i] = true
+		}
+	}
+	b.make()
+	return b, reserved
+}
+
+// buildDay is JobsForDay's second pass: every template's jobs on date,
+// from its memo or else built in b's room for it, or alone when b holds
+// none.
+func (g *Generator) buildDay(date int, b *batch, reserved []bool) ([]*Job, error) {
 	n := 0
 	for _, t := range g.templates {
 		n += t.DailyInstances
 	}
 	jobs := make([]*Job, 0, n)
-	for _, t := range g.templates {
-		inst, err := t.instance(date, true)
+	for i, t := range g.templates {
+		room := b
+		if !reserved[i] {
+			room = nil
+		}
+		inst, err := t.instance(date, true, room)
 		if err != nil {
 			return nil, err
 		}
-		for i := range inst {
-			jobs = append(jobs, &inst[i])
+		for k := range inst {
+			jobs = append(jobs, &inst[k])
 		}
 	}
 	return jobs, nil
@@ -261,21 +294,42 @@ func appendJobID(dst []byte, template string, date, seq int) []byte {
 
 // Instantiate returns job seq, in [0, DailyInstances), of the template's
 // instance on date. The instance is built once per (template, date) and
-// its jobs are handed out, not copied.
+// its jobs are handed out, not copied; a miss builds it alone, a batch of
+// one.
 func (t *Template) Instantiate(date, seq int) (*Job, error) {
 	if seq < 0 || seq >= t.DailyInstances {
 		return nil, fmt.Errorf("workload: %s runs jobs 0 to %d a day, not %d", t.ID, t.DailyInstances-1, seq)
 	}
-	jobs, err := t.instance(date, false)
+	jobs, err := t.instance(date, false, nil)
 	if err != nil {
 		return nil, err
 	}
 	return &jobs[seq], nil
 }
 
+// holds reports whether the memo holds the template's instance on date.
+func (t *Template) holds(date int) bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.memoized(date) != nil
+}
+
+// memoized returns the job slab the memo holds for date, or nil. t.mu is
+// held.
+func (t *Template) memoized(date int) []Job {
+	for _, m := range t.memo {
+		if m.jobs != nil && m.date == date {
+			return m.jobs
+		}
+	}
+	return nil
+}
+
 // instance returns the job slab of the template's instance on date,
-// first emptying the memo slots dated before it if retire is set.
-func (t *Template) instance(date int, retire bool) ([]Job, error) {
+// first emptying the memo slots dated before it if retire is set. A miss
+// builds the instance in the room b reserved for it, or alone when b is
+// nil.
+func (t *Template) instance(date int, retire bool, b *batch) ([]Job, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for i, m := range t.memo {
@@ -283,14 +337,18 @@ func (t *Template) instance(date int, retire bool) ([]Job, error) {
 			t.memo[i] = dated{}
 		}
 	}
-	for _, m := range t.memo {
-		if m.jobs != nil && m.date == date {
-			t.lookups.hits.Add(1)
-			return m.jobs, nil
-		}
+	if jobs := t.memoized(date); jobs != nil {
+		t.lookups.hits.Add(1)
+		return jobs, nil
 	}
 	t.lookups.misses.Add(1)
-	jobs, err := t.instantiate(date)
+	var lone batch
+	if b == nil {
+		lone.reserve(t)
+		lone.make()
+		b = &lone
+	}
+	jobs, err := t.instantiate(date, b)
 	if err != nil {
 		return nil, err
 	}
@@ -299,6 +357,53 @@ func (t *Template) instance(date int, retire bool) ([]Job, error) {
 	}
 	t.memo[1] = dated{date, jobs}
 	return jobs, nil
+}
+
+// batch is the storage a run of instances is built in: their bound
+// graphs' slabs, and one slab each of keys, floats, facts blocks and jobs.
+// reserve counts one instance of a template, make allocates what was
+// counted, one allocation per kind, and instantiate cuts each instance's
+// room as capped subslices. The sizes are the template's: its prepared
+// script's counts, len(Tables), len(sites) and DailyInstances. A lone
+// instance is a batch of one; every instance of a batch keeps the whole
+// batch alive.
+type batch struct {
+	graphs   scope.Slabs
+	keys     []string
+	floats   []float64
+	facts    []facts
+	jobs     []Job
+	reserved instanceSizes
+}
+
+// instanceSizes counts the elements of an instance's slabs beside its
+// graph's.
+type instanceSizes struct{ keys, floats, facts, jobs int }
+
+// reserve counts room in the next make for one instance of t.
+func (b *batch) reserve(t *Template) {
+	b.graphs.Reserve(t.prepared)
+	nt, ns := len(t.Tables), len(t.sites)
+	b.reserved.keys += nt + ns
+	b.reserved.floats += 2*nt + ns
+	b.reserved.facts++
+	b.reserved.jobs += t.DailyInstances
+}
+
+// make allocates the room reserve counted.
+func (b *batch) make() {
+	z := b.reserved
+	b.graphs.Make()
+	b.keys, b.floats = make([]string, z.keys), make([]float64, z.floats)
+	b.facts, b.jobs = make([]facts, z.facts), make([]Job, z.jobs)
+	b.reserved = instanceSizes{}
+}
+
+// cut cuts the first n elements off *slab as a capped subslice.
+func cut[T any](slab *[]T, n int) []T {
+	c := (*slab)[:n:n]
+	*slab = (*slab)[n:]
+	return c
 }
 
 // instanceScratch is one instantiate's pooled scratch: the bytes of its
@@ -333,13 +438,13 @@ func (s *instanceScratch) release() {
 	scratchPool.Put(s)
 }
 
-// instantiate builds the template's instance on date — concrete
-// literals, the bound graph, per-day true row counts, jittered
-// selectivities, the optimizer-visible statistics, an empty rewrite memo
-// and its slab of DailyInstances jobs — one allocation each for the arena
-// string, the bound graph's slabs, the key and float slabs, the facts and
-// the job slab.
-func (t *Template) instantiate(date int) ([]Job, error) {
+// instantiate builds the template's instance on date in the room b
+// reserved for it — concrete literals, the bound graph, per-day true row
+// counts, jittered selectivities, the optimizer-visible statistics, an
+// empty rewrite memo and its slab of DailyInstances jobs. Beside what it
+// cuts from b, it allocates two strings: its own arena and the bound
+// graph's.
+func (t *Template) instantiate(date int, b *batch) ([]Job, error) {
 	// Every draw below is the first values of its own stream, seeded by
 	// what it is for: one pooled generator, re-seeded per draw, each seed
 	// O(1) (exec.SeededRand's source computes only the state words a
@@ -383,9 +488,9 @@ func (t *Template) instantiate(date int) ([]Job, error) {
 	ids := pieces[nt+ns:]
 
 	// The instance's facts hold its bound graph's header and its rewrite
-	// memo by value, beside its truth and statistics: one allocation.
-	f := new(facts)
-	if err := t.prepared.BindInto(&f.graph, t.names, values); err != nil {
+	// memo by value, beside its truth and statistics: one block.
+	f := &cut(&b.facts, 1)[0]
+	if err := t.prepared.BindInto(&f.graph, &b.graphs, t.names, values); err != nil {
 		return nil, fmt.Errorf("workload: instance of %s does not compile: %w", t.ID, err)
 	}
 
@@ -393,8 +498,9 @@ func (t *Template) instantiate(date int) ([]Job, error) {
 	// sites: the keys are the dated paths and site keys, copied out of
 	// the pooled pieces, and the floats the true rows, the estimated rows
 	// and the true selectivities.
-	keys := slices.Clone(pieces[:nt+ns])
-	vals := make([]float64, 2*nt+ns)
+	keys := cut(&b.keys, nt+ns)
+	copy(keys, pieces)
+	vals := cut(&b.floats, 2*nt+ns)
 	for i, tab := range t.Tables {
 		dayFactor := lognormal(draw("rows", tab.PathPattern), 0.35)
 		vals[i] = tab.TrueRows * dayFactor
@@ -411,7 +517,7 @@ func (t *Template) instantiate(date int) ([]Job, error) {
 	}
 	f.stats = instanceStats{paths: keys[:nt:nt], rows: vals[nt : 2*nt : 2*nt], ndv: t.ndv}
 
-	jobs := make([]Job, t.DailyInstances)
+	jobs := cut(&b.jobs, t.DailyInstances)
 	for seq := range jobs {
 		jobs[seq] = Job{
 			ID:       ids[seq],
