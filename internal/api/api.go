@@ -870,8 +870,9 @@ const (
 	// a write-ahead log (no -wal-dir); there is nothing to ship.
 	CodeWALDisabled = "wal_disabled"
 	// CodeWALGap: the requested resume LSN predates the oldest retained
-	// journal record (snapshot compaction removed it). The follower must
-	// re-bootstrap from /v2/wal/snapshot.
+	// journal record (snapshot compaction removed it), or lies past the
+	// journal's last record (the follower's history is not this
+	// journal's). The follower must re-bootstrap from /v2/wal/snapshot.
 	CodeWALGap = "wal_gap"
 	// CodeIncidentsDisabled: an incident-capture request on a node
 	// running without -incident-dir; there is nowhere to write bundles.

@@ -815,3 +815,26 @@ func TestRunDaysRewriteEachInstanceConfigOnce(t *testing.T) {
 		}
 	}
 }
+
+// TestRunLoopInstanceBuilds pins the instance lookups of a small loop
+// leg: 12 templates over 6 days, seed 1. Its misses are the instances the
+// generator builds, its hits the lookups that found one memoized. Both
+// are the counts of the loop when each flight built its next occurrence
+// alone in its own Instantiate: batching the look-ahead per Run builds
+// exactly the instances the flights look ahead to — none for a flight
+// that fails, times out or is skipped — and JobsForDay builds the rest.
+// A change that moves either count builds more or fewer instances, or
+// counts them otherwise.
+func TestRunLoopInstanceBuilds(t *testing.T) {
+	const seed, templates, days = 1, 12, 6
+	gen, err := workload.New(workload.Config{Seed: seed, NumTemplates: templates, MaxDailyInstances: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := runLoop(rules.NewCatalog(), gen, seed, days, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := gen.CompileCacheStats(), (optimizer.CompileCacheStats{Hits: 50, Misses: 76}); got != want {
+		t.Errorf("the leg's instance lookups: %+v, want %+v", got, want)
+	}
+}

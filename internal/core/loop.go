@@ -21,6 +21,11 @@ func RunLoop(cat *rules.Catalog, seed int64, templates, days int, eachDay func(d
 	if err != nil {
 		return nil, err
 	}
+	return runLoop(cat, gen, seed, days, eachDay)
+}
+
+// runLoop is RunLoop on the workload gen, generated from seed.
+func runLoop(cat *rules.Catalog, gen *workload.Generator, seed int64, days int, eachDay func(day int, runs []JobRun, rep *DayReport)) (*Advisor, error) {
 	cluster := exec.DefaultCluster(seed)
 	store := sis.NewStore(cat)
 	adv := NewAdvisor(cat, store, Config{

@@ -10,6 +10,7 @@ package flighting
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 
 	"qoadvisor/internal/exec"
@@ -162,7 +163,9 @@ func classify(job *workload.Job) Outcome {
 // then the budget is folded over the chunk sequentially in cheapest-first
 // order, reproducing the sequential semantics exactly — including which
 // requests come back Skipped — so results are bit-identical at any
-// GOMAXPROCS.
+// GOMAXPROCS. Only a flight's own arms count against the budget; once it
+// is folded, the next-day instances of every successful flight are built
+// in one batch (lookAhead) and their arms run on the pool.
 func (s *Service) Run(reqs []Request) []Result {
 	ordered := append([]Request(nil), reqs...)
 	sort.SliceStable(ordered, func(i, j int) bool {
@@ -197,15 +200,45 @@ func (s *Service) Run(reqs []Request) []Result {
 			results = append(results, computed[i])
 		}
 	}
+
+	lookAhead(results)
+	par.For(len(results), func(i int) {
+		if results[i].Outcome == Success {
+			s.future(&results[i])
+		}
+	})
 	return results
 }
 
-// flightOne runs a single A/B comparison. Each arm runs inside its own
-// compilation (run) and keeps no plan. The arms compile one after the
-// other, so a flight holds one pooled builder at a time, and a flight
-// keeps both arms' metrics or neither's: the baseline's are dropped when
-// the treatment fails to compile, the next occurrence's when either of
-// its arms does.
+// lookAhead builds, through workload.Prefetch, the next-day instance of
+// the template of every successful flight of results, which is what the
+// flights' future arms instantiate and nothing more, in one batch per
+// date of the flights' jobs.
+func lookAhead(results []Result) {
+	var dates []int
+	for _, r := range results {
+		if r.Outcome == Success && !slices.Contains(dates, r.Request.Job.Date) {
+			dates = append(dates, r.Request.Job.Date)
+		}
+	}
+	templates := make([]*workload.Template, 0, len(results))
+	for _, date := range dates {
+		templates = templates[:0]
+		for _, r := range results {
+			if r.Outcome == Success && r.Request.Job.Date == date {
+				templates = append(templates, r.Request.Job.Template)
+			}
+		}
+		workload.Prefetch(date+1, templates)
+	}
+}
+
+// flightOne runs a single A/B comparison, the flight's own arms: its
+// Result but for the next occurrence's metrics (future). Each arm runs
+// inside its own compilation (run) and keeps no plan. The arms compile
+// one after the other, so a flight holds one pooled builder at a time,
+// and a flight keeps both arms' metrics or neither's: the baseline's are
+// dropped when the treatment fails to compile.
 func (s *Service) flightOne(req Request) Result {
 	out := Result{Request: req}
 	if o := classify(req.Job); o != Success {
@@ -215,11 +248,10 @@ func (s *Service) flightOne(req Request) Result {
 	}
 	job := req.Job
 	opts := job.CompileOptions(s.cfg.Catalog)
-	def := s.cfg.Catalog.DefaultConfig()
-	seed := s.cfg.Seed + int64(job.Date)*1000003 + int64(len(job.ID))
+	seed := flightSeed(s.cfg.Seed, job)
 
 	var base exec.Metrics
-	if err := s.run(&base, job, def, opts, seed); err != nil {
+	if err := s.run(&base, job, s.cfg.Catalog.DefaultConfig(), opts, seed); err != nil {
 		out.Outcome = Failure
 		out.Err = err
 		return out
@@ -243,18 +275,31 @@ func (s *Service) flightOne(req Request) Result {
 	}
 	out.Outcome = Success
 	out.HoursUsed = hours
-
-	// Next occurrence of the recurring template, for validation labels.
-	// Its instance is the one tomorrow's JobsForDay hands out, rewrites
-	// and all.
-	if future, err := job.Template.Instantiate(job.Date+1, job.Seq); err == nil {
-		fOpts := future.CompileOptions(s.cfg.Catalog)
-		var fBase, fTreat exec.Metrics
-		if s.run(&fBase, future, def, fOpts, seed+77) == nil && s.run(&fTreat, future, req.Treatment, fOpts, seed+78) == nil {
-			out.FutureBaseline, out.FutureTreat, out.HasFuture = fBase, fTreat, true
-		}
-	}
 	return out
+}
+
+// future runs a successful flight's arms on the next occurrence of the
+// recurring template, for validation labels, and keeps both arms' metrics
+// or neither's. The occurrence's instance, which Run's lookAhead built,
+// is the one tomorrow's JobsForDay hands out, rewrites and all.
+func (s *Service) future(out *Result) {
+	job := out.Request.Job
+	future, err := job.Template.Instantiate(job.Date+1, job.Seq)
+	if err != nil {
+		return
+	}
+	fOpts := future.CompileOptions(s.cfg.Catalog)
+	seed := flightSeed(s.cfg.Seed, job)
+	var fBase, fTreat exec.Metrics
+	if s.run(&fBase, future, s.cfg.Catalog.DefaultConfig(), fOpts, seed+77) == nil && s.run(&fTreat, future, out.Request.Treatment, fOpts, seed+78) == nil {
+		out.FutureBaseline, out.FutureTreat, out.HasFuture = fBase, fTreat, true
+	}
+}
+
+// flightSeed is the seed of job's flight under the service seed: its
+// arms run with it plus 0 and 1, its next occurrence's plus 77 and 78.
+func flightSeed(seed int64, job *workload.Job) int64 {
+	return seed + int64(job.Date)*1000003 + int64(len(job.ID))
 }
 
 // run compiles job's graph under cfg and runs the plan, inside its

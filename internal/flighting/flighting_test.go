@@ -3,10 +3,12 @@ package flighting
 import (
 	"reflect"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"sort"
 	"testing"
 
+	"qoadvisor/internal/budget"
 	"qoadvisor/internal/exec"
 	"qoadvisor/internal/optimizer"
 	"qoadvisor/internal/rules"
@@ -176,21 +178,32 @@ func TestOutcomeString(t *testing.T) {
 }
 
 // resultsEqual compares two result slices field-by-field on the
-// deterministic payload (outcome, metrics, budget accounting).
+// deterministic payload (outcome, metrics, budget accounting, error
+// text) and the request's job ID, flip and estimated cost, not on the
+// identity of jobs and compiled plans.
 func resultsEqual(t *testing.T, a, b []Result) {
 	t.Helper()
 	if len(a) != len(b) {
 		t.Fatalf("result counts differ: %d vs %d", len(a), len(b))
 	}
+	errText := func(err error) string {
+		if err == nil {
+			return ""
+		}
+		return err.Error()
+	}
 	for i := range a {
 		if a[i].Outcome != b[i].Outcome ||
 			a[i].HoursUsed != b[i].HoursUsed ||
+			errText(a[i].Err) != errText(b[i].Err) ||
 			a[i].Baseline != b[i].Baseline ||
 			a[i].Treat != b[i].Treat ||
 			a[i].FutureBaseline != b[i].FutureBaseline ||
 			a[i].FutureTreat != b[i].FutureTreat ||
 			a[i].HasFuture != b[i].HasFuture ||
-			a[i].Request.Job.ID != b[i].Request.Job.ID {
+			a[i].Request.Job.ID != b[i].Request.Job.ID ||
+			a[i].Request.Flip != b[i].Request.Flip ||
+			a[i].Request.EstCost != b[i].Request.EstCost {
 			t.Fatalf("result %d differs:\nseq: %+v\npar: %+v", i, a[i], b[i])
 		}
 	}
@@ -241,6 +254,9 @@ func sequentialRun(s *Service, reqs []Request) []Result {
 			continue
 		}
 		res := s.flightOne(req)
+		if res.Outcome == Success {
+			s.future(&res)
+		}
 		used += res.HoursUsed
 		results = append(results, res)
 	}
@@ -496,4 +512,115 @@ func TestBorrowedFlightsMatchPublished(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestLookAheadMatchesLoneBuilds: Run, which builds the next-day
+// instances of a day's flights in one batch before their future arms run,
+// returns the Results — FutureBaseline, FutureTreat and HasFuture
+// included — that the one-flight-at-a-time reference returns on a fresh
+// generator, where each future arm's Instantiate builds its instance
+// alone. The day has treatments that fail to compile and treatments
+// already compiled; once with the budget as shipped, once with one that
+// runs out. Both build the same instances.
+func TestLookAheadMatchesLoneBuilds(t *testing.T) {
+	cat := rules.NewCatalog()
+	day := func() (*workload.Generator, []Request) {
+		gen, err := workload.New(workload.Config{Seed: 21, NumTemplates: 40})
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs, err := gen.JobsForDay(3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return gen, advisorDayRequests(t, jobs, cat)
+	}
+	// lookups counts what run looks up in gen's instance memos.
+	lookups := func(gen *workload.Generator, run func()) optimizer.CompileCacheStats {
+		before := gen.CompileCacheStats()
+		run()
+		st := gen.CompileCacheStats()
+		return optimizer.CompileCacheStats{Hits: st.Hits - before.Hits, Misses: st.Misses - before.Misses}
+	}
+	// The budget as shipped, then half the slot-hours its flights used.
+	tight := 0.0
+	for _, shipped := range []bool{true, false} {
+		svc := New(Config{Catalog: cat, Seed: 3})
+		if !shipped {
+			svc.budget = tight
+		}
+		var got, want []Result
+		batched, reqs := day()
+		ranBatched := lookups(batched, func() { got = svc.Run(reqs) })
+		lone, reqs := day()
+		ranLone := lookups(lone, func() { want = sequentialRun(svc, reqs) })
+
+		outcomes := countByOutcome(want)
+		futures := 0
+		for _, r := range want {
+			if r.HasFuture {
+				futures++
+			}
+			tight += r.HoursUsed / 2
+		}
+		t.Logf("budget %v: %v, %d with future arms", svc.budget, outcomes, futures)
+		if futures == 0 || outcomes[Failure] == 0 || shipped != (outcomes[Skipped] == 0) {
+			t.Fatalf("budget %v: %d with future arms, %d failures, %d skipped; want futures, failures, and skips only under the tight budget", svc.budget, futures, outcomes[Failure], outcomes[Skipped])
+		}
+		resultsEqual(t, want, got)
+		if ranBatched != ranLone {
+			t.Errorf("budget %v: Run counted instance lookups %+v, the reference %+v", svc.budget, ranBatched, ranLone)
+		}
+	}
+}
+
+// TestLookAheadAllocBudget gates what one Run over a day's requests on a
+// fresh generator allocates to build its flights' next-day instances, per
+// instance built: the Run's allocations less those of the same Run on a
+// generator that already holds every next-day instance. The instances
+// are built in one batch, so the reading sits near workload.jobs_for_day,
+// not workload.instance, which a flight that built its next occurrence
+// alone would cost.
+func TestLookAheadAllocBudget(t *testing.T) {
+	budget.SkipRace(t)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	cat := rules.NewCatalog()
+	svc := New(Config{Catalog: cat, Seed: 1})
+	day := func() (*workload.Generator, []Request) {
+		gen, err := workload.New(workload.Config{Seed: 21, NumTemplates: 40})
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs, err := gen.JobsForDay(3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return gen, requestsFor(jobs, cat)
+	}
+	// No collection from the warm-up on: one would empty the pools it
+	// warmed.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	_, warm := day()
+	svc.Run(warm) // warms the pools every Run draws on
+	cold, coldReqs := day()
+	held, heldReqs := day()
+	workload.Prefetch(4, held.Templates())
+	mallocs := func(reqs []Request) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		svc.Run(reqs)
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	budget.Gate(t, "flighting.look_ahead", func() float64 {
+		without := mallocs(heldReqs)
+		misses := cold.CompileCacheStats().Misses
+		with := mallocs(coldReqs)
+		built := cold.CompileCacheStats().Misses - misses
+		if built == 0 {
+			t.Fatal("no flight looked ahead; the gate lost its coverage")
+		}
+		t.Logf("%d next-day instances built: %d allocations, %d with every one held", built, with, without)
+		return (float64(with) - float64(without)) / float64(built)
+	})
 }

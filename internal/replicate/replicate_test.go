@@ -491,6 +491,39 @@ func TestFollowerResyncsOnFrontierRegression(t *testing.T) {
 	}
 }
 
+// TestFollowerPastJournalEndResyncs: a follower whose applied LSN lies
+// past the primary journal's last record asks for records that journal
+// never wrote. The primary refuses the tail with wal_gap rather than
+// long-polling for them, and the follower re-bootstraps on that answer
+// and converges again. The proxy withholds the durable-frontier header,
+// the follower's other way to see the journal behind it, so only the
+// refusal can start the re-bootstrap.
+func TestFollowerPastJournalEndResyncs(t *testing.T) {
+	p := newPrimary(t, 1<<20)
+	p.traffic(t, 20, 1, 0.6)
+	p.settle(t)
+	px := newStreamProxy(t, p, func(_ int, _ uint64, body []byte) (string, []byte) {
+		return api.WALStreamContentType, body
+	})
+	px.hideFrontier.Store(true)
+	px.release()
+	f := startFollowerVia(t, p, px.ts.URL)
+	caughtUp(t, f)
+
+	past := p.j.LastLSN() + 1000
+	f.applied.Store(past)
+	waitFor(t, "a re-bootstrap from past the journal's end", func() bool { return f.resyncs.Load() > 0 })
+	if got := px.answered(past); got != http.StatusGone {
+		t.Errorf("the primary answered a tail from %d, past its last LSN %d, with status %d, want 410 wal_gap", past, p.j.LastLSN(), got)
+	}
+	caughtUp(t, f)
+	want := modelBytes(t, p.srv.Bandit().Save)
+	got := modelBytes(t, f.Server().Bandit().Save)
+	if !bytes.Equal(want, got) {
+		t.Fatal("model diverged after the re-sync")
+	}
+}
+
 // TestFollowerRejectsWritesOverHTTP pins the end-to-end redirect
 // contract through a real follower: rewards and rollovers bounce with
 // not_primary + the leader URL.

@@ -28,6 +28,11 @@ type streamProxy struct {
 	open  chan struct{} // closed by release
 	mu    sync.Mutex
 	froms []uint64 // the from= of every tail request, in order
+	// status is the primary's last status code for a from=.
+	status map[uint64]int
+	// hideFrontier withholds the primary's durable-frontier header from
+	// the follower.
+	hideFrontier atomic.Bool
 }
 
 // rewrite receives the n-th tail stream (from 0), the from= it asked
@@ -41,7 +46,7 @@ func newStreamProxy(t *testing.T, p *primaryRig, rw rewrite) *streamProxy {
 	if err != nil {
 		t.Fatal(err)
 	}
-	px := &streamProxy{open: make(chan struct{})}
+	px := &streamProxy{open: make(chan struct{}), status: map[uint64]int{}}
 	pass := httputil.NewSingleHostReverseProxy(target)
 	px.ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != api.RouteV2WAL {
@@ -69,6 +74,9 @@ func newStreamProxy(t *testing.T, p *primaryRig, rw rewrite) *streamProxy {
 			return
 		}
 		defer resp.Body.Close()
+		px.mu.Lock()
+		px.status[from] = resp.StatusCode
+		px.mu.Unlock()
 		body, err := io.ReadAll(resp.Body)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadGateway)
@@ -79,7 +87,9 @@ func newStreamProxy(t *testing.T, p *primaryRig, rw rewrite) *streamProxy {
 			ct, body = rw(n, from, body)
 		}
 		w.Header().Set("Content-Type", ct)
-		w.Header().Set(api.WALFrontierHeader, resp.Header.Get(api.WALFrontierHeader))
+		if !px.hideFrontier.Load() {
+			w.Header().Set(api.WALFrontierHeader, resp.Header.Get(api.WALFrontierHeader))
+		}
 		w.WriteHeader(resp.StatusCode)
 		w.Write(body)
 	}))
@@ -105,6 +115,14 @@ func (px *streamProxy) requests() []uint64 {
 	px.mu.Lock()
 	defer px.mu.Unlock()
 	return append([]uint64(nil), px.froms...)
+}
+
+// answered returns the primary's last status code for a tail request
+// from from, 0 if none reached it.
+func (px *streamProxy) answered(from uint64) int {
+	px.mu.Lock()
+	defer px.mu.Unlock()
+	return px.status[from]
 }
 
 // waitFor polls cond for up to 15 s.

@@ -42,7 +42,7 @@ var goldenRequests = []struct {
 	{http.MethodPost, api.RouteV2Stats, ""},
 	{http.MethodGet, api.RouteV2Quarantine, ""},
 	{http.MethodPost, api.RouteV2Quarantine, `{"templateHash":"00000000000000aa","action":"quarantine"}`},
-	{http.MethodGet, api.RouteV2WAL + "?from=1000000&wait=1", ""},
+	{http.MethodGet, api.RouteV2WAL + "?from=0&wait=1", ""},
 	{http.MethodPost, api.RouteV2WAL, ""},
 	{http.MethodGet, api.RouteV2WALSnapshot, ""},
 	{http.MethodPost, api.RouteV2WALSnapshot, ""},

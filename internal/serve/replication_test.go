@@ -355,6 +355,33 @@ func TestWALStreamErrors(t *testing.T) {
 		}
 	})
 
+	t.Run("past the journal's end", func(t *testing.T) {
+		// A resume LSN past the last record names records this journal
+		// never wrote: wal_gap at once, not a segment header for them
+		// and a long poll.
+		r := newWALRig(t, 1<<20)
+		nodetest.Reward(t, r.cl, nodetest.Rank(t, r.cl, 5, 1), 0.5)
+		last := r.j.LastLSN()
+		resp, err := http.Get(fmt.Sprintf("%s%s?from=%d", r.ts.URL, api.RouteV2WAL, last+1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		env := decodeJSON[api.ErrorResponse](t, resp)
+		if resp.StatusCode != http.StatusGone || env.Error.Code != api.CodeWALGap ||
+			!strings.Contains(env.Error.Message, fmt.Sprintf("journal ends at LSN %d; from %d is past its end", last, last+1)) {
+			t.Fatalf("status %d, envelope %+v; want 410 wal_gap naming the journal's end", resp.StatusCode, env)
+		}
+		// Parked exactly at the journal's end there is no gap.
+		resp, err = http.Get(fmt.Sprintf("%s%s?from=%d&wait=1", r.ts.URL, api.RouteV2WAL, last))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("caught-up follower: status %d, want 200", resp.StatusCode)
+		}
+	})
+
 	t.Run("wal disabled", func(t *testing.T) {
 		_, ts := newTestServer(t, Config{Seed: 1})
 		for _, route := range []string{api.RouteV2WAL, api.RouteV2WALSnapshot} {

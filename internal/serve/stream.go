@@ -60,7 +60,7 @@ func (h *httpLayer) handleWALStream(w http.ResponseWriter, r *http.Request) {
 		}
 		pollWait = min(time.Duration(ms)*time.Millisecond, walStreamPollMax)
 	}
-	first, _ := s.wal.Window()
+	first, next := s.wal.Window()
 	if from+1 < first {
 		// Compaction removed the records the follower needs; tailing
 		// cannot catch it up. The follower must take a fresh bootstrap
@@ -68,6 +68,15 @@ func (h *httpLayer) handleWALStream(w http.ResponseWriter, r *http.Request) {
 		writeError(w, rid, api.Errorf(api.CodeWALGap,
 			"records through %d were compacted (oldest retained is %d); re-bootstrap from %s",
 			first-1, first, api.RouteV2WALSnapshot))
+		return
+	}
+	if from >= next {
+		// The follower claims records this journal never wrote: its
+		// history is another journal's (this one was reset), and a tail
+		// from here would long-poll for LSNs that belong to neither.
+		writeError(w, rid, api.Errorf(api.CodeWALGap,
+			"journal ends at LSN %d; from %d is past its end; re-bootstrap from %s",
+			next-1, from, api.RouteV2WALSnapshot))
 		return
 	}
 

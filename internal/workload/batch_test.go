@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"weak"
@@ -172,11 +173,12 @@ func TestJobsForDayConcurrentWithInstantiate(t *testing.T) {
 	}
 }
 
-// TestJobsForDayBetweenPasses: between JobsForDay's two passes, one
-// template's missing instance is built by a direct Instantiate and
-// another's look-ahead instance is pushed out of its memo by two later
-// dates. The second pass hands out the first one's Instantiate-built job,
-// leaving its room in the batch unused, builds the second one alone, and
+// TestJobsForDayBetweenPasses: between the two passes of JobsForDay's
+// Prefetch, one template's missing instance is built by a direct
+// Instantiate, and another's look-ahead instance, which the first pass
+// found memoized, is pushed out of its memo by two later dates. The
+// second pass leaves the first one's room in the batch unused, JobsForDay
+// hands out its Instantiate-built job and builds the second one alone, and
 // every job still equals the from-scratch reference.
 func TestJobsForDayBetweenPasses(t *testing.T) {
 	gen, err := New(Config{Seed: 20211101, NumTemplates: 6})
@@ -189,9 +191,9 @@ func TestJobsForDayBetweenPasses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, reserved := gen.reserveDay(date)
-	if !reserved[0] || reserved[1] {
-		t.Fatalf("reserved %v: want room for the first template and none for the look-ahead's", reserved)
+	b, missing := reserveMissing(date, gen.Templates())
+	if len(missing) != len(gen.Templates())-1 || missing[0] != filled || slices.Contains(missing, lost) {
+		t.Fatalf("reserved room for %d templates: want every one but the look-ahead's, the first among them", len(missing))
 	}
 	direct, err := filled.Instantiate(date, 0)
 	if err != nil {
@@ -202,15 +204,16 @@ func TestJobsForDayBetweenPasses(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	jobs, err := gen.buildDay(date, &b, reserved)
+	buildReserved(date, &b, missing)
+	if len(b.facts) != 1 || len(b.jobs) != filled.DailyInstances {
+		t.Errorf("%d facts blocks and %d jobs of room left, want the filled instance's 1 and %d", len(b.facts), len(b.jobs), filled.DailyInstances)
+	}
+	jobs, err := gen.jobsOn(date)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if jobs[0] != direct {
-		t.Errorf("the second pass handed out %p for %s, not the job Instantiate built between the passes", jobs[0], direct.ID)
-	}
-	if len(b.facts) != 1 || len(b.jobs) != filled.DailyInstances {
-		t.Errorf("%d facts blocks and %d jobs of room left, want the filled instance's 1 and %d", len(b.facts), len(b.jobs), filled.DailyInstances)
+		t.Errorf("JobsForDay handed out %p for %s, not the job Instantiate built between the passes", jobs[0], direct.ID)
 	}
 	for _, j := range jobs {
 		if j.Template == lost && j.Seq == 0 && (j == ahead || j.ID != ahead.ID) {
@@ -278,4 +281,171 @@ func TestJobsForDayFreesPastBatch(t *testing.T) {
 		}
 	}
 	runtime.KeepAlive(next)
+}
+
+// TestPrefetchReservesEachTemplateOnce: a template listed several times
+// gets room for one instance, a template whose memo holds the date none,
+// and the second pass fills every room it reserved.
+func TestPrefetchReservesEachTemplateOnce(t *testing.T) {
+	gen, err := New(Config{Seed: 20211101, NumTemplates: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const date = 6
+	a, b, held := gen.Templates()[0], gen.Templates()[1], gen.Templates()[2]
+	if _, err := held.Instantiate(date, 0); err != nil {
+		t.Fatal(err)
+	}
+	room, missing := reserveMissing(date, []*Template{a, b, held, a, b, a})
+	if !slices.Equal(missing, []*Template{a, b}) {
+		t.Fatalf("reserved room for %d templates, want the 2 distinct ones whose memo lacks date %d", len(missing), date)
+	}
+	if len(room.facts) != 2 || len(room.jobs) != a.DailyInstances+b.DailyInstances {
+		t.Fatalf("room for %d facts blocks and %d jobs, want 2 and %d", len(room.facts), len(room.jobs), a.DailyInstances+b.DailyInstances)
+	}
+	before := gen.CompileCacheStats()
+	buildReserved(date, &room, missing)
+	if len(room.facts) != 0 || len(room.jobs) != 0 || len(room.keys) != 0 || len(room.floats) != 0 {
+		t.Errorf("room left after the second pass: %d facts blocks, %d jobs, %d keys, %d floats", len(room.facts), len(room.jobs), len(room.keys), len(room.floats))
+	}
+	if st := gen.CompileCacheStats(); st.Misses-before.Misses != 2 || st.Hits != before.Hits {
+		t.Errorf("the batch counted %d misses and %d hits, want its 2 builds", st.Misses-before.Misses, st.Hits-before.Hits)
+	}
+}
+
+// TestPrefetchConcurrentWithJobsForDay: while JobsForDay(d) runs, other
+// goroutines Prefetch d and d+1, every template listed twice and the
+// lists overlapping, and look up every job of d and d+1 through
+// Instantiate, each in its own order. Every caller gets the same *Job for
+// a (template, date, seq), it equals the from-scratch reference, and each
+// (template, date) is built once. The dates step by two, so no lookup of
+// an iteration pushes another of its dates out of a memo.
+func TestPrefetchConcurrentWithJobsForDay(t *testing.T) {
+	gen, err := New(Config{Seed: 20211101, NumTemplates: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := gen.Templates()
+	reversed := slices.Clone(ts)
+	slices.Reverse(reversed)
+	type slot struct {
+		tpl  *Template
+		date int
+		seq  int
+	}
+	const workers = 4
+	for _, date := range []int{3, 5, 7} {
+		var slots []slot
+		for _, d := range []int{date, date + 1} {
+			for _, tpl := range ts {
+				for seq := 0; seq < tpl.DailyInstances; seq++ {
+					slots = append(slots, slot{tpl, d, seq})
+				}
+			}
+		}
+		before := gen.CompileCacheStats().Misses
+		got := make([][]*Job, workers)
+		var day []*Job
+		var wg sync.WaitGroup
+		wg.Add(3)
+		go func() {
+			defer wg.Done()
+			jobs, err := gen.JobsForDay(date)
+			if err != nil {
+				t.Error(err)
+			}
+			day = jobs
+		}()
+		go func() {
+			defer wg.Done()
+			Prefetch(date, slices.Concat(ts[len(ts)/2:], ts, ts[:len(ts)/2]))
+		}()
+		go func() {
+			defer wg.Done()
+			Prefetch(date+1, slices.Concat(ts, reversed))
+		}()
+		for w := range got {
+			got[w] = make([]*Job, len(slots))
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := range slots {
+					k := (i + w*len(slots)/workers) % len(slots)
+					if w%2 == 1 {
+						k = len(slots) - 1 - k
+					}
+					j, err := slots[k].tpl.Instantiate(slots[k].date, slots[k].seq)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					got[w][k] = j
+				}
+			}()
+		}
+		wg.Wait()
+		if t.Failed() {
+			return
+		}
+		if built := gen.CompileCacheStats().Misses - before; built != uint64(2*len(ts)) {
+			t.Errorf("date %d: %d instances built for %d templates on two dates, want each built once", date, built, len(ts))
+		}
+		for k, s := range slots {
+			j := got[0][k]
+			for w := range got {
+				if got[w][k] != j {
+					t.Fatalf("%s: worker %d got %p, worker 0 %p", j.ID, w, got[w][k], j)
+				}
+			}
+			if s.date == date && day[k] != j {
+				t.Fatalf("%s: JobsForDay handed out %p, Instantiate %p", j.ID, day[k], j)
+			}
+			if d, err := refDiff(j); err != nil {
+				t.Fatal(err)
+			} else if d != "" {
+				t.Errorf("%s: %s", j.ID, d)
+			}
+		}
+	}
+}
+
+// TestPrefetchLeavesFailedBuildOut: an instance whose build fails in a
+// Prefetch batch is left out of the memo and counts no miss, the others
+// of the batch are built, and a lookup of it builds it alone and reports
+// the error a template never prefetched reports.
+func TestPrefetchLeavesFailedBuildOut(t *testing.T) {
+	gen, err := New(Config{Seed: 20211101, NumTemplates: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// broken binds a placeholder name Bind refuses, so no instance of it
+	// builds; counts are its own.
+	broken := func() *Template {
+		src := gen.Templates()[1]
+		return &Template{
+			ID: src.ID, Tables: src.Tables, TrueSel: src.TrueSel, Literals: src.Literals,
+			DailyInstances: src.DailyInstances, Tokens: src.Tokens,
+			prepared: src.prepared, names: slices.Concat([]string{"DATE!"}, src.names[1:]),
+			sites: src.sites, lookups: new(lookups),
+		}
+	}
+	const date = 9
+	bad, never := broken(), broken()
+	first, last := gen.Templates()[0], gen.Templates()[2]
+	before := gen.CompileCacheStats().Misses
+	Prefetch(date, []*Template{first, bad, last})
+	if !first.holds(date) || !last.holds(date) || bad.holds(date) {
+		t.Fatalf("memo holds date %d: first %v, broken %v, last %v; want the two that build", date, first.holds(date), bad.holds(date), last.holds(date))
+	}
+	if built := gen.CompileCacheStats().Misses - before; built != 2 || bad.lookups.misses.Load() != 0 {
+		t.Errorf("%d builds counted and %d for the failed one, want 2 and 0", built, bad.lookups.misses.Load())
+	}
+	_, err = bad.Instantiate(date, 0)
+	_, want := never.Instantiate(date, 0)
+	if err == nil || want == nil || err.Error() != want.Error() {
+		t.Errorf("Instantiate after a failed prefetch: %v; never prefetched: %v", err, want)
+	}
+	if bad.lookups.misses.Load() != 1 || bad.holds(date) {
+		t.Errorf("the lookup counted %d misses, memo holds it: %v; want one miss and no instance", bad.lookups.misses.Load(), bad.holds(date))
+	}
 }

@@ -40,6 +40,11 @@ type TableDef struct {
 	// estimation errors: the optimizer sees TrueRows*StatsRowFactor.
 	StatsRowFactor float64
 	StatsNDVFactor map[string]float64
+
+	// statsNDV is the distinct counts the optimizer sees: TrueNDV scaled
+	// by StatsNDVFactor, the same on every date, so every instance's
+	// statistics share it read-only.
+	statsNDV map[string]float64
 }
 
 // appendDateStamp appends what "@DATE@" stands for on a date:
@@ -110,32 +115,34 @@ type Template struct {
 	// binds, "DATE" and then Literals, without their '@'s.
 	prepared *scope.Prepared
 	names    []string
-	// ndv is, per table, the distinct counts the optimizer sees: TrueNDV
-	// scaled by StatsNDVFactor, the same on every date, so every
-	// instance's statistics share it read-only. sites are TrueSel's keys,
-	// sorted: the order an instance writes its site keys in.
-	ndv   []map[string]float64
+	// sites are TrueSel's keys, sorted: the order an instance writes its
+	// site keys in.
 	sites []string
 	// memo holds the instances of at most two dates, older built first,
 	// under mu: every job of an instance is an element of the instance's
-	// job slab, one per recurrence. A miss builds the instance under mu
-	// into an empty slot, or else in place of the older. JobsForDay(d)
-	// empties the slots dated before d: nothing asks for them again.
-	// lookups is the generator's count.
+	// job slab, one per recurrence. An instance a lookup's miss or
+	// Prefetch builds goes under mu into an empty slot, or else in place of
+	// the older. JobsForDay(d) empties the slots dated before d: nothing
+	// asks for them again. lookups is the generator's count.
 	mu      sync.Mutex
 	memo    [2]dated
 	lookups *lookups
 }
 
 // dated is a template's instance on one date; jobs is nil in an empty
-// memo slot, one never filled or retired by JobsForDay.
+// memo slot, one never filled or retired by JobsForDay. prefetched marks
+// an instance Prefetch built that no lookup has handed out yet: its build
+// counted the miss its first lookup would have.
 type dated struct {
-	date int
-	jobs []Job
+	date       int
+	jobs       []Job
+	prefetched bool
 }
 
 // lookups counts a generator's instance lookups, every template's: a miss
-// builds an instance, binding its graph.
+// builds an instance, binding its graph. An instance Prefetch builds
+// counts as the miss of its first lookup, which counts nothing itself, so
+// the counts are what they would be had the lookup built it.
 type lookups struct{ hits, misses atomic.Uint64 }
 
 // Job is one instance of a template on a given date. Graph, Truth, Stats
@@ -216,6 +223,16 @@ func New(cfg Config) (*Generator, error) {
 		}
 		g.templates = append(g.templates, t)
 	}
+	// Record each template hash from day 1's instance, every template's
+	// built in one batch.
+	Prefetch(1, g.templates)
+	for i, t := range g.templates {
+		j, err := t.Instantiate(1, 0)
+		if err != nil {
+			return nil, fmt.Errorf("workload: template %d: %w", i, err)
+		}
+		t.Hash = j.Graph.TemplateHash()
+	}
 	return g, nil
 }
 
@@ -231,48 +248,28 @@ func (g *Generator) CompileCacheStats() optimizer.CompileCacheStats {
 // JobsForDay returns every template's jobs on the given date. The day
 // loop has moved on to date, so each template first retires the
 // instances of earlier dates it memoizes; the next date's, which
-// flighting may already have built, stays. Every instance of the date
-// that a memo lacks is built in one batch, in two passes: the first reads
-// each memo under its template's lock and reserves room for a missing
-// instance, the second checks the memo again under the lock and builds the
-// instance in its room. Room reserved for an instance another goroutine
-// built in between stays unused; an instance whose memo lost it in
-// between is built alone.
+// flighting may already have built, stays. Prefetch then builds every
+// instance of the date that a memo lacks in one batch, and each template
+// hands out its jobs from its memo, or builds its instance alone if the
+// memo lost it in between.
 func (g *Generator) JobsForDay(date int) ([]*Job, error) {
-	b, reserved := g.reserveDay(date)
-	return g.buildDay(date, &b, reserved)
-}
-
-// reserveDay is JobsForDay's first pass: a batch with room for every
-// instance of date that its template's memo lacks, and per template
-// whether the batch holds room for it.
-func (g *Generator) reserveDay(date int) (b batch, reserved []bool) {
-	reserved = make([]bool, len(g.templates))
-	for i, t := range g.templates {
-		if !t.holds(date) {
-			b.reserve(t)
-			reserved[i] = true
-		}
+	for _, t := range g.templates {
+		t.retire(date)
 	}
-	b.make()
-	return b, reserved
+	Prefetch(date, g.templates)
+	return g.jobsOn(date)
 }
 
-// buildDay is JobsForDay's second pass: every template's jobs on date,
-// from its memo or else built in b's room for it, or alone when b holds
-// none.
-func (g *Generator) buildDay(date int, b *batch, reserved []bool) ([]*Job, error) {
+// jobsOn is JobsForDay's last step: every template's jobs on date, from
+// its memo or else built alone.
+func (g *Generator) jobsOn(date int) ([]*Job, error) {
 	n := 0
 	for _, t := range g.templates {
 		n += t.DailyInstances
 	}
 	jobs := make([]*Job, 0, n)
-	for i, t := range g.templates {
-		room := b
-		if !reserved[i] {
-			room = nil
-		}
-		inst, err := t.instance(date, true, room)
+	for _, t := range g.templates {
+		inst, err := t.instance(date)
 		if err != nil {
 			return nil, err
 		}
@@ -281,6 +278,43 @@ func (g *Generator) buildDay(date int, b *batch, reserved []bool) ([]*Job, error
 		}
 	}
 	return jobs, nil
+}
+
+// Prefetch builds, in one batch, the instance on date of every template
+// of ts whose memo lacks it, a template listed twice once, and memoizes
+// it; it hands nothing out. It works in two passes: the first reads each
+// memo under its template's lock and reserves room for a missing
+// instance, the second checks the memo again under the lock and builds
+// the instance in its room. Room reserved for an instance another
+// goroutine built in between stays unused. An instance whose build fails
+// is left out of the memo: a lookup then builds it alone and reports the
+// error.
+func Prefetch(date int, ts []*Template) {
+	b, missing := reserveMissing(date, ts)
+	buildReserved(date, &b, missing)
+}
+
+// reserveMissing is Prefetch's first pass: the distinct templates of ts
+// whose memo lacks their instance on date, and a batch with room for each.
+func reserveMissing(date int, ts []*Template) (b batch, missing []*Template) {
+	missing = make([]*Template, 0, len(ts))
+	for _, t := range ts {
+		if !slices.Contains(missing, t) && !t.holds(date) {
+			b.reserve(t)
+			missing = append(missing, t)
+		}
+	}
+	b.make()
+	return b, missing
+}
+
+// buildReserved is Prefetch's second pass: each template of missing
+// builds its instance on date in b's room for it, unless its memo holds
+// one by now.
+func buildReserved(date int, b *batch, missing []*Template) {
+	for _, t := range missing {
+		t.fill(date, b)
+	}
 }
 
 // appendJobID appends to dst the ID of job seq of template on date.
@@ -300,7 +334,7 @@ func (t *Template) Instantiate(date, seq int) (*Job, error) {
 	if seq < 0 || seq >= t.DailyInstances {
 		return nil, fmt.Errorf("workload: %s runs jobs 0 to %d a day, not %d", t.ID, t.DailyInstances-1, seq)
 	}
-	jobs, err := t.instance(date, false, nil)
+	jobs, err := t.instance(date)
 	if err != nil {
 		return nil, err
 	}
@@ -314,49 +348,76 @@ func (t *Template) holds(date int) bool {
 	return t.memoized(date) != nil
 }
 
-// memoized returns the job slab the memo holds for date, or nil. t.mu is
-// held.
-func (t *Template) memoized(date int) []Job {
-	for _, m := range t.memo {
-		if m.jobs != nil && m.date == date {
-			return m.jobs
+// memoized returns the memo slot holding date, or nil. t.mu is held.
+func (t *Template) memoized(date int) *dated {
+	for i := range t.memo {
+		if m := &t.memo[i]; m.jobs != nil && m.date == date {
+			return m
 		}
 	}
 	return nil
 }
 
-// instance returns the job slab of the template's instance on date,
-// first emptying the memo slots dated before it if retire is set. A miss
-// builds the instance in the room b reserved for it, or alone when b is
-// nil.
-func (t *Template) instance(date int, retire bool, b *batch) ([]Job, error) {
+// retire empties the memo slots dated before date.
+func (t *Template) retire(date int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for i, m := range t.memo {
-		if retire && m.date < date {
+		if m.date < date {
 			t.memo[i] = dated{}
 		}
 	}
-	if jobs := t.memoized(date); jobs != nil {
-		t.lookups.hits.Add(1)
-		return jobs, nil
+}
+
+// instance returns the job slab of the template's instance on date. A
+// miss builds the instance alone.
+func (t *Template) instance(date int) ([]Job, error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if m := t.memoized(date); m != nil {
+		if m.prefetched {
+			m.prefetched = false
+		} else {
+			t.lookups.hits.Add(1)
+		}
+		return m.jobs, nil
 	}
 	t.lookups.misses.Add(1)
 	var lone batch
-	if b == nil {
-		lone.reserve(t)
-		lone.make()
-		b = &lone
-	}
-	jobs, err := t.instantiate(date, b)
+	lone.reserve(t)
+	lone.make()
+	jobs, err := t.instantiate(date, &lone)
 	if err != nil {
 		return nil, err
 	}
+	t.memoize(dated{date: date, jobs: jobs})
+	return jobs, nil
+}
+
+// fill builds the template's instance on date in the room b reserved for
+// it and memoizes it as prefetched, unless the memo holds the date
+// already or the build fails.
+func (t *Template) fill(date int, b *batch) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.memoized(date) != nil {
+		return
+	}
+	jobs, err := t.instantiate(date, b)
+	if err != nil {
+		return
+	}
+	t.lookups.misses.Add(1)
+	t.memoize(dated{date: date, jobs: jobs, prefetched: true})
+}
+
+// memoize puts m into an empty slot, or else in place of the older. t.mu
+// is held.
+func (t *Template) memoize(m dated) {
 	if t.memo[1].jobs != nil {
 		t.memo[0] = t.memo[1]
 	}
-	t.memo[1] = dated{date, jobs}
-	return jobs, nil
+	t.memo[1] = m
 }
 
 // batch is the storage a run of instances is built in: their bound
@@ -515,7 +576,7 @@ func (t *Template) instantiate(date int, b *batch) ([]Job, error) {
 		Sites: keys[nt:], Sel: vals[2*nt:],
 		JitterSeed: hashed("jitter", t.ID),
 	}
-	f.stats = instanceStats{paths: keys[:nt:nt], rows: vals[nt : 2*nt : 2*nt], ndv: t.ndv}
+	f.stats = instanceStats{paths: keys[:nt:nt], rows: vals[nt : 2*nt : 2*nt], tables: t.Tables}
 
 	jobs := cut(&b.jobs, t.DailyInstances)
 	for seq := range jobs {
@@ -547,11 +608,11 @@ type facts struct {
 
 // instanceStats is the optimizer-visible statistics of an instance:
 // estimated rows parallel to its dated table paths, and the template's
-// distinct counts, by table position.
+// tables, whose distinct counts they share, by table position.
 type instanceStats struct {
-	paths []string
-	rows  []float64
-	ndv   []map[string]float64
+	paths  []string
+	rows   []float64
+	tables []TableDef
 }
 
 // TableStats implements optimizer.StatsProvider. The last table with the
@@ -559,7 +620,7 @@ type instanceStats struct {
 func (st *instanceStats) TableStats(path string) (optimizer.TableStats, bool) {
 	for i := len(st.paths) - 1; i >= 0; i-- {
 		if st.paths[i] == path {
-			return optimizer.TableStats{Rows: st.rows[i], NDV: st.ndv[i]}, true
+			return optimizer.TableStats{Rows: st.rows[i], NDV: st.tables[i].statsNDV}, true
 		}
 	}
 	return optimizer.TableStats{}, false
@@ -597,29 +658,22 @@ func buildTemplate(seed int64, idx, maxDaily int, lookups *lookups) (*Template, 
 	for _, lit := range t.Literals {
 		t.names = append(t.names, strings.Trim(lit, "@"))
 	}
-	for _, tab := range t.Tables {
-		ndv := make(map[string]float64, len(tab.TrueNDV))
+	for i := range t.Tables {
+		tab := &t.Tables[i]
+		tab.statsNDV = make(map[string]float64, len(tab.TrueNDV))
 		for col, v := range tab.TrueNDV {
 			f := tab.StatsNDVFactor[col]
 			if f == 0 {
 				f = 1
 			}
-			ndv[col] = math.Max(1, v*f)
+			tab.statsNDV[col] = math.Max(1, v*f)
 		}
-		t.ndv = append(t.ndv, ndv)
 	}
 	t.sites = slices.Sorted(maps.Keys(t.TrueSel))
 	var err error
 	if t.prepared, err = scope.Prepare(t.ScriptPattern); err != nil {
 		return nil, fmt.Errorf("workload: template %s does not compile: %w", t.ID, err)
 	}
-
-	// Record the template hash, from day 1's instance.
-	j, err := t.Instantiate(1, 0)
-	if err != nil {
-		return nil, err
-	}
-	t.Hash = j.Graph.TemplateHash()
 	return t, nil
 }
 
