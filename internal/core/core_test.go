@@ -824,17 +824,26 @@ func TestRunDaysRewriteEachInstanceConfigOnce(t *testing.T) {
 // exactly the instances the flights look ahead to — none for a flight
 // that fails, times out or is skipped — and JobsForDay builds the rest.
 // A change that moves either count builds more or fewer instances, or
-// counts them otherwise.
+// counts them otherwise. It also pins the leg's rewrites and their
+// reuses, the process's CompileCacheTotals over the leg, at their counts
+// when every kept rewrite was a heap Clone: where a rewrite is kept
+// changes neither how many run nor which lookups reuse one.
 func TestRunLoopInstanceBuilds(t *testing.T) {
 	const seed, templates, days = 1, 12, 6
 	gen, err := workload.New(workload.Config{Seed: seed, NumTemplates: templates, MaxDailyInstances: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	before := optimizer.CompileCacheTotals()
 	if _, err := runLoop(rules.NewCatalog(), gen, seed, days, nil); err != nil {
 		t.Fatal(err)
 	}
+	after := optimizer.CompileCacheTotals()
 	if got, want := gen.CompileCacheStats(), (optimizer.CompileCacheStats{Hits: 50, Misses: 76}); got != want {
 		t.Errorf("the leg's instance lookups: %+v, want %+v", got, want)
+	}
+	rewrites := optimizer.CompileCacheStats{Hits: after.Hits - before.Hits, Misses: after.Misses - before.Misses}
+	if want := (optimizer.CompileCacheStats{Hits: 263, Misses: 121}); rewrites != want {
+		t.Errorf("the leg's rewrite lookups: %+v, want %+v", rewrites, want)
 	}
 }

@@ -21,9 +21,9 @@ const compileCacheSize = 16
 // on average, and 222 of the 239 memos live at its end hold one. With one
 // inline certificate a one-rewrite memo takes no more memory than a cache
 // pointing at a heap list of one; two would add a certificate's 128 bytes
-// to every instance for 0.07 fewer allocations per job (GC off,
-// GOMAXPROCS 1: 10.37 per job with one, 10.30 with two; the live heap
-// after the leg −0.1 % and +0.2 % against a cache with a heap list).
+// to every instance for 0.07 fewer allocations per job (qobench
+// pipeline_day at GOMAXPROCS 1: 4.00 per job with one, 3.94 with two, and
+// heap_live_mb +0.2 % with two).
 const (
 	compileCacheInline = 1
 	compileCacheSpill  = 4
@@ -63,6 +63,13 @@ const (
 // memo of one rewrite allocates no list; a second moves the list to the
 // heap, whole, with room for compileCacheSpill.
 //
+// A cache keeps each rewrite it adds as a copy of the rewrite's result: in
+// the scope.Store KeepIn gave it — workload gives every instance of a
+// batch its batch's store, so a day's kept rewrites take a few chunks —
+// or, without one, as a Graph.Clone on the heap, four allocations each. A
+// copy in a store lives as long as the store, an evicted certificate's
+// too.
+//
 // A cache belongs to one job instance: workload holds it by value in the
 // instance's facts, beside the instance's graph header and statistics,
 // and (*workload.Job).CompileOptions hands the three out together, so
@@ -77,6 +84,8 @@ type CompileCache struct {
 	certs        []certificate
 	inline       [compileCacheInline]certificate
 	hits, misses uint64
+	// store holds the rewrites the cache keeps, or is nil for the heap.
+	store *scope.Store
 }
 
 // A certificate is one rewrite of graph with what it read of its
@@ -112,7 +121,7 @@ func (c *CompileCache) logical(g *scope.Graph, cfg rules.Config, cat *rules.Cata
 	}
 	c.misses++
 	rewriteMisses.Add(1)
-	work, sig, asked, err := rewriteLogical(g, cfg, cat, stats)
+	work, sig, asked, err := rewriteLogical(g, cfg, cat, stats, c.store)
 	c.add(certificate{graph: g, asked: asked, on: cfg.Intersect(asked), work: work, sig: sig, err: err})
 	return work, sig, err
 }
@@ -134,6 +143,11 @@ func (c *CompileCache) add(e certificate) {
 	}
 	c.certs = append(c.certs, e)
 }
+
+// KeepIn makes c keep each rewrite it adds in s: a copy into s's chunks
+// in place of a Graph.Clone onto the heap, which lives as long as s does.
+// Call it before c's first lookup.
+func (c *CompileCache) KeepIn(s *scope.Store) { c.store = s }
 
 // Stats snapshots the cache's lookups.
 func (c *CompileCache) Stats() CompileCacheStats {

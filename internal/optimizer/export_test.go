@@ -19,7 +19,7 @@ var Gate = gate
 // It skips Optimize's up-front rejections, so compare only configurations
 // Optimize accepts. Its builder is never pooled.
 func OptimizeTuningByRule(g *scope.Graph, cfg rules.Config, opts Options) (*Result, error) {
-	work, sig, _, err := rewriteLogical(g, cfg, opts.Catalog, opts.Stats)
+	work, sig, _, err := rewriteLogical(g, cfg, opts.Catalog, opts.Stats, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -57,7 +57,7 @@ func OptimizeTuningByRule(g *scope.Graph, cfg rules.Config, opts Options) (*Resu
 // plan's keyed schemes (keyed is how many), every one of which the
 // builder has interned, and publish of the finished plan.
 func LoweringAllocs(g *scope.Graph, cfg rules.Config, opts Options) (scheme, publish float64, keyed int, err error) {
-	work, sig, _, err := rewriteLogical(g, cfg, opts.Catalog, opts.Stats)
+	work, sig, _, err := rewriteLogical(g, cfg, opts.Catalog, opts.Stats, nil)
 	if err != nil {
 		return 0, 0, 0, err
 	}
@@ -91,7 +91,7 @@ func RewriteOnHeap(g *scope.Graph, cfg rules.Config, opts Options) (*scope.Graph
 	if cat == nil {
 		cat = canonicalCatalog()
 	}
-	work, sig, _ := new(rewriter).rewrite(g.Clone(), cfg, cat, opts.Stats)
+	work, sig, _ := new(rewriter).rewrite(g.Clone(), cfg, cat, opts.Stats, nil)
 	if err := checkExperimentalValidity(work, cfg, cat, sig); err != nil {
 		return nil, err
 	}
@@ -154,4 +154,16 @@ func rewriterPins(rw *rewriter) []string {
 func notNil[T comparable](x T) bool {
 	var zero T
 	return x != zero
+}
+
+// RewriteInto is the logical phase of Optimize(g, cfg, opts) without a
+// cache, its rewrite kept in dst, or on the heap when dst is nil: the
+// rewritten graph, its signature and the compilation's error.
+func RewriteInto(g *scope.Graph, cfg rules.Config, opts Options, dst *scope.Store) (*scope.Graph, rules.Signature, error) {
+	cat := opts.Catalog
+	if cat == nil {
+		cat = canonicalCatalog()
+	}
+	work, sig, _, err := rewriteLogical(g, cfg, cat, opts.Stats, dst)
+	return work, sig, err
 }

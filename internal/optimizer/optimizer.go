@@ -203,7 +203,7 @@ func compile(g *scope.Graph, cfg rules.Config, opts Options) (*scope.Graph, *imp
 	if opts.Cache != nil {
 		work, sig, err = opts.Cache.logical(g, cfg, cat, opts.Stats)
 	} else {
-		work, sig, _, err = rewriteLogical(g, cfg, cat, opts.Stats)
+		work, sig, _, err = rewriteLogical(g, cfg, cat, opts.Stats, nil)
 	}
 	if err != nil {
 		return nil, nil, err
@@ -222,19 +222,19 @@ func compile(g *scope.Graph, cfg rules.Config, opts Options) (*scope.Graph, *imp
 
 // rewriteLogical runs the logical phase of a compilation on a pooled
 // rewriter: copy the input DAG into the rewriter's scratch, apply the
-// enabled rewrites to fixpoint, compact the result onto the heap and run
-// the experimental validity check. The returned graph is final — nothing
-// downstream (the implBuilder, the execution simulator, view building)
-// mutates logical nodes, which is what makes the result cacheable and
-// shareable.
+// enabled rewrites to fixpoint, copy the result into dst — a CompileCache's
+// store, or the heap when dst is nil — and run the experimental validity
+// check. The returned graph is final — nothing downstream (the
+// implBuilder, the execution simulator, view building) mutates logical
+// nodes, which is what makes the result cacheable and shareable.
 //
 // asked is the set of rules whose setting the phase read: every rule
 // ruleTable.pick answered for, the fired ones among them. The rewrite
 // reads cfg nowhere else, so its graph, signature and error are a function
 // of g, stats and cfg ∩ asked — the certificate CompileCache reuses it by.
-func rewriteLogical(g *scope.Graph, cfg rules.Config, cat *rules.Catalog, stats StatsProvider) (work *scope.Graph, sig rules.Signature, asked rules.Bitset, err error) {
+func rewriteLogical(g *scope.Graph, cfg rules.Config, cat *rules.Catalog, stats StatsProvider, dst *scope.Store) (work *scope.Graph, sig rules.Signature, asked rules.Bitset, err error) {
 	rw := rewriterPool.Get().(*rewriter)
-	work, sig, asked = rw.rewrite(rw.scratch.Clone(g), cfg, cat, stats)
+	work, sig, asked = rw.rewrite(rw.scratch.Clone(g), cfg, cat, stats, dst)
 	rw.release()
 	if err := checkExperimentalValidity(work, cfg, cat, sig); err != nil {
 		return nil, sig, asked, err
@@ -242,10 +242,10 @@ func rewriteLogical(g *scope.Graph, cfg rules.Config, cat *rules.Catalog, stats 
 	return work, sig, asked, nil
 }
 
-// rewrite rewrites the working copy wc in place and returns a Clone of
-// it: the one allocation of the rewritten DAG, holding only the nodes
-// still reachable, and none of wc's memory.
-func (rw *rewriter) rewrite(wc *scope.Graph, cfg rules.Config, cat *rules.Catalog, stats StatsProvider) (*scope.Graph, rules.Signature, rules.Bitset) {
+// rewrite rewrites the working copy wc in place and returns a copy of it
+// in dst (Store.Clone: the heap when dst is nil), holding only the nodes
+// still reachable and none of wc's memory.
+func (rw *rewriter) rewrite(wc *scope.Graph, cfg rules.Config, cat *rules.Catalog, stats StatsProvider, dst *scope.Store) (*scope.Graph, rules.Signature, rules.Bitset) {
 	rw.sig = rules.Signature{}
 	for _, r := range cat.Rules(rules.Required) {
 		rw.sig.Record(r.ID) // normalization always runs
@@ -255,7 +255,7 @@ func (rw *rewriter) rewrite(wc *scope.Graph, cfg rules.Config, cat *rules.Catalo
 	rw.g, rw.stats, rw.env = wc, stats, &rw.estimation
 	rw.noMerge = rw.noMerge[:0]
 	rw.run()
-	return rw.g.Clone(), rw.sig, rw.asked
+	return dst.Clone(rw.g), rw.sig, rw.asked
 }
 
 // checkExperimentalValidity models the riskiness of off-by-default rules:

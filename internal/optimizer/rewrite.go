@@ -19,9 +19,10 @@ const maxRewriteFires = 400
 // outlives the rewrite in rewriterPool, unreachable from the graph.
 //
 // In rewriteLogical the graph it rewrites is a working copy in scratch,
-// and so is every node a rewrite makes: the Clone that rewrite returns is
-// the one allocation of the DAG, and release clears the working copy
-// before the rewriter is pooled, as implBuilder.release clears its chunks.
+// and so is every node a rewrite makes: the copy that rewrite returns, in
+// its cache's store or a heap Clone, is the only memory of the DAG the
+// compilation keeps, and release clears the working copy before the
+// rewriter is pooled, as implBuilder.release clears its chunks.
 type rewriter struct {
 	ruleTable
 	g       *scope.Graph

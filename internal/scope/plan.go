@@ -302,13 +302,29 @@ func appendSubtree(dst []*Node, seen []bool, n *Node) []*Node {
 // []Node, every Inputs and the Roots in one []*Node, every Projs in one
 // []NamedExpr. Each node's slices are capped subslices of those, so
 // appending to one reallocates it rather than writing over a neighbour's.
-// Nodes g made but no longer reaches are not copied, so Clone of a working
-// copy is what outlives its rewrite.
-func (g *Graph) Clone() *Graph { return g.cloneInto(nil) }
+// Nodes g made but no longer reaches are not copied, so a Clone of a
+// working copy holds none of the rewrite's garbage: it, or Store.Clone's
+// copy into storage that dies with its batch, is what outlives a rewrite.
+func (g *Graph) Clone() *Graph { return g.cloneInto(onHeap{}) }
 
-// cloneInto is Clone into s's storage, which must be empty, or onto the
-// heap when s is nil: the one copy loop of both.
-func (g *Graph) cloneInto(s *Scratch) *Graph {
+// cloneRoom is where cloneInto puts a copy: the heap, a Scratch or a
+// Store. room returns an empty graph header for the copy and room for its
+// nodes, for every Inputs and the Roots, and for every Projs, each exactly
+// as long as asked.
+type cloneRoom interface {
+	room(nodes, ptrs, projs int) (*Graph, []Node, []*Node, []NamedExpr)
+}
+
+// onHeap is Clone's room: four allocations sized exactly.
+type onHeap struct{}
+
+func (onHeap) room(nodes, ptrs, projs int) (*Graph, []Node, []*Node, []NamedExpr) {
+	return new(Graph), make([]Node, nodes), make([]*Node, ptrs), make([]NamedExpr, projs)
+}
+
+// cloneInto is the one copy loop of Clone, Scratch.Clone and Store.Clone:
+// it counts what g reaches, takes that room from dst and copies g there.
+func (g *Graph) cloneInto(dst cloneRoom) *Graph {
 	// Graphs of up to cloneStack IDs walk and map on the stack.
 	const cloneStack = 128
 	var seenBuf [cloneStack]bool
@@ -324,18 +340,8 @@ func (g *Graph) cloneInto(s *Scratch) *Graph {
 		nptrs += len(n.Inputs)
 		nprojs += len(n.Projs)
 	}
-	var clone *Graph
-	var nodes []Node
-	var ptrs []*Node
-	var projs []NamedExpr
-	if s == nil {
-		clone = &Graph{nextID: g.nextID}
-		nodes, ptrs, projs = make([]Node, len(order)), make([]*Node, nptrs), make([]NamedExpr, nprojs)
-	} else {
-		s.g = Graph{nextID: g.nextID, scratch: s}
-		clone = &s.g
-		nodes, ptrs, projs = s.takeNodes(len(order)), carve(&s.ptrs, nptrs), carve(&s.projs, nprojs)
-	}
+	clone, nodes, ptrs, projs := dst.room(len(order), nptrs, nprojs)
+	clone.nextID = g.nextID
 	for i, n := range order {
 		c := &nodes[i]
 		*c = *n
@@ -360,9 +366,10 @@ func (g *Graph) cloneInto(s *Scratch) *Graph {
 // place: Clone copies a graph into it, and the copy's NewNode makes its
 // nodes and their Inputs there too, so neither costs an allocation once
 // the storage has grown to the largest graph it held. What the rewrite
-// keeps is a Clone of the working copy, which lies on the heap and shares
-// none of it. The working copy is valid until the next Clone or Reset.
-// A Scratch is not safe for concurrent use; its zero value is empty.
+// keeps is a copy of the working copy — a Graph.Clone on the heap or a
+// Store.Clone — which shares none of the scratch. The working copy is
+// valid until the next Clone or Reset. A Scratch is not safe for
+// concurrent use; its zero value is empty.
 type Scratch struct {
 	g Graph // the working copy
 
@@ -385,6 +392,13 @@ const scratchChunk = 64
 func (s *Scratch) Clone(g *Graph) *Graph {
 	s.Reset()
 	return g.cloneInto(s)
+}
+
+// room is the working copy's header, which makes its nodes in s, and
+// room in s's storage.
+func (s *Scratch) room(nodes, ptrs, projs int) (*Graph, []Node, []*Node, []NamedExpr) {
+	s.g = Graph{scratch: s}
+	return &s.g, s.takeNodes(nodes), carve(&s.ptrs, ptrs), carve(&s.projs, projs)
 }
 
 // Reset clears what s holds, so that a pooled Scratch points into no

@@ -21,7 +21,8 @@ type Prepared struct {
 	// a binding may not touch.
 	open, fixed []string
 
-	// room is what one binding takes from its Slabs.
+	// room is what one binding takes from its Slabs, and what a Store's
+	// copy of it takes.
 	room slabSizes
 }
 
@@ -41,6 +42,11 @@ type slabSizes struct {
 	// ints counts the distinct placeholders of Preds and JoinConds: the
 	// most integer literals a binding makes, one per name.
 	ints int
+	// A binding's header is its caller's and its Projs are the prepared
+	// DAG's, so Make makes neither; a Store's copy of the binding takes a
+	// header of its own, graphs, and its own Projs, len(Projs) summed over
+	// nodes.
+	graphs, projs int
 }
 
 func (z *slabSizes) add(o slabSizes) {
@@ -49,6 +55,8 @@ func (z *slabSizes) add(o slabSizes) {
 	z.cols += o.cols
 	z.spines += o.spines
 	z.ints += o.ints
+	z.graphs += o.graphs
+	z.projs += o.projs
 }
 
 // Prepare parses and compiles a script whose literals are placeholders.
@@ -65,7 +73,7 @@ func Prepare(src string) (*Prepared, error) {
 		return nil, err
 	}
 	p := &Prepared{g: g, nodes: g.Nodes()}
-	p.room.nodes, p.room.ptrs = len(p.nodes), len(g.Roots)
+	p.room.nodes, p.room.ptrs, p.room.graphs = len(p.nodes), len(g.Roots), 1
 	var params []string
 	for _, n := range p.nodes {
 		p.room.ptrs += len(n.Inputs)
@@ -90,6 +98,7 @@ func Prepare(src string) (*Prepared, error) {
 			p.room.spines += k
 			params = appendParams(params, e)
 		}
+		p.room.projs += len(n.Projs)
 		for _, pe := range n.Projs {
 			p.fixed = appendMarkedLits(p.fixed, pe.E)
 		}

@@ -4,7 +4,10 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
+
+	"qoadvisor/internal/budget"
 )
 
 // renderDAG renders g's reachable nodes with every field a rewrite writes
@@ -175,4 +178,124 @@ func (s *Scratch) pins() string {
 		}
 	}
 	return strings.Join(pins, ", ")
+}
+
+// TestStoreCopiesStandApart: copies a Store keeps, made from several
+// goroutines at once into chunks that start at the room counted for one
+// and then fill and skip their tails, each render as a heap Clone does, and
+// each owns its nodes, Inputs, Roots and Projs: appending to a copy's
+// slices writes over no other copy, and writing through them changes no
+// other copy or the source. A nil Store clones onto the heap.
+func TestStoreCopiesStandApart(t *testing.T) {
+	src := `
+a = EXTRACT k:int, v:int FROM "a.tsv";
+p = SELECT k, v + 1 AS v1, v * 2 AS v2 FROM a;
+j = SELECT p.k, v1 FROM p JOIN a ON p.k == a.k;
+OUTPUT j TO "j.tsv";
+OUTPUT p TO "p.tsv";`
+	p, err := Prepare(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := mustCompile(t, src)
+	want := renderDAG(g)
+	var slabs Slabs
+	slabs.Reserve(p)
+	s := NewStore(&slabs)
+	const workers, each = 4, 10
+	copies := make([]*Graph, workers*each)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w * each; i < (w+1)*each; i++ {
+				copies[i] = s.Clone(g)
+			}
+		}(w)
+	}
+	wg.Wait()
+	source := map[int]*Node{}
+	for _, n := range g.Nodes() {
+		source[n.ID] = n
+	}
+	nodes := make([][]*Node, len(copies))
+	for i, c := range copies {
+		if r := renderDAG(c); r != want {
+			t.Fatalf("copy %d renders\n%s\nwant\n%s", i, r, want)
+		}
+		nodes[i] = c.Nodes()
+	}
+	for i, c := range copies {
+		for _, n := range nodes[i] {
+			n.Inputs = append(n.Inputs, n)
+			if n.Projs != nil {
+				n.Projs[0].Name += "_w"
+				n.Projs = append(n.Projs, NamedExpr{Name: "x"})
+			}
+		}
+		c.Roots = append(c.Roots, c.Roots[0])
+	}
+	for i, c := range copies {
+		for _, n := range nodes[i] {
+			in, sn := n.Inputs, source[n.ID]
+			if len(in) != len(sn.Inputs)+1 || in[len(in)-1] != n {
+				t.Fatalf("copy %d: another copy's writes reached node #%d's Inputs", i, n.ID)
+			}
+			for k, x := range in[:len(in)-1] {
+				if x.ID != sn.Inputs[k].ID {
+					t.Fatalf("copy %d: another copy's writes reached node #%d's Inputs", i, n.ID)
+				}
+			}
+			if sn.Projs != nil && (len(n.Projs) != len(sn.Projs)+1 || n.Projs[len(n.Projs)-1].Name != "x" || n.Projs[0].Name != sn.Projs[0].Name+"_w") {
+				t.Fatalf("copy %d: another copy's writes reached node #%d's Projs: %v", i, n.ID, n.Projs)
+			}
+		}
+		if len(c.Roots) != len(g.Roots)+1 || c.Roots[len(c.Roots)-1] != c.Roots[0] {
+			t.Fatalf("copy %d: another copy's writes reached its Roots", i)
+		}
+	}
+	if r := renderDAG(g); r != want {
+		t.Errorf("the source changed:\n%s", r)
+	}
+	var none *Store
+	if c := none.Clone(g); renderDAG(c) != want {
+		t.Errorf("a nil Store's copy renders\n%s", renderDAG(c))
+	}
+}
+
+// TestStoreChunkAllocs pins how a Store grows: sized for n bindings, it
+// takes its first chunk of each kind with the first copy, holds n copies
+// there, storeCopies more in one later chunk of each kind, and a copy
+// past those in a chunk of each kind twice as long: each step is four
+// allocations, one per kind, and the copy loop itself allocates nothing.
+func TestStoreChunkAllocs(t *testing.T) {
+	budget.SkipRace(t)
+	const n = 8
+	src := `
+a = EXTRACT k:int, v:int FROM "a.tsv";
+p = SELECT k, v + 1 AS v1 FROM a;
+OUTPUT p TO "p.tsv";`
+	p, err := Prepare(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := mustCompile(t, src)
+	for _, c := range []struct{ copies, chunks int }{
+		{1, 4}, {n, 4}, {n + 1, 8}, {n + storeCopies, 8}, {n + storeCopies + 1, 12}, {n + 3*storeCopies, 12},
+	} {
+		var slabs Slabs
+		for range n {
+			slabs.Reserve(p)
+		}
+		allocs := testing.AllocsPerRun(10, func() {
+			s := NewStore(&slabs)
+			for range c.copies {
+				s.Clone(g)
+			}
+		})
+		if want := float64(1 + c.chunks); allocs != want {
+			t.Errorf("%d copies into a store sized for %d: %v allocations, want the store and %d chunks", c.copies, n, allocs, c.chunks)
+		}
+	}
 }

@@ -4,10 +4,16 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"sync"
 	"testing"
 	"weak"
+
+	"qoadvisor/internal/budget"
+	"qoadvisor/internal/optimizer"
+	"qoadvisor/internal/rules"
+	"qoadvisor/internal/scope"
 )
 
 // instanceDiff describes how job a's instance differs from job b's: the
@@ -228,9 +234,11 @@ func TestJobsForDayBetweenPasses(t *testing.T) {
 }
 
 // batchSlabs reports, for every slab of the batch JobsForDay(date) builds
-// on gen — the job, facts, key, float and bound graph node slabs — whether
-// it is still alive, through a weak pointer into it; it keeps no job of
-// the day.
+// on gen — the job, facts, key, float and bound graph node slabs, and the
+// node and graph-header chunks of the store its instances keep their
+// rewrites in — whether it is still alive, through a weak pointer into it.
+// It compiles every instance of the day once, as production does, and
+// keeps no job of the day and no compilation.
 func batchSlabs(t *testing.T, gen *Generator, date int) map[string]func() bool {
 	t.Helper()
 	before := gen.CompileCacheStats().Misses
@@ -241,13 +249,29 @@ func batchSlabs(t *testing.T, gen *Generator, date int) map[string]func() bool {
 	if built := gen.CompileCacheStats().Misses - before; built != uint64(len(gen.Templates())) {
 		t.Fatalf("JobsForDay(%d) built %d instances of %d templates; the batch is not the whole day", date, built, len(gen.Templates()))
 	}
+	cat := rules.NewCatalog()
+	var kept *scope.Graph
+	for _, j := range jobs {
+		if j.Seq != 0 {
+			continue
+		}
+		res, err := optimizer.Optimize(j.Graph, cat.DefaultConfig(), j.CompileOptions(cat))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if kept == nil {
+			kept = res.Logical
+		}
+	}
 	j := jobs[0]
 	return map[string]func() bool{
-		"jobs":   alive(j),
-		"facts":  alive(j.facts),
-		"keys":   alive(&j.Truth.Paths[0]),
-		"floats": alive(&j.Truth.Rows[0]),
-		"nodes":  alive(j.Graph.Roots[0]),
+		"jobs":           alive(j),
+		"facts":          alive(j.facts),
+		"keys":           alive(&j.Truth.Paths[0]),
+		"floats":         alive(&j.Truth.Rows[0]),
+		"nodes":          alive(j.Graph.Roots[0]),
+		"rewrite nodes":  alive(kept.Roots[0]),
+		"rewrite graphs": alive(kept),
 	}
 }
 
@@ -259,10 +283,12 @@ func alive[T any](p *T) func() bool {
 }
 
 // TestJobsForDayFreesPastBatch: a day's instances share their batch's
-// slabs, so one instance a consumer keeps keeps the whole day. Once
-// JobsForDay(d+1) has retired day d and nothing else holds a day-d job,
-// one collection frees every slab of day d's batch: neither the memo nor
-// a pooled scratch pins it.
+// slabs and the store their rewrites are kept in, so one instance a
+// consumer keeps keeps the whole day. Once every instance of day d has
+// compiled and JobsForDay(d+1) has retired day d, and nothing else holds
+// a day-d job or compilation, one collection frees every slab of day d's
+// batch and every chunk of its store: neither the memo, a pooled scratch
+// nor the generator pins them.
 func TestJobsForDayFreesPastBatch(t *testing.T) {
 	gen, err := New(Config{Seed: 20211101, NumTemplates: 12})
 	if err != nil {
@@ -448,4 +474,134 @@ func TestPrefetchLeavesFailedBuildOut(t *testing.T) {
 	if bad.lookups.misses.Load() != 1 || bad.holds(date) {
 		t.Errorf("the lookup counted %d misses, memo holds it: %v; want one miss and no instance", bad.lookups.misses.Load(), bad.holds(date))
 	}
+}
+
+// TestBatchRewritesConcurrentMatchHeap: goroutines compile every instance
+// of one batch at once, each instance under the default configuration and
+// single flips, each goroutine in its own order, so the instances' memos
+// keep their rewrites in the batch's one store concurrently (CI runs it
+// under -race, repeatedly). Every compilation equals the one a cache
+// without a store gives.
+func TestBatchRewritesConcurrentMatchHeap(t *testing.T) {
+	gen, err := New(Config{Seed: 20211101, NumTemplates: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs, err := gen.JobsForDay(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat := rules.NewCatalog()
+	configs := []rules.Config{cat.DefaultConfig()}
+	for _, r := range cat.All() {
+		if r.Category != rules.Required && len(configs) < 6 {
+			configs = append(configs, cat.DefaultConfig().WithFlip(cat.FlipFor(r.ID)))
+		}
+	}
+	type compile struct {
+		job *Job
+		cfg rules.Config
+	}
+	var compiles []compile
+	for _, j := range jobs {
+		if j.Seq == 0 {
+			for _, cfg := range configs {
+				compiles = append(compiles, compile{j, cfg})
+			}
+		}
+	}
+	want := make([]*optimizer.Result, len(compiles))
+	wantErr := make([]error, len(compiles))
+	for i, c := range compiles {
+		opts := optimizer.Options{Catalog: cat, Stats: c.job.Stats, Tokens: c.job.Tokens, Cache: new(optimizer.CompileCache)}
+		want[i], wantErr[i] = optimizer.Optimize(c.job.Graph, c.cfg, opts)
+	}
+	const workers = 4
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for k := range compiles {
+				i := (k + w*len(compiles)/workers) % len(compiles)
+				c := compiles[i]
+				got, err := optimizer.Optimize(c.job.Graph, c.cfg, c.job.CompileOptions(cat))
+				if d := compilationDiff(got, err, want[i], wantErr[i]); d != "" {
+					t.Errorf("%s %v: %s", c.job.ID, c.cfg, d)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+}
+
+// compilationDiff reports how a compilation differs from a reference: in
+// its error, rewritten graph, signature, estimated cost or plan.
+func compilationDiff(got *optimizer.Result, gotErr error, want *optimizer.Result, wantErr error) string {
+	switch {
+	case (gotErr == nil) != (wantErr == nil) || gotErr != nil && gotErr.Error() != wantErr.Error():
+		return fmt.Sprintf("error %v, want %v", gotErr, wantErr)
+	case gotErr != nil:
+		return ""
+	case got.Logical.IDBound() != want.Logical.IDBound() || !reflect.DeepEqual(got.Logical.Roots, want.Logical.Roots):
+		return "rewritten graph\n" + got.Logical.String() + "want\n" + want.Logical.String()
+	case !got.Signature.Equal(want.Signature.Bitset):
+		return "signature " + got.Signature.String() + ", want " + want.Signature.String()
+	case got.EstCost != want.EstCost || !reflect.DeepEqual(got.Plan, want.Plan):
+		return "physical plan differs"
+	}
+	return ""
+}
+
+// TestKeptRewriteAllocBudget gates what a rewrite a day's instance keeps
+// allocates: the first compilation of each of a fresh date's 40
+// instances, built in one batch, which rewrites and keeps the rewrite in
+// the batch's store, less the same 40 compilations again, which find it
+// in their memos and only lower, per kept rewrite. A rewrite kept as a
+// heap Clone would add that clone's four allocations.
+func TestKeptRewriteAllocBudget(t *testing.T) {
+	budget.SkipRace(t)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	gen, err := New(Config{Seed: 20211101, NumTemplates: 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat := rules.NewCatalog()
+	compileDay := func(date int) func() uint64 {
+		jobs, err := gen.JobsForDay(date)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return func() uint64 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for _, j := range jobs {
+				if j.Seq != 0 {
+					continue
+				}
+				if _, err := optimizer.Optimize(j.Graph, cat.DefaultConfig(), j.CompileOptions(cat)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			runtime.ReadMemStats(&after)
+			return after.Mallocs - before.Mallocs
+		}
+	}
+	compileDay(2)() // warms the pools every compilation draws on
+	// No collection from here on: one would empty the pools it warmed.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	day := compileDay(3)
+	budget.Gate(t, "workload.kept_rewrite", func() float64 {
+		before := optimizer.CompileCacheTotals()
+		first := day()
+		again := day()
+		after := optimizer.CompileCacheTotals()
+		kept := after.Misses - before.Misses
+		if kept != uint64(len(gen.Templates())) || after.Hits-before.Hits != kept {
+			t.Fatalf("%d rewrites and %d reuses, want one rewrite and one reuse per instance", kept, after.Hits-before.Hits)
+		}
+		t.Logf("%d rewrites kept: %d allocations, %d through the warm memos", kept, first, again)
+		return (float64(first) - float64(again)) / float64(kept)
+	})
 }

@@ -420,20 +420,26 @@ func (t *Template) memoize(m dated) {
 	t.memo[1] = m
 }
 
-// batch is the storage a run of instances is built in: their bound
-// graphs' slabs, and one slab each of keys, floats, facts blocks and jobs.
-// reserve counts one instance of a template, make allocates what was
-// counted, one allocation per kind, and instantiate cuts each instance's
-// room as capped subslices. The sizes are the template's: its prepared
-// script's counts, len(Tables), len(sites) and DailyInstances. A lone
-// instance is a batch of one; every instance of a batch keeps the whole
-// batch alive.
+// batch is the storage a run of instances is built in and keeps what they
+// accumulate: their bound graphs' slabs, one slab each of keys, floats,
+// facts blocks and jobs, and the store their rewrite memos keep their
+// rewrites in. reserve counts one instance of a template, make allocates
+// what was counted, one allocation per kind, and instantiate cuts each
+// instance's room as capped subslices. The sizes are the template's: its
+// prepared script's counts, len(Tables), len(sites) and DailyInstances;
+// the store's first chunks hold one rewrite of each instance's bound
+// graph, made when a memo first keeps one. A lone instance is a batch of
+// one, which keeps its rewrites on the heap: a store would cost its own
+// header beside the same four chunks. Every instance of a batch keeps the
+// whole batch alive, store and all, and retiring the last of them frees
+// it.
 type batch struct {
 	graphs   scope.Slabs
 	keys     []string
 	floats   []float64
 	facts    []facts
 	jobs     []Job
+	rewrites *scope.Store // nil in a batch of one
 	reserved instanceSizes
 }
 
@@ -451,9 +457,13 @@ func (b *batch) reserve(t *Template) {
 	b.reserved.jobs += t.DailyInstances
 }
 
-// make allocates the room reserve counted.
+// make allocates the room reserve counted, and a store sized from the
+// graphs' count when it counted more than one instance.
 func (b *batch) make() {
 	z := b.reserved
+	if z.facts > 1 {
+		b.rewrites = scope.NewStore(&b.graphs)
+	}
 	b.graphs.Make()
 	b.keys, b.floats = make([]string, z.keys), make([]float64, z.floats)
 	b.facts, b.jobs = make([]facts, z.facts), make([]Job, z.jobs)
@@ -502,7 +512,8 @@ func (s *instanceScratch) release() {
 // instantiate builds the template's instance on date in the room b
 // reserved for it — concrete literals, the bound graph, per-day true row
 // counts, jittered selectivities, the optimizer-visible statistics, an
-// empty rewrite memo and its slab of DailyInstances jobs. Beside what it
+// empty rewrite memo keeping its rewrites in b's store and its slab of
+// DailyInstances jobs. Beside what it
 // cuts from b, it allocates two strings: its own arena and the bound
 // graph's.
 func (t *Template) instantiate(date int, b *batch) ([]Job, error) {
@@ -554,6 +565,7 @@ func (t *Template) instantiate(date int, b *batch) ([]Job, error) {
 	if err := t.prepared.BindInto(&f.graph, &b.graphs, t.names, values); err != nil {
 		return nil, fmt.Errorf("workload: instance of %s does not compile: %w", t.ID, err)
 	}
+	f.rewrites.KeepIn(b.rewrites)
 
 	// The truth and statistics follow the template's tables and then its
 	// sites: the keys are the dated paths and site keys, copied out of
