@@ -55,16 +55,16 @@ var table = map[string]ceiling{
 	"bandit.fresh_service": {64 << 10, "B retained", "a fresh Service holds no weight vector (2 MiB at the default Dim) until something writes a weight"},
 
 	// internal/core: the offline leg.
-	"core.run_day":     {2.6, "allocs per job", "JobsForDay plus Production.RunDay over 40 templates, the day's instances built in one batch (one slab per kind for the day), every recurrence run in its instance's borrowed compilation, each instance one facts block with its graph header and first rewrite certificate inline, and kept rewrites living in the batch's store, a few chunks for the day where each was four heap allocations (4.38–4.41): the reading (2.47 at GOMAXPROCS 1 and 2) + 5 %, rounded up"},
-	"core.advisor_day": {9.2, "allocs per job", "Advisor.RunDay's first day with the GC off, so no collection empties the pools production warmed (a day-owned scratch measured +1.57 per job), every flight arm run in its borrowed compilation, the next-day instances the flights look ahead to built in one batch per flighting Run, compile failures formatted only when read, FitRidge's rows built in one buffer, and kept rewrites living in their batch's store, the day's and each flighting Run's look-ahead batch's, rather than four heap allocations each (12.63): 8.63–8.68 at GOMAXPROCS 1 and 2 + 5 %, rounded up"},
-	"core.offline_leg": {4.5, "MB retained", "generator, production and advisor after ten days of 40 templates, the live days' kept rewrites in their batches' stores, chunk slack included (4.07–4.08 MB as heap Clones): 4.10–4.11 MB + 10 %"},
+	"core.run_day":     {0.6, "allocs per job", "JobsForDay plus Production.RunDay over 40 templates, the day's instances built in one batch (one slab per kind and one string block for the day, where each instance's two string arenas were two allocations), every recurrence run in its instance's borrowed compilation, each instance one facts block with its graph header and first rewrite certificate inline, and kept rewrites living in the batch's store with the column lists and predicates they add, a few chunks for the day where those were 1.9 heap allocations per rewrite (2.47) and each copy four more (4.38–4.41): the reading (0.543–0.568 at GOMAXPROCS 1 and 2) + 5 %, rounded up"},
+	"core.advisor_day": {7.8, "allocs per job", "Advisor.RunDay's first day with the GC off, so no collection empties the pools production warmed (a day-owned scratch measured +1.57 per job), every flight arm run in its borrowed compilation, the next-day instances the flights look ahead to built in one batch per flighting Run with one string block, compile failures formatted only when read, FitRidge's rows built in one buffer, the representative per template drawn from one sorted copy of the recommendations, and kept rewrites with the column lists and predicates they add living in their batch's store, the day's and each flighting Run's look-ahead batch's (8.63–8.68 with those on the heap; 12.63 with each copy four heap allocations): 7.37–7.42 at GOMAXPROCS 1 and 2 + 5 %, rounded up"},
+	"core.offline_leg": {4.5, "MB retained", "generator, production and advisor after ten days of 40 templates, the live days' kept rewrites, with their column lists and predicates, in their batches' stores and their dated strings in their batches' string blocks, chunk and block slack included (4.07–4.08 MB as heap Clones, 4.10–4.11 MB with those lists, predicates and strings on the heap): 4.10–4.11 MB + 10 %"},
 
 	// internal/exec: the simulator.
 	"exec.run":         {0, "allocs per Run", "Run works in pooled scratch: a warmed Run allocates nothing on any ledger plan"},
 	"exec.seeded_rand": {0, "allocs per seed and two draws", "a warm pool hands out a generator and Seed writes no memory it did not own"},
 
 	// internal/flighting: the flighting service.
-	"flighting.look_ahead": {2.5, "allocs per look-ahead instance built", "one Run over a day's requests on 40 templates, less the same Run with every next-day instance held: the successful flights' next-day instances are built in one batch, each its two string arenas plus the batch's slabs and template list shared by all: 2.31 + 5 %, rounded up; the batch's rewrite store adds four allocations, its header and the later chunks that the future arms' few rewrites past one per instance take, which the held Run's larger store does not need (reads 2.45); a flight that built its next occurrence alone would cost workload.instance's 11"},
+	"flighting.look_ahead": {0.4, "allocs per look-ahead instance built", "one Run over a day's requests on 40 templates, less the same Run on a generator holding exactly the next-day instances the Run looks ahead to, built in one batch of those templates (so both Runs' future arms keep their rewrites in stores of one size): the successful flights' next-day instances are built in one batch, whose slabs, one string block for every instance's dated strings, rewrite store header and template lists all 29 share (11 allocations): 0.379 + 5 %, rounded up; two string arenas per instance made it 2.31, and a flight that built its next occurrence alone would cost workload.instance's 11"},
 
 	// internal/obs: the flight recorder.
 	"obs.flight_unretained": {0, "allocs per request", "a request neither slow, errored nor sampled runs Begin, Stage and FinishRequest in a pooled span buffer"},
@@ -115,8 +115,8 @@ var table = map[string]ceiling{
 	"workload.view_rows":        {0, "allocs per pass", "AppendViewRows into a dst with room keeps its marks in a pool"},
 	"workload.recurrence":       {0, "allocs per recurrence", "a recurrence is handed out from the instance's job slab"},
 	"workload.instantiate_memo": {0, "allocs per Instantiate", "Instantiate of a memoized instance allocates nothing"},
-	"workload.instance":         {12, "allocs per instance built", "a lone instance, which only an Instantiate miss outside a day's or a flighting Run's look-ahead batch builds, is a batch of one: its dated-string arena, the bound graph's string arena and five slabs, the key and float slabs, the facts block (graph header, truth, statistics, empty memo) and the job slab, and no rewrite store, its memo keeping heap Clones: 11 + 5 %, rounded up"},
-	"workload.jobs_for_day":     {2.5, "allocs per instance built", "JobsForDay on a fresh date over 40 templates builds them in one batch through Prefetch: each instance's two string arenas, plus twelve shared by all 40 (the nine slabs, the rewrite store's header, the list of templates to build and the day's job list): 2.3 + 5 %, rounded up"},
-	"workload.kept_rewrite":     {2.6, "allocs per kept rewrite", "the first compilation of each of a fresh date's 40 instances less the same compilations through their warm memos: the rewrite's own work, the rewrite kept in the batch's store, a few chunks for all 40; a heap Clone per kept rewrite would add four (6.3): the reading, 2.4, + 5 %, rounded up"},
+	"workload.instance":         {12, "allocs per instance built", "a lone instance, which only an Instantiate miss outside a day's or a flighting Run's look-ahead batch builds, is a batch of one and keeps its allocations of its own, where a batch's instances share theirs: its dated-string arena, the bound graph's string arena and five slabs, the key and float slabs, the facts block (graph header, truth, statistics, empty memo) and the job slab, and no string block or rewrite store, its memo keeping heap Clones with heap column lists and predicates: 11 + 5 %, rounded up"},
+	"workload.jobs_for_day":     {0.35, "allocs per instance built", "JobsForDay on a fresh date over 40 templates builds them in one batch through Prefetch: thirteen allocations shared by all 40 — the five bound-graph slabs, one string block holding every instance's dated strings and its bound graph's (sized from each template's bound, so it never doubles), the key, float, facts and job slabs, the rewrite store's header, the list of templates to build and the day's job list: 0.325 + 5 %, rounded up; each instance's two string arenas made it 2.3"},
+	"workload.kept_rewrite":     {0.5, "allocs per kept rewrite", "the first compilation of each of a fresh date's 40 instances less the same compilations through their warm memos: the rewrites' own transient lists (PushFilterBelowJoin's conjunct lists, the rewriter's scratch regrowing), and the rewrites kept in the batch's store with the column lists and predicates they add, a few chunks of each kind for all 40: the reading, 0.475, + 5 %, rounded up; those lists and predicates as heap allocations made it 2.4, and a heap Clone per kept rewrite four more (6.3)"},
 	"workload.bind":             {8, "allocs per cold Bind", "a lone Bind is a batch of one: the Graph header, its dated strings, and nodes, Inputs and Roots, schemas, expression spines and literals, one slab each: 7 + 5 %, rounded up"},
 }

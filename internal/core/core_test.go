@@ -3,8 +3,11 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
+	"sort"
 	"testing"
 
 	"qoadvisor/internal/exec"
@@ -249,6 +252,59 @@ func TestRepresentativePerTemplate(t *testing.T) {
 		}
 	}
 	_ = cat
+}
+
+// representativeRef is RepresentativePerTemplate as it was when it grouped
+// the recommendations in a map of slices, one per template: the reference
+// the one-sorted-copy version is held to.
+func representativeRef(recs []*Recommendation, seed int64) []*Recommendation {
+	byTemplate := make(map[uint64][]*Recommendation)
+	var order []uint64
+	for _, r := range recs {
+		key := r.Features.Job.Template.Hash
+		if _, ok := byTemplate[key]; !ok {
+			order = append(order, key)
+		}
+		byTemplate[key] = append(byTemplate[key], r)
+	}
+	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
+	rng := rand.New(rand.NewSource(seed))
+	out := make([]*Recommendation, 0, len(order))
+	for _, key := range order {
+		group := byTemplate[key]
+		out = append(out, group[rng.Intn(len(group))])
+	}
+	return out
+}
+
+// TestRepresentativePerTemplateMatchesReference: on a day of 40 templates,
+// its recommendations in several shuffled orders and under several seeds,
+// RepresentativePerTemplate picks the reference's recommendations in the
+// reference's order, and leaves its input as it was.
+func TestRepresentativePerTemplateMatchesReference(t *testing.T) {
+	gen := testWorkload(t, 40)
+	jobs, err := gen.JobsForDay(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs []*Recommendation
+	for _, j := range jobs {
+		recs = append(recs, &Recommendation{Features: &JobFeatures{Job: j}})
+	}
+	shuffle := rand.New(rand.NewSource(3))
+	for round := 0; round < 8; round++ {
+		shuffle.Shuffle(len(recs), func(i, j int) { recs[i], recs[j] = recs[j], recs[i] })
+		in := slices.Clone(recs)
+		for _, seed := range []int64{1, 7, 20211101 + int64(round)} {
+			got, want := RepresentativePerTemplate(recs, seed), representativeRef(recs, seed)
+			if !slices.Equal(got, want) {
+				t.Fatalf("round %d seed %d: picked %d representatives, not the reference's %d in its order", round, seed, len(got), len(want))
+			}
+			if !slices.Equal(recs, in) {
+				t.Fatalf("round %d seed %d: the input was reordered", round, seed)
+			}
+		}
+	}
 }
 
 func TestValidatorLifecycle(t *testing.T) {

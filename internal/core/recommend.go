@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"qoadvisor/internal/bandit"
 	"qoadvisor/internal/featurize"
@@ -320,23 +321,23 @@ func Improved(recs []*Recommendation) []*Recommendation {
 
 // RepresentativePerTemplate keeps one recommendation per job template,
 // picked deterministically from the seed: "we flight one representative
-// job per template (picked randomly)".
+// job per template (picked randomly)". The templates draw in ascending
+// hash order, each among its recommendations in input order: a stable
+// sort of one copy of recs by hash makes each template's a run of the
+// copy, and the picks overwrite the copy's head.
 func RepresentativePerTemplate(recs []*Recommendation, seed int64) []*Recommendation {
-	byTemplate := make(map[uint64][]*Recommendation)
-	var order []uint64
-	for _, r := range recs {
-		key := r.Features.Job.Template.Hash
-		if _, ok := byTemplate[key]; !ok {
-			order = append(order, key)
-		}
-		byTemplate[key] = append(byTemplate[key], r)
-	}
-	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
+	hash := func(r *Recommendation) uint64 { return r.Features.Job.Template.Hash }
+	sorted := slices.Clone(recs)
+	slices.SortStableFunc(sorted, func(a, b *Recommendation) int { return cmp.Compare(hash(a), hash(b)) })
 	rng := rand.New(rand.NewSource(seed))
-	out := make([]*Recommendation, 0, len(order))
-	for _, key := range order {
-		group := byTemplate[key]
-		out = append(out, group[rng.Intn(len(group))])
+	picked := 0
+	for start := 0; start < len(sorted); {
+		end := start + 1
+		for end < len(sorted) && hash(sorted[end]) == hash(sorted[start]) {
+			end++
+		}
+		sorted[picked] = sorted[start+rng.Intn(end-start)]
+		picked, start = picked+1, end
 	}
-	return out
+	return sorted[:picked:picked]
 }

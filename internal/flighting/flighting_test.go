@@ -577,10 +577,12 @@ func TestLookAheadMatchesLoneBuilds(t *testing.T) {
 // TestLookAheadAllocBudget gates what one Run over a day's requests on a
 // fresh generator allocates to build its flights' next-day instances, per
 // instance built: the Run's allocations less those of the same Run on a
-// generator that already holds every next-day instance. The instances
-// are built in one batch, so the reading sits near workload.jobs_for_day,
-// not workload.instance, which a flight that built its next occurrence
-// alone would cost.
+// generator that already holds exactly the next-day instances the Run
+// looks ahead to, built in one batch of those templates, so both Runs'
+// future arms keep their rewrites in stores of one size. The Run builds
+// its instances in one batch too, so the reading sits near
+// workload.jobs_for_day, not workload.instance, which a flight that built
+// its next occurrence alone would cost.
 func TestLookAheadAllocBudget(t *testing.T) {
 	budget.SkipRace(t)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
@@ -600,11 +602,27 @@ func TestLookAheadAllocBudget(t *testing.T) {
 	// No collection from the warm-up on: one would empty the pools it
 	// warmed.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	_, warm := day()
-	svc.Run(warm) // warms the pools every Run draws on
+	warmGen, warm := day()
+	// The warm-up Run warms the pools every Run draws on, and its
+	// successful flights name the templates every Run of the day looks
+	// ahead to.
+	index := map[*workload.Template]int{}
+	for i, tpl := range warmGen.Templates() {
+		index[tpl] = i
+	}
+	var ahead []int
+	for _, r := range svc.Run(warm) {
+		if r.Outcome == Success {
+			ahead = append(ahead, index[r.Request.Job.Template])
+		}
+	}
 	cold, coldReqs := day()
 	held, heldReqs := day()
-	workload.Prefetch(4, held.Templates())
+	heldAhead := make([]*workload.Template, len(ahead))
+	for k, i := range ahead {
+		heldAhead[k] = held.Templates()[i]
+	}
+	workload.Prefetch(4, heldAhead)
 	mallocs := func(reqs []Request) uint64 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -619,6 +637,9 @@ func TestLookAheadAllocBudget(t *testing.T) {
 		built := cold.CompileCacheStats().Misses - misses
 		if built == 0 {
 			t.Fatal("no flight looked ahead; the gate lost its coverage")
+		}
+		if distinct := slices.Compact(slices.Sorted(slices.Values(ahead))); built != uint64(len(distinct)) {
+			t.Fatalf("the Run built %d next-day instances, the held side %d", built, len(distinct))
 		}
 		t.Logf("%d next-day instances built: %d allocations, %d with every one held", built, with, without)
 		return (float64(with) - float64(without)) / float64(built)

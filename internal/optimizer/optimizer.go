@@ -224,9 +224,11 @@ func compile(g *scope.Graph, cfg rules.Config, opts Options) (*scope.Graph, *imp
 // rewriter: copy the input DAG into the rewriter's scratch, apply the
 // enabled rewrites to fixpoint, copy the result into dst — a CompileCache's
 // store, or the heap when dst is nil — and run the experimental validity
-// check. The returned graph is final — nothing downstream (the
-// implBuilder, the execution simulator, view building) mutates logical
-// nodes, which is what makes the result cacheable and shareable.
+// check. The copy shares its schemas and expressions with the working
+// copy, so the rewrites cut every column list and predicate node they
+// make from dst too. The returned graph is final — nothing downstream
+// (the implBuilder, the execution simulator, view building) mutates
+// logical nodes, which is what makes the result cacheable and shareable.
 //
 // asked is the set of rules whose setting the phase read: every rule
 // ruleTable.pick answered for, the fired ones among them. The rewrite
@@ -242,9 +244,10 @@ func rewriteLogical(g *scope.Graph, cfg rules.Config, cat *rules.Catalog, stats 
 	return work, sig, asked, nil
 }
 
-// rewrite rewrites the working copy wc in place and returns a copy of it
-// in dst (Store.Clone: the heap when dst is nil), holding only the nodes
-// still reachable and none of wc's memory.
+// rewrite rewrites the working copy wc in place, cutting the column lists
+// and predicate nodes it makes from dst, and returns a copy of it in dst
+// (Store.Clone: the heap when dst is nil), holding only the nodes still
+// reachable and none of wc's memory.
 func (rw *rewriter) rewrite(wc *scope.Graph, cfg rules.Config, cat *rules.Catalog, stats StatsProvider, dst *scope.Store) (*scope.Graph, rules.Signature, rules.Bitset) {
 	rw.sig = rules.Signature{}
 	for _, r := range cat.Rules(rules.Required) {
@@ -252,7 +255,7 @@ func (rw *rewriter) rewrite(wc *scope.Graph, cfg rules.Config, cat *rules.Catalo
 	}
 	rw.estimation = EstimationEnv{Stats: stats}
 	rw.ruleTable = ruleTable{cat: cat, cfg: cfg, sig: &rw.sig}
-	rw.g, rw.stats, rw.env = wc, stats, &rw.estimation
+	rw.g, rw.dst, rw.stats, rw.env = wc, dst, stats, &rw.estimation
 	rw.noMerge = rw.noMerge[:0]
 	rw.run()
 	return dst.Clone(rw.g), rw.sig, rw.asked

@@ -22,11 +22,15 @@ const maxRewriteFires = 400
 // and so is every node a rewrite makes: the copy that rewrite returns, in
 // its cache's store or a heap Clone, is the only memory of the DAG the
 // compilation keeps, and release clears the working copy before the
-// rewriter is pooled, as implBuilder.release clears its chunks.
+// rewriter is pooled, as implBuilder.release clears its chunks. That copy
+// shares the working copy's schemas and expressions, so every column list
+// and predicate node a rewrite puts into the working copy is cut from dst,
+// the store the copy goes to (the heap when it is nil).
 type rewriter struct {
 	ruleTable
 	g       *scope.Graph
 	scratch scope.Scratch // rewriteLogical's working copy of g
+	dst     *scope.Store  // where the rewrite's result is kept
 	stats   StatsProvider
 	env     Environment
 	est     cardEngine
@@ -51,6 +55,11 @@ type rewriter struct {
 	needed colSets         // neededColumns' result
 	refs   []*scope.ColRef // scratch: column references of one expression
 	conj   []scope.Expr    // scratch: conjuncts of one predicate
+
+	// inferred and inferredRef are the predicate join predicate inference
+	// would add, built here to check for it before it is cut from dst.
+	inferred    scope.BinaryExpr
+	inferredRef scope.ColRef
 }
 
 var rewriterPool = sync.Pool{New: func() any { return new(rewriter) }}
@@ -59,7 +68,8 @@ var rewriterPool = sync.Pool{New: func() any { return new(rewriter) }}
 // graph, the working copy, and every pointer slot of the scratch, up to
 // its capacity — and pools rw. The scratch keeps its capacity.
 func (rw *rewriter) release() {
-	rw.ruleTable, rw.g, rw.stats, rw.env = ruleTable{}, nil, nil, nil
+	rw.ruleTable, rw.g, rw.dst, rw.stats, rw.env = ruleTable{}, nil, nil, nil, nil
+	rw.inferred, rw.inferredRef = scope.BinaryExpr{}, scope.ColRef{}
 	rw.scratch.Reset()
 	rw.estimation = EstimationEnv{}
 	rw.est.release()
@@ -225,7 +235,7 @@ func (rw *rewriter) tryPushFilterIntoScan(f *scope.Node) bool {
 	if in.Pred == nil {
 		in.Pred = f.Pred
 	} else {
-		in.Pred = &scope.BinaryExpr{Op: "AND", Left: in.Pred, Right: f.Pred}
+		in.Pred = rw.dst.Binary(scope.BinaryExpr{Op: "AND", Left: in.Pred, Right: f.Pred})
 	}
 	rw.replaceEverywhere(f, in)
 	rw.fire(r)
@@ -250,7 +260,7 @@ func (rw *rewriter) tryPushFilterBelowProject(f *scope.Node) bool {
 	// A pass-through column maps a reference to an equal one, which
 	// MapRefs keeps: a filter on such columns alone moves down with its own
 	// predicate, copying nothing.
-	nf := rw.newFilter(scope.MapRefs(f.Pred, in.Projection), in.Inputs[0])
+	nf := rw.newFilter(rw.dst.MapRefs(f.Pred, in.Projection), in.Inputs[0])
 	in.Inputs[0] = nf
 	rw.replaceEverywhere(f, in)
 	rw.fire(r)
@@ -317,7 +327,7 @@ func (rw *rewriter) tryPushFilterBelowJoin(f *scope.Node) bool {
 		case allLeft:
 			pushLeft = append(pushLeft, c)
 		case allRight:
-			pushRight = append(pushRight, scope.MapRefs(c, func(name string) (scope.Expr, bool) {
+			pushRight = append(pushRight, rw.dst.MapRefs(c, func(name string) (scope.Expr, bool) {
 				orig, _ := rightOrig(j, name)
 				return renamedRef(name, orig)
 			}))
@@ -329,15 +339,15 @@ func (rw *rewriter) tryPushFilterBelowJoin(f *scope.Node) bool {
 		return false
 	}
 	if len(pushLeft) > 0 {
-		j.Inputs[0] = rw.newFilter(scope.AndAll(pushLeft), j.Inputs[0])
+		j.Inputs[0] = rw.newFilter(rw.dst.AndAll(pushLeft), j.Inputs[0])
 	}
 	if len(pushRight) > 0 {
-		j.Inputs[1] = rw.newFilter(scope.AndAll(pushRight), j.Inputs[1])
+		j.Inputs[1] = rw.newFilter(rw.dst.AndAll(pushRight), j.Inputs[1])
 	}
 	if len(remain) == 0 {
 		rw.replaceEverywhere(f, j)
 	} else {
-		f.Pred = scope.AndAll(remain)
+		f.Pred = rw.dst.AndAll(remain)
 	}
 	rw.fire(r)
 	return true
@@ -353,7 +363,7 @@ func (rw *rewriter) tryPushFilterBelowUnion(f *scope.Node) bool {
 		return false
 	}
 	for i, in := range u.Inputs {
-		u.Inputs[i] = rw.newFilter(scope.MapRefs(f.Pred, func(name string) (scope.Expr, bool) {
+		u.Inputs[i] = rw.newFilter(rw.dst.MapRefs(f.Pred, func(name string) (scope.Expr, bool) {
 			return renamedRef(name, unionName(u, in, name))
 		}), in)
 	}
@@ -402,7 +412,7 @@ func (rw *rewriter) trySplitComplexFilter(f *scope.Node) bool {
 		return false
 	}
 	bottom := rw.newFilter(conjs[len(conjs)-1], f.Inputs[0])
-	top := rw.newFilter(scope.AndAll(conjs[:len(conjs)-1]), bottom)
+	top := rw.newFilter(rw.dst.AndAll(conjs[:len(conjs)-1]), bottom)
 	rw.noMerge = grown(rw.noMerge, top.ID+1) // top is the newest node
 	rw.noMerge[bottom.ID], rw.noMerge[top.ID] = true, true
 	rw.replaceEverywhere(f, top)
@@ -423,7 +433,7 @@ func (rw *rewriter) tryMergeFilters(f *scope.Node) bool {
 	if !ok {
 		return false
 	}
-	f.Pred = &scope.BinaryExpr{Op: "AND", Left: in.Pred, Right: f.Pred}
+	f.Pred = rw.dst.Binary(scope.BinaryExpr{Op: "AND", Left: in.Pred, Right: f.Pred})
 	f.Inputs[0] = in.Inputs[0]
 	rw.fire(r)
 	return true
@@ -451,7 +461,7 @@ func (rw *rewriter) tryProjectPullUp(f *scope.Node) bool {
 	if !ok {
 		return false
 	}
-	nf := rw.newFilter(scope.MapRefs(f.Pred, p.Projection), p.Inputs[0])
+	nf := rw.newFilter(rw.dst.MapRefs(f.Pred, p.Projection), p.Inputs[0])
 	p.Inputs[0] = nf
 	rw.replaceEverywhere(f, p)
 	rw.fire(r)
@@ -470,7 +480,7 @@ func (rw *rewriter) tryMergeProjects(p *scope.Node) bool {
 		return false
 	}
 	for i := range p.Projs {
-		p.Projs[i].E = scope.MapRefs(p.Projs[i].E, in.Projection)
+		p.Projs[i].E = rw.dst.MapRefs(p.Projs[i].E, in.Projection)
 	}
 	p.Inputs[0] = in.Inputs[0]
 	rw.fire(r)
@@ -610,14 +620,26 @@ func (rw *rewriter) tryPartialAggBelowJoin(a *scope.Node) bool {
 	// Key the partial agg by the aggregation keys plus the left-side join
 	// keys so the join result is preserved.
 	rw.refs = scope.CollectColRefs(j.JoinCond, rw.refs)
-	var keys []scope.Column
-	for _, c := range j.Inputs[0].Cols {
+	isKey := func(c scope.Column) bool {
 		key := hasCol(a.GroupBy, c.Name)
 		for _, ref := range rw.refs {
 			key = key || ref.Name == c.Name
 		}
-		if key {
-			keys = append(keys, c)
+		return key
+	}
+	n := 0
+	for _, c := range j.Inputs[0].Cols {
+		if isKey(c) {
+			n++
+		}
+	}
+	var keys []scope.Column
+	if n > 0 {
+		keys = rw.dst.Columns(n)[:0]
+		for _, c := range j.Inputs[0].Cols {
+			if isKey(c) {
+				keys = append(keys, c)
+			}
 		}
 	}
 	j.Inputs[0] = rw.newPartialAgg(j.Inputs[0], keys)
@@ -679,14 +701,14 @@ func (rw *rewriter) tryJoinAssociate(j *scope.Node) bool {
 	inner2 := rw.g.NewNode(scope.OpJoin, bNode, c)
 	inner2.JoinType = scope.JoinInner
 	inner2.JoinCond = j.JoinCond
-	inner2.Cols = slices.Concat(bNode.Cols, c.Cols)
+	inner2.Cols = rw.concat(bNode.Cols, c.Cols)
 	if rw.est.rows(inner2) >= rw.est.rows(inner) {
 		return false // abandoned candidate node is unreachable garbage
 	}
 	j.Inputs[0] = a
 	j.Inputs[1] = inner2
 	j.JoinCond = inner.JoinCond
-	j.Cols = slices.Concat(a.Cols, inner2.Cols)
+	j.Cols = rw.concat(a.Cols, inner2.Cols)
 	j.BuildLeft = false
 	rw.fire(r)
 	return true
@@ -757,12 +779,13 @@ func (rw *rewriter) tryJoinPredicateInference(j *scope.Node) bool {
 	if lit == nil {
 		return false
 	}
-	inferred := &scope.BinaryExpr{Op: "==", Left: &scope.ColRef{Name: rightKey}, Right: lit}
+	rw.inferredRef = scope.ColRef{Name: rightKey}
+	rw.inferred = scope.BinaryExpr{Op: "==", Left: &rw.inferredRef, Right: lit}
 	// Don't re-infer a filter that is already there.
 	if rf := j.Inputs[1]; rf.Kind == scope.OpFilter {
 		rw.conj = scope.AppendConjuncts(rw.conj[:0], rf.Pred)
 		for _, c := range rw.conj {
-			if c.String() == inferred.String() {
+			if c.String() == rw.inferred.String() {
 				return false
 			}
 		}
@@ -771,6 +794,7 @@ func (rw *rewriter) tryJoinPredicateInference(j *scope.Node) bool {
 	if !ok {
 		return false
 	}
+	inferred := rw.dst.Binary(scope.BinaryExpr{Op: "==", Left: &scope.ColRef{Name: rightKey}, Right: lit})
 	j.Inputs[1] = rw.newFilter(inferred, j.Inputs[1])
 	rw.fire(r)
 	return true
@@ -1026,7 +1050,7 @@ func (rw *rewriter) tryPruneColumns() {
 		if keep == 0 {
 			n.Cols = n.Cols[:1]
 		} else {
-			kept := make([]scope.Column, 0, keep)
+			kept := rw.dst.Columns(keep)[:0]
 			for _, c := range n.Cols {
 				if rw.needed.has(n.ID, c.Name) {
 					kept = append(kept, c)
@@ -1082,13 +1106,13 @@ func (rw *rewriter) recomputeSchemas() {
 		case scope.OpJoin:
 			if n.JoinType == scope.JoinSemi {
 				n.Cols = n.Inputs[0].Cols
-			} else if cols := joinCols(n); cols != nil {
+			} else if cols := joinCols(rw.dst, n); cols != nil {
 				n.Cols = cols
 			}
 		case scope.OpAgg:
 			if n.Partial {
 				n.Cols = n.Inputs[0].Cols
-			} else if cols := aggCols(n); cols != nil {
+			} else if cols := aggCols(rw.dst, n); cols != nil {
 				n.Cols = cols
 			}
 		case scope.OpUnion:
@@ -1096,7 +1120,7 @@ func (rw *rewriter) recomputeSchemas() {
 			if first := n.Inputs[0]; len(first.Cols) == len(n.Cols) {
 				for i, c := range first.Cols {
 					if c.Type != n.Cols[i].Type {
-						n.Cols = slices.Clone(n.Cols)
+						n.Cols = rw.concat(n.Cols, nil)
 						for j := i; j < len(n.Cols); j++ {
 							n.Cols[j].Type = first.Cols[j].Type
 						}
@@ -1119,10 +1143,17 @@ func mergedName(j *scope.Node, name string) string {
 	return name
 }
 
+// concat returns a new column list, cut from rw.dst, holding a and then b.
+func (rw *rewriter) concat(a, b []scope.Column) []scope.Column {
+	cols := rw.dst.Columns(len(a) + len(b))
+	copy(cols[copy(cols, a):], b)
+	return cols
+}
+
 // joinCols returns inner join j's schema refreshed from its inputs — the
-// left input's columns, then the right's under their merged names — or nil
-// when j.Cols already is it.
-func joinCols(j *scope.Node) []scope.Column {
+// left input's columns, then the right's under their merged names — cut
+// from dst, or nil when j.Cols already is it.
+func joinCols(dst *scope.Store, j *scope.Node) []scope.Column {
 	left, right := j.Inputs[0].Cols, j.Inputs[1].Cols
 	same := len(j.Cols) == len(left)+len(right) && slices.Equal(j.Cols[:len(left)], left)
 	for i := 0; same && i < len(right); i++ {
@@ -1133,7 +1164,7 @@ func joinCols(j *scope.Node) []scope.Column {
 	if same {
 		return nil
 	}
-	cols := make([]scope.Column, len(left)+len(right))
+	cols := dst.Columns(len(left) + len(right))
 	copy(cols, left)
 	for i, c := range right {
 		c.Name = mergedName(j, c.Name)
@@ -1144,8 +1175,8 @@ func joinCols(j *scope.Node) []scope.Column {
 
 // aggCols returns final aggregation a's schema refreshed — its group-by
 // columns, then one per aggregate, keeping the type a.Cols gave it (double
-// when it has none) — or nil when a.Cols already is it.
-func aggCols(a *scope.Node) []scope.Column {
+// when it has none) — cut from dst, or nil when a.Cols already is it.
+func aggCols(dst *scope.Store, a *scope.Node) []scope.Column {
 	aggCol := func(spec scope.AggSpec) scope.Column {
 		if c, ok := a.FindCol(spec.Name); ok {
 			return c
@@ -1161,7 +1192,7 @@ func aggCols(a *scope.Node) []scope.Column {
 	}
 	var cols []scope.Column
 	if k := len(a.GroupBy) + len(a.Aggs); k > 0 {
-		cols = make([]scope.Column, 0, k)
+		cols = dst.Columns(k)[:0]
 	}
 	cols = append(cols, a.GroupBy...)
 	for _, spec := range a.Aggs {

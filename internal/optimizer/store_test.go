@@ -1,6 +1,8 @@
 package optimizer_test
 
 import (
+	"fmt"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -13,8 +15,10 @@ import (
 // TestStoreRewriteMatchesHeap: on every ledger template, under the
 // default configuration and every single flip, the rewrite kept in a
 // scope.Store is the rewrite kept on the heap — the same graph (String,
-// and node IDs in Nodes order up to IDBound), TemplateHash, signature and
-// error. One store per template, its first chunks counted for one copy of
+// and node IDs in Nodes order up to IDBound), every node's columns and
+// predicates (the column lists and predicate nodes the rewrite cut from
+// the store against those it allocated on the heap), TemplateHash,
+// signature and error. One store per template, its first chunks counted for one copy of
 // the bound graph, keeps every configuration's rewrite, so the copies
 // cross chunk boundaries and skip chunk tails; the templates run on a
 // par.For pool, sharing the pooled rewriters. Under -race (CI's offline
@@ -68,6 +72,16 @@ func sameRewrite(got *scope.Graph, gotSig rules.Signature, gotErr error, want *s
 		return "template hash differs"
 	case got.IDBound() != want.IDBound() || !slices.Equal(nodeIDs(got), nodeIDs(want)):
 		return "node IDs differ"
+	}
+	gotNodes := got.Nodes()
+	for i, w := range want.Nodes() {
+		g := gotNodes[i]
+		switch {
+		case !slices.Equal(g.Cols, w.Cols) || !slices.Equal(g.GroupBy, w.GroupBy):
+			return fmt.Sprintf("node #%d: columns %v by %v, heap %v by %v", g.ID, g.Cols, g.GroupBy, w.Cols, w.GroupBy)
+		case !reflect.DeepEqual(g.Pred, w.Pred) || !reflect.DeepEqual(g.JoinCond, w.JoinCond):
+			return fmt.Sprintf("node #%d: predicate %v on %v, heap %v on %v", g.ID, g.Pred, g.JoinCond, w.Pred, w.JoinCond)
+		}
 	}
 	return ""
 }

@@ -214,3 +214,36 @@ func TestBindSpinesWithinPrepareBound(t *testing.T) {
 		bind(nil, nil)
 	}
 }
+
+// TestBindStringsWithinStringBytes: a binding cuts its re-dated strings
+// from its batch's arena as one string, of at most the bytes StringBytes
+// bounds for values of the widths bound. On every ledger template the
+// binding of the widest values — an eight-digit date stamp and four-digit
+// literals — takes exactly the bound, and one of shorter values less.
+func TestBindStringsWithinStringBytes(t *testing.T) {
+	gen, err := workload.New(workload.Config{Seed: 20211101, NumTemplates: 222})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tpl := range gen.Templates() {
+		p, err := scope.Prepare(tpl.ScriptPattern)
+		if err != nil {
+			t.Fatal(err)
+		}
+		names, widest, short := []string{"DATE"}, []string{"20211103"}, []string{"2021110"}
+		for _, lit := range tpl.Literals {
+			names, widest, short = append(names, strings.Trim(lit, "@")), append(widest, "9009"), append(short, "10")
+		}
+		widths := make([]int, len(widest))
+		for k, v := range widest {
+			widths[k] = len(v)
+		}
+		bound := p.StringBytes(names, widths)
+		if used, err := scope.BoundStringBytes(p, names, widest); err != nil || used != bound {
+			t.Errorf("%s: the widest binding cut %d bytes (%v), StringBytes bounds %d", tpl.ID, used, err, bound)
+		}
+		if used, err := scope.BoundStringBytes(p, names, short); err != nil || used >= bound {
+			t.Errorf("%s: a shorter binding cut %d bytes (%v), StringBytes bounds the widest at %d", tpl.ID, used, err, bound)
+		}
+	}
+}

@@ -14,12 +14,12 @@ func BindSpines(p *Prepared, names, values []string) (int, error) {
 	if err := b.checkValues(); err != nil {
 		return 0, err
 	}
-	if err := b.bindStrings(); err != nil {
+	if err := b.bindStrings(nil); err != nil {
 		return 0, err
 	}
 	var s Slabs
 	s.Reserve(p)
-	s.Make()
+	s.Make(0)
 	b.cutRoom(&s)
 	for _, n := range p.nodes {
 		b.expr(n.Pred)
@@ -30,3 +30,14 @@ func BindSpines(p *Prepared, names, values []string) (int, error) {
 
 // Conjuncts is AppendConjuncts into a fresh slice.
 func Conjuncts(e Expr) []Expr { return AppendConjuncts(nil, e) }
+
+// BoundStringBytes binds names to values into a batch of one with a string
+// arena and returns how many bytes the binding cut from it.
+func BoundStringBytes(p *Prepared, names, values []string) (int, error) {
+	var s Slabs
+	s.Reserve(p)
+	s.Make(1)
+	var g Graph
+	err := p.BindInto(&g, &s, names, values)
+	return s.strs.Len(), err
+}

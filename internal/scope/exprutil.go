@@ -14,15 +14,15 @@ func AppendConjuncts(dst []Expr, e Expr) []Expr {
 	return append(dst, e)
 }
 
-// AndAll combines expressions with AND. It returns nil for an empty list
-// and the sole expression for a singleton.
-func AndAll(es []Expr) Expr {
+// AndAll combines expressions with AND, its spine cut from s (Binary). It
+// returns nil for an empty list and the sole expression for a singleton.
+func (s *Store) AndAll(es []Expr) Expr {
 	if len(es) == 0 {
 		return nil
 	}
 	out := es[0]
 	for _, e := range es[1:] {
-		out = &BinaryExpr{Op: "AND", Left: out, Right: e}
+		out = s.Binary(BinaryExpr{Op: "AND", Left: out, Right: e})
 	}
 	return out
 }
@@ -62,11 +62,11 @@ func RefNames(e Expr) map[string]bool {
 // the expression to returns for its name; a reference to does not map,
 // or maps to an equal reference (same qualifier and name, as a
 // pass-through projection's column does), is kept. It copies only the
-// spine above a replaced reference: a subtree with none is e's own,
-// shared, so an identity mapping returns e itself, and e is never
-// mutated — expressions are immutable once built, as Graph.Clone's
-// sharing of them assumes.
-func MapRefs(e Expr, to func(name string) (Expr, bool)) Expr {
+// spine above a replaced reference, its BinaryExprs cut from s (Binary):
+// a subtree with none is e's own, shared, so an identity mapping returns
+// e itself, and e is never mutated — expressions are immutable once
+// built, as Graph.Clone's sharing of them assumes.
+func (s *Store) MapRefs(e Expr, to func(name string) (Expr, bool)) Expr {
 	switch x := e.(type) {
 	case *ColRef:
 		if r, ok := to(x.Name); ok {
@@ -76,21 +76,21 @@ func MapRefs(e Expr, to func(name string) (Expr, bool)) Expr {
 			return r
 		}
 	case *BinaryExpr:
-		l, r := MapRefs(x.Left, to), MapRefs(x.Right, to)
+		l, r := s.MapRefs(x.Left, to), s.MapRefs(x.Right, to)
 		if l != x.Left || r != x.Right {
-			return &BinaryExpr{Op: x.Op, Left: l, Right: r}
+			return s.Binary(BinaryExpr{Op: x.Op, Left: l, Right: r})
 		}
 	case *UnaryExpr:
-		if in := MapRefs(x.Expr, to); in != x.Expr {
+		if in := s.MapRefs(x.Expr, to); in != x.Expr {
 			return &UnaryExpr{Op: x.Op, Expr: in}
 		}
 	case *FuncExpr:
 		for i, a := range x.Args {
-			if m := MapRefs(a, to); m != a {
+			if m := s.MapRefs(a, to); m != a {
 				args := slices.Clone(x.Args)
 				args[i] = m
 				for j := i + 1; j < len(args); j++ {
-					args[j] = MapRefs(args[j], to)
+					args[j] = s.MapRefs(args[j], to)
 				}
 				return &FuncExpr{Name: x.Name, Args: args, Star: x.Star}
 			}

@@ -35,17 +35,24 @@ func TestConjunctsSplitsNestedAnds(t *testing.T) {
 	}
 }
 
+// heapStore is the nil Store: AndAll and MapRefs build their spines on the
+// heap.
+var heapStore *Store
+
 func TestAndAllInvertsConjuncts(t *testing.T) {
 	e := parsePred(t, "a > 1 AND b < 2 AND c == 3")
 	cs := Conjuncts(e)
-	rebuilt := AndAll(cs)
+	rebuilt := heapStore.AndAll(cs)
 	if len(Conjuncts(rebuilt)) != len(cs) {
 		t.Error("AndAll/Conjuncts round trip changed arity")
 	}
-	if AndAll(nil) != nil {
+	if stored := new(Store).AndAll(cs); stored.String() != rebuilt.String() {
+		t.Errorf("AndAll in a store: %s, on the heap %s", stored, rebuilt)
+	}
+	if heapStore.AndAll(nil) != nil {
 		t.Error("AndAll(nil) should be nil")
 	}
-	single := AndAll(cs[:1])
+	single := heapStore.AndAll(cs[:1])
 	if single.String() != cs[0].String() {
 		t.Error("AndAll of one element should be the element")
 	}
@@ -135,7 +142,7 @@ func renames(m map[string]string) func(string) (Expr, bool) {
 func TestRenameRefsDoesNotMutate(t *testing.T) {
 	e := parsePred(t, "a > 1 AND b == 2")
 	before := e.String()
-	renamed := MapRefs(e, renames(map[string]string{"a": "x"}))
+	renamed := heapStore.MapRefs(e, renames(map[string]string{"a": "x"}))
 	if e.String() != before {
 		t.Fatal("MapRefs mutated its input")
 	}
@@ -151,7 +158,7 @@ func TestRenameRefsDoesNotMutate(t *testing.T) {
 func TestSubstituteRefsInlinesExpressions(t *testing.T) {
 	e := parsePred(t, "s > 10")
 	inner := parsePred(t, "a + b > 0").(*BinaryExpr).Left // (a + b)
-	out := MapRefs(e, lookup(map[string]Expr{"s": inner}))
+	out := heapStore.MapRefs(e, lookup(map[string]Expr{"s": inner}))
 	if !strings.Contains(out.String(), "a + b") {
 		t.Errorf("substitution failed: %s", out)
 	}
@@ -215,14 +222,15 @@ func TestMapRefsMatchesReferenceProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		e := randomExpr(rng, 5)
 		m := randomMapping(rng, e)
-		if MapRefs(e, lookup(m)).String() != SubstituteRefs(e, m).String() {
+		want := SubstituteRefs(e, m).String()
+		if heapStore.MapRefs(e, lookup(m)).String() != want || new(Store).MapRefs(e, lookup(m)).String() != want {
 			return false
 		}
 		r := make(map[string]string)
 		for name := range m {
 			r[name] = "r" + name
 		}
-		return MapRefs(e, renames(r)).String() == RenameRefs(e, r).String()
+		return heapStore.MapRefs(e, renames(r)).String() == RenameRefs(e, r).String()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
@@ -276,7 +284,7 @@ func TestMapRefsSharesUntouchedSubtreesProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		e := randomExpr(rng, 5)
-		if MapRefs(e, none) != e {
+		if heapStore.MapRefs(e, none) != e {
 			return false
 		}
 		refs := CollectColRefs(e, nil)
@@ -285,7 +293,7 @@ func TestMapRefsSharesUntouchedSubtreesProperty(t *testing.T) {
 		}
 		before := e.String()
 		m := map[string]Expr{refs[rng.Intn(len(refs))].Name: &ColRef{Name: "z"}}
-		out := MapRefs(e, lookup(m))
+		out := heapStore.MapRefs(e, lookup(m))
 		return sharesUntouched(e, out, m) && e.String() == before
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
@@ -299,7 +307,7 @@ func TestConjunctsRoundTripProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		e := randomExpr(rng, 4)
 		cs := Conjuncts(e)
-		rebuilt := AndAll(cs)
+		rebuilt := heapStore.AndAll(cs)
 		cs2 := Conjuncts(rebuilt)
 		if len(cs) != len(cs2) {
 			return false
@@ -325,7 +333,7 @@ func TestRenameIdentityProperty(t *testing.T) {
 		for name := range RefNames(e) {
 			identity[name] = name
 		}
-		return MapRefs(e, renames(identity)).String() == e.String()
+		return heapStore.MapRefs(e, renames(identity)).String() == e.String()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -347,7 +355,7 @@ func TestRenameInverseProperty(t *testing.T) {
 			back[fresh] = name
 			i++
 		}
-		return MapRefs(MapRefs(e, renames(fwd)), renames(back)).String() == e.String()
+		return heapStore.MapRefs(heapStore.MapRefs(e, renames(fwd)), renames(back)).String() == e.String()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

@@ -5,6 +5,8 @@ import (
 	"slices"
 	"strings"
 	"sync"
+
+	"qoadvisor/internal/strarena"
 )
 
 // Prepared is a script compiled once with its placeholders open: the
@@ -47,6 +49,10 @@ type slabSizes struct {
 	// header of its own, graphs, and its own Projs, len(Projs) summed over
 	// nodes.
 	graphs, projs int
+	// scans and scanCols count the scans and their columns, which a Store
+	// sizes its first chunks of the column lists and predicate nodes a
+	// rewrite adds from (see NewStore).
+	scans, scanCols int
 }
 
 func (z *slabSizes) add(o slabSizes) {
@@ -57,6 +63,8 @@ func (z *slabSizes) add(o slabSizes) {
 	z.ints += o.ints
 	z.graphs += o.graphs
 	z.projs += o.projs
+	z.scans += o.scans
+	z.scanCols += o.scanCols
 }
 
 // Prepare parses and compiles a script whose literals are placeholders.
@@ -99,6 +107,10 @@ func Prepare(src string) (*Prepared, error) {
 			params = appendParams(params, e)
 		}
 		p.room.projs += len(n.Projs)
+		if n.Kind == OpScan {
+			p.room.scans++
+			p.room.scanCols += len(n.Cols)
+		}
 		for _, pe := range n.Projs {
 			p.fixed = appendMarkedLits(p.fixed, pe.E)
 		}
@@ -194,17 +206,20 @@ func (e *BindError) Error() string {
 
 // Slabs is storage for the bound graphs of a batch of bindings: their
 // nodes, Inputs and Roots, re-dated schemas, rebuilt expression spines and
-// integer literals, each kind in one slab. Reserve counts one binding's
-// room, Make allocates what was counted, and each BindInto takes its
-// graph's room as capped subslices, so no graph's appends reach another's.
-// Every graph bound into a batch keeps the whole batch alive. The zero
-// value is an empty batch; a Slabs is not safe for concurrent use.
+// integer literals, each kind in one slab, and the arena their re-dated
+// strings are cut from. Reserve counts one binding's room, Make allocates
+// what was counted, and each BindInto takes its graph's room as capped
+// subslices, so no graph's appends reach another's. Every graph bound
+// into a batch keeps the whole batch alive. The zero value is an empty
+// batch; a Slabs is not safe for concurrent use.
 type Slabs struct {
 	nodes    []Node
 	ptrs     []*Node
 	cols     []Column
 	spines   []BinaryExpr
 	ints     []IntLit
+	strs     strarena.Arena // the batch's strings, when arena is set (see Make)
+	arena    bool
 	reserved slabSizes
 }
 
@@ -213,8 +228,14 @@ func (s *Slabs) Reserve(p *Prepared) { s.reserved.add(p.room) }
 
 // Make allocates the room Reserve counted, one allocation per kind of
 // slab and none for a kind no binding needs, and starts a new count. Room
-// the slabs still held is dropped.
-func (s *Slabs) Make() {
+// the slabs still held is dropped. With strBytes positive, the batch has
+// one string arena, whose first block of strBytes bytes is allocated with
+// the first string cut from it: each binding cuts its re-dated strings
+// from it as one string, and so does String (StringBytes bounds what a
+// binding cuts). Otherwise each binding's re-dated strings, and each
+// String, are an allocation of their own. The slabs must not be copied
+// once a string is cut from them.
+func (s *Slabs) Make(strBytes int) {
 	z := s.reserved
 	*s = Slabs{
 		nodes:  make([]Node, z.nodes),
@@ -222,7 +243,23 @@ func (s *Slabs) Make() {
 		cols:   make([]Column, z.cols),
 		spines: make([]BinaryExpr, z.spines),
 		ints:   make([]IntLit, z.ints),
+		arena:  strBytes > 0,
 	}
+	s.strs.Reset(strBytes)
+}
+
+// String returns a string equal to p, cut from the batch's string arena
+// when it has one: the strings a caller keeps beside the graphs it binds,
+// such as a job instance's dated strings, cost the batch no allocation of
+// their own.
+func (s *Slabs) String(p []byte) string { return s.strings().String(p) }
+
+// strings returns the batch's string arena, or nil when it has none.
+func (s *Slabs) strings() *strarena.Arena {
+	if !s.arena {
+		return nil
+	}
+	return &s.strs
 }
 
 // cut cuts the first n elements off *slab as a capped subslice. Past what
@@ -241,7 +278,7 @@ func cut[T any](slab *[]T, n int) []T {
 func (p *Prepared) Bind(names, values []string) (*Graph, error) {
 	var s Slabs
 	s.Reserve(p)
-	s.Make()
+	s.Make(0)
 	g := new(Graph)
 	if err := p.BindInto(g, &s, names, values); err != nil {
 		return nil, err
@@ -260,7 +297,8 @@ func (p *Prepared) Bind(names, values []string) (*Graph, error) {
 // keys, renames, undated schemas and literal-free expressions. Its nodes,
 // their Inputs and Roots, re-dated schemas, rebuilt expression spines and
 // integer literals are its own, cut from s; its re-dated strings are one
-// allocation of their own. It may keep strings of names and values, never
+// string cut from s's arena (see Make), or one allocation of their own
+// when s has none. It may keep strings of names and values, never
 // the slices, which the caller may reuse once BindInto returns. On an
 // error dst is left as it was, and room it took from s stays unused.
 //
@@ -281,7 +319,7 @@ func (p *Prepared) BindInto(dst *Graph, s *Slabs, names, values []string) error 
 	if err := b.checkValues(); err != nil {
 		return err
 	}
-	if err := b.bindStrings(); err != nil {
+	if err := b.bindStrings(s.strings()); err != nil {
 		return err
 	}
 	for _, f := range p.fixed {
@@ -408,8 +446,9 @@ func (b *binder) match(s string, from int) (int, int) {
 	return -1, -1
 }
 
-// bindStrings binds every open string, the changed ones into one arena.
-func (b *binder) bindStrings() error {
+// bindStrings binds every open string, the changed ones into one string
+// cut from strs (Arena.String: an allocation of its own when strs is nil).
+func (b *binder) bindStrings(strs *strarena.Arena) error {
 	for _, s := range b.p.open {
 		start := len(b.buf)
 		from := 0
@@ -431,10 +470,7 @@ func (b *binder) bindStrings() error {
 		b.buf = append(b.buf, s[from:]...)
 		b.spans = append(b.spans, start, len(b.buf))
 	}
-	var arena string
-	if len(b.buf) > 0 {
-		arena = string(b.buf)
-	}
+	arena := strs.String(b.buf)
 	for i, s := range b.p.open {
 		if start := b.spans[2*i]; start >= 0 {
 			s = arena[start:b.spans[2*i+1]]
@@ -442,6 +478,29 @@ func (b *binder) bindStrings() error {
 		b.bound = append(b.bound, s)
 	}
 	return nil
+}
+
+// StringBytes returns the most bytes the re-dated strings of a binding of
+// p to names take when the value bound to names[k] is at most widths[k]
+// bytes long: what BindInto cuts from its Slabs' arena for the binding.
+func (p *Prepared) StringBytes(names []string, widths []int) int {
+	b := binder{p: p, names: names}
+	n := 0
+	for _, s := range p.open {
+		from := 0
+		for {
+			i, k := b.match(s, from)
+			if i < 0 {
+				break
+			}
+			n += i - from + widths[k]
+			from = i + len(names[k]) + 2
+		}
+		if from > 0 {
+			n += len(s) - from
+		}
+	}
+	return n
 }
 
 // str returns s bound.

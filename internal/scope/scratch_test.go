@@ -269,6 +269,12 @@ OUTPUT p TO "p.tsv";`
 // there, storeCopies more in one later chunk of each kind, and a copy
 // past those in a chunk of each kind twice as long: each step is four
 // allocations, one per kind, and the copy loop itself allocates nothing.
+// Its column lists and predicate nodes grow the same way: sized for n
+// bindings of a script with one two-column scan, its first chunk of
+// columns holds half the n scans' columns and its first chunk of predicate
+// nodes one per two scans, each taken with its kind's first cut; past them
+// a chunk of storeCopies average bindings' room, then one twice as long.
+// A cut itself allocates nothing, and a nil Store allocates each cut.
 func TestStoreChunkAllocs(t *testing.T) {
 	budget.SkipRace(t)
 	const n = 8
@@ -297,5 +303,46 @@ OUTPUT p TO "p.tsv";`
 		if want := float64(1 + c.chunks); allocs != want {
 			t.Errorf("%d copies into a store sized for %d: %v allocations, want the store and %d chunks", c.copies, n, allocs, c.chunks)
 		}
+	}
+
+	p, err = Prepare(`
+a = EXTRACT k:int, v:int FROM "a.tsv";
+OUTPUT a TO "a.tsv";`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var slabs Slabs
+	for range n {
+		slabs.Reserve(p)
+	}
+	// Columns(2) into chunks of 8, 4, 8 and 16 columns; Binary into chunks
+	// of 4, 4 and 8 nodes.
+	for _, c := range []struct{ colCuts, colChunks, binCuts, binChunks int }{
+		{1, 1, 1, 1}, {4, 1, 4, 1}, {5, 2, 5, 2}, {6, 2, 8, 2}, {7, 3, 9, 3}, {10, 3, 16, 3}, {11, 4, 17, 4},
+	} {
+		var cols []Column
+		var pred *BinaryExpr
+		allocs := testing.AllocsPerRun(10, func() {
+			s := NewStore(&slabs)
+			for range c.colCuts {
+				cols = s.Columns(2)
+			}
+			for range c.binCuts {
+				pred = s.Binary(BinaryExpr{Op: "AND"})
+			}
+		})
+		if want := float64(1 + c.colChunks + c.binChunks); allocs != want {
+			t.Errorf("%d column cuts and %d predicate cuts into a store sized for %d: %v allocations, want the store, %d column chunks and %d predicate chunks", c.colCuts, c.binCuts, n, allocs, c.colChunks, c.binChunks)
+		}
+		if len(cols) != 2 || cap(cols) != 2 || pred.Op != "AND" {
+			t.Errorf("cut %d columns of capacity %d and predicate %q, want 2, 2 and AND", len(cols), cap(cols), pred.Op)
+		}
+	}
+	var none *Store
+	if allocs := testing.AllocsPerRun(10, func() {
+		none.Columns(3)
+		none.Binary(BinaryExpr{Op: "AND"})
+	}); allocs != 2 {
+		t.Errorf("a nil Store's column list and predicate: %v allocations, want one each", allocs)
 	}
 }

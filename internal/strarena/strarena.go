@@ -7,7 +7,11 @@
 // decoded from. The bandit's event log (internal/bandit) copies every
 // event ID it logs into one Arena it Resets to a fixed-size block
 // whenever the next ID does not fit, so a kept ID pins at most one
-// block of its neighbours.
+// block of its neighbours. A batch of job instances (internal/workload)
+// cuts every dated string its instances make — their job IDs, dated paths
+// and site keys, and their bound graphs' re-dated strings (internal/scope)
+// — from one Arena sized for the whole batch, so a day's instances share
+// one block.
 package strarena
 
 import "strings"
@@ -22,8 +26,8 @@ import "strings"
 // string handed out keeps its bytes, unchanged, for as long as it is
 // referenced.
 //
-// The zero value is ready to use. An Arena must not be used from two
-// goroutines at once.
+// The zero value is ready to use. A nil *Arena allocates each string on
+// its own. An Arena must not be used from two goroutines at once.
 type Arena struct {
 	b    strings.Builder
 	next int // capacity of the next block
@@ -42,11 +46,12 @@ func (a *Arena) Reset(size int) {
 // Len returns the bytes written since the last Reset.
 func (a *Arena) Len() int { return a.n }
 
-// String returns a string equal to p, cut from the current block. It
-// does not retain p. The empty string and one-byte strings take no room:
-// the runtime already has a static copy of each.
+// String returns a string equal to p, cut from the current block, or
+// allocated alone by a nil Arena. It does not retain p. The empty string
+// and one-byte strings take no room: the runtime already has a static
+// copy of each.
 func (a *Arena) String(p []byte) string {
-	if len(p) <= 1 {
+	if a == nil || len(p) <= 1 {
 		return string(p)
 	}
 	if a.b.Cap()-a.b.Len() < len(p) {

@@ -59,6 +59,18 @@ func TestShortStringsTakeNoRoom(t *testing.T) {
 	}
 }
 
+// TestNilArenaCopies: a nil Arena returns each string as a copy of its
+// own, which does not change with its input.
+func TestNilArenaCopies(t *testing.T) {
+	var a *Arena
+	in := []byte("abcd")
+	s := a.String(in)
+	copy(in, "zzzz")
+	if s != "abcd" || a.String(nil) != "" || a.String(in[:1]) != "z" {
+		t.Fatalf("a nil Arena's strings: %q %q %q", s, a.String(nil), a.String(in[:1]))
+	}
+}
+
 // TestShortStringsAllocBudget: "" and one-byte strings allocate nothing.
 func TestShortStringsAllocBudget(t *testing.T) {
 	var a Arena

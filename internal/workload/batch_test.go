@@ -1,13 +1,18 @@
 package workload
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"runtime/debug"
 	"slices"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"unsafe"
 	"weak"
 
 	"qoadvisor/internal/budget"
@@ -38,12 +43,38 @@ func instanceDiff(a, b *Job) string {
 	return ""
 }
 
+// datedStrings lists every string of job's instance that is cut from its
+// batch's string block (a lone instance's own two strings): the job's ID,
+// the truth's dated paths and site keys, and the bound graph's strings
+// holding the date stamp — scan and output paths and column sources.
+func datedStrings(j *Job) []string {
+	out := []string{j.ID}
+	out = append(out, j.Truth.Paths...)
+	out = append(out, j.Truth.Sites...)
+	stamp := dateStamp(j.Date)
+	for _, n := range j.Graph.Nodes() {
+		for _, s := range []string{n.TablePath, n.OutPath} {
+			if strings.Contains(s, stamp) {
+				out = append(out, s)
+			}
+		}
+		for _, c := range slices.Concat(n.Cols, n.GroupBy) {
+			if strings.Contains(c.Source, stamp) {
+				out = append(out, c.Source)
+			}
+		}
+	}
+	return out
+}
+
 // TestJobsForDayMatchesLoneInstantiate: every job a JobsForDay batch hands
 // out, for every ledger template on dates 0, 1, 7 and 30, equals the one
-// a lone Instantiate builds on a fresh generator. The dates run backwards,
-// so each JobsForDay finds its date in no memo but the look-ahead's: every
-// third template's instance was built alone before the batch, which then
-// hands that one out and builds the rest.
+// a lone Instantiate builds on a fresh generator, every dated string
+// (datedStrings) included. The dates run backwards, so each JobsForDay
+// finds its date in no memo but the look-ahead's: every third template's
+// instance was built alone before the batch, which then hands that one out
+// and builds the rest, and the dated strings of the instances it builds
+// all lie in one block of the size it reserved for them.
 func TestJobsForDayMatchesLoneInstantiate(t *testing.T) {
 	cfg := Config{Seed: 20211101, NumTemplates: 222}
 	gen, err := New(cfg)
@@ -55,14 +86,14 @@ func TestJobsForDayMatchesLoneInstantiate(t *testing.T) {
 		index[tpl] = i
 	}
 	for _, date := range []int{30, 7, 1, 0} {
-		ahead := map[*Job]bool{}
+		ahead, aheadOf := map[*Job]bool{}, map[*Template]bool{}
 		for i, tpl := range gen.Templates() {
 			if i%3 == 0 {
 				j, err := tpl.Instantiate(date, 0)
 				if err != nil {
 					t.Fatal(err)
 				}
-				ahead[j] = true
+				ahead[j], aheadOf[tpl] = true, true
 			}
 		}
 		before := gen.CompileCacheStats()
@@ -78,7 +109,8 @@ func TestJobsForDayMatchesLoneInstantiate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		held := 0
+		held, reserved := 0, 0
+		lo, hi := uintptr(math.MaxUint), uintptr(0)
 		for _, got := range jobs {
 			if ahead[got] {
 				held++
@@ -90,6 +122,23 @@ func TestJobsForDayMatchesLoneInstantiate(t *testing.T) {
 			if d := instanceDiff(got, want); d != "" {
 				t.Fatalf("date %d %s: the batch's instance differs from a lone one: %s", date, got.ID, d)
 			}
+			gs, ws := datedStrings(got), datedStrings(want)
+			if !slices.Equal(gs, ws) {
+				t.Fatalf("date %d %s: dated strings %q, a lone build's %q", date, got.ID, gs, ws)
+			}
+			if aheadOf[got.Template] {
+				continue
+			}
+			if got.Seq == 0 {
+				reserved += got.Template.strBytes
+			}
+			for _, s := range gs {
+				p := uintptr(unsafe.Pointer(unsafe.StringData(s)))
+				lo, hi = min(lo, p), max(hi, p+uintptr(len(s)))
+			}
+		}
+		if hi-lo > uintptr(reserved) {
+			t.Errorf("date %d: the batch's dated strings span %d bytes, more than the %d its one block holds", date, hi-lo, reserved)
 		}
 		if held != len(ahead) {
 			t.Errorf("date %d: %d look-ahead jobs handed out, %d built", date, held, len(ahead))
@@ -234,11 +283,12 @@ func TestJobsForDayBetweenPasses(t *testing.T) {
 }
 
 // batchSlabs reports, for every slab of the batch JobsForDay(date) builds
-// on gen — the job, facts, key, float and bound graph node slabs, and the
-// node and graph-header chunks of the store its instances keep their
-// rewrites in — whether it is still alive, through a weak pointer into it.
-// It compiles every instance of the day once, as production does, and
-// keeps no job of the day and no compilation.
+// on gen — the job, facts, key, float and bound graph node slabs, its
+// string block, and the node, graph-header, column and predicate chunks of
+// the store its instances keep their rewrites in — whether it is still
+// alive, through a weak pointer into it. It compiles every instance of the
+// day once, as production does, and keeps no job of the day and no
+// compilation.
 func batchSlabs(t *testing.T, gen *Generator, date int) map[string]func() bool {
 	t.Helper()
 	before := gen.CompileCacheStats().Misses
@@ -251,6 +301,8 @@ func batchSlabs(t *testing.T, gen *Generator, date int) map[string]func() bool {
 	}
 	cat := rules.NewCatalog()
 	var kept *scope.Graph
+	var cols *scope.Column
+	var pred *scope.BinaryExpr
 	for _, j := range jobs {
 		if j.Seq != 0 {
 			continue
@@ -262,17 +314,74 @@ func batchSlabs(t *testing.T, gen *Generator, date int) map[string]func() bool {
 		if kept == nil {
 			kept = res.Logical
 		}
+		c, p := rewriteAdds(j.Graph, res.Logical)
+		cols, pred = cmp.Or(cols, c), cmp.Or(pred, p)
+	}
+	if cols == nil || pred == nil {
+		t.Fatalf("no rewrite of day %d added a column list (%v) or a predicate (%v)", date, cols != nil, pred != nil)
 	}
 	j := jobs[0]
 	return map[string]func() bool{
-		"jobs":           alive(j),
-		"facts":          alive(j.facts),
-		"keys":           alive(&j.Truth.Paths[0]),
-		"floats":         alive(&j.Truth.Rows[0]),
-		"nodes":          alive(j.Graph.Roots[0]),
-		"rewrite nodes":  alive(kept.Roots[0]),
-		"rewrite graphs": alive(kept),
+		"jobs":              alive(j),
+		"facts":             alive(j.facts),
+		"keys":              alive(&j.Truth.Paths[0]),
+		"floats":            alive(&j.Truth.Rows[0]),
+		"nodes":             alive(j.Graph.Roots[0]),
+		"strings":           alive(unsafe.StringData(j.ID)),
+		"rewrite nodes":     alive(kept.Roots[0]),
+		"rewrite graphs":    alive(kept),
+		"rewrite columns":   alive(cols),
+		"rewrite predicate": alive(pred),
 	}
+}
+
+// walkBinary calls f on every BinaryExpr of e.
+func walkBinary(e scope.Expr, f func(*scope.BinaryExpr)) {
+	switch x := e.(type) {
+	case *scope.BinaryExpr:
+		f(x)
+		walkBinary(x.Left, f)
+		walkBinary(x.Right, f)
+	case *scope.UnaryExpr:
+		walkBinary(x.Expr, f)
+	case *scope.FuncExpr:
+		for _, a := range x.Args {
+			walkBinary(a, f)
+		}
+	}
+}
+
+// rewriteAdds returns the first element of a column list, and a predicate
+// node, that rewritten holds and the graph it was rewritten from does not:
+// what the rewrite cut from its store. Either is nil when there is none.
+func rewriteAdds(from, rewritten *scope.Graph) (*scope.Column, *scope.BinaryExpr) {
+	had := map[any]bool{}
+	for _, n := range from.Nodes() {
+		for _, cs := range [][]scope.Column{n.Cols, n.GroupBy} {
+			if len(cs) > 0 {
+				had[&cs[0]] = true
+			}
+		}
+		walkBinary(n.Pred, func(b *scope.BinaryExpr) { had[b] = true })
+		walkBinary(n.JoinCond, func(b *scope.BinaryExpr) { had[b] = true })
+	}
+	var cols *scope.Column
+	var pred *scope.BinaryExpr
+	for _, n := range rewritten.Nodes() {
+		for _, cs := range [][]scope.Column{n.Cols, n.GroupBy} {
+			if len(cs) > 0 && !had[&cs[0]] && cols == nil {
+				cols = &cs[0]
+			}
+		}
+		for _, e := range []scope.Expr{n.Pred, n.JoinCond} {
+			walkBinary(e, func(b *scope.BinaryExpr) {
+				if !had[b] && pred == nil {
+					pred = b
+				}
+			})
+		}
+	}
+	return cols, pred
 }
 
 // alive reports, through a weak pointer to *p, whether the object holding
@@ -283,12 +392,13 @@ func alive[T any](p *T) func() bool {
 }
 
 // TestJobsForDayFreesPastBatch: a day's instances share their batch's
-// slabs and the store their rewrites are kept in, so one instance a
-// consumer keeps keeps the whole day. Once every instance of day d has
-// compiled and JobsForDay(d+1) has retired day d, and nothing else holds
-// a day-d job or compilation, one collection frees every slab of day d's
-// batch and every chunk of its store: neither the memo, a pooled scratch
-// nor the generator pins them.
+// slabs, its string block and the store their rewrites, and the column
+// lists and predicates those add, are kept in, so one instance a consumer
+// keeps keeps the whole day. Once every instance of day d has compiled and
+// JobsForDay(d+1) has retired day d, and nothing else holds a day-d job or
+// compilation, one collection frees every slab of day d's batch, its
+// string block and every chunk of its store: neither the memo, a pooled
+// scratch nor the generator pins them.
 func TestJobsForDayFreesPastBatch(t *testing.T) {
 	gen, err := New(Config{Seed: 20211101, NumTemplates: 12})
 	if err != nil {
@@ -479,9 +589,11 @@ func TestPrefetchLeavesFailedBuildOut(t *testing.T) {
 // TestBatchRewritesConcurrentMatchHeap: goroutines compile every instance
 // of one batch at once, each instance under the default configuration and
 // single flips, each goroutine in its own order, so the instances' memos
-// keep their rewrites in the batch's one store concurrently (CI runs it
-// under -race, repeatedly). Every compilation equals the one a cache
-// without a store gives.
+// keep their rewrites in the batch's one store concurrently, and the
+// rewrites cut the column lists and predicates they add from it (CI runs
+// it under -race, repeatedly). Every compilation equals the one a cache
+// without a store gives, node for node (compilationDiff), and some of
+// them added column lists and predicates.
 func TestBatchRewritesConcurrentMatchHeap(t *testing.T) {
 	gen, err := New(Config{Seed: 20211101, NumTemplates: 16})
 	if err != nil {
@@ -518,6 +630,7 @@ func TestBatchRewritesConcurrentMatchHeap(t *testing.T) {
 	}
 	const workers = 4
 	var wg sync.WaitGroup
+	var addedCols, addedPreds atomic.Int64
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -530,10 +643,22 @@ func TestBatchRewritesConcurrentMatchHeap(t *testing.T) {
 					t.Errorf("%s %v: %s", c.job.ID, c.cfg, d)
 					return
 				}
+				if err == nil {
+					cols, pred := rewriteAdds(c.job.Graph, got.Logical)
+					if cols != nil {
+						addedCols.Add(1)
+					}
+					if pred != nil {
+						addedPreds.Add(1)
+					}
+				}
 			}
 		}(w)
 	}
 	wg.Wait()
+	if addedCols.Load() == 0 || addedPreds.Load() == 0 {
+		t.Errorf("%d compilations added column lists and %d predicates; the store's new cuts went untested", addedCols.Load(), addedPreds.Load())
+	}
 }
 
 // compilationDiff reports how a compilation differs from a reference: in

@@ -118,6 +118,10 @@ type Template struct {
 	// sites are TrueSel's keys, sorted: the order an instance writes its
 	// site keys in.
 	sites []string
+	// strBytes bounds the bytes of an instance's dated strings, its own
+	// and its bound graph's, on any date whose stamp is eight digits: what
+	// a batch reserves in its string arena for the instance.
+	strBytes int
 	// memo holds the instances of at most two dates, older built first,
 	// under mu: every job of an instance is an element of the instance's
 	// job slab, one per recurrence. An instance a lookup's miss or
@@ -421,18 +425,22 @@ func (t *Template) memoize(m dated) {
 }
 
 // batch is the storage a run of instances is built in and keeps what they
-// accumulate: their bound graphs' slabs, one slab each of keys, floats,
-// facts blocks and jobs, and the store their rewrite memos keep their
-// rewrites in. reserve counts one instance of a template, make allocates
-// what was counted, one allocation per kind, and instantiate cuts each
-// instance's room as capped subslices. The sizes are the template's: its
-// prepared script's counts, len(Tables), len(sites) and DailyInstances;
-// the store's first chunks hold one rewrite of each instance's bound
-// graph, made when a memo first keeps one. A lone instance is a batch of
-// one, which keeps its rewrites on the heap: a store would cost its own
-// header beside the same four chunks. Every instance of a batch keeps the
-// whole batch alive, store and all, and retiring the last of them frees
-// it.
+// accumulate: their bound graphs' slabs, with the string arena every dated
+// string of theirs is cut from, one slab each of keys, floats, facts
+// blocks and jobs, and the store their rewrite memos keep their rewrites
+// in, with the column lists and predicates those rewrites add. reserve
+// counts one instance of a template, make allocates what was counted, one
+// allocation per kind, and instantiate cuts each instance's room as
+// capped subslices. The sizes are the template's: its prepared script's
+// counts, len(Tables), len(sites), DailyInstances and its strings' bound,
+// strBytes, so the arena's one block holds every instance's strings; the
+// store's first chunks hold one rewrite of each instance's bound graph,
+// made when a memo first keeps one. A lone instance is a batch of one,
+// which keeps two strings of its own — its dated strings and its bound
+// graph's — and its rewrites on the heap: an arena block and a store would
+// cost as much. Every instance of a batch keeps the whole batch alive,
+// string block and store and all, and retiring the last of them frees it.
+// A batch must not be copied once an instance is built in it.
 type batch struct {
 	graphs   scope.Slabs
 	keys     []string
@@ -444,8 +452,8 @@ type batch struct {
 }
 
 // instanceSizes counts the elements of an instance's slabs beside its
-// graph's.
-type instanceSizes struct{ keys, floats, facts, jobs int }
+// graph's, and the bytes of its strings.
+type instanceSizes struct{ keys, floats, facts, jobs, bytes int }
 
 // reserve counts room in the next make for one instance of t.
 func (b *batch) reserve(t *Template) {
@@ -455,16 +463,20 @@ func (b *batch) reserve(t *Template) {
 	b.reserved.floats += 2*nt + ns
 	b.reserved.facts++
 	b.reserved.jobs += t.DailyInstances
+	b.reserved.bytes += t.strBytes
 }
 
-// make allocates the room reserve counted, and a store sized from the
-// graphs' count when it counted more than one instance.
+// make allocates the room reserve counted, and a string arena of one block
+// and a store sized from the graphs' count when it counted more than one
+// instance.
 func (b *batch) make() {
 	z := b.reserved
+	strBytes := 0
 	if z.facts > 1 {
 		b.rewrites = scope.NewStore(&b.graphs)
+		strBytes = z.bytes
 	}
-	b.graphs.Make()
+	b.graphs.Make(strBytes)
 	b.keys, b.floats = make([]string, z.keys), make([]float64, z.floats)
 	b.facts, b.jobs = make([]facts, z.facts), make([]Job, z.jobs)
 	b.reserved = instanceSizes{}
@@ -513,9 +525,9 @@ func (s *instanceScratch) release() {
 // reserved for it — concrete literals, the bound graph, per-day true row
 // counts, jittered selectivities, the optimizer-visible statistics, an
 // empty rewrite memo keeping its rewrites in b's store and its slab of
-// DailyInstances jobs. Beside what it
-// cuts from b, it allocates two strings: its own arena and the bound
-// graph's.
+// DailyInstances jobs. It cuts everything from b: its dated strings and
+// its bound graph's are two strings cut from b's arena, which in a batch
+// of one are two allocations of their own.
 func (t *Template) instantiate(date int, b *batch) ([]Job, error) {
 	// Every draw below is the first values of its own stream, seeded by
 	// what it is for: one pooled generator, re-seeded per draw, each seed
@@ -554,7 +566,7 @@ func (t *Template) instantiate(date int, b *batch) ([]Job, error) {
 		s.buf = appendJobID(s.buf, t.ID, date, seq)
 		s.cut()
 	}
-	s.pieces = split(s.pieces, string(s.buf), s.ends)
+	s.pieces = split(s.pieces, b.graphs.String(s.buf), s.ends)
 	nt, ns := len(t.Tables), len(t.sites)
 	values, pieces := s.pieces[:len(t.names)], s.pieces[len(t.names):]
 	ids := pieces[nt+ns:]
@@ -686,7 +698,34 @@ func buildTemplate(seed int64, idx, maxDaily int, lookups *lookups) (*Template, 
 	if t.prepared, err = scope.Prepare(t.ScriptPattern); err != nil {
 		return nil, fmt.Errorf("workload: template %s does not compile: %w", t.ID, err)
 	}
+	t.strBytes = t.stringBytes()
 	return t, nil
+}
+
+// stringBytes bounds the bytes of an instance's dated strings on a date
+// whose stamp is eight digits: the pieces instantiate writes, and its
+// bound graph's (Prepared.StringBytes), with every value at its longest —
+// the stamp's eight digits and a literal draw's four.
+func (t *Template) stringBytes() int {
+	values, widths := make([]string, len(t.names)), make([]int, len(t.names))
+	for k := range values {
+		values[k], widths[k] = "9999", 4
+	}
+	values[0], widths[0] = "99999999", 8
+	var buf []byte
+	for _, v := range values {
+		buf = append(buf, v...)
+	}
+	for _, tab := range t.Tables {
+		buf = appendSubstitute(buf, tab.PathPattern, datePlaceholder, values[:1])
+	}
+	for _, site := range t.sites {
+		buf = appendSubstitute(buf, site, t.Literals, values[1:])
+	}
+	for seq := 0; seq < t.DailyInstances; seq++ {
+		buf = appendJobID(buf, t.ID, 0, seq)
+	}
+	return len(buf) + t.prepared.StringBytes(t.names, widths)
 }
 
 // rowsetInfo tracks the schema of a named rowset during generation.
